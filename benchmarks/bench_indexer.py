@@ -1,6 +1,7 @@
 """Indexed vs naive listing discovery at 10^4..10^6 listings.
 
-The v1 ``find_listing`` scanned EVERY ledger object per hop per query; the
+The v1 discovery call (kept as :func:`~repro.marketdata.naive_best_listing`)
+scanned EVERY ledger object per hop per query; the
 v2 :class:`~repro.marketdata.MarketIndexer` consumes the marketplace event
 stream incrementally into per-interface sorted structures.  This bench
 fabricates markets of growing size (listings spread over a realistic pool

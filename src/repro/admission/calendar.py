@@ -367,16 +367,6 @@ class CapacityCalendar:
                 f"reclaim target {new_bandwidth_kbps} kbps outside "
                 f"(0, {commitment.bandwidth_kbps})"
             )
-        return self._resize(commitment, new_bandwidth_kbps)
-
-    def _resize(self, commitment: Commitment, new_bandwidth_kbps: int) -> Commitment:
-        """Unvalidated in-place bandwidth change, either direction.
-
-        The grow direction exists only for crash rollback (a worker that
-        half-applied a reclaim batch restores the old bandwidths through
-        it); canonical pruning makes the shrink-then-grow round trip
-        byte-identical, the same way commit-then-release is.
-        """
         delta = new_bandwidth_kbps - commitment.bandwidth_kbps
         lo, hi = self._ensure_boundaries(commitment.start, commitment.end)
         levels = self._levels
@@ -505,43 +495,6 @@ class CapacityCalendar:
                 )
             ),
         )
-
-    def state(self) -> tuple:
-        """Picklable snapshot of the complete calendar state.
-
-        Unlike :meth:`fingerprint` this *does* carry the next commitment
-        id, so :meth:`from_state` resumes id allocation exactly where the
-        source calendar left off — replaying the same operation sequence
-        against a restored calendar reproduces identical commitment ids
-        (what the multiprocess shard engine's crash recovery relies on).
-        """
-        return (
-            self.capacity_kbps,
-            list(self._times),
-            list(self._levels),
-            [
-                (c.commitment_id, c.bandwidth_kbps, c.start, c.end, c.tag)
-                for c in self._commitments.values()
-            ],
-            self._next_id(),
-        )
-
-    @classmethod
-    def from_state(cls, state: tuple) -> "CapacityCalendar":
-        """Rebuild a calendar byte-identical to the one :meth:`state` saw."""
-        capacity_kbps, times, levels, rows, next_id = state
-        calendar = cls(capacity_kbps)
-        calendar._install(list(times), list(levels))
-        for commitment_id, bandwidth_kbps, start, end, tag in rows:
-            commitment = Commitment(commitment_id, bandwidth_kbps, start, end, tag)
-            calendar._commitments[commitment_id] = commitment
-            calendar._index(commitment)
-        calendar._ids = itertools.count(next_id)
-        return calendar
-
-    def _next_id(self) -> int:
-        """The next commitment id ``_ids`` would hand out, without consuming it."""
-        return self._ids.__reduce__()[1][0]
 
     # -- internals ----------------------------------------------------------------
 

@@ -29,7 +29,6 @@ from repro.admission.policy import (
 )
 from repro.admission.pricing import FlatPricer, Pricer
 from repro.admission.sharded import ShardedCalendar
-from repro.shardengine import EngineSpec, build_engine
 from repro.telemetry import get_registry
 from repro.telemetry.tracing import current_trace
 
@@ -62,7 +61,6 @@ class AdmissionController:
         shard_seconds: float | None = None,
         auction_interfaces: bool | set[tuple[int, bool]] | None = None,
         telemetry: bool | None = None,
-        engine: EngineSpec | str | None = None,
     ) -> None:
         """Configure the admission authority for one AS.
 
@@ -90,13 +88,6 @@ class AdmissionController:
                 registry.  ``tools/perf_guard.py`` uses the override to
                 benchmark an armed and a disarmed controller side by side
                 in one process.
-            engine: which shard-engine backend answers the calendar
-                surface — an :class:`~repro.shardengine.EngineSpec`, a
-                kind string (``"monolithic"``, ``"sharded"``,
-                ``"multiprocess"``), or ``None`` to derive the backend
-                from ``shard_seconds`` (the historical behavior).  The
-                multiprocess backend stripes shards across worker
-                processes; call :meth:`close` when done with it.
 
         Raises:
             ValueError: non-positive capacity or shard width.
@@ -108,9 +99,7 @@ class AdmissionController:
         self.default_capacity_kbps = int(capacity_kbps)
         self.policy = policy if policy is not None else FirstComeFirstServed()
         self.pricer = pricer if pricer is not None else FlatPricer()
-        self.engine_spec = EngineSpec.resolve(engine, shard_seconds)
-        self.engine = build_engine(self.engine_spec)
-        self.shard_seconds = self.engine_spec.shard_seconds
+        self.shard_seconds = None if shard_seconds is None else float(shard_seconds)
         self._capacities = dict(capacities) if capacities else {}
         self._calendars: dict[
             tuple[str, int, bool], CapacityCalendar | ShardedCalendar
@@ -195,27 +184,13 @@ class AdmissionController:
         key = (layer, interface, is_ingress)
         found = self._calendars.get(key)
         if found is None:
-            found = self.engine.calendar(key, self.capacity_kbps(interface, is_ingress))
+            capacity = self.capacity_kbps(interface, is_ingress)
+            if self.shard_seconds is None:
+                found = CapacityCalendar(capacity)
+            else:
+                found = ShardedCalendar(capacity, shard_seconds=self.shard_seconds)
             self._calendars[key] = found
         return found
-
-    def collect_worker_metrics(self) -> None:
-        """Fold shard-engine worker registries into the process registry.
-
-        A no-op for in-process engines; under the multiprocess backend
-        this pulls each worker's counters/gauges/histograms over the
-        message surface and merges them, so exports and dashboards see
-        one coherent registry.
-        """
-        self.engine.collect_metrics()
-
-    def close(self) -> None:
-        """Shut the engine backend down (worker processes, shared memory).
-
-        Worker metrics are collected first.  In-process engines make this
-        a no-op; it is safe to call more than once.
-        """
-        self.engine.close()
 
     # -- admission ----------------------------------------------------------------
 

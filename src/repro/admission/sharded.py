@@ -591,10 +591,7 @@ class ShardedCalendar:
         Canonicalizes the shard map (each shard's own
         :meth:`CapacityCalendar.fingerprint`), the top-level commitment
         records, the end-shard index, and the piece projections; excludes
-        the id counter and per-shard numpy caches.  The multiprocess
-        engine's facade produces the *same* tuple shape from worker-held
-        shards, which is what lets the crash-recovery suite compare
-        calendars across process boundaries.
+        the id counter and per-shard numpy caches.
         """
         return (
             "sharded",

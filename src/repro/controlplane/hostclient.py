@@ -13,16 +13,12 @@ moved, insufficient funds), the whole transaction aborts and no money moves
 (§4.2 "Atomic End-to-End Guarantees").  On top of that, a client-side
 ``max_price_mist`` guard repriced against the live index refuses to submit
 at all when a scarcity-price move since planning would bust the budget.
-
-The tuple-returning ``find_listing`` and per-hop ``plan_purchase`` calls
-remain as thin deprecation shims over the v2 planner.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import warnings
 from dataclasses import dataclass
 
 from repro.contracts.asset import DELIVERY_TYPE, ASSET_TYPE
@@ -399,87 +395,6 @@ class HostClient:
             ListingNotFound: nothing covers the spec.
         """
         return plan_from_quote(self.planner(marketplace).best(spec))
-
-    # -- legacy v1 surface (deprecation shims) -------------------------------------
-
-    def find_listing(
-        self,
-        marketplace: str,
-        isd_as: IsdAs,
-        interface: int,
-        is_ingress: bool,
-        start: int,
-        expiry: int,
-        bandwidth_kbps: int,
-        exact_window: bool = False,
-    ) -> tuple[str, int, int, int]:
-        """Deprecated: build a :class:`ListingQuery` and use the indexer.
-
-        Returns (listing id, price in MIST, aligned start, aligned expiry)
-        like v1 did; the answer now comes from the incremental index
-        instead of a full ledger scan.
-        """
-        warnings.warn(
-            "find_listing is deprecated; use ListingQuery + MarketIndexer.best",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        try:
-            query = ListingQuery(
-                isd_as=isd_as,
-                interface=interface,
-                is_ingress=is_ingress,
-                start=start,
-                expiry=expiry,
-                bandwidth_kbps=bandwidth_kbps,
-                exact_window=exact_window,
-            )
-        except ValueError:
-            # v1 answered degenerate requests (empty window, bandwidth 0)
-            # with ListingNotFound, not ValueError; keep that contract.
-            query = None
-        found = self.indexer(marketplace).best(query) if query is not None else None
-        if found is None:
-            raise ListingNotFound(
-                f"no listing at {isd_as} if={interface} "
-                f"{'ingress' if is_ingress else 'egress'} covers "
-                f"[{start},{expiry})x{bandwidth_kbps}kbps"
-                + (" (exact window)" if exact_window else "")
-            )
-        return found.as_tuple()
-
-    def plan_purchase(
-        self, marketplace: str, requirements: list[HopRequirement]
-    ) -> PurchasePlan:
-        """Deprecated: use :meth:`plan_path` with a :class:`PathSpec`."""
-        warnings.warn(
-            "plan_purchase is deprecated; use plan_path with a PathSpec",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        planner = self.planner(marketplace)
-        hops: list[ResolvedHop] = []
-        for requirement in requirements:
-            resolved = planner.resolve_hop(
-                requirement.isd_as,
-                requirement.ingress,
-                requirement.egress,
-                requirement.start,
-                requirement.expiry,
-                requirement.bandwidth_kbps,
-            )
-            hops.append(
-                ResolvedHop(
-                    ingress_listing=resolved.ingress_candidate.listing.listing_id,
-                    egress_listing=resolved.egress_candidate.listing.listing_id,
-                    buy_start=resolved.start,
-                    buy_expiry=resolved.expiry,
-                    price_mist=resolved.price_mist,
-                    ingress_price_mist=resolved.ingress_candidate.price_mist,
-                    egress_price_mist=resolved.egress_candidate.price_mist,
-                )
-            )
-        return PurchasePlan(requirements=requirements, hops=hops)
 
     # -- sealed-bid auctions --------------------------------------------------------
 

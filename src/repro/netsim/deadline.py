@@ -110,7 +110,6 @@ def deadline_experiment(
     seed: int = 3,
     prf_factory: PrfFactory = SIM_PRF,
     shard_seconds: float | None = None,
-    engine=None,
 ) -> DeadlineExperimentResult:
     """Run a contending transfer mix end-to-end and return the tally.
 
@@ -148,24 +147,20 @@ def deadline_experiment(
         asset_bandwidth_kbps=market_bandwidth_kbps,
         price_micromist_per_unit=base_price_micromist,
         shard_seconds=shard_seconds,
-        engine=engine,
     )
-    try:
-        return _run_mix(
-            deployment,
-            crossings,
-            transfer_count,
-            horizon,
-            market_bandwidth_kbps,
-            rng,
-            TransferPlanner,
-            DeadlineTransfer,
-            offline_optimum,
-            execute_transfer,
-            BYTES_PER_KBPS_SECOND,
-        )
-    finally:
-        deployment.close()
+    return _run_mix(
+        deployment,
+        crossings,
+        transfer_count,
+        horizon,
+        market_bandwidth_kbps,
+        rng,
+        TransferPlanner,
+        DeadlineTransfer,
+        offline_optimum,
+        execute_transfer,
+        BYTES_PER_KBPS_SECOND,
+    )
 
 
 def _run_mix(

@@ -40,11 +40,7 @@ def calendar_fingerprint(calendar: CapacityCalendar | ShardedCalendar) -> tuple:
     headroom, tag-peak, and expiry query identically; only their next
     commitment id (and compiled numpy caches) may differ.
 
-    Delegates to the calendar's own ``fingerprint()`` — every backend
-    behind the shard-engine boundary (monolithic, in-process sharded, and
-    the multiprocess facade, which gathers shard state from its worker
-    processes) renders the same canonical tuple shapes, so fingerprints
-    compare across backends and across process restarts.
+    Delegates to the calendar's own ``fingerprint()``.
     """
     return calendar.fingerprint()
 

@@ -13,34 +13,28 @@ for relisting or re-auction.
 
 Failure model (the matrix ``docs/reclamation.md`` tabulates):
 
-* a calendar-level reclaim that fails — including a shard-engine worker
-  crash mid-batch — rolls back byte-identically inside the backend and
-  raises a retryable error; the engine leaves the reservation tracked
-  with its target pinned and retries on the next scan;
+* a calendar validates a reclaim before it mutates anything, so a
+  rejected target (``ValueError``) leaves it unchanged and propagates;
 * a reservation spanning several calendars (ingress + egress) reclaims
-  them in order; a retryable failure partway leaves the already-shrunk
-  calendars shrunk (strictly conservative: capacity was *freed*, never
-  oversold) and completes the rest on the next scan — the reclamation
-  event, policer demotion, and relist hook all fire only once the last
-  calendar is done;
+  them in order — the reclamation event, policer demotion, and relist
+  hook all fire only once the last calendar is done;
 * a commitment that disappeared underneath (released or expired) is
   treated as already reclaimed.
 
 Reclaim targets never go below the observed rate (``retain_headroom >=
 1``), so reclamation never lowers an interface's headroom below what the
 data plane has actually seen — the invariant the hypothesis suite in
-``tests/reclaim/`` drives across every calendar backend.
+``tests/reclaim/`` drives on both calendar types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.admission.controller import ACTIVE, AdmissionController
 from repro.reclaim.usage import UsageReporter
-from repro.shardengine import EngineRetryable
 from repro.telemetry import get_registry
 
 # One active-calendar claim of a tracked reservation:
@@ -60,8 +54,6 @@ class TrackedReservation:
     handles: list[Handle]
     tag: str = ""
     bandwidth_kbps: int = 0  # current (post-reclaim) bandwidth
-    pending_target_kbps: int | None = None  # pinned mid-retry target
-    done_handles: set[int] = field(default_factory=set)
     reclaimed_at: float | None = None
     reclaimed_to_kbps: int | None = None
     bytes_at_reclaim: int = 0
@@ -150,7 +142,6 @@ class ReclamationEngine:
         self._tracked: dict[int, TrackedReservation] = {}
         self.events: list[ReclamationEvent] = []
         self.false_reclaims = 0
-        self.retries = 0
         self.scans = 0
         #: Per-(interface, is_ingress) show-up rate from the last scan.
         self.last_show_up: dict[tuple[int, bool], float] = {}
@@ -170,10 +161,6 @@ class ReclamationEngine:
             "reclaim_false_reclaims_total",
             "Reclaimed reservations whose sender later exceeded the "
             "retained rate (the overbooking bet charged to the buyer).",
-        ).labels()
-        self._m_retries = registry.counter(
-            "reclaim_retries_total",
-            "Reclaim attempts deferred by a retryable backend failure.",
         ).labels()
         self._m_scans = registry.counter(
             "reclaim_scans_total", "Reclamation scan passes."
@@ -272,40 +259,22 @@ class ReclamationEngine:
         self, tracked: TrackedReservation, observed: float, now: float
     ) -> ReclamationEvent | None:
         """No-show check + reclaim attempt for one live reservation."""
-        if tracked.pending_target_kbps is not None:
-            # A previous attempt hit a retryable failure: finish it with
-            # the pinned target so every calendar lands on the same value.
-            target = tracked.pending_target_kbps
-        else:
-            if observed >= self.no_show_threshold * tracked.booked_kbps:
-                return None  # showing up
-            target = max(
-                self.min_retained_kbps,
-                math.ceil(observed * self.retain_headroom),
-            )
-            if target >= tracked.bandwidth_kbps:
-                return None  # nothing worth reclaiming
-            tracked.pending_target_kbps = target
-        for index, (interface, is_ingress, commitment_id) in enumerate(
-            tracked.handles
-        ):
-            if index in tracked.done_handles:
-                continue
+        if observed >= self.no_show_threshold * tracked.booked_kbps:
+            return None  # showing up
+        target = max(
+            self.min_retained_kbps,
+            math.ceil(observed * self.retain_headroom),
+        )
+        if target >= tracked.bandwidth_kbps:
+            return None  # nothing worth reclaiming
+        for interface, is_ingress, commitment_id in tracked.handles:
             calendar = self.controller.calendar(interface, is_ingress, ACTIVE)
             try:
                 calendar.reclaim(commitment_id, target)
-            except EngineRetryable:
-                self.retries += 1
-                if self._telemetry:
-                    self._m_retries.inc()
-                return None  # backend rolled back; finish on the next scan
             except KeyError:
                 pass  # commitment released/expired underneath: nothing to shrink
-            tracked.done_handles.add(index)
         old_kbps = tracked.bandwidth_kbps
         tracked.bandwidth_kbps = target
-        tracked.pending_target_kbps = None
-        tracked.done_handles.clear()
         tracked.reclaimed_at = now
         tracked.reclaimed_to_kbps = target
         tracked.bytes_at_reclaim = self.reporter.usage_bytes(

@@ -1,18 +1,12 @@
-"""Property: every shard-engine backend IS the monolithic calendar.
+"""Property: the sharded calendar IS the monolithic calendar.
 
 Hypothesis drives arbitrary interleavings of commit / commit_batch
 (tracked and untracked) / release / split_time / split_bandwidth / fuse /
-transfer / expire against an engine-built calendar (shard width chosen
+transfer / expire against a :class:`ShardedCalendar` (shard width chosen
 so windows routinely span shard boundaries) and a monolithic
 :class:`CapacityCalendar`, and checks after every step that
 ``peak_commitment`` / ``bulk_peak`` / ``tag_peak`` / ``headroom`` answer
 identically — mirroring ``tests/marketdata/test_indexer_property.py``.
-
-The machine is parametrized over the three shard-engine backends
-(monolithic, in-process sharded, multiprocess) via the ``SPEC`` class
-attribute, so the same rule set exercises the whole boundary; the
-multiprocess run keeps example counts low because every example forks a
-worker pool.
 
 One deliberate divergence is excluded by construction: ``expire(now)``
 drops whole shards behind ``now``, forgetting the *history* of
@@ -28,8 +22,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.admission import CapacityCalendar
-from repro.shardengine import EngineSpec, build_engine
+from repro.admission import CapacityCalendar, ShardedCalendar
 
 SHARD = 100.0
 HORIZON = 1000  # 10 shards' worth of commitment starts
@@ -40,20 +33,13 @@ TAGS = ("alice", "bob", "")
 
 
 class ShardedDifferentialMachine(RuleBasedStateMachine):
-    SPEC = EngineSpec(kind="sharded", shard_seconds=SHARD)
-
     @initialize()
     def setup(self) -> None:
         self.mono = CapacityCalendar(CAPACITY)
-        self.engine = build_engine(self.SPEC)
-        self.shard = self.engine.calendar(("prop", 0, True), CAPACITY)
-        self.handles: list[tuple[int, int]] = []  # (mono id, engine id)
+        self.shard = ShardedCalendar(CAPACITY, shard_seconds=SHARD)
+        self.handles: list[tuple[int, int]] = []  # (mono id, sharded id)
         self.watermark = 0.0
         self.rng = random.Random(4321)
-
-    def teardown(self) -> None:
-        if hasattr(self, "engine"):
-            self.engine.close()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -209,24 +195,7 @@ class ShardedDifferentialMachine(RuleBasedStateMachine):
         )
 
 
-class MonolithicEngineMachine(ShardedDifferentialMachine):
-    SPEC = EngineSpec(kind="monolithic")
-
-
-class MultiprocessEngineMachine(ShardedDifferentialMachine):
-    SPEC = EngineSpec(kind="multiprocess", shard_seconds=SHARD, num_workers=2)
-
-
 ShardedDifferentialMachine.TestCase.settings = settings(
     max_examples=20, stateful_step_count=20, deadline=None
 )
-MonolithicEngineMachine.TestCase.settings = settings(
-    max_examples=10, stateful_step_count=20, deadline=None
-)
-# Every multiprocess example forks a 2-worker pool: keep the count small.
-MultiprocessEngineMachine.TestCase.settings = settings(
-    max_examples=5, stateful_step_count=15, deadline=None
-)
 TestShardedMatchesMonolithic = ShardedDifferentialMachine.TestCase
-TestMonolithicEngineMatches = MonolithicEngineMachine.TestCase
-TestMultiprocessEngineMatches = MultiprocessEngineMachine.TestCase

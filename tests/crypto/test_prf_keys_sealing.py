@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keys import SecretValue, derive_auth_key, pack_resinfo_input
@@ -119,6 +119,7 @@ class TestSealing:
         with pytest.raises(ValueError):
             unseal(recipient, tampered)
 
+    @settings(deadline=None)  # four 2048-bit modexps per example
     @given(st.binary(min_size=1, max_size=200))
     def test_arbitrary_payloads(self, payload):
         rng = random.Random(4)

@@ -327,28 +327,6 @@ class TestMixedGranularity:
         hop = planner.resolve_hop(raw_market.isd_as, 1, 2, 60, 120, 1000)
         assert (hop.start, hop.expiry) == (0, 3660)  # lcm(60, 61)
 
-    def test_find_listing_shim_keeps_v1_exceptions(self, raw_market):
-        """Degenerate requests raise ListingNotFound like v1, not ValueError."""
-        import warnings
-
-        from repro.controlplane.hostclient import HostClient
-        from repro.ledger.accounts import Account
-        from repro.ledger.committee import Committee
-        from repro.ledger.executor import LedgerExecutor
-        import random
-
-        from repro.clock import SimClock
-
-        raw_market.issue_and_list(1, True, 10_000, 0, 3600)
-        executor = LedgerExecutor(raw_market.ledger, Committee(seed=1), SimClock())
-        host = HostClient(Account.generate(random.Random(5), "h"), executor)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ListingNotFound):
-                host.find_listing(  # empty window
-                    raw_market.marketplace, raw_market.isd_as, 1, True, 600, 600, 1000
-                )
-
     def test_missing_inventory_still_plain_listing_not_found(self, raw_market):
         raw_market.issue_and_list(1, True, 10_000, 0, 3600)
         planner = PurchasePlanner(

@@ -8,7 +8,6 @@ the sharded backend.
 """
 
 from repro.netsim import deadline_experiment
-from repro.shardengine import EngineSpec
 
 
 def test_deadline_experiment_aggregates():
@@ -38,7 +37,6 @@ def test_deadline_experiment_runs_on_sharded_backend():
         horizon=1200,
         seed=5,
         shard_seconds=600.0,
-        engine=EngineSpec(kind="sharded", shard_seconds=600.0),
     )
     assert len(result.records) == 3
     assert result.bytes_vs_oracle >= 0.9

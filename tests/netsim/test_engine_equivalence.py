@@ -1,29 +1,29 @@
-"""Experiments run unchanged on every shard-engine backend.
+"""Experiments run unchanged on either calendar.
 
-The boundary's headline promise: pointing a whole workload at the
-multiprocess backend changes *where* calendars live, never *what* they
-answer — every buyer's admission outcome, price, and peak is identical
-to the in-process run, seed for seed.
+``shard_seconds`` changes *how* a controller stores its commitments
+(one :class:`~repro.admission.CapacityCalendar` or a
+:class:`~repro.admission.ShardedCalendar` of that width), never *what*
+it answers — every buyer's admission outcome, price, and peak is
+identical between the two, seed for seed.
 """
 
+import repro.admission
 from repro.netsim import (
     auction_experiment,
     flex_market_experiment,
     linear_path,
     path_contention_experiment,
 )
-from repro.shardengine import EngineSpec
 
 SIM_SHARD = 600.0
-MP = EngineSpec(kind="multiprocess", shard_seconds=SIM_SHARD, num_workers=2)
-IN_PROCESS = EngineSpec(kind="sharded", shard_seconds=SIM_SHARD)
+WIDTHS = (None, SIM_SHARD)  # monolithic, sharded
 
 
 def test_auction_experiment_outcomes_identical_across_backends():
     topology, path = linear_path(3)
     results = [
-        auction_experiment(topology, path, duration=0, seed=3, engine=engine)
-        for engine in (IN_PROCESS, MP)
+        auction_experiment(topology, path, duration=0, seed=3, shard_seconds=width)
+        for width in WIDTHS
     ]
 
     def outcomes(result):
@@ -43,8 +43,8 @@ def test_auction_experiment_outcomes_identical_across_backends():
 
 def test_flex_market_experiment_outcomes_identical_across_backends():
     results = [
-        flex_market_experiment(duration=0.3, seed=1, engine=engine)
-        for engine in (IN_PROCESS, MP)
+        flex_market_experiment(duration=0.3, seed=1, shard_seconds=width)
+        for width in WIDTHS
     ]
 
     def outcomes(result):
@@ -62,12 +62,22 @@ def test_flex_market_experiment_outcomes_identical_across_backends():
     assert outcomes(results[0]) == outcomes(results[1])
 
 
-def test_path_contention_outcomes_identical_across_backends():
+def test_path_contention_outcomes_identical_across_backends(monkeypatch):
+    """The experiment shards its bottleneck hop; the other arm forces every
+    hop's controller monolithic (the experiment takes no ``shard_seconds``)."""
     topology, path = linear_path(3)
-    results = [
-        path_contention_experiment(topology, path, num_buyers=8, engine=engine)
-        for engine in (IN_PROCESS, MP)
-    ]
+    sharded = path_contention_experiment(topology, path, num_buyers=8)
+
+    real = repro.admission.AdmissionController
+    widths_seen = []
+
+    def monolithic(*args, shard_seconds=None, **kwargs):
+        widths_seen.append(shard_seconds)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(repro.admission, "AdmissionController", monolithic)
+    mono = path_contention_experiment(topology, path, num_buyers=8)
+    assert SIM_SHARD in widths_seen  # the override did replace a sharded hop
 
     def outcomes(result):
         return (
@@ -80,12 +90,12 @@ def test_path_contention_outcomes_identical_across_backends():
             result.oversold,
         )
 
-    assert outcomes(results[0]) == outcomes(results[1])
+    assert outcomes(mono) == outcomes(sharded)
 
 
-def test_path_contention_rollback_holds_on_the_multiprocess_backend():
-    """The pathadm screen/commit fingerprints see through the boundary."""
+def test_path_contention_rollback_holds_on_the_sharded_hop():
+    """The pathadm screen/commit fingerprints cover the sharded calendar."""
     topology, path = linear_path(4)
-    result = path_contention_experiment(topology, path, num_buyers=6, engine=MP)
+    result = path_contention_experiment(topology, path, num_buyers=6)
     assert result.rollback_restores_state
     assert not result.oversold

@@ -1,30 +1,22 @@
-"""Property suite: reclamation is safe on every calendar backend.
+"""Property suite: reclamation is safe on both calendars.
 
-Three invariants, driven by hypothesis:
+Two invariants, driven by hypothesis:
 
 (a) the reclamation engine never shrinks a commitment below the observed
     rate — ``retain_headroom >= 1`` and the min-retained floor guarantee
     the interface keeps headroom for traffic the data plane has seen;
-(b) a failure mid-reclaim rolls back byte-identically (worker-level
-    batch rollback, checked with the pathadm fingerprints);
-(c) one interleaving of commit/reclaim/release produces identical
-    verdicts and identical headroom profiles on the monolithic, sharded,
-    and multiprocess backends — and identical fingerprints where the
-    layouts are comparable (sharded vs. multiprocess).
+(b) one interleaving of commit/reclaim/release produces identical
+    verdicts and identical headroom profiles on the monolithic and
+    sharded calendars.
 """
 
-import itertools
 import math
 
-import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.admission import ACTIVE, AdmissionController, CapacityCalendar, ShardedCalendar
-from repro.pathadm import calendar_fingerprint
 from repro.reclaim import ReclamationEngine, UsageReporter
-from repro.shardengine import EngineSpec, build_engine
-from repro.shardengine.worker import _WorkerState
 
 SHARD = 100.0
 CAPACITY = 1_000_000
@@ -80,59 +72,7 @@ def test_reclaim_never_lowers_headroom_below_observed(
         assert calendar.headroom(0.0, 100.0) == 100_000 - booked
 
 
-# -- (b) mid-reclaim failure rolls back byte-identically ------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    pieces=st.lists(
-        st.tuples(
-            st.integers(0, 7),  # shard index
-            st.integers(2, 500),  # bandwidth (>= 2 so a shrink target exists)
-        ),
-        min_size=1,
-        max_size=10,
-    ),
-    poison_seed=st.integers(0, 10_000),
-    data=st.data(),
-)
-def test_worker_reclaim_batch_failure_restores_every_shard(
-    pieces, poison_seed, data
-):
-    """The worker applies its whole stripe of a reclaim or none of it."""
-    key = ("prop", 0, True)
-    state = _WorkerState(0, SHARD)
-    state.register({"key": key, "capacity_kbps": CAPACITY})
-    items = [
-        (key, shard, bw, shard * SHARD + 1.0, (shard + 1) * SHARD - 1.0, "p")
-        for shard, bw in pieces
-    ]
-    ids = state.commit_pieces({"items": items})
-    before = {
-        shard: calendar_fingerprint(state.shards[key][shard])
-        for shard, _ in pieces
-    }
-
-    reclaim_items = [
-        (key, shard, piece_id, data.draw(st.integers(1, bw - 1), label="target"))
-        for (shard, bw), piece_id in zip(pieces, ids)
-    ]
-    # Poison one item with an invalid (non-shrinking) target: the batch
-    # raises partway and must restore every already-shrunk piece.
-    poison = poison_seed % len(reclaim_items)
-    k, shard, piece_id, _ = reclaim_items[poison]
-    reclaim_items[poison] = (k, shard, piece_id, pieces[poison][1])
-    with pytest.raises(ValueError):
-        state.reclaim_pieces({"items": reclaim_items})
-
-    after = {
-        shard: calendar_fingerprint(state.shards[key][shard])
-        for shard, _ in pieces
-    }
-    assert after == before
-
-
-# -- (c) backend equivalence under random interleavings -------------------------
+# -- (b) calendar equivalence under random interleavings ------------------------
 
 OPS = st.lists(
     st.one_of(
@@ -196,28 +136,3 @@ def test_monolithic_and_sharded_verdicts_identical(ops):
     mono = _run(CapacityCalendar(CAPACITY), ops)
     sharded = _run(ShardedCalendar(CAPACITY, shard_seconds=SHARD), ops)
     assert mono == sharded
-
-
-@pytest.fixture(scope="module")
-def mp_engine():
-    engine = build_engine(
-        EngineSpec(kind="multiprocess", shard_seconds=SHARD, num_workers=2)
-    )
-    try:
-        yield engine, itertools.count()
-    finally:
-        engine.close()
-
-
-@settings(
-    max_examples=15,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(ops=OPS)
-def test_multiprocess_matches_sharded_including_fingerprints(mp_engine, ops):
-    engine, fresh = mp_engine
-    reference = ShardedCalendar(CAPACITY, shard_seconds=SHARD)
-    remote = engine.calendar(("prop", next(fresh), True), CAPACITY)
-    assert _run(reference, ops) == _run(remote, ops)
-    assert calendar_fingerprint(remote) == calendar_fingerprint(reference)

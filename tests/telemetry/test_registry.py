@@ -1,4 +1,4 @@
-"""Registry unit tests: buckets, cardinality guard, null fast path, merge."""
+"""Registry unit tests: buckets, cardinality guard, null fast path."""
 
 import math
 
@@ -12,7 +12,6 @@ from repro.telemetry import (
     get_registry,
     set_registry,
 )
-from repro.telemetry.export import snapshot
 from repro.telemetry.registry import _NULL_INSTRUMENT
 
 
@@ -154,69 +153,3 @@ def test_set_registry_installs_and_restores():
     finally:
         assert set_registry(previous) is live
     assert get_registry() is previous
-
-
-# -- cross-registry merge (shard-engine workers -> parent) --------------------
-
-
-def _worker_registry() -> MetricsRegistry:
-    registry = MetricsRegistry()
-    registry.counter("ops", "ops", ("op",)).labels("commit").inc(3)
-    registry.gauge("shards", "held", ("worker",)).labels("0").set(7)
-    hist = registry.histogram("lat", "latency", ("op",), buckets=(1.0, 2.0))
-    hist.labels("commit").observe(0.5)
-    hist.labels("commit").observe(1.5)
-    return registry
-
-
-def test_merge_counters_add_and_gauges_take_last_value():
-    parent = MetricsRegistry()
-    parent.counter("ops", "ops", ("op",)).labels("commit").inc(1)
-    merged = parent.merge(snapshot(_worker_registry()))
-    assert merged == 3  # one counter child + one gauge child + one histogram child
-    assert parent.counter("ops", labelnames=("op",)).labels("commit").value == 4.0
-    assert parent.gauge("shards", labelnames=("worker",)).labels("0").value == 7.0
-    # Re-merging the same gauge snapshot must not double-count.
-    parent.merge(snapshot(_worker_registry()))
-    assert parent.gauge("shards", labelnames=("worker",)).labels("0").value == 7.0
-    assert parent.counter("ops", labelnames=("op",)).labels("commit").value == 7.0
-
-
-def test_merge_histograms_add_counts_sum_and_count():
-    parent = MetricsRegistry()
-    parent.merge(snapshot(_worker_registry()))
-    parent.merge(snapshot(_worker_registry()))
-    child = parent.histogram(
-        "lat", labelnames=("op",), buckets=(1.0, 2.0)
-    ).labels("commit")
-    assert child.counts == [2, 2, 0]
-    assert child.count == 4
-    assert child.sum == pytest.approx(4.0)
-
-
-def test_merge_declares_missing_families_on_demand():
-    parent = MetricsRegistry()
-    parent.merge(snapshot(_worker_registry()))
-    names = {family.name for family in parent.families()}
-    assert {"ops", "shards", "lat"} <= names
-
-
-def test_merge_rejects_mismatched_histogram_buckets():
-    parent = MetricsRegistry()
-    parent.histogram("lat", "latency", ("op",), buckets=(5.0, 10.0))
-    with pytest.raises(ValueError):
-        parent.merge(snapshot(_worker_registry()))
-
-
-def test_merge_rejects_unknown_kind():
-    parent = MetricsRegistry()
-    with pytest.raises(ValueError):
-        parent.merge(
-            [{"name": "x", "kind": "summary", "labelnames": [], "children": []}]
-        )
-
-
-def test_merge_roundtrips_through_export_snapshot():
-    parent = MetricsRegistry()
-    parent.merge(snapshot(_worker_registry()))
-    assert snapshot(parent) == snapshot(_worker_registry())

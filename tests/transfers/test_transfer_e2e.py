@@ -4,8 +4,8 @@ rollback on vanished supply, and mixed-granularity failures.
 The fuse guarantee is stated as an A/B: a transfer stitched across two
 600-second listings (buy + buy + fuse + one redeem per hop) must leave
 every on-path AS's ACTIVE calendar **byte-identical** to the same
-transfer bought from one 1200-second listing — on the monolithic,
-in-process sharded, and multiprocess calendar backends alike.
+transfer bought from one 1200-second listing — on the monolithic and
+the sharded calendar alike.
 """
 
 from __future__ import annotations
@@ -22,29 +22,18 @@ from repro.marketdata import IncompatibleGranularity
 from repro.netsim import linear_path
 from repro.pathadm import calendar_fingerprint
 from repro.scion import as_crossings
-from repro.shardengine import EngineSpec
 from repro.transfers import DeadlineTransfer, TransferAborted, TransferPlanner
 
 RATE_KBPS = 5_000
 WINDOW = 1200  # two 600s listings in the stitched arm, one listing in the other
 
-ENGINES = {
-    "monolithic": (None, None),
-    "sharded": (600.0, EngineSpec(kind="sharded", shard_seconds=600.0)),
-    "multiprocess": (
-        600.0,
-        EngineSpec(kind="multiprocess", shard_seconds=600.0, num_workers=2),
-    ),
-}
-
 
 def _deploy(
     asset_duration: int,
-    engine_key: str,
+    shard_seconds: float | None,
     extra_window=None,
     interface_capacity_kbps=None,
 ):
-    shard_seconds, engine = ENGINES[engine_key]
     topology, path = linear_path(2, timestamp=T0)
     deployment = deploy_market(
         topology,
@@ -53,7 +42,6 @@ def _deploy(
         asset_duration=asset_duration,
         price_micromist_per_unit=50,
         shard_seconds=shard_seconds,
-        engine=engine,
         interface_capacity_kbps=interface_capacity_kbps,
     )
     if extra_window is not None:
@@ -103,43 +91,42 @@ def _run_transfer(deployment, crossings):
     )
 
 
-@pytest.mark.parametrize("engine_key", sorted(ENGINES))
-def test_fused_stitch_matches_single_rectangle(engine_key):
+@pytest.mark.parametrize(
+    "shard_seconds",
+    [pytest.param(None, id="monolithic"), pytest.param(600.0, id="sharded")],
+)
+def test_fused_stitch_matches_single_rectangle(shard_seconds):
     stitched, crossings_a = _deploy(
-        600, engine_key, extra_window=(T0 + 600, T0 + WINDOW)
+        600, shard_seconds, extra_window=(T0 + 600, T0 + WINDOW)
     )
-    rectangle, crossings_b = _deploy(WINDOW, engine_key)
-    try:
-        outcome_a = _run_transfer(stitched, crossings_a)
-        outcome_b = _run_transfer(rectangle, crossings_b)
+    rectangle, crossings_b = _deploy(WINDOW, shard_seconds)
+    outcome_a = _run_transfer(stitched, crossings_a)
+    outcome_b = _run_transfer(rectangle, crossings_b)
 
-        # The stitched arm really did stitch: two pieces per direction,
-        # fused down to ONE redeem per hop; the rectangle arm bought one.
-        for leg in outcome_a.plan.legs:
-            for hop in leg.hops:
-                assert len(hop.ingress_pieces) == 2
-                assert len(hop.egress_pieces) == 2
-        for leg in outcome_b.plan.legs:
-            for hop in leg.hops:
-                assert len(hop.ingress_pieces) == 1
-                assert len(hop.egress_pieces) == 1
-        assert outcome_a.plan.redeem_count == outcome_b.plan.redeem_count
-        assert outcome_a.plan.bytes_scheduled == outcome_b.plan.bytes_scheduled
+    # The stitched arm really did stitch: two pieces per direction,
+    # fused down to ONE redeem per hop; the rectangle arm bought one.
+    for leg in outcome_a.plan.legs:
+        for hop in leg.hops:
+            assert len(hop.ingress_pieces) == 2
+            assert len(hop.egress_pieces) == 2
+    for leg in outcome_b.plan.legs:
+        for hop in leg.hops:
+            assert len(hop.ingress_pieces) == 1
+            assert len(hop.egress_pieces) == 1
+    assert outcome_a.plan.redeem_count == outcome_b.plan.redeem_count
+    assert outcome_a.plan.bytes_scheduled == outcome_b.plan.bytes_scheduled
 
-        # Same reservations delivered...
-        assert [r.resinfo for r in outcome_a.reservations] == [
-            r.resinfo for r in outcome_b.reservations
-        ]
-        # ...and byte-identical ACTIVE calendars at every crossed
-        # interface (the ISSUED layers legitimately differ — the stitched
-        # deployment listed twice as many assets).
-        prints_a = _active_fingerprints(stitched, crossings_a)
-        prints_b = _active_fingerprints(rectangle, crossings_b)
-        assert prints_a == prints_b
-        assert any(prints_a.values()), "transfer left no active-calendar trace"
-    finally:
-        stitched.close()
-        rectangle.close()
+    # Same reservations delivered...
+    assert [r.resinfo for r in outcome_a.reservations] == [
+        r.resinfo for r in outcome_b.reservations
+    ]
+    # ...and byte-identical ACTIVE calendars at every crossed
+    # interface (the ISSUED layers legitimately differ — the stitched
+    # deployment listed twice as many assets).
+    prints_a = _active_fingerprints(stitched, crossings_a)
+    prints_b = _active_fingerprints(rectangle, crossings_b)
+    assert prints_a == prints_b
+    assert any(prints_a.values()), "transfer left no active-calendar trace"
 
 
 def test_fuse_then_resplit_roundtrip():
@@ -183,59 +170,56 @@ def test_vanished_listing_aborts_cleanly_both_ways():
     it the ledger rejects the transaction and rolls it back — either way
     no asset, reservation, coin, or active-calendar byte changes hands.
     """
-    deployment, crossings = _deploy(600, "monolithic")
-    try:
-        host = deployment.new_host(name="victim")
-        planner = TransferPlanner(host.indexer(deployment.marketplace))
-        plan = planner.plan(
-            DeadlineTransfer(
-                crossings=tuple(crossings),
-                bytes_total=RATE_KBPS * 600 * 125,
-                release=T0,
-                deadline=T0 + 600,
-                max_rate_kbps=RATE_KBPS,
-            )
-        )
-        assert plan.meets_request
-
-        # The rival drains every listing the plan relies on.
-        rival = deployment.new_host(name="rival")
-        execute_transfer(
-            deployment,
-            rival,
-            crossings,
-            bytes_total=10_000_000 * 600 * 125,
-            deadline=T0 + 600,
+    deployment, crossings = _deploy(600, None)
+    host = deployment.new_host(name="victim")
+    planner = TransferPlanner(host.indexer(deployment.marketplace))
+    plan = planner.plan(
+        DeadlineTransfer(
+            crossings=tuple(crossings),
+            bytes_total=RATE_KBPS * 600 * 125,
             release=T0,
+            deadline=T0 + 600,
+            max_rate_kbps=RATE_KBPS,
         )
-        baseline = _active_fingerprints(deployment, crossings)
-        coin_before = deployment.ledger.get_object(host.payment_coin).payload[
-            "balance"
-        ]
+    )
+    assert plan.meets_request
 
-        with pytest.raises(TransferAborted) as preflighted:
-            host.execute_transfer_plan(deployment.marketplace, plan)
-        assert preflighted.value.submitted is None  # nothing ever submitted
+    # The rival drains every listing the plan relies on.
+    rival = deployment.new_host(name="rival")
+    execute_transfer(
+        deployment,
+        rival,
+        crossings,
+        bytes_total=10_000_000 * 600 * 125,
+        deadline=T0 + 600,
+        release=T0,
+    )
+    baseline = _active_fingerprints(deployment, crossings)
+    coin_before = deployment.ledger.get_object(host.payment_coin).payload[
+        "balance"
+    ]
 
-        with pytest.raises(TransferAborted) as raced:
-            host.execute_transfer_plan(
-                deployment.marketplace, plan, preflight=False
-            )
-        assert raced.value.submitted is not None
-        assert not raced.value.submitted.effects.ok
+    with pytest.raises(TransferAborted) as preflighted:
+        host.execute_transfer_plan(deployment.marketplace, plan)
+    assert preflighted.value.submitted is None  # nothing ever submitted
 
-        # Ledger atomicity + delivery silence: nothing moved anywhere.
-        assert host.owned_assets() == []
-        assert host.collect_reservations() == []
-        coin_after = deployment.ledger.get_object(host.payment_coin).payload[
-            "balance"
-        ]
-        assert coin_after == coin_before
-        for crossing in crossings:
-            assert deployment.service(crossing.isd_as).poll_and_deliver() == []
-        assert _active_fingerprints(deployment, crossings) == baseline
-    finally:
-        deployment.close()
+    with pytest.raises(TransferAborted) as raced:
+        host.execute_transfer_plan(
+            deployment.marketplace, plan, preflight=False
+        )
+    assert raced.value.submitted is not None
+    assert not raced.value.submitted.effects.ok
+
+    # Ledger atomicity + delivery silence: nothing moved anywhere.
+    assert host.owned_assets() == []
+    assert host.collect_reservations() == []
+    coin_after = deployment.ledger.get_object(host.payment_coin).payload[
+        "balance"
+    ]
+    assert coin_after == coin_before
+    for crossing in crossings:
+        assert deployment.service(crossing.isd_as).poll_and_deliver() == []
+    assert _active_fingerprints(deployment, crossings) == baseline
 
 
 def test_mixed_incongruent_granularity_surfaces_from_transfer():
@@ -243,31 +227,28 @@ def test_mixed_incongruent_granularity_surfaces_from_transfer():
     unplannable: ``transfer`` must raise ``IncompatibleGranularity``, not
     an opaque failure, and submit nothing."""
     deployment, crossings = _deploy(
-        600, "monolithic", interface_capacity_kbps=20_000_000
+        600, None, interface_capacity_kbps=20_000_000
     )
-    try:
-        for crossing in crossings:
-            service = deployment.service(crossing.isd_as)
-            listed = service.issue_and_list(
-                deployment.marketplace,
-                crossing.ingress,
-                True,
-                10_000,
-                T0 + 15,
-                T0 + 15 + 540,
-                50,
-                90,
-            )
-            assert listed.effects.ok
-        host = deployment.new_host(name="mover")
-        with pytest.raises(IncompatibleGranularity):
-            host.transfer(
-                deployment.marketplace,
-                crossings,
-                bytes_total=1000 * 600 * 125,
-                deadline=T0 + 600,
-                release=T0,
-            )
-        assert host.owned_assets() == []
-    finally:
-        deployment.close()
+    for crossing in crossings:
+        service = deployment.service(crossing.isd_as)
+        listed = service.issue_and_list(
+            deployment.marketplace,
+            crossing.ingress,
+            True,
+            10_000,
+            T0 + 15,
+            T0 + 15 + 540,
+            50,
+            90,
+        )
+        assert listed.effects.ok
+    host = deployment.new_host(name="mover")
+    with pytest.raises(IncompatibleGranularity):
+        host.transfer(
+            deployment.marketplace,
+            crossings,
+            bytes_total=1000 * 600 * 125,
+            deadline=T0 + 600,
+            release=T0,
+        )
+    assert host.owned_assets() == []
