@@ -32,7 +32,7 @@ from repro.admission import ACTIVE, AUCTION, AdmissionController, AdmissionRejec
 from repro.admission.auction import Bid, ClearingOutcome, WindowAuction
 from repro.contracts.asset import REQUEST_TYPE
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
-from repro.crypto.sealing import seal
+from repro.crypto.sealing import check_group_element, seal
 from repro.hummingbird.reservation import ResInfo, grant_reservation
 from repro.hummingbird.resid import CapacityExhausted, ResIdAllocator
 from repro.ledger.accounts import Account
@@ -853,8 +853,9 @@ class AsService:
     def poll_and_deliver(self) -> list[DeliveryRecord]:
         """Handle all pending redeem requests addressed to this AS (steps 6-8).
 
-        Requests the AS *cannot* serve — admission rejected, ResID space
-        exhausted, or the delivery transaction refused by the ledger — are
+        Requests the AS *cannot* serve — unusable public key, admission
+        rejected, ResID space exhausted, or the delivery transaction refused
+        by the ledger — are
         skipped (recorded in :attr:`undeliverable`) rather than aborting the
         poll: the event checkpoint has already advanced, so raising here
         would silently orphan every later request in the same batch.
@@ -893,6 +894,14 @@ class AsService:
         bandwidth_kbps = payload["ingress"]["bandwidth_kbps"]
         bw_cls = bwcls.encode_floor(bandwidth_kbps)
         redeemer = payload.get("redeemer", "")
+        # Refuse an unusable key before claiming anything: a ValueError out of
+        # seal() would come after the admissions and the ResID, and past
+        # poll_and_deliver's RuntimeError handler.
+        recipient_public = int.from_bytes(payload["public_key"], "big")
+        try:
+            check_group_element(recipient_public)
+        except ValueError as reason:
+            raise RuntimeError(f"redeem request refused: {reason}") from None
         # Delivered reservations claim live capacity on both crossed
         # interfaces (the active calendar is the physical backstop — the
         # redeemed assets already cleared the issued one).
@@ -940,7 +949,6 @@ class AsService:
                 "auth_key": reservation.auth_key.hex(),
             }
         ).encode()
-        recipient_public = int.from_bytes(payload["public_key"], "big")
         box = seal(recipient_public, plaintext, self.rng)
         submitted = self.executor.submit(
             Transaction(

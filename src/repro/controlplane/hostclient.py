@@ -43,6 +43,12 @@ from repro.scion.addresses import IsdAs
 from repro.scion.paths import AsCrossing
 from repro.telemetry import get_registry
 from repro.telemetry.tracing import current_trace
+from repro.transfers import (
+    DeadlineTransfer,
+    TransferAborted,
+    TransferOutcome,
+    TransferPlanner,
+)
 
 __all__ = [
     "AcquireOutcome",
@@ -1260,8 +1266,6 @@ class HostClient:
             release: earliest instant data can flow (defaults to the
                 executor clock's now).
         """
-        from repro.transfers import DeadlineTransfer, TransferPlanner
-
         if release is None:
             release = int(self.executor.clock.now())
         request = DeadlineTransfer(
@@ -1291,8 +1295,6 @@ class HostClient:
         asset id) into one asset per direction, and each hop redeems
         exactly once per leg.
         """
-        from repro.transfers import TransferAborted, TransferOutcome
-
         if self.payment_coin is None:
             raise RuntimeError("fund() the client before buying")
         if not plan.legs:
@@ -1383,8 +1385,6 @@ class HostClient:
         """Client-side liveness check: every planned piece must still be
         coverable at its exact window and rate, or we abort without
         submitting (no transaction, no gas)."""
-        from repro.transfers import TransferAborted
-
         indexer = self.indexer(marketplace)
         indexer.sync()
         for leg in plan.legs:

@@ -15,9 +15,32 @@ scratch to keep the repository dependency-free):
 * DEM: AES-128 in counter mode with an appended CMAC tag
   (encrypt-then-MAC).
 
-The group operations use Python big integers; a 2048-bit modexp is ~1 ms,
-which is irrelevant on the control-plane path (reservation purchase takes
-seconds end to end, Fig. 4).
+Cost.  Public-key work is the whole CPU cost of a purchase (the rest of
+Fig. 4 is ledger latency), so no modular exponentiation here runs at full
+width:
+
+* Diffie-Hellman secrets are 1024-bit, drawn from ``[2^1023, 2^1024)``.
+  The 2048-bit safe-prime group offers ~112 bits of security, and RFC 3526
+  §8 / RFC 7919 §5.2 sanction exponents of twice that strength (225 bits
+  and up) in such a group; a uniform exponent below ``p`` buys nothing
+  more.  Best of 30 with CPython 3.11's ``pow`` on the 2-core box:
+  variable-base ``h^x mod p`` takes ~34 ms with a full-width ``x``, ~14 ms
+  at 1024 bits and ~4.5 ms at 256; ``g^x`` ~24, ~11 and ~3.4 ms.
+  1024 is a step, not the floor.  ``benchmarks/e2e`` times a single
+  purchase per round on two workloads and bounds the run-to-run spread of
+  ``lifecycles_per_s`` by a share of the *previous* rate; at 256 bits a
+  purchase is ~75 ms, eight times shorter than the rounds were sized for,
+  and ten runs of one commit no longer agree to within that bound.
+  ROADMAP item 1 re-sizes the rounds first and lowers ``_SECRET_BITS`` after.
+* Short exponents make public-key validation mandatory: a received group
+  element outside ``[2, p-2]`` (NIST SP 800-56A partial validation — in a
+  safe-prime group the only small subgroup is ``{1, p-1}``) would confine
+  the shared secret to a set the sender can enumerate.  :func:`seal` and
+  :func:`unseal` refuse such elements with ``ValueError``.
+
+No constant-time claim is made for any of this: CPython's ``pow`` is not
+constant-time either.  Wire and ledger encodings are unchanged — a group
+element is 256 bytes whatever the exponent that produced it.
 """
 
 from __future__ import annotations
@@ -44,6 +67,13 @@ MODP_P = int(
 )
 MODP_G = 2
 _GROUP_BYTES = 256
+_SECRET_BITS = 1024  # RFC 7919 §5.2 asks for >= 225 in this group; see "Cost" above
+
+
+def check_group_element(value: int) -> None:
+    """Refuse a received group element outside ``[2, p-2]`` (SP 800-56A partial validation)."""
+    if not 2 <= value <= MODP_P - 2:
+        raise ValueError("public key is not a group element in [2, p-2]")
 
 
 @dataclass(frozen=True)
@@ -55,8 +85,12 @@ class KeyPair:
 
     @staticmethod
     def generate(rng) -> "KeyPair":
-        """Generate a keypair from a ``random.Random``-like source."""
-        secret = rng.randrange(2, MODP_P - 2)
+        """Generate a keypair from a ``random.Random``-like source.
+
+        The secret is 1024-bit with the top bit set, so none is accidentally
+        tiny and every key costs the same number of squarings.
+        """
+        secret = rng.randrange(1 << (_SECRET_BITS - 1), 1 << _SECRET_BITS)
         return KeyPair(secret=secret, public=pow(MODP_G, secret, MODP_P))
 
 
@@ -91,7 +125,12 @@ def _ctr_keystream(cipher: AES128, length: int) -> bytes:
 
 
 def seal(recipient_public: int, plaintext: bytes, rng, context: bytes = b"hummingbird-resv") -> SealedBox:
-    """Encrypt ``plaintext`` so only the holder of the matching secret can read it."""
+    """Encrypt ``plaintext`` so only the holder of the matching secret can read it.
+
+    A fresh ephemeral secret is drawn per call; ``ValueError`` if
+    ``recipient_public`` is not a usable group element.
+    """
+    check_group_element(recipient_public)
     ephemeral = KeyPair.generate(rng)
     shared = pow(recipient_public, ephemeral.secret, MODP_P)
     enc_key, mac_key = _kdf(shared, context)
@@ -102,7 +141,8 @@ def seal(recipient_public: int, plaintext: bytes, rng, context: bytes = b"hummin
 
 
 def unseal(recipient: KeyPair, box: SealedBox, context: bytes = b"hummingbird-resv") -> bytes:
-    """Decrypt a :class:`SealedBox`; raises ``ValueError`` on tag mismatch."""
+    """Decrypt a :class:`SealedBox`; raises ``ValueError`` on a bad share or tag."""
+    check_group_element(box.kem_share)
     shared = pow(box.kem_share, recipient.secret, MODP_P)
     enc_key, mac_key = _kdf(shared, context)
     if Cmac(mac_key).compute(box.ciphertext) != box.tag:

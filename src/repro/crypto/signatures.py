@@ -14,7 +14,7 @@ The group is QR(p) for the RFC 3526 2048-bit safe prime ``p = 2q + 1``;
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.sealing import MODP_P
 
@@ -24,9 +24,16 @@ GENERATOR = 4  # 2^2 is a quadratic residue, generates the order-q subgroup
 
 @dataclass(frozen=True)
 class SigningKey:
-    """A Schnorr private key (exponent in [1, q))."""
+    """A Schnorr private key (exponent in [1, q)).
+
+    Secret and nonce stay uniform in ``[1, q)``: unlike a Diffie-Hellman
+    exponent, a nonce shorter than ``q`` leaks the key through the response
+    ``s = k + e·x`` (hidden-number problem), so nothing here is shortened.
+    """
 
     secret: int
+    # g^secret, computed on first use; invisible to ==, hash and repr
+    _public: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def generate(rng) -> "SigningKey":
@@ -34,7 +41,9 @@ class SigningKey:
 
     @property
     def public(self) -> int:
-        return pow(GENERATOR, self.secret, MODP_P)
+        if self._public is None:
+            object.__setattr__(self, "_public", pow(GENERATOR, self.secret, MODP_P))
+        return self._public
 
     def sign(self, message: bytes, rng) -> "Signature":
         nonce = rng.randrange(1, GROUP_ORDER)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.crypto.sealing import KeyPair
 from repro.crypto.signatures import SigningKey
 
 MIST_PER_SUI = 1_000_000_000
@@ -26,25 +25,27 @@ def address_of(public_key: int) -> str:
     return hashlib.blake2s(public_key.to_bytes(256, "big"), digest_size=32).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Account:
-    """A ledger participant: signing key, encryption keypair, address."""
+    """A ledger participant: signing key and the address derived from it.
+
+    Frozen, so the memoised address cannot outlive the key it was derived from.
+    """
 
     signing_key: SigningKey
-    encryption_key: KeyPair
     name: str = ""
+    # derived from signing_key on first use; every Transaction(sender=...) reads it
+    _address: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def generate(rng: random.Random, name: str = "") -> "Account":
-        return Account(
-            signing_key=SigningKey.generate(rng),
-            encryption_key=KeyPair.generate(rng),
-            name=name,
-        )
+        return Account(signing_key=SigningKey.generate(rng), name=name)
 
     @property
     def address(self) -> str:
-        return address_of(self.signing_key.public)
+        if self._address is None:
+            object.__setattr__(self, "_address", address_of(self.signing_key.public))
+        return self._address
 
 
 def sui_to_mist(sui: float) -> int:

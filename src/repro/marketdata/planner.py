@@ -300,21 +300,27 @@ class PurchasePlanner:
         function of where ``spec.start + o`` and ``spec.expiry + o`` sit
         on each involved listing's granule lattice (aligned windows are
         floors/ceils on that lattice; coverage and joint-window outcomes
-        flip only when those aligned values move).  Between two
-        consecutive crossings of *any* involved lattice nothing changes,
-        so enumerating the crossings — offsets congruent to
-        ``listing.start - edge (mod granularity)`` for both window edges
-        — plus the endpoints {0, flex_start} visits one representative of
-        every constant piece an exhaustive step-1 scan would see.  Joint
-        pair lattices need no extra points: their crossings (step = lcm,
-        CRT anchor) are a subset of each member's own crossings.
+        flip only when those aligned values move).  The floor-aligned
+        start moves at the offset where ``spec.start + o`` lands *on* the
+        lattice (``o ≡ listing.start - spec.start (mod granularity)``);
+        the ceil-aligned expiry still equals ``spec.expiry + o`` there and
+        moves one second *later*, when the edge first passes the lattice
+        point (``o ≡ listing.start - spec.expiry + 1``).  Between two
+        consecutive such offsets of *any* involved lattice nothing
+        changes, so enumerating them plus the endpoints {0, flex_start}
+        visits the first offset of every constant piece an exhaustive
+        step-1 scan would see.  Joint pair lattices need no extra points:
+        their crossings (step = lcm, CRT anchor) are a subset of each
+        member's own crossings.
         """
         flex = spec.flex_start
         offsets = {0, flex}
         for listing in self._involved_listings(spec):
             g = listing.granularity
-            for edge in (spec.start, spec.expiry):
-                first = (listing.start - edge) % g
+            for first in (
+                (listing.start - spec.start) % g,
+                (listing.start - spec.expiry + 1) % g,
+            ):
                 offsets.update(range(first, flex + 1, g))
         return sorted(offsets)
 

@@ -8,8 +8,24 @@ from hypothesis import strategies as st
 
 from repro.crypto.keys import SecretValue, derive_auth_key, pack_resinfo_input
 from repro.crypto.prf import AesPrf, Blake2Prf, PrfFactory
-from repro.crypto.sealing import KeyPair, seal, unseal
-from repro.crypto.signatures import SigningKey, verify
+from repro.crypto.sealing import MODP_G, MODP_P, KeyPair, SealedBox, seal, unseal
+from repro.crypto.signatures import GROUP_ORDER, SigningKey, verify
+
+# Values a peer may send in place of a group element; none lies in [2, p-2].
+NOT_GROUP_ELEMENTS = [0, 1, MODP_P - 1, MODP_P, 1 << 2048]
+
+
+class RecordingRng:
+    """The documented ``rng`` contract and nothing more: ``randrange`` only,
+    every call's bounds kept."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = random.Random(seed)
+        self.calls: list[tuple[int, int]] = []
+
+    def randrange(self, start: int, stop: int) -> int:
+        self.calls.append((start, stop))
+        return self._rng.randrange(start, stop)
 
 
 class TestPrfBackends:
@@ -119,7 +135,7 @@ class TestSealing:
         with pytest.raises(ValueError):
             unseal(recipient, tampered)
 
-    @settings(deadline=None)  # four 2048-bit modexps per example
+    @settings(deadline=None)  # four 1024-bit-exponent modexps per example, ~50 ms together
     @given(st.binary(min_size=1, max_size=200))
     def test_arbitrary_payloads(self, payload):
         rng = random.Random(4)
@@ -132,6 +148,56 @@ class TestSealing:
         box = seal(recipient.public, b"data", rng, context=b"a")
         with pytest.raises(ValueError):
             unseal(recipient, box, context=b"b")
+
+    def test_tampered_tag_fails(self):
+        rng = random.Random(10)
+        recipient = KeyPair.generate(rng)
+        box = seal(recipient.public, b"data", rng)
+        forged = SealedBox(box.kem_share, box.ciphertext, bytes(b ^ 1 for b in box.tag))
+        with pytest.raises(ValueError, match="authentication"):
+            unseal(recipient, forged)
+
+    def test_dh_secrets_are_1024_bit_and_drawn_through_randrange_only(self):
+        rng = RecordingRng(11)
+        keys = [KeyPair.generate(rng) for _ in range(20)]
+        assert all(key.secret.bit_length() == 1024 for key in keys)
+        assert rng.calls == [(1 << 1023, 1 << 1024)] * 20
+        assert all(key.public == pow(MODP_G, key.secret, MODP_P) for key in keys)
+
+    def test_every_seal_draws_a_fresh_ephemeral_secret(self):
+        rng = RecordingRng(12)
+        recipient, other = KeyPair.generate(rng), KeyPair.generate(rng)
+        boxes = [
+            seal(recipient.public, b"data", rng),
+            seal(recipient.public, b"data", rng),  # same recipient, same plaintext
+            seal(other.public, b"data", rng),
+        ]
+        assert len(rng.calls) == 2 + len(boxes)  # one draw per keypair, one per seal
+        assert len({box.kem_share for box in boxes}) == len(boxes)
+        assert len({box.ciphertext for box in boxes}) == len(boxes)
+
+    @pytest.mark.parametrize("value", NOT_GROUP_ELEMENTS)
+    def test_seal_refuses_a_recipient_key_outside_the_group_range(self, value):
+        rng = RecordingRng(13)
+        with pytest.raises(ValueError, match="group element"):
+            seal(value, b"data", rng)
+        assert rng.calls == []  # refused before any secret is drawn
+
+    @pytest.mark.parametrize("value", NOT_GROUP_ELEMENTS)
+    def test_unseal_refuses_a_share_outside_the_group_range(self, value):
+        rng = random.Random(14)
+        recipient = KeyPair.generate(rng)
+        box = seal(recipient.public, b"data", rng)
+        with pytest.raises(ValueError, match="group element"):
+            unseal(recipient, SealedBox(value, box.ciphertext, box.tag))
+
+    @pytest.mark.parametrize("value", [2, MODP_P - 2])
+    def test_range_edges_are_group_elements(self, value):
+        rng = random.Random(15)
+        recipient = KeyPair.generate(rng)
+        seal(value, b"data", rng)  # accepted as a recipient key
+        with pytest.raises(ValueError, match="authentication"):  # in range, wrong share
+            unseal(recipient, SealedBox(value, b"data", bytes(16)))
 
 
 class TestSignatures:
@@ -159,3 +225,59 @@ class TestSignatures:
         signature = SigningKey.generate(rng).sign(b"m", rng)
         assert not verify(0, b"m", signature)
         assert not verify(1, b"m", signature)
+
+    def test_secret_and_nonce_stay_uniform_below_the_group_order(self):
+        """A nonce shorter than q leaks the key through ``s = k + e·x``
+        (hidden-number problem): only Diffie-Hellman exponents were
+        shortened, and this pins it."""
+        rng = RecordingRng(16)
+        key = SigningKey.generate(rng)
+        key.sign(b"m", rng)
+        key.sign(b"m", rng)
+        assert rng.calls == [(1, GROUP_ORDER)] * 3
+
+    def test_memoised_public_key_is_invisible(self):
+        fresh, used = SigningKey(5), SigningKey(5)
+        assert used.public == pow(4, 5, MODP_P)
+        assert used.public is used.public  # computed once
+        assert fresh == used and hash(fresh) == hash(used)
+        assert repr(fresh) == repr(used) == "SigningKey(secret=5)"
+        assert fresh.public == used.public
+        with pytest.raises(TypeError):
+            SigningKey(5, 25)  # the memo is not a constructor argument
+
+
+class TestAccountAddress:
+    def test_address_is_derived_once_from_the_signing_key(self):
+        from repro.ledger.accounts import Account, address_of
+
+        account = Account.generate(random.Random(17), "host")
+        assert account.address == address_of(account.signing_key.public)
+        assert account.address is account.address
+        twin = Account.generate(random.Random(17), "host")
+        assert twin == account and repr(twin) == repr(account)  # memo invisible
+
+    def test_account_generation_draws_the_signing_secret_only(self):
+        from repro.ledger.accounts import Account
+
+        rng = RecordingRng(18)
+        Account.generate(rng)
+        assert rng.calls == [(1, GROUP_ORDER)]
+
+
+class TestHostDecrypt:
+    @pytest.mark.parametrize("share", NOT_GROUP_ELEMENTS[:3])  # what fits the 256-byte field
+    def test_out_of_range_share_ends_in_the_no_key_decrypts_error(self, share):
+        from types import SimpleNamespace
+
+        from repro.controlplane.hostclient import HostClient
+        from repro.ledger.accounts import Account
+
+        rng = random.Random(19)
+        host = HostClient(Account.generate(rng), executor=None, rng=rng)
+        host._ephemeral_keys.append(KeyPair.generate(rng))
+        delivery = SimpleNamespace(
+            payload={"kem_share": share.to_bytes(256, "big"), "ciphertext": b"x", "tag": bytes(16)}
+        )
+        with pytest.raises(ValueError, match="no ephemeral key decrypts.*group element"):
+            host._decrypt(delivery)

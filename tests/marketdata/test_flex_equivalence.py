@@ -20,7 +20,7 @@ import itertools
 import random
 from types import SimpleNamespace
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import T0
@@ -111,7 +111,13 @@ def _quote_rows(quotes):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
+@example(seed=383)  # ceil-aligned expiry moves one second after the lattice crossing
 def test_breakpoint_enumeration_equals_step1_scan(seed):
+    """Every example shares the module-level ``_world`` market, so the
+    ledger an example sees depends on the examples that ran before it.
+    Each takes two interfaces of its own: that is what keeps its listings,
+    and so its quotes, independent of the others — do not reuse interfaces.
+    """
     market, planner = _world()
     rng = random.Random(seed)
     in_if, eg_if = next(_interfaces), next(_interfaces)

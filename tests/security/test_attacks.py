@@ -275,3 +275,112 @@ class TestEconomicFairnessC2:
                 // MICROMIST
             )
         assert total_cost > 0
+
+
+class TestHostileRedeemKeyC1:
+    """C1: a redeem request is attacker-controlled input to the AS.
+
+    With Diffie-Hellman exponents shorter than ``p`` a key outside ``[2, p-2]`` would
+    confine the shared secret to a set the sender can enumerate, so the AS
+    must refuse it — before it claims anything, and without letting the
+    refusal abort the poll the request arrived in.
+    """
+
+    @staticmethod
+    def _buy_and_redeem(deployment, host, crossing, start, public_key: bytes):
+        """What ``HostClient.atomic_buy_and_redeem`` submits, with the
+        redeemer's key chosen by the attacker."""
+        from repro.ledger.transactions import Command, Result, Transaction
+        from repro.marketdata import PathSpec
+
+        plan = host.plan_path(
+            deployment.marketplace,
+            PathSpec.from_crossings([crossing], start, start + 600, 1000),
+        )
+        (hop,) = plan.hops
+        buys = [
+            Command(
+                "market",
+                "buy",
+                {
+                    "marketplace": deployment.marketplace,
+                    "listing": listing,
+                    "start": hop.buy_start,
+                    "expiry": hop.buy_expiry,
+                    "bandwidth_kbps": 1000,
+                    "payment": host.payment_coin,
+                },
+            )
+            for listing in (hop.ingress_listing, hop.egress_listing)
+        ]
+        redeem = Command(
+            "asset",
+            "redeem",
+            {"ingress": Result(0, "asset"), "egress": Result(1, "asset"), "public_key": public_key},
+        )
+        submitted = host.executor.submit(
+            Transaction(sender=host.account.address, commands=[*buys, redeem])
+        )
+        assert submitted.effects.ok, submitted.effects.error
+        return submitted.effects.returns[2]["request"]
+
+    def test_bad_keys_are_refused_before_any_claim_and_the_poll_goes_on(self):
+        from types import SimpleNamespace
+
+        from repro.controlplane import deploy_market
+        from repro.crypto.sealing import MODP_P
+        from repro.marketdata import PathSpec
+        from repro.pathadm.fingerprint import calendar_fingerprint
+        from repro.scion.topology import linear_topology
+
+        topology = linear_topology(3)
+        deployment = deploy_market(
+            topology, clock=SimClock(float(T0)), asset_duration=14_400
+        )
+        middle = topology.ases[1]
+        service = deployment.service(middle.isd_as)
+        first_if, second_if = sorted(middle.interfaces)
+        # The hostile requests cross the AS one way, the honest one the
+        # other way: they name disjoint calendars, so "nothing claimed" is
+        # an exact statement about the hostile direction's calendars.
+        hostile = SimpleNamespace(isd_as=middle.isd_as, ingress=first_if, egress=second_if)
+        honest = SimpleNamespace(isd_as=middle.isd_as, ingress=second_if, egress=first_if)
+        bad_keys = [  # 0, 1, p-1, and an integer far above p
+            bytes(256),
+            (1).to_bytes(256, "big"),
+            (MODP_P - 1).to_bytes(256, "big"),
+            b"\xff" * 300,
+        ]
+
+        attacker = deployment.new_host(funding_sui=100)
+        start = T0 + 3600
+        refused = [
+            self._buy_and_redeem(deployment, attacker, hostile, start + 600 * index, key)
+            for index, key in enumerate(bad_keys)
+        ]
+        victim = deployment.new_host(funding_sui=100)
+        bought = victim.atomic_buy_and_redeem(
+            deployment.marketplace,
+            victim.plan_path(
+                deployment.marketplace,
+                PathSpec.from_crossings([honest], start, start + 600, 1000),
+            ),
+        )
+        served = bought.effects.returns[2]["request"]
+
+        claimed = [
+            service.admission.calendar(hostile.ingress, True, "active"),
+            service.admission.calendar(hostile.egress, False, "active"),
+        ]
+        before = [calendar_fingerprint(calendar) for calendar in claimed]
+
+        records = service.poll_and_deliver()
+
+        assert [request for request, _ in service.undeliverable] == refused
+        assert all("public key" in reason for _, reason in service.undeliverable)
+        assert [record.request_id for record in records] == [served]
+        assert len(victim.collect_reservations()) == 1
+        assert [calendar_fingerprint(calendar) for calendar in claimed] == before
+        # the refused requests stay with the AS, undelivered; nothing is
+        # left to retry on the next poll
+        assert service.poll_and_deliver() == []

@@ -30,6 +30,13 @@ floors carry enough headroom to absorb shared-runner noise).
 
 * ``transfer_plan`` — full deadline-transfer plans per second over the
   synthetic staggered book (``bench_transfers.py``).
+
+Last comes the end-to-end floor: one run of the whole-lifecycle benchmark's
+``posted_4hop`` workload (``benchmarks/e2e/run.py``, the paper's Fig. 4
+purchase with a fresh host each time) must check out correct, fail no
+operation and report at least ``E2E_FLOOR`` lifecycles per calibrated
+second — the benchmark rescales wall time by a machine-speed sampler, so
+the floor means the same on a throttled runner.
 """
 
 from __future__ import annotations
@@ -59,6 +66,34 @@ TARGETS = [
 FLOOR_TARGETS = [
     ("bench_transfers.py", "transfer_plan", {}, 40.0),
 ]
+
+
+# posted_4hop lifecycles per calibrated second: twice the rate before the
+# public-key layer was trimmed (1.4/s), under 60% of the rate after (4.8/s).
+E2E_FLOOR = 2.8
+E2E_COMMAND = [
+    "benchmarks/e2e/run.py", "--workload", "posted_4hop",
+    "--seed", "12", "--seconds", "8", "--trace", "0",
+]
+
+
+def _e2e_floor_ok() -> bool:
+    """Run the e2e workload once; its last stdout line is the result object."""
+    print("== posted_4hop lifecycle floor (benchmarks/e2e/run.py)")
+    finished = subprocess.run(
+        [sys.executable, *E2E_COMMAND], check=True, cwd=REPO_ROOT,
+        stdout=subprocess.PIPE, text=True,
+    )
+    result = json.loads(finished.stdout.strip().splitlines()[-1])
+    rate = result["metrics"]["lifecycles_per_s"]["value"]
+    print(f"correct={result['correct']} failed={result['failed']}/{result['attempted']} "
+          f"lifecycles_per_s={rate:.2f} (floor {E2E_FLOOR})")
+    if result["correct"] is True and result["failed"] == 0 and rate >= E2E_FLOOR:
+        print("OK")
+        return True
+    print("FAIL: posted_4hop is incorrect, failing operations or below its floor",
+          file=sys.stderr)
+    return False
 
 
 def _run_once(
@@ -160,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
             failed = True
         else:
             print("OK")
+
+    if not _e2e_floor_ok():
+        failed = True
     return 1 if failed else 0
 
 
