@@ -81,7 +81,9 @@ def _fig5_measured_substrate_report_impl():
         title="Figure 5 (measured substrate) — same model fed with our "
         "pure-Python per-packet costs",
         note=f"per-packet: SCION {measured.scion_process_ns:.0f} ns, "
-        f"Hummingbird {measured.hummingbird_process_ns:.0f} ns; the shape "
+        f"Hummingbird {measured.hummingbird_process_ns:.0f} ns "
+        f"({measured.hummingbird_process_ns / measured.scion_process_ns:.1f}x; paper "
+        f"{paper.HUMMINGBIRD_FORWARD_NS / paper.SCION_FORWARD_NS:.1f}x); the shape "
         "(SCION > Hummingbird, larger payloads saturate earlier) is identical.",
     )
     report("fig5_forwarding_measured", text)

@@ -6,13 +6,14 @@ implements the cipher from scratch so the repository has no dependency on
 OpenSSL-backed packages; it is validated against the FIPS-197 and SP 800-38A
 test vectors in ``tests/crypto/test_aes.py``.
 
-Only encryption is needed (CMAC and the one-block PRFs never decrypt), but
-the inverse cipher is provided for completeness and for the sealed-delivery
-envelope in :mod:`repro.crypto.sealing`.
+Only encryption exists: CMAC, the one-block PRFs and the CTR keystream of
+the sealed-delivery envelope in :mod:`repro.crypto.sealing` never decrypt.
 
-The implementation favours clarity over raw speed: the S-box and the four
-T-tables are precomputed once at import time, and the per-block work is a
-straightforward table-lookup round loop.  For throughput-oriented
+The S-box and the four T-tables are precomputed once at import time.
+:meth:`AES128.encrypt_block` is on every reserved packet's path three times
+per hop, so it is written for CPython speed — one 128-bit load, the rounds
+as four table-lookup expressions, one 128-bit store — and is checked against
+a plain byte-wise FIPS-197 reference in the tests.  For throughput-oriented
 simulations, :mod:`repro.crypto.prf` offers a keyed-BLAKE2 backend.
 """
 
@@ -41,8 +42,8 @@ def _gf_mul(a: int, b: int) -> int:
     return result
 
 
-def _build_sbox() -> tuple[bytes, bytes]:
-    """Compute the AES S-box and its inverse from first principles."""
+def _build_sbox() -> bytes:
+    """Compute the AES S-box from first principles."""
     # Multiplicative inverses via exponentiation by generator 3.
     pow3 = [0] * 256
     log3 = [0] * 256
@@ -54,7 +55,6 @@ def _build_sbox() -> tuple[bytes, bytes]:
     pow3[255] = pow3[0]
 
     sbox = bytearray(256)
-    inv_sbox = bytearray(256)
     for x in range(256):
         inv = 0 if x == 0 else pow3[255 - log3[x]]
         # Affine transform: b ^ rot(b,1) ^ rot(b,2) ^ rot(b,3) ^ rot(b,4) ^ 0x63
@@ -63,12 +63,10 @@ def _build_sbox() -> tuple[bytes, bytes]:
         for shift in range(5):
             transformed ^= ((b << shift) | (b >> (8 - shift))) & 0xFF
         sbox[x] = transformed
-    for x in range(256):
-        inv_sbox[sbox[x]] = x
-    return bytes(sbox), bytes(inv_sbox)
+    return bytes(sbox)
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 
 # Round constants for the key schedule (powers of 2 in GF(2^8)).
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
@@ -90,6 +88,10 @@ def _build_tables() -> tuple[list[int], list[int], list[int], list[int]]:
 
 
 _T0, _T1, _T2, _T3 = _build_tables()
+
+# Offsets of rounds 1..9 into the 44-word schedule; round 0 and round 10 are
+# spelled out in ``encrypt_block``.
+_ROUND_KEY_OFFSETS = tuple(range(4, 4 * NUM_ROUNDS, 4))
 
 
 def expand_key(key: bytes) -> list[int]:
@@ -135,106 +137,29 @@ class AES128:
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
         rk = self._round_keys
-        s0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        s1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        s2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        s3 = int.from_bytes(block[12:16], "big") ^ rk[3]
+        ta, tb, tc, td, sb = _T0, _T1, _T2, _T3, SBOX
+        state = int.from_bytes(block, "big")
+        s0 = (state >> 96) ^ rk[0]
+        s1 = (state >> 64 & 0xFFFFFFFF) ^ rk[1]
+        s2 = (state >> 32 & 0xFFFFFFFF) ^ rk[2]
+        s3 = (state & 0xFFFFFFFF) ^ rk[3]
 
-        for round_index in range(1, NUM_ROUNDS):
-            base = 4 * round_index
-            t0 = (
-                _T0[(s0 >> 24) & 0xFF]
-                ^ _T1[(s1 >> 16) & 0xFF]
-                ^ _T2[(s2 >> 8) & 0xFF]
-                ^ _T3[s3 & 0xFF]
-                ^ rk[base]
-            )
-            t1 = (
-                _T0[(s1 >> 24) & 0xFF]
-                ^ _T1[(s2 >> 16) & 0xFF]
-                ^ _T2[(s3 >> 8) & 0xFF]
-                ^ _T3[s0 & 0xFF]
-                ^ rk[base + 1]
-            )
-            t2 = (
-                _T0[(s2 >> 24) & 0xFF]
-                ^ _T1[(s3 >> 16) & 0xFF]
-                ^ _T2[(s0 >> 8) & 0xFF]
-                ^ _T3[s1 & 0xFF]
-                ^ rk[base + 2]
-            )
-            t3 = (
-                _T0[(s3 >> 24) & 0xFF]
-                ^ _T1[(s0 >> 16) & 0xFF]
-                ^ _T2[(s1 >> 8) & 0xFF]
-                ^ _T3[s2 & 0xFF]
-                ^ rk[base + 3]
-            )
-            s0, s1, s2, s3 = t0, t1, t2, t3
+        # Every word stays below 2^32, so its top byte needs no mask.
+        for k in _ROUND_KEY_OFFSETS:
+            n0 = ta[s0 >> 24] ^ tb[s1 >> 16 & 255] ^ tc[s2 >> 8 & 255] ^ td[s3 & 255] ^ rk[k]
+            n1 = ta[s1 >> 24] ^ tb[s2 >> 16 & 255] ^ tc[s3 >> 8 & 255] ^ td[s0 & 255] ^ rk[k + 1]
+            n2 = ta[s2 >> 24] ^ tb[s3 >> 16 & 255] ^ tc[s0 >> 8 & 255] ^ td[s1 & 255] ^ rk[k + 2]
+            s3 = ta[s3 >> 24] ^ tb[s0 >> 16 & 255] ^ tc[s1 >> 8 & 255] ^ td[s2 & 255] ^ rk[k + 3]
+            s0, s1, s2 = n0, n1, n2
 
         # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        base = 4 * NUM_ROUNDS
-        out = bytearray(16)
-        state = (s0, s1, s2, s3)
-        for col in range(4):
-            word = (
-                (SBOX[(state[col] >> 24) & 0xFF] << 24)
-                | (SBOX[(state[(col + 1) % 4] >> 16) & 0xFF] << 16)
-                | (SBOX[(state[(col + 2) % 4] >> 8) & 0xFF] << 8)
-                | SBOX[state[(col + 3) % 4] & 0xFF]
-            ) ^ rk[base + col]
-            out[4 * col : 4 * col + 4] = word.to_bytes(4, "big")
-        return bytes(out)
-
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block (straightforward inverse cipher)."""
-        if len(block) != BLOCK_SIZE:
-            raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-        rk = self._round_keys
-        state = bytearray(block)
-
-        def add_round_key(round_index: int) -> None:
-            for col in range(4):
-                word = rk[4 * round_index + col]
-                for row in range(4):
-                    state[4 * col + row] ^= (word >> (24 - 8 * row)) & 0xFF
-
-        def inv_shift_rows() -> None:
-            for row in range(1, 4):
-                column_values = [state[4 * col + row] for col in range(4)]
-                for col in range(4):
-                    state[4 * col + row] = column_values[(col - row) % 4]
-
-        def inv_sub_bytes() -> None:
-            for i in range(16):
-                state[i] = INV_SBOX[state[i]]
-
-        def inv_mix_columns() -> None:
-            for col in range(4):
-                a = state[4 * col : 4 * col + 4]
-                state[4 * col + 0] = (
-                    _gf_mul(a[0], 14) ^ _gf_mul(a[1], 11) ^ _gf_mul(a[2], 13) ^ _gf_mul(a[3], 9)
-                )
-                state[4 * col + 1] = (
-                    _gf_mul(a[0], 9) ^ _gf_mul(a[1], 14) ^ _gf_mul(a[2], 11) ^ _gf_mul(a[3], 13)
-                )
-                state[4 * col + 2] = (
-                    _gf_mul(a[0], 13) ^ _gf_mul(a[1], 9) ^ _gf_mul(a[2], 14) ^ _gf_mul(a[3], 11)
-                )
-                state[4 * col + 3] = (
-                    _gf_mul(a[0], 11) ^ _gf_mul(a[1], 13) ^ _gf_mul(a[2], 9) ^ _gf_mul(a[3], 14)
-                )
-
-        add_round_key(NUM_ROUNDS)
-        for round_index in range(NUM_ROUNDS - 1, 0, -1):
-            inv_shift_rows()
-            inv_sub_bytes()
-            add_round_key(round_index)
-            inv_mix_columns()
-        inv_shift_rows()
-        inv_sub_bytes()
-        add_round_key(0)
-        return bytes(state)
+        w0 = sb[s0 >> 24] << 24 | sb[s1 >> 16 & 255] << 16 | sb[s2 >> 8 & 255] << 8 | sb[s3 & 255]
+        w1 = sb[s1 >> 24] << 24 | sb[s2 >> 16 & 255] << 16 | sb[s3 >> 8 & 255] << 8 | sb[s0 & 255]
+        w2 = sb[s2 >> 24] << 24 | sb[s3 >> 16 & 255] << 16 | sb[s0 >> 8 & 255] << 8 | sb[s1 & 255]
+        w3 = sb[s3 >> 24] << 24 | sb[s0 >> 16 & 255] << 16 | sb[s1 >> 8 & 255] << 8 | sb[s2 & 255]
+        return (
+            (w0 ^ rk[40]) << 96 | (w1 ^ rk[41]) << 64 | (w2 ^ rk[42]) << 32 | (w3 ^ rk[43])
+        ).to_bytes(BLOCK_SIZE, "big")
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -46,6 +46,14 @@ class Cmac:
         self._cipher = AES128(key)
         self._k1, self._k2 = derive_subkeys(self._cipher)
 
+    @classmethod
+    def from_cipher(cls, cipher: AES128) -> "Cmac":
+        """A CMAC over an already-keyed cipher: no second key expansion."""
+        mac = cls.__new__(cls)
+        mac._cipher = cipher
+        mac._k1, mac._k2 = derive_subkeys(cipher)
+        return mac
+
     def compute(self, message: bytes) -> bytes:
         """Return the 16-byte CMAC of ``message``."""
         num_blocks = (len(message) + BLOCK_SIZE - 1) // BLOCK_SIZE

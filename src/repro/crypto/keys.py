@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
+from repro.crypto.prf import Prf
 
 RESINFO_INPUT_SIZE = 16
 
@@ -70,15 +70,17 @@ class SecretValue:
 
 
 def derive_auth_key(
-    secret_value: SecretValue,
+    secret_value_prf: Prf,
     ingress: int,
     egress: int,
     res_id: int,
     bw_cls: int,
     res_start: int,
     res_duration: int,
-    prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
 ) -> bytes:
-    """Compute the reservation authentication key :math:`A_K` (Eq. 2)."""
+    """Compute the reservation authentication key :math:`A_K` (Eq. 2).
+
+    ``secret_value_prf`` is the PRF already keyed with :math:`SV_K`.
+    """
     block = pack_resinfo_input(ingress, egress, res_id, bw_cls, res_start, res_duration)
-    return prf_factory(secret_value.key).compute(block)
+    return secret_value_prf.compute(block)

@@ -9,6 +9,12 @@ Two interchangeable backends are provided:
     single ECB block encryption; longer inputs fall back to AES-CMAC.  This
     is the default everywhere correctness matters.
 
+A PRF instance *is* its key set-up (for AES, the expanded schedule), so the
+data plane builds one per long-lived key and passes it around:
+``derive_auth_key``, ``compute_flyover_mac`` and ``compute_hopfield_mac``
+take a keyed PRF, not key bytes.  Only the per-reservation :math:`A_K` is
+keyed afresh for every packet — the router stores nothing about it.
+
 ``Blake2Prf``
     Keyed BLAKE2s from the standard library.  Roughly an order of magnitude
     faster under CPython, useful for large-scale network simulations where
@@ -43,18 +49,22 @@ class AesPrf:
     Single-block inputs (the reservation-key derivation of Fig. 12 and the
     flyover-MAC input of Fig. 11 are both exactly 16 bytes) map to one AES
     block encryption — the same operation the paper benchmarks at ~43 ns with
-    AES-NI in Table 3.
+    AES-NI in Table 3.  Keying costs one key expansion and nothing else: the
+    CMAC subkeys are derived from the same schedule on the first input that
+    is not one block, which on the data plane never comes.
     """
 
     __slots__ = ("_cipher", "_cmac")
 
     def __init__(self, key: bytes) -> None:
         self._cipher = AES128(key)
-        self._cmac = Cmac(key)
+        self._cmac: Cmac | None = None
 
     def compute(self, message: bytes) -> bytes:
         if len(message) == BLOCK_SIZE:
             return self._cipher.encrypt_block(message)
+        if self._cmac is None:
+            self._cmac = Cmac.from_cipher(self._cipher)
         return self._cmac.compute(message)
 
 

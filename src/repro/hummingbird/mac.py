@@ -17,7 +17,7 @@ binding the timestamp limits replay to the freshness window.
 
 from __future__ import annotations
 
-from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
+from repro.crypto.prf import Prf
 from repro.scion.addresses import IsdAs
 
 TAG_LEN = 6  # l_tag: 6 bytes => online brute force needs ~2^47 packets on average
@@ -50,17 +50,20 @@ def pack_flyover_mac_input(
 
 
 def compute_flyover_mac(
-    auth_key: bytes,
+    auth_key_prf: Prf,
     dst: IsdAs,
     pkt_len: int,
     res_start_offset: int,
     millis_timestamp: int,
     counter: int,
-    prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
 ) -> bytes:
-    """Compute the truncated per-packet tag :math:`V_K` (Eq. 7a)."""
+    """Compute the truncated per-packet tag :math:`V_K` (Eq. 7a).
+
+    ``auth_key_prf`` is the PRF keyed with :math:`A_K`: held for the life of
+    the reservation at the source, keyed afresh per packet at the router.
+    """
     block = pack_flyover_mac_input(dst, pkt_len, res_start_offset, millis_timestamp, counter)
-    return prf_factory(auth_key).compute(block)[:TAG_LEN]
+    return auth_key_prf.compute(block)[:TAG_LEN]
 
 
 def aggregate_mac(hopfield_mac: bytes, flyover_mac: bytes) -> bytes:
@@ -71,7 +74,8 @@ def aggregate_mac(hopfield_mac: bytes, flyover_mac: bytes) -> bytes:
     """
     if len(hopfield_mac) != TAG_LEN or len(flyover_mac) != TAG_LEN:
         raise ValueError("aggregate MAC requires two 6-byte tags")
-    return bytes(a ^ b for a, b in zip(hopfield_mac, flyover_mac))
+    aggregate = int.from_bytes(hopfield_mac, "big") ^ int.from_bytes(flyover_mac, "big")
+    return aggregate.to_bytes(TAG_LEN, "big")
 
 
 def checked_pkt_len(payload_len: int, hdr_len_units: int) -> int:

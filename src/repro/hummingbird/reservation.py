@@ -107,13 +107,12 @@ def grant_reservation(
     AS-local secret value.
     """
     auth_key = derive_auth_key(
-        secret_value,
+        prf_factory(secret_value.key),
         resinfo.ingress,
         resinfo.egress,
         resinfo.res_id,
         resinfo.bw_cls,
         resinfo.start,
         resinfo.duration,
-        prf_factory,
     )
     return FlyoverReservation(isd_as=isd_as, resinfo=resinfo, auth_key=auth_key)

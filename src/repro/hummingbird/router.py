@@ -4,7 +4,9 @@ For each packet the ingress border router of AS *i*:
 
 1. **Flyover processing** (Algorithm 3) if the current hop field has the F
    bit set: re-derive the reservation key :math:`A_i` from the packet's
-   reservation information and the AS-local secret value, recompute the
+   reservation information under the held :math:`SV_i` PRF, key a PRF with
+   it (the paper's "AES-extend" step, done for every packet: nothing about a
+   reservation outlives the packet), recompute the
    flyover MAC, XOR it into the AggMAC field — recovering the candidate
    SCION hop-field MAC — and run the freshness and reservation-active
    checks.  Timing failures demote the packet to best effort; a bad tag
@@ -26,9 +28,9 @@ from dataclasses import dataclass, field
 
 from repro.clock import Clock
 from repro.crypto.keys import derive_auth_key
-from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
+from repro.crypto.prf import DEFAULT_PRF_FACTORY, Prf, PrfFactory
 from repro.hummingbird.duplicate import DuplicateFilter
-from repro.hummingbird.mac import compute_flyover_mac, checked_pkt_len
+from repro.hummingbird.mac import aggregate_mac, checked_pkt_len, compute_flyover_mac
 from repro.hummingbird.pathtype import FlyoverHopFieldData, HummingbirdPath, is_flyover
 from repro.hummingbird.policing import PerInterfacePolicer, PolicingVerdict
 from repro.scion.packet import PATH_TYPE_HUMMINGBIRD, ScionPacket
@@ -73,6 +75,8 @@ class HummingbirdRouter(ScionRouter):
         duplicate_filter: DuplicateFilter | None = None,
     ) -> None:
         super().__init__(autonomous_system, clock, prf_factory)
+        self._secret_value = autonomous_system.secret_value
+        self._secret_value_prf = prf_factory(self._secret_value.key)
         if burst_time is None:
             self.policer = PerInterfacePolicer(policing_capacity)
         else:
@@ -108,7 +112,7 @@ class HummingbirdRouter(ScionRouter):
             flyover_hop = hop  # type: ignore[assignment]
             try:
                 flyover_verdict, resinfo_ingress, pkt_len = self._flyover_processing(
-                    packet, path, seg_index, local
+                    packet, path, seg_index, local, flyover_hop
                 )
             except OverflowError:
                 decision = Decision(Action.DROP, reason="PktLen overflow")
@@ -147,39 +151,35 @@ class HummingbirdRouter(ScionRouter):
         path: HummingbirdPath,
         seg_index: int,
         local: int,
+        hop: FlyoverHopFieldData,
     ) -> tuple[PolicingVerdict, int, int]:
         """Recover the candidate hop-field MAC and run the timing checks.
 
         Returns (verdict, reservation ingress interface, PktLen).  Mutates
         the hop field's MAC: AggMAC -> candidate HopFieldMAC (A.7).
         """
-        segment = path.segments[seg_index]
-        hop: FlyoverHopFieldData = segment.hopfields[local]  # type: ignore[assignment]
-
         res_start = path.base_timestamp - hop.res_start_offset
         ingress, egress = self._effective_interfaces(path, seg_index, local)
         auth_key = derive_auth_key(
-            self.autonomous_system.secret_value,
+            self._held_secret_value_prf(),
             ingress,
             egress,
             hop.res_id,
             hop.bw_cls,
             res_start,
             hop.res_duration,
-            self.prf_factory,
         )
         pkt_len = checked_pkt_len(len(packet.payload), packet.hdr_len_units())
         flyover_mac = compute_flyover_mac(
-            auth_key,
+            self.prf_factory(auth_key),  # "AES-extend A_i": per packet, never kept
             packet.dst.isd_as,
             pkt_len,
             hop.res_start_offset,
             path.millis_timestamp,
             path.counter,
-            self.prf_factory,
         )
         # Candidate hop-field MAC (Eq. 6); also the A.7 MAC replacement.
-        hop.mac = bytes(a ^ b for a, b in zip(hop.mac, flyover_mac))
+        hop.mac = aggregate_mac(hop.mac, flyover_mac)
 
         now = self.clock.now()
         abs_ts = path.base_timestamp + path.millis_timestamp / 1000.0
@@ -192,6 +192,14 @@ class HummingbirdRouter(ScionRouter):
             self.stats.demoted_inactive += 1
             return PolicingVerdict.FWD_BEST_EFFORT, ingress, pkt_len
         return PolicingVerdict.FWD_FLYOVER, ingress, pkt_len
+
+    def _held_secret_value_prf(self) -> Prf:
+        """The PRF keyed with :math:`SV_i`; re-keyed if the AS replaced its secret."""
+        secret_value = self.autonomous_system.secret_value
+        if secret_value is not self._secret_value:
+            self._secret_value = secret_value
+            self._secret_value_prf = self.prf_factory(secret_value.key)
+        return self._secret_value_prf
 
     def _effective_interfaces(
         self, path: HummingbirdPath, seg_index: int, local: int

@@ -109,7 +109,6 @@ class HummingbirdSource:
         self.dst = dst
         self.path = path
         self.clock = clock
-        self.prf_factory = prf_factory
         self.placements = match_reservations(path, reservations)
         base = int(clock.now()) if base_timestamp is None else base_timestamp
         self._allocator = TimestampAllocator(base)
@@ -117,6 +116,10 @@ class HummingbirdSource:
         self._placement_index = {
             (p.seg_index, p.hf_index): p for p in self.placements
         }
+        # Held since redemption: one PRF keyed with A_K per placement, and the
+        # header size, which only depends on the path and the placements.
+        self._auth_key_prfs = [prf_factory(p.reservation.auth_key) for p in self.placements]
+        self._header_bytes = self._count_header_bytes()
 
     # -- public API ---------------------------------------------------------
 
@@ -126,6 +129,9 @@ class HummingbirdSource:
 
     def header_bytes(self) -> int:
         """Total header size of packets from this source (fixed per path)."""
+        return self._header_bytes
+
+    def _count_header_bytes(self) -> int:
         path_bytes = META_HDR_LEN + INFO_FIELD_LEN * len(self.path.segments)
         for seg_index, segment in enumerate(self.path.segments):
             for hf_index in range(len(segment.hopfields)):
@@ -147,25 +153,23 @@ class HummingbirdSource:
 
     def _begin_headers(self, payload: bytes) -> int:
         """Stage 1: header setup — yields the authenticated PktLen (Eq. 7d)."""
-        header = self.header_bytes()
-        return checked_pkt_len(len(payload), header // 4)
+        return checked_pkt_len(len(payload), self._header_bytes // 4)
 
     def _compute_flyover_macs(
         self, pkt_len: int, timestamp: PacketTimestamp
     ) -> dict[tuple[int, int], bytes]:
         """Stage 2: one flyover MAC per reserved AS hop (Eq. 7a)."""
         macs: dict[tuple[int, int], bytes] = {}
-        for placement in self.placements:
+        for placement, auth_key_prf in zip(self.placements, self._auth_key_prfs):
             resinfo = placement.reservation.resinfo
             offset = timestamp.base - resinfo.start
             macs[(placement.seg_index, placement.hf_index)] = compute_flyover_mac(
-                placement.reservation.auth_key,
+                auth_key_prf,
                 self.dst.isd_as,
                 pkt_len,
                 offset,
                 timestamp.millis,
                 timestamp.counter,
-                self.prf_factory,
             )
         return macs
 

@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.clock import SimClock
-from repro.crypto.aes import AES128
 from repro.crypto.keys import derive_auth_key
 from repro.crypto.prf import PrfFactory
 from repro.hummingbird.mac import aggregate_mac, compute_flyover_mac
@@ -141,36 +140,41 @@ def measure_router(
     hb_ns = time_op_over(lambda p: fixture.hb_router.process(p, 0), hb_packets)
     scion_ns = time_op_over(lambda p: fixture.scion_router.process(p, 0), scion_packets)
 
+    # The steps as the router runs them: K_i and SV_i PRFs held, A_i keyed
+    # per packet.  Disjoint, so their sum is comparable to the hop cost.
     prf_factory = PrfFactory(prf_backend)
     reservation = fixture.reservations[0]
     resinfo = reservation.resinfo
-    secret_value = fixture.topology.as_of(reservation.isd_as).secret_value
-    key_bytes = reservation.auth_key
+    autonomous_system = fixture.topology.as_of(reservation.isd_as)
+    forwarding_key_prf = prf_factory(autonomous_system.forwarding_key)
+    secret_value_prf = prf_factory(autonomous_system.secret_value.key)
+    auth_key_prf = prf_factory(reservation.auth_key)
     dst = fixture.hb_source.dst.isd_as
-    mac_a = compute_flyover_mac(key_bytes, dst, 600, 10, 1, 2, prf_factory)
-    mac_b = compute_hopfield_mac(key_bytes, 1, 1_700_000_000, 63, 1, 2, prf_factory)
+    mac_a = compute_flyover_mac(auth_key_prf, dst, 600, 10, 1, 2)
+    mac_b = compute_hopfield_mac(forwarding_key_prf, 1, 1_700_000_000, 63, 1, 2)
     bucket = TokenBucketArray(capacity=1024)
 
     steps = {
         "Recompute SCION hop field MAC": time_op(
-            lambda: compute_hopfield_mac(key_bytes, 7, 1_700_000_000, 63, 1, 2, prf_factory)
+            lambda: compute_hopfield_mac(forwarding_key_prf, 7, 1_700_000_000, 63, 1, 2)
         ),
         "Update segment identifier (SegID)": time_op(lambda: chain_segid(7, mac_b)),
         "Compute authentication key (A_i)": time_op(
             lambda: derive_auth_key(
-                secret_value,
+                secret_value_prf,
                 resinfo.ingress,
                 resinfo.egress,
                 resinfo.res_id,
                 resinfo.bw_cls,
                 resinfo.start,
                 resinfo.duration,
-                prf_factory,
             )
         ),
-        "AES-extend authentication key (A_i)": time_op(lambda: AES128(key_bytes)),
+        "AES-extend authentication key (A_i)": time_op(
+            lambda: prf_factory(reservation.auth_key)
+        ),
         "Recompute flyover MAC": time_op(
-            lambda: compute_flyover_mac(key_bytes, dst, 600, 10, 1, 2, prf_factory)
+            lambda: compute_flyover_mac(auth_key_prf, dst, 600, 10, 1, 2)
         ),
         "Compute aggregate MAC": time_op(lambda: aggregate_mac(mac_a, mac_b)),
         "Check for overuse": time_op(

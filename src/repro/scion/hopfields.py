@@ -19,7 +19,7 @@ Routers verify statelessly:
 
 from __future__ import annotations
 
-from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
+from repro.crypto.prf import Prf
 
 HOP_MAC_LEN = 6
 SEGID_BITS = 16
@@ -55,17 +55,19 @@ def pack_hopfield_mac_input(
 
 
 def compute_hopfield_mac(
-    forwarding_key: bytes,
+    forwarding_key_prf: Prf,
     seg_id: int,
     timestamp: int,
     exp_time: int,
     cons_ingress: int,
     cons_egress: int,
-    prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
 ) -> bytes:
-    """Compute the truncated 6-byte hop-field MAC."""
+    """Compute the truncated 6-byte hop-field MAC.
+
+    ``forwarding_key_prf`` is the PRF already keyed with the AS's :math:`K_i`.
+    """
     block = pack_hopfield_mac_input(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
-    return prf_factory(forwarding_key).compute(block)[:HOP_MAC_LEN]
+    return forwarding_key_prf.compute(block)[:HOP_MAC_LEN]
 
 
 def chain_segid(seg_id: int, mac: bytes) -> int:

@@ -3,7 +3,8 @@
 This is the best-effort data plane Hummingbird extends and the baseline of
 the paper's throughput evaluation (dashed lines in Figs. 5/14/15).  The
 router is stateless across packets: every check uses only the packet and the
-AS-local forwarding key.
+AS-local forwarding key, whose PRF (for AES, the expanded key schedule) the
+router keys once and holds.
 
 Processing one packet at the ingress border router of AS *i*:
 
@@ -22,7 +23,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.clock import Clock
-from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
+from repro.crypto.prf import DEFAULT_PRF_FACTORY, Prf, PrfFactory
 from repro.scion.hopfields import absolute_expiry, chain_segid, compute_hopfield_mac
 from repro.scion.packet import PacketPath, ScionPacket
 from repro.scion.paths import HopFieldData, SegmentInPath
@@ -61,6 +62,8 @@ class ScionRouter:
         self.autonomous_system = autonomous_system
         self.clock = clock
         self.prf_factory = prf_factory
+        self._forwarding_key = autonomous_system.forwarding_key
+        self._forwarding_key_prf = prf_factory(self._forwarding_key)
 
     # -- public API ---------------------------------------------------------
 
@@ -99,6 +102,14 @@ class ScionRouter:
         return Decision(Action.FORWARD, egress_ifid=egress)
 
     # -- internals ----------------------------------------------------------
+
+    def _held_forwarding_key_prf(self) -> Prf:
+        """The PRF keyed with :math:`K_i`; re-keyed if the AS replaced its key."""
+        key = self.autonomous_system.forwarding_key
+        if key is not self._forwarding_key:
+            self._forwarding_key = key
+            self._forwarding_key_prf = self.prf_factory(key)
+        return self._forwarding_key_prf
 
     def _previous(self, path: PacketPath) -> tuple[int, int, SegmentInPath, HopFieldData]:
         seg_index, local = path.locate(path.curr_hf - 1)
@@ -148,13 +159,12 @@ class ScionRouter:
         else:
             beta = chain_segid(segid, packet_mac)
         expected = compute_hopfield_mac(
-            self.autonomous_system.forwarding_key,
+            self._held_forwarding_key_prf(),
             beta,
             segment.timestamp,
             hop.exp_time,
             hop.cons_ingress,
             hop.cons_egress,
-            self.prf_factory,
         )
         if expected != packet_mac:
             return False
@@ -171,11 +181,10 @@ class ScionRouter:
         segid = path.segids[seg_index]
         beta = segid if segment.cons_dir else chain_segid(segid, hop.mac)
         return compute_hopfield_mac(
-            self.autonomous_system.forwarding_key,
+            self._held_forwarding_key_prf(),
             beta,
             segment.timestamp,
             hop.exp_time,
             hop.cons_ingress,
             hop.cons_egress,
-            self.prf_factory,
         )

@@ -102,13 +102,12 @@ def build_segment(
                 raise ValueError(f"no link between {isd_as} and {as_route[index + 1]}")
             cons_egress = interface.ifid
         mac = compute_hopfield_mac(
-            autonomous_system.forwarding_key,
+            prf_factory(autonomous_system.forwarding_key),
             seg_id,
             timestamp,
             exp_time,
             cons_ingress,
             cons_egress,
-            prf_factory,
         )
         hops.append(HopEntry(isd_as, cons_ingress, cons_egress, exp_time, mac))
         seg_id = chain_segid(seg_id, mac)

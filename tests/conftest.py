@@ -32,6 +32,27 @@ def chain5():
     return linear_path(5, timestamp=T0, prf_factory=BLAKE2)
 
 
+@pytest.fixture
+def aes_calls(monkeypatch):
+    """Counts of ``expand_key`` and ``AES128.encrypt_block`` calls from here on."""
+    from repro.crypto import aes
+
+    counts = {"expand_key": 0, "encrypt_block": 0}
+
+    def counting(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(aes, "expand_key", counting("expand_key", aes.expand_key))
+    monkeypatch.setattr(
+        aes.AES128, "encrypt_block", counting("encrypt_block", aes.AES128.encrypt_block)
+    )
+    return counts
+
+
 def grant_full_path(
     topology,
     path,

@@ -14,6 +14,13 @@ RFC_MSG = bytes.fromhex(
     "30c81c46a35ce411e5fbc1191a0a52ef"
     "f69f2445df4f9b17ad2b417be66c3710"
 )
+# message length -> tag, RFC 4493 section 4
+RFC_TAGS = {
+    0: "bb1d6929e95937287fa37d129b756746",
+    16: "070a16b46b4d4144f79bdd9dd04a287c",
+    40: "dfa66747de9ae63030ca32611497c827",
+    64: "51f0bebf7e3b9d92fc49741779363cfe",
+}
 
 
 class TestRfc4493:
@@ -23,16 +30,21 @@ class TestRfc4493:
         assert k2.hex() == "f7ddac306ae266ccf90bc11ee46d513b"
 
     def test_empty_message(self):
-        assert aes_cmac(RFC_KEY, b"").hex() == "bb1d6929e95937287fa37d129b756746"
+        assert aes_cmac(RFC_KEY, b"").hex() == RFC_TAGS[0]
 
     def test_16_bytes(self):
-        assert aes_cmac(RFC_KEY, RFC_MSG[:16]).hex() == "070a16b46b4d4144f79bdd9dd04a287c"
+        assert aes_cmac(RFC_KEY, RFC_MSG[:16]).hex() == RFC_TAGS[16]
 
     def test_40_bytes(self):
-        assert aes_cmac(RFC_KEY, RFC_MSG[:40]).hex() == "dfa66747de9ae63030ca32611497c827"
+        assert aes_cmac(RFC_KEY, RFC_MSG[:40]).hex() == RFC_TAGS[40]
 
     def test_64_bytes(self):
-        assert aes_cmac(RFC_KEY, RFC_MSG).hex() == "51f0bebf7e3b9d92fc49741779363cfe"
+        assert aes_cmac(RFC_KEY, RFC_MSG).hex() == RFC_TAGS[64]
+
+    def test_from_cipher_computes_the_rfc_vectors(self):
+        mac = Cmac.from_cipher(AES128(RFC_KEY))
+        for size, tag in RFC_TAGS.items():
+            assert mac.compute(RFC_MSG[:size]).hex() == tag
 
 
 class TestVerify:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.keys import SecretValue, derive_auth_key, pack_resinfo_input
+from repro.crypto.cmac import Cmac
 from repro.crypto.prf import AesPrf, Blake2Prf, PrfFactory
 from repro.crypto.sealing import MODP_G, MODP_P, KeyPair, SealedBox, seal, unseal
 from repro.crypto.signatures import GROUP_ORDER, SigningKey, verify
@@ -41,6 +42,29 @@ class TestPrfBackends:
         key = bytes(range(16))
         block = bytes(range(16, 32))
         assert AesPrf(key).compute(block) == AES128(key).encrypt_block(block)
+
+    def test_keying_an_aes_prf_is_one_key_expansion_and_nothing_else(self, aes_calls):
+        prf = AesPrf(bytes(range(16)))
+        assert aes_calls == {"expand_key": 1, "encrypt_block": 0}
+        prf.compute(bytes(16))
+        prf.compute(bytes(16))
+        assert aes_calls == {"expand_key": 1, "encrypt_block": 2}
+
+    @pytest.mark.parametrize("size", [0, 15, 17, 40, 64])
+    def test_aes_other_lengths_are_cmac_set_up_on_first_use(self, size, aes_calls):
+        from tests.crypto.test_cmac import RFC_KEY, RFC_MSG, RFC_TAGS
+
+        message = RFC_MSG[:size]
+        expected = Cmac(RFC_KEY).compute(message)
+        assert RFC_TAGS.get(size, expected.hex()) == expected.hex()
+        prf = AesPrf(RFC_KEY)
+        keyed = dict(aes_calls)
+        assert prf.compute(message) == expected
+        assert prf.compute(message) == expected
+        # subkeys derived once, from the schedule the PRF already had
+        blocks = max(1, -(-size // 16))
+        assert aes_calls["expand_key"] == keyed["expand_key"]
+        assert aes_calls["encrypt_block"] - keyed["encrypt_block"] == 1 + 2 * blocks
 
     def test_backends_differ(self):
         key, msg = bytes(16), bytes(16)
@@ -96,15 +120,15 @@ class TestResInfoPacking:
             pack_resinfo_input(**base)
 
     def test_key_changes_with_any_field(self):
-        sv = SecretValue.from_seed("test")
+        sv = AesPrf(SecretValue.from_seed("test").key)
         base = derive_auth_key(sv, 1, 2, 3, 4, 5, 6)
         assert derive_auth_key(sv, 9, 2, 3, 4, 5, 6) != base
         assert derive_auth_key(sv, 1, 2, 3, 4, 99, 6) != base
         assert derive_auth_key(sv, 1, 2, 3, 4, 5, 6) == base
 
     def test_key_changes_with_secret_value(self):
-        a = derive_auth_key(SecretValue.from_seed("a"), 1, 2, 3, 4, 5, 6)
-        b = derive_auth_key(SecretValue.from_seed("b"), 1, 2, 3, 4, 5, 6)
+        a = derive_auth_key(AesPrf(SecretValue.from_seed("a").key), 1, 2, 3, 4, 5, 6)
+        b = derive_auth_key(AesPrf(SecretValue.from_seed("b").key), 1, 2, 3, 4, 5, 6)
         assert a != b
 
 

@@ -47,16 +47,17 @@ class TestMacComputation:
         assert block[14:16] == bytes.fromhex("4142")
 
     def test_tag_is_truncated_to_6_bytes(self):
-        tag = compute_flyover_mac(bytes(16), IsdAs(1, 2), 100, 0, 0, 0, BLAKE2)
+        tag = compute_flyover_mac(BLAKE2(bytes(16)), IsdAs(1, 2), 100, 0, 0, 0)
         assert len(tag) == TAG_LEN == 6
 
     def test_tag_binds_every_field(self):
-        base = compute_flyover_mac(bytes(16), IsdAs(1, 2), 100, 5, 6, 7, BLAKE2)
-        assert compute_flyover_mac(bytes(16), IsdAs(1, 3), 100, 5, 6, 7, BLAKE2) != base
-        assert compute_flyover_mac(bytes(16), IsdAs(1, 2), 101, 5, 6, 7, BLAKE2) != base
-        assert compute_flyover_mac(bytes(16), IsdAs(1, 2), 100, 6, 6, 7, BLAKE2) != base
-        assert compute_flyover_mac(bytes(16), IsdAs(1, 2), 100, 5, 7, 7, BLAKE2) != base
-        assert compute_flyover_mac(bytes(16), IsdAs(1, 2), 100, 5, 6, 8, BLAKE2) != base
+        prf = BLAKE2(bytes(16))
+        base = compute_flyover_mac(prf, IsdAs(1, 2), 100, 5, 6, 7)
+        assert compute_flyover_mac(prf, IsdAs(1, 3), 100, 5, 6, 7) != base
+        assert compute_flyover_mac(prf, IsdAs(1, 2), 101, 5, 6, 7) != base
+        assert compute_flyover_mac(prf, IsdAs(1, 2), 100, 6, 6, 7) != base
+        assert compute_flyover_mac(prf, IsdAs(1, 2), 100, 5, 7, 7) != base
+        assert compute_flyover_mac(prf, IsdAs(1, 2), 100, 5, 6, 8) != base
 
     def test_aggregate_is_self_inverse(self):
         a, b = bytes(range(6)), bytes(range(6, 12))

@@ -116,6 +116,17 @@ class TestMeasurements:
             "Check for overuse",
         }
 
+    def test_router_steps_are_disjoint_parts_of_the_hop(self):
+        """Timed as the router runs them (held K_i / SV_i PRFs, A_i keyed per
+        packet), the steps cannot add up to more than the hop they are part of."""
+        measured = measure_router(packets=300, prf_backend="aes")
+        assert sum(measured.steps.values()) <= measured.hummingbird_process_ns
+        hummingbird_only = sum(
+            measured.steps[name] for name, _ in paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA
+            if name in measured.steps
+        )
+        assert hummingbird_only <= measured.hummingbird_overhead_ns
+
     def test_source_measurement_scales_with_hops(self):
         fast = measure_source(hops=2, iterations=150, prf_backend="blake2")
         slow = measure_source(hops=6, iterations=150, prf_backend="blake2")

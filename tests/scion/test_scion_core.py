@@ -108,13 +108,12 @@ class TestSegments:
         segment = build_segment(topo, route, SegmentKind.INTRA_ISD, T0, 7, 63, BLAKE2)
         for i, hop in enumerate(segment.hops):
             expected = compute_hopfield_mac(
-                topo.as_of(hop.isd_as).forwarding_key,
+                BLAKE2(topo.as_of(hop.isd_as).forwarding_key),
                 segment.betas[i],
                 T0,
                 hop.exp_time,
                 hop.cons_ingress,
                 hop.cons_egress,
-                BLAKE2,
             )
             assert expected == hop.mac
 

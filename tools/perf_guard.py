@@ -31,12 +31,17 @@ floors carry enough headroom to absorb shared-runner noise).
 * ``transfer_plan`` — full deadline-transfer plans per second over the
   synthetic staggered book (``bench_transfers.py``).
 
-Last comes the end-to-end floor: one run of the whole-lifecycle benchmark's
-``posted_4hop`` workload (``benchmarks/e2e/run.py``, the paper's Fig. 4
-purchase with a fresh host each time) must check out correct, fail no
-operation and report at least ``E2E_FLOOR`` lifecycles per calibrated
-second — the benchmark rescales wall time by a machine-speed sampler, so
-the floor means the same on a throttled runner.
+Last come the end-to-end floors, one run of a whole-lifecycle benchmark
+workload each (``benchmarks/e2e/run.py``); the run must check out correct,
+fail no operation and report its metric at or above the floor per calibrated
+second — the benchmark rescales wall time by a machine-speed sampler, so a
+floor means the same on a throttled runner.
+
+* ``posted_4hop`` (the paper's Fig. 4 purchase with a fresh host each time):
+  at least ``E2E_FLOOR`` lifecycles per second;
+* ``forward_4hop`` (packets built and walked through four AES routers, every
+  security check in the timed path): at least ``FORWARD_FLOOR`` packets per
+  second.
 """
 
 from __future__ import annotations
@@ -71,27 +76,33 @@ FLOOR_TARGETS = [
 # posted_4hop lifecycles per calibrated second: twice the rate before the
 # public-key layer was trimmed (1.4/s), under 60% of the rate after (4.8/s).
 E2E_FLOOR = 2.8
-E2E_COMMAND = [
-    "benchmarks/e2e/run.py", "--workload", "posted_4hop",
-    "--seed", "12", "--seconds", "8", "--trace", "0",
+# forward_4hop packets per calibrated second: twice the rate when every
+# packet keyed its PRFs from scratch (~720/s), under 70% of the rate with the
+# K_i, SV_i and A_K schedules held (~2,100/s).
+FORWARD_FLOOR = 1_400.0
+# (workload, end-to-end metric, floor)
+E2E_FLOORS = [
+    ("posted_4hop", "lifecycles_per_s", E2E_FLOOR),
+    ("forward_4hop", "pkts_per_s", FORWARD_FLOOR),
 ]
 
 
-def _e2e_floor_ok() -> bool:
+def _e2e_floor_ok(workload: str, metric: str, floor: float) -> bool:
     """Run the e2e workload once; its last stdout line is the result object."""
-    print("== posted_4hop lifecycle floor (benchmarks/e2e/run.py)")
+    print(f"== {workload} {metric} floor (benchmarks/e2e/run.py)")
     finished = subprocess.run(
-        [sys.executable, *E2E_COMMAND], check=True, cwd=REPO_ROOT,
-        stdout=subprocess.PIPE, text=True,
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", "12", "--seconds", "8", "--trace", "0"],
+        check=True, cwd=REPO_ROOT, stdout=subprocess.PIPE, text=True,
     )
     result = json.loads(finished.stdout.strip().splitlines()[-1])
-    rate = result["metrics"]["lifecycles_per_s"]["value"]
+    rate = result["metrics"][metric]["value"]
     print(f"correct={result['correct']} failed={result['failed']}/{result['attempted']} "
-          f"lifecycles_per_s={rate:.2f} (floor {E2E_FLOOR})")
-    if result["correct"] is True and result["failed"] == 0 and rate >= E2E_FLOOR:
+          f"{metric}={rate:,.2f} (floor {floor:,})")
+    if result["correct"] is True and result["failed"] == 0 and rate >= floor:
         print("OK")
         return True
-    print("FAIL: posted_4hop is incorrect, failing operations or below its floor",
+    print(f"FAIL: {workload} is incorrect, failing operations or below its floor",
           file=sys.stderr)
     return False
 
@@ -196,8 +207,9 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("OK")
 
-    if not _e2e_floor_ok():
-        failed = True
+    for workload, metric, floor in E2E_FLOORS:
+        if not _e2e_floor_ok(workload, metric, floor):
+            failed = True
     return 1 if failed else 0
 
 
