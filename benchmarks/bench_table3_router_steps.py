@@ -62,7 +62,7 @@ def _table3_report_impl(packets: int = 800):
             f"{measured.hummingbird_process_ns / measured.scion_process_ns:.1f}x vs the "
             f"paper's {paper.HUMMINGBIRD_FORWARD_NS / paper.SCION_FORWARD_NS:.1f}x "
             f"(3 block encryptions + 1 key expansion against 1 encryption; without "
-            f"AES-NI the expansion costs about an encryption). The timed steps are "
+            f"AES-NI the expansion costs about two thirds of an encryption). The timed steps are "
             f"disjoint and cover {step_sum / measured.hummingbird_process_ns:.0%} of the hop."
         ),
     )

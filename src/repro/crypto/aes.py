@@ -9,12 +9,32 @@ test vectors in ``tests/crypto/test_aes.py``.
 Only encryption exists: CMAC, the one-block PRFs and the CTR keystream of
 the sealed-delivery envelope in :mod:`repro.crypto.sealing` never decrypt.
 
-The S-box and the four T-tables are precomputed once at import time.
 :meth:`AES128.encrypt_block` is on every reserved packet's path three times
-per hop, so it is written for CPython speed — one 128-bit load, the rounds
-as four table-lookup expressions, one 128-bit store — and is checked against
-a plain byte-wise FIPS-197 reference in the tests.  For throughput-oriented
-simulations, :mod:`repro.crypto.prf` offers a keyed-BLAKE2 backend.
+per hop and :func:`expand_key` once, so both are written for CPython speed
+and checked against a plain byte-wise FIPS-197 reference in the tests.
+
+**State layout.**  The state is one 128-bit int, byte ``4 * column + row``
+of FIPS-197 at bits ``127 - 8 * (4 * column + row)`` — the block read
+big-endian.  A round key is one such int, the schedule a tuple of eleven.
+
+**Round tables.**  ``_ROUND[i][x]`` is what state byte ``i`` with value
+``x`` contributes to the next state: its T-table word (SubBytes and the
+MixColumns column of its row) already shifted to the column ShiftRows sends
+it to.  A round is therefore sixteen lookups XORed with the round key, and
+the ``to_bytes(16)`` of the result, unpacked sixteen ways, *is* the next
+round's indices — no shift, no mask.  ``_FINAL`` is the same for the last
+round (S-box byte at its ShiftRows position, no MixColumns).
+
+**Key-schedule tables.**  With ``w0..w3`` the words of a round key and
+``g = SubWord(RotWord(w3)) ^ Rcon``, the next key's words are ``w0^g``,
+``w1^w0^g``, ``w2^w1^w0^g``, ``w3^w2^w1^w0^g``: as one int,
+``rk ^ rk>>32 ^ rk>>64 ^ rk>>96 ^ g * (2**96 + 2**64 + 2**32 + 1)``.
+``_SCHEDULE[j][x]`` is the byte of ``g`` that byte ``j`` of ``w3`` becomes,
+already replicated into all four words; ``_RCON`` is replicated likewise.
+
+Everything is computed once at import from the S-box: 2 x 16 x 256 + 4 x 256
+ints of up to 128 bits, about 0.5 MB.  For throughput-oriented simulations,
+:mod:`repro.crypto.prf` offers a keyed-BLAKE2 backend.
 """
 
 from __future__ import annotations
@@ -68,34 +88,44 @@ def _build_sbox() -> bytes:
 
 SBOX = _build_sbox()
 
-# Round constants for the key schedule (powers of 2 in GF(2^8)).
-_RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
+_WORD_MASK = 0xFFFFFFFF
+_ALL_WORDS = (1 << 96) | (1 << 64) | (1 << 32) | 1  # g -> g in every word
+
+# Round constants for the key schedule (powers of 2 in GF(2^8)), in the top
+# byte of every word.
+_RCON = tuple(
+    (constant << 24) * _ALL_WORDS
+    for constant in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
+)
 
 
-def _build_tables() -> tuple[list[int], list[int], list[int], list[int]]:
-    """Precompute the four encryption T-tables (SubBytes+ShiftRows+MixColumns)."""
-    t0, t1, t2, t3 = [], [], [], []
-    for x in range(256):
-        s = SBOX[x]
-        s2 = _gf_mul(s, 2)
-        s3 = _gf_mul(s, 3)
-        word = (s2 << 24) | (s << 16) | (s << 8) | s3
-        t0.append(word)
-        t1.append(((word >> 8) | (word << 24)) & 0xFFFFFFFF)
-        t2.append(((word >> 16) | (word << 16)) & 0xFFFFFFFF)
-        t3.append(((word >> 24) | (word << 8)) & 0xFFFFFFFF)
-    return t0, t1, t2, t3
+def _build_round_tables() -> tuple[list[list[int]], list[list[int]]]:
+    """Per state-byte position: its contribution to the next 128-bit state."""
+    # What MixColumns makes of S-box output s in row 0: the column (2s, s, s, 3s);
+    # in row r the same column rotated down by r.
+    mixed = [(_gf_mul(s, 2), s, s, _gf_mul(s, 3)) for s in SBOX]
+    rounds, final = [], []
+    for position in range(BLOCK_SIZE):
+        column, row = divmod(position, 4)
+        word_shift = 32 * (3 - (column - row) % 4)  # ShiftRows: row r moves r columns left
+        r0, r1, r2, r3 = (-row % 4, (1 - row) % 4, (2 - row) % 4, (3 - row) % 4)
+        rounds.append(
+            [(m[r0] << 24 | m[r1] << 16 | m[r2] << 8 | m[r3]) << word_shift for m in mixed]
+        )
+        final.append([s << word_shift + 8 * (3 - row) for s in SBOX])
+    return rounds, final
 
 
-_T0, _T1, _T2, _T3 = _build_tables()
+_ROUND, _FINAL = _build_round_tables()
 
-# Offsets of rounds 1..9 into the 44-word schedule; round 0 and round 10 are
-# spelled out in ``encrypt_block``.
-_ROUND_KEY_OFFSETS = tuple(range(4, 4 * NUM_ROUNDS, 4))
+# RotWord moves byte j of w3 to byte j - 1 (byte 0 to byte 3) of g.
+_SCHEDULE = tuple(
+    [(SBOX[x] << 8 * (3 - (j - 1) % 4)) * _ALL_WORDS for x in range(256)] for j in range(4)
+)
 
 
-def expand_key(key: bytes) -> list[int]:
-    """Expand a 16-byte key into 44 round-key words (FIPS-197 key schedule).
+def expand_key(key: bytes) -> tuple[int, ...]:
+    """Expand a 16-byte key into eleven 128-bit round keys (FIPS-197 key schedule).
 
     This corresponds to the "AES-extend authentication key" step measured in
     Table 3 of the paper: deriving a reservation key :math:`A_K` yields raw
@@ -103,20 +133,18 @@ def expand_key(key: bytes) -> list[int]:
     """
     if len(key) != KEY_SIZE:
         raise ValueError(f"AES-128 requires a 16-byte key, got {len(key)} bytes")
-    words = [int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4)]
-    for i in range(4, 4 * (NUM_ROUNDS + 1)):
-        temp = words[i - 1]
-        if i % 4 == 0:
-            temp = ((temp << 8) | (temp >> 24)) & 0xFFFFFFFF  # RotWord
-            temp = (
-                (SBOX[(temp >> 24) & 0xFF] << 24)
-                | (SBOX[(temp >> 16) & 0xFF] << 16)
-                | (SBOX[(temp >> 8) & 0xFF] << 8)
-                | SBOX[temp & 0xFF]
-            )  # SubWord
-            temp ^= _RCON[i // 4 - 1] << 24
-        words.append(words[i - 4] ^ temp)
-    return words
+    g0, g1, g2, g3 = _SCHEDULE
+    round_key = int.from_bytes(key, "big")
+    round_keys = [round_key]
+    for rcon in _RCON:
+        w3 = round_key & _WORD_MASK
+        folded = round_key ^ round_key >> 32  # then ^ folded >> 64: all four prefixes
+        round_key = (
+            folded ^ folded >> 64
+            ^ g0[w3 >> 24] ^ g1[w3 >> 16 & 255] ^ g2[w3 >> 8 & 255] ^ g3[w3 & 255] ^ rcon
+        )
+        round_keys.append(round_key)
+    return tuple(round_keys)
 
 
 class AES128:
@@ -127,38 +155,34 @@ class AES128:
     '66e94bd4ef8a2c3b884cfa59ca342b2e'
     """
 
-    __slots__ = ("_round_keys",)
+    __slots__ = ("_first_key", "_middle_keys", "_last_key")
 
     def __init__(self, key: bytes) -> None:
-        self._round_keys = expand_key(key)
+        round_keys = expand_key(key)
+        self._first_key = round_keys[0]
+        self._middle_keys = round_keys[1:NUM_ROUNDS]
+        self._last_key = round_keys[NUM_ROUNDS]
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt exactly one 16-byte block."""
         if len(block) != BLOCK_SIZE:
             raise ValueError(f"AES block must be 16 bytes, got {len(block)}")
-        rk = self._round_keys
-        ta, tb, tc, td, sb = _T0, _T1, _T2, _T3, SBOX
-        state = int.from_bytes(block, "big")
-        s0 = (state >> 96) ^ rk[0]
-        s1 = (state >> 64 & 0xFFFFFFFF) ^ rk[1]
-        s2 = (state >> 32 & 0xFFFFFFFF) ^ rk[2]
-        s3 = (state & 0xFFFFFFFF) ^ rk[3]
-
-        # Every word stays below 2^32, so its top byte needs no mask.
-        for k in _ROUND_KEY_OFFSETS:
-            n0 = ta[s0 >> 24] ^ tb[s1 >> 16 & 255] ^ tc[s2 >> 8 & 255] ^ td[s3 & 255] ^ rk[k]
-            n1 = ta[s1 >> 24] ^ tb[s2 >> 16 & 255] ^ tc[s3 >> 8 & 255] ^ td[s0 & 255] ^ rk[k + 1]
-            n2 = ta[s2 >> 24] ^ tb[s3 >> 16 & 255] ^ tc[s0 >> 8 & 255] ^ td[s1 & 255] ^ rk[k + 2]
-            s3 = ta[s3 >> 24] ^ tb[s0 >> 16 & 255] ^ tc[s1 >> 8 & 255] ^ td[s2 & 255] ^ rk[k + 3]
-            s0, s1, s2 = n0, n1, n2
-
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = _ROUND
+        state = int.from_bytes(block, "big") ^ self._first_key
+        for round_key in self._middle_keys:
+            a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p = state.to_bytes(BLOCK_SIZE, "big")
+            state = (
+                t0[a] ^ t1[b] ^ t2[c] ^ t3[d] ^ t4[e] ^ t5[f] ^ t6[g] ^ t7[h]
+                ^ t8[i] ^ t9[j] ^ t10[k] ^ t11[l] ^ t12[m] ^ t13[n] ^ t14[o] ^ t15[p]
+                ^ round_key
+            )
         # Final round: SubBytes + ShiftRows + AddRoundKey (no MixColumns).
-        w0 = sb[s0 >> 24] << 24 | sb[s1 >> 16 & 255] << 16 | sb[s2 >> 8 & 255] << 8 | sb[s3 & 255]
-        w1 = sb[s1 >> 24] << 24 | sb[s2 >> 16 & 255] << 16 | sb[s3 >> 8 & 255] << 8 | sb[s0 & 255]
-        w2 = sb[s2 >> 24] << 24 | sb[s3 >> 16 & 255] << 16 | sb[s0 >> 8 & 255] << 8 | sb[s1 & 255]
-        w3 = sb[s3 >> 24] << 24 | sb[s0 >> 16 & 255] << 16 | sb[s1 >> 8 & 255] << 8 | sb[s2 & 255]
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = _FINAL
+        a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p = state.to_bytes(BLOCK_SIZE, "big")
         return (
-            (w0 ^ rk[40]) << 96 | (w1 ^ rk[41]) << 64 | (w2 ^ rk[42]) << 32 | (w3 ^ rk[43])
+            t0[a] ^ t1[b] ^ t2[c] ^ t3[d] ^ t4[e] ^ t5[f] ^ t6[g] ^ t7[h]
+            ^ t8[i] ^ t9[j] ^ t10[k] ^ t11[l] ^ t12[m] ^ t13[n] ^ t14[o] ^ t15[p]
+            ^ self._last_key
         ).to_bytes(BLOCK_SIZE, "big")
 
 

@@ -19,11 +19,14 @@ a single block encryption — the statelessness property of §3.1.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 from repro.crypto.prf import Prf
+from repro.wire.bitfields import out_of_range
 
 RESINFO_INPUT_SIZE = 16
+_RESINFO_INPUT = struct.Struct(">HHIIH2x")  # the Fig. 12 layout above
 
 
 def pack_resinfo_input(
@@ -35,25 +38,20 @@ def pack_resinfo_input(
     res_duration: int,
 ) -> bytes:
     """Serialize reservation parameters into the Fig. 12 key-derivation block."""
-    if not 0 <= ingress < 1 << 16:
-        raise ValueError(f"ingress interface {ingress} out of 16-bit range")
-    if not 0 <= egress < 1 << 16:
-        raise ValueError(f"egress interface {egress} out of 16-bit range")
-    if not 0 <= res_id < 1 << 22:
-        raise ValueError(f"ResID {res_id} out of 22-bit range")
-    if not 0 <= bw_cls < 1 << 10:
-        raise ValueError(f"bandwidth class {bw_cls} out of 10-bit range")
-    if not 0 <= res_start < 1 << 32:
-        raise ValueError(f"ResStart {res_start} out of 32-bit range")
-    if not 0 <= res_duration < 1 << 16:
-        raise ValueError(f"ResDuration {res_duration} out of 16-bit range")
-    return (
-        ingress.to_bytes(2, "big")
-        + egress.to_bytes(2, "big")
-        + ((res_id << 10) | bw_cls).to_bytes(4, "big")
-        + res_start.to_bytes(4, "big")
-        + res_duration.to_bytes(2, "big")
-        + b"\x00\x00"
+    if not (res_id >> 22 or bw_cls >> 10):  # they share a word: struct checks only the word
+        try:
+            return _RESINFO_INPUT.pack(
+                ingress, egress, res_id << 10 | bw_cls, res_start, res_duration
+            )
+        except struct.error:
+            pass
+    raise out_of_range(
+        ("ingress interface", ingress, 16),
+        ("egress interface", egress, 16),
+        ("ResID", res_id, 22),
+        ("bandwidth class", bw_cls, 10),
+        ("ResStart", res_start, 32),
+        ("ResDuration", res_duration, 16),
     )
 
 

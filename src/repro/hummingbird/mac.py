@@ -17,11 +17,18 @@ binding the timestamp limits replay to the freshness window.
 
 from __future__ import annotations
 
+import struct
+
 from repro.crypto.prf import Prf
-from repro.scion.addresses import IsdAs
+from repro.scion.addresses import AS_BITS, IsdAs
+from repro.wire.bitfields import out_of_range
 
 TAG_LEN = 6  # l_tag: 6 bytes => online brute force needs ~2^47 packets on average
 FLYOVER_MAC_INPUT_SIZE = 16
+
+# DstISD (16) || DstAS (48), Eq. 7c | PktLen | ResStartOffset | MillisTimestamp
+# | Counter (16 each)
+_MAC_INPUT = struct.Struct(">Q4H")
 
 
 def pack_flyover_mac_input(
@@ -32,21 +39,17 @@ def pack_flyover_mac_input(
     counter: int,
 ) -> bytes:
     """Serialize the Fig. 11 MAC input block (exactly 16 bytes)."""
-    if not 0 <= pkt_len < 1 << 16:
-        raise ValueError(f"PktLen {pkt_len} out of 16-bit range")
-    if not 0 <= res_start_offset < 1 << 16:
-        raise ValueError(f"ResStartOffset {res_start_offset} out of 16-bit range")
-    if not 0 <= millis_timestamp < 1 << 16:
-        raise ValueError(f"MillisTimestamp {millis_timestamp} out of 16-bit range")
-    if not 0 <= counter < 1 << 16:
-        raise ValueError(f"Counter {counter} out of 16-bit range")
-    return (
-        dst.pack()  # DstISD (2 B) || DstAS (6 B), Eq. 7c
-        + pkt_len.to_bytes(2, "big")
-        + res_start_offset.to_bytes(2, "big")
-        + millis_timestamp.to_bytes(2, "big")
-        + counter.to_bytes(2, "big")
-    )
+    try:
+        return _MAC_INPUT.pack(
+            dst.isd << AS_BITS | dst.asn, pkt_len, res_start_offset, millis_timestamp, counter
+        )
+    except struct.error:
+        raise out_of_range(
+            ("PktLen", pkt_len, 16),
+            ("ResStartOffset", res_start_offset, 16),
+            ("MillisTimestamp", millis_timestamp, 16),
+            ("Counter", counter, 16),
+        ) from None
 
 
 def compute_flyover_mac(

@@ -78,12 +78,22 @@ class HummingbirdPath(PacketPath):
 
     Adds the per-packet timestamp triple of the PathMetaHdr.  ``curr_hf``
     remains a logical hop-field index in memory; the codec converts to the
-    wire's 4-byte-increment encoding.
+    wire's 4-byte-increment encoding through a table of the 4-byte units
+    before each hop field, fixed at construction with the rest of the shape.
     """
 
     base_timestamp: int = 0
     millis_timestamp: int = 0
     counter: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        units_before = [0]
+        for segment in self.segments:
+            for hop in segment.hopfields:
+                units_before.append(units_before[-1] + hopfield_units(hop))
+        self._units_before = tuple(units_before)
+        self.hop_units = units_before[-1]  # all hop fields together
 
     def seg_len_units(self) -> tuple[int, int, int]:
         """Per-segment hop-field byte length divided by 4 (7-bit fields)."""
@@ -97,17 +107,9 @@ class HummingbirdPath(PacketPath):
 
     def curr_hf_units(self) -> int:
         """Wire encoding of CurrHF: 4-byte units before the current hop field."""
-        units = 0
-        counted = 0
-        for segment in self.segments:
-            for hop in segment.hopfields:
-                if counted == self.curr_hf:
-                    return units
-                units += hopfield_units(hop)
-                counted += 1
-        if counted == self.curr_hf:
-            return units
-        raise ValueError(f"curr_hf {self.curr_hf} beyond end of path")
+        if not 0 <= self.curr_hf <= self.num_hopfields:
+            raise ValueError(f"curr_hf {self.curr_hf} beyond end of path")
+        return self._units_before[self.curr_hf]
 
     def flyover_count(self) -> int:
         return sum(
@@ -302,12 +304,7 @@ def _decode_hopfield(data: bytes, flyover: bool) -> HopFieldData:
 def hummingbird_path_size(path: PacketPath) -> int:
     if not isinstance(path, HummingbirdPath):
         raise TypeError("hummingbird codec requires a HummingbirdPath")
-    hop_bytes = sum(
-        hopfield_units(hop) * 4
-        for segment in path.segments
-        for hop in segment.hopfields
-    )
-    return META_HDR_LEN + INFO_FIELD_LEN * len(path.segments) + hop_bytes
+    return META_HDR_LEN + INFO_FIELD_LEN * len(path.segments) + 4 * path.hop_units
 
 
 register_path_codec(

@@ -77,6 +77,10 @@ class HummingbirdRouter(ScionRouter):
         super().__init__(autonomous_system, clock, prf_factory)
         self._secret_value = autonomous_system.secret_value
         self._secret_value_prf = prf_factory(self._secret_value.key)
+        self._forward_priority = {
+            ifid: Decision(Action.FORWARD_PRIORITY, egress_ifid=ifid)
+            for ifid in autonomous_system.interfaces
+        }
         if burst_time is None:
             self.policer = PerInterfacePolicer(policing_capacity)
         else:
@@ -132,8 +136,9 @@ class HummingbirdRouter(ScionRouter):
 
         if flyover_hop is not None and flyover_verdict is PolicingVerdict.FWD_FLYOVER:
             if decision.action is Action.FORWARD:
-                decision = Decision(
-                    Action.FORWARD_PRIORITY, egress_ifid=decision.egress_ifid
+                egress = decision.egress_ifid
+                decision = self._forward_priority.get(egress) or Decision(
+                    Action.FORWARD_PRIORITY, egress_ifid=egress
                 )
             elif decision.action is Action.DELIVER:
                 # Terminal hop: nothing to forward, but the crossing consumed

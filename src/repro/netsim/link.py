@@ -14,7 +14,7 @@ occupy the priority queue's memory.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.netsim.events import EventLoop
@@ -29,11 +29,8 @@ class LinkStats:
     busy_seconds: float = 0.0
 
 
-@dataclass
-class _Queued:
-    payload: object
-    size_bytes: int
-    deliver: Callable[[object], None]
+# A queued packet: (payload, size in bytes, deliver callback).
+_Queued = tuple[object, int, Callable[[object], None]]
 
 
 class Link:
@@ -71,7 +68,7 @@ class Link:
         deliver: Callable[[object], None],
     ) -> bool:
         """Enqueue a packet; returns False if its class buffer dropped it."""
-        item = _Queued(payload, size_bytes, deliver)
+        item = (payload, size_bytes, deliver)
         if priority:
             if self._priority_bytes + size_bytes > self.buffer_bytes:
                 self.stats.dropped_priority += 1
@@ -99,26 +96,27 @@ class Link:
 
     def _start_next(self) -> None:
         if self._priority:
-            item = self._priority.popleft()
+            payload, size_bytes, deliver = self._priority.popleft()
             is_priority = True
-            self._priority_bytes -= item.size_bytes
+            self._priority_bytes -= size_bytes
         elif self._best_effort:
-            item = self._best_effort.popleft()
+            payload, size_bytes, deliver = self._best_effort.popleft()
             is_priority = False
-            self._best_effort_bytes -= item.size_bytes
+            self._best_effort_bytes -= size_bytes
         else:
             self._transmitting = False
             return
         self._transmitting = True
-        tx_seconds = item.size_bytes * 8 / self.rate_bps
+        tx_seconds = size_bytes * 8 / self.rate_bps
         self.stats.busy_seconds += tx_seconds
+        self.loop.schedule(tx_seconds, self._on_tx_done, payload, deliver, is_priority)
 
-        def on_tx_done() -> None:
-            if is_priority:
-                self.stats.delivered_priority += 1
-            else:
-                self.stats.delivered_best_effort += 1
-            self.loop.schedule(self.propagation_delay, lambda: item.deliver(item.payload))
-            self._start_next()
-
-        self.loop.schedule(tx_seconds, on_tx_done)
+    def _on_tx_done(
+        self, payload: object, deliver: Callable[[object], None], is_priority: bool
+    ) -> None:
+        if is_priority:
+            self.stats.delivered_priority += 1
+        else:
+            self.stats.delivered_best_effort += 1
+        self.loop.schedule(self.propagation_delay, deliver, payload)
+        self._start_next()

@@ -9,6 +9,7 @@ or best-effort traffic into the best-effort queue, drops into statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.hummingbird.router import HummingbirdRouter
 from repro.netsim.link import Link
@@ -52,9 +53,9 @@ class RouterNode:
 
     def __init__(self, router: HummingbirdRouter) -> None:
         self.router = router
-        # egress interface id -> (link, next node receive callback taking
-        # (sim_packet, ingress_ifid at the neighbor))
-        self._egress: dict[int, tuple[Link, "RouterNode | HostSink", int]] = {}
+        # egress interface id -> (link, what hands a packet off the link to
+        # the neighbor on its ingress interface)
+        self._egress: dict[int, tuple[Link, Callable[[SimPacket], None]]] = {}
         self.local_sink: HostSink | None = None
         self.dropped = 0
 
@@ -63,7 +64,10 @@ class RouterNode:
         return self.router.autonomous_system.isd_as
 
     def connect(self, egress_ifid: int, link: Link, neighbor: "RouterNode", neighbor_ifid: int) -> None:
-        self._egress[egress_ifid] = (link, neighbor, neighbor_ifid)
+        self._egress[egress_ifid] = (
+            link,
+            lambda sim_packet: neighbor.receive(sim_packet, neighbor_ifid),
+        )
 
     def attach_sink(self, sink: HostSink) -> None:
         self.local_sink = sink
@@ -81,12 +85,12 @@ class RouterNode:
         if connection is None:
             self.dropped += 1
             return
-        link, neighbor, neighbor_ifid = connection
+        link, deliver = connection
         link.send(
             sim_packet,
             sim_packet.size_bytes,
-            priority=decision.action is Action.FORWARD_PRIORITY,
-            deliver=lambda item: neighbor.receive(item, neighbor_ifid),
+            decision.action is Action.FORWARD_PRIORITY,
+            deliver,
         )
 
     def inject(self, sim_packet: SimPacket) -> None:

@@ -19,7 +19,10 @@ Routers verify statelessly:
 
 from __future__ import annotations
 
+import struct
+
 from repro.crypto.prf import Prf
+from repro.wire.bitfields import out_of_range
 
 HOP_MAC_LEN = 6
 SEGID_BITS = 16
@@ -29,29 +32,25 @@ SEGID_BITS = 16
 EXP_TIME_UNIT = 24 * 3600 / 256
 DEFAULT_EXP_TIME = 63  # 6 hours
 
+# 0 (16) | SegID (16) | Timestamp (32) | 0 (8) | ExpTime (8) | ConsIngress (16)
+# | ConsEgress (16) | 0 (16)
+_MAC_INPUT = struct.Struct(">2xHIxBHH2x")
+
 
 def pack_hopfield_mac_input(
     seg_id: int, timestamp: int, exp_time: int, cons_ingress: int, cons_egress: int
 ) -> bytes:
     """16-byte MAC input per the SCION header specification."""
-    if not 0 <= seg_id < 1 << SEGID_BITS:
-        raise ValueError(f"SegID {seg_id} out of 16-bit range")
-    if not 0 <= timestamp < 1 << 32:
-        raise ValueError(f"timestamp {timestamp} out of 32-bit range")
-    if not 0 <= exp_time < 1 << 8:
-        raise ValueError(f"ExpTime {exp_time} out of 8-bit range")
-    if not 0 <= cons_ingress < 1 << 16 or not 0 <= cons_egress < 1 << 16:
-        raise ValueError("interface identifiers out of 16-bit range")
-    return (
-        b"\x00\x00"
-        + seg_id.to_bytes(2, "big")
-        + timestamp.to_bytes(4, "big")
-        + b"\x00"
-        + exp_time.to_bytes(1, "big")
-        + cons_ingress.to_bytes(2, "big")
-        + cons_egress.to_bytes(2, "big")
-        + b"\x00\x00"
-    )
+    try:
+        return _MAC_INPUT.pack(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
+    except struct.error:
+        raise out_of_range(
+            ("SegID", seg_id, SEGID_BITS),
+            ("timestamp", timestamp, 32),
+            ("ExpTime", exp_time, 8),
+            ("ConsIngress", cons_ingress, 16),
+            ("ConsEgress", cons_egress, 16),
+        ) from None
 
 
 def compute_hopfield_mac(

@@ -40,6 +40,12 @@ class PacketPath:
     mutate it as the packet travels.  ``curr_hf`` is a logical hop-field
     index across all segments (serializers convert to the wire encoding of
     the respective path type).
+
+    The shape of a path — how many hop fields each segment has, and of which
+    kind — is fixed at construction, as SegLen and HdrLen fix it on the wire:
+    ``num_hopfields`` and the table behind :meth:`locate` are computed once,
+    so hop fields may be rewritten in place but not added, removed or swapped
+    for another kind.
     """
 
     segments: list[SegmentInPath]
@@ -50,15 +56,17 @@ class PacketPath:
     def __post_init__(self) -> None:
         if not self.segids:
             self.segids = [segment.initial_segid for segment in self.segments]
+        self._positions = [
+            (seg_index, local)
+            for seg_index, segment in enumerate(self.segments)
+            for local in range(len(segment.hopfields))
+        ]
+        self.num_hopfields = len(self._positions)
 
     @classmethod
     def from_forwarding_path(cls, path: ForwardingPath) -> "PacketPath":
         copied = path.copy()
         return cls(segments=copied.segments)
-
-    @property
-    def num_hopfields(self) -> int:
-        return sum(len(segment.hopfields) for segment in self.segments)
 
     def seg_lens(self) -> tuple[int, int, int]:
         lens = [len(segment.hopfields) for segment in self.segments]
@@ -68,12 +76,9 @@ class PacketPath:
 
     def locate(self, global_hf: int) -> tuple[int, int]:
         """Map a global hop-field index to (segment index, local index)."""
-        remaining = global_hf
-        for seg_index, segment in enumerate(self.segments):
-            if remaining < len(segment.hopfields):
-                return seg_index, remaining
-            remaining -= len(segment.hopfields)
-        raise IndexError(f"hop-field index {global_hf} out of range")
+        if not 0 <= global_hf < self.num_hopfields:
+            raise IndexError(f"hop-field index {global_hf} out of range")
+        return self._positions[global_hf]
 
     def current(self) -> tuple[int, int, SegmentInPath, HopFieldData]:
         seg_index, local = self.locate(self.curr_hf)

@@ -8,7 +8,8 @@ router keys once and holds.
 
 Processing one packet at the ingress border router of AS *i*:
 
-1. locate the current hop field via ``CurrHF``;
+1. locate the current hop field via ``CurrHF`` (once: the located hop is
+   handed to every later step);
 2. drop if the hop field is expired;
 3. verify the chained hop-field MAC (SegID handling depends on the
    construction-direction flag);
@@ -50,6 +51,9 @@ class Decision:
         return self.action in (Action.FORWARD, Action.FORWARD_PRIORITY)
 
 
+_DELIVER = Decision(Action.DELIVER)
+
+
 class ScionRouter:
     """Best-effort border router for one AS."""
 
@@ -64,6 +68,12 @@ class ScionRouter:
         self.prf_factory = prf_factory
         self._forwarding_key = autonomous_system.forwarding_key
         self._forwarding_key_prf = prf_factory(self._forwarding_key)
+        # A verdict is immutable and there is one per egress interface: built
+        # here, so forwarding a packet allocates none (and nothing grows later).
+        self._forward = {
+            ifid: Decision(Action.FORWARD, egress_ifid=ifid)
+            for ifid in autonomous_system.interfaces
+        }
 
     # -- public API ---------------------------------------------------------
 
@@ -76,30 +86,36 @@ class ScionRouter:
         path = packet.path
         if path.at_end():
             return Decision(Action.DROP, reason="path exhausted")
-        decision = self._process_hopfield(path, ingress_ifid, check_ingress=True)
+        seg_index, local, segment, hop = path.current()
+        if seg_index != path.curr_inf:
+            return Decision(Action.DROP, reason="CurrINF does not match CurrHF")
+        expected_ingress, egress = segment.traversal_interfaces(local)
+        if ingress_ifid != 0 and expected_ingress != ingress_ifid:
+            return Decision(
+                Action.DROP,
+                reason=f"ingress interface {ingress_ifid} != hop field {expected_ingress}",
+            )
+        decision = self._process_hopfield(path, seg_index, segment, hop)
         if decision is not None:
             return decision
 
         # Segment boundary: traversal egress 0 but more segments follow means
         # this AS owns the first hop field of the next segment too (A.5).
-        seg_index, local, segment, _ = self._previous(path)
-        ingress, egress = segment.traversal_interfaces(local)
-        if egress == 0 and path.curr_hf < path.num_hopfields:
-            next_seg_index, _ = path.locate(path.curr_hf)
+        if egress == 0 and not path.at_end():
+            next_seg_index, local, segment, hop = path.current()
             if next_seg_index != seg_index + 1:
                 return Decision(Action.DROP, reason="CurrHF/SegLen mismatch at boundary")
             path.curr_inf = next_seg_index
-            decision = self._process_hopfield(path, ingress_ifid=0, check_ingress=False)
+            decision = self._process_hopfield(path, next_seg_index, segment, hop)
             if decision is not None:
                 return decision
-            seg_index, local, segment, _ = self._previous(path)
             _, egress = segment.traversal_interfaces(local)
 
         if egress == 0:
             if not path.at_end():
                 return Decision(Action.DROP, reason="egress 0 before end of path")
-            return Decision(Action.DELIVER)
-        return Decision(Action.FORWARD, egress_ifid=egress)
+            return _DELIVER
+        return self._forward.get(egress) or Decision(Action.FORWARD, egress_ifid=egress)
 
     # -- internals ----------------------------------------------------------
 
@@ -111,38 +127,21 @@ class ScionRouter:
             self._forwarding_key_prf = self.prf_factory(key)
         return self._forwarding_key_prf
 
-    def _previous(self, path: PacketPath) -> tuple[int, int, SegmentInPath, HopFieldData]:
-        seg_index, local = path.locate(path.curr_hf - 1)
-        segment = path.segments[seg_index]
-        return seg_index, local, segment, segment.hopfields[local]
-
     def _process_hopfield(
-        self, path: PacketPath, ingress_ifid: int, check_ingress: bool
+        self, path: PacketPath, seg_index: int, segment: SegmentInPath, hop: HopFieldData
     ) -> Decision | None:
-        """Verify the current hop field and advance; None means success."""
-        seg_index, local, segment, hop = path.current()
-        if seg_index != path.curr_inf:
-            return Decision(Action.DROP, reason="CurrINF does not match CurrHF")
-
-        if check_ingress and ingress_ifid != 0:
-            expected_ingress, _ = segment.traversal_interfaces(local)
-            if expected_ingress != ingress_ifid:
-                return Decision(
-                    Action.DROP,
-                    reason=f"ingress interface {ingress_ifid} != hop field {expected_ingress}",
-                )
-
+        """Verify the located current hop field and advance; None means success."""
         if absolute_expiry(segment.timestamp, hop.exp_time) < self.clock.now():
             return Decision(Action.DROP, reason="hop field expired")
 
-        if not self.verify_and_update_segid(path, seg_index, local, hop.mac):
+        if not self.verify_and_update_segid(path, seg_index, segment, hop):
             return Decision(Action.DROP, reason="hop-field MAC verification failed")
 
         path.curr_hf += 1
         return None
 
     def verify_and_update_segid(
-        self, path: PacketPath, seg_index: int, local: int, packet_mac: bytes
+        self, path: PacketPath, seg_index: int, segment: SegmentInPath, hop: HopFieldData
     ) -> bool:
         """MAC check with direction-dependent SegID chaining.
 
@@ -151,13 +150,11 @@ class ScionRouter:
         recover the candidate :math:`\\beta_i` (a forged MAC produces a wrong
         candidate, so verification fails).
         """
-        segment = path.segments[seg_index]
-        hop = segment.hopfields[local]
         segid = path.segids[seg_index]
         if segment.cons_dir:
             beta = segid
         else:
-            beta = chain_segid(segid, packet_mac)
+            beta = chain_segid(segid, hop.mac)
         expected = compute_hopfield_mac(
             self._held_forwarding_key_prf(),
             beta,
@@ -166,25 +163,10 @@ class ScionRouter:
             hop.cons_ingress,
             hop.cons_egress,
         )
-        if expected != packet_mac:
+        if expected != hop.mac:
             return False
         if segment.cons_dir:
             path.segids[seg_index] = chain_segid(segid, expected)
         else:
             path.segids[seg_index] = beta
         return True
-
-    def expected_mac(self, path: PacketPath, seg_index: int, local: int) -> bytes:
-        """Recompute the hop-field MAC for the current SegID (test helper)."""
-        segment = path.segments[seg_index]
-        hop = segment.hopfields[local]
-        segid = path.segids[seg_index]
-        beta = segid if segment.cons_dir else chain_segid(segid, hop.mac)
-        return compute_hopfield_mac(
-            self._held_forwarding_key_prf(),
-            beta,
-            segment.timestamp,
-            hop.exp_time,
-            hop.cons_ingress,
-            hop.cons_egress,
-        )

@@ -75,3 +75,17 @@ class BitUnpacker:
     @property
     def remaining_bits(self) -> int:
         return self._remaining
+
+
+def out_of_range(*fields: tuple[str, object, int]) -> ValueError:
+    """The error naming the first ``(name, value, bits)`` that is not an
+    unsigned ``bits``-bit integer.
+
+    The one-block PRF inputs are packed by precompiled ``struct.Struct``
+    layouts whose own range check serves the happy path; when it trips, the
+    packer asks here which field it was.
+    """
+    for name, value, bits in fields:
+        if not (isinstance(value, int) and 0 <= value < 1 << bits):
+            return ValueError(f"{name} {value!r} out of {bits}-bit range")
+    return ValueError("fields do not fit their layout")

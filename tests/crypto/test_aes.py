@@ -109,13 +109,29 @@ class TestStructure:
         assert sorted(SBOX) == list(range(256))
 
     def test_key_schedule_length(self):
-        assert len(expand_key(bytes(16))) == 44
+        round_keys = expand_key(bytes(16))
+        assert len(round_keys) == 11
+        assert all(0 <= round_key < 1 << 128 for round_key in round_keys)
 
     def test_key_schedule_first_words_are_the_key(self):
         key = bytes(range(16))
-        words = expand_key(key)
-        for i in range(4):
-            assert words[i] == int.from_bytes(key[4 * i : 4 * i + 4], "big")
+        assert expand_key(key)[0] == int.from_bytes(key, "big")
+
+    def test_fips197_appendix_a1_round_keys(self):
+        round_keys = expand_key(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+        assert [f"{round_key:032x}" for round_key in round_keys] == [
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "a0fafe1788542cb123a339392a6c7605",
+            "f2c295f27a96b9435935807a7359f67f",
+            "3d80477d4716fe3e1e237e446d7a883b",
+            "ef44a541a8525b7fb671253bdb0bad00",
+            "d4d1c6f87c839d87caf2b8bc11f915bc",
+            "6d88a37a110b3efddbf98641ca0093fd",
+            "4e54f70e5f5fc9f384a64fb24ea6dc4f",
+            "ead27321b58dbad2312bf5607f8d292f",
+            "ac7766f319fadc2128d12941575c006e",
+            "d014f9a8c9ee2589e13f0cc8b6630ca6",
+        ]
 
     def test_rejects_wrong_key_size(self):
         with pytest.raises(ValueError):

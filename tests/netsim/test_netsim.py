@@ -70,6 +70,37 @@ class TestEventLoop:
         loop.run_until(2.0)
         assert order == [0, 1, 2, 3, 4, 5]
 
+    def test_equal_timestamps_with_args_run_fifo(self):
+        loop = EventLoop(SimClock(0.0))
+        order = []
+        for label in range(6):
+            if label % 2:
+                loop.schedule_at(1.0, order.append, label)
+            else:
+                loop.schedule(1.0, lambda a, b: order.append(a + b), label, 0)
+        loop.run_until(2.0)
+        assert order == [0, 1, 2, 3, 4, 5]
+
+    def test_event_cap_leaves_the_clock_where_the_next_call_can_resume(self):
+        # Regression: the capped call used to jump the clock to end_time; the
+        # next call then popped an older event and died with "time cannot
+        # move backwards".
+        loop = EventLoop(SimClock(0.0))
+        fired = []
+        for when in (1.0, 2.0, 3.0):
+            loop.schedule_at(when, fired.append, when)
+        assert loop.run_until(10.0, max_events=1) == 1
+        assert fired == [1.0] and loop.now == 1.0 and loop.pending == 2
+        assert loop.run_until(10.0) == 2
+        assert fired == [1.0, 2.0, 3.0] and loop.now == 10.0
+
+    def test_event_cap_still_advances_past_an_emptied_window(self):
+        loop = EventLoop(SimClock(0.0))
+        loop.schedule_at(1.0, lambda: None)
+        loop.schedule_at(20.0, lambda: None)
+        assert loop.run_until(10.0, max_events=1) == 1
+        assert loop.now == 10.0  # the only queued event lies beyond end_time
+
 
 class TestLink:
     def test_serialization_delay(self):
