@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 from repro.crypto.signatures import Signature, SigningKey, verify
-from repro.scion.addresses import IsdAs
+from repro.scion.addresses import AS_BITS, ISD_BITS, IsdAs
 
 _KEY_BYTES = 256
 
@@ -49,18 +49,34 @@ class CpPki:
         }
 
     def verify_certificate(self, certificate: dict) -> bool:
-        """Check the anchor signature over (ISD, ASN, public key)."""
+        """Check the anchor signature over (ISD, ASN, public key).
+
+        A certificate arrives inside a transaction: a missing, mistyped or
+        out-of-range field is ``False``, never an exception.
+        """
         try:
-            message = _cert_message(
-                certificate["isd"], certificate["asn"], certificate["public_key"]
-            )
-            signature = Signature(
-                commitment=int.from_bytes(certificate["sig_commitment"], "big"),
-                response=int.from_bytes(certificate["sig_response"], "big"),
-            )
+            isd, asn = certificate["isd"], certificate["asn"]
+            public_key = certificate["public_key"]
+            commitment = certificate["sig_commitment"]
+            response = certificate["sig_response"]
         except (KeyError, TypeError):
             return False
-        return verify(self._root.public, message, signature)
+        if not (
+            isinstance(isd, int)
+            and 0 <= isd < 1 << ISD_BITS
+            and isinstance(asn, int)
+            and 0 <= asn < 1 << AS_BITS
+            and all(
+                isinstance(element, bytes) and len(element) == _KEY_BYTES
+                for element in (public_key, commitment, response)
+            )
+        ):
+            return False
+        signature = Signature(
+            commitment=int.from_bytes(commitment, "big"),
+            response=int.from_bytes(response, "big"),
+        )
+        return verify(self._root.public, _cert_message(isd, asn, public_key), signature)
 
 
 def subject_public_key(certificate: dict) -> int:

@@ -1,7 +1,10 @@
-"""Cryptographic substrate: AES-128, AES-CMAC, PRF backends, key derivation.
+"""Cryptographic substrate: AES-128, AES-CMAC, PRF backends, key derivation,
+sealing and Schnorr signatures.
 
 Everything is implemented from scratch (no OpenSSL dependency) and validated
-against FIPS-197 / RFC 4493 test vectors.
+against FIPS-197 / RFC 4493 test vectors.  Importing the package builds the
+two fixed-base tables for ``g`` (:mod:`repro.crypto.fixedbase`, ~46 ms
+together), so no first key or signature of a process pays for them.
 """
 
 from repro.crypto.aes import AES128, BLOCK_SIZE, expand_key, xor_bytes
@@ -15,6 +18,7 @@ from repro.crypto.prf import (
     PrfFactory,
 )
 from repro.crypto.sealing import KeyPair, SealedBox, seal, unseal
+from repro.crypto.signatures import Signature, SigningKey, verify
 
 __all__ = [
     "AES128",
@@ -35,4 +39,7 @@ __all__ = [
     "SealedBox",
     "seal",
     "unseal",
+    "Signature",
+    "SigningKey",
+    "verify",
 ]

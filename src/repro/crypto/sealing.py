@@ -17,7 +17,7 @@ scratch to keep the repository dependency-free):
 
 Cost.  Public-key work is the whole CPU cost of a purchase (the rest of
 Fig. 4 is ledger latency), so no modular exponentiation here runs at full
-width:
+width, and none squares a base it has squared before:
 
 * Diffie-Hellman secrets are 1024-bit, drawn from ``[2^1023, 2^1024)``.
   The 2048-bit safe-prime group offers ~112 bits of security, and RFC 3526
@@ -25,20 +25,33 @@ width:
   and up) in such a group; a uniform exponent below ``p`` buys nothing
   more.  Best of 30 with CPython 3.11's ``pow`` on the 2-core box:
   variable-base ``h^x mod p`` takes ~34 ms with a full-width ``x``, ~14 ms
-  at 1024 bits and ~4.5 ms at 256; ``g^x`` ~24, ~11 and ~3.4 ms.
+  at 1024 bits and ~4.5 ms at 256.
   1024 is a step, not the floor.  ``benchmarks/e2e`` times a single
   purchase per round on two workloads and bounds the run-to-run spread of
   ``lifecycles_per_s`` by a share of the *previous* rate; at 256 bits a
   purchase is ~75 ms, eight times shorter than the rounds were sized for,
   and ten runs of one commit no longer agree to within that bound.
   ROADMAP item 1 re-sizes the rounds first and lowers ``_SECRET_BITS`` after.
+* ``g^x`` — every :meth:`KeyPair.generate`, so every redeem and every
+  :func:`seal` — goes through a fixed-base comb
+  (:mod:`repro.crypto.fixedbase`): 512 products of ``g^(2^(114·row))``
+  built once, when this module is imported, then 114 squarings and at most
+  114 multiplications a key where ``pow`` spends 1,023 squarings: ~11.3 →
+  ~2.8 ms, the same integer.  The table is sized ``_SECRET_BITS``, not the
+  group: a comb costs its full column count whatever the exponent, so the
+  Schnorr side (:mod:`repro.crypto.signatures`, full-width exponents, base
+  4) keeps a second table instead of doubling the work here.  This one
+  builds in ~18 ms and holds ~0.16 MB.  The two variable-base
+  exponentiations (``h^x`` in :func:`seal` and :func:`unseal`, ~14 ms)
+  have no fixed base to precompute and stay on ``pow``.
 * Short exponents make public-key validation mandatory: a received group
   element outside ``[2, p-2]`` (NIST SP 800-56A partial validation — in a
   safe-prime group the only small subgroup is ``{1, p-1}``) would confine
   the shared secret to a set the sender can enumerate.  :func:`seal` and
   :func:`unseal` refuse such elements with ``ValueError``.
 
-No constant-time claim is made for any of this: CPython's ``pow`` is not
+No constant-time claim is made for any of this: the comb skips the
+multiplication of an all-zero column, and CPython's ``pow`` is not
 constant-time either.  Wire and ledger encodings are unchanged — a group
 element is 256 bytes whatever the exponent that produced it.
 """
@@ -50,6 +63,7 @@ from dataclasses import dataclass
 
 from repro.crypto.aes import AES128, BLOCK_SIZE, xor_bytes
 from repro.crypto.cmac import Cmac
+from repro.crypto.fixedbase import FixedBase
 
 # RFC 3526 group 14: 2048-bit MODP group (safe prime, generator 2).
 MODP_P = int(
@@ -68,6 +82,8 @@ MODP_P = int(
 MODP_G = 2
 _GROUP_BYTES = 256
 _SECRET_BITS = 1024  # RFC 7919 §5.2 asks for >= 225 in this group; see "Cost" above
+# Built at import, not on first use: the first purchase of a process is timed too.
+_G_POW = FixedBase(MODP_G, MODP_P, _SECRET_BITS).pow
 
 
 def check_group_element(value: int) -> None:
@@ -91,7 +107,7 @@ class KeyPair:
         tiny and every key costs the same number of squarings.
         """
         secret = rng.randrange(1 << (_SECRET_BITS - 1), 1 << _SECRET_BITS)
-        return KeyPair(secret=secret, public=pow(MODP_G, secret, MODP_P))
+        return KeyPair(secret=secret, public=_G_POW(secret))
 
 
 @dataclass(frozen=True)

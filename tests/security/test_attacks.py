@@ -13,6 +13,8 @@ import pytest
 from tests.conftest import BLAKE2, T0, addresses, grant_full_path, walk_path
 
 from repro.clock import SimClock
+from repro.crypto.sealing import MODP_P
+from repro.crypto.signatures import GROUP_ORDER
 from repro.hummingbird import (
     DuplicateFilter,
     FlyoverReservation,
@@ -384,3 +386,138 @@ class TestHostileRedeemKeyC1:
         # the refused requests stay with the AS, undelivered; nothing is
         # left to retry on the next poll
         assert service.poll_and_deliver() == []
+
+
+class TestHostileRegistration:
+    """``register_as`` hands transaction-supplied values to the signature
+    check: a certificate dict and two integers of the sender's choosing.
+
+    Every case below is the strongest position an attacker can take — a
+    *valid* certificate, replayed from an earlier transaction, sent from the
+    very address it was proven for, so the hostile value is the only thing
+    wrong.  Each must end as an aborted transaction with its reason, never
+    as an exception out of the executor, and change nothing; the honest
+    registration that follows on the same ledger must go through.
+    """
+
+    @pytest.fixture
+    def world(self):
+        import random
+        from types import SimpleNamespace
+
+        from repro.contracts.asset import AssetContract
+        from repro.controlplane.pki import CpPki
+        from repro.ledger.accounts import Account
+        from repro.ledger.chain import Ledger
+        from repro.ledger.executor import LedgerExecutor
+
+        rng = random.Random(31)
+        pki = CpPki(seed=31)
+        ledger = Ledger()
+        ledger.register_contract(AssetContract(pki))
+        account = Account.generate(rng, "as")
+        return SimpleNamespace(
+            ledger=ledger,
+            executor=LedgerExecutor(ledger),
+            account=account,
+            certificate=pki.issue_certificate(IsdAs(1, 42), account.signing_key.public),
+            proof=account.signing_key.sign(account.address.encode(), rng),
+        )
+
+    @staticmethod
+    def _register(world, certificate, commitment, response):
+        from repro.ledger.transactions import Command, Transaction
+
+        args = {"certificate": certificate, "commitment": commitment, "response": response}
+        return world.executor.submit(
+            Transaction(world.account.address, [Command("asset", "register_as", args)])
+        ).effects
+
+    def _refused_then_honest(self, world, reason, certificate, commitment, response):
+        ledger = world.ledger
+        before = (dict(ledger.objects), list(ledger.events))
+        effects = self._register(world, certificate, commitment, response)
+        assert (effects.status, effects.error) == ("abort", reason)
+        assert effects.created == effects.mutated == effects.deleted == effects.events == []
+        assert (dict(ledger.objects), list(ledger.events)) == before
+
+        honest = self._register(
+            world, world.certificate, world.proof.commitment, world.proof.response
+        )
+        assert honest.ok, honest.error
+        token = ledger.objects[honest.returns[0]["token"]]
+        assert token.payload["as_address"] == world.account.address
+
+    @pytest.mark.parametrize(
+        "field, hostile",
+        [
+            ("commitment", lambda proof: 0),
+            ("commitment", lambda proof: MODP_P),
+            ("commitment", lambda proof: 2**2048),  # OverflowError out of the hash input
+            ("commitment", lambda proof: -1),
+            ("commitment", lambda proof: str(proof.commitment)),
+            ("response", lambda proof: -1),
+            ("response", lambda proof: GROUP_ORDER),
+            ("response", lambda proof: proof.response + GROUP_ORDER),  # verified: malleable
+            ("response", lambda proof: 1 << 200_000),  # seconds of squaring, sender's choice
+            ("response", lambda proof: float(proof.response % 1000)),
+            ("response", lambda proof: None),
+        ],
+        ids=[
+            "r=0", "r=p", "r=2^2048", "r=-1", "r=str",
+            "s=-1", "s=q", "s=s+q", "s=2^200000", "s=float", "s=None",
+        ],
+    )
+    def test_hostile_proof_with_a_replayed_valid_certificate(self, world, field, hostile):
+        proof = {"commitment": world.proof.commitment, "response": world.proof.response}
+        proof[field] = hostile(world.proof)
+        self._refused_then_honest(
+            world, "proof of possession failed", world.certificate, **proof
+        )
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            lambda cert: {**cert, "isd": 70_000},  # OverflowError out of to_bytes(2)
+            lambda cert: {**cert, "asn": -1},
+            lambda cert: {**cert, "asn": 1 << 48},
+            lambda cert: {**cert, "isd": "1"},  # AttributeError: str has no to_bytes
+            lambda cert: {**cert, "asn": 42.0},
+            lambda cert: {**cert, "public_key": cert["public_key"].hex()},
+            lambda cert: {**cert, "public_key": cert["public_key"][1:]},
+            lambda cert: {**cert, "sig_commitment": int.from_bytes(cert["sig_commitment"], "big")},
+            lambda cert: {**cert, "sig_commitment": b"\xff" * 300},
+            lambda cert: {**cert, "sig_response": [1, 2, 300]},
+            lambda cert: {key: value for key, value in cert.items() if key != "sig_response"},
+            lambda cert: list(cert.values()),
+            lambda cert: None,
+        ],
+        ids=[
+            "isd=70000", "asn=-1", "asn=2^48", "isd=str", "asn=float", "key=str", "key=short",
+            "sig_r=int", "sig_r=300B", "sig_s=list", "sig_s=missing", "cert=list", "cert=None",
+        ],
+    )
+    def test_malformed_certificate(self, world, malform):
+        self._refused_then_honest(
+            world,
+            "invalid AS certificate",
+            malform(world.certificate),
+            world.proof.commitment,
+            world.proof.response,
+        )
+
+    def test_verify_itself_never_raises_and_has_one_response_per_signature(self):
+        import random
+
+        from repro.crypto.signatures import Signature, SigningKey, verify
+
+        rng = random.Random(32)
+        key = SigningKey.generate(rng)
+        good = key.sign(b"m", rng)
+        assert verify(key.public, b"m", good)
+        for commitment in (0, MODP_P, 2**2048, -1, None, 1.0):
+            assert not verify(key.public, b"m", Signature(commitment, good.response))
+        for response in (-1, GROUP_ORDER, good.response + GROUP_ORDER, 1 << 200_000, "7"):
+            assert not verify(key.public, b"m", Signature(good.commitment, response))
+        for public in (0, 1, MODP_P, -5, None, "key"):
+            assert not verify(public, b"m", good)
