@@ -12,14 +12,11 @@ from repro.controlplane.hostclient import (
     AcquireOutcome,
     BidSettlement,
     BudgetExceeded,
-    HopRequirement,
     HostClient,
     IncompatibleGranularity,
     ListingNotFound,
     PathBidSettlement,
     PurchasePlan,
-    ResolvedHop,
-    plan_from_quote,
 )
 from repro.controlplane.manager import ReservationLease, ReservationManager
 from repro.controlplane.pki import CpPki
@@ -43,7 +40,6 @@ __all__ = [
     "DeliveryRecord",
     "OpenAuctionRecord",
     "SettlementRecord",
-    "HopRequirement",
     "HostClient",
     "IncompatibleGranularity",
     "ListingNotFound",
@@ -52,7 +48,6 @@ __all__ = [
     "PathLegRecord",
     "PathSettlementRecord",
     "PurchasePlan",
-    "ResolvedHop",
     "ReservationLease",
     "ReservationManager",
     "CpPki",
@@ -62,7 +57,6 @@ __all__ = [
     "deploy_market",
     "execute_transfer",
     "open_path_auction",
-    "plan_from_quote",
     "purchase_path",
     "settle_path_auction",
 ]

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 from repro.admission import ACTIVE, AUCTION, AdmissionController, AdmissionRejected
 from repro.admission.auction import Bid, ClearingOutcome, WindowAuction
-from repro.contracts.asset import REQUEST_TYPE
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.crypto.sealing import check_group_element, seal
 from repro.hummingbird.reservation import ResInfo, grant_reservation
@@ -39,8 +38,7 @@ from repro.ledger.accounts import Account
 from repro.ledger.executor import LedgerExecutor, SubmittedTransaction
 from repro.ledger.transactions import Command, Result, Transaction
 from repro.scion.topology import AutonomousSystem
-from repro.telemetry import get_registry
-from repro.telemetry.tracing import current_trace
+from repro.telemetry import get_registry, tracing
 from repro.wire import bwcls
 
 DEFAULT_GRANULARITY = 60  # seconds: minimum reservation duration an AS supports
@@ -206,26 +204,34 @@ class AsService:
     def isd_as(self):
         return self.autonomous_system.isd_as
 
+    def _submit(self, *commands: Command) -> SubmittedTransaction:
+        """One atomic transaction from this AS: the only place it builds one."""
+        return self.executor.submit(
+            Transaction(sender=self.account.address, commands=list(commands))
+        )
+
+    def _rejected(self, interface: int, is_ingress: bool, decision):
+        """The refusal every calendar rejection on this AS is reported as."""
+        return AdmissionRejected(
+            f"{self.isd_as} interface {interface} "
+            f"({'ingress' if is_ingress else 'egress'}): {decision.reason}"
+        )
+
     # -- registration -----------------------------------------------------------
 
     def register(self) -> SubmittedTransaction:
         """Obtain the authorization token (Fig. 2 prerequisite)."""
         certificate = self.pki.issue_certificate(self.isd_as, self.account.signing_key.public)
         proof = self.account.signing_key.sign(self.account.address.encode(), self.rng)
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "asset",
-                        "register_as",
-                        {
-                            "certificate": certificate,
-                            "commitment": proof.commitment,
-                            "response": proof.response,
-                        },
-                    )
-                ],
+        submitted = self._submit(
+            Command(
+                "asset",
+                "register_as",
+                {
+                    "certificate": certificate,
+                    "commitment": proof.commitment,
+                    "response": proof.response,
+                },
             )
         )
         if submitted.effects.ok:
@@ -233,19 +239,82 @@ class AsService:
         return submitted
 
     def register_as_seller(self, marketplace: str) -> SubmittedTransaction:
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command("market", "register_seller", {"marketplace": marketplace})
-                ],
-            )
+        submitted = self._submit(
+            Command("market", "register_seller", {"marketplace": marketplace})
         )
         if submitted.effects.ok:
             self.seller_cap = submitted.effects.returns[0]["cap"]
         return submitted
 
     # -- issuance ---------------------------------------------------------------
+
+    def _issue(
+        self,
+        tag: str,
+        interface: int,
+        is_ingress: bool,
+        bandwidth_kbps: int,
+        start: int,
+        expiry: int,
+        granularity: int,
+        min_bandwidth_kbps: int,
+        follow_up: Command,
+    ):
+        """Claim the *issued* calendar, then mint the asset and hand it to
+        ``follow_up`` (which takes it as ``Result(0, "asset")``) in one
+        transaction — every way this AS puts bandwidth on the market.
+
+        The caller prices ``follow_up`` *before* this claims the calendar,
+        so a quote reflects the scarcity buyers saw, not the asset's own
+        footprint.  A ledger refusal hands the claim straight back.
+
+        Returns:
+            ``(decision, submitted)``; ``submitted`` is ``None`` when the
+            calendar refused the rectangle and nothing was sent.
+        """
+        decision = self.admission.admit_issue(
+            interface,
+            is_ingress,
+            bandwidth_kbps,
+            start,
+            expiry,
+            tag=f"{tag}:{self.isd_as}",
+        )
+        if not decision.admitted:
+            return decision, None
+        submitted = self._submit(
+            Command(
+                "asset",
+                "issue",
+                {
+                    "token": self.token_id,
+                    "bandwidth_kbps": bandwidth_kbps,
+                    "start": start,
+                    "expiry": expiry,
+                    "interface": interface,
+                    "is_ingress": is_ingress,
+                    "granularity": granularity,
+                    "min_bandwidth_kbps": min_bandwidth_kbps,
+                },
+            ),
+            follow_up,
+        )
+        if not submitted.effects.ok:
+            self.admission.release(interface, is_ingress, decision.commitment)
+        return decision, submitted
+
+    def _list(self, marketplace: str, price_micromist: int, **extra) -> Command:
+        """The follow-up that lists a freshly issued asset at a posted price."""
+        return Command(
+            "market",
+            "create_listing",
+            {
+                "marketplace": marketplace,
+                "asset": Result(0, "asset"),
+                "price_micromist_per_unit": price_micromist,
+                **extra,
+            },
+        )
 
     def issue_and_list(
         self,
@@ -271,52 +340,19 @@ class AsService:
         quoted_price = self.admission.quote(
             price_micromist_per_unit, interface, is_ingress, start, expiry
         )
-        decision = self.admission.admit_issue(
+        decision, submitted = self._issue(
+            "issue",
             interface,
             is_ingress,
             bandwidth_kbps,
             start,
             expiry,
-            tag=f"issue:{self.isd_as}",
+            granularity,
+            min_bandwidth_kbps,
+            self._list(marketplace, quoted_price),
         )
-        if not decision.admitted:
-            raise AdmissionRejected(
-                f"{self.isd_as} interface {interface} "
-                f"({'ingress' if is_ingress else 'egress'}): {decision.reason}"
-            )
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "asset",
-                        "issue",
-                        {
-                            "token": self.token_id,
-                            "bandwidth_kbps": bandwidth_kbps,
-                            "start": start,
-                            "expiry": expiry,
-                            "interface": interface,
-                            "is_ingress": is_ingress,
-                            "granularity": granularity,
-                            "min_bandwidth_kbps": min_bandwidth_kbps,
-                        },
-                    ),
-                    Command(
-                        "market",
-                        "create_listing",
-                        {
-                            "marketplace": marketplace,
-                            "asset": Result(0, "asset"),
-                            "price_micromist_per_unit": quoted_price,
-                        },
-                    ),
-                ],
-            )
-        )
-        if not submitted.effects.ok:
-            # The ledger refused the asset: hand its capacity back.
-            self.admission.release(interface, is_ingress, decision.commitment)
+        if submitted is None:
+            raise self._rejected(interface, is_ingress, decision)
         return submitted
 
     def cancel_listing(self, marketplace: str, listing: str) -> SubmittedTransaction:
@@ -327,16 +363,11 @@ class AsService:
         Issued-calendar capacity stays committed — the asset still exists
         and can be relisted.
         """
-        return self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "market",
-                        "cancel_listing",
-                        {"marketplace": marketplace, "listing": listing},
-                    )
-                ],
+        return self._submit(
+            Command(
+                "market",
+                "cancel_listing",
+                {"marketplace": marketplace, "listing": listing},
             )
         )
 
@@ -363,19 +394,9 @@ class AsService:
         issued capacity calendar is claimed first, so the two modes share
         one oversell guarantee.
         """
-        if self.admission.allocation_mode(interface, is_ingress) == AUCTION:
-            return self.open_auction(
-                marketplace,
-                interface,
-                is_ingress,
-                bandwidth_kbps,
-                start,
-                expiry,
-                base_price_micromist,
-                granularity,
-                min_bandwidth_kbps,
-            )
-        return self.issue_and_list(
+        auctioned = self.admission.allocation_mode(interface, is_ingress) == AUCTION
+        offer = self.open_auction if auctioned else self.issue_and_list
+        return offer(
             marketplace,
             interface,
             is_ingress,
@@ -426,55 +447,31 @@ class AsService:
             reserve_base_micromist,
             min_fragment_kbps=min_bandwidth_kbps,
         )
-        decision = self.admission.admit_issue(
+        decision, submitted = self._issue(
+            "auction",
             interface,
             is_ingress,
             bandwidth_kbps,
             start,
             expiry,
-            tag=f"auction:{self.isd_as}",
+            granularity,
+            min_bandwidth_kbps,
+            Command(
+                "market",
+                "create_auction",
+                {
+                    "marketplace": marketplace,
+                    "asset": Result(0, "asset"),
+                    "reserve_micromist_per_unit": book.reserve_micromist,
+                    "share_cap_kbps": book.share_cap_kbps,
+                },
+            ),
         )
-        if not decision.admitted:
+        if submitted is None or not submitted.effects.ok:
+            # No asset, no auction: drop the book registered above.
             self.admission.close_auction(interface, is_ingress, start, expiry)
-            raise AdmissionRejected(
-                f"{self.isd_as} interface {interface} "
-                f"({'ingress' if is_ingress else 'egress'}): {decision.reason}"
-            )
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "asset",
-                        "issue",
-                        {
-                            "token": self.token_id,
-                            "bandwidth_kbps": bandwidth_kbps,
-                            "start": start,
-                            "expiry": expiry,
-                            "interface": interface,
-                            "is_ingress": is_ingress,
-                            "granularity": granularity,
-                            "min_bandwidth_kbps": min_bandwidth_kbps,
-                        },
-                    ),
-                    Command(
-                        "market",
-                        "create_auction",
-                        {
-                            "marketplace": marketplace,
-                            "asset": Result(0, "asset"),
-                            "reserve_micromist_per_unit": book.reserve_micromist,
-                            "share_cap_kbps": book.share_cap_kbps,
-                        },
-                    ),
-                ],
-            )
-        )
-        if not submitted.effects.ok:
-            # The ledger refused: hand back the capacity and drop the book.
-            self.admission.release(interface, is_ingress, decision.commitment)
-            self.admission.close_auction(interface, is_ingress, start, expiry)
+            if submitted is None:
+                raise self._rejected(interface, is_ingress, decision)
             return submitted
         auction_id = submitted.effects.returns[1]["auction"]
         self.open_auctions[auction_id] = OpenAuctionRecord(
@@ -489,6 +486,18 @@ class AsService:
             commitment=decision.commitment,
         )
         return submitted
+
+    def _supply(self, record: OpenAuctionRecord | PathLegRecord) -> int:
+        """Bandwidth an auctioned rectangle can sell right now: what was
+        offered, clamped by live active-calendar headroom
+        (:meth:`~repro.admission.AdmissionController.settle_supply`)."""
+        return self.admission.settle_supply(
+            record.interface,
+            record.is_ingress,
+            record.start,
+            record.expiry,
+            record.bandwidth_kbps,
+        )
 
     def poll_bids(self) -> int:
         """Mirror new on-chain ``BidPlaced`` events into the local books.
@@ -541,14 +550,7 @@ class AsService:
         book = self.admission.auction_for(
             record.interface, record.is_ingress, record.start, record.expiry
         )
-        supply = self.admission.settle_supply(
-            record.interface,
-            record.is_ingress,
-            record.start,
-            record.expiry,
-            record.bandwidth_kbps,
-        )
-        return book.clear(supply)
+        return book.clear(self._supply(record))
 
     def settle_due_auctions(self, now: float | None = None) -> list[SettlementRecord]:
         """Settle every open auction whose window has started.
@@ -572,27 +574,16 @@ class AsService:
         for auction_id, record in list(self.open_auctions.items()):
             if record.start > when:
                 continue
-            supply = self.admission.settle_supply(
-                record.interface,
-                record.is_ingress,
-                record.start,
-                record.expiry,
-                record.bandwidth_kbps,
-            )
-            submitted = self.executor.submit(
-                Transaction(
-                    sender=self.account.address,
-                    commands=[
-                        Command(
-                            "market",
-                            "settle_auction",
-                            {
-                                "marketplace": record.marketplace,
-                                "auction": auction_id,
-                                "supply_kbps": supply,
-                            },
-                        )
-                    ],
+            supply = self._supply(record)
+            submitted = self._submit(
+                Command(
+                    "market",
+                    "settle_auction",
+                    {
+                        "marketplace": record.marketplace,
+                        "auction": auction_id,
+                        "supply_kbps": supply,
+                    },
                 )
             )
             if not submitted.effects.ok:
@@ -624,16 +615,14 @@ class AsService:
                 ).inc()
                 self._m_proceeds.labels(key).inc(outcome.proceeds_mist)
                 self._m_awarded.labels(key).inc(outcome.awarded_kbps)
-            trace = current_trace()
-            if trace is not None:
-                trace.event(
-                    "auction.settle",
-                    auction=auction_id,
-                    clearing_price_micromist=outcome.clearing_price_micromist,
-                    awarded_kbps=outcome.awarded_kbps,
-                    supply_kbps=supply,
-                    winners=len(outcome.winners),
-                )
+            tracing.event(
+                "auction.settle",
+                auction=auction_id,
+                clearing_price_micromist=outcome.clearing_price_micromist,
+                awarded_kbps=outcome.awarded_kbps,
+                supply_kbps=supply,
+                winners=len(outcome.winners),
+            )
         return settled
 
     # -- combinatorial path auctions ------------------------------------------------
@@ -646,16 +635,11 @@ class AsService:
         over N AS crossings has ``2 * N`` legs (ingress and egress per
         crossing).  Bidding opens once the last leg lands.
         """
-        return self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "market",
-                        "create_path_auction",
-                        {"marketplace": marketplace, "num_legs": num_legs},
-                    )
-                ],
+        return self._submit(
+            Command(
+                "market",
+                "create_path_auction",
+                {"marketplace": marketplace, "num_legs": num_legs},
             )
         )
 
@@ -691,57 +675,33 @@ class AsService:
         reserve = self.admission.quote(
             base_price_micromist, interface, is_ingress, start, expiry
         )
-        decision = self.admission.admit_issue(
+        decision, submitted = self._issue(
+            "pathleg",
             interface,
             is_ingress,
             bandwidth_kbps,
             start,
             expiry,
-            tag=f"pathleg:{self.isd_as}",
-        )
-        if not decision.admitted:
-            raise AdmissionRejected(
-                f"{self.isd_as} interface {interface} "
-                f"({'ingress' if is_ingress else 'egress'}): {decision.reason}"
-            )
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "asset",
-                        "issue",
-                        {
-                            "token": self.token_id,
-                            "bandwidth_kbps": bandwidth_kbps,
-                            "start": start,
-                            "expiry": expiry,
-                            "interface": interface,
-                            "is_ingress": is_ingress,
-                            "granularity": granularity,
-                            "min_bandwidth_kbps": min_bandwidth_kbps,
-                        },
+            granularity,
+            min_bandwidth_kbps,
+            Command(
+                "market",
+                "contribute_path_leg",
+                {
+                    "marketplace": marketplace,
+                    "path_auction": path_auction,
+                    "leg_index": leg_index,
+                    "asset": Result(0, "asset"),
+                    "reserve_micromist_per_unit": reserve,
+                    "share_cap_kbps": self.admission.share_cap_kbps(
+                        interface, is_ingress
                     ),
-                    Command(
-                        "market",
-                        "contribute_path_leg",
-                        {
-                            "marketplace": marketplace,
-                            "path_auction": path_auction,
-                            "leg_index": leg_index,
-                            "asset": Result(0, "asset"),
-                            "reserve_micromist_per_unit": reserve,
-                            "share_cap_kbps": self.admission.share_cap_kbps(
-                                interface, is_ingress
-                            ),
-                        },
-                    ),
-                ],
-            )
+                },
+            ),
         )
+        if submitted is None:
+            raise self._rejected(interface, is_ingress, decision)
         if not submitted.effects.ok:
-            # The ledger refused the leg: hand its capacity back.
-            self.admission.release(interface, is_ingress, decision.commitment)
             return submitted
         self.path_legs[(path_auction, leg_index)] = PathLegRecord(
             path_auction=path_auction,
@@ -770,14 +730,7 @@ class AsService:
         Raises:
             KeyError: this AS never contributed that leg.
         """
-        record = self.path_legs[(path_auction, leg_index)]
-        return self.admission.settle_supply(
-            record.interface,
-            record.is_ingress,
-            record.start,
-            record.expiry,
-            record.bandwidth_kbps,
-        )
+        return self._supply(self.path_legs[(path_auction, leg_index)])
 
     def settle_path_auction(
         self,
@@ -795,20 +748,15 @@ class AsService:
         Raises:
             RuntimeError: the ledger refused the settle transaction.
         """
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "market",
-                        "settle_path_auction",
-                        {
-                            "marketplace": marketplace,
-                            "path_auction": path_auction,
-                            "supplies_kbps": supplies_kbps,
-                        },
-                    )
-                ],
+        submitted = self._submit(
+            Command(
+                "market",
+                "settle_path_auction",
+                {
+                    "marketplace": marketplace,
+                    "path_auction": path_auction,
+                    "supplies_kbps": supplies_kbps,
+                },
             )
         )
         if not submitted.effects.ok:
@@ -836,16 +784,14 @@ class AsService:
             self._m_path_settlements.labels(
                 str(self.isd_as), "cleared" if result["winners"] else "unsold"
             ).inc()
-        trace = current_trace()
-        if trace is not None:
-            trace.event(
-                "path_auction.settle",
-                path_auction=path_auction,
-                num_legs=len(result["legs"]),
-                winners=len(result["winners"]),
-                proceeds_mist=result["proceeds_mist"],
-                clearing_prices_micromist=result["clearing_prices_micromist"],
-            )
+        tracing.event(
+            "path_auction.settle",
+            path_auction=path_auction,
+            num_legs=len(result["legs"]),
+            winners=len(result["winners"]),
+            proceeds_mist=result["proceeds_mist"],
+            clearing_prices_micromist=result["clearing_prices_micromist"],
+        )
         return record
 
     # -- redemption handling -------------------------------------------------------
@@ -912,10 +858,7 @@ class AsService:
             )
             if not decision.admitted:
                 self._rollback_admissions(admissions)
-                raise AdmissionRejected(
-                    f"{self.isd_as} interface {interface} "
-                    f"({'ingress' if is_ingress else 'egress'}): {decision.reason}"
-                )
+                raise self._rejected(interface, is_ingress, decision)
             admissions.append((interface, is_ingress, decision))
         try:
             res_id = self._allocator(ingress_if).allocate(start, expiry)
@@ -950,21 +893,16 @@ class AsService:
             }
         ).encode()
         box = seal(recipient_public, plaintext, self.rng)
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "asset",
-                        "deliver_reservation",
-                        {
-                            "request": request.object_id,
-                            "kem_share": box.kem_share.to_bytes(256, "big"),
-                            "ciphertext": box.ciphertext,
-                            "tag": box.tag,
-                        },
-                    )
-                ],
+        submitted = self._submit(
+            Command(
+                "asset",
+                "deliver_reservation",
+                {
+                    "request": request.object_id,
+                    "kem_share": box.kem_share.to_bytes(256, "big"),
+                    "ciphertext": box.ciphertext,
+                    "tag": box.tag,
+                },
             )
         )
         if not submitted.effects.ok:
@@ -987,17 +925,15 @@ class AsService:
             )
         if self._telemetry:
             self._m_deliveries.labels(str(self.isd_as), "delivered").inc()
-        trace = current_trace()
-        if trace is not None:
-            trace.event(
-                "reservation.delivered",
-                isd_as=str(self.isd_as),
-                request=request.object_id,
-                res_id=res_id,
-                ingress=ingress_if,
-                egress=egress_if,
-                bandwidth_kbps=bandwidth_kbps,
-            )
+        tracing.event(
+            "reservation.delivered",
+            isd_as=str(self.isd_as),
+            request=request.object_id,
+            res_id=res_id,
+            ingress=ingress_if,
+            egress=egress_if,
+            bandwidth_kbps=bandwidth_kbps,
+        )
         return DeliveryRecord(
             request_id=request.object_id,
             delivery_id=submitted.effects.returns[0]["delivery"],
@@ -1108,62 +1044,34 @@ class AsService:
         quoted = self.admission.quote(
             base, event.ingress_ifid, True, start, expiry
         )
-        decision = self.admission.admit_issue(
+        decision, submitted = self._issue(
+            "reclaim",
             event.ingress_ifid,
             True,
             freed,
             start,
             expiry,
-            tag=f"reclaim:{self.isd_as}",
+            granule,
+            min(self._relist_min_bandwidth, freed),
+            self._list(
+                self._relist_marketplace,
+                quoted,
+                provenance={
+                    "res_id": event.res_id,
+                    "original_holder": event.tag,
+                    "reclaimed_kbps": freed,
+                    "observed_kbps": event.observed_kbps,
+                },
+            ),
         )
-        if not decision.admitted:
+        if submitted is None:
             self.relisted.append((event, None, decision.reason))
-            return
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "asset",
-                        "issue",
-                        {
-                            "token": self.token_id,
-                            "bandwidth_kbps": freed,
-                            "start": start,
-                            "expiry": expiry,
-                            "interface": event.ingress_ifid,
-                            "is_ingress": True,
-                            "granularity": self._relist_granularity,
-                            "min_bandwidth_kbps": min(
-                                self._relist_min_bandwidth, freed
-                            ),
-                        },
-                    ),
-                    Command(
-                        "market",
-                        "create_listing",
-                        {
-                            "marketplace": self._relist_marketplace,
-                            "asset": Result(0, "asset"),
-                            "price_micromist_per_unit": quoted,
-                            "provenance": {
-                                "res_id": event.res_id,
-                                "original_holder": event.tag,
-                                "reclaimed_kbps": freed,
-                                "observed_kbps": event.observed_kbps,
-                            },
-                        },
-                    ),
-                ],
-            )
-        )
-        if not submitted.effects.ok:
-            self.admission.release(event.ingress_ifid, True, decision.commitment)
+        elif not submitted.effects.ok:
             self.relisted.append((event, None, str(submitted.effects.error)))
-            return
-        self.relisted.append(
-            (event, submitted.effects.returns[1]["listing"], "relisted")
-        )
+        else:
+            self.relisted.append(
+                (event, submitted.effects.returns[1]["listing"], "relisted")
+            )
 
     def _allocator(self, ingress_if: int) -> ResIdAllocator:
         allocator = self._allocators.get(ingress_if)
@@ -1171,7 +1079,3 @@ class AsService:
             allocator = ResIdAllocator(self._resid_capacity)
             self._allocators[ingress_if] = allocator
         return allocator
-
-    def pending_requests(self) -> list:
-        """Redeem requests currently owned by this AS (test helper)."""
-        return self.executor.ledger.objects_owned_by(self.account.address, REQUEST_TYPE)

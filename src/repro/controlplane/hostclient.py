@@ -8,6 +8,10 @@ transaction covering every hop it wants to reserve — buy ingress asset,
 buy egress asset, redeem the pair, for each AS crossing — and later
 decrypts the sealed reservations the ASes deliver.
 
+Every purchase, transfer and redemption is one transaction shape with
+different contents: :meth:`HostClient._lower` is the one lowering from a
+plan to commands (``docs/architecture.md``, "From plan to transaction").
+
 Atomicity is the ledger's: if any hop cannot be bought (sold out, price
 moved, insufficient funds), the whole transaction aborts and no money moves
 (§4.2 "Atomic End-to-End Guarantees").  On top of that, a client-side
@@ -19,17 +23,17 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.contracts.asset import DELIVERY_TYPE, ASSET_TYPE
-from repro.ledger.accounts import COIN_TYPE
 from repro.crypto.sealing import KeyPair, SealedBox, unseal
 from repro.hummingbird.reservation import FlyoverReservation, ResInfo
-from repro.ledger.accounts import Account
+from repro.ledger.accounts import COIN_TYPE, Account
 from repro.ledger.executor import LedgerExecutor, SubmittedTransaction
 from repro.ledger.transactions import Command, Result, Transaction
 from repro.marketdata import (
     BudgetExceeded,
+    Candidate,
     IncompatibleGranularity,
     ListingNotFound,
     ListingQuery,
@@ -41,8 +45,7 @@ from repro.marketdata import (
 from repro.pathadm import path_escrow_mist
 from repro.scion.addresses import IsdAs
 from repro.scion.paths import AsCrossing
-from repro.telemetry import get_registry
-from repro.telemetry.tracing import current_trace
+from repro.telemetry import get_registry, tracing
 from repro.transfers import (
     DeadlineTransfer,
     TransferAborted,
@@ -54,99 +57,33 @@ __all__ = [
     "AcquireOutcome",
     "BidSettlement",
     "BudgetExceeded",
-    "HopRequirement",
     "HostClient",
     "IncompatibleGranularity",
     "ListingNotFound",
     "PathBidSettlement",
     "PurchasePlan",
-    "ResolvedHop",
-    "plan_from_quote",
 ]
 
 
 @dataclass(frozen=True)
-class HopRequirement:
-    """What the host wants to reserve at one AS crossing."""
+class PurchasePlan:
+    """The :class:`PathQuote` a purchase will execute.
 
-    isd_as: IsdAs
-    ingress: int
-    egress: int
-    start: int
-    expiry: int
-    bandwidth_kbps: int
-
-    @staticmethod
-    def from_crossing(
-        crossing: AsCrossing, start: int, expiry: int, bandwidth_kbps: int
-    ) -> "HopRequirement":
-        return HopRequirement(
-            isd_as=crossing.isd_as,
-            ingress=crossing.ingress,
-            egress=crossing.egress,
-            start=start,
-            expiry=expiry,
-            bandwidth_kbps=bandwidth_kbps,
-        )
-
-
-@dataclass(frozen=True)
-class ResolvedHop:
-    """Listings and the granularity-aligned window actually bought for a hop.
-
-    The bought window is the smallest granule-aligned rectangle covering the
-    requested one, so it may start earlier / end later than requested.  The
-    ingress and egress windows must be identical or the redeem would abort.
+    Each hop's ingress and egress candidates share one granule-aligned
+    window — the smallest aligned rectangle covering the requested one,
+    so it may start earlier / end later than requested — or the redeem
+    would abort.
     """
 
-    ingress_listing: str
-    egress_listing: str
-    buy_start: int
-    buy_expiry: int
-    price_mist: int
-    ingress_price_mist: int = 0
-    egress_price_mist: int = 0
+    quote: PathQuote
 
-
-@dataclass
-class PurchasePlan:
-    """Resolved listings + price estimate for a set of hop requirements."""
-
-    requirements: list[HopRequirement]
-    hops: list[ResolvedHop]
-    quote: PathQuote | None = None
+    @property
+    def hops(self):
+        return self.quote.hops
 
     @property
     def estimated_price_mist(self) -> int:
-        return sum(hop.price_mist for hop in self.hops)
-
-
-def plan_from_quote(quote: PathQuote) -> PurchasePlan:
-    """Materialize a planner quote into an executable purchase plan."""
-    requirements = [
-        HopRequirement(
-            isd_as=hop.isd_as,
-            ingress=hop.ingress,
-            egress=hop.egress,
-            start=quote.start,
-            expiry=quote.expiry,
-            bandwidth_kbps=quote.bandwidth_kbps,
-        )
-        for hop in quote.hops
-    ]
-    hops = [
-        ResolvedHop(
-            ingress_listing=hop.ingress_candidate.listing.listing_id,
-            egress_listing=hop.egress_candidate.listing.listing_id,
-            buy_start=hop.start,
-            buy_expiry=hop.expiry,
-            price_mist=hop.price_mist,
-            ingress_price_mist=hop.ingress_candidate.price_mist,
-            egress_price_mist=hop.egress_candidate.price_mist,
-        )
-        for hop in quote.hops
-    ]
-    return PurchasePlan(requirements=requirements, hops=hops, quote=quote)
+        return self.quote.price_mist
 
 
 @dataclass(frozen=True)
@@ -220,19 +157,19 @@ class HostClient:
         self.payment_coin: str | None = None
         self._ephemeral_keys: list[KeyPair] = []
         self._delivery_checkpoint = 0
+        # (delivery id, reason) pairs this host could not decrypt or parse.
+        self.undecryptable: list[tuple[str, str]] = []
         self._indexers: dict[str, MarketIndexer] = {}
         self._planners: dict[str, PurchasePlanner] = {}
         self._shared_indexes: dict[str, object] = {}  # marketplace -> SharedMarketIndex
-        # Sealed-bid auction tracking, per marketplace: open books seen via
-        # AuctionOpened, settlement payloads seen via AuctionSettled.
+        # Auction tracking, per marketplace, behind one event cursor: open
+        # single-window books (AuctionOpened snapshots), open path shells
+        # (growing legs as PathLegContributed events arrive), and the
+        # settlement payload of either kind by auction id.
         self._auction_cursor: dict[str, int] = {}
         self._open_auctions: dict[str, dict[str, dict]] = {}
-        self._auction_results: dict[str, dict[str, dict]] = {}
-        # Combinatorial path auctions, same event-driven shape: open shells
-        # grow legs as PathLegContributed events arrive.
-        self._path_cursor: dict[str, int] = {}
         self._open_path_auctions: dict[str, dict[str, dict]] = {}
-        self._path_results: dict[str, dict[str, dict]] = {}
+        self._auction_results: dict[str, dict[str, dict]] = {}
         registry = get_registry()
         self._telemetry = registry.enabled
         self._m_acquire = registry.counter(
@@ -249,9 +186,94 @@ class HostClient:
             "host_escrow_refunds_mist_total",
             "Escrow MIST refunded to this host at settle time.",
         ).labels()
-        # await_settle() is an idempotent read; refunds/outcomes are
+        # Awaiting a settle is an idempotent read; refunds/outcomes are
         # counted once per auction.
         self._counted_settles: set[str] = set()
+
+    # -- submission ------------------------------------------------------------
+
+    def _submit(self, *commands: Command) -> SubmittedTransaction:
+        """One atomic transaction from this host: the only place it builds one."""
+        return self.executor.submit(
+            Transaction(sender=self.account.address, commands=list(commands))
+        )
+
+    def _lower(self, legs, marketplace: str | None = None) -> list[Command]:
+        """Lower *legs* to the buy / ``fuse_time`` / redeem command list.
+
+        A leg is ``(rate_kbps, hops)``, a hop an ``(ingress, egress)`` pair
+        of *sides*, and a side is the ``(listing_id, start, expiry)`` pieces
+        to buy at the leg's rate (time-adjacent, earliest first), the id of
+        an asset this host already owns, or ``None`` — a hop missing a side
+        is bought but not redeemed.
+
+        Command ordering is load-bearing.  Legs must arrive in **descending
+        start order** and each side's pieces are bought latest first,
+        because the market contract keeps the *head* time remainder of a
+        carve bound to the original listing id — so every earlier-window
+        purchase from the same listing stays valid later in the same
+        transaction.  A side's pieces are then fused earliest-first
+        (``fuse_time`` keeps the first operand's asset id) into one asset,
+        and each hop redeems exactly once per leg, every redeem of the
+        transaction under one fresh ephemeral key.
+        """
+        commands: list[Command] = []
+        public_key = None
+        for rate_kbps, hops in legs:
+            for hop in hops:
+                held = []
+                for side in hop:
+                    if side is None or isinstance(side, str):
+                        held.append(side)
+                        continue
+                    base = len(commands)
+                    for listing_id, start, expiry in reversed(side):
+                        commands.append(
+                            Command(
+                                "market",
+                                "buy",
+                                {
+                                    "marketplace": marketplace,
+                                    "listing": listing_id,
+                                    "start": start,
+                                    "expiry": expiry,
+                                    "bandwidth_kbps": rate_kbps,
+                                    "payment": self.payment_coin,
+                                },
+                            )
+                        )
+                    # Buy results, re-ordered earliest piece first.
+                    assets = [
+                        Result(base + i, "asset") for i in reversed(range(len(side)))
+                    ]
+                    while len(assets) > 1:
+                        commands.append(
+                            Command(
+                                "asset",
+                                "fuse_time",
+                                {"first": assets[0], "second": assets[1]},
+                            )
+                        )
+                        assets[:2] = [Result(len(commands) - 1, "asset")]
+                    held.append(assets[0])
+                if None in held:
+                    continue
+                if public_key is None:
+                    ephemeral = KeyPair.generate(self.rng)
+                    self._ephemeral_keys.append(ephemeral)
+                    public_key = ephemeral.public.to_bytes(256, "big")
+                commands.append(
+                    Command(
+                        "asset",
+                        "redeem",
+                        {
+                            "ingress": held[0],
+                            "egress": held[1],
+                            "public_key": public_key,
+                        },
+                    )
+                )
+        return commands
 
     # -- funding ---------------------------------------------------------------
 
@@ -265,16 +287,15 @@ class HostClient:
         Raises:
             RuntimeError: the mint transaction was refused.
         """
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[Command("coin", "mint", {"amount": amount_mist})],
-            )
-        )
+        submitted = self._submit(Command("coin", "mint", {"amount": amount_mist}))
         if not submitted.effects.ok:
             raise RuntimeError(f"funding failed: {submitted.effects.error}")
         self.payment_coin = submitted.effects.returns[0]["coin"]
         return self.payment_coin
+
+    def _funded(self, before: str) -> None:
+        if self.payment_coin is None:
+            raise RuntimeError(f"fund() the client before {before}")
 
     def _coin_balance(self, coin_id: str) -> int:
         coin = self.executor.ledger.objects.get(coin_id)
@@ -297,8 +318,7 @@ class HostClient:
             RuntimeError: the client was never funded, or a merge
                 transaction was refused.
         """
-        if self.payment_coin is None:
-            raise RuntimeError("fund() the client before consolidating")
+        self._funded("consolidating")
         others = [
             coin.object_id
             for coin in self.executor.ledger.objects_owned_by(
@@ -307,17 +327,11 @@ class HostClient:
             if coin.object_id != self.payment_coin
         ]
         if others:
-            submitted = self.executor.submit(
-                Transaction(
-                    sender=self.account.address,
-                    commands=[
-                        Command(
-                            "coin",
-                            "merge",
-                            {"coin": self.payment_coin, "other": other},
-                        )
-                        for other in others
-                    ],
+            coin = self.payment_coin
+            submitted = self._submit(
+                *(
+                    Command("coin", "merge", {"coin": coin, "other": other})
+                    for other in others
                 )
             )
             if not submitted.effects.ok:
@@ -391,7 +405,7 @@ class HostClient:
         return self.planner(marketplace).quote(spec)
 
     def plan_path(self, marketplace: str, spec: PathSpec) -> PurchasePlan:
-        """The cheapest in-budget quote, materialized into a purchase plan.
+        """The cheapest in-budget quote, as a purchase plan.
 
         Returns:
             A :class:`PurchasePlan` ready for :meth:`atomic_buy_and_redeem`.
@@ -400,17 +414,17 @@ class HostClient:
             BudgetExceeded: the cheapest quote exceeds ``spec.budget_mist``.
             ListingNotFound: nothing covers the spec.
         """
-        return plan_from_quote(self.planner(marketplace).best(spec))
+        return PurchasePlan(self.planner(marketplace).best(spec))
 
-    # -- sealed-bid auctions --------------------------------------------------------
+    # -- auctions: the event-driven view ---------------------------------------------
 
     def _scan_auctions(self, marketplace: str) -> None:
-        """Fold new AuctionOpened/AuctionSettled events into the local view."""
+        """Fold new auction events, single-window and path, into the local view."""
         ledger = self.executor.ledger
-        cursor = self._auction_cursor.get(marketplace, 0)
         open_books = self._open_auctions.setdefault(marketplace, {})
+        open_paths = self._open_path_auctions.setdefault(marketplace, {})
         results = self._auction_results.setdefault(marketplace, {})
-        for event in ledger.events_since(cursor):
+        for event in ledger.events_since(self._auction_cursor.get(marketplace, 0)):
             payload = event.payload
             if payload.get("marketplace") != marketplace:
                 continue
@@ -419,7 +433,137 @@ class HostClient:
             elif event.event_type == "AuctionSettled":
                 open_books.pop(payload["auction"], None)
                 results[payload["auction"]] = payload
+            elif event.event_type == "PathAuctionOpened":
+                open_paths[payload["path_auction"]] = {
+                    "path_auction": payload["path_auction"],
+                    "num_legs": payload["num_legs"],
+                    "legs": {},
+                }
+            elif event.event_type == "PathLegContributed":
+                book = open_paths.get(payload["path_auction"])
+                if book is not None:
+                    book["legs"][payload["leg_index"]] = payload
+            elif event.event_type == "PathAuctionSettled":
+                open_paths.pop(payload["path_auction"], None)
+                results[payload["path_auction"]] = payload
         self._auction_cursor[marketplace] = ledger.checkpoint
+
+    @staticmethod
+    def _covers(
+        snapshot: dict, direction: tuple, start: int, expiry: int, bandwidth_kbps: int
+    ) -> bool:
+        """Does this auctioned asset (an ``AuctionOpened`` or
+        ``PathLegContributed`` snapshot) sell the ``(isd_as, interface,
+        is_ingress)`` direction, over a window containing ``[start,
+        expiry)``, with the wanted bandwidth between its minimum and total?"""
+        isd_as, interface, is_ingress = direction
+        return (
+            (snapshot["isd"], snapshot["asn"]) == (isd_as.isd, isd_as.asn)
+            and snapshot["interface"] == interface
+            and snapshot["is_ingress"] == is_ingress
+            and snapshot["start"] <= start
+            and expiry <= snapshot["expiry"]
+            and snapshot["min_bandwidth_kbps"]
+            <= bandwidth_kbps
+            <= snapshot["bandwidth_kbps"]
+        )
+
+    @staticmethod
+    def _contributed_legs(book: dict) -> list[dict] | None:
+        """A path auction's leg snapshots in path order, once all have landed."""
+        legs = [book["legs"].get(index) for index in range(book["num_legs"])]
+        return None if any(leg is None for leg in legs) else legs
+
+    def _unit_price(
+        self, legs: list[dict], bandwidth_kbps: int, max_price_mist: int, below: str
+    ) -> int:
+        """The unit price ``max_price_mist`` buys over ``legs`` (floored, so the
+        escrow never exceeds the budget; a single-window auction is the one-leg
+        case), checked against every reserve, its escrow covered by the
+        payment coin.  Raises the ``ValueError`` both ``place_*bid`` document."""
+        duration = legs[0]["expiry"] - legs[0]["start"]
+        units = bandwidth_kbps * duration * len(legs)
+        unit_price = max_price_mist * 1_000_000 // units
+        reserve = max(leg["reserve_micromist_per_unit"] for leg in legs)
+        if unit_price < reserve:
+            # Knowable client-side: below any leg's reserve the bid loses,
+            # locking its escrow until settle for nothing.
+            raise ValueError(
+                f"budget {max_price_mist} MIST prices {unit_price} {below} of {reserve}"
+            )
+        escrow_mist = path_escrow_mist(bandwidth_kbps, duration, unit_price, len(legs))
+        if self._coin_balance(self.payment_coin) < escrow_mist:
+            # Earlier refunds arrive as fresh coins; fold them back in
+            # before giving up on the escrow.
+            self.consolidate_coins()
+        return unit_price
+
+    def _settled(self, marketplace: str, auction: str, event: str, key: str):
+        """``(settlement payload, this host's aggregate over every bid it
+        placed)`` once ``auction`` settled, else ``None``; the aggregate is
+        keyed by the fields the two ``*BidSettlement`` records share."""
+        self._scan_auctions(marketplace)
+        payload = self._auction_results.get(marketplace, {}).get(auction)
+        if payload is None:
+            return None
+        mine = self.account.address
+        wins = [winner for winner in payload["winners"] if winner["bidder"] == mine]
+        losses = [loser for loser in payload["losers"] if loser["bidder"] == mine]
+        assets = tuple(
+            asset
+            for winner in wins
+            # a path winner holds one piece per leg, a single-window winner one
+            for asset in (winner["assets"] if "assets" in winner else [winner["asset"]])
+        )
+        totals = {
+            "won": bool(assets),
+            "bandwidth_kbps": sum(winner["bandwidth_kbps"] for winner in wins),
+            "paid_mist": sum(winner["paid_mist"] for winner in wins),
+            "refund_mist": sum(bid["refund_mist"] for bid in wins + losses),
+        }
+        if self._telemetry and auction not in self._counted_settles:
+            self._counted_settles.add(auction)
+            self._m_settle_results.labels("won" if totals["won"] else "lost").inc()
+            if totals["refund_mist"]:
+                self._m_refunds.inc(totals["refund_mist"])
+        tracing.event(event, **{key: auction}, **totals)
+        reasons = tuple(loser["reason"] for loser in losses)
+        return payload, {**totals, "assets": assets, "reasons": reasons}
+
+    def _placed(
+        self, place, mode, key, marketplace, auction, bandwidth_kbps, max_price_mist
+    ) -> AcquireOutcome:
+        """An ``acquire*`` front door found a covering auction: ``place`` the
+        bid, count it and trace it — ``mode`` is the outcome's, the metric
+        label and the ``<mode>.placed`` event."""
+        submitted = place(marketplace, auction, bandwidth_kbps, max_price_mist)
+        if self._telemetry:
+            self._m_acquire.labels(mode).inc()
+        tracing.event(
+            f"{mode}.placed",
+            **{key: auction},
+            bandwidth_kbps=bandwidth_kbps,
+            max_price_mist=max_price_mist,
+        )
+        return AcquireOutcome(mode=mode, submitted=submitted, reference=auction)
+
+    def _bought(
+        self, label: str, event: str, submitted, reference: str, bandwidth_kbps, **attrs
+    ) -> AcquireOutcome:
+        """An ``acquire*`` front door fell through to the posted book: sum what
+        the ``Sold`` events charged (nothing, if the purchase aborted), count
+        and trace the purchase."""
+        price = 0
+        if submitted.effects.ok:
+            price = sum(ret.get("price_mist", 0) for ret in submitted.effects.returns)
+        if self._telemetry:
+            self._m_acquire.labels(label).inc()
+        tracing.event(event, **attrs, price_mist=price, bandwidth_kbps=bandwidth_kbps)
+        return AcquireOutcome(
+            mode="bought", submitted=submitted, reference=reference, price_mist=price
+        )
+
+    # -- sealed-bid auctions --------------------------------------------------------
 
     def open_auctions(self, marketplace: str) -> list[dict]:
         """Every auction currently open on the marketplace (event-driven).
@@ -449,17 +593,9 @@ class HostClient:
         bandwidth fits between the asset's minimum and its total.  Earliest
         open auction wins when several cover (deterministic).
         """
+        direction = (isd_as, interface, is_ingress)
         for snapshot in self.open_auctions(marketplace):
-            if (
-                (snapshot["isd"], snapshot["asn"]) == (isd_as.isd, isd_as.asn)
-                and snapshot["interface"] == interface
-                and snapshot["is_ingress"] == is_ingress
-                and snapshot["start"] <= start
-                and expiry <= snapshot["expiry"]
-                and snapshot["min_bandwidth_kbps"]
-                <= bandwidth_kbps
-                <= snapshot["bandwidth_kbps"]
-            ):
+            if self._covers(snapshot, direction, start, expiry, bandwidth_kbps):
                 return snapshot
         return None
 
@@ -484,43 +620,26 @@ class HostClient:
                 price falls below the auction's reserve (the bid could
                 only lock its escrow and lose).
         """
-        if self.payment_coin is None:
-            raise RuntimeError("fund() the client before bidding")
+        self._funded("bidding")
         self._scan_auctions(marketplace)
-        snapshot = self._open_auctions.get(marketplace, {}).get(auction)
+        snapshot = self._open_auctions[marketplace].get(auction)
         if snapshot is None:
             raise ValueError(f"auction {auction[:8]}... is not open")
-        units = bandwidth_kbps * (snapshot["expiry"] - snapshot["start"])
-        unit_price = max_price_mist * 1_000_000 // units
-        if unit_price < snapshot["reserve_micromist_per_unit"]:
-            # Knowable client-side: such a bid would lock its escrow until
-            # settle only to be rejected as "below reserve".
-            raise ValueError(
-                f"budget {max_price_mist} MIST prices {unit_price} "
-                f"micromist/unit, below the auction's reserve of "
-                f"{snapshot['reserve_micromist_per_unit']}"
-            )
-        escrow_mist = -(-units * unit_price // 1_000_000)
-        if self._coin_balance(self.payment_coin) < escrow_mist:
-            # Earlier refunds arrive as fresh coins; fold them back in
-            # before giving up on the escrow.
-            self.consolidate_coins()
-        return self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "market",
-                        "place_bid",
-                        {
-                            "marketplace": marketplace,
-                            "auction": auction,
-                            "bandwidth_kbps": bandwidth_kbps,
-                            "price_micromist_per_unit": int(unit_price),
-                            "payment": self.payment_coin,
-                        },
-                    )
-                ],
+        unit_price = self._unit_price(
+            [snapshot], bandwidth_kbps, max_price_mist,
+            "micromist/unit, below the auction's reserve",
+        )
+        return self._submit(
+            Command(
+                "market",
+                "place_bid",
+                {
+                    "marketplace": marketplace,
+                    "auction": auction,
+                    "bandwidth_kbps": bandwidth_kbps,
+                    "price_micromist_per_unit": unit_price,
+                    "payment": self.payment_coin,
+                },
             )
         )
 
@@ -533,52 +652,15 @@ class HostClient:
             aggregating every bid this host placed — winners' assets and
             clearing-price charges, losers' full refunds.
         """
-        self._scan_auctions(marketplace)
-        payload = self._auction_results.get(marketplace, {}).get(auction)
-        if payload is None:
+        settled = self._settled(marketplace, auction, "bid.settled", "auction")
+        if settled is None:
             return None
-        mine = self.account.address
-        won_bw = paid = refund = 0
-        assets: list[str] = []
-        reasons: list[str] = []
-        for winner in payload["winners"]:
-            if winner["bidder"] != mine:
-                continue
-            won_bw += winner["bandwidth_kbps"]
-            paid += winner["paid_mist"]
-            refund += winner["refund_mist"]
-            assets.append(winner["asset"])
-        for loser in payload["losers"]:
-            if loser["bidder"] != mine:
-                continue
-            refund += loser["refund_mist"]
-            reasons.append(loser["reason"])
-        settlement = BidSettlement(
+        payload, totals = settled
+        return BidSettlement(
             auction=auction,
-            won=bool(assets),
-            bandwidth_kbps=won_bw,
-            paid_mist=paid,
-            refund_mist=refund,
             clearing_price_micromist=payload["clearing_price_micromist"],
-            assets=tuple(assets),
-            reasons=tuple(reasons),
+            **totals,
         )
-        if self._telemetry and auction not in self._counted_settles:
-            self._counted_settles.add(auction)
-            self._m_settle_results.labels("won" if settlement.won else "lost").inc()
-            if refund:
-                self._m_refunds.inc(refund)
-        trace = current_trace()
-        if trace is not None:
-            trace.event(
-                "bid.settled",
-                auction=auction,
-                won=settlement.won,
-                bandwidth_kbps=won_bw,
-                paid_mist=paid,
-                refund_mist=refund,
-            )
-        return settlement
 
     def acquire(
         self,
@@ -606,27 +688,14 @@ class HostClient:
             ListingNotFound: no auction *and* no posted listing covers.
             BudgetExceeded: the posted cover costs more than the budget.
         """
-        if self.payment_coin is None:
-            raise RuntimeError("fund() the client before acquiring")
+        self._funded("acquiring")
         auction = self.find_auction(
             marketplace, isd_as, interface, is_ingress, start, expiry, bandwidth_kbps
         )
         if auction is not None:
-            submitted = self.place_bid(
-                marketplace, auction["auction"], bandwidth_kbps, max_price_mist
-            )
-            if self._telemetry:
-                self._m_acquire.labels("bid").inc()
-            trace = current_trace()
-            if trace is not None:
-                trace.event(
-                    "bid.placed",
-                    auction=auction["auction"],
-                    bandwidth_kbps=bandwidth_kbps,
-                    max_price_mist=max_price_mist,
-                )
-            return AcquireOutcome(
-                mode="bid", submitted=submitted, reference=auction["auction"]
+            return self._placed(
+                self.place_bid, "bid", "auction", marketplace, auction["auction"],
+                bandwidth_kbps, max_price_mist,
             )
         found = self.indexer(marketplace).best(
             ListingQuery(
@@ -649,71 +718,16 @@ class HostClient:
                 f"posted cover costs {found.price_mist} MIST, over the "
                 f"{max_price_mist} MIST budget"
             )
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "market",
-                        "buy",
-                        {
-                            "marketplace": marketplace,
-                            "listing": found.listing.listing_id,
-                            "start": found.start,
-                            "expiry": found.expiry,
-                            "bandwidth_kbps": bandwidth_kbps,
-                            "payment": self.payment_coin,
-                        },
-                    )
-                ],
-            )
-        )
-        price = 0
-        if submitted.effects.ok:
-            price = submitted.effects.returns[0]["price_mist"]
-        if self._telemetry:
-            self._m_acquire.labels("bought").inc()
-        trace = current_trace()
-        if trace is not None:
-            trace.event(
-                "listing.bought",
-                listing=found.listing.listing_id,
-                price_mist=price,
-                bandwidth_kbps=bandwidth_kbps,
-            )
-        return AcquireOutcome(
-            mode="bought",
-            submitted=submitted,
-            reference=found.listing.listing_id,
-            price_mist=price,
+        # One piece on one side: bought and owned, not redeemed (redeem_pair is).
+        piece = ((found.listing.listing_id, found.start, found.expiry),)
+        hop = (piece, None) if is_ingress else (None, piece)
+        submitted = self._submit(*self._lower([(bandwidth_kbps, [hop])], marketplace))
+        return self._bought(
+            "bought", "listing.bought", submitted, found.listing.listing_id,
+            bandwidth_kbps, listing=found.listing.listing_id,
         )
 
     # -- combinatorial path auctions ------------------------------------------------
-
-    def _scan_path_auctions(self, marketplace: str) -> None:
-        """Fold new path-auction events into the local view."""
-        ledger = self.executor.ledger
-        cursor = self._path_cursor.get(marketplace, 0)
-        open_books = self._open_path_auctions.setdefault(marketplace, {})
-        results = self._path_results.setdefault(marketplace, {})
-        for event in ledger.events_since(cursor):
-            payload = event.payload
-            if payload.get("marketplace") != marketplace:
-                continue
-            if event.event_type == "PathAuctionOpened":
-                open_books[payload["path_auction"]] = {
-                    "path_auction": payload["path_auction"],
-                    "num_legs": payload["num_legs"],
-                    "legs": {},
-                }
-            elif event.event_type == "PathLegContributed":
-                book = open_books.get(payload["path_auction"])
-                if book is not None:
-                    book["legs"][payload["leg_index"]] = payload
-            elif event.event_type == "PathAuctionSettled":
-                open_books.pop(payload["path_auction"], None)
-                results[payload["path_auction"]] = payload
-        self._path_cursor[marketplace] = ledger.checkpoint
 
     def open_path_auctions(self, marketplace: str) -> list[dict]:
         """Every path auction currently open on the marketplace.
@@ -724,7 +738,7 @@ class HostClient:
             snapshots keyed by leg index).  Bidding is possible once
             ``len(legs) == num_legs``.
         """
-        self._scan_path_auctions(marketplace)
+        self._scan_auctions(marketplace)
         return list(self._open_path_auctions[marketplace].values())
 
     def find_path_auction(
@@ -753,21 +767,14 @@ class HostClient:
             )
         ]
         for book in self.open_path_auctions(marketplace):
-            if book["num_legs"] != len(wanted):
-                continue
-            legs = [book["legs"].get(index) for index in range(book["num_legs"])]
-            if any(leg is None for leg in legs):
-                continue
-            if all(
-                (leg["isd"], leg["asn"]) == (isd_as.isd, isd_as.asn)
-                and leg["interface"] == interface
-                and leg["is_ingress"] == is_ingress
-                and leg["start"] <= start
-                and expiry <= leg["expiry"]
-                and leg["min_bandwidth_kbps"]
-                <= bandwidth_kbps
-                <= leg["bandwidth_kbps"]
-                for leg, (isd_as, interface, is_ingress) in zip(legs, wanted)
+            legs = self._contributed_legs(book)
+            if (
+                legs is not None
+                and len(legs) == len(wanted)
+                and all(
+                    self._covers(leg, direction, start, expiry, bandwidth_kbps)
+                    for leg, direction in zip(legs, wanted)
+                )
             ):
                 return book
         return None
@@ -795,50 +802,31 @@ class HostClient:
                 floored unit price falls below some leg's reserve (the bid
                 could only lock its escrow and lose path-wide).
         """
-        if self.payment_coin is None:
-            raise RuntimeError("fund() the client before bidding")
-        self._scan_path_auctions(marketplace)
-        book = self._open_path_auctions.get(marketplace, {}).get(path_auction)
+        self._funded("bidding")
+        self._scan_auctions(marketplace)
+        book = self._open_path_auctions[marketplace].get(path_auction)
         if book is None:
             raise ValueError(f"path auction {path_auction[:8]}... is not open")
-        legs = [book["legs"].get(index) for index in range(book["num_legs"])]
-        if any(leg is None for leg in legs):
+        legs = self._contributed_legs(book)
+        if legs is None:
             raise ValueError(
                 f"path auction {path_auction[:8]}... is not fully contributed"
             )
-        duration = legs[0]["expiry"] - legs[0]["start"]
-        units = bandwidth_kbps * duration * len(legs)
-        unit_price = max_price_mist * 1_000_000 // units
-        highest_reserve = max(leg["reserve_micromist_per_unit"] for leg in legs)
-        if unit_price < highest_reserve:
-            # Knowable client-side: below any leg's reserve the bid loses
-            # path-wide, locking its escrow until settle for nothing.
-            raise ValueError(
-                f"budget {max_price_mist} MIST prices {unit_price} "
-                f"micromist/unit per leg, below the dearest leg reserve of "
-                f"{highest_reserve}"
-            )
-        escrow_mist = path_escrow_mist(
-            bandwidth_kbps, duration, int(unit_price), len(legs)
+        unit_price = self._unit_price(
+            legs, bandwidth_kbps, max_price_mist,
+            "micromist/unit per leg, below the dearest leg reserve",
         )
-        if self._coin_balance(self.payment_coin) < escrow_mist:
-            self.consolidate_coins()
-        return self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "market",
-                        "place_path_bid",
-                        {
-                            "marketplace": marketplace,
-                            "path_auction": path_auction,
-                            "bandwidth_kbps": bandwidth_kbps,
-                            "price_micromist_per_unit": int(unit_price),
-                            "payment": self.payment_coin,
-                        },
-                    )
-                ],
+        return self._submit(
+            Command(
+                "market",
+                "place_path_bid",
+                {
+                    "marketplace": marketplace,
+                    "path_auction": path_auction,
+                    "bandwidth_kbps": bandwidth_kbps,
+                    "price_micromist_per_unit": unit_price,
+                    "payment": self.payment_coin,
+                },
             )
         )
 
@@ -852,54 +840,17 @@ class HostClient:
             :class:`PathBidSettlement` — a winner's ``assets`` hold one
             piece per leg in path order, ready for :meth:`redeem_path`.
         """
-        self._scan_path_auctions(marketplace)
-        payload = self._path_results.get(marketplace, {}).get(path_auction)
-        if payload is None:
-            return None
-        mine = self.account.address
-        won_bw = paid = refund = 0
-        assets: list[str] = []
-        reasons: list[str] = []
-        for winner in payload["winners"]:
-            if winner["bidder"] != mine:
-                continue
-            won_bw += winner["bandwidth_kbps"]
-            paid += winner["paid_mist"]
-            refund += winner["refund_mist"]
-            assets.extend(winner["assets"])
-        for loser in payload["losers"]:
-            if loser["bidder"] != mine:
-                continue
-            refund += loser["refund_mist"]
-            reasons.append(loser["reason"])
-        settlement = PathBidSettlement(
-            path_auction=path_auction,
-            won=bool(assets),
-            bandwidth_kbps=won_bw,
-            paid_mist=paid,
-            refund_mist=refund,
-            clearing_prices_micromist=tuple(payload["clearing_prices_micromist"]),
-            assets=tuple(assets),
-            reasons=tuple(reasons),
+        settled = self._settled(
+            marketplace, path_auction, "path_bid.settled", "path_auction"
         )
-        if self._telemetry and path_auction not in self._counted_settles:
-            self._counted_settles.add(path_auction)
-            self._m_settle_results.labels(
-                "won" if settlement.won else "lost"
-            ).inc()
-            if refund:
-                self._m_refunds.inc(refund)
-        trace = current_trace()
-        if trace is not None:
-            trace.event(
-                "path_bid.settled",
-                path_auction=path_auction,
-                won=settlement.won,
-                bandwidth_kbps=won_bw,
-                paid_mist=paid,
-                refund_mist=refund,
-            )
-        return settlement
+        if settled is None:
+            return None
+        payload, totals = settled
+        return PathBidSettlement(
+            path_auction=path_auction,
+            clearing_prices_micromist=tuple(payload["clearing_prices_micromist"]),
+            **totals,
+        )
 
     def redeem_path(
         self, asset_pairs: list[tuple[str, str]]
@@ -917,32 +868,11 @@ class HostClient:
             The submitted transaction; ``returns[i]["request"]`` names the
             i-th crossing's redeem request.
         """
-        ephemeral = KeyPair.generate(self.rng)
-        self._ephemeral_keys.append(ephemeral)
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "asset",
-                        "redeem",
-                        {
-                            "ingress": ingress_asset,
-                            "egress": egress_asset,
-                            "public_key": ephemeral.public.to_bytes(256, "big"),
-                        },
-                    )
-                    for ingress_asset, egress_asset in asset_pairs
-                ],
-            )
+        # Every side already owned: nothing to buy, so no rate either.
+        submitted = self._submit(*self._lower([(None, asset_pairs)]))
+        tracing.event(
+            "path.redeem", pairs=len(asset_pairs), status=submitted.effects.status
         )
-        trace = current_trace()
-        if trace is not None:
-            trace.event(
-                "path.redeem",
-                pairs=len(asset_pairs),
-                status=submitted.effects.status,
-            )
         return submitted
 
     def acquire_path(
@@ -971,27 +901,14 @@ class HostClient:
             ListingNotFound: no path auction *and* no posted quote covers.
             BudgetExceeded: the posted cover reprices over the budget.
         """
-        if self.payment_coin is None:
-            raise RuntimeError("fund() the client before acquiring")
+        self._funded("acquiring")
         book = self.find_path_auction(
             marketplace, crossings, start, expiry, bandwidth_kbps
         )
-        trace = current_trace()
         if book is not None:
-            submitted = self.place_path_bid(
-                marketplace, book["path_auction"], bandwidth_kbps, max_price_mist
-            )
-            if self._telemetry:
-                self._m_acquire.labels("path_bid").inc()
-            if trace is not None:
-                trace.event(
-                    "path_bid.placed",
-                    path_auction=book["path_auction"],
-                    bandwidth_kbps=bandwidth_kbps,
-                    max_price_mist=max_price_mist,
-                )
-            return AcquireOutcome(
-                mode="path_bid", submitted=submitted, reference=book["path_auction"]
+            return self._placed(
+                self.place_path_bid, "path_bid", "path_auction", marketplace,
+                book["path_auction"], bandwidth_kbps, max_price_mist,
             )
         spec = PathSpec.from_crossings(
             crossings,
@@ -1005,25 +922,10 @@ class HostClient:
         submitted = self.atomic_buy_and_redeem(
             marketplace, plan, max_price_mist=max_price_mist
         )
-        price = 0
-        if submitted.effects.ok:
-            price = sum(
-                ret.get("price_mist", 0) for ret in submitted.effects.returns
-            )
-        if self._telemetry:
-            self._m_acquire.labels("path_bought").inc()
-        if trace is not None:
-            trace.event(
-                "path.bought",
-                hops=len(plan.hops),
-                price_mist=price,
-                bandwidth_kbps=bandwidth_kbps,
-            )
-        return AcquireOutcome(
-            mode="bought",
-            submitted=submitted,
-            reference=plan.hops[0].ingress_listing if plan.hops else "",
-            price_mist=price,
+        return self._bought(
+            "path_bought", "path.bought", submitted,
+            plan.hops[0].ingress_candidate.listing.listing_id if plan.hops else "",
+            bandwidth_kbps, hops=len(plan.hops),
         )
 
     def redeem_pair(
@@ -1042,37 +944,19 @@ class HostClient:
             The submitted transaction (``returns[0]["request"]`` names the
             redeem request routed to the AS).
         """
-        ephemeral = KeyPair.generate(self.rng)
-        self._ephemeral_keys.append(ephemeral)
-        submitted = self.executor.submit(
-            Transaction(
-                sender=self.account.address,
-                commands=[
-                    Command(
-                        "asset",
-                        "redeem",
-                        {
-                            "ingress": ingress_asset,
-                            "egress": egress_asset,
-                            "public_key": ephemeral.public.to_bytes(256, "big"),
-                        },
-                    )
-                ],
-            )
+        pair = (ingress_asset, egress_asset)
+        submitted = self._submit(*self._lower([(None, [pair])]))
+        tracing.event(
+            "redeem.requested",
+            ingress_asset=ingress_asset,
+            egress_asset=egress_asset,
+            request=(
+                submitted.effects.returns[0]["request"]
+                if submitted.effects.ok
+                else None
+            ),
+            status=submitted.effects.status,
         )
-        trace = current_trace()
-        if trace is not None:
-            trace.event(
-                "redeem.requested",
-                ingress_asset=ingress_asset,
-                egress_asset=egress_asset,
-                request=(
-                    submitted.effects.returns[0]["request"]
-                    if submitted.effects.ok
-                    else None
-                ),
-                status=submitted.effects.status,
-            )
         return submitted
 
     # -- atomic purchase ------------------------------------------------------------
@@ -1093,8 +977,7 @@ class HostClient:
         overspend.  The authoritative paid price is whatever ``Sold``
         reports on-chain.
         """
-        if self.payment_coin is None:
-            raise RuntimeError("fund() the client before buying")
+        self._funded("buying")
         if max_price_mist is not None:
             estimate, repriced = self.reprice(marketplace, plan)
             if estimate > max_price_mist:
@@ -1104,53 +987,32 @@ class HostClient:
                     f"{max_price_mist} MIST budget; not submitting"
                 )
             plan = repriced
-        ephemeral = KeyPair.generate(self.rng)
-        self._ephemeral_keys.append(ephemeral)
-        commands: list[Command] = []
-        for requirement, hop in zip(plan.requirements, plan.hops):
-            base = len(commands)
-            commands.append(
-                Command(
-                    "market",
-                    "buy",
-                    {
-                        "marketplace": marketplace,
-                        "listing": hop.ingress_listing,
-                        "start": hop.buy_start,
-                        "expiry": hop.buy_expiry,
-                        "bandwidth_kbps": requirement.bandwidth_kbps,
-                        "payment": self.payment_coin,
-                    },
-                )
+        # A quote is one leg with one piece a side.
+        hops = [
+            tuple(
+                ((candidate.listing.listing_id, candidate.start, candidate.expiry),)
+                for candidate in (hop.ingress_candidate, hop.egress_candidate)
             )
-            commands.append(
-                Command(
-                    "market",
-                    "buy",
-                    {
-                        "marketplace": marketplace,
-                        "listing": hop.egress_listing,
-                        "start": hop.buy_start,
-                        "expiry": hop.buy_expiry,
-                        "bandwidth_kbps": requirement.bandwidth_kbps,
-                        "payment": self.payment_coin,
-                    },
-                )
-            )
-            commands.append(
-                Command(
-                    "asset",
-                    "redeem",
-                    {
-                        "ingress": Result(base, "asset"),
-                        "egress": Result(base + 1, "asset"),
-                        "public_key": ephemeral.public.to_bytes(256, "big"),
-                    },
-                )
-            )
-        return self.executor.submit(
-            Transaction(sender=self.account.address, commands=commands)
+            for hop in plan.hops
+        ]
+        return self._submit(
+            *self._lower([(plan.quote.bandwidth_kbps, hops)], marketplace)
         )
+
+    @staticmethod
+    def _live(indexer, listing_id: str, start: int, expiry: int, rate_kbps: int):
+        """The indexed listing if it can still sell exactly this piece —
+        listed, ``[start, expiry)`` on its granule lattice and inside its
+        window, ``rate_kbps`` carvable — else ``None``.  :meth:`reprice`
+        substitutes a dead piece, a transfer's preflight aborts on one."""
+        record = indexer.listing(listing_id)
+        if (
+            record is not None
+            and record.align(start, expiry) == (start, expiry)
+            and record.sellable(rate_kbps)
+        ):
+            return record
+        return None
 
     def reprice(self, marketplace: str, plan: PurchasePlan) -> tuple[int, PurchasePlan]:
         """Re-estimate a plan against the live index; returns
@@ -1169,58 +1031,38 @@ class HostClient:
         """
         indexer = self.indexer(marketplace)
         indexer.sync()
-        hops: list[ResolvedHop] = []
-        for requirement, hop in zip(plan.requirements, plan.hops):
-            ids: dict[bool, str] = {}
-            prices: dict[bool, int] = {}
-            for listing_id, planned, interface, is_ingress in (
-                (hop.ingress_listing, hop.ingress_price_mist, requirement.ingress, True),
-                (hop.egress_listing, hop.egress_price_mist, requirement.egress, False),
-            ):
-                record = indexer.listing(listing_id)
-                covers = (
-                    record is not None
-                    and record.align(hop.buy_start, hop.buy_expiry)
-                    == (hop.buy_start, hop.buy_expiry)
-                    and record.sellable(requirement.bandwidth_kbps)
-                )
-                if covers:
-                    ids[is_ingress] = listing_id
-                    prices[is_ingress] = record.price_for(
-                        requirement.bandwidth_kbps, hop.buy_start, hop.buy_expiry
-                    )
-                    continue
-                replacement = indexer.best(
-                    ListingQuery(
-                        isd_as=requirement.isd_as,
-                        interface=interface,
-                        is_ingress=is_ingress,
-                        start=hop.buy_start,
-                        expiry=hop.buy_expiry,
-                        bandwidth_kbps=requirement.bandwidth_kbps,
-                        exact_window=True,
-                    ),
-                    sync=False,
-                )
-                if replacement is not None:
-                    ids[is_ingress] = replacement.listing.listing_id
-                    prices[is_ingress] = replacement.price_mist
-                else:
-                    ids[is_ingress] = listing_id
-                    prices[is_ingress] = planned
-            hops.append(
-                ResolvedHop(
-                    ingress_listing=ids[True],
-                    egress_listing=ids[False],
-                    buy_start=hop.buy_start,
-                    buy_expiry=hop.buy_expiry,
-                    price_mist=prices[True] + prices[False],
-                    ingress_price_mist=prices[True],
-                    egress_price_mist=prices[False],
-                )
+        rate_kbps = plan.quote.bandwidth_kbps
+
+        def fresh(hop, is_ingress: bool) -> Candidate:
+            planned = hop.ingress_candidate if is_ingress else hop.egress_candidate
+            window = (planned.start, planned.expiry)
+            record = self._live(indexer, planned.listing.listing_id, *window, rate_kbps)
+            if record is not None:
+                return Candidate(record, record.price_for(rate_kbps, *window), *window)
+            replacement = indexer.best(
+                ListingQuery(
+                    isd_as=hop.isd_as,
+                    interface=hop.ingress if is_ingress else hop.egress,
+                    is_ingress=is_ingress,
+                    start=planned.start,
+                    expiry=planned.expiry,
+                    bandwidth_kbps=rate_kbps,
+                    exact_window=True,
+                ),
+                sync=False,
             )
-        fresh = PurchasePlan(requirements=plan.requirements, hops=hops, quote=plan.quote)
-        return fresh.estimated_price_mist, fresh
+            return replacement if replacement is not None else planned
+
+        hops = tuple(
+            replace(
+                hop,
+                ingress_candidate=fresh(hop, True),
+                egress_candidate=fresh(hop, False),
+            )
+            for hop in plan.hops
+        )
+        repriced = PurchasePlan(replace(plan.quote, hops=hops))
+        return repriced.estimated_price_mist, repriced
 
     # -- deadline transfers ---------------------------------------------------------
 
@@ -1235,7 +1077,6 @@ class HostClient:
         budget_mist: int | None = None,
         max_rate_kbps: int | None = None,
         best_effort: bool = False,
-        preflight: bool = True,
     ):
         """Move ``bytes_total`` across ``crossings`` before ``deadline``.
 
@@ -1254,8 +1095,7 @@ class HostClient:
         * A planned listing vanished or shrank before submission →
           :class:`~repro.transfers.TransferAborted` with
           ``submitted is None`` (client-side preflight; no transaction,
-          no gas).  ``preflight=False`` skips the check and lets the
-          ledger arbitrate.
+          no gas).
         * The transaction itself aborts (sold out mid-race, insufficient
           funds) → :class:`~repro.transfers.TransferAborted` carrying the
           failed transaction; ledger atomicity already rolled back every
@@ -1279,98 +1119,49 @@ class HostClient:
         plan = TransferPlanner(self.indexer(marketplace)).plan(
             request, best_effort=best_effort
         )
-        return self.execute_transfer_plan(marketplace, plan, preflight=preflight)
+        return self.execute_transfer_plan(marketplace, plan)
 
     def execute_transfer_plan(self, marketplace: str, plan, *, preflight: bool = True):
         """Execute a planned transfer atomically; returns a
         :class:`~repro.transfers.TransferOutcome`.
 
-        Command ordering is load-bearing: legs are submitted in
-        **descending start order** and each leg's pieces likewise,
-        because the market contract keeps the *head* time remainder of a
-        carve bound to the original listing id — so every earlier-window
-        purchase from the same listing stays valid later in the same
-        transaction.  Within a leg the per-direction pieces are then
-        fused earliest-first (``fuse_time`` keeps the first operand's
-        asset id) into one asset per direction, and each hop redeems
-        exactly once per leg.
+        The plan's legs go through :meth:`_lower` latest first (its
+        docstring says why the order is load-bearing).  The client-side
+        preflight aborts without a transaction when a planned piece is no
+        longer coverable at its exact window and rate; ``preflight=False``
+        skips it and lets the ledger arbitrate.
         """
-        if self.payment_coin is None:
-            raise RuntimeError("fund() the client before buying")
+        self._funded("buying")
         if not plan.legs:
             # A best-effort plan over an empty or exhausted book: nothing
             # to buy, nothing to submit.
             return TransferOutcome(plan=plan, submitted=None, price_mist=0)
         if preflight:
             self._preflight_transfer(marketplace, plan)
-        ephemeral = KeyPair.generate(self.rng)
-        self._ephemeral_keys.append(ephemeral)
-        public_key = ephemeral.public.to_bytes(256, "big")
-        commands: list[Command] = []
-        for leg in sorted(plan.legs, key=lambda leg: leg.start, reverse=True):
-            for hop in leg.hops:
-                fused: dict[bool, Result] = {}
-                for is_ingress, pieces in (
-                    (True, hop.ingress_pieces),
-                    (False, hop.egress_pieces),
-                ):
-                    base = len(commands)
-                    for piece in reversed(pieces):  # descending start
-                        commands.append(
-                            Command(
-                                "market",
-                                "buy",
-                                {
-                                    "marketplace": marketplace,
-                                    "listing": piece.listing_id,
-                                    "start": piece.start,
-                                    "expiry": piece.expiry,
-                                    "bandwidth_kbps": leg.rate_kbps,
-                                    "payment": self.payment_coin,
-                                },
-                            )
-                        )
-                    # Buy results, re-ordered earliest piece first.
-                    assets = [
-                        Result(base + i, "asset")
-                        for i in reversed(range(len(pieces)))
-                    ]
-                    while len(assets) > 1:
-                        first, second = assets[0], assets[1]
-                        commands.append(
-                            Command(
-                                "asset",
-                                "fuse_time",
-                                {"first": first, "second": second},
-                            )
-                        )
-                        assets[:2] = [Result(len(commands) - 1, "asset")]
-                    fused[is_ingress] = assets[0]
-                commands.append(
-                    Command(
-                        "asset",
-                        "redeem",
-                        {
-                            "ingress": fused[True],
-                            "egress": fused[False],
-                            "public_key": public_key,
-                        },
-                    )
-                )
-        submitted = self.executor.submit(
-            Transaction(sender=self.account.address, commands=commands)
-        )
-        trace = current_trace()
-        if trace is not None:
-            trace.event(
-                "transfer.submitted",
-                legs=len(plan.legs),
-                buys=plan.buy_count,
-                redeems=plan.redeem_count,
-                bytes=plan.bytes_scheduled,
-                price_mist=plan.spend_mist,
-                status=submitted.effects.status,
+
+        def pieces(side) -> list[tuple]:
+            return [(piece.listing_id, piece.start, piece.expiry) for piece in side]
+
+        legs = [
+            (
+                leg.rate_kbps,
+                [
+                    (pieces(hop.ingress_pieces), pieces(hop.egress_pieces))
+                    for hop in leg.hops
+                ],
             )
+            for leg in sorted(plan.legs, key=lambda leg: leg.start, reverse=True)
+        ]
+        submitted = self._submit(*self._lower(legs, marketplace))
+        tracing.event(
+            "transfer.submitted",
+            legs=len(plan.legs),
+            buys=plan.buy_count,
+            redeems=plan.redeem_count,
+            bytes=plan.bytes_scheduled,
+            price_mist=plan.spend_mist,
+            status=submitted.effects.status,
+        )
         if not submitted.effects.ok:
             raise TransferAborted(
                 f"transfer transaction aborted ({submitted.effects.status}); "
@@ -1390,13 +1181,9 @@ class HostClient:
         for leg in plan.legs:
             for hop in leg.hops:
                 for piece in hop.ingress_pieces + hop.egress_pieces:
-                    record = indexer.listing(piece.listing_id)
-                    if (
-                        record is None
-                        or record.align(piece.start, piece.expiry)
-                        != (piece.start, piece.expiry)
-                        or not record.sellable(leg.rate_kbps)
-                    ):
+                    window = (piece.start, piece.expiry)
+                    live = self._live(indexer, piece.listing_id, *window, leg.rate_kbps)
+                    if live is None:
                         raise TransferAborted(
                             f"listing {piece.listing_id} no longer covers "
                             f"[{piece.start},{piece.expiry}) at "
@@ -1409,13 +1196,17 @@ class HostClient:
     def collect_reservations(self) -> list[FlyoverReservation]:
         """Decrypt all sealed reservations delivered since the last call.
 
+        A delivery this host cannot use — no ephemeral key opens the box,
+        or the plaintext is not a reservation record — is attacker-chosen
+        input (any registered AS can answer a redeem request with anything)
+        and is skipped, recorded in :attr:`undecryptable`, rather than
+        raised: the event checkpoint has already advanced, so raising here
+        would cost the host every honest delivery of the same batch.
+
         Returns:
             One :class:`~repro.hummingbird.reservation.FlyoverReservation`
-            per new delivery addressed to this host, in delivery order.
-
-        Raises:
-            ValueError: a delivery could not be decrypted with any of this
-                client's ephemeral keys (wrong recipient or corrupt box).
+            per new usable delivery addressed to this host, in delivery
+            order.
         """
         ledger = self.executor.ledger
         events = ledger.events_since(self._delivery_checkpoint, "ReservationDelivered")
@@ -1427,7 +1218,12 @@ class HostClient:
             delivery = ledger.objects.get(event.payload["delivery"])
             if delivery is None or delivery.type_tag != DELIVERY_TYPE:
                 continue
-            reservations.append(self._decrypt(delivery))
+            try:
+                reservations.append(self._decrypt(delivery))
+            except (ValueError, KeyError, TypeError) as reason:
+                self.undecryptable.append(
+                    (delivery.object_id, f"{type(reason).__name__}: {reason}")
+                )
         return reservations
 
     def _decrypt(self, delivery) -> FlyoverReservation:

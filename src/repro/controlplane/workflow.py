@@ -26,7 +26,7 @@ from repro.contracts.asset import AssetContract
 from repro.contracts.coin import CoinContract
 from repro.contracts.market import MarketContract
 from repro.controlplane.asclient import AsService, PathSettlementRecord
-from repro.controlplane.hostclient import HostClient, plan_from_quote
+from repro.controlplane.hostclient import HostClient, PurchasePlan
 from repro.controlplane.pki import CpPki
 from repro.pathadm import PathAdmission, PathHop
 from repro.marketdata import (
@@ -298,6 +298,16 @@ def deploy_market(
     )
 
 
+def _poll(deployment: MarketDeployment, crossing: AsCrossing) -> list:
+    """One on-path AS answers the redeem requests addressed to it; a
+    purchase that reached the ledger leaves one at every crossing, so
+    silence is an error."""
+    records = deployment.service(crossing.isd_as).poll_and_deliver()
+    if not records:
+        raise RuntimeError(f"AS {crossing.isd_as} found no redeem request")
+    return records
+
+
 def purchase_path(
     deployment: MarketDeployment,
     host: HostClient,
@@ -343,9 +353,8 @@ def purchase_path(
             f"path admission pre-flight rejected: {preflight.reason}"
         )
     admission.rollback(preflight)
-    plan = plan_from_quote(quote)
     submitted = host.atomic_buy_and_redeem(
-        deployment.marketplace, plan, max_price_mist=max_price_mist
+        deployment.marketplace, PurchasePlan(quote), max_price_mist=max_price_mist
     )
     if not submitted.effects.ok:
         raise RuntimeError(f"atomic buy-and-redeem aborted: {submitted.effects.error}")
@@ -358,11 +367,7 @@ def purchase_path(
     rng = deployment.rng if deployment.rng is not None else random.Random(1)
     response_latency = 0.0
     for crossing in crossings:
-        service = deployment.service(crossing.isd_as)
-        records = service.poll_and_deliver()
-        if not records:
-            raise RuntimeError(f"AS {crossing.isd_as} found no redeem request")
-        for record in records:
+        for record in _poll(deployment, crossing):
             poll_delay = rng.uniform(*observation_delay)
             delivery_latency = poll_delay + record.submitted.latency
             response_latency = max(response_latency, delivery_latency)
@@ -373,7 +378,7 @@ def purchase_path(
         latency=LatencyBreakdown(request=request_latency, response=response_latency),
         price_mist=price,
         gas=submitted.effects.gas,
-        estimated_price_mist=plan.estimated_price_mist,
+        estimated_price_mist=quote.price_mist,
         quote=quote,
     )
 
@@ -389,7 +394,6 @@ def execute_transfer(
     budget_mist: int | None = None,
     max_rate_kbps: int | None = None,
     best_effort: bool = False,
-    preflight: bool = True,
 ):
     """Run one deadline transfer end-to-end: plan, buy+fuse+redeem
     atomically, then have every on-path AS deliver its reservations.
@@ -408,15 +412,11 @@ def execute_transfer(
         budget_mist=budget_mist,
         max_rate_kbps=max_rate_kbps,
         best_effort=best_effort,
-        preflight=preflight,
     )
     if outcome.submitted is None:  # empty best-effort plan, nothing redeemed
         return outcome
     for crossing in crossings:
-        service = deployment.service(crossing.isd_as)
-        records = service.poll_and_deliver()
-        if not records:
-            raise RuntimeError(f"AS {crossing.isd_as} found no redeem request")
+        _poll(deployment, crossing)
     outcome.reservations = host.collect_reservations()
     return outcome
 

@@ -15,6 +15,7 @@ container object that owns it (e.g. listed assets owned by the marketplace).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -183,19 +184,35 @@ class CallContext:
 class Contract:
     """Base class for on-chain contracts.
 
-    Public methods taking ``(ctx, **kwargs)`` are callable from
-    transactions; they must return a dict of named results (possibly empty)
-    that later commands can reference.
+    Public methods a contract class defines, taking ``(ctx, **kwargs)``, are
+    callable from transactions; they must return a dict of named results
+    (possibly empty) that later commands can reference.
     """
 
     name: str = "contract"
 
     def dispatch(self, function: str, ctx: CallContext, args: dict[str, Any]) -> dict:
+        """Call ``function`` with a transaction's arguments.
+
+        Function name and arguments are the sender's choice: whatever is
+        wrong with them — a private or inherited name, a missing or
+        misspelled argument, a value of the wrong type — is the sender's
+        abort, never an exception out of the executor.
+        """
         if function.startswith("_"):
             raise ContractAbort(f"function {function!r} is private")
-        handler = getattr(self, function, None)
-        if handler is None or not callable(handler):
+        handler = getattr(type(self), function, None)
+        # what the base class has (``dispatch`` itself) is not an entry point
+        if not inspect.isfunction(handler) or hasattr(Contract, function):
             raise ContractAbort(f"{self.name} has no function {function!r}")
         ctx.gas.charge_call()
-        result = handler(ctx, **args)
+        try:
+            result = handler(self, ctx, **args)
+        except TypeError as mismatch:
+            given = ", ".join(
+                f"{key}={type(value).__name__}" for key, value in args.items()
+            )
+            raise ContractAbort(
+                f"{self.name}.{function}({given}): {mismatch}"
+            ) from None
         return result if result is not None else {}

@@ -101,4 +101,6 @@ def resolve_args(args: dict[str, Any], returns: list[dict]) -> dict[str, Any]:
             return {key: resolve(val) for key, val in value.items()}
         return value
 
+    if not isinstance(args, dict):
+        raise ValueError(f"command arguments must be a dict, not {type(args).__name__}")
     return {key: resolve(value) for key, value in args.items()}

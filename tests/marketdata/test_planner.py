@@ -184,8 +184,8 @@ class TestBudget:
 
         # Between plan and buy, the seller yanks a planned listing and
         # relists the same asset at double the price.
-        victim = plan.hops[0].ingress_listing
-        seller = deployment.service(plan.requirements[0].isd_as)
+        victim = plan.hops[0].ingress_candidate.listing.listing_id
+        seller = deployment.service(plan.hops[0].isd_as)
         cancelled = seller.cancel_listing(deployment.marketplace, victim)
         assert cancelled.effects.ok
         relisted = seller.executor.submit(
@@ -234,8 +234,8 @@ class TestBudget:
             deployment.marketplace,
             PathSpec.from_crossings(crossings, T0 + 600, T0 + 1200, 4000),
         )
-        victim = plan.hops[0].ingress_listing
-        seller = deployment.service(plan.requirements[0].isd_as)
+        victim = plan.hops[0].ingress_candidate.listing.listing_id
+        seller = deployment.service(plan.hops[0].isd_as)
         cancelled = seller.cancel_listing(deployment.marketplace, victim)
         assert cancelled.effects.ok
         relisted = seller.executor.submit(

@@ -307,13 +307,16 @@ class TestHostileRedeemKeyC1:
                 {
                     "marketplace": deployment.marketplace,
                     "listing": listing,
-                    "start": hop.buy_start,
-                    "expiry": hop.buy_expiry,
+                    "start": hop.start,
+                    "expiry": hop.expiry,
                     "bandwidth_kbps": 1000,
                     "payment": host.payment_coin,
                 },
             )
-            for listing in (hop.ingress_listing, hop.egress_listing)
+            for listing in (
+                hop.ingress_candidate.listing.listing_id,
+                hop.egress_candidate.listing.listing_id,
+            )
         ]
         redeem = Command(
             "asset",
@@ -521,3 +524,172 @@ class TestHostileRegistration:
             assert not verify(key.public, b"m", Signature(good.commitment, response))
         for public in (0, 1, MODP_P, -5, None, "key"):
             assert not verify(public, b"m", good)
+
+
+class TestHostileTransaction:
+    """A transaction's function names and argument dicts are the sender's.
+
+    Before this class ``Contract.dispatch`` called ``handler(ctx, **args)``
+    unchecked and ``Ledger.execute`` caught only ``ContractAbort`` /
+    ``ValueError``: a misspelled, missing or mistyped argument — or the name of
+    a base-class method — left ``LedgerExecutor.submit`` as a ``TypeError`` and
+    took down whatever poller sat above it.  Each shape must end as an abort
+    naming the function and the offending argument, pay computation gas like
+    any abort, change nothing, and leave the ledger serving the next sender.
+    """
+
+    @pytest.fixture
+    def world(self):
+        from types import SimpleNamespace
+
+        from repro.contracts.coin import CoinContract
+        from repro.ledger.chain import Ledger
+        from repro.ledger.executor import LedgerExecutor
+
+        ledger = Ledger()
+        ledger.register_contract(CoinContract())
+        return SimpleNamespace(ledger=ledger, executor=LedgerExecutor(ledger))
+
+    @pytest.mark.parametrize(
+        "function, args, reason",
+        [
+            ("mint", {"amnt": 5}, r"coin\.mint\(amnt=int\): .*unexpected keyword argument 'amnt'"),
+            ("mint", {}, r"coin\.mint\(\): .*missing 1 required positional argument: 'amount'"),
+            ("mint", {"amount": 5, "to": "me"}, r"coin\.mint\(amount=int, to=str\): .*'to'"),
+            ("mint", {"amount": "x"}, r"coin\.mint\(amount=str\): "),
+            ("mint", {"amount": None}, r"coin\.mint\(amount=NoneType\): "),
+            ("mint", {5: 5}, r"coin\.mint\(5=int\): .*keywords must be strings"),
+            ("mint", [("amount", 5)], r"command arguments must be a dict, not list"),
+            ("dispatch", {"function": "mint", "args": {"amount": 5}}, r"coin has no function 'dispatch'"),
+            ("name", {}, r"coin has no function 'name'"),
+            ("__init__", {}, r"function '__init__' is private"),
+        ],
+        ids=[
+            "misspelled", "missing", "extra", "str", "None", "int-key", "args=list",
+            "base-class-method", "attribute", "dunder",
+        ],
+    )
+    def test_a_malformed_call_is_the_senders_abort(self, world, function, args, reason):
+        import re
+
+        from repro.ledger.transactions import Command, Transaction
+
+        ledger = world.ledger
+        honest = Command("coin", "mint", {"amount": 7})
+        funded = world.executor.submit(Transaction("alice", [honest])).effects
+        before = (dict(ledger.objects), list(ledger.events), ledger.checkpoint)
+
+        # the hostile command comes second: the honest mint before it must roll back too
+        effects = world.executor.submit(
+            Transaction("mallory", [honest, Command("coin", function, args)])
+        ).effects
+        assert effects.status == "abort" and re.search(reason, effects.error), effects.error
+        assert effects.created == effects.mutated == effects.deleted == effects.events == []
+        assert effects.gas.total_sui > 0 and effects.gas.storage_cost == 0
+        assert (dict(ledger.objects), list(ledger.events)) == before[:2]
+        assert ledger.checkpoint == before[2] + 1
+
+        again = world.executor.submit(Transaction("alice", [honest])).effects
+        assert again.ok and again.gas.total_sui == funded.gas.total_sui
+        assert ledger.objects[again.returns[0]["coin"]].payload == {"balance": 7}
+
+    def test_only_methods_the_contract_class_defines_are_entry_points(self):
+        """Not an instance attribute, not what ``Contract`` or ``object`` provide."""
+        from repro.contracts.asset import AssetContract
+        from repro.contracts.coin import CoinContract
+        from repro.contracts.market import MarketContract
+        from repro.ledger.runtime import Contract, ContractAbort
+
+        coin = CoinContract()
+        coin.drain = lambda ctx: {"stolen": True}  # not defined by the class
+        for contract in (coin, AssetContract(pki=None), MarketContract()):
+            inherited = [name for name in dir(Contract) if not name.startswith("_")]
+            for function in [*inherited, "drain"]:
+                with pytest.raises(ContractAbort, match="has no function"):
+                    contract.dispatch(function, ctx=None, args={})
+
+
+class TestHostileDelivery:
+    """A delivery is attacker-chosen input to the host.
+
+    Whoever owns a redeem request — any AS of the path — answers it with a
+    ``kem_share`` / ``ciphertext`` / ``tag`` of its choosing and the ledger
+    stores them unread.  ``collect_reservations`` advances its event checkpoint
+    before it decrypts, so an exception out of one delivery used to cost the
+    host every honest reservation of the same batch (the next call returned
+    ``[]``).  A box no key opens, or a well-sealed plaintext that is not a
+    reservation record, must land in ``HostClient.undecryptable`` instead.
+    """
+
+    HOSTILE_PLAINTEXTS = {
+        "not-json": (b"reservation: yes", "JSONDecodeError"),  # a ValueError
+        "not-utf8": (b"\xff\xfe{}", "UnicodeDecodeError"),  # a ValueError
+        "json-list": (b"[1, 2, 3]", "TypeError"),
+        "json-null": (b"null", "TypeError"),
+        "no-fields": (b"{}", "KeyError"),
+        "key-not-hex": (
+            b'{"isd": 1, "asn": 2, "ingress": 0, "egress": 1, "res_id": 0, "bw_cls": 1,'
+            b' "start": 0, "duration": 60, "auth_key": "zz"}',
+            "ValueError",
+        ),
+    }
+
+    def test_hostile_answers_cost_the_host_none_of_the_honest_ones(self):
+        import random
+
+        from repro.controlplane import deploy_market
+        from repro.crypto.sealing import seal
+        from repro.ledger.transactions import Command, Transaction
+        from repro.marketdata import PathSpec
+        from repro.netsim import linear_path
+        from repro.scion import as_crossings
+
+        topology, path = linear_path(3, timestamp=T0)
+        deployment = deploy_market(topology, clock=SimClock(float(T0)), asset_duration=14_400)
+        crossings = as_crossings(path)
+        hostile = deployment.service(crossings[0].isd_as)
+        host = deployment.new_host(funding_sui=100)
+        rng = random.Random(18)
+
+        def answer(request_id, kem_share, ciphertext, tag):
+            args = {"request": request_id, "kem_share": kem_share, "ciphertext": ciphertext, "tag": tag}
+            effects = hostile.executor.submit(
+                Transaction(hostile.account.address, [Command("asset", "deliver_reservation", args)])
+            ).effects
+            assert effects.ok, effects.error  # the ledger stores whatever it is given
+            return effects.returns[0]["delivery"]
+
+        expected = []  # (delivery id, exception name), in delivery order
+        for index, (plaintext, raised) in enumerate([(None, "ValueError"), *self.HOSTILE_PLAINTEXTS.values()]):
+            start = T0 + 3600 + 600 * index
+            bought = host.atomic_buy_and_redeem(
+                deployment.marketplace,
+                host.plan_path(
+                    deployment.marketplace, PathSpec.from_crossings(crossings, start, start + 600, 1000)
+                ),
+            )
+            assert bought.effects.ok, bought.effects.error
+            request_id = bought.effects.returns[2]["request"]  # the first crossing's
+            if plaintext is None:  # a box no key of the host's opens
+                delivery = answer(request_id, b"\x07" * 256, b"garbage", bytes(32))
+            else:  # sealed to the host's own key, but not a reservation record
+                public_key = deployment.ledger.objects[request_id].payload["public_key"]
+                box = seal(int.from_bytes(public_key, "big"), plaintext, rng)
+                delivery = answer(
+                    request_id, box.kem_share.to_bytes(256, "big"), box.ciphertext, box.tag
+                )
+            expected.append((delivery, raised))
+            for crossing in crossings[1:]:
+                assert len(deployment.service(crossing.isd_as).poll_and_deliver()) == 1
+
+        reservations = host.collect_reservations()
+
+        honest = [crossing.isd_as for crossing in crossings[1:]]
+        assert [r.isd_as for r in reservations] == honest * len(expected)
+        assert [delivery for delivery, _ in host.undecryptable] == [d for d, _ in expected]
+        for (_, reason), (_, raised) in zip(host.undecryptable, expected):
+            assert reason.startswith(raised + ": "), reason
+        assert "no ephemeral key decrypts" in host.undecryptable[0][1]
+        # nothing is re-read, nothing is lost: the next batch is only what arrives next
+        assert host.collect_reservations() == []
+        assert len(host.undecryptable) == len(expected)
