@@ -30,6 +30,17 @@ TOKEN_TYPE = "asset::AuthorizationToken"
 REQUEST_TYPE = "asset::RedeemRequest"
 DELIVERY_TYPE = "asset::EncryptedReservation"
 
+
+def delivery_context(request: str) -> bytes:
+    """Key-derivation context of the sealed answer to redeem request *request*.
+
+    Request ids are unique, so two answers under one Diffie-Hellman share
+    never derive the same keys, and a box sealed as the answer to one
+    request does not open as the answer to another.
+    """
+    return b"hummingbird-resv:" + request.encode()
+
+
 # Payload keys of a BandwidthAsset (the attribute list of §4.2):
 #   isd, asn            AS identifier (set from the authorization token)
 #   issuer              AS on-chain address (redeem-request routing)
@@ -237,7 +248,10 @@ class AssetContract(Contract):
         )
         redeemer = req.payload["redeemer"]
         ctx.delete_object(req)
-        ctx.emit("ReservationDelivered", {"delivery": delivery.object_id, "redeemer": redeemer})
+        ctx.emit(
+            "ReservationDelivered",
+            {"delivery": delivery.object_id, "redeemer": redeemer, "request": request},
+        )
         return {"delivery": delivery.object_id}
 
 

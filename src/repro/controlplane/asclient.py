@@ -30,10 +30,11 @@ from dataclasses import dataclass
 
 from repro.admission import ACTIVE, AUCTION, AdmissionController, AdmissionRejected
 from repro.admission.auction import Bid, ClearingOutcome, WindowAuction
+from repro.contracts.asset import delivery_context
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.crypto.sealing import check_group_element, seal
 from repro.hummingbird.reservation import ResInfo, grant_reservation
-from repro.hummingbird.resid import CapacityExhausted, ResIdAllocator
+from repro.hummingbird.resid import ResIdAllocator
 from repro.ledger.accounts import Account
 from repro.ledger.executor import LedgerExecutor, SubmittedTransaction
 from repro.ledger.transactions import Command, Result, Transaction
@@ -805,11 +806,17 @@ class AsService:
         skipped (recorded in :attr:`undeliverable`) rather than aborting the
         poll: the event checkpoint has already advanced, so raising here
         would silently orphan every later request in the same batch.
+
+        Requests that carry the same redeem key — every redeem of one host
+        transaction does — are answered under one Diffie-Hellman exchange:
+        the poll owns :func:`~repro.crypto.sealing.seal`'s table and drops
+        it, ephemeral and shared secrets included, when it returns.
         """
         ledger = self.executor.ledger
         events = ledger.events_since(self._last_checkpoint, "RedeemRequested")
         self._last_checkpoint = ledger.checkpoint
         records: list[DeliveryRecord] = []
+        exchanges: dict = {}
         for event in events:
             if (event.payload["isd"], event.payload["asn"]) != (
                 self.isd_as.isd,
@@ -820,7 +827,9 @@ class AsService:
             if request_id not in ledger.objects:
                 continue  # already delivered
             try:
-                records.append(self._deliver(ledger.get_object(request_id)))
+                records.append(
+                    self._deliver(ledger.get_object(request_id), exchanges)
+                )
             except RuntimeError as reason:
                 # AdmissionRejected and CapacityExhausted are RuntimeErrors
                 # too; _deliver rolled its claims back before raising.
@@ -831,7 +840,7 @@ class AsService:
                     ).inc()
         return records
 
-    def _deliver(self, request) -> DeliveryRecord:
+    def _deliver(self, request, exchanges: dict) -> DeliveryRecord:
         payload = request.payload
         ingress_if = payload["ingress"]["interface"]
         egress_if = payload["egress"]["interface"]
@@ -848,68 +857,77 @@ class AsService:
             check_group_element(recipient_public)
         except ValueError as reason:
             raise RuntimeError(f"redeem request refused: {reason}") from None
-        # Delivered reservations claim live capacity on both crossed
-        # interfaces (the active calendar is the physical backstop — the
-        # redeemed assets already cleared the issued one).
         admissions = []
-        for interface, is_ingress in ((ingress_if, True), (egress_if, False)):
-            decision = self.admission.admit_reservation(
-                interface, is_ingress, bandwidth_kbps, start, expiry, tag=redeemer
-            )
-            if not decision.admitted:
-                self._rollback_admissions(admissions)
-                raise self._rejected(interface, is_ingress, decision)
-            admissions.append((interface, is_ingress, decision))
+        res_id = None
         try:
+            # Delivered reservations claim live capacity on both crossed
+            # interfaces (the active calendar is the physical backstop — the
+            # redeemed assets already cleared the issued one).
+            for interface, is_ingress in ((ingress_if, True), (egress_if, False)):
+                decision = self.admission.admit_reservation(
+                    interface, is_ingress, bandwidth_kbps, start, expiry, tag=redeemer
+                )
+                if not decision.admitted:
+                    raise self._rejected(interface, is_ingress, decision)
+                admissions.append((interface, is_ingress, decision))
             res_id = self._allocator(ingress_if).allocate(start, expiry)
-        except CapacityExhausted:
-            self._rollback_admissions(admissions)
-            raise
-        resinfo = ResInfo(
-            ingress=ingress_if,
-            egress=egress_if,
-            res_id=res_id,
-            bw_cls=bw_cls,
-            start=start,
-            duration=expiry - start,
-        )
-        reservation = grant_reservation(
-            self.isd_as,
-            self.autonomous_system.secret_value,
-            resinfo,
-            self.prf_factory,
-        )
-        plaintext = json.dumps(
-            {
-                "isd": self.isd_as.isd,
-                "asn": self.isd_as.asn,
-                "ingress": resinfo.ingress,
-                "egress": resinfo.egress,
-                "res_id": resinfo.res_id,
-                "bw_cls": resinfo.bw_cls,
-                "start": resinfo.start,
-                "duration": resinfo.duration,
-                "auth_key": reservation.auth_key.hex(),
-            }
-        ).encode()
-        box = seal(recipient_public, plaintext, self.rng)
-        submitted = self._submit(
-            Command(
-                "asset",
-                "deliver_reservation",
-                {
-                    "request": request.object_id,
-                    "kem_share": box.kem_share.to_bytes(256, "big"),
-                    "ciphertext": box.ciphertext,
-                    "tag": box.tag,
-                },
+            resinfo = ResInfo(
+                ingress=ingress_if,
+                egress=egress_if,
+                res_id=res_id,
+                bw_cls=bw_cls,
+                start=start,
+                duration=expiry - start,
             )
-        )
-        if not submitted.effects.ok:
-            # Nothing was delivered: hand back the live capacity and ResID.
-            self._rollback_admissions(admissions)
-            self._allocator(ingress_if).release(res_id, start, expiry)
-            raise RuntimeError(f"delivery failed: {submitted.effects.error}")
+            reservation = grant_reservation(
+                self.isd_as,
+                self.autonomous_system.secret_value,
+                resinfo,
+                self.prf_factory,
+            )
+            plaintext = json.dumps(
+                {
+                    "isd": self.isd_as.isd,
+                    "asn": self.isd_as.asn,
+                    "ingress": resinfo.ingress,
+                    "egress": resinfo.egress,
+                    "res_id": resinfo.res_id,
+                    "bw_cls": resinfo.bw_cls,
+                    "start": resinfo.start,
+                    "duration": resinfo.duration,
+                    "auth_key": reservation.auth_key.hex(),
+                }
+            ).encode()
+            box = seal(
+                recipient_public,
+                plaintext,
+                self.rng,
+                delivery_context(request.object_id),
+                exchanges,
+            )
+            submitted = self._submit(
+                Command(
+                    "asset",
+                    "deliver_reservation",
+                    {
+                        "request": request.object_id,
+                        "kem_share": box.kem_share.to_bytes(256, "big"),
+                        "ciphertext": box.ciphertext,
+                        "tag": box.tag,
+                    },
+                )
+            )
+            if not submitted.effects.ok:
+                raise RuntimeError(f"delivery failed: {submitted.effects.error}")
+        except RuntimeError:
+            # Nothing was delivered: hand back whatever was claimed.
+            for interface, is_ingress, decision in admissions:
+                self.admission.release(
+                    interface, is_ingress, decision.commitment, layer=ACTIVE
+                )
+            if res_id is not None:
+                self._allocator(ingress_if).release(res_id, start, expiry)
+            raise
         if self.reclamation is not None:
             self.reclamation.track(
                 res_id,
@@ -940,13 +958,6 @@ class AsService:
             res_id=res_id,
             submitted=submitted,
         )
-
-    def _rollback_admissions(self, admissions) -> None:
-        """Release active-calendar claims from an aborted delivery."""
-        for interface, is_ingress, decision in admissions:
-            self.admission.release(
-                interface, is_ingress, decision.commitment, layer=ACTIVE
-            )
 
     def expire_commitments(self, now: float | None = None) -> int:
         """Release calendar commitments whose windows have fully ended.

@@ -25,7 +25,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 
-from repro.contracts.asset import DELIVERY_TYPE, ASSET_TYPE
+from repro.contracts.asset import ASSET_TYPE, DELIVERY_TYPE, delivery_context
 from repro.crypto.sealing import KeyPair, SealedBox, unseal
 from repro.hummingbird.reservation import FlyoverReservation, ResInfo
 from repro.ledger.accounts import COIN_TYPE, Account
@@ -155,7 +155,9 @@ class HostClient:
         self.executor = executor
         self.rng = rng if rng is not None else random.Random(0xC0FFEE)
         self.payment_coin: str | None = None
-        self._ephemeral_keys: list[KeyPair] = []
+        # Outstanding redeem request id -> the ephemeral key its answer is
+        # sealed to; an entry goes when the request is answered.
+        self._redeem_keys: dict[str, KeyPair] = {}
         self._delivery_checkpoint = 0
         # (delivery id, reason) pairs this host could not decrypt or parse.
         self.undecryptable: list[tuple[str, str]] = []
@@ -192,14 +194,32 @@ class HostClient:
 
     # -- submission ------------------------------------------------------------
 
-    def _submit(self, *commands: Command) -> SubmittedTransaction:
-        """One atomic transaction from this host: the only place it builds one."""
-        return self.executor.submit(
+    def _submit(
+        self, *commands: Command, redeem_key: KeyPair | None = None
+    ) -> SubmittedTransaction:
+        """One atomic transaction from this host: the only place it builds one.
+
+        ``redeem_key`` is the ephemeral key its redeem commands carry.  Once
+        the ledger has accepted the transaction the key is kept under every
+        redeem request it created — the id a delivery names; a refused
+        transaction created none and leaves nothing behind.
+        """
+        submitted = self.executor.submit(
             Transaction(sender=self.account.address, commands=list(commands))
         )
+        if redeem_key is not None and submitted.effects.ok:
+            for returned in submitted.effects.returns:
+                if "request" in returned:
+                    self._redeem_keys[returned["request"]] = redeem_key
+        return submitted
 
-    def _lower(self, legs, marketplace: str | None = None) -> list[Command]:
+    def _lower(
+        self, legs, marketplace: str | None = None
+    ) -> tuple[list[Command], KeyPair | None]:
         """Lower *legs* to the buy / ``fuse_time`` / redeem command list.
+
+        Returns the commands and the ephemeral key their redeems carry
+        (``None`` when nothing is redeemed), for :meth:`_submit`.
 
         A leg is ``(rate_kbps, hops)``, a hop an ``(ingress, egress)`` pair
         of *sides*, and a side is the ``(listing_id, start, expiry)`` pieces
@@ -218,7 +238,7 @@ class HostClient:
         transaction under one fresh ephemeral key.
         """
         commands: list[Command] = []
-        public_key = None
+        ephemeral = None
         for rate_kbps, hops in legs:
             for hop in hops:
                 held = []
@@ -258,10 +278,8 @@ class HostClient:
                     held.append(assets[0])
                 if None in held:
                     continue
-                if public_key is None:
+                if ephemeral is None:
                     ephemeral = KeyPair.generate(self.rng)
-                    self._ephemeral_keys.append(ephemeral)
-                    public_key = ephemeral.public.to_bytes(256, "big")
                 commands.append(
                     Command(
                         "asset",
@@ -269,11 +287,11 @@ class HostClient:
                         {
                             "ingress": held[0],
                             "egress": held[1],
-                            "public_key": public_key,
+                            "public_key": ephemeral.public.to_bytes(256, "big"),
                         },
                     )
                 )
-        return commands
+        return commands, ephemeral
 
     # -- funding ---------------------------------------------------------------
 
@@ -721,7 +739,8 @@ class HostClient:
         # One piece on one side: bought and owned, not redeemed (redeem_pair is).
         piece = ((found.listing.listing_id, found.start, found.expiry),)
         hop = (piece, None) if is_ingress else (None, piece)
-        submitted = self._submit(*self._lower([(bandwidth_kbps, [hop])], marketplace))
+        commands, _ = self._lower([(bandwidth_kbps, [hop])], marketplace)
+        submitted = self._submit(*commands)
         return self._bought(
             "bought", "listing.bought", submitted, found.listing.listing_id,
             bandwidth_kbps, listing=found.listing.listing_id,
@@ -869,7 +888,8 @@ class HostClient:
             i-th crossing's redeem request.
         """
         # Every side already owned: nothing to buy, so no rate either.
-        submitted = self._submit(*self._lower([(None, asset_pairs)]))
+        commands, redeem_key = self._lower([(None, asset_pairs)])
+        submitted = self._submit(*commands, redeem_key=redeem_key)
         tracing.event(
             "path.redeem", pairs=len(asset_pairs), status=submitted.effects.status
         )
@@ -945,7 +965,8 @@ class HostClient:
             redeem request routed to the AS).
         """
         pair = (ingress_asset, egress_asset)
-        submitted = self._submit(*self._lower([(None, [pair])]))
+        commands, redeem_key = self._lower([(None, [pair])])
+        submitted = self._submit(*commands, redeem_key=redeem_key)
         tracing.event(
             "redeem.requested",
             ingress_asset=ingress_asset,
@@ -995,9 +1016,10 @@ class HostClient:
             )
             for hop in plan.hops
         ]
-        return self._submit(
-            *self._lower([(plan.quote.bandwidth_kbps, hops)], marketplace)
+        commands, redeem_key = self._lower(
+            [(plan.quote.bandwidth_kbps, hops)], marketplace
         )
+        return self._submit(*commands, redeem_key=redeem_key)
 
     @staticmethod
     def _live(indexer, listing_id: str, start: int, expiry: int, rate_kbps: int):
@@ -1152,7 +1174,8 @@ class HostClient:
             )
             for leg in sorted(plan.legs, key=lambda leg: leg.start, reverse=True)
         ]
-        submitted = self._submit(*self._lower(legs, marketplace))
+        commands, redeem_key = self._lower(legs, marketplace)
+        submitted = self._submit(*commands, redeem_key=redeem_key)
         tracing.event(
             "transfer.submitted",
             legs=len(plan.legs),
@@ -1196,12 +1219,20 @@ class HostClient:
     def collect_reservations(self) -> list[FlyoverReservation]:
         """Decrypt all sealed reservations delivered since the last call.
 
-        A delivery this host cannot use — no ephemeral key opens the box,
-        or the plaintext is not a reservation record — is attacker-chosen
+        A delivery this host cannot use — it answers no outstanding request,
+        the request's key does not open the box, or the plaintext is not a
+        reservation record — is attacker-chosen
         input (any registered AS can answer a redeem request with anything)
         and is skipped, recorded in :attr:`undecryptable`, rather than
         raised: the event checkpoint has already advanced, so raising here
         would cost the host every honest delivery of the same batch.
+
+        The key is looked up by the request the delivery event names, never
+        found by trial, so a garbage box costs at most one exponentiation;
+        boxes an AS sealed under one share (one poll, one redeem key) pay
+        for one exchange between them.  The collect owns
+        :func:`~repro.crypto.sealing.unseal`'s table and drops it, shared
+        secrets included, when it returns.
 
         Returns:
             One :class:`~repro.hummingbird.reservation.FlyoverReservation`
@@ -1212,6 +1243,7 @@ class HostClient:
         events = ledger.events_since(self._delivery_checkpoint, "ReservationDelivered")
         self._delivery_checkpoint = ledger.checkpoint
         reservations: list[FlyoverReservation] = []
+        exchanges: dict = {}
         for event in events:
             if event.payload["redeemer"] != self.account.address:
                 continue
@@ -1219,28 +1251,30 @@ class HostClient:
             if delivery is None or delivery.type_tag != DELIVERY_TYPE:
                 continue
             try:
-                reservations.append(self._decrypt(delivery))
+                reservations.append(
+                    self._decrypt(delivery, event.payload["request"], exchanges)
+                )
             except (ValueError, KeyError, TypeError) as reason:
                 self.undecryptable.append(
                     (delivery.object_id, f"{type(reason).__name__}: {reason}")
                 )
         return reservations
 
-    def _decrypt(self, delivery) -> FlyoverReservation:
+    def _decrypt(self, delivery, request: str, exchanges: dict) -> FlyoverReservation:
+        # The ledger destroyed the request with this delivery: whatever the
+        # box holds, no second answer can come, so the key goes now.
+        keypair = self._redeem_keys.pop(request, None)
+        if keypair is None:
+            raise ValueError("delivery answers no outstanding request")
         box = SealedBox(
             kem_share=int.from_bytes(delivery.payload["kem_share"], "big"),
             ciphertext=delivery.payload["ciphertext"],
             tag=delivery.payload["tag"],
         )
-        last_error: Exception | None = None
-        for keypair in reversed(self._ephemeral_keys):
-            try:
-                plaintext = unseal(keypair, box)
-                break
-            except ValueError as error:
-                last_error = error
-        else:
-            raise ValueError(f"no ephemeral key decrypts the delivery: {last_error}")
+        try:
+            plaintext = unseal(keypair, box, delivery_context(request), exchanges)
+        except ValueError as error:
+            raise ValueError(f"no ephemeral key decrypts the delivery: {error}") from None
         record = json.loads(plaintext.decode())
         return FlyoverReservation(
             isd_as=IsdAs(record["isd"], record["asn"]),

@@ -11,7 +11,7 @@ ECIES-style KEM/DEM over the multiplicative group of a 2048-bit safe prime
 scratch to keep the repository dependency-free):
 
 * KEM: static-ephemeral Diffie-Hellman in :math:`\\mathbb{Z}_p^*`.
-* KDF: BLAKE2s over the shared secret.
+* KDF: BLAKE2s over the shared secret and the message's ``context``.
 * DEM: AES-128 in counter mode with an appended CMAC tag
   (encrypt-then-MAC).
 
@@ -33,7 +33,7 @@ width, and none squares a base it has squared before:
   and ten runs of one commit no longer agree to within that bound.
   ROADMAP item 1 re-sizes the rounds first and lowers ``_SECRET_BITS`` after.
 * ``g^x`` — every :meth:`KeyPair.generate`, so every redeem and every
-  :func:`seal` — goes through a fixed-base comb
+  ephemeral share :func:`seal` draws — goes through a fixed-base comb
   (:mod:`repro.crypto.fixedbase`): 512 products of ``g^(2^(114·row))``
   built once, when this module is imported, then 114 squarings and at most
   114 multiplications a key where ``pow`` spends 1,023 squarings: ~11.3 →
@@ -44,6 +44,25 @@ width, and none squares a base it has squared before:
   builds in ~18 ms and holds ~0.16 MB.  The two variable-base
   exponentiations (``h^x`` in :func:`seal` and :func:`unseal`, ~14 ms)
   have no fixed base to precompute and stay on ``pow``.
+* A lifecycle pays ``SigningKey.public`` once, the host's
+  :meth:`KeyPair.generate` once, and three exponentiations — the ephemeral
+  ``g^x``, ``h^x`` in :func:`seal`, ``share^x`` in :func:`unseal` — per
+  distinct *(AS, redeem key)* pair, not per reservation: :func:`seal` and
+  :func:`unseal` take a table of the batch's exchanges (``exchanges``),
+  which ``AsService.poll_and_deliver`` owns for one poll and
+  ``HostClient.collect_reservations`` for one collect.  A 4-hop purchase
+  has 4 pairs (1 + 1 + 3·4 = 14, as before); a two-leg transfer over three
+  hops redeems six times under one key at three ASes, 3 pairs
+  (1 + 1 + 3·3 = 11, where one exchange a reservation paid 1 + 1 + 3·6 =
+  20).  One KEM, many DEMs: every message under a share derives its own
+  AES and CMAC keys from the shared secret and its own ``context`` (the
+  redeem request's id), :func:`seal` refuses a repeated ``(share,
+  context)`` before it encrypts anything, and encrypt-then-MAC is what it
+  was.  A repeated share tells an observer that one AS answered two
+  requests carrying the same ``public_key`` in the same poll — which the
+  requests, public on the ledger, already said.  No table is kept past the
+  call that made it, so no ephemeral or shared secret is either; one-shot
+  callers pass none and get a fresh ephemeral per :func:`seal`.
 * Short exponents make public-key validation mandatory: a received group
   element outside ``[2, p-2]`` (NIST SP 800-56A partial validation — in a
   safe-prime group the only small subgroup is ``{1, p-1}``) would confine
@@ -140,27 +159,63 @@ def _ctr_keystream(cipher: AES128, length: int) -> bytes:
     return bytes(stream[:length])
 
 
-def seal(recipient_public: int, plaintext: bytes, rng, context: bytes = b"hummingbird-resv") -> SealedBox:
+def seal(
+    recipient_public: int,
+    plaintext: bytes,
+    rng,
+    context: bytes = b"hummingbird-resv",
+    exchanges: dict | None = None,
+) -> SealedBox:
     """Encrypt ``plaintext`` so only the holder of the matching secret can read it.
 
-    A fresh ephemeral secret is drawn per call; ``ValueError`` if
-    ``recipient_public`` is not a usable group element.
+    Without ``exchanges`` a fresh ephemeral secret is drawn per call.  With
+    it — a dict the caller owns for one batch and drops afterwards — the
+    first message to a ``recipient_public`` draws the ephemeral key and runs
+    the exchange, and every later one of the batch reuses both: one share on
+    all their boxes, the message keys told apart by ``context`` alone.
+
+    Raises:
+        ValueError: ``recipient_public`` is not a usable group element, or a
+            message was already sealed under this share and ``context`` (the
+            same CTR keystream and CMAC key twice); nothing is encrypted.
     """
     check_group_element(recipient_public)
-    ephemeral = KeyPair.generate(rng)
-    shared = pow(recipient_public, ephemeral.secret, MODP_P)
+    if exchanges is None:
+        exchanges = {}
+    if recipient_public not in exchanges:
+        ephemeral = KeyPair.generate(rng)
+        shared = pow(recipient_public, ephemeral.secret, MODP_P)
+        exchanges[recipient_public] = (ephemeral.public, shared, set())
+    kem_share, shared, sealed_contexts = exchanges[recipient_public]
+    if context in sealed_contexts:
+        raise ValueError("a message was already sealed under this share and context")
+    sealed_contexts.add(context)
     enc_key, mac_key = _kdf(shared, context)
     keystream = _ctr_keystream(AES128(enc_key), len(plaintext))
     ciphertext = xor_bytes(plaintext, keystream)
     tag = Cmac(mac_key).compute(ciphertext)
-    return SealedBox(kem_share=ephemeral.public, ciphertext=ciphertext, tag=tag)
+    return SealedBox(kem_share=kem_share, ciphertext=ciphertext, tag=tag)
 
 
-def unseal(recipient: KeyPair, box: SealedBox, context: bytes = b"hummingbird-resv") -> bytes:
-    """Decrypt a :class:`SealedBox`; raises ``ValueError`` on a bad share or tag."""
+def unseal(
+    recipient: KeyPair,
+    box: SealedBox,
+    context: bytes = b"hummingbird-resv",
+    exchanges: dict | None = None,
+) -> bytes:
+    """Decrypt a :class:`SealedBox`; raises ``ValueError`` on a bad share or tag.
+
+    ``exchanges`` is the receiving side of :func:`seal`'s table: a dict the
+    caller owns for one batch, in which boxes carrying the same share for
+    the same ``recipient`` pay for one exchange between them.
+    """
     check_group_element(box.kem_share)
-    shared = pow(box.kem_share, recipient.secret, MODP_P)
-    enc_key, mac_key = _kdf(shared, context)
+    if exchanges is None:
+        exchanges = {}
+    pair = (recipient.public, box.kem_share)
+    if pair not in exchanges:
+        exchanges[pair] = pow(box.kem_share, recipient.secret, MODP_P)
+    enc_key, mac_key = _kdf(exchanges[pair], context)
     if Cmac(mac_key).compute(box.ciphertext) != box.tag:
         raise ValueError("sealed box authentication failed")
     keystream = _ctr_keystream(AES128(enc_key), len(box.ciphertext))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
+import gc
+
 import pytest
 
 from repro.clock import SimClock
@@ -51,6 +54,38 @@ def aes_calls(monkeypatch):
         aes.AES128, "encrypt_block", counting("encrypt_block", aes.AES128.encrypt_block)
     )
     return counts
+
+
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """``(base, exponent, result)`` of every variable-base exponentiation
+    :mod:`repro.crypto.sealing` runs from here on (its ``pow`` looked up
+    through the module global; the fixed-base comb under ``g^x`` is not one)."""
+    from repro.crypto import sealing
+
+    calls = []
+
+    def counting(base, exponent, modulus):
+        result = builtins.pow(base, exponent, modulus)
+        calls.append((base, exponent, result))
+        return result
+
+    monkeypatch.setattr(sealing, "pow", counting, raising=False)
+    return calls
+
+
+def reachable(root, skip=()) -> list:
+    """Objects reachable from ``root`` through containers and ``repro`` instances."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type) or any(obj is s for s in skip):
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, (dict, list, tuple, set)) or type(obj).__module__.startswith("repro."):
+            stack.extend(gc.get_referents(obj))
+    return found
 
 
 def grant_full_path(

@@ -22,7 +22,10 @@ every host's decrypted reservations, every AS's ``undeliverable`` and
 ``controller_fingerprint``.  The recording committed beside this file was made
 at the commit *before* ``controlplane/`` got its single plan-to-transaction
 lowering (PR 18), with that commit's ``src/`` on the path; today's code has to
-reproduce it byte for byte on monolithic and on sharded calendars.
+reproduce it byte for byte on monolithic and on sharded calendars.  Re-recorded
+once since, in PR 19, when the sealed bytes of a delivery and the payload of
+``ReservationDelivered`` were meant to change: 30 ``asset.deliver_reservation``
+rows a calendar, argument digest and event-payload digest only.
 
 To re-record (only when a submitted transaction is *meant* to change — a new
 command, a different argument, another gas schedule — never to make a refactor

@@ -224,6 +224,81 @@ class TestSealing:
             unseal(recipient, SealedBox(value, b"data", bytes(16)))
 
 
+class TestSharedExchange:
+    """One table, one batch: a share and its exchange serve every message of
+    the batch to one recipient key, and ``context`` alone separates them."""
+
+    def test_one_table_is_one_draw_one_share_and_one_exchange_a_side(self, pow_calls):
+        rng = RecordingRng(20)
+        recipient = KeyPair.generate(rng)
+        sealing, opening = {}, {}
+        boxes = {
+            context: seal(recipient.public, b"same plaintext", rng, context, sealing)
+            for context in (b"request-a", b"request-b", b"request-c")
+        }
+        assert len(rng.calls) == 1 + 1  # the recipient's key, one ephemeral for the batch
+        assert len({box.kem_share for box in boxes.values()}) == 1
+        # different keys under the same share: neither keystream nor tag repeats
+        assert len({box.ciphertext for box in boxes.values()}) == len(boxes)
+        assert len({box.tag for box in boxes.values()}) == len(boxes)
+        assert len(pow_calls) == 1
+        for context, box in boxes.items():
+            assert unseal(recipient, box, context, opening) == b"same plaintext"
+        assert len(pow_calls) == 1 + 1
+        # ... and the box of one context is no answer under another
+        with pytest.raises(ValueError, match="authentication"):
+            unseal(recipient, boxes[b"request-a"], b"request-b", opening)
+        assert len(pow_calls) == 1 + 1  # refused by the tag, not by a new exchange
+
+    def test_a_table_is_per_recipient_key_and_per_batch(self, pow_calls):
+        rng = RecordingRng(21)
+        first, second = KeyPair.generate(rng), KeyPair.generate(rng)
+        batch = {}
+        shares = [
+            seal(first.public, b"data", rng, b"a", batch).kem_share,
+            seal(second.public, b"data", rng, b"a", batch).kem_share,  # another key
+            seal(first.public, b"data", rng, b"a", {}).kem_share,  # another batch
+            seal(first.public, b"data", rng, b"a").kem_share,  # no batch at all
+        ]
+        assert len(set(shares)) == len(shares) == len(pow_calls)
+        assert len(rng.calls) == 2 + len(shares)
+
+    def test_a_table_matches_sealing_each_message_alone_under_the_same_draws(self):
+        """The table changes how often the exchange runs, not what it yields."""
+        recipient = KeyPair.generate(random.Random(22))
+        alone = seal(recipient.public, b"data", random.Random(23), b"b")
+        batch = {}
+        seal(recipient.public, b"other", rng := random.Random(23), b"a", batch)
+        assert seal(recipient.public, b"data", rng, b"b", batch) == alone
+
+    def test_same_share_and_context_is_refused_before_any_byte_is_encrypted(self, aes_calls):
+        rng = RecordingRng(24)
+        recipient = KeyPair.generate(rng)
+        batch = {}
+        seal(recipient.public, b"first", rng, b"request-a", batch)
+        aes_calls.update(expand_key=0, encrypt_block=0)
+        with pytest.raises(ValueError, match="already sealed under this share and context"):
+            seal(recipient.public, b"second", rng, b"request-a", batch)
+        assert aes_calls == {"expand_key": 0, "encrypt_block": 0}
+        assert len(rng.calls) == 1 + 1
+        seal(recipient.public, b"second", rng, b"request-b", batch)  # the table is still good
+
+    def test_an_unseal_table_is_per_recipient_and_per_share(self, pow_calls):
+        rng = random.Random(25)
+        first, second = KeyPair.generate(rng), KeyPair.generate(rng)
+        box = seal(first.public, b"data", rng)
+        other = seal(first.public, b"data", rng)
+        pow_calls.clear()
+        opening = {}
+        assert unseal(first, box, exchanges=opening) == b"data"
+        assert unseal(first, other, exchanges=opening) == b"data"  # another share
+        with pytest.raises(ValueError, match="authentication"):
+            unseal(second, box, exchanges=opening)  # another key: its own exchange
+        assert len(pow_calls) == 3
+        assert unseal(first, box, exchanges=opening) == b"data"
+        assert len(pow_calls) == 3
+
+
 class TestSignatures:
     def test_sign_verify(self):
         rng = random.Random(6)
@@ -299,9 +374,9 @@ class TestHostDecrypt:
 
         rng = random.Random(19)
         host = HostClient(Account.generate(rng), executor=None, rng=rng)
-        host._ephemeral_keys.append(KeyPair.generate(rng))
+        host._redeem_keys["request"] = KeyPair.generate(rng)
         delivery = SimpleNamespace(
             payload={"kem_share": share.to_bytes(256, "big"), "ciphertext": b"x", "tag": bytes(16)}
         )
         with pytest.raises(ValueError, match="no ephemeral key decrypts.*group element"):
-            host._decrypt(delivery)
+            host._decrypt(delivery, "request", {})

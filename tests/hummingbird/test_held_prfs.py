@@ -4,11 +4,9 @@ The AES ledger of a reserved packet, the router's statelessness across
 reservations, and what happens when an AS replaces a key the router holds.
 """
 
-import gc
-
 import pytest
 
-from tests.conftest import T0, addresses, grant_full_path, walk_path
+from tests.conftest import T0, addresses, grant_full_path, reachable, walk_path
 
 from repro.crypto.keys import SecretValue
 from repro.crypto.prf import PrfFactory
@@ -51,20 +49,6 @@ def test_aes_ledger_of_one_reserved_packet_over_four_hops(chain4_aes, clock, aes
     assert aes_calls["encrypt_block"] <= 16  # parent commit: 32
 
 
-def _reachable(root, skip) -> list:
-    """Objects reachable from ``root`` through containers and ``repro`` instances."""
-    seen, stack, found = set(), [root], []
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, type) or any(obj is s for s in skip):
-            continue
-        seen.add(id(obj))
-        found.append(obj)
-        if isinstance(obj, (dict, list, tuple, set)) or type(obj).__module__.startswith("repro."):
-            stack.extend(gc.get_referents(obj))
-    return found
-
-
 def test_router_keeps_nothing_per_reservation(chain4_aes, clock):
     """200 distinct ResIDs later the router holds what it held at construction:
     outside the policer and the optional duplicate filter no attribute appeared,
@@ -77,7 +61,7 @@ def test_router_keeps_nothing_per_reservation(chain4_aes, clock):
 
     def footprint():
         attributes = set(vars(router))  # first: it materialises the instance dict
-        objects = _reachable(router, skip=(router.policer, router.duplicate_filter))
+        objects = reachable(router, skip=(router.policer, router.duplicate_filter))
         return (
             attributes,
             sum(len(o) for o in objects if isinstance(o, (dict, list, set))),

@@ -617,8 +617,10 @@ class TestHostileDelivery:
     stores them unread.  ``collect_reservations`` advances its event checkpoint
     before it decrypts, so an exception out of one delivery used to cost the
     host every honest reservation of the same batch (the next call returned
-    ``[]``).  A box no key opens, or a well-sealed plaintext that is not a
-    reservation record, must land in ``HostClient.undecryptable`` instead.
+    ``[]``).  A box the request's key does not open, a well-sealed plaintext
+    that is not a reservation record, or the honest answer to *another*
+    request must land in ``HostClient.undecryptable`` instead — at no more
+    than one exponentiation apiece.
     """
 
     HOSTILE_PLAINTEXTS = {
@@ -634,49 +636,65 @@ class TestHostileDelivery:
         ),
     }
 
-    def test_hostile_answers_cost_the_host_none_of_the_honest_ones(self):
-        import random
-
+    @staticmethod
+    def _world():
+        """A 3-AS deployment, its crossings, and the first AS's service — the hostile one."""
         from repro.controlplane import deploy_market
-        from repro.crypto.sealing import seal
-        from repro.ledger.transactions import Command, Transaction
-        from repro.marketdata import PathSpec
         from repro.netsim import linear_path
         from repro.scion import as_crossings
 
         topology, path = linear_path(3, timestamp=T0)
         deployment = deploy_market(topology, clock=SimClock(float(T0)), asset_duration=14_400)
         crossings = as_crossings(path)
-        hostile = deployment.service(crossings[0].isd_as)
+        return deployment, crossings, deployment.service(crossings[0].isd_as)
+
+    @staticmethod
+    def _buy(deployment, host, crossings, start) -> str:
+        """One atomic purchase over ``crossings``; the first crossing's request id."""
+        from repro.marketdata import PathSpec
+
+        bought = host.atomic_buy_and_redeem(
+            deployment.marketplace,
+            host.plan_path(
+                deployment.marketplace, PathSpec.from_crossings(crossings, start, start + 600, 1000)
+            ),
+        )
+        assert bought.effects.ok, bought.effects.error
+        return bought.effects.returns[2]["request"]
+
+    @staticmethod
+    def _answer(hostile, request_id, kem_share, ciphertext, tag) -> str:
+        from repro.ledger.transactions import Command, Transaction
+
+        args = {"request": request_id, "kem_share": kem_share, "ciphertext": ciphertext, "tag": tag}
+        effects = hostile.executor.submit(
+            Transaction(hostile.account.address, [Command("asset", "deliver_reservation", args)])
+        ).effects
+        assert effects.ok, effects.error  # the ledger stores whatever it is given
+        return effects.returns[0]["delivery"]
+
+    def test_hostile_answers_cost_the_host_none_of_the_honest_ones(self):
+        import random
+
+        from repro.contracts.asset import delivery_context
+        from repro.crypto.sealing import seal
+
+        deployment, crossings, hostile = self._world()
         host = deployment.new_host(funding_sui=100)
         rng = random.Random(18)
 
-        def answer(request_id, kem_share, ciphertext, tag):
-            args = {"request": request_id, "kem_share": kem_share, "ciphertext": ciphertext, "tag": tag}
-            effects = hostile.executor.submit(
-                Transaction(hostile.account.address, [Command("asset", "deliver_reservation", args)])
-            ).effects
-            assert effects.ok, effects.error  # the ledger stores whatever it is given
-            return effects.returns[0]["delivery"]
-
         expected = []  # (delivery id, exception name), in delivery order
         for index, (plaintext, raised) in enumerate([(None, "ValueError"), *self.HOSTILE_PLAINTEXTS.values()]):
-            start = T0 + 3600 + 600 * index
-            bought = host.atomic_buy_and_redeem(
-                deployment.marketplace,
-                host.plan_path(
-                    deployment.marketplace, PathSpec.from_crossings(crossings, start, start + 600, 1000)
-                ),
-            )
-            assert bought.effects.ok, bought.effects.error
-            request_id = bought.effects.returns[2]["request"]  # the first crossing's
-            if plaintext is None:  # a box no key of the host's opens
-                delivery = answer(request_id, b"\x07" * 256, b"garbage", bytes(32))
+            request_id = self._buy(deployment, host, crossings, T0 + 3600 + 600 * index)
+            if plaintext is None:  # a box the request's key does not open
+                delivery = self._answer(hostile, request_id, b"\x07" * 256, b"garbage", bytes(32))
             else:  # sealed to the host's own key, but not a reservation record
                 public_key = deployment.ledger.objects[request_id].payload["public_key"]
-                box = seal(int.from_bytes(public_key, "big"), plaintext, rng)
-                delivery = answer(
-                    request_id, box.kem_share.to_bytes(256, "big"), box.ciphertext, box.tag
+                box = seal(
+                    int.from_bytes(public_key, "big"), plaintext, rng, delivery_context(request_id)
+                )
+                delivery = self._answer(
+                    hostile, request_id, box.kem_share.to_bytes(256, "big"), box.ciphertext, box.tag
                 )
             expected.append((delivery, raised))
             for crossing in crossings[1:]:
@@ -693,3 +711,93 @@ class TestHostileDelivery:
         # nothing is re-read, nothing is lost: the next batch is only what arrives next
         assert host.collect_reservations() == []
         assert len(host.undecryptable) == len(expected)
+
+    def test_a_garbage_box_costs_one_exponentiation_however_many_keys_the_host_has_drawn(
+        self, pow_calls
+    ):
+        """The key is looked up by the request the delivery names, never
+        found by trial (parent commit: five exponentiations for the one
+        garbage box, and a list of five keys that only ever grew)."""
+        deployment, crossings, hostile = self._world()
+        host = deployment.new_host(funding_sui=100)
+        for index in range(4):  # four earlier purchases, served honestly and collected
+            self._buy(deployment, host, crossings[1:2], T0 + 3600 + 600 * index)
+            assert len(deployment.service(crossings[1].isd_as).poll_and_deliver()) == 1
+        assert len(host.collect_reservations()) == 4
+        assert host._redeem_keys == {}  # each key went with its last answered request
+
+        request_id = self._buy(deployment, host, crossings, T0 + 7200)
+        garbage = self._answer(hostile, request_id, b"\x07" * 256, b"garbage", bytes(32))
+        for crossing in crossings[1:]:
+            assert len(deployment.service(crossing.isd_as).poll_and_deliver()) == 1
+        assert len(set(host._redeem_keys.values())) == 1 and len(host._redeem_keys) == 3
+
+        pow_calls.clear()
+        reservations = host.collect_reservations()
+
+        honest = [crossing.isd_as for crossing in crossings[1:]]
+        assert [r.isd_as for r in reservations] == honest
+        assert [delivery for delivery, _ in host.undecryptable] == [garbage]
+        assert len(pow_calls) <= len(honest) + 1
+        assert host._redeem_keys == {}
+
+    def test_a_delivery_that_answers_no_outstanding_request_costs_no_exponentiation(
+        self, pow_calls
+    ):
+        """A request this client never recorded — here one a second client
+        made from the same account — has no key to try."""
+        from repro.controlplane import HostClient
+
+        deployment, crossings, _ = self._world()
+        host = deployment.new_host(funding_sui=100)
+        twin = HostClient(host.account, host.executor)
+        twin.payment_coin = host.payment_coin
+        twin.attach_indexer(deployment.marketplace, host.indexer(deployment.marketplace))
+        self._buy(deployment, twin, crossings[:1], T0 + 3600)
+        mine = self._buy(deployment, host, crossings[:1], T0 + 4200)
+        (stray, served) = deployment.service(crossings[0].isd_as).poll_and_deliver()
+        assert served.request_id == mine
+
+        pow_calls.clear()
+        assert len(host.collect_reservations()) == 1
+        assert host.undecryptable == [
+            (stray.delivery_id, "ValueError: delivery answers no outstanding request")
+        ]
+        assert len(pow_calls) == 1  # the honest one's
+
+    def test_a_refused_transaction_records_no_key(self):
+        deployment, _, _ = self._world()
+        host = deployment.new_host(funding_sui=100)
+        refused = host.redeem_pair("no-such-asset", "nor-this-one")
+        assert not refused.effects.ok
+        assert host._redeem_keys == {}
+
+    def test_one_requests_box_is_no_answer_to_another_request(self):
+        """The strongest replay: both requests carry the *same* redeem key,
+        so the request id in the key derivation is all that tells the two
+        answers apart (parent commit: the copy opens, and the host is handed
+        request A's reservation a second time as request B's)."""
+        import random
+
+        deployment, crossings, hostile = self._world()
+        host = deployment.new_host(funding_sui=100)
+        host.rng = random.Random(7)  # a purchase's one draw is its redeem key ...
+        request_a = self._buy(deployment, host, crossings[:1], T0 + 3600)
+        (honest,) = hostile.poll_and_deliver()
+        host.rng = random.Random(7)  # ... so this one redeems under the same key
+        request_b = self._buy(deployment, host, crossings[:1], T0 + 4200)
+        assert host._redeem_keys[request_a] == host._redeem_keys[request_b]
+        box = deployment.ledger.objects[honest.delivery_id].payload
+        replayed = self._answer(hostile, request_b, box["kem_share"], box["ciphertext"], box["tag"])
+
+        (reservation,) = host.collect_reservations()
+
+        assert reservation.resinfo.start == T0 + 3600  # request A's, once
+        assert host.undecryptable == [
+            (
+                replayed,
+                "ValueError: no ephemeral key decrypts the delivery: "
+                "sealed box authentication failed",
+            )
+        ]
+        assert host._redeem_keys == {}

@@ -43,7 +43,9 @@ moves a rate moves its floor in the same commit.
 * ``posted_4hop`` (the paper's Fig. 4 purchase with a fresh host each time):
   ``lifecycles_per_s``;
 * ``forward_4hop`` (packets built and walked through four AES routers, every
-  security check in the timed path): ``pkts_per_s``.
+  security check in the timed path): ``pkts_per_s``;
+* ``transfer_3hop`` (deadline transfers of 1-2 legs, each AS answering a
+  host's legs under one Diffie-Hellman exchange): ``lifecycles_per_s``.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ FLOOR_TARGETS = [
 E2E_GUARDED = [
     ("posted_4hop", "lifecycles_per_s"),
     ("forward_4hop", "pkts_per_s"),
+    ("transfer_3hop", "lifecycles_per_s"),
 ]
 # Run-to-run spread is a few percent in calibrated seconds; a row at 60% of
-# its recorded rate has lost what the last two perf PRs on it gained.
+# its recorded rate has lost what the last perf PRs on it gained.
 E2E_FLOOR_SHARE = 0.6
 
 
