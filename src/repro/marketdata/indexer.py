@@ -21,13 +21,6 @@ price is the price ``buy`` will charge.
 Ties are broken deterministically by (price, aligned start, listing id);
 :mod:`repro.marketdata.naive` implements the same contract by full-ledger
 scan for differential testing.
-
-Because the index is a pure function of the events applied so far, it
-checkpoints for free: :meth:`MarketIndexer.snapshot` captures (cursor,
-live listings) and :meth:`MarketIndexer.restore` rebuilds an identical
-index without replaying from genesis — the contract the bus layer in
-:mod:`repro.marketdata.bus` builds on to fan one event stream out to many
-subscribers.
 """
 
 from __future__ import annotations
@@ -275,35 +268,6 @@ class MarketIndexer:
 
     # -- event consumption -------------------------------------------------------
 
-    @property
-    def position(self) -> int:
-        """Cursor into the ledger's append-only event list.
-
-        Every event before this position has been applied (or skipped as
-        irrelevant); :meth:`sync` and :meth:`deliver` both advance it, so
-        pull- and push-fed consumption compose without double-applying.
-        """
-        return self._position
-
-    def deliver(self, event) -> bool:
-        """Apply one event pushed by an :class:`~repro.marketdata.bus.EventBus`.
-
-        The push-path twin of :meth:`sync`: the caller promises ``event``
-        is the ledger event at this indexer's :attr:`position` (the bus
-        guarantees in-order, gap-free delivery from each subscriber's own
-        cursor), so the cursor advances exactly as a pull sync would.
-
-        Returns:
-            True iff the event mutated the index.
-        """
-        self._position += 1
-        applied = self._apply(event)
-        if applied:
-            self.events_applied += 1
-        if self._telemetry:
-            self._record_events(1 if applied else 0, 1)
-        return applied
-
     def sync(self) -> int:
         """Apply all new ledger events.
 
@@ -405,68 +369,6 @@ class MarketIndexer:
             found = _KeyIndex()
             self._keys[key] = found
         return found
-
-    # -- checkpoints --------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Checkpoint the index: event cursor plus every live listing.
-
-        The snapshot is canonical (listings sorted by id) and built from
-        plain dicts, so two indexers that applied the same event prefix
-        produce equal snapshots — the round-trip invariant the property
-        suite asserts.  It does **not** sync first; call :meth:`sync` (or
-        pump the bus) if the checkpoint should include the latest events.
-        """
-        return {
-            "marketplace": self.marketplace,
-            "position": self._position,
-            "events_applied": self.events_applied,
-            "reclaimed_seen": self.reclaimed_seen,
-            "listings": [
-                dataclasses.asdict(self._by_listing[listing_id])
-                for listing_id in sorted(self._by_listing)
-            ],
-            "provenance": {
-                listing_id: self._provenance[listing_id]
-                for listing_id in sorted(self._provenance)
-            },
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Replace all index state with a checkpoint's.
-
-        After a restore the indexer behaves exactly as if it had replayed
-        the ledger's first ``snapshot["position"]`` events from genesis:
-        a following :meth:`sync` applies only the tail.
-
-        Raises:
-            ValueError: the snapshot belongs to a different marketplace.
-        """
-        if snapshot["marketplace"] != self.marketplace:
-            raise ValueError(
-                f"snapshot is for marketplace {snapshot['marketplace']!r}, "
-                f"not {self.marketplace!r}"
-            )
-        self._position = int(snapshot["position"])
-        self.events_applied = int(snapshot["events_applied"])
-        self.reclaimed_seen = int(snapshot.get("reclaimed_seen", 0))
-        self._keys = {}
-        self._by_listing = {}
-        self._provenance = {
-            listing_id: dict(fields)
-            for listing_id, fields in snapshot.get("provenance", {}).items()
-        }
-        for fields in snapshot["listings"]:
-            record = IndexedListing(**fields)
-            self._by_listing[record.listing_id] = record
-            self._key_index(record.key).add(record)
-
-    @classmethod
-    def from_snapshot(cls, ledger, snapshot: dict) -> "MarketIndexer":
-        """A new indexer bootstrapped from a checkpoint (no genesis replay)."""
-        indexer = cls(ledger, snapshot["marketplace"])
-        indexer.restore(snapshot)
-        return indexer
 
     # -- queries ------------------------------------------------------------------
 

@@ -33,7 +33,7 @@ from repro.netsim.scenarios import (
     path_contention_experiment,
     reclamation_experiment,
 )
-from repro.netsim.traffic import CbrSource, FloodSource, OnOffSource, ReplayAttacker
+from repro.netsim.traffic import CbrSource, FloodSource
 
 __all__ = [
     "EventLoop",
@@ -70,6 +70,4 @@ __all__ = [
     "reclamation_experiment",
     "CbrSource",
     "FloodSource",
-    "OnOffSource",
-    "ReplayAttacker",
 ]

@@ -30,9 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.clock import SimClock
-from repro.crypto.prf import PrfFactory
-
-from repro.netsim.scenarios import SIM_PRF
+from repro.netsim.scenarios import BASE_PRICE_MICROMIST, linear_path
 
 T0 = 1_700_000_000
 
@@ -105,10 +103,7 @@ def deadline_experiment(
     num_ases: int = 3,
     transfer_count: int = 6,
     horizon: int = 1800,
-    market_bandwidth_kbps: int = 2_000,
-    base_price_micromist: int = 50,
     seed: int = 3,
-    prf_factory: PrfFactory = SIM_PRF,
     shard_seconds: float | None = None,
 ) -> DeadlineExperimentResult:
     """Run a contending transfer mix end-to-end and return the tally.
@@ -121,22 +116,19 @@ def deadline_experiment(
     violation raises, so a passing run *is* the differential test.
     """
     from repro.controlplane import deploy_market, execute_transfer
-    from repro.scion.beaconing import run_beaconing
-    from repro.scion.paths import PathLookup, as_crossings
-    from repro.scion.topology import linear_topology
+    from repro.scion.paths import as_crossings
     from repro.transfers import (
         BYTES_PER_KBPS_SECOND,
-        TransferPlanner,
         DeadlineTransfer,
+        InfeasibleTransfer,
+        TransferPlanner,
         offline_optimum,
     )
 
+    market_bandwidth_kbps = 2_000
+
     rng = random.Random(seed)
-    topology = linear_topology(num_ases)
-    store = run_beaconing(topology, timestamp=T0, prf_factory=prf_factory)
-    path = PathLookup(store).find_paths(
-        topology.ases[-1].isd_as, topology.ases[0].isd_as
-    )[0]
+    topology, path = linear_path(num_ases)
     crossings = as_crossings(path)
     deployment = deploy_market(
         topology,
@@ -145,41 +137,11 @@ def deadline_experiment(
         asset_start=T0,
         asset_duration=horizon,
         asset_bandwidth_kbps=market_bandwidth_kbps,
-        price_micromist_per_unit=base_price_micromist,
+        price_micromist_per_unit=BASE_PRICE_MICROMIST,
         shard_seconds=shard_seconds,
     )
-    return _run_mix(
-        deployment,
-        crossings,
-        transfer_count,
-        horizon,
-        market_bandwidth_kbps,
-        rng,
-        TransferPlanner,
-        DeadlineTransfer,
-        offline_optimum,
-        execute_transfer,
-        BYTES_PER_KBPS_SECOND,
-    )
-
-
-def _run_mix(
-    deployment,
-    crossings,
-    transfer_count,
-    horizon,
-    market_bandwidth_kbps,
-    rng,
-    TransferPlanner,
-    DeadlineTransfer,
-    offline_optimum,
-    execute_transfer,
-    bytes_per_kbps_second,
-):
-    from repro.transfers import InfeasibleTransfer
-
     result = DeadlineExperimentResult()
-    path_capacity = market_bandwidth_kbps * horizon * bytes_per_kbps_second
+    path_capacity = market_bandwidth_kbps * horizon * BYTES_PER_KBPS_SECOND
     for index in range(transfer_count):
         # Mix: sizes from 10% to 55% of path capacity (the tail
         # oversubscribes), windows anywhere in the horizon, an occasional
@@ -196,7 +158,7 @@ def _run_mix(
                 100,
                 min(
                     market_bandwidth_kbps,
-                    2 * bytes_total // (window * bytes_per_kbps_second),
+                    2 * bytes_total // (window * BYTES_PER_KBPS_SECOND),
                 ),
             )
         budget = None

@@ -4,7 +4,10 @@ The central harness, :func:`build_path_simulation`, turns a forwarding path
 into a chain of router nodes joined by priority-queue links, with a metrics
 sink at the destination.  Reservations are granted directly by the on-path
 ASes (the market is exercised elsewhere; here we study data-plane
-behaviour).
+behaviour).  Every experiment ends in the same traffic phase —
+:meth:`PathSimulation.send` per flow, then :meth:`PathSimulation.run` —
+and fixes everything no caller varies as a named constant: shared values
+below, a scenario's own at the top of its function.
 
 The flagship experiment — :func:`congestion_experiment` — reproduces the
 QoS property D2: a reservation-protected flow keeps its goodput and latency
@@ -27,7 +30,7 @@ from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.metrics import FlowMetrics
 from repro.netsim.nodes import HostSink, RouterNode
-from repro.netsim.traffic import CbrSource, FloodSource
+from repro.netsim.traffic import CbrSource
 from repro.scion.addresses import HostAddr, ScionAddr
 from repro.scion.paths import ForwardingPath, as_crossings
 from repro.scion.topology import Topology
@@ -41,6 +44,11 @@ from repro.wire import bwcls
 # must share one factory — use :func:`linear_path` to get consistent
 # topology + path artifacts.
 SIM_PRF = PrfFactory("blake2")
+
+PAYLOAD_BYTES = 1000  # every simulated flow's payload size
+LINK_RATE_BPS = 10_000_000.0  # inter-AS links, the bottleneck included
+BASE_PRICE_MICROMIST = 50  # per kbps-second, before any scarcity multiplier
+SEED = 1
 
 
 def linear_path(
@@ -81,6 +89,7 @@ class PathSimulation:
     src_addr: ScionAddr | None = None
     dst_addr: ScionAddr | None = None
     prf_factory: PrfFactory = SIM_PRF
+    _sources: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def entry(self) -> RouterNode:
@@ -124,15 +133,61 @@ class PathSimulation:
     def best_effort_source(self) -> ScionBestEffortSource:
         return ScionBestEffortSource(self.src_addr, self.dst_addr, self.path)
 
+    def send(
+        self,
+        flow_id: int,
+        rate_bps: float,
+        reservations: list[FlyoverReservation] | None = None,
+        delay: float = 0.0,
+        jitter: float = 0.0,
+        rng: random.Random | None = None,
+    ) -> FlowMetrics:
+        """Start one constant-bit-rate flow at the path's first AS.
+
+        Reserved traffic when ``reservations`` is given, best effort
+        otherwise; the first packet leaves ``delay`` seconds from now.
+        Returns the sink's metrics for ``flow_id``.  Call order is part of
+        a scenario: flows that share an ``rng`` draw their jitter from it
+        in event order, and the event loop breaks ties first come first
+        served, so starting two flows the other way round changes every
+        number downstream.
+        """
+        if reservations is None:
+            builder = self.best_effort_source()
+        else:
+            builder = self.hummingbird_source(reservations)
+        metrics = self.sink.flow(flow_id)
+        source = CbrSource(
+            self.loop,
+            builder,
+            self.entry,
+            metrics,
+            rate_bps=rate_bps,
+            payload_bytes=PAYLOAD_BYTES,
+            flow_id=flow_id,
+            jitter=jitter,
+            rng=rng,
+        )
+        self._sources.append(source)
+        source.start(delay)
+        return metrics
+
+    def run(self, duration: float) -> None:
+        """Advance the simulation ``duration`` seconds, then stop every flow."""
+        self.loop.run_until(self.clock.now() + duration)
+        self.stop()
+
+    def stop(self) -> None:
+        """Stop every flow :meth:`send` started; packets in flight still arrive."""
+        for source in self._sources:
+            source.stop()
+
 
 def build_path_simulation(
     topology: Topology,
     path: ForwardingPath,
     start_time: float = 1_700_000_000.0,
-    link_rate_bps: float = 10_000_000.0,
-    propagation_delay: float = 0.002,
-    buffer_bytes: int = 64_000,
-    burst_time: float | None = None,
+    link_rate_bps: float = LINK_RATE_BPS,
     prf_factory: PrfFactory = SIM_PRF,
     link_rates: list[float] | None = None,
 ) -> PathSimulation:
@@ -142,6 +197,8 @@ def build_path_simulation(
     inter-AS link in traversal order) — e.g. a slow first link makes a
     single-hop bottleneck.
     """
+    propagation_delay = 0.002
+    buffer_bytes = 64_000
     clock = SimClock(start_time)
     loop = EventLoop(clock)
     simulation = PathSimulation(
@@ -156,9 +213,7 @@ def build_path_simulation(
     crossings = as_crossings(path)
     for crossing in crossings:
         autonomous_system = topology.as_of(crossing.isd_as)
-        router = HummingbirdRouter(
-            autonomous_system, clock, prf_factory, burst_time=burst_time
-        )
+        router = HummingbirdRouter(autonomous_system, clock, prf_factory)
         simulation.nodes[crossing.isd_as] = RouterNode(router)
     for index, (first, second) in enumerate(zip(crossings, crossings[1:])):
         rate = link_rate_bps if link_rates is None else link_rates[index]
@@ -179,6 +234,18 @@ def build_path_simulation(
     return simulation
 
 
+def _bottleneck(path: ForwardingPath, reservable_fraction: float):
+    """Where the buyers of one path contend, and how much of it is for sale.
+
+    Returns the crossing on the ingress side of the first inter-AS link and
+    the kbps of that link its AS may reserve.
+    """
+    crossings = as_crossings(path)
+    if len(crossings) < 2:
+        raise ValueError("need at least one inter-AS link for a bottleneck")
+    return crossings[1], int(LINK_RATE_BPS / 1000 * reservable_fraction)
+
+
 @dataclass
 class CongestionResult:
     """Outcome of :func:`congestion_experiment` for one flow setup."""
@@ -194,66 +261,34 @@ def congestion_experiment(
     protected: bool,
     victim_rate_bps: float = 2_000_000.0,
     flood_rate_bps: float = 20_000_000.0,
-    link_rate_bps: float = 10_000_000.0,
+    link_rate_bps: float = LINK_RATE_BPS,
     duration: float = 3.0,
-    payload_bytes: int = 1000,
-    seed: int = 1,
-    prf_factory: PrfFactory = SIM_PRF,
 ) -> CongestionResult:
     """Victim flow vs. best-effort flood over a shared bottleneck path.
 
     With ``protected=True`` the victim uses a full-path reservation sized to
     its sending rate; otherwise it competes as plain best effort.  The path
-    must have been beaconed with ``prf_factory`` (see :func:`linear_path`).
+    must have been beaconed with :data:`SIM_PRF` (see :func:`linear_path`).
     """
-    simulation = build_path_simulation(
-        topology, path, link_rate_bps=link_rate_bps, prf_factory=prf_factory
-    )
+    simulation = build_path_simulation(topology, path, link_rate_bps=link_rate_bps)
     start = int(simulation.clock.now())
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
 
+    reservations = None
     if protected:
         reservations = simulation.grant_full_path(
             bandwidth_kbps=int(victim_rate_bps * 1.25 / 1000),
             start=start,
             duration=int(duration) + 60,
         )
-        victim_builder = simulation.hummingbird_source(reservations)
-    else:
-        victim_builder = simulation.best_effort_source()
-
-    victim_metrics = simulation.sink.flow(1)
-    victim = CbrSource(
-        simulation.loop,
-        victim_builder,
-        simulation.entry,
-        victim_metrics,
-        rate_bps=victim_rate_bps,
-        payload_bytes=payload_bytes,
-        flow_id=1,
-        jitter=0.05,
-        rng=rng,
+    victim_metrics = simulation.send(
+        1, victim_rate_bps, reservations, jitter=0.05, rng=rng
     )
-
-    attacker_metrics = simulation.sink.flow(2)
-    attacker = FloodSource(
-        simulation.loop,
-        simulation.best_effort_source(),
-        simulation.entry,
-        attacker_metrics,
-        rate_bps=flood_rate_bps,
-        payload_bytes=payload_bytes,
-        flow_id=2,
-        jitter=0.02,
-        rng=rng,
+    # the flood ramps up shortly after the victim
+    attacker_metrics = simulation.send(
+        2, flood_rate_bps, delay=0.1, jitter=0.02, rng=rng
     )
-
-    victim.start(0.0)
-    attacker.start(0.1)  # the flood ramps up shortly after the victim
-    end = simulation.clock.now() + duration
-    simulation.loop.run_until(end)
-    victim.stop()
-    attacker.stop()
+    simulation.run(duration)
 
     bottleneck = simulation.links[0] if simulation.links else None
     utilization = bottleneck.utilization(duration) if bottleneck else 0.0
@@ -321,17 +356,9 @@ class FlexMarketResult:
 
 def flex_market_experiment(
     num_ases: int = 3,
-    probe_rate_bps: float = 2_000_000.0,
-    flood_rate_bps: float = 20_000_000.0,
-    link_rate_bps: float = 10_000_000.0,
-    window_seconds: int = 600,
     flex_values: tuple[int, ...] = (0, 1800),
-    market_bandwidth_kbps: int = 100_000,
-    base_price_micromist: int = 50,
     duration: float = 1.5,
-    payload_bytes: int = 1000,
-    seed: int = 1,
-    prf_factory: PrfFactory = SIM_PRF,
+    seed: int = SEED,
     shard_seconds: float | None = None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> FlexMarketResult:
@@ -356,18 +383,14 @@ def flex_market_experiment(
     """
     from repro.admission import ScarcityPricer
     from repro.controlplane import deploy_market, purchase_path
-    from repro.scion.beaconing import run_beaconing
-    from repro.scion.paths import PathLookup
-    from repro.scion.topology import linear_topology
+
+    probe_rate_bps = 2_000_000.0
+    flood_rate_bps = 20_000_000.0
+    window_seconds = 600
+    market_bandwidth_kbps = 100_000
 
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        topology = linear_topology(num_ases)
-        store = run_beaconing(
-            topology, timestamp=1_700_000_000, prf_factory=prf_factory
-        )
-        path = PathLookup(store).find_paths(
-            topology.ases[-1].isd_as, topology.ases[0].isd_as
-        )[0]
+        topology, path = linear_path(num_ases)
         crossings = as_crossings(path)
 
         deploy_time = 1_700_000_000
@@ -379,10 +402,10 @@ def flex_market_experiment(
             asset_start=deploy_time,  # pin the granule anchor for clean windows
             asset_duration=7200,
             asset_bandwidth_kbps=market_bandwidth_kbps,
-            price_micromist_per_unit=base_price_micromist,
+            price_micromist_per_unit=BASE_PRICE_MICROMIST,
             interface_capacity_kbps=2 * market_bandwidth_kbps,
             pricer=ScarcityPricer(),
-            prf_factory=prf_factory,
+            prf_factory=SIM_PRF,
             shard_seconds=shard_seconds,
         )
         peak = (deploy_time + 600, deploy_time + 600 + window_seconds)
@@ -401,7 +424,7 @@ def flex_market_experiment(
 
         # Every AS restocks the sold-out peak; the quote now carries the
         # scarcity multiplier, so peak capacity exists again — at a premium.
-        peak_price = base_price_micromist
+        peak_price = BASE_PRICE_MICROMIST
         for crossing in crossings:
             service = deployment.service(crossing.isd_as)
             for interface, is_ingress in (
@@ -411,7 +434,7 @@ def flex_market_experiment(
                 peak_price = max(
                     peak_price,
                     service.admission.quote(
-                        base_price_micromist, interface, is_ingress, *peak
+                        BASE_PRICE_MICROMIST, interface, is_ingress, *peak
                     ),
                 )
                 restocked = service.issue_and_list(
@@ -420,7 +443,7 @@ def flex_market_experiment(
                     is_ingress,
                     market_bandwidth_kbps,
                     *peak,
-                    base_price_micromist,
+                    BASE_PRICE_MICROMIST,
                 )
                 if not restocked.effects.ok:
                     raise RuntimeError(f"restock failed: {restocked.effects.error}")
@@ -447,42 +470,14 @@ def flex_market_experiment(
             # flow vs a best-effort flood over the bottleneck, simulated at
             # the window the planner actually bought.
             simulation = build_path_simulation(
-                topology,
-                path,
-                start_time=float(outcome.quote.start) + 0.1,
-                link_rate_bps=link_rate_bps,
-                prf_factory=prf_factory,
+                topology, path, start_time=float(outcome.quote.start) + 0.1
             )
             rng = random.Random(seed + index)
-            victim_metrics = simulation.sink.flow(1)
-            victim = CbrSource(
-                simulation.loop,
-                simulation.hummingbird_source(outcome.reservations),
-                simulation.entry,
-                victim_metrics,
-                rate_bps=probe_rate_bps,
-                payload_bytes=payload_bytes,
-                flow_id=1,
-                jitter=0.05,
-                rng=rng,
+            victim_metrics = simulation.send(
+                1, probe_rate_bps, outcome.reservations, jitter=0.05, rng=rng
             )
-            flood_metrics = simulation.sink.flow(2)
-            flood = FloodSource(
-                simulation.loop,
-                simulation.best_effort_source(),
-                simulation.entry,
-                flood_metrics,
-                rate_bps=flood_rate_bps,
-                payload_bytes=payload_bytes,
-                flow_id=2,
-                jitter=0.02,
-                rng=rng,
-            )
-            victim.start(0.0)
-            flood.start(0.05)
-            simulation.loop.run_until(simulation.clock.now() + duration)
-            victim.stop()
-            flood.stop()
+            simulation.send(2, flood_rate_bps, delay=0.05, jitter=0.02, rng=rng)
+            simulation.run(duration)
             outcomes.append(
                 FlexBuyerOutcome(
                     buyer=buyer,
@@ -513,7 +508,7 @@ def flex_market_experiment(
         result = FlexMarketResult(
             buyers=outcomes,
             peak_window=peak,
-            base_price_micromist=base_price_micromist,
+            base_price_micromist=BASE_PRICE_MICROMIST,
             peak_price_micromist=peak_price,
             curve_times=curve_times,
             curve_prices=[float(price) for price in curve_prices],
@@ -526,7 +521,7 @@ def flex_market_experiment(
             telemetry.annotate(
                 flex_market={
                     "peak_window": list(peak),
-                    "base_price_micromist": base_price_micromist,
+                    "base_price_micromist": BASE_PRICE_MICROMIST,
                     "peak_price_micromist": peak_price,
                     "buyers": [
                         {
@@ -635,16 +630,9 @@ def auction_experiment(
     topology: Topology,
     path: ForwardingPath,
     num_buyers: int = 10,
-    per_buyer_kbps: int = 2000,
-    link_rate_bps: float = 10_000_000.0,
-    reservable_fraction: float = 0.8,
     duration: float = 1.5,
-    payload_bytes: int = 1000,
-    base_price_micromist: int = 50,
-    seed: int = 1,
-    prf_factory: PrfFactory = SIM_PRF,
+    seed: int = SEED,
     shard_seconds: float | None = None,
-    max_share_fraction: float = 0.5,
     telemetry: ExperimentTelemetry | None = None,
 ) -> AuctionExperimentResult:
     """Sealed-bid uniform-price auction vs posted scarcity prices, head-on.
@@ -689,20 +677,14 @@ def auction_experiment(
         ScarcityPricer,
     )
 
+    per_buyer_kbps = 2000
+    reservable_fraction = 0.8
+    max_share_fraction = 0.5  # the proportional-share cap on one bidder
+
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        crossings = as_crossings(path)
-        if len(crossings) < 2:
-            raise ValueError("need at least one inter-AS link for a bottleneck")
-        bottleneck = crossings[1]  # ingress side of the first inter-AS link
-        capacity_kbps = int(link_rate_bps / 1000 * reservable_fraction)
+        bottleneck, capacity_kbps = _bottleneck(path, reservable_fraction)
         simulate = duration > 0
-        simulation = (
-            build_path_simulation(
-                topology, path, link_rate_bps=link_rate_bps, prf_factory=prf_factory
-            )
-            if simulate
-            else None
-        )
+        simulation = build_path_simulation(topology, path) if simulate else None
         start = (
             int(simulation.clock.now()) if simulate else 1_700_000_000
         )
@@ -711,7 +693,7 @@ def auction_experiment(
         reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
         rng = random.Random(seed)
         valuations = [
-            int(base_price_micromist * rng.uniform(1.0, 12.0))
+            int(BASE_PRICE_MICROMIST * rng.uniform(1.0, 12.0))
             for _ in range(num_buyers)
         ]
 
@@ -726,7 +708,7 @@ def auction_experiment(
         posted_revenue = 0
         for index, valuation in enumerate(valuations):
             quote = posted.quote(
-                base_price_micromist, bottleneck.ingress, True, start, window_end
+                BASE_PRICE_MICROMIST, bottleneck.ingress, True, start, window_end
             )
             if quote > valuation:
                 posted_outcomes.append((False, quote, 0, "priced out"))
@@ -751,7 +733,7 @@ def auction_experiment(
         )
         book = auctioneer.open_auction(
             bottleneck.ingress, True, capacity_kbps, start, window_end,
-            base_price_micromist,
+            BASE_PRICE_MICROMIST,
         )
         for index, valuation in enumerate(valuations):
             book.place(f"buyer-{index}", reserve_kbps, valuation)
@@ -771,37 +753,19 @@ def auction_experiment(
         auction_revenue = outcome.revenue_mist(window_seconds)
 
         # -- data plane: winners protected, everyone sends --------------------------
-        sources = []
-        flow_metrics: list[FlowMetrics | None] = []
+        flow_metrics: list[FlowMetrics | None] = [None] * num_buyers
         if simulate:
             for index in range(num_buyers):
+                reservations = None
                 if f"buyer-{index}" in winners:
                     reservations = simulation.grant_full_path(
                         reserve_kbps, start, int(duration) + 60, res_id=index
                     )
-                    builder = simulation.hummingbird_source(reservations)
-                else:
-                    builder = simulation.best_effort_source()
-                metrics = simulation.sink.flow(index + 1)
-                flow_metrics.append(metrics)
-                source = CbrSource(
-                    simulation.loop,
-                    builder,
-                    simulation.entry,
-                    metrics,
-                    rate_bps=per_buyer_kbps * 1000.0,
-                    payload_bytes=payload_bytes,
-                    flow_id=index + 1,
-                    jitter=0.05,
-                    rng=rng,
+                flow_metrics[index] = simulation.send(
+                    index + 1, per_buyer_kbps * 1000.0, reservations,
+                    delay=0.01 * index, jitter=0.05, rng=rng,
                 )
-                sources.append(source)
-                source.start(0.01 * index)
-            simulation.loop.run_until(simulation.clock.now() + duration)
-            for source in sources:
-                source.stop()
-        else:
-            flow_metrics = [None] * num_buyers
+            simulation.run(duration)
 
         per_winner = paid_mist(outcome.clearing_price_micromist)
         buyers = []
@@ -853,9 +817,7 @@ def auction_experiment(
                 simulation.nodes[bottleneck.isd_as].router.policer.record_gauges(
                     str(bottleneck.isd_as)
                 )
-            _traced_reservation_lifecycle(
-                telemetry, topology, crossings, bottleneck, path, prf_factory
-            )
+            _traced_reservation_lifecycle(telemetry, topology, path)
             telemetry.annotate(
                 auction={
                     "capacity_kbps": capacity_kbps,
@@ -875,12 +837,7 @@ def auction_experiment(
 
 
 def _traced_reservation_lifecycle(
-    telemetry: ExperimentTelemetry,
-    topology: Topology,
-    crossings,
-    bottleneck,
-    path: ForwardingPath,
-    prf_factory: PrfFactory,
+    telemetry: ExperimentTelemetry, topology: Topology, path: ForwardingPath
 ) -> None:
     """One reservation, one correlation id, the whole Hummingbird story.
 
@@ -896,6 +853,8 @@ def _traced_reservation_lifecycle(
     from repro.admission import ScarcityPricer
     from repro.controlplane import deploy_market, purchase_path
 
+    crossings = as_crossings(path)
+    bottleneck = crossings[1]
     t0 = 1_700_000_000
     window = (t0 + 3600, t0 + 4200)  # granule-aligned scarce future window
     bid_kbps = 2500
@@ -910,7 +869,7 @@ def _traced_reservation_lifecycle(
             asset_bandwidth_kbps=10_000,
             interface_capacity_kbps=20_000,
             pricer=ScarcityPricer(),
-            prf_factory=prf_factory,
+            prf_factory=SIM_PRF,
             auction_interfaces={(bottleneck.ingress, True)},
         )
         # Posted listings for the window everywhere except the auctioned
@@ -973,35 +932,11 @@ def _traced_reservation_lifecycle(
         # Data plane: the traced reservation crosses the bottleneck under
         # a 2x flood; the policer's usage array is the final verdict.
         simulation = build_path_simulation(
-            topology,
-            path,
-            start_time=float(window[0]) + 0.1,
-            prf_factory=prf_factory,
+            topology, path, start_time=float(window[0]) + 0.1
         )
-        victim_metrics = simulation.sink.flow(1)
-        victim = CbrSource(
-            simulation.loop,
-            simulation.hummingbird_source(reservations),
-            simulation.entry,
-            victim_metrics,
-            rate_bps=1_500_000.0,
-            payload_bytes=1000,
-            flow_id=1,
-        )
-        flood = FloodSource(
-            simulation.loop,
-            simulation.best_effort_source(),
-            simulation.entry,
-            simulation.sink.flow(2),
-            rate_bps=20_000_000.0,
-            payload_bytes=1000,
-            flow_id=2,
-        )
-        victim.start(0.0)
-        flood.start(0.05)
-        simulation.loop.run_until(simulation.clock.now() + 0.5)
-        victim.stop()
-        flood.stop()
+        victim_metrics = simulation.send(1, 1_500_000.0, reservations)
+        simulation.send(2, 20_000_000.0, delay=0.05)
+        simulation.run(0.5)
         policer = simulation.nodes[bottleneck.isd_as].router.policer
         policer.record_gauges(str(bottleneck.isd_as))
         trace.event(
@@ -1066,10 +1001,6 @@ def path_contention_experiment(
     topology: Topology,
     path: ForwardingPath,
     num_buyers: int = 8,
-    per_buyer_kbps: int = 2000,
-    window_seconds: int = 600,
-    base_price_micromist: int = 50,
-    seed: int = 1,
     telemetry: ExperimentTelemetry | None = None,
 ) -> PathContentionResult:
     """Whole paths contend for a mid-path bottleneck, admitted atomically.
@@ -1109,6 +1040,9 @@ def path_contention_experiment(
         PathHop,
         controller_fingerprint,
     )
+
+    per_buyer_kbps = 2000
+    window_seconds = 600
 
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
         crossings = as_crossings(path)
@@ -1213,7 +1147,7 @@ def path_contention_experiment(
             )
 
         escrow_conserved, winners = _traced_path_lifecycle(
-            telemetry, topology, crossings, per_buyer_kbps, base_price_micromist, seed
+            telemetry, topology, crossings, per_buyer_kbps
         )
 
         result = PathContentionResult(
@@ -1256,8 +1190,6 @@ def _traced_path_lifecycle(
     topology: Topology,
     crossings,
     bandwidth_kbps: int,
-    base_price_micromist: int,
-    seed: int,
 ) -> tuple[bool, int]:
     """One path reservation, one correlation id, the whole on-chain story.
 
@@ -1287,7 +1219,7 @@ def _traced_path_lifecycle(
         deployment = deploy_market(
             topology,
             clock=clock,
-            seed=seed,
+            seed=SEED,
             asset_start=t0,
             asset_duration=3600,
             asset_bandwidth_kbps=4 * bandwidth_kbps,
@@ -1298,13 +1230,13 @@ def _traced_path_lifecycle(
             crossings,
             *window,
             bandwidth_kbps=2 * bandwidth_kbps,
-            base_price_micromist=base_price_micromist,
+            base_price_micromist=BASE_PRICE_MICROMIST,
         )
         winner = deployment.new_host(name="path-winner")
         rival = deployment.new_host(name="path-rival")
         num_legs = 2 * len(crossings)
         escrow_cap = (
-            -(-bandwidth_kbps * duration * 40 * base_price_micromist // 1_000_000)
+            -(-bandwidth_kbps * duration * 40 * BASE_PRICE_MICROMIST // 1_000_000)
             * num_legs
         )
         acquired = winner.acquire_path(
@@ -1364,15 +1296,7 @@ def contention_experiment(
     path: ForwardingPath,
     num_buyers: int = 8,
     per_buyer_kbps: int = 2000,
-    link_rate_bps: float = 10_000_000.0,
-    reservable_fraction: float = 0.8,
     duration: float = 1.5,
-    payload_bytes: int = 1000,
-    base_price_micromist: int = 50,
-    seed: int = 1,
-    prf_factory: PrfFactory = SIM_PRF,
-    pricer=None,
-    policy=None,
     shard_seconds: float | None = None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> ContentionResult:
@@ -1384,8 +1308,8 @@ def contention_experiment(
     full-path reservation (distinct ResIDs) and send at ``per_buyer_kbps``
     with priority protection; rejected buyers *fall back to best effort*
     and fight over whatever the reserved traffic leaves behind.  Quoted
-    prices rise with utilization when a scarcity pricer is installed
-    (default), so the result doubles as a price-discovery trace.
+    prices rise with utilization under the scarcity pricer, so the result
+    doubles as a price-discovery trace.
 
     With ``telemetry`` the run collects admission counters/histograms,
     capacity gauges, and policer residency into the harness's registry
@@ -1394,33 +1318,25 @@ def contention_experiment(
     """
     from repro.admission import AdmissionController, ScarcityPricer
 
+    reservable_fraction = 0.8
+
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        simulation = build_path_simulation(
-            topology, path, link_rate_bps=link_rate_bps, prf_factory=prf_factory
-        )
-        crossings = as_crossings(path)
-        if len(crossings) < 2:
-            raise ValueError("need at least one inter-AS link for a bottleneck")
-        bottleneck = crossings[1]  # ingress side of the first inter-AS link
-        capacity_kbps = int(link_rate_bps / 1000 * reservable_fraction)
+        simulation = build_path_simulation(topology, path)
+        bottleneck, capacity_kbps = _bottleneck(path, reservable_fraction)
         controller = AdmissionController(
-            capacity_kbps,
-            policy=policy,
-            pricer=pricer if pricer is not None else ScarcityPricer(),
-            shard_seconds=shard_seconds,
+            capacity_kbps, pricer=ScarcityPricer(), shard_seconds=shard_seconds
         )
 
         start = int(simulation.clock.now())
         reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
         window_end = start + int(duration) + 60
-        rng = random.Random(seed)
-        sources = []
+        rng = random.Random(SEED)
         outcomes: list[BuyerOutcome] = []
         flow_metrics: list[FlowMetrics] = []
         for index in range(num_buyers):
             buyer = f"buyer-{index}"
             quote = controller.quote(
-                base_price_micromist, bottleneck.ingress, True, start, window_end
+                BASE_PRICE_MICROMIST, bottleneck.ingress, True, start, window_end
             )
             # Trace buyer-0's lifecycle end to end (admission through policer).
             trace = telemetry.trace(buyer) if telemetry and index == 0 else None
@@ -1428,28 +1344,18 @@ def contention_experiment(
                 decision = controller.admit_reservation(
                     bottleneck.ingress, True, reserve_kbps, start, window_end, tag=buyer
                 )
+            reservations = None
             if decision.admitted:
                 reservations = simulation.grant_full_path(
                     reserve_kbps, start, int(duration) + 60, res_id=index
                 )
-                builder = simulation.hummingbird_source(reservations)
-            else:
-                builder = simulation.best_effort_source()
-            metrics = simulation.sink.flow(index + 1)
-            flow_metrics.append(metrics)
-            source = CbrSource(
-                simulation.loop,
-                builder,
-                simulation.entry,
-                metrics,
-                rate_bps=per_buyer_kbps * 1000.0,
-                payload_bytes=payload_bytes,
-                flow_id=index + 1,
-                jitter=0.05,
-                rng=rng,
+            # slight stagger, arrival order = index order
+            flow_metrics.append(
+                simulation.send(
+                    index + 1, per_buyer_kbps * 1000.0, reservations,
+                    delay=0.01 * index, jitter=0.05, rng=rng,
+                )
             )
-            sources.append(source)
-            source.start(0.01 * index)  # slight stagger, arrival order = index order
             outcomes.append(
                 BuyerOutcome(
                     buyer=buyer,
@@ -1461,9 +1367,7 @@ def contention_experiment(
                 )
             )
 
-        simulation.loop.run_until(simulation.clock.now() + duration)
-        for source in sources:
-            source.stop()
+        simulation.run(duration)
         for outcome, metrics in zip(outcomes, flow_metrics):
             outcome.metrics = metrics.summary()
 
@@ -1549,23 +1453,7 @@ class ReclamationResult:
 def reclamation_experiment(
     topology: Topology,
     path: ForwardingPath,
-    num_buyers: int = 8,
-    num_no_shows: int = 4,
-    num_late: int = 4,
-    per_buyer_kbps: int = 1000,
-    link_rate_bps: float = 10_000_000.0,
-    reservable_fraction: float = 1.0,
     duration: float = 3.0,
-    payload_bytes: int = 1000,
-    base_price_micromist: int = 50,
-    static_factor: float = 1.25,
-    max_factor: float = 3.0,
-    grace_seconds: float = 0.4,
-    scan_interval: float = 0.25,
-    no_show_threshold: float = 0.5,
-    seed: int = 1,
-    prf_factory: PrfFactory = SIM_PRF,
-    pricer=None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> ReclamationResult:
     """The closed control loop vs an open one, on an overbooked bottleneck.
@@ -1590,12 +1478,160 @@ def reclamation_experiment(
     demotions of honest traffic (``tests/netsim/test_reclamation.py``
     asserts all three).
     """
+    from repro.admission import ACTIVE, AdmissionController
     from repro.admission.policy import FirstComeFirstServed, OverbookingPolicy
-    from repro.reclaim import AdaptiveOverbooking
+    from repro.reclaim import AdaptiveOverbooking, ReclamationEngine, UsageReporter
+
+    num_buyers = 8
+    num_no_shows = 4
+    num_late = 4
+    per_buyer_kbps = 1000
+    reservable_fraction = 1.0
+    static_factor = 1.25
+    max_factor = 3.0
+    grace_seconds = 0.4
+    scan_interval = 0.25
+    no_show_threshold = 0.5
+
+    def run_arm(arm: str, policy, reclaim: bool) -> ReclamationArmResult:
+        simulation = build_path_simulation(topology, path)
+        bottleneck, capacity_kbps = _bottleneck(path, reservable_fraction)
+        router = simulation.nodes[bottleneck.isd_as].router
+        # The default flat pricer keeps revenue proportional to volume sold,
+        # so the arm comparison measures reclamation, not price spikes.
+        controller = AdmissionController(capacity_kbps, policy=policy)
+        engine = None
+        if reclaim:
+            engine = ReclamationEngine(
+                controller,
+                UsageReporter(router.policer.usage_snapshot, interval=scan_interval / 2),
+                grace_seconds=grace_seconds,
+                no_show_threshold=no_show_threshold,
+                demote=router.policer.set_limit,
+            )
+
+        start = int(simulation.clock.now())
+        reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
+        window_end = start + int(duration) + 60
+        rng = random.Random(SEED)
+        outcomes: list[ReclaimBuyerOutcome] = []
+        flow_metrics: dict[str, FlowMetrics] = {}
+        revenue = 0
+
+        def admit(index: int, buyer: str, kind: str, now: float):
+            """One admission attempt; on success the buyer sends with priority."""
+            nonlocal revenue
+            quote = controller.quote(
+                BASE_PRICE_MICROMIST, bottleneck.ingress, True, int(now), window_end
+            )
+            decision = controller.admit_reservation(
+                bottleneck.ingress, True, reserve_kbps, int(now), window_end, tag=buyer
+            )
+            if not decision.admitted:
+                return None, quote, decision.reason
+            units = reserve_kbps * (window_end - int(now))
+            revenue += -(-units * quote // 1_000_000)  # ceil, as the contract prices
+            if engine is not None:
+                engine.track(
+                    index,
+                    bottleneck.ingress,
+                    reserve_kbps,
+                    now,
+                    start + duration,
+                    [(bottleneck.ingress, True, decision.commitment.commitment_id)],
+                    tag=buyer,
+                )
+            if kind != "no-show":
+                reservations = simulation.grant_full_path(
+                    reserve_kbps, int(now), window_end - int(now), res_id=index
+                )
+                flow_metrics[buyer] = simulation.send(
+                    index + 1, per_buyer_kbps * 1000.0, reservations,
+                    delay=0.005 * index, jitter=0.05, rng=rng,
+                )
+            return decision, quote, decision.reason
+
+        # Early buyers: the first num_no_shows never send a packet.  Late
+        # buyers: admitted now if the policy has room, retried at every
+        # scan otherwise; a buyer still waiting at the end falls back to
+        # best effort for the whole run (accounted as unreserved).
+        waiting: list[tuple[int, ReclaimBuyerOutcome]] = []
+        for index in range(num_buyers + num_late):
+            if index >= num_buyers:
+                kind = "late"
+            else:
+                kind = "no-show" if index < num_no_shows else "honest"
+            buyer = f"{kind}-{index}"
+            decision, quote, reason = admit(index, buyer, kind, simulation.clock.now())
+            outcome = ReclaimBuyerOutcome(
+                buyer=buyer,
+                kind=kind,
+                reserved=decision is not None,
+                admitted_at=simulation.clock.now() if decision else None,
+                quoted_price_micromist=quote,
+                reason=reason,
+                metrics={},
+            )
+            outcomes.append(outcome)
+            if kind == "late" and decision is None:
+                waiting.append((index, outcome))
+
+        end_time = simulation.clock.now() + duration
+        next_scan = simulation.clock.now() + scan_interval
+        while simulation.clock.now() < end_time:
+            simulation.loop.run_until(min(next_scan, end_time))
+            next_scan += scan_interval
+            now = simulation.clock.now()
+            if engine is not None:
+                engine.scan(now)
+            if now >= end_time:
+                break
+            still_waiting = []
+            for index, outcome in waiting:
+                # a refused retry leaves the first refusal's quote and reason
+                decision, quote, reason = admit(index, outcome.buyer, "late", now)
+                if decision is not None:
+                    outcome.reserved = True
+                    outcome.admitted_at = now
+                    outcome.quoted_price_micromist = quote
+                    outcome.reason = reason
+                else:
+                    still_waiting.append((index, outcome))
+            waiting = still_waiting
+        simulation.stop()
+
+        for outcome in outcomes:
+            metrics = flow_metrics.get(outcome.buyer)
+            outcome.metrics = metrics.summary() if metrics is not None else {}
+        reserved_goodput = sum(
+            flow_metrics[outcome.buyer].goodput_bps(duration)
+            for outcome in outcomes
+            if outcome.reserved and outcome.buyer in flow_metrics
+        )
+        honest_demotions = (
+            router.stats.demoted_overuse
+            + router.stats.demoted_inactive
+            + router.stats.demoted_stale
+        )
+        return ReclamationArmResult(
+            arm=arm,
+            capacity_kbps=capacity_kbps,
+            buyers=outcomes,
+            revenue_mist=revenue,
+            reserved_goodput_bps=reserved_goodput,
+            honest_demotions=honest_demotions,
+            reclaim_events=len(engine.events) if engine is not None else 0,
+            reclaimed_kbps=sum(e.freed_kbps for e in engine.events) if engine else 0,
+            false_reclaims=engine.false_reclaims if engine is not None else 0,
+            live_factor=policy.limit_factor(
+                controller.calendar(bottleneck.ingress, True, ACTIVE)
+            )
+            if hasattr(policy, "limit_factor")
+            else 1.0,
+            bottleneck_utilization=simulation.links[0].utilization(duration),
+        )
 
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        if num_no_shows > num_buyers:
-            raise ValueError("cannot have more no-shows than buyers")
         arms = {}
         for arm, policy, reclaim in (
             ("none", FirstComeFirstServed(), False),
@@ -1606,12 +1642,7 @@ def reclamation_experiment(
                 True,
             ),
         ):
-            arms[arm] = _reclamation_arm(
-                arm, policy, reclaim, topology, path, num_buyers, num_no_shows,
-                num_late, per_buyer_kbps, link_rate_bps, reservable_fraction,
-                duration, payload_bytes, base_price_micromist, grace_seconds,
-                scan_interval, no_show_threshold, seed, prf_factory, pricer,
-            )
+            arms[arm] = run_arm(arm, policy, reclaim)
         result = ReclamationResult(arms=arms)
         if telemetry is not None:
             telemetry.annotate(
@@ -1633,199 +1664,3 @@ def reclamation_experiment(
                 }
             )
         return result
-
-
-def _reclamation_arm(
-    arm: str,
-    policy,
-    reclaim: bool,
-    topology: Topology,
-    path: ForwardingPath,
-    num_buyers: int,
-    num_no_shows: int,
-    num_late: int,
-    per_buyer_kbps: int,
-    link_rate_bps: float,
-    reservable_fraction: float,
-    duration: float,
-    payload_bytes: int,
-    base_price_micromist: int,
-    grace_seconds: float,
-    scan_interval: float,
-    no_show_threshold: float,
-    seed: int,
-    prf_factory: PrfFactory,
-    pricer,
-) -> ReclamationArmResult:
-    from repro.admission import ACTIVE, AdmissionController
-    from repro.reclaim import ReclamationEngine, UsageReporter
-
-    simulation = build_path_simulation(
-        topology, path, link_rate_bps=link_rate_bps, prf_factory=prf_factory
-    )
-    crossings = as_crossings(path)
-    if len(crossings) < 2:
-        raise ValueError("need at least one inter-AS link for a bottleneck")
-    bottleneck = crossings[1]
-    router = simulation.nodes[bottleneck.isd_as].router
-    capacity_kbps = int(link_rate_bps / 1000 * reservable_fraction)
-    # The default flat pricer keeps revenue proportional to volume sold,
-    # so the arm comparison measures reclamation, not price spikes.
-    controller = AdmissionController(capacity_kbps, policy=policy, pricer=pricer)
-    engine = None
-    if reclaim:
-        engine = ReclamationEngine(
-            controller,
-            UsageReporter(router.policer.usage_snapshot, interval=scan_interval / 2),
-            grace_seconds=grace_seconds,
-            no_show_threshold=no_show_threshold,
-            demote=router.policer.set_limit,
-        )
-
-    start = int(simulation.clock.now())
-    reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-    window_end = start + int(duration) + 60
-    rng = random.Random(seed)
-    sources = []
-    outcomes: list[ReclaimBuyerOutcome] = []
-    flow_metrics: dict[str, FlowMetrics] = {}
-    revenue = 0
-
-    def admit(index: int, buyer: str, kind: str, now: float):
-        """One admission attempt; on success the buyer sends with priority."""
-        nonlocal revenue
-        quote = controller.quote(
-            base_price_micromist, bottleneck.ingress, True, int(now), window_end
-        )
-        decision = controller.admit_reservation(
-            bottleneck.ingress, True, reserve_kbps, int(now), window_end, tag=buyer
-        )
-        if not decision.admitted:
-            return None, quote, decision.reason
-        units = reserve_kbps * (window_end - int(now))
-        revenue += -(-units * quote // 1_000_000)  # ceil, as the contract prices
-        if engine is not None:
-            engine.track(
-                index,
-                bottleneck.ingress,
-                reserve_kbps,
-                now,
-                start + duration,
-                [(bottleneck.ingress, True, decision.commitment.commitment_id)],
-                tag=buyer,
-            )
-        if kind != "no-show":
-            reservations = simulation.grant_full_path(
-                reserve_kbps, int(now), window_end - int(now), res_id=index
-            )
-            metrics = simulation.sink.flow(index + 1)
-            flow_metrics[buyer] = metrics
-            source = CbrSource(
-                simulation.loop,
-                builder := simulation.hummingbird_source(reservations),
-                simulation.entry,
-                metrics,
-                rate_bps=per_buyer_kbps * 1000.0,
-                payload_bytes=payload_bytes,
-                flow_id=index + 1,
-                jitter=0.05,
-                rng=rng,
-            )
-            sources.append(source)
-            source.start(0.005 * index)
-        return decision, quote, decision.reason
-
-    # Early buyers: the first num_no_shows never send a packet.
-    for index in range(num_buyers):
-        kind = "no-show" if index < num_no_shows else "honest"
-        buyer = f"{kind}-{index}"
-        decision, quote, reason = admit(index, buyer, kind, simulation.clock.now())
-        outcomes.append(
-            ReclaimBuyerOutcome(
-                buyer=buyer,
-                kind=kind,
-                reserved=decision is not None,
-                admitted_at=simulation.clock.now() if decision else None,
-                quoted_price_micromist=quote,
-                reason=reason,
-                metrics={},
-            )
-        )
-
-    # Late buyers: admitted now if the policy has room, retried at every
-    # scan otherwise; a buyer still waiting at the end falls back to best
-    # effort for the whole run (accounted as unreserved).
-    waiting: list[tuple[int, ReclaimBuyerOutcome]] = []
-    for offset in range(num_late):
-        index = num_buyers + offset
-        buyer = f"late-{index}"
-        decision, quote, reason = admit(index, buyer, "late", simulation.clock.now())
-        outcome = ReclaimBuyerOutcome(
-            buyer=buyer,
-            kind="late",
-            reserved=decision is not None,
-            admitted_at=simulation.clock.now() if decision else None,
-            quoted_price_micromist=quote,
-            reason=reason,
-            metrics={},
-        )
-        outcomes.append(outcome)
-        if decision is None:
-            waiting.append((index, outcome))
-
-    end_time = simulation.clock.now() + duration
-    next_scan = simulation.clock.now() + scan_interval
-    while simulation.clock.now() < end_time:
-        simulation.loop.run_until(min(next_scan, end_time))
-        next_scan += scan_interval
-        now = simulation.clock.now()
-        if engine is not None:
-            engine.scan(now)
-        if now >= end_time:
-            break
-        still_waiting = []
-        for index, outcome in waiting:
-            decision, quote, reason = admit(index, outcome.buyer, "late", now)
-            if decision is not None:
-                outcome.reserved = True
-                outcome.admitted_at = now
-                outcome.quoted_price_micromist = quote
-                outcome.reason = reason
-            else:
-                still_waiting.append((index, outcome))
-        waiting = still_waiting
-    for source in sources:
-        source.stop()
-
-    for outcome in outcomes:
-        metrics = flow_metrics.get(outcome.buyer)
-        outcome.metrics = metrics.summary() if metrics is not None else {}
-    reserved_goodput = sum(
-        flow_metrics[outcome.buyer].goodput_bps(duration)
-        for outcome in outcomes
-        if outcome.reserved and outcome.buyer in flow_metrics
-    )
-    honest_demotions = (
-        router.stats.demoted_overuse
-        + router.stats.demoted_inactive
-        + router.stats.demoted_stale
-    )
-    link = simulation.links[0]
-    result = ReclamationArmResult(
-        arm=arm,
-        capacity_kbps=capacity_kbps,
-        buyers=outcomes,
-        revenue_mist=revenue,
-        reserved_goodput_bps=reserved_goodput,
-        honest_demotions=honest_demotions,
-        reclaim_events=len(engine.events) if engine is not None else 0,
-        reclaimed_kbps=sum(e.freed_kbps for e in engine.events) if engine else 0,
-        false_reclaims=engine.false_reclaims if engine is not None else 0,
-        live_factor=policy.limit_factor(
-            controller.calendar(bottleneck.ingress, True, ACTIVE)
-        )
-        if hasattr(policy, "limit_factor")
-        else 1.0,
-        bottleneck_utilization=link.utilization(duration),
-    )
-    return result

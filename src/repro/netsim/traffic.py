@@ -1,4 +1,4 @@
-"""Traffic sources: constant-bit-rate, bursty on/off, and flood attackers.
+"""Traffic sources: constant-bit-rate senders and flood attackers.
 
 Sources build real packets through the data-plane source classes (so every
 simulated packet carries genuine MACs and is verified hop by hop) and hand
@@ -82,61 +82,3 @@ class FloodSource(CbrSource):
     Identical machinery to :class:`CbrSource`; the distinction is semantic
     (it sends over a best-effort builder at far above the bottleneck rate).
     """
-
-
-class OnOffSource(CbrSource):
-    """Bursty sender: alternates active bursts with silent gaps."""
-
-    def __init__(
-        self,
-        *args,
-        on_seconds: float = 0.2,
-        off_seconds: float = 0.8,
-        **kwargs,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        if on_seconds <= 0 or off_seconds < 0:
-            raise ValueError("invalid on/off durations")
-        self.on_seconds = on_seconds
-        self.off_seconds = off_seconds
-        self._burst_end = 0.0
-
-    def start(self, delay: float = 0.0) -> None:
-        self._burst_end = self.loop.now + delay + self.on_seconds
-        super().start(delay)
-
-    def _send(self) -> None:
-        if self._stopped:
-            return
-        now = self.loop.now
-        if now >= self._burst_end:
-            # Sleep through the off period, then start the next burst.
-            self._burst_end = now + self.off_seconds + self.on_seconds
-            self.loop.schedule(self.off_seconds, self._send)
-            return
-        super()._send()
-
-
-class ReplayAttacker:
-    """On-reservation-set adversary (§5.4, Fig. 3).
-
-    Observes packets on one path and re-injects duplicates at a downstream
-    AS to exhaust a shared reservation's policed bandwidth.  ``observe``
-    is called with packets crossing the adversary; ``flood`` re-injects
-    each observed packet ``amplification`` times.
-    """
-
-    def __init__(self, loop: EventLoop, entry: RouterNode, entry_ifid: int, amplification: int = 10) -> None:
-        self.loop = loop
-        self.entry = entry
-        self.entry_ifid = entry_ifid
-        self.amplification = amplification
-        self.injected = 0
-
-    def observe_and_flood(self, sim_packet: SimPacket) -> None:
-        from copy import deepcopy
-
-        for _ in range(self.amplification):
-            clone = deepcopy(sim_packet)
-            self.injected += 1
-            self.entry.receive(clone, self.entry_ifid)

@@ -10,6 +10,7 @@ single JSON dump that ``tools/report_experiment.py`` turns into a
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from typing import Any
 
@@ -18,6 +19,21 @@ from repro.telemetry.registry import MetricsRegistry, set_registry
 from repro.telemetry.tracing import TraceContext
 
 __all__ = ["ExperimentTelemetry"]
+
+
+def _finite(value: Any) -> Any:
+    """``value`` with every non-finite float replaced by ``None``.
+
+    JSON has no token for them (RFC 8259); ``json.dumps`` would write the
+    bare words ``Infinity`` / ``NaN``, which strict parsers reject.
+    """
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 class ExperimentTelemetry:
@@ -59,10 +75,17 @@ class ExperimentTelemetry:
         }
 
     def write(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Dump the full telemetry state as JSON; returns the path."""
+        """Dump the full telemetry state as JSON; returns the path.
+
+        A non-finite float (the ``inf`` an uncoverable window is priced
+        at) is written as ``null``; :meth:`to_dict` keeps it.
+        """
         target = pathlib.Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
+        text = json.dumps(
+            _finite(self.to_dict()), indent=2, sort_keys=True, allow_nan=False
+        )
+        target.write_text(text)
         return target
 
 

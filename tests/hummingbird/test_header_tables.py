@@ -122,7 +122,7 @@ class TestHeaderTables:
         cursor = data.draw(st.integers(0, packet.path.num_hopfields))
         packet.path.curr_hf = cursor
         decoded = decode_packet(encode_packet(packet))
-        clone = deepcopy(packet)  # what ReplayAttacker does
+        clone = deepcopy(packet)  # what a replaying adversary re-injects
         for other in (decoded, clone):
             assert type(other.path) is type(packet.path)
             assert other.path.curr_hf == cursor

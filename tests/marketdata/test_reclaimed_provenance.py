@@ -1,4 +1,4 @@
-"""Reclaimed-listing provenance through the indexer and its snapshots."""
+"""Reclaimed-listing provenance through the indexer."""
 
 from tests.marketdata.conftest import RawMarket
 
@@ -38,30 +38,6 @@ def test_reclaimed_event_annotates_the_listing():
     assert indexer.count == 2
 
 
-def test_provenance_survives_snapshot_roundtrip():
-    market = RawMarket(seed=6)
-    reclaimed = _reclaimed_listing(market)
-    indexer = MarketIndexer(market.ledger, market.marketplace)
-    indexer.sync()
-    restored = MarketIndexer.from_snapshot(market.ledger, indexer.snapshot())
-    assert restored.reclaimed_seen == 1
-    assert restored.provenance(reclaimed) == PROVENANCE
-    assert restored.snapshot() == indexer.snapshot()
-
-
-def test_old_snapshots_without_provenance_still_restore():
-    market = RawMarket(seed=7)
-    market.issue_and_list(1, True, 1_000, 0, 600)
-    indexer = MarketIndexer(market.ledger, market.marketplace)
-    indexer.sync()
-    snapshot = indexer.snapshot()
-    del snapshot["provenance"]
-    del snapshot["reclaimed_seen"]
-    restored = MarketIndexer.from_snapshot(market.ledger, snapshot)
-    assert restored.reclaimed_seen == 0
-    assert restored.count == 1
-
-
 def test_provenance_is_pruned_when_the_listing_closes():
     market = RawMarket(seed=8)
     reclaimed = _reclaimed_listing(market)
@@ -73,5 +49,3 @@ def test_provenance_is_pruned_when_the_listing_closes():
     indexer.sync()
     assert indexer.listing(reclaimed) is None
     assert indexer.provenance(reclaimed) is None
-    assert "provenance" in indexer.snapshot()
-    assert indexer.snapshot()["provenance"] == {}

@@ -3,12 +3,20 @@ tx submit -> admission -> auction settle -> redeem -> delivery -> policing,
 and the experiment harness captures metrics from every instrumented layer.
 """
 
+import importlib.util
 import json
+import math
+import pathlib
 
 import pytest
 
 from repro.netsim.scenarios import auction_experiment, linear_path
 from repro.telemetry import ExperimentTelemetry, get_registry
+
+_TOOL = pathlib.Path(__file__).parents[2] / "tools" / "report_experiment.py"
+_spec = importlib.util.spec_from_file_location("report_experiment", _TOOL)
+report_experiment = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_experiment)
 
 LIFECYCLE_SPANS = [
     "ledger.submit",
@@ -85,13 +93,40 @@ def test_experiment_dump_and_dashboard(auction_run, tmp_path):
     assert dump["extra"]["auction"]["oversold"] == result.oversold
     assert any(t["name"] == "traced-reservation" for t in dump["traces"])
 
-    import importlib.util
-    import pathlib
-
-    tool_path = pathlib.Path(__file__).parents[2] / "tools" / "report_experiment.py"
-    spec = importlib.util.spec_from_file_location("report_experiment", tool_path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    dashboard = module.render_dashboard(dump)
+    dashboard = report_experiment.render_dashboard(dump)
     assert "admission_decisions_total" in dashboard
     assert "traced-reservation" in dashboard
+
+
+def _strict(text: str) -> dict:
+    """Parse as RFC 8259 does: ``Infinity`` / ``NaN`` are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_dump_is_strict_json_and_to_dict_keeps_the_floats(tmp_path):
+    telemetry = ExperimentTelemetry("non-finite")
+    telemetry.annotate(curve_prices=[6.0, math.inf, -math.inf], quantile=math.nan)
+    dump = _strict(telemetry.write(tmp_path / "dump.json").read_text())
+    assert dump["extra"] == {"curve_prices": [6.0, None, None], "quantile": None}
+    assert telemetry.to_dict()["extra"]["curve_prices"][1] == math.inf
+
+
+@pytest.mark.parametrize("scenario", report_experiment.SCENARIOS)
+def test_the_tool_runs_dumps_and_renders_every_scenario(scenario, tmp_path, capsys):
+    """``flex_market`` prices an uncoverable window at ``inf``, and nothing but
+    this ran ``reclamation_experiment(telemetry=)``."""
+    assert report_experiment.main(
+        ["--run", scenario, "--duration", "0.3", "--out", str(tmp_path)]
+    ) == 0
+    dump = _strict((tmp_path / f"{scenario}_telemetry.json").read_text())
+    assert dump["scenario"] == f"{scenario}_experiment"
+    (annotated,) = dump["extra"]
+    assert annotated.startswith(scenario) and dump["extra"][annotated]
+    assert dump["metrics"]
+    dashboard = (tmp_path / f"{scenario}_dashboard.txt").read_text()
+    assert dashboard in capsys.readouterr().out
+    assert "## Scenario results" in dashboard and "## Counters" in dashboard

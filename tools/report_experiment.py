@@ -28,9 +28,37 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 import numpy as np
 
 from repro.analysis import render_table, sparkline
+from repro.netsim.scenarios import (
+    auction_experiment,
+    contention_experiment,
+    flex_market_experiment,
+    linear_path,
+    path_contention_experiment,
+    reclamation_experiment,
+)
+from repro.telemetry import ExperimentTelemetry
 from repro.telemetry.registry import Histogram
 
-SCENARIOS = ("contention", "flex_market", "auction", "path")
+# --run's choices: name -> run it over (topology, path) under ``telemetry``.
+RUNNERS = {
+    "contention": lambda chain, duration, buyers, telemetry: contention_experiment(
+        *chain, num_buyers=buyers, duration=duration, telemetry=telemetry
+    ),
+    # Builds its own chain topology; num_ases is the only shape knob.
+    "flex_market": lambda chain, duration, buyers, telemetry: flex_market_experiment(
+        num_ases=3, duration=duration, telemetry=telemetry
+    ),
+    "auction": lambda chain, duration, buyers, telemetry: auction_experiment(
+        *chain, num_buyers=buyers, duration=duration, telemetry=telemetry
+    ),
+    "path": lambda chain, duration, buyers, telemetry: path_contention_experiment(
+        *chain, num_buyers=buyers, telemetry=telemetry
+    ),
+    "reclamation": lambda chain, duration, buyers, telemetry: reclamation_experiment(
+        *chain, duration=duration, telemetry=telemetry
+    ),
+}
+SCENARIOS = tuple(RUNNERS)
 
 
 def _labels_str(labelnames: list[str], labels: list[str]) -> str:
@@ -142,29 +170,9 @@ def render_dashboard(dump: dict[str, Any]) -> str:
     return "\n\n".join(sections) + "\n"
 
 
-def _run_scenario(name: str, duration: float, buyers: int):
-    from repro.netsim.scenarios import (
-        auction_experiment,
-        contention_experiment,
-        flex_market_experiment,
-        linear_path,
-        path_contention_experiment,
-    )
-    from repro.telemetry import ExperimentTelemetry
-
-    topology, path = linear_path(3)
+def _run_scenario(name: str, duration: float, buyers: int) -> ExperimentTelemetry:
     telemetry = ExperimentTelemetry(f"{name}_experiment")
-    if name == "contention":
-        contention_experiment(topology, path, num_buyers=buyers, duration=duration, telemetry=telemetry)
-    elif name == "flex_market":
-        # Builds its own chain topology; num_ases is the only shape knob.
-        flex_market_experiment(num_ases=3, duration=duration, telemetry=telemetry)
-    elif name == "auction":
-        auction_experiment(topology, path, num_buyers=buyers, duration=duration, telemetry=telemetry)
-    elif name == "path":
-        path_contention_experiment(topology, path, num_buyers=buyers, telemetry=telemetry)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown scenario {name!r}")
+    RUNNERS[name](linear_path(3), duration, buyers, telemetry)
     return telemetry
 
 
