@@ -18,8 +18,12 @@ A tap on ``LedgerExecutor.submit`` records, per transaction, the sender, the
 ``contract.function`` list, a digest of the canonicalised arguments, status,
 error, gas, event types and a digest of the event payloads; the end state adds
 every host's decrypted reservations, every AS's ``undeliverable`` and
-``relisted`` lists, all coin balances and a digest of every AS's
-``controller_fingerprint``.  The recording committed beside this file was made
+``relisted`` lists, all coin balances and, per AS, a digest of what its
+calendars *answer* (capacity, commitment rows, the level between every two
+neighbouring endpoints — read through ``commitments()`` and ``peak_commitment``
+alone, so no calendar layout is in it and the two arms must agree; re-recorded
+once, in PR 21, from a digest of ``controller_fingerprint``'s layout-bound
+tuples: eight values).  The recording committed beside this file was made
 at the commit *before* ``controlplane/`` got its single plan-to-transaction
 lowering (PR 18), with that commit's ``src/`` on the path; today's code has to
 reproduce it byte for byte on monolithic and on sharded calendars.  Re-recorded
@@ -59,7 +63,6 @@ from repro.ledger.executor import LedgerExecutor
 from repro.ledger.transactions import Command, Result, Transaction
 from repro.marketdata import BudgetExceeded, ListingQuery, PathSpec
 from repro.netsim import linear_path
-from repro.pathadm import controller_fingerprint
 from repro.scion import as_crossings
 from repro.telemetry import ExperimentTelemetry, use_trace
 from repro.transfers import DeadlineTransfer, TransferAborted, TransferPlanner
@@ -90,6 +93,18 @@ def _canonical(value):
 def _digest(value) -> str:
     text = json.dumps(_canonical(value), sort_keys=True)
     return hashlib.blake2s(text.encode(), digest_size=12).hexdigest()
+
+
+def _answers(calendar) -> list:
+    """What a calendar answers, whatever its layout: capacity, commitment rows,
+    and the level over every elementary interval between their endpoints."""
+    rows = sorted(
+        [c.commitment_id, c.bandwidth_kbps, float(c.start), float(c.end), c.tag]
+        for c in calendar.commitments()
+    )
+    edges = sorted({edge for row in rows for edge in row[2:4]})
+    levels = [int(calendar.peak_commitment(lo, hi)) for lo, hi in zip(edges, edges[1:])]
+    return [calendar.capacity_kbps, rows, edges, levels]
 
 
 def _row(reservation) -> list:
@@ -451,7 +466,14 @@ class _Script:
                 **{n: coin_balance(ledger, h.account.address) for n, h in self.hosts.items()},
             },
             "controllers": {
-                name: _digest(repr(controller_fingerprint(service.admission)))
+                name: _digest(
+                    {
+                        f"{layer} {interface} {is_ingress}": _answers(calendar)
+                        for (layer, interface, is_ingress), calendar
+                        in service.admission._calendars.items()
+                        if calendar.commitment_count
+                    }
+                )
                 for name, service in services.items()
             },
         }
@@ -508,6 +530,11 @@ def test_every_transaction_and_the_end_state_match_the_recording(recorded, calen
     assert len(replayed["transactions"]) == len(expected["transactions"])
     for part in expected:
         assert replayed[part] == expected[part], part
+
+
+def test_both_shard_geometries_leave_the_same_calendars(recorded):
+    monolithic, sharded = (recorded[name]["controllers"] for name in CALENDARS)
+    assert monolithic == sharded
 
 
 def test_the_recording_covers_every_submitting_entry_point(recorded):
