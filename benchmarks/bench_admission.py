@@ -40,7 +40,6 @@ from repro.admission import (
     AdmissionController,
     CapacityCalendar,
     FirstComeFirstServed,
-    ShardedCalendar,
 )
 from repro.admission.policy import AdmissionRequest
 from repro.analysis import render_comparison
@@ -211,8 +210,8 @@ def sharded_comparison(
     individually releasable commitments.
     """
     factories = {
-        "monolithic": lambda: CapacityCalendar(CAPACITY_KBPS),
-        "sharded": lambda: ShardedCalendar(CAPACITY_KBPS, shard_seconds=SHARD_SECONDS),
+        "monolithic": lambda: CapacityCalendar(CAPACITY_KBPS, shard_seconds=None),
+        "sharded": lambda: CapacityCalendar(CAPACITY_KBPS, shard_seconds=SHARD_SECONDS),
     }
     metrics: dict[str, dict[str, float]] = {name: {} for name in factories}
     probes = _reservations(1000, seed=3)

@@ -29,7 +29,6 @@ from repro.admission.policy import (
     ProportionalShare,
 )
 from repro.admission.pricing import FlatPricer, Pricer, ScarcityPricer
-from repro.admission.sharded import ShardedCalendar
 
 __all__ = [
     "ACTIVE",
@@ -52,7 +51,6 @@ __all__ = [
     "Pricer",
     "ProportionalShare",
     "ScarcityPricer",
-    "ShardedCalendar",
     "WindowAuction",
     "uniform_price_clearing",
 ]

@@ -8,33 +8,53 @@ control can answer "does a ``bw`` kbps commitment over ``[start, end)``
 still fit?" — the question SIBRA-style per-link accounting puts at the
 heart of any inter-domain reservation system.
 
-Representation: sorted parallel Python lists of *boundary times* and, per
-boundary, the committed level in effect from that boundary until the next
-one (a sentinel boundary at ``-inf`` carries level 0).  Point operations —
-one admit, one release, one peak query — touch only the handful of
-boundaries a window overlaps, where interpreter-side ``bisect`` +
-``list.insert`` beats an ndarray representation outright: numpy pays
-~1-2 us of dispatch per call, which dwarfs the actual work on spans this
-small, while a list insert is a single pointer memmove.  Bulk queries take
-the opposite trade: they compile the step function into cached numpy
-arrays (levels plus per-block maxima) and answer thousands of windows per
-call with ``searchsorted`` + three ``maximum.reduceat`` passes — a
-two-level range maximum that costs ``O(B + k/B)`` per window (block size
-``B``), so batch admission stays fast even at 10^6 concurrent
-reservations; bulk loads (:meth:`commit_batch`) rebuild the whole step
-function from merged boundary deltas in one vectorized pass.
+Two layers, one of each:
+
+* :class:`StepFunction` is the level and nothing else: sorted parallel
+  Python lists of *boundary times* and, per boundary, the level in effect
+  until the next one (a sentinel boundary at ``-inf`` carries level 0).
+  Point operations — one add, one peak query — touch only the handful of
+  boundaries a window overlaps, where interpreter-side ``bisect`` +
+  ``list.insert`` beats an ndarray representation outright: numpy pays
+  ~1-2 us of dispatch per call, which dwarfs the actual work on spans this
+  small, while a list insert is a single pointer memmove.  Bulk queries
+  take the opposite trade: they compile the step function into cached
+  numpy arrays (levels plus per-block maxima) and answer thousands of
+  windows per call with ``searchsorted`` + three ``maximum.reduceat``
+  passes — a two-level range maximum that costs ``O(B + k/B)`` per window
+  (block size ``B``); bulk loads rebuild the whole function from merged
+  boundary deltas in one vectorized pass.
+* :class:`CapacityCalendar` is the commitment ledger: it owns everything a
+  commitment *is* — the :class:`Commitment` records, their ids, the tag
+  index, the end-shard index, validation — and *projects* each commit,
+  release and reclaim as a clipped ``add(+-kbps)`` into a dict of
+  :class:`StepFunction` shards, one per ``shard_seconds``-wide slot of the
+  time axis.  ``shard_seconds=None`` is the geometry with one unbounded
+  slot; a width keeps every boundary list as short as one slot's worth of
+  commitments and lets ``expire`` drop whole slots behind ``now`` in O(1)
+  each (``docs/scaling.md`` has the numbers for choosing).
+
+The deliberate relaxation a width buys that with: dropping a slot forgets
+the *history* of commitments that extend past ``now``, and nothing behind
+the expire watermark is materialized again, so queries about windows
+before it may under-report.  Admission only ever asks about the present
+and future, where every geometry answers identically — the property
+``tests/admission/test_sharded_property.py`` drives against a brute-force
+reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 _NEG_INF = float("-inf")
+_INF = float("inf")
 
 
 def _ranged_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -63,18 +83,111 @@ def _ranged_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return out
 
 
+class StepFunction:
+    """A piecewise-constant integer level over time; no records, no ids.
+
+    Kept *canonical*: no boundary where the level does not change.  The
+    form is a pure function of the level profile, so adding a window and
+    subtracting it again restores the lists byte-identically (the rollback
+    oracle in :mod:`repro.pathadm.fingerprint`).
+    """
+
+    __slots__ = ("times", "levels", "_compiled")
+
+    _BLOCK = 128  # two-level range-max block size (~sqrt of typical k)
+
+    def __init__(self) -> None:
+        self.times: list[float] = [_NEG_INF]
+        self.levels: list[int] = [0]
+        self._compiled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def peak(self, start: float, end: float) -> int:
+        """Maximum level anywhere in ``[start, end)``."""
+        times = self.times
+        lo = bisect_right(times, start) - 1
+        # Boundaries are unique, so the left insertion point for ``end``
+        # is the right one minus (end present).
+        hi = bisect_right(times, end, lo)
+        if times[hi - 1] == end:
+            hi -= 1
+        return max(self.levels[lo:hi])
+
+    def add(self, delta: int, start: float, end: float) -> None:
+        """Shift the level by ``delta`` over ``[start, end)``."""
+        times = self.times
+        levels = self.levels
+        lo = bisect_right(times, start) - 1
+        if times[lo] != start:
+            lo += 1
+            times.insert(lo, start)
+            levels.insert(lo, levels[lo - 1])
+        hi = bisect_right(times, end, lo) - 1
+        if times[hi] != end:
+            hi += 1
+            times.insert(hi, end)
+            levels.insert(hi, levels[hi - 1])
+        levels[lo:hi] = [level + delta for level in levels[lo:hi]]
+        # A uniform shift moves every interior boundary and its predecessor
+        # alike, so only the two endpoints can have become redundant.
+        if levels[hi] == levels[hi - 1]:
+            del times[hi]
+            del levels[hi]
+        if levels[lo] == levels[lo - 1]:
+            del times[lo]
+            del levels[lo]
+        self._compiled = None
+
+    def add_batch(self, deltas: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+        """Add many windows in ``O((n + m) log(n + m))``: the step function is
+        rebuilt from merged boundary deltas instead of one insert a window."""
+        old_times = np.array(self.times[1:], dtype=np.float64)
+        old_deltas = np.diff(np.array(self.levels, dtype=np.int64))
+        times = np.concatenate([old_times, starts, ends])
+        merged_deltas = np.concatenate([old_deltas, deltas, -deltas])
+        unique_times, inverse = np.unique(times, return_inverse=True)
+        merged = np.zeros(unique_times.size, dtype=np.int64)
+        np.add.at(merged, inverse, merged_deltas)
+        change = merged != 0  # drop boundaries that no longer change the level
+        self.times = [_NEG_INF, *unique_times[change].tolist()]
+        self.levels = [0, *np.cumsum(merged[change]).tolist()]
+        self._compiled = None
+
+    def bulk_peak(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`peak` over parallel window arrays.
+
+        Compiles the step function once (cached until the next mutation),
+        locates every window with two ``searchsorted`` passes, then takes
+        the range maximum two-level: whole blocks through the precompiled
+        per-block maxima, partial blocks at the edges through the raw
+        levels.  Per window that is ``O(B + k/B)`` instead of ``O(k)``, so
+        throughput holds up when single windows overlap thousands of
+        boundaries.
+        """
+        block = self._BLOCK
+        if self._compiled is None:
+            times = np.array(self.times, dtype=np.float64)
+            levels = np.array(self.levels, dtype=np.int64)
+            blocks = -(-times.size // block)
+            padded = np.full(blocks * block, -1, dtype=np.int64)
+            padded[: times.size] = levels
+            block_max = padded.reshape(blocks, block).max(axis=1)
+            # One pad element each makes index == len valid for reduceat.
+            self._compiled = (
+                times, np.append(levels, levels[-1]), np.append(block_max, -1)
+            )
+        times, levels, block_max = self._compiled
+        lo = np.searchsorted(times, starts, side="right") - 1
+        hi = np.searchsorted(times, ends, side="left")
+        lo_block = -(-lo // block)  # first whole block inside the range
+        hi_block = hi // block  # first block past the whole-block run
+        left = _ranged_max(levels, lo, np.minimum(hi, lo_block * block))
+        right = _ranged_max(levels, np.maximum(lo, hi_block * block), hi)
+        inner = _ranged_max(block_max, lo_block, hi_block)
+        return np.maximum(np.maximum(left, right), inner)
+
+
 class AdmissionRejected(RuntimeError):
     """A commitment does not fit the calendar's remaining capacity."""
-
-
-def _commitment_rows(commitments: dict) -> tuple:
-    """Canonical sorted rows of a commitment dict (fingerprint helper)."""
-    return tuple(
-        sorted(
-            (cid, c.bandwidth_kbps, c.start, c.end, c.tag)
-            for cid, c in commitments.items()
-        )
-    )
 
 
 @dataclass(frozen=True)
@@ -92,6 +205,15 @@ class Commitment:
         return self.end - self.start
 
 
+def _check_window(start: float, end: float) -> None:
+    if end <= start:
+        raise ValueError(f"empty window [{start}, {end})")
+
+
+def _sorted_index(index: dict) -> tuple:
+    return tuple(sorted((key, tuple(sorted(ids))) for key, ids in index.items()))
+
+
 class CapacityCalendar:
     """Committed-bandwidth-over-time ledger for one interface direction.
 
@@ -104,40 +226,95 @@ class CapacityCalendar:
         ...
     repro.admission.calendar.AdmissionRejected: ...
     >>> _ = calendar.admit(600, 100, 200)       # disjoint in time: fits
+
+    With a shard width the commitment is still recorded once; its level is
+    projected, clipped, into every slot the window overlaps:
+
+    >>> calendar = CapacityCalendar(capacity_kbps=1000, shard_seconds=100)
+    >>> spanning = calendar.admit(600, 50, 250)
+    >>> calendar.shard_count, calendar.commitment_count
+    (3, 1)
+    >>> calendar.peak_commitment(0, 300)
+    600
+    >>> calendar.try_commit(600, 240, 260) is None
+    True
     """
 
-    def __init__(self, capacity_kbps: int) -> None:
+    # Projection touches one shard per overlapped slot, so a commitment
+    # spanning millions of them (a mistyped far-future end, or a shard width
+    # far too small for the workload's horizon) would hang the dense key
+    # loop and exhaust memory before any admission check ran.
+    MAX_SPAN_SHARDS = 100_000
+
+    def __init__(self, capacity_kbps: int, shard_seconds: float | None = None) -> None:
         if capacity_kbps <= 0:
             raise ValueError("capacity must be positive")
+        if shard_seconds is not None and not shard_seconds > 0:
+            raise ValueError("shard width must be positive")
         self.capacity_kbps = int(capacity_kbps)
-        self._times: list[float] = [_NEG_INF]
-        self._levels: list[int] = [0]
+        self.shard_seconds = None if shard_seconds is None else float(shard_seconds)
+        # Created on demand, deleted when flat again or expired: memory
+        # tracks the *live* horizon, not calendar history.
+        self._shards: dict[int, StepFunction] = {}
         self._commitments: dict[int, Commitment] = {}
         self._by_tag: dict[str, set[int]] = {}  # tag -> commitment ids
+        self._by_end_shard: dict[int, set[int]] = {}  # slot of the end -> ids
         self._ids = itertools.count()
-        self._dirty = True
-        self._np_times: np.ndarray | None = None
-        self._np_levels: np.ndarray | None = None
-        self._np_block_max: np.ndarray | None = None
+        #: First slot :meth:`expire` has not dropped (the watermark): nothing
+        #: is projected behind it, so a release subtracts exactly the slots
+        #: its commit — or what is left of it — still occupies.
+        self._floor: float = _NEG_INF
+        #: Lifetime count of whole shards discarded by :meth:`expire`
+        #: (telemetry reads this as a monotonic counter).
+        self.shards_dropped = 0
 
-    def _install(self, times: list[float], levels: list[int]) -> None:
-        """Replace the whole step function (bulk rebuilds)."""
-        self._times = times
-        self._levels = levels
+    # -- shard geometry -----------------------------------------------------------
 
-    # -- queries ---------------------------------------------------------------
+    def _pieces(
+        self, start: float, end: float, existing: bool = False
+    ) -> list[tuple[int, float, float]]:
+        """``(slot, clipped start, clipped end)`` for every slot ``[start, end)``
+        overlaps at or after the watermark — with ``existing``, only for those
+        that may hold a shard (queries: a huge window over a few shards walks
+        the shards, not the slots)."""
+        width = self.shard_seconds
+        if width is None:
+            return [(0, start, end)]
+        keys = range(max(math.floor(start / width), self._floor), math.ceil(end / width))
+        if existing and keys.stop - keys.start > len(self._shards):
+            keys = [key for key in self._shards if key in keys]
+        return [
+            (key, lo, hi)
+            for key in keys
+            # a float edge can clip a slot's piece to nothing
+            if (lo := max(start, key * width)) < (hi := min(end, (key + 1) * width))
+        ]
+
+    def _project(self, delta: int, pieces: list[tuple[int, float, float]]) -> None:
+        """Shift the committed level by ``delta`` over the pieces, shard by shard."""
+        shards = self._shards
+        for key, lo, hi in pieces:
+            shard = shards.get(key)
+            if shard is None:
+                shard = shards[key] = StepFunction()
+            shard.add(delta, lo, hi)
+            if len(shard.times) == 1:  # fully flat again: give the slot back
+                del shards[key]
+
+    # -- queries ------------------------------------------------------------------
 
     def peak_commitment(self, start: float, end: float) -> int:
         """Maximum committed kbps anywhere in ``[start, end)``."""
-        self._check_window(start, end)
-        times = self._times
-        lo = bisect_right(times, start) - 1
-        # Boundaries are unique, so the left insertion point for ``end``
-        # is the right one minus (end present).
-        hi = bisect_right(times, end, lo)
-        if times[hi - 1] == end:
-            hi -= 1
-        return max(self._levels[lo:hi])
+        _check_window(start, end)
+        shards = self._shards
+        return max(
+            [
+                shards[key].peak(lo, hi)
+                for key, lo, hi in self._pieces(start, end, existing=True)
+                if key in shards
+            ],
+            default=0,
+        )
 
     def headroom(self, start: float, end: float) -> int:
         """Largest bandwidth still admissible over the whole window."""
@@ -147,27 +324,15 @@ class CapacityCalendar:
         """Peak committed fraction of capacity over the window, in [0, ...)."""
         return self.peak_commitment(start, end) / self.capacity_kbps
 
-    def mean_commitment(self, start: float, end: float) -> float:
-        """Time-weighted average committed kbps over ``[start, end)``."""
-        self._check_window(start, end)
-        lo = bisect_right(self._times, start) - 1
-        hi = bisect_left(self._times, end, lo)
-        bounds = [start, *self._times[lo + 1 : hi], end]
-        total = sum(
-            level * (bounds[i + 1] - bounds[i])
-            for i, level in enumerate(self._levels[lo:hi])
-        )
-        return total / (end - start)
-
     def tag_peak(self, tag: str, start: float, end: float) -> int:
         """Peak committed kbps attributable to one tag (e.g. one buyer).
 
         Computed by sweeping that tag's commitments (found through a
         per-tag index, so the cost scales with one owner's holdings, not
-        the whole calendar); exact under splits and releases without a
+        the whole calendar); exact under reclaims and releases without a
         per-tag calendar.
         """
-        self._check_window(start, end)
+        _check_window(start, end)
         events: list[tuple[float, int]] = []
         for commitment_id in self._by_tag.get(tag, ()):
             commitment = self._commitments[commitment_id]
@@ -182,42 +347,34 @@ class CapacityCalendar:
             peak = max(peak, level)
         return peak
 
-    # -- vectorized bulk path ---------------------------------------------------
-
-    _BLOCK = 128  # two-level range-max block size (~sqrt of typical k)
-
     def bulk_peak(self, starts, ends) -> np.ndarray:
         """Vectorized :meth:`peak_commitment` over parallel window arrays.
 
-        Compiles the step function once (cached until the next mutation),
-        locates every window with two ``searchsorted`` passes, then takes
-        the range maximum two-level: whole blocks through the precompiled
-        per-block maxima, partial blocks at the edges through the raw
-        levels.  Per window that is ``O(B + k/B)`` instead of ``O(k)``, so
-        throughput holds up when single windows overlap thousands of
-        boundaries.
+        Query windows are partitioned per shard: each shard sees only the
+        windows overlapping its slot, clipped to it, and answers them with
+        one :meth:`StepFunction.bulk_peak` pass; the per-shard answers
+        reduce into the output with ``np.maximum``.
         """
         starts = np.asarray(starts, dtype=np.float64)
         ends = np.asarray(ends, dtype=np.float64)
         if starts.shape != ends.shape:
             raise ValueError("starts and ends must have the same shape")
+        out = np.zeros(starts.shape, dtype=np.int64)
         if starts.size == 0:
-            return np.zeros(0, dtype=np.int64)
+            return out
         if not np.all(ends > starts):
             raise ValueError("every window must satisfy end > start")
-        times, levels, block_max = self._compiled()
-        block = self._BLOCK
-        lo = np.searchsorted(times, starts, side="right") - 1
-        hi = np.searchsorted(times, ends, side="left")
-        lo_block = -(-lo // block)  # first whole block inside the range
-        hi_block = hi // block  # first block past the whole-block run
-        left = _ranged_max(levels, lo, np.minimum(hi, lo_block * block))
-        right = _ranged_max(levels, np.maximum(lo, hi_block * block), hi)
-        inner = _ranged_max(block_max, lo_block, hi_block)
-        return np.maximum(np.maximum(left, right), inner)
-
-    def bulk_headroom(self, starts, ends) -> np.ndarray:
-        return self.capacity_kbps - self.bulk_peak(starts, ends)
+        for key, lo, hi in self._pieces(float(starts.min()), float(ends.max()), existing=True):
+            shard = self._shards.get(key)
+            if shard is None:
+                continue
+            mask = (starts < hi) & (ends > lo)
+            if mask.any():
+                out[mask] = np.maximum(
+                    out[mask],
+                    shard.bulk_peak(np.maximum(starts[mask], lo), np.minimum(ends[mask], hi)),
+                )
+        return out
 
     def bulk_admissible(self, bandwidth_kbps, starts, ends) -> np.ndarray:
         """Boolean mask: would each window still fit ``bandwidth_kbps``?
@@ -227,39 +384,39 @@ class CapacityCalendar:
         bandwidth = np.asarray(bandwidth_kbps, dtype=np.int64)
         return self.bulk_peak(starts, ends) + bandwidth <= self.capacity_kbps
 
-    # -- mutations ---------------------------------------------------------------
+    # -- mutations ----------------------------------------------------------------
 
     def admit(self, bandwidth_kbps: int, start: float, end: float, tag: str = "") -> Commitment:
         """Commit the bandwidth if it fits; raise :class:`AdmissionRejected`."""
-        self._check_commitment(bandwidth_kbps, start, end)
-        headroom = self.headroom(start, end)
-        if bandwidth_kbps > headroom:
+        commitment = self.try_commit(bandwidth_kbps, start, end, tag)
+        if commitment is None:
             raise AdmissionRejected(
                 f"{bandwidth_kbps} kbps over [{start}, {end}) exceeds headroom "
-                f"{headroom} of {self.capacity_kbps} kbps"
+                f"{self.headroom(start, end)} of {self.capacity_kbps} kbps"
             )
-        return self.commit(bandwidth_kbps, start, end, tag)
+        return commitment
 
     def try_commit(
         self, bandwidth_kbps: int, start: float, end: float, tag: str = ""
     ) -> Commitment | None:
         """Commit if the window still has headroom; ``None`` otherwise.
 
-        The non-raising single-walk form of :meth:`admit` — the peak check
-        and the commit share one traversal, which is what per-hop path
+        The non-raising form of :meth:`admit` — what per-hop path
         admission (two directions per hop, every hop on the path) runs in
-        its hot loop.
+        its hot loop.  Slots with no shard are empty and always fit.
         """
         bandwidth_kbps = int(bandwidth_kbps)
         self._check_commitment(bandwidth_kbps, start, end)
-        times = self._times
-        lo = bisect_right(times, start) - 1
-        hi = bisect_right(times, end, lo)
-        if times[hi - 1] == end:
-            hi -= 1
-        if max(self._levels[lo:hi]) + bandwidth_kbps > self.capacity_kbps:
+        limit = self.capacity_kbps - bandwidth_kbps
+        if limit < 0:
             return None
-        return self.commit(bandwidth_kbps, start, end, tag)
+        pieces = self._pieces(start, end)
+        shards = self._shards
+        for key, lo, hi in pieces:
+            shard = shards.get(key)
+            if shard is not None and shard.peak(lo, hi) > limit:
+                return None
+        return self._record(bandwidth_kbps, start, end, tag, pieces)
 
     def commit(self, bandwidth_kbps: int, start: float, end: float, tag: str = "") -> Commitment:
         """Record a commitment unconditionally (policies decide the limit)."""
@@ -268,24 +425,20 @@ class CapacityCalendar:
         # float input would leak fractional capacity on release.
         bandwidth_kbps = int(bandwidth_kbps)
         self._check_commitment(bandwidth_kbps, start, end)
-        lo, hi = self._ensure_boundaries(start, end)
-        levels = self._levels
-        levels[lo:hi] = [level + bandwidth_kbps for level in levels[lo:hi]]
-        self._prune_endpoints(lo, hi)
-        commitment = Commitment(next(self._ids), bandwidth_kbps, start, end, tag)
-        self._commitments[commitment.commitment_id] = commitment
-        self._index(commitment)
-        self._dirty = True
-        return commitment
+        return self._record(bandwidth_kbps, start, end, tag, self._pieces(start, end))
 
     def commit_batch(self, bandwidths, starts, ends, tag: str = "", track: bool = True):
-        """Bulk-load many commitments in ``O((n + m) log(n + m))``.
+        """Bulk-load many commitments, one vectorized pass per shard.
 
-        Rebuilds the step function from merged boundary deltas instead of
-        inserting one window at a time.  With ``track=False`` the individual
-        :class:`Commitment` records are not kept (they could not be released
-        individually) — the mode benchmarks and scenario generators use to
-        load 10^5..10^6 reservations in one call.
+        Rows are partitioned by the slot their (remaining) window starts
+        in; each shard takes its pieces in a single
+        :meth:`StepFunction.add_batch`, and rows extending past the slot
+        edge carry over to the next round clipped at the boundary — total
+        work is proportional to the number of *pieces*.  With
+        ``track=False`` the individual :class:`Commitment` records are not
+        kept (they could not be released individually) — the mode
+        benchmarks and scenario generators use to load 10^5..10^6
+        reservations in one call.
         """
         bandwidths = np.asarray(bandwidths, dtype=np.int64)
         starts = np.asarray(starts, dtype=np.float64)
@@ -294,53 +447,79 @@ class CapacityCalendar:
             raise ValueError("bandwidths, starts and ends must be parallel arrays")
         if bandwidths.size == 0:
             return [] if track else None
+        if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
+            raise ValueError("commitment window must be finite")
         if not np.all(ends > starts) or not np.all(bandwidths > 0):
             raise ValueError("every commitment needs end > start and bandwidth > 0")
-        old_times = np.array(self._times[1:], dtype=np.float64)
-        old_deltas = np.diff(np.array(self._levels, dtype=np.int64))
-        times = np.concatenate([old_times, starts, ends])
-        deltas = np.concatenate([old_deltas, bandwidths, -bandwidths])
-        unique_times, inverse = np.unique(times, return_inverse=True)
-        merged = np.zeros(unique_times.size, dtype=np.int64)
-        np.add.at(merged, inverse, deltas)
-        change = merged != 0  # drop boundaries that no longer change the level
-        levels = np.cumsum(merged[change])
-        self._install(
-            [_NEG_INF, *unique_times[change].tolist()],
-            [0, *levels.tolist()],
-        )
-        self._dirty = True
+        widest = int(np.argmax(ends - starts))
+        self._check_span(float(starts[widest]), float(ends[widest]))
+        width = self.shard_seconds
+        cursor = starts, ends, bandwidths
+        if width is not None and self._floor * width > starts.min():
+            # Rows reaching behind the watermark project only what is ahead of it.
+            clipped = np.maximum(starts, self._floor * width)
+            ahead = clipped < ends
+            cursor = clipped[ahead], ends[ahead], bandwidths[ahead]
+        while cursor[0].size:
+            cursor_starts, cursor_ends, cursor_bandwidths = cursor
+            if width is None:
+                keys = np.zeros(cursor_starts.size, dtype=np.int64)
+                piece_ends = cursor_ends
+            else:
+                keys = np.floor_divide(cursor_starts, width).astype(np.int64)
+                piece_ends = np.minimum(cursor_ends, (keys + 1) * width)
+            order = np.argsort(keys, kind="stable")
+            breaks = np.flatnonzero(np.diff(keys[order])) + 1
+            for group in np.split(order, breaks):
+                shard = self._shards.setdefault(int(keys[group[0]]), StepFunction())
+                shard.add_batch(
+                    cursor_bandwidths[group], cursor_starts[group], piece_ends[group]
+                )
+            carry = piece_ends < cursor_ends
+            cursor = piece_ends[carry], cursor_ends[carry], cursor_bandwidths[carry]
         if not track:
             return None
-        commitments = [
-            Commitment(next(self._ids), int(bw), float(s), float(e), tag)
+        return [
+            self._register(Commitment(next(self._ids), int(bw), float(s), float(e), tag))
             for bw, s, e in zip(bandwidths, starts, ends)
         ]
-        for commitment in commitments:
-            self._commitments[commitment.commitment_id] = commitment
-            self._index(commitment)
-        return commitments
 
     def release(self, commitment_id: int) -> Commitment:
-        """Return a commitment's bandwidth to the calendar."""
+        """Return a commitment's bandwidth to every shard it still occupies."""
         commitment = self._commitments.pop(commitment_id, None)
         if commitment is None:
             raise KeyError(f"unknown commitment {commitment_id}")
-        self._unindex(commitment)
-        lo, hi = self._ensure_boundaries(commitment.start, commitment.end)
-        levels = self._levels
-        bandwidth_kbps = commitment.bandwidth_kbps
-        levels[lo:hi] = [level - bandwidth_kbps for level in levels[lo:hi]]
-        self._prune_endpoints(lo, hi)
-        self._dirty = True
+        self._unindex(self._by_tag, commitment.tag, commitment_id)
+        self._unindex(self._by_end_shard, self._end_key(commitment.end), commitment_id)
+        self._project(
+            -commitment.bandwidth_kbps, self._pieces(commitment.start, commitment.end)
+        )
         return commitment
 
     def expire(self, now: float) -> int:
-        """Release every commitment that ended at or before ``now``."""
-        ended = [c.commitment_id for c in self._commitments.values() if c.end <= now]
-        for commitment_id in ended:
-            self.release(commitment_id)
-        return len(ended)
+        """Release every commitment that ended at or before ``now``.
+
+        With a shard width, shards whose slot lies entirely at or before
+        ``now`` are discarded first, in O(1) each — their levels (and any
+        untracked bulk load) vanish wholesale and the watermark moves up,
+        so commitments ending in those slots release without touching a
+        step function.  Only the slot containing ``now`` is swept record by
+        record; with ``shard_seconds=None`` that slot is the whole calendar.
+        """
+        width = self.shard_seconds
+        current = 0 if width is None else math.floor(now / width)
+        if width is not None and current > self._floor:
+            self._floor = current
+            for key in [key for key in self._shards if key < current]:
+                del self._shards[key]
+                self.shards_dropped += 1
+        released = 0
+        for key in [key for key in self._by_end_shard if key <= current]:
+            for commitment_id in list(self._by_end_shard[key]):
+                if self._commitments[commitment_id].end <= now:
+                    self.release(commitment_id)
+                    released += 1
+        return released
 
     def reclaim(self, commitment_id: int, new_bandwidth_kbps: int) -> Commitment:
         """Shrink a live commitment to ``new_bandwidth_kbps`` in place.
@@ -367,93 +546,13 @@ class CapacityCalendar:
                 f"reclaim target {new_bandwidth_kbps} kbps outside "
                 f"(0, {commitment.bandwidth_kbps})"
             )
-        delta = new_bandwidth_kbps - commitment.bandwidth_kbps
-        lo, hi = self._ensure_boundaries(commitment.start, commitment.end)
-        levels = self._levels
-        levels[lo:hi] = [level + delta for level in levels[lo:hi]]
-        self._prune_endpoints(lo, hi)
+        self._project(
+            new_bandwidth_kbps - commitment.bandwidth_kbps,
+            self._pieces(commitment.start, commitment.end),
+        )
         resized = dataclasses.replace(commitment, bandwidth_kbps=new_bandwidth_kbps)
-        self._commitments[commitment.commitment_id] = resized
-        self._dirty = True
+        self._commitments[commitment_id] = resized
         return resized
-
-    # -- commitment surgery (mirrors asset split/fuse/transfer) -------------------
-
-    def split_time(self, commitment_id: int, at: float) -> tuple[Commitment, Commitment]:
-        """Split one commitment at ``at``; the committed profile is unchanged."""
-        commitment = self._commitments.pop(commitment_id)
-        if not commitment.start < at < commitment.end:
-            self._commitments[commitment_id] = commitment
-            raise ValueError(f"split point {at} outside ({commitment.start}, {commitment.end})")
-        first = Commitment(
-            next(self._ids), commitment.bandwidth_kbps, commitment.start, at, commitment.tag
-        )
-        second = Commitment(
-            next(self._ids), commitment.bandwidth_kbps, at, commitment.end, commitment.tag
-        )
-        self._unindex(commitment)
-        for piece in (first, second):
-            self._commitments[piece.commitment_id] = piece
-            self._index(piece)
-        return first, second
-
-    def split_bandwidth(self, commitment_id: int, bandwidth_kbps: int) -> tuple[Commitment, Commitment]:
-        """Split one commitment into two stacked bandwidth shares."""
-        commitment = self._commitments.pop(commitment_id)
-        if not 0 < bandwidth_kbps < commitment.bandwidth_kbps:
-            self._commitments[commitment_id] = commitment
-            raise ValueError(
-                f"split bandwidth {bandwidth_kbps} outside (0, {commitment.bandwidth_kbps})"
-            )
-        first = Commitment(
-            next(self._ids),
-            commitment.bandwidth_kbps - bandwidth_kbps,
-            commitment.start,
-            commitment.end,
-            commitment.tag,
-        )
-        second = Commitment(
-            next(self._ids), int(bandwidth_kbps), commitment.start, commitment.end, commitment.tag
-        )
-        self._unindex(commitment)
-        for piece in (first, second):
-            self._commitments[piece.commitment_id] = piece
-            self._index(piece)
-        return first, second
-
-    def fuse(self, first_id: int, second_id: int) -> Commitment:
-        """Recombine two commitments (time-adjacent or same-window)."""
-        a = self._commitments[first_id]
-        b = self._commitments[second_id]
-        if (a.start, a.end) == (b.start, b.end):
-            fused = Commitment(
-                next(self._ids), a.bandwidth_kbps + b.bandwidth_kbps, a.start, a.end, a.tag
-            )
-        elif a.bandwidth_kbps == b.bandwidth_kbps and (a.end == b.start or b.end == a.start):
-            fused = Commitment(
-                next(self._ids),
-                a.bandwidth_kbps,
-                min(a.start, b.start),
-                max(a.end, b.end),
-                a.tag,
-            )
-        else:
-            raise ValueError("commitments neither same-window nor time-adjacent with equal bandwidth")
-        for old in (a, b):
-            del self._commitments[old.commitment_id]
-            self._unindex(old)
-        self._commitments[fused.commitment_id] = fused
-        self._index(fused)
-        return fused
-
-    def transfer(self, commitment_id: int, tag: str) -> Commitment:
-        """Re-label a commitment (ownership moved, e.g. a resold asset)."""
-        commitment = self._commitments.pop(commitment_id)
-        self._unindex(commitment)
-        transferred = dataclasses.replace(commitment, tag=tag)
-        self._commitments[transferred.commitment_id] = transferred
-        self._index(transferred)
-        return transferred
 
     # -- introspection ------------------------------------------------------------
 
@@ -462,8 +561,13 @@ class CapacityCalendar:
         return len(self._commitments)
 
     @property
+    def shard_count(self) -> int:
+        return len(self._shards)
+
+    @property
     def boundary_count(self) -> int:
-        return len(self._times) - 1  # exclude the -inf sentinel
+        """Total boundaries across shards (a slot edge counts in each shard it cuts)."""
+        return sum(len(shard.times) - 1 for shard in self._shards.values())
 
     def commitments(self) -> list[Commitment]:
         return list(self._commitments.values())
@@ -471,102 +575,77 @@ class CapacityCalendar:
     def get(self, commitment_id: int) -> Commitment:
         return self._commitments[commitment_id]
 
-    # -- snapshot / fingerprint ----------------------------------------------------
-
     def fingerprint(self) -> tuple:
         """Hashable canonical form of this calendar's complete state.
 
-        Includes every piece of state — boundaries, levels, live
-        commitments, and the tag index — and excludes the two things that
-        are allocators or caches, not state: the ``_ids`` counter and the
+        Includes every piece of state — geometry, watermark, drop counter,
+        each shard's boundaries and levels, live commitments, the tag index
+        and the end-shard index — and excludes the two things that are
+        allocators or caches, not state: the ``_ids`` counter and the
         lazily compiled numpy arrays.  Two calendars with equal
         fingerprints answer every query identically.
         """
         return (
-            "monolithic",
             self.capacity_kbps,
-            tuple(self._times),
-            tuple(self._levels),
-            _commitment_rows(self._commitments),
+            self.shard_seconds,
+            self._floor,
+            self.shards_dropped,
             tuple(
                 sorted(
-                    (tag, tuple(sorted(ids)))
-                    for tag, ids in self._by_tag.items()
+                    (key, tuple(shard.times), tuple(shard.levels))
+                    for key, shard in self._shards.items()
                 )
             ),
+            tuple(
+                sorted(
+                    (cid, c.bandwidth_kbps, c.start, c.end, c.tag)
+                    for cid, c in self._commitments.items()
+                )
+            ),
+            _sorted_index(self._by_tag),
+            _sorted_index(self._by_end_shard),
         )
 
     # -- internals ----------------------------------------------------------------
 
-    def _compiled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._dirty or self._np_times is None:
-            self._np_times = np.array(self._times, dtype=np.float64)
-            levels = np.array(self._levels, dtype=np.int64)
-            # One pad element makes index == len(times) valid for reduceat.
-            self._np_levels = np.append(levels, levels[-1])
-            count = self._np_times.size
-            blocks = -(-count // self._BLOCK)
-            padded = np.full(blocks * self._BLOCK, -1, dtype=np.int64)
-            padded[:count] = self._np_levels[:count]
-            block_max = padded.reshape(blocks, self._BLOCK).max(axis=1)
-            self._np_block_max = np.append(block_max, -1)  # reduceat pad
-            self._dirty = False
-        return self._np_times, self._np_levels, self._np_block_max
+    def _end_key(self, end: float) -> int:
+        """Slot containing the window's last instant (``end`` exclusive)."""
+        width = self.shard_seconds
+        return 0 if width is None else math.ceil(end / width) - 1
 
-    def _index(self, commitment: Commitment) -> None:
-        self._by_tag.setdefault(commitment.tag, set()).add(commitment.commitment_id)
+    def _record(
+        self, bandwidth_kbps: int, start: float, end: float, tag: str, pieces: list
+    ) -> Commitment:
+        self._project(bandwidth_kbps, pieces)
+        return self._register(Commitment(next(self._ids), bandwidth_kbps, start, end, tag))
 
-    def _unindex(self, commitment: Commitment) -> None:
-        ids = self._by_tag.get(commitment.tag)
-        if ids is not None:
-            ids.discard(commitment.commitment_id)
-            if not ids:
-                del self._by_tag[commitment.tag]
-
-    def _prune_endpoints(self, lo: int, hi: int) -> None:
-        """Restore canonicality after a span add/subtract over ``[lo, hi)``.
-
-        The representation is kept *canonical*: no boundary where the level
-        does not change.  A uniform span update shifts every interior
-        boundary and its predecessor alike, so only the two endpoints can
-        have become redundant — and because the canonical form is a pure
-        function of the level profile plus live commitments, a
-        commit-then-release round trip restores the lists byte-identically
-        (the rollback oracle in :mod:`repro.pathadm.fingerprint`).
-        """
-        times = self._times
-        levels = self._levels
-        if hi != lo and levels[hi] == levels[hi - 1]:
-            del times[hi]
-            del levels[hi]
-        if levels[lo] == levels[lo - 1]:
-            del times[lo]
-            del levels[lo]
-
-    def _ensure_boundaries(self, start: float, end: float) -> tuple[int, int]:
-        """Materialize boundaries at ``start`` and ``end``; return their indices."""
-        times = self._times
-        levels = self._levels
-        lo = bisect_right(times, start) - 1
-        if times[lo] != start:
-            lo += 1
-            times.insert(lo, start)
-            levels.insert(lo, levels[lo - 1])
-        hi = bisect_right(times, end, lo) - 1
-        if times[hi] != end:
-            hi += 1
-            times.insert(hi, end)
-            levels.insert(hi, levels[hi - 1])
-        return lo, hi
+    def _register(self, commitment: Commitment) -> Commitment:
+        commitment_id = commitment.commitment_id
+        self._commitments[commitment_id] = commitment
+        self._by_tag.setdefault(commitment.tag, set()).add(commitment_id)
+        self._by_end_shard.setdefault(self._end_key(commitment.end), set()).add(commitment_id)
+        return commitment
 
     @staticmethod
-    def _check_window(start: float, end: float) -> None:
-        if end <= start:
-            raise ValueError(f"empty window [{start}, {end})")
+    def _unindex(index: dict, key, commitment_id: int) -> None:
+        ids = index[key]
+        ids.discard(commitment_id)
+        if not ids:
+            del index[key]
 
     def _check_commitment(self, bandwidth_kbps: int, start: float, end: float) -> None:
-        self._check_window(start, end)
+        if not _NEG_INF < start < end < _INF:  # false for a NaN as well
+            _check_window(start, end)
+            raise ValueError("commitment window must be finite")
         if bandwidth_kbps <= 0:
             raise ValueError("bandwidth must be positive")
-        if start == _NEG_INF or end == float("inf"):
-            raise ValueError("commitment window must be finite")
+        self._check_span(start, end)
+
+    def _check_span(self, start: float, end: float) -> None:
+        width = self.shard_seconds
+        if width is not None and end - start > self.MAX_SPAN_SHARDS * width:
+            raise ValueError(
+                f"commitment [{start}, {end}) spans {(end - start) / width:,.0f} shards "
+                f"of {width}s (limit {self.MAX_SPAN_SHARDS}); "
+                "use a larger shard_seconds for horizons this long"
+            )

@@ -28,7 +28,6 @@ from repro.admission.policy import (
     FirstComeFirstServed,
 )
 from repro.admission.pricing import FlatPricer, Pricer
-from repro.admission.sharded import ShardedCalendar
 from repro.telemetry import get_registry
 from repro.telemetry.tracing import current_trace
 
@@ -71,11 +70,10 @@ class AdmissionController:
             pricer: utilization -> price multiplier (default
                 :class:`~repro.admission.pricing.FlatPricer`).
             capacities: per-``(interface, is_ingress)`` capacity overrides.
-            shard_seconds: selects time-sharded calendars
-                (:class:`~repro.admission.sharded.ShardedCalendar` with that
-                shard width) for every layer; ``None`` keeps the monolithic
-                :class:`CapacityCalendar` — the default, and the right
-                choice below ~10^5 commitments per interface direction.
+            shard_seconds: shard width of every layer's
+                :class:`CapacityCalendar`; ``None`` is the one-unbounded-shard
+                geometry — the default, and the right choice below ~10^5
+                commitments per interface direction.
             auction_interfaces: which interface directions allocate windows
                 by sealed-bid auction instead of posted prices — ``None``
                 (posted everywhere, the default), ``True`` (auction
@@ -101,9 +99,7 @@ class AdmissionController:
         self.pricer = pricer if pricer is not None else FlatPricer()
         self.shard_seconds = None if shard_seconds is None else float(shard_seconds)
         self._capacities = dict(capacities) if capacities else {}
-        self._calendars: dict[
-            tuple[str, int, bool], CapacityCalendar | ShardedCalendar
-        ] = {}
+        self._calendars: dict[tuple[str, int, bool], CapacityCalendar] = {}
         if auction_interfaces is True:
             self._auction_interfaces: bool | set[tuple[int, bool]] = True
         elif auction_interfaces:
@@ -162,7 +158,7 @@ class AdmissionController:
 
     def calendar(
         self, interface: int, is_ingress: bool, layer: str = ISSUED
-    ) -> CapacityCalendar | ShardedCalendar:
+    ) -> CapacityCalendar:
         """The capacity calendar of one interface direction and layer.
 
         Args:
@@ -173,8 +169,7 @@ class AdmissionController:
                 (delivered reservations).
 
         Returns:
-            The lazily created calendar — monolithic or sharded, per the
-            controller's ``shard_seconds``.
+            The lazily created calendar, at the controller's ``shard_seconds``.
 
         Raises:
             ValueError: unknown ``layer``.
@@ -184,12 +179,9 @@ class AdmissionController:
         key = (layer, interface, is_ingress)
         found = self._calendars.get(key)
         if found is None:
-            capacity = self.capacity_kbps(interface, is_ingress)
-            if self.shard_seconds is None:
-                found = CapacityCalendar(capacity)
-            else:
-                found = ShardedCalendar(capacity, shard_seconds=self.shard_seconds)
-            self._calendars[key] = found
+            found = self._calendars[key] = CapacityCalendar(
+                self.capacity_kbps(interface, is_ingress), self.shard_seconds
+            )
         return found
 
     # -- admission ----------------------------------------------------------------
@@ -306,9 +298,9 @@ class AdmissionController:
         released = 0
         shards_dropped = 0
         for calendar in self._calendars.values():
-            before = getattr(calendar, "shards_dropped", 0)
+            before = calendar.shards_dropped
             released += calendar.expire(now)
-            shards_dropped += getattr(calendar, "shards_dropped", 0) - before
+            shards_dropped += calendar.shards_dropped - before
         if self._telemetry:
             if released:
                 self._m_expired.inc(released)

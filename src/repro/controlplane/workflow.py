@@ -160,7 +160,7 @@ def deploy_market(
     deployment fills every admission calendar without headroom);
     ``admission_policy`` and ``pricer`` configure each AS's
     :class:`~repro.admission.AdmissionController`; ``shard_seconds``
-    switches its calendars to time-sharded ones (None = monolithic);
+    is the shard width of its calendars (None = one unbounded shard);
     ``auction_interfaces`` (``True`` or a set of ``(interface,
     is_ingress)`` pairs) puts those interface directions into sealed-bid
     auction mode — the seed listings are still posted, but

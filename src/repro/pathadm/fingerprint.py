@@ -4,28 +4,27 @@ The two-phase path protocol promises that rolling a screened (or even
 committed) path back leaves every upstream calendar **byte-identical** to
 one that never saw the path at all.  "Byte-identical" is made precise
 here: a fingerprint canonicalizes every piece of *state* a calendar
-carries — step-function boundaries, levels, live commitments, tag index,
-and (for sharded calendars) the shard map, end-shard index, and piece
-projections — while excluding the two things that are *allocators or
+carries — shard geometry, expire watermark and drop counter, each shard's
+step-function boundaries and levels, live commitments, tag index and
+end-shard index — while excluding the two things that are *allocators or
 caches*, not state:
 
 * ``_ids`` — the monotonically increasing commitment-id counter.  It
   advances on every commit and never rewinds; it decides nothing about
   admission, pricing, or expiry, so two calendars that differ only in the
   next id to hand out answer every query identically.
-* the lazily compiled numpy arrays behind ``bulk_peak`` (``_dirty`` /
-  ``_np_*``) — derived verbatim from ``_times``/``_levels`` on demand.
+* the lazily compiled numpy arrays behind ``bulk_peak`` — derived verbatim
+  from each shard's ``times`` / ``levels`` on demand.
 
 Everything else is included, so a stray boundary, a leaked commitment, a
-stale tag-index entry, an undropped empty shard, or a dangling projection
-piece all change the fingerprint and fail the rollback property suite.
+stale index entry or an undropped empty shard all change the fingerprint
+and fail the rollback property suite.
 """
 
 from __future__ import annotations
 
 from repro.admission.calendar import CapacityCalendar
 from repro.admission.controller import AdmissionController
-from repro.admission.sharded import ShardedCalendar
 
 __all__ = [
     "calendar_fingerprint",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 
-def calendar_fingerprint(calendar: CapacityCalendar | ShardedCalendar) -> tuple:
+def calendar_fingerprint(calendar: CapacityCalendar) -> tuple:
     """Hashable canonical form of one calendar's complete state.
 
     Two calendars with equal fingerprints answer every admission, peak,
@@ -46,11 +45,10 @@ def calendar_fingerprint(calendar: CapacityCalendar | ShardedCalendar) -> tuple:
 
 
 def _is_pristine(fingerprint: tuple) -> bool:
-    if fingerprint[0] == "monolithic":
-        _, _, times, levels, commitments, by_tag = fingerprint
-        return len(times) == 1 and levels == (0,) and not commitments and not by_tag
-    _, _, _, dropped, shards, commitments, by_end, projections = fingerprint
-    return not (dropped or shards or commitments or by_end or projections)
+    """Nothing committed, nothing dropped (an expire that found the calendar
+    empty moved its watermark and nothing an admission can see)."""
+    _capacity, _shard_seconds, _watermark, *state = fingerprint
+    return not any(state)
 
 
 def controller_fingerprint(controller: AdmissionController) -> tuple:

@@ -20,11 +20,12 @@ like one atomic one:
    effected 0..k-1 — are released.
 
 Because a calendar's ``release`` exactly re-subtracts the levels a
-``commit`` added and prunes the boundaries it introduced, rollback
-leaves each upstream calendar **byte-identical** to one that never saw
-the path (see :mod:`repro.pathadm.fingerprint` for the precise claim and
+``commit`` added, prunes the boundaries it introduced and hands back the
+shards it created, rollback leaves each upstream calendar
+**byte-identical** to one that never saw the path (see
+:mod:`repro.pathadm.fingerprint` for the precise claim and
 ``tests/pathadm/test_path_rollback_property.py`` for the hypothesis
-proof over sharded and monolithic calendars alike).
+proof at both shard geometries).
 
 >>> from repro.admission import AdmissionController
 >>> hops = [PathHop(f"as{i}", AdmissionController(1000), 1, 2) for i in range(3)]

@@ -24,7 +24,7 @@ Failure model (the matrix ``docs/reclamation.md`` tabulates):
 Reclaim targets never go below the observed rate (``retain_headroom >=
 1``), so reclamation never lowers an interface's headroom below what the
 data plane has actually seen — the invariant the hypothesis suite in
-``tests/reclaim/`` drives on both calendar types.
+``tests/reclaim/`` drives at both shard geometries of the calendar.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Capacity calendar: step-function accounting, bulk path, commitment surgery."""
+"""Capacity calendar: step-function accounting, bulk path."""
 
 import numpy as np
 import pytest
@@ -62,12 +62,6 @@ class TestPointOperations:
         assert calendar.peak_commitment(0, 300) == 100
         assert calendar.boundary_count == 2  # only [0, 300) edges remain
 
-    def test_mean_commitment_is_time_weighted(self):
-        calendar = CapacityCalendar(1000)
-        calendar.admit(400, 0, 100)
-        assert calendar.mean_commitment(0, 200) == pytest.approx(200.0)
-        assert calendar.mean_commitment(0, 100) == pytest.approx(400.0)
-
     def test_invalid_inputs(self):
         calendar = CapacityCalendar(1000)
         with pytest.raises(ValueError):
@@ -108,67 +102,82 @@ class TestPointOperations:
         assert calendar.tag_peak("carol", 0, 150) == 0
 
 
-class TestCommitmentSurgery:
-    def test_split_time_preserves_profile(self):
-        calendar = CapacityCalendar(1000)
-        commitment = calendar.admit(400, 0, 100, tag="alice")
-        first, second = calendar.split_time(commitment.commitment_id, 40)
-        assert (first.start, first.end) == (0, 40)
-        assert (second.start, second.end) == (40, 100)
-        assert calendar.peak_commitment(0, 100) == 400
-        calendar.release(second.commitment_id)
-        assert calendar.peak_commitment(0, 40) == 400
-        assert calendar.peak_commitment(40, 100) == 0
+INF, NAN = float("inf"), float("nan")
+GEOMETRIES = [pytest.param(None, id="unbounded"), pytest.param(100.0, id="sharded")]
+REFUSED_WINDOWS = [(5, 0.0, INF), (5, -INF, 10.0), (5, NAN, 10.0), (5, 10, 10), (5, 20, 10), (0, 0, 10)]
+REFUSED = [
+    *[(method, args) for method in ("commit", "try_commit") for args in REFUSED_WINDOWS],
+    # ..., tag, track: untracked is the load that could never be released
+    *[("commit_batch", ([bw], [start], [end], "", False)) for bw, start, end in REFUSED_WINDOWS],
+    ("commit_batch", ([5, 5], [0.0], [10.0])),  # not parallel
+    ("commit_batch", ([5, 5], [0.0, 0.0], [10.0, INF])),  # one bad row refuses the batch
+]
 
-    def test_split_bandwidth_preserves_profile(self):
-        calendar = CapacityCalendar(1000)
-        commitment = calendar.admit(400, 0, 100)
-        first, second = calendar.split_bandwidth(commitment.commitment_id, 150)
-        assert first.bandwidth_kbps == 250 and second.bandwidth_kbps == 150
-        assert calendar.peak_commitment(0, 100) == 400
-        calendar.release(second.commitment_id)
-        assert calendar.peak_commitment(0, 100) == 250
 
-    def test_fuse_time_adjacent(self):
-        calendar = CapacityCalendar(1000)
-        commitment = calendar.admit(400, 0, 100)
-        first, second = calendar.split_time(commitment.commitment_id, 40)
-        fused = calendar.fuse(first.commitment_id, second.commitment_id)
-        assert (fused.start, fused.end, fused.bandwidth_kbps) == (0, 100, 400)
-        assert calendar.commitment_count == 1
+@pytest.mark.parametrize("shard_seconds", GEOMETRIES)
+class TestOneValidation:
+    """commit, try_commit and commit_batch refuse the same inputs, at either
+    geometry, before touching anything."""
 
-    def test_fuse_same_window(self):
-        calendar = CapacityCalendar(1000)
-        a = calendar.admit(100, 0, 50)
-        b = calendar.admit(200, 0, 50)
-        fused = calendar.fuse(a.commitment_id, b.commitment_id)
-        assert fused.bandwidth_kbps == 300
-        assert calendar.peak_commitment(0, 50) == 300
+    @staticmethod
+    def _busy(shard_seconds):
+        calendar = CapacityCalendar(1000, shard_seconds)
+        calendar.commit(300, 50, 250, "a")
+        calendar.commit_batch([100], [120.0], [130.0], track=False)
+        calendar.expire(110)
+        return calendar
 
-    def test_fuse_incompatible_rejected(self):
-        calendar = CapacityCalendar(1000)
-        a = calendar.admit(100, 0, 50)
-        b = calendar.admit(200, 60, 90)
+    @pytest.mark.parametrize("method, args", REFUSED)
+    def test_a_refused_call_leaves_the_fingerprint_alone(self, shard_seconds, method, args):
+        calendar = self._busy(shard_seconds)
+        before = calendar.fingerprint()
         with pytest.raises(ValueError):
-            calendar.fuse(a.commitment_id, b.commitment_id)
-        assert calendar.commitment_count == 2
+            getattr(calendar, method)(*args)
+        assert calendar.fingerprint() == before
 
-    def test_invalid_split_leaves_commitment_intact(self):
-        calendar = CapacityCalendar(1000)
-        commitment = calendar.admit(400, 0, 100)
-        with pytest.raises(ValueError):
-            calendar.split_time(commitment.commitment_id, 100)
-        with pytest.raises(ValueError):
-            calendar.split_bandwidth(commitment.commitment_id, 400)
-        assert calendar.get(commitment.commitment_id) is commitment
+    def test_untracked_batch_cannot_pin_the_link_forever(self, shard_seconds):
+        calendar = CapacityCalendar(1000, shard_seconds)
+        with pytest.raises(ValueError, match="finite"):
+            calendar.commit_batch([5], [0.0], [INF], track=False)
+        assert calendar.peak_commitment(0, 10**9) == 0
 
-    def test_transfer_changes_tag_only(self):
-        calendar = CapacityCalendar(1000)
-        commitment = calendar.admit(400, 0, 100, tag="alice")
-        moved = calendar.transfer(commitment.commitment_id, "bob")
-        assert moved.commitment_id == commitment.commitment_id
-        assert calendar.tag_peak("bob", 0, 100) == 400
-        assert calendar.tag_peak("alice", 0, 100) == 0
+    def test_try_commit_refuses_more_than_the_link_before_any_shard_exists(
+        self, shard_seconds
+    ):
+        calendar = CapacityCalendar(1000, shard_seconds)
+        before = calendar.fingerprint()
+        assert calendar.try_commit(1001, 0, 10) is None
+        assert calendar.fingerprint() == before
+        assert calendar.try_commit(1000, 0, 10) is not None
+
+
+def test_a_commitment_comes_back_as_it_was_given_at_either_geometry():
+    histories = []
+    for shard_seconds in (None, 100.0):
+        calendar = CapacityCalendar(1000, shard_seconds)
+        first = calendar.commit(300, 0, 250, "a")
+        second = calendar.try_commit(200, 50.5, 150, "b")
+        batch = calendar.commit_batch([5, 7], [10, 20], [120, 30.5])
+        shrunk = calendar.reclaim(first.commitment_id, 100)
+        released = calendar.release(second.commitment_id)
+        histories.append([first, second, *batch, shrunk, released, *calendar.commitments()])
+    unbounded, sharded = histories
+    assert unbounded == sharded
+    assert repr(unbounded) == repr(sharded)  # same types: 0 stays 0, not 0.0
+    assert (first.start, first.end, second.start) == (0, 250, 50.5)
+    assert type(first.start) is int and type(second.end) is int
+
+
+def test_a_float_shard_edge_strands_no_piece():
+    """0.1 * 3 == 0.30000000000000004 sits in slot 3 by division and on its
+    lower edge by multiplication: that slot's piece is empty, not an error
+    half-way through a projection."""
+    calendar = CapacityCalendar(1000, shard_seconds=0.1)
+    before = calendar.fingerprint()
+    commitment = calendar.commit(5, 0.05, 0.1 * 3)
+    assert calendar.peak_commitment(0, 1) == 5
+    calendar.release(commitment.commitment_id)
+    assert calendar.fingerprint() == before
 
 
 class TestBulkPath:

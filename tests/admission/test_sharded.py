@@ -1,4 +1,4 @@
-"""ShardedCalendar: boundary-spanning projections, O(1) expiry, wiring."""
+"""A calendar with a shard width: boundary-spanning projections, O(1) expiry, wiring."""
 
 import numpy as np
 import pytest
@@ -8,14 +8,13 @@ from repro.admission import (
     AdmissionRejected,
     CapacityCalendar,
     ProportionalShare,
-    ShardedCalendar,
 )
 
 SHARD = 100.0
 
 
 def sharded(capacity=1000):
-    return ShardedCalendar(capacity, shard_seconds=SHARD)
+    return CapacityCalendar(capacity, shard_seconds=SHARD)
 
 
 class TestProjection:
@@ -65,7 +64,6 @@ class TestProjection:
         calendar.commit(300, 950, 1000)
         assert calendar.peak_commitment(0, 1000) == 500
         assert calendar.headroom(400, 600) == 1000
-        assert calendar.mean_commitment(0, 100) == pytest.approx(250.0)
 
 
 class TestBulkPath:
@@ -149,104 +147,11 @@ class TestExpire:
         assert calendar.commitment_count == 0
 
 
-class TestSurgery:
-    def test_split_time_across_boundary(self):
-        calendar = sharded()
-        spanning = calendar.commit(300, 50, 250, tag="a")
-        first, second = calendar.split_time(spanning.commitment_id, 120.0)
-        assert (first.start, first.end) == (50, 120)
-        assert (second.start, second.end) == (120, 250)
-        assert calendar.peak_commitment(0, 300) == 300  # profile unchanged
-        calendar.release(first.commitment_id)
-        assert calendar.peak_commitment(50, 120) == 0
-        assert calendar.peak_commitment(120, 250) == 300
-
-    def test_split_time_at_shard_boundary(self):
-        calendar = sharded()
-        spanning = calendar.commit(300, 50, 250)
-        first, second = calendar.split_time(spanning.commitment_id, 100.0)
-        calendar.release(second.commitment_id)
-        assert calendar.peak_commitment(50, 100) == 300
-        assert calendar.peak_commitment(100, 250) == 0
-
-    def test_split_bandwidth_and_fuse_roundtrip(self):
-        calendar = sharded()
-        spanning = calendar.commit(300, 50, 250, tag="a")
-        thick, thin = calendar.split_bandwidth(spanning.commitment_id, 100)
-        assert (thick.bandwidth_kbps, thin.bandwidth_kbps) == (200, 100)
-        assert calendar.peak_commitment(0, 300) == 300
-        fused = calendar.fuse(thick.commitment_id, thin.commitment_id)
-        assert fused.bandwidth_kbps == 300
-        calendar.release(fused.commitment_id)
-        assert calendar.peak_commitment(0, 300) == 0
-
-    def test_fused_commitment_splits_again(self):
-        # Same-window fusion must stack the per-shard pieces too; a fused
-        # commitment whose inner pieces kept their pre-fusion bandwidth
-        # would reject a later split_bandwidth at the fused total.
-        calendar = sharded()
-        spanning = calendar.commit(300, 50, 250, tag="a")
-        thick, thin = calendar.split_bandwidth(spanning.commitment_id, 100)
-        fused = calendar.fuse(thick.commitment_id, thin.commitment_id)
-        head, tail = calendar.split_bandwidth(fused.commitment_id, 250)
-        assert (head.bandwidth_kbps, tail.bandwidth_kbps) == (50, 250)
-        assert calendar.peak_commitment(0, 300) == 300
-        calendar.release(tail.commitment_id)
-        assert calendar.peak_commitment(50, 250) == 50
-
-    def test_fuse_after_time_adjacent_fuse_inside_one_shard(self):
-        # A time-adjacent fuse can leave two chained pieces in one shard;
-        # a following same-window fuse has to coalesce each arm's chain
-        # before stacking.
-        calendar = sharded()
-        spanning = calendar.commit(300, 20, 60, tag="a")
-        first, second = calendar.split_time(spanning.commitment_id, 40.0)
-        rejoined = calendar.fuse(first.commitment_id, second.commitment_id)
-        thick, thin = calendar.split_bandwidth(rejoined.commitment_id, 100)
-        fused = calendar.fuse(thick.commitment_id, thin.commitment_id)
-        assert fused.bandwidth_kbps == 300
-        head, tail = calendar.split_bandwidth(fused.commitment_id, 200)
-        assert (head.bandwidth_kbps, tail.bandwidth_kbps) == (100, 200)
-        assert calendar.peak_commitment(0, 100) == 300
-
-    def test_fuse_time_adjacent_relabels_second_tag(self):
-        calendar = sharded()
-        first = calendar.commit(300, 50, 150, tag="a")
-        second = calendar.commit(300, 150, 250, tag="b")
-        fused = calendar.fuse(first.commitment_id, second.commitment_id)
-        assert fused.tag == "a"
-        assert calendar.tag_peak("a", 0, 300) == 300
-        assert calendar.tag_peak("b", 0, 300) == 0
-
-    def test_transfer_moves_tag_attribution_in_every_shard(self):
-        calendar = sharded()
-        spanning = calendar.commit(300, 50, 250, tag="a")
-        moved = calendar.transfer(spanning.commitment_id, "b")
-        assert moved.commitment_id == spanning.commitment_id
-        assert calendar.tag_peak("a", 0, 300) == 0
-        assert calendar.tag_peak("b", 0, 300) == 300
-
-    def test_invalid_surgery_leaves_state_intact(self):
-        calendar = sharded()
-        spanning = calendar.commit(300, 50, 250)
-        with pytest.raises(ValueError):
-            calendar.split_time(spanning.commitment_id, 250.0)
-        with pytest.raises(ValueError):
-            calendar.split_bandwidth(spanning.commitment_id, 300)
-        other = calendar.commit(100, 400, 500)
-        with pytest.raises(ValueError):
-            calendar.fuse(spanning.commitment_id, other.commitment_id)
-        assert calendar.commitment_count == 2
-        assert calendar.peak_commitment(0, 600) == 300
-
-
 class TestWiring:
     def test_controller_shard_knob(self):
-        monolithic = AdmissionController(1000)
-        assert isinstance(monolithic.calendar(1, True), CapacityCalendar)
+        assert AdmissionController(1000).calendar(1, True).shard_seconds is None
         controller = AdmissionController(1000, shard_seconds=3600.0)
         calendar = controller.calendar(1, True)
-        assert isinstance(calendar, ShardedCalendar)
         assert calendar.shard_seconds == 3600.0
         with pytest.raises(ValueError):
             AdmissionController(1000, shard_seconds=0)

@@ -2,7 +2,7 @@
 
 Hypothesis drives arbitrary interleavings of try_commit / commit /
 commit_batch (tracked and untracked) / release / reclaim / expire against a
-monolithic calendar, a sharded one (shard width chosen so windows routinely
+calendar with one unbounded shard, one with a width (chosen so windows routinely
 span shard boundaries) and :class:`tests.admission.reference.ReferenceCalendar`
 — a list of rows answering by sweep, sharing no code with ``src/`` — and
 checks after every step that ``peak_commitment`` / ``bulk_peak`` /
@@ -27,7 +27,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.admission import CapacityCalendar, ShardedCalendar
+from repro.admission import CapacityCalendar
 from tests.admission.reference import ReferenceCalendar
 
 SHARD = 100.0
@@ -52,8 +52,8 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
         self.calendars = [
-            CapacityCalendar(CAPACITY),
-            ShardedCalendar(CAPACITY, shard_seconds=SHARD),
+            CapacityCalendar(CAPACITY, shard_seconds=None),
+            CapacityCalendar(CAPACITY, shard_seconds=SHARD),
         ]
         self.reference = ReferenceCalendar(CAPACITY)
         self.watermark = 0
@@ -104,6 +104,13 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
     def try_commit(self, offset, duration, bandwidth, tag):
         start = self.watermark + offset
         self._commit("try_commit", bandwidth, start, start + duration, tag)
+
+    @rule(offset=st.integers(0, HORIZON), duration=windows["duration"], over=st.booleans())
+    def try_commit_to_the_brim(self, offset, duration, over):
+        start = self.watermark + offset
+        brim = CAPACITY - self.reference.peak_commitment(start, start + duration)
+        if brim + over > 0:  # exactly what is left fits, one kbps more does not
+            self._commit("try_commit", brim + over, start, start + duration, "")
 
     @rule(start=st.integers(0, HORIZON), tag=st.sampled_from(TAGS), **windows)
     def commit(self, start, duration, bandwidth, tag):

@@ -12,6 +12,7 @@ from repro.admission import (
 )
 from repro.clock import SimClock
 from repro.controlplane import deploy_market, purchase_path
+from repro.invariants import check
 from repro.marketdata import PathSpec
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
 
@@ -25,7 +26,8 @@ def world():
     path = PathLookup(store).find_paths(
         topology.ases[2].isd_as, topology.ases[0].isd_as
     )[0]
-    return {"clock": clock, "topology": topology, "deployment": deployment, "path": path}
+    yield {"clock": clock, "topology": topology, "deployment": deployment, "path": path}
+    check(deployment, clock.now())
 
 
 class TestIssuanceAdmission:

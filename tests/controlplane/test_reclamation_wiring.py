@@ -13,6 +13,7 @@ from tests.conftest import T0
 from repro.clock import SimClock
 from repro.contracts.coin import coin_balance
 from repro.controlplane import deploy_market, purchase_path
+from repro.invariants import check
 from repro.ledger.transactions import Command, Transaction
 from repro.reclaim import AdaptiveOverbooking
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
@@ -65,7 +66,7 @@ def reclaimed_world():
         for crossing in as_crossings(path)
     }
     deployment.indexer.sync()
-    return {
+    yield {
         "clock": clock,
         "deployment": deployment,
         "path": path,
@@ -73,6 +74,7 @@ def reclaimed_world():
         "outcome": outcome,
         "events": events,
     }
+    check(deployment, clock.now())
 
 
 def test_every_on_path_as_reclaims_the_no_show(reclaimed_world):
@@ -175,3 +177,4 @@ def test_strict_fcfs_refuses_the_relist_instead_of_forcing_it():
     assert reason != "relisted"
     deployment.indexer.sync()
     assert deployment.indexer.reclaimed_seen == 0
+    check(deployment, clock.now())

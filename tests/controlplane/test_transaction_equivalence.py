@@ -59,6 +59,7 @@ from repro.controlplane import (
     open_path_auction,
     settle_path_auction,
 )
+from repro.invariants import check
 from repro.ledger.executor import LedgerExecutor
 from repro.ledger.transactions import Command, Result, Transaction
 from repro.marketdata import BudgetExceeded, ListingQuery, PathSpec
@@ -489,6 +490,7 @@ def run_scenario(shard_seconds) -> dict:
         script.reclaim()
         script.transfers()
         script.auctions()
+    check(script.deployment, script.clock.now())
     labels = {
         service.account.address: service.account.name
         for service in script.deployment.services.values()

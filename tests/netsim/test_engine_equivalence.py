@@ -1,8 +1,8 @@
 """Experiments run unchanged on either calendar.
 
-``shard_seconds`` changes *how* a controller stores its commitments
-(one :class:`~repro.admission.CapacityCalendar` or a
-:class:`~repro.admission.ShardedCalendar` of that width), never *what*
+``shard_seconds`` changes *how* a controller's
+:class:`~repro.admission.CapacityCalendar` lays out its step function
+(one unbounded shard, or one per slot of that width), never *what*
 it answers — every buyer's admission outcome, price, and peak is
 identical between the two, seed for seed.
 """

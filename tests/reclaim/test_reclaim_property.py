@@ -15,7 +15,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.admission import ACTIVE, AdmissionController, CapacityCalendar, ShardedCalendar
+from repro.admission import ACTIVE, AdmissionController, CapacityCalendar
 from repro.reclaim import ReclamationEngine, UsageReporter
 
 SHARD = 100.0
@@ -134,5 +134,5 @@ def _run(calendar, ops):
 @given(ops=OPS)
 def test_monolithic_and_sharded_verdicts_identical(ops):
     mono = _run(CapacityCalendar(CAPACITY), ops)
-    sharded = _run(ShardedCalendar(CAPACITY, shard_seconds=SHARD), ops)
+    sharded = _run(CapacityCalendar(CAPACITY, shard_seconds=SHARD), ops)
     assert mono == sharded

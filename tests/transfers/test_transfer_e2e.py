@@ -18,6 +18,7 @@ from tests.marketdata.conftest import RawMarket
 from repro.admission import ACTIVE
 from repro.clock import SimClock
 from repro.controlplane import deploy_market, execute_transfer
+from repro.invariants import check
 from repro.marketdata import IncompatibleGranularity
 from repro.netsim import linear_path
 from repro.pathadm import calendar_fingerprint
@@ -127,6 +128,8 @@ def test_fused_stitch_matches_single_rectangle(shard_seconds):
     prints_b = _active_fingerprints(rectangle, crossings_b)
     assert prints_a == prints_b
     assert any(prints_a.values()), "transfer left no active-calendar trace"
+    check(stitched, T0)
+    check(rectangle, T0)
 
 
 def test_fuse_then_resplit_roundtrip():
@@ -220,6 +223,7 @@ def test_vanished_listing_aborts_cleanly_both_ways():
     for crossing in crossings:
         assert deployment.service(crossing.isd_as).poll_and_deliver() == []
     assert _active_fingerprints(deployment, crossings) == baseline
+    check(deployment, T0)
 
 
 def test_mixed_incongruent_granularity_surfaces_from_transfer():
