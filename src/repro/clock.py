@@ -1,14 +1,12 @@
 """Explicit clocks.
 
 Nothing in the library reads the wall clock directly: sources, routers, the
-ledger, and the network simulator all take a :class:`Clock`.  Tests and
-benchmarks use :class:`SimClock` for determinism; interactive examples may
-use :class:`WallClock`.
+ledger, and the network simulator all take a :class:`Clock`; tests,
+benchmarks and examples use :class:`SimClock` for determinism.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Protocol
 
 
@@ -46,12 +44,3 @@ class SimClock:
         if value < self._now:
             raise ValueError("time cannot move backwards")
         self._now = float(value)
-
-
-class WallClock:
-    """The real system clock."""
-
-    __slots__ = ()
-
-    def now(self) -> float:
-        return time.time()

@@ -22,28 +22,29 @@ whose supply was reclaimed from a no-show reservation) — so an off-chain
 :class:`~repro.marketdata.MarketIndexer` can track the market
 incrementally and never needs to rescan the object store.
 
-Beyond posted-price listings, the contract runs **sealed-bid uniform-price
-auctions** per asset window (``create_auction`` / ``place_bid`` /
-``settle_auction``).  Bids escrow their maximum payment at placement;
-settlement re-runs :func:`repro.admission.auction.uniform_price_clearing`
-on-chain — the exact function the AS-side admission layer uses — carves
-the asset for every winner, pays the seller at the single clearing price,
-and refunds every loser (and every winner's escrow surplus) *inside the
-same transaction*, so either the whole settlement lands or no money moves.
-Unawarded bandwidth reverts to a posted listing at the reserve price.
-The protocol is specified in ``docs/auctions.md``.
+Beyond posted-price listings, the contract runs sealed-bid auctions.  An
+auction is a list of *legs* — auctioned rectangles in marketplace custody,
+each with its seller, reserve price and share cap — a book of escrowed bids
+and one settlement; bids escrow their maximum payment at placement, and
+settlement re-runs the clearing rule on-chain — the exact pure function the
+off-chain preview uses — carves every leg asset for every winner, pays each
+leg's seller at that leg's clearing price, and refunds every loser (and
+every winner's escrow surplus) *inside the same transaction*, so either
+the whole settlement lands or no money moves.  Unawarded bandwidth reverts
+to a posted listing at the leg's reserve price, and escrow is conserved
+exactly: ``sum(paid) + sum(refunds) == sum(escrows)``.  Two protocols share
+that one escrow (``_escrow_bid``) and that one settlement (``_settle``):
 
-For whole inter-domain paths the contract additionally runs
-**combinatorial path auctions** (``create_path_auction`` /
-``contribute_path_leg`` / ``place_path_bid`` / ``settle_path_auction``):
-every AS on the path contributes one leg asset into custody, a bidder
-escrows **one** payment covering every leg, and settlement runs
-:func:`repro.pathadm.auction.combinatorial_path_clearing` — all legs or
-none per bid — carving every leg asset for every winner, paying each leg
-seller its own proceeds, and refunding losers (and winners' surplus) in
-the same transaction.  Settlement conserves escrow exactly:
-``sum(paid) + sum(refunds) == sum(escrows)``.  The lifecycle is
-specified in ``docs/paths.md``.
+* the **uniform-price window auction** (``create_auction`` / ``place_bid``
+  / ``settle_auction``, ``docs/auctions.md``) is the **one-leg case**: one
+  asset window, cleared by
+  :func:`repro.admission.auction.uniform_price_clearing`;
+* the **combinatorial path auction** (``create_path_auction`` /
+  ``contribute_path_leg`` / ``place_path_bid`` / ``settle_path_auction``,
+  ``docs/paths.md``): every AS on the path contributes one leg, a bidder
+  escrows **one** payment covering every leg, and
+  :func:`repro.pathadm.auction.combinatorial_path_clearing` awards all legs
+  or none per bid.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ from repro.ledger.accounts import COIN_TYPE
 from repro.ledger.objects import Ownership
 from repro.pathadm.auction import (
     LegSupply,
-    PathBid,
+    LostPathBid,
+    PathClearingOutcome,
     combinatorial_path_clearing,
     path_escrow_mist,
 )
@@ -202,6 +204,9 @@ class MarketContract(Contract):
             "requested bandwidth exceeds the listed asset",
         )
 
+        seller = listing_object.payload["seller"]
+        unit_price = listing_object.payload["price_micromist_per_unit"]
+
         # `target` is the piece being carved towards the purchase.  The
         # original asset stays bound to the original listing as long as it
         # keeps a remainder; every other remainder gets a fresh listing.
@@ -213,14 +218,14 @@ class MarketContract(Contract):
         if expiry < target.payload["expiry"]:
             # split keeps [*, expiry) in `target`, returns the tail.
             tail = split_time_inner(ctx, target, expiry, new_owner=marketplace)
-            self._relist(ctx, market, listing_object, tail)
+            self._relist(ctx, market, tail, seller, unit_price, "Relisted")
         if bandwidth_kbps < target.payload["bandwidth_kbps"]:
             bought = split_bandwidth_inner(
                 ctx, target, bandwidth_kbps, new_owner=marketplace
             )
             # `target` keeps the bandwidth remainder.
             if target.object_id != asset_object.object_id:
-                self._relist(ctx, market, listing_object, target)
+                self._relist(ctx, market, target, seller, unit_price, "Relisted")
         else:
             bought = target
 
@@ -230,17 +235,12 @@ class MarketContract(Contract):
             market.payload["listing_count"] -= 1
 
         # Pricing and payment (ceil division).
-        unit_price = listing_object.payload["price_micromist_per_unit"]
         price_mist = -(-asset_units(bought.payload) * unit_price // MICROMIST)
         coin = ctx.take_owned(payment, COIN_TYPE)
         ctx.require(coin.payload["balance"] >= price_mist, "insufficient payment")
         coin.payload["balance"] -= price_mist
         ctx.mutate(coin)
-        ctx.create_object(
-            COIN_TYPE,
-            {"balance": int(price_mist)},
-            owner=listing_object.payload["seller"],
-        )
+        self._pay(ctx, seller, price_mist)
 
         ctx.transfer(bought, ctx.sender)
         ctx.mutate(market)
@@ -269,6 +269,10 @@ class MarketContract(Contract):
         return {"asset": bought.object_id, "price_mist": int(price_mist)}
 
     # -- auctions -----------------------------------------------------------------
+    #
+    # Legs, a book of escrowed bids, one settlement (module docstring): `_book`
+    # reads both object types as the same legs, and `_escrow_bid` / `_settle`
+    # are the only bodies either protocol runs.
 
     def create_auction(
         self,
@@ -288,45 +292,27 @@ class MarketContract(Contract):
         caps any single bidder's total award (the proportional-share rule).
         """
         market = ctx.take_shared(marketplace, MARKETPLACE_TYPE)
-        ctx.require(ctx.sender in market.payload["sellers"], "seller not registered")
-        ctx.require(reserve_micromist_per_unit > 0, "reserve price must be positive")
-        ctx.require(
-            share_cap_kbps is None or share_cap_kbps > 0,
-            "share cap must be positive when given",
-        )
+        self._may_offer(ctx, market, reserve_micromist_per_unit, share_cap_kbps)
         asset_object = ctx.take_owned(asset, ASSET_TYPE)
         ctx.transfer(asset_object, marketplace)
+        leg = {
+            "asset": asset,
+            "seller": ctx.sender,
+            "reserve_micromist_per_unit": reserve_micromist_per_unit,
+            "share_cap_kbps": share_cap_kbps,
+        }
         auction = ctx.create_object(
             AUCTION_TYPE,
-            {
-                "marketplace": marketplace,
-                "asset": asset,
-                "seller": ctx.sender,
-                "reserve_micromist_per_unit": int(reserve_micromist_per_unit),
-                "share_cap_kbps": None if share_cap_kbps is None else int(share_cap_kbps),
-                "bids": [],
-            },
+            {"marketplace": marketplace, **leg, "bids": []},
             owner=marketplace,
         )
-        payload = asset_object.payload
         ctx.emit(
             "AuctionOpened",
             {
                 "marketplace": marketplace,
                 "auction": auction.object_id,
-                "asset": asset,
-                "seller": ctx.sender,
-                "reserve_micromist_per_unit": int(reserve_micromist_per_unit),
-                "share_cap_kbps": None if share_cap_kbps is None else int(share_cap_kbps),
-                "isd": payload["isd"],
-                "asn": payload["asn"],
-                "interface": payload["interface"],
-                "is_ingress": payload["is_ingress"],
-                "bandwidth_kbps": payload["bandwidth_kbps"],
-                "start": payload["start"],
-                "expiry": payload["expiry"],
-                "granularity": payload["granularity"],
-                "min_bandwidth_kbps": payload["min_bandwidth_kbps"],
+                **leg,
+                **_rectangle(asset_object.payload),
             },
         )
         return {"auction": auction.object_id}
@@ -350,59 +336,10 @@ class MarketContract(Contract):
         seller may not bid in their own auction (a riskless shill bid
         would otherwise inflate the uniform clearing price).
         """
-        ctx.take_shared(marketplace, MARKETPLACE_TYPE)
-        auction_object = ctx.take_owned(auction, AUCTION_TYPE, owner=marketplace)
-        asset_object = ctx.take_owned(
-            auction_object.payload["asset"], ASSET_TYPE, owner=marketplace
+        return self._escrow_bid(
+            ctx, marketplace, auction, AUCTION_TYPE,
+            bandwidth_kbps, price_micromist_per_unit, payment,
         )
-        payload = asset_object.payload
-        ctx.require(
-            ctx.sender != auction_object.payload["seller"],
-            "seller cannot bid in their own auction",
-        )
-        ctx.require(price_micromist_per_unit > 0, "bid price must be positive")
-        ctx.require(
-            payload["min_bandwidth_kbps"] <= bandwidth_kbps <= payload["bandwidth_kbps"],
-            "bid bandwidth outside [asset minimum, asset bandwidth]",
-        )
-        duration = payload["expiry"] - payload["start"]
-        escrow_mist = -(
-            -bandwidth_kbps * duration * int(price_micromist_per_unit) // MICROMIST
-        )
-        coin = ctx.take_owned(payment, COIN_TYPE)
-        ctx.require(coin.payload["balance"] >= escrow_mist, "insufficient escrow")
-        coin.payload["balance"] -= escrow_mist
-        ctx.mutate(coin)
-        seq = len(auction_object.payload["bids"])
-        bid = ctx.create_object(
-            BID_TYPE,
-            {
-                "marketplace": marketplace,
-                "auction": auction,
-                "bidder": ctx.sender,
-                "bandwidth_kbps": int(bandwidth_kbps),
-                "price_micromist_per_unit": int(price_micromist_per_unit),
-                "escrow_mist": int(escrow_mist),
-                "seq": seq,
-            },
-            owner=marketplace,
-        )
-        auction_object.payload["bids"].append(bid.object_id)
-        ctx.mutate(auction_object)
-        ctx.emit(
-            "BidPlaced",
-            {
-                "marketplace": marketplace,
-                "auction": auction,
-                "bid": bid.object_id,
-                "bidder": ctx.sender,
-                "bandwidth_kbps": int(bandwidth_kbps),
-                "price_micromist_per_unit": int(price_micromist_per_unit),
-                "escrow_mist": int(escrow_mist),
-                "seq": seq,
-            },
-        )
-        return {"bid": bid.object_id, "escrow_mist": int(escrow_mist)}
 
     def settle_auction(
         self,
@@ -419,158 +356,46 @@ class MarketContract(Contract):
         exceed the asset's bandwidth.  The clearing rule is
         :func:`repro.admission.auction.uniform_price_clearing` — byte-for-
         byte the function hosts use to preview the outcome — so on- and
-        off-chain clearing can never disagree.
-
-        Effects, all inside this one transaction:
-
-        * every winner receives a bandwidth-split piece of the asset and
-          pays ``ceil(units * clearing_price / 1e6)`` MIST; the escrow
-          surplus comes back as a fresh coin;
-        * every loser's full escrow comes back as a fresh coin;
-        * the seller receives one coin with the total proceeds;
-        * unawarded bandwidth reverts to a **posted listing at the reserve
-          price** (so a failed or thin auction degrades to the posted
-          market instead of stranding capacity), unless nothing remains;
-        * the auction and all bid objects are destroyed.
+        off-chain clearing can never disagree.  The effects are
+        :meth:`_settle`'s for one leg, reported without the leg dimension:
+        a winner holds one ``asset``, the auction has one clearing price,
+        one proceeds coin and at most one remainder ``listing``.
         """
-        market = ctx.take_shared(marketplace, MARKETPLACE_TYPE)
-        auction_object = ctx.take_owned(auction, AUCTION_TYPE, owner=marketplace)
-        ctx.require(auction_object.payload["seller"] == ctx.sender, "not the seller")
-        asset_object = ctx.take_owned(
-            auction_object.payload["asset"], ASSET_TYPE, owner=marketplace
+        (leg,), settled = self._settle(
+            ctx, marketplace, auction, AUCTION_TYPE,
+            None if supply_kbps is None else [supply_kbps],
         )
-        payload = asset_object.payload
-        total_kbps = payload["bandwidth_kbps"]
-        if supply_kbps is None:
-            supply_kbps = total_kbps
-        ctx.require(
-            0 <= supply_kbps <= total_kbps,
-            "supply must be within [0, asset bandwidth]",
-        )
-        duration = payload["expiry"] - payload["start"]
-        reserve = auction_object.payload["reserve_micromist_per_unit"]
-
-        bid_objects = {}
-        bids = []
-        for bid_id in auction_object.payload["bids"]:
-            bid_object = ctx.take_owned(bid_id, BID_TYPE, owner=marketplace)
-            bid_objects[bid_object.payload["seq"]] = bid_object
-            bids.append(
-                Bid(
-                    bidder=bid_object.payload["bidder"],
-                    bandwidth_kbps=bid_object.payload["bandwidth_kbps"],
-                    price_micromist_per_unit=bid_object.payload[
-                        "price_micromist_per_unit"
-                    ],
-                    seq=bid_object.payload["seq"],
-                )
-            )
-        outcome = uniform_price_clearing(
-            bids,
-            supply_kbps=int(supply_kbps),
-            reserve_micromist=reserve,
-            share_cap_kbps=auction_object.payload["share_cap_kbps"],
-            total_kbps=total_kbps,
-            min_fragment_kbps=payload["min_bandwidth_kbps"],
-        )
-        clearing = outcome.clearing_price_micromist
-
-        target = asset_object
-        proceeds = 0
-        winner_reports = []
-        for bid in outcome.winners:
-            bid_object = bid_objects[bid.seq]
-            if bid.bandwidth_kbps == target.payload["bandwidth_kbps"]:
-                piece, target = target, None
-            else:
-                piece = split_bandwidth_inner(
-                    ctx, target, bid.bandwidth_kbps, new_owner=marketplace
-                )
-            paid_mist = -(-bid.bandwidth_kbps * duration * clearing // MICROMIST)
-            refund_mist = bid_object.payload["escrow_mist"] - paid_mist
-            proceeds += paid_mist
-            if refund_mist > 0:
-                ctx.create_object(
-                    COIN_TYPE, {"balance": int(refund_mist)}, owner=bid.bidder
-                )
-            ctx.transfer(piece, bid.bidder)
-            winner_reports.append(
-                {
-                    "bidder": bid.bidder,
-                    "bid": bid_object.object_id,
-                    "bandwidth_kbps": bid.bandwidth_kbps,
-                    "paid_mist": int(paid_mist),
-                    "refund_mist": int(max(refund_mist, 0)),
-                    "asset": piece.object_id,
-                }
-            )
-            ctx.delete_object(bid_object)
-
-        loser_reports = []
-        for lost in outcome.losers:
-            bid_object = bid_objects[lost.bid.seq]
-            refund_mist = bid_object.payload["escrow_mist"]
-            if refund_mist > 0:
-                ctx.create_object(
-                    COIN_TYPE, {"balance": int(refund_mist)}, owner=lost.bid.bidder
-                )
-            loser_reports.append(
-                {
-                    "bidder": lost.bid.bidder,
-                    "bid": bid_object.object_id,
-                    "refund_mist": int(refund_mist),
-                    "reason": lost.reason,
-                }
-            )
-            ctx.delete_object(bid_object)
-
-        if proceeds > 0:
-            ctx.create_object(COIN_TYPE, {"balance": int(proceeds)}, owner=ctx.sender)
-
-        listing_id = None
-        if target is not None:
-            # Unawarded bandwidth reverts to the posted market at the
-            # reserve price — the "zero bids / thin demand" degradation.
-            listing = ctx.create_object(
-                LISTING_TYPE,
-                {
-                    "marketplace": marketplace,
-                    "asset": target.object_id,
-                    "seller": ctx.sender,
-                    "price_micromist_per_unit": int(reserve),
-                },
-                owner=marketplace,
-            )
-            market.payload["listing_count"] += 1
-            ctx.emit("Listed", _listing_snapshot(listing, target))
-            listing_id = listing.object_id
-
-        ctx.delete_object(auction_object)
-        ctx.mutate(market)
+        for winner in settled["winners"]:
+            winner["asset"] = winner.pop("assets")[0]
+        for loser in settled["losers"]:
+            del loser["leg"]
+        clearing_price = settled["clearing_prices_micromist"][0]
+        awarded_kbps = sum(winner["bandwidth_kbps"] for winner in settled["winners"])
+        listing = settled["legs"][0]["listing"]
         ctx.emit(
             "AuctionSettled",
             {
                 "marketplace": marketplace,
                 "auction": auction,
-                "asset": asset_object.object_id,
+                "asset": leg["asset"],
                 "seller": ctx.sender,
-                "clearing_price_micromist": int(clearing),
-                "reserve_micromist_per_unit": int(reserve),
-                "supply_kbps": int(supply_kbps),
-                "awarded_kbps": int(outcome.awarded_kbps),
-                "winners": winner_reports,
-                "losers": loser_reports,
-                "listing": listing_id,
-                "proceeds_mist": int(proceeds),
+                "clearing_price_micromist": clearing_price,
+                "reserve_micromist_per_unit": leg["reserve_micromist_per_unit"],
+                "supply_kbps": settled["supplies_kbps"][0],
+                "awarded_kbps": awarded_kbps,
+                "winners": settled["winners"],
+                "losers": settled["losers"],
+                "listing": listing,
+                "proceeds_mist": settled["proceeds_mist"],
             },
         )
         return {
-            "clearing_price_micromist": int(clearing),
-            "awarded_kbps": int(outcome.awarded_kbps),
-            "proceeds_mist": int(proceeds),
-            "listing": listing_id,
-            "winners": winner_reports,
-            "losers": loser_reports,
+            "clearing_price_micromist": clearing_price,
+            "awarded_kbps": awarded_kbps,
+            "proceeds_mist": settled["proceeds_mist"],
+            "listing": listing,
+            "winners": settled["winners"],
+            "losers": settled["losers"],
         }
 
     # -- path auctions -------------------------------------------------------------
@@ -593,7 +418,7 @@ class MarketContract(Contract):
             {
                 "marketplace": marketplace,
                 "creator": ctx.sender,
-                "legs": [None] * int(num_legs),
+                "legs": [None] * num_legs,
                 "bids": [],
             },
             owner=marketplace,
@@ -604,7 +429,7 @@ class MarketContract(Contract):
                 "marketplace": marketplace,
                 "path_auction": path_auction.object_id,
                 "creator": ctx.sender,
-                "num_legs": int(num_legs),
+                "num_legs": num_legs,
             },
         )
         return {"path_auction": path_auction.object_id}
@@ -627,12 +452,7 @@ class MarketContract(Contract):
         one window on every hop); the first contribution fixes it.
         """
         market = ctx.take_shared(marketplace, MARKETPLACE_TYPE)
-        ctx.require(ctx.sender in market.payload["sellers"], "seller not registered")
-        ctx.require(reserve_micromist_per_unit > 0, "reserve price must be positive")
-        ctx.require(
-            share_cap_kbps is None or share_cap_kbps > 0,
-            "share cap must be positive when given",
-        )
+        self._may_offer(ctx, market, reserve_micromist_per_unit, share_cap_kbps)
         auction_object = ctx.take_owned(
             path_auction, PATH_AUCTION_TYPE, owner=marketplace
         )
@@ -654,17 +474,9 @@ class MarketContract(Contract):
         legs[leg_index] = {
             "asset": asset,
             "seller": ctx.sender,
-            "reserve_micromist_per_unit": int(reserve_micromist_per_unit),
-            "share_cap_kbps": None if share_cap_kbps is None else int(share_cap_kbps),
-            "isd": payload["isd"],
-            "asn": payload["asn"],
-            "interface": payload["interface"],
-            "is_ingress": payload["is_ingress"],
-            "bandwidth_kbps": payload["bandwidth_kbps"],
-            "start": payload["start"],
-            "expiry": payload["expiry"],
-            "granularity": payload["granularity"],
-            "min_bandwidth_kbps": payload["min_bandwidth_kbps"],
+            "reserve_micromist_per_unit": reserve_micromist_per_unit,
+            "share_cap_kbps": share_cap_kbps,
+            **_rectangle(payload),
         }
         ctx.mutate(auction_object)
         ctx.emit(
@@ -672,12 +484,12 @@ class MarketContract(Contract):
             {
                 "marketplace": marketplace,
                 "path_auction": path_auction,
-                "leg_index": int(leg_index),
+                "leg_index": leg_index,
                 "legs_missing": sum(1 for leg in legs if leg is None),
                 **legs[leg_index],
             },
         )
-        return {"leg_index": int(leg_index)}
+        return {"leg_index": leg_index}
 
     def place_path_bid(
         self,
@@ -696,61 +508,10 @@ class MarketContract(Contract):
         (:func:`repro.pathadm.auction.path_escrow_mist`).  The bid wins on
         all legs or none; no leg seller may bid.
         """
-        ctx.take_shared(marketplace, MARKETPLACE_TYPE)
-        auction_object = ctx.take_owned(
-            path_auction, PATH_AUCTION_TYPE, owner=marketplace
+        return self._escrow_bid(
+            ctx, marketplace, path_auction, PATH_AUCTION_TYPE,
+            bandwidth_kbps, price_micromist_per_unit, payment,
         )
-        legs = auction_object.payload["legs"]
-        ctx.require(all(leg is not None for leg in legs), "path not fully contributed")
-        ctx.require(
-            all(leg["seller"] != ctx.sender for leg in legs),
-            "a leg seller cannot bid in their own path auction",
-        )
-        ctx.require(price_micromist_per_unit > 0, "bid price must be positive")
-        min_bw = max(leg["min_bandwidth_kbps"] for leg in legs)
-        max_bw = min(leg["bandwidth_kbps"] for leg in legs)
-        ctx.require(
-            min_bw <= bandwidth_kbps <= max_bw,
-            "bid bandwidth outside [widest leg minimum, narrowest leg]",
-        )
-        duration = legs[0]["expiry"] - legs[0]["start"]
-        escrow_mist = path_escrow_mist(
-            int(bandwidth_kbps), duration, int(price_micromist_per_unit), len(legs)
-        )
-        coin = ctx.take_owned(payment, COIN_TYPE)
-        ctx.require(coin.payload["balance"] >= escrow_mist, "insufficient escrow")
-        coin.payload["balance"] -= escrow_mist
-        ctx.mutate(coin)
-        seq = len(auction_object.payload["bids"])
-        bid = ctx.create_object(
-            PATH_BID_TYPE,
-            {
-                "marketplace": marketplace,
-                "path_auction": path_auction,
-                "bidder": ctx.sender,
-                "bandwidth_kbps": int(bandwidth_kbps),
-                "price_micromist_per_unit": int(price_micromist_per_unit),
-                "escrow_mist": int(escrow_mist),
-                "seq": seq,
-            },
-            owner=marketplace,
-        )
-        auction_object.payload["bids"].append(bid.object_id)
-        ctx.mutate(auction_object)
-        ctx.emit(
-            "PathBidPlaced",
-            {
-                "marketplace": marketplace,
-                "path_auction": path_auction,
-                "bid": bid.object_id,
-                "bidder": ctx.sender,
-                "bandwidth_kbps": int(bandwidth_kbps),
-                "price_micromist_per_unit": int(price_micromist_per_unit),
-                "escrow_mist": int(escrow_mist),
-                "seq": seq,
-            },
-        )
-        return {"bid": bid.object_id, "escrow_mist": int(escrow_mist)}
 
     def settle_path_auction(
         self,
@@ -767,36 +528,149 @@ class MarketContract(Contract):
         :func:`repro.pathadm.auction.combinatorial_path_clearing` — the
         same pure function hosts use to preview — composing the per-leg
         uniform-price rule with the all-legs-or-nothing eviction pass.
-
-        Effects, all inside this one transaction:
-
-        * every path winner receives a bandwidth-split piece of **every**
-          leg asset and pays the sum of the per-leg clearing prices
-          (ceil-priced per leg); the escrow surplus comes back as a coin;
-        * every loser's full escrow comes back as a coin;
-        * each leg's seller receives one coin with that leg's proceeds;
-        * each leg's unawarded bandwidth reverts to a posted listing at
-          the leg's reserve, under the leg seller's name;
-        * the path auction and all bid objects are destroyed.
-
-        Escrow is conserved exactly: total paid to sellers plus total
-        refunds equals total escrow taken at bid time.
+        The effects are :meth:`_settle`'s: a path winner holds a piece of
+        **every** leg asset (``assets``, in leg order) and pays the sum of
+        the per-leg clearing prices; a loser is told the first ``leg`` that
+        rejected it.
         """
-        market = ctx.take_shared(marketplace, MARKETPLACE_TYPE)
-        auction_object = ctx.take_owned(
-            path_auction, PATH_AUCTION_TYPE, owner=marketplace
+        legs, settled = self._settle(
+            ctx, marketplace, path_auction, PATH_AUCTION_TYPE, supplies_kbps
         )
+        ctx.emit(
+            "PathAuctionSettled",
+            {
+                "marketplace": marketplace,
+                "path_auction": path_auction,
+                "num_legs": len(legs),
+                **settled,
+            },
+        )
+        return settled
+
+    # -- internals ------------------------------------------------------------------
+
+    def _may_offer(self, ctx: CallContext, market, reserve: int, share_cap_kbps) -> None:
+        """Who may put a rectangle up for auction, and on which terms."""
+        ctx.require(ctx.sender in market.payload["sellers"], "seller not registered")
+        ctx.require(reserve > 0, "reserve price must be positive")
+        ctx.require(
+            share_cap_kbps is None or share_cap_kbps > 0,
+            "share cap must be positive when given",
+        )
+
+    def _book(self, ctx: CallContext, marketplace: str, auction: str, auction_type: str):
+        """``(auction object, legs)`` of an auction that is open for bids.
+
+        A leg names its ``asset``, ``seller``, ``reserve_micromist_per_unit``
+        and ``share_cap_kbps`` beside the auctioned rectangle.  A path
+        auction stores exactly that per contributed leg; a window auction
+        *is* its one leg, the rectangle read off the asset in custody.
+        """
+        auction_object = ctx.take_owned(auction, auction_type, owner=marketplace)
+        if auction_type == AUCTION_TYPE:
+            asset_object = ctx.take_owned(
+                auction_object.payload["asset"], ASSET_TYPE, owner=marketplace
+            )
+            return auction_object, [{**asset_object.payload, **auction_object.payload}]
         legs = auction_object.payload["legs"]
         ctx.require(all(leg is not None for leg in legs), "path not fully contributed")
-        sellers = {leg["seller"] for leg in legs}
+        return auction_object, legs
+
+    def _escrow_bid(
+        self,
+        ctx: CallContext,
+        marketplace: str,
+        auction: str,
+        auction_type: str,
+        bandwidth_kbps: int,
+        price_micromist_per_unit: int,
+        payment: str,
+    ) -> dict:
+        """Move a bid's worst-case payment out of ``payment`` into a bid object
+        in the auction's book: ``bandwidth_kbps`` on every leg, at up to
+        ``price_micromist_per_unit`` a leg."""
+        key, bid_type, placed_event, _ = _PROTOCOLS[auction_type]
+        ctx.take_shared(marketplace, MARKETPLACE_TYPE)
+        auction_object, legs = self._book(ctx, marketplace, auction, auction_type)
         ctx.require(
-            ctx.sender in sellers or ctx.sender == auction_object.payload["creator"],
-            "only a leg seller or the creator may settle",
+            all(leg["seller"] != ctx.sender for leg in legs),
+            "a leg seller cannot bid in their own auction",
         )
-        leg_assets = [
+        ctx.require(price_micromist_per_unit > 0, "bid price must be positive")
+        ctx.require(
+            max(leg["min_bandwidth_kbps"] for leg in legs)
+            <= bandwidth_kbps
+            <= min(leg["bandwidth_kbps"] for leg in legs),
+            "bid bandwidth outside [widest leg minimum, narrowest leg]",
+        )
+        escrow_mist = path_escrow_mist(
+            bandwidth_kbps,
+            legs[0]["expiry"] - legs[0]["start"],
+            price_micromist_per_unit,
+            len(legs),
+        )
+        coin = ctx.take_owned(payment, COIN_TYPE)
+        ctx.require(coin.payload["balance"] >= escrow_mist, "insufficient escrow")
+        coin.payload["balance"] -= escrow_mist
+        ctx.mutate(coin)
+        bid = {
+            "bidder": ctx.sender,
+            "bandwidth_kbps": bandwidth_kbps,
+            "price_micromist_per_unit": price_micromist_per_unit,
+            "escrow_mist": escrow_mist,
+            "seq": len(auction_object.payload["bids"]),
+        }
+        bid_object = ctx.create_object(
+            bid_type, {"marketplace": marketplace, key: auction, **bid}, owner=marketplace
+        )
+        auction_object.payload["bids"].append(bid_object.object_id)
+        ctx.mutate(auction_object)
+        ctx.emit(
+            placed_event,
+            {"marketplace": marketplace, key: auction, "bid": bid_object.object_id, **bid},
+        )
+        return {"bid": bid_object.object_id, "escrow_mist": escrow_mist}
+
+    def _settle(
+        self,
+        ctx: CallContext,
+        marketplace: str,
+        auction: str,
+        auction_type: str,
+        supplies_kbps: list[int] | None,
+    ) -> tuple[list[dict], dict]:
+        """Clear an auction's book and settle every leg, in this transaction.
+
+        ``supplies_kbps`` clamps each leg's sellable bandwidth (``None``:
+        all that was auctioned).  Effects, all of them or none:
+
+        * every winner — in the order the clearing rule returned them, which
+          is what fixes the new objects' ids — receives a bandwidth-split
+          piece of every leg asset and pays ``ceil(units * clearing_price /
+          1e6)`` MIST per leg; the escrow surplus comes back as a fresh coin;
+        * every loser's full escrow comes back as a fresh coin;
+        * each leg's seller receives one coin with that leg's proceeds;
+        * each leg's unawarded bandwidth reverts to a **posted listing at
+          the leg's reserve price** under its seller's name (so a failed or
+          thin auction degrades to the posted market instead of stranding
+          capacity), unless nothing remains;
+        * the auction and all bid objects are destroyed.
+
+        Escrow is conserved exactly: total paid to sellers plus total
+        refunds equals total escrow taken at bid time.  Returns the legs and
+        the settlement as ``settle_path_auction`` reports it.
+        """
+        _, bid_type, _, clear = _PROTOCOLS[auction_type]
+        market = ctx.take_shared(marketplace, MARKETPLACE_TYPE)
+        auction_object, legs = self._book(ctx, marketplace, auction, auction_type)
+        ctx.require(
+            ctx.sender in {leg["seller"] for leg in legs}
+            or ctx.sender == auction_object.payload.get("creator"),
+            "not the seller: only a leg seller or the creator may settle",
+        )
+        targets = [
             ctx.take_owned(leg["asset"], ASSET_TYPE, owner=marketplace) for leg in legs
         ]
-        duration = legs[0]["expiry"] - legs[0]["start"]
         if supplies_kbps is None:
             supplies_kbps = [leg["bandwidth_kbps"] for leg in legs]
         ctx.require(len(supplies_kbps) == len(legs), "one supply per leg required")
@@ -805,27 +679,27 @@ class MarketContract(Contract):
                 0 <= supply <= leg["bandwidth_kbps"],
                 "supply must be within [0, leg bandwidth]",
             )
+        duration = legs[0]["expiry"] - legs[0]["start"]
 
         bid_objects = {}
         bids = []
         for bid_id in auction_object.payload["bids"]:
-            bid_object = ctx.take_owned(bid_id, PATH_BID_TYPE, owner=marketplace)
-            bid_objects[bid_object.payload["seq"]] = bid_object
+            bid_object = ctx.take_owned(bid_id, bid_type, owner=marketplace)
+            placed = bid_object.payload
+            bid_objects[placed["seq"]] = bid_object
             bids.append(
-                PathBid(
-                    bidder=bid_object.payload["bidder"],
-                    bandwidth_kbps=bid_object.payload["bandwidth_kbps"],
-                    price_micromist_per_unit=bid_object.payload[
-                        "price_micromist_per_unit"
-                    ],
-                    seq=bid_object.payload["seq"],
+                Bid(
+                    bidder=placed["bidder"],
+                    bandwidth_kbps=placed["bandwidth_kbps"],
+                    price_micromist_per_unit=placed["price_micromist_per_unit"],
+                    seq=placed["seq"],
                 )
             )
-        outcome = combinatorial_path_clearing(
+        outcome = clear(
             bids,
             [
                 LegSupply(
-                    supply_kbps=int(supply),
+                    supply_kbps=supply,
                     reserve_micromist=leg["reserve_micromist_per_unit"],
                     share_cap_kbps=leg["share_cap_kbps"],
                     total_kbps=leg["bandwidth_kbps"],
@@ -834,13 +708,19 @@ class MarketContract(Contract):
                 for supply, leg in zip(supplies_kbps, legs)
             ],
         )
-        clearing_prices = outcome.clearing_prices_micromist
+        clearing_prices = list(outcome.clearing_prices_micromist)
 
-        targets = list(leg_assets)
+        def close(bid: Bid, paid_mist: int) -> tuple[str, int]:
+            """A bid leaves the book: its escrow, less what it paid, goes back."""
+            bid_object = bid_objects[bid.seq]
+            refund_mist = bid_object.payload["escrow_mist"] - paid_mist
+            self._pay(ctx, bid.bidder, refund_mist)
+            ctx.delete_object(bid_object)
+            return bid_object.object_id, refund_mist
+
         leg_proceeds = [0] * len(legs)
         winner_reports = []
         for bid in outcome.winners:
-            bid_object = bid_objects[bid.seq]
             pieces = []
             paid_mist = 0
             for index, price in enumerate(clearing_prices):
@@ -856,138 +736,129 @@ class MarketContract(Contract):
                 paid_mist += leg_paid
                 ctx.transfer(piece, bid.bidder)
                 pieces.append(piece.object_id)
-            refund_mist = bid_object.payload["escrow_mist"] - paid_mist
-            if refund_mist > 0:
-                ctx.create_object(
-                    COIN_TYPE, {"balance": int(refund_mist)}, owner=bid.bidder
-                )
+            bid_id, refund_mist = close(bid, paid_mist)
             winner_reports.append(
                 {
                     "bidder": bid.bidder,
-                    "bid": bid_object.object_id,
+                    "bid": bid_id,
                     "bandwidth_kbps": bid.bandwidth_kbps,
-                    "paid_mist": int(paid_mist),
-                    "refund_mist": int(max(refund_mist, 0)),
+                    "paid_mist": paid_mist,
+                    "refund_mist": refund_mist,
                     "assets": pieces,
                 }
             )
-            ctx.delete_object(bid_object)
 
         loser_reports = []
         for lost in outcome.losers:
-            bid_object = bid_objects[lost.bid.seq]
-            refund_mist = bid_object.payload["escrow_mist"]
-            if refund_mist > 0:
-                ctx.create_object(
-                    COIN_TYPE, {"balance": int(refund_mist)}, owner=lost.bid.bidder
-                )
+            bid_id, refund_mist = close(lost.bid, 0)
             loser_reports.append(
                 {
                     "bidder": lost.bid.bidder,
-                    "bid": bid_object.object_id,
-                    "leg": int(lost.leg),
-                    "refund_mist": int(refund_mist),
+                    "bid": bid_id,
+                    "leg": lost.leg,
+                    "refund_mist": refund_mist,
                     "reason": lost.reason,
                 }
             )
-            ctx.delete_object(bid_object)
 
         leg_reports = []
         for index, (leg, target) in enumerate(zip(legs, targets)):
-            if leg_proceeds[index] > 0:
-                ctx.create_object(
-                    COIN_TYPE,
-                    {"balance": int(leg_proceeds[index])},
-                    owner=leg["seller"],
-                )
+            self._pay(ctx, leg["seller"], leg_proceeds[index])
             listing_id = None
             if target is not None:
-                listing = ctx.create_object(
-                    LISTING_TYPE,
-                    {
-                        "marketplace": marketplace,
-                        "asset": target.object_id,
-                        "seller": leg["seller"],
-                        "price_micromist_per_unit": leg[
-                            "reserve_micromist_per_unit"
-                        ],
-                    },
-                    owner=marketplace,
+                # Unawarded bandwidth reverts to the posted market at the
+                # reserve price — the "zero bids / thin demand" degradation.
+                listing_id = self._relist(
+                    ctx, market, target, leg["seller"],
+                    leg["reserve_micromist_per_unit"], "Listed",
                 )
-                market.payload["listing_count"] += 1
-                ctx.emit("Listed", _listing_snapshot(listing, target))
-                listing_id = listing.object_id
             leg_reports.append(
                 {
                     "leg_index": index,
                     "seller": leg["seller"],
-                    "clearing_price_micromist": int(clearing_prices[index]),
-                    "proceeds_mist": int(leg_proceeds[index]),
+                    "clearing_price_micromist": clearing_prices[index],
+                    "proceeds_mist": leg_proceeds[index],
                     "listing": listing_id,
                 }
             )
 
         ctx.delete_object(auction_object)
         ctx.mutate(market)
-        ctx.emit(
-            "PathAuctionSettled",
-            {
-                "marketplace": marketplace,
-                "path_auction": path_auction,
-                "num_legs": len(legs),
-                "clearing_prices_micromist": [int(p) for p in clearing_prices],
-                "supplies_kbps": [int(s) for s in supplies_kbps],
-                "winners": winner_reports,
-                "losers": loser_reports,
-                "legs": leg_reports,
-                "proceeds_mist": int(sum(leg_proceeds)),
-            },
-        )
-        return {
-            "clearing_prices_micromist": [int(p) for p in clearing_prices],
-            "supplies_kbps": [int(s) for s in supplies_kbps],
+        return legs, {
+            "clearing_prices_micromist": clearing_prices,
+            "supplies_kbps": list(supplies_kbps),
             "winners": winner_reports,
             "losers": loser_reports,
             "legs": leg_reports,
-            "proceeds_mist": int(sum(leg_proceeds)),
+            "proceeds_mist": sum(leg_proceeds),
         }
 
-    # -- internals ------------------------------------------------------------------
+    def _pay(self, ctx: CallContext, recipient: str, amount_mist: int) -> None:
+        """A fresh coin for ``recipient`` — how the market pays anybody."""
+        if amount_mist > 0:
+            ctx.create_object(COIN_TYPE, {"balance": amount_mist}, owner=recipient)
 
-    def _relist(self, ctx: CallContext, market, original_listing, asset_object) -> None:
+    def _relist(
+        self, ctx: CallContext, market, asset_object, seller: str, price: int, event: str
+    ) -> str:
         """Keep a remainder asset on the market under a fresh listing."""
         listing = ctx.create_object(
             LISTING_TYPE,
             {
-                "marketplace": original_listing.payload["marketplace"],
+                "marketplace": market.object_id,
                 "asset": asset_object.object_id,
-                "seller": original_listing.payload["seller"],
-                "price_micromist_per_unit": original_listing.payload[
-                    "price_micromist_per_unit"
-                ],
+                "seller": seller,
+                "price_micromist_per_unit": price,
             },
-            owner=original_listing.payload["marketplace"],
+            owner=market.object_id,
         )
         market.payload["listing_count"] += 1
-        ctx.emit("Relisted", _listing_snapshot(listing, asset_object))
+        ctx.emit(event, _listing_snapshot(listing, asset_object))
+        return listing.object_id
+
+
+def _clear_window(bids, supplies) -> PathClearingOutcome:
+    """The window rule on the one leg, reported the way the path rule reports:
+    same winners in the same order, every loss on leg 0."""
+    outcome = uniform_price_clearing(bids, **vars(supplies[0]))
+    return PathClearingOutcome(
+        winners=outcome.winners,
+        losers=tuple(LostPathBid(lost.bid, 0, lost.reason) for lost in outcome.losers),
+        leg_outcomes=(outcome,),
+        clearing_prices_micromist=(outcome.clearing_price_micromist,),
+        rounds=1,
+    )
+
+
+# Auction type -> (the key its bids and events name it by, bid type, the
+# event a placed bid emits, clearing rule).  Object types and event names are
+# what the chain has always shown; everything else about the two is shared.
+_PROTOCOLS = {
+    AUCTION_TYPE: ("auction", BID_TYPE, "BidPlaced", _clear_window),
+    PATH_AUCTION_TYPE: (
+        "path_auction", PATH_BID_TYPE, "PathBidPlaced", combinatorial_path_clearing,
+    ),
+}
+
+
+def _rectangle(asset: dict) -> dict:
+    """What an asset sells, as every event that advertises one spells it."""
+    return {
+        key: asset[key]
+        for key in (
+            "isd", "asn", "interface", "is_ingress", "bandwidth_kbps",
+            "start", "expiry", "granularity", "min_bandwidth_kbps",
+        )
+    }
 
 
 def _listing_snapshot(listing, asset_object) -> dict:
     """Full listing state for Listed/Relisted events (indexer consumption)."""
-    asset = asset_object.payload
     return {
         "marketplace": listing.payload["marketplace"],
         "listing": listing.object_id,
         "asset": asset_object.object_id,
         "seller": listing.payload["seller"],
         "price_micromist_per_unit": listing.payload["price_micromist_per_unit"],
-        "isd": asset["isd"],
-        "asn": asset["asn"],
-        "interface": asset["interface"],
-        "is_ingress": asset["is_ingress"],
-        "bandwidth_kbps": asset["bandwidth_kbps"],
-        "start": asset["start"],
-        "expiry": asset["expiry"],
-        "granularity": asset["granularity"],
-        "min_bandwidth_kbps": asset["min_bandwidth_kbps"],
+        **_rectangle(asset_object.payload),
     }

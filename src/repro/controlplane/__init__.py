@@ -2,9 +2,8 @@
 
 from repro.controlplane.asclient import (
     AsService,
+    AuctionedRectangle,
     DeliveryRecord,
-    OpenAuctionRecord,
-    PathLegRecord,
     PathSettlementRecord,
     SettlementRecord,
 )
@@ -15,7 +14,6 @@ from repro.controlplane.hostclient import (
     HostClient,
     IncompatibleGranularity,
     ListingNotFound,
-    PathBidSettlement,
     PurchasePlan,
 )
 from repro.controlplane.manager import ReservationLease, ReservationManager
@@ -35,17 +33,15 @@ from repro.controlplane.workflow import (
 __all__ = [
     "AcquireOutcome",
     "AsService",
+    "AuctionedRectangle",
     "BidSettlement",
     "BudgetExceeded",
     "DeliveryRecord",
-    "OpenAuctionRecord",
     "SettlementRecord",
     "HostClient",
     "IncompatibleGranularity",
     "ListingNotFound",
     "PathAuctionHandle",
-    "PathBidSettlement",
-    "PathLegRecord",
     "PathSettlementRecord",
     "PurchasePlan",
     "ReservationLease",

@@ -44,8 +44,7 @@ from repro.wire import bwcls
 
 DEFAULT_GRANULARITY = 60  # seconds: minimum reservation duration an AS supports
 DEFAULT_MIN_BANDWIDTH = 100  # kbps: VoIP-sized minimum reservation (§4.4)
-DEFAULT_RESID_CAPACITY = 100_000
-DEFAULT_INTERFACE_CAPACITY_KBPS = 10_000_000  # 10 Gbps per interface direction
+RESID_CAPACITY = 100_000  # concurrent reservation ids per ingress interface
 
 
 @dataclass
@@ -59,18 +58,21 @@ class DeliveryRecord:
 
 
 @dataclass
-class OpenAuctionRecord:
-    """One on-chain auction this AS opened and has not yet settled."""
+class AuctionedRectangle:
+    """One rectangle this AS has in an unsettled auction's custody: the whole
+    of a window auction it opened (leg 0), or a leg it contributed to a path
+    auction."""
 
     auction_id: str
     marketplace: str
+    leg_index: int
     interface: int
     is_ingress: bool
     bandwidth_kbps: int
     start: int
     expiry: int
     reserve_micromist_per_unit: int
-    commitment: object  # the issued-calendar claim backing the asset
+    commitment: object = None  # the issued-calendar claim backing the asset
 
 
 @dataclass
@@ -85,22 +87,6 @@ class SettlementRecord:
     listing: str | None
     winners: list[dict]
     submitted: SubmittedTransaction
-
-
-@dataclass
-class PathLegRecord:
-    """One leg this AS contributed to a combinatorial path auction."""
-
-    path_auction: str
-    marketplace: str
-    leg_index: int
-    interface: int
-    is_ingress: bool
-    bandwidth_kbps: int
-    start: int
-    expiry: int
-    reserve_micromist_per_unit: int
-    commitment: object  # the issued-calendar claim backing the leg asset
 
 
 @dataclass
@@ -125,12 +111,9 @@ class AsService:
         account: Account,
         executor: LedgerExecutor,
         pki,
+        admission: AdmissionController,
         rng: random.Random | None = None,
         prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
-        resid_capacity: int = DEFAULT_RESID_CAPACITY,
-        admission: AdmissionController | None = None,
-        interface_capacity_kbps: int = DEFAULT_INTERFACE_CAPACITY_KBPS,
-        shard_seconds: float | None = None,
     ) -> None:
         self.autonomous_system = autonomous_system
         self.account = account
@@ -141,31 +124,22 @@ class AsService:
         self.token_id: str | None = None
         self.seller_cap: str | None = None
         self._allocators: dict[int, ResIdAllocator] = {}
-        self._resid_capacity = resid_capacity
         self._last_checkpoint = 0
-        self.admission = (
-            admission
-            if admission is not None
-            else AdmissionController(
-                interface_capacity_kbps, shard_seconds=shard_seconds
-            )
-        )
+        self.admission = admission
         # (request_id, reason) pairs this AS declined to serve.
         self.undeliverable: list[tuple[str, str]] = []
         # Sealed-bid auctions: open books, settled results, bid-event cursor.
-        self.open_auctions: dict[str, OpenAuctionRecord] = {}
+        self.open_auctions: dict[str, AuctionedRectangle] = {}
         self.settlements: list[SettlementRecord] = []
         self._bid_checkpoint = 0
         # Combinatorial path auctions: legs this AS contributed, by
         # (path auction id, leg index), plus settled results.
-        self.path_legs: dict[tuple[str, int], PathLegRecord] = {}
+        self.path_legs: dict[tuple[str, int], AuctionedRectangle] = {}
         self.path_settlements: list[PathSettlementRecord] = []
         # No-show reclamation (armed by enable_reclamation).
         self.reclamation = None
         self._relist_marketplace: str | None = None
         self._relist_base_micromist: int | None = None
-        self._relist_granularity = DEFAULT_GRANULARITY
-        self._relist_min_bandwidth = DEFAULT_MIN_BANDWIDTH
         # (event, listing id or None, reason) per reclaimed reservation.
         self.relisted: list[tuple[object, str | None, str]] = []
         registry = get_registry()
@@ -383,8 +357,6 @@ class AsService:
         start: int,
         expiry: int,
         base_price_micromist: int,
-        granularity: int = DEFAULT_GRANULARITY,
-        min_bandwidth_kbps: int = DEFAULT_MIN_BANDWIDTH,
     ) -> SubmittedTransaction:
         """Put capacity on the market the way this interface is configured.
 
@@ -405,8 +377,6 @@ class AsService:
             start,
             expiry,
             base_price_micromist,
-            granularity,
-            min_bandwidth_kbps,
         )
 
     def open_auction(
@@ -435,8 +405,6 @@ class AsService:
             ValueError: the interface direction is not in auction mode.
             AdmissionRejected: the window would oversell the interface.
         """
-        if self.token_id is None:
-            raise RuntimeError("AS must register before issuing assets")
         # Registers the book (and quotes the reserve) before the issued
         # calendar is touched, so the reserve reflects pre-auction scarcity.
         book = self.admission.open_auction(
@@ -448,47 +416,98 @@ class AsService:
             reserve_base_micromist,
             min_fragment_kbps=min_bandwidth_kbps,
         )
-        decision, submitted = self._issue(
-            "auction",
-            interface,
-            is_ingress,
-            bandwidth_kbps,
-            start,
-            expiry,
-            granularity,
-            min_bandwidth_kbps,
-            Command(
-                "market",
-                "create_auction",
-                {
-                    "marketplace": marketplace,
-                    "asset": Result(0, "asset"),
-                    "reserve_micromist_per_unit": book.reserve_micromist,
-                    "share_cap_kbps": book.share_cap_kbps,
-                },
-            ),
-        )
-        if submitted is None or not submitted.effects.ok:
-            # No asset, no auction: drop the book registered above.
-            self.admission.close_auction(interface, is_ingress, start, expiry)
-            if submitted is None:
-                raise self._rejected(interface, is_ingress, decision)
-            return submitted
-        auction_id = submitted.effects.returns[1]["auction"]
-        self.open_auctions[auction_id] = OpenAuctionRecord(
-            auction_id=auction_id,
+        rectangle = AuctionedRectangle(
+            auction_id="",  # the ledger names it
             marketplace=marketplace,
+            leg_index=0,
             interface=interface,
             is_ingress=is_ingress,
             bandwidth_kbps=bandwidth_kbps,
             start=start,
             expiry=expiry,
             reserve_micromist_per_unit=book.reserve_micromist,
-            commitment=decision.commitment,
         )
+        submitted = None
+        try:
+            submitted = self._auction_off(
+                "auction",
+                rectangle,
+                granularity,
+                min_bandwidth_kbps,
+                Command(
+                    "market",
+                    "create_auction",
+                    {
+                        "marketplace": marketplace,
+                        "asset": Result(0, "asset"),
+                        "reserve_micromist_per_unit": book.reserve_micromist,
+                        "share_cap_kbps": book.share_cap_kbps,
+                    },
+                ),
+            )
+        finally:
+            if submitted is None or not submitted.effects.ok:
+                # No asset, no auction: drop the book registered above.
+                self.admission.close_auction(interface, is_ingress, start, expiry)
+        if submitted.effects.ok:
+            rectangle.auction_id = submitted.effects.returns[1]["auction"]
+            self.open_auctions[rectangle.auction_id] = rectangle
         return submitted
 
-    def _supply(self, record: OpenAuctionRecord | PathLegRecord) -> int:
+    def _auction_off(
+        self,
+        tag: str,
+        rectangle: AuctionedRectangle,
+        granularity: int,
+        min_bandwidth_kbps: int,
+        follow_up: Command,
+    ) -> SubmittedTransaction:
+        """Issue ``rectangle`` with ``follow_up`` taking the asset into an
+        auction's custody — a window auction's whole, or one path leg; once
+        the ledger accepted, the rectangle carries its calendar claim.
+
+        Raises:
+            RuntimeError: the AS has not registered.
+            AdmissionRejected: the window would oversell the interface.
+        """
+        if self.token_id is None:
+            raise RuntimeError("AS must register before issuing assets")
+        decision, submitted = self._issue(
+            tag,
+            rectangle.interface,
+            rectangle.is_ingress,
+            rectangle.bandwidth_kbps,
+            rectangle.start,
+            rectangle.expiry,
+            granularity,
+            min_bandwidth_kbps,
+            follow_up,
+        )
+        if submitted is None:
+            raise self._rejected(rectangle.interface, rectangle.is_ingress, decision)
+        if submitted.effects.ok:
+            rectangle.commitment = decision.commitment
+        return submitted
+
+    def _settle(
+        self, command: Command, kind: str, auction_id: str, counter
+    ) -> tuple[SubmittedTransaction, dict]:
+        """Submit a settle, refuse loudly, count it; returns the transaction
+        and what the contract reported."""
+        submitted = self._submit(command)
+        if not submitted.effects.ok:
+            raise RuntimeError(
+                f"settle of {kind} {auction_id[:8]}... failed: "
+                f"{submitted.effects.error}"
+            )
+        result = submitted.effects.returns[0]
+        if self._telemetry:
+            counter.labels(
+                str(self.isd_as), "cleared" if result["winners"] else "unsold"
+            ).inc()
+        return submitted, result
+
+    def _supply(self, record: AuctionedRectangle) -> int:
         """Bandwidth an auctioned rectangle can sell right now: what was
         offered, clamped by live active-calendar headroom
         (:meth:`~repro.admission.AdmissionController.settle_supply`)."""
@@ -553,7 +572,7 @@ class AsService:
         )
         return book.clear(self._supply(record))
 
-    def settle_due_auctions(self, now: float | None = None) -> list[SettlementRecord]:
+    def settle_due_auctions(self) -> list[SettlementRecord]:
         """Settle every open auction whose window has started.
 
         The periodic housekeeping entry point: call it at (or after) each
@@ -569,14 +588,14 @@ class AsService:
         Raises:
             RuntimeError: the ledger refused a settle transaction.
         """
-        when = now if now is not None else self.executor.clock.now()
+        when = self.executor.clock.now()
         self.poll_bids()
         settled: list[SettlementRecord] = []
         for auction_id, record in list(self.open_auctions.items()):
             if record.start > when:
                 continue
             supply = self._supply(record)
-            submitted = self._submit(
+            submitted, result = self._settle(
                 Command(
                     "market",
                     "settle_auction",
@@ -585,14 +604,11 @@ class AsService:
                         "auction": auction_id,
                         "supply_kbps": supply,
                     },
-                )
+                ),
+                "auction",
+                auction_id,
+                self._m_settlements,
             )
-            if not submitted.effects.ok:
-                raise RuntimeError(
-                    f"settle of auction {auction_id[:8]}... failed: "
-                    f"{submitted.effects.error}"
-                )
-            result = submitted.effects.returns[0]
             self.admission.close_auction(
                 record.interface, record.is_ingress, record.start, record.expiry
             )
@@ -611,9 +627,6 @@ class AsService:
             settled.append(outcome)
             if self._telemetry:
                 key = str(self.isd_as)
-                self._m_settlements.labels(
-                    key, "cleared" if outcome.awarded_kbps > 0 else "unsold"
-                ).inc()
                 self._m_proceeds.labels(key).inc(outcome.proceeds_mist)
                 self._m_awarded.labels(key).inc(outcome.awarded_kbps)
             tracing.event(
@@ -671,18 +684,22 @@ class AsService:
             RuntimeError: the AS has not registered.
             AdmissionRejected: the window would oversell the interface.
         """
-        if self.token_id is None:
-            raise RuntimeError("AS must register before issuing assets")
-        reserve = self.admission.quote(
-            base_price_micromist, interface, is_ingress, start, expiry
+        rectangle = AuctionedRectangle(
+            auction_id=path_auction,
+            marketplace=marketplace,
+            leg_index=leg_index,
+            interface=interface,
+            is_ingress=is_ingress,
+            bandwidth_kbps=bandwidth_kbps,
+            start=start,
+            expiry=expiry,
+            reserve_micromist_per_unit=self.admission.quote(
+                base_price_micromist, interface, is_ingress, start, expiry
+            ),
         )
-        decision, submitted = self._issue(
+        submitted = self._auction_off(
             "pathleg",
-            interface,
-            is_ingress,
-            bandwidth_kbps,
-            start,
-            expiry,
+            rectangle,
             granularity,
             min_bandwidth_kbps,
             Command(
@@ -693,31 +710,17 @@ class AsService:
                     "path_auction": path_auction,
                     "leg_index": leg_index,
                     "asset": Result(0, "asset"),
-                    "reserve_micromist_per_unit": reserve,
+                    "reserve_micromist_per_unit": rectangle.reserve_micromist_per_unit,
                     "share_cap_kbps": self.admission.share_cap_kbps(
                         interface, is_ingress
                     ),
                 },
             ),
         )
-        if submitted is None:
-            raise self._rejected(interface, is_ingress, decision)
-        if not submitted.effects.ok:
-            return submitted
-        self.path_legs[(path_auction, leg_index)] = PathLegRecord(
-            path_auction=path_auction,
-            marketplace=marketplace,
-            leg_index=leg_index,
-            interface=interface,
-            is_ingress=is_ingress,
-            bandwidth_kbps=bandwidth_kbps,
-            start=start,
-            expiry=expiry,
-            reserve_micromist_per_unit=reserve,
-            commitment=decision.commitment,
-        )
-        if self._telemetry:
-            self._m_path_legs.labels(str(self.isd_as)).inc()
+        if submitted.effects.ok:
+            self.path_legs[(path_auction, leg_index)] = rectangle
+            if self._telemetry:
+                self._m_path_legs.labels(str(self.isd_as)).inc()
         return submitted
 
     def path_leg_supply(self, path_auction: str, leg_index: int) -> int:
@@ -749,7 +752,7 @@ class AsService:
         Raises:
             RuntimeError: the ledger refused the settle transaction.
         """
-        submitted = self._submit(
+        submitted, result = self._settle(
             Command(
                 "market",
                 "settle_path_auction",
@@ -758,14 +761,11 @@ class AsService:
                     "path_auction": path_auction,
                     "supplies_kbps": supplies_kbps,
                 },
-            )
+            ),
+            "path auction",
+            path_auction,
+            self._m_path_settlements,
         )
-        if not submitted.effects.ok:
-            raise RuntimeError(
-                f"settle of path auction {path_auction[:8]}... failed: "
-                f"{submitted.effects.error}"
-            )
-        result = submitted.effects.returns[0]
         record = PathSettlementRecord(
             path_auction=path_auction,
             clearing_prices_micromist=result["clearing_prices_micromist"],
@@ -781,10 +781,6 @@ class AsService:
             for key, leg in self.path_legs.items()
             if key[0] != path_auction
         }
-        if self._telemetry:
-            self._m_path_settlements.labels(
-                str(self.isd_as), "cleared" if result["winners"] else "unsold"
-            ).inc()
         tracing.event(
             "path_auction.settle",
             path_auction=path_auction,
@@ -982,8 +978,6 @@ class AsService:
         demote=None,
         marketplace: str | None = None,
         relist_base_micromist: int | None = None,
-        relist_granularity: int = DEFAULT_GRANULARITY,
-        relist_min_bandwidth: int = DEFAULT_MIN_BANDWIDTH,
     ):
         """Arm the usage-feedback loop for this AS.
 
@@ -1010,11 +1004,9 @@ class AsService:
         )
         self._relist_marketplace = marketplace
         self._relist_base_micromist = relist_base_micromist
-        self._relist_granularity = relist_granularity
-        self._relist_min_bandwidth = relist_min_bandwidth
         return self.reclamation
 
-    def reclaim_no_shows(self, now: float | None = None) -> list:
+    def reclaim_no_shows(self) -> list:
         """One reclamation pass: scan tracked reservations, relist the spoils.
 
         Runs :meth:`~repro.reclaim.ReclamationEngine.scan` (no-op without
@@ -1029,8 +1021,7 @@ class AsService:
         """
         if self.reclamation is None:
             return []
-        when = now if now is not None else self.executor.clock.now()
-        events = self.reclamation.scan(when)
+        events = self.reclamation.scan(self.executor.clock.now())
         if self._relist_marketplace is not None:
             for event in events:
                 self._relist_reclaimed(event)
@@ -1039,7 +1030,7 @@ class AsService:
     def _relist_reclaimed(self, event) -> None:
         """Put one reclamation's freed rectangle back on the market."""
         start = math.ceil(event.at)
-        granule = self._relist_granularity
+        granule = DEFAULT_GRANULARITY
         # The asset contract requires the duration to be a whole number of
         # granules: shrink the tail, never stretch past the reservation.
         expiry = start + (int(event.end) - start) // granule * granule
@@ -1063,7 +1054,7 @@ class AsService:
             start,
             expiry,
             granule,
-            min(self._relist_min_bandwidth, freed),
+            min(DEFAULT_MIN_BANDWIDTH, freed),
             self._list(
                 self._relist_marketplace,
                 quoted,
@@ -1087,6 +1078,6 @@ class AsService:
     def _allocator(self, ingress_if: int) -> ResIdAllocator:
         allocator = self._allocators.get(ingress_if)
         if allocator is None:
-            allocator = ResIdAllocator(self._resid_capacity)
+            allocator = ResIdAllocator(RESID_CAPACITY)
             self._allocators[ingress_if] = allocator
         return allocator

@@ -60,7 +60,6 @@ __all__ = [
     "HostClient",
     "IncompatibleGranularity",
     "ListingNotFound",
-    "PathBidSettlement",
     "PurchasePlan",
 ]
 
@@ -88,13 +87,16 @@ class PurchasePlan:
 
 @dataclass(frozen=True)
 class BidSettlement:
-    """This host's aggregate outcome in one settled auction.
+    """This host's aggregate outcome in one settled auction, window or path.
 
     ``won`` is true when at least one of the host's bids was awarded;
     ``assets`` are the bandwidth-split pieces it now owns (redeemable like
-    any purchased asset), ``paid_mist`` the total charged at the clearing
-    price and ``refund_mist`` everything the settlement returned (losing
-    escrows plus winners' escrow surplus).
+    any purchased asset) — one per winning bid of a window auction; of a
+    path auction one per leg in path order, pairable for
+    :meth:`HostClient.redeem_path`.  ``paid_mist`` is the total charged at
+    the clearing price of every leg (``clearing_prices_micromist``, one
+    entry for a window auction) and ``refund_mist`` everything the
+    settlement returned (losing escrows plus winners' escrow surplus).
     """
 
     auction: str
@@ -102,29 +104,15 @@ class BidSettlement:
     bandwidth_kbps: int
     paid_mist: int
     refund_mist: int
-    clearing_price_micromist: int
-    assets: tuple[str, ...] = ()
-    reasons: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class PathBidSettlement:
-    """This host's aggregate outcome in one settled **path** auction.
-
-    ``assets`` lists the bandwidth-split pieces in leg (path) order — one
-    per leg when the bid won, pairable for :meth:`HostClient.redeem_path`
-    — and ``paid_mist`` sums the per-leg clearing-price charges.  Losers
-    see their whole escrow back in ``refund_mist``.
-    """
-
-    path_auction: str
-    won: bool
-    bandwidth_kbps: int
-    paid_mist: int
-    refund_mist: int
     clearing_prices_micromist: tuple[int, ...]
     assets: tuple[str, ...] = ()
     reasons: tuple[str, ...] = ()
+
+    @property
+    def clearing_price_micromist(self) -> int:
+        """The uniform price of a window auction — its one leg's."""
+        (price,) = self.clearing_prices_micromist
+        return price
 
 
 @dataclass(frozen=True)
@@ -385,24 +373,6 @@ class HostClient:
             self._planners[marketplace] = found
         return found
 
-    def quote_path(self, marketplace: str, spec: PathSpec) -> list[PathQuote]:
-        """Every distinct priced way to reserve the path, cheapest first.
-
-        Args:
-            marketplace: the marketplace object id.
-            spec: the path requirement (window, bandwidth, optional
-                ``flex_start`` slack and ``budget_mist`` cap).
-
-        Returns:
-            Ranked :class:`~repro.marketdata.PathQuote` list (see
-            :meth:`PurchasePlanner.quote` for ordering and the budget
-            caveat).
-
-        Raises:
-            ListingNotFound: nothing covers the spec at any flex offset.
-        """
-        return self.planner(marketplace).quote(spec)
-
     def plan_path(self, marketplace: str, spec: PathSpec) -> PurchasePlan:
         """The cheapest in-budget quote, as a purchase plan.
 
@@ -473,12 +443,18 @@ class HostClient:
         legs = [book["legs"].get(index) for index in range(book["num_legs"])]
         return None if any(leg is None for leg in legs) else legs
 
-    def _unit_price(
-        self, legs: list[dict], bandwidth_kbps: int, max_price_mist: int, below: str
-    ) -> int:
-        """The unit price ``max_price_mist`` buys over ``legs`` (floored, so the
-        escrow never exceeds the budget; a single-window auction is the one-leg
-        case), checked against every reserve, its escrow covered by the
+    def _place(
+        self,
+        command: Command,
+        legs: list[dict],
+        bandwidth_kbps: int,
+        max_price_mist: int,
+        below: str,
+    ) -> SubmittedTransaction:
+        """Complete and submit ``command``, a bid over ``legs`` (a single-window
+        auction is the one-leg case) that names its auction: the unit price is
+        what ``max_price_mist`` buys (floored, so the escrow never exceeds the
+        budget), checked against every reserve, its escrow covered by the
         payment coin.  Raises the ``ValueError`` both ``place_*bid`` document."""
         duration = legs[0]["expiry"] - legs[0]["start"]
         units = bandwidth_kbps * duration * len(legs)
@@ -495,12 +471,18 @@ class HostClient:
             # Earlier refunds arrive as fresh coins; fold them back in
             # before giving up on the escrow.
             self.consolidate_coins()
-        return unit_price
+        command.args.update(
+            bandwidth_kbps=bandwidth_kbps,
+            price_micromist_per_unit=unit_price,
+            payment=self.payment_coin,
+        )
+        return self._submit(command)
 
-    def _settled(self, marketplace: str, auction: str, event: str, key: str):
-        """``(settlement payload, this host's aggregate over every bid it
-        placed)`` once ``auction`` settled, else ``None``; the aggregate is
-        keyed by the fields the two ``*BidSettlement`` records share."""
+    def _settled(
+        self, marketplace: str, auction: str, event: str, key: str
+    ) -> BidSettlement | None:
+        """This host's aggregate over every bid it placed into ``auction``
+        (window or path) once it settled, else ``None``."""
         self._scan_auctions(marketplace)
         payload = self._auction_results.get(marketplace, {}).get(auction)
         if payload is None:
@@ -526,8 +508,17 @@ class HostClient:
             if totals["refund_mist"]:
                 self._m_refunds.inc(totals["refund_mist"])
         tracing.event(event, **{key: auction}, **totals)
-        reasons = tuple(loser["reason"] for loser in losses)
-        return payload, {**totals, "assets": assets, "reasons": reasons}
+        return BidSettlement(
+            auction=auction,
+            # one price per leg; a window auction reports its one leg's bare
+            clearing_prices_micromist=tuple(
+                payload.get("clearing_prices_micromist")
+                or [payload["clearing_price_micromist"]]
+            ),
+            assets=assets,
+            reasons=tuple(loser["reason"] for loser in losses),
+            **totals,
+        )
 
     def _placed(
         self, place, mode, key, marketplace, auction, bandwidth_kbps, max_price_mist
@@ -624,22 +615,10 @@ class HostClient:
         snapshot = self._open_auctions[marketplace].get(auction)
         if snapshot is None:
             raise ValueError(f"auction {auction[:8]}... is not open")
-        unit_price = self._unit_price(
+        return self._place(
+            Command("market", "place_bid", {"marketplace": marketplace, "auction": auction}),
             [snapshot], bandwidth_kbps, max_price_mist,
             "micromist/unit, below the auction's reserve",
-        )
-        return self._submit(
-            Command(
-                "market",
-                "place_bid",
-                {
-                    "marketplace": marketplace,
-                    "auction": auction,
-                    "bandwidth_kbps": bandwidth_kbps,
-                    "price_micromist_per_unit": unit_price,
-                    "payment": self.payment_coin,
-                },
-            )
         )
 
     def await_settle(self, marketplace: str, auction: str) -> BidSettlement | None:
@@ -651,15 +630,7 @@ class HostClient:
             aggregating every bid this host placed — winners' assets and
             clearing-price charges, losers' full refunds.
         """
-        settled = self._settled(marketplace, auction, "bid.settled", "auction")
-        if settled is None:
-            return None
-        payload, totals = settled
-        return BidSettlement(
-            auction=auction,
-            clearing_price_micromist=payload["clearing_price_micromist"],
-            **totals,
-        )
+        return self._settled(marketplace, auction, "bid.settled", "auction")
 
     def acquire(
         self,
@@ -812,44 +783,28 @@ class HostClient:
             raise ValueError(
                 f"path auction {path_auction[:8]}... is not fully contributed"
             )
-        unit_price = self._unit_price(
-            legs, bandwidth_kbps, max_price_mist,
-            "micromist/unit per leg, below the dearest leg reserve",
-        )
-        return self._submit(
+        return self._place(
             Command(
                 "market",
                 "place_path_bid",
-                {
-                    "marketplace": marketplace,
-                    "path_auction": path_auction,
-                    "bandwidth_kbps": bandwidth_kbps,
-                    "price_micromist_per_unit": unit_price,
-                    "payment": self.payment_coin,
-                },
-            )
+                {"marketplace": marketplace, "path_auction": path_auction},
+            ),
+            legs, bandwidth_kbps, max_price_mist,
+            "micromist/unit per leg, below the dearest leg reserve",
         )
 
     def await_path_settle(
         self, marketplace: str, path_auction: str
-    ) -> PathBidSettlement | None:
+    ) -> BidSettlement | None:
         """This host's outcome in a path auction, once it settles.
 
         Returns:
             ``None`` while the auction is still open, else a
-            :class:`PathBidSettlement` — a winner's ``assets`` hold one
+            :class:`BidSettlement` — a winner's ``assets`` hold one
             piece per leg in path order, ready for :meth:`redeem_path`.
         """
-        settled = self._settled(
+        return self._settled(
             marketplace, path_auction, "path_bid.settled", "path_auction"
-        )
-        if settled is None:
-            return None
-        payload, totals = settled
-        return PathBidSettlement(
-            path_auction=path_auction,
-            clearing_prices_micromist=tuple(payload["clearing_prices_micromist"]),
-            **totals,
         )
 
     def redeem_path(
@@ -859,7 +814,7 @@ class HostClient:
 
         One transaction holding a redeem per AS crossing — the redemption
         path for path-auction winnings (a winner's
-        :attr:`PathBidSettlement.assets` in leg order pair up as
+        :attr:`BidSettlement.assets` in leg order pair up as
         ``(assets[0], assets[1]), (assets[2], assets[3]), ...``).  If any
         pair is incompatible the whole transaction aborts and no redeem
         request reaches any AS.

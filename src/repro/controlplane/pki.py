@@ -30,10 +30,6 @@ class CpPki:
         self._rng = random.Random(seed)
         self._root = SigningKey.generate(self._rng)
 
-    @property
-    def root_public_key(self) -> int:
-        return self._root.public
-
     def issue_certificate(self, isd_as: IsdAs, subject_public_key: int) -> dict:
         """Sign a certificate for an AS's Schnorr public key."""
         public_bytes = subject_public_key.to_bytes(_KEY_BYTES, "big")

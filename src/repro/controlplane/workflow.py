@@ -42,6 +42,8 @@ from repro.scion.topology import Topology
 
 DEFAULT_PRICE_MICROMIST = 50  # posted price per kbps-second
 DEFAULT_ASSET_BANDWIDTH_KBPS = 10_000_000  # 10 Gbps per interface direction
+# How long after a redeem lands an AS's checkpoint poll observes it (seconds).
+OBSERVATION_DELAY = (0.05, 0.30)
 
 
 @dataclass
@@ -134,13 +136,10 @@ def deploy_market(
     topology: Topology,
     clock: Clock | None = None,
     seed: int = 7,
-    committee: Committee | None = None,
     asset_start: int | None = None,
     asset_duration: int = 3600,
     asset_bandwidth_kbps: int = DEFAULT_ASSET_BANDWIDTH_KBPS,
     price_micromist_per_unit: int = DEFAULT_PRICE_MICROMIST,
-    granularity: int = 60,
-    min_bandwidth_kbps: int = 100,
     prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
     interface_capacity_kbps: int | None = None,
     admission_policy=None,
@@ -183,11 +182,7 @@ def deploy_market(
     ledger.register_contract(CoinContract())
     ledger.register_contract(AssetContract(pki))
     ledger.register_contract(MarketContract())
-    executor = LedgerExecutor(
-        ledger,
-        committee if committee is not None else Committee(seed=seed),
-        clock,
-    )
+    executor = LedgerExecutor(ledger, Committee(seed=seed), clock)
 
     operator = Account.generate(rng, "market-operator")
     created = executor.submit(
@@ -239,8 +234,6 @@ def deploy_market(
                     start,
                     start + asset_duration,
                     price_micromist_per_unit,
-                    granularity,
-                    min_bandwidth_kbps,
                 )
                 if not listed.effects.ok:
                     raise RuntimeError(f"issue/list failed: {listed.effects.error}")
@@ -254,8 +247,6 @@ def deploy_market(
             )
             options.setdefault("marketplace", marketplace)
             options.setdefault("relist_base_micromist", price_micromist_per_unit)
-            options.setdefault("relist_granularity", granularity)
-            options.setdefault("relist_min_bandwidth", min_bandwidth_kbps)
             service.enable_reclamation(source, **options)
         services[autonomous_system.isd_as] = service
 
@@ -287,7 +278,6 @@ def purchase_path(
     start: int,
     expiry: int,
     bandwidth_kbps: int,
-    observation_delay: tuple[float, float] = (0.05, 0.30),
     flex_start: int = 0,
     max_price_mist: int | None = None,
 ) -> PurchaseOutcome:
@@ -340,7 +330,7 @@ def purchase_path(
     response_latency = 0.0
     for crossing in crossings:
         for record in _poll(deployment, crossing):
-            poll_delay = rng.uniform(*observation_delay)
+            poll_delay = rng.uniform(*OBSERVATION_DELAY)
             delivery_latency = poll_delay + record.submitted.latency
             response_latency = max(response_latency, delivery_latency)
 

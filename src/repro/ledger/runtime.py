@@ -181,6 +181,20 @@ class CallContext:
             raise ContractAbort(message)
 
 
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+# Parameter annotation (contract modules spell them as strings: ``from
+# __future__ import annotations``) -> what a sender's value has to be.
+_INTEGER = {
+    "int": _is_int,
+    "int | None": lambda value: value is None or _is_int(value),
+    "list[int] | None": lambda value: value is None
+    or (type(value) is list and all(map(_is_int, value))),
+}
+
+
 class Contract:
     """Base class for on-chain contracts.
 
@@ -197,7 +211,11 @@ class Contract:
         Function name and arguments are the sender's choice: whatever is
         wrong with them — a private or inherited name, a missing or
         misspelled argument, a value of the wrong type — is the sender's
-        abort, never an exception out of the executor.
+        abort, never an exception out of the executor.  A parameter the
+        handler annotates ``int`` (``int | None``, ``list[int] | None``)
+        takes exactly that and nothing that merely compares like an
+        integer: a ``float`` would mint half a MIST, ``inf`` overflow on its
+        way to one, ``True`` count as a kbps.
         """
         if function.startswith("_"):
             raise ContractAbort(f"function {function!r} is private")
@@ -207,6 +225,10 @@ class Contract:
             raise ContractAbort(f"{self.name} has no function {function!r}")
         ctx.gas.charge_call()
         try:
+            for name, value in args.items():
+                wanted = handler.__annotations__.get(name)
+                if wanted in _INTEGER and not _INTEGER[wanted](value):
+                    raise TypeError(f"{name!r} must be {wanted}")
             result = handler(self, ctx, **args)
         except TypeError as mismatch:
             given = ", ".join(

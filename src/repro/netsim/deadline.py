@@ -75,22 +75,8 @@ class DeadlineExperimentResult:
         return sum(r.bytes_moved for r in self.records)
 
     @property
-    def spend_total_mist(self) -> int:
-        return sum(r.spend_mist for r in self.records)
-
-    @property
     def oracle_bytes_total(self) -> int:
         return sum(r.oracle_bytes for r in self.records)
-
-    @property
-    def oracle_cost_total_mist(self) -> int:
-        return sum(r.oracle_cost_mist for r in self.records)
-
-    @property
-    def deadline_hit_rate(self) -> float:
-        if not self.records:
-            return 0.0
-        return sum(r.deadline_hit for r in self.records) / len(self.records)
 
     @property
     def bytes_vs_oracle(self) -> float:

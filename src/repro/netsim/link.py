@@ -85,10 +85,6 @@ class Link:
             self._start_next()
         return True
 
-    @property
-    def queued_bytes(self) -> int:
-        return self._priority_bytes + self._best_effort_bytes
-
     def utilization(self, elapsed: float) -> float:
         return self.stats.busy_seconds / elapsed if elapsed > 0 else 0.0
 

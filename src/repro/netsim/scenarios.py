@@ -580,16 +580,6 @@ class AuctionExperimentResult:
             or self.auction_peak_kbps > self.capacity_kbps
         )
 
-    def rejection_rate(self, arm: str) -> float:
-        """Fraction of buyers who got nothing (``arm``: posted|auction)."""
-        if not self.buyers:
-            return 0.0
-        if arm == "posted":
-            losses = sum(1 for b in self.buyers if not b.posted_admitted)
-        else:
-            losses = sum(1 for b in self.buyers if not b.auction_won)
-        return losses / len(self.buyers)
-
     def efficiency(self, arm: str) -> float:
         """Captured valuation: awarded value / best achievable value.
 

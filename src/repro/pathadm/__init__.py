@@ -12,7 +12,6 @@ all-or-nothing on top of the per-window uniform-price rule.  See
 from repro.pathadm.auction import (
     LegSupply,
     LostPathBid,
-    PathBid,
     PathClearingOutcome,
     combinatorial_path_clearing,
     path_escrow_mist,
@@ -39,7 +38,6 @@ __all__ = [
     "LegSupply",
     "LostPathBid",
     "PathAdmission",
-    "PathBid",
     "PathClearingOutcome",
     "PathCommitError",
     "PathHop",

@@ -1,17 +1,18 @@
 """Combinatorial path auctions: one bid, every hop, all-or-nothing.
 
 A path bidder does not want *some* hops — bandwidth on four of five legs
-is worthless.  A :class:`PathBid` therefore covers every leg of the path
-at one unit price per leg, backed by one escrow, and either wins on
-**all** legs or loses entirely.
+is worthless.  A path bid is therefore one
+:class:`~repro.admission.auction.Bid` — the window auction's own record —
+read as ``bandwidth_kbps`` on **every** leg of the path at one maximum unit
+price per leg, backed by one escrow (:func:`path_escrow_mist`), and it
+either wins on **all** legs or loses entirely.
 
 Clearing composes the existing pure per-window rule
 (:func:`repro.admission.auction.uniform_price_clearing`, shared verbatim
 with the on-chain contract) with a path-level accept/reject pass:
 
-1. project the live path bids into each leg's book and clear every leg
-   independently under its own supply, reserve, share cap, and fragment
-   rule;
+1. clear the live bids on every leg independently under the leg's own
+   supply, reserve, share cap, and fragment rule;
 2. a **partial** bid — one that won on some legs but lost on at least
    one — violates all-or-nothing: it can never be completed, yet it
    holds supply hostage on the legs it won.  The highest-priced partial
@@ -32,7 +33,7 @@ clearing price to the lowest winning bid there.
 
 >>> legs = [LegSupply(supply_kbps=800, reserve_micromist=10),
 ...         LegSupply(supply_kbps=500, reserve_micromist=10)]
->>> bids = [PathBid("a", 400, 90, seq=0), PathBid("b", 400, 70, seq=1)]
+>>> bids = [Bid("a", 400, 90, seq=0), Bid("b", 400, 70, seq=1)]
 >>> out = combinatorial_path_clearing(bids, legs)
 >>> [bid.bidder for bid in out.winners]   # both fit leg 0; only a fits leg 1
 ['a']
@@ -53,36 +54,12 @@ from repro.admission.auction import (
 __all__ = [
     "LegSupply",
     "LostPathBid",
-    "PathBid",
     "PathClearingOutcome",
     "combinatorial_path_clearing",
     "path_escrow_mist",
 ]
 
 MICROMIST = 1_000_000
-
-
-@dataclass(frozen=True)
-class PathBid:
-    """One combinatorial bid: ``bandwidth_kbps`` on every leg of the path.
-
-    ``price_micromist_per_unit`` is the maximum unit price (per
-    kbps-second) the bidder pays **per leg**; the escrow backing the bid
-    is that price times the window on every leg
-    (:func:`path_escrow_mist`).  ``seq`` is the arrival index — the same
-    deterministic tie-breaker the per-window rule uses.
-    """
-
-    bidder: str
-    bandwidth_kbps: int
-    price_micromist_per_unit: int
-    seq: int = 0
-
-    def __post_init__(self) -> None:
-        if self.bandwidth_kbps <= 0:
-            raise ValueError("bid bandwidth must be positive")
-        if self.price_micromist_per_unit <= 0:
-            raise ValueError("bid price must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,7 +77,7 @@ class LegSupply:
 class LostPathBid:
     """A losing path bid, the first leg that rejected it, and why."""
 
-    bid: PathBid
+    bid: Bid
     leg: int
     reason: str
 
@@ -115,7 +92,7 @@ class PathClearingOutcome:
     prices in ``clearing_prices_micromist`` are consistent across legs.
     """
 
-    winners: tuple[PathBid, ...]
+    winners: tuple[Bid, ...]
     losers: tuple[LostPathBid, ...]
     leg_outcomes: tuple[ClearingOutcome, ...]
     clearing_prices_micromist: tuple[int, ...]
@@ -125,12 +102,7 @@ class PathClearingOutcome:
     def cleared(self) -> bool:
         return bool(self.winners)
 
-    @property
-    def path_clearing_price_micromist(self) -> int:
-        """Sum of the per-leg clearing prices — the path's unit price."""
-        return sum(self.clearing_prices_micromist)
-
-    def winner_payment_mist(self, bid: PathBid, duration_seconds: int) -> int:
+    def winner_payment_mist(self, bid: Bid, duration_seconds: int) -> int:
         """MIST one winner pays: per-leg ceil pricing, summed over legs."""
         return sum(
             -(-bid.bandwidth_kbps * duration_seconds * price // MICROMIST)
@@ -170,7 +142,7 @@ def combinatorial_path_clearing(
     """Clear path bids all-or-nothing over per-leg uniform-price books.
 
     Args:
-        bids: iterable of :class:`PathBid` (any order).
+        bids: iterable of :class:`~repro.admission.auction.Bid` (any order).
         legs: iterable of :class:`LegSupply`, one per leg in path order.
 
     Returns:
@@ -185,22 +157,14 @@ def combinatorial_path_clearing(
     legs = tuple(legs)
     if not legs:
         raise ValueError("a path auction needs at least one leg")
-    live: list[PathBid] = sorted(bids, key=lambda b: b.seq)
+    live: list[Bid] = sorted(bids, key=lambda b: b.seq)
     evicted: list[LostPathBid] = []
     rounds = 0
     while True:
         rounds += 1
         leg_outcomes = tuple(
             uniform_price_clearing(
-                [
-                    Bid(
-                        bidder=bid.bidder,
-                        bandwidth_kbps=bid.bandwidth_kbps,
-                        price_micromist_per_unit=bid.price_micromist_per_unit,
-                        seq=bid.seq,
-                    )
-                    for bid in live
-                ],
+                live,
                 supply_kbps=leg.supply_kbps,
                 reserve_micromist=leg.reserve_micromist,
                 share_cap_kbps=leg.share_cap_kbps,

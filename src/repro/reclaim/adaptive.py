@@ -30,8 +30,6 @@ class AdaptiveOverbooking(OverbookingPolicy):
         initial_factor: factor for calendars with no observations yet.
         max_factor: hard ceiling on the learned factor.
         alpha: EWMA weight of the newest show-up observation.
-        max_fraction: optional per-buyer share cap (of *physical*
-            capacity), as in :class:`OverbookingPolicy`.
     """
 
     name = "adaptive-overbooking"
@@ -41,9 +39,8 @@ class AdaptiveOverbooking(OverbookingPolicy):
         initial_factor: float = 1.0,
         max_factor: float = 3.0,
         alpha: float = 0.3,
-        max_fraction: float | None = None,
     ) -> None:
-        super().__init__(initial_factor, max_fraction=max_fraction)
+        super().__init__(initial_factor)
         if max_factor < 1:
             raise ValueError("max_factor must be >= 1")
         if not 0 < alpha <= 1:

@@ -8,8 +8,8 @@ booking is a **no-show**: its active-calendar commitments are shrunk in
 place (:meth:`~repro.admission.calendar.CapacityCalendar.reclaim`) down
 to ``retain_headroom`` times the observed rate, the data-plane policer
 is capped at the retained rate (a late-waking sender is demoted to best
-effort beyond it), and the freed bandwidth is handed to ``on_reclaim``
-for relisting or re-auction.
+effort beyond it), and :meth:`ReclamationEngine.scan` returns the freed
+bandwidth as events for relisting or re-auction.
 
 Failure model (the matrix ``docs/reclamation.md`` tabulates):
 
@@ -105,8 +105,6 @@ class ReclamationEngine:
         demote: optional ``(ingress_ifid, res_id, kbps)`` callable capping
             the data-plane policer at the retained rate — typically
             ``router.policer.set_limit``.
-        on_reclaim: optional ``(ReclamationEvent)`` callable fired once
-            per completed reclamation — the marketplace relist hook.
     """
 
     def __init__(
@@ -118,7 +116,6 @@ class ReclamationEngine:
         retain_headroom: float = 1.5,
         min_retained_kbps: int = 1,
         demote: Callable[[int, int, int], None] | None = None,
-        on_reclaim: Callable[[ReclamationEvent], None] | None = None,
     ) -> None:
         if grace_seconds < 0:
             raise ValueError("grace_seconds must be >= 0")
@@ -138,7 +135,6 @@ class ReclamationEngine:
         self.retain_headroom = float(retain_headroom)
         self.min_retained_kbps = int(min_retained_kbps)
         self.demote = demote
-        self.on_reclaim = on_reclaim
         self._tracked: dict[int, TrackedReservation] = {}
         self.events: list[ReclamationEvent] = []
         self.false_reclaims = 0
@@ -298,8 +294,6 @@ class ReclamationEngine:
             self._m_reclaimed_bytes.labels(tracked.ingress_ifid).inc(
                 event.freed_bytes
             )
-        if self.on_reclaim is not None:
-            self.on_reclaim(event)
         return event
 
     def _check_false_reclaim(self, tracked: TrackedReservation, now: float) -> None:

@@ -66,14 +66,6 @@ class SegmentStore:
         """
         return list(self.core_by_pair.get((to_core, from_core), []))
 
-    def all_segments(self) -> list[PathSegment]:
-        result: list[PathSegment] = []
-        for segments in self.intra_by_leaf.values():
-            result.extend(segments)
-        for segments in self.core_by_pair.values():
-            result.extend(segments)
-        return result
-
 
 def run_beaconing(
     topology: Topology,

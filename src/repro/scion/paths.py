@@ -68,9 +68,6 @@ class ForwardingPath:
     def num_hopfields(self) -> int:
         return sum(len(segment.hopfields) for segment in self.segments)
 
-    def hopfield_at(self, seg_index: int, hf_index: int) -> HopFieldData:
-        return self.segments[seg_index].hopfields[hf_index]
-
     def copy(self) -> "ForwardingPath":
         """Deep-copy so a packet can mutate SegIDs without sharing state."""
         return ForwardingPath(

@@ -168,17 +168,6 @@ class Topology:
                 parents.append(link.a)
         return parents
 
-    def core_neighbors(self, isd_as: IsdAs) -> list[IsdAs]:
-        neighbors = []
-        for link in self._links:
-            if link.link_type is not LinkType.CORE:
-                continue
-            if link.a == isd_as:
-                neighbors.append(link.b)
-            elif link.b == isd_as:
-                neighbors.append(link.a)
-        return neighbors
-
 
 # ---------------------------------------------------------------------------
 # Topology generators

@@ -424,16 +424,6 @@ class TransferBook:
             if edges[i] < edges[i + 1]
         ]
 
-    @property
-    def max_bytes(self) -> int:
-        """Budget-ignored payload capacity of the whole grid."""
-        total = 0
-        for i in range(len(self.slots)):
-            options = self.slot_options(i)
-            if options:
-                total += max(o.bytes for o in options)
-        return total
-
 
 def book_from_indexer(
     indexer, crossings, release: int, deadline: int, sync: bool = True

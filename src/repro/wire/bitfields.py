@@ -72,10 +72,6 @@ class BitUnpacker:
         result = (self._value >> self._remaining) & ((1 << width) - 1)
         return result
 
-    @property
-    def remaining_bits(self) -> int:
-        return self._remaining
-
 
 def out_of_range(*fields: tuple[str, object, int]) -> ValueError:
     """The error naming the first ``(name, value, bits)`` that is not an

@@ -175,5 +175,7 @@ class TestWiring:
         from repro.controlplane.workflow import deploy_market
         from repro.netsim.scenarios import contention_experiment
 
-        for callable_ in (AsService.__init__, deploy_market, contention_experiment):
+        # the service is handed its controller; the width is the controller's
+        assert "admission" in inspect.signature(AsService.__init__).parameters
+        for callable_ in (AdmissionController.__init__, deploy_market, contention_experiment):
             assert "shard_seconds" in inspect.signature(callable_).parameters

@@ -49,3 +49,72 @@ def test_every_contract_call_is_a_literal_written_at_one_site():
 def test_a_transaction_is_built_once_per_client():
     built = collections.Counter(where.split(":")[0] for where, _ in _calls("Transaction"))
     assert built == {"hostclient.py": 1, "asclient.py": 1, "workflow.py": 1}, built
+
+
+# -- the contract-side twin ----------------------------------------------------
+#
+# An auction is settled by one body whatever its number of legs: before PR 22
+# ``contracts/market.py`` created coins at seven sites and wrote the escrow /
+# award / refund / proceeds / relist sequence twice (window and path).
+
+
+def _market_calls(name: str) -> list[tuple[str, ast.Call]]:
+    """``(enclosing scope, call)`` for every ``*.name(...)`` in ``contracts/market.py``."""
+    import repro.contracts.market
+
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.FunctionDef):
+            scope = [*scope, node.name]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Attribute, ast.Name))
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+        ):
+            found.append((".".join(scope), node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(pathlib.Path(repro.contracts.market.__file__).read_text()), [])
+    return found
+
+
+def test_an_auction_escrows_awards_refunds_pays_and_relists_at_one_site_each():
+    created = collections.defaultdict(list)
+    for scope, call in _market_calls("create_object"):
+        created[ast.unparse(call.args[0])].append(scope)
+    # a bid object of either type: the one escrow
+    assert created["bid_type"] == ["_escrow_bid"]
+    assert "BID_TYPE" not in created and "PATH_BID_TYPE" not in created
+    # a coin: the one way the market pays; a listing: a seller's, or a remainder's
+    assert created["COIN_TYPE"] == ["_pay"]
+    assert created["LISTING_TYPE"] == ["create_listing", "_relist"]
+
+    paid = [scope for scope, _ in _market_calls("_pay")]
+    # the buyer's payment; a bid's refund (winner's surplus or loser's escrow);
+    # a leg seller's proceeds
+    assert paid == ["buy", "_settle.close", "_settle"]
+    assert [scope for scope, _ in _market_calls("close")] == ["_settle", "_settle"]
+    relisted = [(scope, call.args[-1].value) for scope, call in _market_calls("_relist")]
+    assert relisted == [("buy", "Relisted"), ("buy", "Relisted"), ("_settle", "Listed")]
+    # a winner's piece is carved at one site, and both protocols go through it
+    assert [s for s, _ in _market_calls("split_bandwidth_inner")] == ["buy", "_settle"]
+    assert [s for s, _ in _market_calls("_settle")] == ["settle_auction", "settle_path_auction"]
+    assert [s for s, _ in _market_calls("_escrow_bid")] == ["place_bid", "place_path_bid"]
+
+
+def test_the_as_service_has_one_auctioned_rectangle_record():
+    """ROADMAP item 4(c): ``OpenAuctionRecord`` / ``PathLegRecord`` were one
+    record spelled twice; a window auction's rectangle is leg 0."""
+    asclient = next(path for path in SOURCES if path.name == "asclient.py")
+    records = [
+        node.name
+        for node in ast.parse(asclient.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        and {"interface", "is_ingress", "commitment"}
+        <= {
+            field.target.id for field in node.body if isinstance(field, ast.AnnAssign)
+        }
+    ]
+    assert records == ["AuctionedRectangle"]

@@ -10,7 +10,8 @@ three ``FloodSource(...)`` beside them and ``linear_path`` re-typed twice.
 The same PR turned every experiment option that no call site in the
 repository passed into a named constant (78 defaulted parameters across the
 seven experiments became 29).  An option comes back only together with the
-caller that needs it.
+caller that needs it: that walk now lives in ``tests/test_no_unset_option.py``,
+which audits the control plane and ``reclaim/`` the same way.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ import pathlib
 
 import repro.netsim
 
-ROOT = pathlib.Path(__file__).resolve().parents[2]
 NETSIM = pathlib.Path(repro.netsim.__file__).parent
-CALLERS = ("src", "tests", "examples", "benchmarks", "tools")
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -58,43 +57,3 @@ def test_a_traffic_source_is_constructed_at_one_site():
 
 def test_a_chain_is_beaconed_at_one_site():
     assert _call_sites("run_beaconing") == ["scenarios.py:linear_path"]
-
-
-def _defaulted(function: ast.FunctionDef) -> tuple[list[str], list[str]]:
-    """``(positional parameter names, names of parameters with a default)``."""
-    arguments = function.args
-    positional = [a.arg for a in arguments.posonlyargs + arguments.args]
-    defaulted = positional[len(positional) - len(arguments.defaults):]
-    defaulted += [
-        a.arg
-        for a, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
-        if default is not None
-    ]
-    return positional, defaulted
-
-
-def test_every_experiment_option_has_a_caller_that_sets_it():
-    functions = {
-        node.name: _defaulted(node)
-        for module in ("scenarios.py", "deadline.py")
-        for node in ast.parse((NETSIM / module).read_text()).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    experiments = [name for name in functions if name.endswith("_experiment")]
-    assert len(experiments) == 7 and "build_path_simulation" in functions
-
-    passed = {name: set() for name in functions}
-    for top in CALLERS:
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call) and _called_name(node) in functions:
-                    positional, _ = functions[_called_name(node)]
-                    seen = passed[_called_name(node)]
-                    seen.update(positional[: len(node.args)])
-                    seen.update(keyword.arg for keyword in node.keywords)
-
-    unset = {
-        name: [option for option in defaulted if option not in passed[name]]
-        for name, (_, defaulted) in functions.items()
-    }
-    assert not any(unset.values()), {n: o for n, o in unset.items() if o}

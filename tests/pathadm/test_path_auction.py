@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.admission.auction import Bid
 from repro.pathadm import (
     LegSupply,
-    PathBid,
     combinatorial_path_clearing,
     path_escrow_mist,
 )
@@ -15,8 +15,8 @@ def legs(*supplies, reserve=10, **kwargs):
 
 
 def test_single_leg_matches_uniform_price_rule():
-    bids = [PathBid("a", 400, 90, seq=0), PathBid("b", 400, 70, seq=1),
-            PathBid("c", 400, 50, seq=2)]
+    bids = [Bid("a", 400, 90, seq=0), Bid("b", 400, 70, seq=1),
+            Bid("c", 400, 50, seq=2)]
     out = combinatorial_path_clearing(bids, legs(800))
     assert [b.bidder for b in out.winners] == ["a", "b"]
     assert out.clearing_prices_micromist == (50,)  # highest losing bid
@@ -24,7 +24,7 @@ def test_single_leg_matches_uniform_price_rule():
 
 def test_all_or_nothing_rejects_partial_winners():
     # b wins leg 0 comfortably but cannot fit leg 1 -> loses everywhere.
-    bids = [PathBid("a", 400, 90, seq=0), PathBid("b", 400, 70, seq=1)]
+    bids = [Bid("a", 400, 90, seq=0), Bid("b", 400, 70, seq=1)]
     out = combinatorial_path_clearing(bids, legs(800, 500))
     assert [b.bidder for b in out.winners] == ["a"]
     (lost,) = out.losers
@@ -41,9 +41,9 @@ def test_evicting_a_partial_frees_supply_for_others():
     # The highest-priced partial (rich) is evicted first — freeing leg 0 —
     # and round 2 finds mid + poor complete on both legs.
     bids = [
-        PathBid("rich", 600, 90, seq=0),
-        PathBid("mid", 300, 80, seq=1),
-        PathBid("poor", 100, 60, seq=2),
+        Bid("rich", 600, 90, seq=0),
+        Bid("mid", 300, 80, seq=1),
+        Bid("poor", 100, 60, seq=2),
     ]
     out = combinatorial_path_clearing(bids, legs(900, 400))
     assert [b.bidder for b in out.winners] == ["mid", "poor"]
@@ -53,7 +53,7 @@ def test_evicting_a_partial_frees_supply_for_others():
 
 
 def test_below_reserve_on_any_leg_loses_path_wide():
-    bids = [PathBid("a", 100, 15, seq=0)]
+    bids = [Bid("a", 100, 15, seq=0)]
     out = combinatorial_path_clearing(
         bids, [LegSupply(500, reserve_micromist=10), LegSupply(500, reserve_micromist=20)]
     )
@@ -65,8 +65,8 @@ def test_below_reserve_on_any_leg_loses_path_wide():
 
 
 def test_share_cap_applies_per_leg():
-    bids = [PathBid("hog", 300, 90, seq=0), PathBid("hog", 300, 85, seq=1),
-            PathBid("meek", 300, 50, seq=2)]
+    bids = [Bid("hog", 300, 90, seq=0), Bid("hog", 300, 85, seq=1),
+            Bid("meek", 300, 50, seq=2)]
     capped = [LegSupply(900, 10, share_cap_kbps=300), LegSupply(900, 10)]
     out = combinatorial_path_clearing(bids, capped)
     winners = [(b.bidder, b.seq) for b in out.winners]
@@ -76,7 +76,7 @@ def test_share_cap_applies_per_leg():
 
 def test_empty_legs_rejected():
     with pytest.raises(ValueError):
-        combinatorial_path_clearing([PathBid("a", 100, 10)], [])
+        combinatorial_path_clearing([Bid("a", 100, 10)], [])
 
 
 def test_no_bids_clears_empty_at_reserves():
@@ -87,7 +87,7 @@ def test_no_bids_clears_empty_at_reserves():
 
 def test_escrow_always_covers_payment():
     duration = 3600
-    bids = [PathBid(f"b{i}", 200 + 100 * i, 40 + 17 * i, seq=i) for i in range(6)]
+    bids = [Bid(f"b{i}", 200 + 100 * i, 40 + 17 * i, seq=i) for i in range(6)]
     leg_set = legs(700, 500, 600, reserve=25)
     out = combinatorial_path_clearing(bids, leg_set)
     assert out.cleared
@@ -103,7 +103,7 @@ def test_escrow_always_covers_payment():
 
 
 def test_winner_never_pays_above_own_bid_per_leg():
-    bids = [PathBid("a", 400, 90, seq=0), PathBid("b", 200, 55, seq=1)]
+    bids = [Bid("a", 400, 90, seq=0), Bid("b", 200, 55, seq=1)]
     out = combinatorial_path_clearing(bids, legs(600, 600))
     for bid in out.winners:
         for price in out.clearing_prices_micromist:

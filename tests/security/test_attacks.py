@@ -6,6 +6,7 @@ the data plane).
 """
 
 import math
+import re
 from copy import deepcopy
 
 import pytest
@@ -440,7 +441,7 @@ class TestHostileRegistration:
         ledger = world.ledger
         before = (dict(ledger.objects), list(ledger.events))
         effects = self._register(world, certificate, commitment, response)
-        assert (effects.status, effects.error) == ("abort", reason)
+        assert effects.status == "abort" and re.fullmatch(reason, effects.error), effects.error
         assert effects.created == effects.mutated == effects.deleted == effects.events == []
         assert (dict(ledger.objects), list(ledger.events)) == before
 
@@ -474,9 +475,13 @@ class TestHostileRegistration:
     def test_hostile_proof_with_a_replayed_valid_certificate(self, world, field, hostile):
         proof = {"commitment": world.proof.commitment, "response": world.proof.response}
         proof[field] = hostile(world.proof)
-        self._refused_then_honest(
-            world, "proof of possession failed", world.certificate, **proof
+        # an integer reaches the signature check; anything else stops at dispatch
+        reason = (
+            "proof of possession failed"
+            if type(proof[field]) is int
+            else rf"asset\.register_as\(.*\): '{field}' must be int"
         )
+        self._refused_then_honest(world, reason, world.certificate, **proof)
 
     @pytest.mark.parametrize(
         "malform",
@@ -592,6 +597,178 @@ class TestHostileTransaction:
         again = world.executor.submit(Transaction("alice", [honest])).effects
         assert again.ok and again.gas.total_sui == funded.gas.total_sui
         assert ledger.objects[again.returns[0]["coin"]].payload == {"balance": 7}
+
+    @pytest.fixture
+    def market(self):
+        """A seller with a listing, an open window auction and an open two-leg
+        path auction, and mallory with a funded coin: every numeric entry
+        point has an honest call one argument away from the hostile one."""
+        import random
+        from types import SimpleNamespace
+
+        from repro.contracts.asset import AssetContract
+        from repro.contracts.coin import CoinContract
+        from repro.contracts.market import MarketContract
+        from repro.controlplane.pki import CpPki
+        from repro.ledger.accounts import Account
+        from repro.ledger.chain import Ledger
+        from repro.ledger.executor import LedgerExecutor
+        from repro.ledger.transactions import Command, Transaction
+
+        rng = random.Random(22)
+        pki = CpPki(seed=22)
+        ledger = Ledger()
+        for contract in (CoinContract(), AssetContract(pki), MarketContract()):
+            ledger.register_contract(contract)
+        executor = LedgerExecutor(ledger)
+        seller = Account.generate(rng, "seller")
+
+        def run(sender, contract, function, **args):
+            effects = executor.submit(
+                Transaction(sender, [Command(contract, function, args)])
+            ).effects
+            assert effects.ok, effects.error
+            return effects.returns[0]
+
+        proof = seller.signing_key.sign(seller.address.encode(), rng)
+        token = run(
+            seller.address, "asset", "register_as",
+            certificate=pki.issue_certificate(IsdAs(1, 7), seller.signing_key.public),
+            commitment=proof.commitment, response=proof.response,
+        )["token"]
+        marketplace = run(seller.address, "market", "create_marketplace")["marketplace"]
+        run(seller.address, "market", "register_seller", marketplace=marketplace)
+
+        def issue(interface):
+            return run(
+                seller.address, "asset", "issue", token=token, bandwidth_kbps=1000,
+                start=0, expiry=600, interface=interface, is_ingress=True,
+                granularity=60, min_bandwidth_kbps=100,
+            )["asset"]
+
+        listing = run(
+            seller.address, "market", "create_listing", marketplace=marketplace,
+            asset=issue(1), price_micromist_per_unit=50,
+        )["listing"]
+        auction = run(
+            seller.address, "market", "create_auction", marketplace=marketplace,
+            asset=issue(2), reserve_micromist_per_unit=20,
+        )["auction"]
+        path_auction = run(
+            seller.address, "market", "create_path_auction",
+            marketplace=marketplace, num_legs=2,
+        )["path_auction"]
+        for leg in range(2):
+            run(
+                seller.address, "market", "contribute_path_leg", marketplace=marketplace,
+                path_auction=path_auction, leg_index=leg, asset=issue(3 + leg),
+                reserve_micromist_per_unit=20,
+            )
+        coin = run("mallory", "coin", "mint", amount=10**9)["coin"]
+        common = {"marketplace": marketplace}
+        bid = {**common, "bandwidth_kbps": 400, "price_micromist_per_unit": 60, "payment": coin}
+        return SimpleNamespace(
+            ledger=ledger,
+            executor=executor,
+            # entry point -> (sender, honest arguments, the numeric one to poison)
+            calls={
+                "coin.mint": ("mallory", {"amount": 5}, "amount"),
+                "coin.split": ("mallory", {"coin": coin, "amount": 5}, "amount"),
+                "market.buy": (
+                    "mallory",
+                    {**common, "listing": listing, "start": 0, "expiry": 60,
+                     "bandwidth_kbps": 400, "payment": coin},
+                    "bandwidth_kbps",
+                ),
+                "market.place_bid": (
+                    "mallory", {**bid, "auction": auction}, "price_micromist_per_unit"
+                ),
+                "market.place_path_bid": (
+                    "mallory", {**bid, "path_auction": path_auction}, "bandwidth_kbps"
+                ),
+                "market.settle_auction": (
+                    seller.address, {**common, "auction": auction, "supply_kbps": 500},
+                    "supply_kbps",
+                ),
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "hostile",
+        [0.5, 60.0, float("inf"), float("nan"), True, 1 << 100_000],
+        ids=["half", "float", "inf", "nan", "bool", "int-10^5-bits"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        ["coin.mint", "coin.split", "market.buy", "market.place_bid",
+         "market.place_path_bid", "market.settle_auction"],
+    )
+    def test_a_number_is_an_int_or_the_senders_abort(self, market, entry, hostile):
+        """A numeric argument is the sender's choice too.  Before the check in
+        ``Contract.dispatch``, ``inf`` left ``submit`` as an ``OverflowError``,
+        ``coin.split(amount=0.5)`` *succeeded* and destroyed half a MIST, a
+        1000.5 kbps bid was stored as 1000 and escrowed for 1000.5, and ``True``
+        was one MIST.  An ``int`` however large is still an ``int``: it may be
+        served or refused on its merits, in work that does not grow faster
+        than the number itself."""
+        from repro.ledger.transactions import Command, Transaction
+
+        ledger = market.ledger
+        sender, honest_args, poisoned = market.calls[entry]
+        contract, function = entry.split(".")
+        honest = Command("coin", "mint", {"amount": 7})
+        before = (dict(ledger.objects), list(ledger.events), ledger.checkpoint)
+        payloads = {key: repr(obj.payload) for key, obj in ledger.objects.items()}
+
+        # the hostile command comes second: the honest mint before it must roll back too
+        effects = market.executor.submit(
+            Transaction(
+                sender,
+                [honest, Command(contract, function, {**honest_args, poisoned: hostile})],
+            )
+        ).effects
+        if type(hostile) is int and effects.ok:
+            return  # an honest giant: coin.mint is a faucet
+        assert effects.status == "abort", effects
+        if type(hostile) is not int:
+            assert re.fullmatch(
+                rf"{contract}\.{function}\(.*{poisoned}={type(hostile).__name__}.*\): "
+                rf"'{poisoned}' must be int( \| None)?",
+                effects.error,
+            ), effects.error
+        assert effects.created == effects.mutated == effects.deleted == effects.events == []
+        assert effects.gas.total_sui > 0 and effects.gas.storage_cost == 0
+        assert (dict(ledger.objects), list(ledger.events)) == before[:2]
+        assert {key: repr(obj.payload) for key, obj in ledger.objects.items()} == payloads
+        assert ledger.checkpoint == before[2] + 1
+
+        # the same sender's honest call is served next
+        again = market.executor.submit(
+            Transaction(sender, [honest, Command(contract, function, honest_args)])
+        ).effects
+        assert again.ok, again.error
+
+    def test_every_entry_point_spells_its_annotations_as_the_check_reads_them(self):
+        """``dispatch`` looks a parameter's annotation up as a string."""
+        import inspect
+
+        from repro.contracts.asset import AssetContract
+        from repro.contracts.coin import CoinContract
+        from repro.contracts.market import MarketContract
+        from repro.ledger.runtime import _INTEGER
+
+        checked = 0
+        for contract in (CoinContract, AssetContract, MarketContract):
+            for name, handler in vars(contract).items():
+                if name.startswith("_") or not inspect.isfunction(handler):
+                    continue
+                for parameter, annotation in handler.__annotations__.items():
+                    assert isinstance(annotation, str), (contract, name, parameter)
+                    assert "int" not in annotation or annotation in _INTEGER, (
+                        f"{contract.name}.{name}({parameter}: {annotation}) is unchecked"
+                    )
+                    checked += annotation in _INTEGER
+        assert checked >= 25  # the net is not vacuous
 
     def test_only_methods_the_contract_class_defines_are_entry_points(self):
         """Not an instance attribute, not what ``Contract`` or ``object`` provide."""
