@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.transfers import (
@@ -18,6 +20,7 @@ from tests.transfers.conftest import (
     make_book,
     make_crossing,
     make_listing,
+    random_instance,
 )
 
 planner = TransferPlanner(indexer=None)
@@ -115,6 +118,23 @@ def test_plateau_skip_equals_naive_on_staggered_book():
     skip = book.all_slot_options(target_bytes=target, plateau_skip=True)
     naive = book.all_slot_options(target_bytes=target, plateau_skip=False)
     assert skip == naive
+
+
+def test_segment_sharing_equals_the_per_slot_derivation_on_random_books():
+    """``all_slot_options`` derives one option list per (segment, clip) class;
+    slot by slot through the public ``slot_options`` is what it replaced."""
+    segments = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        book, transfer = random_instance(rng, hops=rng.choice([1, 2]))
+        segments.add(len(book._segments()))
+        assert book.all_slot_options(
+            max_rate_kbps=transfer.max_rate_kbps, target_bytes=transfer.bytes_total
+        ) == [
+            book.slot_options(i, None, transfer.max_rate_kbps, transfer.bytes_total)
+            for i in range(len(book.slots))
+        ]
+    assert len(segments) > 3  # one-plateau books and staggered ones both occur
 
 
 def test_budget_exactly_at_oracle_spend():

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.marketdata import IndexedListing
+from repro.marketdata.planner import _joint_window
 from repro.transfers import (
     BYTES_PER_KBPS_SECOND,
     DeadlineTransfer,
@@ -146,3 +150,57 @@ def test_shifted_but_congruent_anchor_folds():
     plan = planner.plan_on_book(book, transfer)
     check_plan_wellformed(book, plan)
     assert plan.meets_request
+
+
+# -- the pair lattice under the posted planner ---------------------------------
+
+
+def _asset(anchor: int, granularity: int, granules: int) -> IndexedListing:
+    """A listing selling ``[anchor, anchor + granules * granularity)``."""
+    return IndexedListing(
+        listing_id="L", asset_id="A", marketplace="m", seller="s",
+        price_micromist_per_unit=50, isd=1, asn=7, interface=1, is_ingress=True,
+        bandwidth_kbps=1000, start=anchor, expiry=anchor + granules * granularity,
+        granularity=granularity, min_bandwidth_kbps=100,
+    )
+
+
+_assets = st.builds(
+    _asset,
+    anchor=st.integers(0, 400),
+    granularity=st.sampled_from([7, 20, 30, 45, 60, 90, 120]),
+    granules=st.integers(1, 40),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(first=_assets, second=_assets, start=st.integers(0, 2_000), length=st.integers(1, 900))
+def test_a_pair_window_is_the_fold_floored_and_ceiled_and_what_brute_force_finds(
+    first, second, start, length
+):
+    """The smallest window around ``[start, expiry)`` that both listings sell:
+    by the planner, by folding the two lattices, and by trying every instant."""
+    expiry = start + length
+    lo, hi = max(first.start, second.start), min(first.expiry, second.expiry)
+    shared = [
+        instant
+        for instant in range(lo, hi + 1)
+        if (instant - first.start) % first.granularity == 0
+        and (instant - second.start) % second.granularity == 0
+    ]
+    floors = [instant for instant in shared if instant <= start]
+    ceilings = [instant for instant in shared if instant >= expiry]
+    brute = (max(floors), min(ceilings)) if floors and ceilings else None
+    assert _joint_window(first, second, (start, expiry)) == brute
+
+    folded = fold_lattices(
+        Lattice(first.start % first.granularity, first.granularity),
+        Lattice(second.start % second.granularity, second.granularity),
+    )
+    by_fold = None
+    if folded is not None:
+        floor = folded.anchor + (start - folded.anchor) // folded.step * folded.step
+        ceiling = folded.anchor - (folded.anchor - expiry) // folded.step * folded.step
+        if lo <= floor and ceiling <= hi:
+            by_fold = (floor, ceiling)
+    assert by_fold == brute
