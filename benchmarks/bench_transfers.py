@@ -1,4 +1,4 @@
-"""Deadline-transfer planning throughput and the plateau-skip payoff.
+"""Deadline-transfer planning throughput.
 
 Two measurements over a synthetic in-memory listing book (3 hops, both
 directions tiled with staggered, price-varied listings — many covering
@@ -7,12 +7,11 @@ segments, real valleys):
 * **plan** — full ``plan_on_book`` calls per second: option enumeration,
   density-greedy scheduling with valley-edge trimming, leg assembly.
   This is the hot path a transfer-heavy host pays per request.
-* **plateau-skip A/B** — ``all_slot_options`` with segment plateau
-  skipping (covering sets computed once per constant segment) vs the
-  naive per-slot search, same book, same options out.
+* **options** — ``all_slot_options`` alone (covering sets computed once
+  per constant segment), the enumeration half of a plan.
 
 Floor (CI): at the full scale (240 slots) the planner must produce
->= 40 plans/s and plateau-skip must not be slower than naive.
+>= 40 plans/s.
 
 Usage: PYTHONPATH=src python benchmarks/bench_transfers.py
    or: PYTHONPATH=src python benchmarks/bench_transfers.py --smoke
@@ -28,12 +27,8 @@ except ImportError:  # executed as a script from the benchmarks/ directory
     from conftest import bench_result, report, write_bench_json
 
 from repro.analysis import render_comparison
-from repro.transfers import (
-    BookListing,
-    DeadlineTransfer,
-    TransferBook,
-    TransferPlanner,
-)
+from repro.marketdata import IndexedListing
+from repro.transfers import DeadlineTransfer, TransferBook, TransferPlanner
 
 T0 = 1_700_000_400  # multiple of 60: every tiled listing shares the lattice
 HOPS = 3
@@ -44,7 +39,6 @@ MIN_BANDWIDTH_KBPS = 100
 FULL_SLOTS = 240
 SMOKE_SLOTS = 40
 FLOOR_PLANS_PER_SEC = 40.0
-FLOOR_SKIP_SPEEDUP = 1.0
 
 
 def build_book(slots: int) -> tuple[TransferBook, DeadlineTransfer]:
@@ -69,14 +63,21 @@ def build_book(slots: int) -> tuple[TransferBook, DeadlineTransfer]:
             for t in range(tiles):
                 price = 30 if (t + hop) % 2 else 90  # valley / peak
                 listings.append(
-                    BookListing(
+                    IndexedListing(
                         listing_id=f"L{hop}-{int(is_ingress)}-{t}",
-                        unit_price=price,
+                        asset_id=f"A{hop}-{int(is_ingress)}-{t}",
+                        marketplace="m",
+                        seller=f"as-{hop}",
+                        price_micromist_per_unit=price,
+                        isd=1,
+                        asn=hop,
+                        interface=1 if is_ingress else 2,
+                        is_ingress=is_ingress,
                         bandwidth_kbps=BANDWIDTH_KBPS,
-                        min_bandwidth_kbps=MIN_BANDWIDTH_KBPS,
                         start=edges[t],
                         expiry=edges[t + 1],
                         granularity=GRANULARITY,
+                        min_bandwidth_kbps=MIN_BANDWIDTH_KBPS,
                     )
                 )
             directions[key] = listings
@@ -92,7 +93,7 @@ def build_book(slots: int) -> tuple[TransferBook, DeadlineTransfer]:
 
 
 def transfer_plan_comparison(slots: int):
-    """Time planning and the plateau-skip A/B at ``slots`` grid slots."""
+    """Time planning and option enumeration at ``slots`` grid slots."""
     book, transfer = build_book(slots)
     planner = TransferPlanner(indexer=None)
     metrics: dict[str, dict] = {}
@@ -108,22 +109,14 @@ def transfer_plan_comparison(slots: int):
         "slots": len(book.slots),
     }
 
-    for label, skip in (("options_skip", True), ("options_naive", False)):
-        rounds = 0
-        began = time.perf_counter()
-        while (elapsed := time.perf_counter() - began) < 0.5 or rounds < 3:
-            options = book.all_slot_options(
-                target_bytes=transfer.bytes_total, plateau_skip=skip
-            )
-            rounds += 1
-        assert len(options) == len(book.slots)
-        metrics[label] = {
-            "ops_per_sec": rounds / elapsed,
-            "slots": len(book.slots),
-        }
-    metrics["plateau_speedup"] = {
-        "ops_per_sec": metrics["options_skip"]["ops_per_sec"]
-        / metrics["options_naive"]["ops_per_sec"],
+    rounds = 0
+    began = time.perf_counter()
+    while (elapsed := time.perf_counter() - began) < 0.5 or rounds < 3:
+        options = book.all_slot_options(target_bytes=transfer.bytes_total)
+        rounds += 1
+    assert len(options) == len(book.slots)
+    metrics["options"] = {
+        "ops_per_sec": rounds / elapsed,
         "slots": len(book.slots),
     }
     rows = [
@@ -135,12 +128,11 @@ def transfer_plan_comparison(slots: int):
 
 def _render(rows, scale_note: str) -> str:
     return render_comparison(
-        ["measure", "ops/s (speedup for plateau_speedup)", "slots"],
+        ["measure", "ops/s", "slots"],
         rows,
         title=f"Deadline-transfer planning {scale_note} — full plans, then "
-        "plateau-skip vs naive option enumeration",
-        note=f"floor: >= {FLOOR_PLANS_PER_SEC:,.0f} plans/s and plateau "
-        f"speedup >= {FLOOR_SKIP_SPEEDUP:.1f}x at {FULL_SLOTS} slots.",
+        "option enumeration alone",
+        note=f"floor: >= {FLOOR_PLANS_PER_SEC:,.0f} plans/s at {FULL_SLOTS} slots.",
     )
 
 
@@ -150,14 +142,9 @@ def floor_applies() -> bool:
 
 def enforce_floor(metrics: dict) -> None:
     plans = metrics["plan"]["ops_per_sec"]
-    speedup = metrics["plateau_speedup"]["ops_per_sec"]
     assert plans >= FLOOR_PLANS_PER_SEC, (
         f"planning at {plans:,.1f} plans/s is below the "
         f"{FLOOR_PLANS_PER_SEC:,.0f}/s floor"
-    )
-    assert speedup >= FLOOR_SKIP_SPEEDUP, (
-        f"plateau-skip at {speedup:.2f}x naive is below the "
-        f"{FLOOR_SKIP_SPEEDUP:.1f}x floor"
     )
 
 

@@ -125,7 +125,7 @@ def main() -> None:
     )
     try:
         cheapskate.atomic_buy_and_redeem(
-            deployment.marketplace, plan, max_price_mist=plan.estimated_price_mist // 2
+            deployment.marketplace, plan, max_price_mist=plan.price_mist // 2
         )
     except BudgetExceeded as refused:
         print(f"budget guard refused client-side (no gas spent): {refused}")

@@ -14,7 +14,6 @@ from repro.controlplane.hostclient import (
     HostClient,
     IncompatibleGranularity,
     ListingNotFound,
-    PurchasePlan,
 )
 from repro.controlplane.manager import ReservationLease, ReservationManager
 from repro.controlplane.pki import CpPki
@@ -43,7 +42,6 @@ __all__ = [
     "ListingNotFound",
     "PathAuctionHandle",
     "PathSettlementRecord",
-    "PurchasePlan",
     "ReservationLease",
     "ReservationManager",
     "CpPki",

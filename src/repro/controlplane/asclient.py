@@ -122,20 +122,17 @@ class AsService:
         self.rng = rng if rng is not None else random.Random(autonomous_system.isd_as.asn)
         self.prf_factory = prf_factory
         self.token_id: str | None = None
-        self.seller_cap: str | None = None
         self._allocators: dict[int, ResIdAllocator] = {}
         self._last_checkpoint = 0
         self.admission = admission
         # (request_id, reason) pairs this AS declined to serve.
         self.undeliverable: list[tuple[str, str]] = []
-        # Sealed-bid auctions: open books, settled results, bid-event cursor.
+        # Sealed-bid auctions: open books, bid-event cursor.
         self.open_auctions: dict[str, AuctionedRectangle] = {}
-        self.settlements: list[SettlementRecord] = []
         self._bid_checkpoint = 0
         # Combinatorial path auctions: legs this AS contributed, by
-        # (path auction id, leg index), plus settled results.
+        # (path auction id, leg index).
         self.path_legs: dict[tuple[str, int], AuctionedRectangle] = {}
-        self.path_settlements: list[PathSettlementRecord] = []
         # No-show reclamation (armed by enable_reclamation).
         self.reclamation = None
         self._relist_marketplace: str | None = None
@@ -214,12 +211,9 @@ class AsService:
         return submitted
 
     def register_as_seller(self, marketplace: str) -> SubmittedTransaction:
-        submitted = self._submit(
+        return self._submit(
             Command("market", "register_seller", {"marketplace": marketplace})
         )
-        if submitted.effects.ok:
-            self.seller_cap = submitted.effects.returns[0]["cap"]
-        return submitted
 
     # -- issuance ---------------------------------------------------------------
 
@@ -623,7 +617,6 @@ class AsService:
                 winners=result["winners"],
                 submitted=submitted,
             )
-            self.settlements.append(outcome)
             settled.append(outcome)
             if self._telemetry:
                 key = str(self.isd_as)
@@ -775,7 +768,6 @@ class AsService:
             legs=result["legs"],
             submitted=submitted,
         )
-        self.path_settlements.append(record)
         self.path_legs = {
             key: leg
             for key, leg in self.path_legs.items()

@@ -1,7 +1,9 @@
 """Host-side control-plane client (§3.2 client stack).
 
-The host discovers listings through an off-chain :class:`MarketIndexer`
-(incremental, event-driven — never a ledger rescan), plans purchases
+The host discovers listings and auctions through an off-chain
+:class:`MarketIndexer` (incremental, event-driven — never a ledger rescan,
+and no private replay of the market's events here: the one stream this
+client reads itself is its own deliveries), plans purchases
 declaratively (:class:`ListingQuery`/:class:`PathSpec` in, ranked
 :class:`PathQuote`\\ s out), assembles an **atomic buy-and-redeem**
 transaction covering every hop it wants to reserve — buy ingress asset,
@@ -32,6 +34,7 @@ from repro.ledger.accounts import COIN_TYPE, Account
 from repro.ledger.executor import LedgerExecutor, SubmittedTransaction
 from repro.ledger.transactions import Command, Result, Transaction
 from repro.marketdata import (
+    MICROMIST,
     BudgetExceeded,
     Candidate,
     IncompatibleGranularity,
@@ -41,6 +44,7 @@ from repro.marketdata import (
     PathQuote,
     PathSpec,
     PurchasePlanner,
+    direction_keys,
 )
 from repro.pathadm import path_escrow_mist
 from repro.scion.addresses import IsdAs
@@ -60,29 +64,7 @@ __all__ = [
     "HostClient",
     "IncompatibleGranularity",
     "ListingNotFound",
-    "PurchasePlan",
 ]
-
-
-@dataclass(frozen=True)
-class PurchasePlan:
-    """The :class:`PathQuote` a purchase will execute.
-
-    Each hop's ingress and egress candidates share one granule-aligned
-    window — the smallest aligned rectangle covering the requested one,
-    so it may start earlier / end later than requested — or the redeem
-    would abort.
-    """
-
-    quote: PathQuote
-
-    @property
-    def hops(self):
-        return self.quote.hops
-
-    @property
-    def estimated_price_mist(self) -> int:
-        return self.quote.price_mist
 
 
 @dataclass(frozen=True)
@@ -150,15 +132,6 @@ class HostClient:
         # (delivery id, reason) pairs this host could not decrypt or parse.
         self.undecryptable: list[tuple[str, str]] = []
         self._indexers: dict[str, MarketIndexer] = {}
-        self._planners: dict[str, PurchasePlanner] = {}
-        # Auction tracking, per marketplace, behind one event cursor: open
-        # single-window books (AuctionOpened snapshots), open path shells
-        # (growing legs as PathLegContributed events arrive), and the
-        # settlement payload of either kind by auction id.
-        self._auction_cursor: dict[str, int] = {}
-        self._open_auctions: dict[str, dict[str, dict]] = {}
-        self._open_path_auctions: dict[str, dict[str, dict]] = {}
-        self._auction_results: dict[str, dict[str, dict]] = {}
         registry = get_registry()
         self._telemetry = registry.enabled
         self._m_acquire = registry.counter(
@@ -355,7 +328,6 @@ class HostClient:
         event stream.
         """
         self._indexers[marketplace] = indexer
-        self._planners.pop(marketplace, None)
 
     def indexer(self, marketplace: str) -> MarketIndexer:
         """This host's index of the marketplace (created on first use)."""
@@ -365,83 +337,35 @@ class HostClient:
             self._indexers[marketplace] = found
         return found
 
-    def planner(self, marketplace: str) -> PurchasePlanner:
-        """This host's planner over :meth:`indexer` (created on first use)."""
-        found = self._planners.get(marketplace)
-        if found is None:
-            found = PurchasePlanner(self.indexer(marketplace))
-            self._planners[marketplace] = found
-        return found
+    def plan_path(self, marketplace: str, spec: PathSpec) -> PathQuote:
+        """The cheapest in-budget quote, ready for :meth:`atomic_buy_and_redeem`.
 
-    def plan_path(self, marketplace: str, spec: PathSpec) -> PurchasePlan:
-        """The cheapest in-budget quote, as a purchase plan.
-
-        Returns:
-            A :class:`PurchasePlan` ready for :meth:`atomic_buy_and_redeem`.
+        Each hop's ingress and egress candidates share one granule-aligned
+        window — the smallest aligned rectangle covering the requested one,
+        so it may start earlier / end later than requested — or the redeem
+        would abort.
 
         Raises:
             BudgetExceeded: the cheapest quote exceeds ``spec.budget_mist``.
             ListingNotFound: nothing covers the spec.
         """
-        return PurchasePlan(self.planner(marketplace).best(spec))
+        return PurchasePlanner(self.indexer(marketplace)).best(spec)
 
-    # -- auctions: the event-driven view ---------------------------------------------
+    # -- auctions ----------------------------------------------------------------------
+    #
+    # What is open, what it sells and how it settled is the index's to say
+    # (``MarketIndexer.open_auctions`` / ``find_auction`` / ``settlement``);
+    # this client only bids and reads its own outcome.
 
-    def _scan_auctions(self, marketplace: str) -> None:
-        """Fold new auction events, single-window and path, into the local view."""
-        ledger = self.executor.ledger
-        open_books = self._open_auctions.setdefault(marketplace, {})
-        open_paths = self._open_path_auctions.setdefault(marketplace, {})
-        results = self._auction_results.setdefault(marketplace, {})
-        for event in ledger.events_since(self._auction_cursor.get(marketplace, 0)):
-            payload = event.payload
-            if payload.get("marketplace") != marketplace:
-                continue
-            if event.event_type == "AuctionOpened":
-                open_books[payload["auction"]] = payload
-            elif event.event_type == "AuctionSettled":
-                open_books.pop(payload["auction"], None)
-                results[payload["auction"]] = payload
-            elif event.event_type == "PathAuctionOpened":
-                open_paths[payload["path_auction"]] = {
-                    "path_auction": payload["path_auction"],
-                    "num_legs": payload["num_legs"],
-                    "legs": {},
-                }
-            elif event.event_type == "PathLegContributed":
-                book = open_paths.get(payload["path_auction"])
-                if book is not None:
-                    book["legs"][payload["leg_index"]] = payload
-            elif event.event_type == "PathAuctionSettled":
-                open_paths.pop(payload["path_auction"], None)
-                results[payload["path_auction"]] = payload
-        self._auction_cursor[marketplace] = ledger.checkpoint
-
-    @staticmethod
-    def _covers(
-        snapshot: dict, direction: tuple, start: int, expiry: int, bandwidth_kbps: int
-    ) -> bool:
-        """Does this auctioned asset (an ``AuctionOpened`` or
-        ``PathLegContributed`` snapshot) sell the ``(isd_as, interface,
-        is_ingress)`` direction, over a window containing ``[start,
-        expiry)``, with the wanted bandwidth between its minimum and total?"""
-        isd_as, interface, is_ingress = direction
-        return (
-            (snapshot["isd"], snapshot["asn"]) == (isd_as.isd, isd_as.asn)
-            and snapshot["interface"] == interface
-            and snapshot["is_ingress"] == is_ingress
-            and snapshot["start"] <= start
-            and expiry <= snapshot["expiry"]
-            and snapshot["min_bandwidth_kbps"]
-            <= bandwidth_kbps
-            <= snapshot["bandwidth_kbps"]
-        )
-
-    @staticmethod
-    def _contributed_legs(book: dict) -> list[dict] | None:
-        """A path auction's leg snapshots in path order, once all have landed."""
-        legs = [book["legs"].get(index) for index in range(book["num_legs"])]
-        return None if any(leg is None for leg in legs) else legs
+    def _biddable(self, marketplace: str, auction: str, is_path: bool, what: str):
+        """The legs of the open, fully contributed auction ``auction`` of the
+        given kind; ``ValueError`` otherwise."""
+        for found in self.indexer(marketplace).open_auctions():
+            if found.auction_id == auction and found.is_path == is_path:
+                if None in found.legs:
+                    raise ValueError(f"{what} {auction[:8]}... is not fully contributed")
+                return found.legs
+        raise ValueError(f"{what} {auction[:8]}... is not open")
 
     def _place(
         self,
@@ -458,7 +382,7 @@ class HostClient:
         payment coin.  Raises the ``ValueError`` both ``place_*bid`` document."""
         duration = legs[0]["expiry"] - legs[0]["start"]
         units = bandwidth_kbps * duration * len(legs)
-        unit_price = max_price_mist * 1_000_000 // units
+        unit_price = max_price_mist * MICROMIST // units
         reserve = max(leg["reserve_micromist_per_unit"] for leg in legs)
         if unit_price < reserve:
             # Knowable client-side: below any leg's reserve the bid loses,
@@ -483,8 +407,7 @@ class HostClient:
     ) -> BidSettlement | None:
         """This host's aggregate over every bid it placed into ``auction``
         (window or path) once it settled, else ``None``."""
-        self._scan_auctions(marketplace)
-        payload = self._auction_results.get(marketplace, {}).get(auction)
+        payload = self.indexer(marketplace).settlement(auction)
         if payload is None:
             return None
         mine = self.account.address
@@ -555,40 +478,6 @@ class HostClient:
 
     # -- sealed-bid auctions --------------------------------------------------------
 
-    def open_auctions(self, marketplace: str) -> list[dict]:
-        """Every auction currently open on the marketplace (event-driven).
-
-        Returns:
-            The ``AuctionOpened`` snapshots (asset rectangle, reserve
-            price, share cap) of auctions no ``AuctionSettled`` has closed
-            yet, in arrival order.
-        """
-        self._scan_auctions(marketplace)
-        return list(self._open_auctions[marketplace].values())
-
-    def find_auction(
-        self,
-        marketplace: str,
-        isd_as: IsdAs,
-        interface: int,
-        is_ingress: bool,
-        start: int,
-        expiry: int,
-        bandwidth_kbps: int,
-    ) -> dict | None:
-        """The open auction covering this rectangle, or ``None``.
-
-        An auction covers a request when it sells the right interface
-        direction, its window contains ``[start, expiry)``, and the wanted
-        bandwidth fits between the asset's minimum and its total.  Earliest
-        open auction wins when several cover (deterministic).
-        """
-        direction = (isd_as, interface, is_ingress)
-        for snapshot in self.open_auctions(marketplace):
-            if self._covers(snapshot, direction, start, expiry, bandwidth_kbps):
-                return snapshot
-        return None
-
     def place_bid(
         self,
         marketplace: str,
@@ -611,13 +500,10 @@ class HostClient:
                 only lock its escrow and lose).
         """
         self._funded("bidding")
-        self._scan_auctions(marketplace)
-        snapshot = self._open_auctions[marketplace].get(auction)
-        if snapshot is None:
-            raise ValueError(f"auction {auction[:8]}... is not open")
         return self._place(
             Command("market", "place_bid", {"marketplace": marketplace, "auction": auction}),
-            [snapshot], bandwidth_kbps, max_price_mist,
+            self._biddable(marketplace, auction, False, "auction"),
+            bandwidth_kbps, max_price_mist,
             "micromist/unit, below the auction's reserve",
         )
 
@@ -659,12 +545,13 @@ class HostClient:
             BudgetExceeded: the posted cover costs more than the budget.
         """
         self._funded("acquiring")
-        auction = self.find_auction(
-            marketplace, isd_as, interface, is_ingress, start, expiry, bandwidth_kbps
+        auction = self.indexer(marketplace).find_auction(
+            [(isd_as.isd, isd_as.asn, interface, is_ingress)],
+            start, expiry, bandwidth_kbps,
         )
-        if auction is not None:
+        if auction is not None and not auction.is_path:
             return self._placed(
-                self.place_bid, "bid", "auction", marketplace, auction["auction"],
+                self.place_bid, "bid", "auction", marketplace, auction.auction_id,
                 bandwidth_kbps, max_price_mist,
             )
         found = self.indexer(marketplace).best(
@@ -700,56 +587,6 @@ class HostClient:
 
     # -- combinatorial path auctions ------------------------------------------------
 
-    def open_path_auctions(self, marketplace: str) -> list[dict]:
-        """Every path auction currently open on the marketplace.
-
-        Returns:
-            One dict per open shell (arrival order) with ``num_legs`` and
-            the ``legs`` contributed so far (``PathLegContributed``
-            snapshots keyed by leg index).  Bidding is possible once
-            ``len(legs) == num_legs``.
-        """
-        self._scan_auctions(marketplace)
-        return list(self._open_path_auctions[marketplace].values())
-
-    def find_path_auction(
-        self,
-        marketplace: str,
-        crossings: list[AsCrossing],
-        start: int,
-        expiry: int,
-        bandwidth_kbps: int,
-    ) -> dict | None:
-        """The fully contributed path auction covering these crossings.
-
-        A path auction covers a request when its legs, in path order, are
-        exactly the crossings' interface directions — ``(ingress, True)``
-        then ``(egress, False)`` per crossing — every leg's window
-        contains ``[start, expiry)``, and the wanted bandwidth fits every
-        leg's ``[minimum, total]`` range.  Earliest open auction wins when
-        several cover (deterministic).
-        """
-        wanted = [
-            (crossing.isd_as, interface, is_ingress)
-            for crossing in crossings
-            for interface, is_ingress in (
-                (crossing.ingress, True),
-                (crossing.egress, False),
-            )
-        ]
-        for book in self.open_path_auctions(marketplace):
-            legs = self._contributed_legs(book)
-            if (
-                legs is not None
-                and len(legs) == len(wanted)
-                and all(
-                    self._covers(leg, direction, start, expiry, bandwidth_kbps)
-                    for leg, direction in zip(legs, wanted)
-                )
-            ):
-                return book
-        return None
-
     def place_path_bid(
         self,
         marketplace: str,
@@ -774,22 +611,14 @@ class HostClient:
                 could only lock its escrow and lose path-wide).
         """
         self._funded("bidding")
-        self._scan_auctions(marketplace)
-        book = self._open_path_auctions[marketplace].get(path_auction)
-        if book is None:
-            raise ValueError(f"path auction {path_auction[:8]}... is not open")
-        legs = self._contributed_legs(book)
-        if legs is None:
-            raise ValueError(
-                f"path auction {path_auction[:8]}... is not fully contributed"
-            )
         return self._place(
             Command(
                 "market",
                 "place_path_bid",
                 {"marketplace": marketplace, "path_auction": path_auction},
             ),
-            legs, bandwidth_kbps, max_price_mist,
+            self._biddable(marketplace, path_auction, True, "path auction"),
+            bandwidth_kbps, max_price_mist,
             "micromist/unit per leg, below the dearest leg reserve",
         )
 
@@ -858,13 +687,13 @@ class HostClient:
             BudgetExceeded: the posted cover reprices over the budget.
         """
         self._funded("acquiring")
-        book = self.find_path_auction(
-            marketplace, crossings, start, expiry, bandwidth_kbps
+        auction = self.indexer(marketplace).find_auction(
+            direction_keys(crossings), start, expiry, bandwidth_kbps
         )
-        if book is not None:
+        if auction is not None and auction.is_path:
             return self._placed(
                 self.place_path_bid, "path_bid", "path_auction", marketplace,
-                book["path_auction"], bandwidth_kbps, max_price_mist,
+                auction.auction_id, bandwidth_kbps, max_price_mist,
             )
         spec = PathSpec.from_crossings(
             crossings,
@@ -874,14 +703,14 @@ class HostClient:
             flex_start=flex_start,
             budget_mist=max_price_mist,
         )
-        plan = self.plan_path(marketplace, spec)
+        quote = self.plan_path(marketplace, spec)
         submitted = self.atomic_buy_and_redeem(
-            marketplace, plan, max_price_mist=max_price_mist
+            marketplace, quote, max_price_mist=max_price_mist
         )
         return self._bought(
             "path_bought", "path.bought", submitted,
-            plan.hops[0].ingress_candidate.listing.listing_id if plan.hops else "",
-            bandwidth_kbps, hops=len(plan.hops),
+            quote.hops[0].ingress_candidate.listing.listing_id if quote.hops else "",
+            bandwidth_kbps, hops=len(quote.hops),
         )
 
     def redeem_pair(
@@ -921,12 +750,12 @@ class HostClient:
     def atomic_buy_and_redeem(
         self,
         marketplace: str,
-        plan: PurchasePlan,
+        quote: PathQuote,
         max_price_mist: int | None = None,
     ) -> SubmittedTransaction:
         """One transaction: buy ingress+egress and redeem, for every hop.
 
-        With ``max_price_mist`` the plan is repriced against the live index
+        With ``max_price_mist`` the quote is repriced against the live index
         first (vanished listings substituted with their exact-window
         replacements) and the purchase aborts client-side (no transaction,
         no gas) when the fresh estimate exceeds the budget — a
@@ -936,25 +765,23 @@ class HostClient:
         """
         self._funded("buying")
         if max_price_mist is not None:
-            estimate, repriced = self.reprice(marketplace, plan)
-            if estimate > max_price_mist:
+            repriced = self.reprice(marketplace, quote)
+            if repriced.price_mist > max_price_mist:
                 raise BudgetExceeded(
-                    f"plan repriced at {estimate} MIST (planned "
-                    f"{plan.estimated_price_mist}), over the "
+                    f"plan repriced at {repriced.price_mist} MIST (planned "
+                    f"{quote.price_mist}), over the "
                     f"{max_price_mist} MIST budget; not submitting"
                 )
-            plan = repriced
+            quote = repriced
         # A quote is one leg with one piece a side.
         hops = [
             tuple(
                 ((candidate.listing.listing_id, candidate.start, candidate.expiry),)
                 for candidate in (hop.ingress_candidate, hop.egress_candidate)
             )
-            for hop in plan.hops
+            for hop in quote.hops
         ]
-        commands, redeem_key = self._lower(
-            [(plan.quote.bandwidth_kbps, hops)], marketplace
-        )
+        commands, redeem_key = self._lower([(quote.bandwidth_kbps, hops)], marketplace)
         return self._submit(*commands, redeem_key=redeem_key)
 
     @staticmethod
@@ -972,16 +799,16 @@ class HostClient:
             return record
         return None
 
-    def reprice(self, marketplace: str, plan: PurchasePlan) -> tuple[int, PurchasePlan]:
-        """Re-estimate a plan against the live index; returns
-        ``(fresh estimate, effective plan)``.
+    def reprice(self, marketplace: str, quote: PathQuote) -> PathQuote:
+        """Re-estimate a quote against the live index; the returned quote's
+        ``price_mist`` is the fresh estimate.
 
         Listed unit prices are immutable on-chain, so a planned listing
         that still covers its leg reprices to the planned amount; a
         scarcity-price move materializes as the planned listing
         *disappearing* (sold out, cancelled) and pricier replacements
         taking its place.  Such legs are **substituted** with the live
-        cheapest exact-window replacement in the returned plan, so a
+        cheapest exact-window replacement in the returned quote, so a
         submission that passes the budget guard buys viable listings at
         exactly the repriced amounts.  A leg nothing covers anymore keeps
         its planned listing and share: the atomic transaction will abort
@@ -989,14 +816,14 @@ class HostClient:
         """
         indexer = self.indexer(marketplace)
         indexer.sync()
-        rate_kbps = plan.quote.bandwidth_kbps
+        rate_kbps = quote.bandwidth_kbps
 
         def fresh(hop, is_ingress: bool) -> Candidate:
             planned = hop.ingress_candidate if is_ingress else hop.egress_candidate
             window = (planned.start, planned.expiry)
             record = self._live(indexer, planned.listing.listing_id, *window, rate_kbps)
             if record is not None:
-                return Candidate(record, record.price_for(rate_kbps, *window), *window)
+                return record.candidate(rate_kbps, *window)
             replacement = indexer.best(
                 ListingQuery(
                     isd_as=hop.isd_as,
@@ -1017,10 +844,9 @@ class HostClient:
                 ingress_candidate=fresh(hop, True),
                 egress_candidate=fresh(hop, False),
             )
-            for hop in plan.hops
+            for hop in quote.hops
         )
-        repriced = PurchasePlan(replace(plan.quote, hops=hops))
-        return repriced.estimated_price_mist, repriced
+        return replace(quote, hops=hops)
 
     # -- deadline transfers ---------------------------------------------------------
 

@@ -26,7 +26,7 @@ from repro.contracts.asset import AssetContract
 from repro.contracts.coin import CoinContract
 from repro.contracts.market import MarketContract
 from repro.controlplane.asclient import AsService, PathSettlementRecord
-from repro.controlplane.hostclient import HostClient, PurchasePlan
+from repro.controlplane.hostclient import HostClient
 from repro.controlplane.pki import CpPki
 from repro.pathadm import PathAdmission, PathHop
 from repro.marketdata import MarketIndexer, PathSpec, PurchasePlanner
@@ -92,12 +92,8 @@ class MarketDeployment:
     def __post_init__(self) -> None:
         if self.indexer is None:
             self.indexer = MarketIndexer(self.ledger, self.marketplace)
-        self._planner = PurchasePlanner(self.indexer)
-
-    @property
-    def planner(self) -> PurchasePlanner:
-        """The deployment-wide planner over the shared off-chain index."""
-        return self._planner
+        # The deployment-wide planner over the shared off-chain index.
+        self.planner = PurchasePlanner(self.indexer)
 
     def service(self, isd_as) -> AsService:
         return self.services[isd_as]
@@ -316,7 +312,7 @@ def purchase_path(
         )
     admission.rollback(preflight)
     submitted = host.atomic_buy_and_redeem(
-        deployment.marketplace, PurchasePlan(quote), max_price_mist=max_price_mist
+        deployment.marketplace, quote, max_price_mist=max_price_mist
     )
     if not submitted.effects.ok:
         raise RuntimeError(f"atomic buy-and-redeem aborted: {submitted.effects.error}")

@@ -1,8 +1,10 @@
-"""Whole-system invariants, first slice: a calendar is a replay of its records.
+"""Whole-system invariants: a calendar is a replay of its records, the market
+index a replay of the ledger's events and a scan of its objects.
 
 ROADMAP item 5 states the whole-system property as "every derived state is
-a replay of the ledger".  This is its calendar-facing, replay-free half:
-for every AS, layer and interface direction of a deployment,
+a replay of the ledger".  Two slices of it are checked here.  The
+calendar-facing, replay-free one: for every AS, layer and interface
+direction of a deployment,
 
 (a) a fresh calendar rebuilt from ``calendar.commitments()`` answers
     ``peak_commitment`` exactly like the live one over every elementary
@@ -13,14 +15,29 @@ for every AS, layer and interface direction of a deployment,
     policy's ``limit_factor(calendar)`` where it overbooks and 1 otherwise.
 
 An untracked ``commit_batch`` load is by construction not a record, so a
-calendar carrying one fails (a); deployments never load that way.  The
-ledger-replay half — indexer rows, host reservation sets, coins + escrow —
-is still open as item 5 and extends :func:`check`.
+calendar carrying one fails (a); deployments never load that way.
+
+The first ledger-backed one (index <- events <- objects): the deployment's
+live :class:`~repro.marketdata.MarketIndexer`, synced, holds
+
+(c) what a fresh index folding the event log from event 0 holds — rows,
+    reclamation provenance, open auctions with their legs in arrival order
+    — so nothing depends on when or how often the live one synced, and
+(d) what a scan of the object store finds — a row per live
+    ``market::Listing`` with its asset's rectangle and its unit price, an
+    open auction per live ``market::Auction`` / ``market::PathAuction`` — so
+    the events say everything the objects do.
+
+Still open as item 5 and extending :func:`check`: calendars rebuilt from
+*events* rather than from their own records, host reservation sets, and
+coins + escrow (``coin.mint`` emits no event, so "minted" is not yet on the
+ledger to replay).
 """
 
 from __future__ import annotations
 
 from repro.admission import CapacityCalendar
+from repro.marketdata import MarketIndexer, iter_auctions, iter_listings
 
 __all__ = ["InvariantBreach", "check"]
 
@@ -33,8 +50,44 @@ class InvariantBreach(AssertionError):
         self.breaches = breaches
 
 
+def _index_breaches(deployment) -> list[str]:
+    """(c) and (d): live index == replay from event 0 == object scan."""
+    ledger, marketplace = deployment.ledger, deployment.marketplace
+    live, replayed = deployment.indexer, MarketIndexer(ledger, marketplace)
+
+    def rows(listings, provenance) -> dict:
+        return {row.listing_id: (row, provenance(row.listing_id)) for row in listings}
+
+    live.sync()
+    replayed.sync()
+    held, auctions = rows(live.listings(), live.provenance), live.open_auctions()
+    expected = {
+        "replays to": (
+            rows(replayed.listings(), replayed.provenance),
+            replayed.open_auctions(),
+        ),
+        # an object does not say where its supply came from: the live word stands
+        "the object store holds": (
+            rows(iter_listings(ledger, marketplace), live.provenance),
+            list(iter_auctions(ledger, marketplace)),
+        ),
+    }
+    breaches = []
+    for says, (expected_rows, expected_auctions) in expected.items():
+        for listing_id in sorted(held.keys() | expected_rows.keys()):
+            if held.get(listing_id) != expected_rows.get(listing_id):
+                breaches.append(
+                    f"index row {listing_id}: {held.get(listing_id)}, "
+                    f"{says} {expected_rows.get(listing_id)}"
+                )
+        if auctions != expected_auctions:
+            breaches.append(f"open auctions {auctions}, {says} {expected_auctions}")
+    return breaches
+
+
 def check(deployment, now: float) -> None:
-    """Check every calendar of every AS in ``deployment`` from ``now`` on.
+    """Check every calendar of every AS in ``deployment`` from ``now`` on,
+    and its market index against the ledger.
 
     Args:
         deployment: a :class:`~repro.controlplane.MarketDeployment`.
@@ -44,7 +97,7 @@ def check(deployment, now: float) -> None:
     Raises:
         InvariantBreach: listing every breach, not only the first.
     """
-    breaches: list[str] = []
+    breaches = _index_breaches(deployment)
     for isd_as, service in deployment.services.items():
         controller = service.admission
         limit_factor = getattr(controller.policy, "limit_factor", None)

@@ -6,8 +6,12 @@ find a listing.  :class:`MarketIndexer` consumes the marketplace's event
 stream *incrementally* — ``Listed``/``Relisted`` add listings,
 ``Delisted`` removes them, ``Sold`` shrinks or removes the listing the
 purchase carved from, ``Reclaimed`` annotates the following listing with
-its no-show provenance — so the index is always a pure function of the
-events applied so far and never needs a rescan.
+its no-show provenance, ``AuctionOpened`` / ``PathAuctionOpened`` /
+``PathLegContributed`` grow the open-auction view and ``AuctionSettled`` /
+``PathAuctionSettled`` close an auction and leave its outcome — so the
+index is always a pure function of the events applied so far and never
+needs a rescan.  It is the one off-chain view of the marketplace: hosts and
+both planners ask it and replay nothing themselves.
 
 Listings are bucketed per ``(isd, asn, interface, direction)`` key; each
 bucket keeps its listings sorted by asset start and lazily compiles them
@@ -26,6 +30,7 @@ scan for differential testing.
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 import time
 
@@ -36,10 +41,19 @@ from repro.marketdata.query import (
     Candidate,
     IndexedListing,
     ListingQuery,
+    OpenAuction,
 )
 from repro.telemetry import get_registry
 
 _ADD_EVENTS = ("Listed", "Relisted")
+# event type -> the payload key that names the auction
+_AUCTION_EVENTS = {
+    "AuctionOpened": "auction",
+    "AuctionSettled": "auction",
+    "PathAuctionOpened": "path_auction",
+    "PathLegContributed": "path_auction",
+    "PathAuctionSettled": "path_auction",
+}
 
 
 class _KeyIndex:
@@ -66,6 +80,11 @@ class _KeyIndex:
 
     # -- mutation ---------------------------------------------------------------
 
+    def _unorder(self, start: int, listing_id: str) -> None:
+        index = bisect.bisect_left(self._order, (start, listing_id))
+        if index < len(self._order) and self._order[index][1] == listing_id:
+            del self._order[index]
+
     def add(self, record: IndexedListing) -> None:
         # A replayed Listed/Relisted for a live listing must replace, not
         # duplicate: drop the stale order entry before re-inserting, or
@@ -73,9 +92,7 @@ class _KeyIndex:
         # would leave a dangling order entry behind).
         stale = self.records.get(record.listing_id)
         if stale is not None:
-            index = bisect.bisect_left(self._order, (stale.start, record.listing_id))
-            if index < len(self._order) and self._order[index][1] == record.listing_id:
-                del self._order[index]
+            self._unorder(stale.start, record.listing_id)
         self.records[record.listing_id] = record
         bisect.insort(self._order, (record.start, record.listing_id))
         self._dirty = True
@@ -84,27 +101,24 @@ class _KeyIndex:
         record = self.records.pop(listing_id, None)
         if record is None:
             return
-        index = bisect.bisect_left(self._order, (record.start, listing_id))
-        if index < len(self._order) and self._order[index][1] == listing_id:
-            del self._order[index]
+        self._unorder(record.start, listing_id)
         self._dirty = True
 
-    def update_rectangle(
-        self, listing_id: str, bandwidth_kbps: int, start: int, expiry: int
-    ) -> None:
-        """Shrink a listing after a partial sale mutated its asset."""
+    def update_rectangle(self, listing_id: str, remaining: dict) -> IndexedListing | None:
+        """Shrink a listing after a partial sale mutated its asset to the
+        ``bandwidth_kbps`` / ``start`` / ``expiry`` that ``Sold`` reports as
+        ``remaining``; returns the shrunk record (``None`` for a listing this
+        bucket never held)."""
         record = self.records.get(listing_id)
         if record is None:
-            return
-        if record.start != start:
-            index = bisect.bisect_left(self._order, (record.start, listing_id))
-            if index < len(self._order) and self._order[index][1] == listing_id:
-                del self._order[index]
-            bisect.insort(self._order, (start, listing_id))
-        self.records[listing_id] = dataclasses.replace(
-            record, bandwidth_kbps=bandwidth_kbps, start=start, expiry=expiry
-        )
+            return None
+        if record.start != remaining["start"]:
+            self._unorder(record.start, listing_id)
+            bisect.insort(self._order, (remaining["start"], listing_id))
+        record = dataclasses.replace(record, **remaining)
+        self.records[listing_id] = record
         self._dirty = True
+        return record
 
     # -- compiled arrays ----------------------------------------------------------
 
@@ -127,7 +141,12 @@ class _KeyIndex:
     # -- queries ------------------------------------------------------------------
 
     def _evaluate(self, start: int, expiry: int, bandwidth_kbps: int, exact_window: bool):
-        """Vectorized cover test: (valid indices, aligned windows, prices)."""
+        """Vectorized cover test: (valid indices, aligned windows, prices).
+
+        The array form of :meth:`IndexedListing.align`, ``sellable`` and
+        :func:`~repro.marketdata.query.price_mist`, which
+        :mod:`repro.marketdata.naive` applies row by row as the reference.
+        """
         if not self.records or expiry <= start:
             return None
         self._compiled()
@@ -196,12 +215,10 @@ class _KeyIndex:
             for position in order
         ]
 
-    def granularities(self) -> set[int]:
-        return {record.granularity for record in self.records.values()}
-
 
 class MarketIndexer:
-    """Incremental off-chain index of one marketplace's live listings.
+    """Incremental off-chain index of one marketplace's live listings and
+    open auctions.
 
     ``sync()`` applies every not-yet-seen ledger event (the event list is
     append-only, so the cursor is a plain position); queries answer from
@@ -230,13 +247,18 @@ class MarketIndexer:
         self.ledger = ledger
         self.marketplace = marketplace
         self._position = 0
-        self._keys: dict[tuple[int, int, int, bool], _KeyIndex] = {}
+        self._keys: dict[tuple[int, int, int, bool], _KeyIndex] = (
+            collections.defaultdict(_KeyIndex)
+        )
         self._by_listing: dict[str, IndexedListing] = {}
         # Reclamation provenance per live listing: the ``Reclaimed`` event
         # precedes its listing's ``Listed``/``Relisted`` in the same
         # transaction, so the annotation is stashed by listing id and
         # pruned when the listing leaves the index.
         self._provenance: dict[str, dict] = {}
+        # Open auctions in arrival order, and every settle payload by id.
+        self._auctions: dict[str, OpenAuction] = {}
+        self._settlements: dict[str, dict] = {}
         self.reclaimed_seen = 0
         self.events_applied = 0
         registry = get_registry()
@@ -305,10 +327,10 @@ class MarketIndexer:
                 ).set(len(bucket.records))
 
     def _apply(self, event) -> bool:
-        if event.event_type == "Reclaimed":
-            payload = event.payload
-            if payload.get("marketplace") != self.marketplace:
-                return False
+        kind, payload = event.event_type, event.payload
+        if payload.get("marketplace") != self.marketplace:
+            return False
+        if kind == "Reclaimed":
             self._provenance[payload["listing"]] = dict(
                 payload.get("provenance") or {}
             )
@@ -316,59 +338,57 @@ class MarketIndexer:
             if self._telemetry:
                 self._m_reclaimed.inc()
             return True
-        if event.event_type in _ADD_EVENTS:
-            payload = event.payload
-            if payload.get("marketplace") != self.marketplace:
-                return False
+        if kind in _ADD_EVENTS:
             record = IndexedListing.from_event(payload)
             self._by_listing[record.listing_id] = record
-            self._key_index(record.key).add(record)
+            self._keys[record.key].add(record)
             return True
-        if event.event_type == "Delisted":
-            payload = event.payload
-            if payload.get("marketplace") != self.marketplace:
-                return False
+        if kind == "Delisted":
             # Sold/Delisted of a listing we never tracked (e.g. an indexer
             # attached mid-stream) mutates nothing and must not count as
             # applied, or events_applied stops being a progress signal.
             return self._drop(payload["listing"])
-        if event.event_type == "Sold":
-            payload = event.payload
-            if payload.get("marketplace") != self.marketplace:
-                return False
+        if kind == "Sold":
             listing_id = payload["listing"]
             if payload.get("listing_closed", True):
                 return self._drop(listing_id)
-            remaining = payload["remaining"]
             record = self._by_listing.get(listing_id)
             if record is None:
                 return False
-            self._key_index(record.key).update_rectangle(
-                listing_id,
-                remaining["bandwidth_kbps"],
-                remaining["start"],
-                remaining["expiry"],
+            self._by_listing[listing_id] = self._keys[record.key].update_rectangle(
+                listing_id, payload["remaining"]
             )
-            self._by_listing[listing_id] = self._key_index(record.key).records[
-                listing_id
-            ]
             return True
+        if kind in _AUCTION_EVENTS:
+            return self._apply_auction(kind, payload[_AUCTION_EVENTS[kind]], payload)
         return False
+
+    def _apply_auction(self, kind: str, auction_id: str, payload: dict) -> bool:
+        if kind == "AuctionOpened":
+            legs = (OpenAuction.leg(payload),)
+            self._auctions[auction_id] = OpenAuction(auction_id, False, legs)
+        elif kind == "PathAuctionOpened":
+            legs = (None,) * payload["num_legs"]
+            self._auctions[auction_id] = OpenAuction(auction_id, True, legs)
+        elif kind == "PathLegContributed":
+            shell = self._auctions.get(auction_id)
+            if shell is None:  # opened before this index attached
+                return False
+            legs = list(shell.legs)
+            legs[payload["leg_index"]] = OpenAuction.leg(payload)
+            self._auctions[auction_id] = dataclasses.replace(shell, legs=tuple(legs))
+        else:  # either settle: the book is closed, its outcome is the payload
+            self._auctions.pop(auction_id, None)
+            self._settlements[auction_id] = payload
+        return True
 
     def _drop(self, listing_id: str) -> bool:
         record = self._by_listing.pop(listing_id, None)
         if record is None:
             return False
         self._provenance.pop(listing_id, None)
-        self._key_index(record.key).remove(listing_id)
+        self._keys[record.key].remove(listing_id)
         return True
-
-    def _key_index(self, key: tuple[int, int, int, bool]) -> _KeyIndex:
-        found = self._keys.get(key)
-        if found is None:
-            found = _KeyIndex()
-            self._keys[key] = found
-        return found
 
     # -- queries ------------------------------------------------------------------
 
@@ -391,6 +411,75 @@ class MarketIndexer:
         """Every live listing across all keys (unspecified order)."""
         return list(self._by_listing.values())
 
+    def overlapping(self, keys, start: int, end: int) -> dict[tuple, list[IndexedListing]]:
+        """Per wanted ``(isd, asn, interface, is_ingress)`` key, the live
+        listings whose asset overlaps ``[start, end)`` — read off that key's
+        bucket, as of the last :meth:`sync`."""
+        found: dict[tuple, list[IndexedListing]] = {}
+        for key in keys:
+            bucket = self._keys.get(key)
+            found[key] = [
+                record
+                for record in (bucket.records.values() if bucket is not None else ())
+                if record.start < end and record.expiry > start
+            ]
+        return found
+
+    # -- auctions -----------------------------------------------------------------
+
+    def open_auctions(self) -> list[OpenAuction]:
+        """Every auction no settle has closed yet, window and path, in the
+        order they were opened."""
+        self.sync()
+        return list(self._auctions.values())
+
+    def find_auction(
+        self, directions, start: int, expiry: int, bandwidth_kbps: int
+    ) -> OpenAuction | None:
+        """The earliest open auction selling exactly these directions.
+
+        An auction covers a request when its legs, in path order, are the
+        wanted ``(isd, asn, interface, is_ingress)`` keys, every leg is
+        contributed, every leg's window contains ``[start, expiry)`` and the
+        wanted bandwidth fits every leg's ``[minimum, total]`` range.
+        """
+        wanted = list(directions)
+        for auction in self.open_auctions():
+            if len(auction.legs) == len(wanted) and all(
+                leg is not None
+                and (leg["isd"], leg["asn"], leg["interface"], leg["is_ingress"]) == key
+                and leg["start"] <= start
+                and expiry <= leg["expiry"]
+                and leg["min_bandwidth_kbps"] <= bandwidth_kbps <= leg["bandwidth_kbps"]
+                for leg, key in zip(auction.legs, wanted)
+            ):
+                return auction
+        return None
+
+    def settlement(self, auction_id: str) -> dict | None:
+        """The ``AuctionSettled`` / ``PathAuctionSettled`` payload of a
+        settled auction (``None`` while it is open)."""
+        self.sync()
+        return self._settlements.get(auction_id)
+
+    def _point_query(self, op: str, query: ListingQuery, sync: bool, ask, nothing):
+        """The shared body of :meth:`best` and :meth:`candidates`: refuse
+        planner-only fields, sync, ``ask`` the query's bucket (``nothing``
+        when no listing was ever indexed there), time the answer."""
+        if query.flex_start or query.budget_mist is not None:
+            raise ValueError(
+                f"MarketIndexer.{op} answers zero-flex point queries; use "
+                "PurchasePlanner for flex_start/budget_mist handling"
+            )
+        if sync:
+            self.sync()
+        began = time.perf_counter() if self._telemetry else 0.0
+        bucket = self._keys.get(query.key)
+        found = nothing if bucket is None else ask(bucket)
+        if self._telemetry:
+            self._m_query_seconds.labels(op).observe(time.perf_counter() - began)
+        return found
+
     def best(self, query: ListingQuery, sync: bool = True) -> Candidate | None:
         """Cheapest cover for a zero-flex query (None when uncovered).
 
@@ -410,31 +499,13 @@ class MarketIndexer:
         Raises:
             ValueError: the query carries ``flex_start``/``budget_mist``.
         """
-        if query.flex_start or query.budget_mist is not None:
-            raise ValueError(
-                "MarketIndexer.best answers zero-flex point queries; use "
-                "PurchasePlanner for flex_start/budget_mist handling"
-            )
-        if sync:
-            self.sync()
-        if not self._telemetry:
-            bucket = self._keys.get(query.key)
-            if bucket is None:
-                return None
-            return bucket.best(
+        return self._point_query(
+            "best", query, sync,
+            lambda bucket: bucket.best(
                 query.start, query.expiry, query.bandwidth_kbps, query.exact_window
-            )
-        began = time.perf_counter()
-        bucket = self._keys.get(query.key)
-        found = (
-            None
-            if bucket is None
-            else bucket.best(
-                query.start, query.expiry, query.bandwidth_kbps, query.exact_window
-            )
+            ),
+            None,
         )
-        self._m_query_seconds.labels("best").observe(time.perf_counter() - began)
-        return found
 
     def candidates(
         self, query: ListingQuery, limit: int, sync: bool = True
@@ -447,38 +518,13 @@ class MarketIndexer:
         Raises:
             ValueError: the query carries ``flex_start``/``budget_mist``.
         """
-        if query.flex_start or query.budget_mist is not None:
-            raise ValueError(
-                "MarketIndexer.candidates answers zero-flex point queries; "
-                "use PurchasePlanner for flex_start/budget_mist handling"
-            )
-        if sync:
-            self.sync()
-        if not self._telemetry:
-            bucket = self._keys.get(query.key)
-            if bucket is None:
-                return []
-            return bucket.candidates(
+        return self._point_query(
+            "candidates", query, sync,
+            lambda bucket: bucket.candidates(
                 query.start, query.expiry, query.bandwidth_kbps, limit
-            )
-        began = time.perf_counter()
-        bucket = self._keys.get(query.key)
-        found = (
-            []
-            if bucket is None
-            else bucket.candidates(
-                query.start, query.expiry, query.bandwidth_kbps, limit
-            )
+            ),
+            [],
         )
-        self._m_query_seconds.labels("candidates").observe(
-            time.perf_counter() - began
-        )
-        return found
-
-    def granularities(self, isd_as, interface: int, is_ingress: bool) -> set[int]:
-        """Distinct time granularities live on one interface direction."""
-        bucket = self._keys.get((isd_as.isd, isd_as.asn, interface, is_ingress))
-        return bucket.granularities() if bucket is not None else set()
 
     def price_curve(
         self,
@@ -488,15 +534,13 @@ class MarketIndexer:
         bandwidth_kbps: int,
         duration: int,
         times,
-        sync: bool = True,
     ) -> np.ndarray:
         """Cheapest total MIST price of ``[t, t+duration)`` per start time.
 
         Uncoverable windows price at ``inf`` — plotting the curve shows the
         valleys a flexible buyer can slide into.
         """
-        if sync:
-            self.sync()
+        self.sync()
         bucket = self._keys.get((isd_as.isd, isd_as.asn, interface, is_ingress))
         prices = np.full(len(times), np.inf)
         if bucket is None:

@@ -16,8 +16,8 @@ start, listing id).
 
 from __future__ import annotations
 
-from repro.contracts.market import LISTING_TYPE
-from repro.marketdata.query import Candidate, IndexedListing, ListingQuery
+from repro.contracts.market import AUCTION_TYPE, LISTING_TYPE, PATH_AUCTION_TYPE
+from repro.marketdata.query import Candidate, IndexedListing, ListingQuery, OpenAuction
 
 
 def iter_listings(ledger, marketplace: str):
@@ -31,6 +31,26 @@ def iter_listings(ledger, marketplace: str):
         if asset is None:
             continue
         yield IndexedListing.from_ledger(obj.object_id, obj.payload, asset.payload)
+
+
+def iter_auctions(ledger, marketplace: str):
+    """Yield an :class:`OpenAuction` for every live auction object, in
+    creation order (the object store keeps it)."""
+    for obj in ledger.objects.values():
+        if obj.type_tag not in (AUCTION_TYPE, PATH_AUCTION_TYPE):
+            continue
+        if obj.payload["marketplace"] != marketplace:
+            continue
+        if obj.type_tag == PATH_AUCTION_TYPE:
+            legs = obj.payload["legs"]
+        else:  # a window auction is its one leg, the rectangle on its asset
+            asset = ledger.objects[obj.payload["asset"]]
+            legs = [{**asset.payload, **obj.payload}]
+        yield OpenAuction(
+            obj.object_id,
+            obj.type_tag == PATH_AUCTION_TYPE,
+            tuple(None if leg is None else OpenAuction.leg(leg) for leg in legs),
+        )
 
 
 def naive_best_listing(ledger, marketplace: str, query: ListingQuery) -> Candidate | None:
@@ -47,10 +67,7 @@ def naive_best_listing(ledger, marketplace: str, query: ListingQuery) -> Candida
             continue
         if not record.sellable(query.bandwidth_kbps):
             continue
-        price = record.price_for(query.bandwidth_kbps, buy_start, buy_expiry)
-        candidate = Candidate(
-            listing=record, price_mist=price, start=buy_start, expiry=buy_expiry
-        )
+        candidate = record.candidate(query.bandwidth_kbps, buy_start, buy_expiry)
         if best is None or (
             (candidate.price_mist, candidate.start, candidate.listing.listing_id)
             < (best.price_mist, best.start, best.listing.listing_id)

@@ -12,16 +12,15 @@ literature get from malleable reservations.
 Hop resolution handles mixed granularities: each listing accepts windows
 on the lattice ``anchor + k*granularity``, and for every candidate
 ingress/egress pair the minimal shared window is computed directly on the
-intersection of the two lattices (CRT over the anchors, step = lcm of the
-granularities) — so 60s and 120s listings settle on the coarser granule
-in one step.  When no pair admits a common window inside the assets'
+fold of the two lattices (:func:`~repro.marketdata.query.fold_lattices`:
+CRT over the anchors, step = lcm of the granularities) — so 60s and 120s
+listings settle on the coarser granule in one step.  When no pair admits a common window inside the assets'
 validity ranges, the planner raises :class:`IncompatibleGranularity`
 naming both granularities instead of an opaque :class:`ListingNotFound`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.marketdata.indexer import MarketIndexer
@@ -32,6 +31,8 @@ from repro.marketdata.query import (
     ListingNotFound,
     ListingQuery,
     PathSpec,
+    direction_keys,
+    fold_lattices,
 )
 
 # Cheapest covering listings tried per direction when pairing a hop's
@@ -74,6 +75,7 @@ class PathQuote:
 
     @property
     def price_mist(self) -> int:
+        """The estimate: what buying every hop's two pieces will charge."""
         return sum(hop.price_mist for hop in self.hops)
 
 
@@ -154,10 +156,8 @@ class PurchasePlanner:
         best_key: tuple | None = None
         for ingress_candidate in ingress_candidates:
             for egress_candidate in egress_candidates:
-                joint = _joint_window(
-                    ingress_candidate.listing,
-                    egress_candidate.listing,
-                    (start, expiry),
+                joint = _pair_window(
+                    ingress_candidate.listing, egress_candidate.listing, start, expiry
                 )
                 if joint is None:
                     continue
@@ -165,11 +165,11 @@ class PurchasePlanner:
                     isd_as=isd_as,
                     ingress=ingress,
                     egress=egress,
-                    ingress_candidate=_at_window(
-                        ingress_candidate.listing, bandwidth_kbps, joint
+                    ingress_candidate=ingress_candidate.listing.candidate(
+                        bandwidth_kbps, *joint
                     ),
-                    egress_candidate=_at_window(
-                        egress_candidate.listing, bandwidth_kbps, joint
+                    egress_candidate=egress_candidate.listing.candidate(
+                        bandwidth_kbps, *joint
                     ),
                 )
                 key = (
@@ -315,72 +315,31 @@ class PurchasePlanner:
         """
         flex = spec.flex_start
         offsets = {0, flex}
-        for listing in self._involved_listings(spec):
-            g = listing.granularity
-            for first in (
-                (listing.start - spec.start) % g,
-                (listing.start - spec.expiry + 1) % g,
-            ):
-                offsets.update(range(first, flex + 1, g))
+        involved = self.indexer.overlapping(
+            set(direction_keys(spec.crossings)), spec.start, spec.expiry + flex
+        )
+        for listings in involved.values():
+            for listing in listings:
+                g = listing.granularity
+                for first in (
+                    (listing.start - spec.start) % g,
+                    (listing.start - spec.expiry + 1) % g,
+                ):
+                    offsets.update(range(first, flex + 1, g))
         return sorted(offsets)
 
-    def _involved_listings(self, spec: PathSpec) -> list:
-        """Live listings on the spec's interfaces that any offset in the
-        flex range could touch."""
-        keys = set()
-        for crossing in spec.crossings:
-            keys.add(
-                (crossing.isd_as.isd, crossing.isd_as.asn, crossing.ingress, True)
-            )
-            keys.add(
-                (crossing.isd_as.isd, crossing.isd_as.asn, crossing.egress, False)
-            )
-        return [
-            listing
-            for listing in self.indexer.listings()
-            if listing.key in keys
-            and listing.start < spec.expiry + spec.flex_start
-            and listing.expiry > spec.start
-        ]
 
-
-def _at_window(listing, bandwidth_kbps: int, window: tuple[int, int]) -> Candidate:
-    """A candidate buying ``listing`` over an explicitly chosen window."""
-    return Candidate(
-        listing=listing,
-        price_mist=listing.price_for(bandwidth_kbps, *window),
-        start=window[0],
-        expiry=window[1],
-    )
-
-
-def _joint_window(
-    first, second, window: tuple[int, int]
-) -> tuple[int, int] | None:
-    """Smallest window covering ``window`` aligned to BOTH listings.
-
-    Each listing accepts windows on the lattice ``anchor + k*granularity``;
-    the intersection of two lattices is either empty (anchors incongruent
-    modulo ``gcd``) or another lattice with step ``lcm`` whose offset CRT
-    recovers.  Returns None when the lattices don't intersect or the
-    aligned window escapes either asset's validity range.
-    """
-    start, expiry = window
-    g1, g2 = first.granularity, second.granularity
-    a1, a2 = first.start, second.start
-    g = math.gcd(g1, g2)
-    if (a2 - a1) % g:
+def _pair_window(first, second, start: int, expiry: int) -> tuple[int, int] | None:
+    """Smallest window covering ``[start, expiry)`` aligned to BOTH listings:
+    the request floored and ceiled on the fold of their lattices.  None when
+    the lattices never meet or the window escapes either asset's validity
+    range."""
+    lattice = fold_lattices(first.lattice, second.lattice)
+    if lattice is None:
         return None
-    step = g1 // g * g2  # lcm
-    m = g2 // g
-    if m == 1:
-        x0 = a1
-    else:
-        t = (((a2 - a1) // g) * pow((g1 // g) % m, -1, m)) % m
-        x0 = a1 + g1 * t
-    joint_start = x0 + (start - x0) // step * step
-    over = (expiry - x0) % step
-    joint_expiry = expiry if over == 0 else expiry + step - over
-    if joint_start < max(a1, a2) or joint_expiry > min(first.expiry, second.expiry):
+    joint_start, joint_expiry = lattice.cover(start, expiry)
+    if joint_start < max(first.start, second.start) or joint_expiry > min(
+        first.expiry, second.expiry
+    ):
         return None
     return joint_start, joint_expiry

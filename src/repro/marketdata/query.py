@@ -8,9 +8,23 @@ The discovery API is a handful of small dataclasses:
 * :class:`PathSpec` — the same for a whole multi-hop path (one entry per
   AS crossing);
 * :class:`IndexedListing` — the indexer's view of one live listing (the
-  asset rectangle plus the posted unit price);
+  asset rectangle plus the posted unit price), and with it the contract's
+  align / carve / ceil-price rule as every off-chain planner applies it;
 * :class:`Candidate` — one priced answer: a listing, the granule-aligned
-  window that would actually be bought, and its total price.
+  window that would actually be bought, and its total price;
+* :class:`OpenAuction` — one open auction, window or path, as its legs.
+
+A listing accepts windows on its :class:`Lattice` ``start + k*granularity``;
+two listings share the windows on the fold of their lattices:
+
+>>> fold_lattices(Lattice(0, 60), Lattice(0, 120))
+Lattice(anchor=0, step=120)
+>>> fold_lattices(Lattice(0, 60), Lattice(15, 90)) is None  # incongruent
+True
+>>> fold_lattices(Lattice(30, 60), Lattice(0, 90))
+Lattice(anchor=90, step=180)
+>>> Lattice(90, 180).cover(100, 300)
+(90, 450)
 
 The exceptions shared across the marketdata/controlplane split live here
 too, so the host client can re-export them without import cycles.
@@ -18,11 +32,65 @@ too, so the host client can re-export them without import cycles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.scion.addresses import IsdAs
 
 MICROMIST = 1_000_000  # price unit: micromist per kbps-second
+
+
+def price_mist(bandwidth_kbps: int, seconds: int, unit_price_micromist: int) -> int:
+    """MIST price of ``bandwidth_kbps`` for ``seconds`` at a unit price per
+    kbps-second, rounded up — the one scalar spelling, off chain, of what
+    ``market.buy`` and an auction settlement charge.
+
+    >>> price_mist(2_000, 60, 50), price_mist(1, 1, 1)
+    (6, 1)
+    """
+    return -(-bandwidth_kbps * seconds * unit_price_micromist // MICROMIST)
+
+
+def direction_keys(crossings) -> list[tuple[int, int, int, bool]]:
+    """The index keys a path touches, in path order: each crossing's
+    ``(ingress, True)`` then ``(egress, False)``."""
+    return [
+        (crossing.isd_as.isd, crossing.isd_as.asn, interface, is_ingress)
+        for crossing in crossings
+        for interface, is_ingress in ((crossing.ingress, True), (crossing.egress, False))
+    ]
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """The set of instants ``anchor + k*step`` (k any integer)."""
+
+    anchor: int
+    step: int
+
+    def cover(self, start: int, expiry: int) -> tuple[int, int]:
+        """Smallest window with both ends on the lattice around ``[start, expiry)``."""
+        floor = self.anchor + (start - self.anchor) // self.step * self.step
+        ceiling = self.anchor - (self.anchor - expiry) // self.step * self.step
+        return floor, ceiling
+
+
+def fold_lattices(first: Lattice, second: Lattice) -> Lattice | None:
+    """Intersection of two lattices, or None when they never meet.
+
+    The intersection is empty iff the anchors are incongruent modulo
+    ``gcd(step1, step2)``; otherwise it is a lattice with step
+    ``lcm(step1, step2)`` whose anchor CRT recovers.  The returned anchor
+    is normalized into ``[0, step)``.
+    """
+    g = math.gcd(first.step, second.step)
+    if (second.anchor - first.anchor) % g:
+        return None
+    step = first.step // g * second.step  # lcm
+    m = second.step // g
+    # first.anchor + first.step * t is on the second lattice (t = 0 when m == 1)
+    t = (second.anchor - first.anchor) // g * pow(first.step // g, -1, m) % m
+    return Lattice((first.anchor + first.step * t) % step, step)
 
 
 class ListingNotFound(LookupError):
@@ -42,6 +110,14 @@ class IncompatibleGranularity(ListingNotFound):
 
 class BudgetExceeded(RuntimeError):
     """A quote or purchase plan costs more than the caller's budget cap."""
+
+
+# What an asset sells, as every event and object that advertises one spells it
+# (the market contract's ``_rectangle``).
+RECTANGLE_FIELDS = (
+    "isd", "asn", "interface", "is_ingress", "bandwidth_kbps", "start",
+    "expiry", "granularity", "min_bandwidth_kbps",
+)
 
 
 @dataclass(frozen=True)
@@ -64,27 +140,6 @@ class IndexedListing:
     min_bandwidth_kbps: int
 
     @classmethod
-    def from_event(cls, payload: dict) -> "IndexedListing":
-        """Build from a Listed/Relisted event snapshot (the producer shape
-        defined by ``MarketContract._listing_snapshot``)."""
-        return cls(
-            listing_id=payload["listing"],
-            asset_id=payload["asset"],
-            marketplace=payload["marketplace"],
-            seller=payload["seller"],
-            price_micromist_per_unit=payload["price_micromist_per_unit"],
-            isd=payload["isd"],
-            asn=payload["asn"],
-            interface=payload["interface"],
-            is_ingress=payload["is_ingress"],
-            bandwidth_kbps=payload["bandwidth_kbps"],
-            start=payload["start"],
-            expiry=payload["expiry"],
-            granularity=payload["granularity"],
-            min_bandwidth_kbps=payload["min_bandwidth_kbps"],
-        )
-
-    @classmethod
     def from_ledger(
         cls, listing_id: str, listing_payload: dict, asset_payload: dict
     ) -> "IndexedListing":
@@ -95,20 +150,23 @@ class IndexedListing:
             marketplace=listing_payload["marketplace"],
             seller=listing_payload["seller"],
             price_micromist_per_unit=listing_payload["price_micromist_per_unit"],
-            isd=asset_payload["isd"],
-            asn=asset_payload["asn"],
-            interface=asset_payload["interface"],
-            is_ingress=asset_payload["is_ingress"],
-            bandwidth_kbps=asset_payload["bandwidth_kbps"],
-            start=asset_payload["start"],
-            expiry=asset_payload["expiry"],
-            granularity=asset_payload["granularity"],
-            min_bandwidth_kbps=asset_payload["min_bandwidth_kbps"],
+            **{field: asset_payload[field] for field in RECTANGLE_FIELDS},
         )
+
+    @classmethod
+    def from_event(cls, payload: dict) -> "IndexedListing":
+        """Build from a Listed/Relisted event snapshot — the producer shape
+        defined by ``MarketContract._listing_snapshot``: the listing object's
+        fields and its asset's rectangle in one payload."""
+        return cls.from_ledger(payload["listing"], payload, payload)
 
     @property
     def key(self) -> tuple[int, int, int, bool]:
         return (self.isd, self.asn, self.interface, self.is_ingress)
+
+    @property
+    def lattice(self) -> Lattice:
+        return Lattice(self.start % self.granularity, self.granularity)
 
     def align(self, start: int, expiry: int) -> tuple[int, int] | None:
         """Smallest granule-aligned window covering ``[start, expiry)``.
@@ -119,10 +177,7 @@ class IndexedListing:
         """
         if expiry <= start:
             return None
-        anchor, granularity = self.start, self.granularity
-        buy_start = anchor + (start - anchor) // granularity * granularity
-        over = (expiry - anchor) % granularity
-        buy_expiry = expiry if over == 0 else expiry + granularity - over
+        buy_start, buy_expiry = self.lattice.cover(start, expiry)
         if buy_start < self.start or buy_expiry > self.expiry:
             return None
         return buy_start, buy_expiry
@@ -136,8 +191,13 @@ class IndexedListing:
 
     def price_for(self, bandwidth_kbps: int, start: int, expiry: int) -> int:
         """MIST price of buying this rectangle (ceil, like the contract)."""
-        units = bandwidth_kbps * (expiry - start)
-        return -(-units * self.price_micromist_per_unit // MICROMIST)
+        return price_mist(bandwidth_kbps, expiry - start, self.price_micromist_per_unit)
+
+    def candidate(self, bandwidth_kbps: int, start: int, expiry: int) -> "Candidate":
+        """Buying exactly this rectangle from the listing, priced."""
+        return Candidate(
+            self, self.price_for(bandwidth_kbps, start, expiry), start, expiry
+        )
 
 
 @dataclass(frozen=True)
@@ -152,6 +212,41 @@ class Candidate:
     def as_tuple(self) -> tuple[str, int, int, int]:
         """The answer as a plain ``(listing id, price, start, expiry)`` tuple."""
         return (self.listing.listing_id, self.price_mist, self.start, self.expiry)
+
+
+# What an auctioned leg says on chain — a ``PathAuction`` object's leg entry,
+# an ``Auction`` object's own fields beside the rectangle of its asset.
+LEG_FIELDS = (
+    "asset", "seller", "reserve_micromist_per_unit", "share_cap_kbps",
+    *RECTANGLE_FIELDS,
+)
+
+
+@dataclass(frozen=True)
+class OpenAuction:
+    """One open auction: its legs in path order, each the :data:`LEG_FIELDS`
+    of the rectangle on offer (``None`` until its AS contributed it).  A window
+    auction is the one-leg case; ``is_path`` only says which pair of contract
+    entry points (``place_bid`` or ``place_path_bid``) its book answers to."""
+
+    auction_id: str
+    is_path: bool
+    legs: tuple[dict | None, ...]
+
+    @staticmethod
+    def leg(source: dict) -> dict:
+        """The leg an event payload or an object payload describes."""
+        return {field: source[field] for field in LEG_FIELDS}
+
+
+def _require_request(what: str, request) -> None:
+    """What a :class:`ListingQuery` and a :class:`PathSpec` both refuse."""
+    if request.expiry <= request.start:
+        raise ValueError(f"{what} window must not be empty")
+    if request.bandwidth_kbps <= 0:
+        raise ValueError("bandwidth must be positive")
+    if request.flex_start < 0:
+        raise ValueError("flex_start must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -176,16 +271,7 @@ class ListingQuery:
     exact_window: bool = False
 
     def __post_init__(self) -> None:
-        if self.expiry <= self.start:
-            raise ValueError("query window must not be empty")
-        if self.bandwidth_kbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.flex_start < 0:
-            raise ValueError("flex_start must be non-negative")
-
-    @property
-    def duration(self) -> int:
-        return self.expiry - self.start
+        _require_request("query", self)
 
     @property
     def key(self) -> tuple[int, int, int, bool]:
@@ -204,12 +290,7 @@ class PathSpec:
     budget_mist: int | None = None
 
     def __post_init__(self) -> None:
-        if self.expiry <= self.start:
-            raise ValueError("spec window must not be empty")
-        if self.bandwidth_kbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.flex_start < 0:
-            raise ValueError("flex_start must be non-negative")
+        _require_request("spec", self)
         object.__setattr__(self, "crossings", tuple(self.crossings))
 
     @staticmethod
@@ -229,7 +310,3 @@ class PathSpec:
             flex_start=flex_start,
             budget_mist=budget_mist,
         )
-
-    @property
-    def duration(self) -> int:
-        return self.expiry - self.start

@@ -666,6 +666,7 @@ def auction_experiment(
         ProportionalShare,
         ScarcityPricer,
     )
+    from repro.marketdata import price_mist
 
     per_buyer_kbps = 2000
     reservable_fraction = 0.8
@@ -688,7 +689,7 @@ def auction_experiment(
         ]
 
         def paid_mist(unit_price: int) -> int:
-            return -(-reserve_kbps * window_seconds * unit_price // 1_000_000)
+            return price_mist(reserve_kbps, window_seconds, unit_price)
 
         # -- posted arm: arrival order vs the scarcity curve -----------------------
         posted = AdmissionController(
@@ -1199,6 +1200,7 @@ def _traced_path_lifecycle(
         open_path_auction,
         settle_path_auction,
     )
+    from repro.marketdata import price_mist
 
     t0 = 1_700_000_000
     window = (t0 + 3600, t0 + 4200)
@@ -1226,8 +1228,7 @@ def _traced_path_lifecycle(
         rival = deployment.new_host(name="path-rival")
         num_legs = 2 * len(crossings)
         escrow_cap = (
-            -(-bandwidth_kbps * duration * 40 * BASE_PRICE_MICROMIST // 1_000_000)
-            * num_legs
+            price_mist(bandwidth_kbps, duration, 40 * BASE_PRICE_MICROMIST) * num_legs
         )
         acquired = winner.acquire_path(
             deployment.marketplace,
@@ -1238,7 +1239,7 @@ def _traced_path_lifecycle(
         )
         if acquired.mode != "path_bid":  # pragma: no cover - auction covers
             raise RuntimeError("path auction should have covered the spec")
-        rival.place_path_bid(
+        rival_bid = rival.place_path_bid(
             deployment.marketplace,
             handle.path_auction,
             2 * bandwidth_kbps,
@@ -1267,12 +1268,13 @@ def _traced_path_lifecycle(
             deployment.service(crossing.isd_as).poll_and_deliver()
         winner.collect_reservations()
         admission.rollback(hold)
-        # Escrow conservation, straight from the event stream: everything
-        # escrowed at bid time came back as awards plus refunds.
-        placed = deployment.ledger.events_since(0, "PathBidPlaced")
-        settled = deployment.ledger.events_since(0, "PathAuctionSettled")
-        escrow_total = sum(event.payload["escrow_mist"] for event in placed)
-        payload = settled[0].payload
+        # Escrow conservation: everything the two bids escrowed came back
+        # as awards plus refunds in the settle payload the index holds.
+        escrow_total = sum(
+            placed.effects.returns[0]["escrow_mist"]
+            for placed in (acquired.submitted, rival_bid)
+        )
+        payload = deployment.indexer.settlement(handle.path_auction)
         paid = sum(w["paid_mist"] for w in payload["winners"])
         refunds = sum(w["refund_mist"] for w in payload["winners"]) + sum(
             l["refund_mist"] for l in payload["losers"]
@@ -1470,6 +1472,7 @@ def reclamation_experiment(
     """
     from repro.admission import ACTIVE, AdmissionController
     from repro.admission.policy import FirstComeFirstServed, OverbookingPolicy
+    from repro.marketdata import price_mist
     from repro.reclaim import AdaptiveOverbooking, ReclamationEngine, UsageReporter
 
     num_buyers = 8
@@ -1519,8 +1522,8 @@ def reclamation_experiment(
             )
             if not decision.admitted:
                 return None, quote, decision.reason
-            units = reserve_kbps * (window_end - int(now))
-            revenue += -(-units * quote // 1_000_000)  # ceil, as the contract prices
+            # ceil, as the contract prices
+            revenue += price_mist(reserve_kbps, window_end - int(now), quote)
             if engine is not None:
                 engine.track(
                     index,

@@ -9,15 +9,7 @@ See ``docs/transfers.md``.
 """
 
 from repro.marketdata.query import IncompatibleGranularity
-from repro.transfers.book import (
-    MAX_SLOTS,
-    BookListing,
-    Lattice,
-    SlotOption,
-    TransferBook,
-    book_from_indexer,
-    fold_lattices,
-)
+from repro.transfers.book import MAX_SLOTS, SlotOption, TransferBook
 from repro.transfers.oracle import (
     MAX_FRONTIER,
     OracleOverflow,
@@ -45,12 +37,10 @@ __all__ = [
     "MAX_FRONTIER",
     "MAX_REDEEM_SECONDS",
     "MAX_SLOTS",
-    "BookListing",
     "DeadlineTransfer",
     "HopLeg",
     "IncompatibleGranularity",
     "InfeasibleTransfer",
-    "Lattice",
     "LegPiece",
     "OracleOverflow",
     "OracleResult",
@@ -62,8 +52,6 @@ __all__ = [
     "TransferOutcome",
     "TransferPlan",
     "TransferPlanner",
-    "book_from_indexer",
-    "fold_lattices",
     "offline_optimum",
     "solve_schedule",
 ]

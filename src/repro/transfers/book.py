@@ -5,20 +5,18 @@ for every direction the path crosses (each hop's ingress and egress
 interface), the live listings overlapping ``[release, deadline)``, plus
 one **common time grid** all of them accept.
 
+The listings are the index's own records
+(:class:`~repro.marketdata.query.IndexedListing`): the carve rule and the
+ceil price a transfer plans with are the ones a posted purchase quotes with.
+
 Grid construction is the coarsest-common-granule alignment: every listing
 accepts windows on its lattice ``start + k*granularity``; folding those
-lattices pairwise (CRT over the anchors, step = lcm of the granularities)
-yields either one shared lattice — whose step is the coarsest granule
-every listing honors — or nothing, in which case
+lattices pairwise (:func:`~repro.marketdata.query.fold_lattices`: CRT over
+the anchors, step = lcm of the granularities) yields either one shared
+lattice — whose step is the coarsest granule every listing honors — or
+nothing, in which case
 :class:`~repro.marketdata.query.IncompatibleGranularity` names the
 irreconcilable classes instead of failing opaquely downstream.
-
->>> fold_lattices(Lattice(0, 60), Lattice(0, 120))
-Lattice(anchor=0, step=120)
->>> fold_lattices(Lattice(0, 60), Lattice(15, 90)) is None  # incongruent
-True
->>> fold_lattices(Lattice(30, 60), Lattice(0, 90))
-Lattice(anchor=90, step=180)
 
 The grid divides the horizon into *slots*.  Both the
 :class:`~repro.transfers.planner.TransferPlanner` and the offline oracle
@@ -40,10 +38,9 @@ re-searching the book for every slot.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.marketdata.query import MICROMIST, IncompatibleGranularity
+from repro.marketdata.query import IncompatibleGranularity, Lattice, fold_lattices
 from repro.transfers.request import (
     BYTES_PER_KBPS_SECOND,
     MAX_REDEEM_SECONDS,
@@ -52,84 +49,6 @@ from repro.transfers.request import (
 
 #: Hard cap on grid slots per transfer — bounds planner and oracle work.
 MAX_SLOTS = 4096
-
-
-@dataclass(frozen=True)
-class Lattice:
-    """The set of instants ``anchor + k*step`` (k any integer)."""
-
-    anchor: int
-    step: int
-
-
-def fold_lattices(first: Lattice, second: Lattice) -> Lattice | None:
-    """Intersection of two lattices, or None when they never meet.
-
-    The intersection is empty iff the anchors are incongruent modulo
-    ``gcd(step1, step2)``; otherwise it is a lattice with step
-    ``lcm(step1, step2)`` whose anchor CRT recovers.  The returned anchor
-    is normalized into ``[0, step)``.
-    """
-    g = math.gcd(first.step, second.step)
-    if (second.anchor - first.anchor) % g:
-        return None
-    step = first.step // g * second.step  # lcm
-    m = second.step // g
-    if m == 1:
-        anchor = first.anchor
-    else:
-        t = (
-            ((second.anchor - first.anchor) // g)
-            * pow((first.step // g) % m, -1, m)
-        ) % m
-        anchor = first.anchor + first.step * t
-    return Lattice(anchor % step, step)
-
-
-@dataclass(frozen=True)
-class BookListing:
-    """One live listing, snapshotted for transfer planning."""
-
-    listing_id: str
-    unit_price: int  # micromist per kbps-second
-    bandwidth_kbps: int
-    min_bandwidth_kbps: int
-    start: int
-    expiry: int
-    granularity: int
-
-    @classmethod
-    def from_indexed(cls, record) -> "BookListing":
-        """From a :class:`~repro.marketdata.query.IndexedListing`."""
-        return cls(
-            listing_id=record.listing_id,
-            unit_price=record.price_micromist_per_unit,
-            bandwidth_kbps=record.bandwidth_kbps,
-            min_bandwidth_kbps=record.min_bandwidth_kbps,
-            start=record.start,
-            expiry=record.expiry,
-            granularity=record.granularity,
-        )
-
-    def covers(self, start: int, expiry: int) -> bool:
-        return self.start <= start and expiry <= self.expiry
-
-    def sellable(self, rate_kbps: int) -> bool:
-        """The market contract's carve rule: the bought piece and any
-        bandwidth remainder must both respect the listing's minimum."""
-        remainder = self.bandwidth_kbps - rate_kbps
-        if rate_kbps < self.min_bandwidth_kbps or remainder < 0:
-            return False
-        return remainder == 0 or remainder >= self.min_bandwidth_kbps
-
-    def price_for(self, rate_kbps: int, start: int, expiry: int) -> int:
-        """MIST price of one buy (ceil, exactly like the contract)."""
-        units = rate_kbps * (expiry - start)
-        return -(-units * self.unit_price // MICROMIST)
-
-    @property
-    def lattice(self) -> Lattice:
-        return Lattice(self.start % self.granularity, self.granularity)
 
 
 @dataclass(frozen=True)
@@ -158,8 +77,9 @@ class TransferBook:
     """Frozen view of everything one deadline transfer can buy.
 
     ``directions`` maps ``(hop_index, is_ingress)`` to that interface
-    direction's listings sorted cheapest-first; ``slots`` is the common
-    grid covering ``[release, deadline)``.
+    direction's :class:`~repro.marketdata.query.IndexedListing`\\ s sorted
+    cheapest-first; ``slots`` is the common grid covering ``[release,
+    deadline)``.
     """
 
     def __init__(self, crossings, release: int, deadline: int, directions):
@@ -170,7 +90,7 @@ class TransferBook:
             key: tuple(
                 sorted(
                     listings,
-                    key=lambda l: (l.unit_price, l.start, l.listing_id),
+                    key=lambda l: (l.price_micromist_per_unit, l.start, l.listing_id),
                 )
             )
             for key, listings in directions.items()
@@ -238,11 +158,8 @@ class TransferBook:
                 f"{MAX_REDEEM_SECONDS}s redeem duration cap; no purchased "
                 "window on this grid could ever be redeemed"
             )
-        first = (
-            self.lattice.anchor
-            + (self.release - self.lattice.anchor) // step * step
-        )
-        count = -(-(self.deadline - first) // step)
+        first, last = self.lattice.cover(self.release, self.deadline)
+        count = (last - first) // step
         if count > MAX_SLOTS:
             raise InfeasibleTransfer(
                 f"transfer window spans {count} grid slots of {step}s, above "
@@ -253,21 +170,18 @@ class TransferBook:
             (first + i * step, first + (i + 1) * step) for i in range(count)
         )
 
-    def effective_window(self, slot: tuple[int, int]) -> tuple[int, int]:
-        """The slot clipped to ``[release, deadline)`` — payload time."""
-        return max(slot[0], self.release), min(slot[1], self.deadline)
-
     def effective_seconds(self, slot: tuple[int, int]) -> int:
-        start, expiry = self.effective_window(slot)
-        return max(0, expiry - start)
+        """Payload time: the slot's overlap with ``[release, deadline)``."""
+        return max(0, min(slot[1], self.deadline) - max(slot[0], self.release))
 
     # -- offers --------------------------------------------------------------------
 
     def covering(self, slot: tuple[int, int]) -> dict:
-        """Per direction, the listings covering the (purchase) slot."""
+        """Per direction, the listings covering the (purchase) slot — a slot
+        is on every listing's lattice, so covering is containment."""
         start, expiry = slot
         return {
-            key: tuple(l for l in listings if l.covers(start, expiry))
+            key: tuple(l for l in listings if l.start <= start and expiry <= l.expiry)
             for key, listings in self.directions.items()
         }
 
@@ -364,23 +278,14 @@ class TransferBook:
         self,
         max_rate_kbps: int | None = None,
         target_bytes: int | None = None,
-        plateau_skip: bool = True,
     ) -> list[list[SlotOption]]:
         """Per-slot option lists for the whole grid.
 
-        With ``plateau_skip`` (the default) the covering sets are computed
-        once per *segment* — a run of slots no listing edge crosses — and
-        whole option lists are shared between identically-clipped slots of
-        a segment; the naive path re-derives everything per slot (kept as
-        the benchmark baseline).
+        The covering sets are computed once per *segment* — a run of slots
+        no listing edge crosses — and whole option lists are shared between
+        identically-clipped slots of a segment; slot by slot through
+        :meth:`slot_options` gives the same lists.
         """
-        if not plateau_skip:
-            return [
-                self.slot_options(
-                    i, None, max_rate_kbps, target_bytes
-                )
-                for i in range(len(self.slots))
-            ]
         per_slot: list[list[SlotOption]] = [[] for _ in self.slots]
         cache: dict = {}
         for segment_id, indices in enumerate(self._segments()):
@@ -423,34 +328,3 @@ class TransferBook:
             for i in range(len(edges) - 1)
             if edges[i] < edges[i + 1]
         ]
-
-
-def book_from_indexer(
-    indexer, crossings, release: int, deadline: int, sync: bool = True
-) -> TransferBook:
-    """Snapshot a :class:`~repro.marketdata.MarketIndexer` into a book."""
-    if sync:
-        indexer.sync()
-    wanted: dict = {}
-    for hop, crossing in enumerate(crossings):
-        wanted[(hop, True)] = (
-            crossing.isd_as.isd,
-            crossing.isd_as.asn,
-            crossing.ingress,
-            True,
-        )
-        wanted[(hop, False)] = (
-            crossing.isd_as.isd,
-            crossing.isd_as.asn,
-            crossing.egress,
-            False,
-        )
-    directions: dict = {key: [] for key in wanted}
-    records = indexer.listings()
-    for key, index_key in wanted.items():
-        for record in records:
-            if record.key != index_key:
-                continue
-            if record.start < deadline and record.expiry > release:
-                directions[key].append(BookListing.from_indexed(record))
-    return TransferBook(crossings, release, deadline, directions)

@@ -4,7 +4,7 @@ Turns a :class:`~repro.transfers.request.DeadlineTransfer` into a
 :class:`~repro.transfers.request.TransferPlan` over a frozen
 :class:`~repro.transfers.book.TransferBook`:
 
-1. **Offer enumeration** — the book's plateau-skipping
+1. **Offer enumeration** — the book's segment-sharing
    ``all_slot_options`` yields, per grid slot, the pareto frontier of
    (rate, cost, payload) purchase options; the covering-listing search
    runs once per constant segment, not once per slot.
@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.transfers.book import TransferBook, book_from_indexer
+from repro.marketdata.query import direction_keys
+from repro.transfers.book import TransferBook
 from repro.transfers.oracle import OracleOverflow, solve_schedule
 from repro.transfers.request import (
     BYTES_PER_KBPS_SECOND,
@@ -54,37 +55,31 @@ class TransferPlanner:
 
     # -- public API ----------------------------------------------------------------
 
-    def book(self, transfer: DeadlineTransfer, sync: bool = True) -> TransferBook:
-        return book_from_indexer(
-            self.indexer,
-            transfer.crossings,
-            transfer.release,
-            transfer.deadline,
-            sync=sync,
+    def book(self, transfer: DeadlineTransfer) -> TransferBook:
+        """Snapshot the synced index into the book this transfer can buy from."""
+        self.indexer.sync()
+        keys = direction_keys(transfer.crossings)  # hop 0 in, hop 0 out, hop 1 in, ...
+        found = self.indexer.overlapping(keys, transfer.release, transfer.deadline)
+        directions = {
+            (position // 2, position % 2 == 0): found[key]
+            for position, key in enumerate(keys)
+        }
+        return TransferBook(
+            transfer.crossings, transfer.release, transfer.deadline, directions
         )
 
     def plan(
-        self,
-        transfer: DeadlineTransfer,
-        *,
-        sync: bool = True,
-        best_effort: bool = False,
-        exact_fallback: bool = True,
+        self, transfer: DeadlineTransfer, *, best_effort: bool = False
     ) -> TransferPlan:
         try:
-            book = self.book(transfer, sync=sync)
+            book = self.book(transfer)
         except InfeasibleTransfer:
             # No supply at all (e.g. the book sold out).  Structural
             # errors (IncompatibleGranularity) still propagate.
             if not best_effort:
                 raise
             return TransferPlan(transfer, ())
-        return self.plan_on_book(
-            book,
-            transfer,
-            best_effort=best_effort,
-            exact_fallback=exact_fallback,
-        )
+        return self.plan_on_book(book, transfer, best_effort=best_effort)
 
     def plan_on_book(
         self,
@@ -117,20 +112,16 @@ class TransferPlanner:
                 )
             except OracleOverflow:
                 at_target, fallback_best = None, None
-            if at_target is not None:
+            rescue = at_target
+            if rescue is None and fallback_best is not None and fallback_best.bytes > got:
+                rescue = fallback_best  # short of the target, but further than greedy
+            if rescue is not None:
                 chosen = {
                     i: option
-                    for i, option in enumerate(at_target.choices)
+                    for i, option in enumerate(rescue.choices)
                     if option is not None
                 }
-                got, spend = at_target.bytes, at_target.cost_mist
-            elif fallback_best is not None and fallback_best.bytes > got:
-                chosen = {
-                    i: option
-                    for i, option in enumerate(fallback_best.choices)
-                    if option is not None
-                }
-                got, spend = fallback_best.bytes, fallback_best.cost_mist
+                got, spend = rescue.bytes, rescue.cost_mist
         if got < target and not best_effort:
             raise InfeasibleTransfer(
                 f"cannot move {target} bytes by {transfer.deadline}: best "

@@ -8,6 +8,7 @@ from repro.admission import ACTIVE, AdmissionRejected, ScarcityPricer
 from repro.clock import SimClock
 from repro.contracts.coin import coin_balance
 from repro.controlplane import deploy_market
+from repro.invariants import check
 from repro.marketdata import ListingNotFound
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
 
@@ -35,12 +36,13 @@ def world():
     )[0]
     crossing = as_crossings(path)[1]
     service = deployment.service(crossing.isd_as)
-    return {
+    yield {
         "clock": clock,
         "deployment": deployment,
         "crossing": crossing,
         "service": service,
     }
+    check(deployment, clock.now())
 
 
 def open_auction(world, bandwidth_kbps=6_000, reserve_base=50):
@@ -162,26 +164,15 @@ class TestHostClientAuctions:
         crossing = world["crossing"]
         auction_id = open_auction(world, bandwidth_kbps=6_000)
         host = deployment.new_host(name="bidder")
-        found = host.find_auction(
-            deployment.marketplace, crossing.isd_as, crossing.ingress, True,
-            WINDOW[0], WINDOW[1], 2_500,
-        )
-        assert found is not None and found["auction"] == auction_id
+        index = host.indexer(deployment.marketplace)
+        isd_as = crossing.isd_as
+        ingress = (isd_as.isd, isd_as.asn, crossing.ingress, True)
+        found = index.find_auction([ingress], WINDOW[0], WINDOW[1], 2_500)
+        assert found is not None and found.auction_id == auction_id
         # Wrong direction / window / bandwidth: no cover.
-        assert (
-            host.find_auction(
-                deployment.marketplace, crossing.isd_as, crossing.ingress, False,
-                WINDOW[0], WINDOW[1], 2_500,
-            )
-            is None
-        )
-        assert (
-            host.find_auction(
-                deployment.marketplace, crossing.isd_as, crossing.ingress, True,
-                WINDOW[0], WINDOW[1] + 600, 2_500,
-            )
-            is None
-        )
+        egress = (isd_as.isd, isd_as.asn, crossing.ingress, False)
+        assert index.find_auction([egress], WINDOW[0], WINDOW[1], 2_500) is None
+        assert index.find_auction([ingress], WINDOW[0], WINDOW[1] + 600, 2_500) is None
         assert host.place_bid(
             deployment.marketplace, auction_id, 2_500, 9_000
         ).effects.ok
@@ -192,13 +183,7 @@ class TestHostClientAuctions:
         assert outcome.won and outcome.bandwidth_kbps == 2_500
         assert len(outcome.assets) == 1
         # The auction is no longer discoverable as open.
-        assert (
-            host.find_auction(
-                deployment.marketplace, crossing.isd_as, crossing.ingress, True,
-                WINDOW[0], WINDOW[1], 2_500,
-            )
-            is None
-        )
+        assert index.find_auction([ingress], WINDOW[0], WINDOW[1], 2_500) is None
 
     def test_place_bid_refuses_budgets_below_the_reserve(self, world):
         """A below-reserve bid could only lock its escrow and lose —

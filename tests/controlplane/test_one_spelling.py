@@ -118,3 +118,149 @@ def test_the_as_service_has_one_auctioned_rectangle_record():
         }
     ]
     assert records == ["AuctionedRectangle"]
+
+
+# -- the off-chain twin ----------------------------------------------------------
+#
+# ``repro.marketdata`` is the only place off-chain code learns what the
+# marketplace holds and what the contract will accept (PR 23): before it, hosts
+# replayed auction events beside the index, the transfer book copied the listing
+# record and its carve / price rule, two planners each scanned the whole index,
+# and the granule-lattice fold was written twice.
+
+
+def _scoped(tree):
+    """``(dotted enclosing scope, node)`` for every node of a module."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = [*scope, node.name]
+        yield ".".join(scope), node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    return visit(tree, [])
+
+
+def _src_sites(matches) -> set[str]:
+    """``package/module.py:scope`` of every node ``matches`` accepts in ``src/repro``."""
+    import repro
+
+    package = pathlib.Path(repro.__file__).parent
+    return {
+        f"{path.relative_to(package)}:{scope}"
+        for path in sorted(package.rglob("*.py"))
+        for scope, node in _scoped(ast.parse(path.read_text()))
+        if matches(node)
+    }
+
+
+def test_the_price_ceiling_and_the_lattice_fold_are_written_once_off_chain():
+    def ceiling(node) -> bool:  # ``... // MICROMIST`` or ``... // 1_000_000``
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.FloorDiv)
+            and (
+                (isinstance(node.right, ast.Name) and node.right.id == "MICROMIST")
+                or (isinstance(node.right, ast.Constant) and node.right.value == 1_000_000)
+            )
+        )
+
+    off_chain = {
+        site for site in _src_sites(ceiling)
+        # the authority the others predict: the contract and the escrow /
+        # payment rule it imports
+        if not site.startswith(("contracts/", "pathadm/auction.py"))
+    }
+    assert off_chain == {
+        "marketdata/query.py:price_mist",
+        "marketdata/indexer.py:_KeyIndex._evaluate",  # the same rule over arrays
+    }
+
+    def gcd(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "gcd"
+
+    assert _src_sites(gcd) == {"marketdata/query.py:fold_lattices"}
+
+    def imports_the_index(node) -> bool:
+        return isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "repro.marketdata"
+        )
+
+    # the index predicts the contract, never the other way round
+    assert not {
+        site for site in _src_sites(imports_the_index)
+        if site.startswith(("contracts/", "pathadm/", "ledger/"))
+    }
+
+
+def test_the_event_log_is_read_by_the_index_and_three_pollers():
+    def log_read(node) -> bool:  # ``<...>.ledger.events`` / ``ledger.events_since``
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("events", "events_since")
+            and (
+                getattr(node.value, "attr", None) == "ledger"
+                or getattr(node.value, "id", None) == "ledger"
+            )
+        )
+
+    assert _src_sites(log_read) == {
+        "marketdata/indexer.py:MarketIndexer.sync",
+        "controlplane/asclient.py:AsService.poll_bids",
+        "controlplane/asclient.py:AsService.poll_and_deliver",
+        # deliveries are per redeemer, not per marketplace: ROADMAP 1(c)
+        "controlplane/hostclient.py:HostClient.collect_reservations",
+    }
+    hostclient = next(path for path in SOURCES if path.name == "hostclient.py")
+    constructor = next(
+        node
+        for scope, node in _scoped(ast.parse(hostclient.read_text()))
+        if scope == "HostClient.__init__" and isinstance(node, ast.FunctionDef)
+    )
+    cursors = {
+        node.attr
+        for node in ast.walk(constructor)
+        if isinstance(node, ast.Attribute)
+        and any(word in node.attr for word in ("cursor", "checkpoint", "position"))
+    }
+    assert cursors == {"_delivery_checkpoint"}
+
+
+def test_off_chain_there_is_one_listing_record_one_auction_view_and_one_quote():
+    def record(node) -> bool:  # a class carrying a listing's carve rule
+        return isinstance(node, ast.ClassDef) and any(
+            isinstance(member, ast.FunctionDef) and member.name == "sellable"
+            for member in node.body
+        )
+
+    assert _src_sites(record) == {"marketdata/query.py:IndexedListing"}
+
+    def auction_fold(node) -> bool:  # code that branches on an auction event's name
+        return (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value in ("AuctionOpened", "PathLegContributed", "PathAuctionSettled")
+        )
+
+    assert {site.split(":")[0] for site in _src_sites(auction_fold)} == {
+        "contracts/market.py",  # emits them
+        "marketdata/indexer.py",  # folds them
+    }
+
+    def quote(node) -> bool:  # a record with one priced hop pair per crossing
+        return isinstance(node, ast.ClassDef) and {"hops", "offset"} <= {
+            field.target.id for field in node.body if isinstance(field, ast.AnnAssign)
+        }
+
+    assert _src_sites(quote) == {"marketdata/planner.py:PathQuote"}
+
+    def whole_index_scan(node) -> bool:  # ``indexer.listings()``: every row
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "listings"
+        )
+
+    # the invariant check compares every row on purpose; planners ask by key
+    assert _src_sites(whole_index_scan) == {"invariants.py:_index_breaches"}

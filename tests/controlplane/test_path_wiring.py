@@ -13,6 +13,7 @@ from repro.controlplane import (
     purchase_path,
     settle_path_auction,
 )
+from repro.invariants import check
 from repro.marketdata import BudgetExceeded
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
 
@@ -39,7 +40,8 @@ def world():
         topology.ases[-1].isd_as, topology.ases[0].isd_as
     )[0]
     crossings = as_crossings(path)
-    return {"clock": clock, "deployment": deployment, "crossings": crossings}
+    yield {"clock": clock, "deployment": deployment, "crossings": crossings}
+    check(deployment, clock.now())
 
 
 def open_path(world, bandwidth_kbps=LEG_KBPS):

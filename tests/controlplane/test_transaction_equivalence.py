@@ -252,7 +252,7 @@ class _Script:
         bob = self.host("bob")
         plan = bob.plan_path(self.marketplace, self.spec(POSTED, 2_000, flex_start=120))
         guarded = bob.atomic_buy_and_redeem(
-            self.marketplace, plan, max_price_mist=plan.estimated_price_mist
+            self.marketplace, plan, max_price_mist=plan.price_mist
         )
         assert guarded.effects.ok, guarded.effects.error
 
@@ -261,7 +261,7 @@ class _Script:
         plan = carol.plan_path(self.marketplace, self.spec(POSTED, 4_000))
         self.relist(self.crossings[1], 50)
         substituted = carol.atomic_buy_and_redeem(
-            self.marketplace, plan, max_price_mist=plan.estimated_price_mist
+            self.marketplace, plan, max_price_mist=plan.price_mist
         )
         assert substituted.effects.ok, substituted.effects.error
         self.deliver("bob", "carol")
@@ -273,7 +273,7 @@ class _Script:
         checkpoint = self.deployment.ledger.checkpoint
         with pytest.raises(BudgetExceeded):
             dave.atomic_buy_and_redeem(
-                self.marketplace, plan, max_price_mist=plan.estimated_price_mist
+                self.marketplace, plan, max_price_mist=plan.price_mist
             )
         assert self.deployment.ledger.checkpoint == checkpoint
 

@@ -375,28 +375,18 @@ class IndexerMachine(RuleBasedStateMachine):
         """The two auction reads as ``host`` answers them: every open auction
         as ``(id, is a path auction, legs)`` in arrival order, and the id of
         the auction found for ``(directions, start, expiry, kbps)``."""
-        marketplace = self.market.marketplace
+        index = host.indexer(self.market.marketplace)
         opened = [
-            (snapshot["auction"], False, (_leg(snapshot),))
-            for snapshot in host.open_auctions(marketplace)
-        ] + [
-            (
-                book["path_auction"],
-                True,
-                tuple(_leg(book["legs"].get(i)) for i in range(book["num_legs"])),
-            )
-            for book in host.open_path_auctions(marketplace)
+            (auction.auction_id, auction.is_path, auction.legs)
+            for auction in index.open_auctions()
         ]
 
         def find(directions, start, expiry, kbps):
-            if len(directions) == 1:
-                found = host.find_auction(
-                    marketplace, AS19, *directions[0], start, expiry, kbps
-                )
-                return None if found is None else found["auction"]
-            crossings = list(CROSSINGS[: len(directions) // 2])
-            found = host.find_path_auction(marketplace, crossings, start, expiry, kbps)
-            return None if found is None else found["path_auction"]
+            found = index.find_auction(
+                [(AS19.isd, AS19.asn, *direction) for direction in directions],
+                start, expiry, kbps,
+            )
+            return None if found is None else found.auction_id
 
         return opened, find
 
@@ -464,7 +454,11 @@ class IndexerMachine(RuleBasedStateMachine):
         }
         assert not set(settlements) & {auction_id for auction_id, _, _ in opened}
         for bidder in self.bidders:
+            # on its own a fresh client folds the log from event 0; the
+            # machine's index has been folding it a step at a time
             fresh = HostClient(bidder.account, self.executor)
+            self._auction_reads_match(fresh, opened, settlements)
+            fresh.attach_indexer(self.market.marketplace, self.indexer)
             self._auction_reads_match(fresh, opened, settlements)
 
 

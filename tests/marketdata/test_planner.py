@@ -7,6 +7,7 @@ from tests.conftest import T0
 from repro.admission import ScarcityPricer
 from repro.clock import SimClock
 from repro.controlplane import deploy_market, purchase_path
+from repro.invariants import check
 from repro.marketdata import (
     BudgetExceeded,
     IncompatibleGranularity,
@@ -65,7 +66,8 @@ def valley_world():
                 MARKET_BW, *PEAK, BASE_PRICE,
             )
             assert restocked.effects.ok
-    return {"deployment": deployment, "crossings": crossings}
+    yield {"deployment": deployment, "crossings": crossings}
+    check(deployment, clock.now())
 
 
 class TestFlexValley:
@@ -155,7 +157,7 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             host.atomic_buy_and_redeem(
                 deployment.marketplace, plan,
-                max_price_mist=plan.estimated_price_mist - 1,
+                max_price_mist=plan.price_mist - 1,
             )
         # Refused client-side: nothing reached the ledger.
         assert deployment.ledger.checkpoint == checkpoint
@@ -180,7 +182,7 @@ class TestBudget:
             deployment.marketplace,
             PathSpec.from_crossings(crossings, T0 + 600, T0 + 1200, 4000),
         )
-        budget = plan.estimated_price_mist
+        budget = plan.price_mist
 
         # Between plan and buy, the seller yanks a planned listing and
         # relists the same asset at double the price.
@@ -212,6 +214,7 @@ class TestBudget:
                 deployment.marketplace, plan, max_price_mist=budget
             )
         assert deployment.ledger.checkpoint == checkpoint  # nothing submitted
+        check(deployment, clock.now())
 
     def test_guard_substitutes_same_price_replacement_and_buys(self):
         """The planned listing vanishes but an equally priced replacement
@@ -257,9 +260,10 @@ class TestBudget:
         assert relisted.effects.ok
         submitted = host.atomic_buy_and_redeem(
             deployment.marketplace, plan,
-            max_price_mist=plan.estimated_price_mist,
+            max_price_mist=plan.price_mist,
         )
         assert submitted.effects.ok  # bought via the substituted listing
+        check(deployment, clock.now())
 
     def test_indexer_best_rejects_planner_only_fields(self, valley_world):
         from repro.marketdata import ListingQuery

@@ -240,7 +240,7 @@ class TestEconomicFairnessC2:
             deployment.marketplace,
             PathSpec.from_crossings([crossing], start, start + 240, 4000),
         )
-        single_price = plan.estimated_price_mist
+        single_price = plan.price_mist
 
         sybil_total = 0
         for i in range(4):
@@ -251,7 +251,7 @@ class TestEconomicFairnessC2:
                     [crossing], start + 240 * (i + 1), start + 240 * (i + 2), 1000
                 ),
             )
-            sybil_total += plan.estimated_price_mist
+            sybil_total += plan.price_mist
         # 4 x (1000 kbps x 240 s) == 1 x (4000 kbps x 240 s): same volume,
         # same cost — splitting across accounts buys nothing.
         assert sybil_total == single_price

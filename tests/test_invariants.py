@@ -1,21 +1,30 @@
-"""repro.invariants.check: a calendar is a replay of its records, within its limit."""
+"""repro.invariants.check: a calendar is a replay of its records, within its
+limit; the market index is a replay of the events and a scan of the objects."""
 
 from types import SimpleNamespace
 
 import pytest
 
+from tests.marketdata.conftest import RawMarket
+
 from repro.admission import ACTIVE, AdmissionController, OverbookingPolicy
 from repro.invariants import InvariantBreach, check
+from repro.ledger.chain import Ledger
+from repro.marketdata import MarketIndexer
 
 GEOMETRIES = [pytest.param(None, id="unbounded"), pytest.param(100.0, id="sharded")]
 
 
-def _deployment(**controllers):
+def _deployment(ledger=None, marketplace="m", **controllers):
+    ledger = ledger if ledger is not None else Ledger()
     return SimpleNamespace(
         services={
             name: SimpleNamespace(admission=controller)
             for name, controller in controllers.items()
-        }
+        },
+        ledger=ledger,
+        marketplace=marketplace,
+        indexer=MarketIndexer(ledger, marketplace),
     )
 
 
@@ -53,3 +62,53 @@ def test_the_limit_is_the_policy_factor_and_every_breach_is_listed():
     assert len(caught.value.breaches) == 2
     assert "AS strict issued interface 1 ingress" in caught.value.breaches[0]
     assert "over 1.5 x 1000 kbps" in caught.value.breaches[1]
+
+
+def _market():
+    market = RawMarket()
+    kept = market.issue_and_list(1, True, 10_000, 0, 3600)
+    return market, kept, _deployment(market.ledger, market.marketplace)
+
+
+def test_an_index_that_folded_every_event_holds():
+    market, kept, deployment = _market()
+    market.buy(kept, 600, 1200, 2_000)  # a carve in the middle: three rows
+    asset = market.run(
+        market.seller, "asset", "issue",
+        token=market.token, bandwidth_kbps=4_000, start=0, expiry=600, interface=2,
+        is_ingress=True, granularity=60, min_bandwidth_kbps=100,
+    ).returns[0]["asset"]
+    market.run(
+        market.seller, "market", "create_auction",
+        marketplace=market.marketplace, asset=asset, reserve_micromist_per_unit=40,
+    )
+    market.run(
+        market.seller, "market", "create_path_auction",
+        marketplace=market.marketplace, num_legs=2,
+    )
+    check(deployment, now=0)
+    assert deployment.indexer.count == 3 and len(deployment.indexer.open_auctions()) == 2
+
+
+def test_a_row_kept_after_its_listing_died_is_a_breach():
+    market, kept, deployment = _market()
+    deployment.indexer.sync()
+    assert market.cancel(kept).ok
+    deployment.indexer._position = len(market.ledger.events)  # slept through Delisted
+    with pytest.raises(InvariantBreach) as caught:
+        check(deployment, now=0)
+    assert len(caught.value.breaches) == 2
+    assert f"index row {kept}" in caught.value.breaches[0]
+    assert caught.value.breaches[0].endswith("replays to None")
+    assert caught.value.breaches[1].endswith("the object store holds None")
+
+
+def test_an_auction_the_index_never_saw_is_a_breach():
+    market, _, deployment = _market()
+    market.run(
+        market.seller, "market", "create_path_auction",
+        marketplace=market.marketplace, num_legs=2,
+    )
+    deployment.indexer._position = len(market.ledger.events)  # cursor past the event
+    with pytest.raises(InvariantBreach, match=r"open auctions \[\], replays to \[OpenAuction"):
+        check(deployment, now=0)

@@ -4,14 +4,15 @@ PR 20 turned every netsim experiment option that no call site in the
 repository passed into a named constant and left a test behind
 (``tests/netsim/test_one_harness.py``) that fails on a defaulted experiment
 parameter without a caller.  This is that ``ast`` walk, lifted to cover every
-public function, method and constructor of ``repro.controlplane`` and
-``repro.reclaim`` as well: an option comes back only together with the caller
-that needs it; the paper's own knobs are allow-listed with the reason each
-stays.
+public function, method and constructor of ``repro.controlplane``,
+``repro.reclaim``, ``repro.marketdata`` and ``repro.transfers`` as well: an
+option comes back only together with the caller that needs it; the paper's own
+knobs are allow-listed with the reason each stays.
 
 The second half is the zero-reference end of the same idea: every public
 ``def`` / ``class`` under ``src/repro/`` is named somewhere other than its own
-definition.
+definition, and every public attribute a ``controlplane`` / ``marketdata``
+constructor assigns is read somewhere, not only written and appended to.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ CALLERS = ("src", "tests", "examples", "benchmarks", "tools")
 AUDITED = [
     *sorted((PACKAGE / "controlplane").glob("*.py")),
     *sorted((PACKAGE / "reclaim").glob("*.py")),
+    *sorted((PACKAGE / "marketdata").glob("*.py")),
+    *sorted((PACKAGE / "transfers").glob("*.py")),
     PACKAGE / "netsim" / "scenarios.py",
     PACKAGE / "netsim" / "deadline.py",
 ]
@@ -200,3 +203,60 @@ def test_every_public_name_is_referenced_outside_its_definition():
     # every definition is one occurrence of its own name
     dead = sorted(name for name, count in defined.items() if named[name] <= count)
     assert not dead, dead
+
+
+# Receiver-only uses: ``self.log.append(x)`` and ``self.table[key] = x`` write.
+MUTATORS = {"append", "extend", "add", "update", "setdefault", "pop", "clear", "remove"}
+
+
+def test_every_public_instance_attribute_is_read_somewhere():
+    """``AsService.settlements`` / ``path_settlements`` were assigned in
+    ``__init__``, appended to at every settle and read by nothing (the settle
+    methods *return* the records).  A public ``self.x`` a constructor under
+    ``controlplane/`` or ``marketdata/`` assigns has a reader: a load of ``.x``
+    in ``src/``, tests, examples, benchmarks or tools that is not just the
+    receiver of a mutating call or of an item assignment — or the docs name it
+    in a code span."""
+    assigned = set()
+    for package in ("controlplane", "marketdata"):
+        for path in sorted((PACKAGE / package).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    assigned.update(
+                        target.attr
+                        for statement in ast.walk(node)
+                        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+                        for target in getattr(statement, "targets", None) or [statement.target]
+                        if isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                        and not target.attr.startswith("_")
+                    )
+    assert {"open_auctions", "undeliverable", "events_applied"} <= assigned
+
+    read = set()
+    for _, tree in _trees():
+        parents = {
+            child: parent for parent in ast.walk(tree) for child in ast.iter_child_nodes(parent)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            parent = parents.get(node)
+            mutated = (
+                isinstance(parent, ast.Attribute)
+                and parent.attr in MUTATORS
+                and isinstance(parents.get(parent), ast.Call)
+                and parents[parent].func is parent
+            ) or (
+                isinstance(parent, ast.Subscript)
+                and parent.value is node
+                and not isinstance(parent.ctx, ast.Load)
+            )
+            if not mutated:
+                read.add(node.attr)
+    word = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    for path in [*ROOT.glob("docs/*.md"), ROOT / "README.md"]:
+        for span in re.findall(r"`[^`\n]+`", path.read_text()):
+            read.update(word.findall(span))
+    assert not sorted(assigned - read), sorted(assigned - read)

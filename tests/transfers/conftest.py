@@ -5,10 +5,10 @@ from __future__ import annotations
 import random
 from types import SimpleNamespace
 
+from repro.marketdata import IndexedListing
 from repro.transfers import (
     BYTES_PER_KBPS_SECOND,
     MAX_REDEEM_SECONDS,
-    BookListing,
     DeadlineTransfer,
     TransferBook,
 )
@@ -28,15 +28,23 @@ def make_listing(
     bandwidth_kbps: int = 1000,
     granularity: int = 60,
     min_bandwidth_kbps: int = 100,
-) -> BookListing:
-    return BookListing(
+) -> IndexedListing:
+    """The index's own record; a book reads its rectangle and unit price only."""
+    return IndexedListing(
         listing_id=lid,
-        unit_price=price,
+        asset_id=f"asset-{lid}",
+        marketplace="m",
+        seller="s",
+        price_micromist_per_unit=price,
+        isd=1,
+        asn=0,
+        interface=1,
+        is_ingress=True,
         bandwidth_kbps=bandwidth_kbps,
-        min_bandwidth_kbps=min_bandwidth_kbps,
         start=start,
         expiry=expiry,
         granularity=granularity,
+        min_bandwidth_kbps=min_bandwidth_kbps,
     )
 
 
@@ -149,10 +157,10 @@ def check_plan_wellformed(book: TransferBook, plan) -> None:
                     assert left.expiry == right.start, "pieces not adjacent"
                 for piece in pieces:
                     listing = book.by_id[piece.listing_id]
-                    assert listing.covers(piece.start, piece.expiry)
+                    # inside the asset, both ends on its granule lattice
+                    window = (piece.start, piece.expiry)
+                    assert listing.align(*window) == window
                     assert listing.sellable(leg.rate_kbps)
-                    assert (piece.start - listing.start) % listing.granularity == 0
-                    assert (piece.expiry - listing.start) % listing.granularity == 0
                     assert piece.price_mist == listing.price_for(
                         leg.rate_kbps, piece.start, piece.expiry
                     )

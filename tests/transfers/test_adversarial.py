@@ -80,7 +80,7 @@ def test_valley_narrower_than_granule_is_invisible():
 
 def test_plateau_only_book_collapses_to_one_segment():
     """Uniform full-span listings: the whole horizon is one covering
-    plateau, and plateau-skip must return the same options as the naive
+    plateau, and segment sharing must return the same options as the
     per-slot search."""
     release, deadline = T0, T0 + 600
     directions = {
@@ -90,9 +90,9 @@ def test_plateau_only_book_collapses_to_one_segment():
     book = make_book(directions, release, deadline)
     assert len(book._segments()) == 1
     target = 1000 * 600 * BYTES_PER_KBPS_SECOND // 2
-    skip = book.all_slot_options(target_bytes=target, plateau_skip=True)
-    naive = book.all_slot_options(target_bytes=target, plateau_skip=False)
-    assert skip == naive
+    assert book.all_slot_options(target_bytes=target) == [
+        book.slot_options(i, None, None, target) for i in range(len(book.slots))
+    ]
     plan = planner.plan_on_book(book, _transfer(target, release, deadline))
     check_plan_wellformed(book, plan)
     assert plan.meets_request
@@ -115,9 +115,9 @@ def test_plateau_skip_equals_naive_on_staggered_book():
     book = make_book(directions, release, deadline)
     assert len(book._segments()) > 1
     target = 1000 * 480 * BYTES_PER_KBPS_SECOND // 3
-    skip = book.all_slot_options(target_bytes=target, plateau_skip=True)
-    naive = book.all_slot_options(target_bytes=target, plateau_skip=False)
-    assert skip == naive
+    assert book.all_slot_options(target_bytes=target) == [
+        book.slot_options(i, None, None, target) for i in range(len(book.slots))
+    ]
 
 
 def test_segment_sharing_equals_the_per_slot_derivation_on_random_books():

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.marketdata import IndexedListing
-from repro.marketdata.planner import _joint_window
+from repro.marketdata import IndexedListing, Lattice, fold_lattices
+from repro.marketdata.planner import _pair_window
 from repro.transfers import (
     BYTES_PER_KBPS_SECOND,
     DeadlineTransfer,
     IncompatibleGranularity,
-    Lattice,
     TransferPlanner,
-    fold_lattices,
 )
 from repro.transfers.oracle import offline_optimum
 
@@ -179,7 +177,8 @@ def test_a_pair_window_is_the_fold_floored_and_ceiled_and_what_brute_force_finds
     first, second, start, length
 ):
     """The smallest window around ``[start, expiry)`` that both listings sell:
-    by the planner, by folding the two lattices, and by trying every instant."""
+    by the planner — the fold of the two lattices, floored and ceiled — and
+    by trying every instant."""
     expiry = start + length
     lo, hi = max(first.start, second.start), min(first.expiry, second.expiry)
     shared = [
@@ -191,16 +190,4 @@ def test_a_pair_window_is_the_fold_floored_and_ceiled_and_what_brute_force_finds
     floors = [instant for instant in shared if instant <= start]
     ceilings = [instant for instant in shared if instant >= expiry]
     brute = (max(floors), min(ceilings)) if floors and ceilings else None
-    assert _joint_window(first, second, (start, expiry)) == brute
-
-    folded = fold_lattices(
-        Lattice(first.start % first.granularity, first.granularity),
-        Lattice(second.start % second.granularity, second.granularity),
-    )
-    by_fold = None
-    if folded is not None:
-        floor = folded.anchor + (start - folded.anchor) // folded.step * folded.step
-        ceiling = folded.anchor - (folded.anchor - expiry) // folded.step * folded.step
-        if lo <= floor and ceiling <= hi:
-            by_fold = (floor, ceiling)
-    assert by_fold == brute
+    assert _pair_window(first, second, start, expiry) == brute
