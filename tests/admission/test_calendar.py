@@ -101,6 +101,33 @@ class TestPointOperations:
         assert calendar.tag_peak("bob", 0, 150) == 400
         assert calendar.tag_peak("carol", 0, 150) == 0
 
+    @settings(max_examples=40)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 100),  # bandwidth
+                st.integers(0, 300),  # start
+                st.integers(1, 60),  # length
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_peak_matches_brute_force(self, rows):
+        """The step function agrees with per-unit-time brute force."""
+        calendar = CapacityCalendar(10**9)
+        for bandwidth, start, length in rows:
+            calendar.commit(bandwidth, start, start + length)
+        horizon = max(start + length for _, start, length in rows) + 2
+        brute = [0] * horizon
+        for bandwidth, start, length in rows:
+            for t in range(start, start + length):
+                brute[t] += bandwidth
+        for window_start in range(0, horizon - 1, 7):
+            window_end = min(window_start + 13, horizon)
+            expected = max(brute[window_start:window_end])
+            assert calendar.peak_commitment(window_start, window_end) == expected
+
 
 INF, NAN = float("inf"), float("nan")
 GEOMETRIES = [pytest.param(None, id="unbounded"), pytest.param(100.0, id="sharded")]
@@ -123,7 +150,7 @@ class TestOneValidation:
     def _busy(shard_seconds):
         calendar = CapacityCalendar(1000, shard_seconds)
         calendar.commit(300, 50, 250, "a")
-        calendar.commit_batch([100], [120.0], [130.0], track=False)
+        calendar.commit(100, 120.0, 130.0)
         calendar.expire(110)
         return calendar
 
@@ -157,10 +184,13 @@ def test_a_commitment_comes_back_as_it_was_given_at_either_geometry():
         calendar = CapacityCalendar(1000, shard_seconds)
         first = calendar.commit(300, 0, 250, "a")
         second = calendar.try_commit(200, 50.5, 150, "b")
-        batch = calendar.commit_batch([5, 7], [10, 20], [120, 30.5])
+        third = calendar.commit(5, 10, 120)
+        fourth = calendar.commit(7, 20, 30.5)
         shrunk = calendar.reclaim(first.commitment_id, 100)
         released = calendar.release(second.commitment_id)
-        histories.append([first, second, *batch, shrunk, released, *calendar.commitments()])
+        histories.append(
+            [first, second, third, fourth, shrunk, released, *calendar.commitments()]
+        )
     unbounded, sharded = histories
     assert unbounded == sharded
     assert repr(unbounded) == repr(sharded)  # same types: 0 stays 0, not 0.0
@@ -259,30 +289,3 @@ class TestBulkPath:
         assert calendar.peak_commitment(0, 50) == 300
         calendar.release(commitments[0].commitment_id)
         assert calendar.peak_commitment(0, 50) == 200
-
-    @settings(max_examples=40)
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(1, 100),  # bandwidth
-                st.integers(0, 300),  # start
-                st.integers(1, 60),  # length
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    def test_peak_matches_brute_force(self, rows):
-        """The step function agrees with per-unit-time brute force."""
-        calendar = CapacityCalendar(10**9)
-        for bandwidth, start, length in rows:
-            calendar.commit(bandwidth, start, start + length)
-        horizon = max(start + length for _, start, length in rows) + 2
-        brute = [0] * horizon
-        for bandwidth, start, length in rows:
-            for t in range(start, start + length):
-                brute[t] += bandwidth
-        for window_start in range(0, horizon - 1, 7):
-            window_end = min(window_start + 13, horizon)
-            expected = max(brute[window_start:window_end])
-            assert calendar.peak_commitment(window_start, window_end) == expected

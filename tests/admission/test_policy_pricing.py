@@ -27,7 +27,7 @@ class TestFirstComeFirstServed:
         policy = FirstComeFirstServed()
         calendar = CapacityCalendar(1000)
         decision = policy.admit(calendar, AdmissionRequest(600, 0, 100))
-        policy.release(calendar, decision)
+        calendar.release(decision.commitment.commitment_id)
         assert policy.admit(calendar, AdmissionRequest(1000, 0, 100)).admitted
 
     def test_admit_batch_matches_sequential(self):
