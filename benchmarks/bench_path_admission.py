@@ -58,7 +58,8 @@ def _hop_controller(
     seed: int,
     telemetry: bool | None = None,
 ):
-    """One AS's controller with both crossed directions preloaded."""
+    """One AS's controller with both crossed directions preloaded, one
+    ``commit`` per background reservation."""
     controller = AdmissionController(
         CAPACITY_KBPS, shard_seconds=shard_seconds, telemetry=telemetry
     )
@@ -67,9 +68,11 @@ def _hop_controller(
         starts = rng.uniform(0, HORIZON, preload)
         durations = rng.uniform(60, 7200, preload)
         bandwidths = rng.integers(100, 4000, preload)
-        controller.calendar(interface, is_ingress, ISSUED).commit_batch(
-            bandwidths, starts, starts + durations, track=False
-        )
+        calendar = controller.calendar(interface, is_ingress, ISSUED)
+        for bandwidth, start, end in zip(
+            bandwidths.tolist(), starts.tolist(), (starts + durations).tolist()
+        ):
+            calendar.commit(bandwidth, start, end)
     return controller
 
 

@@ -15,15 +15,9 @@ Two layers, one of each:
   until the next one (a sentinel boundary at ``-inf`` carries level 0).
   Point operations — one add, one peak query — touch only the handful of
   boundaries a window overlaps, where interpreter-side ``bisect`` +
-  ``list.insert`` beats an ndarray representation outright: numpy pays
-  ~1-2 us of dispatch per call, which dwarfs the actual work on spans this
-  small, while a list insert is a single pointer memmove.  Bulk queries
-  take the opposite trade: they compile the step function into cached
-  numpy arrays (levels plus per-block maxima) and answer thousands of
-  windows per call with ``searchsorted`` + three ``maximum.reduceat``
-  passes — a two-level range maximum that costs ``O(B + k/B)`` per window
-  (block size ``B``); bulk loads rebuild the whole function from merged
-  boundary deltas in one vectorized pass.
+  ``list.insert`` beats an array representation outright: a vectorized
+  call pays ~1-2 us of dispatch, which dwarfs the actual work on spans this
+  small, while a list insert is a single pointer memmove.
 * :class:`CapacityCalendar` is the commitment ledger: it owns everything a
   commitment *is* — the :class:`Commitment` records, their ids, the tag
   index, the end-shard index, validation — and *projects* each commit,
@@ -41,6 +35,11 @@ before it may under-report.  Admission only ever asks about the present
 and future, where every geometry answers identically — the property
 ``tests/admission/test_sharded_property.py`` drives against a brute-force
 reference.
+
+Admission decides one request at a time — each asset an AS issues, each
+reservation it grants — so a calendar has no batch path: every level it
+holds belongs to a :class:`Commitment` record, and from ``now`` on a fresh
+calendar committing ``commitments()`` answers like this one.
 """
 
 from __future__ import annotations
@@ -51,36 +50,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 _NEG_INF = float("-inf")
 _INF = float("inf")
-
-
-def _ranged_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per-pair ``max(values[lo:hi])``; -1 marks empty ranges (levels are >= 0).
-
-    ``reduceat`` reduces *every* consecutive index pair, including the gaps
-    between our queries, so the queries are first sorted by ``lo``: the gap
-    ranges then telescope to at most one pass over ``values`` total, instead
-    of an arbitrary span per query.  Empty queries collapse to an equal pair
-    (``reduceat`` charges nothing for those) and are masked to -1.
-    """
-    valid = hi > lo
-    if not valid.any():
-        return np.full(lo.shape, -1, dtype=np.int64)
-    order = np.argsort(lo, kind="stable")
-    lo_sorted = np.minimum(lo[order], values.size - 1)
-    hi_sorted = np.where(valid[order], hi[order], lo_sorted)
-    pairs = np.empty(2 * lo_sorted.size, dtype=np.intp)
-    pairs[0::2] = lo_sorted
-    pairs[1::2] = hi_sorted
-    out_sorted = np.where(
-        valid[order], np.maximum.reduceat(values, pairs)[0::2], -1
-    )
-    out = np.empty_like(out_sorted)
-    out[order] = out_sorted
-    return out
 
 
 class StepFunction:
@@ -92,14 +63,11 @@ class StepFunction:
     oracle in :mod:`repro.pathadm.fingerprint`).
     """
 
-    __slots__ = ("times", "levels", "_compiled")
-
-    _BLOCK = 128  # two-level range-max block size (~sqrt of typical k)
+    __slots__ = ("times", "levels")
 
     def __init__(self) -> None:
         self.times: list[float] = [_NEG_INF]
         self.levels: list[int] = [0]
-        self._compiled: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def peak(self, start: float, end: float) -> int:
         """Maximum level anywhere in ``[start, end)``."""
@@ -135,55 +103,6 @@ class StepFunction:
         if levels[lo] == levels[lo - 1]:
             del times[lo]
             del levels[lo]
-        self._compiled = None
-
-    def add_batch(self, deltas: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
-        """Add many windows in ``O((n + m) log(n + m))``: the step function is
-        rebuilt from merged boundary deltas instead of one insert a window."""
-        old_times = np.array(self.times[1:], dtype=np.float64)
-        old_deltas = np.diff(np.array(self.levels, dtype=np.int64))
-        times = np.concatenate([old_times, starts, ends])
-        merged_deltas = np.concatenate([old_deltas, deltas, -deltas])
-        unique_times, inverse = np.unique(times, return_inverse=True)
-        merged = np.zeros(unique_times.size, dtype=np.int64)
-        np.add.at(merged, inverse, merged_deltas)
-        change = merged != 0  # drop boundaries that no longer change the level
-        self.times = [_NEG_INF, *unique_times[change].tolist()]
-        self.levels = [0, *np.cumsum(merged[change]).tolist()]
-        self._compiled = None
-
-    def bulk_peak(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`peak` over parallel window arrays.
-
-        Compiles the step function once (cached until the next mutation),
-        locates every window with two ``searchsorted`` passes, then takes
-        the range maximum two-level: whole blocks through the precompiled
-        per-block maxima, partial blocks at the edges through the raw
-        levels.  Per window that is ``O(B + k/B)`` instead of ``O(k)``, so
-        throughput holds up when single windows overlap thousands of
-        boundaries.
-        """
-        block = self._BLOCK
-        if self._compiled is None:
-            times = np.array(self.times, dtype=np.float64)
-            levels = np.array(self.levels, dtype=np.int64)
-            blocks = -(-times.size // block)
-            padded = np.full(blocks * block, -1, dtype=np.int64)
-            padded[: times.size] = levels
-            block_max = padded.reshape(blocks, block).max(axis=1)
-            # One pad element each makes index == len valid for reduceat.
-            self._compiled = (
-                times, np.append(levels, levels[-1]), np.append(block_max, -1)
-            )
-        times, levels, block_max = self._compiled
-        lo = np.searchsorted(times, starts, side="right") - 1
-        hi = np.searchsorted(times, ends, side="left")
-        lo_block = -(-lo // block)  # first whole block inside the range
-        hi_block = hi // block  # first block past the whole-block run
-        left = _ranged_max(levels, lo, np.minimum(hi, lo_block * block))
-        right = _ranged_max(levels, np.maximum(lo, hi_block * block), hi)
-        inner = _ranged_max(block_max, lo_block, hi_block)
-        return np.maximum(np.maximum(left, right), inner)
 
 
 class AdmissionRejected(RuntimeError):
@@ -206,8 +125,9 @@ class Commitment:
 
 
 def _check_window(start: float, end: float) -> None:
-    if end <= start:
-        raise ValueError(f"empty window [{start}, {end})")
+    """The one window rule for queries and commits alike: finite, non-empty."""
+    if not _NEG_INF < start < end < _INF:  # false for a NaN as well
+        raise ValueError(f"window [{start}, {end}) must be finite and non-empty")
 
 
 def _sorted_index(index: dict) -> tuple:
@@ -347,43 +267,6 @@ class CapacityCalendar:
             peak = max(peak, level)
         return peak
 
-    def bulk_peak(self, starts, ends) -> np.ndarray:
-        """Vectorized :meth:`peak_commitment` over parallel window arrays.
-
-        Query windows are partitioned per shard: each shard sees only the
-        windows overlapping its slot, clipped to it, and answers them with
-        one :meth:`StepFunction.bulk_peak` pass; the per-shard answers
-        reduce into the output with ``np.maximum``.
-        """
-        starts = np.asarray(starts, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.float64)
-        if starts.shape != ends.shape:
-            raise ValueError("starts and ends must have the same shape")
-        out = np.zeros(starts.shape, dtype=np.int64)
-        if starts.size == 0:
-            return out
-        if not np.all(ends > starts):
-            raise ValueError("every window must satisfy end > start")
-        for key, lo, hi in self._pieces(float(starts.min()), float(ends.max()), existing=True):
-            shard = self._shards.get(key)
-            if shard is None:
-                continue
-            mask = (starts < hi) & (ends > lo)
-            if mask.any():
-                out[mask] = np.maximum(
-                    out[mask],
-                    shard.bulk_peak(np.maximum(starts[mask], lo), np.minimum(ends[mask], hi)),
-                )
-        return out
-
-    def bulk_admissible(self, bandwidth_kbps, starts, ends) -> np.ndarray:
-        """Boolean mask: would each window still fit ``bandwidth_kbps``?
-
-        ``bandwidth_kbps`` may be a scalar or a per-window array.
-        """
-        bandwidth = np.asarray(bandwidth_kbps, dtype=np.int64)
-        return self.bulk_peak(starts, ends) + bandwidth <= self.capacity_kbps
-
     # -- mutations ----------------------------------------------------------------
 
     def admit(self, bandwidth_kbps: int, start: float, end: float, tag: str = "") -> Commitment:
@@ -427,63 +310,6 @@ class CapacityCalendar:
         self._check_commitment(bandwidth_kbps, start, end)
         return self._record(bandwidth_kbps, start, end, tag, self._pieces(start, end))
 
-    def commit_batch(self, bandwidths, starts, ends, tag: str = "", track: bool = True):
-        """Bulk-load many commitments, one vectorized pass per shard.
-
-        Rows are partitioned by the slot their (remaining) window starts
-        in; each shard takes its pieces in a single
-        :meth:`StepFunction.add_batch`, and rows extending past the slot
-        edge carry over to the next round clipped at the boundary — total
-        work is proportional to the number of *pieces*.  With
-        ``track=False`` the individual :class:`Commitment` records are not
-        kept (they could not be released individually) — the mode
-        benchmarks and scenario generators use to load 10^5..10^6
-        reservations in one call.
-        """
-        bandwidths = np.asarray(bandwidths, dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.float64)
-        ends = np.asarray(ends, dtype=np.float64)
-        if not (bandwidths.shape == starts.shape == ends.shape):
-            raise ValueError("bandwidths, starts and ends must be parallel arrays")
-        if bandwidths.size == 0:
-            return [] if track else None
-        if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
-            raise ValueError("commitment window must be finite")
-        if not np.all(ends > starts) or not np.all(bandwidths > 0):
-            raise ValueError("every commitment needs end > start and bandwidth > 0")
-        widest = int(np.argmax(ends - starts))
-        self._check_span(float(starts[widest]), float(ends[widest]))
-        width = self.shard_seconds
-        cursor = starts, ends, bandwidths
-        if width is not None and self._floor * width > starts.min():
-            # Rows reaching behind the watermark project only what is ahead of it.
-            clipped = np.maximum(starts, self._floor * width)
-            ahead = clipped < ends
-            cursor = clipped[ahead], ends[ahead], bandwidths[ahead]
-        while cursor[0].size:
-            cursor_starts, cursor_ends, cursor_bandwidths = cursor
-            if width is None:
-                keys = np.zeros(cursor_starts.size, dtype=np.int64)
-                piece_ends = cursor_ends
-            else:
-                keys = np.floor_divide(cursor_starts, width).astype(np.int64)
-                piece_ends = np.minimum(cursor_ends, (keys + 1) * width)
-            order = np.argsort(keys, kind="stable")
-            breaks = np.flatnonzero(np.diff(keys[order])) + 1
-            for group in np.split(order, breaks):
-                shard = self._shards.setdefault(int(keys[group[0]]), StepFunction())
-                shard.add_batch(
-                    cursor_bandwidths[group], cursor_starts[group], piece_ends[group]
-                )
-            carry = piece_ends < cursor_ends
-            cursor = piece_ends[carry], cursor_ends[carry], cursor_bandwidths[carry]
-        if not track:
-            return None
-        return [
-            self._register(Commitment(next(self._ids), int(bw), float(s), float(e), tag))
-            for bw, s, e in zip(bandwidths, starts, ends)
-        ]
-
     def release(self, commitment_id: int) -> Commitment:
         """Return a commitment's bandwidth to every shard it still occupies."""
         commitment = self._commitments.pop(commitment_id, None)
@@ -500,11 +326,11 @@ class CapacityCalendar:
         """Release every commitment that ended at or before ``now``.
 
         With a shard width, shards whose slot lies entirely at or before
-        ``now`` are discarded first, in O(1) each — their levels (and any
-        untracked bulk load) vanish wholesale and the watermark moves up,
-        so commitments ending in those slots release without touching a
-        step function.  Only the slot containing ``now`` is swept record by
-        record; with ``shard_seconds=None`` that slot is the whole calendar.
+        ``now`` are discarded first, in O(1) each — their levels vanish
+        wholesale and the watermark moves up, so commitments ending in
+        those slots release without touching a step function.  Only the
+        slot containing ``now`` is swept record by record; with
+        ``shard_seconds=None`` that slot is the whole calendar.
         """
         width = self.shard_seconds
         current = 0 if width is None else math.floor(now / width)
@@ -580,9 +406,8 @@ class CapacityCalendar:
 
         Includes every piece of state — geometry, watermark, drop counter,
         each shard's boundaries and levels, live commitments, the tag index
-        and the end-shard index — and excludes the two things that are
-        allocators or caches, not state: the ``_ids`` counter and the
-        lazily compiled numpy arrays.  Two calendars with equal
+        and the end-shard index — and excludes the one allocator, which is
+        not state: the ``_ids`` counter.  Two calendars with equal
         fingerprints answer every query identically.
         """
         return (
@@ -617,13 +442,11 @@ class CapacityCalendar:
         self, bandwidth_kbps: int, start: float, end: float, tag: str, pieces: list
     ) -> Commitment:
         self._project(bandwidth_kbps, pieces)
-        return self._register(Commitment(next(self._ids), bandwidth_kbps, start, end, tag))
-
-    def _register(self, commitment: Commitment) -> Commitment:
-        commitment_id = commitment.commitment_id
+        commitment_id = next(self._ids)
+        commitment = Commitment(commitment_id, bandwidth_kbps, start, end, tag)
         self._commitments[commitment_id] = commitment
-        self._by_tag.setdefault(commitment.tag, set()).add(commitment_id)
-        self._by_end_shard.setdefault(self._end_key(commitment.end), set()).add(commitment_id)
+        self._by_tag.setdefault(tag, set()).add(commitment_id)
+        self._by_end_shard.setdefault(self._end_key(end), set()).add(commitment_id)
         return commitment
 
     @staticmethod
@@ -634,14 +457,9 @@ class CapacityCalendar:
             del index[key]
 
     def _check_commitment(self, bandwidth_kbps: int, start: float, end: float) -> None:
-        if not _NEG_INF < start < end < _INF:  # false for a NaN as well
-            _check_window(start, end)
-            raise ValueError("commitment window must be finite")
+        _check_window(start, end)
         if bandwidth_kbps <= 0:
             raise ValueError("bandwidth must be positive")
-        self._check_span(start, end)
-
-    def _check_span(self, start: float, end: float) -> None:
         width = self.shard_seconds
         if width is not None and end - start > self.MAX_SPAN_SHARDS * width:
             raise ValueError(

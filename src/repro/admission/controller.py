@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 
 from repro.admission.auction import WindowAuction
-from repro.admission.calendar import AdmissionRejected, CapacityCalendar, Commitment
+from repro.admission.calendar import CapacityCalendar, Commitment, _check_window
 from repro.admission.policy import (
     AdmissionDecision,
     AdmissionPolicy,
@@ -479,8 +479,10 @@ class AdmissionController:
         """Peak committed fraction of capacity over the window, in [0, ...).
 
         Returns 0.0 for interface directions that never saw a commitment
-        (their calendars are not materialized just to answer a read).
+        (their calendars are not materialized just to answer a read), after
+        refusing the same windows a calendar refuses.
         """
+        _check_window(start, end)
         key = (layer, interface, is_ingress)
         if key not in self._calendars:
             return 0.0

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.admission.calendar import CapacityCalendar, Commitment
 
 
@@ -53,17 +51,6 @@ class AdmissionPolicy:
     def admit(self, calendar: CapacityCalendar, request: AdmissionRequest) -> AdmissionDecision:
         raise NotImplementedError
 
-    def admit_batch(
-        self, calendar: CapacityCalendar, requests: list[AdmissionRequest]
-    ) -> list[AdmissionDecision]:
-        """Decide many requests; subclasses may vectorize the screening."""
-        return [self.admit(calendar, request) for request in requests]
-
-    def release(self, calendar: CapacityCalendar, decision: AdmissionDecision) -> None:
-        """Undo an admitted decision (expiry, failed downstream transaction)."""
-        if decision.commitment is not None:
-            calendar.release(decision.commitment.commitment_id)
-
 
 class FirstComeFirstServed(AdmissionPolicy):
     """Admit while the window's peak commitment stays within capacity."""
@@ -81,37 +68,6 @@ class FirstComeFirstServed(AdmissionPolicy):
                 f"needs {request.bandwidth_kbps} kbps, only {headroom} kbps free",
             )
         return AdmissionDecision(True, "fits", commitment)
-
-    def admit_batch(
-        self, calendar: CapacityCalendar, requests: list[AdmissionRequest]
-    ) -> list[AdmissionDecision]:
-        """Vectorized screen, then sequential commit for the survivors.
-
-        The bulk peak is computed against the calendar as it stood *before*
-        the batch.  Commitments only raise the peak, so a pre-screen reject
-        is definitive; pre-screen survivors are re-checked (and committed)
-        one by one because earlier batch members may have consumed the
-        window.
-        """
-        if not requests:
-            return []
-        starts = np.array([r.start for r in requests], dtype=np.float64)
-        ends = np.array([r.end for r in requests], dtype=np.float64)
-        bandwidths = np.array([r.bandwidth_kbps for r in requests], dtype=np.int64)
-        fits = calendar.bulk_admissible(bandwidths, starts, ends)
-        decisions: list[AdmissionDecision] = []
-        for request, fit in zip(requests, fits):
-            if not fit:
-                decisions.append(
-                    AdmissionDecision(
-                        False,
-                        f"needs {request.bandwidth_kbps} kbps over a window already "
-                        "at capacity",
-                    )
-                )
-            else:
-                decisions.append(self.admit(calendar, request))
-        return decisions
 
 
 class ProportionalShare(FirstComeFirstServed):

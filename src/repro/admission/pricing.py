@@ -14,18 +14,12 @@ the capacity-auction example plots the curve end to end.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class Pricer:
     """Interface for utilization-responsive pricing."""
 
     def multiplier(self, utilization: float) -> float:
         raise NotImplementedError
-
-    def multipliers(self, utilizations) -> np.ndarray:
-        """Vectorized :meth:`multiplier` (default: python loop)."""
-        return np.array([self.multiplier(float(u)) for u in np.asarray(utilizations)])
 
     def price(self, base_micromist_per_unit: int, utilization: float) -> int:
         """Scarcity-adjusted unit price, rounded up, never below 1.
@@ -46,15 +40,12 @@ class FlatPricer(Pricer):
     def multiplier(self, utilization: float) -> float:
         return 1.0
 
-    def multipliers(self, utilizations) -> np.ndarray:
-        return np.ones(np.asarray(utilizations).shape)
-
 
 class ScarcityPricer(Pricer):
-    """``1 + alpha * u^exponent / (1 - u)``, capped at ``max_multiplier``.
+    """``1 + alpha * u^EXPONENT / (1 - u)``, capped at ``max_multiplier``.
 
     * ``alpha`` scales how aggressively price reacts to load;
-    * ``exponent`` keeps the curve flat at low utilization (a half-empty
+    * :attr:`EXPONENT` keeps the curve flat at low utilization (a half-empty
       link should not be expensive) while preserving the blow-up near 1;
     * ``max_multiplier`` bounds the quote on a (nearly) full calendar.
 
@@ -62,28 +53,18 @@ class ScarcityPricer(Pricer):
     until an interface actually starts to fill.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.5,
-        exponent: float = 2.0,
-        max_multiplier: float = 64.0,
-    ) -> None:
-        if alpha < 0 or exponent <= 0 or max_multiplier < 1:
-            raise ValueError("need alpha >= 0, exponent > 0, max_multiplier >= 1")
+    EXPONENT = 2.0
+
+    def __init__(self, alpha: float = 0.5, max_multiplier: float = 64.0) -> None:
+        if alpha < 0 or max_multiplier < 1:
+            raise ValueError("need alpha >= 0, max_multiplier >= 1")
         self.alpha = alpha
-        self.exponent = exponent
         self.max_multiplier = max_multiplier
 
     def multiplier(self, utilization: float) -> float:
         u = min(max(float(utilization), 0.0), 1.0)
         if u >= 1.0:
             return self.max_multiplier
-        raw = 1.0 + self.alpha * u**self.exponent / (1.0 - u)
+        raw = 1.0 + self.alpha * u**self.EXPONENT / (1.0 - u)
         return min(raw, self.max_multiplier)
 
-    def multipliers(self, utilizations) -> np.ndarray:
-        u = np.clip(np.asarray(utilizations, dtype=np.float64), 0.0, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = 1.0 + self.alpha * u**self.exponent / (1.0 - u)
-        raw = np.where(u >= 1.0, self.max_multiplier, raw)
-        return np.minimum(raw, self.max_multiplier)

@@ -14,9 +14,6 @@ direction of a deployment,
 (b) that peak stays within ``int(factor * capacity)``, ``factor`` being the
     policy's ``limit_factor(calendar)`` where it overbooks and 1 otherwise.
 
-An untracked ``commit_batch`` load is by construction not a record, so a
-calendar carrying one fails (a); deployments never load that way.
-
 The first ledger-backed one (index <- events <- objects): the deployment's
 live :class:`~repro.marketdata.MarketIndexer`, synced, holds
 

@@ -6,15 +6,11 @@ one that never saw the path at all.  "Byte-identical" is made precise
 here: a fingerprint canonicalizes every piece of *state* a calendar
 carries — shard geometry, expire watermark and drop counter, each shard's
 step-function boundaries and levels, live commitments, tag index and
-end-shard index — while excluding the two things that are *allocators or
-caches*, not state:
-
-* ``_ids`` — the monotonically increasing commitment-id counter.  It
-  advances on every commit and never rewinds; it decides nothing about
-  admission, pricing, or expiry, so two calendars that differ only in the
-  next id to hand out answer every query identically.
-* the lazily compiled numpy arrays behind ``bulk_peak`` — derived verbatim
-  from each shard's ``times`` / ``levels`` on demand.
+end-shard index — while excluding the one *allocator*, which is not state:
+``_ids``, the monotonically increasing commitment-id counter.  It advances
+on every commit and never rewinds; it decides nothing about admission,
+pricing, or expiry, so two calendars that differ only in the next id to
+hand out answer every query identically.
 
 Everything else is included, so a stray boundary, a leaked commitment, a
 stale index entry or an undropped empty shard all change the fingerprint
@@ -37,7 +33,7 @@ def calendar_fingerprint(calendar: CapacityCalendar) -> tuple:
 
     Two calendars with equal fingerprints answer every admission, peak,
     headroom, tag-peak, and expiry query identically; only their next
-    commitment id (and compiled numpy caches) may differ.
+    commitment id may differ.
 
     Delegates to the calendar's own ``fingerprint()``.
     """

@@ -132,7 +132,6 @@ class PathCommitError(RuntimeError):
             "all holds rolled back"
         )
         self.hop_index = hop_index
-        self.cause = cause
 
 
 class PathAdmission:

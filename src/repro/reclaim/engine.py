@@ -138,7 +138,6 @@ class ReclamationEngine:
         self._tracked: dict[int, TrackedReservation] = {}
         self.events: list[ReclamationEvent] = []
         self.false_reclaims = 0
-        self.scans = 0
         #: Per-(interface, is_ingress) show-up rate from the last scan.
         self.last_show_up: dict[tuple[int, bool], float] = {}
         registry = get_registry()
@@ -216,7 +215,6 @@ class ReclamationEngine:
         """
         now = float(now)
         self.reporter.sample(now)
-        self.scans += 1
         if self._telemetry:
             self._m_scans.inc()
         events: list[ReclamationEvent] = []

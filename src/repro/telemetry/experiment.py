@@ -47,9 +47,9 @@ class ExperimentTelemetry:
         telemetry.write("results/auction_telemetry.json")
     """
 
-    def __init__(self, scenario: str, registry: MetricsRegistry | None = None) -> None:
+    def __init__(self, scenario: str) -> None:
         self.scenario = scenario
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.traces: list[TraceContext] = []
         self.extra: dict[str, Any] = {}
 

@@ -24,21 +24,16 @@ class ReferenceCalendar:
     def __init__(self, capacity_kbps: int) -> None:
         self.capacity_kbps = capacity_kbps
         self.rows: dict[int, tuple] = {}  # id -> (kbps, start, end, tag)
-        self.untracked: list[tuple] = []  # (kbps, start, end), never released
         self.next_id = 0
 
     def peak_commitment(self, start, end) -> int:
-        tracked = [row[:3] for row in self.rows.values()]
-        return sweep_peak(tracked + self.untracked, start, end)
+        return sweep_peak([row[:3] for row in self.rows.values()], start, end)
 
     def tag_peak(self, tag, start, end) -> int:
         owned = [row[:3] for row in self.rows.values() if row[3] == tag]
         return sweep_peak(owned, start, end)
 
-    def commit(self, kbps, start, end, tag="", track=True):
-        if not track:
-            self.untracked.append((kbps, start, end))
-            return None
+    def commit(self, kbps, start, end, tag=""):
         self.rows[self.next_id] = (kbps, start, end, tag)
         self.next_id += 1
         return self.next_id - 1

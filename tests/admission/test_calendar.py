@@ -1,11 +1,10 @@
-"""Capacity calendar: step-function accounting, bulk path."""
+"""Capacity calendar: step-function accounting, one window rule."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.admission import AdmissionRejected, CapacityCalendar
+from repro.admission import AdmissionController, AdmissionRejected, CapacityCalendar
 
 
 class TestPointOperations:
@@ -132,18 +131,14 @@ class TestPointOperations:
 INF, NAN = float("inf"), float("nan")
 GEOMETRIES = [pytest.param(None, id="unbounded"), pytest.param(100.0, id="sharded")]
 REFUSED_WINDOWS = [(5, 0.0, INF), (5, -INF, 10.0), (5, NAN, 10.0), (5, 10, 10), (5, 20, 10), (0, 0, 10)]
-REFUSED = [
-    *[(method, args) for method in ("commit", "try_commit") for args in REFUSED_WINDOWS],
-    # ..., tag, track: untracked is the load that could never be released
-    *[("commit_batch", ([bw], [start], [end], "", False)) for bw, start, end in REFUSED_WINDOWS],
-    ("commit_batch", ([5, 5], [0.0], [10.0])),  # not parallel
-    ("commit_batch", ([5, 5], [0.0, 0.0], [10.0, INF])),  # one bad row refuses the batch
-]
+REFUSED = [(method, args) for method in ("commit", "try_commit") for args in REFUSED_WINDOWS]
+# the last refused row is refused for its bandwidth, not its window
+QUERY_WINDOWS = [(start, end) for bandwidth, start, end in REFUSED_WINDOWS if bandwidth]
 
 
 @pytest.mark.parametrize("shard_seconds", GEOMETRIES)
 class TestOneValidation:
-    """commit, try_commit and commit_batch refuse the same inputs, at either
+    """commit, try_commit and the queries refuse the same windows, at either
     geometry, before touching anything."""
 
     @staticmethod
@@ -162,11 +157,24 @@ class TestOneValidation:
             getattr(calendar, method)(*args)
         assert calendar.fingerprint() == before
 
-    def test_untracked_batch_cannot_pin_the_link_forever(self, shard_seconds):
-        calendar = CapacityCalendar(1000, shard_seconds)
-        with pytest.raises(ValueError, match="finite"):
-            calendar.commit_batch([5], [0.0], [INF], track=False)
-        assert calendar.peak_commitment(0, 10**9) == 0
+    @pytest.mark.parametrize("query", ["peak_commitment", "tag_peak", "headroom"])
+    @pytest.mark.parametrize("start, end", QUERY_WINDOWS)
+    def test_a_query_refuses_every_window_a_commit_refuses(
+        self, shard_seconds, query, start, end
+    ):
+        calendar = self._busy(shard_seconds)
+        before = calendar.fingerprint()
+        args = ("a", start, end) if query == "tag_peak" else (start, end)
+        with pytest.raises(ValueError):
+            getattr(calendar, query)(*args)
+        assert calendar.fingerprint() == before
+
+    def test_the_controller_refuses_them_before_any_calendar_exists(self, shard_seconds):
+        controller = AdmissionController(1000, shard_seconds=shard_seconds)
+        for start, end in QUERY_WINDOWS:
+            with pytest.raises(ValueError):
+                controller.utilization(1, True, start, end)
+        assert controller.utilization(1, True, 0, 10) == 0.0
 
     def test_try_commit_refuses_more_than_the_link_before_any_shard_exists(
         self, shard_seconds
@@ -208,84 +216,3 @@ def test_a_float_shard_edge_strands_no_piece():
     assert calendar.peak_commitment(0, 1) == 5
     calendar.release(commitment.commitment_id)
     assert calendar.fingerprint() == before
-
-
-class TestBulkPath:
-    def test_bulk_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        calendar = CapacityCalendar(10**9)
-        for _ in range(200):
-            start = int(rng.integers(0, 1000))
-            calendar.commit(int(rng.integers(1, 50)), start, start + int(rng.integers(1, 100)))
-        starts = rng.integers(0, 1100, 400).astype(float)
-        ends = starts + rng.integers(1, 120, 400)
-        bulk = calendar.bulk_peak(starts, ends)
-        scalar = [calendar.peak_commitment(s, e) for s, e in zip(starts, ends)]
-        assert bulk.tolist() == scalar
-
-    def test_bulk_matches_scalar_across_block_boundaries(self):
-        """Wide windows overlap thousands of boundaries, so the two-level
-        range maximum exercises whole blocks, not just block edges."""
-        rng = np.random.default_rng(3)
-        calendar = CapacityCalendar(10**9)
-        starts = rng.uniform(0, 10_000, 5000)
-        calendar.commit_batch(
-            rng.integers(1, 50, 5000), starts, starts + rng.uniform(1, 500, 5000),
-            track=False,
-        )
-        qs = rng.uniform(0, 11_000, 100)
-        qe = qs + rng.uniform(1, 5000, 100)
-        bulk = calendar.bulk_peak(qs, qe)
-        scalar = [calendar.peak_commitment(s, e) for s, e in zip(qs, qe)]
-        assert bulk.tolist() == scalar
-
-    def test_bulk_cache_invalidated_by_mutation(self):
-        calendar = CapacityCalendar(1000)
-        calendar.commit(100, 0, 100)
-        assert calendar.bulk_peak([0.0], [50.0]).tolist() == [100]
-        calendar.commit(200, 0, 100)
-        assert calendar.bulk_peak([0.0], [50.0]).tolist() == [300]
-
-    def test_bulk_admissible_scalar_and_array_bandwidth(self):
-        calendar = CapacityCalendar(1000)
-        calendar.commit(600, 0, 100)
-        admissible = calendar.bulk_admissible(500, [0.0, 100.0], [50.0, 200.0])
-        assert admissible.tolist() == [False, True]
-        admissible = calendar.bulk_admissible([400, 1500], [0.0, 100.0], [50.0, 200.0])
-        assert admissible.tolist() == [True, False]
-
-    def test_bulk_empty_and_invalid(self):
-        calendar = CapacityCalendar(1000)
-        assert calendar.bulk_peak([], []).size == 0
-        with pytest.raises(ValueError):
-            calendar.bulk_peak([0.0], [0.0])
-        with pytest.raises(ValueError):
-            calendar.bulk_peak([0.0, 1.0], [1.0])
-
-    def test_commit_batch_equals_sequential(self):
-        rng = np.random.default_rng(11)
-        batch = CapacityCalendar(10**9)
-        sequential = CapacityCalendar(10**9)
-        bandwidths = rng.integers(1, 50, 150)
-        starts = rng.integers(0, 500, 150).astype(float)
-        ends = starts + rng.integers(1, 80, 150)
-        batch.commit_batch(bandwidths, starts, ends, track=False)
-        for bw, s, e in zip(bandwidths, starts, ends):
-            sequential.commit(int(bw), float(s), float(e))
-        qs = rng.integers(0, 600, 200).astype(float)
-        qe = qs + rng.integers(1, 100, 200)
-        assert batch.bulk_peak(qs, qe).tolist() == sequential.bulk_peak(qs, qe).tolist()
-
-    def test_commit_batch_on_top_of_existing(self):
-        calendar = CapacityCalendar(10**9)
-        calendar.commit(100, 0, 100)
-        calendar.commit_batch([50, 50], [50.0, 200.0], [150.0, 300.0], track=False)
-        assert calendar.peak_commitment(0, 300) == 150
-        assert calendar.peak_commitment(200, 300) == 50
-
-    def test_commit_batch_tracked_commitments_releasable(self):
-        calendar = CapacityCalendar(1000)
-        commitments = calendar.commit_batch([100, 200], [0.0, 0.0], [50.0, 50.0])
-        assert calendar.peak_commitment(0, 50) == 300
-        calendar.release(commitments[0].commitment_id)
-        assert calendar.peak_commitment(0, 50) == 200

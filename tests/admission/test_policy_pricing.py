@@ -30,22 +30,6 @@ class TestFirstComeFirstServed:
         calendar.release(decision.commitment.commitment_id)
         assert policy.admit(calendar, AdmissionRequest(1000, 0, 100)).admitted
 
-    def test_admit_batch_matches_sequential(self):
-        requests = [
-            AdmissionRequest(400, 0, 100, f"b{i}") for i in range(5)
-        ] + [AdmissionRequest(400, 100, 200, "late")]
-        policy = FirstComeFirstServed()
-        batched = CapacityCalendar(1000)
-        sequential = CapacityCalendar(1000)
-        batch_decisions = policy.admit_batch(batched, requests)
-        loop_decisions = [policy.admit(sequential, r) for r in requests]
-        assert [d.admitted for d in batch_decisions] == [d.admitted for d in loop_decisions]
-        # 2 of the 5 overlapping fit (800 of 1000), the disjoint one fits.
-        assert [d.admitted for d in batch_decisions] == [True, True, False, False, False, True]
-
-    def test_admit_batch_empty(self):
-        assert FirstComeFirstServed().admit_batch(CapacityCalendar(10), []) == []
-
 
 class TestProportionalShare:
     def test_caps_single_buyer(self):
@@ -113,14 +97,6 @@ class TestPricing:
         pricer = ScarcityPricer(max_multiplier=10.0)
         assert pricer.multiplier(0.9999) == 10.0
         assert pricer.multiplier(2.0) == 10.0  # overbooked utilization > 1
-
-    def test_vectorized_matches_scalar(self):
-        pricer = ScarcityPricer()
-        utilizations = [0.0, 0.3, 0.75, 0.99, 1.0]
-        vector = pricer.multipliers(utilizations)
-        assert vector.tolist() == pytest.approx(
-            [pricer.multiplier(u) for u in utilizations]
-        )
 
     def test_price_rounds_up_and_floors_at_one(self):
         pricer = ScarcityPricer(alpha=0.5)

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.admission import (
@@ -65,45 +64,6 @@ class TestProjection:
         calendar.commit(300, 950, 1000)
         assert calendar.peak_commitment(0, 1000) == 500
         assert calendar.headroom(400, 600) == 1000
-
-
-class TestBulkPath:
-    def test_bulk_peak_partitions_per_shard(self):
-        mono = CapacityCalendar(100_000)
-        shard = sharded(100_000)
-        rng = np.random.default_rng(5)
-        bandwidths = rng.integers(1, 500, 400)
-        starts = rng.uniform(0, 900, 400)
-        ends = starts + rng.uniform(1, 350, 400)
-        mono.commit_batch(bandwidths, starts, ends, track=False)
-        shard.commit_batch(bandwidths, starts, ends, track=False)
-        query_starts = rng.uniform(0, 1200, 300)
-        query_ends = query_starts + rng.uniform(1, 400, 300)
-        assert np.array_equal(
-            mono.bulk_peak(query_starts, query_ends),
-            shard.bulk_peak(query_starts, query_ends),
-        )
-        assert np.array_equal(
-            mono.bulk_admissible(400, query_starts, query_ends),
-            shard.bulk_admissible(400, query_starts, query_ends),
-        )
-
-    def test_bulk_peak_empty_and_invalid(self):
-        calendar = sharded()
-        assert calendar.bulk_peak([], []).size == 0
-        with pytest.raises(ValueError):
-            calendar.bulk_peak([10.0], [10.0])
-
-    def test_tracked_batch_is_individually_releasable(self):
-        calendar = sharded()
-        commitments = calendar.commit_batch(
-            [100, 200], [50, 150], [250, 350], tag="bulk"
-        )
-        assert len(commitments) == 2
-        calendar.release(commitments[0].commitment_id)
-        assert calendar.peak_commitment(0, 400) == 200
-        calendar.release(commitments[1].commitment_id)
-        assert calendar.peak_commitment(0, 400) == 0
 
 
 class TestExpire:

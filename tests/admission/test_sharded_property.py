@@ -1,12 +1,12 @@
 """Property: at either shard geometry the calendar IS the brute-force reference.
 
-Hypothesis drives arbitrary interleavings of try_commit / commit /
-commit_batch (tracked and untracked) / release / reclaim / expire against a
-calendar with one unbounded shard, one with a width (chosen so windows routinely
-span shard boundaries) and :class:`tests.admission.reference.ReferenceCalendar`
-— a list of rows answering by sweep, sharing no code with ``src/`` — and
-checks after every step that ``peak_commitment`` / ``bulk_peak`` /
-``tag_peak`` / ``headroom`` and the commitment records agree, mirroring
+Hypothesis drives arbitrary interleavings of try_commit / commit / release
+/ reclaim / expire against a calendar with one unbounded shard, one with a
+width (chosen so windows routinely span shard boundaries) and
+:class:`tests.admission.reference.ReferenceCalendar` — a list of rows
+answering by sweep, sharing no code with ``src/`` — and checks after every
+step that ``peak_commitment`` / ``tag_peak`` / ``headroom`` and the
+commitment records agree, mirroring
 ``tests/marketdata/test_indexer_property.py``.  Three rules aim at where the
 sharded geometry is thinnest: release / reclaim of a commitment whose early
 shards were dropped, a commit straddling the watermark, and ``expire(now)``
@@ -22,7 +22,6 @@ so that is the surface that must agree.
 
 import random
 
-import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -121,31 +120,6 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
         start = self.watermark - back
         self._commit("commit", bandwidth, start, self.watermark + duration, tag)
 
-    @rule(
-        seed=st.integers(0, 2**16),
-        count=st.integers(1, 8),
-        tag=st.sampled_from(TAGS),
-        track=st.booleans(),
-    )
-    def commit_batch(self, seed, count, tag, track):
-        rng = np.random.default_rng(seed)
-        starts = rng.integers(0, HORIZON, count).astype(np.float64)
-        ends = starts + rng.integers(1, MAX_DURATION, count)
-        bandwidths = rng.integers(1, 1000, count)
-        expected = [
-            self.reference.commit(int(bw), float(s), float(e), tag, track)
-            for bw, s, e in zip(bandwidths, starts, ends)
-        ]
-        committed = self._each(
-            lambda calendar: calendar.commit_batch(
-                bandwidths, starts, ends, tag=tag, track=track
-            )
-        )
-        if track:
-            assert [c.commitment_id for c in committed] == expected
-        else:
-            assert committed is None
-
     @rule(pick=picks, fraction=st.floats(0.1, 0.9), shrink=st.booleans())
     def reclaim_or_release(self, pick, fraction, shrink):
         row_id = self._live(pick)
@@ -196,12 +170,6 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
             assert self._each(
                 lambda c: c.tag_peak(tag, start, end)
             ) == reference.tag_peak(tag, start, end), (tag, start, end)
-        probe_rng = np.random.default_rng(self.rng.randrange(2**16))
-        starts = probe_rng.integers(lo, lo + PROBE_SPAN, 24).astype(np.float64)
-        ends = starts + probe_rng.integers(1, 2 * MAX_DURATION, 24)
-        assert self._each(lambda c: c.bulk_peak(starts, ends).tolist()) == [
-            reference.peak_commitment(s, e) for s, e in zip(starts, ends)
-        ]
 
 
 CalendarReferenceMachine.TestCase.settings = settings(

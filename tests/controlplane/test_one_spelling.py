@@ -264,3 +264,44 @@ def test_off_chain_there_is_one_listing_record_one_auction_view_and_one_quote():
 
     # the invariant check compares every row on purpose; planners ask by key
     assert _src_sites(whole_index_scan) == {"invariants.py:_index_breaches"}
+
+
+# -- the admission twin ------------------------------------------------------------
+#
+# An AS admits one asset or one redeem request at a time, so admission has one
+# path: no array library behind the calendar, no batch or bulk twin of a
+# per-request call, and no calendar level that a commitment record does not
+# explain.
+
+
+def test_admission_decides_one_request_at_a_time():
+    import repro.admission
+
+    sources = sorted(pathlib.Path(repro.admission.__file__).parent.glob("*.py"))
+    assert len(sources) >= 6
+    numpy_imports, batch_names = [], []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            numpy_imports += [
+                f"{path.name}:{module}" for module in modules if module.split(".")[0] == "numpy"
+            ]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                names = []
+            batch_names += [
+                f"{path.name}:{name}"
+                for name in names
+                if not name.startswith("_")
+                and any(word in name.lower() for word in ("batch", "bulk", "multipliers"))
+            ]
+    assert not numpy_imports, numpy_imports
+    assert not batch_names, batch_names

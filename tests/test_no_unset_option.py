@@ -4,15 +4,16 @@ PR 20 turned every netsim experiment option that no call site in the
 repository passed into a named constant and left a test behind
 (``tests/netsim/test_one_harness.py``) that fails on a defaulted experiment
 parameter without a caller.  This is that ``ast`` walk, lifted to cover every
-public function, method and constructor of ``repro.controlplane``,
-``repro.reclaim``, ``repro.marketdata`` and ``repro.transfers`` as well: an
+public function, method and constructor of ``repro.admission``,
+``repro.controlplane``, ``repro.marketdata``, ``repro.pathadm``,
+``repro.reclaim``, ``repro.telemetry`` and ``repro.transfers`` as well: an
 option comes back only together with the caller that needs it; the paper's own
 knobs are allow-listed with the reason each stays.
 
 The second half is the zero-reference end of the same idea: every public
 ``def`` / ``class`` under ``src/repro/`` is named somewhere other than its own
-definition, and every public attribute a ``controlplane`` / ``marketdata``
-constructor assigns is read somewhere, not only written and appended to.
+definition, and every public attribute a constructor of those seven packages
+assigns is read somewhere, not only written and appended to.
 """
 
 from __future__ import annotations
@@ -28,13 +29,17 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path(repro.__file__).parent
 CALLERS = ("src", "tests", "examples", "benchmarks", "tools")
 
-# Where options are audited: every public callable of these packages, and the
-# netsim experiments.
+# Where options and constructors' public attributes are audited: every public
+# callable of these packages (and the netsim experiments), every public
+# attribute their constructors assign.
+AUDITED_PACKAGES = (
+    "admission", "controlplane", "marketdata", "pathadm", "reclaim", "telemetry",
+    "transfers",
+)
 AUDITED = [
-    *sorted((PACKAGE / "controlplane").glob("*.py")),
-    *sorted((PACKAGE / "reclaim").glob("*.py")),
-    *sorted((PACKAGE / "marketdata").glob("*.py")),
-    *sorted((PACKAGE / "transfers").glob("*.py")),
+    *sorted(
+        path for package in AUDITED_PACKAGES for path in (PACKAGE / package).glob("*.py")
+    ),
     PACKAGE / "netsim" / "scenarios.py",
     PACKAGE / "netsim" / "deadline.py",
 ]
@@ -70,15 +75,18 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)
 
 
-def _audited_callables() -> dict[str, tuple[list[str], list[str]]]:
-    """Name a call site uses -> parameters: module-level functions, public
-    methods, and constructors under their class's name.  A dataclass's fields
-    are state, not options."""
-    found = {}
+def _audited_callables() -> dict[str, list[tuple[str, list[str], list[str]]]]:
+    """Name a call site uses -> ``(qualified name, positional parameters,
+    defaulted parameters)`` of every audited callable with that name:
+    module-level functions, public methods, and constructors under their
+    class's name.  ``AdmissionController.open_auction`` and
+    ``AsService.open_auction`` are two entries under one name, not one
+    overwriting the other.  A dataclass's fields are state, not options."""
+    found = collections.defaultdict(list)
     for path in AUDITED:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                found[node.name] = _defaulted(node, bound=False)
+                found[node.name].append((node.name, *_defaulted(node, bound=False)))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for method in node.body:
                     if not isinstance(method, ast.FunctionDef):
@@ -86,10 +94,15 @@ def _audited_callables() -> dict[str, tuple[list[str], list[str]]]:
                     static = any(
                         ast.unparse(d) == "staticmethod" for d in method.decorator_list
                     )
+                    qualified = f"{node.name}.{method.name}"
                     if method.name == "__init__" and not _is_dataclass(node):
-                        found[node.name] = _defaulted(method, bound=True)
+                        found[node.name].append(
+                            (qualified, *_defaulted(method, bound=True))
+                        )
                     elif not method.name.startswith("_"):
-                        found[method.name] = _defaulted(method, bound=not static)
+                        found[method.name].append(
+                            (qualified, *_defaulted(method, bound=not static))
+                        )
     return found
 
 
@@ -139,32 +152,35 @@ def test_every_option_has_a_caller_that_sets_it():
             if not isinstance(node, ast.Call):
                 continue
             name = _called_name(node)
-            if name in functions:
-                positional, defaulted = functions[name]
-                passed[name].update(positional[: _positional_count(node, sizes)])
-                passed[name].update(keyword.arg for keyword in node.keywords)
+            # A call counts for every callable of that name (a keyword only
+            # ever sets a parameter the callable has).
+            for qualified, positional, defaulted in functions.get(name, ()):
+                passed[qualified].update(positional[: _positional_count(node, sizes)])
+                passed[qualified].update(keyword.arg for keyword in node.keywords)
                 if any(keyword.arg is None for keyword in node.keywords):
-                    passed[name].update(defaulted)  # ``**options``: anything
+                    passed[qualified].update(defaulted)  # ``**options``: anything
             # ``deploy_market(reclamation={...})`` splats its keys into
             # ``enable_reclamation``: a dict a call site spells out — literal,
             # ``dict(...)`` or ``.setdefault("key", ...)`` — sets them.
+            splatted = passed["AsService.enable_reclamation"]
             if name == "dict":
-                passed["enable_reclamation"].update(k.arg for k in node.keywords)
+                splatted.update(k.arg for k in node.keywords)
             elif name == "setdefault" and isinstance(node.args[0], ast.Constant):
-                passed["enable_reclamation"].add(node.args[0].value)
+                splatted.add(node.args[0].value)
             for keyword in node.keywords:
                 if keyword.arg == "reclamation" and isinstance(keyword.value, ast.Dict):
-                    passed["enable_reclamation"].update(
+                    splatted.update(
                         key.value for key in keyword.value.keys
                         if isinstance(key, ast.Constant)
                     )
 
     unset = {
-        name: [
+        qualified: [
             option for option in defaulted
-            if option not in passed[name] and (name, option) not in ALLOWED
+            if option not in passed[qualified] and (qualified, option) not in ALLOWED
         ]
-        for name, (_, defaulted) in functions.items()
+        for entries in functions.values()
+        for qualified, _, defaulted in entries
     }
     assert not any(unset.values()), {n: o for n, o in unset.items() if o}
     assert len(ALLOWED) <= 10
@@ -213,12 +229,13 @@ def test_every_public_instance_attribute_is_read_somewhere():
     """``AsService.settlements`` / ``path_settlements`` were assigned in
     ``__init__``, appended to at every settle and read by nothing (the settle
     methods *return* the records).  A public ``self.x`` a constructor under
-    ``controlplane/`` or ``marketdata/`` assigns has a reader: a load of ``.x``
-    in ``src/``, tests, examples, benchmarks or tools that is not just the
-    receiver of a mutating call or of an item assignment — or the docs name it
-    in a code span."""
+    ``admission/``, ``controlplane/``, ``marketdata/``, ``pathadm/``,
+    ``reclaim/``, ``telemetry/`` or ``transfers/`` assigns has a reader: a load
+    of ``.x`` in ``src/``, tests, examples, benchmarks or tools that is not just
+    the receiver of a mutating call or of an item assignment — or the docs name
+    it in a code span."""
     assigned = set()
-    for package in ("controlplane", "marketdata"):
+    for package in AUDITED_PACKAGES:
         for path in sorted((PACKAGE / package).glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__":
