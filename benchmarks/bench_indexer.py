@@ -248,7 +248,7 @@ def run_benchmark(sizes, naive_queries: int = 20, indexed_queries: int = 2_000):
         ["listings", "build ev/s", "indexed q/s", "naive q/s", "speedup", "apply ev/s"],
         rows,
         title="Listing discovery: incremental index vs full-ledger scan",
-        note="indexed = sorted-prefix bisect + one vectorized pricing pass "
+        note="indexed = sorted-prefix bisect + the prefix priced row by row "
         "per query; naive = the v1 O(all objects) scan; apply = "
         "Sold/Delisted events folded in without a rescan.",
     )

@@ -12,16 +12,18 @@ flight as a burst.
 ResIDs are unique per ingress interface, so the array is indexed directly by
 the ResID from the packet header — no hashing, no per-flow state, exactly
 one load, a handful of arithmetic ops, and one store per packet.  Timestamps
-are int64 nanoseconds (numpy array), mirroring the paper's 8 B counters and
-its cache-size analysis: 100 Gbps / 100 kbps minimum bandwidth gives
-ResIDmax = 3e6 and a 24 MB array.
+are int64 nanoseconds in one contiguous anonymous ``mmap`` buffer, mirroring
+the paper's 8 B counters and its cache-size analysis: 100 Gbps / 100 kbps
+minimum bandwidth gives ResIDmax = 3e6 and a 24 MB array.  Its pages are
+zero and non-resident until a packet touches their ResIDs, so an idle
+interface costs address space, not memory.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
-
-import numpy as np
+import mmap
 
 from repro.wire import bwcls
 
@@ -50,12 +52,13 @@ class TokenBucketArray:
         if burst_time <= 0:
             raise ValueError("BurstTime must be positive")
         self.burst_time_ns = int(burst_time * NS)
-        self._timestamps = np.zeros(capacity, dtype=np.int64)
+        self._timestamps = memoryview(mmap.mmap(-1, 8 * capacity)).cast("q")
         # Per-ResID bytes forwarded with priority: the usage feed the
         # reclamation loop (and telemetry exports) consume.  One extra
         # store per in-profile packet; out-of-profile traffic is
-        # best-effort and not attributed to the reservation.
-        self._usage_bytes = np.zeros(capacity, dtype=np.int64)
+        # best-effort and not attributed to the reservation.  Sparse, so a
+        # snapshot sorts the active ResIDs instead of scanning the capacity.
+        self._usage_bytes: dict[int, int] = collections.defaultdict(int)
         # Per-ResID rate overrides installed by the control plane when a
         # no-show's bandwidth is reclaimed: the header still advertises
         # the original class, but the bucket drains at the reclaimed
@@ -82,7 +85,7 @@ class TokenBucketArray:
         now_ns = int(now * NS)
         # PktLen / BW in nanoseconds: bytes * 8 bits / (kbps * 1000 bits/s).
         transmit_ns = pkt_len * 8 * 1_000_000 // bw_kbps
-        timestamp = max(int(self._timestamps[res_id]), now_ns) + transmit_ns
+        timestamp = max(self._timestamps[res_id], now_ns) + transmit_ns
         if timestamp <= now_ns + self.burst_time_ns:
             self._timestamps[res_id] = timestamp
             self._usage_bytes[res_id] += pkt_len
@@ -91,14 +94,11 @@ class TokenBucketArray:
 
     def usage_bytes(self, res_id: int) -> int:
         """Bytes forwarded with priority on one reservation so far."""
-        if not 0 <= res_id < len(self._usage_bytes):
-            return 0
-        return int(self._usage_bytes[res_id])
+        return self._usage_bytes.get(res_id, 0)
 
     def usage_snapshot(self) -> dict[int, int]:
         """Every ResID with non-zero priority traffic -> bytes forwarded."""
-        active = np.flatnonzero(self._usage_bytes)
-        return {int(res_id): int(self._usage_bytes[res_id]) for res_id in active}
+        return {res_id: used for res_id, used in sorted(self._usage_bytes.items()) if used}
 
     def set_limit(self, res_id: int, bw_kbps: int) -> None:
         """Cap one reservation's policed rate below its header class.
@@ -119,7 +119,7 @@ class TokenBucketArray:
     def reset(self, res_id: int) -> None:
         """Clear one bucket (ResID reuse after a reservation expires)."""
         self._timestamps[res_id] = 0
-        self._usage_bytes[res_id] = 0
+        self._usage_bytes.pop(res_id, None)
         self._limits.pop(int(res_id), None)
 
 

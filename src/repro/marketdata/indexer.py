@@ -1,4 +1,4 @@
-"""Event-driven market index: incremental, per-interface, vectorized.
+"""Event-driven market index: incremental, per-interface, bisected.
 
 The paper's host stack assumes an **off-chain indexer** (§3.2) between the
 ledger and the buyers: hosts should never scan the whole object store to
@@ -15,12 +15,12 @@ both planners ask it and replay nothing themselves.
 
 Listings are bucketed per ``(isd, asn, interface, direction)`` key; each
 bucket keeps its listings sorted by asset start and lazily compiles them
-into parallel numpy arrays (the same compile-on-demand idiom as
+into a list of rectangle rows (the same compile-on-demand idiom as
 ``repro.admission.calendar``).  A rectangle-cover query bisects the sorted
-starts for the candidate prefix (``O(log n)`` selection) and prices every
-candidate in one vectorized pass — granule alignment, minimum-bandwidth
-rules and ceil pricing exactly mirror the market contract, so the quoted
-price is the price ``buy`` will charge.
+starts for the candidate prefix (``O(log n)`` selection) and prices the
+prefix row by row — granule alignment, minimum-bandwidth rules and ceil
+pricing exactly mirror the market contract, so the quoted price is the
+price ``buy`` will charge.
 
 Ties are broken deterministically by (price, aligned start, listing id);
 :mod:`repro.marketdata.naive` implements the same contract by full-ledger
@@ -32,16 +32,16 @@ from __future__ import annotations
 import bisect
 import collections
 import dataclasses
+import itertools
+import math
 import time
 
-import numpy as np
-
 from repro.marketdata.query import (
-    MICROMIST,
     Candidate,
     IndexedListing,
     ListingQuery,
     OpenAuction,
+    price_mist,
 )
 from repro.telemetry import get_registry
 
@@ -59,18 +59,7 @@ _AUCTION_EVENTS = {
 class _KeyIndex:
     """All live listings of one (isd, asn, interface, direction) key."""
 
-    __slots__ = (
-        "records",
-        "_order",
-        "_dirty",
-        "_ids",
-        "_starts",
-        "_expiries",
-        "_bandwidths",
-        "_min_bws",
-        "_granularities",
-        "_unit_prices",
-    )
+    __slots__ = ("records", "_order", "_dirty", "_starts", "_rows")
 
     def __init__(self) -> None:
         self.records: dict[str, IndexedListing] = {}
@@ -120,18 +109,22 @@ class _KeyIndex:
         self._dirty = True
         return record
 
-    # -- compiled arrays ----------------------------------------------------------
+    # -- compiled rows ------------------------------------------------------------
 
     def _compile(self, records: list[IndexedListing]) -> None:
-        self._ids = [record.listing_id for record in records]
-        self._starts = np.array([r.start for r in records], dtype=np.int64)
-        self._expiries = np.array([r.expiry for r in records], dtype=np.int64)
-        self._bandwidths = np.array([r.bandwidth_kbps for r in records], dtype=np.int64)
-        self._min_bws = np.array([r.min_bandwidth_kbps for r in records], dtype=np.int64)
-        self._granularities = np.array([r.granularity for r in records], dtype=np.int64)
-        self._unit_prices = np.array(
-            [r.price_micromist_per_unit for r in records], dtype=np.int64
-        )
+        self._starts = [r.start for r in records]
+        self._rows = [
+            (
+                r.start,
+                r.expiry,
+                r.bandwidth_kbps,
+                r.min_bandwidth_kbps,
+                r.granularity,
+                r.price_micromist_per_unit,
+                r.listing_id,
+            )
+            for r in records
+        ]
 
     def _compiled(self) -> None:
         if self._dirty:
@@ -140,80 +133,64 @@ class _KeyIndex:
 
     # -- queries ------------------------------------------------------------------
 
-    def _evaluate(self, start: int, expiry: int, bandwidth_kbps: int, exact_window: bool):
-        """Vectorized cover test: (valid indices, aligned windows, prices).
+    def _evaluate(
+        self, start: int, expiry: int, bandwidth_kbps: int, exact_window: bool
+    ) -> list[tuple[int, int, str, int]]:
+        """Every cover: ``(price, aligned start, listing id, aligned expiry)``.
 
-        The array form of :meth:`IndexedListing.align`, ``sellable`` and
+        The row form of :meth:`IndexedListing.align`, ``sellable`` and
         :func:`~repro.marketdata.query.price_mist`, which
-        :mod:`repro.marketdata.naive` applies row by row as the reference.
+        :mod:`repro.marketdata.naive` applies to every ledger object as the
+        reference.  Tuples order by the tie-break (price, start, id).
         """
         if not self.records or expiry <= start:
-            return None
+            return []
         self._compiled()
         # Only listings whose asset starts at or before the query can cover
-        # it: O(log n) prefix selection, then one vectorized pricing pass.
-        prefix = int(np.searchsorted(self._starts, start, side="right"))
-        if prefix == 0:
-            return None
-        anchors = self._starts[:prefix]
-        granules = self._granularities[:prefix]
-        aligned_start = anchors + (start - anchors) // granules * granules
-        over = (expiry - anchors) % granules
-        aligned_expiry = np.where(over == 0, expiry, expiry + granules - over)
-        remainder = self._bandwidths[:prefix] - bandwidth_kbps
-        ok = (
-            (aligned_expiry <= self._expiries[:prefix])
-            & (remainder >= 0)
-            & (bandwidth_kbps >= self._min_bws[:prefix])
-            & ((remainder == 0) | (remainder >= self._min_bws[:prefix]))
-        )
-        if exact_window:
-            ok &= (aligned_start == start) & (aligned_expiry == expiry)
-        if not ok.any():
-            return None
-        units = bandwidth_kbps * (aligned_expiry - aligned_start)
-        prices = -(-units * self._unit_prices[:prefix] // MICROMIST)
-        return np.flatnonzero(ok), aligned_start, aligned_expiry, prices
+        # it: O(log n) prefix selection, then the prefix row by row.
+        prefix = bisect.bisect_right(self._starts, start)
+        covers = []
+        for anchor, asset_expiry, available, minimum, granule, unit_price, listing_id in (
+            itertools.islice(self._rows, prefix)
+        ):
+            if asset_expiry < expiry:  # the aligned expiry is never earlier
+                continue
+            remainder = available - bandwidth_kbps
+            if bandwidth_kbps < minimum or remainder < 0 or 0 < remainder < minimum:
+                continue
+            aligned_start = anchor + (start - anchor) // granule * granule
+            over = (expiry - anchor) % granule
+            aligned_expiry = expiry + granule - over if over else expiry
+            if aligned_expiry > asset_expiry:
+                continue
+            if exact_window and (aligned_start != start or aligned_expiry != expiry):
+                continue
+            price = price_mist(bandwidth_kbps, aligned_expiry - aligned_start, unit_price)
+            covers.append((price, aligned_start, listing_id, aligned_expiry))
+        return covers
 
-    def _candidate(self, position: int, aligned_start, aligned_expiry, prices) -> Candidate:
+    def _candidate(self, cover: tuple[int, int, str, int]) -> Candidate:
+        price, aligned_start, listing_id, aligned_expiry = cover
         return Candidate(
-            listing=self.records[self._ids[position]],
-            price_mist=int(prices[position]),
-            start=int(aligned_start[position]),
-            expiry=int(aligned_expiry[position]),
+            listing=self.records[listing_id],
+            price_mist=price,
+            start=aligned_start,
+            expiry=aligned_expiry,
         )
 
     def best(
         self, start: int, expiry: int, bandwidth_kbps: int, exact_window: bool = False
     ) -> Candidate | None:
         """Cheapest listing covering the rectangle; deterministic tie-break."""
-        evaluated = self._evaluate(start, expiry, bandwidth_kbps, exact_window)
-        if evaluated is None:
-            return None
-        valid, aligned_start, aligned_expiry, prices = evaluated
-        best_price = prices[valid].min()
-        tie = valid[prices[valid] == best_price]
-        earliest = aligned_start[tie].min()
-        tie = tie[aligned_start[tie] == earliest]
-        position = min((int(i) for i in tie), key=lambda i: self._ids[i])
-        return self._candidate(position, aligned_start, aligned_expiry, prices)
+        covers = self._evaluate(start, expiry, bandwidth_kbps, exact_window)
+        return self._candidate(min(covers)) if covers else None
 
     def candidates(
         self, start: int, expiry: int, bandwidth_kbps: int, limit: int
     ) -> list[Candidate]:
         """Up to ``limit`` cheapest covers, same ordering as :meth:`best`."""
-        evaluated = self._evaluate(start, expiry, bandwidth_kbps, False)
-        if evaluated is None:
-            return []
-        valid, aligned_start, aligned_expiry, prices = evaluated
-        order = sorted(
-            (int(i) for i in valid),
-            key=lambda i: (int(prices[i]), int(aligned_start[i]), self._ids[i]),
-        )[:limit]
-        return [
-            self._candidate(position, aligned_start, aligned_expiry, prices)
-            for position in order
-        ]
+        covers = sorted(self._evaluate(start, expiry, bandwidth_kbps, False))
+        return [self._candidate(cover) for cover in covers[:limit]]
 
 
 class MarketIndexer:
@@ -534,7 +511,7 @@ class MarketIndexer:
         bandwidth_kbps: int,
         duration: int,
         times,
-    ) -> np.ndarray:
+    ) -> list[float]:
         """Cheapest total MIST price of ``[t, t+duration)`` per start time.
 
         Uncoverable windows price at ``inf`` — plotting the curve shows the
@@ -542,11 +519,11 @@ class MarketIndexer:
         """
         self.sync()
         bucket = self._keys.get((isd_as.isd, isd_as.asn, interface, is_ingress))
-        prices = np.full(len(times), np.inf)
+        prices = [math.inf] * len(times)
         if bucket is None:
             return prices
         for position, time in enumerate(times):
             found = bucket.best(int(time), int(time) + duration, bandwidth_kbps)
             if found is not None:
-                prices[position] = found.price_mist
+                prices[position] = float(found.price_mist)
         return prices

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.telemetry.registry import DEFAULT_BUCKETS, Histogram
 
 #: Bucket edges shared by every flow's latency histogram, in seconds.
-LATENCY_BOUNDS: np.ndarray = np.asarray(DEFAULT_BUCKETS, dtype=np.float64)
+LATENCY_BOUNDS: tuple[float, ...] = DEFAULT_BUCKETS
 
 
 def _latency_histogram() -> Histogram:

@@ -511,7 +511,7 @@ def flex_market_experiment(
             base_price_micromist=BASE_PRICE_MICROMIST,
             peak_price_micromist=peak_price,
             curve_times=curve_times,
-            curve_prices=[float(price) for price in curve_prices],
+            curve_prices=curve_prices,
         )
         if telemetry is not None:
             for crossing in crossings:

@@ -11,7 +11,8 @@ Two processes run side by side:
   register the received beacons as core segments towards the origin.
 
 The implementation walks the topology deterministically (BFS trees per
-origin, plus simple alternative-route enumeration on the core mesh) instead
+origin, plus shortest-first simple-route enumeration on the core mesh by
+:func:`shortest_simple_paths`) instead
 of exchanging timed messages — the *output* (chained, MAC-authenticated
 segments in a :class:`SegmentStore`) is identical to what message-level
 beaconing would register, and it is what both the market and the data plane
@@ -20,12 +21,12 @@ consume.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
-
-import networkx as nx
+from typing import Hashable, Iterator, TypeVar
 
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.scion.addresses import IsdAs
@@ -131,29 +132,28 @@ def _core_beaconing(
     core_paths_per_pair: int,
 ) -> None:
     """Propagate core beacons; register several simple routes per pair."""
-    core_graph = nx.Graph()
-    for autonomous_system in topology.core_ases:
-        core_graph.add_node(autonomous_system.isd_as)
+    # Neighbours in link order, parallel core links collapsed to one.
+    core_mesh: dict[IsdAs, dict[IsdAs, None]] = {
+        autonomous_system.isd_as: {} for autonomous_system in topology.core_ases
+    }
     for link in topology.links:
         if link.link_type is LinkType.CORE:
-            core_graph.add_edge(link.a, link.b)
+            core_mesh[link.a][link.b] = None
+            core_mesh[link.b][link.a] = None
 
-    cores = sorted(core_graph.nodes)
+    cores = sorted(core_mesh)
     for origin in cores:
         for target in cores:
             if origin == target:
                 continue
-            if not nx.has_path(core_graph, origin, target):
-                continue
-            routes = islice(
-                nx.shortest_simple_paths(core_graph, origin, target),
-                core_paths_per_pair,
+            routes = itertools.islice(
+                shortest_simple_paths(core_mesh, origin, target), core_paths_per_pair
             )
             for route in routes:
                 beta0 = rng.randrange(1 << 16)
                 segment = build_segment(
                     topology,
-                    list(route),
+                    route,
                     SegmentKind.CORE,
                     timestamp,
                     beta0,
@@ -161,3 +161,110 @@ def _core_beaconing(
                     prf_factory,
                 )
                 store.register_core(segment)
+
+
+Node = TypeVar("Node", bound=Hashable)
+
+
+def shortest_simple_paths(
+    adjacency: dict[Node, dict[Node, None]], source: Node, target: Node
+) -> Iterator[list[Node]]:
+    """Loopless routes ``source`` -> ``target``, fewest hops first (Yen).
+
+    ``adjacency`` is an undirected graph as ``{node: {neighbour: None}}``.
+    This is networkx's unweighted ``shortest_simple_paths`` ported
+    step for step, and it yields the same routes in the same order, ties
+    included. Two things fix that order: the bidirectional BFS visits
+    neighbours in insertion order, and candidates leave the heap by
+    (length, push order). Yields nothing when ``target`` is unreachable.
+    """
+    found: list[list[Node]] = []
+    heap: list[tuple[int, int, list[Node]]] = []
+    queued: set[tuple[Node, ...]] = set()
+    pushes = itertools.count()
+
+    def push(route: list[Node]) -> None:
+        if tuple(route) not in queued:
+            queued.add(tuple(route))
+            heapq.heappush(heap, (len(route), next(pushes), route))
+
+    route = _bidirectional_bfs(adjacency, source, target, set(), set())
+    if route is not None:
+        push(route)
+    while heap:
+        route = heapq.heappop(heap)[2]
+        queued.remove(tuple(route))
+        yield route
+        found.append(route)
+        ignore_nodes: set[Node] = set()
+        ignore_edges: set[tuple[Node, Node]] = set()
+        for i in range(1, len(route)):
+            root = route[:i]
+            for earlier in found:
+                if earlier[:i] == root:
+                    ignore_edges.add((earlier[i - 1], earlier[i]))
+            spur = _bidirectional_bfs(adjacency, root[-1], target, ignore_nodes, ignore_edges)
+            if spur is not None:
+                push(root[:-1] + spur)
+            ignore_nodes.add(root[-1])
+
+
+def _bidirectional_bfs(
+    adjacency: dict[Node, dict[Node, None]],
+    source: Node,
+    target: Node,
+    ignore_nodes: set[Node],
+    ignore_edges: set[tuple[Node, Node]],
+) -> list[Node] | None:
+    """A fewest-hop route avoiding ``ignore_nodes`` and (either direction
+    of) ``ignore_edges``; the fringes grow alternately, the smaller first."""
+    if source == target:
+        return [source]
+
+    def neighbours(node: Node) -> list[Node]:
+        return [
+            other
+            for other in adjacency[node]
+            if other not in ignore_nodes
+            and (node, other) not in ignore_edges
+            and (other, node) not in ignore_edges
+        ]
+
+    pred: dict[Node, Node | None] = {source: None}
+    succ: dict[Node, Node | None] = {target: None}
+    forward, reverse = [source], [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for node in level:
+                for other in neighbours(node):
+                    if other not in pred:
+                        forward.append(other)
+                        pred[other] = node
+                    if other in succ:
+                        return _join(pred, succ, other)
+        else:
+            level, reverse = reverse, []
+            for node in level:
+                for other in neighbours(node):
+                    if other not in succ:
+                        succ[other] = node
+                        reverse.append(other)
+                    if other in pred:
+                        return _join(pred, succ, other)
+    return None
+
+
+def _join(pred: dict, succ: dict, meet: Node) -> list[Node]:
+    """The route through ``meet``: its predecessor chain, then successors."""
+    head = []
+    node = pred[meet]
+    while node is not None:
+        head.append(node)
+        node = pred[node]
+    tail = []
+    node = meet
+    while node is not None:
+        tail.append(node)
+        node = succ[node]
+    return head[::-1] + tail

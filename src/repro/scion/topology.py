@@ -20,8 +20,6 @@ import enum
 import random
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from repro.crypto.keys import SecretValue
 from repro.scion.addresses import IsdAs
 
@@ -101,7 +99,6 @@ class Topology:
     def __init__(self) -> None:
         self._ases: dict[IsdAs, AutonomousSystem] = {}
         self._links: list[Link] = []
-        self._graph = nx.Graph()
 
     # -- construction -------------------------------------------------------
 
@@ -110,7 +107,6 @@ class Topology:
             raise ValueError(f"AS {isd_as} already exists")
         autonomous_system = AutonomousSystem(isd_as=isd_as, is_core=is_core)
         self._ases[isd_as] = autonomous_system
-        self._graph.add_node(isd_as, is_core=is_core)
         return autonomous_system
 
     def add_link(self, a: IsdAs, b: IsdAs, link_type: LinkType) -> Link:
@@ -126,7 +122,6 @@ class Topology:
         as_b.allocate_interface(a, ifid_a, link_type)
         link = Link(a, ifid_a, b, ifid_b, link_type)
         self._links.append(link)
-        self._graph.add_edge(a, b, link_type=link_type)
         return link
 
     # -- queries ------------------------------------------------------------
@@ -148,10 +143,6 @@ class Topology:
     @property
     def links(self) -> list[Link]:
         return list(self._links)
-
-    @property
-    def graph(self) -> nx.Graph:
-        return self._graph
 
     def children_of(self, isd_as: IsdAs) -> list[IsdAs]:
         """Customer ASes reachable over PARENT_CHILD links where we are parent."""

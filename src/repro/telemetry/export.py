@@ -32,11 +32,11 @@ def snapshot(registry: MetricsRegistry | NullRegistry) -> list[dict[str, Any]]:
             "labelnames": list(family.labelnames),
         }
         if isinstance(family, HistogramFamily):
-            row["buckets"] = [float(b) for b in family.bounds]
+            row["buckets"] = list(family.bounds)
             row["children"] = [
                 {
                     "labels": list(labels),
-                    "counts": [int(c) for c in child.counts],
+                    "counts": list(child.counts),
                     "sum": child.sum,
                     "count": child.count,
                 }
@@ -119,9 +119,9 @@ def to_prometheus(registry: MetricsRegistry | NullRegistry) -> str:
             for labels, child in family.items():
                 cumulative = 0
                 for bound, count in zip(family.bounds, child.counts):
-                    cumulative += int(count)
+                    cumulative += count
                     label_str = _merge_label_str(
-                        family.labelnames, labels, "le", repr(float(bound))
+                        family.labelnames, labels, "le", repr(bound)
                     )
                     lines.append(f"{family.name}_bucket{label_str} {cumulative}")
                 label_str = _merge_label_str(family.labelnames, labels, "le", "+Inf")

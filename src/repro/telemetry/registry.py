@@ -5,9 +5,9 @@ Design goals (ISSUE 6 tentpole):
 * **lock-cheap** — instruments are plain-attribute updates; the registry is
   only locked when a *new* family or label-child is created, never on the
   hot observation path.
-* **numpy-backed histograms** — a fixed bucket-edge vector shared per
-  family; ``observe`` is one bisect plus three scalar adds, and quantile
-  estimation vectorizes over the counts with numpy.
+* **fixed-bucket histograms** — one tuple of float bucket edges shared
+  per family; ``observe`` is one bisect plus three scalar adds, and a
+  quantile is one running sum over the counts plus one bisect.
 * **labeled** — families fan out into children via ``.labels(...)``
   (AS / interface / direction / whatever the caller declares), with a
   cardinality guard so an unbounded label set (e.g. a per-packet id) fails
@@ -25,11 +25,10 @@ experiment installed a live one via :func:`set_registry` /
 from __future__ import annotations
 
 import bisect
+import itertools
 import os
 import threading
 from typing import Iterator, Sequence
-
-import numpy as np
 
 __all__ = [
     "Counter",
@@ -103,22 +102,19 @@ class Histogram:
     ``bounds`` are the *upper* bucket edges; an observation lands in the
     first bucket whose bound is >= the value, with one overflow bucket past
     the last bound (so ``counts`` has ``len(bounds) + 1`` slots).  The hot
-    path bisects a plain-float edge list — an order of magnitude cheaper
-    than a scalar numpy ``searchsorted`` — while :meth:`quantile` vectorizes
-    over the counts with numpy.
+    path bisects the edge tuple.
     """
 
-    __slots__ = ("bounds", "_edges", "counts", "sum", "count")
+    __slots__ = ("bounds", "counts", "sum", "count")
 
-    def __init__(self, bounds: np.ndarray) -> None:
+    def __init__(self, bounds: tuple[float, ...]) -> None:
         self.bounds = bounds
-        self._edges = [float(b) for b in bounds]
         self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
-        self.counts[bisect.bisect_left(self._edges, value)] += 1
+        self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
 
@@ -134,16 +130,16 @@ class Histogram:
         if self.count == 0:
             return float("nan")
         rank = q * self.count
-        cumulative = np.cumsum(self.counts)
-        index = int(np.searchsorted(cumulative, rank, side="left"))
+        cumulative = list(itertools.accumulate(self.counts))
+        index = bisect.bisect_left(cumulative, rank)
         if index >= len(self.bounds):  # overflow bucket
-            return float(self.bounds[-1])
-        lower = float(self.bounds[index - 1]) if index > 0 else 0.0
-        upper = float(self.bounds[index])
-        in_bucket = int(self.counts[index])
+            return self.bounds[-1]
+        lower = self.bounds[index - 1] if index > 0 else 0.0
+        upper = self.bounds[index]
+        in_bucket = self.counts[index]
         if in_bucket == 0:
             return upper
-        below = int(cumulative[index - 1]) if index > 0 else 0
+        below = cumulative[index - 1] if index > 0 else 0
         fraction = (rank - below) / in_bucket
         return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
 
@@ -232,7 +228,7 @@ class HistogramFamily(_Family):
         buckets: Sequence[float],
     ) -> None:
         super().__init__(name, help, labelnames, max_label_sets)
-        bounds = np.asarray(sorted(float(b) for b in buckets), dtype=np.float64)
+        bounds = tuple(sorted(float(b) for b in buckets))
         if len(bounds) == 0:
             raise ValueError(f"{name}: histogram needs at least one bucket bound")
         self.bounds = bounds

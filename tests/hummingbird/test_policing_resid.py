@@ -1,9 +1,15 @@
 """Traffic policing (Algorithm 1) and ResID interval colouring (§4.4)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.hummingbird.policing import (
     PerInterfacePolicer,
     PolicingVerdict,
@@ -18,6 +24,22 @@ from repro.hummingbird.resid import (
     policing_array_bytes,
 )
 from repro.wire import bwcls
+
+# Builds the §4.4 ResIDmax array (100 Gbps / 100 kbps: 3e6 ResIDs, 24 MB)
+# in a fresh interpreter and prints the peak-RSS growth in bytes, before
+# and after ten ResIDs far apart take a packet each.
+_RESIDENCY_PROBE = """
+import resource, sys
+from repro.hummingbird.policing import TokenBucketArray
+unit = 1 if sys.platform == "darwin" else 1024
+peak = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit
+before = peak()
+array = TokenBucketArray(3_000_000)
+built = peak()
+for res_id in range(0, 3_000_000, 300_000):
+    array.monitor(res_id, 1000, 500, 1000.0)
+print(array.memory_bytes, built - before, peak() - before)
+"""
 
 
 class TestTokenBucket:
@@ -50,6 +72,54 @@ class TestTokenBucket:
 
     def test_memory_is_8_bytes_per_res_id(self):
         assert TokenBucketArray(capacity=100_000).memory_bytes == 800_000  # §7.1
+
+    def test_paper_sized_array_is_not_resident_until_touched(self):
+        """Untouched pages stay out of RSS, as ``np.zeros`` pages did; a
+        ``bytearray`` or ``array("q")`` buffer would add the whole 24 MB."""
+        source_root = pathlib.Path(repro.__file__).resolve().parents[1]
+        # ru_maxrss survives exec: a probe spawned straight from this large
+        # process would start at its peak.  A small interpreter in between
+        # has a peak below the probe's own.
+        relay = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]])"
+        result = subprocess.run(
+            [sys.executable, "-c", relay, _RESIDENCY_PROBE],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(source_root)},
+        )
+        memory_bytes, built, touched = map(int, result.stdout.split())
+        assert memory_bytes == 8 * 3_000_000
+        assert built < 2 << 20
+        assert touched < 2 << 20  # ten ResIDs touch ten 4 KiB pages
+
+    def test_usage_snapshot_is_ascending_and_skips_idle_res_ids(self):
+        bucket = TokenBucketArray(capacity=64)
+        for res_id in (40, 3, 17, 3):
+            bucket.monitor(res_id, 1000, 100, 1000.0)
+        bucket.monitor(9, 1000, 0, 1000.0)  # a zero-length packet moves no bytes
+        assert bucket.usage_snapshot() == {3: 200, 17: 100, 40: 100}
+        assert list(bucket.usage_snapshot()) == [3, 17, 40]
+        assert bucket.usage_bytes(3) == 200
+        assert bucket.usage_bytes(5) == 0
+        assert bucket.usage_bytes(99) == 0  # out of range
+
+    def test_set_limit_and_reset(self):
+        bucket = TokenBucketArray(capacity=8, burst_time=0.05)
+        bucket.set_limit(2, 0)
+        assert bucket.monitor(2, 1000, 500, 1000.0) is PolicingVerdict.FWD_BEST_EFFORT
+        bucket.clear_limit(2)
+        assert bucket.monitor(2, 1000, 500, 1000.0) is PolicingVerdict.FWD_FLYOVER
+        bucket.set_limit(2, 100)
+        while bucket.monitor(2, 1000, 500, 1000.0) is PolicingVerdict.FWD_FLYOVER:
+            pass  # fill the 50 ms burst at the capped rate
+        bucket.reset(2)
+        assert bucket.usage_bytes(2) == 0
+        assert bucket.usage_snapshot() == {}
+        # reset cleared the timestamp and the cap: a full burst at 1 Mbps
+        # (6,250 B) fits again, where the 100 kbps cap allowed 625 B.
+        admitted = [bucket.monitor(2, 1000, 500, 1000.0) for _ in range(12)]
+        assert set(admitted) == {PolicingVerdict.FWD_FLYOVER}
 
     @settings(max_examples=30)
     @given(

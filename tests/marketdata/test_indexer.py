@@ -1,6 +1,6 @@
 """MarketIndexer lifecycle: Listed/Sold/Delisted/Relisted, incrementality."""
 
-import numpy as np
+import math
 
 from repro.marketdata import ListingQuery, MarketIndexer, naive_best_listing
 from repro.marketdata.naive import iter_listings
@@ -199,4 +199,4 @@ class TestPriceCurve:
         assert curve[0] == -(-1000 * 600 * 100 // 1_000_000)
         assert curve[2] == -(-1000 * 600 * 25 // 1_000_000)
         assert curve[2] < curve[0]  # the valley is visible
-        assert np.isinf(curve[4])  # beyond every asset: uncovered
+        assert math.isinf(curve[4])  # beyond every asset: uncovered

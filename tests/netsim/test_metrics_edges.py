@@ -93,7 +93,7 @@ class TestSharedHistogramPort:
         exact = metrics.latency_percentile(50)
         estimate = metrics.latency_quantile(0.5)
         # The estimate sits within one bucket of the exact value.
-        edges = [0.0, *LATENCY_BOUNDS.tolist()]
+        edges = [0.0, *LATENCY_BOUNDS]
         bucket = next(
             (lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < exact <= hi
         )

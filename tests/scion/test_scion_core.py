@@ -85,7 +85,10 @@ class TestTopology:
         import networkx as nx
 
         topo = random_internet_topology(5, 10, seed=3)
-        assert nx.is_connected(topo.graph)
+        graph = nx.Graph()
+        graph.add_nodes_from(a.isd_as for a in topo.ases)
+        graph.add_edges_from((link.a, link.b) for link in topo.links)
+        assert nx.is_connected(graph)
 
     def test_distinct_secret_values(self):
         topo = linear_topology(3)

@@ -25,8 +25,6 @@ from typing import Any
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-import numpy as np
-
 from repro.analysis import render_table, sparkline
 from repro.netsim.scenarios import (
     auction_experiment,
@@ -68,8 +66,8 @@ def _labels_str(labelnames: list[str], labels: list[str]) -> str:
 
 
 def _rebuild_histogram(buckets: list[float], child: dict[str, Any]) -> Histogram:
-    histogram = Histogram(np.asarray(buckets, dtype=np.float64))
-    histogram.counts[:] = np.asarray(child["counts"], dtype=np.int64)
+    histogram = Histogram(tuple(buckets))
+    histogram.counts[:] = child["counts"]
     histogram.sum = child["sum"]
     histogram.count = child["count"]
     return histogram
