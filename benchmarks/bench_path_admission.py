@@ -5,13 +5,13 @@ every cycle admits (and later releases) the window on *both* interface
 directions of every hop, through each hop's own
 :class:`~repro.admission.AdmissionController`.  This bench builds 2- and
 4-hop :class:`~repro.pathadm.PathAdmission` coordinators over preloaded
-calendars — sharded and monolithic — and measures full
-screen → commit → rollback cycles, the constant-state version of the
-two-phase protocol (rollback re-subtracts exactly what screen added, so
-the calendars never grow and every sample sees the same load).
+calendars at shard widths from an hour to a week (the default, a day, in
+between) and measures full screen → commit → rollback cycles, the
+constant-state version of the two-phase protocol (rollback re-subtracts
+exactly what screen added, so the calendars never grow and every sample
+sees the same load).
 
-Acceptance bar: >= 6,000 admitted paths/sec at 2 hops on sharded
-calendars (``shard_seconds`` set).
+Acceptance bar: >= 6,000 admitted paths/sec at 2 hops at the default width.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_path_admission.py -q
   or: PYTHONPATH=src python benchmarks/bench_path_admission.py --smoke
@@ -35,25 +35,25 @@ try:
 except ImportError:  # executed as a script from the benchmarks/ directory
     from conftest import bench_result, measure_ab, measure_op, report, write_bench_json
 
-from repro.admission import ISSUED, AdmissionController
+from repro.admission import DEFAULT_SHARD_SECONDS, ISSUED, AdmissionController
 from repro.analysis import render_comparison
 from repro.pathadm import PathAdmission, PathHop
 from repro.telemetry import get_registry
 
 HORIZON = 1_000_000.0  # seconds of calendar time the preload spreads over
 CAPACITY_KBPS = 100_000_000  # 100 Gbps per interface direction
-SHARD_SECONDS = 86_400.0
+WIDTHS = {"1 h": 3_600.0, "1 d": DEFAULT_SHARD_SECONDS, "7 d": 7 * 86_400.0}
 PATH_KBPS = 4_000
 HOP_COUNTS = (2, 4)
 PRELOAD = 5_000  # background reservations per interface direction
 PRELOAD_SMOKE = 1_000
 SAMPLES = 2_000
 SAMPLES_SMOKE = 300
-MIN_PATHS_PER_SEC_2HOP_SHARDED = 6_000
+MIN_PATHS_PER_SEC_2HOP = 6_000
 
 
 def _hop_controller(
-    shard_seconds: float | None,
+    shard_seconds: float,
     preload: int,
     seed: int,
     telemetry: bool | None = None,
@@ -78,7 +78,7 @@ def _hop_controller(
 
 def build_path(
     hops: int,
-    shard_seconds: float | None,
+    shard_seconds: float,
     preload: int = PRELOAD,
     telemetry: bool | None = None,
 ) -> PathAdmission:
@@ -125,55 +125,52 @@ def _cycle(path: PathAdmission, seed: int = 11):
 
 
 def path_admission_rates(preload: int = PRELOAD, samples: int = SAMPLES):
-    """``{(hops, variant): measure_op dict}`` over sharded and monolithic."""
+    """``{(hops, shard_seconds): measure_op dict}`` over every width."""
     rates = {}
     for hops in HOP_COUNTS:
-        for variant, shard_seconds in (
-            ("sharded", SHARD_SECONDS),
-            ("monolithic", None),
-        ):
+        for shard_seconds in WIDTHS.values():
             path = build_path(hops, shard_seconds, preload=preload)
-            rates[(hops, variant)] = measure_op(
+            rates[(hops, shard_seconds)] = measure_op(
                 _cycle(path), samples=samples, warmup=20
             )
     return rates
 
 
 def _table(rates, preload: int) -> str:
+    labels = {width: label for label, width in WIDTHS.items()}
     rows = [
         [
             str(hops),
-            variant,
+            labels[width],
             f"{stats['ops_per_sec']:,.0f}",
             f"{stats['ops_per_sec'] * hops * 2:,.0f}",
             f"{stats['p50'] * 1e6:,.0f}",
             f"{stats['p99'] * 1e6:,.0f}",
         ]
-        for (hops, variant), stats in sorted(rates.items())
+        for (hops, width), stats in sorted(rates.items())
     ]
     return render_comparison(
-        ["hops", "calendar", "paths/s", "hop admits/s", "p50 us", "p99 us"],
+        ["hops", "shard width", "paths/s", "hop admits/s", "p50 us", "p99 us"],
         rows,
         title="Atomic path admission: screen+commit+rollback cycles/sec "
         f"({preload:,} background reservations per interface direction)",
         note="each cycle admits and releases both directions of every hop; "
-        f"rollback leaves calendars byte-identical, so every sample sees "
-        f"the same load. shard width {SHARD_SECONDS:.0f}s.",
+        "rollback leaves calendars byte-identical, so every sample sees "
+        "the same load.",
     )
 
 
 def test_bench_path_admission_report():
     rates = path_admission_rates(preload=PRELOAD, samples=500)
     report("bench_path_admission", _table(rates, PRELOAD))
-    assert (
-        rates[(2, "sharded")]["ops_per_sec"] >= MIN_PATHS_PER_SEC_2HOP_SHARDED
-    ), rates
+    floor = rates[(2, DEFAULT_SHARD_SECONDS)]["ops_per_sec"]
+    assert floor >= MIN_PATHS_PER_SEC_2HOP, rates
 
 
 def path_admission_ab(preload: int, samples: int) -> dict:
     """Armed-vs-disarmed path-cycle overhead, paired in one process.
 
-    ONE 2-hop sharded path runs interleaved screen/commit/rollback
+    ONE 2-hop path at the default width runs interleaved screen/commit/rollback
     cycles with its telemetry flags (coordinator + every hop controller)
     flipped per arm, so both arms share calendars, caches, and memory
     layout and differ only in the guarded branches.  The flag writes
@@ -183,7 +180,7 @@ def path_admission_ab(preload: int, samples: int) -> dict:
     """
     if not get_registry().enabled:
         raise SystemExit("--ab-overhead needs REPRO_TELEMETRY=1 (live registry)")
-    path = build_path(2, SHARD_SECONDS, preload=preload, telemetry=True)
+    path = build_path(2, DEFAULT_SHARD_SECONDS, preload=preload, telemetry=True)
     cycle = _cycle(path)
 
     def arm(enabled: bool):
@@ -203,12 +200,12 @@ def _json_rows(rates) -> list[dict]:
     return [
         bench_result(
             "path_admission_admit",
-            {"hops": hops, "shard": variant, "telemetry": telemetry_mode},
+            {"hops": hops, "shard_seconds": width, "telemetry": telemetry_mode},
             ops_per_sec=stats["ops_per_sec"],
             p50=stats["p50"],
             p99=stats["p99"],
         )
-        for (hops, variant), stats in sorted(rates.items())
+        for (hops, width), stats in sorted(rates.items())
     ]
 
 
@@ -226,7 +223,7 @@ def main() -> None:
         "--ab-overhead",
         action="store_true",
         help="only measure armed-vs-disarmed telemetry overhead on 2-hop "
-        "sharded cycles (paired interleaved A/B; needs REPRO_TELEMETRY=1)",
+        "cycles (paired interleaved A/B; needs REPRO_TELEMETRY=1)",
     )
     args = parser.parse_args()
     preload = PRELOAD_SMOKE if args.smoke else PRELOAD
@@ -234,7 +231,7 @@ def main() -> None:
     if args.ab_overhead:
         stats = path_admission_ab(preload, samples)
         print(
-            f"2-hop sharded path telemetry overhead: {stats['overhead']:+.1%} "
+            f"2-hop path telemetry overhead: {stats['overhead']:+.1%} "
             f"(p50 on {stats['p50_on'] * 1e6:,.1f} us / "
             f"off {stats['p50_off'] * 1e6:,.1f} us, {samples:,} paired cycles)"
         )
@@ -243,7 +240,7 @@ def main() -> None:
             [
                 {
                     "name": "path_admission_admit_ab",
-                    "params": {"hops": 2, "shard": "sharded", "preload": preload},
+                    "params": {"hops": 2, "preload": preload},
                     **stats,
                 }
             ],
@@ -255,11 +252,10 @@ def main() -> None:
     print(f"\ntotal bench time: {time.perf_counter() - began:.1f}s")
     write_bench_json(args.json, _json_rows(rates))
     if not args.smoke:
-        floor = rates[(2, "sharded")]["ops_per_sec"]
-        if floor < MIN_PATHS_PER_SEC_2HOP_SHARDED:
+        floor = rates[(2, DEFAULT_SHARD_SECONDS)]["ops_per_sec"]
+        if floor < MIN_PATHS_PER_SEC_2HOP:
             raise SystemExit(
-                f"2-hop sharded path admission {floor:,.0f}/s below "
-                f"{MIN_PATHS_PER_SEC_2HOP_SHARDED:,}/s"
+                f"2-hop path admission {floor:,.0f}/s below {MIN_PATHS_PER_SEC_2HOP:,}/s"
             )
 
 

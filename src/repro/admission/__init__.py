@@ -12,7 +12,12 @@ from repro.admission.auction import (
     WindowAuction,
     uniform_price_clearing,
 )
-from repro.admission.calendar import AdmissionRejected, CapacityCalendar, Commitment
+from repro.admission.calendar import (
+    DEFAULT_SHARD_SECONDS,
+    AdmissionRejected,
+    CapacityCalendar,
+    Commitment,
+)
 from repro.admission.controller import (
     ACTIVE,
     AUCTION,
@@ -33,6 +38,7 @@ from repro.admission.pricing import FlatPricer, Pricer, ScarcityPricer
 __all__ = [
     "ACTIVE",
     "AUCTION",
+    "DEFAULT_SHARD_SECONDS",
     "ISSUED",
     "POSTED",
     "AdmissionController",

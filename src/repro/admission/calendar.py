@@ -23,16 +23,16 @@ Two layers, one of each:
   index, the end-shard index, validation — and *projects* each commit,
   release and reclaim as a clipped ``add(+-kbps)`` into a dict of
   :class:`StepFunction` shards, one per ``shard_seconds``-wide slot of the
-  time axis.  ``shard_seconds=None`` is the geometry with one unbounded
-  slot; a width keeps every boundary list as short as one slot's worth of
-  commitments and lets ``expire`` drop whole slots behind ``now`` in O(1)
-  each (``docs/scaling.md`` has the numbers for choosing).
+  time axis (a day, :data:`DEFAULT_SHARD_SECONDS`, unless the caller sets
+  a width).  Slots keep every boundary list as short as one slot's worth
+  of commitments and let ``expire`` drop whole slots behind ``now`` in
+  O(1) each (``docs/scaling.md`` has the measurements behind the day).
 
-The deliberate relaxation a width buys that with: dropping a slot forgets
+The deliberate relaxation slots buy that with: dropping a slot forgets
 the *history* of commitments that extend past ``now``, and nothing behind
 the expire watermark is materialized again, so queries about windows
 before it may under-report.  Admission only ever asks about the present
-and future, where every geometry answers identically — the property
+and future, where every width answers identically — the property
 ``tests/admission/test_sharded_property.py`` drives against a brute-force
 reference.
 
@@ -52,6 +52,11 @@ from dataclasses import dataclass
 
 _NEG_INF = float("-inf")
 _INF = float("inf")
+
+#: Shard width of every calendar whose caller sets none: one day.  Measured
+#: against 1 h, 6 h and 7 d in ``docs/scaling.md``: the day leads every
+#: path-admission row and ties the narrower widths on loading.
+DEFAULT_SHARD_SECONDS = 86_400.0
 
 
 class StepFunction:
@@ -130,6 +135,13 @@ def _check_window(start: float, end: float) -> None:
         raise ValueError(f"window [{start}, {end}) must be finite and non-empty")
 
 
+def _check_width(shard_seconds: float) -> float:
+    """The one shard-width rule for calendars and controllers: finite, positive."""
+    if not 0 < shard_seconds < _INF:  # false for a NaN as well
+        raise ValueError(f"shard width {shard_seconds} must be finite and positive")
+    return float(shard_seconds)
+
+
 def _sorted_index(index: dict) -> tuple:
     return tuple(sorted((key, tuple(sorted(ids))) for key, ids in index.items()))
 
@@ -147,8 +159,8 @@ class CapacityCalendar:
     repro.admission.calendar.AdmissionRejected: ...
     >>> _ = calendar.admit(600, 100, 200)       # disjoint in time: fits
 
-    With a shard width the commitment is still recorded once; its level is
-    projected, clipped, into every slot the window overlaps:
+    A commitment is recorded once; its level is projected, clipped, into
+    every slot the window overlaps:
 
     >>> calendar = CapacityCalendar(capacity_kbps=1000, shard_seconds=100)
     >>> spanning = calendar.admit(600, 50, 250)
@@ -166,13 +178,11 @@ class CapacityCalendar:
     # loop and exhaust memory before any admission check ran.
     MAX_SPAN_SHARDS = 100_000
 
-    def __init__(self, capacity_kbps: int, shard_seconds: float | None = None) -> None:
+    def __init__(self, capacity_kbps: int, shard_seconds: float = DEFAULT_SHARD_SECONDS) -> None:
         if capacity_kbps <= 0:
             raise ValueError("capacity must be positive")
-        if shard_seconds is not None and not shard_seconds > 0:
-            raise ValueError("shard width must be positive")
         self.capacity_kbps = int(capacity_kbps)
-        self.shard_seconds = None if shard_seconds is None else float(shard_seconds)
+        self.shard_seconds = _check_width(shard_seconds)
         # Created on demand, deleted when flat again or expired: memory
         # tracks the *live* horizon, not calendar history.
         self._shards: dict[int, StepFunction] = {}
@@ -198,8 +208,6 @@ class CapacityCalendar:
         that may hold a shard (queries: a huge window over a few shards walks
         the shards, not the slots)."""
         width = self.shard_seconds
-        if width is None:
-            return [(0, start, end)]
         keys = range(max(math.floor(start / width), self._floor), math.ceil(end / width))
         if existing and keys.stop - keys.start > len(self._shards):
             keys = [key for key in self._shards if key in keys]
@@ -325,16 +333,14 @@ class CapacityCalendar:
     def expire(self, now: float) -> int:
         """Release every commitment that ended at or before ``now``.
 
-        With a shard width, shards whose slot lies entirely at or before
-        ``now`` are discarded first, in O(1) each — their levels vanish
-        wholesale and the watermark moves up, so commitments ending in
-        those slots release without touching a step function.  Only the
-        slot containing ``now`` is swept record by record; with
-        ``shard_seconds=None`` that slot is the whole calendar.
+        Shards whose slot lies entirely at or before ``now`` are discarded
+        first, in O(1) each — their levels vanish wholesale and the
+        watermark moves up, so commitments ending in those slots release
+        without touching a step function.  Only the slot containing ``now``
+        is swept record by record.
         """
-        width = self.shard_seconds
-        current = 0 if width is None else math.floor(now / width)
-        if width is not None and current > self._floor:
+        current = math.floor(now / self.shard_seconds)
+        if current > self._floor:
             self._floor = current
             for key in [key for key in self._shards if key < current]:
                 del self._shards[key]
@@ -435,8 +441,7 @@ class CapacityCalendar:
 
     def _end_key(self, end: float) -> int:
         """Slot containing the window's last instant (``end`` exclusive)."""
-        width = self.shard_seconds
-        return 0 if width is None else math.ceil(end / width) - 1
+        return math.ceil(end / self.shard_seconds) - 1
 
     def _record(
         self, bandwidth_kbps: int, start: float, end: float, tag: str, pieces: list
@@ -461,7 +466,7 @@ class CapacityCalendar:
         if bandwidth_kbps <= 0:
             raise ValueError("bandwidth must be positive")
         width = self.shard_seconds
-        if width is not None and end - start > self.MAX_SPAN_SHARDS * width:
+        if end - start > self.MAX_SPAN_SHARDS * width:
             raise ValueError(
                 f"commitment [{start}, {end}) spans {(end - start) / width:,.0f} shards "
                 f"of {width}s (limit {self.MAX_SPAN_SHARDS}); "

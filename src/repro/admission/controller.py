@@ -20,7 +20,13 @@ from __future__ import annotations
 import time
 
 from repro.admission.auction import WindowAuction
-from repro.admission.calendar import CapacityCalendar, Commitment, _check_window
+from repro.admission.calendar import (
+    DEFAULT_SHARD_SECONDS,
+    CapacityCalendar,
+    Commitment,
+    _check_width,
+    _check_window,
+)
 from repro.admission.policy import (
     AdmissionDecision,
     AdmissionPolicy,
@@ -57,7 +63,7 @@ class AdmissionController:
         policy: AdmissionPolicy | None = None,
         pricer: Pricer | None = None,
         capacities: dict[tuple[int, bool], int] | None = None,
-        shard_seconds: float | None = None,
+        shard_seconds: float = DEFAULT_SHARD_SECONDS,
         auction_interfaces: bool | set[tuple[int, bool]] | None = None,
         telemetry: bool | None = None,
     ) -> None:
@@ -71,9 +77,8 @@ class AdmissionController:
                 :class:`~repro.admission.pricing.FlatPricer`).
             capacities: per-``(interface, is_ingress)`` capacity overrides.
             shard_seconds: shard width of every layer's
-                :class:`CapacityCalendar`; ``None`` is the one-unbounded-shard
-                geometry — the default, and the right choice below ~10^5
-                commitments per interface direction.
+                :class:`CapacityCalendar` (default a day,
+                :data:`~repro.admission.calendar.DEFAULT_SHARD_SECONDS`).
             auction_interfaces: which interface directions allocate windows
                 by sealed-bid auction instead of posted prices — ``None``
                 (posted everywhere, the default), ``True`` (auction
@@ -88,16 +93,15 @@ class AdmissionController:
                 in one process.
 
         Raises:
-            ValueError: non-positive capacity or shard width.
+            ValueError: non-positive capacity, or a shard width that is not
+                finite and positive.
         """
         if capacity_kbps <= 0:
             raise ValueError("capacity must be positive")
-        if shard_seconds is not None and not shard_seconds > 0:
-            raise ValueError("shard width must be positive")
         self.default_capacity_kbps = int(capacity_kbps)
         self.policy = policy if policy is not None else FirstComeFirstServed()
         self.pricer = pricer if pricer is not None else FlatPricer()
-        self.shard_seconds = None if shard_seconds is None else float(shard_seconds)
+        self.shard_seconds = _check_width(shard_seconds)
         self._capacities = dict(capacities) if capacities else {}
         self._calendars: dict[tuple[str, int, bool], CapacityCalendar] = {}
         if auction_interfaces is True:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.admission import ACTIVE
+from repro.admission import ACTIVE, DEFAULT_SHARD_SECONDS, AdmissionController
 from repro.clock import Clock, SimClock
 from repro.contracts.asset import AssetContract
 from repro.contracts.coin import CoinContract
@@ -140,7 +140,7 @@ def deploy_market(
     interface_capacity_kbps: int | None = None,
     admission_policy=None,
     pricer=None,
-    shard_seconds: float | None = None,
+    shard_seconds: float = DEFAULT_SHARD_SECONDS,
     auction_interfaces=None,
     reclamation: dict | None = None,
 ) -> MarketDeployment:
@@ -155,7 +155,7 @@ def deploy_market(
     deployment fills every admission calendar without headroom);
     ``admission_policy`` and ``pricer`` configure each AS's
     :class:`~repro.admission.AdmissionController`; ``shard_seconds``
-    is the shard width of its calendars (None = one unbounded shard);
+    is the shard width of its calendars (default a day);
     ``auction_interfaces`` (``True`` or a set of ``(interface,
     is_ingress)`` pairs) puts those interface directions into sealed-bid
     auction mode — the seed listings are still posted, but
@@ -170,7 +170,6 @@ def deploy_market(
     (``grace_seconds``, ``no_show_threshold``, ...).  Relisting defaults
     to this deployment's marketplace at the seed base price.
     """
-    from repro.admission import AdmissionController
     rng = random.Random(seed)
     clock = clock if clock is not None else SimClock()
     pki = CpPki(seed=seed)

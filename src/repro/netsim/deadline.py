@@ -90,7 +90,6 @@ def deadline_experiment(
     transfer_count: int = 6,
     horizon: int = 1800,
     seed: int = 3,
-    shard_seconds: float | None = None,
 ) -> DeadlineExperimentResult:
     """Run a contending transfer mix end-to-end and return the tally.
 
@@ -124,7 +123,6 @@ def deadline_experiment(
         asset_duration=horizon,
         asset_bandwidth_kbps=market_bandwidth_kbps,
         price_micromist_per_unit=BASE_PRICE_MICROMIST,
-        shard_seconds=shard_seconds,
     )
     result = DeadlineExperimentResult()
     path_capacity = market_bandwidth_kbps * horizon * BYTES_PER_KBPS_SECOND

@@ -359,7 +359,6 @@ def flex_market_experiment(
     flex_values: tuple[int, ...] = (0, 1800),
     duration: float = 1.5,
     seed: int = SEED,
-    shard_seconds: float | None = None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> FlexMarketResult:
     """Price-reactive purchasing end to end: buy the valley, not the peak.
@@ -406,7 +405,6 @@ def flex_market_experiment(
             interface_capacity_kbps=2 * market_bandwidth_kbps,
             pricer=ScarcityPricer(),
             prf_factory=SIM_PRF,
-            shard_seconds=shard_seconds,
         )
         peak = (deploy_time + 600, deploy_time + 600 + window_seconds)
 
@@ -622,7 +620,6 @@ def auction_experiment(
     num_buyers: int = 10,
     duration: float = 1.5,
     seed: int = SEED,
-    shard_seconds: float | None = None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> AuctionExperimentResult:
     """Sealed-bid uniform-price auction vs posted scarcity prices, head-on.
@@ -692,9 +689,7 @@ def auction_experiment(
             return price_mist(reserve_kbps, window_seconds, unit_price)
 
         # -- posted arm: arrival order vs the scarcity curve -----------------------
-        posted = AdmissionController(
-            capacity_kbps, pricer=ScarcityPricer(), shard_seconds=shard_seconds
-        )
+        posted = AdmissionController(capacity_kbps, pricer=ScarcityPricer())
         posted_outcomes: list[tuple[bool, int, int, str]] = []
         posted_revenue = 0
         for index, valuation in enumerate(valuations):
@@ -719,7 +714,6 @@ def auction_experiment(
             capacity_kbps,
             pricer=ScarcityPricer(),
             policy=ProportionalShare(max_share_fraction),
-            shard_seconds=shard_seconds,
             auction_interfaces=True,
         )
         book = auctioneer.open_auction(
@@ -998,9 +992,9 @@ def path_contention_experiment(
 
     Every buyer wants ``per_buyer_kbps`` across **all** hops of the path
     or nothing.  Each on-path AS runs a deliberately different admission
-    stack — monolithic first-come-first-served posted pricing, a
-    time-sharded proportional-share calendar (the capacity bottleneck),
-    and an auction-mode interface with scarcity quotes — and
+    stack — first-come-first-served posted pricing on day-wide shards, a
+    proportional-share calendar on window-wide shards (the capacity
+    bottleneck), and an auction-mode interface with scarcity quotes — and
     :class:`~repro.pathadm.PathAdmission` coordinates them through the
     two-phase screen -> commit protocol: every hop checked and
     provisionally held, then committed all-or-nothing.
@@ -1046,7 +1040,9 @@ def path_contention_experiment(
         bottleneck_capacity = slots * per_buyer_kbps + probe_kbps
         wide_capacity = 2 * num_buyers * per_buyer_kbps
         # One allocation stack per AS: the heterogeneity the protocol must
-        # coordinate without caring what runs behind each hop.
+        # coordinate without caring what runs behind each hop.  The mode
+        # labels are recorded results: "monolithic" names the default
+        # day-wide shards, which answer as one unbounded shard did.
         configs = [
             ("posted/fcfs/monolithic", AdmissionController(
                 wide_capacity, policy=FirstComeFirstServed(),
@@ -1289,7 +1285,6 @@ def contention_experiment(
     num_buyers: int = 8,
     per_buyer_kbps: int = 2000,
     duration: float = 1.5,
-    shard_seconds: float | None = None,
     telemetry: ExperimentTelemetry | None = None,
 ) -> ContentionResult:
     """Many buyers compete for one bottleneck interface's capacity.
@@ -1315,9 +1310,7 @@ def contention_experiment(
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
         simulation = build_path_simulation(topology, path)
         bottleneck, capacity_kbps = _bottleneck(path, reservable_fraction)
-        controller = AdmissionController(
-            capacity_kbps, pricer=ScarcityPricer(), shard_seconds=shard_seconds
-        )
+        controller = AdmissionController(capacity_kbps, pricer=ScarcityPricer())
 
         start = int(simulation.clock.now())
         reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead

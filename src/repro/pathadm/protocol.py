@@ -25,7 +25,7 @@ shards it created, rollback leaves each upstream calendar
 **byte-identical** to one that never saw the path (see
 :mod:`repro.pathadm.fingerprint` for the precise claim and
 ``tests/pathadm/test_path_rollback_property.py`` for the hypothesis
-proof at both shard geometries).
+proof at day-wide and narrower shard widths).
 
 >>> from repro.admission import AdmissionController
 >>> hops = [PathHop(f"as{i}", AdmissionController(1000), 1, 2) for i in range(3)]

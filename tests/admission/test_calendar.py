@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.admission import AdmissionController, AdmissionRejected, CapacityCalendar
+from repro.admission import (
+    DEFAULT_SHARD_SECONDS,
+    AdmissionController,
+    AdmissionRejected,
+    CapacityCalendar,
+)
 
 
 class TestPointOperations:
@@ -129,17 +134,17 @@ class TestPointOperations:
 
 
 INF, NAN = float("inf"), float("nan")
-GEOMETRIES = [pytest.param(None, id="unbounded"), pytest.param(100.0, id="sharded")]
+WIDTHS = [pytest.param(DEFAULT_SHARD_SECONDS, id="day"), pytest.param(100.0, id="narrow")]
 REFUSED_WINDOWS = [(5, 0.0, INF), (5, -INF, 10.0), (5, NAN, 10.0), (5, 10, 10), (5, 20, 10), (0, 0, 10)]
 REFUSED = [(method, args) for method in ("commit", "try_commit") for args in REFUSED_WINDOWS]
 # the last refused row is refused for its bandwidth, not its window
 QUERY_WINDOWS = [(start, end) for bandwidth, start, end in REFUSED_WINDOWS if bandwidth]
 
 
-@pytest.mark.parametrize("shard_seconds", GEOMETRIES)
+@pytest.mark.parametrize("shard_seconds", WIDTHS)
 class TestOneValidation:
-    """commit, try_commit and the queries refuse the same windows, at either
-    geometry, before touching anything."""
+    """commit, try_commit and the queries refuse the same windows, at any
+    width, before touching anything."""
 
     @staticmethod
     def _busy(shard_seconds):
@@ -186,9 +191,9 @@ class TestOneValidation:
         assert calendar.try_commit(1000, 0, 10) is not None
 
 
-def test_a_commitment_comes_back_as_it_was_given_at_either_geometry():
+def test_a_commitment_comes_back_as_it_was_given_at_any_width():
     histories = []
-    for shard_seconds in (None, 100.0):
+    for shard_seconds in (DEFAULT_SHARD_SECONDS, 100.0):
         calendar = CapacityCalendar(1000, shard_seconds)
         first = calendar.commit(300, 0, 250, "a")
         second = calendar.try_commit(200, 50.5, 150, "b")
@@ -199,9 +204,9 @@ def test_a_commitment_comes_back_as_it_was_given_at_either_geometry():
         histories.append(
             [first, second, third, fourth, shrunk, released, *calendar.commitments()]
         )
-    unbounded, sharded = histories
-    assert unbounded == sharded
-    assert repr(unbounded) == repr(sharded)  # same types: 0 stays 0, not 0.0
+    day, narrow = histories
+    assert day == narrow
+    assert repr(day) == repr(narrow)  # same types: 0 stays 0, not 0.0
     assert (first.start, first.end, second.start) == (0, 250, 50.5)
     assert type(first.start) is int and type(second.end) is int
 

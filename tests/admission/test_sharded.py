@@ -1,10 +1,11 @@
-"""A calendar with a shard width: boundary-spanning projections, O(1) expiry, wiring."""
+"""Narrow shards: boundary-spanning projections, O(1) expiry; the width's wiring."""
 
 import random
 
 import pytest
 
 from repro.admission import (
+    DEFAULT_SHARD_SECONDS,
     AdmissionController,
     AdmissionRejected,
     CapacityCalendar,
@@ -81,16 +82,16 @@ class TestExpire:
         assert calendar.shard_count < shards_before
         assert all(key * SHARD >= 400 for key in calendar._shards)
 
-    def test_expire_counts_and_releases_like_monolithic(self):
-        mono = CapacityCalendar(10_000)
+    def test_expire_counts_and_releases_like_one_day_wide_shard(self):
+        day = CapacityCalendar(10_000)
         shard = sharded(10_000)
         windows = [(0, 80), (80, 100), (90, 210), (150, 430), (300, 500)]
         for index, (start, end) in enumerate(windows):
-            mono.commit(100, start, end, tag=f"t{index}")
+            day.commit(100, start, end, tag=f"t{index}")
             shard.commit(100, start, end, tag=f"t{index}")
         for now in (100, 150, 210, 1000):
-            assert mono.expire(now) == shard.expire(now), now
-            assert mono.commitment_count == shard.commitment_count
+            assert day.expire(now) == shard.expire(now), now
+            assert day.commitment_count == shard.commitment_count
         assert shard.commitment_count == 0
 
     def test_active_spanning_commitment_survives_shard_drop(self):
@@ -112,12 +113,23 @@ class TestExpire:
 
 class TestWiring:
     def test_controller_shard_knob(self):
-        assert AdmissionController(1000).calendar(1, True).shard_seconds is None
-        controller = AdmissionController(1000, shard_seconds=3600.0)
+        assert AdmissionController(1000).calendar(1, True).shard_seconds == 86_400.0
+        assert CapacityCalendar(1000).shard_seconds == DEFAULT_SHARD_SECONDS
+        controller = AdmissionController(1000, shard_seconds=3600)
         calendar = controller.calendar(1, True)
         assert calendar.shard_seconds == 3600.0
-        with pytest.raises(ValueError):
-            AdmissionController(1000, shard_seconds=0)
+        assert type(calendar.shard_seconds) is float
+
+    @pytest.mark.parametrize("width", [0, -100.0, float("inf"), float("nan")])
+    def test_a_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="finite and positive"):
+            AdmissionController(1000, shard_seconds=width)
+        with pytest.raises(ValueError, match="finite and positive"):
+            CapacityCalendar(1000, shard_seconds=width)
+
+    def test_there_is_no_unbounded_geometry(self):
+        with pytest.raises(TypeError):
+            CapacityCalendar(1000, shard_seconds=None)
 
     def test_policies_run_against_sharded_calendars(self):
         controller = AdmissionController(
@@ -131,14 +143,27 @@ class TestWiring:
         controller.release(1, True, granted.commitment)
         assert controller.expire(1_000.0) == 0
 
-    def test_as_service_threads_shard_seconds(self):
+    def test_the_width_is_an_option_only_where_a_caller_sets_one(self):
         import inspect
 
         from repro.controlplane.asclient import AsService
         from repro.controlplane.workflow import deploy_market
-        from repro.netsim.scenarios import contention_experiment
+        from repro.netsim import (
+            auction_experiment,
+            contention_experiment,
+            deadline_experiment,
+            flex_market_experiment,
+        )
 
         # the service is handed its controller; the width is the controller's
         assert "admission" in inspect.signature(AsService.__init__).parameters
-        for callable_ in (AdmissionController.__init__, deploy_market, contention_experiment):
-            assert "shard_seconds" in inspect.signature(callable_).parameters
+        for callable_ in (CapacityCalendar, AdmissionController, deploy_market):
+            parameter = inspect.signature(callable_).parameters["shard_seconds"]
+            assert parameter.default == DEFAULT_SHARD_SECONDS
+        for experiment in (
+            auction_experiment,
+            contention_experiment,
+            deadline_experiment,
+            flex_market_experiment,
+        ):
+            assert "shard_seconds" not in inspect.signature(experiment).parameters

@@ -1,14 +1,16 @@
-"""Property: at either shard geometry the calendar IS the brute-force reference.
+"""Property: at every shard width the calendar IS the brute-force reference.
 
 Hypothesis drives arbitrary interleavings of try_commit / commit / release
-/ reclaim / expire against a calendar with one unbounded shard, one with a
-width (chosen so windows routinely span shard boundaries) and
+/ reclaim / expire against calendars at three widths — the default day
+(wider than the whole run, so every window sits in one shard), 100 s
+(windows routinely span shard boundaries) and 37.5 s (a fractional width,
+so shard edges fall between the integer window ends) — and
 :class:`tests.admission.reference.ReferenceCalendar` — a list of rows
 answering by sweep, sharing no code with ``src/`` — and checks after every
 step that ``peak_commitment`` / ``tag_peak`` / ``headroom`` and the
 commitment records agree, mirroring
-``tests/marketdata/test_indexer_property.py``.  Three rules aim at where the
-sharded geometry is thinnest: release / reclaim of a commitment whose early
+``tests/marketdata/test_indexer_property.py``.  Three rules aim at where
+narrow shards are thinnest: release / reclaim of a commitment whose early
 shards were dropped, a commit straddling the watermark, and ``expire(now)``
 with ``now`` exactly on a shard edge.
 
@@ -26,10 +28,11 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.admission import CapacityCalendar
+from repro.admission import DEFAULT_SHARD_SECONDS, CapacityCalendar
 from tests.admission.reference import ReferenceCalendar
 
 SHARD = 100.0
+WIDTHS = (DEFAULT_SHARD_SECONDS, SHARD, 37.5)
 HORIZON = 1000  # 10 shards' worth of commitment starts
 MAX_DURATION = 350  # spans up to 4 shard boundaries
 PROBE_SPAN = HORIZON + 4 * MAX_DURATION
@@ -50,10 +53,7 @@ def _row(commitment) -> tuple:
 class CalendarReferenceMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
-        self.calendars = [
-            CapacityCalendar(CAPACITY, shard_seconds=None),
-            CapacityCalendar(CAPACITY, shard_seconds=SHARD),
-        ]
+        self.calendars = [CapacityCalendar(CAPACITY, width) for width in WIDTHS]
         self.reference = ReferenceCalendar(CAPACITY)
         self.watermark = 0
         self.rng = random.Random(4321)
@@ -175,4 +175,4 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
 CalendarReferenceMachine.TestCase.settings = settings(
     max_examples=20, stateful_step_count=20, deadline=None
 )
-TestShardedMatchesMonolithic = CalendarReferenceMachine.TestCase
+TestEveryWidthMatchesTheReference = CalendarReferenceMachine.TestCase

@@ -26,10 +26,15 @@ once, in PR 21, from a digest of ``controller_fingerprint``'s layout-bound
 tuples: eight values).  The recording committed beside this file was made
 at the commit *before* ``controlplane/`` got its single plan-to-transaction
 lowering (PR 18), with that commit's ``src/`` on the path; today's code has to
-reproduce it byte for byte on monolithic and on sharded calendars.  Re-recorded
+reproduce it byte for byte.  Re-recorded
 once since, in PR 19, when the sealed bytes of a delivery and the payload of
 ``ReservationDelivered`` were meant to change: 30 ``asset.deliver_reservation``
 rows a calendar, argument digest and event-payload digest only.
+
+The recording holds one arm per calendar geometry of its day: ``monolithic``
+(one unbounded shard) and ``sharded`` (300-second shards), equal part for part.
+Every calendar now has a day-wide shard width, so one run has to reproduce
+both arms.
 
 To re-record (only when a submitted transaction is *meant* to change — a new
 command, a different argument, another gas schedule — never to make a refactor
@@ -69,7 +74,7 @@ from repro.telemetry import ExperimentTelemetry, use_trace
 from repro.transfers import DeadlineTransfer, TransferAborted, TransferPlanner
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "transaction_equivalence.json"
-CALENDARS = {"monolithic": None, "sharded": 300.0}
+ARMS = ("monolithic", "sharded")
 SEED = 1810
 ASSET_KBPS = 100_000
 POSTED = (T0 + 600, T0 + 1200)  # bought, never used, reclaimed at +610
@@ -149,7 +154,7 @@ def _tap(log: list):
 class _Script:
     """The scenario's state: one deployment, its hosts, what they collected."""
 
-    def __init__(self, shard_seconds) -> None:
+    def __init__(self) -> None:
         self.clock = SimClock(float(T0))
         topology, path = linear_path(4, timestamp=T0)
         self.crossings = as_crossings(path)
@@ -162,7 +167,6 @@ class _Script:
             asset_bandwidth_kbps=ASSET_KBPS,
             interface_capacity_kbps=4 * ASSET_KBPS,
             pricer=ScarcityPricer(),
-            shard_seconds=shard_seconds,
             # every transit AS enters the path on interface 2
             auction_interfaces={(2, True)},
             reclamation={"interval": 0.25, "grace_seconds": 5.0},
@@ -480,11 +484,11 @@ class _Script:
         }
 
 
-def run_scenario(shard_seconds) -> dict:
+def run_scenario() -> dict:
     log: list = []
     telemetry = ExperimentTelemetry("transaction_equivalence")
     with _tap(log), telemetry.activate(), use_trace(telemetry.trace("script")) as trace:
-        script = _Script(shard_seconds)
+        script = _Script()
         script.issuance()
         script.posted_purchases()
         script.reclaim()
@@ -521,10 +525,14 @@ def recorded() -> dict:
     return json.loads(FIXTURE.read_text())
 
 
-@pytest.mark.parametrize("calendars", CALENDARS)
-def test_every_transaction_and_the_end_state_match_the_recording(recorded, calendars):
-    replayed = run_scenario(CALENDARS[calendars])
-    expected = recorded[calendars]
+@pytest.fixture(scope="module")
+def replayed() -> dict:
+    return run_scenario()
+
+
+@pytest.mark.parametrize("arm", ARMS)
+def test_every_transaction_and_the_end_state_match_the_recording(recorded, replayed, arm):
+    expected = recorded[arm]
     for index, (ours, theirs) in enumerate(
         zip(replayed["transactions"], expected["transactions"])
     ):
@@ -534,15 +542,10 @@ def test_every_transaction_and_the_end_state_match_the_recording(recorded, calen
         assert replayed[part] == expected[part], part
 
 
-def test_both_shard_geometries_leave_the_same_calendars(recorded):
-    monolithic, sharded = (recorded[name]["controllers"] for name in CALENDARS)
-    assert monolithic == sharded
-
-
 def test_the_recording_covers_every_submitting_entry_point(recorded):
     """A recording with no fused leg or no aborted redeem would pin nothing."""
-    for calendars in CALENDARS:
-        scenario = recorded[calendars]
+    for arm in ARMS:
+        scenario = recorded[arm]
         transactions = scenario["transactions"]
         functions = {name for tx in transactions for name in tx[1].split()}
         assert functions == {
@@ -576,7 +579,8 @@ def test_the_recording_covers_every_submitting_entry_point(recorded):
 
 
 if __name__ == "__main__":
-    recording = {name: run_scenario(shard) for name, shard in CALENDARS.items()}
+    scenario = run_scenario()
+    recording = {arm: scenario for arm in ARMS}
     text = json.dumps(recording, indent=1, sort_keys=True)
     # one line per transaction / reservation: leaf lists are collapsed
     text = re.sub(r"\[[^\[\]{}]*\]", lambda leaf: re.sub(r"\s+", " ", leaf.group(0)), text)

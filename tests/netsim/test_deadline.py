@@ -3,8 +3,7 @@
 ``deadline_experiment`` itself asserts the per-transfer invariants
 inline (deadline hit iff the oracle says feasible, >= 90% of oracle
 bytes, on-chain spend == planned spend == oracle cost when feasible);
-these tests drive it at small scale, check the aggregate view, and pin
-the sharded backend.
+these tests drive it at small scale and check the aggregate view.
 """
 
 from repro.netsim import deadline_experiment
@@ -28,15 +27,3 @@ def test_deadline_experiment_aggregates():
         )
         if record.bytes_moved:
             assert record.reservations > 0 and record.legs > 0
-
-
-def test_deadline_experiment_runs_on_sharded_backend():
-    result = deadline_experiment(
-        num_ases=2,
-        transfer_count=3,
-        horizon=1200,
-        seed=5,
-        shard_seconds=600.0,
-    )
-    assert len(result.records) == 3
-    assert result.bytes_vs_oracle >= 0.9

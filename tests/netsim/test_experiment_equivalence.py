@@ -3,14 +3,20 @@
 ``run_experiments`` drives all seven ``*_experiment`` functions once, seeded,
 over ``linear_path(3)`` and ``linear_path(4)``: ``congestion_experiment``
 protected and unprotected plus one call with its three rates varied;
-``contention_experiment`` at two ``(num_buyers, per_buyer_kbps)`` on both
-calendars; ``auction_experiment`` with a packet phase and clearing-only at two
-seeds on both calendars; ``flex_market_experiment`` on both calendars and with
-three flex budgets; ``path_contention_experiment`` on three and four ASes;
+``contention_experiment`` at two ``(num_buyers, per_buyer_kbps)``;
+``auction_experiment`` with a packet phase and clearing-only at two seeds;
+``flex_market_experiment`` once and with three flex budgets;
+``path_contention_experiment`` on three and four ASes;
 ``reclamation_experiment`` (short enough to stay cheap, long enough that the
 adaptive arm reclaims and admits a waiting buyer at a scan);
-``deadline_experiment`` on both calendars; then the five experiments that take
-``telemetry`` once more under an :class:`ExperimentTelemetry`.
+``deadline_experiment``; then the five experiments that take ``telemetry``
+once more under an :class:`ExperimentTelemetry`.
+
+The recording was made while four experiments still took a calendar geometry,
+so their keys come in two arms: ``/monolithic`` (one unbounded shard) and
+``/sharded`` (600-second shards).  The arms were equal, key for key; every
+calendar now has a day-wide shard width and no experiment takes one, so one
+run answers for both arms (``ARMED``).
 
 Recorded per key: the whole result dataclass (``dataclasses.fields``,
 recursively; floats to 12 significant digits, non-finite ones as the strings
@@ -57,8 +63,16 @@ from repro.netsim import (
 from repro.telemetry import ExperimentTelemetry
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "experiment_equivalence.json"
-SHARD = 600.0
-CALENDARS = {"monolithic": None, "sharded": SHARD}
+ARMS = ("monolithic", "sharded")
+#: Runs recorded once per arm of the former geometry option.
+ARMED = (
+    "contention/8x2000@3",
+    "contention/5x3000@4",
+    "auction/clearing-seed3@3",
+    "auction/clearing-seed5@3",
+    "flex_market",
+    "deadline",
+)
 
 
 def _canonical(value):
@@ -117,29 +131,23 @@ def run_experiments() -> dict:
         duration=0.4,
     )
 
-    for calendar, width in CALENDARS.items():
-        runs[f"contention/8x2000@3/{calendar}"] = contention_experiment(
-            *paths[3], num_buyers=8, duration=0.5, shard_seconds=width
-        )
-        runs[f"contention/5x3000@4/{calendar}"] = contention_experiment(
-            *paths[4], num_buyers=5, per_buyer_kbps=3000, duration=0.4,
-            shard_seconds=width,
-        )
+    runs["contention/8x2000@3"] = contention_experiment(
+        *paths[3], num_buyers=8, duration=0.5
+    )
+    runs["contention/5x3000@4"] = contention_experiment(
+        *paths[4], num_buyers=5, per_buyer_kbps=3000, duration=0.4
+    )
 
     runs["auction/packets@3/monolithic"] = auction_experiment(*paths[3], duration=0.5)
     runs["auction/packets@4/sharded"] = auction_experiment(
-        *paths[4], num_buyers=6, duration=0.4, seed=2, shard_seconds=SHARD
+        *paths[4], num_buyers=6, duration=0.4, seed=2
     )
-    for calendar, width in CALENDARS.items():
-        for seed in (3, 5):
-            runs[f"auction/clearing-seed{seed}@3/{calendar}"] = auction_experiment(
-                *paths[3], duration=0, seed=seed, shard_seconds=width
-            )
-
-    for calendar, width in CALENDARS.items():
-        runs[f"flex_market/{calendar}"] = flex_market_experiment(
-            duration=0.3, seed=1, shard_seconds=width
+    for seed in (3, 5):
+        runs[f"auction/clearing-seed{seed}@3"] = auction_experiment(
+            *paths[3], duration=0, seed=seed
         )
+
+    runs["flex_market"] = flex_market_experiment(duration=0.3, seed=1)
     runs["flex_market/three-budgets@4"] = flex_market_experiment(
         num_ases=4, flex_values=(0, 600, 1800), duration=0.3, seed=2
     )
@@ -149,10 +157,12 @@ def run_experiments() -> dict:
 
     runs["reclamation@3"] = reclamation_experiment(*paths[3], duration=0.6)
 
-    for calendar, width in CALENDARS.items():
-        runs[f"deadline/{calendar}"] = deadline_experiment(
-            num_ases=3, transfer_count=3, horizon=1200, seed=5, shard_seconds=width
-        )
+    runs["deadline"] = deadline_experiment(
+        num_ases=3, transfer_count=3, horizon=1200, seed=5
+    )
+    for key in ARMED:
+        result = runs.pop(key)
+        runs.update({f"{key}/{arm}": result for arm in ARMS})
 
     recording = {key: {"result": result} for key, result in runs.items()}
 
@@ -222,8 +232,8 @@ def test_the_recording_covers_what_a_reordering_would_move(recorded):
         buyers = recorded["reclamation@3"]["result"]["arms"][arm]["buyers"]
         assert {b["reserved"] for b in buyers if b["kind"] == "late"} == reserved
 
-    for calendar in CALENDARS:
-        records = recorded[f"deadline/{calendar}"]["result"]["records"]
+    for arm in ARMS:
+        records = recorded[f"deadline/{arm}"]["result"]["records"]
         assert len(records) == 3 and any(record["legs"] for record in records)
 
     for name in ("contention", "flex_market", "auction", "path_contention", "reclamation"):

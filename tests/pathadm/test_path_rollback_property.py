@@ -1,6 +1,6 @@
 """Hypothesis proof of the byte-identical rollback guarantee.
 
-Random paths (hop count, per-hop sharded/monolithic calendars, FCFS or
+Random paths (hop count, per-hop shard widths from a day down to 600 s, FCFS or
 proportional-share policies, auction and posted allocation modes
 interleaved), random pre-populated base load, then a random mix of
 
@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.admission import (
     ACTIVE,
+    DEFAULT_SHARD_SECONDS,
     ISSUED,
     AdmissionController,
     FirstComeFirstServed,
@@ -37,7 +38,7 @@ WINDOW = 3600.0
 hop_strategy = st.fixed_dictionaries(
     {
         "capacity": st.sampled_from([400, 700, 1000]),
-        "shard_seconds": st.sampled_from([None, 600.0, 1800.0]),
+        "shard_seconds": st.sampled_from([DEFAULT_SHARD_SECONDS, 600.0, 1800.0]),
         "proportional": st.booleans(),
         "auction_mode": st.booleans(),
     }

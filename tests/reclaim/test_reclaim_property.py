@@ -1,4 +1,4 @@
-"""Property suite: reclamation is safe on both calendars.
+"""Property suite: reclamation is safe at any shard width.
 
 Two invariants, driven by hypothesis:
 
@@ -6,8 +6,8 @@ Two invariants, driven by hypothesis:
     rate — ``retain_headroom >= 1`` and the min-retained floor guarantee
     the interface keeps headroom for traffic the data plane has seen;
 (b) one interleaving of commit/reclaim/release produces identical
-    verdicts and identical headroom profiles on the monolithic and
-    sharded calendars.
+    verdicts and identical headroom profiles on day-wide and on
+    100-second shards.
 """
 
 import math
@@ -132,7 +132,7 @@ def _run(calendar, ops):
 
 @settings(max_examples=80, deadline=None)
 @given(ops=OPS)
-def test_monolithic_and_sharded_verdicts_identical(ops):
-    mono = _run(CapacityCalendar(CAPACITY), ops)
-    sharded = _run(CapacityCalendar(CAPACITY, shard_seconds=SHARD), ops)
-    assert mono == sharded
+def test_day_wide_and_narrow_shards_give_identical_verdicts(ops):
+    day = _run(CapacityCalendar(CAPACITY), ops)
+    narrow = _run(CapacityCalendar(CAPACITY, shard_seconds=SHARD), ops)
+    assert day == narrow

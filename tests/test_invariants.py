@@ -7,12 +7,17 @@ import pytest
 
 from tests.marketdata.conftest import RawMarket
 
-from repro.admission import ACTIVE, AdmissionController, OverbookingPolicy
+from repro.admission import (
+    ACTIVE,
+    DEFAULT_SHARD_SECONDS,
+    AdmissionController,
+    OverbookingPolicy,
+)
 from repro.invariants import InvariantBreach, check
 from repro.ledger.chain import Ledger
 from repro.marketdata import MarketIndexer
 
-GEOMETRIES = [pytest.param(None, id="unbounded"), pytest.param(100.0, id="sharded")]
+WIDTHS = [pytest.param(DEFAULT_SHARD_SECONDS, id="day"), pytest.param(100.0, id="narrow")]
 
 
 def _deployment(ledger=None, marketplace="m", **controllers):
@@ -28,7 +33,7 @@ def _deployment(ledger=None, marketplace="m", **controllers):
     )
 
 
-@pytest.mark.parametrize("shard_seconds", GEOMETRIES)
+@pytest.mark.parametrize("shard_seconds", WIDTHS)
 def test_a_busy_controller_holds_even_past_dropped_shards(shard_seconds):
     controller = AdmissionController(1000, shard_seconds=shard_seconds)
     spanning = controller.admit_issue(1, True, 600, 50, 450, tag="a")
@@ -39,7 +44,7 @@ def test_a_busy_controller_holds_even_past_dropped_shards(shard_seconds):
     check(_deployment(a=controller), now=210)
 
 
-@pytest.mark.parametrize("shard_seconds", GEOMETRIES)
+@pytest.mark.parametrize("shard_seconds", WIDTHS)
 def test_a_level_no_record_explains_is_a_breach(shard_seconds):
     controller = AdmissionController(1000, shard_seconds=shard_seconds)
     controller.admit_issue(1, True, 600, 50, 250)

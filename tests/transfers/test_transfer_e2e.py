@@ -4,8 +4,8 @@ rollback on vanished supply, and mixed-granularity failures.
 The fuse guarantee is stated as an A/B: a transfer stitched across two
 600-second listings (buy + buy + fuse + one redeem per hop) must leave
 every on-path AS's ACTIVE calendar **byte-identical** to the same
-transfer bought from one 1200-second listing — on the monolithic and
-the sharded calendar alike.
+transfer bought from one 1200-second listing — on day-wide shards and on
+600-second shards, where the stitch sits on a shard edge, alike.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from tests.conftest import T0
 from tests.marketdata.conftest import RawMarket
 
-from repro.admission import ACTIVE
+from repro.admission import ACTIVE, DEFAULT_SHARD_SECONDS
 from repro.clock import SimClock
 from repro.controlplane import deploy_market, execute_transfer
 from repro.invariants import check
@@ -31,7 +31,7 @@ WINDOW = 1200  # two 600s listings in the stitched arm, one listing in the other
 
 def _deploy(
     asset_duration: int,
-    shard_seconds: float | None,
+    shard_seconds: float = DEFAULT_SHARD_SECONDS,
     extra_window=None,
     interface_capacity_kbps=None,
 ):
@@ -94,7 +94,7 @@ def _run_transfer(deployment, crossings):
 
 @pytest.mark.parametrize(
     "shard_seconds",
-    [pytest.param(None, id="monolithic"), pytest.param(600.0, id="sharded")],
+    [pytest.param(DEFAULT_SHARD_SECONDS, id="day"), pytest.param(600.0, id="narrow")],
 )
 def test_fused_stitch_matches_single_rectangle(shard_seconds):
     stitched, crossings_a = _deploy(
@@ -173,7 +173,7 @@ def test_vanished_listing_aborts_cleanly_both_ways():
     it the ledger rejects the transaction and rolls it back — either way
     no asset, reservation, coin, or active-calendar byte changes hands.
     """
-    deployment, crossings = _deploy(600, None)
+    deployment, crossings = _deploy(600)
     host = deployment.new_host(name="victim")
     planner = TransferPlanner(host.indexer(deployment.marketplace))
     plan = planner.plan(
@@ -230,9 +230,7 @@ def test_mixed_incongruent_granularity_surfaces_from_transfer():
     """A seller listing on a shifted 90s lattice makes the whole book
     unplannable: ``transfer`` must raise ``IncompatibleGranularity``, not
     an opaque failure, and submit nothing."""
-    deployment, crossings = _deploy(
-        600, None, interface_capacity_kbps=20_000_000
-    )
+    deployment, crossings = _deploy(600, interface_capacity_kbps=20_000_000)
     for crossing in crossings:
         service = deployment.service(crossing.isd_as)
         listed = service.issue_and_list(

@@ -20,8 +20,8 @@ Guarded rows:
 
 * ``admission_controller_admit_ab`` — single-interface admits
   (``bench_admission.py``);
-* ``path_admission_admit_ab`` at 2 hops, sharded — full path-wide
-  screen/commit/rollback cycles (``bench_path_admission.py``).
+* ``path_admission_admit_ab`` at 2 hops, default shard width — full
+  path-wide screen/commit/rollback cycles (``bench_path_admission.py``).
 
 Besides the A/B overhead rows, ``FLOOR_TARGETS`` enforces absolute
 throughput floors: the named row of a plain ``--smoke --json`` run must
@@ -67,7 +67,7 @@ TARGETS = [
     (
         "bench_path_admission.py",
         "path_admission_admit_ab",
-        {"hops": 2, "shard": "sharded"},
+        {"hops": 2},
     ),
 ]
 
