@@ -1,30 +1,63 @@
-"""Experiments run unchanged on either calendar.
+"""Experiments run unchanged at any shard width.
 
 ``shard_seconds`` changes *how* a controller's
 :class:`~repro.admission.CapacityCalendar` lays out its step function
-(one unbounded shard, or one per slot of that width), never *what*
-it answers — every buyer's admission outcome, price, and peak is
-identical between the two, seed for seed.
+(one shard per slot of that width), never *what* it answers — every
+buyer's admission outcome, price, and peak is identical between the
+day-wide default and narrow shards, seed for seed.  No experiment takes a
+width, so the narrow arm swaps in a controller whose every calendar is
+:data:`NARROW` seconds wide, wherever the experiment builds one.
 """
 
+import pytest
+
 import repro.admission
+import repro.controlplane.workflow
+from repro.admission import DEFAULT_SHARD_SECONDS
 from repro.netsim import (
     auction_experiment,
+    deadline_experiment,
     flex_market_experiment,
     linear_path,
     path_contention_experiment,
 )
 
-SIM_SHARD = 600.0
-WIDTHS = (None, SIM_SHARD)  # monolithic, sharded
+NARROW = 600.0
 
 
-def test_auction_experiment_outcomes_identical_across_backends():
+@pytest.fixture
+def narrow(monkeypatch):
+    """Call ``run()`` with every controller built on ``NARROW``-wide shards.
+
+    Returns the widths the experiment asked for, so a test can see that
+    the swap did replace a controller.
+    """
+    real = repro.admission.AdmissionController
+    asked: list[float] = []
+
+    class NarrowController(real):
+        def __init__(self, *args, shard_seconds=DEFAULT_SHARD_SECONDS, **kwargs):
+            asked.append(shard_seconds)
+            super().__init__(*args, shard_seconds=NARROW, **kwargs)
+
+    def run(experiment, *args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(repro.admission, "AdmissionController", NarrowController)
+            patch.setattr(
+                repro.controlplane.workflow, "AdmissionController", NarrowController
+            )
+            result = experiment(*args, **kwargs)
+        assert asked, "no controller was built on narrow shards"
+        return result
+
+    run.asked = asked
+    return run
+
+
+def test_auction_experiment_outcomes_identical_across_backends(narrow):
     topology, path = linear_path(3)
-    results = [
-        auction_experiment(topology, path, duration=0, seed=3, shard_seconds=width)
-        for width in WIDTHS
-    ]
+    day = auction_experiment(topology, path, duration=0, seed=3)
+    narrowed = narrow(auction_experiment, topology, path, duration=0, seed=3)
 
     def outcomes(result):
         return (
@@ -38,14 +71,12 @@ def test_auction_experiment_outcomes_identical_across_backends():
             result.clearing_price_micromist,
         )
 
-    assert outcomes(results[0]) == outcomes(results[1])
+    assert outcomes(day) == outcomes(narrowed)
 
 
-def test_flex_market_experiment_outcomes_identical_across_backends():
-    results = [
-        flex_market_experiment(duration=0.3, seed=1, shard_seconds=width)
-        for width in WIDTHS
-    ]
+def test_flex_market_experiment_outcomes_identical_across_backends(narrow):
+    day = flex_market_experiment(duration=0.3, seed=1)
+    narrowed = narrow(flex_market_experiment, duration=0.3, seed=1)
 
     def outcomes(result):
         return (
@@ -59,25 +90,16 @@ def test_flex_market_experiment_outcomes_identical_across_backends():
             result.curve_prices,
         )
 
-    assert outcomes(results[0]) == outcomes(results[1])
+    assert outcomes(day) == outcomes(narrowed)
 
 
-def test_path_contention_outcomes_identical_across_backends(monkeypatch):
-    """The experiment shards its bottleneck hop; the other arm forces every
-    hop's controller monolithic (the experiment takes no ``shard_seconds``)."""
+def test_path_contention_outcomes_identical_across_backends(narrow):
+    """Two hops run day-wide shards and the bottleneck window-wide ones;
+    the other arm puts every hop on ``NARROW`` shards."""
     topology, path = linear_path(3)
-    sharded = path_contention_experiment(topology, path, num_buyers=8)
-
-    real = repro.admission.AdmissionController
-    widths_seen = []
-
-    def monolithic(*args, shard_seconds=None, **kwargs):
-        widths_seen.append(shard_seconds)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(repro.admission, "AdmissionController", monolithic)
-    mono = path_contention_experiment(topology, path, num_buyers=8)
-    assert SIM_SHARD in widths_seen  # the override did replace a sharded hop
+    default = path_contention_experiment(topology, path, num_buyers=8)
+    narrowed = narrow(path_contention_experiment, topology, path, num_buyers=8)
+    assert DEFAULT_SHARD_SECONDS in narrow.asked  # a day-wide hop was replaced
 
     def outcomes(result):
         return (
@@ -90,12 +112,22 @@ def test_path_contention_outcomes_identical_across_backends(monkeypatch):
             result.oversold,
         )
 
-    assert outcomes(mono) == outcomes(sharded)
+    assert outcomes(default) == outcomes(narrowed)
 
 
 def test_path_contention_rollback_holds_on_the_sharded_hop():
-    """The pathadm screen/commit fingerprints cover the sharded calendar."""
+    """The pathadm screen/commit fingerprints cover the window-wide shards
+    of the bottleneck hop."""
     topology, path = linear_path(4)
     result = path_contention_experiment(topology, path, num_buyers=6)
     assert result.rollback_restores_state
     assert not result.oversold
+
+
+def test_deadline_experiment_outcomes_identical_across_backends(narrow):
+    kwargs = dict(num_ases=2, transfer_count=3, horizon=1200, seed=5)
+    day = deadline_experiment(**kwargs)
+    narrowed = narrow(deadline_experiment, **kwargs)
+    assert len(narrowed.records) == 3
+    assert narrowed.bytes_vs_oracle >= 0.9
+    assert narrowed.records == day.records
