@@ -10,22 +10,37 @@ The group is QR(p) for the RFC 3526 2048-bit safe prime ``p = 2q + 1``;
 ``r = g^k``, ``e = H(r || m)``, ``s = k + e·x mod q``; verification checks
 ``g^s == r · y^e``.
 
-Cost.  Three of the four exponentiations here raise the constant ``g``:
-:attr:`SigningKey.public`, the commitment in :meth:`SigningKey.sign` and
-``g^s`` in :func:`verify` go through a fixed-base comb
-(:mod:`repro.crypto.fixedbase`) sized for a full-width exponent below
-``q``: 512 products of ``g^(2^(228·row))`` built once, when this module is
-imported, then 228 squarings and at most 228 multiplications where ``pow``
-spends 2,046 squarings — ~22.4 → ~5.6 ms, the same integer.  It is a
-second table, not :mod:`repro.crypto.sealing`'s: a comb costs its full
-column count whatever the exponent, so one table wide enough for ``q``
-would quadruple the cost of every 512-bit Diffie-Hellman key.  This one
-builds in ~28 ms and holds ~0.16 MB (both: ~40 ms and ~0.3 MB, paid in
-set-up by anything that imports the control plane).  ``y^e`` in
-:func:`verify` has a different base every call and a 256-bit exponent; it
-stays on ``pow``.  No constant-time claim: the comb skips the
-multiplication of an all-zero column, and CPython's ``pow`` is not
-constant-time either.
+Secrets are short, nonces are not.  :meth:`SigningKey.generate` draws the
+secret from ``[2^(_SECRET_BITS-1), 2^_SECRET_BITS)``, 511 bits: recovering
+an exponent known to lie in an interval of width ``2^510`` takes a kangaroo
+walk of ~``2^255`` steps, far above the ~112 bits the 2048-bit group offers
+anyway (the RFC 7919 §5.2 floor of 225 bits holds here as it does for a
+Diffie-Hellman secret).  A signature leaks nothing more: the nonce ``k``
+stays uniform in ``[1, q)``, so ``s = k + e·x mod q`` is uniform whatever
+``x`` is.  A *short nonce* would be a break — ``s`` then leaks the top bits
+of ``k``, a textbook hidden-number key recovery — so nothing shortens it.
+
+Cost.  Every power of ``g`` goes through :func:`_g_pow`, which picks one of
+two fixed-base combs (:mod:`repro.crypto.fixedbase`) by the exponent's
+width; both equal ``pow`` bit for bit.
+
+* Below ``2^_SECRET_BITS`` — every secret :meth:`SigningKey.generate`
+  draws, so every :attr:`SigningKey.public` and every account address —
+  ``g^x`` is ``2^(2x)`` through :mod:`repro.crypto.sealing`'s comb, which is
+  sized for 512-bit exponents of 2: 57 columns, ~1.3 ms.  ``_SECRET_BITS``
+  is that comb's width less the doubling, and follows it.
+* Wider — the nonce in :meth:`SigningKey.sign`, almost every ``g^s`` in
+  :func:`verify`, a key built from any secret below ``q`` — goes through
+  this module's own table, sized for ``q``: 512 products of
+  ``g^(2^(228·row))`` built at import, then 228 squarings and at most 228
+  multiplications where ``pow`` spends 2,046 squarings, ~22.4 → ~5.6 ms.
+  It builds in ~28 ms and holds ~0.16 MB.
+
+A fresh identity (one ``SigningKey.public``) is thus ~1.3 ms where a
+full-width secret costs ~5.6.  ``y^e`` in :func:`verify` has a different
+base every call and a 256-bit exponent; it stays on ``pow``.  No
+constant-time claim: the comb skips the multiplication of an all-zero
+column, and CPython's ``pow`` is not constant-time either.
 """
 
 from __future__ import annotations
@@ -34,21 +49,33 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.crypto.fixedbase import FixedBase
+from repro.crypto.sealing import _G_POW as _SEALING_G_POW
+from repro.crypto.sealing import _SECRET_BITS as _SEALING_BITS
 from repro.crypto.sealing import MODP_P
 
 GROUP_ORDER = (MODP_P - 1) // 2  # prime q
 GENERATOR = 4  # 2^2 is a quadratic residue, generates the order-q subgroup
+# 4^x = 2^(2x): a secret this wide, doubled, fits the sealing comb; see "Cost" above
+_SECRET_BITS = _SEALING_BITS - 1
 # Built at import, not on first use: the first registration of a process is timed too.
 _G_POW = FixedBase(GENERATOR, MODP_P, GROUP_ORDER.bit_length()).pow
 
 
+def _g_pow(exponent: int) -> int:
+    """``g^exponent mod p``: as ``2^(2·exponent)`` through the sealing comb
+    below ``2^_SECRET_BITS``, through the table sized for ``q`` above."""
+    if exponent >> _SECRET_BITS:
+        return _G_POW(exponent)
+    return _SEALING_G_POW(exponent << 1)
+
+
 @dataclass(frozen=True)
 class SigningKey:
-    """A Schnorr private key (exponent in [1, q)).
+    """A Schnorr private key: any exponent in ``[1, q)`` signs and verifies.
 
-    Secret and nonce stay uniform in ``[1, q)``: unlike a Diffie-Hellman
-    exponent, a nonce shorter than ``q`` leaks the key through the response
-    ``s = k + e·x`` (hidden-number problem), so nothing here is shortened.
+    :meth:`generate` draws a short one; the nonce :meth:`sign` draws stays
+    uniform in ``[1, q)`` (the module docstring says why only the secret
+    is shortened).
     """
 
     secret: int
@@ -57,17 +84,18 @@ class SigningKey:
 
     @staticmethod
     def generate(rng) -> "SigningKey":
-        return SigningKey(rng.randrange(1, GROUP_ORDER))
+        """A secret ``_SECRET_BITS`` wide with the top bit set, from ``rng.randrange``."""
+        return SigningKey(rng.randrange(1 << (_SECRET_BITS - 1), 1 << _SECRET_BITS))
 
     @property
     def public(self) -> int:
         if self._public is None:
-            object.__setattr__(self, "_public", _G_POW(self.secret))
+            object.__setattr__(self, "_public", _g_pow(self.secret))
         return self._public
 
     def sign(self, message: bytes, rng) -> "Signature":
         nonce = rng.randrange(1, GROUP_ORDER)
-        commitment = _G_POW(nonce)
+        commitment = _g_pow(nonce)
         challenge = _challenge(commitment, message)
         response = (nonce + challenge * self.secret) % GROUP_ORDER
         return Signature(commitment=commitment, response=response)
@@ -100,7 +128,7 @@ def verify(public_key: int, message: bytes, signature: Signature) -> bool:
     ):
         return False
     challenge = _challenge(signature.commitment, message)
-    left = _G_POW(signature.response)
+    left = _g_pow(signature.response)
     right = (signature.commitment * pow(public_key, challenge, MODP_P)) % MODP_P
     return left == right
 

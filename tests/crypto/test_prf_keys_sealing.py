@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import sealing
+from repro.crypto import sealing, signatures
 from repro.crypto.keys import SecretValue, derive_auth_key, pack_resinfo_input
 from repro.crypto.cmac import Cmac
 from repro.crypto.prf import AesPrf, Blake2Prf, PrfFactory
@@ -331,15 +331,28 @@ class TestSignatures:
         assert not verify(0, b"m", signature)
         assert not verify(1, b"m", signature)
 
-    def test_secret_and_nonce_stay_uniform_below_the_group_order(self):
+    def test_secrets_are_short_and_nonces_stay_uniform_below_the_group_order(self):
         """A nonce shorter than q leaks the key through ``s = k + e·x``
-        (hidden-number problem): only Diffie-Hellman exponents were
-        shortened, and this pins it."""
+        (hidden-number problem); a short secret under a uniform nonce leaks
+        nothing through ``s``.  Only the secret is shortened, and this pins it."""
         rng = RecordingRng(16)
-        key = SigningKey.generate(rng)
-        key.sign(b"m", rng)
-        key.sign(b"m", rng)
-        assert rng.calls == [(1, GROUP_ORDER)] * 3
+        keys = [SigningKey.generate(rng) for _ in range(20)]
+        keys[0].sign(b"m", rng)
+        keys[0].sign(b"m", rng)
+        bits = signatures._SECRET_BITS
+        assert rng.calls == [(1 << (bits - 1), 1 << bits)] * 20 + [(1, GROUP_ORDER)] * 2
+        assert all(key.secret.bit_length() == bits == 511 for key in keys)
+
+    def test_signing_secret_width_stays_above_the_rfc_7919_floor(self):
+        # A secret known to be b bits wide falls to a ~2^(b/2) kangaroo walk:
+        # the same floor as a Diffie-Hellman exponent in this group.
+        assert signatures._SECRET_BITS >= 225
+
+    @pytest.mark.parametrize("secret", [1, 1 << 510, GROUP_ORDER - 1], ids=["1", "short", "q-1"])
+    def test_any_secret_below_the_group_order_signs_and_verifies(self, secret):
+        signature = SigningKey(secret).sign(b"m", random.Random(7))
+        assert verify(SigningKey(secret).public, b"m", signature)
+        assert not verify(SigningKey(secret).public, b"n", signature)
 
     def test_memoised_public_key_is_invisible(self):
         fresh, used = SigningKey(5), SigningKey(5)
@@ -367,7 +380,7 @@ class TestAccountAddress:
 
         rng = RecordingRng(18)
         Account.generate(rng)
-        assert rng.calls == [(1, GROUP_ORDER)]
+        assert rng.calls == [(1 << (signatures._SECRET_BITS - 1), 1 << signatures._SECRET_BITS)]
 
 
 class TestHostDecrypt:

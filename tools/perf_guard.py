@@ -45,7 +45,9 @@ moves a rate moves its floor in the same commit.
 * ``forward_4hop`` (packets built and walked through four AES routers, every
   security check in the timed path): ``pkts_per_s``;
 * ``transfer_3hop`` (deadline transfers of 1-2 legs, each AS answering a
-  host's legs under one Diffie-Hellman exchange): ``lifecycles_per_s``.
+  host's legs under one Diffie-Hellman exchange): ``lifecycles_per_s``;
+* ``auction_24bid`` (a fresh bidder, so a fresh Schnorr identity, every
+  lifecycle): ``lifecycles_per_s``.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ E2E_GUARDED = [
     ("posted_4hop", "lifecycles_per_s"),
     ("forward_4hop", "pkts_per_s"),
     ("transfer_3hop", "lifecycles_per_s"),
+    ("auction_24bid", "lifecycles_per_s"),
 ]
 # Run-to-run spread is a few percent in calibrated seconds; a row at 60% of
 # its recorded rate has lost what the last perf PRs on it gained.
