@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
+WIDTH, HEIGHT = 64, 18  # line_plot's grid, in characters
 
 
 def sparkline(values: list[float], width: int | None = None) -> str:
@@ -29,8 +30,6 @@ def sparkline(values: list[float], width: int | None = None) -> str:
 
 def line_plot(
     series: dict[str, list[tuple[float, float]]],
-    width: int = 64,
-    height: int = 18,
     title: str = "",
     x_label: str = "x",
     y_label: str = "y",
@@ -52,15 +51,15 @@ def line_plot(
     if y_max == y_min:
         y_max += 1
 
-    grid = [[" "] * width for _ in range(height)]
+    grid = [[" "] * WIDTH for _ in range(HEIGHT)]
     markers = "abcdefghijklmnopqrstuvwxyz"
     legend = []
     for index, (name, values) in enumerate(series.items()):
         marker = markers[index % len(markers)]
         legend.append(f"  {marker} = {name}")
         for x, y in values:
-            col = int((x - x_min) / (x_max - x_min) * (width - 1))
-            row = height - 1 - int((y - y_min) / (y_max - y_min) * (height - 1))
+            col = int((x - x_min) / (x_max - x_min) * (WIDTH - 1))
+            row = HEIGHT - 1 - int((y - y_min) / (y_max - y_min) * (HEIGHT - 1))
             current = grid[row][col]
             grid[row][col] = "*" if current not in (" ", marker) else marker
 
@@ -70,7 +69,7 @@ def line_plot(
     lines.append(f"{y_label} (max {y_max:.1f})")
     for row in grid:
         lines.append("|" + "".join(row))
-    lines.append("+" + "-" * width)
+    lines.append("+" + "-" * WIDTH)
     lines.append(f" {x_label}: {x_min:g} .. {x_max:g}   ('*' = overlap)")
     lines.extend(legend)
     return "\n".join(lines)

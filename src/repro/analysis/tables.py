@@ -6,8 +6,8 @@ from __future__ import annotations
 def render_table(headers: list[str], rows: list[list], title: str | None = None) -> str:
     """Render an aligned monospace table.
 
-    >>> print(render_table(['a', 'b'], [['1', '22']]))
-    a | b
+    >>> print(render_table(['a', 'bb'], [['1', '22']]))
+    a | bb
     --+---
     1 | 22
     """

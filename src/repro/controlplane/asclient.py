@@ -72,7 +72,6 @@ class AuctionedRectangle:
     start: int
     expiry: int
     reserve_micromist_per_unit: int
-    commitment: object = None  # the issued-calendar claim backing the asset
 
 
 @dataclass
@@ -457,8 +456,7 @@ class AsService:
         follow_up: Command,
     ) -> SubmittedTransaction:
         """Issue ``rectangle`` with ``follow_up`` taking the asset into an
-        auction's custody — a window auction's whole, or one path leg; once
-        the ledger accepted, the rectangle carries its calendar claim.
+        auction's custody — a window auction's whole, or one path leg.
 
         Raises:
             RuntimeError: the AS has not registered.
@@ -479,8 +477,6 @@ class AsService:
         )
         if submitted is None:
             raise self._rejected(rectangle.interface, rectangle.is_ingress, decision)
-        if submitted.effects.ok:
-            rectangle.commitment = decision.commitment
         return submitted
 
     def _settle(

@@ -17,22 +17,22 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.wire.timestamps import CLOCK_SKEW, MAX_PACKET_AGE
+
+# A packet ID is kept as long as a router would take the packet as fresh:
+# the freshness window [-δ, Δ + δ] is Δ + 2δ long.
+WINDOW = MAX_PACKET_AGE + 2 * CLOCK_SKEW
+MAX_ENTRIES = 1 << 20  # FIFO bound, so an adversary cannot blow up router state
+
 
 class DuplicateFilter:
     """Sliding-window replay filter over packet timestamp triples.
 
-    Entries expire after ``window`` seconds (which should cover the router's
-    freshness window Δ + 2δ); memory is bounded by ``max_entries`` with FIFO
-    eviction, so an adversary cannot blow up router state.
+    Entries expire after :data:`WINDOW` seconds; memory is bounded by
+    :data:`MAX_ENTRIES` with FIFO eviction.
     """
 
-    def __init__(self, window: float = 2.0, max_entries: int = 1 << 20) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.window = window
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._seen: OrderedDict[tuple[int, int, int, int], float] = OrderedDict()
 
     def is_duplicate(
@@ -44,12 +44,12 @@ class DuplicateFilter:
         if key in self._seen:
             return True
         self._seen[key] = now
-        if len(self._seen) > self.max_entries:
+        if len(self._seen) > MAX_ENTRIES:
             self._seen.popitem(last=False)
         return False
 
     def _expire(self, now: float) -> None:
-        cutoff = now - self.window
+        cutoff = now - WINDOW
         while self._seen:
             key, seen_at = next(iter(self._seen.items()))
             if seen_at >= cutoff:

@@ -27,6 +27,8 @@ from repro.scion.addresses import ScionAddr
 from repro.scion.packet import ScionPacket
 from repro.scion.paths import ForwardingPath
 
+MAX_FLOWS = 1024  # local flows one gateway polices, one bucket each
+
 
 class AdmissionError(RuntimeError):
     """The gateway cannot admit the flow without risking overuse."""
@@ -70,7 +72,6 @@ class HummingbirdGateway:
         reservations: list[FlyoverReservation],
         clock: Clock,
         prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
-        max_flows: int = 1024,
     ) -> None:
         if not reservations:
             raise ValueError("a gateway needs at least one reservation")
@@ -84,7 +85,7 @@ class HummingbirdGateway:
         )
         self._committed_kbps = 0
         self._flows: dict[int, GatewayFlow] = {}
-        self._buckets = TokenBucketArray(capacity=max_flows)
+        self._buckets = TokenBucketArray(capacity=MAX_FLOWS)
         self._next_flow_id = 0
         self.stats = GatewayStats()
 

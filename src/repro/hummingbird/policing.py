@@ -39,9 +39,14 @@ class PolicingVerdict(enum.Enum):
 class TokenBucketArray:
     """Algorithm 1: one 8-byte virtual timestamp per ResID.
 
+    A fresh bucket at 8 kbps admits 50 B (50 ms, the whole BurstTime) and
+    not 100 B (100 ms):
+
     >>> array = TokenBucketArray(capacity=16)
-    >>> array.monitor(res_id=3, bw_kbps=8, pkt_len=100, now=1000.0)
+    >>> array.monitor(res_id=3, bw_kbps=8, pkt_len=50, now=1000.0)
     <PolicingVerdict.FWD_FLYOVER: 'fwd_flyover'>
+    >>> array.monitor(res_id=4, bw_kbps=8, pkt_len=100, now=1000.0)
+    <PolicingVerdict.FWD_BEST_EFFORT: 'fwd_best_effort'>
     """
 
     __slots__ = ("burst_time_ns", "_timestamps", "_usage_bytes", "_limits")
@@ -124,24 +129,24 @@ class TokenBucketArray:
 
 
 class PerInterfacePolicer:
-    """Per-ingress-interface policing arrays for one AS.
+    """Per-ingress-interface policing arrays for one AS, each with the
+    :data:`DEFAULT_BURST_TIME` BurstTime.
 
     The AS controls ``ResIDmax`` through the minimum-bandwidth attribute of
     the assets it sells (§4.4): ``capacity`` should be sized as
     R * TotalBW / MinBW for First-Fit competitiveness R.
     """
 
-    __slots__ = ("capacity", "burst_time", "_arrays")
+    __slots__ = ("capacity", "_arrays")
 
-    def __init__(self, capacity: int, burst_time: float = DEFAULT_BURST_TIME) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.burst_time = burst_time
         self._arrays: dict[int, TokenBucketArray] = {}
 
     def array_for(self, ingress_ifid: int) -> TokenBucketArray:
         array = self._arrays.get(ingress_ifid)
         if array is None:
-            array = TokenBucketArray(self.capacity, self.burst_time)
+            array = TokenBucketArray(self.capacity)
             self._arrays[ingress_ifid] = array
         return array
 
@@ -206,10 +211,13 @@ class PerInterfacePolicer:
                 flow_bytes.labels(isd_as, ingress, res_id).set(used)
 
 
-def max_packet_size_for(bw_kbps: int, burst_time: float = DEFAULT_BURST_TIME) -> int:
+def max_packet_size_for(bw_kbps: int) -> int:
     """Largest packet a fresh bucket admits (the §4.4 small-reservation limit).
 
     For reservations below ~240 kbps with a 50 ms BurstTime this drops under
     1500 B, which the paper notes is harmless for VoIP-class traffic.
+
+    >>> max_packet_size_for(8)
+    50
     """
-    return int(bw_kbps * 1000 * burst_time / 8)
+    return int(bw_kbps * 1000 * DEFAULT_BURST_TIME / 8)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
+COMPETITIVENESS = 3  # R of §4.4, the optimal online colouring's bound
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -154,9 +156,9 @@ class CapacityExhausted(RuntimeError):
     """The AS cannot police more concurrent reservations on this interface."""
 
 
-def policing_array_bytes(total_bw_kbps: int, min_bw_kbps: int, competitiveness: int = 3) -> int:
+def policing_array_bytes(total_bw_kbps: int, min_bw_kbps: int) -> int:
     """Worst-case policing array size per §4.4: 8 B * R * TotalBW / MinBW."""
     if min_bw_kbps <= 0:
         raise ValueError("minimum bandwidth must be positive")
-    res_id_max = competitiveness * total_bw_kbps // min_bw_kbps
+    res_id_max = COMPETITIVENESS * total_bw_kbps // min_bw_kbps
     return 8 * res_id_max

@@ -36,9 +36,8 @@ from repro.hummingbird.policing import PerInterfacePolicer, PolicingVerdict
 from repro.scion.packet import PATH_TYPE_HUMMINGBIRD, ScionPacket
 from repro.scion.router import Action, Decision, ScionRouter
 from repro.scion.topology import AutonomousSystem
+from repro.wire.timestamps import CLOCK_SKEW, MAX_PACKET_AGE
 
-DEFAULT_MAX_PACKET_AGE = 1.0  # Delta: maximum packet age accepted as fresh
-DEFAULT_CLOCK_SKEW = 0.5  # delta: maximum clock skew between host and AS (§3.2)
 DEFAULT_POLICING_CAPACITY = 100_000  # matches the prototype's 800 kB array (§7.1)
 
 
@@ -69,9 +68,6 @@ class HummingbirdRouter(ScionRouter):
         clock: Clock,
         prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
         policing_capacity: int = DEFAULT_POLICING_CAPACITY,
-        burst_time: float | None = None,
-        max_packet_age: float = DEFAULT_MAX_PACKET_AGE,
-        clock_skew: float = DEFAULT_CLOCK_SKEW,
         duplicate_filter: DuplicateFilter | None = None,
     ) -> None:
         super().__init__(autonomous_system, clock, prf_factory)
@@ -81,12 +77,7 @@ class HummingbirdRouter(ScionRouter):
             ifid: Decision(Action.FORWARD_PRIORITY, egress_ifid=ifid)
             for ifid in autonomous_system.interfaces
         }
-        if burst_time is None:
-            self.policer = PerInterfacePolicer(policing_capacity)
-        else:
-            self.policer = PerInterfacePolicer(policing_capacity, burst_time)
-        self.max_packet_age = max_packet_age
-        self.clock_skew = clock_skew
+        self.policer = PerInterfacePolicer(policing_capacity)
         self.duplicate_filter = duplicate_filter
         self.stats = RouterStats()
 
@@ -189,7 +180,7 @@ class HummingbirdRouter(ScionRouter):
         now = self.clock.now()
         abs_ts = path.base_timestamp + path.millis_timestamp / 1000.0
         age = now - abs_ts
-        if not -self.clock_skew <= age <= self.max_packet_age + self.clock_skew:
+        if not -CLOCK_SKEW <= age <= MAX_PACKET_AGE + CLOCK_SKEW:
             self.stats.demoted_stale += 1
             return PolicingVerdict.FWD_BEST_EFFORT, ingress, pkt_len
         res_expiry = res_start + hop.res_duration

@@ -103,15 +103,13 @@ class HummingbirdSource:
         reservations: list[FlyoverReservation],
         clock: Clock,
         prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
-        base_timestamp: int | None = None,
     ) -> None:
         self.src = src
         self.dst = dst
         self.path = path
         self.clock = clock
         self.placements = match_reservations(path, reservations)
-        base = int(clock.now()) if base_timestamp is None else base_timestamp
-        self._allocator = TimestampAllocator(base)
+        self._allocator = TimestampAllocator(int(clock.now()))
         self._validate_offsets()
         self._placement_index = {
             (p.seg_index, p.hf_index): p for p in self.placements

@@ -6,10 +6,10 @@ from a simulated committee of validators spread over geographic regions:
 
 * **fast path** (owned-object transactions, Byzantine consistent
   broadcast): the client sends the transaction to all validators and waits
-  for signatures from a 2f+1 stake quorum — one round trip to the
-  quorum-th fastest validator — then broadcasts the resulting certificate
-  and waits for 2f+1 execution acknowledgements: a second quorum round
-  trip.
+  for signatures from a stake quorum of n - f (2f+1 when n = 3f+1) — one
+  round trip to the quorum-th fastest validator — then broadcasts the
+  resulting certificate and waits for a quorum of execution
+  acknowledgements: a second quorum round trip.
 * **consensus path** (transactions touching shared objects, e.g. the
   marketplace): the certificate must additionally be sequenced: it waits
   for inclusion in a leader proposal (uniform wait up to the commit
@@ -36,6 +36,12 @@ _REGIONS = [
     ("asia-south", 140.0),
 ]
 
+# Consensus path: a certificate waits up to one commit interval for a leader
+# proposal, then COMMIT_ROUNDS DAG rounds, then checkpoint execution.
+COMMIT_INTERVAL = 0.9  # seconds
+COMMIT_ROUNDS = 3
+EXECUTION_OVERHEAD = 0.35  # seconds, scaled by U(0.5, 1)
+
 
 @dataclass(frozen=True)
 class Validator:
@@ -51,16 +57,10 @@ class Committee:
         self,
         num_validators: int = 100,
         seed: int = 42,
-        commit_interval: float = 0.9,
-        commit_rounds: int = 3,
-        execution_overhead: float = 0.35,
     ) -> None:
         if num_validators < 4:
             raise ValueError("BFT needs at least 4 validators")
         self.rng = random.Random(seed)
-        self.commit_interval = commit_interval
-        self.commit_rounds = commit_rounds
-        self.execution_overhead = execution_overhead
         self.validators = [
             Validator(
                 name=f"v{i}",
@@ -69,7 +69,9 @@ class Committee:
             )
             for i in range(num_validators)
         ]
-        self.quorum = 2 * (num_validators - 1) // 3 + 1  # 2f+1
+        # n - f with f = floor((n - 1) / 3) Byzantine: any two quorums share
+        # f + 1 validators, at least one of them honest.
+        self.quorum = num_validators - (num_validators - 1) // 3
 
     # -- latency sampling -------------------------------------------------------
 
@@ -83,7 +85,7 @@ class Committee:
         return rtts
 
     def _quorum_rtt(self) -> float:
-        """Round-trip time to the 2f+1-th fastest validator."""
+        """Round-trip time to the quorum-th fastest validator."""
         rtts = sorted(self._sample_rtts())
         return rtts[self.quorum - 1]
 
@@ -97,11 +99,9 @@ class Committee:
     def consensus_latency(self) -> float:
         """Shared-object transaction: fast-path cert + sequencing + commit."""
         certify = self._quorum_rtt()
-        inclusion_wait = self.rng.uniform(0.0, self.commit_interval)
-        rounds = sum(
-            self._validator_round() for _ in range(self.commit_rounds)
-        )
-        execution = self.rng.uniform(0.5, 1.0) * self.execution_overhead
+        inclusion_wait = self.rng.uniform(0.0, COMMIT_INTERVAL)
+        rounds = sum(self._validator_round() for _ in range(COMMIT_ROUNDS))
+        execution = self.rng.uniform(0.5, 1.0) * EXECUTION_OVERHEAD
         return certify + inclusion_wait + rounds + execution
 
     def _validator_round(self) -> float:

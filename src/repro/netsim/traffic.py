@@ -41,7 +41,6 @@ class CbrSource:
         self.builder = builder
         self.entry = entry
         self.metrics = metrics
-        self.payload_bytes = payload_bytes
         self.flow_id = flow_id
         self.jitter = jitter
         self.rng = rng if rng is not None else random.Random(flow_id)

@@ -31,10 +31,15 @@ from repro.scion.router import ScionRouter
 from repro.scion.topology import linear_topology
 from repro.wire import bwcls
 
+WARMUP_CALLS = 100  # untimed calls before time_op starts its clock
+WARMUP_ITEMS = 20  # untimed items before time_op_over starts its clock
+ROUTER_PAYLOAD = 500  # bytes in every packet measure_router times
 
-def time_op(fn, iterations: int = 2000, warmup: int = 100) -> float:
-    """Average nanoseconds per call of ``fn``."""
-    for _ in range(warmup):
+
+def time_op(fn, iterations: int = 2000) -> float:
+    """Average nanoseconds per call of ``fn``, after :data:`WARMUP_CALLS`
+    untimed ones."""
+    for _ in range(WARMUP_CALLS):
         fn()
     start = time.perf_counter_ns()
     for _ in range(iterations):
@@ -42,11 +47,12 @@ def time_op(fn, iterations: int = 2000, warmup: int = 100) -> float:
     return (time.perf_counter_ns() - start) / iterations
 
 
-def time_op_over(fn, items: list, warmup: int = 20) -> float:
-    """Average nanoseconds per call of ``fn(item)`` over distinct items."""
-    for item in items[:warmup]:
+def time_op_over(fn, items: list) -> float:
+    """Average nanoseconds per call of ``fn(item)`` over distinct items, the
+    first :data:`WARMUP_ITEMS` untimed."""
+    for item in items[:WARMUP_ITEMS]:
         fn(item)
-    rest = items[warmup:]
+    rest = items[WARMUP_ITEMS:]
     if not rest:
         raise ValueError("not enough items after warmup")
     start = time.perf_counter_ns()
@@ -128,12 +134,11 @@ class RouterMeasurement:
         return self.hummingbird_process_ns - self.scion_process_ns
 
 
-def measure_router(
-    payload: int = 500, packets: int = 1500, prf_backend: str = "aes"
-) -> RouterMeasurement:
-    """Time full router processing and the individual pipeline operations."""
-    fixture = build_fixture(payload=payload, prf_backend=prf_backend)
-    body = bytes(payload)
+def measure_router(packets: int = 1500, prf_backend: str = "aes") -> RouterMeasurement:
+    """Time full router processing of :data:`ROUTER_PAYLOAD`-byte packets and
+    the individual pipeline operations."""
+    fixture = build_fixture(payload=ROUTER_PAYLOAD, prf_backend=prf_backend)
+    body = bytes(ROUTER_PAYLOAD)
     hb_packets = [fixture.hb_source.build_packet(body) for _ in range(packets)]
     scion_packets = [fixture.scion_source.build_packet(body) for _ in range(packets)]
 

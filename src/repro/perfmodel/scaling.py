@@ -79,7 +79,7 @@ class ThroughputModel:
 # ---------------------------------------------------------------------------
 # Figure series generators.  Each returns
 #   {(series key): [(x, gbps), ...]}
-# with the paper's parameter grids as defaults.
+# over the paper's parameter grids.
 # ---------------------------------------------------------------------------
 
 FIG5_PAYLOADS = (100, 500, 1000, 1500)
@@ -95,65 +95,48 @@ FIG15_PAYLOADS = (100, 500, 1000, 1500)
 def fig5_forwarding_series(
     scion_ns: float = paper.SCION_FORWARD_NS,
     hummingbird_ns: float = paper.HUMMINGBIRD_FORWARD_NS,
-    payloads=FIG5_PAYLOADS,
-    cores=FIG5_CORES,
 ) -> dict:
     """Border-router throughput curves (Fig. 5)."""
     series = {}
-    for payload in payloads:
+    for payload in FIG5_PAYLOADS:
         hb_model = ThroughputModel(hummingbird_ns)
         scion_model = ThroughputModel(scion_ns)
         series[("hummingbird", payload)] = [
             (c, hb_model.throughput_gbps(c, wire_bytes(FIG5_HOPS, payload, True)))
-            for c in cores
+            for c in FIG5_CORES
         ]
         series[("scion", payload)] = [
             (c, scion_model.throughput_gbps(c, wire_bytes(FIG5_HOPS, payload, False)))
-            for c in cores
+            for c in FIG5_CORES
         ]
     return series
 
 
-def fig14_generation_series(
-    generation_ns=None,
-    payload: int = FIG14_PAYLOAD,
-    hops=FIG14_HOPS,
-    cores=FIG5_CORES,
-) -> dict:
-    """Source traffic-generation curves vs cores, 500 B payload (Fig. 14).
-
-    ``generation_ns(hops, payload, hummingbird) -> ns`` defaults to the
-    paper-calibrated Table 4 model.
-    """
-    if generation_ns is None:
-        generation_ns = _paper_generation_ns
+def fig14_generation_series() -> dict:
+    """Source traffic-generation curves vs cores, 500 B payload (Fig. 14),
+    from the paper-calibrated Table 4 model."""
     series = {}
-    for h in hops:
+    for h in FIG14_HOPS:
         for hummingbird in (True, False):
-            model = ThroughputModel(generation_ns(h, payload, hummingbird))
+            model = ThroughputModel(_paper_generation_ns(h, FIG14_PAYLOAD, hummingbird))
             key = ("hummingbird" if hummingbird else "scion", h)
             series[key] = [
-                (c, model.throughput_gbps(c, wire_bytes(h, payload, hummingbird)))
-                for c in cores
+                (c, model.throughput_gbps(c, wire_bytes(h, FIG14_PAYLOAD, hummingbird)))
+                for c in FIG5_CORES
             ]
     return series
 
 
-def fig15_singlecore_series(
-    generation_ns=None,
-    payloads=FIG15_PAYLOADS,
-    hops=FIG14_HOPS,
-) -> dict:
-    """Single-core source throughput vs payload size (Fig. 15)."""
-    if generation_ns is None:
-        generation_ns = _paper_generation_ns
+def fig15_singlecore_series(payloads=FIG15_PAYLOADS) -> dict:
+    """Single-core source throughput vs payload size (Fig. 15), from the
+    paper-calibrated Table 4 model."""
     series = {}
-    for h in hops:
+    for h in FIG14_HOPS:
         for hummingbird in (True, False):
             key = ("hummingbird" if hummingbird else "scion", h)
             series[key] = []
             for payload in payloads:
-                model = ThroughputModel(generation_ns(h, payload, hummingbird))
+                model = ThroughputModel(_paper_generation_ns(h, payload, hummingbird))
                 series[key].append(
                     (payload, model.throughput_gbps(1, wire_bytes(h, payload, hummingbird)))
                 )

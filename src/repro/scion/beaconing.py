@@ -30,9 +30,11 @@ from typing import Hashable, Iterator, TypeVar
 
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.scion.addresses import IsdAs
-from repro.scion.hopfields import DEFAULT_EXP_TIME
+from repro.scion.hopfields import EXP_TIME
 from repro.scion.segments import PathSegment, SegmentKind, build_segment
 from repro.scion.topology import LinkType, Topology
+
+SEED = 1  # of the beta0 draws, so every round registers the same segments
 
 
 @dataclass
@@ -71,10 +73,8 @@ class SegmentStore:
 def run_beaconing(
     topology: Topology,
     timestamp: int,
-    exp_time: int = DEFAULT_EXP_TIME,
     prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
     core_paths_per_pair: int = 3,
-    seed: int = 1,
 ) -> SegmentStore:
     """Run one beaconing round over the whole topology.
 
@@ -82,19 +82,16 @@ def run_beaconing(
     reachable from a core, and up to ``core_paths_per_pair`` core segments
     per ordered pair of core ASes (path diversity feeds the market).
     """
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     store = SegmentStore()
-    _intra_isd_beaconing(topology, timestamp, exp_time, prf_factory, store, rng)
-    _core_beaconing(
-        topology, timestamp, exp_time, prf_factory, store, rng, core_paths_per_pair
-    )
+    _intra_isd_beaconing(topology, timestamp, prf_factory, store, rng)
+    _core_beaconing(topology, timestamp, prf_factory, store, rng, core_paths_per_pair)
     return store
 
 
 def _intra_isd_beaconing(
     topology: Topology,
     timestamp: int,
-    exp_time: int,
     prf_factory: PrfFactory,
     store: SegmentStore,
     rng: random.Random,
@@ -113,7 +110,7 @@ def _intra_isd_beaconing(
                     SegmentKind.INTRA_ISD,
                     timestamp,
                     beta0,
-                    exp_time,
+                    EXP_TIME,
                     prf_factory,
                 )
                 store.register_intra(segment)
@@ -125,7 +122,6 @@ def _intra_isd_beaconing(
 def _core_beaconing(
     topology: Topology,
     timestamp: int,
-    exp_time: int,
     prf_factory: PrfFactory,
     store: SegmentStore,
     rng: random.Random,
@@ -157,7 +153,7 @@ def _core_beaconing(
                     SegmentKind.CORE,
                     timestamp,
                     beta0,
-                    exp_time,
+                    EXP_TIME,
                     prf_factory,
                 )
                 store.register_core(segment)

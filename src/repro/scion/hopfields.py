@@ -30,7 +30,7 @@ SEGID_BITS = 16
 # Relative hop-field expiry: value v means (v+1) * 24h/256 after the segment
 # timestamp, as in the SCION specification.
 EXP_TIME_UNIT = 24 * 3600 / 256
-DEFAULT_EXP_TIME = 63  # 6 hours
+EXP_TIME = 63  # 6 hours, on every hop field beaconing builds
 
 # 0 (16) | SegID (16) | Timestamp (32) | 0 (8) | ExpTime (8) | ConsIngress (16)
 # | ConsEgress (16) | 0 (16)

@@ -23,6 +23,9 @@ from dataclasses import dataclass, field
 from repro.crypto.keys import SecretValue
 from repro.scion.addresses import IsdAs
 
+ISD = 1  # every builder lays its ASes out in one isolation domain
+MULTIHOMING_PROBABILITY = 0.3  # share of random leaves with two providers
+
 
 class LinkType(enum.Enum):
     CORE = "core"
@@ -165,7 +168,7 @@ class Topology:
 # ---------------------------------------------------------------------------
 
 
-def linear_topology(num_ases: int, isd: int = 1) -> Topology:
+def linear_topology(num_ases: int) -> Topology:
     """A chain of ``num_ases`` ASes: one core followed by a provider chain.
 
     This mirrors the paper's running example (Fig. 1, a path of five ASes)
@@ -174,7 +177,7 @@ def linear_topology(num_ases: int, isd: int = 1) -> Topology:
     if num_ases < 1:
         raise ValueError("need at least one AS")
     topo = Topology()
-    isd_ases = [IsdAs(isd, 0x0001_0000_0000 + i) for i in range(num_ases)]
+    isd_ases = [IsdAs(ISD, 0x0001_0000_0000 + i) for i in range(num_ases)]
     topo.add_as(isd_ases[0], is_core=True)
     for i in range(1, num_ases):
         topo.add_as(isd_ases[i], is_core=False)
@@ -182,12 +185,12 @@ def linear_topology(num_ases: int, isd: int = 1) -> Topology:
     return topo
 
 
-def core_mesh_topology(num_cores: int, children_per_core: int, isd: int = 1) -> Topology:
+def core_mesh_topology(num_cores: int, children_per_core: int) -> Topology:
     """A full mesh of core ASes, each with a small provider tree below it."""
     if num_cores < 1:
         raise ValueError("need at least one core AS")
     topo = Topology()
-    cores = [IsdAs(isd, 0xC000_0000_0000 + i) for i in range(num_cores)]
+    cores = [IsdAs(ISD, 0xC000_0000_0000 + i) for i in range(num_cores)]
     for core in cores:
         topo.add_as(core, is_core=True)
     for i, core_a in enumerate(cores):
@@ -195,7 +198,7 @@ def core_mesh_topology(num_cores: int, children_per_core: int, isd: int = 1) -> 
             topo.add_link(core_a, core_b, LinkType.CORE)
     for core_index, core in enumerate(cores):
         for child_index in range(children_per_core):
-            child = IsdAs(isd, 0x0001_0000_0000 + core_index * 1000 + child_index)
+            child = IsdAs(ISD, 0x0001_0000_0000 + core_index * 1000 + child_index)
             topo.add_as(child, is_core=False)
             topo.add_link(core, child, LinkType.PARENT_CHILD)
     return topo
@@ -205,19 +208,17 @@ def random_internet_topology(
     num_cores: int,
     num_leaves: int,
     seed: int = 7,
-    isd: int = 1,
-    multihoming_probability: float = 0.3,
 ) -> Topology:
     """A randomized SCION-like internet: sparse core mesh + multihomed leaves.
 
-    Leaves attach to one or (with ``multihoming_probability``) two providers,
+    Leaves attach to one or (with :data:`MULTIHOMING_PROBABILITY`) two providers,
     which produces the path diversity the paper's market analysis relies on
     (§5.3: "between most source/destination pairs, there are more than
     twenty ... paths available").
     """
     rng = random.Random(seed)
     topo = Topology()
-    cores = [IsdAs(isd, 0xC000_0000_0000 + i) for i in range(num_cores)]
+    cores = [IsdAs(ISD, 0xC000_0000_0000 + i) for i in range(num_cores)]
     for core in cores:
         topo.add_as(core, is_core=True)
     # Ring + random chords keeps the core connected but not complete.
@@ -231,9 +232,9 @@ def random_internet_topology(
                 topo.add_link(cores[i], cores[j], LinkType.CORE)
                 existing.add(pair)
     for leaf_index in range(num_leaves):
-        leaf = IsdAs(isd, 0x0001_0000_0000 + leaf_index)
+        leaf = IsdAs(ISD, 0x0001_0000_0000 + leaf_index)
         topo.add_as(leaf, is_core=False)
-        providers = rng.sample(cores, 2 if rng.random() < multihoming_probability else 1)
+        providers = rng.sample(cores, 2 if rng.random() < MULTIHOMING_PROBABILITY else 1)
         for provider in providers:
             topo.add_link(provider, leaf, LinkType.PARENT_CHILD)
     return topo

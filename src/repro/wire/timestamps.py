@@ -18,6 +18,11 @@ from dataclasses import dataclass
 MILLIS_RANGE = 1 << 16
 COUNTER_RANGE = 1 << 16
 
+# Freshness (§3.2): a router takes a packet as fresh while its timestamp is
+# at most Δ old, with δ of slack either way for host and AS clocks.
+MAX_PACKET_AGE = 1.0  # Δ, seconds
+CLOCK_SKEW = 0.5  # δ, seconds
+
 
 @dataclass(frozen=True)
 class PacketTimestamp:

@@ -112,7 +112,7 @@ def test_the_as_service_has_one_auctioned_rectangle_record():
         node.name
         for node in ast.parse(asclient.read_text()).body
         if isinstance(node, ast.ClassDef)
-        and {"interface", "is_ingress", "commitment"}
+        and {"interface", "is_ingress", "leg_index"}
         <= {
             field.target.id for field in node.body if isinstance(field, ast.AnnAssign)
         }

@@ -171,10 +171,12 @@ def attack_cases(backend: str) -> dict:
     src, dst = addresses(path)
     results = {}
 
-    def case(name, reservations, mutate=None, now=float(T0), **router_kwargs):
+    def case(name, reservations, mutate=None, now=float(T0), duplicate_filter=None):
         clock = SimClock(now)
         source = HummingbirdSource(src, dst, path, reservations, clock, prf)
-        router = HummingbirdRouter(topology.as_of(path.src), clock, prf, **router_kwargs)
+        router = HummingbirdRouter(
+            topology.as_of(path.src), clock, prf, duplicate_filter=duplicate_filter
+        )
         packet = source.build_packet(b"y" * 500)
         if mutate is not None:
             mutate(packet)
@@ -226,11 +228,13 @@ def attack_cases(backend: str) -> dict:
     case("stolen_to_other_dst", granted(), redirect)
     case("wrong_tag", granted(), flip)
 
-    for name, router_kwargs in (
-        ("replay_drains_bucket", {}),
-        ("replay_suppressed", {"duplicate_filter": DuplicateFilter()}),
+    for name, duplicate_filter in (
+        ("replay_drains_bucket", None),
+        ("replay_suppressed", DuplicateFilter()),
     ):
-        source, router = case(name, granted(bandwidth_kbps=1_000), **router_kwargs)
+        source, router = case(
+            name, granted(bandwidth_kbps=1_000), duplicate_filter=duplicate_filter
+        )
         observed = source.build_packet(b"v" * 400)
         replays = [router.process(deepcopy(observed), 0) for _ in range(26)]
         victim_next = router.process(source.build_packet(b"v" * 400), 0)

@@ -25,8 +25,8 @@ def chain4_aes():
     return linear_path(4, timestamp=T0, prf_factory=AES)
 
 
-def routers_for(topology, clock, **kwargs):
-    return {a.isd_as: HummingbirdRouter(a, clock, AES, **kwargs) for a in topology.ases}
+def routers_for(topology, clock):
+    return {a.isd_as: HummingbirdRouter(a, clock, AES) for a in topology.ases}
 
 
 def actions(topology, routers, packet, path):

@@ -19,10 +19,8 @@ from repro.scion.paths import as_crossings
 from repro.wire import bwcls
 
 
-def routers_for(topology, clock, **kwargs):
-    return {
-        a.isd_as: HummingbirdRouter(a, clock, BLAKE2, **kwargs) for a in topology.ases
-    }
+def routers_for(topology, clock):
+    return {a.isd_as: HummingbirdRouter(a, clock, BLAKE2) for a in topology.ases}
 
 
 class TestSource:

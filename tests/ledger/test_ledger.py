@@ -246,6 +246,16 @@ class TestCommittee:
     def test_quorum_is_two_thirds(self):
         assert Committee(num_validators=100).quorum == 67
 
+    def test_two_quorums_always_share_an_honest_validator(self):
+        """f = floor((n - 1) / 3) validators may be Byzantine: two quorums meet
+        in f + 1 of them, and the honest ones alone still make a quorum.  At
+        n = 50 the old 2(n - 1)/3 + 1 gave 33, whose overlap is f = 16."""
+        for n in range(4, 201):
+            f = (n - 1) // 3
+            quorum = Committee(num_validators=n).quorum
+            assert 2 * quorum - n >= f + 1, n
+            assert quorum <= n - f, n
+
     def test_too_small_committee_rejected(self):
         with pytest.raises(ValueError):
             Committee(num_validators=3)

@@ -11,7 +11,7 @@ The same PR turned every experiment option that no call site in the
 repository passed into a named constant (78 defaulted parameters across the
 seven experiments became 29).  An option comes back only together with the
 caller that needs it: that walk now lives in ``tests/test_no_unset_option.py``,
-which audits the control plane and ``reclaim/`` the same way.
+which audits every module under ``src/repro`` the same way.
 """
 
 from __future__ import annotations

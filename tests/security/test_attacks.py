@@ -28,8 +28,10 @@ from repro.scion.addresses import HostAddr, IsdAs, ScionAddr
 from repro.scion.router import Action
 
 
-def router_for(topology, isd_as, clock, **kwargs):
-    return HummingbirdRouter(topology.as_of(isd_as), clock, BLAKE2, **kwargs)
+def router_for(topology, isd_as, clock, duplicate_filter=None):
+    return HummingbirdRouter(
+        topology.as_of(isd_as), clock, BLAKE2, duplicate_filter=duplicate_filter
+    )
 
 
 class TestOveruseProtectionD1:

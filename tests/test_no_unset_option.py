@@ -1,19 +1,24 @@
 """No option nobody sets, no name nobody references.
 
 PR 20 turned every netsim experiment option that no call site in the
-repository passed into a named constant and left a test behind
-(``tests/netsim/test_one_harness.py``) that fails on a defaulted experiment
-parameter without a caller.  This is that ``ast`` walk, lifted to cover every
-public function, method and constructor of ``repro.admission``,
-``repro.controlplane``, ``repro.marketdata``, ``repro.pathadm``,
-``repro.reclaim``, ``repro.telemetry`` and ``repro.transfers`` as well: an
-option comes back only together with the caller that needs it; the paper's own
-knobs are allow-listed with the reason each stays.
+repository passed into a named constant.  This is that ``ast`` walk, run over
+every public function, method and constructor of every module under
+``src/repro``: a defaulted parameter that no call in ``src/``, ``tests/``,
+``examples/``, ``benchmarks/`` or ``tools/`` passes is a constant, not an
+option.  An option comes back only together with the caller that needs it.  A
+quantity the paper names (Δ, δ, BurstTime) is a module constant citing its
+section, not an allow-list entry.
+
+A contract entry point is called through a transaction, not a Python call:
+``Command("market", "buy", {...})`` sets the keys of its dict, and a ``**`` in
+that dict sets every key, as a ``**`` in a call does.  A test helper that
+forwards ``**kwargs`` hides which options its callers set, so helpers spell
+out the options they forward.
 
 The second half is the zero-reference end of the same idea: every public
 ``def`` / ``class`` under ``src/repro/`` is named somewhere other than its own
-definition, and every public attribute a constructor of those seven packages
-assigns is read somewhere, not only written and appended to.
+definition, and every public attribute a constructor assigns is read
+somewhere, not only written and appended to.
 """
 
 from __future__ import annotations
@@ -28,21 +33,6 @@ import repro
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path(repro.__file__).parent
 CALLERS = ("src", "tests", "examples", "benchmarks", "tools")
-
-# Where options and constructors' public attributes are audited: every public
-# callable of these packages (and the netsim experiments), every public
-# attribute their constructors assign.
-AUDITED_PACKAGES = (
-    "admission", "controlplane", "marketdata", "pathadm", "reclaim", "telemetry",
-    "transfers",
-)
-AUDITED = [
-    *sorted(
-        path for package in AUDITED_PACKAGES for path in (PACKAGE / package).glob("*.py")
-    ),
-    PACKAGE / "netsim" / "scenarios.py",
-    PACKAGE / "netsim" / "deadline.py",
-]
 
 # The paper's own knobs: ``(callable, option) -> one line of reason`` for a
 # default nobody overrides *yet*, kept because the paper names the quantity.
@@ -75,7 +65,7 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list)
 
 
-def _audited_callables() -> dict[str, list[tuple[str, list[str], list[str]]]]:
+def _audited_callables(trees) -> dict[str, list[tuple[str, list[str], list[str]]]]:
     """Name a call site uses -> ``(qualified name, positional parameters,
     defaulted parameters)`` of every audited callable with that name:
     module-level functions, public methods, and constructors under their
@@ -83,8 +73,8 @@ def _audited_callables() -> dict[str, list[tuple[str, list[str], list[str]]]]:
     ``AsService.open_auction`` are two entries under one name, not one
     overwriting the other.  A dataclass's fields are state, not options."""
     found = collections.defaultdict(list)
-    for path in AUDITED:
-        for node in ast.parse(path.read_text()).body:
+    for tree in trees:
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 found[node.name].append((node.name, *_defaulted(node, bound=False)))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
@@ -132,21 +122,22 @@ def _positional_count(call: ast.Call, sizes: dict[str, int]) -> int:
     return count
 
 
-def _trees():
-    for top in CALLERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            yield path, ast.parse(path.read_text())
+def _contract_call(call: ast.Call) -> tuple[str, ast.Dict] | None:
+    """``Command("market", "buy", {...})`` -> ``("buy", the dict)``."""
+    if _called_name(call) != "Command" or len(call.args) < 3:
+        return None
+    function, arguments = call.args[1], call.args[2]
+    if isinstance(function, ast.Constant) and isinstance(arguments, ast.Dict):
+        return function.value, arguments
+    return None
 
 
-def test_every_option_has_a_caller_that_sets_it():
-    functions = _audited_callables()
-    experiments = [name for name in functions if name.endswith("_experiment")]
-    assert len(experiments) == 7 and "build_path_simulation" in functions
-    assert {"deploy_market", "AsService", "HostClient", "purchase_path",
-            "ReclamationEngine", "AdaptiveOverbooking"} <= set(functions)
-
+def _unset_options(audited, callers) -> dict[str, list[str]]:
+    """Qualified name -> the defaulted parameters of that audited callable
+    that no call in ``callers`` (parsed modules) sets."""
+    functions = _audited_callables(audited)
     passed = collections.defaultdict(set)
-    for _, tree in _trees():
+    for tree in callers:
         sizes = _tuple_sizes(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -159,6 +150,15 @@ def test_every_option_has_a_caller_that_sets_it():
                 passed[qualified].update(keyword.arg for keyword in node.keywords)
                 if any(keyword.arg is None for keyword in node.keywords):
                     passed[qualified].update(defaulted)  # ``**options``: anything
+            contract = _contract_call(node)
+            if contract:
+                function, arguments = contract
+                for qualified, _, defaulted in functions.get(function, ()):
+                    passed[qualified].update(
+                        key.value for key in arguments.keys if isinstance(key, ast.Constant)
+                    )
+                    if None in arguments.keys:
+                        passed[qualified].update(defaulted)  # ``{**extra}``: anything
             # ``deploy_market(reclamation={...})`` splats its keys into
             # ``enable_reclamation``: a dict a call site spells out — literal,
             # ``dict(...)`` or ``.setdefault("key", ...)`` — sets them.
@@ -173,19 +173,72 @@ def test_every_option_has_a_caller_that_sets_it():
                         key.value for key in keyword.value.keys
                         if isinstance(key, ast.Constant)
                     )
-
-    unset = {
-        qualified: [
-            option for option in defaulted
-            if option not in passed[qualified] and (qualified, option) not in ALLOWED
-        ]
+    return {
+        qualified: [option for option in defaulted if option not in passed[qualified]]
         for entries in functions.values()
         for qualified, _, defaulted in entries
     }
-    assert not any(unset.values()), {n: o for n, o in unset.items() if o}
+
+
+def _trees():
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text())
+
+
+def _package_trees():
+    return [ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))]
+
+
+def test_every_option_has_a_caller_that_sets_it():
+    audited = _package_trees()
+    functions = _audited_callables(audited)
+    experiments = [name for name in functions if name.endswith("_experiment")]
+    assert len(experiments) == 7 and "build_path_simulation" in functions
+    assert {"deploy_market", "AsService", "HostClient", "purchase_path",
+            "HummingbirdRouter", "Committee", "buy", "run_beaconing"} <= set(functions)
+
+    unset = _unset_options(audited, [tree for _, tree in _trees()])
+    flagged = {
+        qualified: [option for option in options if (qualified, option) not in ALLOWED]
+        for qualified, options in unset.items()
+    }
+    assert not any(flagged.values()), {n: o for n, o in flagged.items() if o}
     assert len(ALLOWED) <= 10
-    stale = [key for key in ALLOWED if key[1] in passed[key[0]]]
+    stale = [key for key in ALLOWED if key[1] not in unset.get(key[0], ())]
     assert not stale, f"allow-listed but set by a caller: {stale}"
+
+
+def test_the_walk_sees_through_helpers_only_where_they_spell_options_out():
+    """The shape that hid the router's ``burst_time`` / ``max_packet_age`` /
+    ``clock_skew``: a test helper forwarding ``**kwargs`` counted as setting
+    every option.  A helper that names what it forwards leaves the rest
+    flagged; a contract call sets its dict's keys, or all of them through
+    ``**``."""
+    audited = [ast.parse(
+        "class Router:\n"
+        "    def __init__(self, key, duplicate_filter=None, burst_time=0.05,\n"
+        "                 max_packet_age=2.0, clock_skew=1.0): ...\n"
+        "class Market:\n"
+        "    def buy(self, ctx, listing, budget=None, note=None): ...\n"
+    )]
+    explicit = ast.parse(
+        "def routers_for(keys, duplicate_filter=None):\n"
+        "    return [Router(k, duplicate_filter=duplicate_filter) for k in keys]\n"
+        "Command('market', 'buy', {'listing': 1, 'budget': 2})\n"
+    )
+    assert _unset_options(audited, [explicit]) == {
+        "Router.__init__": ["burst_time", "max_packet_age", "clock_skew"],
+        "Market.buy": ["note"],
+    }
+    forwarding = ast.parse(
+        "def routers_for(keys, **kwargs):\n"
+        "    return [Router(k, **kwargs) for k in keys]\n"
+        "Command('market', 'buy', {'listing': 1, **extra})\n"
+    )
+    assert _unset_options(audited, [forwarding]) == {
+        "Router.__init__": [], "Market.buy": [],
+    }
 
 
 def test_every_public_name_is_referenced_outside_its_definition():
@@ -229,27 +282,24 @@ def test_every_public_instance_attribute_is_read_somewhere():
     """``AsService.settlements`` / ``path_settlements`` were assigned in
     ``__init__``, appended to at every settle and read by nothing (the settle
     methods *return* the records).  A public ``self.x`` a constructor under
-    ``admission/``, ``controlplane/``, ``marketdata/``, ``pathadm/``,
-    ``reclaim/``, ``telemetry/`` or ``transfers/`` assigns has a reader: a load
-    of ``.x`` in ``src/``, tests, examples, benchmarks or tools that is not just
-    the receiver of a mutating call or of an item assignment — or the docs name
-    it in a code span."""
+    ``src/repro`` assigns has a reader: a load of ``.x`` in ``src/``, tests,
+    examples, benchmarks or tools that is not just the receiver of a mutating
+    call or of an item assignment — or the docs name it in a code span."""
     assigned = set()
-    for package in AUDITED_PACKAGES:
-        for path in sorted((PACKAGE / package).glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
-                    assigned.update(
-                        target.attr
-                        for statement in ast.walk(node)
-                        if isinstance(statement, (ast.Assign, ast.AnnAssign))
-                        for target in getattr(statement, "targets", None) or [statement.target]
-                        if isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and not target.attr.startswith("_")
-                    )
-    assert {"open_auctions", "undeliverable", "events_applied"} <= assigned
+    for tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                assigned.update(
+                    target.attr
+                    for statement in ast.walk(node)
+                    if isinstance(statement, (ast.Assign, ast.AnnAssign))
+                    for target in getattr(statement, "targets", None) or [statement.target]
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                    and not target.attr.startswith("_")
+                )
+    assert {"open_auctions", "undeliverable", "events_applied", "policer"} <= assigned
 
     read = set()
     for _, tree in _trees():
