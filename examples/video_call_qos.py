@@ -12,35 +12,51 @@ compare three configurations:
   "composable flyovers"): protection where it matters, at a fraction of
   the cost.
 
+The reservations are bought on a bandwidth market the six ASes deploy over
+the same topology (atomic buy-and-redeem, then one sealed delivery per AS).
+
 Run:  python examples/video_call_qos.py
 """
 
 from repro.analysis import render_table
+from repro.clock import SimClock
+from repro.controlplane import deploy_market, purchase_path
 from repro.netsim import CbrSource, FloodSource, build_path_simulation, linear_path
 from repro.netsim.scenarios import SIM_PRF
+from repro.scion.paths import as_crossings
 
 CALL_RATE = 4_000_000.0  # 4 Mbps 1080p call (§4.4)
 LINK_RATE = 20_000_000.0
 FLOOD_RATE = 60_000_000.0
 DURATION = 3.0
+START = 1_700_000_000
 
 
-def run_call(protection: str) -> dict:
-    topology, path = linear_path(6)
+def buy_call(topology, path) -> list:
+    """The caller's 5 Mbps full-path reservation, bought on a market the
+    ASes deploy; the routers verify with SIM_PRF, so the ASes key with it."""
+    market = deploy_market(topology, clock=SimClock(START), prf_factory=SIM_PRF)
+    return purchase_path(
+        market,
+        market.new_host(name="caller"),
+        as_crossings(path),
+        start=START,
+        expiry=START + 600,
+        bandwidth_kbps=5_000,
+    ).reservations
+
+
+def run_call(topology, path, reservations) -> dict:
+    """The call over a fresh simulation: best effort when ``reservations``
+    is None, protected by them otherwise."""
     # The first inter-AS link is the 20 Mbps bottleneck; the rest are fast.
     rates = [LINK_RATE] + [100_000_000.0] * 4
-    simulation = build_path_simulation(topology, path, link_rates=rates)
-    start = int(simulation.clock.now())
-
-    if protection == "none":
+    simulation = build_path_simulation(
+        topology, path, start_time=START, link_rates=rates
+    )
+    if reservations is None:
         builder = simulation.best_effort_source()
     else:
-        reservations = simulation.grant_full_path(
-            bandwidth_kbps=5_000, start=start, duration=600
-        )
-        if protection == "partial":
-            # Keep only the flyover at the bottleneck AS (first hop).
-            reservations = reservations[:1]
         builder = simulation.hummingbird_source(reservations)
 
     call_metrics = simulation.sink.flow(1)
@@ -59,13 +75,16 @@ def run_call(protection: str) -> dict:
 
 
 def main() -> None:
+    topology, path = linear_path(6)
+    reservations = buy_call(topology, path)
     rows = []
-    for protection, label in (
-        ("none", "best effort"),
-        ("partial", "bottleneck-hop flyover"),
-        ("full", "full-path reservation"),
+    for held, label in (
+        (None, "best effort"),
+        # only the flyover at the bottleneck AS (the first hop)
+        (reservations[:1], "bottleneck-hop flyover"),
+        (reservations, "full-path reservation"),
     ):
-        summary = run_call(protection)
+        summary = run_call(topology, path, held)
         rows.append(
             [
                 label,

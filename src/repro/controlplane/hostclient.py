@@ -367,29 +367,31 @@ class HostClient:
                 return found.legs
         raise ValueError(f"{what} {auction[:8]}... is not open")
 
+    @staticmethod
+    def _unit_price(legs: list[dict], bandwidth_kbps: int, max_price_mist: int) -> int:
+        """The unit price ``max_price_mist`` buys of ``bandwidth_kbps`` on every
+        leg over the window, floored so the escrow never exceeds the budget."""
+        duration = legs[0]["expiry"] - legs[0]["start"]
+        return max_price_mist * MICROMIST // (bandwidth_kbps * duration * len(legs))
+
     def _place(
         self,
         command: Command,
         legs: list[dict],
         bandwidth_kbps: int,
-        max_price_mist: int,
+        unit_price: int,
         below: str,
     ) -> SubmittedTransaction:
-        """Complete and submit ``command``, a bid over ``legs`` (a single-window
-        auction is the one-leg case) that names its auction: the unit price is
-        what ``max_price_mist`` buys (floored, so the escrow never exceeds the
-        budget), checked against every reserve, its escrow covered by the
-        payment coin.  Raises the ``ValueError`` both ``place_*bid`` document."""
+        """Complete and submit ``command``, a bid at ``unit_price`` over
+        ``legs`` (a single-window auction is the one-leg case) that names its
+        auction: checked against every reserve, its escrow covered by the
+        payment coin.  Raises the ``ValueError`` every bid method documents."""
         duration = legs[0]["expiry"] - legs[0]["start"]
-        units = bandwidth_kbps * duration * len(legs)
-        unit_price = max_price_mist * MICROMIST // units
         reserve = max(leg["reserve_micromist_per_unit"] for leg in legs)
         if unit_price < reserve:
             # Knowable client-side: below any leg's reserve the bid loses,
             # locking its escrow until settle for nothing.
-            raise ValueError(
-                f"budget {max_price_mist} MIST prices {unit_price} {below} of {reserve}"
-            )
+            raise ValueError(f"a bid of {unit_price} {below} of {reserve}")
         escrow_mist = path_escrow_mist(bandwidth_kbps, duration, unit_price, len(legs))
         if self._coin_balance(self.payment_coin) < escrow_mist:
             # Earlier refunds arrive as fresh coins; fold them back in
@@ -500,12 +502,38 @@ class HostClient:
                 only lock its escrow and lose).
         """
         self._funded("bidding")
+        legs = self._biddable(marketplace, auction, False, "auction")
+        return self._bid(
+            marketplace, auction, legs, bandwidth_kbps,
+            self._unit_price(legs, bandwidth_kbps, max_price_mist),
+        )
+
+    def _bid(self, marketplace, auction, legs, bandwidth_kbps, unit_price):
+        """The one window-auction bid: ``unit_price`` for ``bandwidth_kbps``."""
         return self._place(
             Command("market", "place_bid", {"marketplace": marketplace, "auction": auction}),
-            self._biddable(marketplace, auction, False, "auction"),
-            bandwidth_kbps, max_price_mist,
-            "micromist/unit, below the auction's reserve",
+            legs, bandwidth_kbps, unit_price, "micromist/unit, below the auction's reserve",
         )
+
+    def bid(
+        self,
+        marketplace: str,
+        auction: str,
+        bandwidth_kbps: int,
+        price_micromist_per_unit: int,
+    ) -> SubmittedTransaction:
+        """:meth:`place_bid` at a unit price, to the micromist: a MIST budget
+        floors to steps of ``10**6 / (bandwidth_kbps * seconds)`` micromist
+        (6.67 for 2,500 kbps over a minute).  Traced as ``bid.placed``, like
+        :meth:`acquire`'s bids; raises what :meth:`place_bid` raises."""
+        self._funded("bidding")
+        legs = self._biddable(marketplace, auction, False, "auction")
+        submitted = self._bid(marketplace, auction, legs, bandwidth_kbps, price_micromist_per_unit)
+        tracing.event(
+            "bid.placed", auction=auction, bandwidth_kbps=bandwidth_kbps,
+            price_micromist_per_unit=price_micromist_per_unit,
+        )
+        return submitted
 
     def await_settle(self, marketplace: str, auction: str) -> BidSettlement | None:
         """This host's outcome in an auction, once it settles.
@@ -611,14 +639,14 @@ class HostClient:
                 could only lock its escrow and lose path-wide).
         """
         self._funded("bidding")
+        legs = self._biddable(marketplace, path_auction, True, "path auction")
         return self._place(
             Command(
                 "market",
                 "place_path_bid",
                 {"marketplace": marketplace, "path_auction": path_auction},
             ),
-            self._biddable(marketplace, path_auction, True, "path auction"),
-            bandwidth_kbps, max_price_mist,
+            legs, bandwidth_kbps, self._unit_price(legs, bandwidth_kbps, max_price_mist),
             "micromist/unit per leg, below the dearest leg reserve",
         )
 

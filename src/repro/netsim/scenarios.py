@@ -2,12 +2,18 @@
 
 The central harness, :func:`build_path_simulation`, turns a forwarding path
 into a chain of router nodes joined by priority-queue links, with a metrics
-sink at the destination.  Reservations are granted directly by the on-path
-ASes (the market is exercised elsewhere; here we study data-plane
-behaviour).  Every experiment ends in the same traffic phase —
-:meth:`PathSimulation.send` per flow, then :meth:`PathSimulation.run` —
-and fixes everything no caller varies as a named constant: shared values
-below, a scenario's own at the top of its function.
+sink at the destination.  The congestion, contention and auction
+experiments run on a :func:`~repro.controlplane.deploy_market` deployment
+built beside it by :func:`_market`: their buyers are hosts that buy, redeem
+and decrypt what their packets carry, and each run ends in
+:func:`repro.invariants.check`.  The reclamation experiment still grants
+its keys directly (:meth:`PathSimulation.grant_full_path`; ROADMAP item 18
+says why), and the path-contention experiment coordinates bare controllers
+beside its ledger-backed companion.  Every experiment ends in the same
+traffic phase — :meth:`PathSimulation.send` per flow, then
+:meth:`PathSimulation.run` — and fixes everything no caller varies as a
+named constant: shared values below, a scenario's own at the top of its
+function.
 
 The flagship experiment — :func:`congestion_experiment` — reproduces the
 QoS property D2: a reservation-protected flow keeps its goodput and latency
@@ -49,6 +55,8 @@ PAYLOAD_BYTES = 1000  # every simulated flow's payload size
 LINK_RATE_BPS = 10_000_000.0  # inter-AS links, the bottleneck included
 BASE_PRICE_MICROMIST = 50  # per kbps-second, before any scarcity multiplier
 SEED = 1
+START = 1_700_000_000  # the second every simulation starts at
+GRANULE = 60  # seconds: the granularity of every asset an AS issues
 
 
 def linear_path(
@@ -95,10 +103,17 @@ class PathSimulation:
     def entry(self) -> RouterNode:
         return self.nodes[self.path.src]
 
+    def now(self) -> float:
+        """The simulated time — so a deployment can keep it as its clock
+        (:func:`_market`), which no transaction advances."""
+        return self.clock.now()
+
     def grant_full_path(
         self, bandwidth_kbps: int, start: int, duration: int, res_id: int = 0
     ) -> list[FlyoverReservation]:
-        """Have every on-path AS grant a reservation for this path."""
+        """Have every on-path AS grant a reservation for this path, outside
+        any market — the reclamation experiment's shortcut (see the module
+        docstring); every other experiment buys its reservations."""
         reservations = []
         for crossing in as_crossings(self.path):
             autonomous_system = self.topology.as_of(crossing.isd_as)
@@ -234,6 +249,33 @@ def build_path_simulation(
     return simulation
 
 
+def _market(
+    topology: Topology,
+    path: ForwardingPath,
+    link_rate_bps: float = LINK_RATE_BPS,
+    seed: int = SEED,
+    **market,
+):
+    """``(deployment, simulation)``: :func:`~repro.controlplane.deploy_market`
+    over ``topology`` (``market`` passed through) beside
+    :func:`build_path_simulation` over ``path``, both keyed with
+    :data:`SIM_PRF`.  The simulation is the deployment's clock, so the market
+    trades at simulated time and its transactions take none of it."""
+    from repro.controlplane import deploy_market
+
+    simulation = build_path_simulation(topology, path, link_rate_bps=link_rate_bps)
+    deployment = deploy_market(
+        topology, clock=simulation, seed=seed, prf_factory=SIM_PRF, **market
+    )
+    return deployment, simulation
+
+
+def _window_end(duration: float) -> int:
+    """End of the window a run of ``duration`` seconds buys from :data:`START`:
+    a minute of slack past the run, rounded up to whole granules."""
+    return START + -(-(int(duration) + 60) // GRANULE) * GRANULE
+
+
 def _bottleneck(path: ForwardingPath, reservable_fraction: float):
     """Where the buyers of one path contend, and how much of it is for sale.
 
@@ -244,6 +286,79 @@ def _bottleneck(path: ForwardingPath, reservable_fraction: float):
     if len(crossings) < 2:
         raise ValueError("need at least one inter-AS link for a bottleneck")
     return crossings[1], int(LINK_RATE_BPS / 1000 * reservable_fraction)
+
+
+def _list_legs(deployment, crossings, kbps: int, start: int, end: int, skip=None) -> int:
+    """Each on-path AS lists ``kbps`` of every interface direction the
+    crossings cross but ``skip`` (a ``(crossing, is_ingress)``) for
+    ``[start, end)`` at its scarcity quote; returns the highest quote."""
+    highest = BASE_PRICE_MICROMIST
+    for crossing in crossings:
+        service = deployment.service(crossing.isd_as)
+        for interface, is_ingress in ((crossing.ingress, True), (crossing.egress, False)):
+            if (crossing, is_ingress) == skip:
+                continue
+            highest = max(highest, service.admission.quote(
+                BASE_PRICE_MICROMIST, interface, is_ingress, start, end
+            ))
+            listed = service.issue_and_list(
+                deployment.marketplace, interface, is_ingress, kbps, start, end,
+                BASE_PRICE_MICROMIST,
+            )
+            if not listed.effects.ok:  # pragma: no cover - deploy is deterministic
+                raise RuntimeError(f"listing failed: {listed.effects.error}")
+    return highest
+
+
+def _contended_market(topology, path, end: int, reservable_fraction: float, **market):
+    """A :func:`_market` whose buyers contend at the path's bottleneck.
+
+    Every interface direction has the bottleneck's reservable capacity.  For
+    ``[START, end)`` each on-path AS lists all of it on every direction the
+    path crosses except the bottleneck's ingress, which the experiment has
+    the bottleneck AS sell itself
+    (:meth:`~repro.controlplane.AsService.offer_capacity`);
+    ``deploy_market``'s own listings cover the hour after ``end``.
+
+    Returns ``(deployment, simulation, bottleneck crossing, capacity_kbps)``.
+    """
+    bottleneck, capacity_kbps = _bottleneck(path, reservable_fraction)
+    deployment, simulation = _market(
+        topology, path, asset_start=end, asset_bandwidth_kbps=capacity_kbps, **market
+    )
+    _list_legs(
+        deployment, as_crossings(path), capacity_kbps, START, end, skip=(bottleneck, True)
+    )
+    return deployment, simulation, bottleneck, capacity_kbps
+
+
+def _restock(deployment, bottleneck, end: int, kbps: int) -> str | None:
+    """The bottleneck AS lists ``kbps`` more of its ingress for ``[START, end)``
+    at its scarcity quote; returns why its issued calendar refused, or None."""
+    from repro.admission import AdmissionRejected
+
+    try:
+        deployment.service(bottleneck.isd_as).offer_capacity(
+            deployment.marketplace, bottleneck.ingress, True, kbps,
+            START, end, BASE_PRICE_MICROMIST,
+        )
+    except AdmissionRejected as refusal:
+        # "<AS> interface <n> (<direction>): <the policy's reason>"
+        return str(refusal).partition("): ")[2]
+    return None
+
+
+def _redeem_bottleneck(deployment, host, bottleneck, ingress_asset: str, end: int,
+                       kbps: int, budget_mist: int) -> int:
+    """``host`` buys the bottleneck's posted egress, redeems it with
+    ``ingress_asset`` and has the AS deliver; returns the delivered ResID."""
+    egress = host.acquire(
+        deployment.marketplace, bottleneck.isd_as, bottleneck.egress, False,
+        START, end, kbps, budget_mist,
+    )
+    host.redeem_pair(ingress_asset, egress.submitted.effects.returns[0]["asset"])
+    (delivered,) = deployment.service(bottleneck.isd_as).poll_and_deliver()
+    return delivered.res_id
 
 
 @dataclass
@@ -266,21 +381,32 @@ def congestion_experiment(
 ) -> CongestionResult:
     """Victim flow vs. best-effort flood over a shared bottleneck path.
 
-    With ``protected=True`` the victim uses a full-path reservation sized to
-    its sending rate; otherwise it competes as plain best effort.  The path
-    must have been beaconed with :data:`SIM_PRF` (see :func:`linear_path`).
+    With ``protected=True`` the victim buys a full-path reservation sized to
+    its sending rate (``deploy_market``'s listings cover the window);
+    otherwise it competes as plain best effort, and no market is deployed.
+    The path must have been beaconed with :data:`SIM_PRF` (see
+    :func:`linear_path`).
     """
-    simulation = build_path_simulation(topology, path, link_rate_bps=link_rate_bps)
-    start = int(simulation.clock.now())
-    rng = random.Random(SEED)
+    from repro.controlplane import purchase_path
+    from repro.invariants import check
 
-    reservations = None
+    deployment, reservations = None, None
     if protected:
-        reservations = simulation.grant_full_path(
-            bandwidth_kbps=int(victim_rate_bps * 1.25 / 1000),
-            start=start,
-            duration=int(duration) + 60,
+        end = _window_end(duration)
+        deployment, simulation = _market(
+            topology, path, link_rate_bps=link_rate_bps, asset_duration=end - START
         )
+        reservations = purchase_path(
+            deployment,
+            deployment.new_host(name="victim"),
+            as_crossings(path),
+            start=START,
+            expiry=end,
+            bandwidth_kbps=int(victim_rate_bps * 1.25 / 1000),
+        ).reservations
+    else:
+        simulation = build_path_simulation(topology, path, link_rate_bps=link_rate_bps)
+    rng = random.Random(SEED)
     victim_metrics = simulation.send(
         1, victim_rate_bps, reservations, jitter=0.05, rng=rng
     )
@@ -289,6 +415,8 @@ def congestion_experiment(
         2, flood_rate_bps, delay=0.1, jitter=0.02, rng=rng
     )
     simulation.run(duration)
+    if deployment is not None:
+        check(deployment, simulation.now())
 
     bottleneck = simulation.links[0] if simulation.links else None
     utilization = bottleneck.utilization(duration) if bottleneck else 0.0
@@ -381,7 +509,7 @@ def flex_market_experiment(
     purchase is traced end to end.
     """
     from repro.admission import ScarcityPricer
-    from repro.controlplane import deploy_market, purchase_path
+    from repro.controlplane import purchase_path
 
     probe_rate_bps = 2_000_000.0
     flood_rate_bps = 20_000_000.0
@@ -392,21 +520,19 @@ def flex_market_experiment(
         topology, path = linear_path(num_ases)
         crossings = as_crossings(path)
 
-        deploy_time = 1_700_000_000
-        clock = SimClock(float(deploy_time))
-        deployment = deploy_market(
+        # The probes simulate the windows they bought, each on its own.
+        deployment, _ = _market(
             topology,
-            clock=clock,
+            path,
             seed=seed,
-            asset_start=deploy_time,  # pin the granule anchor for clean windows
+            asset_start=START,  # pin the granule anchor for clean windows
             asset_duration=7200,
             asset_bandwidth_kbps=market_bandwidth_kbps,
             price_micromist_per_unit=BASE_PRICE_MICROMIST,
             interface_capacity_kbps=2 * market_bandwidth_kbps,
             pricer=ScarcityPricer(),
-            prf_factory=SIM_PRF,
         )
-        peak = (deploy_time + 600, deploy_time + 600 + window_seconds)
+        peak = (START + 600, START + 600 + window_seconds)
 
         # A crowd buys the peak window out at the base price and redeems, so
         # the cheap capacity is gone and the active calendars record the load.
@@ -422,29 +548,7 @@ def flex_market_experiment(
 
         # Every AS restocks the sold-out peak; the quote now carries the
         # scarcity multiplier, so peak capacity exists again — at a premium.
-        peak_price = BASE_PRICE_MICROMIST
-        for crossing in crossings:
-            service = deployment.service(crossing.isd_as)
-            for interface, is_ingress in (
-                (crossing.ingress, True),
-                (crossing.egress, False),
-            ):
-                peak_price = max(
-                    peak_price,
-                    service.admission.quote(
-                        BASE_PRICE_MICROMIST, interface, is_ingress, *peak
-                    ),
-                )
-                restocked = service.issue_and_list(
-                    deployment.marketplace,
-                    interface,
-                    is_ingress,
-                    market_bandwidth_kbps,
-                    *peak,
-                    BASE_PRICE_MICROMIST,
-                )
-                if not restocked.effects.ok:
-                    raise RuntimeError(f"restock failed: {restocked.effects.error}")
+        peak_price = _list_legs(deployment, crossings, market_bandwidth_kbps, *peak)
 
         reserve_kbps = int(probe_rate_bps * 1.25 / 1000)  # cover wire overhead
         outcomes: list[FlexBuyerOutcome] = []
@@ -493,7 +597,7 @@ def flex_market_experiment(
         # and the valley the flexible probes slid into.
         bottleneck = crossings[1] if len(crossings) > 1 else crossings[0]
         curve_times = list(
-            range(deploy_time, deploy_time + 3600 + window_seconds, window_seconds // 2)
+            range(START, START + 3600 + window_seconds, window_seconds // 2)
         )
         curve_prices = deployment.indexer.price_curve(
             bottleneck.isd_as,
@@ -514,7 +618,7 @@ def flex_market_experiment(
         if telemetry is not None:
             for crossing in crossings:
                 deployment.service(crossing.isd_as).admission.record_capacity_gauges(
-                    deploy_time, deploy_time + 7200, owner=str(crossing.isd_as)
+                    START, START + 7200, owner=str(crossing.isd_as)
                 )
             telemetry.annotate(
                 flex_market={
@@ -624,25 +728,27 @@ def auction_experiment(
 ) -> AuctionExperimentResult:
     """Sealed-bid uniform-price auction vs posted scarcity prices, head-on.
 
-    The PR 1 contention workload — ``num_buyers`` buyers, heterogeneous
-    willingness to pay, one bottleneck interface window — allocated two
-    ways against identical admission controllers:
+    The contention workload — ``num_buyers`` buyers, heterogeneous
+    willingness to pay, one bottleneck interface window — sold two ways, on
+    two deployments that differ only in how the bottleneck AS sells its
+    ingress:
 
-    * **posted arm**: buyers arrive in order and face the current
-      scarcity-adjusted quote; a buyer purchases iff the quote is within
-      their valuation and admission still fits.  Arrival order decides who
-      wins the contended window, and early buyers pay *less* than late
-      ones — the money the operator's guessed curve leaves on the table.
-    * **auction arm**: the same buyers seal bids at their valuations into
-      a :class:`~repro.admission.WindowAuction` (reserve = the posted
-      quote at open, share cap = the proportional-share bound) and the
-      window clears at one uniform price — the highest losing bid.
+    * **posted arm**: buyers arrive in order; the AS lists a buyer's worth
+      at its current scarcity quote, and a buyer buys iff the quote is within
+      their valuation and the AS's issued calendar still lets it list.
+      Arrival order decides who wins the contended window, and early buyers
+      pay *less* than late ones — the money the operator's guessed curve
+      leaves on the table.
+    * **auction arm**: the AS auctions the whole window (reserve = the
+      posted quote at open), every buyer seals a bid at its valuation, and
+      :meth:`~repro.controlplane.AsService.settle_due_auctions` clears it on
+      chain at one uniform price — the highest losing bid.
 
-    The auction arm's winners then *use* their reservations: a packet
-    simulation runs every buyer (winners protected, losers best effort)
-    through the bottleneck, reproducing the contention experiment's
-    data-plane picture on top of auction-allocated windows.  With
-    ``duration = 0`` the packet phase is skipped (clearing-only runs).
+    Whoever gets the window redeems it at the bottleneck; the auction arm's
+    winners also buy the rest of the path and *use* their reservations: a
+    packet simulation runs every buyer (winners protected, losers best
+    effort) through the bottleneck.  With ``duration = 0`` the packet phase
+    is skipped (clearing-only runs).
 
     Returns:
         An :class:`AuctionExperimentResult`; its ``oversold`` property is
@@ -651,166 +757,177 @@ def auction_experiment(
         actually contends (the experiment's headline claim, asserted in
         ``tests/netsim/test_netsim.py``).
 
-    With ``telemetry`` both arms report into the harness's registry, and a
-    *ledger-backed* companion run traces one reservation under a single
-    correlation id through its entire lifecycle: auction-open transaction
-    -> sealed bid -> uniform-price settlement -> posted egress buy ->
-    redeem -> admission -> sealed delivery -> data-plane policer verdict.
+    With ``telemetry`` both arms report into the harness's registry, and the
+    auction arm runs under one correlation id, ``traced-reservation``, from
+    its deployment to the policer's verdict on the first winner's
+    reservation.
     """
-    from repro.admission import (
-        ACTIVE,
-        AdmissionController,
-        ProportionalShare,
-        ScarcityPricer,
-    )
+    from repro.admission import ACTIVE, ScarcityPricer
+    from repro.controlplane import purchase_path
+    from repro.invariants import check
     from repro.marketdata import price_mist
 
     per_buyer_kbps = 2000
     reservable_fraction = 0.8
-    max_share_fraction = 0.5  # the proportional-share cap on one bidder
 
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        bottleneck, capacity_kbps = _bottleneck(path, reservable_fraction)
         simulate = duration > 0
-        simulation = build_path_simulation(topology, path) if simulate else None
-        start = (
-            int(simulation.clock.now()) if simulate else 1_700_000_000
-        )
-        window_end = start + int(duration) + 60
-        window_seconds = window_end - start
+        end = _window_end(duration)
         reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
         rng = random.Random(seed)
         valuations = [
             int(BASE_PRICE_MICROMIST * rng.uniform(1.0, 12.0))
             for _ in range(num_buyers)
         ]
-
-        def paid_mist(unit_price: int) -> int:
-            return price_mist(reserve_kbps, window_seconds, unit_price)
+        # what each buyer will pay for a rectangle: its valuation, ceil-priced
+        budgets = [price_mist(reserve_kbps, end - START, v) for v in valuations]
 
         # -- posted arm: arrival order vs the scarcity curve -----------------------
-        posted = AdmissionController(capacity_kbps, pricer=ScarcityPricer())
-        posted_outcomes: list[tuple[bool, int, int, str]] = []
-        posted_revenue = 0
-        for index, valuation in enumerate(valuations):
-            quote = posted.quote(
-                BASE_PRICE_MICROMIST, bottleneck.ingress, True, start, window_end
-            )
-            if quote > valuation:
-                posted_outcomes.append((False, quote, 0, "priced out"))
-                continue
-            decision = posted.admit_reservation(
-                bottleneck.ingress, True, reserve_kbps, start, window_end,
-                tag=f"buyer-{index}",
-            )
-            if decision.admitted:
-                posted_revenue += paid_mist(quote)
-                posted_outcomes.append((True, quote, paid_mist(quote), "admitted"))
-            else:
-                posted_outcomes.append((False, quote, 0, decision.reason))
-
-        # -- auction arm: one sealed-bid book, cleared at a uniform price ----------
-        auctioneer = AdmissionController(
-            capacity_kbps,
-            pricer=ScarcityPricer(),
-            policy=ProportionalShare(max_share_fraction),
-            auction_interfaces=True,
+        posted, _, bottleneck, capacity_kbps = _contended_market(
+            topology, path, end, reservable_fraction, pricer=ScarcityPricer()
         )
-        book = auctioneer.open_auction(
-            bottleneck.ingress, True, capacity_kbps, start, window_end,
-            BASE_PRICE_MICROMIST,
-        )
-        for index, valuation in enumerate(valuations):
-            book.place(f"buyer-{index}", reserve_kbps, valuation)
-        supply = auctioneer.settle_supply(
-            bottleneck.ingress, True, start, window_end, capacity_kbps
-        )
-        outcome = book.clear(supply)
-        winners = {bid.bidder for bid in outcome.winners}
-        reasons = {lost.bid.bidder: lost.reason for lost in outcome.losers}
-        for bid in outcome.winners:
-            decision = auctioneer.admit_reservation(
-                bottleneck.ingress, True, bid.bandwidth_kbps, start, window_end,
-                tag=bid.bidder,
-            )
-            if not decision.admitted:  # cannot happen: clearing respects supply
-                raise RuntimeError(f"auction oversold the window: {decision.reason}")
-        auction_revenue = outcome.revenue_mist(window_seconds)
-
-        # -- data plane: winners protected, everyone sends --------------------------
-        flow_metrics: list[FlowMetrics | None] = [None] * num_buyers
-        if simulate:
-            for index in range(num_buyers):
-                reservations = None
-                if f"buyer-{index}" in winners:
-                    reservations = simulation.grant_full_path(
-                        reserve_kbps, start, int(duration) + 60, res_id=index
-                    )
-                flow_metrics[index] = simulation.send(
-                    index + 1, per_buyer_kbps * 1000.0, reservations,
-                    delay=0.01 * index, jitter=0.05, rng=rng,
-                )
-            simulation.run(duration)
-
-        per_winner = paid_mist(outcome.clearing_price_micromist)
+        seller = posted.service(bottleneck.isd_as)
         buyers = []
         for index, valuation in enumerate(valuations):
-            name = f"buyer-{index}"
-            admitted, quote, paid, posted_reason = posted_outcomes[index]
-            won = name in winners
+            quote = seller.admission.quote(
+                BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
+            )
+            if quote > valuation:
+                reason = "priced out"
+            else:
+                reason = _restock(posted, bottleneck, end, reserve_kbps)
+            paid = 0
+            if reason is None:
+                host = posted.new_host(name=f"buyer-{index}")
+                bought = host.acquire(
+                    posted.marketplace, bottleneck.isd_as, bottleneck.ingress, True,
+                    START, end, reserve_kbps, budgets[index],
+                )
+                ingress = bought.submitted.effects.returns[0]["asset"]
+                _redeem_bottleneck(
+                    posted, host, bottleneck, ingress, end, reserve_kbps, budgets[index]
+                )
+                paid = bought.price_mist
             buyers.append(
                 AuctionBuyerOutcome(
-                    buyer=name,
+                    buyer=f"buyer-{index}",
                     requested_kbps=reserve_kbps,
                     valuation_micromist=valuation,
-                    posted_admitted=admitted,
+                    posted_admitted=reason is None,
                     posted_quote_micromist=quote,
                     posted_paid_mist=paid,
-                    posted_reason=posted_reason,
-                    auction_won=won,
-                    auction_paid_mist=per_winner if won else 0,
-                    auction_reason="won" if won else reasons.get(name, "no bid"),
-                    metrics=(
-                        flow_metrics[index].summary() if flow_metrics[index] else {}
-                    ),
+                    posted_reason=reason or "admitted",
+                    auction_won=False,
+                    auction_paid_mist=0,
+                    auction_reason="no bid",
+                    metrics={},
                 )
             )
 
-        posted_peak = posted.calendar(bottleneck.ingress, True, ACTIVE).peak_commitment(
-            start, window_end
-        )
-        auction_peak = auctioneer.calendar(
-            bottleneck.ingress, True, ACTIVE
-        ).peak_commitment(start, window_end)
-        link = simulation.links[0] if simulate and simulation.links else None
+        # -- auction arm: one sealed-bid book, cleared on chain ------------------
+        trace = telemetry.trace("traced-reservation") if telemetry is not None else None
+        with use_trace(trace):
+            auctioned, simulation, _, _ = _contended_market(
+                topology, path, end, reservable_fraction,
+                pricer=ScarcityPricer(), auction_interfaces={(bottleneck.ingress, True)},
+            )
+            auctioneer = auctioned.service(bottleneck.isd_as)
+            opened = auctioneer.offer_capacity(
+                auctioned.marketplace, bottleneck.ingress, True, capacity_kbps,
+                START, end, BASE_PRICE_MICROMIST,
+            )
+            auction_id = opened.effects.returns[1]["auction"]
+            reserve = auctioneer.open_auctions[auction_id].reserve_micromist_per_unit
+            hosts = [auctioned.new_host(name=buyer.buyer) for buyer in buyers]
+            for host, valuation in zip(hosts, valuations):
+                host.bid(auctioned.marketplace, auction_id, reserve_kbps, valuation)
+            (settled,) = auctioneer.settle_due_auctions()
+            reservations: list = [None] * num_buyers
+            traced = None  # (buyer index, ResID at the bottleneck)
+            for index, host in enumerate(hosts):
+                settlement = host.await_settle(auctioned.marketplace, auction_id)
+                buyers[index].auction_won = settlement.won
+                buyers[index].auction_paid_mist = settlement.paid_mist
+                buyers[index].auction_reason = (
+                    "won" if settlement.won else next(iter(settlement.reasons), "no bid")
+                )
+                if not settlement.won:
+                    continue
+                res_id = _redeem_bottleneck(
+                    auctioned, host, bottleneck, settlement.assets[0],
+                    end, reserve_kbps, budgets[index],
+                )
+                traced = traced or (index, res_id)
+                if simulate:
+                    reservations[index] = purchase_path(
+                        auctioned,
+                        host,
+                        [c for c in as_crossings(path) if c != bottleneck],
+                        start=START,
+                        expiry=end,
+                        bandwidth_kbps=reserve_kbps,
+                    ).reservations
+
+            # -- data plane: winners protected, everyone sends ----------------------
+            policer = simulation.nodes[bottleneck.isd_as].router.policer
+            if simulate:
+                flows = [
+                    simulation.send(
+                        index + 1, per_buyer_kbps * 1000.0, reservations[index],
+                        delay=0.01 * index, jitter=0.05, rng=rng,
+                    )
+                    for index in range(num_buyers)
+                ]
+                simulation.run(duration)
+                for buyer, flow in zip(buyers, flows):
+                    buyer.metrics = flow.summary()
+                if trace is not None and traced is not None:
+                    index, res_id = traced
+                    trace.event(
+                        "policer.verdict",
+                        isd_as=str(bottleneck.isd_as),
+                        ingress=bottleneck.ingress,
+                        res_id=res_id,
+                        priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id),
+                        goodput_mbps=buyers[index].metrics["goodput_mbps"],
+                    )
+        for deployment in (posted, auctioned):
+            check(deployment, simulation.now())
+
+        def peak(deployment) -> int:
+            return int(
+                deployment.service(bottleneck.isd_as)
+                .admission.calendar(bottleneck.ingress, True, ACTIVE)
+                .peak_commitment(START, end)
+            )
+
         result = AuctionExperimentResult(
             buyers=buyers,
             capacity_kbps=capacity_kbps,
-            supply_kbps=supply,
-            reserve_micromist=book.reserve_micromist,
-            clearing_price_micromist=outcome.clearing_price_micromist,
-            posted_revenue_mist=posted_revenue,
-            auction_revenue_mist=auction_revenue,
-            posted_peak_kbps=int(posted_peak),
-            auction_peak_kbps=int(auction_peak),
-            bottleneck_utilization=link.utilization(duration) if link else 0.0,
+            supply_kbps=settled.supply_kbps,
+            reserve_micromist=reserve,
+            clearing_price_micromist=settled.clearing_price_micromist,
+            posted_revenue_mist=sum(buyer.posted_paid_mist for buyer in buyers),
+            auction_revenue_mist=settled.proceeds_mist,
+            posted_peak_kbps=peak(posted),
+            auction_peak_kbps=peak(auctioned),
+            bottleneck_utilization=(
+                simulation.links[0].utilization(duration) if simulate else 0.0
+            ),
         )
         if telemetry is not None:
-            posted.record_capacity_gauges(start, window_end, owner="posted-arm")
-            auctioneer.record_capacity_gauges(start, window_end, owner="auction-arm")
+            seller.admission.record_capacity_gauges(START, end, owner="posted-arm")
+            auctioneer.admission.record_capacity_gauges(START, end, owner="auction-arm")
             if simulate:
-                simulation.nodes[bottleneck.isd_as].router.policer.record_gauges(
-                    str(bottleneck.isd_as)
-                )
-            _traced_reservation_lifecycle(telemetry, topology, path)
+                policer.record_gauges(str(bottleneck.isd_as))
             telemetry.annotate(
                 auction={
                     "capacity_kbps": capacity_kbps,
-                    "supply_kbps": supply,
+                    "supply_kbps": result.supply_kbps,
                     "reserve_micromist": result.reserve_micromist,
                     "clearing_price_micromist": result.clearing_price_micromist,
-                    "posted_revenue_mist": posted_revenue,
-                    "auction_revenue_mist": auction_revenue,
+                    "posted_revenue_mist": result.posted_revenue_mist,
+                    "auction_revenue_mist": result.auction_revenue_mist,
                     "posted_efficiency": result.efficiency("posted"),
                     "auction_efficiency": result.efficiency("auction"),
                     "posted_jain": result.jain_index("posted"),
@@ -819,119 +936,6 @@ def auction_experiment(
                 }
             )
         return result
-
-
-def _traced_reservation_lifecycle(
-    telemetry: ExperimentTelemetry, topology: Topology, path: ForwardingPath
-) -> None:
-    """One reservation, one correlation id, the whole Hummingbird story.
-
-    A compact ledger-backed companion to the in-memory auction arms: an AS
-    auctions a future bottleneck-ingress window on-chain, two hosts seal
-    bids, the auction settles at one uniform price, the winner buys the
-    posted egress piece, redeems the pair, the AS admits and delivers the
-    sealed reservation, and the winner's traffic crosses a simulated
-    bottleneck under flood — ending with the policer's per-ResID verdict.
-    Every step lands on a single :class:`TraceContext`, which is the
-    "follow one reservation end to end" acceptance check.
-    """
-    from repro.admission import ScarcityPricer
-    from repro.controlplane import deploy_market, purchase_path
-
-    crossings = as_crossings(path)
-    bottleneck = crossings[1]
-    t0 = 1_700_000_000
-    window = (t0 + 3600, t0 + 4200)  # granule-aligned scarce future window
-    bid_kbps = 2500
-    clock = SimClock(float(t0))
-    trace = telemetry.trace("traced-reservation")
-    with use_trace(trace):
-        deployment = deploy_market(
-            topology,
-            clock=clock,
-            asset_start=t0,
-            asset_duration=3600,
-            asset_bandwidth_kbps=10_000,
-            interface_capacity_kbps=20_000,
-            pricer=ScarcityPricer(),
-            prf_factory=SIM_PRF,
-            auction_interfaces={(bottleneck.ingress, True)},
-        )
-        # Posted listings for the window everywhere except the auctioned
-        # bottleneck ingress.
-        for crossing in crossings:
-            service = deployment.service(crossing.isd_as)
-            for interface, is_ingress in (
-                (crossing.ingress, True),
-                (crossing.egress, False),
-            ):
-                if crossing is bottleneck and is_ingress:
-                    continue
-                service.issue_and_list(
-                    deployment.marketplace, interface, is_ingress,
-                    10_000, *window, 50,
-                )
-        auctioneer = deployment.service(bottleneck.isd_as)
-        opened = auctioneer.open_auction(
-            deployment.marketplace, bottleneck.ingress, True,
-            bid_kbps, *window, 50,
-        )
-        if not opened.effects.ok:  # pragma: no cover - deploy is deterministic
-            raise RuntimeError(f"traced auction failed: {opened.effects.error}")
-        auction_id = next(iter(auctioneer.open_auctions))
-        # Two sealed bids for one slot: the winner pays the loser's price.
-        winner = deployment.new_host(name="traced-winner")
-        rival = deployment.new_host(name="traced-rival")
-        winner.acquire(
-            deployment.marketplace, bottleneck.isd_as, bottleneck.ingress,
-            True, *window, bid_kbps, max_price_mist=9_000,
-        )
-        rival.place_bid(deployment.marketplace, auction_id, bid_kbps, 300)
-        clock.set(float(window[0]))
-        auctioneer.settle_due_auctions()
-        settlement = winner.await_settle(deployment.marketplace, auction_id)
-        rival.await_settle(deployment.marketplace, auction_id)
-        if settlement is None or not settlement.won:  # pragma: no cover
-            raise RuntimeError("traced bidder should have won the auction")
-        egress_buy = winner.acquire(
-            deployment.marketplace, bottleneck.isd_as, bottleneck.egress,
-            False, *window, bid_kbps, max_price_mist=10_000_000,
-        )
-        winner.redeem_pair(
-            settlement.assets[0],
-            egress_buy.submitted.effects.returns[0]["asset"],
-        )
-        deliveries = auctioneer.poll_and_deliver()
-        bottleneck_reservations = winner.collect_reservations()
-        res_id = deliveries[0].res_id if deliveries else 0
-        # Posted purchases cover the rest of the path.
-        other = purchase_path(
-            deployment,
-            winner,
-            [crossing for crossing in crossings if crossing is not bottleneck],
-            start=window[0],
-            expiry=window[1],
-            bandwidth_kbps=bid_kbps,
-        )
-        reservations = bottleneck_reservations + other.reservations
-        # Data plane: the traced reservation crosses the bottleneck under
-        # a 2x flood; the policer's usage array is the final verdict.
-        simulation = build_path_simulation(
-            topology, path, start_time=float(window[0]) + 0.1
-        )
-        victim_metrics = simulation.send(1, 1_500_000.0, reservations)
-        simulation.send(2, 20_000_000.0, delay=0.05)
-        simulation.run(0.5)
-        policer = simulation.nodes[bottleneck.isd_as].router.policer
-        policer.record_gauges(str(bottleneck.isd_as))
-        trace.event(
-            "policer.verdict",
-            isd_as=str(bottleneck.isd_as),
-            ingress=bottleneck.ingress,
-            res_id=res_id,
-            priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id),
-            goodput_mbps=victim_metrics.summary()["goodput_mbps"],
-        )
 
 
 @dataclass
@@ -1040,19 +1044,17 @@ def path_contention_experiment(
         bottleneck_capacity = slots * per_buyer_kbps + probe_kbps
         wide_capacity = 2 * num_buyers * per_buyer_kbps
         # One allocation stack per AS: the heterogeneity the protocol must
-        # coordinate without caring what runs behind each hop.  The mode
-        # labels are recorded results: "monolithic" names the default
-        # day-wide shards, which answer as one unbounded shard did.
+        # coordinate without caring what runs behind each hop.
         configs = [
-            ("posted/fcfs/monolithic", AdmissionController(
+            ("posted/fcfs", AdmissionController(
                 wide_capacity, policy=FirstComeFirstServed(),
             )),
-            ("posted/proportional/sharded", AdmissionController(
+            ("posted/proportional", AdmissionController(
                 bottleneck_capacity,
                 policy=ProportionalShare(0.5),
                 shard_seconds=float(window_seconds),
             )),
-            ("auction/scarcity/monolithic", AdmissionController(
+            ("auction/scarcity", AdmissionController(
                 wide_capacity, pricer=ScarcityPricer(), auction_interfaces=True,
             )),
         ]
@@ -1134,7 +1136,7 @@ def path_contention_experiment(
             )
 
         escrow_conserved, winners = _traced_path_lifecycle(
-            telemetry, topology, crossings, per_buyer_kbps
+            telemetry, topology, path, per_buyer_kbps
         )
 
         result = PathContentionResult(
@@ -1175,7 +1177,7 @@ def path_contention_experiment(
 def _traced_path_lifecycle(
     telemetry: ExperimentTelemetry | None,
     topology: Topology,
-    crossings,
+    path: ForwardingPath,
     bandwidth_kbps: int,
 ) -> tuple[bool, int]:
     """One path reservation, one correlation id, the whole on-chain story.
@@ -1191,24 +1193,18 @@ def _traced_path_lifecycle(
     number of path winners)``.
     """
     from repro.admission import ACTIVE
-    from repro.controlplane import (
-        deploy_market,
-        open_path_auction,
-        settle_path_auction,
-    )
+    from repro.controlplane import open_path_auction, settle_path_auction
     from repro.marketdata import price_mist
 
-    t0 = 1_700_000_000
-    window = (t0 + 3600, t0 + 4200)
+    crossings = as_crossings(path)
+    window = (START + 3600, START + 4200)
     duration = window[1] - window[0]
-    clock = SimClock(float(t0))
     trace = telemetry.trace("traced-path") if telemetry else None
     with use_trace(trace):
-        deployment = deploy_market(
+        deployment, simulation = _market(
             topology,
-            clock=clock,
-            seed=SEED,
-            asset_start=t0,
+            path,
+            asset_start=START,
             asset_duration=3600,
             asset_bandwidth_kbps=4 * bandwidth_kbps,
             interface_capacity_kbps=8 * bandwidth_kbps,
@@ -1251,7 +1247,7 @@ def _traced_path_lifecycle(
         if not hold.admitted:  # pragma: no cover - capacity is ample
             raise RuntimeError(f"path hold rejected: {hold.reason}")
         admission.commit(hold)
-        clock.set(float(window[0]))
+        simulation.clock.set(float(window[0]))
         settle_path_auction(deployment, handle)
         settlement = winner.await_path_settle(
             deployment.marketplace, handle.path_auction
@@ -1289,50 +1285,60 @@ def contention_experiment(
 ) -> ContentionResult:
     """Many buyers compete for one bottleneck interface's capacity.
 
-    Each buyer asks the bottleneck AS to admit ``1.25 * per_buyer_kbps``
-    (rate plus header overhead) against a capacity calendar sized to
-    ``reservable_fraction`` of the bottleneck link.  Admitted buyers get a
-    full-path reservation (distinct ResIDs) and send at ``per_buyer_kbps``
-    with priority protection; rejected buyers *fall back to best effort*
-    and fight over whatever the reserved traffic leaves behind.  Quoted
-    prices rise with utilization under the scarcity pricer, so the result
-    doubles as a price-discovery trace.
+    Buyers arrive in order.  For each, the bottleneck AS lists
+    ``1.25 * per_buyer_kbps`` (rate plus header overhead) more of its
+    ingress at its scarcity quote, against an issued calendar sized to
+    ``reservable_fraction`` of the bottleneck link; the buyer buys it with
+    the rest of the path, redeems, and sends at ``per_buyer_kbps`` with
+    priority protection.  A buyer the AS can no longer list for *falls back
+    to best effort* and fights over whatever the reserved traffic leaves
+    behind.  Quoted prices rise with utilization, so the result doubles as a
+    price-discovery trace.
 
     With ``telemetry`` the run collects admission counters/histograms,
     capacity gauges, and policer residency into the harness's registry
     (``telemetry.write(...)`` dumps them for
-    ``tools/report_experiment.py``).
+    ``tools/report_experiment.py``), and buyer-0's purchase is traced.
     """
-    from repro.admission import AdmissionController, ScarcityPricer
+    from repro.admission import ScarcityPricer
+    from repro.controlplane import purchase_path
+    from repro.invariants import check
 
     reservable_fraction = 0.8
 
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        simulation = build_path_simulation(topology, path)
-        bottleneck, capacity_kbps = _bottleneck(path, reservable_fraction)
-        controller = AdmissionController(capacity_kbps, pricer=ScarcityPricer())
-
-        start = int(simulation.clock.now())
+        end = _window_end(duration)
+        deployment, simulation, bottleneck, capacity_kbps = _contended_market(
+            topology, path, end, reservable_fraction, pricer=ScarcityPricer()
+        )
+        seller = deployment.service(bottleneck.isd_as)
         reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-        window_end = start + int(duration) + 60
         rng = random.Random(SEED)
         outcomes: list[BuyerOutcome] = []
         flow_metrics: list[FlowMetrics] = []
+        traced_res_id = None
         for index in range(num_buyers):
             buyer = f"buyer-{index}"
-            quote = controller.quote(
-                BASE_PRICE_MICROMIST, bottleneck.ingress, True, start, window_end
+            quote = seller.admission.quote(
+                BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
             )
             # Trace buyer-0's lifecycle end to end (admission through policer).
             trace = telemetry.trace(buyer) if telemetry and index == 0 else None
-            with use_trace(trace):
-                decision = controller.admit_reservation(
-                    bottleneck.ingress, True, reserve_kbps, start, window_end, tag=buyer
-                )
             reservations = None
-            if decision.admitted:
-                reservations = simulation.grant_full_path(
-                    reserve_kbps, start, int(duration) + 60, res_id=index
+            with use_trace(trace):
+                refusal = _restock(deployment, bottleneck, end, reserve_kbps)
+                if refusal is None:
+                    reservations = purchase_path(
+                        deployment,
+                        deployment.new_host(name=buyer),
+                        as_crossings(path),
+                        start=START,
+                        expiry=end,
+                        bandwidth_kbps=reserve_kbps,
+                    ).reservations
+            if trace is not None and reservations:
+                traced_res_id = next(
+                    r.resinfo.res_id for r in reservations if r.isd_as == bottleneck.isd_as
                 )
             # slight stagger, arrival order = index order
             flow_metrics.append(
@@ -1345,9 +1351,11 @@ def contention_experiment(
                 BuyerOutcome(
                     buyer=buyer,
                     requested_kbps=reserve_kbps,
-                    admitted=decision.admitted,
+                    admitted=refusal is None,
                     quoted_price_micromist=quote,
-                    reason=decision.reason,
+                    # the bottleneck's first-come-first-served calendar says
+                    # "fits" to every rectangle it lets the AS list
+                    reason="fits" if refusal is None else refusal,
                     metrics={},
                 )
             )
@@ -1355,6 +1363,7 @@ def contention_experiment(
         simulation.run(duration)
         for outcome, metrics in zip(outcomes, flow_metrics):
             outcome.metrics = metrics.summary()
+        check(deployment, simulation.now())
 
         link = simulation.links[0]
         result = ContentionResult(
@@ -1363,16 +1372,16 @@ def contention_experiment(
             bottleneck_utilization=link.utilization(duration),
         )
         if telemetry is not None:
-            controller.record_capacity_gauges(start, window_end, owner="bottleneck-as")
-            router = simulation.nodes[bottleneck.isd_as].router
-            router.policer.record_gauges(str(bottleneck.isd_as))
-            if telemetry.traces and telemetry.traces[0].name == "buyer-0":
+            seller.admission.record_capacity_gauges(START, end, owner="bottleneck-as")
+            policer = simulation.nodes[bottleneck.isd_as].router.policer
+            policer.record_gauges(str(bottleneck.isd_as))
+            if traced_res_id is not None:
                 telemetry.traces[0].event(
                     "policer.verdict",
                     isd_as=str(bottleneck.isd_as),
                     ingress=bottleneck.ingress,
-                    res_id=0,
-                    priority_bytes=router.policer.usage_bytes(bottleneck.ingress, 0),
+                    res_id=traced_res_id,
+                    priority_bytes=policer.usage_bytes(bottleneck.ingress, traced_res_id),
                 )
             telemetry.annotate(
                 contention={

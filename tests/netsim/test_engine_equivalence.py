@@ -54,10 +54,11 @@ def narrow(monkeypatch):
     return run
 
 
-def test_auction_experiment_outcomes_identical_across_backends(narrow):
-    topology, path = linear_path(3)
-    day = auction_experiment(topology, path, duration=0, seed=3)
-    narrowed = narrow(auction_experiment, topology, path, duration=0, seed=3)
+def test_auction_experiment_outcomes_identical_across_backends(
+    narrow, experiment_runs
+):
+    day = experiment_runs(auction_experiment, 3, duration=0, seed=3)
+    narrowed = narrow(auction_experiment, *linear_path(3), duration=0, seed=3)
 
     def outcomes(result):
         return (

@@ -32,6 +32,12 @@ reproduce it byte for byte.  Every goodput, latency and utilisation in it
 depends on the order in which sources are constructed and started (the event
 loop breaks ties FIFO, and the flows of one simulation share one ``rng``), so
 a refactor that reorders two ``start`` calls fails here, not in a plot.
+It was re-recorded once since, when the congestion, contention and auction
+experiments moved onto a deployed market: the telemetry runs' traces and
+metrics (ledger spans and families appeared) and the path-contention
+hop-mode labels (their calendar-geometry word went) changed, and nothing
+else did.  Under pytest a configuration the claim tests share comes from the
+session's ``experiment_runs`` memo (``conftest.py``), so it runs once.
 
 To re-record (only when an experiment's *result* is meant to change — another
 scenario constant, a new result field, a different pricer — never to make a
@@ -112,18 +118,21 @@ def _observed(telemetry: ExperimentTelemetry) -> dict:
     }
 
 
-def run_experiments() -> dict:
-    paths = {3: linear_path(3), 4: linear_path(4)}
+def run_experiments(run) -> dict:
+    """Every recorded run; ``run(experiment, num_ases, **options)`` runs one
+    configuration over ``linear_path(num_ases)`` (the session's
+    ``experiment_runs`` memo under pytest)."""
     runs: dict = {}
 
-    for ases in paths:
+    for ases in (3, 4):
         for protected in (True, False):
             label = "protected" if protected else "unprotected"
-            runs[f"congestion/{label}@{ases}"] = congestion_experiment(
-                *paths[ases], protected=protected, duration=0.5
+            runs[f"congestion/{label}@{ases}"] = run(
+                congestion_experiment, ases, protected=protected, duration=0.5
             )
-    runs["congestion/rates@4"] = congestion_experiment(
-        *paths[4],
+    runs["congestion/rates@4"] = run(
+        congestion_experiment,
+        4,
         protected=True,
         victim_rate_bps=1_500_000.0,
         flood_rate_bps=12_000_000.0,
@@ -131,20 +140,20 @@ def run_experiments() -> dict:
         duration=0.4,
     )
 
-    runs["contention/8x2000@3"] = contention_experiment(
-        *paths[3], num_buyers=8, duration=0.5
+    runs["contention/8x2000@3"] = run(
+        contention_experiment, 3, num_buyers=8, duration=0.5
     )
-    runs["contention/5x3000@4"] = contention_experiment(
-        *paths[4], num_buyers=5, per_buyer_kbps=3000, duration=0.4
+    runs["contention/5x3000@4"] = run(
+        contention_experiment, 4, num_buyers=5, per_buyer_kbps=3000, duration=0.4
     )
 
-    runs["auction/packets@3/monolithic"] = auction_experiment(*paths[3], duration=0.5)
-    runs["auction/packets@4/sharded"] = auction_experiment(
-        *paths[4], num_buyers=6, duration=0.4, seed=2
+    runs["auction/packets@3/monolithic"] = run(auction_experiment, 3, duration=0.5)
+    runs["auction/packets@4/sharded"] = run(
+        auction_experiment, 4, num_buyers=6, duration=0.4, seed=2
     )
     for seed in (3, 5):
-        runs[f"auction/clearing-seed{seed}@3"] = auction_experiment(
-            *paths[3], duration=0, seed=seed
+        runs[f"auction/clearing-seed{seed}@3"] = run(
+            auction_experiment, 3, duration=0, seed=seed
         )
 
     runs["flex_market"] = flex_market_experiment(duration=0.3, seed=1)
@@ -152,10 +161,10 @@ def run_experiments() -> dict:
         num_ases=4, flex_values=(0, 600, 1800), duration=0.3, seed=2
     )
 
-    runs["path_contention@3"] = path_contention_experiment(*paths[3], num_buyers=8)
-    runs["path_contention@4"] = path_contention_experiment(*paths[4], num_buyers=6)
+    runs["path_contention@3"] = run(path_contention_experiment, 3, num_buyers=8)
+    runs["path_contention@4"] = run(path_contention_experiment, 4, num_buyers=6)
 
-    runs["reclamation@3"] = reclamation_experiment(*paths[3], duration=0.6)
+    runs["reclamation@3"] = run(reclamation_experiment, 3, duration=0.6)
 
     runs["deadline"] = deadline_experiment(
         num_ases=3, transfer_count=3, horizon=1200, seed=5
@@ -171,6 +180,7 @@ def run_experiments() -> dict:
         result = experiment(*args, telemetry=telemetry, **options)
         recording[f"{name}/telemetry"] = {"result": result, **_observed(telemetry)}
 
+    paths = {3: linear_path(3), 4: linear_path(4)}
     observed("contention", contention_experiment, *paths[3], num_buyers=6, duration=0.3)
     observed("flex_market", flex_market_experiment, num_ases=3, duration=0.3)
     observed("auction", auction_experiment, *paths[3], num_buyers=6, duration=0.3)
@@ -186,8 +196,8 @@ def recorded() -> dict:
 
 
 @pytest.fixture(scope="module")
-def replayed() -> dict:
-    return run_experiments()
+def replayed(experiment_runs) -> dict:
+    return run_experiments(experiment_runs)
 
 
 def test_every_experiment_result_matches_the_recording(recorded, replayed):
@@ -246,7 +256,15 @@ def test_the_recording_covers_what_a_reordering_would_move(recorded):
 
 
 if __name__ == "__main__":
-    text = json.dumps(run_experiments(), indent=1, sort_keys=True)
+    text = json.dumps(
+        run_experiments(
+            lambda experiment, num_ases, **options: experiment(
+                *linear_path(num_ases), **options
+            )
+        ),
+        indent=1,
+        sort_keys=True,
+    )
     # one line per buyer / span / metric child: leaf lists and dicts are collapsed
     text = re.sub(
         r"[\[{][^\[\]{}]*[\]}]", lambda leaf: re.sub(r"\s+", " ", leaf.group(0)), text

@@ -244,13 +244,12 @@ class TestContentionExperiment:
 
 
 class TestAuctionExperiment:
-    def test_auction_beats_posted_revenue_without_oversell(self):
+    def test_auction_beats_posted_revenue_without_oversell(self, experiment_runs):
         """The headline claim: under the contention workload a sealed-bid
         uniform-price auction extracts at least posted-scarcity revenue,
         allocates the window to the highest-value buyers, and never
         commits past physical capacity."""
-        topology, path = linear_path(3)
-        result = auction_experiment(topology, path, duration=0.5)
+        result = experiment_runs(auction_experiment, 3, duration=0.5)
         assert result.auction_revenue_mist >= result.posted_revenue_mist
         assert not result.oversold
         assert result.posted_peak_kbps <= result.capacity_kbps
@@ -262,9 +261,10 @@ class TestAuctionExperiment:
         assert result.efficiency("auction") == pytest.approx(1.0)
         assert result.efficiency("posted") <= result.efficiency("auction")
 
-    def test_winners_protected_losers_best_effort_on_the_data_plane(self):
-        topology, path = linear_path(3)
-        result = auction_experiment(topology, path, duration=0.5)
+    def test_winners_protected_losers_best_effort_on_the_data_plane(
+        self, experiment_runs
+    ):
+        result = experiment_runs(auction_experiment, 3, duration=0.5)
         winners = [b for b in result.buyers if b.auction_won]
         losers = [b for b in result.buyers if not b.auction_won]
         assert winners and losers
@@ -277,16 +277,14 @@ class TestAuctionExperiment:
         best_loser = max(l.metrics["goodput_mbps"] for l in losers)
         assert best_loser < worst_winner
 
-    def test_clearing_only_run_skips_the_packet_phase(self):
-        topology, path = linear_path(3)
-        result = auction_experiment(topology, path, duration=0, seed=3)
+    def test_clearing_only_run_skips_the_packet_phase(self, experiment_runs):
+        result = experiment_runs(auction_experiment, 3, duration=0, seed=3)
         assert all(b.metrics == {} for b in result.buyers)
         assert result.bottleneck_utilization == 0.0
         assert not result.oversold
 
-    def test_uniform_price_is_single_and_within_bids(self):
-        topology, path = linear_path(3)
-        result = auction_experiment(topology, path, duration=0, seed=5)
+    def test_uniform_price_is_single_and_within_bids(self, experiment_runs):
+        result = experiment_runs(auction_experiment, 3, duration=0, seed=5)
         paid = {b.auction_paid_mist for b in result.buyers if b.auction_won}
         assert len(paid) == 1  # ONE price for every winner
         for buyer in result.buyers:

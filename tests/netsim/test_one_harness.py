@@ -12,6 +12,17 @@ repository passed into a named constant (78 defaulted parameters across the
 seven experiments became 29).  An option comes back only together with the
 caller that needs it: that walk now lives in ``tests/test_no_unset_option.py``,
 which audits every module under ``src/repro`` the same way.
+
+The experiments buy what they send.  ``deploy_market`` is called at one site,
+the harness ``_market``, which builds a deployment beside the simulation's
+routers; the congestion, contention and auction experiments run on it, so no
+bare ``AdmissionController`` and no directly granted key is left in them.  Two
+are left where the deployed system cannot hold the recorded outcomes:
+``path_contention_experiment`` coordinates heterogeneous bare controllers (its
+ledger-backed companion deploys), and ``reclamation_experiment`` grants its
+keys through ``PathSimulation.grant_full_path`` — on a deployment a late buyer
+needs *issued* capacity, which the adaptive factor learned on the *active*
+calendars never frees (ROADMAP item 18).
 """
 
 from __future__ import annotations
@@ -51,9 +62,45 @@ def _call_sites(name: str) -> list[str]:
 def test_a_traffic_source_is_constructed_at_one_site():
     assert _call_sites("CbrSource") == ["scenarios.py:PathSimulation.send"]
     assert _call_sites("FloodSource") == []
-    # the net is not vacuous: the experiments do send
-    assert len(_call_sites("send")) >= 9
+    # the net is not vacuous: every experiment with a packet phase sends
+    assert {
+        "scenarios.py:congestion_experiment",
+        "scenarios.py:contention_experiment",
+        "scenarios.py:auction_experiment",
+        "scenarios.py:flex_market_experiment",
+        "scenarios.py:reclamation_experiment.run_arm.admit",
+    } <= set(_call_sites("send"))
 
 
 def test_a_chain_is_beaconed_at_one_site():
     assert _call_sites("run_beaconing") == ["scenarios.py:linear_path"]
+
+
+def test_the_market_is_deployed_at_one_site():
+    in_scenarios = [
+        site for site in _call_sites("deploy_market") if site.startswith("scenarios.py")
+    ]
+    assert in_scenarios == ["scenarios.py:_market"]
+    # contention and auction reach it through _contended_market
+    assert sorted(_call_sites("_market")) == [
+        "scenarios.py:_contended_market",
+        "scenarios.py:_traced_path_lifecycle",
+        "scenarios.py:congestion_experiment",
+        "scenarios.py:flex_market_experiment",
+    ]
+    assert sorted(_call_sites("_contended_market")) == [
+        "scenarios.py:auction_experiment",
+        "scenarios.py:auction_experiment",
+        "scenarios.py:contention_experiment",
+    ]
+
+
+def test_bare_controllers_and_granted_keys_are_left_where_outcomes_need_them():
+    assert set(_call_sites("AdmissionController")) == {
+        "scenarios.py:path_contention_experiment",
+        "scenarios.py:reclamation_experiment.run_arm",
+    }
+    assert _call_sites("grant_reservation") == ["scenarios.py:PathSimulation.grant_full_path"]
+    assert _call_sites("grant_full_path") == [
+        "scenarios.py:reclamation_experiment.run_arm.admit"
+    ]
