@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Adversarial scenarios from the security analysis (§5).
 
-Four attacks against the data plane, each checked against the property the
+Five attacks against the data plane, each checked against the property the
 paper claims:
 
 * **D1 — spoofing**: forged authentication tags are dropped (the candidate
@@ -13,14 +13,17 @@ paper claims:
   best effort (never dropped: benign bursts must not fall below best
   effort, §4.3 step 5);
 * **D2 — reservation stealing**: replaying a valid tag towards a different
-  destination fails, because the destination address is MAC-bound.
+  destination fails, because the destination address is MAC-bound;
+* **replay**: an on-path copy of a valid packet is demoted to best effort by
+  a router that deploys the optional duplicate suppression (§5.4, Fig. 13),
+  so the copy spends none of the reserved bandwidth.
 
 Run:  python examples/dos_mitigation.py
 """
 
 from copy import deepcopy
 
-from repro.hummingbird import HummingbirdRouter, HummingbirdSource
+from repro.hummingbird import DuplicateFilter, HummingbirdRouter, HummingbirdSource
 from repro.netsim import SIM_PRF, linear_path
 from repro.clock import SimClock
 from repro.scion import HostAddr, ScionAddr, as_crossings
@@ -156,11 +159,29 @@ def attack_reservation_stealing() -> None:
     assert decision.action is Action.DROP
 
 
+def attack_replay() -> None:
+    clock, topology, path, _, source, _ = setup()
+    router = HummingbirdRouter(
+        topology.as_of(path.src), clock, SIM_PRF, duplicate_filter=DuplicateFilter()
+    )
+    packet = source.build_packet(b"r" * 300)
+    replayed = deepcopy(packet)  # the adversary copies the packet off the wire
+    first = router.process(packet, 0)
+    second = router.process(replayed, 0)
+    print(
+        f"replay (dup. filter)   -> first {first.action.value}, copy "
+        f"{second.action.value} (demoted: packet ID already seen)"
+    )
+    assert first.action is Action.FORWARD_PRIORITY and second.action is Action.FORWARD
+    assert router.stats.demoted_duplicate == 1
+
+
 def main() -> None:
     attack_spoofed_tag()
     attack_before_start()
     attack_overuse()
     attack_reservation_stealing()
+    attack_replay()
     print("all adversarial outcomes match the security analysis (§5.4)")
 
 

@@ -96,23 +96,6 @@ class ClearingOutcome:
     reserve_micromist: int
     awarded_kbps: int
 
-    @property
-    def cleared(self) -> bool:
-        return bool(self.winners)
-
-    def revenue_mist(self, duration_seconds: int) -> int:
-        """Total MIST the winners pay for a window of this duration.
-
-        Per winner the charge is ``ceil(bw * duration * clearing / 1e6)``,
-        mirroring the marketplace contract's ceil pricing exactly.
-        """
-        micromist = 1_000_000
-        return sum(
-            -(-bid.bandwidth_kbps * duration_seconds
-              * self.clearing_price_micromist // micromist)
-            for bid in self.winners
-        )
-
 
 def uniform_price_clearing(
     bids,
@@ -247,14 +230,6 @@ class WindowAuction:
             raise ValueError("offered bandwidth must be positive")
         if self.reserve_micromist < 1:
             raise ValueError("reserve price must be at least 1 micromist")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def bid_count(self) -> int:
-        return len(self.bids)
 
     def place(
         self, bidder: str, bandwidth_kbps: int, price_micromist_per_unit: int

@@ -124,10 +124,6 @@ class Commitment:
     end: float
     tag: str = ""  # free-form owner label (buyer address, asset id, ...)
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
 
 def _check_window(start: float, end: float) -> None:
     """The one window rule for queries and commits alike: finite, non-empty."""
@@ -164,7 +160,7 @@ class CapacityCalendar:
 
     >>> calendar = CapacityCalendar(capacity_kbps=1000, shard_seconds=100)
     >>> spanning = calendar.admit(600, 50, 250)
-    >>> calendar.shard_count, calendar.commitment_count
+    >>> len(calendar._shards), len(calendar.commitments())
     (3, 1)
     >>> calendar.peak_commitment(0, 300)
     600
@@ -388,24 +384,8 @@ class CapacityCalendar:
 
     # -- introspection ------------------------------------------------------------
 
-    @property
-    def commitment_count(self) -> int:
-        return len(self._commitments)
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    @property
-    def boundary_count(self) -> int:
-        """Total boundaries across shards (a slot edge counts in each shard it cuts)."""
-        return sum(len(shard.times) - 1 for shard in self._shards.values())
-
     def commitments(self) -> list[Commitment]:
         return list(self._commitments.values())
-
-    def get(self, commitment_id: int) -> Commitment:
-        return self._commitments[commitment_id]
 
     def fingerprint(self) -> tuple:
         """Hashable canonical form of this calendar's complete state.

@@ -146,10 +146,11 @@ class AdmissionController:
         # the decision counters do.  Starting at -1 samples the very first
         # admit, so short runs still populate the histogram.
         self._admit_tick = -1
-        self._m_expired = registry.counter(
-            "admission_expired_total", "Commitments released by expire()."
-        ).labels()
-        self._m_shards_dropped = registry.counter(
+        # Registered though no deployed path expires commitments: the
+        # recorded experiment telemetry (experiment_equivalence.json) lists
+        # both families, at zero.
+        registry.counter("admission_expired_total", "Commitments released by expiry.").labels()
+        registry.counter(
             "admission_shards_dropped_total",
             "Whole calendar shards dropped in O(1) by sharded expiry.",
         ).labels()
@@ -292,25 +293,6 @@ class AdmissionController:
             KeyError: the commitment is not (or no longer) tracked there.
         """
         self.calendar(interface, is_ingress, layer).release(commitment.commitment_id)
-
-    def expire(self, now: float) -> int:
-        """Garbage-collect ended commitments in every calendar, both layers.
-
-        Returns:
-            The number of commitments released.
-        """
-        released = 0
-        shards_dropped = 0
-        for calendar in self._calendars.values():
-            before = calendar.shards_dropped
-            released += calendar.expire(now)
-            shards_dropped += calendar.shards_dropped - before
-        if self._telemetry:
-            if released:
-                self._m_expired.inc(released)
-            if shards_dropped:
-                self._m_shards_dropped.inc(shards_dropped)
-        return released
 
     def record_capacity_gauges(
         self, start: float, end: float, owner: str = ""

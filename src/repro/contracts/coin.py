@@ -1,9 +1,9 @@
 """Coin contract: the payment token of the bandwidth market.
 
 Coins are owned objects with an integer MIST balance (1 SUI = 1e9 MIST).
-The faucet ``mint`` stands in for acquiring SUI out of band; ``split``,
-``merge`` and ``transfer`` mirror the standard coin operations the market
-relies on.
+The faucet ``mint`` stands in for acquiring SUI out of band; ``merge``
+folds a host's coins into one.  The market debits a payment coin inside its
+own calls, so no other coin operation has a caller.
 """
 
 from __future__ import annotations
@@ -21,15 +21,6 @@ class CoinContract(Contract):
         coin = ctx.create_object(COIN_TYPE, {"balance": int(amount)})
         return {"coin": coin.object_id}
 
-    def split(self, ctx: CallContext, coin: str, amount: int) -> dict:
-        """Split ``amount`` MIST off into a new coin."""
-        source = ctx.take_owned(coin, COIN_TYPE)
-        ctx.require(0 < amount < source.payload["balance"], "invalid split amount")
-        source.payload["balance"] -= amount
-        ctx.mutate(source)
-        piece = ctx.create_object(COIN_TYPE, {"balance": int(amount)})
-        return {"coin": piece.object_id}
-
     def merge(self, ctx: CallContext, coin: str, other: str) -> dict:
         """Merge ``other`` into ``coin`` and delete it."""
         target = ctx.take_owned(coin, COIN_TYPE)
@@ -37,12 +28,6 @@ class CoinContract(Contract):
         target.payload["balance"] += source.payload["balance"]
         ctx.mutate(target)
         ctx.delete_object(source)
-        return {"coin": target.object_id}
-
-    def transfer(self, ctx: CallContext, coin: str, recipient: str) -> dict:
-        """Send a whole coin to ``recipient``."""
-        target = ctx.take_owned(coin, COIN_TYPE)
-        ctx.transfer(target, recipient)
         return {"coin": target.object_id}
 
 

@@ -15,7 +15,6 @@ from repro.controlplane.hostclient import (
     IncompatibleGranularity,
     ListingNotFound,
 )
-from repro.controlplane.manager import ReservationLease, ReservationManager
 from repro.controlplane.pki import CpPki
 from repro.controlplane.workflow import (
     LatencyBreakdown,
@@ -42,8 +41,6 @@ __all__ = [
     "ListingNotFound",
     "PathAuctionHandle",
     "PathSettlementRecord",
-    "ReservationLease",
-    "ReservationManager",
     "CpPki",
     "LatencyBreakdown",
     "MarketDeployment",

@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 
 from repro.admission import ACTIVE, AUCTION, AdmissionController, AdmissionRejected
-from repro.admission.auction import Bid, ClearingOutcome, WindowAuction
+from repro.admission.auction import Bid, WindowAuction
 from repro.contracts.asset import delivery_context
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.crypto.sealing import check_group_element, seal
@@ -543,25 +543,6 @@ class AsService:
             mirrored += 1
         return mirrored
 
-    def preview_settlement(self, auction_id: str) -> ClearingOutcome:
-        """What settling this auction *right now* would decide.
-
-        Runs the exact clearing function the contract will run, against
-        the mirrored book and the current supply (offered bandwidth
-        clamped by live active-calendar headroom).  Because clearing is
-        deterministic, the preview equals the on-chain outcome unless new
-        bids land in between.
-
-        Raises:
-            KeyError: unknown or already-settled auction.
-        """
-        record = self.open_auctions[auction_id]
-        self.poll_bids()
-        book = self.admission.auction_for(
-            record.interface, record.is_ingress, record.start, record.expiry
-        )
-        return book.clear(self._supply(record))
-
     def settle_due_auctions(self) -> list[SettlementRecord]:
         """Settle every open auction whose window has started.
 
@@ -942,16 +923,6 @@ class AsService:
             res_id=res_id,
             submitted=submitted,
         )
-
-    def expire_commitments(self, now: float | None = None) -> int:
-        """Release calendar commitments whose windows have fully ended.
-
-        The step function already ignores past windows when judging future
-        admissions; this garbage-collects their bookkeeping.  Returns the
-        number of commitments released.
-        """
-        when = now if now is not None else self.executor.clock.now()
-        return self.admission.expire(when)
 
     # -- no-show reclamation ---------------------------------------------------------
 

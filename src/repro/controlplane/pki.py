@@ -73,8 +73,3 @@ class CpPki:
             response=int.from_bytes(response, "big"),
         )
         return verify(self._root.public, _cert_message(isd, asn, public_key), signature)
-
-
-def subject_public_key(certificate: dict) -> int:
-    """Extract the certified Schnorr public key as an integer."""
-    return int.from_bytes(certificate["public_key"], "big")

@@ -8,7 +8,7 @@ together), so no first key or signature of a process pays for them.
 """
 
 from repro.crypto.aes import AES128, BLOCK_SIZE, expand_key, xor_bytes
-from repro.crypto.cmac import Cmac, aes_cmac
+from repro.crypto.cmac import Cmac
 from repro.crypto.keys import SecretValue, derive_auth_key, pack_resinfo_input
 from repro.crypto.prf import (
     DEFAULT_PRF_FACTORY,
@@ -26,7 +26,6 @@ __all__ = [
     "expand_key",
     "xor_bytes",
     "Cmac",
-    "aes_cmac",
     "SecretValue",
     "derive_auth_key",
     "pack_resinfo_input",

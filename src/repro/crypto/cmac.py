@@ -7,6 +7,8 @@ four RFC 4493 test vectors in ``tests/crypto/test_cmac.py``.
 
 from __future__ import annotations
 
+import hmac
+
 from repro.crypto.aes import AES128, BLOCK_SIZE, xor_bytes
 
 _MSB_MASK = 0x80
@@ -33,26 +35,18 @@ def derive_subkeys(cipher: AES128) -> tuple[bytes, bytes]:
 
 
 class Cmac:
-    """AES-CMAC with a cached key schedule and subkeys.
+    """AES-CMAC over an already-keyed cipher, subkeys derived once.
 
-    >>> mac = Cmac(bytes.fromhex('2b7e151628aed2a6abf7158809cf4f3c'))
+    >>> mac = Cmac(AES128(bytes.fromhex('2b7e151628aed2a6abf7158809cf4f3c')))
     >>> mac.compute(b'').hex()
     'bb1d6929e95937287fa37d129b756746'
     """
 
     __slots__ = ("_cipher", "_k1", "_k2")
 
-    def __init__(self, key: bytes) -> None:
-        self._cipher = AES128(key)
-        self._k1, self._k2 = derive_subkeys(self._cipher)
-
-    @classmethod
-    def from_cipher(cls, cipher: AES128) -> "Cmac":
-        """A CMAC over an already-keyed cipher: no second key expansion."""
-        mac = cls.__new__(cls)
-        mac._cipher = cipher
-        mac._k1, mac._k2 = derive_subkeys(cipher)
-        return mac
+    def __init__(self, cipher: AES128) -> None:
+        self._cipher = cipher
+        self._k1, self._k2 = derive_subkeys(cipher)
 
     def compute(self, message: bytes) -> bytes:
         """Return the 16-byte CMAC of ``message``."""
@@ -74,26 +68,14 @@ class Cmac:
         return self._cipher.encrypt_block(xor_bytes(state, last_block))
 
     def verify(self, message: bytes, tag: bytes) -> bool:
-        """Check ``tag`` (possibly truncated) against the CMAC of ``message``."""
-        if not 1 <= len(tag) <= BLOCK_SIZE:
-            return False
-        return _constant_time_equal(self.compute(message)[: len(tag)], tag)
+        """Check the full 16-byte ``tag`` against the CMAC of ``message``.
+
+        The comparison takes the same time wherever the first wrong byte is,
+        so a forger learns nothing from how fast a guess is refused.
+        """
+        return hmac.compare_digest(self.compute(message), tag)
 
 
 def _pad(partial_block: bytes) -> bytes:
     """10* padding to a full AES block."""
     return partial_block + b"\x80" + bytes(BLOCK_SIZE - len(partial_block) - 1)
-
-
-def _constant_time_equal(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0
-
-
-def aes_cmac(key: bytes, message: bytes) -> bytes:
-    """One-shot convenience wrapper around :class:`Cmac`."""
-    return Cmac(key).compute(message)

@@ -64,7 +64,7 @@ class AesPrf:
         if len(message) == BLOCK_SIZE:
             return self._cipher.encrypt_block(message)
         if self._cmac is None:
-            self._cmac = Cmac.from_cipher(self._cipher)
+            self._cmac = Cmac(self._cipher)
         return self._cmac.compute(message)
 
 

@@ -141,10 +141,6 @@ class SealedBox:
     ciphertext: bytes
     tag: bytes
 
-    def serialized_size(self) -> int:
-        """Byte size when stored on chain (for gas accounting)."""
-        return _GROUP_BYTES + len(self.ciphertext) + len(self.tag)
-
 
 def _kdf(shared_secret: int, context: bytes) -> tuple[bytes, bytes]:
     """Derive independent encryption and MAC keys from the DH shared secret."""
@@ -197,7 +193,7 @@ def seal(
     enc_key, mac_key = _kdf(shared, context)
     keystream = _ctr_keystream(AES128(enc_key), len(plaintext))
     ciphertext = xor_bytes(plaintext, keystream)
-    tag = Cmac(mac_key).compute(ciphertext)
+    tag = Cmac(AES128(mac_key)).compute(ciphertext)
     return SealedBox(kem_share=kem_share, ciphertext=ciphertext, tag=tag)
 
 
@@ -220,7 +216,7 @@ def unseal(
     if pair not in exchanges:
         exchanges[pair] = pow(box.kem_share, recipient.secret, MODP_P)
     enc_key, mac_key = _kdf(exchanges[pair], context)
-    if Cmac(mac_key).compute(box.ciphertext) != box.tag:
+    if not Cmac(AES128(mac_key)).verify(box.ciphertext, box.tag):
         raise ValueError("sealed box authentication failed")
     keystream = _ctr_keystream(AES128(enc_key), len(box.ciphertext))
     return xor_bytes(box.ciphertext, keystream)

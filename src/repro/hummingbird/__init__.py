@@ -9,7 +9,6 @@ reversal, optional duplicate suppression, and bidirectional reservations.
 
 from repro.hummingbird.bidirectional import ReservationHandoff
 from repro.hummingbird.duplicate import DuplicateFilter
-from repro.hummingbird.gateway import AdmissionError, GatewayFlow, HummingbirdGateway
 from repro.hummingbird.mac import (
     TAG_LEN,
     aggregate_mac,
@@ -29,7 +28,6 @@ from repro.hummingbird.policing import (
     PerInterfacePolicer,
     PolicingVerdict,
     TokenBucketArray,
-    max_packet_size_for,
 )
 from repro.hummingbird.reservation import (
     FlyoverReservation,
@@ -56,9 +54,6 @@ from repro.hummingbird.source import (
 __all__ = [
     "ReservationHandoff",
     "DuplicateFilter",
-    "AdmissionError",
-    "GatewayFlow",
-    "HummingbirdGateway",
     "TAG_LEN",
     "aggregate_mac",
     "checked_pkt_len",
@@ -73,7 +68,6 @@ __all__ = [
     "PerInterfacePolicer",
     "PolicingVerdict",
     "TokenBucketArray",
-    "max_packet_size_for",
     "FlyoverReservation",
     "ResInfo",
     "grant_reservation",

@@ -50,18 +50,6 @@ class FlyoverHopFieldData(HopFieldData):
     res_start_offset: int = 0
     res_duration: int = 0
 
-    def copy(self) -> "FlyoverHopFieldData":
-        return FlyoverHopFieldData(
-            self.cons_ingress,
-            self.cons_egress,
-            self.exp_time,
-            self.mac,
-            self.res_id,
-            self.bw_cls,
-            self.res_start_offset,
-            self.res_duration,
-        )
-
 
 def is_flyover(hop: HopFieldData) -> bool:
     """The F bit: does this hop field carry a reservation?"""
@@ -110,14 +98,6 @@ class HummingbirdPath(PacketPath):
         if not 0 <= self.curr_hf <= self.num_hopfields:
             raise ValueError(f"curr_hf {self.curr_hf} beyond end of path")
         return self._units_before[self.curr_hf]
-
-    def flyover_count(self) -> int:
-        return sum(
-            1
-            for segment in self.segments
-            for hop in segment.hopfields
-            if is_flyover(hop)
-        )
 
 
 # ---------------------------------------------------------------------------

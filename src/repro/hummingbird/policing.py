@@ -70,15 +70,6 @@ class TokenBucketArray:
         # rate.  Sparse — only reclaimed reservations pay the lookup.
         self._limits: dict[int, int] = {}
 
-    @property
-    def capacity(self) -> int:
-        return len(self._timestamps)
-
-    @property
-    def memory_bytes(self) -> int:
-        """Size of the policing array (the cache-residency metric of §4.4)."""
-        return self._timestamps.nbytes
-
     def monitor(self, res_id: int, bw_kbps: int, pkt_len: int, now: float) -> PolicingVerdict:
         """BandwidthMonitoring(ResID, BW, PktLen) — Algorithm 1 verbatim."""
         if not 0 <= res_id < len(self._timestamps):
@@ -117,16 +108,6 @@ class TokenBucketArray:
             raise ValueError("limit must be >= 0")
         self._limits[int(res_id)] = int(bw_kbps)
 
-    def clear_limit(self, res_id: int) -> None:
-        """Drop a reclamation rate cap (e.g. a false reclaim reversed)."""
-        self._limits.pop(int(res_id), None)
-
-    def reset(self, res_id: int) -> None:
-        """Clear one bucket (ResID reuse after a reservation expires)."""
-        self._timestamps[res_id] = 0
-        self._usage_bytes.pop(res_id, None)
-        self._limits.pop(int(res_id), None)
-
 
 class PerInterfacePolicer:
     """Per-ingress-interface policing arrays for one AS, each with the
@@ -158,10 +139,6 @@ class PerInterfacePolicer:
             res_id, bwcls.decode(bw_cls), pkt_len, now
         )
 
-    @property
-    def memory_bytes(self) -> int:
-        return sum(array.memory_bytes for array in self._arrays.values())
-
     def usage_bytes(self, ingress_ifid: int, res_id: int) -> int:
         """Priority bytes one reservation moved through one ingress."""
         array = self._arrays.get(ingress_ifid)
@@ -170,11 +147,6 @@ class PerInterfacePolicer:
     def set_limit(self, ingress_ifid: int, res_id: int, bw_kbps: int) -> None:
         """Cap one reservation's policed rate (reclamation demotion)."""
         self.array_for(ingress_ifid).set_limit(res_id, bw_kbps)
-
-    def clear_limit(self, ingress_ifid: int, res_id: int) -> None:
-        array = self._arrays.get(ingress_ifid)
-        if array is not None:
-            array.clear_limit(res_id)
 
     def usage_snapshot(self) -> dict[int, dict[int, int]]:
         """Per-ingress ``{res_id: priority bytes}`` for active ResIDs."""
@@ -206,18 +178,6 @@ class PerInterfacePolicer:
             ("isd_as", "ingress", "res_id"),
         )
         for ingress, array in sorted(self._arrays.items()):
-            residency.labels(isd_as, ingress).set(array.memory_bytes)
+            residency.labels(isd_as, ingress).set(array._timestamps.nbytes)
             for res_id, used in array.usage_snapshot().items():
                 flow_bytes.labels(isd_as, ingress, res_id).set(used)
-
-
-def max_packet_size_for(bw_kbps: int) -> int:
-    """Largest packet a fresh bucket admits (the §4.4 small-reservation limit).
-
-    For reservations below ~240 kbps with a 50 ms BurstTime this drops under
-    1500 B, which the paper notes is harmless for VoIP-class traffic.
-
-    >>> max_packet_size_for(8)
-    50
-    """
-    return int(bw_kbps * 1000 * DEFAULT_BURST_TIME / 8)

@@ -60,10 +60,6 @@ class ResInfo:
         """Decoded reservation bandwidth in kilobits per second."""
         return bwcls.decode(self.bw_cls)
 
-    def active_at(self, now: float) -> bool:
-        """Reservation-active check of Algorithm 3 (no clock-skew slack)."""
-        return self.start <= now <= self.expiry
-
 
 @dataclass(frozen=True)
 class FlyoverReservation:

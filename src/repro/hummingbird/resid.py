@@ -33,9 +33,6 @@ class Interval:
         if self.end <= self.start:
             raise ValueError(f"empty interval [{self.start}, {self.end})")
 
-    def overlaps(self, other: "Interval") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass
 class _ColorTrack:
@@ -83,30 +80,29 @@ class FirstFitColoring:
 
     def __init__(self) -> None:
         self._tracks: list[_ColorTrack] = []
-        self.max_color_used = -1
 
-    def assign(self, interval: Interval) -> int:
-        """Return the lowest colour with no overlapping assignment."""
+    def first_fit(self, interval: Interval) -> int:
+        """The lowest colour with no overlapping assignment (a new one if none)."""
         for color, track in enumerate(self._tracks):
             if not track.conflicts(interval):
-                track.insert(interval)
-                self.max_color_used = max(self.max_color_used, color)
                 return color
-        self._tracks.append(_ColorTrack())
-        color = len(self._tracks) - 1
+        return len(self._tracks)
+
+    def take(self, color: int, interval: Interval) -> None:
+        """Record ``interval`` under ``color``, a :meth:`first_fit` answer."""
+        if color == len(self._tracks):
+            self._tracks.append(_ColorTrack())
         self._tracks[color].insert(interval)
-        self.max_color_used = max(self.max_color_used, color)
+
+    def assign(self, interval: Interval) -> int:
+        """Give ``interval`` the lowest colour with no overlapping assignment."""
+        color = self.first_fit(interval)
+        self.take(color, interval)
         return color
 
     def release(self, color: int, interval: Interval) -> None:
         """Remove a finished interval so its colour can be reused."""
         self._tracks[color].remove(interval)
-
-    def prune_empty_tail(self) -> None:
-        """Drop trailing colours with no assignments (rollback helper), so
-        ``colors_in_use`` never counts colours created by a failed assign."""
-        while self._tracks and not self._tracks[-1].starts:
-            self._tracks.pop()
 
     @property
     def colors_in_use(self) -> int:
@@ -129,27 +125,17 @@ class ResIdAllocator:
 
     def allocate(self, start: float, end: float) -> int:
         interval = Interval(start, end)
-        high_water = self._coloring.max_color_used
-        res_id = self._coloring.assign(interval)
-        if res_id >= self.capacity:
-            # Roll the rejected assignment back completely: the interval, the
-            # track it may have created, AND the high-water mark (policing
-            # arrays are sized off max_res_id, which must only reflect
-            # reservations actually granted).
-            self._coloring.release(res_id, interval)
-            self._coloring.prune_empty_tail()
-            self._coloring.max_color_used = high_water
+        res_id = self._coloring.first_fit(interval)
+        if res_id >= self.capacity:  # refused before anything is recorded
             raise CapacityExhausted(
                 f"ResID {res_id} exceeds policing capacity {self.capacity}"
             )
+        self._coloring.take(res_id, interval)
         return res_id
 
     def release(self, res_id: int, start: float, end: float) -> None:
+        """Hand a ResID back (a delivery that failed after allocating it)."""
         self._coloring.release(res_id, Interval(start, end))
-
-    @property
-    def max_res_id(self) -> int:
-        return self._coloring.max_color_used
 
 
 class CapacityExhausted(RuntimeError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.hummingbird.pathtype import HummingbirdPath, is_flyover
 from repro.scion.packet import PacketPath
-from repro.scion.paths import HopFieldData, SegmentInPath
+from repro.scion.paths import SegmentInPath
 
 
 def reverse_path(path: PacketPath) -> HummingbirdPath:
@@ -37,10 +37,7 @@ def reverse_path(path: PacketPath) -> HummingbirdPath:
     reversed_segids: list[int] = []
     for seg_index in range(len(path.segments) - 1, -1, -1):
         segment = path.segments[seg_index]
-        hopfields = [
-            _strip_flyover(segment.hopfields[i])
-            for i in range(len(segment.hopfields) - 1, -1, -1)
-        ]
+        hopfields = [hop.copy() for hop in reversed(segment.hopfields)]
         ases = list(reversed(segment.ases)) if segment.ases else []
         segid = path.segids[seg_index]
         reversed_segments.append(
@@ -63,13 +60,6 @@ def reverse_path(path: PacketPath) -> HummingbirdPath:
         millis_timestamp=0,
         counter=0,
     )
-
-
-def _strip_flyover(hop: HopFieldData) -> HopFieldData:
-    """Convert a flyover hop field to a regular one (flyover fields removed)."""
-    if is_flyover(hop):
-        return HopFieldData(hop.cons_ingress, hop.cons_egress, hop.exp_time, hop.mac)
-    return hop.copy()
 
 
 def to_standard_path(path: HummingbirdPath) -> PacketPath:

@@ -121,10 +121,6 @@ class HummingbirdSource:
 
     # -- public API ---------------------------------------------------------
 
-    @property
-    def base_timestamp(self) -> int:
-        return self._allocator.base
-
     def header_bytes(self) -> int:
         """Total header size of packets from this source (fixed per path)."""
         return self._header_bytes

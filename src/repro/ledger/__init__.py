@@ -11,7 +11,6 @@ from repro.ledger.accounts import (
     MIST_PER_SUI,
     Account,
     address_of,
-    mist_to_sui,
     sui_to_mist,
 )
 from repro.ledger.chain import Ledger
@@ -39,7 +38,6 @@ __all__ = [
     "MIST_PER_SUI",
     "Account",
     "address_of",
-    "mist_to_sui",
     "sui_to_mist",
     "Ledger",
     "Committee",

@@ -50,7 +50,3 @@ class Account:
 
 def sui_to_mist(sui: float) -> int:
     return int(round(sui * MIST_PER_SUI))
-
-
-def mist_to_sui(mist: int) -> float:
-    return mist / MIST_PER_SUI

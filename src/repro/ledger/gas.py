@@ -71,14 +71,6 @@ class GasSummary:
     def total_usd(self) -> float:
         return self.total_sui * SUI_PRICE_USD
 
-    def combined(self, other: "GasSummary") -> "GasSummary":
-        """Aggregate two summaries (for multi-transaction workflows)."""
-        return GasSummary(
-            computation_units=self.computation_units + other.computation_units,
-            storage_bytes=self.storage_bytes + other.storage_bytes,
-            rebate_bytes=self.rebate_bytes + other.rebate_bytes,
-        )
-
 
 class GasMeter:
     """Accumulates raw computation units and storage deltas during execution.

@@ -48,11 +48,6 @@ class ExecutionView:
             self.original_sizes[object_id] = base_object.serialized_size()
         return self.staged[object_id]
 
-    def exists(self, object_id: str) -> bool:
-        if object_id in self.deleted_ids:
-            return False
-        return object_id in self.staged or object_id in self.base
-
     def create(self, ledger_object: LedgerObject) -> None:
         self.staged[ledger_object.object_id] = ledger_object
         self.created_ids.append(ledger_object.object_id)

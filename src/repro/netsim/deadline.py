@@ -66,24 +66,6 @@ class DeadlineExperimentResult:
 
     records: list[TransferRecord] = field(default_factory=list)
 
-    @property
-    def bytes_requested_total(self) -> int:
-        return sum(r.bytes_requested for r in self.records)
-
-    @property
-    def bytes_moved_total(self) -> int:
-        return sum(r.bytes_moved for r in self.records)
-
-    @property
-    def oracle_bytes_total(self) -> int:
-        return sum(r.oracle_bytes for r in self.records)
-
-    @property
-    def bytes_vs_oracle(self) -> float:
-        if self.oracle_bytes_total == 0:
-            return 1.0
-        return self.bytes_moved_total / self.oracle_bytes_total
-
 
 def deadline_experiment(
     num_ases: int = 3,

@@ -25,17 +25,7 @@ class EventLoop:
         self._events_run = 0
 
     def schedule(self, delay: float, callback: Callable[..., None], *args) -> None:
-        """Run ``callback(*args)`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("cannot schedule into the past")
-        # Not via schedule_at: this is once per event, and a delay >= 0 cannot
-        # land in the past.
-        heapq.heappush(
-            self._queue, (self.clock.now() + delay, next(self._sequence), callback, args)
-        )
-
-    def schedule_at(self, when: float, callback: Callable[..., None], *args) -> None:
-        """Run ``callback(*args)`` at absolute time ``when``.
+        """Run ``callback(*args)`` ``delay`` seconds from now.
 
         An event carries its arguments, so a per-packet caller schedules a
         bound method and the packet instead of allocating a closure.
@@ -45,9 +35,11 @@ class EventLoop:
         heap ties, so equal-time callbacks execute in the order they were
         scheduled (and no comparison ever reaches the callbacks themselves).
         """
-        if when < self.clock.now():
+        if delay < 0:
             raise ValueError("cannot schedule into the past")
-        heapq.heappush(self._queue, (when, next(self._sequence), callback, args))
+        heapq.heappush(
+            self._queue, (self.clock.now() + delay, next(self._sequence), callback, args)
+        )
 
     def run_until(self, end_time: float, max_events: int = 10_000_000) -> int:
         """Process events up to ``end_time``; returns the number executed.
@@ -75,10 +67,6 @@ class EventLoop:
     def events_run(self) -> int:
         """Total events executed across all :meth:`run_until` calls."""
         return self._events_run
-
-    @property
-    def pending(self) -> int:
-        return len(self._queue)
 
     @property
     def now(self) -> float:

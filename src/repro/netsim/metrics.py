@@ -94,15 +94,6 @@ class FlowMetrics:
         index = min(len(ordered) - 1, int(round(percentile / 100 * (len(ordered) - 1))))
         return ordered[index]
 
-    def latency_quantile(self, q: float) -> float:
-        """Bucketed estimate of the q-quantile (q in [0, 1]).
-
-        Same estimator every telemetry histogram uses — cheaper than the
-        exact :meth:`latency_percentile` and directly comparable to
-        exported metrics; ``nan`` when no samples arrived.
-        """
-        return self.histogram.quantile(q)
-
     def summary(self) -> dict:
         return {
             "flow": self.flow_id,

@@ -59,10 +59,6 @@ class RouterNode:
         self.local_sink: HostSink | None = None
         self.dropped = 0
 
-    @property
-    def isd_as(self):
-        return self.router.autonomous_system.isd_as
-
     def connect(self, egress_ifid: int, link: Link, neighbor: "RouterNode", neighbor_ifid: int) -> None:
         self._egress[egress_ifid] = (
             link,

@@ -1440,9 +1440,6 @@ class ReclamationResult:
 
     arms: dict
 
-    def arm(self, name: str) -> ReclamationArmResult:
-        return self.arms[name]
-
 
 def reclamation_experiment(
     topology: Topology,

@@ -98,24 +98,6 @@ class PathClearingOutcome:
     clearing_prices_micromist: tuple[int, ...]
     rounds: int
 
-    @property
-    def cleared(self) -> bool:
-        return bool(self.winners)
-
-    def winner_payment_mist(self, bid: Bid, duration_seconds: int) -> int:
-        """MIST one winner pays: per-leg ceil pricing, summed over legs."""
-        return sum(
-            -(-bid.bandwidth_kbps * duration_seconds * price // MICROMIST)
-            for price in self.clearing_prices_micromist
-        )
-
-    def revenue_mist(self, duration_seconds: int) -> int:
-        """Total MIST all winners pay across all legs."""
-        return sum(
-            self.winner_payment_mist(bid, duration_seconds)
-            for bid in self.winners
-        )
-
 
 def path_escrow_mist(
     bandwidth_kbps: int,

@@ -54,10 +54,6 @@ class AdaptiveOverbooking(OverbookingPolicy):
         """The factor currently in force for this calendar."""
         return self._factors.get(calendar, self.factor)
 
-    def show_up_ewma(self, calendar) -> float | None:
-        """The smoothed show-up rate for this calendar (``None`` = no data)."""
-        return self._showup.get(calendar)
-
     def observe(self, calendar, show_up_rate: float) -> float:
         """Fold one observed show-up rate in; returns the new factor.
 

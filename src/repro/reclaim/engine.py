@@ -199,9 +199,6 @@ class ReclamationEngine:
         """Stop watching a reservation (released, expired, or revoked)."""
         self._tracked.pop(int(res_id), None)
 
-    def tracked(self, res_id: int) -> TrackedReservation | None:
-        return self._tracked.get(int(res_id))
-
     @property
     def tracked_count(self) -> int:
         return len(self._tracked)

@@ -32,7 +32,6 @@ from repro.scion.topology import (
     Topology,
     core_mesh_topology,
     linear_topology,
-    random_internet_topology,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "Topology",
     "core_mesh_topology",
     "linear_topology",
-    "random_internet_topology",
 ]

@@ -35,6 +35,11 @@ class HopFieldData:
     mac: bytes  # 6 bytes
 
     def copy(self) -> "HopFieldData":
+        """A plain hop field with these four values.
+
+        A flyover's reservation fields stay behind, which is what path
+        reversal (Appendix A.8) wants from a traversed flyover.
+        """
         return HopFieldData(self.cons_ingress, self.cons_egress, self.exp_time, self.mac)
 
 

@@ -21,6 +21,7 @@ Processing one packet at the ingress border router of AS *i*:
 from __future__ import annotations
 
 import enum
+import hmac
 from dataclasses import dataclass
 
 from repro.clock import Clock
@@ -163,7 +164,7 @@ class ScionRouter:
             hop.cons_ingress,
             hop.cons_egress,
         )
-        if expected != hop.mac:
+        if not hmac.compare_digest(expected, hop.mac):
             return False
         if segment.cons_dir:
             path.segids[seg_index] = chain_segid(segid, expected)

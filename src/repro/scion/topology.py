@@ -17,14 +17,12 @@ the AS" and marks segment endpoints in hop fields).
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, field
 
 from repro.crypto.keys import SecretValue
 from repro.scion.addresses import IsdAs
 
 ISD = 1  # every builder lays its ASes out in one isolation domain
-MULTIHOMING_PROBABILITY = 0.3  # share of random leaves with two providers
 
 
 class LinkType(enum.Enum):
@@ -155,13 +153,6 @@ class Topology:
                 children.append(link.b)
         return children
 
-    def parents_of(self, isd_as: IsdAs) -> list[IsdAs]:
-        parents = []
-        for link in self._links:
-            if link.link_type is LinkType.PARENT_CHILD and link.b == isd_as:
-                parents.append(link.a)
-        return parents
-
 
 # ---------------------------------------------------------------------------
 # Topology generators
@@ -201,40 +192,4 @@ def core_mesh_topology(num_cores: int, children_per_core: int) -> Topology:
             child = IsdAs(ISD, 0x0001_0000_0000 + core_index * 1000 + child_index)
             topo.add_as(child, is_core=False)
             topo.add_link(core, child, LinkType.PARENT_CHILD)
-    return topo
-
-
-def random_internet_topology(
-    num_cores: int,
-    num_leaves: int,
-    seed: int = 7,
-) -> Topology:
-    """A randomized SCION-like internet: sparse core mesh + multihomed leaves.
-
-    Leaves attach to one or (with :data:`MULTIHOMING_PROBABILITY`) two providers,
-    which produces the path diversity the paper's market analysis relies on
-    (§5.3: "between most source/destination pairs, there are more than
-    twenty ... paths available").
-    """
-    rng = random.Random(seed)
-    topo = Topology()
-    cores = [IsdAs(ISD, 0xC000_0000_0000 + i) for i in range(num_cores)]
-    for core in cores:
-        topo.add_as(core, is_core=True)
-    # Ring + random chords keeps the core connected but not complete.
-    for i in range(num_cores):
-        topo.add_link(cores[i], cores[(i + 1) % num_cores], LinkType.CORE)
-    existing = {frozenset((cores[i], cores[(i + 1) % num_cores])) for i in range(num_cores)}
-    for i in range(num_cores):
-        for j in range(i + 2, num_cores):
-            pair = frozenset((cores[i], cores[j]))
-            if pair not in existing and rng.random() < 0.4:
-                topo.add_link(cores[i], cores[j], LinkType.CORE)
-                existing.add(pair)
-    for leaf_index in range(num_leaves):
-        leaf = IsdAs(ISD, 0x0001_0000_0000 + leaf_index)
-        topo.add_as(leaf, is_core=False)
-        providers = rng.sample(cores, 2 if rng.random() < MULTIHOMING_PROBABILITY else 1)
-        for provider in providers:
-            topo.add_link(provider, leaf, LinkType.PARENT_CHILD)
     return topo

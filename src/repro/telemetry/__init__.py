@@ -6,7 +6,7 @@ registry is the null recorder unless ``REPRO_TELEMETRY=1`` is set or an
 :class:`ExperimentTelemetry` harness is activated.
 """
 
-from repro.telemetry.export import load_jsonl, snapshot, to_jsonl, to_prometheus
+from repro.telemetry.export import snapshot
 from repro.telemetry.experiment import ExperimentTelemetry
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
@@ -23,7 +23,6 @@ from repro.telemetry.tracing import (
     TraceContext,
     current_trace,
     event,
-    span,
     use_trace,
 )
 
@@ -40,11 +39,7 @@ __all__ = [
     "current_trace",
     "event",
     "get_registry",
-    "load_jsonl",
     "set_registry",
     "snapshot",
-    "span",
-    "to_jsonl",
-    "to_prometheus",
     "use_trace",
 ]

@@ -89,12 +89,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """Fixed-bucket histogram child: bucket counts + sum + count.
@@ -142,10 +136,6 @@ class Histogram:
         below = cumulative[index - 1] if index > 0 else 0
         fraction = (rank - below) / in_bucket
         return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.count if self.count else float("nan")
 
 
 class _Family:
@@ -306,9 +296,6 @@ class _NullInstrument:
         return self
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

@@ -8,10 +8,10 @@ reservation moves through the system::
               -> redeem -> policer verdict
 
 Instrumented modules never take a trace argument — they call the
-module-level :func:`span` / :func:`event` helpers, which look up the
-trace installed in the current :mod:`contextvars` context.  When no trace
-is installed (the overwhelmingly common case) both helpers return shared
-no-op singletons, so the hot path pays a contextvar read and nothing else.
+module-level :func:`event` helper or :func:`current_trace`, which look up
+the trace installed in the current :mod:`contextvars` context.  When no
+trace is installed (the overwhelmingly common case) :func:`event` returns
+``None``, so the hot path pays a contextvar read and nothing else.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ import contextvars
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = [
     "Span",
     "TraceContext",
     "current_trace",
     "event",
-    "span",
     "use_trace",
 ]
 
@@ -82,24 +81,6 @@ class _OpenSpan:
             self._span.attrs.setdefault("error", exc_type.__name__)
 
 
-class _NoopSpan:
-    """Shared do-nothing span handle for the trace-disabled fast path."""
-
-    __slots__ = ()
-
-    def set(self, **attrs: Any) -> None:
-        pass
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        pass
-
-
-NOOP_SPAN = _NoopSpan()
-
-
 class TraceContext:
     """A correlation id plus the ordered spans recorded under it."""
 
@@ -126,9 +107,6 @@ class TraceContext:
         )
         self.spans.append(record)
         return record
-
-    def span_names(self) -> list[str]:
-        return [s.name for s in self.spans]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -161,14 +139,6 @@ class use_trace:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         _current.reset(self._token)
-
-
-def span(name: str, **attrs: Any) -> _OpenSpan | _NoopSpan:
-    """Open a span on the ambient trace, or a shared no-op when absent."""
-    trace = _current.get()
-    if trace is None:
-        return NOOP_SPAN
-    return trace.span(name, **attrs)
 
 
 def event(name: str, **attrs: Any) -> Span | None:

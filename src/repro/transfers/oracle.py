@@ -48,10 +48,6 @@ class Solution:
     bytes: int
     cost_mist: int
 
-    @property
-    def feasible(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class OracleResult:

@@ -91,10 +91,6 @@ class DeadlineTransfer:
         if self.max_rate_kbps is not None and self.max_rate_kbps <= 0:
             raise ValueError("max_rate_kbps must be positive")
 
-    @property
-    def horizon(self) -> int:
-        return self.deadline - self.release
-
 
 @dataclass(frozen=True)
 class LegPiece:
@@ -136,7 +132,7 @@ class TransferLeg:
     ``effective_start``/``effective_expiry`` clips it to the transfer's
     ``[release, deadline)`` — only bytes inside the clip count toward the
     request.  ``bytes_scheduled`` is how much of the request this leg
-    actually carries (at most :attr:`bytes_capacity`).
+    actually carries: at most ``rate_kbps`` over the clipped window.
     """
 
     start: int
@@ -146,11 +142,6 @@ class TransferLeg:
     effective_expiry: int
     bytes_scheduled: int
     hops: tuple[HopLeg, ...]
-
-    @property
-    def bytes_capacity(self) -> int:
-        seconds = self.effective_expiry - self.effective_start
-        return self.rate_kbps * seconds * BYTES_PER_KBPS_SECOND
 
     @property
     def price_mist(self) -> int:
@@ -167,10 +158,6 @@ class TransferPlan:
     @property
     def bytes_scheduled(self) -> int:
         return sum(leg.bytes_scheduled for leg in self.legs)
-
-    @property
-    def bytes_capacity(self) -> int:
-        return sum(leg.bytes_capacity for leg in self.legs)
 
     @property
     def spend_mist(self) -> int:

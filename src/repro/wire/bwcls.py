@@ -62,8 +62,3 @@ def encode_ceil(value: int) -> int:
     if floor_cls >= MAX_CLASS:
         raise ValueError(f"bandwidth {value} exceeds the maximum encodable class")
     return floor_cls + 1
-
-
-def all_classes() -> list[int]:
-    """All 1024 decoded class values, ascending (classes are monotone)."""
-    return [decode(c) for c in range(MAX_CLASS + 1)]

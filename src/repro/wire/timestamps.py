@@ -40,10 +40,6 @@ class PacketTimestamp:
         if not 0 <= self.counter < COUNTER_RANGE:
             raise ValueError(f"Counter {self.counter} out of 16-bit range")
 
-    def absolute_seconds(self) -> float:
-        """Absolute send time in seconds (``absTS`` of Algorithm 3, line 12)."""
-        return self.base + self.millis / 1000.0
-
 
 class TimestampAllocator:
     """Allocates unique packet timestamps for a source.

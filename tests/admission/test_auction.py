@@ -20,6 +20,15 @@ def bid(name, bw, price, seq):
     return Bid(bidder=name, bandwidth_kbps=bw, price_micromist_per_unit=price, seq=seq)
 
 
+def revenue_mist(outcome, duration_seconds):
+    """What the winners pay: ``ceil(bw * duration * clearing / 1e6)`` each,
+    the marketplace contract's ceil pricing."""
+    return sum(
+        -(-b.bandwidth_kbps * duration_seconds * outcome.clearing_price_micromist // 1_000_000)
+        for b in outcome.winners
+    )
+
+
 class TestUniformPriceClearing:
     def test_winners_pay_the_highest_losing_bid(self):
         bids = [bid("a", 400, 90, 0), bid("b", 400, 70, 1), bid("c", 400, 50, 2)]
@@ -37,7 +46,6 @@ class TestUniformPriceClearing:
     def test_zero_bids_clears_empty_at_reserve(self):
         out = uniform_price_clearing([], supply_kbps=800, reserve_micromist=33)
         assert out.winners == ()
-        assert not out.cleared
         assert out.clearing_price_micromist == 33
         assert out.awarded_kbps == 0
 
@@ -121,7 +129,7 @@ class TestUniformPriceClearing:
         out = uniform_price_clearing(bids, supply_kbps=700, reserve_micromist=20)
         assert out.clearing_price_micromist == 20
         # ceil(333 * 600 * 20 / 1e6) = ceil(3.996) = 4, per winner
-        assert out.revenue_mist(600) == 8
+        assert revenue_mist(out, 600) == 8
 
     def test_validation(self):
         with pytest.raises(ValueError, match="supply"):
@@ -140,7 +148,7 @@ class TestWindowAuction:
         first = auction.place("a", 400, 50)
         second = auction.place("b", 400, 50)
         assert (first.seq, second.seq) == (0, 1)
-        assert auction.bid_count == 2
+        assert len(auction.bids) == 2
 
     def test_oversized_bid_rejected_at_placement(self):
         auction = WindowAuction(1, True, 0, 600, 1000, 10)

@@ -141,13 +141,13 @@ class TestController:
         controller.admit_reservation(1, True, 900, 0, 100)
         assert controller.quote(50, 1, True, 0, 100) > 50
 
-    def test_release_and_expire(self):
+    def test_release_then_expire(self):
         controller = AdmissionController(1000)
         decision = controller.admit_issue(1, True, 800, 0, 100)
         controller.release(1, True, decision.commitment)
         assert controller.admit_issue(1, True, 1000, 0, 100).admitted
-        assert controller.expire(200) == 1
-        assert controller.calendar(1, True).commitment_count == 0
+        assert controller.calendar(1, True).expire(200) == 1
+        assert len(controller.calendar(1, True).commitments()) == 0
 
     def test_unknown_layer_rejected(self):
         controller = AdmissionController(1000)

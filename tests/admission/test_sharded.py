@@ -24,8 +24,8 @@ class TestProjection:
     def test_spanning_commitment_projects_into_each_shard(self):
         calendar = sharded()
         calendar.commit(600, 50, 250, tag="alice")
-        assert calendar.shard_count == 3
-        assert calendar.commitment_count == 1  # recorded once at the top
+        assert len(calendar._shards) == 3
+        assert len(calendar.commitments()) == 1  # recorded once at the top
         for window in [(50, 100), (100, 200), (200, 250), (50, 250)]:
             assert calendar.peak_commitment(*window) == 600
         assert calendar.peak_commitment(250, 300) == 0
@@ -34,7 +34,7 @@ class TestProjection:
     def test_exact_boundary_window_touches_one_shard(self):
         calendar = sharded()
         calendar.commit(400, 100, 200)
-        assert calendar.shard_count == 1
+        assert len(calendar._shards) == 1
         assert calendar.peak_commitment(0, 300) == 400
 
     def test_admit_rejects_over_capacity_across_boundary(self):
@@ -49,7 +49,7 @@ class TestProjection:
         commitment = calendar.commit(600, 50, 350)
         calendar.release(commitment.commitment_id)
         assert calendar.peak_commitment(0, 400) == 0
-        assert calendar.shard_count == 0  # emptied shards are reclaimed
+        assert len(calendar._shards) == 0  # emptied shards are reclaimed
         with pytest.raises(KeyError):
             calendar.release(commitment.commitment_id)
 
@@ -57,7 +57,7 @@ class TestProjection:
         calendar = sharded()
         with pytest.raises(ValueError, match="larger shard_seconds"):
             calendar.commit(100, 0, 1e12)  # ~10^10 shards: a unit typo
-        assert calendar.shard_count == 0  # rejected before materializing
+        assert len(calendar._shards) == 0  # rejected before materializing
 
     def test_missing_shards_count_as_level_zero(self):
         calendar = sharded()
@@ -77,9 +77,9 @@ class TestExpire:
             bandwidth = rng.randint(1, 99)
             calendar.commit(bandwidth, start, start + 30)
             reference.commit(bandwidth, start, start + 30)
-        shards_before = calendar.shard_count
+        shards_before = len(calendar._shards)
         assert calendar.expire(500.0) == reference.expire(500.0) > 0
-        assert calendar.shard_count < shards_before
+        assert len(calendar._shards) < shards_before
         assert all(key * SHARD >= 400 for key in calendar._shards)
 
     def test_expire_counts_and_releases_like_one_day_wide_shard(self):
@@ -91,8 +91,8 @@ class TestExpire:
             shard.commit(100, start, end, tag=f"t{index}")
         for now in (100, 150, 210, 1000):
             assert day.expire(now) == shard.expire(now), now
-            assert day.commitment_count == shard.commitment_count
-        assert shard.commitment_count == 0
+            assert len(day.commitments()) == len(shard.commitments())
+        assert len(shard.commitments()) == 0
 
     def test_active_spanning_commitment_survives_shard_drop(self):
         calendar = sharded()
@@ -108,7 +108,7 @@ class TestExpire:
         calendar = sharded()
         calendar.commit(100, 20, 200)
         assert calendar.expire(200.0) == 1
-        assert calendar.commitment_count == 0
+        assert len(calendar.commitments()) == 0
 
 
 class TestWiring:
@@ -141,7 +141,7 @@ class TestWiring:
         assert not capped.admitted  # 400 + 200 > 50% of 1000
         assert controller.quote(50, 1, True, 50.0, 250.0) >= 50
         controller.release(1, True, granted.commitment)
-        assert controller.expire(1_000.0) == 0
+        assert all(c.expire(1_000.0) == 0 for c in controller._calendars.values())
 
     def test_the_width_is_an_option_only_where_a_caller_sets_one(self):
         import inspect

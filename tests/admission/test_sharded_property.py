@@ -158,7 +158,7 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
         reference = self.reference
         rows = sorted((row_id, *row) for row_id, row in reference.rows.items())
         assert self._each(lambda c: sorted(map(_row, c.commitments()))) == rows
-        assert self._each(lambda c: c.commitment_count) == len(rows)
+        assert self._each(lambda c: len(c.commitments())) == len(rows)
         lo = int(self.watermark)
         for _ in range(4):
             start = self.rng.randint(lo, lo + PROBE_SPAN)

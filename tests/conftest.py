@@ -119,6 +119,13 @@ def grant_full_path(
     return reservations
 
 
+def flyover_count(path) -> int:
+    """Flyover hop fields on a packet path."""
+    from repro.hummingbird.pathtype import is_flyover
+
+    return sum(is_flyover(hop) for segment in path.segments for hop in segment.hopfields)
+
+
 def addresses(path):
     return (
         ScionAddr(path.src, HostAddr.from_string("10.0.0.1")),

@@ -145,7 +145,9 @@ class TestDeliveryAdmission:
             calendar = service.admission.calendar(interface, is_ingress, "active")
             assert calendar.peak_commitment(start, expiry) == 4000
 
-    def test_expire_commitments_garbage_collects(self, world):
+    def test_delivered_commitments_expire_with_their_window(self, world):
+        """What a delivery commits on the service's calendars is gone once
+        the window has passed."""
         deployment = world["deployment"]
         host = deployment.new_host(funding_sui=100)
         purchase_path(
@@ -157,12 +159,9 @@ class TestDeliveryAdmission:
             bandwidth_kbps=4000,
         )
         service = deployment.service(as_crossings(world["path"])[0].isd_as)
-        assert service.expire_commitments(T0 + 100_000) > 0
-        remaining = sum(
-            calendar.commitment_count
-            for calendar in service.admission._calendars.values()
-        )
-        assert remaining == 0
+        calendars = service.admission._calendars.values()
+        assert sum(calendar.expire(T0 + 100_000) for calendar in calendars) > 0
+        assert sum(len(calendar.commitments()) for calendar in calendars) == 0
 
 
 class TestDeploymentKnobs:

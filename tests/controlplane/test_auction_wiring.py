@@ -109,22 +109,29 @@ class TestAsServiceAuctions:
         assert len(world["service"].settle_due_auctions()) == 1
         assert world["service"].open_auctions == {}
 
-    def test_preview_matches_onchain_settlement(self, world):
-        deployment = world["deployment"]
+    def test_mirrored_book_clears_as_the_contract_settles(self, world):
+        """The AS's off-chain copy of the book, cleared against the live
+        supply, decides what the on-chain settle then decides."""
+        deployment, service = world["deployment"], world["service"]
         auction_id = open_auction(world, bandwidth_kbps=6_000)
         for index, budget in enumerate((9_000, 6_000, 4_500)):
             host = deployment.new_host(name=f"bidder-{index}")
             assert host.place_bid(
                 deployment.marketplace, auction_id, 2_500, budget
             ).effects.ok
-        preview = world["service"].preview_settlement(auction_id)
+        service.poll_bids()
+        record = service.open_auctions[auction_id]
+        book = service.admission.auction_for(
+            record.interface, record.is_ingress, record.start, record.expiry
+        )
+        preview = book.clear(service._supply(record))
         world["clock"].set(float(WINDOW[0]))
-        record = world["service"].settle_due_auctions()[0]
-        assert record.clearing_price_micromist == preview.clearing_price_micromist
-        assert [w["bidder"] for w in record.winners] == [
+        settled = service.settle_due_auctions()[0]
+        assert settled.clearing_price_micromist == preview.clearing_price_micromist
+        assert [w["bidder"] for w in settled.winners] == [
             bid.bidder for bid in preview.winners
         ]
-        assert record.awarded_kbps == preview.awarded_kbps
+        assert settled.awarded_kbps == preview.awarded_kbps
 
     def test_headroom_loss_before_settle_shrinks_the_supply(self, world):
         """A direct grant between open and settle clamps what is sold."""

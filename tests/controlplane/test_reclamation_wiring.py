@@ -157,11 +157,11 @@ def test_original_holder_keeps_its_retained_commitment_after_the_resale(
     deployment = reclaimed_world["deployment"]
     for crossing in as_crossings(reclaimed_world["path"]):
         service = deployment.service(crossing.isd_as)
-        tracked = service.reclamation.tracked(0)
+        tracked = service.reclamation._tracked.get(0)
         assert tracked is not None and tracked.reclaimed_to_kbps == 1
         for interface, is_ingress, commitment_id in tracked.handles:
             calendar = service.admission.calendar(interface, is_ingress, ACTIVE)
-            assert calendar.get(commitment_id).bandwidth_kbps == 1
+            assert calendar._commitments[commitment_id].bandwidth_kbps == 1
 
 
 def test_strict_fcfs_refuses_the_relist_instead_of_forcing_it():

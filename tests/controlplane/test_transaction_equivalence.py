@@ -476,7 +476,7 @@ class _Script:
                         f"{layer} {interface} {is_ingress}": _answers(calendar)
                         for (layer, interface, is_ingress), calendar
                         in service.admission._calendars.items()
-                        if calendar.commitment_count
+                        if calendar.commitments()
                     }
                 )
                 for name, service in services.items()

@@ -72,7 +72,7 @@ def _router_state(routers: dict) -> dict:
         for ingress, array in sorted(router.policer._arrays.items()):
             buckets[str(ingress)] = {
                 str(res_id): [int(array._timestamps[res_id]), int(array._usage_bytes[res_id])]
-                for res_id in range(array.capacity)
+                for res_id in range(len(array._timestamps))
                 if array._timestamps[res_id] or array._usage_bytes[res_id]
             }
         state[str(isd_as)] = {

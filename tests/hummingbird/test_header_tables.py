@@ -51,7 +51,7 @@ def _segments(shape, flyovers: bool) -> list[SegmentInPath]:
             cons_dir=True,
             timestamp=T0,
             initial_segid=seg_index,
-            hopfields=[(flyover if fly and flyovers else plain).copy() for fly in segment],
+            hopfields=[deepcopy(flyover if fly and flyovers else plain) for fly in segment],
             ases=[],
         )
         for seg_index, segment in enumerate(shape)

@@ -1,10 +1,12 @@
 """Hummingbird path type (byte-exact) and MAC computations."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import BLAKE2, T0, addresses, grant_full_path
+from tests.conftest import BLAKE2, T0, addresses, flyover_count, grant_full_path
 
 from repro.clock import SimClock
 from repro.hummingbird.mac import (
@@ -163,7 +165,7 @@ class TestCodecRoundTrip:
         fly = FlyoverHopFieldData(1, 2, 63, bytes(6), 5, 10, 0, 60)
         path = HummingbirdPath(
             segments=[
-                SegmentInPath(True, T0, 0, [fly.copy(), plain.copy(), fly.copy()], [])
+                SegmentInPath(True, T0, 0, [replace(fly), plain.copy(), replace(fly)], [])
             ],
             base_timestamp=T0,
         )
@@ -186,5 +188,5 @@ class TestCodecRoundTrip:
         decoded = decode_packet(encode_packet(packet))
         assert decoded.payload == packet.payload
         assert isinstance(decoded.path, HummingbirdPath)
-        assert decoded.path.flyover_count() == 3
+        assert flyover_count(decoded.path) == 3
         assert decoded.path.base_timestamp == packet.path.base_timestamp

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import BLAKE2, T0, addresses, grant_full_path, walk_path
+from tests.conftest import BLAKE2, T0, addresses, flyover_count, grant_full_path, walk_path
 
 from repro.clock import SimClock
 from repro.hummingbird.duplicate import DuplicateFilter
@@ -247,7 +247,7 @@ class TestReversal:
         walk_path(topology, routers, packet, path.src)
 
         reversed_path = reverse_path(packet.path)
-        assert reversed_path.flyover_count() == 0  # flyovers stripped
+        assert flyover_count(reversed_path) == 0  # flyovers stripped
         reply = ScionPacket(
             src=dst,
             dst=src,

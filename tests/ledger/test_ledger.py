@@ -183,35 +183,20 @@ class TestAtomicity:
 
 
 class TestCoins:
-    def test_mint_split_merge(self, ledger):
+    def test_mint_merge(self, ledger):
         addr = sender()
-        minted = ledger.execute(
-            Transaction(addr, [Command("coin", "mint", {"amount": sui_to_mist(1)})])
+        coin, piece = (
+            ledger.execute(
+                Transaction(addr, [Command("coin", "mint", {"amount": amount})])
+            ).returns[0]["coin"]
+            for amount in (sui_to_mist(1) - 1000, 1000)
         )
-        coin = minted.returns[0]["coin"]
-        split = ledger.execute(
-            Transaction(addr, [Command("coin", "split", {"coin": coin, "amount": 1000})])
-        )
-        piece = split.returns[0]["coin"]
         assert coin_balance(ledger, addr) == sui_to_mist(1)
         merged = ledger.execute(
             Transaction(addr, [Command("coin", "merge", {"coin": coin, "other": piece})])
         )
         assert merged.ok
         assert coin_balance(ledger, addr) == sui_to_mist(1)
-
-    def test_transfer_moves_ownership(self, ledger):
-        addr = sender()
-        other = Account.generate(random.Random(5), "o").address
-        minted = ledger.execute(
-            Transaction(addr, [Command("coin", "mint", {"amount": 500})])
-        )
-        coin = minted.returns[0]["coin"]
-        ledger.execute(
-            Transaction(addr, [Command("coin", "transfer", {"coin": coin, "recipient": other})])
-        )
-        assert coin_balance(ledger, other) == 500
-        assert coin_balance(ledger, addr) == 0
 
 
 class TestResolveArgs:

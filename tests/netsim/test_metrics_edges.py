@@ -37,7 +37,7 @@ class TestNoSamples:
         metrics.record_sent(1000, 0.0)
         assert metrics.goodput_bps() == 0.0
         assert metrics.loss_rate == 1.0
-        assert math.isnan(metrics.latency_quantile(0.5))
+        assert math.isnan(metrics.histogram.quantile(0.5))
 
 
 class TestZeroDuration:
@@ -91,7 +91,7 @@ class TestSharedHistogramPort:
         for i in range(100):
             metrics.record_received(10, 0.0, 0.001 + i * 0.0005)
         exact = metrics.latency_percentile(50)
-        estimate = metrics.latency_quantile(0.5)
+        estimate = metrics.histogram.quantile(0.5)
         # The estimate sits within one bucket of the exact value.
         edges = [0.0, *LATENCY_BOUNDS]
         bucket = next(

@@ -66,7 +66,7 @@ class TestEventLoop:
         loop = EventLoop(SimClock(0.0))
         order = []
         for label in range(6):
-            loop.schedule_at(1.0, lambda label=label: order.append(label))
+            loop.schedule(1.0, lambda label=label: order.append(label))
         loop.run_until(2.0)
         assert order == [0, 1, 2, 3, 4, 5]
 
@@ -75,7 +75,7 @@ class TestEventLoop:
         order = []
         for label in range(6):
             if label % 2:
-                loop.schedule_at(1.0, order.append, label)
+                loop.schedule(1.0, order.append, label)
             else:
                 loop.schedule(1.0, lambda a, b: order.append(a + b), label, 0)
         loop.run_until(2.0)
@@ -88,16 +88,16 @@ class TestEventLoop:
         loop = EventLoop(SimClock(0.0))
         fired = []
         for when in (1.0, 2.0, 3.0):
-            loop.schedule_at(when, fired.append, when)
+            loop.schedule(when, fired.append, when)
         assert loop.run_until(10.0, max_events=1) == 1
-        assert fired == [1.0] and loop.now == 1.0 and loop.pending == 2
+        assert fired == [1.0] and loop.now == 1.0 and len(loop._queue) == 2
         assert loop.run_until(10.0) == 2
         assert fired == [1.0, 2.0, 3.0] and loop.now == 10.0
 
     def test_event_cap_still_advances_past_an_emptied_window(self):
         loop = EventLoop(SimClock(0.0))
-        loop.schedule_at(1.0, lambda: None)
-        loop.schedule_at(20.0, lambda: None)
+        loop.schedule(1.0, lambda: None)
+        loop.schedule(20.0, lambda: None)
         assert loop.run_until(10.0, max_events=1) == 1
         assert loop.now == 10.0  # the only queued event lies beyond end_time
 

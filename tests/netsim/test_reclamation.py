@@ -25,15 +25,15 @@ def test_all_three_arms_ran(result):
 
 
 def test_adaptive_revenue_beats_both_arms(result):
-    adaptive = result.arm("adaptive")
-    assert adaptive.revenue_mist >= result.arm("none").revenue_mist
-    assert adaptive.revenue_mist >= result.arm("static").revenue_mist
+    adaptive = result.arms["adaptive"]
+    assert adaptive.revenue_mist >= result.arms["none"].revenue_mist
+    assert adaptive.revenue_mist >= result.arms["static"].revenue_mist
 
 
 def test_adaptive_goodput_beats_both_arms(result):
-    adaptive = result.arm("adaptive")
-    assert adaptive.reserved_goodput_bps >= result.arm("none").reserved_goodput_bps
-    assert adaptive.reserved_goodput_bps >= result.arm("static").reserved_goodput_bps
+    adaptive = result.arms["adaptive"]
+    assert adaptive.reserved_goodput_bps >= result.arms["none"].reserved_goodput_bps
+    assert adaptive.reserved_goodput_bps >= result.arms["static"].reserved_goodput_bps
 
 
 def test_no_honest_buyer_is_ever_demoted(result):
@@ -42,9 +42,9 @@ def test_no_honest_buyer_is_ever_demoted(result):
 
 
 def test_reclamation_only_happens_in_the_adaptive_arm(result):
-    assert result.arm("none").reclaim_events == 0
-    assert result.arm("static").reclaim_events == 0
-    adaptive = result.arm("adaptive")
+    assert result.arms["none"].reclaim_events == 0
+    assert result.arms["static"].reclaim_events == 0
+    adaptive = result.arms["adaptive"]
     assert adaptive.reclaim_events > 0
     assert adaptive.reclaimed_kbps > 0
     assert adaptive.false_reclaims == 0  # no-shows here never send
@@ -53,10 +53,10 @@ def test_reclamation_only_happens_in_the_adaptive_arm(result):
 def test_adaptive_factor_learned_from_no_shows(result):
     # Half the early buyers are no-shows, so the learned factor must have
     # moved off 1.0 — and stay inside the configured ceiling.
-    adaptive = result.arm("adaptive")
+    adaptive = result.arms["adaptive"]
     assert 1.0 < adaptive.live_factor <= 3.0
-    assert result.arm("static").live_factor == pytest.approx(1.25)
-    assert result.arm("none").live_factor == 1.0
+    assert result.arms["static"].live_factor == pytest.approx(1.25)
+    assert result.arms["none"].live_factor == 1.0
 
 
 def test_closed_loop_admits_more_reserved_buyers(result):
@@ -65,7 +65,7 @@ def test_closed_loop_admits_more_reserved_buyers(result):
 
 
 def test_late_buyers_queue_until_reclamation_frees_capacity(result):
-    adaptive = result.arm("adaptive")
+    adaptive = result.arms["adaptive"]
     late = [b for b in adaptive.buyers if b.kind == "late" and b.reserved]
     assert late, "reclamation never freed room for a late buyer"
     for buyer in late:

@@ -14,6 +14,14 @@ def legs(*supplies, reserve=10, **kwargs):
     return [LegSupply(supply_kbps=s, reserve_micromist=reserve, **kwargs) for s in supplies]
 
 
+def winner_payment_mist(outcome, bid, duration_seconds):
+    """MIST one winner pays: per-leg ceil pricing, summed over legs."""
+    return sum(
+        -(-bid.bandwidth_kbps * duration_seconds * price // 1_000_000)
+        for price in outcome.clearing_prices_micromist
+    )
+
+
 def test_single_leg_matches_uniform_price_rule():
     bids = [Bid("a", 400, 90, seq=0), Bid("b", 400, 70, seq=1),
             Bid("c", 400, 50, seq=2)]
@@ -57,7 +65,7 @@ def test_below_reserve_on_any_leg_loses_path_wide():
     out = combinatorial_path_clearing(
         bids, [LegSupply(500, reserve_micromist=10), LegSupply(500, reserve_micromist=20)]
     )
-    assert not out.cleared
+    assert not out.winners
     (lost,) = out.losers
     assert lost.leg == 1 and lost.reason == "below reserve"
     # An uncleared leg's price sits at its reserve.
@@ -81,7 +89,7 @@ def test_empty_legs_rejected():
 
 def test_no_bids_clears_empty_at_reserves():
     out = combinatorial_path_clearing([], legs(500, 500, reserve=33))
-    assert not out.cleared and out.losers == ()
+    assert not out.winners and out.losers == ()
     assert out.clearing_prices_micromist == (33, 33)
 
 
@@ -90,16 +98,13 @@ def test_escrow_always_covers_payment():
     bids = [Bid(f"b{i}", 200 + 100 * i, 40 + 17 * i, seq=i) for i in range(6)]
     leg_set = legs(700, 500, 600, reserve=25)
     out = combinatorial_path_clearing(bids, leg_set)
-    assert out.cleared
+    assert out.winners
     for bid in out.winners:
         escrow = path_escrow_mist(
             bid.bandwidth_kbps, duration, bid.price_micromist_per_unit, len(leg_set)
         )
-        payment = out.winner_payment_mist(bid, duration)
+        payment = winner_payment_mist(out, bid, duration)
         assert 0 <= payment <= escrow
-    assert out.revenue_mist(duration) == sum(
-        out.winner_payment_mist(b, duration) for b in out.winners
-    )
 
 
 def test_winner_never_pays_above_own_bid_per_leg():

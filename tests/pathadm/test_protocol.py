@@ -179,7 +179,7 @@ def test_screen_emits_spans_and_counters():
             held = path.screen(400, 0.0, 3600.0)
             path.commit(held)
             path.rollback(held)
-        names = trace.span_names()
+        names = [span.name for span in trace.spans]
         assert names.count("path.screen") == 2
         assert "path.commit" in names and "path.rollback" in names
         assert "admission.decision" in names  # per-hop admits share the trace

@@ -57,7 +57,7 @@ def test_burst_exactly_at_sampling_instants_is_not_reclaimed():
             assert verdict is PolicingVerdict.FWD_FLYOVER
         engine.scan(now)
 
-    tracked = engine.tracked(7)
+    tracked = engine._tracked.get(7)
     assert tracked.reclaimed_at is None
     assert engine.events == []
     calendar = controller.calendar(INGRESS, True, ACTIVE)
@@ -81,7 +81,7 @@ def test_phase_offset_does_not_change_the_verdict():
                 )
             engine.scan(now)
         outcomes.append(
-            (engine.tracked(7).reclaimed_at is None, len(engine.events))
+            (engine._tracked.get(7).reclaimed_at is None, len(engine.events))
         )
     assert outcomes[0] == outcomes[1] == (True, 0)
 
@@ -120,13 +120,6 @@ def test_late_waking_no_show_is_demoted_by_the_policer():
     # wake-up above did not count toward usage; the trickle did.
     assert policer.usage_bytes(INGRESS, 7) == 6
 
-    # Operators can reverse the demotion; full-rate packets ride again.
-    policer.clear_limit(INGRESS, 7)
-    assert (
-        policer.array_for(INGRESS).monitor(7, BOOKED, PACKET, 3.0)
-        is PolicingVerdict.FWD_FLYOVER
-    )
-
 
 def test_false_reclaim_is_flagged_when_not_demoted():
     """Without the demotion hook, a woken sender is flagged exactly once.
@@ -148,7 +141,7 @@ def test_false_reclaim_is_flagged_when_not_demoted():
         assert verdict is PolicingVerdict.FWD_FLYOVER
     engine.scan(2.0)
     assert engine.false_reclaims == 1
-    assert engine.tracked(7).false_reclaim
+    assert engine._tracked.get(7).false_reclaim
     # Flagged once, not once per scan.
     engine.scan(2.5)
     assert engine.false_reclaims == 1

@@ -55,7 +55,7 @@ def test_reclaim_never_lowers_headroom_below_observed(
     now = 10.0
     events = engine.scan(now)
     observed_kbps = observed_bytes * 8.0 / 1000.0 / now
-    tracked = engine.tracked(7)
+    tracked = engine._tracked.get(7)
     calendar = controller.calendar(1, True, ACTIVE)
 
     no_show = observed_kbps < threshold * booked

@@ -51,7 +51,7 @@ class TestAdaptiveOverbooking:
         calendar = CapacityCalendar(1000)
         policy.observe(calendar, 1.0)
         policy.observe(calendar, 0.0)
-        assert policy.show_up_ewma(calendar) == pytest.approx(0.5)
+        assert policy._showup.get(calendar) == pytest.approx(0.5)
         assert policy.limit_factor(calendar) == pytest.approx(2.0)
 
     def test_state_is_per_calendar(self):
@@ -61,7 +61,7 @@ class TestAdaptiveOverbooking:
         policy.observe(idle, 0.25)
         assert policy.limit_factor(busy) == 1.0
         assert policy.limit_factor(idle) > 1.0
-        assert policy.show_up_ewma(CapacityCalendar(1000)) is None
+        assert policy._showup.get(CapacityCalendar(1000)) is None
 
     def test_admission_uses_the_learned_factor(self):
         policy = AdaptiveOverbooking(initial_factor=1.0, max_factor=2.0)

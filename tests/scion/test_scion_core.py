@@ -8,13 +8,8 @@ from repro.scion.beaconing import run_beaconing
 from repro.scion.hopfields import absolute_expiry, chain_segid, compute_hopfield_mac
 from repro.scion.paths import PathLookup, as_crossings, build_forwarding_path
 from repro.scion.segments import SegmentKind, build_segment
-from repro.scion.topology import (
-    LinkType,
-    Topology,
-    core_mesh_topology,
-    linear_topology,
-    random_internet_topology,
-)
+from repro.scion.topology import LinkType, Topology, core_mesh_topology, linear_topology
+from tests.scion.topologies import parents_of, random_internet_topology
 
 BLAKE2 = PrfFactory("blake2")
 T0 = 1_700_000_000
@@ -79,7 +74,7 @@ class TestTopology:
         core = topo.core_ases[0].isd_as
         children = topo.children_of(core)
         assert len(children) == 2
-        assert all(core in topo.parents_of(child) for child in children)
+        assert all(core in parents_of(topo, child) for child in children)
 
     def test_random_topology_is_connected(self):
         import networkx as nx

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.crypto.prf import PrfFactory
 from repro.scion.beaconing import run_beaconing, shortest_simple_paths
-from repro.scion.topology import LinkType, core_mesh_topology, random_internet_topology
+from repro.scion.topology import LinkType, core_mesh_topology
+from tests.scion.topologies import random_internet_topology
 
 nx = pytest.importorskip("networkx")
 

@@ -602,9 +602,10 @@ class TestHostileTransaction:
 
     @pytest.fixture
     def market(self):
-        """A seller with a listing, an open window auction and an open two-leg
-        path auction, and mallory with a funded coin: every numeric entry
-        point has an honest call one argument away from the hostile one."""
+        """A seller with two unlisted assets, a listing, an open window
+        auction and an open two-leg path auction, and mallory with a funded
+        coin: every numeric entry point has an honest call one argument away
+        from the hostile one."""
         import random
         from types import SimpleNamespace
 
@@ -675,7 +676,13 @@ class TestHostileTransaction:
             # entry point -> (sender, honest arguments, the numeric one to poison)
             calls={
                 "coin.mint": ("mallory", {"amount": 5}, "amount"),
-                "coin.split": ("mallory", {"coin": coin, "amount": 5}, "amount"),
+                "asset.split_time": (
+                    seller.address, {"asset": issue(5), "split_at": 300}, "split_at"
+                ),
+                "asset.split_bandwidth": (
+                    seller.address, {"asset": issue(6), "bandwidth_kbps": 400},
+                    "bandwidth_kbps",
+                ),
                 "market.buy": (
                     "mallory",
                     {**common, "listing": listing, "start": 0, "expiry": 60,
@@ -702,15 +709,15 @@ class TestHostileTransaction:
     )
     @pytest.mark.parametrize(
         "entry",
-        ["coin.mint", "coin.split", "market.buy", "market.place_bid",
-         "market.place_path_bid", "market.settle_auction"],
+        ["coin.mint", "asset.split_time", "asset.split_bandwidth", "market.buy",
+         "market.place_bid", "market.place_path_bid", "market.settle_auction"],
     )
     def test_a_number_is_an_int_or_the_senders_abort(self, market, entry, hostile):
         """A numeric argument is the sender's choice too.  Before the check in
         ``Contract.dispatch``, ``inf`` left ``submit`` as an ``OverflowError``,
-        ``coin.split(amount=0.5)`` *succeeded* and destroyed half a MIST, a
-        1000.5 kbps bid was stored as 1000 and escrowed for 1000.5, and ``True``
-        was one MIST.  An ``int`` however large is still an ``int``: it may be
+        a coin split of half a MIST *succeeded* and destroyed it, a 1000.5 kbps
+        bid was stored as 1000 and escrowed for 1000.5, and ``True`` was one
+        MIST.  An ``int`` however large is still an ``int``: it may be
         served or refused on its merits, in work that does not grow faster
         than the number itself."""
         from repro.ledger.transactions import Command, Transaction

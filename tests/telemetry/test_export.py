@@ -1,103 +1,28 @@
-"""Exporter tests: JSONL round-trip (property-based) and Prometheus text."""
+"""Exporter tests: a registry's snapshot rows carry schema and values."""
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
+import json
 
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.export import load_jsonl, snapshot, to_jsonl, to_prometheus
-
-label_values = st.lists(
-    st.text(
-        alphabet=st.characters(
-            codec="ascii", categories=("L", "N"), include_characters="-_.:"
-        ),
-        min_size=1,
-        max_size=8,
-    ),
-    min_size=0,
-    max_size=2,
-    unique=True,
-)
-
-family_spec = st.fixed_dictionaries(
-    {
-        "kind": st.sampled_from(["counter", "gauge", "histogram"]),
-        "labelnames": st.sampled_from([(), ("a",), ("a", "b")]),
-        "children": st.integers(min_value=0, max_value=3),
-        "observations": st.lists(
-            st.floats(
-                min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-            ),
-            max_size=5,
-        ),
-        "buckets": st.sampled_from([(1e-3, 1.0), (0.5,), (1.0, 2.0, 4.0, 8.0)]),
-    }
-)
+from repro.telemetry.export import snapshot
 
 
-def build_registry(specs) -> MetricsRegistry:
-    registry = MetricsRegistry()
-    for index, spec in enumerate(specs):
-        name = f"fam_{index}_{spec['kind']}"
-        labelnames = spec["labelnames"]
-        if spec["kind"] == "counter":
-            family = registry.counter(name, "h", labelnames)
-        elif spec["kind"] == "gauge":
-            family = registry.gauge(name, "h", labelnames)
-        else:
-            family = registry.histogram(name, "h", labelnames, buckets=spec["buckets"])
-        for child_index in range(spec["children"]):
-            child = family.labels(*[f"v{child_index}"] * len(labelnames))
-            for value in spec["observations"]:
-                if spec["kind"] == "counter":
-                    child.inc(abs(value))
-                elif spec["kind"] == "gauge":
-                    child.set(value)
-                else:
-                    child.observe(value)
-    return registry
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(family_spec, max_size=4))
-def test_jsonl_round_trip_is_exact(specs):
-    registry = build_registry(specs)
-    restored = load_jsonl(to_jsonl(registry))
-    assert snapshot(restored) == snapshot(registry)
-
-
-def test_round_trip_preserves_quantiles():
-    registry = MetricsRegistry()
-    child = registry.histogram("lat", "h", ("op",), buckets=(0.1, 1.0, 10.0)).labels("x")
-    for value in (0.05, 0.5, 0.5, 5.0):
-        child.observe(value)
-    restored_child = load_jsonl(to_jsonl(registry)).histogram(
-        "lat", "h", ("op",), buckets=(0.1, 1.0, 10.0)
-    ).labels("x")
-    for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-        assert restored_child.quantile(q) == child.quantile(q)
-
-
-def test_prometheus_text_format():
+def test_snapshot_rows_carry_schema_and_values():
     registry = MetricsRegistry()
     registry.counter("reqs_total", "Requests.", ("code",)).labels("200").inc(3)
-    registry.gauge("depth", "Queue depth.").labels().set(7)
     hist = registry.histogram("lat_seconds", "Latency.", buckets=(0.1, 1.0))
-    hist.labels().observe(0.05)
-    hist.labels().observe(0.5)
-    hist.labels().observe(99.0)
-    text = to_prometheus(registry)
-    assert '# TYPE reqs_total counter' in text
-    assert 'reqs_total{code="200"} 3.0' in text
-    assert "depth 7" in text
-    assert 'lat_seconds_bucket{le="0.1"} 1' in text
-    assert 'lat_seconds_bucket{le="1.0"} 2' in text
-    assert 'lat_seconds_bucket{le="+Inf"} 3' in text
-    assert "lat_seconds_count 3" in text
+    for value in (0.05, 0.5, 99.0):
+        hist.labels().observe(value)
+    rows = {row["name"]: row for row in snapshot(registry)}
+    assert rows["reqs_total"] == {
+        "name": "reqs_total", "kind": "counter", "help": "Requests.",
+        "labelnames": ["code"], "children": [{"labels": ["200"], "value": 3.0}],
+    }
+    (child,) = rows["lat_seconds"]["children"]
+    assert rows["lat_seconds"]["buckets"] == [0.1, 1.0]
+    assert (child["count"], child["sum"]) == (3, 99.55)
+    assert sum(child["counts"]) == 3
+    assert json.loads(json.dumps(rows)) == rows
 
 
 def test_empty_registry_exports_empty():
-    registry = MetricsRegistry()
-    assert to_jsonl(registry) == ""
-    assert to_prometheus(registry) == ""
-    assert snapshot(load_jsonl("")) == []
+    assert snapshot(MetricsRegistry()) == []

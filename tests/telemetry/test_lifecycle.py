@@ -44,7 +44,7 @@ def auction_run():
 def test_one_correlation_id_covers_the_whole_lifecycle(auction_run):
     telemetry, _ = auction_run
     trace = next(t for t in telemetry.traces if t.name == "traced-reservation")
-    names = trace.span_names()
+    names = [span.name for span in trace.spans]
     for required in LIFECYCLE_SPANS:
         assert required in names, f"missing lifecycle span {required}"
     # Every span carries the one correlation id.
@@ -59,7 +59,7 @@ def test_one_correlation_id_covers_the_whole_lifecycle(auction_run):
 def test_lifecycle_spans_are_causally_ordered(auction_run):
     telemetry, _ = auction_run
     trace = next(t for t in telemetry.traces if t.name == "traced-reservation")
-    names = trace.span_names()
+    names = [span.name for span in trace.spans]
     order = [names.index(name) for name in LIFECYCLE_SPANS if name != "admission.decision"]
     assert order == sorted(order), "lifecycle milestones out of order"
 

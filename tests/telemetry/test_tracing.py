@@ -2,21 +2,12 @@
 
 import pytest
 
-from repro.telemetry.tracing import (
-    NOOP_SPAN,
-    TraceContext,
-    current_trace,
-    event,
-    span,
-    use_trace,
-)
+from repro.telemetry.tracing import TraceContext, current_trace, event, use_trace
 
 
 def test_no_ambient_trace_is_free():
     assert current_trace() is None
-    assert span("anything") is NOOP_SPAN
     assert event("anything") is None
-    NOOP_SPAN.set(ignored=True)  # no-op handle accepts attributes silently
 
 
 def test_use_trace_installs_and_restores():
@@ -26,7 +17,7 @@ def test_use_trace_installs_and_restores():
         assert current_trace() is trace
         event("step", key="value")
     assert current_trace() is None
-    assert trace.span_names() == ["step"]
+    assert [span.name for span in trace.spans] == ["step"]
     assert trace.spans[0].attrs == {"key": "value"}
     assert trace.spans[0].duration == 0.0
 
@@ -38,17 +29,16 @@ def test_use_trace_none_is_harmless():
             assert current_trace() is None
             assert event("dropped") is None
         assert current_trace() is outer
-    assert outer.span_names() == []
+    assert [span.name for span in outer.spans] == []
 
 
 def test_span_times_and_records_error():
     trace = TraceContext("res")
-    with use_trace(trace):
-        with span("work", phase="one") as handle:
-            handle.set(extra=1)
-        with pytest.raises(RuntimeError):
-            with span("failing"):
-                raise RuntimeError("boom")
+    with trace.span("work", phase="one") as handle:
+        handle.set(extra=1)
+    with pytest.raises(RuntimeError):
+        with trace.span("failing"):
+            raise RuntimeError("boom")
     work, failing = trace.spans
     assert work.duration is not None and work.duration >= 0.0
     assert work.attrs == {"phase": "one", "extra": 1}

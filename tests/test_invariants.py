@@ -40,7 +40,8 @@ def test_a_busy_controller_holds_even_past_dropped_shards(shard_seconds):
     controller.admit_issue(1, True, 400, 120, 180, tag="b")
     controller.admit_reservation(2, False, 300, 0, 90)
     controller.calendar(1, True).reclaim(spanning.commitment.commitment_id, 200)
-    controller.expire(210)  # drops two shards under the live spanning commitment
+    for calendar in controller._calendars.values():  # drops two shards under the live
+        calendar.expire(210)  # spanning commitment
     check(_deployment(a=controller), now=210)
 
 

@@ -16,6 +16,12 @@ from repro.transfers import (
 T0 = 1_700_000_000
 
 
+def leg_bytes_capacity(leg) -> int:
+    """Bytes one leg's rate carries over its clipped window."""
+    seconds = leg.effective_expiry - leg.effective_start
+    return leg.rate_kbps * seconds * BYTES_PER_KBPS_SECOND
+
+
 def make_crossing(hop: int = 0):
     return SimpleNamespace(isd_as=f"1-{hop}", ingress=1, egress=2)
 
@@ -143,7 +149,7 @@ def check_plan_wellformed(book: TransferBook, plan) -> None:
         assert (leg.expiry - book.lattice.anchor) % step == 0
         assert leg.effective_start == max(leg.start, transfer.release)
         assert leg.effective_expiry == min(leg.expiry, transfer.deadline)
-        assert 0 < leg.bytes_scheduled <= leg.bytes_capacity
+        assert 0 < leg.bytes_scheduled <= leg_bytes_capacity(leg)
         if transfer.max_rate_kbps is not None:
             assert leg.rate_kbps <= transfer.max_rate_kbps
         total_scheduled += leg.bytes_scheduled

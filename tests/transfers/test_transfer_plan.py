@@ -25,6 +25,7 @@ from repro.transfers import (
 from tests.transfers.conftest import (
     T0,
     check_plan_wellformed,
+    leg_bytes_capacity,
     make_book,
     make_crossing,
     make_listing,
@@ -54,7 +55,7 @@ def test_plan_wellformed_and_exact(seed):
     check_plan_wellformed(book, plan)
     assert plan.meets_request
     assert plan.bytes_scheduled == transfer.bytes_total
-    assert plan.bytes_scheduled <= plan.bytes_capacity
+    assert plan.bytes_scheduled <= sum(leg_bytes_capacity(leg) for leg in plan.legs)
 
 
 @settings(max_examples=40, deadline=None)

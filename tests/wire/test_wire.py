@@ -59,7 +59,7 @@ class TestBandwidthClasses:
         assert bwcls.MAX_VALUE > 1 << 35
 
     def test_classes_are_monotone(self):
-        values = bwcls.all_classes()
+        values = [bwcls.decode(c) for c in range(bwcls.MAX_CLASS + 1)]
         assert values == sorted(values)
         assert len(values) == 1024
 
@@ -117,10 +117,6 @@ class TestTimestamps:
     def test_millis_overflow_rejected(self):
         with pytest.raises(ValueError):
             TimestampAllocator(1000).allocate(1000.0 + 66.0)
-
-    def test_absolute_seconds(self):
-        ts = PacketTimestamp(base=100, millis=500, counter=3)
-        assert ts.absolute_seconds() == pytest.approx(100.5)
 
     def test_field_bounds(self):
         with pytest.raises(ValueError):
