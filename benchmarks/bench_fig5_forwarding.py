@@ -79,7 +79,7 @@ def _fig5_measured_substrate_report_impl():
         ["payload B", "cores", "Hummingbird Gbps", "SCION Gbps"],
         rows,
         title="Figure 5 (measured substrate) — same model fed with our "
-        "pure-Python per-packet costs",
+        "Python per-packet costs",
         note=f"per-packet: SCION {measured.scion_process_ns:.0f} ns, "
         f"Hummingbird {measured.hummingbird_process_ns:.0f} ns "
         f"({measured.hummingbird_process_ns / measured.scion_process_ns:.1f}x; paper "

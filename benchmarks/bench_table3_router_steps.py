@@ -1,9 +1,10 @@
 """Table 3: fine-grained border-router processing timings.
 
-Prints the paper's per-step DPDK timings next to our measured pure-Python
-costs for the same operations, plus full-pipeline packet processing times
-for SCION vs Hummingbird.  The Python/DPDK ratio is the calibration factor
-used to justify feeding the paper's timings into the Fig. 5 model.
+Prints the paper's per-step DPDK timings next to our measured Python costs
+for the same operations (AES is the interpreter's own OpenSSL, called through
+ctypes), plus full-pipeline packet processing times for SCION vs
+Hummingbird.  The Python/DPDK ratio is the calibration factor used to
+justify feeding the paper's timings into the Fig. 5 model.
 
 The steps are timed as the router runs them — hop-field MAC and A_i under
 PRFs the router holds, the flyover MAC under a PRF keyed with A_i per packet
@@ -51,7 +52,7 @@ def _table3_report_impl(packets: int = 800):
     )
     ratio = measured.hummingbird_process_ns / paper.HUMMINGBIRD_FORWARD_NS
     text = render_comparison(
-        ["task", "paper ns (DPDK+AES-NI)", "measured ns (pure Python)"],
+        ["task", "paper ns (DPDK+AES-NI)", "measured ns (Python, OpenSSL AES)"],
         rows,
         title="Table 3 — border-router packet validation timings",
         note=(
@@ -61,8 +62,9 @@ def _table3_report_impl(packets: int = 800):
             f"SCION) vs the paper's 185 ns (1.5x). Hummingbird:SCION cost ratio "
             f"{measured.hummingbird_process_ns / measured.scion_process_ns:.1f}x vs the "
             f"paper's {paper.HUMMINGBIRD_FORWARD_NS / paper.SCION_FORWARD_NS:.1f}x "
-            f"(3 block encryptions + 1 key expansion against 1 encryption; without "
-            f"AES-NI the expansion costs about two thirds of an encryption). The timed steps are "
+            f"(3 block encryptions + 1 key expansion against 1 encryption; here each is one "
+            f"Python call into OpenSSL, so an expansion costs about what an encryption does, "
+            f"where with AES-NI it costs half of one). The timed steps are "
             f"disjoint and cover {step_sum / measured.hummingbird_process_ns:.0%} of the hop."
         ),
     )

@@ -10,7 +10,8 @@ A from-scratch Python reproduction of the SIGCOMM 2025 paper, comprising:
   :mod:`repro.controlplane` — the asset-based smart-contract control plane
   on a Sui-like object ledger;
 * :mod:`repro.crypto` / :mod:`repro.wire` — cryptographic and wire-format
-  substrates, all implemented from scratch;
+  substrates, implemented from scratch except the AES block cipher, which
+  is the interpreter's own OpenSSL;
 * :mod:`repro.netsim` — a discrete-event network simulator for the QoS
   experiments;
 * :mod:`repro.perfmodel` / :mod:`repro.analysis` — throughput models and

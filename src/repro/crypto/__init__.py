@@ -1,8 +1,9 @@
 """Cryptographic substrate: AES-128, AES-CMAC, PRF backends, key derivation,
 sealing and Schnorr signatures.
 
-Everything is implemented from scratch (no OpenSSL dependency) and validated
-against FIPS-197 / RFC 4493 test vectors.  Importing the package builds the
+The AES block cipher is the libcrypto CPython's own ``_hashlib`` links
+against, bound through :mod:`ctypes`; everything above it is implemented
+here and validated against FIPS-197 / RFC 4493 test vectors.  Importing the package builds the
 two fixed-base tables for ``g`` (:mod:`repro.crypto.fixedbase`, ~46 ms
 together), so no first key or signature of a process pays for them.
 """

@@ -16,9 +16,12 @@ take a keyed PRF, not key bytes.  Only the per-reservation :math:`A_K` is
 keyed afresh for every packet — the router stores nothing about it.
 
 ``Blake2Prf``
-    Keyed BLAKE2s from the standard library.  Roughly an order of magnitude
-    faster under CPython, useful for large-scale network simulations where
-    millions of tags are computed.  Selected via ``PrfFactory('blake2')``.
+    Keyed BLAKE2s from the standard library.  It has no key schedule, so a
+    PRF keyed for one use, as the router's per-packet :math:`A_i` is, costs
+    less than half of an AES one (~0.8 against ~1.8 µs on a 2-core x86-64
+    box under CPython 3.11); under a held key both cost ~0.65 µs a call.  Useful
+    for large-scale network simulations where millions of tags are
+    computed.  Selected via ``PrfFactory('blake2')``.
 
 Both produce 16-byte outputs, so derived values can be used directly as
 AES-128 keys.

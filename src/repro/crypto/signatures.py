@@ -3,7 +3,8 @@
 Used for AS registration on the control plane (§4.2): an AS proves
 possession of the private key matching its CP-PKI certificate before the
 asset contract issues it an authorization token, and signs its certificate
-bundle.  Implemented from scratch like the rest of the crypto substrate.
+bundle.  Implemented from scratch, like everything in the crypto substrate
+but the AES block cipher.
 
 The group is QR(p) for the RFC 3526 2048-bit safe prime ``p = 2q + 1``;
 ``g = 4`` generates the order-``q`` subgroup.  Standard Schnorr:

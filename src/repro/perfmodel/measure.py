@@ -1,11 +1,13 @@
 """Microbenchmarks of our Python data-plane implementation.
 
 Measures the per-packet cost of the same pipeline stages the paper times in
-Tables 3 and 4 — on our pure-Python implementation.  The absolute numbers
-are of course far from DPDK+AES-NI; what matters is (a) the *structure*
-(which stages exist, what scales per hop / per byte) matches, and (b) the
-measured Python numbers can be fed into the same
-:class:`~repro.perfmodel.scaling.ThroughputModel` to produce
+Tables 3 and 4 — on our Python implementation, whose AES block cipher is the
+interpreter's own OpenSSL called through :mod:`ctypes`.  The absolute
+numbers are of course far from DPDK+AES-NI: every step is at least one
+Python call, and a call costs more than the paper's whole step.  What
+matters is (a) the *structure* (which stages exist, what scales per hop /
+per byte) matches, and (b) the measured Python numbers can be fed into the
+same :class:`~repro.perfmodel.scaling.ThroughputModel` to produce
 "measured-substrate" versions of Figures 5/14/15 next to the
 paper-calibrated ones.
 """
