@@ -146,14 +146,6 @@ class AdmissionController:
         # the decision counters do.  Starting at -1 samples the very first
         # admit, so short runs still populate the histogram.
         self._admit_tick = -1
-        # Registered though no deployed path expires commitments: the
-        # recorded experiment telemetry (experiment_equivalence.json) lists
-        # both families, at zero.
-        registry.counter("admission_expired_total", "Commitments released by expiry.").labels()
-        registry.counter(
-            "admission_shards_dropped_total",
-            "Whole calendar shards dropped in O(1) by sharded expiry.",
-        ).labels()
 
     # -- calendars ----------------------------------------------------------------
 

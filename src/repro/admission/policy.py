@@ -119,6 +119,11 @@ class OverbookingPolicy(AdmissionPolicy):
         :class:`repro.reclaim.AdaptiveOverbooking` steers it per interface)."""
         return self.factor
 
+    # The highest factor a calendar has admitted a commitment under: the
+    # bound everything it carries was sold within (the factor itself here;
+    # a learned factor that falls does not unsell what it sold).
+    ceiling_factor = limit_factor
+
     def admit(self, calendar: CapacityCalendar, request: AdmissionRequest) -> AdmissionDecision:
         if self.max_fraction is not None:
             buyer_cap = int(self.max_fraction * calendar.capacity_kbps)

@@ -135,7 +135,7 @@ class AsService:
         # No-show reclamation (armed by enable_reclamation).
         self.reclamation = None
         self._relist_marketplace: str | None = None
-        self._relist_base_micromist: int | None = None
+        self._relist_base_micromist = 1
         # (event, listing id or None, reason) per reclaimed reservation.
         self.relisted: list[tuple[object, str | None, str]] = []
         registry = get_registry()
@@ -894,11 +894,13 @@ class AsService:
                 self._allocator(ingress_if).release(res_id, start, expiry)
             raise
         if self.reclamation is not None:
+            # Judged from when it could first carry traffic: a late buyer's
+            # reservation starts on its asset's granule, before delivery.
             self.reclamation.track(
                 res_id,
                 ingress_if,
                 bandwidth_kbps,
-                start,
+                max(start, self.executor.clock.now()),
                 expiry,
                 [
                     (interface, is_ingress, decision.commitment.commitment_id)
@@ -928,38 +930,39 @@ class AsService:
 
     def enable_reclamation(
         self,
-        usage_source,
+        policer=None,
         interval: float = 0.25,
         grace_seconds: float = 0.5,
         no_show_threshold: float = 0.5,
         retain_headroom: float = 1.5,
         min_retained_kbps: int = 1,
-        demote=None,
         marketplace: str | None = None,
-        relist_base_micromist: int | None = None,
+        relist_base_micromist: int = 1,
     ):
         """Arm the usage-feedback loop for this AS.
 
-        ``usage_source`` is the cumulative policer snapshot callable
-        (``router.policer.usage_snapshot``); ``demote`` the data-plane
-        rate-cap hook (``router.policer.set_limit``).  Once armed, every
-        delivery is tracked and :meth:`reclaim_no_shows` runs the loop.
-        With ``marketplace`` set, reclaimed bandwidth is relisted there
-        with ``Reclaimed`` provenance at the scarcity-adjusted quote over
+        ``policer`` is this AS's data-plane policer (``router.policer``):
+        the loop samples its ``usage_snapshot`` and caps a reclaimed ResID
+        with its ``set_limit``.  Without one the loop runs on an empty
+        usage feed and demotes nothing.  Once armed, every delivery is
+        tracked and :meth:`reclaim_no_shows` runs the loop.  With
+        ``marketplace`` set, reclaimed bandwidth is relisted there with
+        ``Reclaimed`` provenance at the scarcity-adjusted quote over
         ``relist_base_micromist``.
 
         Returns the :class:`~repro.reclaim.ReclamationEngine`.
         """
         from repro.reclaim import ReclamationEngine, UsageReporter
 
+        bound = policer is not None
         self.reclamation = ReclamationEngine(
             self.admission,
-            UsageReporter(usage_source, interval),
+            UsageReporter(policer.usage_snapshot if bound else dict, interval),
             grace_seconds=grace_seconds,
             no_show_threshold=no_show_threshold,
             retain_headroom=retain_headroom,
             min_retained_kbps=min_retained_kbps,
-            demote=demote,
+            demote=policer.set_limit if bound else None,
         )
         self._relist_marketplace = marketplace
         self._relist_base_micromist = relist_base_micromist
@@ -997,13 +1000,8 @@ class AsService:
         if expiry <= start or freed < 1:
             self.relisted.append((event, None, "window or bandwidth too small"))
             return
-        base = (
-            self._relist_base_micromist
-            if self._relist_base_micromist is not None
-            else 1
-        )
         quoted = self.admission.quote(
-            base, event.ingress_ifid, True, start, expiry
+            self._relist_base_micromist, event.ingress_ifid, True, start, expiry
         )
         decision, submitted = self._issue(
             "reclaim",

@@ -164,11 +164,12 @@ def deploy_market(
 
     ``reclamation`` arms every AS's no-show reclamation loop
     (:meth:`~repro.controlplane.asclient.AsService.enable_reclamation`):
-    the dict's ``usage_source_factory`` key (``isd_as -> snapshot
-    callable``) binds each service to its data-plane policer — absent, the
-    loop runs on an empty usage feed — and the remaining keys pass through
-    (``grace_seconds``, ``no_show_threshold``, ...).  Relisting defaults
-    to this deployment's marketplace at the seed base price.
+    the dict's ``policer_of`` key (``isd_as -> policer``) binds each
+    service to its own data-plane policer, which the loop both samples and
+    caps — absent, the loop runs on an empty usage feed and demotes
+    nothing — and the remaining keys pass through (``grace_seconds``,
+    ``no_show_threshold``, ...).  Relisting defaults to this deployment's
+    marketplace at the seed base price.
     """
     rng = random.Random(seed)
     clock = clock if clock is not None else SimClock()
@@ -234,15 +235,10 @@ def deploy_market(
                     raise RuntimeError(f"issue/list failed: {listed.effects.error}")
         if reclamation is not None:
             options = dict(reclamation)
-            factory = options.pop("usage_source_factory", None)
-            source = (
-                factory(autonomous_system.isd_as)
-                if factory is not None
-                else (lambda: {})
-            )
+            policer_of = options.pop("policer_of", lambda isd_as: None)
             options.setdefault("marketplace", marketplace)
             options.setdefault("relist_base_micromist", price_micromist_per_unit)
-            service.enable_reclamation(source, **options)
+            service.enable_reclamation(policer_of(autonomous_system.isd_as), **options)
         services[autonomous_system.isd_as] = service
 
     return MarketDeployment(

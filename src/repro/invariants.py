@@ -12,7 +12,10 @@ direction of a deployment,
     function holds nothing its records do not explain (a leaked piece, a
     release that subtracted too little) and misses nothing they do;
 (b) that peak stays within ``int(factor * capacity)``, ``factor`` being the
-    policy's ``limit_factor(calendar)`` where it overbooks and 1 otherwise.
+    policy's ``ceiling_factor(calendar)`` where it overbooks and 1
+    otherwise: the highest factor a commitment was admitted under there,
+    which a learned factor that later falls does not lower and one that
+    rose with nothing admitted does not raise.
 
 The first ledger-backed one (index <- events <- objects): the deployment's
 live :class:`~repro.marketdata.MarketIndexer`, synced, holds
@@ -97,13 +100,13 @@ def check(deployment, now: float) -> None:
     breaches = _index_breaches(deployment)
     for isd_as, service in deployment.services.items():
         controller = service.admission
-        limit_factor = getattr(controller.policy, "limit_factor", None)
+        ceiling_factor = getattr(controller.policy, "ceiling_factor", None)
         for (layer, interface, is_ingress), calendar in controller._calendars.items():
             where = (
                 f"AS {isd_as} {layer} interface {interface} "
                 f"{'ingress' if is_ingress else 'egress'}"
             )
-            factor = 1 if limit_factor is None else limit_factor(calendar)
+            factor = 1 if ceiling_factor is None else ceiling_factor(calendar)
             limit = int(factor * calendar.capacity_kbps)
             replayed = CapacityCalendar(calendar.capacity_kbps, calendar.shard_seconds)
             edges = {now}

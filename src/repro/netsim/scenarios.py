@@ -2,14 +2,14 @@
 
 The central harness, :func:`build_path_simulation`, turns a forwarding path
 into a chain of router nodes joined by priority-queue links, with a metrics
-sink at the destination.  The congestion, contention and auction
-experiments run on a :func:`~repro.controlplane.deploy_market` deployment
-built beside it by :func:`_market`: their buyers are hosts that buy, redeem
-and decrypt what their packets carry, and each run ends in
-:func:`repro.invariants.check`.  The reclamation experiment still grants
-its keys directly (:meth:`PathSimulation.grant_full_path`; ROADMAP item 18
-says why), and the path-contention experiment coordinates bare controllers
-beside its ledger-backed companion.  Every experiment ends in the same
+sink at the destination.  The congestion, contention, auction and
+reclamation experiments run on a :func:`~repro.controlplane.deploy_market`
+deployment built beside it by :func:`_market`: their buyers are hosts that
+buy, redeem and decrypt what their packets carry, the reclamation loop is
+the deployment's own (each on-path AS reads and caps its router's policer),
+and each run ends in :func:`repro.invariants.check`.  Only the
+path-contention experiment coordinates bare controllers, beside its
+ledger-backed companion.  Every experiment ends in the same
 traffic phase — :meth:`PathSimulation.send` per flow, then
 :meth:`PathSimulation.run` — and fixes everything no caller varies as a
 named constant: shared values below, a scenario's own at the top of its
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.clock import SimClock
 from repro.crypto.prf import PrfFactory
-from repro.hummingbird.reservation import FlyoverReservation, ResInfo, grant_reservation
+from repro.hummingbird.reservation import FlyoverReservation
 from repro.hummingbird.router import HummingbirdRouter
 from repro.hummingbird.source import HummingbirdSource, ScionBestEffortSource
 from repro.netsim.events import EventLoop
@@ -42,7 +42,6 @@ from repro.scion.paths import ForwardingPath, as_crossings
 from repro.scion.topology import Topology
 from repro.telemetry import ExperimentTelemetry
 from repro.telemetry.tracing import use_trace
-from repro.wire import bwcls
 
 # Simulations hash millions of packets; the keyed-BLAKE2 backend keeps the
 # event loop fast while exercising the identical MAC code paths.  Every
@@ -89,7 +88,6 @@ class PathSimulation:
 
     loop: EventLoop
     clock: SimClock
-    topology: Topology
     path: ForwardingPath
     nodes: dict = field(default_factory=dict)  # IsdAs -> RouterNode
     links: list = field(default_factory=list)
@@ -107,33 +105,6 @@ class PathSimulation:
         """The simulated time — so a deployment can keep it as its clock
         (:func:`_market`), which no transaction advances."""
         return self.clock.now()
-
-    def grant_full_path(
-        self, bandwidth_kbps: int, start: int, duration: int, res_id: int = 0
-    ) -> list[FlyoverReservation]:
-        """Have every on-path AS grant a reservation for this path, outside
-        any market — the reclamation experiment's shortcut (see the module
-        docstring); every other experiment buys its reservations."""
-        reservations = []
-        for crossing in as_crossings(self.path):
-            autonomous_system = self.topology.as_of(crossing.isd_as)
-            resinfo = ResInfo(
-                ingress=crossing.ingress,
-                egress=crossing.egress,
-                res_id=res_id,
-                bw_cls=bwcls.encode_ceil(bandwidth_kbps),
-                start=start,
-                duration=duration,
-            )
-            reservations.append(
-                grant_reservation(
-                    crossing.isd_as,
-                    autonomous_system.secret_value,
-                    resinfo,
-                    self.prf_factory,
-                )
-            )
-        return reservations
 
     def hummingbird_source(self, reservations: list[FlyoverReservation]) -> HummingbirdSource:
         return HummingbirdSource(
@@ -219,7 +190,6 @@ def build_path_simulation(
     simulation = PathSimulation(
         loop=loop,
         clock=clock,
-        topology=topology,
         path=path,
         prf_factory=prf_factory,
         src_addr=ScionAddr(path.src, HostAddr.from_string("10.0.0.1")),
@@ -260,10 +230,18 @@ def _market(
     over ``topology`` (``market`` passed through) beside
     :func:`build_path_simulation` over ``path``, both keyed with
     :data:`SIM_PRF`.  The simulation is the deployment's clock, so the market
-    trades at simulated time and its transactions take none of it."""
+    trades at simulated time and its transactions take none of it; a
+    ``reclamation`` loop is bound to each on-path AS's own router policer."""
     from repro.controlplane import deploy_market
 
     simulation = build_path_simulation(topology, path, link_rate_bps=link_rate_bps)
+    if market.get("reclamation") is not None:
+        # each on-path AS's loop reads and caps its own router's policer
+        nodes = simulation.nodes
+        market["reclamation"] = {
+            **market["reclamation"],
+            "policer_of": lambda isd_as: nodes[isd_as].router.policer if isd_as in nodes else None,
+        }
     deployment = deploy_market(
         topology, clock=simulation, seed=seed, prf_factory=SIM_PRF, **market
     )
@@ -317,8 +295,11 @@ def _contended_market(topology, path, end: int, reservable_fraction: float, **ma
     ``[START, end)`` each on-path AS lists all of it on every direction the
     path crosses except the bottleneck's ingress, which the experiment has
     the bottleneck AS sell itself
-    (:meth:`~repro.controlplane.AsService.offer_capacity`);
-    ``deploy_market``'s own listings cover the hour after ``end``.
+    (:meth:`~repro.controlplane.AsService.offer_capacity`, one buyer's worth
+    per sale through :func:`_restock`); every buyer past that capacity needs
+    each of its legs restocked the same way, so an overbooking policy judges
+    every leg as it judges the bottleneck.  ``deploy_market``'s own listings
+    cover the hour after ``end``.
 
     Returns ``(deployment, simulation, bottleneck crossing, capacity_kbps)``.
     """
@@ -332,16 +313,33 @@ def _contended_market(topology, path, end: int, reservable_fraction: float, **ma
     return deployment, simulation, bottleneck, capacity_kbps
 
 
-def _restock(deployment, bottleneck, end: int, kbps: int) -> str | None:
-    """The bottleneck AS lists ``kbps`` more of its ingress for ``[START, end)``
-    at its scarcity quote; returns why its issued calendar refused, or None."""
+def _restock(deployment, legs, end: int, kbps: int) -> str | None:
+    """Each of ``legs`` — ``(crossing, is_ingress)`` interface directions —
+    has its AS list ``kbps`` more of it for ``[START, end)`` at its scarcity
+    quote; returns why an issued calendar refused, or None.
+
+    A refusal lists nothing: every leg is read against its policy's limit
+    factor before any is listed, the way an overbooking (or first come,
+    first served) policy admits.  A first leg without room is refused by
+    its policy, in the policy's words."""
     from repro.admission import AdmissionRejected
 
-    try:
-        deployment.service(bottleneck.isd_as).offer_capacity(
-            deployment.marketplace, bottleneck.ingress, True, kbps,
-            START, end, BASE_PRICE_MICROMIST,
+    def room(crossing, is_ingress) -> bool:
+        admission = deployment.service(crossing.isd_as).admission
+        calendar = admission.calendar(
+            crossing.ingress if is_ingress else crossing.egress, is_ingress
         )
+        factor = getattr(admission.policy, "limit_factor", lambda _: 1)(calendar)
+        return calendar.peak_commitment(START, end) + kbps <= factor * calendar.capacity_kbps
+
+    if room(*legs[0]) and not all(room(*leg) for leg in legs[1:]):
+        return "a later leg has no room"
+    try:
+        for crossing, is_ingress in legs:
+            deployment.service(crossing.isd_as).offer_capacity(
+                deployment.marketplace, crossing.ingress if is_ingress else crossing.egress,
+                is_ingress, kbps, START, end, BASE_PRICE_MICROMIST,
+            )
     except AdmissionRejected as refusal:
         # "<AS> interface <n> (<direction>): <the policy's reason>"
         return str(refusal).partition("): ")[2]
@@ -795,7 +793,7 @@ def auction_experiment(
             if quote > valuation:
                 reason = "priced out"
             else:
-                reason = _restock(posted, bottleneck, end, reserve_kbps)
+                reason = _restock(posted, [(bottleneck, True)], end, reserve_kbps)
             paid = 0
             if reason is None:
                 host = posted.new_host(name=f"buyer-{index}")
@@ -1326,7 +1324,7 @@ def contention_experiment(
             trace = telemetry.trace(buyer) if telemetry and index == 0 else None
             reservations = None
             with use_trace(trace):
-                refusal = _restock(deployment, bottleneck, end, reserve_kbps)
+                refusal = _restock(deployment, [(bottleneck, True)], end, reserve_kbps)
                 if refusal is None:
                     reservations = purchase_path(
                         deployment,
@@ -1426,8 +1424,8 @@ class ReclamationArmResult:
     live_factor: float
     bottleneck_utilization: float
 
-    # revenue_mist sums ceil(units * quote / 1e6) over every admission —
-    # the exact MIST a posted-price sale of each admitted rectangle earns.
+    # revenue_mist is the bottleneck AS's coin balance at the end of the run:
+    # what its sales earned on the ledger, both of its legs.
 
     @property
     def reserved_buyers(self) -> list[ReclaimBuyerOutcome]:
@@ -1449,30 +1447,44 @@ def reclamation_experiment(
 ) -> ReclamationResult:
     """The closed control loop vs an open one, on an overbooked bottleneck.
 
-    Three arms share one scenario: ``num_buyers`` early buyers reserve the
-    whole bottleneck, but ``num_no_shows`` of them never send a packet;
-    ``num_late`` more buyers arrive wanting the same window.
+    Three arms share one scenario, each on its own :func:`_contended_market`
+    deployment: ``num_buyers`` early buyers buy the whole bottleneck, but
+    ``num_no_shows`` of them never send a packet; ``num_late`` more buyers
+    arrive wanting the same window.  Every buyer is a host that buys,
+    redeems and decrypts its path through
+    :func:`~repro.controlplane.purchase_path`; the bottleneck AS lists one
+    buyer's worth of its ingress per sale, and for a late buyer every
+    on-path AS lists one buyer's worth of each leg too, so every leg is
+    judged by the arm's policy (the early buyers' legs are the ones
+    :func:`_contended_market` lists).
 
     * ``"none"`` — no overbooking: the no-shows' bandwidth stays parked,
-      late buyers are rejected to best effort.
-    * ``"static"`` — a fixed overbooking factor admits some late buyers up
-      front, but nothing ever reclaims the no-shows.
-    * ``"adaptive"`` — :class:`~repro.reclaim.AdaptiveOverbooking` plus a
-      policer-fed :class:`~repro.reclaim.ReclamationEngine`: no-shows are
-      detected from observed usage, their calendar bandwidth is reclaimed
-      and demoted at the policer, the freed capacity admits the waiting
-      buyers mid-run, and the overbooking factor converges on the
-      observed show-up rate.
+      late buyers are turned away to best effort.
+    * ``"static"`` — a fixed overbooking factor lets the ASes sell to some
+      late buyers up front, but nothing ever reclaims the no-shows.
+    * ``"adaptive"`` — :class:`~repro.reclaim.AdaptiveOverbooking` plus the
+      deployment's reclamation loop
+      (:meth:`~repro.controlplane.AsService.reclaim_no_shows` on every
+      on-path AS at each scan, fed and capped by that AS's own router's
+      policer): no-shows are detected from observed usage, their active
+      calendar bandwidth is reclaimed, demoted at the policer and relisted,
+      the factor each interface direction learns lets the ASes sell to the
+      waiting buyers mid-run, and it converges on the observed show-up rate.
 
-    The closed loop must dominate: at least the revenue and at least the
-    reserved-traffic goodput of both open arms, with zero policer
-    demotions of honest traffic (``tests/netsim/test_reclamation.py``
-    asserts all three).
+    A late buyer refused at arrival retries at every scan; one still
+    waiting at the end sent nothing.  ``revenue_mist`` is what the
+    bottleneck AS earned on the ledger, and every arm ends in
+    :func:`repro.invariants.check`.  The closed loop must dominate: at
+    least the revenue and at least the reserved-traffic goodput of both
+    open arms, with zero policer demotions of honest traffic
+    (``tests/netsim/test_reclamation.py`` asserts all three).
     """
-    from repro.admission import ACTIVE, AdmissionController
+    from repro.admission import ACTIVE
     from repro.admission.policy import FirstComeFirstServed, OverbookingPolicy
-    from repro.marketdata import price_mist
-    from repro.reclaim import AdaptiveOverbooking, ReclamationEngine, UsageReporter
+    from repro.contracts.coin import coin_balance
+    from repro.controlplane import purchase_path
+    from repro.invariants import check
+    from repro.reclaim import AdaptiveOverbooking
 
     num_buyers = 8
     num_no_shows = 4
@@ -1485,156 +1497,131 @@ def reclamation_experiment(
     scan_interval = 0.25
     no_show_threshold = 0.5
 
-    def run_arm(arm: str, policy, reclaim: bool) -> ReclamationArmResult:
-        simulation = build_path_simulation(topology, path)
-        bottleneck, capacity_kbps = _bottleneck(path, reservable_fraction)
-        router = simulation.nodes[bottleneck.isd_as].router
+    def run_arm(arm: str, policy, reclamation) -> ReclamationArmResult:
+        end = _window_end(duration)
         # The default flat pricer keeps revenue proportional to volume sold,
         # so the arm comparison measures reclamation, not price spikes.
-        controller = AdmissionController(capacity_kbps, policy=policy)
-        engine = None
-        if reclaim:
-            engine = ReclamationEngine(
-                controller,
-                UsageReporter(router.policer.usage_snapshot, interval=scan_interval / 2),
-                grace_seconds=grace_seconds,
-                no_show_threshold=no_show_threshold,
-                demote=router.policer.set_limit,
-            )
-
-        start = int(simulation.clock.now())
+        deployment, simulation, bottleneck, capacity_kbps = _contended_market(
+            topology, path, end, reservable_fraction,
+            admission_policy=policy, reclamation=reclamation,
+        )
+        crossings = as_crossings(path)
+        seller = deployment.service(bottleneck.isd_as)
+        # The early buyers fill exactly what _contended_market lists on the
+        # other legs, so a late buyer has every leg restocked for it.
+        legs = [(bottleneck, True)] + [
+            (crossing, is_ingress)
+            for crossing in crossings
+            for is_ingress in (True, False)
+            if (crossing, is_ingress) != (bottleneck, True)
+        ]
         reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-        window_end = start + int(duration) + 60
         rng = random.Random(SEED)
-        outcomes: list[ReclaimBuyerOutcome] = []
         flow_metrics: dict[str, FlowMetrics] = {}
-        revenue = 0
 
-        def admit(index: int, buyer: str, kind: str, now: float):
-            """One admission attempt; on success the buyer sends with priority."""
-            nonlocal revenue
-            quote = controller.quote(
-                BASE_PRICE_MICROMIST, bottleneck.ingress, True, int(now), window_end
+        def buy(index: int, outcome: ReclaimBuyerOutcome) -> bool:
+            """One purchase attempt; a bought path sends unless its buyer is
+            a no-show, and a refused retry keeps the first refusal's quote
+            and reason."""
+            quote = seller.admission.quote(
+                BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
             )
-            decision = controller.admit_reservation(
-                bottleneck.ingress, True, reserve_kbps, int(now), window_end, tag=buyer
+            refusal = _restock(
+                deployment, legs if outcome.kind == "late" else legs[:1], end, reserve_kbps
             )
-            if not decision.admitted:
-                return None, quote, decision.reason
-            # ceil, as the contract prices
-            revenue += price_mist(reserve_kbps, window_end - int(now), quote)
-            if engine is not None:
-                engine.track(
-                    index,
-                    bottleneck.ingress,
-                    reserve_kbps,
-                    now,
-                    start + duration,
-                    [(bottleneck.ingress, True, decision.commitment.commitment_id)],
-                    tag=buyer,
-                )
-            if kind != "no-show":
-                reservations = simulation.grant_full_path(
-                    reserve_kbps, int(now), window_end - int(now), res_id=index
-                )
-                flow_metrics[buyer] = simulation.send(
+            if refusal is not None:
+                if not outcome.reason:
+                    outcome.quoted_price_micromist, outcome.reason = quote, refusal
+                return False
+            reservations = purchase_path(
+                deployment,
+                deployment.new_host(name=outcome.buyer),
+                crossings,
+                start=START,
+                expiry=end,
+                bandwidth_kbps=reserve_kbps,
+            ).reservations
+            if outcome.kind != "no-show":
+                flow_metrics[outcome.buyer] = simulation.send(
                     index + 1, per_buyer_kbps * 1000.0, reservations,
                     delay=0.005 * index, jitter=0.05, rng=rng,
                 )
-            return decision, quote, decision.reason
+            outcome.reserved, outcome.admitted_at = True, simulation.now()
+            outcome.quoted_price_micromist, outcome.reason = quote, "fits"
+            return True
 
         # Early buyers: the first num_no_shows never send a packet.  Late
-        # buyers: admitted now if the policy has room, retried at every
-        # scan otherwise; a buyer still waiting at the end falls back to
-        # best effort for the whole run (accounted as unreserved).
-        waiting: list[tuple[int, ReclaimBuyerOutcome]] = []
-        for index in range(num_buyers + num_late):
-            if index >= num_buyers:
-                kind = "late"
-            else:
-                kind = "no-show" if index < num_no_shows else "honest"
-            buyer = f"{kind}-{index}"
-            decision, quote, reason = admit(index, buyer, kind, simulation.clock.now())
-            outcome = ReclaimBuyerOutcome(
-                buyer=buyer,
-                kind=kind,
-                reserved=decision is not None,
-                admitted_at=simulation.clock.now() if decision else None,
-                quoted_price_micromist=quote,
-                reason=reason,
-                metrics={},
+        # buyers: bought now if the arm's policy has room, retried at every
+        # scan otherwise; a buyer still waiting at the end sent nothing.
+        outcomes = [
+            ReclaimBuyerOutcome(
+                buyer=f"{kind}-{index}", kind=kind, reserved=False, admitted_at=None,
+                quoted_price_micromist=0, reason="", metrics={},
             )
-            outcomes.append(outcome)
-            if kind == "late" and decision is None:
-                waiting.append((index, outcome))
-
-        end_time = simulation.clock.now() + duration
-        next_scan = simulation.clock.now() + scan_interval
-        while simulation.clock.now() < end_time:
-            simulation.loop.run_until(min(next_scan, end_time))
-            next_scan += scan_interval
-            now = simulation.clock.now()
-            if engine is not None:
-                engine.scan(now)
-            if now >= end_time:
-                break
-            still_waiting = []
-            for index, outcome in waiting:
-                # a refused retry leaves the first refusal's quote and reason
-                decision, quote, reason = admit(index, outcome.buyer, "late", now)
-                if decision is not None:
-                    outcome.reserved = True
-                    outcome.admitted_at = now
-                    outcome.quoted_price_micromist = quote
-                    outcome.reason = reason
-                else:
-                    still_waiting.append((index, outcome))
-            waiting = still_waiting
-        simulation.stop()
+            for index, kind in enumerate(
+                ["no-show"] * num_no_shows
+                + ["honest"] * (num_buyers - num_no_shows)
+                + ["late"] * num_late
+            )
+        ]
+        waiting = [index for index, outcome in enumerate(outcomes) if not buy(index, outcome)]
+        # Scans strictly inside the run: one at its end would judge and
+        # admit nothing anyone could use.
+        end_time = simulation.now() + duration
+        scan_at = simulation.now() + scan_interval
+        while scan_at < end_time:
+            simulation.loop.run_until(scan_at)
+            scan_at += scan_interval
+            for crossing in crossings:
+                deployment.service(crossing.isd_as).reclaim_no_shows()
+            waiting = [index for index in waiting if not buy(index, outcomes[index])]
+        simulation.run(end_time - simulation.now())
+        check(deployment, simulation.now())
 
         for outcome in outcomes:
             metrics = flow_metrics.get(outcome.buyer)
             outcome.metrics = metrics.summary() if metrics is not None else {}
         reserved_goodput = sum(
-            flow_metrics[outcome.buyer].goodput_bps(duration)
-            for outcome in outcomes
-            if outcome.reserved and outcome.buyer in flow_metrics
+            metrics.goodput_bps(duration) for metrics in flow_metrics.values()
         )
-        honest_demotions = (
-            router.stats.demoted_overuse
-            + router.stats.demoted_inactive
-            + router.stats.demoted_stale
+        honest_demotions = sum(
+            stats.demoted_overuse + stats.demoted_inactive + stats.demoted_stale
+            for stats in (node.router.stats for node in simulation.nodes.values())
         )
+        events = seller.reclamation.events if seller.reclamation else []
         return ReclamationArmResult(
             arm=arm,
             capacity_kbps=capacity_kbps,
             buyers=outcomes,
-            revenue_mist=revenue,
+            revenue_mist=coin_balance(deployment.ledger, seller.account.address),
             reserved_goodput_bps=reserved_goodput,
             honest_demotions=honest_demotions,
-            reclaim_events=len(engine.events) if engine is not None else 0,
-            reclaimed_kbps=sum(e.freed_kbps for e in engine.events) if engine else 0,
-            false_reclaims=engine.false_reclaims if engine is not None else 0,
-            live_factor=policy.limit_factor(
-                controller.calendar(bottleneck.ingress, True, ACTIVE)
-            )
-            if hasattr(policy, "limit_factor")
-            else 1.0,
+            reclaim_events=len(events),
+            reclaimed_kbps=sum(event.freed_kbps for event in events),
+            false_reclaims=getattr(seller.reclamation, "false_reclaims", 0),
+            live_factor=getattr(policy, "limit_factor", lambda _: 1.0)(
+                seller.admission.calendar(bottleneck.ingress, True, ACTIVE)
+            ),
             bottleneck_utilization=simulation.links[0].utilization(duration),
         )
 
+    reclamation = {
+        "interval": scan_interval / 2,
+        "grace_seconds": grace_seconds,
+        "no_show_threshold": no_show_threshold,
+    }
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
         arms = {}
-        for arm, policy, reclaim in (
-            ("none", FirstComeFirstServed(), False),
-            ("static", OverbookingPolicy(static_factor), False),
+        for arm, policy, reclaims in (
+            ("none", FirstComeFirstServed(), None),
+            ("static", OverbookingPolicy(static_factor), None),
             (
                 "adaptive",
                 AdaptiveOverbooking(initial_factor=1.0, max_factor=max_factor),
-                True,
+                reclamation,
             ),
         ):
-            arms[arm] = run_arm(arm, policy, reclaim)
+            arms[arm] = run_arm(arm, policy, reclaims)
         result = ReclamationResult(arms=arms)
         if telemetry is not None:
             telemetry.annotate(

@@ -4,7 +4,7 @@ If a fraction ``s`` of admitted bandwidth historically shows up, then
 admitting ``L`` kbps materializes as roughly ``s * L`` on the wire; the
 factor that fills (but does not exceed) physical capacity in expectation
 is ``1 / s``.  :class:`AdaptiveOverbooking` keeps an EWMA of the show-up
-rate the reclamation engine observes per interface calendar and sets the
+rate the reclamation engine observes per interface direction and sets the
 factor to ``clamp(1 / ewma, 1, max_factor)`` — honest demand pushes the
 factor back toward 1, chronic no-shows let it climb, and ``max_factor``
 bounds the bet either way.
@@ -13,18 +13,30 @@ bounds the bet either way.
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass
 
 from repro.admission.policy import OverbookingPolicy
+
+
+@dataclass
+class _Direction:
+    """One interface direction's learned state, shared by its calendars on
+    every layer."""
+
+    factor: float  # in force now
+    ceiling: float  # the highest factor a commitment was admitted under
+    showup: float | None = None  # EWMA of observed show-up rates
 
 
 class AdaptiveOverbooking(OverbookingPolicy):
     """Per-interface overbooking factor steered by observed show-up rates.
 
-    Until the first :meth:`observe` for a calendar, that calendar admits
-    at ``initial_factor`` (default 1.0 — no overbooking before there is
-    evidence of no-shows).  State is keyed weakly by calendar object, so
-    one policy instance can serve every interface of a controller and
-    drops its state with the calendars.
+    Until the first :meth:`observe` for an interface direction, its
+    calendars admit at ``initial_factor`` (default 1.0 — no overbooking
+    before there is evidence of no-shows).  State is keyed weakly by
+    calendar object, every layer of a direction mapping to the direction's
+    one state, so one policy instance can serve every interface of every
+    controller it is installed in and drops its state with the calendars.
 
     Args:
         initial_factor: factor for calendars with no observations yet.
@@ -47,26 +59,49 @@ class AdaptiveOverbooking(OverbookingPolicy):
             raise ValueError("alpha must be in (0, 1]")
         self.max_factor = float(max_factor)
         self.alpha = float(alpha)
-        self._showup: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-        self._factors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        self._directions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+        # what every direction holds before its first observation
+        self._unobserved = _Direction(self.factor, self.factor)
 
     def limit_factor(self, calendar) -> float:
         """The factor currently in force for this calendar."""
-        return self._factors.get(calendar, self.factor)
+        return self._directions.get(calendar, self._unobserved).factor
 
-    def observe(self, calendar, show_up_rate: float) -> float:
+    def ceiling_factor(self, calendar) -> float:
+        """The highest factor this calendar's direction has admitted a
+        commitment under, on either layer — ``initial_factor`` at least.  A
+        factor that rose and fell with nothing admitted does not raise it."""
+        return self._directions.get(calendar, self._unobserved).ceiling
+
+    def admit(self, calendar, request):
+        """Admit at the factor in force; a commitment made raises its
+        direction's ceiling to that factor (an unobserved direction shares
+        ``_unobserved``, whose factor is its ceiling, so nothing moves)."""
+        decision = super().admit(calendar, request)
+        if decision.admitted:
+            direction = self._directions.get(calendar, self._unobserved)
+            direction.ceiling = max(direction.ceiling, direction.factor)
+        return decision
+
+    def observe(self, calendars, show_up_rate: float) -> float:
         """Fold one observed show-up rate in; returns the new factor.
 
-        ``show_up_rate`` is observed-priority-rate over booked-rate,
-        aggregated over the calendar's tracked reservations (the
-        reclamation engine computes it each scan).
+        ``calendars`` lists one interface direction's calendars on every
+        layer — the reclamation engine passes the issued and the active
+        one.  The factor belongs to the direction, not to a layer: what
+        reclamation frees on the active calendar can only go back on sale
+        through the issued one.  ``show_up_rate`` is observed-priority-rate
+        over booked-rate, aggregated over the direction's tracked
+        reservations (the reclamation engine computes it each scan).
         """
+        direction = self._directions.get(calendars[0]) or _Direction(self.factor, self.factor)
+        for calendar in calendars:
+            self._directions[calendar] = direction
         rate = min(max(float(show_up_rate), 0.0), 1.0)
-        previous = self._showup.get(calendar)
-        ewma = rate if previous is None else (
-            (1.0 - self.alpha) * previous + self.alpha * rate
+        direction.showup = rate if direction.showup is None else (
+            (1.0 - self.alpha) * direction.showup + self.alpha * rate
         )
-        self._showup[calendar] = ewma
-        factor = min(self.max_factor, 1.0 / max(ewma, 1.0 / self.max_factor))
-        self._factors[calendar] = max(1.0, factor)
-        return self._factors[calendar]
+        direction.factor = max(
+            1.0, min(self.max_factor, 1.0 / max(direction.showup, 1.0 / self.max_factor))
+        )
+        return direction.factor

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.admission.controller import ACTIVE, AdmissionController
+from repro.admission.controller import ACTIVE, ISSUED, AdmissionController
 from repro.reclaim.usage import UsageReporter
 from repro.telemetry import get_registry
 
@@ -52,16 +52,12 @@ class TrackedReservation:
     start: float
     end: float
     handles: list[Handle]
+    bandwidth_kbps: int  # current (post-reclaim) bandwidth
     tag: str = ""
-    bandwidth_kbps: int = 0  # current (post-reclaim) bandwidth
     reclaimed_at: float | None = None
     reclaimed_to_kbps: int | None = None
     bytes_at_reclaim: int = 0
     false_reclaim: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.bandwidth_kbps:
-            self.bandwidth_kbps = self.booked_kbps
 
 
 @dataclass(frozen=True)
@@ -190,14 +186,11 @@ class ReclamationEngine:
             start=float(start),
             end=float(end),
             handles=list(handles),
+            bandwidth_kbps=int(bandwidth_kbps),
             tag=tag,
         )
         self._tracked[tracked.res_id] = tracked
         return tracked
-
-    def forget(self, res_id: int) -> None:
-        """Stop watching a reservation (released, expired, or revoked)."""
-        self._tracked.pop(int(res_id), None)
 
     @property
     def tracked_count(self) -> int:
@@ -219,7 +212,7 @@ class ReclamationEngine:
         showup_den: dict[tuple[int, bool], float] = {}
         for tracked in list(self._tracked.values()):
             if now >= tracked.end:
-                self.forget(tracked.res_id)
+                del self._tracked[tracked.res_id]
                 continue
             if now < tracked.start + self.grace_seconds:
                 continue
@@ -307,12 +300,18 @@ class ReclamationEngine:
                 self._m_false.inc()
 
     def _adapt(self) -> None:
-        """Feed observed show-up rates into an adaptive overbooking policy."""
+        """Feed observed show-up rates into an adaptive overbooking policy,
+        one factor per interface direction for both of its layers."""
         observe = getattr(self.controller.policy, "observe", None)
         for (interface, is_ingress), rate in self.last_show_up.items():
-            calendar = self.controller.calendar(interface, is_ingress, ACTIVE)
             if observe is not None:
-                factor = observe(calendar, rate)
+                factor = observe(
+                    [
+                        self.controller.calendar(interface, is_ingress, layer)
+                        for layer in (ISSUED, ACTIVE)
+                    ],
+                    rate,
+                )
             else:
                 factor = getattr(self.controller.policy, "factor", 1.0)
             if self._telemetry:

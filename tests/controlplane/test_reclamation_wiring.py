@@ -3,7 +3,10 @@
 The escrow-conservation property anchors this module: when reclaimed
 bandwidth is relisted and sold, the proceeds go to the AS (the relisted
 listing's seller) and never to the original holder — whose coins and
-asset are untouched by the second sale.
+asset are untouched by the second sale.  Two nets guard the loop's
+timing and its resale: a factor learned from no-shows lets the *issued*
+calendar take the relist, and a reservation delivered late in its window
+is judged from its delivery.
 """
 
 import pytest
@@ -21,8 +24,8 @@ from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
 BANDWIDTH = 50_000
 
 
-def _deploy(admission_policy=None, reclamation_overrides=None):
-    clock = SimClock(float(T0))
+def _deploy(admission_policy=None, reclamation_overrides=None, clock=None):
+    clock = clock if clock is not None else SimClock(float(T0))
     topology = linear_topology(3)
     options = dict(interval=0.25, grace_seconds=5.0)
     options.update(reclamation_overrides or {})
@@ -177,4 +180,81 @@ def test_strict_fcfs_refuses_the_relist_instead_of_forcing_it():
     assert reason != "relisted"
     deployment.indexer.sync()
     assert deployment.indexer.reclaimed_seen == 0
+    check(deployment, clock.now())
+
+
+def test_a_learned_factor_lets_the_issued_calendar_take_the_relist():
+    """The seed listing fills every issued calendar, and adaptive
+    overbooking starts at 1.0: only the factor the no-show taught the
+    interface direction — on both layers — makes room to sell it again."""
+    clock, deployment, path = _deploy(
+        admission_policy=AdaptiveOverbooking(initial_factor=1.0, max_factor=3.0)
+    )
+    _no_show_purchase(clock, deployment, path)
+    for crossing in as_crossings(path):
+        service = deployment.service(crossing.isd_as)
+        (event,) = service.reclaim_no_shows()
+        _, listing_id, reason = service.relisted[-1]
+        assert reason == "relisted" and listing_id is not None, reason
+        assert event.freed_kbps == BANDWIDTH - 1
+    deployment.indexer.sync()
+    assert deployment.indexer.reclaimed_seen == len(as_crossings(path))
+    check(deployment, clock.now())
+
+
+class _FullRate:
+    """Each AS's policer as the loop reads it: every reservation that AS
+    delivered has sent at its booked rate since ``sending_since``."""
+
+    def __init__(self, clock) -> None:
+        self.clock = clock
+        self.sending_since: float | None = None
+        self.reservations: list = []  # (ingress, res_id) this AS delivered
+        self.limits: list = []
+
+    def usage_snapshot(self) -> dict:
+        sent = int(BANDWIDTH * 125 * (self.clock.now() - self.sending_since))
+        snapshot: dict = {}
+        for ingress, res_id in self.reservations:
+            snapshot.setdefault(ingress, {})[res_id] = sent
+        return snapshot
+
+    def set_limit(self, ingress: int, res_id: int, kbps: int) -> None:
+        self.limits.append((ingress, res_id, kbps))
+
+
+def test_a_late_delivery_is_judged_from_its_delivery_not_its_window():
+    """Delivered 30 s into its window and sent at full rate since, a
+    reservation is not judged inside its 5 s grace, and past it the loop
+    sees a full-rate sender: nothing is reclaimed, nothing capped."""
+    clock = SimClock(float(T0))
+    policers: dict = {}
+
+    def policer_of(isd_as):
+        return policers.setdefault(isd_as, _FullRate(clock))
+
+    _, deployment, path = _deploy(
+        reclamation_overrides={"policer_of": policer_of}, clock=clock
+    )
+    clock.set(float(T0 + 90))  # the window opened at T0 + 60
+    outcome = purchase_path(
+        deployment,
+        deployment.new_host(funding_sui=100),
+        as_crossings(path),
+        start=T0 + 60,
+        expiry=T0 + 660,
+        bandwidth_kbps=BANDWIDTH,
+    )
+    delivered = clock.now()  # the deliveries took the purchase's last seconds
+    for reservation in outcome.reservations:
+        policer = policers[reservation.isd_as]
+        policer.sending_since = delivered
+        policer.reservations.append(
+            (reservation.resinfo.ingress, reservation.resinfo.res_id)
+        )
+    for seconds in (2.5, 20.0):  # inside the grace, then past it
+        clock.set(delivered + seconds)
+        for crossing in as_crossings(path):
+            assert deployment.service(crossing.isd_as).reclaim_no_shows() == []
+    assert all(not policer.limits for policer in policers.values())
     check(deployment, clock.now())

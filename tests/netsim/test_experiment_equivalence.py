@@ -7,8 +7,9 @@ protected and unprotected plus one call with its three rates varied;
 ``auction_experiment`` with a packet phase and clearing-only at two seeds;
 ``flex_market_experiment`` once and with three flex budgets;
 ``path_contention_experiment`` on three and four ASes;
-``reclamation_experiment`` (short enough to stay cheap, long enough that the
-adaptive arm reclaims and admits a waiting buyer at a scan);
+``reclamation_experiment`` (the 3 s run ``test_reclamation.py`` asserts its
+claims on, in which the adaptive arm reclaims and admits a waiting buyer at a
+scan);
 ``deadline_experiment``; then the five experiments that take ``telemetry``
 once more under an :class:`ExperimentTelemetry`.
 
@@ -32,11 +33,23 @@ reproduce it byte for byte.  Every goodput, latency and utilisation in it
 depends on the order in which sources are constructed and started (the event
 loop breaks ties FIFO, and the flows of one simulation share one ``rng``), so
 a refactor that reorders two ``start`` calls fails here, not in a plot.
-It was re-recorded once since, when the congestion, contention and auction
-experiments moved onto a deployed market: the telemetry runs' traces and
-metrics (ledger spans and families appeared) and the path-contention
+It was re-recorded twice since.  First when the congestion, contention and
+auction experiments moved onto a deployed market: the telemetry runs' traces
+and metrics (ledger spans and families appeared) and the path-contention
 hop-mode labels (their calendar-geometry word went) changed, and nothing
-else did.  Under pytest a configuration the claim tests share comes from the
+else did.  Then when the reclamation experiment moved onto one:
+in ``reclamation/telemetry`` each arm's ``revenue_mist`` doubled (it is the
+bottleneck AS's ledger balance, which sells both of its legs, no longer a sum
+of bottleneck-ingress quotes) and each admitted buyer's ``reason`` became
+``"fits"`` (the policy's ``"fits under <f>x overbooking"`` is no longer
+seen); its ``extra`` revenues and metric families moved with them (the
+market's families appeared); ``reclamation@3`` was recorded anew at 3 s, the
+duration of the claim tests' run, which it now shares (at the old 0.6 s it
+had moved as the telemetry run did); and the ``admission_expired_total`` /
+``admission_shards_dropped_total`` families, registered at zero for this
+file alone, left every telemetry run.  Every buyer's admission, goodput,
+latency and loss, every reclaim count and learned factor of the telemetry
+run, and every other key's result held.  Under pytest a configuration the claim tests share comes from the
 session's ``experiment_runs`` memo (``conftest.py``), so it runs once.
 
 To re-record (only when an experiment's *result* is meant to change — another
@@ -164,7 +177,7 @@ def run_experiments(run) -> dict:
     runs["path_contention@3"] = run(path_contention_experiment, 3, num_buyers=8)
     runs["path_contention@4"] = run(path_contention_experiment, 4, num_buyers=6)
 
-    runs["reclamation@3"] = run(reclamation_experiment, 3, duration=0.6)
+    runs["reclamation@3"] = run(reclamation_experiment, 3, duration=3.0)
 
     runs["deadline"] = deadline_experiment(
         num_ases=3, transfer_count=3, horizon=1200, seed=5

@@ -13,6 +13,7 @@ from repro.netsim.scenarios import (
     flex_market_experiment,
     linear_path,
 )
+from repro.netsim.scenarios import _contended_market, _restock, _window_end
 
 
 class TestEventLoop:
@@ -311,3 +312,24 @@ class TestFlexMarketExperiment:
         # The price curve exposes the peak premium over the valley floor.
         finite = [price for price in result.curve_prices if price != float("inf")]
         assert max(finite) > min(finite)
+
+
+class TestRestock:
+    """A buyer's legs are restocked all or none."""
+
+    def test_a_full_later_leg_refuses_before_any_leg_is_listed(self):
+        end = _window_end(0.5)
+        deployment, _, bottleneck, _ = _contended_market(*linear_path(3), end, 1.0)
+        admission = deployment.service(bottleneck.isd_as).admission
+        ingress = admission.calendar(bottleneck.ingress, True)
+        egress = admission.calendar(bottleneck.egress, False)  # listed to capacity
+        before = ingress.fingerprint(), egress.fingerprint()
+        legs = [(bottleneck, True), (bottleneck, False)]
+        assert _restock(deployment, legs, end, 1250) == "a later leg has no room"
+        assert (ingress.fingerprint(), egress.fingerprint()) == before
+        # a full first leg is refused by its policy, in its own words
+        assert _restock(deployment, legs[::-1], end, 1250) == "needs 1250 kbps, only 0 kbps free"
+        assert (ingress.fingerprint(), egress.fingerprint()) == before
+        assert _restock(deployment, legs[:1], end, 1250) is None
+        assert ingress.peak_commitment(0, end) == 1250
+

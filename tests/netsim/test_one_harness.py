@@ -15,14 +15,14 @@ which audits every module under ``src/repro`` the same way.
 
 The experiments buy what they send.  ``deploy_market`` is called at one site,
 the harness ``_market``, which builds a deployment beside the simulation's
-routers; the congestion, contention and auction experiments run on it, so no
-bare ``AdmissionController`` and no directly granted key is left in them.  Two
-are left where the deployed system cannot hold the recorded outcomes:
-``path_contention_experiment`` coordinates heterogeneous bare controllers (its
-ledger-backed companion deploys), and ``reclamation_experiment`` grants its
-keys through ``PathSimulation.grant_full_path`` — on a deployment a late buyer
-needs *issued* capacity, which the adaptive factor learned on the *active*
-calendars never frees (ROADMAP item 18).
+routers; the congestion, contention, auction and reclamation experiments run
+on it, so no directly granted key is left in ``netsim/``: the reclamation
+experiment's no-show loop is the deployment's own, bound to each on-path
+router's policer, where it used to wire a ``ReclamationEngine`` to a bare
+controller and grant keys through ``PathSimulation.grant_full_path`` (ROADMAP
+item 18).  One bare ``AdmissionController`` is left, where the deployed system
+cannot hold the recorded outcomes: ``path_contention_experiment`` coordinates
+heterogeneous bare controllers, and its ledger-backed companion deploys.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ def test_a_traffic_source_is_constructed_at_one_site():
         "scenarios.py:contention_experiment",
         "scenarios.py:auction_experiment",
         "scenarios.py:flex_market_experiment",
-        "scenarios.py:reclamation_experiment.run_arm.admit",
+        "scenarios.py:reclamation_experiment.run_arm.buy",
     } <= set(_call_sites("send"))
 
 
@@ -92,15 +92,15 @@ def test_the_market_is_deployed_at_one_site():
         "scenarios.py:auction_experiment",
         "scenarios.py:auction_experiment",
         "scenarios.py:contention_experiment",
+        "scenarios.py:reclamation_experiment.run_arm",
     ]
 
 
-def test_bare_controllers_and_granted_keys_are_left_where_outcomes_need_them():
+def test_one_bare_controller_is_left_and_no_key_is_granted():
     assert set(_call_sites("AdmissionController")) == {
         "scenarios.py:path_contention_experiment",
-        "scenarios.py:reclamation_experiment.run_arm",
     }
-    assert _call_sites("grant_reservation") == ["scenarios.py:PathSimulation.grant_full_path"]
-    assert _call_sites("grant_full_path") == [
-        "scenarios.py:reclamation_experiment.run_arm.admit"
-    ]
+    for shortcut in ("ReclamationEngine", "UsageReporter"):
+        assert _call_sites(shortcut) == []
+    assert _call_sites("grant_reservation") == []
+    assert _call_sites("grant_full_path") == []

@@ -8,13 +8,13 @@ never demoting an honest buyer's packets.
 
 import pytest
 
-from repro.netsim import linear_path, reclamation_experiment
+from repro.netsim import reclamation_experiment
 
 
 @pytest.fixture(scope="module")
-def result():
-    topology, path = linear_path(3)
-    return reclamation_experiment(topology, path, duration=3.0)
+def result(experiment_runs):
+    # the run test_experiment_equivalence.py records as reclamation@3
+    return experiment_runs(reclamation_experiment, 3, duration=3.0)
 
 
 def test_all_three_arms_ran(result):

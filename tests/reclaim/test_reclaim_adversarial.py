@@ -145,3 +145,11 @@ def test_false_reclaim_is_flagged_when_not_demoted():
     # Flagged once, not once per scan.
     engine.scan(2.5)
     assert engine.false_reclaims == 1
+
+
+def test_a_reservation_past_its_end_is_no_longer_watched():
+    """Expiry, not a verdict: the scan at the window's end drops it unjudged."""
+    policer = PerInterfacePolicer(capacity=64)
+    _, engine, commitment_id = _engine(policer)
+    engine.track(7, INGRESS, BOOKED, 0.0, 1.0, [(INGRESS, True, commitment_id)])
+    assert engine.scan(1.0) == [] and engine.tracked_count == 0

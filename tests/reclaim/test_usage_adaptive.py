@@ -40,34 +40,41 @@ class TestAdaptiveOverbooking:
         policy = AdaptiveOverbooking(alpha=1.0, max_factor=3.0)
         calendar = CapacityCalendar(1000)
         assert policy.limit_factor(calendar) == 1.0  # no evidence yet
-        assert policy.observe(calendar, 0.5) == pytest.approx(2.0)
-        assert policy.observe(calendar, 1.0) == 1.0  # honest demand: back off
+        assert policy.observe([calendar], 0.5) == pytest.approx(2.0)
+        assert policy.observe([calendar], 1.0) == 1.0  # honest demand: back off
         # Chronic no-shows push the factor to the ceiling, never past it.
-        assert policy.observe(calendar, 0.0) == 3.0
-        assert policy.observe(calendar, -5.0) == 3.0  # clamped input
+        assert policy.observe([calendar], 0.0) == 3.0
+        assert policy.observe([calendar], -5.0) == 3.0  # clamped input
 
     def test_ewma_smooths_observations(self):
         policy = AdaptiveOverbooking(alpha=0.5)
         calendar = CapacityCalendar(1000)
-        policy.observe(calendar, 1.0)
-        policy.observe(calendar, 0.0)
-        assert policy._showup.get(calendar) == pytest.approx(0.5)
+        policy.observe([calendar], 1.0)
+        policy.observe([calendar], 0.0)
+        assert policy._directions[calendar].showup == pytest.approx(0.5)
         assert policy.limit_factor(calendar) == pytest.approx(2.0)
 
     def test_state_is_per_calendar(self):
         policy = AdaptiveOverbooking()
         busy, idle = CapacityCalendar(1000), CapacityCalendar(1000)
-        policy.observe(busy, 1.0)
-        policy.observe(idle, 0.25)
+        policy.observe([busy], 1.0)
+        policy.observe([idle], 0.25)
         assert policy.limit_factor(busy) == 1.0
         assert policy.limit_factor(idle) > 1.0
-        assert policy._showup.get(CapacityCalendar(1000)) is None
+        assert policy._directions.get(CapacityCalendar(1000)) is None
+
+    def test_the_factor_belongs_to_the_direction_on_every_layer(self):
+        policy = AdaptiveOverbooking(alpha=1.0)
+        issued, active = CapacityCalendar(1000), CapacityCalendar(1000)
+        assert policy.observe([issued, active], 0.5) == pytest.approx(2.0)
+        assert policy.limit_factor(issued) == policy.limit_factor(active)
+        assert policy.admit(issued, AdmissionRequest(1500, 0, 100)).admitted
 
     def test_admission_uses_the_learned_factor(self):
         policy = AdaptiveOverbooking(initial_factor=1.0, max_factor=2.0)
         calendar = CapacityCalendar(1000)
         assert not policy.admit(calendar, AdmissionRequest(1500, 0, 100)).admitted
-        policy.observe(calendar, 0.5)  # half the demand is phantom
+        policy.observe([calendar], 0.5)  # half the demand is phantom
         assert policy.admit(calendar, AdmissionRequest(1500, 0, 100)).admitted
         assert not policy.admit(calendar, AdmissionRequest(600, 0, 100)).admitted
 

@@ -103,7 +103,7 @@ def point_at(patch, root):
     patch.setattr(reach, "REPO_ROOT", root)
     patch.setattr(reach, "SOURCE", root / "src" / "toy")
     patch.setattr(reach, "LISTING", root / "results" / "unreached.txt")
-    patch.setattr(reach, "LISTED", {"src/toy/kinds.py:Shape.decided": "item-18"})
+    patch.setattr(reach, "LISTED", {"src/toy/kinds.py:Shape.decided": "item-17"})
     patch.setattr(
         reach, "user_paths", lambda: [(label, [sys.executable, *argv]) for label, argv in PATHS]
     )
@@ -166,7 +166,7 @@ def test_a_failing_path_is_reported_and_its_calls_count(toy):
         ("src/toy/kinds.py:Sized.size", "protocol"),
         ("src/toy/kinds.py:NullShape.area", "null-object"),
         ("src/toy/kinds.py:Shape.refuse", "error-path"),
-        ("src/toy/kinds.py:Shape.decided", "item-18"),
+        ("src/toy/kinds.py:Shape.decided", "item-17"),
         ("src/toy/kinds.py:Shape.plain", "unexplained"),
     ],
 )

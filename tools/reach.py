@@ -44,7 +44,6 @@ LISTING = REPO_ROOT / "results" / "unreached.txt"
 
 REASONS = {
     "item-17": "a wire codec the byte routers of ROADMAP item 17 will call",
-    "item-18": "the deployed reclamation loop ROADMAP item 18 moves onto a user path",
     "e2e-boundary": "named as a tracer boundary by benchmarks/e2e/trace.py",
     "recorded": "an entry point transaction_equivalence.json pins",
     "error-path": "runs only when an input is refused or an operation fails",
@@ -72,15 +71,11 @@ LISTED = {
         "BitPacker.bit_length", "BitPacker.put", "BitPacker.to_bytes",
         "BitUnpacker.take", "out_of_range",
     )},
-    "src/repro/controlplane/asclient.py:AsService.enable_reclamation": "item-18",
-    "src/repro/controlplane/asclient.py:AsService._relist_reclaimed": "item-18",
-    "src/repro/reclaim/engine.py:ReclamationEngine._check_false_reclaim": "item-18",
     "src/repro/admission/auction.py:WindowAuction.clear": "e2e-boundary",
     "src/repro/controlplane/hostclient.py:HostClient.consolidate_coins": "recorded",
     "src/repro/contracts/coin.py:CoinContract.merge": "recorded",
     "src/repro/contracts/market.py:MarketContract.cancel_listing": "recorded",
     "src/repro/controlplane/asclient.py:AsService.cancel_listing": "recorded",
-    "src/repro/controlplane/asclient.py:AsService.reclaim_no_shows": "recorded",
     # A delivery that fails after its ResID was allocated hands the ID back.
     "src/repro/hummingbird/resid.py:ResIdAllocator.release": "error-path",
     "src/repro/hummingbird/resid.py:FirstFitColoring.release": "error-path",
@@ -119,10 +114,14 @@ def user_paths() -> list[tuple[str, list[str]]]:
          "from test_experiment_equivalence import linear_path, run_experiments\n"
          "run_experiments(lambda experiment, ases, **options: experiment(*linear_path(ases), **options))"],
     ))
-    for scenario in ("contention", "flex_market", "auction", "path", "reclamation"):
+    for scenario in ("contention", "flex_market", "auction", "path"):
         paths.append((f"report {scenario}", [
             python, "tools/report_experiment.py", "--run", scenario, "--duration", "0.3",
         ]))
+    # at the report's default second, a scan follows the first reclaim
+    paths.append(("report reclamation", [
+        python, "tools/report_experiment.py", "--run", "reclamation",
+    ]))
     paths.append(("e2e smoke", [python, "benchmarks/e2e/run.py", "--smoke"]))
     for bench in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")):
         smoke = ["--smoke"] if "--smoke" in bench.read_text() else []
