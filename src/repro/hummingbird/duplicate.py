@@ -28,19 +28,25 @@ MAX_ENTRIES = 1 << 20  # FIFO bound, so an adversary cannot blow up router state
 class DuplicateFilter:
     """Sliding-window replay filter over packet timestamp triples.
 
+    A packet ID is the triple under its reservation, and a reservation is
+    named by (ingress interface, ResID): ResIDs are unique per ingress only,
+    as the policer keys them, so two flows entering on different interfaces
+    may carry the same ResID and the same triple without either replaying
+    the other.
+
     Entries expire after :data:`WINDOW` seconds; memory is bounded by
     :data:`MAX_ENTRIES` with FIFO eviction.
     """
 
     def __init__(self) -> None:
-        self._seen: OrderedDict[tuple[int, int, int, int], float] = OrderedDict()
+        self._seen: OrderedDict[tuple[int, int, int, int, int], float] = OrderedDict()
 
     def is_duplicate(
-        self, res_id: int, base: int, millis: int, counter: int, now: float
+        self, ingress: int, res_id: int, base: int, millis: int, counter: int, now: float
     ) -> bool:
         """Record the packet ID and report whether it was already seen."""
         self._expire(now)
-        key = (res_id, base, millis, counter)
+        key = (ingress, res_id, base, millis, counter)
         if key in self._seen:
             return True
         self._seen[key] = now

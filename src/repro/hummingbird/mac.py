@@ -29,6 +29,7 @@ FLYOVER_MAC_INPUT_SIZE = 16
 # DstISD (16) || DstAS (48), Eq. 7c | PktLen | ResStartOffset | MillisTimestamp
 # | Counter (16 each)
 _MAC_INPUT = struct.Struct(">Q4H")
+_from_bytes = int.from_bytes  # bound once: each ``int.from_bytes`` lookup builds a bound method
 
 
 def pack_flyover_mac_input(
@@ -77,7 +78,7 @@ def aggregate_mac(hopfield_mac: bytes, flyover_mac: bytes) -> bytes:
     """
     if len(hopfield_mac) != TAG_LEN or len(flyover_mac) != TAG_LEN:
         raise ValueError("aggregate MAC requires two 6-byte tags")
-    aggregate = int.from_bytes(hopfield_mac, "big") ^ int.from_bytes(flyover_mac, "big")
+    aggregate = _from_bytes(hopfield_mac, "big") ^ _from_bytes(flyover_mac, "big")
     return aggregate.to_bytes(TAG_LEN, "big")
 
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.scion.packet import (
+    ADDR_HDR_LEN,
+    COMMON_HDR_LEN,
     PATH_TYPE_HUMMINGBIRD,
     PacketPath,
     PathCodec,
@@ -81,7 +83,9 @@ class HummingbirdPath(PacketPath):
             for hop in segment.hopfields:
                 units_before.append(units_before[-1] + hopfield_units(hop))
         self._units_before = tuple(units_before)
-        self.hop_units = units_before[-1]  # all hop fields together
+        self.hdr_len = (
+            COMMON_HDR_LEN + ADDR_HDR_LEN + META_HDR_LEN + INFO_FIELD_LEN * len(self.segments)
+        ) // 4 + units_before[-1]
 
     def seg_len_units(self) -> tuple[int, int, int]:
         """Per-segment hop-field byte length divided by 4 (7-bit fields)."""
@@ -281,17 +285,7 @@ def _decode_hopfield(data: bytes, flyover: bool) -> HopFieldData:
     )
 
 
-def hummingbird_path_size(path: PacketPath) -> int:
-    if not isinstance(path, HummingbirdPath):
-        raise TypeError("hummingbird codec requires a HummingbirdPath")
-    return META_HDR_LEN + INFO_FIELD_LEN * len(path.segments) + 4 * path.hop_units
-
-
 register_path_codec(
     PATH_TYPE_HUMMINGBIRD,
-    PathCodec(
-        encode=encode_hummingbird_path,
-        decode=decode_hummingbird_path,
-        size=hummingbird_path_size,
-    ),
+    PathCodec(encode=encode_hummingbird_path, decode=decode_hummingbird_path),
 )

@@ -1,6 +1,7 @@
 """Hummingbird border-router pipeline (Algorithms 2-4, Fig. 13).
 
-For each packet the ingress border router of AS *i*:
+For each packet the ingress border router of AS *i* locates the current hop
+field once and then, on that hop field:
 
 1. **Flyover processing** (Algorithm 3) if the current hop field has the F
    bit set: re-derive the reservation key :math:`A_i` from the packet's
@@ -31,7 +32,7 @@ from repro.crypto.keys import derive_auth_key
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, Prf, PrfFactory
 from repro.hummingbird.duplicate import DuplicateFilter
 from repro.hummingbird.mac import aggregate_mac, checked_pkt_len, compute_flyover_mac
-from repro.hummingbird.pathtype import FlyoverHopFieldData, HummingbirdPath, is_flyover
+from repro.hummingbird.pathtype import FlyoverHopFieldData, HummingbirdPath
 from repro.hummingbird.policing import PerInterfacePolicer, PolicingVerdict
 from repro.scion.packet import PATH_TYPE_HUMMINGBIRD, ScionPacket
 from repro.scion.router import Action, Decision, ScionRouter
@@ -39,6 +40,10 @@ from repro.scion.topology import AutonomousSystem
 from repro.wire.timestamps import CLOCK_SKEW, MAX_PACKET_AGE
 
 DEFAULT_POLICING_CAPACITY = 100_000  # matches the prototype's 800 kB array (§7.1)
+# Read once per process, not per hop: on CPython 3.11 looking up an enum
+# member costs about ten global reads.
+_DROP_ACTION, _DELIVER_ACTION = Action.DROP, Action.DELIVER
+_OVERUSED = PolicingVerdict.FWD_BEST_EFFORT
 
 
 @dataclass
@@ -85,87 +90,48 @@ class HummingbirdRouter(ScionRouter):
 
     def process(self, packet: ScionPacket, ingress_ifid: int) -> Decision:
         if packet.path_type != PATH_TYPE_HUMMINGBIRD:
-            decision = super().process(packet, ingress_ifid)
-            self._count(decision)
-            return decision
+            return self._counted(super().process(packet, ingress_ifid))
         path = packet.path
         if not isinstance(path, HummingbirdPath):
-            decision = Decision(Action.DROP, reason="path type 5 without meta header")
-            self._count(decision)
-            return decision
+            return self._counted(Decision(Action.DROP, reason="path type 5 without meta header"))
         if path.at_end():
-            decision = Decision(Action.DROP, reason="path exhausted")
-            self._count(decision)
-            return decision
+            return self._counted(Decision(Action.DROP, reason="path exhausted"))
 
-        seg_index, local, _, hop = path.current()
-        flyover_verdict = PolicingVerdict.FWD_BEST_EFFORT
-        flyover_hop: FlyoverHopFieldData | None = None
-        resinfo_ingress = 0
-        pkt_len = 0
-        if is_flyover(hop):
-            flyover_hop = hop  # type: ignore[assignment]
-            try:
-                flyover_verdict, resinfo_ingress, pkt_len = self._flyover_processing(
-                    packet, path, seg_index, local, flyover_hop
-                )
-            except OverflowError:
-                decision = Decision(Action.DROP, reason="PktLen overflow")
-                self._count(decision)
-                return decision
-
-        # Standard SCION processing (inherited Algorithm 4, incl. boundary).
-        decision = super(HummingbirdRouter, self).process(packet, ingress_ifid)
-        if decision.action is Action.DROP:
-            self._count(decision)
-            return decision
-
-        if flyover_hop is not None and flyover_verdict is PolicingVerdict.FWD_FLYOVER:
-            flyover_verdict = self._monitor(
-                flyover_hop, resinfo_ingress, pkt_len, path
+        # One pass: the hop field is located once and every step runs on it.
+        now = self.clock.now()
+        seg_index, local, segment, hop = path.current()
+        ingress, egress = segment.traversal_interfaces(local)
+        if not isinstance(hop, FlyoverHopFieldData):  # the F bit is clear
+            return self._counted(
+                self._traverse(path, ingress_ifid, now, seg_index, segment, hop, ingress, egress)
             )
 
-        if flyover_hop is not None and flyover_verdict is PolicingVerdict.FWD_FLYOVER:
-            if decision.action is Action.FORWARD:
-                egress = decision.egress_ifid
-                decision = self._forward_priority.get(egress) or Decision(
-                    Action.FORWARD_PRIORITY, egress_ifid=egress
-                )
-            elif decision.action is Action.DELIVER:
-                # Terminal hop: nothing to forward, but the crossing consumed
-                # reservation bandwidth — count it as prioritized.
-                self.stats.flyover_forwarded += 1
-                self.stats.best_effort_forwarded -= 1
-        self._count(decision)
-        return decision
-
-    # -- Algorithm 3 ---------------------------------------------------------
-
-    def _flyover_processing(
-        self,
-        packet: ScionPacket,
-        path: HummingbirdPath,
-        seg_index: int,
-        local: int,
-        hop: FlyoverHopFieldData,
-    ) -> tuple[PolicingVerdict, int, int]:
-        """Recover the candidate hop-field MAC and run the timing checks.
-
-        Returns (verdict, reservation ingress interface, PktLen).  Mutates
-        the hop field's MAC: AggMAC -> candidate HopFieldMAC (A.7).
-        """
+        # Algorithm 3.  The reservation covers the whole AS crossing: at a
+        # segment boundary the flyover (the AS's first hop field, A.5) shows
+        # traversal egress 0, and the true egress is the next segment's.
+        reserved_egress = egress
+        if (
+            egress == 0
+            and local == len(segment.hopfields) - 1
+            and seg_index + 1 < len(path.segments)
+        ):
+            next_segment = path.segments[seg_index + 1]
+            if next_segment.hopfields:
+                _, reserved_egress = next_segment.traversal_interfaces(0)
         res_start = path.base_timestamp - hop.res_start_offset
-        ingress, egress = self._effective_interfaces(path, seg_index, local)
         auth_key = derive_auth_key(
             self._held_secret_value_prf(),
             ingress,
-            egress,
+            reserved_egress,
             hop.res_id,
             hop.bw_cls,
             res_start,
             hop.res_duration,
         )
-        pkt_len = checked_pkt_len(len(packet.payload), packet.hdr_len_units())
+        try:
+            pkt_len = checked_pkt_len(len(packet.payload), path.hdr_len)
+        except OverflowError:
+            return self._counted(Decision(Action.DROP, reason="PktLen overflow"))
         flyover_mac = compute_flyover_mac(
             self.prf_factory(auth_key),  # "AES-extend A_i": per packet, never kept
             packet.dst.isd_as,
@@ -176,18 +142,44 @@ class HummingbirdRouter(ScionRouter):
         )
         # Candidate hop-field MAC (Eq. 6); also the A.7 MAC replacement.
         hop.mac = aggregate_mac(hop.mac, flyover_mac)
-
-        now = self.clock.now()
-        abs_ts = path.base_timestamp + path.millis_timestamp / 1000.0
-        age = now - abs_ts
+        reserved = False
+        age = now - (path.base_timestamp + path.millis_timestamp / 1000.0)
         if not -CLOCK_SKEW <= age <= MAX_PACKET_AGE + CLOCK_SKEW:
             self.stats.demoted_stale += 1
-            return PolicingVerdict.FWD_BEST_EFFORT, ingress, pkt_len
-        res_expiry = res_start + hop.res_duration
-        if not res_start <= now <= res_expiry:  # no skew slack here (A.7 note)
+        elif not res_start <= now <= res_start + hop.res_duration:  # no skew slack (A.7 note)
             self.stats.demoted_inactive += 1
-            return PolicingVerdict.FWD_BEST_EFFORT, ingress, pkt_len
-        return PolicingVerdict.FWD_FLYOVER, ingress, pkt_len
+        else:
+            reserved = True
+
+        # Algorithm 4 on the same hop field: a bad tag left a wrong candidate MAC.
+        decision = self._traverse(
+            path, ingress_ifid, now, seg_index, segment, hop, ingress, egress
+        )
+        if decision.action is _DROP_ACTION or not reserved:
+            return self._counted(decision)
+
+        # Optional duplicate suppression, then Algorithm 1.
+        if self.duplicate_filter is not None and self.duplicate_filter.is_duplicate(
+            ingress, hop.res_id, path.base_timestamp, path.millis_timestamp, path.counter, now
+        ):
+            self.stats.demoted_duplicate += 1
+            return self._counted(decision)
+        verdict = self.policer.monitor(ingress, hop.res_id, hop.bw_cls, pkt_len, now)
+        if verdict is _OVERUSED:
+            self.stats.demoted_overuse += 1
+            return self._counted(decision)
+
+        # Within its reservation: prioritized, also on the terminal hop, where
+        # nothing is forwarded but the crossing consumed reservation bandwidth.
+        self.stats.flyover_forwarded += 1
+        if decision.action is _DELIVER_ACTION:
+            return decision
+        egress = decision.egress_ifid
+        return self._forward_priority.get(egress) or Decision(
+            Action.FORWARD_PRIORITY, egress_ifid=egress
+        )
+
+    # -- key holding and bookkeeping -------------------------------------------
 
     def _held_secret_value_prf(self) -> Prf:
         """The PRF keyed with :math:`SV_i`; re-keyed if the AS replaced its secret."""
@@ -197,54 +189,10 @@ class HummingbirdRouter(ScionRouter):
             self._secret_value_prf = self.prf_factory(secret_value.key)
         return self._secret_value_prf
 
-    def _effective_interfaces(
-        self, path: HummingbirdPath, seg_index: int, local: int
-    ) -> tuple[int, int]:
-        """Traffic-direction (In, Eg) of the reservation, spanning boundaries.
-
-        The reservation covers the whole AS crossing; at a segment boundary
-        the flyover hop field (first of the AS's two hop fields, A.5) shows
-        traversal egress 0 and the true egress lives in the next segment's
-        first hop field.
-        """
-        segment = path.segments[seg_index]
-        ingress, egress = segment.traversal_interfaces(local)
-        if (
-            egress == 0
-            and local == len(segment.hopfields) - 1
-            and seg_index + 1 < len(path.segments)
-        ):
-            next_segment = path.segments[seg_index + 1]
-            if next_segment.hopfields:
-                _, egress = next_segment.traversal_interfaces(0)
-        return ingress, egress
-
-    # -- Algorithm 1 + optional duplicate suppression -------------------------
-
-    def _monitor(
-        self,
-        hop: FlyoverHopFieldData,
-        ingress: int,
-        pkt_len: int,
-        path: HummingbirdPath,
-    ) -> PolicingVerdict:
-        now = self.clock.now()
-        if self.duplicate_filter is not None and self.duplicate_filter.is_duplicate(
-            hop.res_id, path.base_timestamp, path.millis_timestamp, path.counter, now
-        ):
-            self.stats.demoted_duplicate += 1
-            return PolicingVerdict.FWD_BEST_EFFORT
-        verdict = self.policer.monitor(ingress, hop.res_id, hop.bw_cls, pkt_len, now)
-        if verdict is PolicingVerdict.FWD_BEST_EFFORT:
-            self.stats.demoted_overuse += 1
-        return verdict
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def _count(self, decision: Decision) -> None:
-        if decision.action is Action.FORWARD_PRIORITY:
-            self.stats.flyover_forwarded += 1
-        elif decision.action in (Action.FORWARD, Action.DELIVER):
-            self.stats.best_effort_forwarded += 1
-        else:
+    def _counted(self, decision: Decision) -> Decision:
+        """Count a decision that used no reservation bandwidth."""
+        if decision.action is _DROP_ACTION:
             self.stats.record_drop(decision.reason)
+        else:
+            self.stats.best_effort_forwarded += 1
+        return decision

@@ -5,8 +5,8 @@ reservations the host has redeemed for (some of) the path's AS crossings,
 and a timestamp allocator.  ``build_packet`` performs the per-packet work
 the paper benchmarks at the source gateway:
 
-1. add Ethernet/IP/SCION header fields (here: compute header sizes and the
-   authenticated ``PktLen``),
+1. add Ethernet/IP/SCION header fields (here: the authenticated ``PktLen``,
+   from the header length the source's template fixes),
 2. compute the flyover MAC for every reserved hop (Eq. 7a),
 3. assemble the hop fields (plain and flyover, AggMAC aggregation),
 4. attach the payload.
@@ -24,25 +24,11 @@ from dataclasses import dataclass
 from repro.clock import Clock
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.hummingbird.mac import aggregate_mac, checked_pkt_len, compute_flyover_mac
-from repro.hummingbird.pathtype import (
-    FLYOVER_HOPFIELD_LEN,
-    HOPFIELD_LEN,
-    INFO_FIELD_LEN,
-    META_HDR_LEN,
-    FlyoverHopFieldData,
-    HummingbirdPath,
-)
+from repro.hummingbird.pathtype import FlyoverHopFieldData, HummingbirdPath
 from repro.hummingbird.reservation import FlyoverReservation
 from repro.scion.addresses import ScionAddr
-from repro.scion.packet import (
-    ADDR_HDR_LEN,
-    COMMON_HDR_LEN,
-    PATH_TYPE_HUMMINGBIRD,
-    PATH_TYPE_SCION,
-    PacketPath,
-    ScionPacket,
-)
-from repro.scion.paths import AsCrossing, ForwardingPath, as_crossings
+from repro.scion.packet import PATH_TYPE_HUMMINGBIRD, PATH_TYPE_SCION, PacketPath, ScionPacket
+from repro.scion.paths import AsCrossing, ForwardingPath, HopFieldData, as_crossings
 from repro.wire.timestamps import PacketTimestamp, TimestampAllocator
 
 
@@ -93,7 +79,15 @@ def match_reservations(
 
 
 class HummingbirdSource:
-    """Generates reservation-protected packets for one path."""
+    """Generates reservation-protected packets for one path.
+
+    Everything a packet shares with the next is fixed at construction in a
+    header template: the path's shape tables and header length, every hop
+    field's values, and each flyover's reservation fields with its
+    ``ResStartOffset`` (the timestamp base is the source's for its
+    lifetime).  A packet pays for its timestamp, its flyover tags, fresh
+    hop fields (routers rewrite them) and fresh cursors.
+    """
 
     def __init__(
         self,
@@ -110,30 +104,25 @@ class HummingbirdSource:
         self.clock = clock
         self.placements = match_reservations(path, reservations)
         self._allocator = TimestampAllocator(int(clock.now()))
-        self._validate_offsets()
-        self._placement_index = {
-            (p.seg_index, p.hf_index): p for p in self.placements
-        }
-        # Held since redemption: one PRF keyed with A_K per placement, and the
-        # header size, which only depends on the path and the placements.
+        self._template = self._header_template()
+        # Per segment, per hop field: the placement whose tag aggregates there.
+        self._tag_slots: list[list[int | None]] = [
+            [None] * len(segment.hopfields) for segment in path.segments
+        ]
+        for slot, placement in enumerate(self.placements):
+            self._tag_slots[placement.seg_index][placement.hf_index] = slot
+        # Held since redemption: one PRF keyed with A_K per placement.
         self._auth_key_prfs = [prf_factory(p.reservation.auth_key) for p in self.placements]
-        self._header_bytes = self._count_header_bytes()
+        self._offsets = [
+            self._template.segments[p.seg_index].hopfields[p.hf_index].res_start_offset
+            for p in self.placements
+        ]
 
     # -- public API ---------------------------------------------------------
 
     def header_bytes(self) -> int:
         """Total header size of packets from this source (fixed per path)."""
-        return self._header_bytes
-
-    def _count_header_bytes(self) -> int:
-        path_bytes = META_HDR_LEN + INFO_FIELD_LEN * len(self.path.segments)
-        for seg_index, segment in enumerate(self.path.segments):
-            for hf_index in range(len(segment.hopfields)):
-                if (seg_index, hf_index) in self._placement_index:
-                    path_bytes += FLYOVER_HOPFIELD_LEN
-                else:
-                    path_bytes += HOPFIELD_LEN
-        return COMMON_HDR_LEN + ADDR_HDR_LEN + path_bytes
+        return 4 * self._template.hdr_len
 
     def build_packet(self, payload: bytes, flow_id: int = 1) -> ScionPacket:
         """Generate one authenticated packet (the Table 4 pipeline)."""
@@ -147,67 +136,46 @@ class HummingbirdSource:
 
     def _begin_headers(self, payload: bytes) -> int:
         """Stage 1: header setup — yields the authenticated PktLen (Eq. 7d)."""
-        return checked_pkt_len(len(payload), self._header_bytes // 4)
+        return checked_pkt_len(len(payload), self._template.hdr_len)
 
-    def _compute_flyover_macs(
-        self, pkt_len: int, timestamp: PacketTimestamp
-    ) -> dict[tuple[int, int], bytes]:
-        """Stage 2: one flyover MAC per reserved AS hop (Eq. 7a)."""
-        macs: dict[tuple[int, int], bytes] = {}
-        for placement, auth_key_prf in zip(self.placements, self._auth_key_prfs):
-            resinfo = placement.reservation.resinfo
-            offset = timestamp.base - resinfo.start
-            macs[(placement.seg_index, placement.hf_index)] = compute_flyover_mac(
-                auth_key_prf,
-                self.dst.isd_as,
-                pkt_len,
-                offset,
-                timestamp.millis,
-                timestamp.counter,
+    def _compute_flyover_macs(self, pkt_len: int, timestamp: PacketTimestamp) -> list[bytes]:
+        """Stage 2: one flyover MAC per reserved AS hop (Eq. 7a), in placement order."""
+        dst = self.dst.isd_as
+        return [
+            compute_flyover_mac(
+                auth_key_prf, dst, pkt_len, offset, timestamp.millis, timestamp.counter
             )
-        return macs
+            for auth_key_prf, offset in zip(self._auth_key_prfs, self._offsets)
+        ]
 
     def _assemble_hopfields(
-        self, timestamp: PacketTimestamp, macs: dict[tuple[int, int], bytes]
+        self, timestamp: PacketTimestamp, macs: list[bytes]
     ) -> HummingbirdPath:
-        """Stage 3: build the path header, aggregating MACs on flyover hops."""
-        segments = []
-        for seg_index, segment in enumerate(self.path.segments):
-            hopfields = []
-            for hf_index, hop in enumerate(segment.hopfields):
-                placement = self._placement_index.get((seg_index, hf_index))
-                if placement is None:
-                    hopfields.append(hop.copy())
-                    continue
-                resinfo = placement.reservation.resinfo
-                agg = aggregate_mac(hop.mac, macs[(seg_index, hf_index)])
-                hopfields.append(
-                    FlyoverHopFieldData(
-                        cons_ingress=hop.cons_ingress,
-                        cons_egress=hop.cons_egress,
-                        exp_time=hop.exp_time,
-                        mac=agg,
-                        res_id=resinfo.res_id,
-                        bw_cls=resinfo.bw_cls,
-                        res_start_offset=timestamp.base - resinfo.start,
-                        res_duration=resinfo.duration,
+        """Stage 3: fresh hop fields off the template, aggregating MACs on flyovers."""
+        hopfields = []
+        for segment, slots in zip(self._template.segments, self._tag_slots):
+            hops: list[HopFieldData] = []
+            for hop, slot in zip(segment.hopfields, slots):
+                if slot is None:
+                    hops.append(hop.copy())
+                else:
+                    hops.append(
+                        FlyoverHopFieldData(
+                            hop.cons_ingress,
+                            hop.cons_egress,
+                            hop.exp_time,
+                            aggregate_mac(hop.mac, macs[slot]),
+                            hop.res_id,
+                            hop.bw_cls,
+                            hop.res_start_offset,
+                            hop.res_duration,
+                        )
                     )
-                )
-            segments.append(
-                type(segment)(
-                    cons_dir=segment.cons_dir,
-                    timestamp=segment.timestamp,
-                    initial_segid=segment.initial_segid,
-                    hopfields=hopfields,
-                    ases=list(segment.ases),
-                )
-            )
-        return HummingbirdPath(
-            segments=segments,
-            base_timestamp=timestamp.base,
-            millis_timestamp=timestamp.millis,
-            counter=timestamp.counter,
-        )
+            hopfields.append(hops)
+        path = self._template.with_hopfields(hopfields)
+        path.millis_timestamp = timestamp.millis
+        path.counter = timestamp.counter
+        return path
 
     def _attach_payload(
         self, path: HummingbirdPath, payload: bytes, flow_id: int
@@ -224,8 +192,11 @@ class HummingbirdSource:
 
     # -- internals ----------------------------------------------------------
 
-    def _validate_offsets(self) -> None:
+    def _header_template(self) -> HummingbirdPath:
+        """The path every packet copies: flyover hop fields hold the plain
+        hop-field MAC, which each packet aggregates with its own tag."""
         base = self._allocator.base
+        segments = self.path.copy().segments
         for placement in self.placements:
             resinfo = placement.reservation.resinfo
             offset = base - resinfo.start
@@ -239,6 +210,19 @@ class HummingbirdSource:
                     f"reservation {placement.reservation!r} started more than "
                     "2^16 seconds before the base timestamp"
                 )
+            hops = segments[placement.seg_index].hopfields
+            hop = hops[placement.hf_index]
+            hops[placement.hf_index] = FlyoverHopFieldData(
+                cons_ingress=hop.cons_ingress,
+                cons_egress=hop.cons_egress,
+                exp_time=hop.exp_time,
+                mac=hop.mac,
+                res_id=resinfo.res_id,
+                bw_cls=resinfo.bw_cls,
+                res_start_offset=offset,
+                res_duration=resinfo.duration,
+            )
+        return HummingbirdPath(segments=segments, base_timestamp=base)
 
 
 class ScionBestEffortSource:
@@ -248,12 +232,16 @@ class ScionBestEffortSource:
         self.src = src
         self.dst = dst
         self.path = path
+        self._template = PacketPath.from_forwarding_path(path)
 
     def build_packet(self, payload: bytes, flow_id: int = 1) -> ScionPacket:
+        template = self._template
         return ScionPacket(
             src=self.src,
             dst=self.dst,
-            path=PacketPath.from_forwarding_path(self.path),
+            path=template.with_hopfields(
+                [[hop.copy() for hop in segment.hopfields] for segment in template.segments]
+            ),
             payload=payload,
             path_type=PATH_TYPE_SCION,
             flow_id=flow_id,

@@ -71,7 +71,7 @@ def compute_hopfield_mac(
 
 def chain_segid(seg_id: int, mac: bytes) -> int:
     """Advance the SegID accumulator: ``beta ^= MAC[:2]``."""
-    return seg_id ^ int.from_bytes(mac[:2], "big")
+    return seg_id ^ (mac[0] << 8 | mac[1])
 
 
 def absolute_expiry(segment_timestamp: int, exp_time: int) -> float:

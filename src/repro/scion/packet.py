@@ -43,9 +43,10 @@ class PacketPath:
 
     The shape of a path — how many hop fields each segment has, and of which
     kind — is fixed at construction, as SegLen and HdrLen fix it on the wire:
-    ``num_hopfields`` and the table behind :meth:`locate` are computed once,
-    so hop fields may be rewritten in place but not added, removed or swapped
-    for another kind.
+    ``num_hopfields``, ``hdr_len`` and the table behind :meth:`locate` are
+    computed once, so hop fields may be rewritten in place but not added,
+    removed or swapped for another kind.  :meth:`with_hopfields` makes a new
+    packet's path that shares them.
     """
 
     segments: list[SegmentInPath]
@@ -56,17 +57,41 @@ class PacketPath:
     def __post_init__(self) -> None:
         if not self.segids:
             self.segids = [segment.initial_segid for segment in self.segments]
-        self._positions = [
+        self._positions = tuple(
             (seg_index, local)
             for seg_index, segment in enumerate(self.segments)
             for local in range(len(segment.hopfields))
-        ]
+        )
         self.num_hopfields = len(self._positions)
+        # HdrLen: the whole header in 4-byte units (Eq. 7d's PktLen needs it)
+        self.hdr_len = (
+            COMMON_HDR_LEN + ADDR_HDR_LEN + 4 + 8 * len(self.segments) + 12 * self.num_hopfields
+        ) // 4
 
     @classmethod
     def from_forwarding_path(cls, path: ForwardingPath) -> "PacketPath":
         copied = path.copy()
         return cls(segments=copied.segments)
+
+    def with_hopfields(self, hopfields: list[list[HopFieldData]]) -> "PacketPath":
+        """A new path of this one's shape carrying ``hopfields``, per segment.
+
+        What a source's header template hands each packet: the segments'
+        headers and the shape tables are shared with this path, SegIDs and
+        cursors start over.  Each hop field must be of the kind this path
+        holds at its position.
+        """
+        path = object.__new__(type(self))
+        path.__dict__.update(self.__dict__)
+        path.segments = [
+            SegmentInPath(
+                segment.cons_dir, segment.timestamp, segment.initial_segid, hops, segment.ases
+            )
+            for segment, hops in zip(self.segments, hopfields)
+        ]
+        path.segids = [segment.initial_segid for segment in self.segments]
+        path.curr_inf = path.curr_hf = 0
+        return path
 
     def seg_lens(self) -> tuple[int, int, int]:
         lens = [len(segment.hopfields) for segment in self.segments]
@@ -104,13 +129,11 @@ class ScionPacket:
 
     def header_bytes(self) -> int:
         """Total header length in bytes (common + address + path)."""
-        return COMMON_HDR_LEN + ADDR_HDR_LEN + path_codec(self.path_type).size(self.path)
+        return 4 * self.hdr_len_units()
 
     def hdr_len_units(self) -> int:
-        total = self.header_bytes()
-        if total % 4 != 0:
-            raise ValueError(f"header length {total} not a multiple of 4")
-        return total // 4
+        """``HdrLen``: the header in 4-byte units, fixed by the path's shape."""
+        return self.path.hdr_len
 
     def packet_length(self) -> int:
         """``PktLen`` as authenticated by the flyover MAC (Eq. 7d)."""
@@ -126,7 +149,6 @@ class ScionPacket:
 class PathCodec:
     encode: Callable[[PacketPath], bytes]
     decode: Callable[[bytes], PacketPath]
-    size: Callable[[PacketPath], int]
 
 
 _PATH_CODECS: dict[int, PathCodec] = {}
@@ -134,13 +156,6 @@ _PATH_CODECS: dict[int, PathCodec] = {}
 
 def register_path_codec(path_type: int, codec: PathCodec) -> None:
     _PATH_CODECS[path_type] = codec
-
-
-def path_codec(path_type: int) -> PathCodec:
-    try:
-        return _PATH_CODECS[path_type]
-    except KeyError:
-        raise ValueError(f"no codec registered for path type {path_type}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +263,9 @@ def _decode_standard_hopfield(data: bytes) -> HopFieldData:
     return HopFieldData(cons_ingress, cons_egress, exp_time, data[6:12])
 
 
-def _standard_path_size(path: PacketPath) -> int:
-    return 4 + 8 * len(path.segments) + 12 * path.num_hopfields
-
-
 register_path_codec(
     PATH_TYPE_SCION,
-    PathCodec(
-        encode=_encode_standard_path,
-        decode=_decode_standard_path,
-        size=_standard_path_size,
-    ),
+    PathCodec(encode=_encode_standard_path, decode=_decode_standard_path),
 )
 
 
@@ -269,7 +276,10 @@ register_path_codec(
 
 def encode_packet(packet: ScionPacket) -> bytes:
     """Serialize a packet to its wire representation."""
-    path_bytes = path_codec(packet.path_type).encode(packet.path)
+    codec = _PATH_CODECS.get(packet.path_type)
+    if codec is None:
+        raise ValueError(f"no codec registered for path type {packet.path_type}")
+    path_bytes = codec.encode(packet.path)
     hdr_len = (COMMON_HDR_LEN + ADDR_HDR_LEN + len(path_bytes)) // 4
     if hdr_len >= 1 << 8:
         raise ValueError("header too long for 8-bit HdrLen")
@@ -326,7 +336,10 @@ def decode_packet(data: bytes) -> ScionPacket:
     path_end = hdr_len * 4
     if path_end > len(data):
         raise ValueError("HdrLen exceeds packet size")
-    path = path_codec(path_type).decode(data[offset:path_end])
+    codec = _PATH_CODECS.get(path_type)
+    if codec is None:
+        raise ValueError(f"no codec registered for path type {path_type}")
+    path = codec.decode(data[offset:path_end])
     payload = data[path_end:]
     if len(payload) != payload_len:
         raise ValueError(f"PayloadLen {payload_len} does not match {len(payload)} bytes")

@@ -9,7 +9,8 @@ router keys once and holds.
 Processing one packet at the ingress border router of AS *i*:
 
 1. locate the current hop field via ``CurrHF`` (once: the located hop is
-   handed to every later step);
+   handed to every later step, and :class:`HummingbirdRouter` runs its
+   flyover step on the same hop before this shared one);
 2. drop if the hop field is expired;
 3. verify the chained hop-field MAC (SegID handling depends on the
    construction-direction flag);
@@ -49,9 +50,10 @@ class Decision:
 
     @property
     def forwarded(self) -> bool:
-        return self.action in (Action.FORWARD, Action.FORWARD_PRIORITY)
+        return self.action in _FORWARDING
 
 
+_FORWARDING = (Action.FORWARD, Action.FORWARD_PRIORITY)  # read once: enum lookups are slow
 _DELIVER = Decision(Action.DELIVER)
 
 
@@ -88,28 +90,67 @@ class ScionRouter:
         if path.at_end():
             return Decision(Action.DROP, reason="path exhausted")
         seg_index, local, segment, hop = path.current()
+        expected_ingress, egress = segment.traversal_interfaces(local)
+        return self._traverse(
+            path, ingress_ifid, self.clock.now(), seg_index, segment, hop, expected_ingress, egress
+        )
+
+    # -- Algorithm 4 ----------------------------------------------------------
+
+    def _traverse(
+        self,
+        path: PacketPath,
+        ingress_ifid: int,
+        now: float,
+        seg_index: int,
+        segment: SegmentInPath,
+        hop: HopFieldData,
+        expected_ingress: int,
+        egress: int,
+    ) -> Decision:
+        """Algorithm 4 on the located current hop field and its traversal
+        interfaces; both routers run it once per packet and hop.
+
+        A hop field is checked for expiry, then its MAC with direction-dependent
+        SegID chaining: in construction direction the SegID already holds
+        :math:`\\beta_i`; against construction the router first XORs the
+        packet's MAC bytes to recover the candidate :math:`\\beta_i` (a forged
+        MAC produces a wrong candidate, so verification fails).
+        """
         if seg_index != path.curr_inf:
             return Decision(Action.DROP, reason="CurrINF does not match CurrHF")
-        expected_ingress, egress = segment.traversal_interfaces(local)
         if ingress_ifid != 0 and expected_ingress != ingress_ifid:
             return Decision(
                 Action.DROP,
                 reason=f"ingress interface {ingress_ifid} != hop field {expected_ingress}",
             )
-        decision = self._process_hopfield(path, seg_index, segment, hop)
-        if decision is not None:
-            return decision
+        forwarding_key_prf = self._held_forwarding_key_prf()
+        for boundary in (False, True):
+            if absolute_expiry(segment.timestamp, hop.exp_time) < now:
+                return Decision(Action.DROP, reason="hop field expired")
+            segid = path.segids[seg_index]
+            beta = segid if segment.cons_dir else chain_segid(segid, hop.mac)
+            expected = compute_hopfield_mac(
+                forwarding_key_prf,
+                beta,
+                segment.timestamp,
+                hop.exp_time,
+                hop.cons_ingress,
+                hop.cons_egress,
+            )
+            if not hmac.compare_digest(expected, hop.mac):
+                return Decision(Action.DROP, reason="hop-field MAC verification failed")
+            path.segids[seg_index] = chain_segid(segid, expected) if segment.cons_dir else beta
+            path.curr_hf += 1
 
-        # Segment boundary: traversal egress 0 but more segments follow means
-        # this AS owns the first hop field of the next segment too (A.5).
-        if egress == 0 and not path.at_end():
+            # Segment boundary: traversal egress 0 but more segments follow means
+            # this AS owns the first hop field of the next segment too (A.5).
+            if boundary or egress != 0 or path.at_end():
+                break
             next_seg_index, local, segment, hop = path.current()
             if next_seg_index != seg_index + 1:
                 return Decision(Action.DROP, reason="CurrHF/SegLen mismatch at boundary")
-            path.curr_inf = next_seg_index
-            decision = self._process_hopfield(path, next_seg_index, segment, hop)
-            if decision is not None:
-                return decision
+            path.curr_inf = seg_index = next_seg_index
             _, egress = segment.traversal_interfaces(local)
 
         if egress == 0:
@@ -127,47 +168,3 @@ class ScionRouter:
             self._forwarding_key = key
             self._forwarding_key_prf = self.prf_factory(key)
         return self._forwarding_key_prf
-
-    def _process_hopfield(
-        self, path: PacketPath, seg_index: int, segment: SegmentInPath, hop: HopFieldData
-    ) -> Decision | None:
-        """Verify the located current hop field and advance; None means success."""
-        if absolute_expiry(segment.timestamp, hop.exp_time) < self.clock.now():
-            return Decision(Action.DROP, reason="hop field expired")
-
-        if not self.verify_and_update_segid(path, seg_index, segment, hop):
-            return Decision(Action.DROP, reason="hop-field MAC verification failed")
-
-        path.curr_hf += 1
-        return None
-
-    def verify_and_update_segid(
-        self, path: PacketPath, seg_index: int, segment: SegmentInPath, hop: HopFieldData
-    ) -> bool:
-        """MAC check with direction-dependent SegID chaining.
-
-        In construction direction the SegID already holds :math:`\\beta_i`;
-        against construction the router first XORs the packet's MAC bytes to
-        recover the candidate :math:`\\beta_i` (a forged MAC produces a wrong
-        candidate, so verification fails).
-        """
-        segid = path.segids[seg_index]
-        if segment.cons_dir:
-            beta = segid
-        else:
-            beta = chain_segid(segid, hop.mac)
-        expected = compute_hopfield_mac(
-            self._held_forwarding_key_prf(),
-            beta,
-            segment.timestamp,
-            hop.exp_time,
-            hop.cons_ingress,
-            hop.cons_egress,
-        )
-        if not hmac.compare_digest(expected, hop.mac):
-            return False
-        if segment.cons_dir:
-            path.segids[seg_index] = chain_segid(segid, expected)
-        else:
-            path.segids[seg_index] = beta
-        return True

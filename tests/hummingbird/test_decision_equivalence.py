@@ -11,6 +11,13 @@ beside this file; the test requires today's code to reproduce it.  No decision
 depends on which PRF computed the MACs, so one recording (made with AES)
 serves both backends.
 
+``boundary_cases`` adds the segment-boundary rule (A.5), which a one-segment
+chain never reaches: leaf to leaf over a core mesh (up + core + down), every
+branch taken at a boundary AS, and the SHA-256 of every packet's wire bytes
+as built.  The bytes carry the PRF's MACs, so this part is recorded once per
+backend; it was recorded before routers went over a hop once and sources
+built from a header template.
+
 To re-record (only when a decision is *meant* to change)::
 
     PYTHONPATH=src:. python tests/hummingbird/test_decision_equivalence.py
@@ -19,6 +26,7 @@ To re-record (only when a decision is *meant* to change)::
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import pathlib
 import random
@@ -36,10 +44,13 @@ from repro.hummingbird.duplicate import DuplicateFilter
 from repro.hummingbird.pathtype import is_flyover
 from repro.hummingbird.reservation import FlyoverReservation, ResInfo, grant_reservation
 from repro.hummingbird.router import HummingbirdRouter
-from repro.hummingbird.source import HummingbirdSource
+from repro.hummingbird.source import HummingbirdSource, ScionBestEffortSource
 from repro.netsim.scenarios import linear_path
 from repro.scion.addresses import IsdAs, ScionAddr
-from repro.scion.paths import as_crossings
+from repro.scion.beaconing import run_beaconing
+from repro.scion.packet import encode_packet
+from repro.scion.paths import PathLookup, as_crossings
+from repro.scion.topology import core_mesh_topology
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "decision_equivalence.json"
 BACKENDS = ("aes", "blake2")
@@ -247,6 +258,106 @@ def attack_cases(backend: str) -> dict:
     return results
 
 
+def boundary_cases(backend: str) -> dict:
+    """Every branch at the two segment-boundary ASes of an up + core + down path.
+
+    Both core ASes hold two hop fields of the path, the flyover on the first
+    (A.5); each row is a packet's outcome and the hash of its bytes as built.
+    """
+    prf = PrfFactory(backend)
+    clock = SimClock(float(T0))
+    topology = core_mesh_topology(2, 1)
+    store = run_beaconing(topology, timestamp=T0, prf_factory=prf)
+    leaves = [a.isd_as for a in topology.ases if not a.is_core]
+    path = PathLookup(store).find_paths(leaves[0], leaves[1])[0]
+    src, dst = addresses(path)
+    boundaries = [c for c in as_crossings(path) if len(c.positions) == 2]
+    assert len(path.segments) == 3 and len(boundaries) == 2
+    boundary_ases = {c.isd_as for c in boundaries}
+    routers = {
+        autonomous_system.isd_as: HummingbirdRouter(
+            autonomous_system, clock, prf, policing_capacity=64,
+            duplicate_filter=(
+                DuplicateFilter() if autonomous_system.isd_as in boundary_ases else None
+            ),
+        )
+        for autonomous_system in topology.ases
+    }
+    full = grant_full_path(
+        topology, path, start=T0 - 5, bandwidth_kbps=2_000, prf_factory=prf
+    )
+    sources = {
+        "full": HummingbirdSource(src, dst, path, full, clock, prf),
+        "ends": HummingbirdSource(
+            src, dst, path, [r for r in full if r.isd_as not in boundary_ases], clock, prf
+        ),
+        "boundaries": HummingbirdSource(
+            src, dst, path, [r for r in full if r.isd_as in boundary_ases], clock, prf
+        ),
+        "scion": ScionBestEffortSource(src, dst, path),
+    }
+    packets: list = []
+
+    def flyover(packet, crossing):
+        seg_index, hf_index = crossing.positions[0]
+        return packet.path.segments[seg_index].hopfields[hf_index]
+
+    def send(kind, source="full", built=None, at=None, before=None):
+        """Walk a packet; ``before(packet, ingress)`` runs ahead of the
+        boundary AS ``at`` and returns the ingress it is handed on."""
+        clock.advance(0.01)
+        packet = sources[source].build_packet(bytes(300)) if built is None else built
+        digest = hashlib.sha256(encode_packet(packet)).hexdigest()
+        if kind == "stale":
+            clock.advance(2.0)  # > max packet age + clock skew
+        elif kind == "overflow":
+            packet.payload = bytes(65_535)
+        decisions = []
+        current, ingress = path.src, 0
+        while True:
+            if at is not None and current == at.isd_as:
+                ingress = before(packet, ingress)
+            decisions.append(routers[current].process(packet, ingress))
+            if not decisions[-1].forwarded:
+                break
+            interface = topology.as_of(current).interfaces[decisions[-1].egress_ifid]
+            current, ingress = interface.neighbor, interface.neighbor_ifid
+        packets.append([kind, *_outcome(decisions), digest])
+
+    def tamper(crossing):
+        def before(packet, ingress):
+            hop = flyover(packet, crossing)
+            hop.mac = bytes([hop.mac[0] ^ 0x10]) + hop.mac[1:]
+            return ingress
+
+        return before
+
+    def wrong_ingress(crossing):
+        other = min(set(topology.as_of(crossing.isd_as).interfaces) - {crossing.ingress})
+        return lambda packet, ingress: other
+
+    def next_info_field(packet, ingress):
+        packet.path.curr_inf += 1
+        return ingress
+
+    send("valid")
+    send("valid")
+    send("stale")
+    send("plain_boundary", source="ends")
+    send("overflow", source="boundaries")
+    send("scion_plain", source="scion")
+    for index, crossing in enumerate(boundaries):
+        send(f"tampered@{index}", at=crossing, before=tamper(crossing))
+        send(f"wrong_ingress@{index}", at=crossing, before=wrong_ingress(crossing))
+        send(f"curr_inf@{index}", at=crossing, before=next_info_field)
+    clock.advance(0.01)
+    original = sources["full"].build_packet(bytes(300))
+    replay = deepcopy(original)
+    send("replayed_original", built=original)
+    send("replay", built=replay)
+    return {"packets": packets, "routers": _router_state(routers)}
+
+
 def run_scenario(backend: str) -> dict:
     scenario = {"mixed": mixed_traffic(backend), "attacks": attack_cases(backend)}
     return json.loads(json.dumps(scenario))  # tuples and int keys as JSON has them
@@ -263,6 +374,13 @@ def test_decisions_stats_and_buckets_match_the_recording(recorded, backend):
     for part in ("packets", "routers"):
         assert replayed["mixed"][part] == recorded["mixed"][part]
     assert replayed["attacks"] == recorded["attacks"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_boundary_decisions_and_packet_bytes_match_the_recording(recorded, backend):
+    """Recorded per backend: the hop-field MACs, and so the bytes, are the PRF's."""
+    replayed = json.loads(json.dumps(boundary_cases(backend)))
+    assert replayed == recorded["boundary"][backend]
 
 
 def test_the_recording_covers_every_kind_and_every_verdict(recorded):
@@ -282,7 +400,9 @@ def test_the_recording_covers_every_kind_and_every_verdict(recorded):
 
 
 if __name__ == "__main__":
-    text = json.dumps(run_scenario("aes"), indent=1, sort_keys=True)
+    scenario = run_scenario("aes")
+    scenario["boundary"] = {backend: boundary_cases(backend) for backend in BACKENDS}
+    text = json.dumps(scenario, indent=1, sort_keys=True)
     # one line per packet / bucket: leaf lists are collapsed
     text = re.sub(r"\[[^\[\]{}]*\]", lambda leaf: re.sub(r"\s+", " ", leaf.group(0)), text)
     FIXTURE.parent.mkdir(exist_ok=True)

@@ -25,12 +25,11 @@ from repro.hummingbird.pathtype import (
     HummingbirdPath,
     decode_hummingbird_path,
     encode_hummingbird_path,
-    hummingbird_path_size,
     is_flyover,
 )
 from repro.hummingbird.source import HummingbirdSource
 from repro.scion.addresses import IsdAs
-from repro.scion.packet import encode_packet, decode_packet
+from repro.scion.packet import ADDR_HDR_LEN, COMMON_HDR_LEN, encode_packet, decode_packet
 from repro.scion.paths import HopFieldData, SegmentInPath
 
 
@@ -142,7 +141,7 @@ class TestCodecRoundTrip:
             counter=3,
         )
         wire = encode_hummingbird_path(path)
-        assert len(wire) == hummingbird_path_size(path)
+        assert COMMON_HDR_LEN + ADDR_HDR_LEN + len(wire) == 4 * path.hdr_len
         decoded = decode_hummingbird_path(wire)
         assert decoded.base_timestamp == T0
         assert decoded.millis_timestamp == 777

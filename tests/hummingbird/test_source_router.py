@@ -196,6 +196,35 @@ class TestRouterPipeline:
         assert router.process(replay, 0).action is Action.FORWARD
         assert router.stats.demoted_duplicate == 1
 
+    def test_duplicate_filter_keys_the_ingress_like_the_policer(self, chain3, clock):
+        """ResIDs are unique per ingress interface only: two opposite flows
+        sent at one instant share ResID 1 at the middle AS, and neither is a
+        replay of the other."""
+        from repro.scion.beaconing import run_beaconing
+        from repro.scion.paths import PathLookup
+
+        topology, up = chain3
+        store = run_beaconing(topology, timestamp=T0, prf_factory=BLAKE2)
+        down = PathLookup(store).find_paths(up.dst, up.src)[0]
+        middle = topology.ases[1]
+        router = HummingbirdRouter(middle, clock, BLAKE2, duplicate_filter=DuplicateFilter())
+        ingresses = []
+        for path in (up, down):
+            src, dst = addresses(path)
+            reservations = grant_full_path(topology, path, start=T0 - 5, res_id_base=0)
+            source = HummingbirdSource(src, dst, path, reservations, clock, BLAKE2)
+            packet = source.build_packet(b"x")
+            first = HummingbirdRouter(topology.as_of(path.src), clock, BLAKE2)
+            egress = first.process(packet, 0).egress_ifid
+            interface = topology.as_of(path.src).interfaces[egress]
+            assert interface.neighbor == middle.isd_as
+            ingresses.append(interface.neighbor_ifid)
+            decision = router.process(packet, interface.neighbor_ifid)
+            assert decision.action is Action.FORWARD_PRIORITY
+            assert packet.path.segments[0].hopfields[1].res_id == 1
+        assert ingresses[0] != ingresses[1]
+        assert router.stats.demoted_duplicate == 0
+
     def test_without_filter_duplicates_pass(self, chain3, clock):
         from copy import deepcopy
 
