@@ -65,7 +65,7 @@ class StepFunction:
     Kept *canonical*: no boundary where the level does not change.  The
     form is a pure function of the level profile, so adding a window and
     subtracting it again restores the lists byte-identically (the rollback
-    oracle in :mod:`repro.pathadm.fingerprint`).
+    oracle in ``tests/fingerprint.py``).
     """
 
     __slots__ = ("times", "levels")
@@ -136,10 +136,6 @@ def _check_width(shard_seconds: float) -> float:
     if not 0 < shard_seconds < _INF:  # false for a NaN as well
         raise ValueError(f"shard width {shard_seconds} must be finite and positive")
     return float(shard_seconds)
-
-
-def _sorted_index(index: dict) -> tuple:
-    return tuple(sorted((key, tuple(sorted(ids))) for key, ids in index.items()))
 
 
 class CapacityCalendar:
@@ -386,36 +382,6 @@ class CapacityCalendar:
 
     def commitments(self) -> list[Commitment]:
         return list(self._commitments.values())
-
-    def fingerprint(self) -> tuple:
-        """Hashable canonical form of this calendar's complete state.
-
-        Includes every piece of state — geometry, watermark, drop counter,
-        each shard's boundaries and levels, live commitments, the tag index
-        and the end-shard index — and excludes the one allocator, which is
-        not state: the ``_ids`` counter.  Two calendars with equal
-        fingerprints answer every query identically.
-        """
-        return (
-            self.capacity_kbps,
-            self.shard_seconds,
-            self._floor,
-            self.shards_dropped,
-            tuple(
-                sorted(
-                    (key, tuple(shard.times), tuple(shard.levels))
-                    for key, shard in self._shards.items()
-                )
-            ),
-            tuple(
-                sorted(
-                    (cid, c.bandwidth_kbps, c.start, c.end, c.tag)
-                    for cid, c in self._commitments.items()
-                )
-            ),
-            _sorted_index(self._by_tag),
-            _sorted_index(self._by_end_shard),
-        )
 
     # -- internals ----------------------------------------------------------------
 

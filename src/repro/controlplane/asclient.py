@@ -710,14 +710,14 @@ class AsService:
         self,
         marketplace: str,
         path_auction: str,
-        supplies_kbps: list[int] | None = None,
+        supplies_kbps: list[int],
     ) -> PathSettlementRecord:
         """Submit the all-or-nothing settle transaction for a path auction.
 
         ``supplies_kbps`` carries every leg's live supply (collected from
-        each on-path AS via :meth:`path_leg_supply`); ``None`` settles at
-        the full contributed bandwidths.  Clears, awards, refunds, pays
-        every leg seller, and relists remainders atomically on-chain.
+        each on-path AS via :meth:`path_leg_supply`).  Clears, awards,
+        refunds, pays every leg seller, and relists remainders atomically
+        on-chain.
 
         Raises:
             RuntimeError: the ledger refused the settle transaction.

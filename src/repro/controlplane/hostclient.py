@@ -370,9 +370,11 @@ class HostClient:
     @staticmethod
     def _unit_price(legs: list[dict], bandwidth_kbps: int, max_price_mist: int) -> int:
         """The unit price ``max_price_mist`` buys of ``bandwidth_kbps`` on every
-        leg over the window, floored so the escrow never exceeds the budget."""
+        leg over the window.  The budget floors per leg first: each leg's
+        escrow is ceil-priced on its own, so a price floored over the whole
+        path could escrow up to ``len(legs) - 1`` MIST over the budget."""
         duration = legs[0]["expiry"] - legs[0]["start"]
-        return max_price_mist * MICROMIST // (bandwidth_kbps * duration * len(legs))
+        return max_price_mist // len(legs) * MICROMIST // (bandwidth_kbps * duration)
 
     def _place(
         self,
@@ -626,8 +628,8 @@ class HostClient:
 
         ``max_price_mist`` is the bidder's total willingness to pay for
         the whole path over the full auction window; it converts to the
-        contract's per-leg unit price by flooring against ``bandwidth *
-        duration * num_legs`` units, so the escrow
+        contract's per-leg unit price by flooring, first to whole MIST per
+        leg and then against ``bandwidth * duration`` units, so the escrow
         (:func:`repro.pathadm.path_escrow_mist`) can never exceed the
         stated maximum.  One escrow covers every leg; settlement awards
         pieces of all legs or refunds everything.

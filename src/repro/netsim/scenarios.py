@@ -2,18 +2,17 @@
 
 The central harness, :func:`build_path_simulation`, turns a forwarding path
 into a chain of router nodes joined by priority-queue links, with a metrics
-sink at the destination.  The congestion, contention, auction and
-reclamation experiments run on a :func:`~repro.controlplane.deploy_market`
-deployment built beside it by :func:`_market`: their buyers are hosts that
-buy, redeem and decrypt what their packets carry, the reclamation loop is
-the deployment's own (each on-path AS reads and caps its router's policer),
-and each run ends in :func:`repro.invariants.check`.  Only the
-path-contention experiment coordinates bare controllers, beside its
-ledger-backed companion.  Every experiment ends in the same
-traffic phase — :meth:`PathSimulation.send` per flow, then
-:meth:`PathSimulation.run` — and fixes everything no caller varies as a
-named constant: shared values below, a scenario's own at the top of its
-function.
+sink at the destination.  The congestion, contention, auction,
+path-contention and reclamation experiments run on a
+:func:`~repro.controlplane.deploy_market` deployment built beside it by
+:func:`_market`: their buyers are hosts that buy, redeem and decrypt what
+their packets carry, whole paths clear in one on-chain path auction, the
+reclamation loop is the deployment's own (each on-path AS reads and caps its
+router's policer), and each run ends in :func:`repro.invariants.check`.
+Every experiment that sends ends in the same traffic phase —
+:meth:`PathSimulation.send` per flow, then :meth:`PathSimulation.run` — and
+every experiment fixes everything no caller varies as a named constant:
+shared values below, a scenario's own at the top of its function.
 
 The flagship experiment — :func:`congestion_experiment` — reproduces the
 QoS property D2: a reservation-protected flow keeps its goodput and latency
@@ -938,32 +937,35 @@ def auction_experiment(
 
 @dataclass
 class PathBuyerOutcome:
-    """One buyer's fate in :func:`path_contention_experiment`."""
+    """One buyer's fate in :func:`path_contention_experiment`: what the
+    settlement awarded it, or the first leg's hop that refused it and why,
+    and what its escrow came back as."""
 
     buyer: str
     requested_kbps: int
     admitted: bool
     failed_hop: int | None
     reason: str
+    legs_won: int
+    escrow_mist: int
+    refund_mist: int
 
 
 @dataclass
 class PathContentionResult:
     """Outcome of :func:`path_contention_experiment`.
 
-    ``rollback_restores_state`` is the atomicity verdict: after a screen
-    rejected mid-path *and* a commit whose per-hop effect hook failed
-    mid-path, every hop's calendars fingerprinted byte-identical to the
-    pre-probe state.  ``escrow_conserved`` checks the ledger companion's
-    combinatorial settlement: awards plus refunds equal the escrows taken.
+    ``escrow_conserved`` checks the on-chain settlement: what the leg
+    sellers were paid plus every refund equals the escrows taken, to the
+    MIST.  A loser's ``failed_hop`` and ``reason`` are the contract's loser
+    report (the first leg that refused it, halved to its hop); every leg
+    offers the same supply here, so that is hop 0.
     """
 
     buyers: list[PathBuyerOutcome]
     hop_names: list[str]
     hop_capacities_kbps: list[int]
     hop_peaks_kbps: list[int]
-    hop_modes: list[str]
-    rollback_restores_state: bool
     escrow_conserved: bool
     path_auction_winners: int
 
@@ -990,287 +992,145 @@ def path_contention_experiment(
     num_buyers: int = 8,
     telemetry: ExperimentTelemetry | None = None,
 ) -> PathContentionResult:
-    """Whole paths contend for a mid-path bottleneck, admitted atomically.
+    """Whole paths contend in one on-chain path auction, all or nothing.
 
-    Every buyer wants ``per_buyer_kbps`` across **all** hops of the path
-    or nothing.  Each on-path AS runs a deliberately different admission
-    stack — first-come-first-served posted pricing on day-wide shards, a
-    proportional-share calendar on window-wide shards (the capacity
-    bottleneck), and an auction-mode interface with scarcity quotes — and
-    :class:`~repro.pathadm.PathAdmission` coordinates them through the
-    two-phase screen -> commit protocol: every hop checked and
-    provisionally held, then committed all-or-nothing.
+    Every on-path AS contributes its two legs — enough for about half the
+    buyers — to one combinatorial path auction
+    (:func:`~repro.controlplane.open_path_auction`).  Its calendars run a
+    :class:`~repro.admission.ProportionalShare` policy, which lets one
+    issuance claim at most half an interface, so each interface is twice
+    the offer; the same cap rides on chain with each leg, where no bid here
+    reaches it.  Each of ``num_buyers`` hosts places one escrowed bid for
+    ``per_buyer_kbps`` on every leg, the earlier buyers bidding more.  One
+    settle transaction clears every leg at its live supply and awards each
+    winner a piece of every leg; a loser is refunded its whole escrow and
+    told the first leg that refused it.  The winners redeem their whole
+    paths in one transaction each, every AS delivers, and the run ends in
+    :func:`repro.invariants.check`.
 
-    The experiment then probes the failure paths directly: a screen that
-    must die at the bottleneck and a commit whose per-hop effect hook
-    raises mid-path, asserting (via calendar fingerprints) that rollback
-    left every upstream hop byte-identical to never-touched.
+    Every leg settles at its full offer: nothing is delivered on the window
+    before settlement, and under a policy that does not overbook a
+    delivered reservation cannot take a leg's live headroom anyway (its
+    redeemed assets sit beside the leg in the same issued calendar).  So
+    the legs refuse the same bids, and each loser is reported at leg 0,
+    hop 0, with ``"supply exhausted"``.  A leg clamped in the middle of a
+    path, and a loser evicted from the legs it had won, is
+    ``tests/controlplane/test_path_wiring.py``'s case.
 
-    A ledger-backed companion runs the same path through the *on-chain*
-    machinery — one combinatorial path auction over every leg, two
-    competing escrowed path bids, all-or-nothing settlement, atomic
-    path-wide redemption, per-AS sealed deliveries — checking that the
-    settlement conserved escrow to the MIST.  With ``telemetry`` the whole
-    lifecycle (screen -> per-hop admits -> commit -> settle -> redeem ->
-    release) lands on a single trace id.
+    With ``telemetry`` the run — deployment, bids, settlement, redemption,
+    deliveries — lands on one trace id, ``traced-path``.
     """
-    from repro.admission import (
-        ACTIVE,
-        AdmissionController,
-        FirstComeFirstServed,
-        ProportionalShare,
-        ScarcityPricer,
-    )
-    from repro.pathadm import (
-        PathAdmission,
-        PathCommitError,
-        PathHop,
-        controller_fingerprint,
-    )
+    from repro.admission import ACTIVE, ProportionalShare
+    from repro.controlplane import open_path_auction, settle_path_auction
+    from repro.invariants import check
+    from repro.marketdata import price_mist
 
     per_buyer_kbps = 2000
-    window_seconds = 600
+    window = (START + 3600, START + 4200)
 
     with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
         crossings = as_crossings(path)
         if len(crossings) < 3:
             raise ValueError("path contention needs at least three on-path ASes")
-        # Bottleneck sized so roughly half the buyers fit, plus headroom for
-        # the small rollback probe; the other hops are never the constraint.
-        slots = (num_buyers + 1) // 2
-        probe_kbps = max(per_buyer_kbps // 2, 1)
-        bottleneck_capacity = slots * per_buyer_kbps + probe_kbps
-        wide_capacity = 2 * num_buyers * per_buyer_kbps
-        # One allocation stack per AS: the heterogeneity the protocol must
-        # coordinate without caring what runs behind each hop.
-        configs = [
-            ("posted/fcfs", AdmissionController(
-                wide_capacity, policy=FirstComeFirstServed(),
-            )),
-            ("posted/proportional", AdmissionController(
-                bottleneck_capacity,
-                policy=ProportionalShare(0.5),
-                shard_seconds=float(window_seconds),
-            )),
-            ("auction/scarcity", AdmissionController(
-                wide_capacity, pricer=ScarcityPricer(), auction_interfaces=True,
-            )),
-        ]
-        hops = []
-        hop_modes = []
-        for index, crossing in enumerate(crossings):
-            mode, controller = configs[index % len(configs)]
-            hop_modes.append(mode)
-            hops.append(
-                PathHop(
-                    name=str(crossing.isd_as),
-                    controller=controller,
-                    ingress_interface=crossing.ingress,
-                    egress_interface=crossing.egress,
-                )
+        offered_kbps = (num_buyers + 1) // 2 * per_buyer_kbps
+        num_legs = 2 * len(crossings)
+        trace = telemetry.trace("traced-path") if telemetry is not None else None
+        with use_trace(trace):
+            # A leg may claim half an interface: the share cap's bound.
+            deployment, simulation = _market(
+                topology,
+                path,
+                asset_bandwidth_kbps=offered_kbps,
+                interface_capacity_kbps=2 * offered_kbps,
+                admission_policy=ProportionalShare(0.5),
             )
-        admission = PathAdmission(hops)
-
-        start = 1_700_000_000
-        window_end = start + window_seconds
-        outcomes: list[PathBuyerOutcome] = []
-        for index in range(num_buyers):
-            buyer = f"buyer-{index}"
-            trace = telemetry.trace(buyer) if telemetry and index == 0 else None
-            with use_trace(trace):
-                ticket = admission.screen(
-                    per_buyer_kbps, start, window_end, tag=buyer, layer=ACTIVE
-                )
-                if ticket.admitted:
-                    admission.commit(ticket)
-            outcomes.append(
-                PathBuyerOutcome(
-                    buyer=buyer,
-                    requested_kbps=per_buyer_kbps,
-                    admitted=ticket.admitted,
-                    failed_hop=ticket.failed_hop,
-                    reason=ticket.reason,
-                )
+            handle = open_path_auction(
+                deployment, crossings, *window, bandwidth_kbps=offered_kbps,
+                base_price_micromist=BASE_PRICE_MICROMIST,
             )
-
-        # -- atomicity probes: both failure paths must be invisible afterwards --
-        baseline = [controller_fingerprint(hop.controller) for hop in hops]
-        rejected_probe = admission.screen(
-            wide_capacity, start, window_end, tag="oversized-probe", layer=ACTIVE
-        )
-        restored_after_reject = (
-            not rejected_probe.admitted
-            and [controller_fingerprint(hop.controller) for hop in hops] == baseline
-        )
-        probe = admission.screen(
-            probe_kbps, start, window_end, tag="commit-probe", layer=ACTIVE
-        )
-        restored_after_commit_fail = False
-        if probe.admitted:
-            fail_at = len(hops) - 1
-
-            def failing_hook(index, hop, hold):
-                if index == fail_at:
-                    raise RuntimeError("downstream settlement refused")
-
-            try:
-                admission.commit(probe, hook=failing_hook)
-            except PathCommitError:
-                restored_after_commit_fail = (
-                    [controller_fingerprint(hop.controller) for hop in hops]
-                    == baseline
+            hosts, escrows = [], []
+            for index in range(num_buyers):
+                host = deployment.new_host(name=f"buyer-{index}")
+                unit_price = (num_buyers + 1 - index) * BASE_PRICE_MICROMIST
+                acquired = host.acquire_path(
+                    deployment.marketplace, crossings, *window,
+                    bandwidth_kbps=per_buyer_kbps,
+                    max_price_mist=num_legs * price_mist(
+                        per_buyer_kbps, window[1] - window[0], unit_price
+                    ),
                 )
-
-        hop_peaks = []
-        for hop in hops:
-            hop_peaks.append(
-                int(
-                    max(
-                        hop.controller.calendar(interface, is_ingress, ACTIVE)
-                        .peak_commitment(start, window_end)
-                        for interface, is_ingress in hop.claims
+                hosts.append(host)
+                escrows.append(acquired.submitted.effects.returns[0]["escrow_mist"])
+            simulation.clock.set(float(window[0]))
+            settle_path_auction(deployment, handle)
+            payload = deployment.indexer.settlement(handle.path_auction)
+            losses = {loser["bidder"]: loser for loser in payload["losers"]}
+            outcomes = []
+            for host, escrow in zip(hosts, escrows):
+                settlement = host.await_path_settle(
+                    deployment.marketplace, handle.path_auction
+                )
+                if settlement.won:
+                    host.redeem_path(
+                        list(zip(settlement.assets[0::2], settlement.assets[1::2]))
+                    )
+                loss = losses.get(host.account.address)
+                outcomes.append(
+                    PathBuyerOutcome(
+                        buyer=host.account.name,
+                        requested_kbps=per_buyer_kbps,
+                        admitted=settlement.won,
+                        failed_hop=None if loss is None else loss["leg"] // 2,
+                        reason="" if loss is None else loss["reason"],
+                        legs_won=len(settlement.assets),
+                        escrow_mist=escrow,
+                        refund_mist=settlement.refund_mist,
                     )
                 )
-            )
+            for crossing in crossings:
+                deployment.service(crossing.isd_as).poll_and_deliver()
+        check(deployment, simulation.now())
 
-        escrow_conserved, winners = _traced_path_lifecycle(
-            telemetry, topology, path, per_buyer_kbps
-        )
-
+        services = [deployment.service(crossing.isd_as) for crossing in crossings]
+        paid = sum(winner["paid_mist"] for winner in payload["winners"])
         result = PathContentionResult(
             buyers=outcomes,
-            hop_names=[hop.name for hop in hops],
+            hop_names=[str(crossing.isd_as) for crossing in crossings],
             hop_capacities_kbps=[
-                int(hop.controller.capacity_kbps(hop.ingress_interface, True))
-                for hop in hops
+                service.admission.capacity_kbps(crossing.ingress, True)
+                for service, crossing in zip(services, crossings)
             ],
-            hop_peaks_kbps=hop_peaks,
-            hop_modes=hop_modes,
-            rollback_restores_state=(
-                restored_after_reject and restored_after_commit_fail
+            hop_peaks_kbps=[
+                max(
+                    service.admission.calendar(interface, is_ingress, ACTIVE)
+                    .peak_commitment(*window)
+                    for interface, is_ingress in (
+                        (crossing.ingress, True), (crossing.egress, False)
+                    )
+                )
+                for service, crossing in zip(services, crossings)
+            ],
+            escrow_conserved=(
+                paid + sum(outcome.refund_mist for outcome in outcomes) == sum(escrows)
             ),
-            escrow_conserved=escrow_conserved,
-            path_auction_winners=winners,
+            path_auction_winners=len(payload["winners"]),
         )
         if telemetry is not None:
-            for hop in hops:
-                hop.controller.record_capacity_gauges(
-                    start, window_end, owner=f"path-hop-{hop.name}"
+            for service in services:
+                service.admission.record_capacity_gauges(
+                    *window, owner=f"path-hop-{service.isd_as}"
                 )
             telemetry.annotate(
                 path_contention={
-                    "hops": len(hops),
-                    "hop_modes": hop_modes,
+                    "hops": len(crossings),
                     "admitted": len(result.admitted),
                     "rejected": len(result.rejected),
                     "oversold": result.oversold,
-                    "rollback_restores_state": result.rollback_restores_state,
                     "escrow_conserved": result.escrow_conserved,
                     "path_auction_winners": result.path_auction_winners,
                 }
             )
         return result
-
-
-def _traced_path_lifecycle(
-    telemetry: ExperimentTelemetry | None,
-    topology: Topology,
-    path: ForwardingPath,
-    bandwidth_kbps: int,
-) -> tuple[bool, int]:
-    """One path reservation, one correlation id, the whole on-chain story.
-
-    Every on-path AS contributes its two legs into a single combinatorial
-    path auction; two hosts place escrowed path bids (the richer one via
-    :meth:`~repro.controlplane.HostClient.acquire_path`); a path-wide
-    screen -> commit holds every hop's calendar while the auction settles
-    all-or-nothing and the winner redeems every (ingress, egress) pair in
-    one atomic transaction; each AS admits and delivers its sealed
-    reservation, after which the provisional path hold is released in
-    favour of the delivered reservations.  Returns ``(escrow conserved,
-    number of path winners)``.
-    """
-    from repro.admission import ACTIVE
-    from repro.controlplane import open_path_auction, settle_path_auction
-    from repro.marketdata import price_mist
-
-    crossings = as_crossings(path)
-    window = (START + 3600, START + 4200)
-    duration = window[1] - window[0]
-    trace = telemetry.trace("traced-path") if telemetry else None
-    with use_trace(trace):
-        deployment, simulation = _market(
-            topology,
-            path,
-            asset_start=START,
-            asset_duration=3600,
-            asset_bandwidth_kbps=4 * bandwidth_kbps,
-            interface_capacity_kbps=8 * bandwidth_kbps,
-        )
-        handle = open_path_auction(
-            deployment,
-            crossings,
-            *window,
-            bandwidth_kbps=2 * bandwidth_kbps,
-            base_price_micromist=BASE_PRICE_MICROMIST,
-        )
-        winner = deployment.new_host(name="path-winner")
-        rival = deployment.new_host(name="path-rival")
-        num_legs = 2 * len(crossings)
-        escrow_cap = (
-            price_mist(bandwidth_kbps, duration, 40 * BASE_PRICE_MICROMIST) * num_legs
-        )
-        acquired = winner.acquire_path(
-            deployment.marketplace,
-            crossings,
-            *window,
-            bandwidth_kbps=bandwidth_kbps,
-            max_price_mist=escrow_cap,
-        )
-        if acquired.mode != "path_bid":  # pragma: no cover - auction covers
-            raise RuntimeError("path auction should have covered the spec")
-        rival_bid = rival.place_path_bid(
-            deployment.marketplace,
-            handle.path_auction,
-            2 * bandwidth_kbps,
-            escrow_cap // 8,
-        )
-        # Path-wide provisional hold across every hop's live calendar,
-        # kept through settlement and redemption, released once the
-        # delivered reservations own the capacity.
-        admission = deployment.path_admission(crossings)
-        hold = admission.screen(
-            bandwidth_kbps, *window, tag=winner.account.address, layer=ACTIVE
-        )
-        if not hold.admitted:  # pragma: no cover - capacity is ample
-            raise RuntimeError(f"path hold rejected: {hold.reason}")
-        admission.commit(hold)
-        simulation.clock.set(float(window[0]))
-        settle_path_auction(deployment, handle)
-        settlement = winner.await_path_settle(
-            deployment.marketplace, handle.path_auction
-        )
-        if settlement is None or not settlement.won:  # pragma: no cover
-            raise RuntimeError("the funded path bid should have won")
-        pairs = list(zip(settlement.assets[0::2], settlement.assets[1::2]))
-        winner.redeem_path(pairs)
-        for crossing in crossings:
-            deployment.service(crossing.isd_as).poll_and_deliver()
-        winner.collect_reservations()
-        admission.rollback(hold)
-        # Escrow conservation: everything the two bids escrowed came back
-        # as awards plus refunds in the settle payload the index holds.
-        escrow_total = sum(
-            placed.effects.returns[0]["escrow_mist"]
-            for placed in (acquired.submitted, rival_bid)
-        )
-        payload = deployment.indexer.settlement(handle.path_auction)
-        paid = sum(w["paid_mist"] for w in payload["winners"])
-        refunds = sum(w["refund_mist"] for w in payload["winners"]) + sum(
-            l["refund_mist"] for l in payload["losers"]
-        )
-        conserved = paid + refunds == escrow_total
-        return conserved, len(payload["winners"])
 
 
 def contention_experiment(

@@ -16,7 +16,6 @@ from repro.pathadm.auction import (
     combinatorial_path_clearing,
     path_escrow_mist,
 )
-from repro.pathadm.fingerprint import calendar_fingerprint, controller_fingerprint
 from repro.pathadm.protocol import (
     COMMITTED,
     HELD,
@@ -42,8 +41,6 @@ __all__ = [
     "PathCommitError",
     "PathHop",
     "PathTicket",
-    "calendar_fingerprint",
     "combinatorial_path_clearing",
-    "controller_fingerprint",
     "path_escrow_mist",
 ]

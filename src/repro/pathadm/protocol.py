@@ -23,7 +23,7 @@ Because a calendar's ``release`` exactly re-subtracts the levels a
 ``commit`` added, prunes the boundaries it introduced and hands back the
 shards it created, rollback leaves each upstream calendar
 **byte-identical** to one that never saw the path (see
-:mod:`repro.pathadm.fingerprint` for the precise claim and
+``tests/fingerprint.py`` for the precise claim and
 ``tests/pathadm/test_path_rollback_property.py`` for the hypothesis
 proof at day-wide and narrower shard widths).
 
@@ -183,9 +183,6 @@ class PathAdmission:
             "pathadm_hop_admits_total",
             "Per-hop interface-direction admits taken by screens.",
         ).labels()
-
-    def __len__(self) -> int:
-        return len(self.hops)
 
     # -- screen -------------------------------------------------------------------
 

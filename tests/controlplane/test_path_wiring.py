@@ -140,6 +140,62 @@ class TestPathAuctionWiring:
         ]
         assert min(supplies) == 1_000 and max(supplies) == LEG_KBPS
 
+    def test_a_loser_short_at_one_mid_path_leg_is_evicted_from_every_leg(
+        self, world
+    ):
+        deployment, crossings = world["deployment"], world["crossings"]
+        handle = open_path(world)
+        # The middle AS's ingress keeps live room for one 2,000 kbps bid;
+        # every other leg could take both.
+        middle = crossings[1]
+        deployment.service(middle.isd_as).admission.admit_reservation(
+            middle.ingress, True, 2 * ASSET_KBPS - 2_000, *WINDOW, tag="ops"
+        )
+        high = deployment.new_host(name="high")
+        low = deployment.new_host(name="low")
+        escrows = {}
+        for host, budget in ((high, 60_000), (low, 40_000)):
+            placed = host.place_path_bid(
+                deployment.marketplace, handle.path_auction, 2_000, budget
+            )
+            assert placed.effects.ok, placed.effects.error
+            escrows[host] = placed.effects.returns[0]["escrow_mist"]
+        world["clock"].set(float(WINDOW[0]))
+        record = settle_path_auction(deployment, handle)
+        assert record.supplies_kbps == [LEG_KBPS, LEG_KBPS, 2_000] + [LEG_KBPS] * 3
+
+        won = high.await_path_settle(deployment.marketplace, handle.path_auction)
+        assert won.won and len(won.assets) == 2 * len(crossings)
+        lost = low.await_path_settle(deployment.marketplace, handle.path_auction)
+        assert not lost.won and lost.assets == ()
+        assert (lost.paid_mist, lost.refund_mist) == (0, escrows[low])
+        # The legs the loser had won alone were cleared without it: it is
+        # reported at the middle AS's ingress, hop 1.
+        payload = deployment.indexer.settlement(handle.path_auction)
+        (report,) = payload["losers"]
+        assert report["bidder"] == low.account.address
+        assert (report["leg"], report["reason"]) == (2, "supply exhausted")
+        assert not [
+            held
+            for held in deployment.ledger.objects.values()
+            if held.type_tag == "asset::BandwidthAsset"
+            and held.owner == low.account.address
+        ]
+
+    def test_a_path_bid_escrows_no_more_than_its_budget(self, world):
+        """The budget floors per leg: a unit price floored over the whole
+        path and then ceil-priced leg by leg locked up to ``legs - 1`` MIST
+        over it (908 MIST on six legs escrowed 912)."""
+        deployment = world["deployment"]
+        handle = open_path(world)
+        host = deployment.new_host(name="frugal")
+        for budget in range(900, 940):
+            placed = host.place_path_bid(
+                deployment.marketplace, handle.path_auction, 2_000, budget
+            )
+            assert placed.effects.ok, placed.effects.error
+            assert placed.effects.returns[0]["escrow_mist"] <= budget, budget
+
     def test_place_path_bid_refuses_budgets_below_a_leg_reserve(self, world):
         deployment, crossings = world["deployment"], world["crossings"]
         handle = open_path(world)

@@ -94,35 +94,24 @@ def test_flex_market_experiment_outcomes_identical_across_backends(narrow):
     assert outcomes(day) == outcomes(narrowed)
 
 
-def test_path_contention_outcomes_identical_across_backends(narrow):
-    """Two hops run day-wide shards and the bottleneck window-wide ones;
-    the other arm puts every hop on ``NARROW`` shards."""
-    topology, path = linear_path(3)
-    default = path_contention_experiment(topology, path, num_buyers=8)
-    narrowed = narrow(path_contention_experiment, topology, path, num_buyers=8)
+def test_path_contention_outcomes_identical_across_backends(narrow, experiment_runs):
+    """Every hop's calendars are day-wide in one arm and ``NARROW`` in the
+    other."""
+    day = experiment_runs(path_contention_experiment, 3, num_buyers=8)
+    narrowed = narrow(path_contention_experiment, *linear_path(3), num_buyers=8)
     assert DEFAULT_SHARD_SECONDS in narrow.asked  # a day-wide hop was replaced
 
     def outcomes(result):
         return (
             [
-                (b.buyer, b.admitted, b.failed_hop, b.reason)
+                (b.buyer, b.admitted, b.failed_hop, b.reason, b.refund_mist)
                 for b in result.buyers
             ],
             result.hop_peaks_kbps,
-            result.rollback_restores_state,
             result.oversold,
         )
 
-    assert outcomes(default) == outcomes(narrowed)
-
-
-def test_path_contention_rollback_holds_on_the_sharded_hop():
-    """The pathadm screen/commit fingerprints cover the window-wide shards
-    of the bottleneck hop."""
-    topology, path = linear_path(4)
-    result = path_contention_experiment(topology, path, num_buyers=6)
-    assert result.rollback_restores_state
-    assert not result.oversold
+    assert outcomes(day) == outcomes(narrowed)
 
 
 def test_deadline_experiment_outcomes_identical_across_backends(narrow):

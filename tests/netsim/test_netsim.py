@@ -2,6 +2,8 @@
 
 import pytest
 
+from tests.fingerprint import calendar_fingerprint
+
 from repro.clock import SimClock
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
@@ -323,13 +325,13 @@ class TestRestock:
         admission = deployment.service(bottleneck.isd_as).admission
         ingress = admission.calendar(bottleneck.ingress, True)
         egress = admission.calendar(bottleneck.egress, False)  # listed to capacity
-        before = ingress.fingerprint(), egress.fingerprint()
+        before = calendar_fingerprint(ingress), calendar_fingerprint(egress)
         legs = [(bottleneck, True), (bottleneck, False)]
         assert _restock(deployment, legs, end, 1250) == "a later leg has no room"
-        assert (ingress.fingerprint(), egress.fingerprint()) == before
+        assert (calendar_fingerprint(ingress), calendar_fingerprint(egress)) == before
         # a full first leg is refused by its policy, in its own words
         assert _restock(deployment, legs[::-1], end, 1250) == "needs 1250 kbps, only 0 kbps free"
-        assert (ingress.fingerprint(), egress.fingerprint()) == before
+        assert (calendar_fingerprint(ingress), calendar_fingerprint(egress)) == before
         assert _restock(deployment, legs[:1], end, 1250) is None
         assert ingress.peak_commitment(0, end) == 1250
 

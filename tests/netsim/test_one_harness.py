@@ -15,14 +15,14 @@ which audits every module under ``src/repro`` the same way.
 
 The experiments buy what they send.  ``deploy_market`` is called at one site,
 the harness ``_market``, which builds a deployment beside the simulation's
-routers; the congestion, contention, auction and reclamation experiments run
-on it, so no directly granted key is left in ``netsim/``: the reclamation
+routers; every experiment that trades runs on it, so no directly granted key
+and no bare ``AdmissionController`` is left in ``netsim/``: the reclamation
 experiment's no-show loop is the deployment's own, bound to each on-path
 router's policer, where it used to wire a ``ReclamationEngine`` to a bare
 controller and grant keys through ``PathSimulation.grant_full_path`` (ROADMAP
-item 18).  One bare ``AdmissionController`` is left, where the deployed system
-cannot hold the recorded outcomes: ``path_contention_experiment`` coordinates
-heterogeneous bare controllers, and its ledger-backed companion deploys.
+item 18); ``path_contention_experiment`` clears whole paths in one on-chain
+path auction, where it used to coordinate three bare controllers through an
+off-chain two-phase protocol (ROADMAP item 20).
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ def test_the_market_is_deployed_at_one_site():
     # contention and auction reach it through _contended_market
     assert sorted(_call_sites("_market")) == [
         "scenarios.py:_contended_market",
-        "scenarios.py:_traced_path_lifecycle",
         "scenarios.py:congestion_experiment",
         "scenarios.py:flex_market_experiment",
+        "scenarios.py:path_contention_experiment",
     ]
     assert sorted(_call_sites("_contended_market")) == [
         "scenarios.py:auction_experiment",
@@ -96,10 +96,8 @@ def test_the_market_is_deployed_at_one_site():
     ]
 
 
-def test_one_bare_controller_is_left_and_no_key_is_granted():
-    assert set(_call_sites("AdmissionController")) == {
-        "scenarios.py:path_contention_experiment",
-    }
+def test_no_bare_controller_is_built_and_no_key_is_granted():
+    assert _call_sites("AdmissionController") == []
     for shortcut in ("ReclamationEngine", "UsageReporter"):
         assert _call_sites(shortcut) == []
     assert _call_sites("grant_reservation") == []

@@ -1,53 +1,109 @@
-"""Path-wide contention experiment: mixed per-AS policy, atomic rollback."""
+"""Path-wide contention on the deployed market: one on-chain path auction.
 
+The two recorded configurations come from the session's ``experiment_runs``
+memo (``conftest.py``), shared with ``test_experiment_equivalence.py``; one
+more run, under telemetry, watches the settlement record the contract wrote
+and the invariant check the run ends in.  Every leg of the experiment offers
+the same supply, so every loser is refused at leg 0; a loser evicted from
+legs it had won at a clamped mid-path leg is tested in
+``tests/controlplane/test_path_wiring.py``.
+"""
+
+import pytest
+
+import repro.controlplane
+import repro.invariants
 from repro.netsim import linear_path, path_contention_experiment
 from repro.telemetry import ExperimentTelemetry
 
+LIFECYCLE = (
+    "path_bid.placed",
+    "path_auction.settle",
+    "path_bid.settled",
+    "path.redeem",
+    "reservation.delivered",
+)
+
+
+@pytest.fixture(scope="module", params=[(3, 8), (4, 6)], ids=["3-ases", "4-ases"])
+def result(request, experiment_runs):
+    num_ases, num_buyers = request.param
+    return experiment_runs(path_contention_experiment, num_ases, num_buyers=num_buyers)
+
+
+@pytest.fixture(scope="module")
+def observed():
+    """A telemetry run, with every settlement record and invariant check it
+    made."""
+    settled, checked = [], []
+    settle, check = repro.controlplane.settle_path_auction, repro.invariants.check
+
+    def recording_settle(deployment, handle):
+        settled.append(settle(deployment, handle))
+        return settled[-1]
+
+    def recording_check(deployment, now):
+        check(deployment, now)
+        checked.append(deployment)
+
+    telemetry = ExperimentTelemetry("path_contention_experiment")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.controlplane, "settle_path_auction", recording_settle)
+        patch.setattr(repro.invariants, "check", recording_check)
+        outcome = path_contention_experiment(
+            *linear_path(3), num_buyers=6, telemetry=telemetry
+        )
+    (record,) = settled
+    return outcome, record.submitted.effects.returns[0], checked, telemetry.to_dict()
+
 
 class TestPathContentionExperiment:
-    def test_no_hop_oversells_under_contention(self):
-        topology, path = linear_path(3)
-        result = path_contention_experiment(topology, path, num_buyers=8)
+    def test_some_paths_win_and_no_hop_oversells(self, result):
         assert result.admitted and result.rejected
         assert not result.oversold
         for peak, capacity in zip(result.hop_peaks_kbps, result.hop_capacities_kbps):
-            assert peak <= capacity
+            assert 0 < peak <= capacity
 
-    def test_each_hop_runs_its_own_allocation_mode(self):
-        topology, path = linear_path(3)
-        result = path_contention_experiment(topology, path, num_buyers=6)
-        assert len(set(result.hop_modes)) == 3
+    def test_winners_hold_every_leg_and_losers_none(self, result):
+        num_legs = 2 * len(result.hop_names)
+        assert result.path_auction_winners == len(result.admitted)
+        for buyer in result.admitted:
+            assert buyer.legs_won == num_legs and buyer.failed_hop is None
+            assert buyer.refund_mist < buyer.escrow_mist
+        for buyer in result.rejected:
+            assert buyer.legs_won == 0
+            assert buyer.refund_mist == buyer.escrow_mist  # every MIST back
+            # every leg offers the same supply: the first one refuses
+            assert (buyer.failed_hop, buyer.reason) == (0, "supply exhausted")
 
-    def test_mid_path_failure_leaves_calendars_byte_identical(self):
-        topology, path = linear_path(3)
-        result = path_contention_experiment(topology, path, num_buyers=6)
-        assert result.rollback_restores_state
-
-    def test_path_auction_settles_and_conserves_escrow(self):
-        topology, path = linear_path(3)
-        result = path_contention_experiment(topology, path, num_buyers=6)
+    def test_escrow_is_conserved(self, result):
         assert result.escrow_conserved
-        assert result.path_auction_winners == 1
 
-    def test_telemetry_captures_the_whole_lifecycle_in_one_trace(self):
-        topology, path = linear_path(3)
-        telemetry = ExperimentTelemetry("path_contention_experiment")
-        path_contention_experiment(topology, path, num_buyers=6, telemetry=telemetry)
-        snapshot = telemetry.to_dict()
+    def test_a_loser_is_told_what_the_contract_reported(self, observed):
+        outcome, settlement, _, _ = observed
+        reported = [(loser["leg"] // 2, loser["reason"]) for loser in settlement["losers"]]
+        assert sorted(reported) == sorted((b.failed_hop, b.reason) for b in outcome.rejected)
+        assert len(settlement["winners"]) == len(outcome.admitted)
+
+    def test_paid_plus_refunds_is_every_escrow_taken(self, observed):
+        outcome, settlement, _, _ = observed
+        paid = sum(winner["paid_mist"] for winner in settlement["winners"])
+        refunds = sum(
+            bid["refund_mist"] for bid in settlement["winners"] + settlement["losers"]
+        )
+        assert paid + refunds == sum(buyer.escrow_mist for buyer in outcome.buyers)
+
+    def test_the_run_ends_in_the_invariant_check(self, observed):
+        _, _, checked, _ = observed
+        assert len(checked) == 1
+
+    def test_telemetry_traces_one_path_from_bid_to_delivery(self, observed):
+        _, _, _, snapshot = observed
         traces = {trace["name"]: trace for trace in snapshot["traces"]}
-        assert "traced-path" in traces
-        names = set()
+        names = []
         for span in traces["traced-path"]["spans"]:
-            names.add(span["name"])
-            names.update(event["name"] for event in span.get("events", []))
-        for expected in (
-            "path.screen",
-            "path.commit",
-            "path_bid.placed",
-            "path_auction.settle",
-            "path_bid.settled",
-            "path.redeem",
-            "path.rollback",
-        ):
-            assert expected in names, expected
+            names.append(span["name"])
+            names.extend(event["name"] for event in span.get("events", []))
+        firsts = [names.index(name) for name in LIFECYCLE]
+        assert firsts == sorted(firsts)
         assert snapshot["extra"]["path_contention"]["oversold"] is False

@@ -11,12 +11,14 @@ interleaved), random pre-populated base load, then a random mix of
 * commits that succeed and are rolled back later,
 
 must leave **every** calendar of every hop byte-identical (per
-:func:`repro.pathadm.fingerprint.controller_fingerprint`) to the state
+:func:`tests.fingerprint.controller_fingerprint`) to the state
 right after pre-population — i.e. as if the paths had never existed.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from tests.fingerprint import controller_fingerprint
 
 from repro.admission import (
     ACTIVE,
@@ -30,7 +32,6 @@ from repro.pathadm import (
     PathAdmission,
     PathCommitError,
     PathHop,
-    controller_fingerprint,
 )
 
 WINDOW = 3600.0

@@ -2,6 +2,8 @@
 
 import pytest
 
+from tests.fingerprint import calendar_fingerprint, controller_fingerprint
+
 from repro.admission import (
     ACTIVE,
     ISSUED,
@@ -16,8 +18,6 @@ from repro.pathadm import (
     PathAdmission,
     PathCommitError,
     PathHop,
-    calendar_fingerprint,
-    controller_fingerprint,
 )
 from repro.telemetry import ExperimentTelemetry
 

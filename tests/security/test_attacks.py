@@ -338,7 +338,7 @@ class TestHostileRedeemKeyC1:
         from repro.controlplane import deploy_market
         from repro.crypto.sealing import MODP_P
         from repro.marketdata import PathSpec
-        from repro.pathadm.fingerprint import calendar_fingerprint
+        from tests.fingerprint import calendar_fingerprint
         from repro.scion.topology import linear_topology
 
         topology = linear_topology(3)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from tests.conftest import T0
+from tests.fingerprint import calendar_fingerprint
 from tests.marketdata.conftest import RawMarket
 
 from repro.admission import ACTIVE, DEFAULT_SHARD_SECONDS
@@ -21,7 +22,6 @@ from repro.controlplane import deploy_market, execute_transfer
 from repro.invariants import check
 from repro.marketdata import IncompatibleGranularity
 from repro.netsim import linear_path
-from repro.pathadm import calendar_fingerprint
 from repro.scion import as_crossings
 from repro.transfers import DeadlineTransfer, TransferAborted, TransferPlanner
 
