@@ -12,14 +12,18 @@ Demonstrates the control-plane economics of §4.2 on a 3-core-AS mesh:
   against the incremental ``MarketIndexer``, ``PathSpec`` purchase plans,
   and a client-side budget guard that refuses over-budget submissions;
 * an atomic multi-hop purchase aborts when one hop is unavailable and the
-  buyer's coin balance is untouched (the atomicity property).
+  buyer's coin balance is untouched (the atomicity property);
+* an AS that cannot serve a redemption refuses it on chain: the buyer holds
+  that hop's two assets again and redeems them once capacity is back.
 
 Run:  python examples/bandwidth_market.py
 """
 
+from repro.admission import ACTIVE
 from repro.clock import SimClock
 from repro.contracts.coin import coin_balance
 from repro.controlplane import BudgetExceeded, deploy_market, purchase_path
+from repro.controlplane.workflow import DEFAULT_ASSET_BANDWIDTH_KBPS
 from repro.ledger.transactions import Command, Transaction
 from repro.marketdata import ListingQuery, PathSpec
 from repro.scion import PathLookup, as_crossings, core_mesh_topology, run_beaconing
@@ -145,6 +149,37 @@ def main() -> None:
         f"({submitted.effects.error}); balance {before} -> {after} MIST, "
         f"assets {assets_before} -> {len(mallory.owned_assets())} "
         "(nothing charged, nothing granted: all-or-nothing)"
+    )
+
+    # --- a refused redemption ends on chain ----------------------------------
+    # An operator commitment takes the middle AS's whole live ingress
+    # capacity, so it cannot serve a reservation there: it refuses.
+    middle = crossings[len(crossings) // 2]
+    service = deployment.service(middle.isd_as)
+    window = (start + 2400, start + 3000)
+    hog = service.admission.admit_reservation(
+        middle.ingress, True, DEFAULT_ASSET_BANDWIDTH_KBPS, *window, tag="ops"
+    )
+    carol = deployment.new_host(funding_sui=50, name="carol")
+    try:
+        purchase_path(deployment, carol, crossings, *window, bandwidth_kbps=10_000)
+    except RuntimeError as refused:
+        print(f"purchase refused on chain: {refused}")
+    delivered = carol.collect_reservations()
+    print(
+        f"carol got {len(delivered)} of {len(crossings)} hops, refusals "
+        f"{sorted(carol.refused.values())}, holds {len(carol.owned_assets())} "
+        "returned assets"
+    )
+    service.admission.release(middle.ingress, True, hog.commitment, layer=ACTIVE)
+    ingress, egress = sorted(
+        carol.owned_assets(), key=lambda asset: not asset.payload["is_ingress"]
+    )
+    carol.redeem_pair(ingress.object_id, egress.object_id)
+    service.poll_and_deliver()
+    print(
+        f"capacity back: the returned pair redeemed into "
+        f"{len(carol.collect_reservations())} reservation at {middle.isd_as}"
     )
 
 

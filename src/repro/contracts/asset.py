@@ -13,7 +13,8 @@ They are:
 * **fusable** — adjacent-time or same-interval assets recombine;
 * **redeemable** — a compatible ingress/egress pair plus an ephemeral
   public key becomes a redeem request routed to the issuing AS, which
-  answers with the sealed reservation data (``ResInfo``, :math:`A_K`).
+  answers with the sealed reservation data (``ResInfo``, :math:`A_K`) or
+  refuses and hands the pair back.
 
 Asset attributes follow §4.2 "Asset Representation" exactly; see
 :data:`ASSET_TYPE` payload keys.
@@ -29,6 +30,10 @@ ASSET_TYPE = "asset::BandwidthAsset"
 TOKEN_TYPE = "asset::AuthorizationToken"
 REQUEST_TYPE = "asset::RedeemRequest"
 DELIVERY_TYPE = "asset::EncryptedReservation"
+
+# Why an AS refuses a redeem request: no live capacity or no free ResID, a
+# public key that is no group element, or its delivery refused by the ledger.
+REFUSAL_CODES = ("no_capacity", "no_resid", "bad_key", "delivery_aborted")
 
 
 def delivery_context(request: str) -> bytes:
@@ -184,7 +189,7 @@ class AssetContract(Contract):
         The two assets are wrapped into the request (they leave the object
         store and can no longer be traded); the request is transferred to
         the issuing AS, which will answer with
-        :meth:`deliver_reservation`.
+        :meth:`deliver_reservation` or :meth:`refuse_redemption`.
         """
         ingress_asset = ctx.take_owned(ingress, ASSET_TYPE)
         egress_asset = ctx.take_owned(egress, ASSET_TYPE)
@@ -253,6 +258,24 @@ class AssetContract(Contract):
             {"delivery": delivery.object_id, "redeemer": redeemer, "request": request},
         )
         return {"delivery": delivery.object_id}
+
+    def refuse_redemption(self, ctx: CallContext, request: str, reason_code: str) -> dict:
+        """AS answer when it cannot serve a redeem request: the two wrapped
+        assets are re-created for the redeemer (same rectangles, new ids)
+        and the request is destroyed, as a delivery destroys it."""
+        req = ctx.take_owned(request, REQUEST_TYPE)  # sender must be the issuer
+        ctx.require(reason_code in REFUSAL_CODES, f"unknown refusal code {reason_code!r}")
+        redeemer = req.payload["redeemer"]
+        returned = {
+            side: ctx.create_object(ASSET_TYPE, dict(req.payload[side]), owner=redeemer)
+            for side in ("ingress", "egress")
+        }
+        ctx.delete_object(req)
+        ctx.emit(
+            "RedemptionRefused",
+            {"request": request, "redeemer": redeemer, "reason_code": reason_code},
+        )
+        return {side: asset.object_id for side, asset in returned.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Responsibilities:
   per ingress interface), derive the reservation key :math:`A_K` from the
   AS-local secret value, seal ``(ResInfo, A_K)`` under the redeemer's
   ephemeral public key, and deliver it through the asset contract (a
-  fast-path transaction — only owned objects are touched).
+  fast-path transaction — only owned objects are touched); or, when the
+  request cannot be served, refuse it on chain, which hands the redeemer
+  its two assets back.
 
 Every issuance and every delivery first passes the AS's
 :class:`~repro.admission.AdmissionController`: the *issued* capacity
@@ -34,7 +36,7 @@ from repro.contracts.asset import delivery_context
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.crypto.sealing import check_group_element, seal
 from repro.hummingbird.reservation import ResInfo, grant_reservation
-from repro.hummingbird.resid import ResIdAllocator
+from repro.hummingbird.resid import CapacityExhausted, ResIdAllocator
 from repro.ledger.accounts import Account
 from repro.ledger.executor import LedgerExecutor, SubmittedTransaction
 from repro.ledger.transactions import Command, Result, Transaction
@@ -49,12 +51,21 @@ RESID_CAPACITY = 100_000  # concurrent reservation ids per ingress interface
 
 @dataclass
 class DeliveryRecord:
-    """Bookkeeping for one handled redeem request."""
+    """One answered redeem request: delivered, or refused with ``reason_code``."""
 
     request_id: str
-    delivery_id: str
-    res_id: int
     submitted: SubmittedTransaction
+    delivery_id: str | None = None
+    res_id: int | None = None
+    reason_code: str | None = None
+
+
+class _Refused(RuntimeError):
+    """Why a request cannot be served: ``code`` is in ``asset.REFUSAL_CODES``."""
+
+    def __init__(self, code: str, detail) -> None:
+        super().__init__(f"{code}: {detail}")
+        self.code = code
 
 
 @dataclass
@@ -124,8 +135,6 @@ class AsService:
         self._allocators: dict[int, ResIdAllocator] = {}
         self._last_checkpoint = 0
         self.admission = admission
-        # (request_id, reason) pairs this AS declined to serve.
-        self.undeliverable: list[tuple[str, str]] = []
         # Sealed-bid auctions: open books, bid-event cursor.
         self.open_auctions: dict[str, AuctionedRectangle] = {}
         self._bid_checkpoint = 0
@@ -763,14 +772,14 @@ class AsService:
     # -- redemption handling -------------------------------------------------------
 
     def poll_and_deliver(self) -> list[DeliveryRecord]:
-        """Handle all pending redeem requests addressed to this AS (steps 6-8).
+        """Answer all pending redeem requests addressed to this AS (steps 6-8).
 
-        Requests the AS *cannot* serve — unusable public key, admission
-        rejected, ResID space exhausted, or the delivery transaction refused
-        by the ledger — are
-        skipped (recorded in :attr:`undeliverable`) rather than aborting the
-        poll: the event checkpoint has already advanced, so raising here
-        would silently orphan every later request in the same batch.
+        Every request is answered on chain.  One the AS *cannot* serve —
+        unusable public key, admission rejected, ResID space exhausted, or
+        the delivery transaction refused by the ledger — is refused with
+        that reason's code, which hands the redeemer its two assets back;
+        the poll goes on, since the event checkpoint has already advanced
+        and raising here would orphan every later request in the batch.
 
         Requests that carry the same redeem key — every redeem of one host
         transaction does — are answered under one Diffie-Hellman exchange:
@@ -790,20 +799,27 @@ class AsService:
                 continue
             request_id = event.payload["request"]
             if request_id not in ledger.objects:
-                continue  # already delivered
+                continue  # already answered
             try:
                 records.append(
                     self._deliver(ledger.get_object(request_id), exchanges)
                 )
-            except RuntimeError as reason:
-                # AdmissionRejected and CapacityExhausted are RuntimeErrors
-                # too; _deliver rolled its claims back before raising.
-                self.undeliverable.append((request_id, str(reason)))
-                if self._telemetry:
-                    self._m_deliveries.labels(
-                        str(self.isd_as), "undeliverable"
-                    ).inc()
+            except _Refused as refusal:
+                # _deliver rolled its claims back before raising.
+                records.append(self._refuse(request_id, refusal))
         return records
+
+    def _refuse(self, request_id: str, refusal: _Refused) -> DeliveryRecord:
+        args = {"request": request_id, "reason_code": refusal.code}
+        submitted = self._submit(Command("asset", "refuse_redemption", args))
+        if not submitted.effects.ok:
+            raise RuntimeError(f"refusal failed: {submitted.effects.error}")
+        if self._telemetry:
+            self._m_deliveries.labels(str(self.isd_as), "refused").inc()
+        tracing.event(
+            "redemption.refused", isd_as=str(self.isd_as), detail=str(refusal), **args
+        )
+        return DeliveryRecord(request_id, submitted, reason_code=refusal.code)
 
     def _deliver(self, request, exchanges: dict) -> DeliveryRecord:
         payload = request.payload
@@ -816,12 +832,12 @@ class AsService:
         redeemer = payload.get("redeemer", "")
         # Refuse an unusable key before claiming anything: a ValueError out of
         # seal() would come after the admissions and the ResID, and past
-        # poll_and_deliver's RuntimeError handler.
+        # poll_and_deliver's refusal handler.
         recipient_public = int.from_bytes(payload["public_key"], "big")
         try:
             check_group_element(recipient_public)
         except ValueError as reason:
-            raise RuntimeError(f"redeem request refused: {reason}") from None
+            raise _Refused("bad_key", reason) from None
         admissions = []
         res_id = None
         try:
@@ -833,9 +849,14 @@ class AsService:
                     interface, is_ingress, bandwidth_kbps, start, expiry, tag=redeemer
                 )
                 if not decision.admitted:
-                    raise self._rejected(interface, is_ingress, decision)
+                    raise _Refused(
+                        "no_capacity", self._rejected(interface, is_ingress, decision)
+                    )
                 admissions.append((interface, is_ingress, decision))
-            res_id = self._allocator(ingress_if).allocate(start, expiry)
+            try:
+                res_id = self._allocator(ingress_if).allocate(start, expiry)
+            except CapacityExhausted as reason:
+                raise _Refused("no_resid", reason) from None
             resinfo = ResInfo(
                 ingress=ingress_if,
                 egress=egress_if,
@@ -883,7 +904,7 @@ class AsService:
                 )
             )
             if not submitted.effects.ok:
-                raise RuntimeError(f"delivery failed: {submitted.effects.error}")
+                raise _Refused("delivery_aborted", submitted.effects.error)
         except RuntimeError:
             # Nothing was delivered: hand back whatever was claimed.
             for interface, is_ingress, decision in admissions:
@@ -921,9 +942,9 @@ class AsService:
         )
         return DeliveryRecord(
             request_id=request.object_id,
+            submitted=submitted,
             delivery_id=submitted.effects.returns[0]["delivery"],
             res_id=res_id,
-            submitted=submitted,
         )
 
     # -- no-show reclamation ---------------------------------------------------------

@@ -131,6 +131,8 @@ class HostClient:
         self._delivery_checkpoint = 0
         # (delivery id, reason) pairs this host could not decrypt or parse.
         self.undecryptable: list[tuple[str, str]] = []
+        # Refused redeem request id -> its code; the pair is this host's again.
+        self.refused: dict[str, str] = {}
         self._indexers: dict[str, MarketIndexer] = {}
         registry = get_registry()
         self._telemetry = registry.enabled
@@ -1009,7 +1011,8 @@ class HostClient:
     # -- delivery ------------------------------------------------------------------
 
     def collect_reservations(self) -> list[FlyoverReservation]:
-        """Decrypt all sealed reservations delivered since the last call.
+        """Decrypt all sealed reservations delivered since the last call,
+        and record every refusal of this host's requests in :attr:`refused`.
 
         A delivery this host cannot use — it answers no outstanding request,
         the request's key does not open the box, or the plaintext is not a
@@ -1032,12 +1035,19 @@ class HostClient:
             order.
         """
         ledger = self.executor.ledger
-        events = ledger.events_since(self._delivery_checkpoint, "ReservationDelivered")
+        events = ledger.events_since(
+            self._delivery_checkpoint, "ReservationDelivered", "RedemptionRefused"
+        )
         self._delivery_checkpoint = ledger.checkpoint
         reservations: list[FlyoverReservation] = []
         exchanges: dict = {}
         for event in events:
             if event.payload["redeemer"] != self.account.address:
+                continue
+            if event.event_type == "RedemptionRefused":
+                # no answer can follow a refusal: the key goes too
+                self._redeem_keys.pop(event.payload["request"], None)
+                self.refused[event.payload["request"]] = event.payload["reason_code"]
                 continue
             delivery = ledger.objects.get(event.payload["delivery"])
             if delivery is None or delivery.type_tag != DELIVERY_TYPE:

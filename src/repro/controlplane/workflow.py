@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.admission import ACTIVE, DEFAULT_SHARD_SECONDS, AdmissionController
+from repro.admission import DEFAULT_SHARD_SECONDS, AdmissionController
 from repro.clock import Clock, SimClock
 from repro.contracts.asset import AssetContract
 from repro.contracts.coin import CoinContract
@@ -28,7 +28,6 @@ from repro.contracts.market import MarketContract
 from repro.controlplane.asclient import AsService, PathSettlementRecord
 from repro.controlplane.hostclient import HostClient
 from repro.controlplane.pki import CpPki
-from repro.pathadm import PathAdmission, PathHop
 from repro.marketdata import MarketIndexer, PathSpec, PurchasePlanner
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.hummingbird.reservation import FlyoverReservation
@@ -104,28 +103,6 @@ class MarketDeployment:
         host.fund(sui_to_mist(funding_sui))
         host.attach_indexer(self.marketplace, self.indexer)
         return host
-
-    def path_admission(self, crossings: list[AsCrossing]) -> PathAdmission:
-        """Atomic path-wide admission over the on-path ASes' controllers.
-
-        Each hop wraps one AS's live
-        :class:`~repro.admission.AdmissionController` (whatever policy,
-        pricer, calendar sharding, and allocation mode that AS runs), so a
-        :meth:`~repro.pathadm.PathAdmission.screen` here checks and
-        provisionally holds the real per-AS calendars and a rollback
-        restores them byte-identically.
-        """
-        return PathAdmission(
-            [
-                PathHop(
-                    name=str(crossing.isd_as),
-                    controller=self.service(crossing.isd_as).admission,
-                    ingress_interface=crossing.ingress,
-                    egress_interface=crossing.egress,
-                )
-                for crossing in crossings
-            ]
-        )
 
 
 def deploy_market(
@@ -253,9 +230,9 @@ def deploy_market(
 
 
 def _poll(deployment: MarketDeployment, crossing: AsCrossing) -> list:
-    """One on-path AS answers the redeem requests addressed to it; a
-    purchase that reached the ledger leaves one at every crossing, so
-    silence is an error."""
+    """One on-path AS answers the redeem requests addressed to it, each with
+    a delivery or a refusal; a purchase that reached the ledger leaves one at
+    every crossing, so silence is an error."""
     records = deployment.service(crossing.isd_as).poll_and_deliver()
     if not records:
         raise RuntimeError(f"AS {crossing.isd_as} found no redeem request")
@@ -278,6 +255,11 @@ def purchase_path(
     seconds later when a cheaper granule exists (buy the valley, not the
     peak); ``max_price_mist`` caps the price both at quote time and again
     at submission (repriced against the live index).
+
+    Raises RuntimeError when the ledger aborts the purchase, or once every
+    on-path AS has answered if any refused its hop, naming each such AS and
+    its code: the host holds that hop's assets again, and its
+    ``collect_reservations`` returns the hops that were delivered.
     """
     spec = PathSpec.from_crossings(
         crossings,
@@ -288,24 +270,6 @@ def purchase_path(
         budget_mist=max_price_mist,
     )
     quote = deployment.planner.best(spec)
-    # Pre-flight the quoted window through atomic path-wide admission:
-    # every hop's live active calendar is checked and provisionally held,
-    # then released again — a mid-path infeasibility (an AS's delivered
-    # load already saturates an interface) aborts here, before any money
-    # moves, instead of surfacing as a failed delivery after purchase.
-    admission = deployment.path_admission(crossings)
-    preflight = admission.screen(
-        bandwidth_kbps,
-        quote.start,
-        quote.expiry,
-        tag=host.account.address,
-        layer=ACTIVE,
-    )
-    if not preflight.admitted:
-        raise RuntimeError(
-            f"path admission pre-flight rejected: {preflight.reason}"
-        )
-    admission.rollback(preflight)
     submitted = host.atomic_buy_and_redeem(
         deployment.marketplace, quote, max_price_mist=max_price_mist
     )
@@ -315,15 +279,21 @@ def purchase_path(
     price = sum(ret.get("price_mist", 0) for ret in submitted.effects.returns)
 
     # Response phase: every on-path AS observes the redeem event after a
-    # polling delay and answers with a fast-path delivery; the phase ends
-    # when the slowest delivery lands.
+    # polling delay and answers with a fast-path delivery or refusal; the
+    # phase ends when the slowest answer lands.
+    requests = {ret.get("request") for ret in submitted.effects.returns}
     rng = deployment.rng if deployment.rng is not None else random.Random(1)
     response_latency = 0.0
+    refusals = []
     for crossing in crossings:
         for record in _poll(deployment, crossing):
             poll_delay = rng.uniform(*OBSERVATION_DELAY)
             delivery_latency = poll_delay + record.submitted.latency
             response_latency = max(response_latency, delivery_latency)
+            if record.reason_code is not None and record.request_id in requests:
+                refusals.append(f"AS {crossing.isd_as} refused: {record.reason_code}")
+    if refusals:
+        raise RuntimeError("; ".join(refusals))
 
     reservations = host.collect_reservations()
     return PurchaseOutcome(

@@ -1,8 +1,9 @@
 """Whole-system invariants: a calendar is a replay of its records, the market
-index a replay of the ledger's events and a scan of its objects.
+index a replay of the ledger's events and a scan of its objects, and every
+polled redeem request answered on chain.
 
 ROADMAP item 5 states the whole-system property as "every derived state is
-a replay of the ledger".  Two slices of it are checked here.  The
+a replay of the ledger".  Three slices of it are checked here.  The
 calendar-facing, replay-free one: for every AS, layer and interface
 direction of a deployment,
 
@@ -27,6 +28,12 @@ live :class:`~repro.marketdata.MarketIndexer`, synced, holds
     ``market::Listing`` with its asset's rectangle and its unit price, an
     open auction per live ``market::Auction`` / ``market::PathAuction`` — so
     the events say everything the objects do.
+
+And one on redemptions, over the event log and every AS's poll cursor:
+
+(e) every ``RedeemRequested`` at or before its AS's last poll ends in a
+    ``ReservationDelivered`` or a ``RedemptionRefused``: no
+    ``asset::RedeemRequest`` survives a poll of its AS.
 
 Still open as item 5 and extending :func:`check`: calendars rebuilt from
 *events* rather than from their own records, host reservation sets, and
@@ -85,9 +92,26 @@ def _index_breaches(deployment) -> list[str]:
     return breaches
 
 
+def _redemption_breaches(deployment) -> list[str]:
+    """(e): a poll answers every request it saw."""
+    ledger = deployment.ledger
+    answers = ledger.events_since(0, "ReservationDelivered", "RedemptionRefused")
+    answered = {event.payload["request"] for event in answers}
+    return [
+        f"redeem request {event.payload['request']} to AS {isd_as}: polled at "
+        f"checkpoint {service._last_checkpoint}, neither delivered nor refused"
+        for event in ledger.events_since(0, "RedeemRequested")
+        if event.payload["request"] not in answered
+        for isd_as, service in deployment.services.items()
+        if (event.payload["isd"], event.payload["asn"]) == (isd_as.isd, isd_as.asn)
+        and event.checkpoint <= service._last_checkpoint
+    ]
+
+
 def check(deployment, now: float) -> None:
     """Check every calendar of every AS in ``deployment`` from ``now`` on,
-    and its market index against the ledger.
+    its market index against the ledger, and that every polled redeem
+    request was answered.
 
     Args:
         deployment: a :class:`~repro.controlplane.MarketDeployment`.
@@ -97,7 +121,7 @@ def check(deployment, now: float) -> None:
     Raises:
         InvariantBreach: listing every breach, not only the first.
     """
-    breaches = _index_breaches(deployment)
+    breaches = _index_breaches(deployment) + _redemption_breaches(deployment)
     for isd_as, service in deployment.services.items():
         controller = service.admission
         ceiling_factor = getattr(controller.policy, "ceiling_factor", None)

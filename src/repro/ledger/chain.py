@@ -57,12 +57,13 @@ class Ledger:
             and (type_tag is None or obj.type_tag == type_tag)
         ]
 
-    def events_since(self, checkpoint: int, event_type: str | None = None) -> list[Event]:
+    def events_since(self, checkpoint: int, *event_types: str) -> list[Event]:
+        """Events after ``checkpoint``, of the given types (all, given none)."""
         return [
             event
             for event in self.events
             if event.checkpoint > checkpoint
-            and (event_type is None or event.event_type == event_type)
+            and (not event_types or event.event_type in event_types)
         ]
 
     # -- execution ---------------------------------------------------------------

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from repro.admission.controller import ACTIVE, ISSUED, AdmissionController
 from repro.admission.calendar import Commitment
 from repro.telemetry import get_registry
-from repro.telemetry.tracing import current_trace
+from repro.telemetry.tracing import current_trace, event
 
 __all__ = [
     "HELD",
@@ -213,18 +213,6 @@ class PathAdmission:
         """
         if layer not in (ISSUED, ACTIVE):
             raise ValueError(f"unknown calendar layer {layer!r}")
-        trace = current_trace()
-        span = (
-            trace.span(
-                "path.screen",
-                hops=len(self.hops),
-                bandwidth_kbps=int(bandwidth_kbps),
-                layer=layer,
-                tag=tag,
-            )
-            if trace is not None
-            else None
-        )
         issued = layer == ISSUED
         holds: list[HopHold] = []
         claims_taken = 0
@@ -281,13 +269,11 @@ class PathAdmission:
             self._m_screen[HELD if ticket.admitted else REJECTED].value += 1.0
             if ticket.admitted:
                 self._m_hops_admitted.value += float(claims_taken)
-        if span is not None:
-            span.set(
-                outcome=ticket.state,
-                failed_hop=ticket.failed_hop,
-                reason=ticket.reason,
-            )
-            span.__exit__(None, None, None)
+        event(
+            "path.screen", hops=len(self.hops), bandwidth_kbps=int(bandwidth_kbps),
+            layer=layer, tag=tag, outcome=ticket.state,
+            failed_hop=ticket.failed_hop, reason=ticket.reason,
+        )
         return ticket
 
     # -- commit / rollback --------------------------------------------------------

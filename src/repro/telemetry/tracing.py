@@ -1,8 +1,8 @@
 """Correlation-ID tracing for a reservation's lifecycle.
 
 A :class:`TraceContext` carries one correlation id and accumulates
-:class:`Span` records (timed sections) and zero-duration events as the
-reservation moves through the system::
+zero-duration :class:`Span` events as the reservation moves through the
+system::
 
     tx submit -> contract event -> admission decision -> auction clearing
               -> redeem -> policer verdict
@@ -35,50 +35,20 @@ _trace_ids = itertools.count(1)
 
 @dataclass
 class Span:
-    """One timed (or instantaneous) step of a trace."""
+    """One instantaneous step of a trace."""
 
     trace_id: str
     name: str
     start: float
-    end: float | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float | None:
-        return None if self.end is None else self.end - self.start
-
-    def set(self, **attrs: Any) -> None:
-        """Attach attributes to an open span (e.g. the decision outcome)."""
-        self.attrs.update(attrs)
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "trace_id": self.trace_id,
             "name": self.name,
             "start": self.start,
-            "duration": self.duration,
             "attrs": dict(self.attrs),
         }
-
-
-class _OpenSpan:
-    """Context manager closing one span; also usable as a plain handle."""
-
-    __slots__ = ("_span",)
-
-    def __init__(self, span_: Span) -> None:
-        self._span = span_
-
-    def set(self, **attrs: Any) -> None:
-        self._span.set(**attrs)
-
-    def __enter__(self) -> "_OpenSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._span.end = time.perf_counter()
-        if exc_type is not None:
-            self._span.attrs.setdefault("error", exc_type.__name__)
 
 
 class TraceContext:
@@ -89,22 +59,9 @@ class TraceContext:
         self.trace_id = trace_id or f"trace-{next(_trace_ids):06d}"
         self.spans: list[Span] = []
 
-    def span(self, name: str, **attrs: Any) -> _OpenSpan:
-        record = Span(
-            trace_id=self.trace_id,
-            name=name,
-            start=time.perf_counter(),
-            attrs=dict(attrs),
-        )
-        self.spans.append(record)
-        return _OpenSpan(record)
-
     def event(self, name: str, **attrs: Any) -> Span:
         """A zero-duration span (a point-in-time lifecycle marker)."""
-        now = time.perf_counter()
-        record = Span(
-            trace_id=self.trace_id, name=name, start=now, end=now, attrs=dict(attrs)
-        )
+        record = Span(self.trace_id, name, time.perf_counter(), dict(attrs))
         self.spans.append(record)
         return record
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.contracts.asset import ASSET_TYPE, REQUEST_TYPE, AssetContract
+from repro.contracts.asset import ASSET_TYPE, REFUSAL_CODES, REQUEST_TYPE, AssetContract
 from repro.contracts.coin import CoinContract, coin_balance
 from repro.contracts.market import LISTING_TYPE, MarketContract
 from repro.controlplane.pki import CpPki
@@ -446,6 +446,78 @@ class TestRedeem:
             )
         )
         assert not effects.ok
+
+
+class TestRefuseRedemption:
+    """The issuing AS's other answer to a redeem request: the pair goes back."""
+
+    def _requested(self, world) -> str:
+        """The buyer buys an ingress/egress pair and redeems it in one go."""
+        market = TestMarket()
+        marketplace = market._marketplace(world)
+        listings = [
+            market._list(world, marketplace, issue(world, interface=interface, is_ingress=is_ingress))
+            for interface, is_ingress in ((1, True), (2, False))
+        ]
+        window = {"start": 1600, "expiry": 2200, "bandwidth_kbps": 4_000}
+        effects = world["ledger"].execute(
+            Transaction(
+                world["buyer"].address,
+                [
+                    *(
+                        Command("market", "buy", {"marketplace": marketplace, "listing": listing, "payment": world["coin"], **window})
+                        for listing in listings
+                    ),
+                    Command("asset", "redeem", {"ingress": Result(0, "asset"), "egress": Result(1, "asset"), "public_key": bytes(256)}),
+                ],
+            )
+        )
+        assert effects.ok, effects.error
+        return effects.returns[2]["request"]
+
+    def _refuse(self, world, sender, request, reason_code="no_capacity"):
+        return world["ledger"].execute(
+            Transaction(
+                sender.address,
+                [Command("asset", "refuse_redemption", {"request": request, "reason_code": reason_code})],
+            )
+        )
+
+    def test_the_issuer_refuses_and_the_redeemer_holds_the_pair_again(self, world):
+        ledger, buyer = world["ledger"], world["buyer"].address
+        request = self._requested(world)
+        wrapped = ledger.get_object(request).payload
+        effects = self._refuse(world, world["as_account"], request)
+        assert effects.ok, effects.error
+        assert request not in ledger.objects
+        returned = [ledger.get_object(effects.returns[0][side]) for side in ("ingress", "egress")]
+        assert [(asset.type_tag, asset.owner) for asset in returned] == [(ASSET_TYPE, buyer)] * 2
+        assert [asset.payload for asset in returned] == [wrapped["ingress"], wrapped["egress"]]
+        (event,) = effects.events
+        assert (event.event_type, event.payload) == (
+            "RedemptionRefused",
+            {"request": request, "redeemer": buyer, "reason_code": "no_capacity"},
+        )
+
+    def test_only_the_issuer_refuses_and_only_with_a_known_code(self, world):
+        request = self._requested(world)
+        other_as = Account.generate(world["rng"], "other-as")
+        certificate = world["pki"].issue_certificate(IsdAs(1, 43), other_as.signing_key.public)
+        proof = other_as.signing_key.sign(other_as.address.encode(), world["rng"])
+        assert world["ledger"].execute(
+            Transaction(
+                other_as.address,
+                [Command("asset", "register_as", {"certificate": certificate, "commitment": proof.commitment, "response": proof.response})],
+            )
+        ).ok
+        for sender, reason_code in (
+            (world["buyer"], "no_capacity"),  # the redeemer
+            (other_as, "no_capacity"),  # another registered AS
+            (world["as_account"], "busy"),  # a code outside REFUSAL_CODES
+        ):
+            assert not self._refuse(world, sender, request, reason_code).ok
+        assert world["ledger"].get_object(request).type_tag == REQUEST_TYPE
+        assert self._refuse(world, world["as_account"], request, REFUSAL_CODES[-1]).ok
 
 
 class TestMarket:

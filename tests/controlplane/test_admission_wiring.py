@@ -119,8 +119,8 @@ class TestDeliveryAdmission:
         assert calendar.tag_peak(host.account.address, start, expiry) >= 4000
 
     def test_partial_batch_rejection_does_not_orphan_later_requests(self, world):
-        """A rejected delivery is skipped, not allowed to abort the poll:
-        later requests in the same event batch still get served."""
+        """A rejected delivery is refused, not allowed to abort the poll:
+        later requests in the same event batch still get answered."""
         deployment = world["deployment"]
         crossing = as_crossings(world["path"])[0]
         service = deployment.service(crossing.isd_as)
@@ -135,10 +135,7 @@ class TestDeliveryAdmission:
         # Shrink the AS's live capacity so only the first request fits.
         service.admission = AdmissionController(5000)
         records = service.poll_and_deliver()
-        assert len(records) == 1
-        assert len(service.undeliverable) == 1
-        request_id, reason = service.undeliverable[0]
-        assert "kbps free" in reason
+        assert [record.reason_code for record in records] == [None, "no_capacity"]
         # The rejected request rolled back cleanly: capacity for exactly
         # one 4000 kbps reservation is in use on each crossed interface.
         for interface, is_ingress in ((crossing.ingress, True), (crossing.egress, False)):

@@ -209,6 +209,8 @@ def test_the_event_log_is_read_by_the_index_and_three_pollers():
         "controlplane/asclient.py:AsService.poll_and_deliver",
         # deliveries are per redeemer, not per marketplace: ROADMAP 1(c)
         "controlplane/hostclient.py:HostClient.collect_reservations",
+        # the checker: every request a poll saw was answered on chain
+        "invariants.py:_redemption_breaches",
     }
     hostclient = next(path for path in SOURCES if path.name == "hostclient.py")
     constructor = next(

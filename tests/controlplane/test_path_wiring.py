@@ -234,11 +234,17 @@ class TestAcquirePathFallback:
             )
 
 
-class TestPurchasePathPreflight:
-    def test_mid_path_saturation_aborts_before_any_money_moves(self, world):
+class TestRefusedHop:
+    """A redemption one on-path AS cannot serve ends on chain: the AS refuses
+    it, the host holds that hop's two assets again, and the purchase raises
+    once every AS has answered.  (Before the ledger owned this, an off-chain
+    pre-flight refused the path before any money moved; a purchase through
+    any other route left the request holding the host's assets for good.)"""
+
+    def test_a_saturated_mid_path_as_refuses_and_hands_the_pair_back(self, world):
         deployment, crossings = world["deployment"], world["crossings"]
-        # Saturate the middle AS's ingress active calendar: deliveries
-        # there are impossible, so the pre-flight must refuse the path.
+        ledger = deployment.ledger
+        # Saturate the middle AS's ingress active calendar: it cannot deliver.
         victim = crossings[1]
         service = deployment.service(victim.isd_as)
         decision = service.admission.admit_reservation(
@@ -246,13 +252,41 @@ class TestPurchasePathPreflight:
         )
         assert decision.admitted
         host = deployment.new_host(name="blocked")
-        before = coin_balance(deployment.ledger, host.account.address)
-        with pytest.raises(RuntimeError, match="pre-flight"):
+        checkpoint = ledger.checkpoint
+        with pytest.raises(RuntimeError, match=rf"^AS {victim.isd_as} refused: no_capacity$"):
             purchase_path(deployment, host, crossings, T0, T0 + 600, 2_000)
-        assert coin_balance(deployment.ledger, host.account.address) == before
-        # The provisional holds are gone: a feasible path still works.
+
+        # The other hops were delivered; the refusal is recorded, its key gone.
+        delivered = host.collect_reservations()
+        assert [r.isd_as for r in delivered] == [c.isd_as for c in crossings if c is not victim]
+        (refusal,) = ledger.events_since(checkpoint, "RedemptionRefused")
+        assert refusal.payload["redeemer"] == host.account.address
+        assert host.refused == {refusal.payload["request"]: "no_capacity"}
+        assert host._redeem_keys == {}
+        assert not [o for o in ledger.objects.values() if o.type_tag == "asset::RedeemRequest"]
+
+        # The host owns the refused hop's pair again: same rectangle, new ids.
+        bought = {
+            event.payload["asset"] for event in ledger.events_since(checkpoint, "Sold")
+        }
+        returned = {
+            asset.payload["is_ingress"]: asset for asset in host.owned_assets()
+        }
+        assert not bought & {asset.object_id for asset in returned.values()}
+        for is_ingress, interface in ((True, victim.ingress), (False, victim.egress)):
+            payload = returned[is_ingress].payload
+            assert (payload["isd"], payload["asn"]) == (victim.isd_as.isd, victim.isd_as.asn)
+            assert (payload["interface"], payload["start"], payload["expiry"]) == (
+                interface, T0, T0 + 600
+            )
+            assert payload["bandwidth_kbps"] == 2_000
+
+        # Once the capacity is back, the returned pair redeems and is delivered.
         service.admission.release(
             victim.ingress, True, decision.commitment, layer=ACTIVE
         )
-        outcome = purchase_path(deployment, host, crossings, T0, T0 + 600, 2_000)
-        assert len(outcome.reservations) == len(crossings)
+        assert host.redeem_pair(returned[True].object_id, returned[False].object_id).effects.ok
+        (record,) = service.poll_and_deliver()
+        assert record.reason_code is None
+        (reservation,) = host.collect_reservations()
+        assert reservation.isd_as == victim.isd_as

@@ -212,16 +212,16 @@ class TestRefusedRequestBesideAServedOne:
     under the same table, and what request 1 claimed is handed back."""
 
     @pytest.mark.parametrize(
-        "refuse, reason",
+        "refuse, code",
         [
-            (_refuse_by_admission, "kbps free"),
-            (_refuse_by_resid_exhaustion, "exceeds policing capacity"),
-            (_refuse_by_ledger, "delivery failed"),  # sealed twice, exchanged once
+            (_refuse_by_admission, "no_capacity"),
+            (_refuse_by_resid_exhaustion, "no_resid"),
+            (_refuse_by_ledger, "delivery_aborted"),  # sealed twice, exchanged once
         ],
         ids=["admission", "resid-exhaustion", "ledger-after-sealing"],
     )
     def test_the_second_request_is_served_and_the_first_rolled_back(
-        self, refuse, reason, monkeypatch, pow_calls
+        self, refuse, code, monkeypatch, pow_calls
     ):
         deployment, (crossing, _) = _world()
         host = deployment.new_host(funding_sui=100)
@@ -232,9 +232,10 @@ class TestRefusedRequestBesideAServedOne:
 
         records = service.poll_and_deliver()
 
-        assert [record.request_id for record in records] == [served]
-        ((request_id, why),) = service.undeliverable
-        assert request_id == refused and reason in why
+        assert [(record.request_id, record.reason_code) for record in records] == [
+            (refused, code),
+            (served, None),
+        ]
         assert len(pow_calls) == 1
         for interface, is_ingress in ((crossing.ingress, True), (crossing.egress, False)):
             calendar = service.admission.calendar(interface, is_ingress, ACTIVE)
@@ -246,6 +247,7 @@ class TestRefusedRequestBesideAServedOne:
         (reservation,) = host.collect_reservations()
         assert reservation.resinfo.start == _window(1)[0]
         assert host.undecryptable == []
+        assert host.refused == {refused: code}
 
 
 class TestOnePollOrMany:

@@ -11,14 +11,15 @@ submits nothing), ``acquire`` (bid and posted arm), ``place_bid`` /
 ``register``, ``register_as_seller``, ``issue_and_list`` (admitted, rejected,
 ledger-refused), ``cancel_listing``, ``offer_capacity`` in both modes,
 ``open_auction``, ``settle_due_auctions``, ``open_path_auction``,
-``contribute_path_leg``, ``settle_path_auction``, ``poll_and_deliver`` and
-``reclaim_no_shows`` with its relist.
+``contribute_path_leg``, ``settle_path_auction``, ``poll_and_deliver`` (its
+deliveries and its refusals) and ``reclaim_no_shows`` with its relist.
 
 A tap on ``LedgerExecutor.submit`` records, per transaction, the sender, the
 ``contract.function`` list, a digest of the canonicalised arguments, status,
 error, gas, event types and a digest of the event payloads; the end state adds
-every host's decrypted reservations, every AS's ``undeliverable`` and
-``relisted`` lists, all coin balances and, per AS, a digest of what its
+every host's decrypted reservations and owned assets, every AS's refusals
+(``undeliverable``: request and code, read off ``RedemptionRefused``) and
+``relisted`` list, all coin balances and, per AS, a digest of what its
 calendars *answer* (capacity, commitment rows, the level between every two
 neighbouring endpoints — read through ``commitments()`` and ``peak_commitment``
 alone, so no calendar layout is in it and the two arms must agree; re-recorded
@@ -29,7 +30,14 @@ lowering (PR 18), with that commit's ``src/`` on the path; today's code has to
 reproduce it byte for byte.  Re-recorded
 once since, in PR 19, when the sealed bytes of a delivery and the payload of
 ``ReservationDelivered`` were meant to change: 30 ``asset.deliver_reservation``
-rows a calendar, argument digest and event-payload digest only.
+rows a calendar, argument digest and event-payload digest only.  Re-recorded
+once more when the AS that cannot serve a redemption began to refuse it on
+chain: two ``asset.refuse_redemption`` rows joined after row 152 (heidi's and
+frank's path redemptions, which the last AS used to keep), every existing row
+held byte for byte, and in the end state ``undeliverable`` became those two
+refusals with their codes, ``assets`` appeared (heidi and frank hold their
+returned pairs), ``as_deliveries_total``'s ``undeliverable`` outcome became
+``refused`` and the trace gained the two ``redemption.refused`` events.
 
 The recording holds one arm per calendar geometry of its day: ``monolithic``
 (one unbounded shard) and ``sharded`` (300-second shards), equal part for part.
@@ -70,6 +78,7 @@ from repro.ledger.transactions import Command, Result, Transaction
 from repro.marketdata import BudgetExceeded, ListingQuery, PathSpec
 from repro.netsim import linear_path
 from repro.scion import as_crossings
+from repro.scion.addresses import IsdAs
 from repro.telemetry import ExperimentTelemetry, use_trace
 from repro.transfers import DeadlineTransfer, TransferAborted, TransferPlanner
 
@@ -441,7 +450,7 @@ class _Script:
                 pairs = list(zip(outcome.assets[0::2], outcome.assets[1::2]))
                 assert self.hosts[name].redeem_path(pairs).effects.ok
         # The last AS's live capacity went elsewhere between settle and redeem:
-        # it declines both requests, every other AS still delivers.
+        # it refuses both requests, every other AS still delivers.
         last = self.crossings[-1]
         hogged = self.service(last).admission.admit_reservation(
             last.ingress, True, 4 * ASSET_KBPS - 500, *PATH_AUCTION, tag="ops"
@@ -455,12 +464,31 @@ class _Script:
         services = {
             f"as-{isd_as}": service for isd_as, service in self.deployment.services.items()
         }
+        addressed = {
+            event.payload["request"]: f"as-{IsdAs(event.payload['isd'], event.payload['asn'])}"
+            for event in ledger.events_since(0, "RedeemRequested")
+        }
+        refusals = ledger.events_since(0, "RedemptionRefused")
         return {
             "reservations": self.collected,
             "notes": self.notes,
             "undeliverable": {
-                name: [list(entry) for entry in service.undeliverable]
-                for name, service in services.items()
+                name: [
+                    [event.payload["request"], event.payload["reason_code"]]
+                    for event in refusals
+                    if addressed[event.payload["request"]] == name
+                ]
+                for name in services
+            },
+            "assets": {
+                name: sorted(
+                    [
+                        str(IsdAs(asset.payload["isd"], asset.payload["asn"])),
+                        *(asset.payload[key] for key in ("interface", "is_ingress", "start", "expiry", "bandwidth_kbps")),
+                    ]
+                    for asset in host.owned_assets()
+                )
+                for name, host in self.hosts.items()
             },
             "relisted": {
                 name: [[event.res_id, listing, reason] for event, listing, reason in service.relisted]
@@ -552,7 +580,8 @@ def test_the_recording_covers_every_submitting_entry_point(recorded):
             "market.create_marketplace", "asset.register_as", "market.register_seller",
             "asset.issue", "market.create_listing", "market.cancel_listing",
             "coin.mint", "coin.merge", "market.buy", "asset.fuse_time", "asset.redeem",
-            "asset.deliver_reservation", "market.create_auction", "market.place_bid",
+            "asset.deliver_reservation", "asset.refuse_redemption",
+            "market.create_auction", "market.place_bid",
             "market.settle_auction", "market.create_path_auction",
             "market.contribute_path_leg", "market.place_path_bid",
             "market.settle_path_auction",
@@ -569,12 +598,15 @@ def test_the_recording_covers_every_submitting_entry_point(recorded):
         path_won = [o[0] for o in scenario["notes"]["path_auction"].values()]
         assert True in path_won and False in path_won
         assert all(scenario["reservations"][name] for name in ("alice", "mover", "heidi"))
-        assert len(scenario["undeliverable"]["as-1-1:0:0"]) == 2
+        assert [code for _, code in scenario["undeliverable"]["as-1-1:0:0"]] == [
+            "no_capacity", "no_capacity"
+        ]
+        assert all(len(scenario["assets"][name]) == 2 for name in ("heidi", "frank"))
         assert {name for name, _ in scenario["trace"]} == {
             "bid.placed", "bid.settled", "listing.bought", "redeem.requested",
             "path_bid.placed", "path_bid.settled", "path.bought", "path.redeem",
             "transfer.submitted", "auction.settle", "path_auction.settle",
-            "reservation.delivered",
+            "reservation.delivered", "redemption.refused",
         }
 
 

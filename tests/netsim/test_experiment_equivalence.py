@@ -33,7 +33,7 @@ reproduce it byte for byte.  Every goodput, latency and utilisation in it
 depends on the order in which sources are constructed and started (the event
 loop breaks ties FIFO, and the flows of one simulation share one ``rng``), so
 a refactor that reorders two ``start`` calls fails here, not in a plot.
-It was re-recorded three times since.  First when the congestion, contention and
+It was re-recorded four times since.  First when the congestion, contention and
 auction experiments moved onto a deployed market: the telemetry runs' traces
 and metrics (ledger spans and families appeared) and the path-contention
 hop-mode labels (their calendar-geometry word went) changed, and nothing
@@ -49,15 +49,22 @@ had moved as the telemetry run did); and the ``admission_expired_total`` /
 ``admission_shards_dropped_total`` families, registered at zero for this
 file alone, left every telemetry run.  Every buyer's admission, goodput,
 latency and loss, every reclaim count and learned factor of the telemetry
-run, and every other key's result held.  Last when the path-contention
+run, and every other key's result held.  Then when the path-contention
 experiment moved onto one: ``path_contention@3``, ``path_contention@4`` and
 ``path_contention/telemetry`` were recorded anew (bare controllers and
 fingerprint probes gave way to one on-chain path auction, so ``hop_modes``
 and ``rollback_restores_state`` left the result, each buyer gained
 ``legs_won``, ``escrow_mist`` and ``refund_mist``, and a loser's
 ``failed_hop`` and ``reason`` became the contract's loser report), and the
-other 25 keys held byte for byte.  Under pytest a configuration the claim tests share comes from the
-session's ``experiment_runs`` memo (``conftest.py``), so it runs once.
+other 25 keys held byte for byte.  Last when ``purchase_path`` lost its
+off-chain pre-flight: only the ``auction``, ``contention``, ``flex_market``
+and ``reclamation`` telemetry runs moved, and in them only the traces (no
+``path.screen`` span and ``path.rollback`` event a purchase; the reclamation
+run records no trace), ``admission_decisions_total`` (no screening admits)
+and the four ``pathadm_*`` families (gone); the other 24 keys and every
+``result`` held.  Under pytest a configuration the claim tests share comes
+from the session's ``experiment_runs`` memo (``conftest.py``), so it runs
+once.
 
 To re-record (only when an experiment's *result* is meant to change — another
 scenario constant, a new result field, a different pricer — never to make a

@@ -384,13 +384,17 @@ class TestHostileRedeemKeyC1:
 
         records = service.poll_and_deliver()
 
-        assert [request for request, _ in service.undeliverable] == refused
-        assert all("public key" in reason for _, reason in service.undeliverable)
-        assert [record.request_id for record in records] == [served]
+        assert [(record.request_id, record.reason_code) for record in records] == [
+            *((request, "bad_key") for request in refused),
+            (served, None),
+        ]
         assert len(victim.collect_reservations()) == 1
         assert [calendar_fingerprint(calendar) for calendar in claimed] == before
-        # the refused requests stay with the AS, undelivered; nothing is
+        # the refused requests gave the attacker its pairs back; nothing is
         # left to retry on the next poll
+        assert attacker.collect_reservations() == []
+        assert attacker.refused == dict.fromkeys(refused, "bad_key")
+        assert len(attacker.owned_assets()) == 2 * len(refused)
         assert service.poll_and_deliver() == []
 
 

@@ -1,7 +1,5 @@
 """Tracing tests: ambient contextvar plumbing and span records."""
 
-import pytest
-
 from repro.telemetry.tracing import TraceContext, current_trace, event, use_trace
 
 
@@ -19,7 +17,6 @@ def test_use_trace_installs_and_restores():
     assert current_trace() is None
     assert [span.name for span in trace.spans] == ["step"]
     assert trace.spans[0].attrs == {"key": "value"}
-    assert trace.spans[0].duration == 0.0
 
 
 def test_use_trace_none_is_harmless():
@@ -30,20 +27,6 @@ def test_use_trace_none_is_harmless():
             assert event("dropped") is None
         assert current_trace() is outer
     assert [span.name for span in outer.spans] == []
-
-
-def test_span_times_and_records_error():
-    trace = TraceContext("res")
-    with trace.span("work", phase="one") as handle:
-        handle.set(extra=1)
-    with pytest.raises(RuntimeError):
-        with trace.span("failing"):
-            raise RuntimeError("boom")
-    work, failing = trace.spans
-    assert work.duration is not None and work.duration >= 0.0
-    assert work.attrs == {"phase": "one", "extra": 1}
-    assert failing.attrs["error"] == "RuntimeError"
-    assert failing.end is not None
 
 
 def test_trace_ids_are_unique_and_shared_by_spans():
@@ -61,4 +44,5 @@ def test_to_dict_shape():
     assert dumped["trace_id"] == "trace-fixed"
     assert dumped["spans"][0]["name"] == "step"
     assert dumped["spans"][0]["attrs"] == {"admitted": True}
-    assert dumped["spans"][0]["duration"] == 0.0
+    # every span is an instant: nothing in the dump is timed
+    assert set(dumped["spans"][0]) == {"trace_id", "name", "start", "attrs"}

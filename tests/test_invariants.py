@@ -16,8 +16,10 @@ from repro.admission import (
 )
 from repro.invariants import InvariantBreach, check
 from repro.ledger.chain import Ledger
+from repro.ledger.transactions import Event
 from repro.marketdata import MarketIndexer
 from repro.reclaim import AdaptiveOverbooking
+from repro.scion.addresses import IsdAs
 
 WIDTHS = [pytest.param(DEFAULT_SHARD_SECONDS, id="day"), pytest.param(100.0, id="narrow")]
 
@@ -146,3 +148,25 @@ def test_an_auction_the_index_never_saw_is_a_breach():
     deployment.indexer._position = len(market.ledger.events)  # cursor past the event
     with pytest.raises(InvariantBreach, match=r"open auctions \[\], replays to \[OpenAuction"):
         check(deployment, now=0)
+
+
+def test_a_request_its_as_polled_past_unanswered_is_a_breach():
+    """Every redeem request a poll saw ends delivered or refused; one its AS
+    has not polled yet may still be open."""
+    ledger = Ledger()
+    for checkpoint, request in enumerate(("delivered", "refused", "stranded"), 1):
+        ledger.events.append(
+            Event("RedeemRequested", {"request": request, "isd": 1, "asn": 7}, "tx", checkpoint)
+        )
+    for checkpoint, (answer, request) in enumerate(
+        (("ReservationDelivered", "delivered"), ("RedemptionRefused", "refused")), 4
+    ):
+        ledger.events.append(Event(answer, {"request": request}, "tx", checkpoint))
+    deployment = _deployment(ledger)
+    service = SimpleNamespace(admission=AdmissionController(1000), _last_checkpoint=5)
+    deployment.services = {IsdAs(1, 7): service}
+    with pytest.raises(InvariantBreach, match=r"request stranded to AS 1-0:0:7: polled at checkpoint 5") as raised:
+        check(deployment, now=0)
+    assert len(raised.value.breaches) == 1
+    service._last_checkpoint = 2  # the poll that would see it has not run
+    check(deployment, now=0)

@@ -299,7 +299,7 @@ def test_every_public_instance_attribute_is_read_somewhere():
                     and target.value.id == "self"
                     and not target.attr.startswith("_")
                 )
-    assert {"open_auctions", "undeliverable", "events_applied", "policer"} <= assigned
+    assert {"open_auctions", "undecryptable", "events_applied", "policer"} <= assigned
 
     read = set()
     for _, tree in _trees():

@@ -131,25 +131,14 @@ def _trace_sections(traces: list[dict[str, Any]]) -> list[str]:
             attrs = ", ".join(f"{k}={v}" for k, v in span.get("attrs", {}).items())
             if len(attrs) > 72:
                 attrs = attrs[:69] + "..."
-            duration = span.get("duration")
-            # Zero-duration spans are lifecycle events (path.commit,
-            # path_bid.settled, ...): mark them so the timed protocol
-            # phases stand out in the timeline.
-            rows.append(
-                [
-                    f"+{span['start'] - origin:.4f}s",
-                    "·" if not duration else f"{duration * 1e3:.2f}ms",
-                    span["name"],
-                    attrs,
-                ]
-            )
+            rows.append([f"+{span['start'] - origin:.4f}s", span["name"], attrs])
         timeline = sparkline([span["start"] - origin for span in spans], width=48)
         header = (
             f"## Trace {trace.get('trace_id', '?')} ({trace.get('name', '')}) "
             f"— {len(spans)} spans   {timeline}"
         )
         sections.append(
-            render_table(["offset", "dur", "span", "attributes"], rows, title=header)
+            render_table(["offset", "span", "attributes"], rows, title=header)
         )
     return sections
 
