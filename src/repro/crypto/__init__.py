@@ -1,11 +1,15 @@
 """Cryptographic substrate: AES-128, AES-CMAC, PRF backends, key derivation,
 sealing and Schnorr signatures.
 
-The AES block cipher is the libcrypto CPython's own ``_hashlib`` links
-against, bound through :mod:`ctypes`; everything above it is implemented
-here and validated against FIPS-197 / RFC 4493 test vectors.  Importing the package builds the
-two fixed-base tables for ``g`` (:mod:`repro.crypto.fixedbase`, ~46 ms
-together), so no first key or signature of a process pays for them.
+The AES block cipher (:mod:`repro.crypto.aes`) and the modular
+exponentiation under every Schnorr signature (:mod:`repro.crypto.modexp`)
+are the libcrypto CPython's own ``_hashlib`` links against, bound through
+:mod:`ctypes`; everything above them is implemented here and validated
+against FIPS-197 / RFC 4493 test vectors and ``pow``.  Importing the
+package builds the one fixed-base table for sealing's ``g``
+(:mod:`repro.crypto.fixedbase`, ~12 ms) and OpenSSL's Montgomery context
+for the group's modulus, so no first key or signature of a process pays
+for them.
 """
 
 from repro.crypto.aes import AES128, BLOCK_SIZE, expand_key, xor_bytes

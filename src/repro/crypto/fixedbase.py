@@ -13,24 +13,26 @@ Results equal ``pow`` bit for bit.  Not constant-time — an all-zero column
 skips its multiplication — and neither is CPython's ``pow``.
 
 ``TEETH`` was chosen by measurement (CPython 3.11, 2-core box, 2048-bit
-modulus, best of 25; ``pow`` takes ~5.5 ms for ``2^x`` at 512 bits and
-22.4 ms for ``4^x`` at 2047), building both of the repository's tables:
+modulus, best of 25; ``pow`` takes ~5.5 ms for ``2^x`` at 512 bits).  The
+repository has one table, :mod:`repro.crypto.sealing`'s ``g = 2`` sized for
+its 512-bit secrets; the build and size columns are that table's (best of
+7), the last column is one ``2^x`` through it:
 
-=====  ===========  ==========  =========  ==========
-teeth  build, both  size, both  512-bit x  2047-bit x
-=====  ===========  ==========  =========  ==========
-8      ~33 ms       0.15 MB     1.56 ms    6.31 ms
-9      ~40 ms       0.31 MB     1.30 ms    5.22 ms
-10     ~54 ms       0.61 MB     1.26 ms    5.04 ms
-11     ~83 ms       1.23 MB     1.14 ms    4.59 ms
-=====  ===========  ==========  =========  ==========
+=====  ======  =======  =========
+teeth  build   size     512-bit x
+=====  ======  =======  =========
+8      ~11 ms  0.08 MB  1.56 ms
+9      ~12 ms  0.16 MB  1.30 ms
+10     ~20 ms  0.31 MB  1.26 ms
+11     ~45 ms  0.63 MB  1.14 ms
+=====  ======  =======  =========
 
-The tables are built at import (a first use inside somebody's timed
+The table is built at import (a first use inside somebody's timed
 purchase is worse), so one more tooth doubles a cost every importing
 process pays to take a tenth off a cost only the exponentiating ones do.
-Ten teeth sit near the 60 ms the import is allowed and take ~0.04 ms off
-a sealing ``g^x`` — less than the spread between runs.  Nine leave a
-third of the budget spare.
+A tenth tooth would take ~0.04 ms off a sealing ``g^x`` — less than the
+spread between runs — for ~8 ms more import.  The Schnorr side raises
+``g = 4`` through OpenSSL (:mod:`repro.crypto.modexp`) and builds no table.
 """
 
 from __future__ import annotations

@@ -39,11 +39,11 @@ width, and none squares a base it has squared before:
   built once, when this module is imported, then 57 squarings and at most
   57 multiplications a key where ``pow`` spends 511 squarings: ~5.5 →
   ~1.3 ms, the same integer.  The table is sized ``_SECRET_BITS``, not the
-  group: a comb costs its full column count whatever the exponent, so the
-  Schnorr side (:mod:`repro.crypto.signatures`, base 4) keeps a second
-  table for its full-width nonces instead of quadrupling the work here,
-  and raises its short secrets on this one (``4^x = 2^(2x)``).  This one
-  builds in ~12 ms and holds ~0.15 MB.  The two variable-base
+  group: a comb costs its full column count whatever the exponent.  It is
+  the only one; the Schnorr side (:mod:`repro.crypto.signatures`, base 4)
+  raises every power on OpenSSL (:mod:`repro.crypto.modexp`) and reads
+  nothing here but ``MODP_P``.  This one builds in ~12 ms and holds
+  ~0.16 MB.  The two variable-base
   exponentiations (``h^x`` in :func:`seal` and :func:`unseal`, ~7 ms)
   have no fixed base to precompute and stay on ``pow``.
 * A lifecycle pays ``SigningKey.public`` once, the host's
@@ -102,8 +102,7 @@ MODP_P = int(
 )
 MODP_G = 2
 _GROUP_BYTES = 256
-# RFC 7919 §5.2 asks for >= 225 in this group; see "Cost" above.  A Schnorr
-# secret is one bit narrower (signatures._SECRET_BITS) and follows this width.
+# RFC 7919 §5.2 asks for >= 225 in this group; see "Cost" above.
 _SECRET_BITS = 512
 # Built at import, not on first use: the first purchase of a process is timed too.
 _G_POW = FixedBase(MODP_G, MODP_P, _SECRET_BITS).pow

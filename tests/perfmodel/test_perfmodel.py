@@ -105,33 +105,65 @@ class TestFigure14And15Shape:
             assert curve[32] == pytest.approx(160.0)
 
 
+ROUNDS = 5
+
+
+def alternating(rounds: int, *readings) -> list[float]:
+    """Each reading summed over ``rounds`` rounds that take every reading in
+    turn, the order reversed every other round (A B, B A, ...): the machine's
+    speed changes between windows, and this way every window, and any drift
+    across one, falls on all sides alike."""
+    totals = [0.0] * len(readings)
+    order = list(range(len(readings)))
+    for _ in range(rounds):
+        for index in order:
+            totals[index] += readings[index]()
+        order.reverse()
+    return totals
+
+
 class TestMeasurements:
+    """No comparison here is between two single readings taken apart in
+    time: each side is a sum over ``ROUNDS`` runs that take the sides in turn."""
+
     def test_router_measurement_structure(self):
-        measured = measure_router(packets=200, prf_backend="blake2")
-        assert measured.hummingbird_process_ns > measured.scion_process_ns
-        assert measured.hummingbird_overhead_ns > 0
-        assert set(measured.steps) >= {
+        # each run times its Hummingbird hop, then its SCION hop
+        runs = [measure_router(packets=200, prf_backend="blake2") for _ in range(ROUNDS)]
+        assert set(runs[0].steps) >= {
             "Recompute SCION hop field MAC",
             "Compute authentication key (A_i)",
             "Check for overuse",
         }
+        assert sum(run.hummingbird_process_ns for run in runs) > sum(
+            run.scion_process_ns for run in runs
+        )
+        assert sum(run.hummingbird_overhead_ns for run in runs) > 0
 
     def test_router_steps_are_disjoint_parts_of_the_hop(self):
         """Timed as the router runs them (held K_i / SV_i PRFs, A_i keyed per
         packet), the steps cannot add up to more than the hop they are part of."""
-        measured = measure_router(packets=300, prf_backend="aes")
-        assert sum(measured.steps.values()) <= measured.hummingbird_process_ns
+        runs = [measure_router(packets=300, prf_backend="aes") for _ in range(ROUNDS)]
+        hop = sum(run.hummingbird_process_ns for run in runs)
+        overhead = sum(run.hummingbird_overhead_ns for run in runs)
+        steps = sum(sum(run.steps.values()) for run in runs)
         hummingbird_only = sum(
-            measured.steps[name] for name, _ in paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA
-            if name in measured.steps
+            run.steps[name]
+            for run in runs
+            for name, _ in paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA
+            if name in run.steps
         )
-        assert hummingbird_only <= measured.hummingbird_overhead_ns
+        assert steps <= hop
+        assert hummingbird_only <= overhead
 
     def test_source_measurement_scales_with_hops(self):
-        fast = measure_source(hops=2, iterations=150, prf_backend="blake2")
-        slow = measure_source(hops=6, iterations=150, prf_backend="blake2")
-        assert slow.hummingbird_generation_ns > fast.hummingbird_generation_ns
+        def generation_ns(hops):
+            return measure_source(hops, iterations=150, prf_backend="blake2").hummingbird_generation_ns
+
+        fast, slow = alternating(ROUNDS, lambda: generation_ns(2), lambda: generation_ns(6))
+        assert slow > fast
 
     def test_hummingbird_generation_costs_more_than_scion(self):
-        measured = measure_source(hops=4, iterations=150, prf_backend="blake2")
-        assert measured.hummingbird_generation_ns > measured.scion_generation_ns
+        runs = [measure_source(hops=4, iterations=150, prf_backend="blake2") for _ in range(ROUNDS)]
+        hummingbird = sum(run.hummingbird_generation_ns for run in runs)
+        scion = sum(run.scion_generation_ns for run in runs)
+        assert hummingbird > scion
