@@ -1,12 +1,10 @@
-"""Benchmark harness helpers: deployments, report files, shared fixtures."""
+"""Benchmark harness helpers: report files, per-op timing, ``--json`` rows."""
 
 from __future__ import annotations
 
 import json
 import pathlib
 import time
-
-import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent.parent / "results"
 
@@ -111,27 +109,3 @@ def write_bench_json(path, results: list[dict]) -> pathlib.Path | None:
     target.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     print(f"bench json: {target}")
     return target
-
-
-def deploy_chain(num_ases: int, asset_duration: int = 14_400, seed: int = 7):
-    """Fresh market deployment over a linear chain + its leaf-to-core path."""
-    from repro.clock import SimClock
-    from repro.controlplane import deploy_market
-    from repro.scion import PathLookup, linear_topology, run_beaconing
-
-    clock = SimClock(1_700_000_000.0)
-    topology = linear_topology(max(num_ases, 2))
-    deployment = deploy_market(
-        topology, clock=clock, seed=seed, asset_duration=asset_duration
-    )
-    store = run_beaconing(topology, timestamp=1_700_000_000)
-    path = PathLookup(store).find_paths(
-        topology.ases[-1].isd_as, topology.ases[0].isd_as
-    )[0]
-    return deployment, path
-
-
-@pytest.fixture(scope="session")
-def results_dir():
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR

@@ -14,9 +14,11 @@ A from-scratch Python reproduction of the SIGCOMM 2025 paper, comprising:
   is the interpreter's own OpenSSL;
 * :mod:`repro.netsim` — a discrete-event network simulator for the QoS
   experiments;
-* :mod:`repro.perfmodel` / :mod:`repro.analysis` — throughput models and
-  report rendering that regenerate every table and figure of the paper's
-  evaluation.
+* :mod:`repro.perfmodel` — the paper's published timings, the multicore
+  throughput model and microbenchmarks of our data plane, which
+  ``tools/paper_scoreboard.py`` turns into ``docs/reproduction.md``: every
+  table and figure of the paper's evaluation beside ours;
+* :mod:`repro.analysis` — plain-text tables and plots for reports.
 
 Quickstart: see ``examples/quickstart.py`` for the complete walkthrough
 from market deployment to priority forwarding.

@@ -1,15 +1,11 @@
-"""Analysis helpers: statistics, tables, terminal plots."""
+"""Analysis helpers: tables and terminal plots."""
 
 from repro.analysis.ascii_plot import line_plot, sparkline
-from repro.analysis.stats import BoxStats, fraction_below, percentile
 from repro.analysis.tables import render_comparison, render_table
 
 __all__ = [
     "line_plot",
     "sparkline",
-    "BoxStats",
-    "fraction_below",
-    "percentile",
     "render_comparison",
     "render_table",
 ]

@@ -4,7 +4,7 @@ These are the DPDK prototype's numbers on an Intel Xeon 2.1 GHz with
 AES-NI.  The throughput model feeds them through the same pipeline
 structure our Python implementation executes, regenerating the paper's
 curves; our own measured timings are reported side by side (the Python/DPDK
-ratio is the calibration factor documented in EXPERIMENTS.md).
+ratio is Tables 3 and 4's "ours ÷ paper" in docs/reproduction.md).
 """
 
 from __future__ import annotations

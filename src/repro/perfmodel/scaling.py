@@ -92,15 +92,12 @@ FIG14_PAYLOAD = 500
 FIG15_PAYLOADS = (100, 500, 1000, 1500)
 
 
-def fig5_forwarding_series(
-    scion_ns: float = paper.SCION_FORWARD_NS,
-    hummingbird_ns: float = paper.HUMMINGBIRD_FORWARD_NS,
-) -> dict:
-    """Border-router throughput curves (Fig. 5)."""
+def fig5_forwarding_series() -> dict:
+    """Border-router throughput curves (Fig. 5) from the paper's Table 3 costs."""
     series = {}
     for payload in FIG5_PAYLOADS:
-        hb_model = ThroughputModel(hummingbird_ns)
-        scion_model = ThroughputModel(scion_ns)
+        hb_model = ThroughputModel(paper.HUMMINGBIRD_FORWARD_NS)
+        scion_model = ThroughputModel(paper.SCION_FORWARD_NS)
         series[("hummingbird", payload)] = [
             (c, hb_model.throughput_gbps(c, wire_bytes(FIG5_HOPS, payload, True)))
             for c in FIG5_CORES

@@ -1,36 +1,6 @@
-"""Analysis helpers: percentiles, box stats, tables, plots."""
+"""Analysis helpers: tables, plots."""
 
-import pytest
-
-from repro.analysis import (
-    BoxStats,
-    fraction_below,
-    line_plot,
-    percentile,
-    render_table,
-)
-
-
-class TestStats:
-    def test_percentile_interpolation(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0) == 1.0
-        assert percentile(values, 100) == 4.0
-        assert percentile(values, 50) == pytest.approx(2.5)
-
-    def test_percentile_bounds(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_box_stats_ordering(self):
-        stats = BoxStats.of([float(i) for i in range(100)])
-        assert stats.p5 <= stats.q1 <= stats.median <= stats.q3 <= stats.p95
-        assert stats.count == 100
-
-    def test_fraction_below(self):
-        assert fraction_below([1.0, 2.0, 3.0, 4.0], 3.0) == pytest.approx(0.5)
+from repro.analysis import line_plot, render_table
 
 
 class TestRendering:

@@ -167,3 +167,34 @@ class TestMeasurements:
         hummingbird = sum(run.hummingbird_generation_ns for run in runs)
         scion = sum(run.scion_generation_ns for run in runs)
         assert hummingbird > scion
+
+
+def test_each_table4_stage_timing_runs_only_its_own_stage(monkeypatch):
+    """Table 4's stages are disjoint, so their sum is comparable to the whole
+    generation: "Add payload" attaches the payload to a path assembled
+    beforehand, and no hop field is assembled while it is timed."""
+    from repro.hummingbird.source import HummingbirdSource
+    from repro.perfmodel import measure
+
+    stages = ("_begin_headers", "_compute_flyover_macs", "_assemble_hopfields", "_attach_payload")
+    calls = dict.fromkeys(stages, 0)
+    for name in stages:
+        def counting(self, *args, name=name, original=getattr(HummingbirdSource, name)):
+            calls[name] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(HummingbirdSource, name, counting)
+    timed = []  # per time_op call: the stages it ran
+    time_op = measure.time_op
+
+    def recording(fn, iterations=2000):
+        before = dict(calls)
+        time_op(fn, iterations)
+        timed.append([name for name in stages if calls[name] > before[name]])
+        return 1.0
+
+    monkeypatch.setattr(measure, "time_op", recording)
+    measure.measure_source(hops=2, iterations=10, prf_backend="blake2")
+    whole, scion, *stage_timings = timed
+    assert whole == list(stages) and scion == []
+    assert stage_timings == [[name] for name in stages]

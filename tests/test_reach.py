@@ -226,8 +226,8 @@ def test_every_user_path_is_probed():
     examples = sorted((REPO / "examples").glob("*.py"))
     benches = sorted((REPO / "benchmarks").glob("bench_*.py"))
     assert [f"example {p.name}" for p in examples] == labels[: len(examples)]
-    assert "recorded experiments" in labels and "e2e smoke" in labels
+    assert "recorded experiments" in labels and "e2e smoke" in labels and "scoreboard" in labels
     assert sum(label.startswith("report ") for label in labels) == 5
     for bench in benches:
         assert f"script {bench.name}" in labels and f"reports {bench.name}" in labels
-    assert len(labels) == len(examples) + 1 + 5 + 1 + 2 * len(benches)
+    assert len(labels) == len(examples) + 1 + 5 + 1 + 1 + 2 * len(benches)

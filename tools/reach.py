@@ -5,9 +5,9 @@
 
 A user path is something a user of the repository runs: the examples, the
 recorded netsim experiments, ``tools/report_experiment.py --run`` for every
-scenario, the e2e benchmark at smoke scale, and every
-``benchmarks/bench_*.py``, both as a script and as its pytest report
-functions.  Each runs in a subprocess with a ``sitecustomize.py`` first on
+scenario, the e2e benchmark at smoke scale, ``tools/paper_scoreboard.py``, and
+every per-layer ``benchmarks/bench_*.py``, both as a script and as its pytest
+report functions.  Each runs in a subprocess with a ``sitecustomize.py`` first on
 ``PYTHONPATH`` that profiles the whole interpreter with ``cProfile`` and
 dumps the code it saw at exit, so the subprocesses a path starts (e2e's
 per-workload runs) are counted too.  Tests are not a user path.
@@ -123,11 +123,12 @@ def user_paths() -> list[tuple[str, list[str]]]:
         python, "tools/report_experiment.py", "--run", "reclamation",
     ]))
     paths.append(("e2e smoke", [python, "benchmarks/e2e/run.py", "--smoke"]))
+    paths.append(("scoreboard", [python, "tools/paper_scoreboard.py"]))
     for bench in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")):
         smoke = ["--smoke"] if "--smoke" in bench.read_text() else []
         paths.append((f"script {bench.name}", [python, str(bench), *smoke]))
         paths.append((f"reports {bench.name}", [
-            python, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable", str(bench),
+            python, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(bench),
         ]))
     return paths
 
