@@ -1,47 +1,30 @@
-"""Sealed-bid auction clearing throughput at 10^4..10^5 bids per window.
+"""Sealed-bid auction clearing throughput at 10^5 bids per window.
 
 ``settle_auction`` re-runs :func:`repro.admission.auction.uniform_price_clearing`
 on-chain, so the clearing rule is on the consensus critical path: a popular
 window can easily attract 10^5 sealed bids, and the settle transaction must
-still clear in well under a second.  This bench fabricates bid books of
-growing size (lognormal-ish price spread, granular bandwidths) and reports
+still clear in well under a second.  This bench fabricates a book of 10^5
+bids (lognormal-ish price spread, granular bandwidths) and times plain
+uniform-price clearing (sort + greedy fill) over it.
 
-* **clear bids/sec** — plain uniform-price clearing (sort + greedy fill);
-* **capped bids/sec** — the same with a proportional-share cap and a
-  minimum-fragment rule switched on (the fully featured contract path);
-* **place bids/sec** — :class:`~repro.admission.WindowAuction` book
-  appends, the AS-side mirror of ``BidPlaced`` events.
+Bar: >= 100k cleared bids/sec.
 
-Acceptance bar: >= 100k cleared bids/sec at 10^5 bids (>= 20k in --smoke).
-
-Run:  PYTHONPATH=src python benchmarks/bench_auction.py [--smoke | --full]
-  or: PYTHONPATH=src python -m pytest benchmarks/bench_auction.py -q
+Run:  PYTHONPATH=src python benchmarks/bench_auction.py
+(``tools/perf_guard.py`` gates the bar.)
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time
 
-try:
-    from benchmarks.conftest import bench_result, report, write_bench_json
-except ImportError:  # executed as a script from the benchmarks/ directory
-    from conftest import bench_result, report, write_bench_json
-
-from repro.admission import Bid, WindowAuction, uniform_price_clearing
-from repro.analysis import render_comparison
+from repro.admission import Bid, uniform_price_clearing
 
 SUPPLY_KBPS = 10_000_000  # a 10 Gbps window up for auction
 RESERVE = 50
 MIN_BW = 100
-
-DEFAULT_SIZES = (10_000, 100_000)
-FULL_SIZES = (10_000, 100_000, 300_000)
-SMOKE_SIZES = (2_000,)
-
-MIN_CLEAR_RATE = 100_000.0
-MIN_CLEAR_RATE_SMOKE = 20_000.0
+BIDS = 100_000
+BARS = {"clear_bids_per_sec": 100_000.0}
 
 
 def fabricate_bids(count: int, seed: int = 7) -> list[Bid]:
@@ -51,7 +34,7 @@ def fabricate_bids(count: int, seed: int = 7) -> list[Bid]:
     for seq in range(count):
         bids.append(
             Bid(
-                bidder=f"host-{seq % (count // 4 + 1)}",  # repeat bidders: caps bite
+                bidder=f"host-{seq % (count // 4 + 1)}",  # repeat bidders
                 bandwidth_kbps=rng.randrange(MIN_BW, 10_000, 100),
                 price_micromist_per_unit=max(1, int(rng.lognormvariate(4.0, 0.8))),
                 seq=seq,
@@ -60,105 +43,13 @@ def fabricate_bids(count: int, seed: int = 7) -> list[Bid]:
     return bids
 
 
-def run_benchmark(sizes):
-    rows = []
-    clear_rates = {}
-    for size in sizes:
-        bids = fabricate_bids(size)
-
-        began = time.perf_counter()
-        plain = uniform_price_clearing(bids, SUPPLY_KBPS, RESERVE)
-        clear_rate = size / (time.perf_counter() - began)
-
-        began = time.perf_counter()
-        capped = uniform_price_clearing(
-            bids,
-            SUPPLY_KBPS,
-            RESERVE,
-            share_cap_kbps=SUPPLY_KBPS // 4,
-            total_kbps=SUPPLY_KBPS,
-            min_fragment_kbps=MIN_BW,
-        )
-        capped_rate = size / (time.perf_counter() - began)
-
-        auction = WindowAuction(
-            interface=1, is_ingress=True, start=0, end=600,
-            offered_kbps=SUPPLY_KBPS, reserve_micromist=RESERVE,
-        )
-        began = time.perf_counter()
-        for bid in bids:
-            auction.place(bid.bidder, bid.bandwidth_kbps, bid.price_micromist_per_unit)
-        place_rate = size / (time.perf_counter() - began)
-
-        clear_rates[size] = clear_rate
-        rows.append(
-            [
-                f"{size:,}",
-                f"{clear_rate:,.0f}",
-                f"{capped_rate:,.0f}",
-                f"{place_rate:,.0f}",
-                f"{len(plain.winners):,}",
-                f"{plain.clearing_price_micromist:,}",
-                f"{len(capped.winners):,}",
-            ]
-        )
-    table = render_comparison(
-        [
-            "bids", "clear b/s", "capped b/s", "place b/s",
-            "winners", "clearing µMIST", "capped winners",
-        ],
-        rows,
-        title="Sealed-bid uniform-price clearing throughput",
-        note="clear = sort by (-price, seq) + greedy fill; capped adds the "
-        "proportional-share cap and the minimum-fragment rule (the full "
-        "settle_auction path); place = WindowAuction book appends.",
-    )
-    return table, clear_rates
-
-
-def test_bench_auction_report():
-    table, clear_rates = run_benchmark(DEFAULT_SIZES)
-    report("bench_auction", table)
-    assert clear_rates[100_000] >= MIN_CLEAR_RATE, clear_rates
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small sizes + relaxed bar (CI wiring check, not a measurement)",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="include the 3x10^5-bid tier"
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", help="write machine-readable results to PATH"
-    )
-    args = parser.parse_args()
-    if args.smoke:
-        table, clear_rates = run_benchmark(SMOKE_SIZES)
-        print(table)
-        floor = MIN_CLEAR_RATE_SMOKE
-    else:
-        table, clear_rates = run_benchmark(FULL_SIZES if args.full else DEFAULT_SIZES)
-        report("bench_auction", table)
-        floor = MIN_CLEAR_RATE if 100_000 in clear_rates else MIN_CLEAR_RATE_SMOKE
-    write_bench_json(
-        args.json,
-        [
-            bench_result(
-                "auction_clear",
-                {"bids": size, "supply_kbps": SUPPLY_KBPS, "reserve": RESERVE},
-                ops_per_sec=rate,
-            )
-            for size, rate in sorted(clear_rates.items())
-        ],
-    )
-    worst = min(clear_rates.values())
-    assert worst >= floor, f"clear rate {worst:,.0f} bids/s below the {floor:,.0f} bar"
-    print(f"\nOK: worst clear rate {worst:,.0f} bids/s (bar {floor:,.0f})")
+def measure() -> dict[str, float]:
+    """Cleared bids/s of one uniform-price clearing over ``BIDS`` bids."""
+    bids = fabricate_bids(BIDS)
+    began = time.perf_counter()
+    uniform_price_clearing(bids, SUPPLY_KBPS, RESERVE)
+    return {"clear_bids_per_sec": BIDS / (time.perf_counter() - began)}
 
 
 if __name__ == "__main__":
-    main()
+    print(measure())

@@ -1,35 +1,23 @@
-"""Indexed vs naive listing discovery at 10^4..10^6 listings.
+"""Indexed vs naive listing discovery at 10^5 listings.
 
 The v1 discovery call (kept as :func:`~repro.marketdata.naive_best_listing`)
 scanned EVERY ledger object per hop per query; the
 v2 :class:`~repro.marketdata.MarketIndexer` consumes the marketplace event
 stream incrementally into per-interface sorted structures.  This bench
-fabricates markets of growing size (listings spread over a realistic pool
-of AS interfaces), fires identical rectangle-cover queries at both paths,
-and reports
+fabricates a market of 10^5 listings spread over a realistic pool of AS
+interfaces and fires identical rectangle-cover queries at both paths.
 
-* **index build** — event-consumption throughput of a cold ``sync()``;
-* **indexed queries/sec** vs **naive queries/sec** and the speedup
-  (acceptance bar: >= 50x at 10^5 listings);
-* **incremental apply** — Sold/Delisted events folded into a live index
-  without a rescan.
+Bar: the indexed path answers >= 50x the naive scan's queries/s.
 
-Run:  PYTHONPATH=src python benchmarks/bench_indexer.py [--smoke | --full]
-  or: PYTHONPATH=src python -m pytest benchmarks/bench_indexer.py -q
+Run:  PYTHONPATH=src python benchmarks/bench_indexer.py
+(``tools/perf_guard.py`` gates the bar.)
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time
 
-try:
-    from benchmarks.conftest import bench_result, report, write_bench_json
-except ImportError:  # executed as a script from the benchmarks/ directory
-    from conftest import bench_result, report, write_bench_json
-
-from repro.analysis import render_comparison
 from repro.contracts.asset import ASSET_TYPE
 from repro.contracts.market import LISTING_TYPE
 from repro.ledger.chain import Ledger
@@ -42,12 +30,10 @@ MARKETPLACE = "bench-marketplace"
 GRANULARITY = 60
 HORIZON_SLOTS = 2400  # granules of calendar time the listings spread over
 ANCHOR = 1_700_000_000
-MIN_SPEEDUP_AT_100K = 50.0
-MIN_SPEEDUP_SMOKE = 10.0
-
-DEFAULT_SIZES = (10_000, 100_000)
-FULL_SIZES = (10_000, 100_000, 1_000_000)
-SMOKE_SIZES = (2_000,)
+LISTINGS = 100_000
+NAIVE_QUERIES = 20
+INDEXED_QUERIES = 2_000
+BARS = {"speedup": 50.0}
 
 
 def _key_pool(rng: random.Random, count: int = 160):
@@ -65,7 +51,7 @@ def populate(ledger: Ledger, num_listings: int, seed: int = 7) -> list[dict]:
 
     Objects and Listed events are written the same shape the market
     contract produces, so both the naive scan and the indexer see exactly
-    what a real deployment would — building 10^6 listings through
+    what a real deployment would — building 10^5 listings through
     transactions would dominate the benchmark's runtime.
     """
     rng = random.Random(seed)
@@ -153,154 +139,26 @@ def _queries(snapshots: list[dict], count: int, seed: int = 11) -> list[ListingQ
     return queries
 
 
-def _mutation_events(snapshots: list[dict], count: int, seed: int = 13) -> list[Event]:
-    """Sold (shrink) and Delisted events against random live listings."""
-    rng = random.Random(seed)
-    events = []
-    for victim in rng.sample(snapshots, count):
-        if rng.random() < 0.5:
-            events.append(
-                Event(
-                    "Delisted",
-                    {
-                        "marketplace": MARKETPLACE,
-                        "listing": victim["listing"],
-                        "asset": victim["asset"],
-                    },
-                    "bench",
-                    0,
-                )
-            )
-        else:
-            events.append(
-                Event(
-                    "Sold",
-                    {
-                        "marketplace": MARKETPLACE,
-                        "listing": victim["listing"],
-                        "asset": "bench-sold-piece",
-                        "price_mist": 1,
-                        "buyer": "bench-buyer",
-                        "listing_closed": False,
-                        "remaining": {
-                            "bandwidth_kbps": max(100, victim["bandwidth_kbps"] // 2),
-                            "start": victim["start"],
-                            "expiry": victim["expiry"],
-                        },
-                    },
-                    "bench",
-                    0,
-                )
-            )
-    return events
+def measure() -> dict[str, float]:
+    """Indexed over naive queries/s on one fabricated market of ``LISTINGS``."""
+    ledger = Ledger()
+    snapshots = populate(ledger, LISTINGS)
+    queries = _queries(snapshots, INDEXED_QUERIES)
+    indexer = MarketIndexer(ledger, MARKETPLACE)
+    indexer.sync()
+    indexer.best(queries[0])  # compile the touched bucket outside timers
 
+    began = time.perf_counter()
+    for query in queries:
+        indexer.best(query, sync=False)
+    indexed_rate = len(queries) / (time.perf_counter() - began)
 
-def run_benchmark(sizes, naive_queries: int = 20, indexed_queries: int = 2_000):
-    rows = []
-    speedups = {}
-    stats: dict[int, dict[str, float]] = {}
-    for size in sizes:
-        ledger = Ledger()
-        snapshots = populate(ledger, size)
-        queries = _queries(snapshots, max(naive_queries, indexed_queries))
-
-        indexer = MarketIndexer(ledger, MARKETPLACE)
-        began = time.perf_counter()
-        indexer.sync()
-        build_seconds = time.perf_counter() - began
-        indexer.best(queries[0])  # compile the touched bucket outside timers
-
-        began = time.perf_counter()
-        for query in queries[:indexed_queries]:
-            indexer.best(query, sync=False)
-        indexed_rate = indexed_queries / (time.perf_counter() - began)
-
-        began = time.perf_counter()
-        for query in queries[:naive_queries]:
-            naive_best_listing(ledger, MARKETPLACE, query)
-        naive_rate = naive_queries / (time.perf_counter() - began)
-
-        mutations = _mutation_events(snapshots, min(1_000, size // 2))
-        ledger.events.extend(mutations)
-        began = time.perf_counter()
-        indexer.sync()
-        apply_rate = len(mutations) / (time.perf_counter() - began)
-
-        speedup = indexed_rate / naive_rate
-        speedups[size] = speedup
-        stats[size] = {
-            "build_events_per_sec": size / build_seconds,
-            "indexed_queries_per_sec": indexed_rate,
-            "naive_queries_per_sec": naive_rate,
-            "apply_events_per_sec": apply_rate,
-        }
-        rows.append(
-            [
-                f"{size:,}",
-                f"{size / build_seconds:,.0f}",
-                f"{indexed_rate:,.0f}",
-                f"{naive_rate:,.1f}",
-                f"{speedup:,.0f}x",
-                f"{apply_rate:,.0f}",
-            ]
-        )
-    table = render_comparison(
-        ["listings", "build ev/s", "indexed q/s", "naive q/s", "speedup", "apply ev/s"],
-        rows,
-        title="Listing discovery: incremental index vs full-ledger scan",
-        note="indexed = sorted-prefix bisect + the prefix priced row by row "
-        "per query; naive = the v1 O(all objects) scan; apply = "
-        "Sold/Delisted events folded in without a rescan.",
-    )
-    return table, speedups, stats
-
-
-def test_bench_indexer_report():
-    table, speedups, _ = run_benchmark(DEFAULT_SIZES)
-    report("bench_indexer", table)
-    assert speedups[100_000] >= MIN_SPEEDUP_AT_100K, speedups
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="small sizes + relaxed bar (CI wiring check, not a measurement)",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="include the 10^6-listing tier"
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", help="write machine-readable results to PATH"
-    )
-    args = parser.parse_args()
-    if args.smoke:
-        table, speedups, stats = run_benchmark(
-            SMOKE_SIZES, naive_queries=10, indexed_queries=500
-        )
-        print(table)
-        floor = MIN_SPEEDUP_SMOKE
-    else:
-        table, speedups, stats = run_benchmark(FULL_SIZES if args.full else DEFAULT_SIZES)
-        report("bench_indexer", table)
-        floor = MIN_SPEEDUP_AT_100K if 100_000 in speedups else MIN_SPEEDUP_SMOKE
-    write_bench_json(
-        args.json,
-        [
-            bench_result(
-                f"indexer_{metric.removesuffix('_per_sec')}",
-                {"listings": size},
-                ops_per_sec=rate,
-            )
-            for size, rates in sorted(stats.items())
-            for metric, rate in rates.items()
-        ],
-    )
-    worst = min(speedups.values())
-    assert worst >= floor, f"speedup {worst:.1f}x below the {floor:.0f}x bar"
-    print(f"\nOK: worst speedup {worst:,.0f}x (bar {floor:.0f}x)")
+    began = time.perf_counter()
+    for query in queries[:NAIVE_QUERIES]:
+        naive_best_listing(ledger, MARKETPLACE, query)
+    naive_rate = NAIVE_QUERIES / (time.perf_counter() - began)
+    return {"speedup": indexed_rate / naive_rate}
 
 
 if __name__ == "__main__":
-    main()
+    print(measure())

@@ -1,42 +1,8 @@
-"""Benchmark harness helpers: report files, per-op timing, ``--json`` rows."""
+"""The paired A/B timing both telemetry-overhead measurements share."""
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
-
-RESULTS_DIR = pathlib.Path(__file__).parent.parent / "results"
-
-
-def report(name: str, text: str) -> None:
-    """Print a benchmark report and persist it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    print(f"\n{text}\n")
-
-
-def measure_op(fn, samples: int = 500, warmup: int = 10) -> dict:
-    """Per-call latency samples -> ``{ops_per_sec, p50, p99}`` (seconds).
-
-    Times each call individually so the percentiles are real per-op
-    latencies, not a mean split N ways.
-    """
-    for _ in range(warmup):
-        fn()
-    latencies = []
-    began = time.perf_counter()
-    for _ in range(samples):
-        t0 = time.perf_counter()
-        fn()
-        latencies.append(time.perf_counter() - t0)
-    total = time.perf_counter() - began
-    latencies.sort()
-    return {
-        "ops_per_sec": samples / total,
-        "p50": latencies[(samples - 1) // 2],
-        "p99": latencies[min(samples - 1, round(0.99 * (samples - 1)))],
-    }
 
 
 def measure_ab(run_on, run_off, samples: int = 4000, warmup: int = 50) -> dict:
@@ -80,32 +46,3 @@ def measure_ab(run_on, run_off, samples: int = 4000, warmup: int = 50) -> dict:
         "p50_off": offs[mid],
         "overhead": diffs[mid] / offs[mid],
     }
-
-
-def bench_result(
-    name: str,
-    params: dict,
-    ops_per_sec: float | None = None,
-    p50: float | None = None,
-    p99: float | None = None,
-) -> dict:
-    """One machine-readable benchmark row (the ``--json`` schema)."""
-    return {
-        "name": name,
-        "params": dict(params),
-        "ops_per_sec": ops_per_sec,
-        "p50": p50,
-        "p99": p99,
-    }
-
-
-def write_bench_json(path, results: list[dict]) -> pathlib.Path | None:
-    """Persist ``--json`` rows; a no-op when no path was requested."""
-    if not path:
-        return None
-    target = pathlib.Path(path)
-    if target.parent != pathlib.Path("."):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"bench json: {target}")
-    return target

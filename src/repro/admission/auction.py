@@ -58,7 +58,7 @@ class Bid:
 
     ``price_micromist_per_unit`` is the bidder's maximum willingness to pay
     per kbps-second (the same unit posted listings use), and ``seq`` is the
-    arrival index the auction assigned — the deterministic tie-breaker.
+    arrival index the ledger assigned — the deterministic tie-breaker.
     """
 
     bidder: str
@@ -194,17 +194,18 @@ class WindowAuction:
 
     The AS-side admission view of an on-chain auction: it records the
     offered bandwidth, the scarcity-seeded reserve, the proportional-share
-    cap, and the bids as they arrive (``place`` assigns the arrival
-    ``seq``).  ``clear`` applies :func:`uniform_price_clearing`, optionally
-    against a *smaller* supply than was offered — the controller clamps by
-    live calendar headroom at settle time, so a window that lost headroom
-    between open and settle cannot be oversold.
+    cap, and the bids as the AS mirrors them off the ledger's ``BidPlaced``
+    events (the ledger validated each and assigned its ``seq``).  ``clear``
+    applies :func:`uniform_price_clearing`, optionally against a *smaller*
+    supply than was offered — the controller clamps by live calendar
+    headroom at settle time, so a window that lost headroom between open
+    and settle cannot be oversold.
 
     >>> auction = WindowAuction(interface=1, is_ingress=True,
     ...                         start=0, end=600, offered_kbps=1000,
     ...                         reserve_micromist=10)
-    >>> _ = auction.place("alice", 600, 80)
-    >>> _ = auction.place("bob", 600, 60)
+    >>> auction.bids.append(Bid("alice", 600, 80, seq=0))
+    >>> auction.bids.append(Bid("bob", 600, 60, seq=1))
     >>> outcome = auction.clear()            # only alice fits 1000 kbps
     >>> [bid.bidder for bid in outcome.winners], outcome.clearing_price_micromist
     (['alice'], 60)
@@ -230,34 +231,6 @@ class WindowAuction:
             raise ValueError("offered bandwidth must be positive")
         if self.reserve_micromist < 1:
             raise ValueError("reserve price must be at least 1 micromist")
-
-    def place(
-        self, bidder: str, bandwidth_kbps: int, price_micromist_per_unit: int
-    ) -> Bid:
-        """Record one sealed bid; returns it with its arrival ``seq``.
-
-        Args:
-            bidder: free-form bidder identity (on-chain address, buyer tag).
-            bandwidth_kbps: bandwidth wanted over the whole window.
-            price_micromist_per_unit: maximum unit price the bidder pays.
-
-        Raises:
-            ValueError: non-positive bandwidth or price, or a bid wider
-                than the offered bandwidth (it could never win).
-        """
-        if bandwidth_kbps > self.offered_kbps:
-            raise ValueError(
-                f"bid of {bandwidth_kbps} kbps exceeds the "
-                f"{self.offered_kbps} kbps offered"
-            )
-        bid = Bid(
-            bidder=bidder,
-            bandwidth_kbps=int(bandwidth_kbps),
-            price_micromist_per_unit=int(price_micromist_per_unit),
-            seq=len(self.bids),
-        )
-        self.bids.append(bid)
-        return bid
 
     def clear(self, supply_kbps: int | None = None) -> ClearingOutcome:
         """Clear the book under the uniform-price rule.

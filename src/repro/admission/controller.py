@@ -65,7 +65,6 @@ class AdmissionController:
         capacities: dict[tuple[int, bool], int] | None = None,
         shard_seconds: float = DEFAULT_SHARD_SECONDS,
         auction_interfaces: bool | set[tuple[int, bool]] | None = None,
-        telemetry: bool | None = None,
     ) -> None:
         """Configure the admission authority for one AS.
 
@@ -83,14 +82,6 @@ class AdmissionController:
                 by sealed-bid auction instead of posted prices — ``None``
                 (posted everywhere, the default), ``True`` (auction
                 everywhere), or a set of ``(interface, is_ingress)`` pairs.
-            telemetry: ``False`` disarms this controller's per-admit
-                instrumentation even when the process registry is live —
-                the per-op path is then identical to running with
-                ``REPRO_TELEMETRY`` unset.  ``None`` (default) follows the
-                registry; ``True`` cannot force metrics on a null
-                registry.  ``tools/perf_guard.py`` uses the override to
-                benchmark an armed and a disarmed controller side by side
-                in one process.
 
         Raises:
             ValueError: non-positive capacity, or a shard width that is not
@@ -113,9 +104,7 @@ class AdmissionController:
         self._auctions: dict[tuple[int, bool, float, float], WindowAuction] = {}
         self.rejections = 0
         registry = get_registry()
-        self._telemetry = registry.enabled if telemetry is None else (
-            bool(telemetry) and registry.enabled
-        )
+        self._telemetry = registry.enabled
         self._m_decisions = registry.counter(
             "admission_decisions_total",
             "Admission decisions by layer, interface, direction, and outcome.",

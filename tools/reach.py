@@ -6,11 +6,12 @@
 A user path is something a user of the repository runs: the examples, the
 recorded netsim experiments, ``tools/report_experiment.py --run`` for every
 scenario, the e2e benchmark at smoke scale, ``tools/paper_scoreboard.py``, and
-every per-layer ``benchmarks/bench_*.py``, both as a script and as its pytest
-report functions.  Each runs in a subprocess with a ``sitecustomize.py`` first on
-``PYTHONPATH`` that profiles the whole interpreter with ``cProfile`` and
-dumps the code it saw at exit, so the subprocesses a path starts (e2e's
-per-workload runs) are counted too.  Tests are not a user path.
+every per-layer ``benchmarks/bench_*.py`` run as a script (its one
+measurement, at the size ``tools/perf_guard.py`` gates).  Each runs in a
+subprocess with a ``sitecustomize.py`` first on ``PYTHONPATH`` that profiles
+the whole interpreter with ``cProfile`` and dumps the code it saw at exit, so
+the subprocesses a path starts (e2e's per-workload runs) are counted too.
+Tests are not a user path.
 
 Every function definition under ``src/repro`` that no path entered is one
 sorted line of ``results/unreached.txt``::
@@ -22,9 +23,8 @@ with no reason is written as ``unexplained``; ``--check`` and
 ``tests/test_unreached.py`` refuse it.  So code no one calls cannot come
 back unnoticed, and code that gains a caller leaves the list.
 
-A path that exits non-zero is reported and does not fail the run: some
-bench timing floors fail under the profiler's overhead, and the calls made
-before the exit still count.
+A path that exits non-zero is reported and does not fail the run: the calls
+made before the exit still count.
 """
 
 from __future__ import annotations
@@ -125,11 +125,7 @@ def user_paths() -> list[tuple[str, list[str]]]:
     paths.append(("e2e smoke", [python, "benchmarks/e2e/run.py", "--smoke"]))
     paths.append(("scoreboard", [python, "tools/paper_scoreboard.py"]))
     for bench in sorted((REPO_ROOT / "benchmarks").glob("bench_*.py")):
-        smoke = ["--smoke"] if "--smoke" in bench.read_text() else []
-        paths.append((f"script {bench.name}", [python, str(bench), *smoke]))
-        paths.append((f"reports {bench.name}", [
-            python, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(bench),
-        ]))
+        paths.append((f"script {bench.name}", [python, str(bench)]))
     return paths
 
 
