@@ -31,7 +31,6 @@ from repro.admission.policy import (
     AdmissionRequest,
     FirstComeFirstServed,
     OverbookingPolicy,
-    ProportionalShare,
 )
 from repro.admission.pricing import FlatPricer, Pricer, ScarcityPricer
 
@@ -55,7 +54,6 @@ __all__ = [
     "LostBid",
     "OverbookingPolicy",
     "Pricer",
-    "ProportionalShare",
     "ScarcityPricer",
     "WindowAuction",
     "uniform_price_clearing",

@@ -29,10 +29,10 @@ Clearing rule (documented here once, asserted in
    and among equal prices the **earlier-placed bid wins** (``seq`` is the
    arrival index, so the tie-break is deterministic and replayable);
 3. bids are filled greedily: a bid is awarded iff its bandwidth still fits
-   the remaining supply, the bidder stays within the per-bidder **share
-   cap** (the :class:`~repro.admission.policy.ProportionalShare` bound),
-   and awarding it would not strand a remainder fragment smaller than the
-   asset's minimum bandwidth;
+   the remaining supply and awarding it would not strand a remainder
+   fragment smaller than the asset's minimum bandwidth (one bidder's
+   several bids may take the whole supply; ``docs/auctions.md`` says why
+   there is no per-bidder cap);
 4. every winner pays the same **clearing price**:
    ``min(lowest winning bid, max(reserve, highest losing bid))`` — the
    classic uniform-price rule with a reserve, clamped so no winner can be
@@ -101,7 +101,6 @@ def uniform_price_clearing(
     bids,
     supply_kbps: int,
     reserve_micromist: int,
-    share_cap_kbps: int | None = None,
     total_kbps: int | None = None,
     min_fragment_kbps: int = 0,
 ) -> ClearingOutcome:
@@ -113,9 +112,6 @@ def uniform_price_clearing(
             possibly clamped down by lost calendar headroom at settle time.
         reserve_micromist: minimum acceptable unit price; bids below it are
             rejected and it floors the clearing price.
-        share_cap_kbps: per-bidder award cap (the
-            :class:`~repro.admission.policy.ProportionalShare` bound);
-            ``None`` disables the cap.
         total_kbps: bandwidth of the underlying asset (defaults to
             ``supply_kbps``).  The fragment rule below is computed against
             this, because the *asset* remainder is what must stay sellable.
@@ -148,7 +144,6 @@ def uniform_price_clearing(
     winners: list[Bid] = []
     losers: list[LostBid] = []
     awarded = 0
-    taken: dict[str, int] = {}
     best_losing = 0
     for bid in ordered:
         if bid.price_micromist_per_unit < reserve_micromist:
@@ -158,13 +153,6 @@ def uniform_price_clearing(
             losers.append(LostBid(bid, "supply exhausted"))
             best_losing = max(best_losing, bid.price_micromist_per_unit)
             continue
-        if (
-            share_cap_kbps is not None
-            and taken.get(bid.bidder, 0) + bid.bandwidth_kbps > share_cap_kbps
-        ):
-            losers.append(LostBid(bid, "share cap"))
-            best_losing = max(best_losing, bid.price_micromist_per_unit)
-            continue
         remainder = total - (awarded + bid.bandwidth_kbps)
         if 0 < remainder < min_fragment_kbps:
             losers.append(LostBid(bid, "would strand a sub-minimum fragment"))
@@ -172,7 +160,6 @@ def uniform_price_clearing(
             continue
         winners.append(bid)
         awarded += bid.bandwidth_kbps
-        taken[bid.bidder] = taken.get(bid.bidder, 0) + bid.bandwidth_kbps
     if winners:
         lowest_winning = winners[-1].price_micromist_per_unit
         clearing = min(lowest_winning, max(reserve_micromist, best_losing))
@@ -193,9 +180,9 @@ class WindowAuction:
     """One sealed-bid auction for a single (interface, direction, window).
 
     The AS-side admission view of an on-chain auction: it records the
-    offered bandwidth, the scarcity-seeded reserve, the proportional-share
-    cap, and the bids as the AS mirrors them off the ledger's ``BidPlaced``
-    events (the ledger validated each and assigned its ``seq``).  ``clear``
+    offered bandwidth, the scarcity-seeded reserve and the bids as the AS
+    mirrors them off the ledger's ``BidPlaced`` events (the ledger
+    validated each and assigned its ``seq``).  ``clear``
     applies :func:`uniform_price_clearing`, optionally against a *smaller*
     supply than was offered — the controller clamps by live calendar
     headroom at settle time, so a window that lost headroom between open
@@ -220,7 +207,6 @@ class WindowAuction:
     end: float
     offered_kbps: int
     reserve_micromist: int
-    share_cap_kbps: int | None = None
     min_fragment_kbps: int = 0
     bids: list[Bid] = field(default_factory=list)
 
@@ -251,7 +237,6 @@ class WindowAuction:
             self.bids,
             supply_kbps=supply,
             reserve_micromist=self.reserve_micromist,
-            share_cap_kbps=self.share_cap_kbps,
             total_kbps=self.offered_kbps,
             min_fragment_kbps=self.min_fragment_kbps,
         )

@@ -19,9 +19,9 @@ Two layers, one of each:
   call pays ~1-2 us of dispatch, which dwarfs the actual work on spans this
   small, while a list insert is a single pointer memmove.
 * :class:`CapacityCalendar` is the commitment ledger: it owns everything a
-  commitment *is* — the :class:`Commitment` records, their ids, the tag
-  index, the end-shard index, validation — and *projects* each commit,
-  release and reclaim as a clipped ``add(+-kbps)`` into a dict of
+  commitment *is* — the :class:`Commitment` records, their ids, the
+  end-shard index, validation — and *projects* each commit, release and
+  reclaim as a clipped ``add(+-kbps)`` into a dict of
   :class:`StepFunction` shards, one per ``shard_seconds``-wide slot of the
   time axis (a day, :data:`DEFAULT_SHARD_SECONDS`, unless the caller sets
   a width).  Slots keep every boundary list as short as one slot's worth
@@ -179,7 +179,6 @@ class CapacityCalendar:
         # tracks the *live* horizon, not calendar history.
         self._shards: dict[int, StepFunction] = {}
         self._commitments: dict[int, Commitment] = {}
-        self._by_tag: dict[str, set[int]] = {}  # tag -> commitment ids
         self._by_end_shard: dict[int, set[int]] = {}  # slot of the end -> ids
         self._ids = itertools.count()
         #: First slot :meth:`expire` has not dropped (the watermark): nothing
@@ -244,29 +243,6 @@ class CapacityCalendar:
         """Peak committed fraction of capacity over the window, in [0, ...)."""
         return self.peak_commitment(start, end) / self.capacity_kbps
 
-    def tag_peak(self, tag: str, start: float, end: float) -> int:
-        """Peak committed kbps attributable to one tag (e.g. one buyer).
-
-        Computed by sweeping that tag's commitments (found through a
-        per-tag index, so the cost scales with one owner's holdings, not
-        the whole calendar); exact under reclaims and releases without a
-        per-tag calendar.
-        """
-        _check_window(start, end)
-        events: list[tuple[float, int]] = []
-        for commitment_id in self._by_tag.get(tag, ()):
-            commitment = self._commitments[commitment_id]
-            if commitment.end <= start or commitment.start >= end:
-                continue
-            events.append((max(commitment.start, start), commitment.bandwidth_kbps))
-            events.append((min(commitment.end, end), -commitment.bandwidth_kbps))
-        events.sort()
-        level = peak = 0
-        for _, delta in events:
-            level += delta
-            peak = max(peak, level)
-        return peak
-
     # -- mutations ----------------------------------------------------------------
 
     def admit(self, bandwidth_kbps: int, start: float, end: float, tag: str = "") -> Commitment:
@@ -315,8 +291,11 @@ class CapacityCalendar:
         commitment = self._commitments.pop(commitment_id, None)
         if commitment is None:
             raise KeyError(f"unknown commitment {commitment_id}")
-        self._unindex(self._by_tag, commitment.tag, commitment_id)
-        self._unindex(self._by_end_shard, self._end_key(commitment.end), commitment_id)
+        key = self._end_key(commitment.end)
+        ending = self._by_end_shard[key]
+        ending.discard(commitment_id)
+        if not ending:
+            del self._by_end_shard[key]
         self._project(
             -commitment.bandwidth_kbps, self._pieces(commitment.start, commitment.end)
         )
@@ -350,9 +329,9 @@ class CapacityCalendar:
 
         The no-show reclamation op: the freed ``old - new`` kbps returns
         to the calendar over the commitment's whole window while the
-        record keeps its id, window and tag — so policer state, the tag
-        index, and marketplace references keyed by the commitment stay
-        valid.  Strictly partial: full reclamation is :meth:`release`.
+        record keeps its id, window and tag — so policer state and
+        marketplace references keyed by the commitment stay valid.
+        Strictly partial: full reclamation is :meth:`release`.
 
         >>> calendar = CapacityCalendar(capacity_kbps=1000)
         >>> granted = calendar.admit(800, 0, 100)
@@ -396,16 +375,8 @@ class CapacityCalendar:
         commitment_id = next(self._ids)
         commitment = Commitment(commitment_id, bandwidth_kbps, start, end, tag)
         self._commitments[commitment_id] = commitment
-        self._by_tag.setdefault(tag, set()).add(commitment_id)
         self._by_end_shard.setdefault(self._end_key(end), set()).add(commitment_id)
         return commitment
-
-    @staticmethod
-    def _unindex(index: dict, key, commitment_id: int) -> None:
-        ids = index[key]
-        ids.discard(commitment_id)
-        if not ids:
-            del index[key]
 
     def _check_commitment(self, bandwidth_kbps: int, start: float, end: float) -> None:
         _check_window(start, end)

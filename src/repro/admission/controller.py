@@ -323,23 +323,6 @@ class AdmissionController:
             return AUCTION
         return POSTED
 
-    def share_cap_kbps(self, interface: int, is_ingress: bool) -> int | None:
-        """Per-bidder award cap seeding an auction's clearing rule.
-
-        Returns:
-            ``max_fraction * capacity`` when the controller's policy
-            carries a share cap — :class:`~repro.admission.policy.ProportionalShare`,
-            or an :class:`~repro.admission.policy.OverbookingPolicy`
-            constructed with ``max_fraction`` (an ``isinstance`` check here
-            used to drop the cap silently the moment an AS switched to
-            overbooking, handing auction bidders an uncapped book) — else
-            ``None`` (no cap).
-        """
-        max_fraction = getattr(self.policy, "max_fraction", None)
-        if max_fraction:
-            return int(max_fraction * self.capacity_kbps(interface, is_ingress))
-        return None
-
     def open_auction(
         self,
         interface: int,
@@ -354,11 +337,9 @@ class AdmissionController:
 
         The reserve price is the scarcity-adjusted posted quote for the
         window (so an auction can never clear below what the posted market
-        would have charged) and the share cap comes from the controller's
-        :class:`~repro.admission.policy.ProportionalShare` policy when one
-        is installed.  Capacity accounting is the caller's: issuing the
-        auctioned asset claims the issued calendar exactly like a posted
-        listing does.
+        would have charged).  Capacity accounting is the caller's: issuing
+        the auctioned asset claims the issued calendar exactly like a
+        posted listing does.
 
         Args:
             interface, is_ingress: the interface direction being auctioned.
@@ -394,7 +375,6 @@ class AdmissionController:
             reserve_micromist=self.quote(
                 base_price_micromist, interface, is_ingress, start, end
             ),
-            share_cap_kbps=self.share_cap_kbps(interface, is_ingress),
             min_fragment_kbps=int(min_fragment_kbps),
         )
         self._auctions[key] = auction

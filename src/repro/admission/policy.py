@@ -4,9 +4,6 @@ A policy turns "does it physically fit?" into an allocation discipline:
 
 * :class:`FirstComeFirstServed` — admit while the peak stays under
   capacity; arrival order decides who wins a contended window;
-* :class:`ProportionalShare` — additionally cap any single buyer's share
-  of an interface (SIBRA's bounded-tube idea): no one can corner a link
-  even with a deep wallet;
 * :class:`OverbookingPolicy` — admit up to ``factor * capacity``,
   betting on no-shows the way airlines do; the data plane still polices
   actual usage, so overbooking trades admission yield against the risk
@@ -70,49 +67,15 @@ class FirstComeFirstServed(AdmissionPolicy):
         return AdmissionDecision(True, "fits", commitment)
 
 
-class ProportionalShare(FirstComeFirstServed):
-    """FCFS plus a per-buyer cap: no buyer exceeds ``max_fraction`` of capacity."""
-
-    name = "proportional-share"
-
-    def __init__(self, max_fraction: float = 0.25) -> None:
-        if not 0 < max_fraction <= 1:
-            raise ValueError("max_fraction must be in (0, 1]")
-        self.max_fraction = max_fraction
-
-    def admit(self, calendar: CapacityCalendar, request: AdmissionRequest) -> AdmissionDecision:
-        buyer_cap = int(self.max_fraction * calendar.capacity_kbps)
-        buyer_peak = calendar.tag_peak(request.buyer, request.start, request.end)
-        if buyer_peak + request.bandwidth_kbps > buyer_cap:
-            return AdmissionDecision(
-                False,
-                f"buyer {request.buyer!r} would hold {buyer_peak + request.bandwidth_kbps} "
-                f"of {buyer_cap} kbps allowed ({self.max_fraction:.0%} share cap)",
-            )
-        return super().admit(calendar, request)
-
-
 class OverbookingPolicy(AdmissionPolicy):
-    """Admit up to ``factor * capacity``, betting that demand won't all show.
-
-    ``max_fraction`` optionally keeps :class:`ProportionalShare`'s
-    per-buyer cap alive under overbooking.  The cap is enforced against
-    the *physical* capacity, not the overbooked limit: the share cap is a
-    promise about the link a buyer can corner, and the link does not get
-    bigger because the AS bet on no-shows — when the bet is lost and
-    everyone shows up, a buyer still holds at most ``max_fraction`` of
-    what physically exists.
-    """
+    """Admit up to ``factor * capacity``, betting that demand won't all show."""
 
     name = "overbooking"
 
-    def __init__(self, factor: float = 1.5, max_fraction: float | None = None) -> None:
+    def __init__(self, factor: float = 1.5) -> None:
         if factor < 1:
             raise ValueError("overbooking factor must be >= 1")
-        if max_fraction is not None and not 0 < max_fraction <= 1:
-            raise ValueError("max_fraction must be in (0, 1]")
         self.factor = factor
-        self.max_fraction = max_fraction
 
     def limit_factor(self, calendar: CapacityCalendar) -> float:
         """The overbooking factor in force for this calendar (static here;
@@ -125,16 +88,6 @@ class OverbookingPolicy(AdmissionPolicy):
     ceiling_factor = limit_factor
 
     def admit(self, calendar: CapacityCalendar, request: AdmissionRequest) -> AdmissionDecision:
-        if self.max_fraction is not None:
-            buyer_cap = int(self.max_fraction * calendar.capacity_kbps)
-            buyer_peak = calendar.tag_peak(request.buyer, request.start, request.end)
-            if buyer_peak + request.bandwidth_kbps > buyer_cap:
-                return AdmissionDecision(
-                    False,
-                    f"buyer {request.buyer!r} would hold "
-                    f"{buyer_peak + request.bandwidth_kbps} of {buyer_cap} kbps "
-                    f"allowed ({self.max_fraction:.0%} share cap, physical)",
-                )
         factor = self.limit_factor(calendar)
         limit = int(factor * calendar.capacity_kbps)
         peak = calendar.peak_commitment(request.start, request.end)

@@ -24,8 +24,8 @@ incrementally and never needs to rescan the object store.
 
 Beyond posted-price listings, the contract runs sealed-bid auctions.  An
 auction is a list of *legs* — auctioned rectangles in marketplace custody,
-each with its seller, reserve price and share cap — a book of escrowed bids
-and one settlement; bids escrow their maximum payment at placement, and
+each with its seller and reserve price — a book of escrowed bids and
+one settlement; bids escrow their maximum payment at placement, and
 settlement re-runs the clearing rule on-chain — the exact pure function the
 off-chain preview uses — carves every leg asset for every winner, pays each
 leg's seller at that leg's clearing price, and refunds every loser (and
@@ -280,7 +280,6 @@ class MarketContract(Contract):
         marketplace: str,
         asset: str,
         reserve_micromist_per_unit: int,
-        share_cap_kbps: int | None = None,
     ) -> dict:
         """Open a sealed-bid uniform-price auction for a whole asset window.
 
@@ -288,18 +287,16 @@ class MarketContract(Contract):
         listing); bids arrive via :meth:`place_bid` and the seller closes
         the book with :meth:`settle_auction`.  ``reserve_micromist_per_unit``
         floors the clearing price (the AS seeds it with the
-        scarcity-adjusted posted quote) and ``share_cap_kbps`` optionally
-        caps any single bidder's total award (the proportional-share rule).
+        scarcity-adjusted posted quote).
         """
         market = ctx.take_shared(marketplace, MARKETPLACE_TYPE)
-        self._may_offer(ctx, market, reserve_micromist_per_unit, share_cap_kbps)
+        self._may_offer(ctx, market, reserve_micromist_per_unit)
         asset_object = ctx.take_owned(asset, ASSET_TYPE)
         ctx.transfer(asset_object, marketplace)
         leg = {
             "asset": asset,
             "seller": ctx.sender,
             "reserve_micromist_per_unit": reserve_micromist_per_unit,
-            "share_cap_kbps": share_cap_kbps,
         }
         auction = ctx.create_object(
             AUCTION_TYPE,
@@ -442,7 +439,6 @@ class MarketContract(Contract):
         leg_index: int,
         asset: str,
         reserve_micromist_per_unit: int,
-        share_cap_kbps: int | None = None,
     ) -> dict:
         """One AS places its leg asset into the path auction's custody.
 
@@ -452,7 +448,7 @@ class MarketContract(Contract):
         one window on every hop); the first contribution fixes it.
         """
         market = ctx.take_shared(marketplace, MARKETPLACE_TYPE)
-        self._may_offer(ctx, market, reserve_micromist_per_unit, share_cap_kbps)
+        self._may_offer(ctx, market, reserve_micromist_per_unit)
         auction_object = ctx.take_owned(
             path_auction, PATH_AUCTION_TYPE, owner=marketplace
         )
@@ -475,7 +471,6 @@ class MarketContract(Contract):
             "asset": asset,
             "seller": ctx.sender,
             "reserve_micromist_per_unit": reserve_micromist_per_unit,
-            "share_cap_kbps": share_cap_kbps,
             **_rectangle(payload),
         }
         ctx.mutate(auction_object)
@@ -549,22 +544,19 @@ class MarketContract(Contract):
 
     # -- internals ------------------------------------------------------------------
 
-    def _may_offer(self, ctx: CallContext, market, reserve: int, share_cap_kbps) -> None:
+    def _may_offer(self, ctx: CallContext, market, reserve: int) -> None:
         """Who may put a rectangle up for auction, and on which terms."""
         ctx.require(ctx.sender in market.payload["sellers"], "seller not registered")
         ctx.require(reserve > 0, "reserve price must be positive")
-        ctx.require(
-            share_cap_kbps is None or share_cap_kbps > 0,
-            "share cap must be positive when given",
-        )
 
     def _book(self, ctx: CallContext, marketplace: str, auction: str, auction_type: str):
         """``(auction object, legs)`` of an auction that is open for bids.
 
-        A leg names its ``asset``, ``seller``, ``reserve_micromist_per_unit``
-        and ``share_cap_kbps`` beside the auctioned rectangle.  A path
-        auction stores exactly that per contributed leg; a window auction
-        *is* its one leg, the rectangle read off the asset in custody.
+        A leg names its ``asset``, ``seller`` and
+        ``reserve_micromist_per_unit`` beside the auctioned rectangle.  A
+        path auction stores exactly that per contributed leg; a window
+        auction *is* its one leg, the rectangle read off the asset in
+        custody.
         """
         auction_object = ctx.take_owned(auction, auction_type, owner=marketplace)
         if auction_type == AUCTION_TYPE:
@@ -701,7 +693,6 @@ class MarketContract(Contract):
                 LegSupply(
                     supply_kbps=supply,
                     reserve_micromist=leg["reserve_micromist_per_unit"],
-                    share_cap_kbps=leg["share_cap_kbps"],
                     total_kbps=leg["bandwidth_kbps"],
                     min_fragment_kbps=leg["min_bandwidth_kbps"],
                 )

@@ -398,9 +398,7 @@ class AsService:
         Like :meth:`issue_and_list`, the asset must first clear the
         *issued* capacity calendar.  The auction's reserve price is the
         scarcity-adjusted quote over ``reserve_base_micromist`` (computed
-        *before* the asset claims the calendar, like a listing's price),
-        and the per-bidder share cap comes from the controller's
-        proportional-share policy when one is installed.
+        *before* the asset claims the calendar, like a listing's price).
 
         Raises:
             RuntimeError: the AS has not registered.
@@ -443,7 +441,6 @@ class AsService:
                         "marketplace": marketplace,
                         "asset": Result(0, "asset"),
                         "reserve_micromist_per_unit": book.reserve_micromist,
-                        "share_cap_kbps": book.share_cap_kbps,
                     },
                 ),
             )
@@ -654,9 +651,7 @@ class AsService:
 
         Like every issuance, the leg must first clear the *issued*
         capacity calendar; the leg's reserve price is the
-        scarcity-adjusted quote over ``base_price_micromist`` and the
-        per-bidder share cap comes from the controller's
-        proportional-share policy when one is installed.  A ledger
+        scarcity-adjusted quote over ``base_price_micromist``.  A ledger
         refusal hands the calendar claim straight back.
 
         Raises:
@@ -690,9 +685,6 @@ class AsService:
                     "leg_index": leg_index,
                     "asset": Result(0, "asset"),
                     "reserve_micromist_per_unit": rectangle.reserve_micromist_per_unit,
-                    "share_cap_kbps": self.admission.share_cap_kbps(
-                        interface, is_ingress
-                    ),
                 },
             ),
         )

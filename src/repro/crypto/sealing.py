@@ -26,13 +26,13 @@ width, and none squares a base it has squared before:
   below ``p`` buys nothing more.  Best of 25 with CPython 3.11's ``pow``
   on the 2-core box: variable-base ``h^x mod p`` takes ~34 ms with a
   full-width ``x``, ~14 ms at 1024 bits, ~7 ms at 512 and ~3.6 ms at 256.
-  512 is a step, not the floor: 256 waits for ROADMAP item 1a.  The
-  ``benchmarks/e2e`` smoke test asserts that public-key work is at least
-  0.9 of a 4-hop purchase's control phase (``crypto.control_share``); at
-  512 bits ten smoke runs read 0.933-0.941, at 256 bits they read
-  0.890-0.905, so one tier-1 run in three would fail.  The benchmark
-  re-size (1a) replaces that assertion first and lowers ``_SECRET_BITS``
-  after.
+  Secrets stay 512 bits: ROADMAP item 19 superseded the 256-bit step
+  (item 1(b)) with the measured route, ``h^x`` (and ``g^x``) on
+  :func:`repro.crypto.modexp.mod_exp`.  That waits for item 1a to re-pin
+  the ``benchmarks/e2e`` smoke test's assertion that public-key work is at
+  least 0.9 of a 4-hop purchase's control phase (``crypto.control_share``;
+  ten smoke runs read 0.933-0.941 at 512 bits), which the faster ``h^x``
+  would pull under.
 * ``g^x`` — every :meth:`KeyPair.generate`, so every redeem and every
   ephemeral share :func:`seal` draws — goes through a fixed-base comb
   (:mod:`repro.crypto.fixedbase`): 512 products of ``g^(2^(57·row))``

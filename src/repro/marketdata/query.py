@@ -216,10 +216,7 @@ class Candidate:
 
 # What an auctioned leg says on chain — a ``PathAuction`` object's leg entry,
 # an ``Auction`` object's own fields beside the rectangle of its asset.
-LEG_FIELDS = (
-    "asset", "seller", "reserve_micromist_per_unit", "share_cap_kbps",
-    *RECTANGLE_FIELDS,
-)
+LEG_FIELDS = ("asset", "seller", "reserve_micromist_per_unit", *RECTANGLE_FIELDS)
 
 
 @dataclass(frozen=True)

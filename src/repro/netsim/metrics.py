@@ -64,7 +64,11 @@ class FlowMetrics:
         return min(1.0, max(0.0, 1.0 - self.received_packets / self.sent_packets))
 
     def goodput_bps(self, duration: float | None = None) -> float:
-        """Received payload rate over the active window (or ``duration``).
+        """Received rate in bits/s over the active window (or ``duration``).
+
+        Counts whole packets as received — payload plus SCION header, the
+        ``SimPacket.size_bytes`` a source sets to ``packet_length()`` and the
+        bytes a policer charges — not the payload alone.
 
         Defined for every edge case: a flow that never sent or never
         received, a receiver-only flow (no ``record_sent`` calls — the

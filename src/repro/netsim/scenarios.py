@@ -996,12 +996,12 @@ def path_contention_experiment(
 
     Every on-path AS contributes its two legs — enough for about half the
     buyers — to one combinatorial path auction
-    (:func:`~repro.controlplane.open_path_auction`).  Its calendars run a
-    :class:`~repro.admission.ProportionalShare` policy, which lets one
-    issuance claim at most half an interface, so each interface is twice
-    the offer; the same cap rides on chain with each leg, where no bid here
-    reaches it.  Each of ``num_buyers`` hosts places one escrowed bid for
-    ``per_buyer_kbps`` on every leg, the earlier buyers bidding more.  One
+    (:func:`~repro.controlplane.open_path_auction`).  Its calendars admit
+    first come, first served, and each interface is twice the offer: the
+    deployment's seed asset claims one offer's worth of each issued
+    calendar and the auction leg the other.  Each of ``num_buyers`` hosts
+    places one escrowed bid for ``per_buyer_kbps`` on every leg, the earlier
+    buyers bidding more.  One
     settle transaction clears every leg at its live supply and awards each
     winner a piece of every leg; a loser is refunded its whole escrow and
     told the first leg that refused it.  The winners redeem their whole
@@ -1020,7 +1020,7 @@ def path_contention_experiment(
     With ``telemetry`` the run — deployment, bids, settlement, redemption,
     deliveries — lands on one trace id, ``traced-path``.
     """
-    from repro.admission import ACTIVE, ProportionalShare
+    from repro.admission import ACTIVE
     from repro.controlplane import open_path_auction, settle_path_auction
     from repro.invariants import check
     from repro.marketdata import price_mist
@@ -1036,13 +1036,12 @@ def path_contention_experiment(
         num_legs = 2 * len(crossings)
         trace = telemetry.trace("traced-path") if telemetry is not None else None
         with use_trace(trace):
-            # A leg may claim half an interface: the share cap's bound.
+            # Room for the seed asset and the auction leg on every interface.
             deployment, simulation = _market(
                 topology,
                 path,
                 asset_bandwidth_kbps=offered_kbps,
                 interface_capacity_kbps=2 * offered_kbps,
-                admission_policy=ProportionalShare(0.5),
             )
             handle = open_path_auction(
                 deployment, crossings, *window, bandwidth_kbps=offered_kbps,

@@ -12,7 +12,7 @@ Clearing composes the existing pure per-window rule
 with the on-chain contract) with a path-level accept/reject pass:
 
 1. clear the live bids on every leg independently under the leg's own
-   supply, reserve, share cap, and fragment rule;
+   supply, reserve and fragment rule;
 2. a **partial** bid — one that won on some legs but lost on at least
    one — violates all-or-nothing: it can never be completed, yet it
    holds supply hostage on the legs it won.  The highest-priced partial
@@ -68,7 +68,6 @@ class LegSupply:
 
     supply_kbps: int
     reserve_micromist: int
-    share_cap_kbps: int | None = None
     total_kbps: int | None = None
     min_fragment_kbps: int = 0
 
@@ -149,7 +148,6 @@ def combinatorial_path_clearing(
                 live,
                 supply_kbps=leg.supply_kbps,
                 reserve_micromist=leg.reserve_micromist,
-                share_cap_kbps=leg.share_cap_kbps,
                 total_kbps=leg.total_kbps,
                 min_fragment_kbps=leg.min_fragment_kbps,
             )

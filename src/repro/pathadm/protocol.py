@@ -191,9 +191,7 @@ class PathAdmission:
         Args:
             bandwidth_kbps: bandwidth wanted on every hop.
             start, end: the reservation window (seconds).
-            tag: buyer label recorded on every hop commitment (drives
-                per-buyer policies like
-                :class:`~repro.admission.policy.ProportionalShare`).
+            tag: buyer label recorded on every hop commitment.
             layer: :data:`~repro.admission.controller.ISSUED` (minting
                 path assets) or :data:`~repro.admission.controller.ACTIVE`
                 (delivering / directly granting a live reservation).

@@ -29,10 +29,6 @@ class ReferenceCalendar:
     def peak_commitment(self, start, end) -> int:
         return sweep_peak([row[:3] for row in self.rows.values()], start, end)
 
-    def tag_peak(self, tag, start, end) -> int:
-        owned = [row[:3] for row in self.rows.values() if row[3] == tag]
-        return sweep_peak(owned, start, end)
-
     def commit(self, kbps, start, end, tag=""):
         self.rows[self.next_id] = (kbps, start, end, tag)
         self.next_id += 1

@@ -8,8 +8,6 @@ from repro.admission import (
     POSTED,
     AdmissionController,
     Bid,
-    OverbookingPolicy,
-    ProportionalShare,
     ScarcityPricer,
     WindowAuction,
     uniform_price_clearing,
@@ -83,26 +81,23 @@ class TestUniformPriceClearing:
         assert out.clearing_price_micromist == 60
 
     def test_clearing_clamped_to_lowest_winning_bid(self):
-        """A high-priced share-cap loser cannot push winners above their bids."""
+        """A high-priced too-wide loser cannot push winners above their bids."""
         bids = [
             bid("whale", 500, 100, 0),
-            bid("whale", 500, 95, 1),  # rejected by cap despite high price
+            bid("wide", 600, 95, 1),  # skipped for supply despite high price
             bid("small", 500, 40, 2),
         ]
-        out = uniform_price_clearing(
-            bids, supply_kbps=1000, reserve_micromist=20, share_cap_kbps=500
-        )
+        out = uniform_price_clearing(bids, supply_kbps=1000, reserve_micromist=20)
         assert [b.bidder for b in out.winners] == ["whale", "small"]
         assert out.clearing_price_micromist == 40  # not 95
 
-    def test_share_cap_rejects_cornering(self):
+    def test_one_bidder_may_take_the_whole_supply(self):
         bids = [bid("whale", 400, 90, 0), bid("whale", 400, 80, 1), bid("other", 400, 30, 2)]
-        out = uniform_price_clearing(
-            bids, supply_kbps=1200, reserve_micromist=20, share_cap_kbps=400
-        )
+        out = uniform_price_clearing(bids, supply_kbps=800, reserve_micromist=20)
         winners = [(b.bidder, b.seq) for b in out.winners]
-        assert winners == [("whale", 0), ("other", 2)]
-        assert {lost.reason for lost in out.losers} == {"share cap"}
+        assert winners == [("whale", 0), ("whale", 1)]
+        assert out.awarded_kbps == 800
+        assert {lost.reason for lost in out.losers} == {"supply exhausted"}
 
     def test_min_fragment_rule_protects_the_remainder(self):
         """Awarding a bid may not strand an unsellable asset fragment."""
@@ -188,26 +183,6 @@ class TestControllerAuctionMode:
         auction = controller.open_auction(1, True, 500, 0, 600, 50)
         assert auction.reserve_micromist == controller.quote(50, 1, True, 0, 600)
         assert auction.reserve_micromist > 50
-
-    def test_share_cap_seeded_by_proportional_share(self):
-        controller = AdmissionController(
-            1000, policy=ProportionalShare(0.25), auction_interfaces=True
-        )
-        auction = controller.open_auction(1, True, 1000, 0, 600, 50)
-        assert auction.share_cap_kbps == 250
-        no_cap = AdmissionController(1000, auction_interfaces=True)
-        assert no_cap.open_auction(1, True, 1000, 0, 600, 50).share_cap_kbps is None
-
-    def test_share_cap_seeded_by_capped_overbooking(self):
-        # Regression: switching the AS to overbooking used to drop the
-        # share cap from its auctions (isinstance check on the policy).
-        controller = AdmissionController(
-            1000,
-            policy=OverbookingPolicy(2.0, max_fraction=0.25),
-            auction_interfaces=True,
-        )
-        auction = controller.open_auction(1, True, 1000, 0, 600, 50)
-        assert auction.share_cap_kbps == 250  # of physical, not overbooked
 
     def test_duplicate_window_rejected_and_close_reopens(self):
         controller = AdmissionController(1000, auction_interfaces=True)

@@ -103,15 +103,6 @@ class TestPointOperations:
         assert len(calendar.commitments()) == 1
         assert calendar.commitments() == [keep]
 
-    def test_tag_peak_isolates_one_owner(self):
-        calendar = CapacityCalendar(1000)
-        calendar.admit(300, 0, 100, tag="alice")
-        calendar.admit(200, 50, 150, tag="alice")
-        calendar.admit(400, 0, 150, tag="bob")
-        assert calendar.tag_peak("alice", 0, 150) == 500
-        assert calendar.tag_peak("bob", 0, 150) == 400
-        assert calendar.tag_peak("carol", 0, 150) == 0
-
     @settings(max_examples=40)
     @given(
         st.lists(
@@ -169,16 +160,15 @@ class TestOneValidation:
             getattr(calendar, method)(*args)
         assert calendar_fingerprint(calendar) == before
 
-    @pytest.mark.parametrize("query", ["peak_commitment", "tag_peak", "headroom"])
+    @pytest.mark.parametrize("query", ["peak_commitment", "headroom", "utilization"])
     @pytest.mark.parametrize("start, end", QUERY_WINDOWS)
     def test_a_query_refuses_every_window_a_commit_refuses(
         self, shard_seconds, query, start, end
     ):
         calendar = self._busy(shard_seconds)
         before = calendar_fingerprint(calendar)
-        args = ("a", start, end) if query == "tag_peak" else (start, end)
         with pytest.raises(ValueError):
-            getattr(calendar, query)(*args)
+            getattr(calendar, query)(start, end)
         assert calendar_fingerprint(calendar) == before
 
     def test_the_controller_refuses_them_before_any_calendar_exists(self, shard_seconds):

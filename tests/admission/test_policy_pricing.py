@@ -9,9 +9,9 @@ from repro.admission import (
     FirstComeFirstServed,
     FlatPricer,
     OverbookingPolicy,
-    ProportionalShare,
     ScarcityPricer,
 )
+from repro.reclaim import AdaptiveOverbooking
 
 
 class TestFirstComeFirstServed:
@@ -31,37 +31,6 @@ class TestFirstComeFirstServed:
         assert policy.admit(calendar, AdmissionRequest(1000, 0, 100)).admitted
 
 
-class TestProportionalShare:
-    def test_caps_single_buyer(self):
-        policy = ProportionalShare(max_fraction=0.5)
-        calendar = CapacityCalendar(1000)
-        assert policy.admit(calendar, AdmissionRequest(400, 0, 100, "whale")).admitted
-        hit_cap = policy.admit(calendar, AdmissionRequest(200, 0, 100, "whale"))
-        assert not hit_cap.admitted
-        assert "share cap" in hit_cap.reason
-        # A different buyer still gets the remaining capacity.
-        assert policy.admit(calendar, AdmissionRequest(200, 0, 100, "minnow")).admitted
-
-    def test_cap_is_per_window(self):
-        policy = ProportionalShare(max_fraction=0.5)
-        calendar = CapacityCalendar(1000)
-        assert policy.admit(calendar, AdmissionRequest(500, 0, 100, "whale")).admitted
-        # Same buyer, disjoint time: the share cap applies per window.
-        assert policy.admit(calendar, AdmissionRequest(500, 100, 200, "whale")).admitted
-
-    def test_global_capacity_still_enforced(self):
-        policy = ProportionalShare(max_fraction=1.0)
-        calendar = CapacityCalendar(1000)
-        assert policy.admit(calendar, AdmissionRequest(900, 0, 100, "a")).admitted
-        assert not policy.admit(calendar, AdmissionRequest(200, 0, 100, "b")).admitted
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            ProportionalShare(0)
-        with pytest.raises(ValueError):
-            ProportionalShare(1.5)
-
-
 class TestOverbooking:
     def test_admits_beyond_capacity_up_to_factor(self):
         policy = OverbookingPolicy(factor=2.0)
@@ -79,6 +48,53 @@ class TestOverbooking:
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
             OverbookingPolicy(0.5)
+
+
+# Every policy an AS can deploy, with the kbps it admits on a 1000 kbps link.
+POLICIES = [
+    pytest.param(FirstComeFirstServed, 1000, id="fcfs"),
+    pytest.param(lambda: OverbookingPolicy(1.0), 1000, id="overbooking-1x"),
+    pytest.param(lambda: OverbookingPolicy(2.0), 2000, id="overbooking-2x"),
+    pytest.param(lambda: AdaptiveOverbooking(initial_factor=1.5), 1500, id="adaptive-1.5x"),
+]
+
+
+@pytest.mark.parametrize("make_policy, limit", POLICIES)
+class TestNoBuyerCap:
+    """No policy caps a buyer: what is committed decides, never who asks."""
+
+    def test_one_buyer_may_fill_the_whole_limit(self, make_policy, limit):
+        policy, calendar = make_policy(), CapacityCalendar(1000)
+        quarter = AdmissionRequest(limit // 4, 0, 100, "whale")
+        for _ in range(4):
+            assert policy.admit(calendar, quarter).admitted
+        held = [c.bandwidth_kbps for c in calendar.commitments() if c.tag == "whale"]
+        assert sum(held) == limit
+        assert not policy.admit(calendar, AdmissionRequest(1, 0, 100, "minnow")).admitted
+
+    def test_who_asks_never_changes_a_decision(self, make_policy, limit):
+        for kbps in (limit // 4, limit // 2, limit // 2 + 1):
+            decisions = []
+            for buyer in ("whale", "minnow"):
+                policy, calendar = make_policy(), CapacityCalendar(1000)
+                half = AdmissionRequest(limit // 2, 0, 100, "whale")
+                assert policy.admit(calendar, half).admitted
+                decision = policy.admit(calendar, AdmissionRequest(kbps, 0, 100, buyer))
+                decisions.append((decision.admitted, decision.reason))
+            assert decisions[0] == decisions[1], kbps
+            assert decisions[0][0] == (kbps <= limit // 2), kbps
+
+    def test_the_controller_lets_one_tag_take_every_window(self, make_policy, limit):
+        controller = AdmissionController(1000, policy=make_policy())
+        for start in (0.0, 100.0):
+            for _ in range(2):
+                half = controller.admit_issue(1, True, limit // 2, start, start + 100, "whale")
+                assert half.admitted
+        calendar = controller.calendar(1, True)
+        assert calendar.peak_commitment(0, 200) == limit
+        assert sum(c.bandwidth_kbps for c in calendar.commitments()) == 2 * limit
+        assert {c.tag for c in calendar.commitments()} == {"whale"}
+        assert not controller.admit_issue(1, True, 1, 50.0, 150.0, tag="minnow").admitted
 
 
 class TestPricing:
@@ -153,51 +169,3 @@ class TestController:
         controller = AdmissionController(1000)
         with pytest.raises(ValueError):
             controller.calendar(1, True, layer="imaginary")
-
-
-class TestOverbookingShareCap:
-    """Regression sweep: share caps must survive the switch to overbooking."""
-
-    def test_share_cap_is_against_physical_capacity(self):
-        # The overbooked limit is 2000 kbps, but the link is still 1000:
-        # a 50% share cap means 500, not 1000.
-        policy = OverbookingPolicy(factor=2.0, max_fraction=0.5)
-        calendar = CapacityCalendar(1000)
-        assert policy.admit(calendar, AdmissionRequest(500, 0, 100, "whale")).admitted
-        denied = policy.admit(calendar, AdmissionRequest(1, 0, 100, "whale"))
-        assert not denied.admitted
-        assert "physical" in denied.reason
-        # Other buyers still enjoy the overbooked limit.
-        assert policy.admit(calendar, AdmissionRequest(500, 0, 100, "b")).admitted
-        assert policy.admit(calendar, AdmissionRequest(500, 0, 100, "c")).admitted
-        assert policy.admit(calendar, AdmissionRequest(500, 0, 100, "d")).admitted
-        assert not policy.admit(calendar, AdmissionRequest(1, 0, 100, "e")).admitted
-
-    def test_cap_is_per_window_under_overbooking(self):
-        policy = OverbookingPolicy(factor=1.5, max_fraction=0.5)
-        calendar = CapacityCalendar(1000)
-        assert policy.admit(calendar, AdmissionRequest(500, 0, 100, "whale")).admitted
-        assert policy.admit(calendar, AdmissionRequest(500, 100, 200, "whale")).admitted
-
-    def test_no_cap_by_default(self):
-        policy = OverbookingPolicy(factor=1.5)
-        calendar = CapacityCalendar(1000)
-        assert policy.admit(calendar, AdmissionRequest(1400, 0, 100, "whale")).admitted
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            OverbookingPolicy(1.5, max_fraction=0)
-        with pytest.raises(ValueError):
-            OverbookingPolicy(1.5, max_fraction=1.1)
-
-    def test_controller_share_cap_survives_overbooking_policies(self):
-        # isinstance(ProportionalShare) used to drop the cap silently the
-        # moment an AS overbooked; duck-typing on max_fraction keeps it.
-        capped = AdmissionController(
-            1000, policy=OverbookingPolicy(1.5, max_fraction=0.25)
-        )
-        assert capped.share_cap_kbps(1, True) == 250
-        uncapped = AdmissionController(1000, policy=OverbookingPolicy(1.5))
-        assert uncapped.share_cap_kbps(1, True) is None
-        proportional = AdmissionController(1000, policy=ProportionalShare(0.25))
-        assert proportional.share_cap_kbps(1, True) == 250

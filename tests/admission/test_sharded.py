@@ -9,7 +9,6 @@ from repro.admission import (
     AdmissionController,
     AdmissionRejected,
     CapacityCalendar,
-    ProportionalShare,
 )
 from tests.admission.reference import ReferenceCalendar
 
@@ -29,7 +28,6 @@ class TestProjection:
         for window in [(50, 100), (100, 200), (200, 250), (50, 250)]:
             assert calendar.peak_commitment(*window) == 600
         assert calendar.peak_commitment(250, 300) == 0
-        assert calendar.tag_peak("alice", 0, 300) == 600
 
     def test_exact_boundary_window_touches_one_shard(self):
         calendar = sharded()
@@ -132,13 +130,11 @@ class TestWiring:
             CapacityCalendar(1000, shard_seconds=None)
 
     def test_policies_run_against_sharded_calendars(self):
-        controller = AdmissionController(
-            1000, policy=ProportionalShare(0.5), shard_seconds=SHARD
-        )
+        controller = AdmissionController(1000, shard_seconds=SHARD)
         granted = controller.admit_issue(1, True, 400, 50.0, 250.0, tag="alice")
         assert granted.admitted
-        capped = controller.admit_issue(1, True, 200, 150.0, 350.0, tag="alice")
-        assert not capped.admitted  # 400 + 200 > 50% of 1000
+        full = controller.admit_issue(1, True, 700, 150.0, 350.0, tag="bob")
+        assert not full.admitted  # 400 + 700 > 1000 across the 200 s boundary
         assert controller.quote(50, 1, True, 50.0, 250.0) >= 50
         controller.release(1, True, granted.commitment)
         assert all(c.expire(1_000.0) == 0 for c in controller._calendars.values())

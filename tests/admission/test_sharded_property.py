@@ -7,9 +7,8 @@ Hypothesis drives arbitrary interleavings of try_commit / commit / release
 so shard edges fall between the integer window ends) — and
 :class:`tests.admission.reference.ReferenceCalendar` — a list of rows
 answering by sweep, sharing no code with ``src/`` — and checks after every
-step that ``peak_commitment`` / ``tag_peak`` / ``headroom`` and the
-commitment records agree, mirroring
-``tests/marketdata/test_indexer_property.py``.  Three rules aim at where
+step that ``peak_commitment`` / ``headroom`` and the commitment records
+agree, mirroring ``tests/marketdata/test_indexer_property.py``.  Three rules aim at where
 narrow shards are thinnest: release / reclaim of a commitment whose early
 shards were dropped, a commit straddling the watermark, and ``expire(now)``
 with ``now`` exactly on a shard edge.
@@ -166,10 +165,6 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
             peak = reference.peak_commitment(start, end)
             assert self._each(lambda c: c.peak_commitment(start, end)) == peak
             assert self._each(lambda c: c.headroom(start, end)) == CAPACITY - peak
-            tag = self.rng.choice(TAGS)
-            assert self._each(
-                lambda c: c.tag_peak(tag, start, end)
-            ) == reference.tag_peak(tag, start, end), (tag, start, end)
 
 
 CalendarReferenceMachine.TestCase.settings = settings(

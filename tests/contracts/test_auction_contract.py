@@ -69,7 +69,7 @@ def world():
     }
 
 
-def open_auction(world, bandwidth_kbps=1000, reserve=20, share_cap=None, min_bw=100):
+def open_auction(world, bandwidth_kbps=1000, reserve=20, min_bw=100):
     effects = world["ledger"].execute(
         Transaction(
             world["seller"].address,
@@ -95,7 +95,6 @@ def open_auction(world, bandwidth_kbps=1000, reserve=20, share_cap=None, min_bw=
                         "marketplace": world["marketplace"],
                         "asset": Result(0, "asset"),
                         "reserve_micromist_per_unit": reserve,
-                        "share_cap_kbps": share_cap,
                     },
                 ),
             ],

@@ -4,9 +4,9 @@ Hypothesis drives random interleavings of buys (all four split variants),
 cancellations, re-listings and whole auctions — an *n*-leg auction is opened
 (*n* = 1 through ``create_auction``, *n* in {2, 4} through
 ``create_path_auction`` + ``contribute_path_leg``), bid into by three funded
-accounts and a leg seller (below reserve, over the share cap, leaving a
-sub-minimum fragment, wider than a leg) and settled at a supply clamped per
-leg — against one marketplace, checking after every step that:
+accounts and a leg seller (below reserve, leaving a sub-minimum fragment,
+wider than a leg) and settled at a supply clamped per leg — against one
+marketplace, checking after every step that:
 
 * **volume conservation** — the total kbps-seconds across assets in auction
   custody, listed assets and owned assets only changes when a seller issues;
@@ -218,15 +218,15 @@ class MarketMachine(RuleBasedStateMachine):
                     return
 
     @precondition(lambda self: len(self.auctions) < 2)
-    @rule(legs=st.sampled_from([1, 2, 4]), share_cap=st.sampled_from([None, 600]))
-    def open_auction(self, legs, share_cap):
+    @rule(legs=st.sampled_from([1, 2, 4]))
+    def open_auction(self, legs):
         sellers = [self.sellers[index % 2] for index in range(legs)]
         if legs == 1:
             opened = self._run(
                 sellers[0], "market", "create_auction",
                 marketplace=self.marketplace,
                 asset=self._issue(sellers[0], 10, LEG_BW[0]),
-                reserve_micromist_per_unit=RESERVE, share_cap_kbps=share_cap,
+                reserve_micromist_per_unit=RESERVE,
             ).returns[0]["auction"]
         else:
             opened = self._run(
@@ -238,7 +238,7 @@ class MarketMachine(RuleBasedStateMachine):
                     seller, "market", "contribute_path_leg",
                     marketplace=self.marketplace, path_auction=opened, leg_index=index,
                     asset=self._issue(seller, 10 + index, LEG_BW[index]),
-                    reserve_micromist_per_unit=RESERVE + index, share_cap_kbps=share_cap,
+                    reserve_micromist_per_unit=RESERVE + index,
                 )
         self.auctions[opened] = (legs, sellers)
 

@@ -7,11 +7,12 @@ from tests.conftest import T0
 from repro.admission import (
     AdmissionController,
     AdmissionRejected,
-    ProportionalShare,
+    OverbookingPolicy,
     ScarcityPricer,
 )
 from repro.clock import SimClock
 from repro.controlplane import deploy_market, purchase_path
+from repro.controlplane.workflow import DEFAULT_ASSET_BANDWIDTH_KBPS
 from repro.invariants import check
 from repro.marketdata import PathSpec
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
@@ -116,7 +117,38 @@ class TestDeliveryAdmission:
         crossing = as_crossings(world["path"])[0]
         service = deployment.service(crossing.isd_as)
         calendar = service.admission.calendar(crossing.ingress, True, "active")
-        assert calendar.tag_peak(host.account.address, start, expiry) >= 4000
+        tagged = [c for c in calendar.commitments() if c.tag == host.account.address]
+        assert sum(c.bandwidth_kbps for c in tagged) >= 4000
+
+    def test_one_host_may_hold_everything_the_as_issued(self):
+        """No per-buyer cap: four quarter-size purchases by one host take
+        every kbps each AS issued for the window, headroom left over or not."""
+        clock = SimClock(float(T0))
+        topology = linear_topology(2)
+        issued = DEFAULT_ASSET_BANDWIDTH_KBPS
+        deployment = deploy_market(
+            topology, clock=clock, asset_duration=3600, interface_capacity_kbps=2 * issued
+        )
+        path = PathLookup(run_beaconing(topology, timestamp=T0)).find_paths(
+            topology.ases[1].isd_as, topology.ases[0].isd_as
+        )[0]
+        crossings = as_crossings(path)
+        host = deployment.new_host(funding_sui=1_000)
+        for _ in range(4):
+            purchase_path(
+                deployment, host, crossings, start=T0, expiry=T0 + 3600,
+                bandwidth_kbps=issued // 4,
+            )
+        for crossing in crossings:
+            admission = deployment.service(crossing.isd_as).admission
+            for interface, is_ingress in ((crossing.ingress, True), (crossing.egress, False)):
+                active = admission.calendar(interface, is_ingress, "active")
+                held = [c for c in active.commitments() if c.tag == host.account.address]
+                assert sum(c.bandwidth_kbps for c in held) == issued
+                assert admission.calendar(interface, is_ingress).peak_commitment(
+                    T0, T0 + 3600
+                ) == issued
+        check(deployment, clock.now())
 
     def test_partial_batch_rejection_does_not_orphan_later_requests(self, world):
         """A rejected delivery is refused, not allowed to abort the poll:
@@ -199,9 +231,7 @@ class TestDeploymentKnobs:
             topology,
             clock=clock,
             asset_duration=3600,
-            # Seed issuance takes exactly the 50% share the policy allows.
-            interface_capacity_kbps=20_000_000,
-            admission_policy=ProportionalShare(0.5),
+            admission_policy=OverbookingPolicy(),
         )
         service = deployment.service(topology.ases[0].isd_as)
-        assert isinstance(service.admission.policy, ProportionalShare)
+        assert isinstance(service.admission.policy, OverbookingPolicy)

@@ -38,6 +38,16 @@ held byte for byte, and in the end state ``undeliverable`` became those two
 refusals with their codes, ``assets`` appeared (heidi and frank hold their
 returned pairs), ``as_deliveries_total``'s ``undeliverable`` outcome became
 ``refused`` and the trace gained the two ``redemption.refused`` events.
+Re-recorded last when the per-buyer share cap left the contract: per arm, 20
+of 157 rows moved (indices from 0).  The two ``market.create_auction`` rows
+(110, 112) and the eight ``market.contribute_path_leg`` rows (121-128) moved
+in argument digest, gas and event-payload digest (no cap argument, leg field
+or ``AuctionOpened`` / ``PathLegContributed`` key); the four
+``market.place_bid`` rows (116-119), three ``market.place_path_bid`` rows
+(131, 132, 143), two ``market.settle_auction`` rows (133, 134) and the
+``market.settle_path_auction`` row (144) moved in gas only (the auction
+objects they read and rewrite are smaller).  Every status, error and event
+type, and the whole end state, held byte for byte.
 
 The recording holds one arm per calendar geometry of its day: ``monolithic``
 (one unbounded shard) and ``sharded`` (300-second shards), equal part for part.

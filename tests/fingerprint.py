@@ -31,7 +31,7 @@ def calendar_fingerprint(calendar: CapacityCalendar) -> tuple:
     """Hashable canonical form of one calendar's complete state.
 
     Two calendars with equal fingerprints answer every admission, peak,
-    headroom, tag-peak, and expiry query identically; only their next
+    headroom, and expiry query identically; only their next
     commitment id may differ.
     """
     return (
@@ -51,7 +51,6 @@ def calendar_fingerprint(calendar: CapacityCalendar) -> tuple:
                 for cid, c in calendar._commitments.items()
             )
         ),
-        _sorted_index(calendar._by_tag),
         _sorted_index(calendar._by_end_shard),
     )
 

@@ -56,7 +56,7 @@ LEG_DIRECTIONS = tuple(
 # What an auctioned leg says on chain: the ``PathAuction`` object's leg entry,
 # and an ``Auction`` object's own fields beside its asset's rectangle.
 LEG_FIELDS = (
-    "asset", "seller", "reserve_micromist_per_unit", "share_cap_kbps",
+    "asset", "seller", "reserve_micromist_per_unit",
     "isd", "asn", "interface", "is_ingress", "bandwidth_kbps", "start",
     "expiry", "granularity", "min_bandwidth_kbps",
 )
@@ -239,13 +239,12 @@ class IndexerMachine(RuleBasedStateMachine):
     @rule(
         direction=st.sampled_from(LEG_DIRECTIONS),
         bw=st.sampled_from([AUCTION_BW, AUCTION_BW // 2]),
-        share_cap=st.sampled_from([None, 1_500]),
     )
-    def open_window_auction(self, direction, bw, share_cap):
+    def open_window_auction(self, direction, bw):
         self.market.run(
             self.market.seller, "market", "create_auction",
             marketplace=self.market.marketplace, asset=self._issue(*direction, bw),
-            reserve_micromist_per_unit=RESERVE, share_cap_kbps=share_cap,
+            reserve_micromist_per_unit=RESERVE,
         )
 
     @rule(legs=st.sampled_from([2, 4]))
@@ -483,7 +482,7 @@ def test_every_auction_state_is_visited_once_by_hand():
         machine.a_fresh_host_sees_the_auctions_the_ledger_holds()
 
     step(machine.open_path_shell, legs=2)
-    step(machine.open_window_auction, direction=(1, True), bw=AUCTION_BW, share_cap=None)
+    step(machine.open_window_auction, direction=(1, True), bw=AUCTION_BW)
     step(machine.contribute_one_leg, pick=0, narrow=True)
     assert [legs[0] for _, is_path, legs in machine._open() if is_path] == [None]
     step(machine.open_path_shell, legs=4)

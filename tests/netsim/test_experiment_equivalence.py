@@ -33,7 +33,7 @@ reproduce it byte for byte.  Every goodput, latency and utilisation in it
 depends on the order in which sources are constructed and started (the event
 loop breaks ties FIFO, and the flows of one simulation share one ``rng``), so
 a refactor that reorders two ``start`` calls fails here, not in a plot.
-It was re-recorded four times since.  First when the congestion, contention and
+It was re-recorded five times since.  First when the congestion, contention and
 auction experiments moved onto a deployed market: the telemetry runs' traces
 and metrics (ledger spans and families appeared) and the path-contention
 hop-mode labels (their calendar-geometry word went) changed, and nothing
@@ -56,13 +56,19 @@ fingerprint probes gave way to one on-chain path auction, so ``hop_modes``
 and ``rollback_restores_state`` left the result, each buyer gained
 ``legs_won``, ``escrow_mist`` and ``refund_mist``, and a loser's
 ``failed_hop`` and ``reason`` became the contract's loser report), and the
-other 25 keys held byte for byte.  Last when ``purchase_path`` lost its
+other 25 keys held byte for byte.  Then when ``purchase_path`` lost its
 off-chain pre-flight: only the ``auction``, ``contention``, ``flex_market``
 and ``reclamation`` telemetry runs moved, and in them only the traces (no
 ``path.screen`` span and ``path.rollback`` event a purchase; the reclamation
 run records no trace), ``admission_decisions_total`` (no screening admits)
 and the four ``pathadm_*`` families (gone); the other 24 keys and every
-``result`` held.  Under pytest a configuration the claim tests share comes
+``result`` held.  Last when the per-buyer share cap left the contract and
+``path_contention_experiment`` deployed first come, first served at the same
+interface capacity: only ``ledger_gas_storage_bytes_total`` moved, in
+``auction/telemetry`` (99,335 → 99,223) and ``path_contention/telemetry``
+(94,463 → 92,531), the bytes of the cap field auctions and path legs no
+longer store; every ``result`` and every other key held.  Under
+pytest a configuration the claim tests share comes
 from the session's ``experiment_runs`` memo (``conftest.py``), so it runs
 once.
 

@@ -72,14 +72,15 @@ def test_below_reserve_on_any_leg_loses_path_wide():
     assert out.clearing_prices_micromist == (10, 20)
 
 
-def test_share_cap_applies_per_leg():
+def test_one_bidder_may_take_every_leg_whole():
     bids = [Bid("hog", 300, 90, seq=0), Bid("hog", 300, 85, seq=1),
             Bid("meek", 300, 50, seq=2)]
-    capped = [LegSupply(900, 10, share_cap_kbps=300), LegSupply(900, 10)]
-    out = combinatorial_path_clearing(bids, capped)
+    out = combinatorial_path_clearing(bids, [LegSupply(600, 10), LegSupply(600, 10)])
     winners = [(b.bidder, b.seq) for b in out.winners]
-    assert winners == [("hog", 0), ("meek", 2)]
-    assert any(l.reason == "share cap" and l.leg == 0 for l in out.losers)
+    assert winners == [("hog", 0), ("hog", 1)]
+    assert [(l.bid.bidder, l.leg, l.reason) for l in out.losers] == [
+        ("meek", 0, "supply exhausted")
+    ]
 
 
 def test_empty_legs_rejected():

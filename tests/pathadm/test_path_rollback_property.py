@@ -1,8 +1,8 @@
 """Hypothesis proof of the byte-identical rollback guarantee.
 
-Random paths (hop count, per-hop shard widths from a day down to 600 s, FCFS or
-proportional-share policies, auction and posted allocation modes
-interleaved), random pre-populated base load, then a random mix of
+Random paths (hop count, per-hop shard widths from a day down to 600 s,
+auction and posted allocation modes interleaved), random pre-populated base
+load, then a random mix of
 
 * screens that succeed and are rolled back,
 * screens that fail at a random hop (capacity asymmetry makes any hop
@@ -25,8 +25,6 @@ from repro.admission import (
     DEFAULT_SHARD_SECONDS,
     ISSUED,
     AdmissionController,
-    FirstComeFirstServed,
-    ProportionalShare,
 )
 from repro.pathadm import (
     PathAdmission,
@@ -40,7 +38,6 @@ hop_strategy = st.fixed_dictionaries(
     {
         "capacity": st.sampled_from([400, 700, 1000]),
         "shard_seconds": st.sampled_from([DEFAULT_SHARD_SECONDS, 600.0, 1800.0]),
-        "proportional": st.booleans(),
         "auction_mode": st.booleans(),
     }
 )
@@ -75,7 +72,6 @@ def build_path(hop_specs):
     for index, spec in enumerate(hop_specs):
         controller = AdmissionController(
             capacity_kbps=spec["capacity"],
-            policy=ProportionalShare(0.6) if spec["proportional"] else FirstComeFirstServed(),
             shard_seconds=spec["shard_seconds"],
             auction_interfaces=True if spec["auction_mode"] else None,
         )
@@ -159,9 +155,8 @@ def test_failed_screen_at_hop_k_restores_upstream(
     path = build_path(hop_specs)
     failing_hop %= len(path.hops)
     # Force a failure at hop k: saturate its egress direction by committing
-    # straight into the calendar (bypassing the policy, which might cap the
-    # blocker itself).  Earlier hops may still reject first (share caps), so
-    # the screen must fail at or before hop k.
+    # straight into the calendar.  An earlier hop may still reject first (it
+    # is narrower or fuller), so the screen must fail at or before hop k.
     victim = path.hops[failing_hop]
     victim.controller.calendar(victim.egress_interface, False, layer).commit(
         victim.controller.capacity_kbps(victim.egress_interface, False),

@@ -8,7 +8,7 @@ from repro.admission import (
     ACTIVE,
     ISSUED,
     AdmissionController,
-    ProportionalShare,
+    OverbookingPolicy,
 )
 from repro.pathadm import (
     COMMITTED,
@@ -134,25 +134,18 @@ def test_active_layer_screen_uses_active_calendars():
 
 def test_heterogeneous_hops_policy_and_sharding():
     hops = [
-        PathHop("mono-fcfs", AdmissionController(1000), 1, 2),
-        PathHop(
-            "sharded-share",
-            AdmissionController(
-                1000, policy=ProportionalShare(0.5), shard_seconds=600.0
-            ),
-            3,
-            4,
-        ),
+        PathHop("day-overbooked", AdmissionController(1000, policy=OverbookingPolicy(1.5)), 1, 2),
+        PathHop("sharded-fcfs", AdmissionController(600, shard_seconds=600.0), 3, 4),
     ]
     path = PathAdmission(hops)
     assert path.screen(400, 0.0, 3600.0, tag="greedy").admitted
-    # Second request breaches the 50% share cap at the sharded hop only.
+    # Second request overfills the sharded hop only.
     ticket = path.screen(400, 0.0, 3600.0, tag="greedy")
     assert ticket.state == REJECTED and ticket.failed_hop == 1
-    assert "share cap" in ticket.reason
-    # The monolithic hop's provisional hold was released.
-    mono = hops[0].controller.calendar(1, True, ISSUED)
-    assert mono.peak_commitment(0, 3600) == 400
+    assert "only 200 kbps free" in ticket.reason
+    # The day-wide hop's provisional hold was released.
+    day = hops[0].controller.calendar(1, True, ISSUED)
+    assert day.peak_commitment(0, 3600) == 400
 
 
 def test_no_oversell_under_interleaved_paths():
