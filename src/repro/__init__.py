@@ -14,10 +14,11 @@ A from-scratch Python reproduction of the SIGCOMM 2025 paper, comprising:
   is the interpreter's own OpenSSL;
 * :mod:`repro.netsim` — a discrete-event network simulator for the QoS
   experiments;
-* :mod:`repro.perfmodel` — the paper's published timings, the multicore
-  throughput model and microbenchmarks of our data plane, which
-  ``tools/paper_scoreboard.py`` turns into ``docs/reproduction.md``: every
-  table and figure of the paper's evaluation beside ours;
+* :mod:`repro.perfmodel` — the paper's published timings and
+  microbenchmarks of our data plane, which ``tools/paper_scoreboard.py``
+  turns into ``docs/reproduction.md``: the paper's evaluation beside ours,
+  every table and figure but the multi-core line-rate curves of Figs. 5
+  and 15;
 * :mod:`repro.analysis` — plain-text tables and plots for reports.
 
 Quickstart: see ``examples/quickstart.py`` for the complete walkthrough

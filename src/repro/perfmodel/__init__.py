@@ -1,49 +1,1 @@
-"""Performance model: published timings, our measurements, throughput curves."""
-
-from repro.perfmodel.measure import (
-    RouterMeasurement,
-    SourceMeasurement,
-    build_fixture,
-    measure_router,
-    measure_source,
-    time_op,
-)
-from repro.perfmodel.papertimings import (
-    HUMMINGBIRD_EXTRA_NS,
-    HUMMINGBIRD_FORWARD_NS,
-    PAPER_ENV,
-    ROUTER_STEPS_HUMMINGBIRD_EXTRA,
-    ROUTER_STEPS_SCION,
-    SCION_FORWARD_NS,
-    hummingbird_generation_ns,
-    scion_generation_ns,
-)
-from repro.perfmodel.scaling import (
-    ThroughputModel,
-    fig14_generation_series,
-    fig15_singlecore_series,
-    fig5_forwarding_series,
-    wire_bytes,
-)
-
-__all__ = [
-    "RouterMeasurement",
-    "SourceMeasurement",
-    "build_fixture",
-    "measure_router",
-    "measure_source",
-    "time_op",
-    "HUMMINGBIRD_EXTRA_NS",
-    "HUMMINGBIRD_FORWARD_NS",
-    "PAPER_ENV",
-    "ROUTER_STEPS_HUMMINGBIRD_EXTRA",
-    "ROUTER_STEPS_SCION",
-    "SCION_FORWARD_NS",
-    "hummingbird_generation_ns",
-    "scion_generation_ns",
-    "ThroughputModel",
-    "fig14_generation_series",
-    "fig15_singlecore_series",
-    "fig5_forwarding_series",
-    "wire_bytes",
-]
+"""The paper's published data-plane timings (Tables 3 and 4) and microbenchmarks of ours."""

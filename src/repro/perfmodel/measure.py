@@ -13,7 +13,7 @@ the paper's in ``docs/reproduction.md`` through ratios that survive the gap.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.clock import SimClock
 from repro.crypto.keys import derive_auth_key
@@ -23,7 +23,7 @@ from repro.hummingbird.policing import TokenBucketArray
 from repro.hummingbird.reservation import ResInfo, grant_reservation
 from repro.hummingbird.router import HummingbirdRouter
 from repro.hummingbird.source import HummingbirdSource, ScionBestEffortSource
-from repro.scion.addresses import HostAddr, IsdAs, ScionAddr
+from repro.scion.addresses import HostAddr, ScionAddr
 from repro.scion.beaconing import run_beaconing
 from repro.scion.hopfields import chain_segid, compute_hopfield_mac
 from repro.scion.paths import PathLookup, as_crossings
@@ -34,6 +34,7 @@ from repro.wire import bwcls
 WARMUP_CALLS = 100  # untimed calls before time_op starts its clock
 WARMUP_ITEMS = 20  # untimed items before time_op_over starts its clock
 ROUTER_PAYLOAD = 500  # bytes in every packet measure_router times
+ROUNDS = 5  # readings alternating takes of each measure
 
 
 def time_op(fn, iterations: int = 2000) -> float:
@@ -45,6 +46,17 @@ def time_op(fn, iterations: int = 2000) -> float:
     for _ in range(iterations):
         fn()
     return (time.perf_counter_ns() - start) / iterations
+
+
+def alternating(*measures) -> list[list]:
+    """:data:`ROUNDS` readings of each measure in turn, the order reversed
+    every other round (A B, B A, ...): drift over the run hits all alike."""
+    readings, order = [[] for _ in measures], list(range(len(measures)))
+    for _ in range(ROUNDS):
+        for index in order:
+            readings[index].append(measures[index]())
+        order.reverse()
+    return readings
 
 
 def time_op_over(fn, items: list) -> float:
@@ -63,22 +75,18 @@ def time_op_over(fn, items: list) -> float:
 
 @dataclass
 class DataPlaneFixture:
-    """A 4-hop path with full flyover coverage, ready to measure."""
+    """A path of ``hops`` ASes with a flyover at every hop, ready to measure."""
 
     clock: SimClock
     topology: object
-    path: object
     reservations: list
     hb_source: HummingbirdSource
     scion_source: ScionBestEffortSource
     hb_router: HummingbirdRouter
     scion_router: ScionRouter
-    first_as: IsdAs
 
 
-def build_fixture(
-    hops: int = 4, payload: int = 500, prf_backend: str = "aes"
-) -> DataPlaneFixture:
+def build_fixture(hops: int = 4, prf_backend: str = "aes") -> DataPlaneFixture:
     prf_factory = PrfFactory(prf_backend)
     clock = SimClock(1_700_000_000.0)
     topology = linear_topology(hops)
@@ -111,13 +119,11 @@ def build_fixture(
     return DataPlaneFixture(
         clock=clock,
         topology=topology,
-        path=path,
         reservations=reservations,
         hb_source=hb_source,
         scion_source=scion_source,
         hb_router=HummingbirdRouter(first, clock, prf_factory),
         scion_router=ScionRouter(first, clock, prf_factory),
-        first_as=src_as,
     )
 
 
@@ -127,7 +133,7 @@ class RouterMeasurement:
 
     scion_process_ns: float
     hummingbird_process_ns: float
-    steps: dict = field(default_factory=dict)
+    steps: dict
 
     @property
     def hummingbird_overhead_ns(self) -> float:
@@ -137,7 +143,7 @@ class RouterMeasurement:
 def measure_router(packets: int = 1500, prf_backend: str = "aes") -> RouterMeasurement:
     """Time full router processing of :data:`ROUTER_PAYLOAD`-byte packets and
     the individual pipeline operations."""
-    fixture = build_fixture(payload=ROUTER_PAYLOAD, prf_backend=prf_backend)
+    fixture = build_fixture(prf_backend=prf_backend)
     body = bytes(ROUTER_PAYLOAD)
     hb_packets = [fixture.hb_source.build_packet(body) for _ in range(packets)]
     scion_packets = [fixture.scion_source.build_packet(body) for _ in range(packets)]
@@ -195,18 +201,16 @@ def measure_router(packets: int = 1500, prf_backend: str = "aes") -> RouterMeasu
 class SourceMeasurement:
     """Our per-packet generation costs (ns) for one (hops, payload) point."""
 
-    hops: int
-    payload: int
     scion_generation_ns: float
     hummingbird_generation_ns: float
-    stages: dict = field(default_factory=dict)
+    stages: dict
 
 
 def measure_source(
     hops: int = 4, payload: int = 500, iterations: int = 800, prf_backend: str = "aes"
 ) -> SourceMeasurement:
     """Time packet generation, full and per stage (the Table 4 pipeline)."""
-    fixture = build_fixture(hops=hops, payload=payload, prf_backend=prf_backend)
+    fixture = build_fixture(hops=hops, prf_backend=prf_backend)
     body = bytes(payload)
     hb_ns = time_op(lambda: fixture.hb_source.build_packet(body), iterations)
     scion_ns = time_op(lambda: fixture.scion_source.build_packet(body), iterations)
@@ -231,8 +235,6 @@ def measure_source(
         ),
     }
     return SourceMeasurement(
-        hops=hops,
-        payload=payload,
         scion_generation_ns=scion_ns,
         hummingbird_generation_ns=hb_ns,
         stages=stages,

@@ -1,15 +1,12 @@
 """Published per-operation timings (Tables 3 and 4 of the paper).
 
 These are the DPDK prototype's numbers on an Intel Xeon 2.1 GHz with
-AES-NI.  The throughput model feeds them through the same pipeline
-structure our Python implementation executes, regenerating the paper's
-curves; our own measured timings are reported side by side (the Python/DPDK
-ratio is Tables 3 and 4's "ours ÷ paper" in docs/reproduction.md).
+AES-NI.  ``tools/paper_scoreboard.py`` sets our measured timings beside them
+(the Python/DPDK ratio is Tables 3 and 4's "ours ÷ paper" in
+docs/reproduction.md).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # ---------------------------------------------------------------------------
 # Table 3: border-router packet validation and forwarding (ns per packet).
@@ -80,15 +77,3 @@ def scion_generation_ns(hops: int, payload_bytes: int) -> float:
 def hummingbird_generation_ns(hops: int, payload_bytes: int) -> float:
     """Per-packet source cost with a flyover on every hop (Table 4 total)."""
     return scion_generation_ns(hops, payload_bytes) + SOURCE_FLYOVER_MAC_PER_HOP_NS * hops
-
-
-@dataclass(frozen=True)
-class PaperEnvironment:
-    """Testbed constants of §7.1."""
-
-    line_rate_gbps: float = 160.0  # 4 x 40 Gbps bidirectional links
-    cpu_ghz: float = 2.1
-    policing_array_entries: int = 100_000  # 800 kB of 8 B buckets
-
-
-PAPER_ENV = PaperEnvironment()

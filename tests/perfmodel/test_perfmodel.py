@@ -1,16 +1,24 @@
-"""Throughput model: the shape checks behind Figures 5, 14 and 15."""
+"""The paper's Table 3 / 4 timings and the microbenchmarks of ours."""
 
 import pytest
 
+from repro.crypto.prf import PrfFactory
+from repro.hummingbird.source import HummingbirdSource
 from repro.perfmodel import papertimings as paper
-from repro.perfmodel.measure import measure_router, measure_source
-from repro.perfmodel.scaling import (
-    ThroughputModel,
-    fig14_generation_series,
-    fig15_singlecore_series,
-    fig5_forwarding_series,
-    wire_bytes,
+from repro.perfmodel.measure import (
+    ROUNDS,
+    WARMUP_CALLS,
+    WARMUP_ITEMS,
+    alternating,
+    build_fixture,
+    measure_router,
+    measure_source,
+    time_op,
+    time_op_over,
 )
+from repro.scion.packet import encode_packet
+from repro.scion.paths import as_crossings
+from repro.scion.router import Action
 
 
 class TestPaperTimings:
@@ -25,101 +33,87 @@ class TestPaperTimings:
         assert paper.hummingbird_generation_ns(4, 1500) == pytest.approx(519)
         assert paper.scion_generation_ns(4, 500) == pytest.approx(293)
 
+    def test_table3_step_names_are_unique(self):
+        # the scoreboard looks our timed steps up by these names
+        names = [name for name, _ in paper.ROUTER_STEPS_SCION + paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA]
+        assert len(names) == len(set(names)) == 7 + 9
+
+    def test_payload_cost_passes_through_both_published_points(self):
+        assert paper.source_payload_ns(500) == pytest.approx(paper.SOURCE_PAYLOAD_500_NS)
+        assert paper.source_payload_ns(1500) == pytest.approx(paper.SOURCE_PAYLOAD_1500_NS)
+
+    def test_flyover_macs_are_hummingbirds_only_extra_per_hop(self):
+        for hops in (1, 2, 4, 8, 16):
+            extra = paper.hummingbird_generation_ns(hops, 500) - paper.scion_generation_ns(hops, 500)
+            assert extra == pytest.approx(paper.SOURCE_FLYOVER_MAC_PER_HOP_NS * hops)
+
+
+def _wire_len(source) -> int:
+    return len(encode_packet(source.build_packet(bytes(500))))
+
 
 class TestWireBytes:
+    """On the packets the microbenchmarks time: a flyover hop field is 8 B
+    longer than a SCION one, and Hummingbird's meta header 8 B longer."""
+
     def test_hummingbird_overhead_is_8_bytes_per_reserved_hop(self):
-        for hops in (1, 4, 16):
-            hb = wire_bytes(hops, 500, hummingbird=True)
-            scion = wire_bytes(hops, 500, hummingbird=False)
+        for hops in (2, 4, 8):
+            fixture = build_fixture(hops, prf_backend="blake2")
+            hb, scion = _wire_len(fixture.hb_source), _wire_len(fixture.scion_source)
             assert hb - scion == 8 * hops + 8  # + meta-header extension
 
     def test_partial_flyovers(self):
-        full = wire_bytes(4, 500, True)
-        partial = wire_bytes(4, 500, True, flyover_hops=2)
-        assert full - partial == 2 * 8
+        fixture = build_fixture(4, prf_backend="blake2")
+        full = fixture.hb_source
+        partial = HummingbirdSource(
+            full.src, full.dst, full.path, fixture.reservations[:2], fixture.clock,
+            PrfFactory("blake2"),
+        )
+        assert _wire_len(full) - _wire_len(partial) == 2 * 8
 
 
-class TestFigure5Shape:
-    def test_line_rate_with_4_cores_at_1500B(self):
-        model = ThroughputModel(paper.HUMMINGBIRD_FORWARD_NS)
-        packet = wire_bytes(4, 1500, True)
-        assert model.throughput_gbps(4, packet) == pytest.approx(160.0)
-        assert model.throughput_gbps(2, packet) < 160.0
+class TestFixture:
+    def test_every_crossing_carries_a_flyover(self):
+        fixture = build_fixture(4, prf_backend="blake2")
+        crossings = as_crossings(fixture.hb_source.path)
+        assert len(fixture.reservations) == len(fixture.hb_source.placements) == len(crossings) == 4
 
-    def test_100B_needs_about_32_cores(self):
-        model = ThroughputModel(paper.HUMMINGBIRD_FORWARD_NS)
-        packet = wire_bytes(4, 100, True)
-        cores = model.cores_for_line_rate(packet)
-        assert 24 <= cores <= 40
-
-    def test_scion_dominates_hummingbird_below_saturation(self):
-        series = fig5_forwarding_series()
-        for payload in (100, 500):
-            for (hb_cores, hb), (sc_cores, sc) in zip(
-                series[("hummingbird", payload)], series[("scion", payload)]
-            ):
-                assert hb_cores == sc_cores
-                assert sc >= hb * 0.99  # SCION never slower
-
-    def test_throughput_monotone_in_cores_until_cap(self):
-        series = fig5_forwarding_series()
-        for values in series.values():
-            gbps = [v for _, v in values]
-            assert all(b >= a for a, b in zip(gbps, gbps[1:]))
-            assert max(gbps) <= 160.0
+    def test_the_timed_packets_take_their_lanes(self):
+        """The router times the flyover pipeline, not a drop: a Hummingbird
+        packet is forwarded on its reservation, a SCION one best effort."""
+        fixture = build_fixture(4, prf_backend="blake2")
+        hb = fixture.hb_router.process(fixture.hb_source.build_packet(bytes(500)), 0)
+        scion = fixture.scion_router.process(fixture.scion_source.build_packet(bytes(500)), 0)
+        assert hb.action is Action.FORWARD_PRIORITY
+        assert scion.action is Action.FORWARD
 
 
-class TestFigure14And15Shape:
-    def test_fewer_hops_generate_faster(self):
-        series = fig15_singlecore_series()
-        at_500 = {
-            hops: dict(series[("hummingbird", hops)])[500] for hops in (1, 4, 16)
-        }
-        assert at_500[1] > at_500[4] > at_500[16]
+class TestTiming:
+    def test_time_op_warms_up_before_its_clock(self):
+        calls = []
+        assert time_op(lambda: calls.append(None), iterations=7) >= 0
+        assert len(calls) == WARMUP_CALLS + 7
 
-    def test_paper_datapoint_h4_1kB(self):
-        """§B.3: h=4, 1 kB payload -> 17.90 (HB) vs 28.64 (SCION) Gbps."""
-        series = fig15_singlecore_series(payloads=(1000,))
-        hb = dict(series[("hummingbird", 4)])[1000]
-        scion = dict(series[("scion", 4)])[1000]
-        assert hb == pytest.approx(17.9, rel=0.10)
-        assert scion == pytest.approx(28.6, rel=0.10)
+    def test_time_op_over_calls_each_item_once(self):
+        seen = []
+        time_op_over(seen.append, list(range(WARMUP_ITEMS + 5)))
+        assert seen == list(range(WARMUP_ITEMS + 5))
 
-    def test_paper_datapoint_h4_100B(self):
-        """§B.3: 100 B payloads -> 4.65 vs 7.70 Gbps.
-
-        The model is within ~20 % here: for tiny packets the testbed's
-        per-packet wire overhead (L1 framing, which we do not model) is a
-        large fraction of the packet.  At 1000 B (previous test) the model
-        matches to ~1 %.
-        """
-        series = fig15_singlecore_series(payloads=(100,))
-        assert dict(series[("hummingbird", 4)])[100] == pytest.approx(4.65, rel=0.25)
-        assert dict(series[("scion", 4)])[100] == pytest.approx(7.70, rel=0.35)
-
-    def test_32_cores_reach_line_rate_at_500B(self):
-        """Fig. 14: 32 cores deliver 160 Gbps for 500 B payloads."""
-        series = fig14_generation_series()
-        for hops in (1, 2, 4, 8):
-            curve = dict(series[("hummingbird", hops)])
-            assert curve[32] == pytest.approx(160.0)
+    def test_time_op_over_needs_items_past_warmup(self):
+        with pytest.raises(ValueError):
+            time_op_over(lambda item: None, list(range(WARMUP_ITEMS)))
 
 
-ROUNDS = 5
+def test_alternating_reverses_the_order_every_other_round():
+    tick = iter(range(2 * ROUNDS)).__next__  # a reading is its call's place in order
+    assert alternating(tick, tick) == [[0, 3, 4, 7, 8], [1, 2, 5, 6, 9]]
 
 
-def alternating(rounds: int, *readings) -> list[float]:
-    """Each reading summed over ``rounds`` rounds that take every reading in
-    turn, the order reversed every other round (A B, B A, ...): the machine's
-    speed changes between windows, and this way every window, and any drift
-    across one, falls on all sides alike."""
-    totals = [0.0] * len(readings)
-    order = list(range(len(readings)))
-    for _ in range(rounds):
-        for index in order:
-            totals[index] += readings[index]()
-        order.reverse()
-    return totals
+def test_alternating_reverses_three_measures_too():
+    tick = iter(range(3 * ROUNDS)).__next__
+    assert alternating(tick, tick, tick) == [
+        [0, 5, 6, 11, 12], [1, 4, 7, 10, 13], [2, 3, 8, 9, 14]
+    ]
 
 
 class TestMeasurements:
@@ -159,14 +153,25 @@ class TestMeasurements:
         def generation_ns(hops):
             return measure_source(hops, iterations=150, prf_backend="blake2").hummingbird_generation_ns
 
-        fast, slow = alternating(ROUNDS, lambda: generation_ns(2), lambda: generation_ns(6))
-        assert slow > fast
+        fast, slow = alternating(lambda: generation_ns(2), lambda: generation_ns(6))
+        assert sum(slow) > sum(fast)
 
     def test_hummingbird_generation_costs_more_than_scion(self):
         runs = [measure_source(hops=4, iterations=150, prf_backend="blake2") for _ in range(ROUNDS)]
         hummingbird = sum(run.hummingbird_generation_ns for run in runs)
         scion = sum(run.scion_generation_ns for run in runs)
         assert hummingbird > scion
+
+
+def test_every_router_step_is_a_table3_row(monkeypatch):
+    """The scoreboard shows a Table 3 row as "not timed alone" when no step
+    of ours carries its name: a renamed step would vanish silently."""
+    from repro.perfmodel import measure
+
+    monkeypatch.setattr(measure, "time_op", lambda fn, iterations=2000: 1.0)
+    run = measure.measure_router(packets=WARMUP_ITEMS + 5, prf_backend="blake2")
+    names = {name for name, _ in paper.ROUTER_STEPS_SCION + paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA}
+    assert len(run.steps) == 7 and set(run.steps) <= names
 
 
 def test_each_table4_stage_timing_runs_only_its_own_stage(monkeypatch):

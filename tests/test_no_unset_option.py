@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import functools
 import pathlib
 import re
 
@@ -180,14 +181,21 @@ def _unset_options(audited, callers) -> dict[str, list[str]]:
     }
 
 
-def _trees():
-    for top in CALLERS:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            yield path, ast.parse(path.read_text())
+@functools.cache
+def _parsed(path: pathlib.Path) -> ast.Module:
+    """Every file is parsed once per session; no audit changes a tree."""
+    return ast.parse(path.read_text())
 
 
-def _package_trees():
-    return [ast.parse(path.read_text()) for path in sorted(PACKAGE.rglob("*.py"))]
+@functools.cache
+def _trees() -> tuple[tuple[pathlib.Path, ast.Module], ...]:
+    return tuple(
+        (path, _parsed(path)) for top in CALLERS for path in sorted((ROOT / top).rglob("*.py"))
+    )
+
+
+def _package_trees() -> list[ast.Module]:
+    return [_parsed(path) for path in sorted(PACKAGE.rglob("*.py"))]
 
 
 def test_every_option_has_a_caller_that_sets_it():
@@ -248,8 +256,8 @@ def test_every_public_name_is_referenced_outside_its_definition():
     examples, benchmarks or tools; a docstring or an ``__all__`` entry is not a
     use — or by the docs.  Otherwise it is dead."""
     defined = collections.Counter()
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 defined[node.name] += 1
     word = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

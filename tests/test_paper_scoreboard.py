@@ -45,12 +45,15 @@ def test_every_paper_value_from_papertimings_is_its_constant():
         ("Table 4", ("Add payload, 500 B", paper.SOURCE_PAYLOAD_500_NS)),
         ("Table 4", ("Hummingbird generation, 500 B", paper.hummingbird_generation_ns(4, 500))),
         ("Table 4", ("SCION generation, 500 B", paper.scion_generation_ns(4, 500))),
-        ("Fig. 5", ("model: Hummingbird, 4 cores, 1500 B", paper.PAPER_ENV.line_rate_gbps)),
     ]
     for section, (quantity, value) in expected:
         assert cells[section, quantity] == board.cell(value), quantity
 
 
-def test_alternating_reverses_the_order_every_other_round():
-    tick = iter(range(2 * board.ROUNDS)).__next__  # a reading is its call's place in order
-    assert board.alternating(tick, tick) == [[0, 3, 4, 7, 8], [1, 2, 5, 6, 9]]
+def test_fig14_marks_every_paper_cell_it_scales():
+    """The paper measured h=4 only: its h=2 and h=8 cells, and their ratio,
+    are Table 4's per-hop costs scaled, and their labels say so."""
+    (rows,) = [rows for title, rows, _ in board.ARTEFACTS if title.startswith("Fig. 14")]
+    scaled = [quantity for quantity, _ in rows if quantity.endswith(board.SCALED)]
+    assert len(rows) == 4 and len(scaled) == 3
+    assert dict(rows)["Hummingbird ns per packet, h=4"] == paper.hummingbird_generation_ns(4, 500)
