@@ -6,7 +6,10 @@ binds, through :mod:`ctypes`, the low-level ``AES_set_encrypt_key`` and
 ``AES_encrypt`` of the libcrypto that CPython's ``_hashlib`` is linked
 against, opened by ``_hashlib``'s own path so the symbols resolve through
 that extension's dependencies and no second libcrypto is mapped.  If they
-are missing, importing this module raises :class:`ImportError`.
+are missing, importing this module raises :class:`ImportError`.  The
+library is opened with :class:`ctypes.PyDLL`, as :mod:`repro.crypto.modexp`
+opens it: a one-block call is far shorter than releasing and taking back
+the GIL around it.
 
 Only encryption exists: CMAC, the one-block PRFs and the CTR keystream of
 the sealed-delivery envelope in :mod:`repro.crypto.sealing` never decrypt.
@@ -26,7 +29,7 @@ import _hashlib
 BLOCK_SIZE = 16
 KEY_SIZE = 16
 
-_libcrypto = ctypes.CDLL(_hashlib.__file__)
+_libcrypto = ctypes.PyDLL(_hashlib.__file__)
 try:
     _set_encrypt_key = _libcrypto.AES_set_encrypt_key
     _encrypt = _libcrypto.AES_encrypt

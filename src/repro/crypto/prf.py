@@ -18,8 +18,8 @@ keyed afresh for every packet — the router stores nothing about it.
 ``Blake2Prf``
     Keyed BLAKE2s from the standard library.  It has no key schedule, so a
     PRF keyed for one use, as the router's per-packet :math:`A_i` is, costs
-    less than half of an AES one (~0.8 against ~1.8 µs on a 2-core x86-64
-    box under CPython 3.11); under a held key both cost ~0.65 µs a call.  Useful
+    about 60 % of an AES one (~1.3 against ~2.2 µs on a 2-core x86-64 box
+    under CPython 3.11); under a held key both cost ~0.8 µs a call.  Useful
     for large-scale network simulations where millions of tags are
     computed.  Selected via ``PrfFactory('blake2')``.
 
@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Protocol
 
-from repro.crypto.aes import AES128, BLOCK_SIZE
+from repro.crypto.aes import AES128, BLOCK_SIZE, _Block, _encrypt, expand_key
 from repro.crypto.cmac import Cmac
 
 PRF_OUTPUT_SIZE = 16
@@ -46,7 +46,7 @@ class Prf(Protocol):
         ...
 
 
-class AesPrf:
+class AesPrf(AES128):
     """AES-128 PRF: ECB for exactly one block, CMAC otherwise.
 
     Single-block inputs (the reservation-key derivation of Fig. 12 and the
@@ -55,19 +55,28 @@ class AesPrf:
     AES-NI in Table 3.  Keying costs one key expansion and nothing else: the
     CMAC subkeys are derived from the same schedule on the first input that
     is not one block, which on the data plane never comes.
+
+    The PRF is its own cipher: keying calls :func:`expand_key` directly, and
+    :meth:`compute` checks a one-block input and hands it to C itself — one
+    frame for each of the data plane's per-packet AES operations.
     """
 
-    __slots__ = ("_cipher", "_cmac")
+    __slots__ = ("_cmac",)
 
     def __init__(self, key: bytes) -> None:
-        self._cipher = AES128(key)
+        self._schedule = expand_key(key)
         self._cmac: Cmac | None = None
 
     def compute(self, message: bytes) -> bytes:
         if len(message) == BLOCK_SIZE:
-            return self._cipher.encrypt_block(message)
+            # AES128.encrypt_block's check: a subclass could misreport its length
+            if type(message) is not bytes:
+                raise TypeError(f"AES blocks are bytes, got {type(message).__name__}")
+            out = _Block()
+            _encrypt(message, out, self._schedule)
+            return out.raw
         if self._cmac is None:
-            self._cmac = Cmac(self._cipher)
+            self._cmac = Cmac(self)
         return self._cmac.compute(message)
 
 

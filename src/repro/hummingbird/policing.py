@@ -36,6 +36,13 @@ class PolicingVerdict(enum.Enum):
     FWD_BEST_EFFORT = "fwd_best_effort"
 
 
+# Read once per process, not per packet: on CPython 3.11 looking up an enum
+# member costs about ten global reads.
+_FLYOVER, _BEST_EFFORT = PolicingVerdict.FWD_FLYOVER, PolicingVerdict.FWD_BEST_EFFORT
+# kbps of every 10-bit header class, indexed by the class.
+_KBPS_OF_CLASS = tuple(bwcls.decode(bw_cls) for bw_cls in range(bwcls.MAX_CLASS + 1))
+
+
 class TokenBucketArray:
     """Algorithm 1: one 8-byte virtual timestamp per ResID.
 
@@ -73,11 +80,11 @@ class TokenBucketArray:
     def monitor(self, res_id: int, bw_kbps: int, pkt_len: int, now: float) -> PolicingVerdict:
         """BandwidthMonitoring(ResID, BW, PktLen) — Algorithm 1 verbatim."""
         if not 0 <= res_id < len(self._timestamps):
-            return PolicingVerdict.FWD_BEST_EFFORT
+            return _BEST_EFFORT
         if self._limits:
             bw_kbps = min(bw_kbps, self._limits.get(res_id, bw_kbps))
         if bw_kbps <= 0:
-            return PolicingVerdict.FWD_BEST_EFFORT
+            return _BEST_EFFORT
         now_ns = int(now * NS)
         # PktLen / BW in nanoseconds: bytes * 8 bits / (kbps * 1000 bits/s).
         transmit_ns = pkt_len * 8 * 1_000_000 // bw_kbps
@@ -85,8 +92,8 @@ class TokenBucketArray:
         if timestamp <= now_ns + self.burst_time_ns:
             self._timestamps[res_id] = timestamp
             self._usage_bytes[res_id] += pkt_len
-            return PolicingVerdict.FWD_FLYOVER
-        return PolicingVerdict.FWD_BEST_EFFORT
+            return _FLYOVER
+        return _BEST_EFFORT
 
     def usage_bytes(self, res_id: int) -> int:
         """Bytes forwarded with priority on one reservation so far."""
@@ -135,9 +142,12 @@ class PerInterfacePolicer:
         self, ingress_ifid: int, res_id: int, bw_cls: int, pkt_len: int, now: float
     ) -> PolicingVerdict:
         """Police one packet; bandwidth arrives as the 10-bit header class."""
-        return self.array_for(ingress_ifid).monitor(
-            res_id, bwcls.decode(bw_cls), pkt_len, now
-        )
+        if not 0 <= bw_cls <= bwcls.MAX_CLASS:
+            raise ValueError(f"bandwidth class {bw_cls} out of 10-bit range")
+        array = self._arrays.get(ingress_ifid)
+        if array is None:
+            array = self.array_for(ingress_ifid)
+        return array.monitor(res_id, _KBPS_OF_CLASS[bw_cls], pkt_len, now)
 
     def usage_bytes(self, ingress_ifid: int, res_id: int) -> int:
         """Priority bytes one reservation moved through one ingress."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.clock import Clock
 from repro.crypto.keys import derive_auth_key
-from repro.crypto.prf import DEFAULT_PRF_FACTORY, Prf, PrfFactory
+from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.hummingbird.duplicate import DuplicateFilter
 from repro.hummingbird.mac import aggregate_mac, checked_pkt_len, compute_flyover_mac
 from repro.hummingbird.pathtype import FlyoverHopFieldData, HummingbirdPath
@@ -119,8 +119,11 @@ class HummingbirdRouter(ScionRouter):
             if next_segment.hopfields:
                 _, reserved_egress = next_segment.traversal_interfaces(0)
         res_start = path.base_timestamp - hop.res_start_offset
+        if self.autonomous_system.secret_value is not self._secret_value:  # SV_i replaced
+            self._secret_value = self.autonomous_system.secret_value
+            self._secret_value_prf = self.prf_factory(self._secret_value.key)
         auth_key = derive_auth_key(
-            self._held_secret_value_prf(),
+            self._secret_value_prf,
             ingress,
             reserved_egress,
             hop.res_id,
@@ -179,15 +182,7 @@ class HummingbirdRouter(ScionRouter):
             Action.FORWARD_PRIORITY, egress_ifid=egress
         )
 
-    # -- key holding and bookkeeping -------------------------------------------
-
-    def _held_secret_value_prf(self) -> Prf:
-        """The PRF keyed with :math:`SV_i`; re-keyed if the AS replaced its secret."""
-        secret_value = self.autonomous_system.secret_value
-        if secret_value is not self._secret_value:
-            self._secret_value = secret_value
-            self._secret_value_prf = self.prf_factory(secret_value.key)
-        return self._secret_value_prf
+    # -- bookkeeping -----------------------------------------------------------
 
     def _counted(self, decision: Decision) -> Decision:
         """Count a decision that used no reservation bandwidth."""

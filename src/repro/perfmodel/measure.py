@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from statistics import fmean
 
 from repro.clock import SimClock
 from repro.crypto.keys import derive_auth_key
@@ -142,14 +143,23 @@ class RouterMeasurement:
 
 def measure_router(packets: int = 1500, prf_backend: str = "aes") -> RouterMeasurement:
     """Time full router processing of :data:`ROUTER_PAYLOAD`-byte packets and
-    the individual pipeline operations."""
+    the individual pipeline operations.
+
+    The two hops are timed :func:`alternating`, each reading over its own
+    ``packets`` fresh packets, so neither side is always first."""
     fixture = build_fixture(prf_backend=prf_backend)
     body = bytes(ROUTER_PAYLOAD)
-    hb_packets = [fixture.hb_source.build_packet(body) for _ in range(packets)]
-    scion_packets = [fixture.scion_source.build_packet(body) for _ in range(packets)]
 
-    hb_ns = time_op_over(lambda p: fixture.hb_router.process(p, 0), hb_packets)
-    scion_ns = time_op_over(lambda p: fixture.scion_router.process(p, 0), scion_packets)
+    def hop(source, router):
+        def measure() -> float:
+            batch = [source.build_packet(body) for _ in range(packets)]
+            return time_op_over(lambda p: router.process(p, 0), batch)
+
+        return measure
+
+    hb_ns, scion_ns = map(fmean, alternating(
+        hop(fixture.hb_source, fixture.hb_router), hop(fixture.scion_source, fixture.scion_router)
+    ))
 
     # The steps as the router runs them: K_i and SV_i PRFs held, A_i keyed
     # per packet.  Disjoint, so their sum is comparable to the hop cost.
@@ -209,11 +219,19 @@ class SourceMeasurement:
 def measure_source(
     hops: int = 4, payload: int = 500, iterations: int = 800, prf_backend: str = "aes"
 ) -> SourceMeasurement:
-    """Time packet generation, full and per stage (the Table 4 pipeline)."""
+    """Time packet generation, full and per stage (the Table 4 pipeline).
+
+    The two generations are timed :func:`alternating`, ``iterations`` packets
+    a reading, so neither side is always first."""
     fixture = build_fixture(hops=hops, prf_backend=prf_backend)
     body = bytes(payload)
-    hb_ns = time_op(lambda: fixture.hb_source.build_packet(body), iterations)
-    scion_ns = time_op(lambda: fixture.scion_source.build_packet(body), iterations)
+
+    def generation(source):
+        return lambda: time_op(lambda: source.build_packet(body), iterations)
+
+    hb_ns, scion_ns = map(fmean, alternating(
+        generation(fixture.hb_source), generation(fixture.scion_source)
+    ))
 
     source = fixture.hb_source
     timestamp = source._allocator.allocate(fixture.clock.now())

@@ -83,13 +83,16 @@ class PacketPath:
         """
         path = object.__new__(type(self))
         path.__dict__.update(self.__dict__)
-        path.segments = [
-            SegmentInPath(
-                segment.cons_dir, segment.timestamp, segment.initial_segid, hops, segment.ases
+        # One loop, no comprehensions: each is a frame of its own on CPython
+        # 3.11, and a source builds a path for every packet it sends.
+        path.segments, path.segids = [], []
+        for segment, hops in zip(self.segments, hopfields):
+            path.segments.append(
+                SegmentInPath(
+                    segment.cons_dir, segment.timestamp, segment.initial_segid, hops, segment.ases
+                )
             )
-            for segment, hops in zip(self.segments, hopfields)
-        ]
-        path.segids = [segment.initial_segid for segment in self.segments]
+            path.segids.append(segment.initial_segid)
         path.curr_inf = path.curr_hf = 0
         return path
 

@@ -26,7 +26,7 @@ import hmac
 from dataclasses import dataclass
 
 from repro.clock import Clock
-from repro.crypto.prf import DEFAULT_PRF_FACTORY, Prf, PrfFactory
+from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.scion.hopfields import absolute_expiry, chain_segid, compute_hopfield_mac
 from repro.scion.packet import PacketPath, ScionPacket
 from repro.scion.paths import HopFieldData, SegmentInPath
@@ -124,7 +124,10 @@ class ScionRouter:
                 Action.DROP,
                 reason=f"ingress interface {ingress_ifid} != hop field {expected_ingress}",
             )
-        forwarding_key_prf = self._held_forwarding_key_prf()
+        if self.autonomous_system.forwarding_key is not self._forwarding_key:  # K_i replaced
+            self._forwarding_key = self.autonomous_system.forwarding_key
+            self._forwarding_key_prf = self.prf_factory(self._forwarding_key)
+        forwarding_key_prf = self._forwarding_key_prf
         for boundary in (False, True):
             if absolute_expiry(segment.timestamp, hop.exp_time) < now:
                 return Decision(Action.DROP, reason="hop field expired")
@@ -158,13 +161,3 @@ class ScionRouter:
                 return Decision(Action.DROP, reason="egress 0 before end of path")
             return _DELIVER
         return self._forward.get(egress) or Decision(Action.FORWARD, egress_ifid=egress)
-
-    # -- internals ----------------------------------------------------------
-
-    def _held_forwarding_key_prf(self) -> Prf:
-        """The PRF keyed with :math:`K_i`; re-keyed if the AS replaced its key."""
-        key = self.autonomous_system.forwarding_key
-        if key is not self._forwarding_key:
-            self._forwarding_key = key
-            self._forwarding_key_prf = self.prf_factory(key)
-        return self._forwarding_key_prf

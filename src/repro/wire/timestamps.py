@@ -24,7 +24,7 @@ MAX_PACKET_AGE = 1.0  # Δ, seconds
 CLOCK_SKEW = 0.5  # δ, seconds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PacketTimestamp:
     """The unique per-packet (base, millis, counter) triple."""
 
@@ -32,13 +32,18 @@ class PacketTimestamp:
     millis: int  # 16-bit millisecond offset from base
     counter: int  # 16-bit uniqueness counter
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.base < 1 << 32:
-            raise ValueError(f"BaseTimestamp {self.base} out of 32-bit range")
-        if not 0 <= self.millis < MILLIS_RANGE:
-            raise ValueError(f"MillisTimestamp {self.millis} out of 16-bit range")
-        if not 0 <= self.counter < COUNTER_RANGE:
-            raise ValueError(f"Counter {self.counter} out of 16-bit range")
+    def __init__(self, base: int, millis: int, counter: int) -> None:
+        # Hand-written: the generated frozen __init__ stores each field through
+        # object.__setattr__ and calls __post_init__, and a timestamp is built
+        # for every packet sent.  Writing the instance dict keeps it frozen.
+        if not 0 <= base < 1 << 32:
+            raise ValueError(f"BaseTimestamp {base} out of 32-bit range")
+        if not 0 <= millis < MILLIS_RANGE:
+            raise ValueError(f"MillisTimestamp {millis} out of 16-bit range")
+        if not 0 <= counter < COUNTER_RANGE:
+            raise ValueError(f"Counter {counter} out of 16-bit range")
+        fields = self.__dict__
+        fields["base"], fields["millis"], fields["counter"] = base, millis, counter
 
 
 class TimestampAllocator:
@@ -65,7 +70,7 @@ class TimestampAllocator:
 
     def allocate(self, now_seconds: float) -> PacketTimestamp:
         """Return a unique timestamp for a packet sent at ``now_seconds``."""
-        millis_total = int(round((now_seconds - self._base) * 1000))
+        millis_total = round((now_seconds - self._base) * 1000)
         if millis_total < 0:
             raise ValueError("cannot allocate a timestamp before the base timestamp")
         if millis_total >= MILLIS_RANGE:

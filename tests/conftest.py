@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import gc
+import sys
 
 import pytest
 
@@ -37,10 +38,14 @@ def chain5():
 
 @pytest.fixture
 def aes_calls(monkeypatch):
-    """Counts of ``expand_key`` and ``AES128.encrypt_block`` calls from here on."""
+    """Counts of C-level AES key expansions (``expand_key``) and block
+    encryptions (``encrypt_block``) from here on, however they are reached:
+    every loaded ``repro`` module's binding of ``AES_set_encrypt_key`` or
+    ``AES_encrypt`` is replaced by a counting one."""
     from repro.crypto import aes
 
     counts = {"expand_key": 0, "encrypt_block": 0}
+    natives = {"expand_key": aes._set_encrypt_key, "encrypt_block": aes._encrypt}
 
     def counting(name, original):
         def wrapper(*args):
@@ -49,10 +54,12 @@ def aes_calls(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(aes, "expand_key", counting("expand_key", aes.expand_key))
-    monkeypatch.setattr(
-        aes.AES128, "encrypt_block", counting("encrypt_block", aes.AES128.encrypt_block)
-    )
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro."):
+            for attribute, value in list(vars(module).items()):
+                for name, native in natives.items():
+                    if value is native:
+                        monkeypatch.setattr(module, attribute, counting(name, native))
     return counts
 
 

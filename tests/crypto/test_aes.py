@@ -9,6 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES128, expand_key, xor_bytes
+from repro.crypto.cmac import Cmac
+from repro.crypto.prf import AesPrf
 
 # -- FIPS-197 written the slow way: a 16-byte state, one transformation per
 # -- function, its own field arithmetic, S-box and key schedule.  Shares no
@@ -204,6 +206,24 @@ class TestHostileInput:
     def test_block_is_refused(self, block):
         with pytest.raises((ValueError, TypeError)):
             AES128(bytes(16)).encrypt_block(block)
+
+    @pytest.mark.parametrize("key", HOSTILE.values(), ids=HOSTILE)
+    def test_prf_key_is_refused(self, key):
+        with pytest.raises((ValueError, TypeError)):
+            AesPrf(key)
+
+    @pytest.mark.parametrize("block", HOSTILE.values(), ids=HOSTILE)
+    def test_prf_input_is_a_cmac_input_or_refused(self, block):
+        """``AesPrf`` makes its one-block C call itself: bytes of any other
+        length are a CMAC input, and anything else is refused before C or
+        CMAC sees it."""
+        prf = AesPrf(bytes(16))
+        if type(block) is bytes and len(block) != 16:
+            assert prf.compute(block) == Cmac(AES128(bytes(16))).compute(block)
+        else:
+            with pytest.raises(TypeError):
+                prf.compute(block)
+            assert prf._cmac is None
 
 
 class TestAgainstReference:

@@ -162,6 +162,27 @@ class TestPerInterfacePolicer:
         # Interface 1's bucket for ResID 0 is exhausted; interface 2's is not.
         assert policer.monitor(2, 0, cls, 500, 0.0) is PolicingVerdict.FWD_FLYOVER
 
+    def test_every_header_class_polices_at_its_decoded_rate(self):
+        rates = []
+
+        class Recording(TokenBucketArray):
+            def monitor(self, res_id, bw_kbps, pkt_len, now):
+                rates.append(bw_kbps)
+                return super().monitor(res_id, bw_kbps, pkt_len, now)
+
+        policer = PerInterfacePolicer(capacity=16)
+        policer._arrays[1] = Recording(capacity=16)
+        classes = range(bwcls.MAX_CLASS + 1)
+        for cls in classes:
+            policer.monitor(1, 0, cls, 500, 0.0)
+        assert rates == [bwcls.decode(cls) for cls in classes]
+
+    @pytest.mark.parametrize("cls", [-1, bwcls.MAX_CLASS + 1])
+    def test_class_outside_ten_bits_is_refused(self, cls):
+        policer = PerInterfacePolicer(capacity=16)
+        with pytest.raises(ValueError, match="out of 10-bit range"):
+            policer.monitor(1, 0, cls, 500, 0.0)
+
 
 class TestFirstFit:
     def test_non_overlapping_reuse_color(self):
