@@ -23,7 +23,7 @@ Asset attributes follow §4.2 "Asset Representation" exactly; see
 from __future__ import annotations
 
 from repro.contracts.framework import CallContext, Contract, ContractAbort
-from repro.crypto.signatures import Signature, verify
+from repro.crypto.signatures import verify
 from repro.ledger.objects import LedgerObject, Ownership
 
 ASSET_TYPE = "asset::BandwidthAsset"
@@ -68,26 +68,15 @@ class AssetContract(Contract):
 
     # -- AS registration -------------------------------------------------------
 
-    def register_as(
-        self,
-        ctx: CallContext,
-        certificate: dict,
-        commitment: int,
-        response: int,
-    ) -> dict:
+    def register_as(self, ctx: CallContext, certificate: dict, signature: bytes) -> dict:
         """Verify an AS certificate + proof of possession; issue a token.
 
-        The proof of possession is a Schnorr signature over the sender's
-        address, which binds the AS key to the on-chain account and
-        prevents replaying someone else's registration.
+        The proof of possession is the certified key's Ed25519 signature
+        over the sender's address, which binds the AS key to the on-chain
+        account and prevents replaying someone else's registration.
         """
         ctx.require(self._pki.verify_certificate(certificate), "invalid AS certificate")
-        public_key = int.from_bytes(certificate["public_key"], "big")
-        proof_ok = verify(
-            public_key,
-            ctx.sender.encode(),
-            Signature(commitment=commitment, response=response),
-        )
+        proof_ok = verify(certificate["public_key"], ctx.sender.encode(), signature)
         ctx.require(proof_ok, "proof of possession failed")
         token = ctx.create_object(
             TOKEN_TYPE,

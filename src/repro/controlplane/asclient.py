@@ -201,16 +201,14 @@ class AsService:
 
     def register(self) -> SubmittedTransaction:
         """Obtain the authorization token (Fig. 2 prerequisite)."""
-        certificate = self.pki.issue_certificate(self.isd_as, self.account.signing_key.public)
-        proof = self.account.signing_key.sign(self.account.address.encode(), self.rng)
+        key = self.account.signing_key
         submitted = self._submit(
             Command(
                 "asset",
                 "register_as",
                 {
-                    "certificate": certificate,
-                    "commitment": proof.commitment,
-                    "response": proof.response,
+                    "certificate": self.pki.issue_certificate(self.isd_as, key.public),
+                    "signature": key.sign(self.account.address.encode()),
                 },
             )
         )

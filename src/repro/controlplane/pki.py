@@ -1,22 +1,20 @@
 """Control-plane PKI for ASes (§3.2: RPKI / SCION CP-PKI stand-in).
 
-A single trust anchor signs AS certificates binding (ISD, AS number) to a
-Schnorr public key.  The asset contract holds a reference to the anchor's
+A single trust anchor signs AS certificates binding (ISD, AS number) to an
+Ed25519 public key.  The asset contract holds a reference to the anchor's
 public key and verifies certificates during AS registration; possession of
 the certified key is proven with a signature over the registering address.
 
-Certificates are plain dicts (ledger-serializable): all group elements are
-fixed-width byte strings so storage gas sees realistic sizes.
+Certificates are plain dicts (ledger-serializable): the subject's 32-byte
+public key and the anchor's 64-byte signature are ``bytes``.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.crypto.signatures import Signature, SigningKey, verify
+from repro.crypto.signatures import PUBLIC_KEY_BYTES, SigningKey, verify
 from repro.scion.addresses import AS_BITS, ISD_BITS, IsdAs
-
-_KEY_BYTES = 256
 
 
 def _cert_message(isd: int, asn: int, public_key: bytes) -> bytes:
@@ -27,21 +25,17 @@ class CpPki:
     """The control-plane trust anchor."""
 
     def __init__(self, seed: int = 2024) -> None:
-        self._rng = random.Random(seed)
-        self._root = SigningKey.generate(self._rng)
+        self._root = SigningKey.generate(random.Random(seed))
 
-    def issue_certificate(self, isd_as: IsdAs, subject_public_key: int) -> dict:
-        """Sign a certificate for an AS's Schnorr public key."""
-        public_bytes = subject_public_key.to_bytes(_KEY_BYTES, "big")
-        signature = self._root.sign(
-            _cert_message(isd_as.isd, isd_as.asn, public_bytes), self._rng
-        )
+    def issue_certificate(self, isd_as: IsdAs, subject_public_key: bytes) -> dict:
+        """Sign a certificate for an AS's Ed25519 public key."""
         return {
             "isd": isd_as.isd,
             "asn": isd_as.asn,
-            "public_key": public_bytes,
-            "sig_commitment": signature.commitment.to_bytes(_KEY_BYTES, "big"),
-            "sig_response": signature.response.to_bytes(_KEY_BYTES, "big"),
+            "public_key": subject_public_key,
+            "signature": self._root.sign(
+                _cert_message(isd_as.isd, isd_as.asn, subject_public_key)
+            ),
         }
 
     def verify_certificate(self, certificate: dict) -> bool:
@@ -52,9 +46,7 @@ class CpPki:
         """
         try:
             isd, asn = certificate["isd"], certificate["asn"]
-            public_key = certificate["public_key"]
-            commitment = certificate["sig_commitment"]
-            response = certificate["sig_response"]
+            public_key, signature = certificate["public_key"], certificate["signature"]
         except (KeyError, TypeError):
             return False
         if not (
@@ -62,14 +54,8 @@ class CpPki:
             and 0 <= isd < 1 << ISD_BITS
             and isinstance(asn, int)
             and 0 <= asn < 1 << AS_BITS
-            and all(
-                isinstance(element, bytes) and len(element) == _KEY_BYTES
-                for element in (public_key, commitment, response)
-            )
+            and type(public_key) is bytes
+            and len(public_key) == PUBLIC_KEY_BYTES
         ):
             return False
-        signature = Signature(
-            commitment=int.from_bytes(commitment, "big"),
-            response=int.from_bytes(response, "big"),
-        )
         return verify(self._root.public, _cert_message(isd, asn, public_key), signature)

@@ -1,15 +1,14 @@
 """Cryptographic substrate: AES-128, AES-CMAC, PRF backends, key derivation,
-sealing and Schnorr signatures.
+sealing and Ed25519 signatures.
 
-The AES block cipher (:mod:`repro.crypto.aes`) and the modular
-exponentiation under every Schnorr signature (:mod:`repro.crypto.modexp`)
-are the libcrypto CPython's own ``_hashlib`` links against, bound through
-:mod:`ctypes`; everything above them is implemented here and validated
-against FIPS-197 / RFC 4493 test vectors and ``pow``.  Importing the
-package builds the one fixed-base table for sealing's ``g``
-(:mod:`repro.crypto.fixedbase`, ~12 ms) and OpenSSL's Montgomery context
-for the group's modulus, so no first key or signature of a process pays
-for them.
+The AES block cipher (:mod:`repro.crypto.aes`) and the Ed25519 account
+signatures (:mod:`repro.crypto.signatures`) are the libcrypto CPython's own
+``_hashlib`` links against, bound through :mod:`ctypes`; everything above
+them is implemented here and validated against FIPS-197 / RFC 4493 / RFC
+8032 test vectors, ``pow`` and a pure-Python RFC 8032 oracle in the tests.
+Importing the package builds the one fixed-base table for sealing's ``g``
+(:mod:`repro.crypto.fixedbase`, ~12 ms), so no first key of a process pays
+for it.
 """
 
 from repro.crypto.aes import AES128, BLOCK_SIZE, expand_key, xor_bytes
@@ -23,7 +22,7 @@ from repro.crypto.prf import (
     PrfFactory,
 )
 from repro.crypto.sealing import KeyPair, SealedBox, seal, unseal
-from repro.crypto.signatures import Signature, SigningKey, verify
+from repro.crypto.signatures import SigningKey, verify
 
 __all__ = [
     "AES128",
@@ -43,7 +42,6 @@ __all__ = [
     "SealedBox",
     "seal",
     "unseal",
-    "Signature",
     "SigningKey",
     "verify",
 ]

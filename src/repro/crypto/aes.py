@@ -7,7 +7,7 @@ binds, through :mod:`ctypes`, the low-level ``AES_set_encrypt_key`` and
 against, opened by ``_hashlib``'s own path so the symbols resolve through
 that extension's dependencies and no second libcrypto is mapped.  If they
 are missing, importing this module raises :class:`ImportError`.  The
-library is opened with :class:`ctypes.PyDLL`, as :mod:`repro.crypto.modexp`
+library is opened with :class:`ctypes.PyDLL`, as :mod:`repro.crypto.signatures`
 opens it: a one-block call is far shorter than releasing and taking back
 the GIL around it.
 

@@ -31,8 +31,7 @@ The table is built at import (a first use inside somebody's timed
 purchase is worse), so one more tooth doubles a cost every importing
 process pays to take a tenth off a cost only the exponentiating ones do.
 A tenth tooth would take ~0.04 ms off a sealing ``g^x`` — less than the
-spread between runs — for ~8 ms more import.  The Schnorr side raises
-``g = 4`` through OpenSSL (:mod:`repro.crypto.modexp`) and builds no table.
+spread between runs — for ~8 ms more import.
 """
 
 from __future__ import annotations

@@ -27,8 +27,10 @@ width, and none squares a base it has squared before:
   on the 2-core box: variable-base ``h^x mod p`` takes ~34 ms with a
   full-width ``x``, ~14 ms at 1024 bits, ~7 ms at 512 and ~3.6 ms at 256.
   Secrets stay 512 bits: ROADMAP item 19 superseded the 256-bit step
-  (item 1(b)) with the measured route, ``h^x`` (and ``g^x``) on
-  :func:`repro.crypto.modexp.mod_exp`.  That waits for item 1a to re-pin
+  (item 1(b)) with the measured route, ``h^x`` (and ``g^x``) on OpenSSL's
+  ``BN_mod_exp_mont_consttime``, or the exchange on X25519 (item 26(i)).
+  The exponentiation's binding left with the Schnorr signatures it
+  served; either route binds OpenSSL here.  It waits for item 1a to re-pin
   the ``benchmarks/e2e`` smoke test's assertion that public-key work is at
   least 0.9 of a 4-hop purchase's control phase (``crypto.control_share``;
   ten smoke runs read 0.933-0.941 at 512 bits), which the faster ``h^x``
@@ -40,10 +42,8 @@ width, and none squares a base it has squared before:
   57 multiplications a key where ``pow`` spends 511 squarings: ~5.5 →
   ~1.3 ms, the same integer.  The table is sized ``_SECRET_BITS``, not the
   group: a comb costs its full column count whatever the exponent.  It is
-  the only one; the Schnorr side (:mod:`repro.crypto.signatures`, base 4)
-  raises every power on OpenSSL (:mod:`repro.crypto.modexp`) and reads
-  nothing here but ``MODP_P``.  This one builds in ~12 ms and holds
-  ~0.16 MB.  The two variable-base
+  the only one, and nothing outside this module raises a power in the
+  group.  It builds in ~12 ms and holds ~0.16 MB.  The two variable-base
   exponentiations (``h^x`` in :func:`seal` and :func:`unseal`, ~7 ms)
   have no fixed base to precompute and stay on ``pow``.
 * A lifecycle pays ``SigningKey.public`` once, the host's

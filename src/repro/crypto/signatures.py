@@ -1,123 +1,187 @@
-"""Schnorr signatures over the quadratic-residue subgroup of a safe prime.
+"""Ed25519 account signatures (RFC 8032) from the interpreter's own OpenSSL.
 
-Used for AS registration on the control plane (§4.2): an AS proves
-possession of the private key matching its CP-PKI certificate before the
-asset contract issues it an authorization token, and signs its certificate
-bundle.  Implemented from scratch, like everything in the crypto substrate
-but the AES block cipher.
+Sui accounts sign with Ed25519, and so do ours: an address is the hash of
+an Ed25519 public key (:func:`repro.ledger.accounts.address_of`), the
+CP-PKI trust anchor signs AS certificates (:mod:`repro.controlplane.pki`),
+and an AS proves possession of its certified key by signing its address
+before the asset contract issues it an authorization token (§4.2).
 
-The group is QR(p) for the RFC 3526 2048-bit safe prime ``p = 2q + 1``;
-``g = 4`` generates the order-``q`` subgroup.  Standard Schnorr:
-``r = g^k``, ``e = H(r || m)``, ``s = k + e·x mod q``; verification checks
-``g^s == r · y^e``.
+This module binds, through :mod:`ctypes`, the ``EVP_PKEY`` Ed25519 calls of
+the libcrypto that CPython's ``_hashlib`` is linked against, opened by
+``_hashlib``'s own path with :class:`ctypes.PyDLL` as :mod:`repro.crypto.aes`
+opens it.  If a symbol is missing, importing this module raises
+:class:`ImportError` naming it; there is no fallback.  Every return code is
+checked, and every ``EVP_PKEY`` and ``EVP_MD_CTX`` is freed on the way
+out, whether the call succeeded or not.
 
-Secrets are short, nonces are not.  :meth:`SigningKey.generate` draws the
-secret from ``[2^(_SECRET_BITS-1), 2^_SECRET_BITS)``, 511 bits: recovering
-an exponent known to lie in an interval of width ``2^510`` takes a kangaroo
-walk of ~``2^255`` steps, far above the ~112 bits the 2048-bit group offers
-anyway (the RFC 7919 §5.2 floor of 225 bits holds here as it does for a
-Diffie-Hellman secret).  A signature leaks nothing more: the nonce ``k``
-stays uniform in ``[1, q)``, so ``s = k + e·x mod q`` is uniform whatever
-``x`` is.  A *short nonce* would be a break — ``s`` then leaks the top bits
-of ``k``, a textbook hidden-number key recovery — so nothing shortens it.
+A private key is a 32-byte seed, a public key is 32 bytes and a signature
+64, all plain ``bytes``.  Signing is deterministic (RFC 8032 §5.1.6), so
+:meth:`SigningKey.sign` draws nothing.
 
-Cost.  Every exponentiation — ``g^x`` in :attr:`SigningKey.public`, the
-nonce's ``g^k`` in :meth:`SigningKey.sign`, and ``g^s`` and ``y^e`` in
-:func:`verify` — is one call of :func:`repro.crypto.modexp.mod_exp`,
-OpenSSL's Montgomery exponentiation, equal to ``pow`` bit for bit.  Best
-of 25 on the 2-core box (CPython 3.11, OpenSSL 3.0), in one window with
-CPython's ``pow``: a 511-bit secret's ``g^x`` ~0.8 ms, a full-width
-``g^k`` ~3.0 ms (``pow`` ~30), a 256-bit ``y^e`` ~0.4 ms (``pow`` ~4.6).
-A :meth:`~SigningKey.sign` is ~3.1 ms and a :func:`verify` ~3.8 ms, where
-two fixed-base combs and ``pow`` took ~7.5 and ~13.  No table is built at
-import.
+:func:`verify` takes transaction-supplied values and never raises.  Before
+any C call it refuses anything that is not exactly ``bytes`` (a subclass
+could misreport its length) of the right length, and every encoding of a
+point of small order as the public key, the non-canonical ``y >= p`` ones
+included.  OpenSSL 3.0 refuses ``S >= L`` but not a small-order key: with
+the identity as the key, ``R`` the identity and ``S = 0`` verify for any
+message, a universal forgery.
 
-What is constant-time is OpenSSL's exponentiation only (see
-:mod:`repro.crypto.modexp`): the conversions of each operand between
-Python ``int`` and OpenSSL's bignums, the challenge hash and
-``s = k + e·x mod q`` run on CPython's variable-time integers.
+Cost, best of 25 on a 2-core x86-64 box (CPython 3.11, OpenSSL 3.0.19):
+a :attr:`~SigningKey.public` ~0.07 ms, a :meth:`~SigningKey.sign` ~0.15 ms
+(it expands the seed again) and a :func:`verify` ~0.19 ms, where 2048-bit
+Schnorr on OpenSSL's exponentiation took ~0.8, ~2.8 and ~3.5 ms in the same
+window.  What is constant-time is OpenSSL's signing; nothing here branches
+on a secret.
 """
 
 from __future__ import annotations
 
-import hashlib
+import ctypes
 from dataclasses import dataclass, field
 
-from repro.crypto.modexp import mod_exp
-from repro.crypto.sealing import MODP_P
+import _hashlib
 
-GROUP_ORDER = (MODP_P - 1) // 2  # prime q
-GENERATOR = 4  # 2^2 is a quadratic residue, generates the order-q subgroup
-# RFC 7919 §5.2 asks for >= 225 in this group; see the module docstring.
-_SECRET_BITS = 511
+SEED_BYTES = 32
+PUBLIC_KEY_BYTES = 32
+SIGNATURE_BYTES = 64
+_ED25519 = 1087  # EVP_PKEY_ED25519, which is NID_ED25519
+
+_P = 2**255 - 19
+_ORDER_8_Y = 0x5FC536D880238B13933C6D305ACDFD5F098EFF289F4C345B027B2C28F95E826
+# Both sign bits of the y of every point of order 1, 2, 4 and 8, and of y + p
+# where it fits in 255 bits (y = 0 and 1): 14 encodings.
+_SMALL_ORDER = frozenset(
+    (y | sign << 255).to_bytes(PUBLIC_KEY_BYTES, "little")
+    for y in (0, 1, _P - 1, _ORDER_8_Y, _P - _ORDER_8_Y, _P, _P + 1)
+    for sign in (0, 1)
+)
+
+_libcrypto = ctypes.PyDLL(_hashlib.__file__)
+
+
+def _bind(name: str, restype, *argtypes):
+    try:
+        function = getattr(_libcrypto, name)
+    except AttributeError as missing:
+        raise ImportError(f"no {name} in {_hashlib.__file__}") from missing
+    function.restype = restype
+    function.argtypes = argtypes
+    return function
+
+
+_Pointer = ctypes.c_void_p
+_Size = ctypes.c_size_t
+_SizeOut = ctypes.POINTER(_Size)
+_new_private_key = _bind(
+    "EVP_PKEY_new_raw_private_key", _Pointer, ctypes.c_int, _Pointer, ctypes.c_char_p, _Size
+)
+_new_public_key = _bind(
+    "EVP_PKEY_new_raw_public_key", _Pointer, ctypes.c_int, _Pointer, ctypes.c_char_p, _Size
+)
+_get_public_key = _bind(
+    "EVP_PKEY_get_raw_public_key", ctypes.c_int, _Pointer, ctypes.c_char_p, _SizeOut
+)
+_pkey_free = _bind("EVP_PKEY_free", None, _Pointer)
+_ctx_new = _bind("EVP_MD_CTX_new", _Pointer)
+_ctx_free = _bind("EVP_MD_CTX_free", None, _Pointer)
+# (ctx, EVP_PKEY_CTX **, digest, engine, key): no digest, as Ed25519 hashes itself
+_sign_init = _bind("EVP_DigestSignInit", ctypes.c_int, *(_Pointer,) * 5)
+_sign = _bind(
+    "EVP_DigestSign", ctypes.c_int, _Pointer, ctypes.c_char_p, _SizeOut, ctypes.c_char_p, _Size
+)
+_verify_init = _bind("EVP_DigestVerifyInit", ctypes.c_int, *(_Pointer,) * 5)
+_verify = _bind(
+    "EVP_DigestVerify", ctypes.c_int, _Pointer, ctypes.c_char_p, _Size, ctypes.c_char_p, _Size
+)
 
 
 @dataclass(frozen=True)
 class SigningKey:
-    """A Schnorr private key: any exponent in ``[1, q)`` signs and verifies.
+    """An Ed25519 private key: its 32-byte seed (RFC 8032 §5.1.5)."""
 
-    :meth:`generate` draws a short one; the nonce :meth:`sign` draws stays
-    uniform in ``[1, q)`` (the module docstring says why only the secret
-    is shortened).
-    """
+    seed: bytes
+    # the public key, derived on first use; invisible to ==, hash and repr
+    _public: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
-    secret: int
-    # g^secret, computed on first use; invisible to ==, hash and repr
-    _public: int | None = field(default=None, init=False, repr=False, compare=False)
+    def __post_init__(self) -> None:
+        if type(self.seed) is not bytes or len(self.seed) != SEED_BYTES:
+            raise ValueError(f"an Ed25519 seed is {SEED_BYTES} bytes")
 
     @staticmethod
     def generate(rng) -> "SigningKey":
-        """A secret ``_SECRET_BITS`` wide with the top bit set, from ``rng.randrange``."""
-        return SigningKey(rng.randrange(1 << (_SECRET_BITS - 1), 1 << _SECRET_BITS))
+        """A seed of ``rng.randbytes``."""
+        return SigningKey(rng.randbytes(SEED_BYTES))
+
+    def _key(self) -> int:
+        """A fresh ``EVP_PKEY`` for the seed; the caller frees it."""
+        key = _new_private_key(_ED25519, None, self.seed, SEED_BYTES)
+        if not key:
+            raise MemoryError("EVP_PKEY_new_raw_private_key failed")
+        return key
 
     @property
-    def public(self) -> int:
+    def public(self) -> bytes:
         if self._public is None:
-            object.__setattr__(self, "_public", mod_exp(GENERATOR, self.secret))
+            out, length = ctypes.create_string_buffer(PUBLIC_KEY_BYTES), _Size(PUBLIC_KEY_BYTES)
+            key = self._key()
+            try:
+                if _get_public_key(key, out, length) != 1:
+                    raise RuntimeError("EVP_PKEY_get_raw_public_key failed")
+            finally:
+                _pkey_free(key)
+            object.__setattr__(self, "_public", out.raw)
         return self._public
 
-    def sign(self, message: bytes, rng) -> "Signature":
-        nonce = rng.randrange(1, GROUP_ORDER)
-        commitment = mod_exp(GENERATOR, nonce)
-        challenge = _challenge(commitment, message)
-        response = (nonce + challenge * self.secret) % GROUP_ORDER
-        return Signature(commitment=commitment, response=response)
+    def sign(self, message: bytes) -> bytes:
+        """The 64-byte signature ``R || S`` of *message*."""
+        if type(message) is not bytes:
+            raise TypeError(f"messages are bytes, got {type(message).__name__}")
+        out, length = ctypes.create_string_buffer(SIGNATURE_BYTES), _Size(SIGNATURE_BYTES)
+        key = self._key()
+        ctx = None
+        try:
+            ctx = _ctx_new()
+            if not ctx:
+                raise MemoryError("EVP_MD_CTX_new failed")
+            if _sign_init(ctx, None, None, None, key) != 1:
+                raise RuntimeError("EVP_DigestSignInit failed")
+            if _sign(ctx, out, length, message, len(message)) != 1:
+                raise RuntimeError("EVP_DigestSign failed")
+        finally:
+            if ctx:
+                _ctx_free(ctx)
+            _pkey_free(key)
+        return out.raw
 
 
-@dataclass(frozen=True)
-class Signature:
-    commitment: int
-    response: int
+def verify(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """Whether *signature* is *public_key*'s over *message*; never raises.
 
-
-def _is_int_in(value, low: int, high: int) -> bool:
-    return type(value) is int and low <= value < high
-
-
-def verify(public_key: int, message: bytes, signature: Signature) -> bool:
-    """Check ``g^s == r * y^e (mod p)``; never raises.
-
-    Key, commitment and response reach this from the ledger as
-    transaction-supplied values (``AssetContract.register_as``), so anything
-    but an integer with ``1 < y < p``, ``1 <= r < p`` and ``0 <= s < q`` is
-    ``False`` before any arithmetic: no ``OverflowError`` out of the hash
-    input, no exponent whose length the sender chooses, and no second
-    valid response ``s + q`` for the same signature.
+    ``False`` before any C call for anything but exact ``bytes`` of 32, any
+    and 64 bytes, and for a small-order key (see the module docstring);
+    ``False`` too if OpenSSL cannot load the key or allocate a context.
     """
     if not (
-        _is_int_in(public_key, 2, MODP_P)
-        and _is_int_in(signature.commitment, 1, MODP_P)
-        and _is_int_in(signature.response, 0, GROUP_ORDER)
+        type(public_key) is bytes
+        and type(message) is bytes
+        and type(signature) is bytes
+        and len(public_key) == PUBLIC_KEY_BYTES
+        and len(signature) == SIGNATURE_BYTES
+        and public_key not in _SMALL_ORDER
     ):
         return False
-    challenge = _challenge(signature.commitment, message)
-    left = mod_exp(GENERATOR, signature.response)
-    right = (signature.commitment * mod_exp(public_key, challenge)) % MODP_P
-    return left == right
-
-
-def _challenge(commitment: int, message: bytes) -> int:
-    digest = hashlib.blake2s(
-        commitment.to_bytes(256, "big") + message, digest_size=32
-    ).digest()
-    return int.from_bytes(digest, "big") % GROUP_ORDER
+    key = _new_public_key(_ED25519, None, public_key, PUBLIC_KEY_BYTES)
+    if not key:
+        return False
+    ctx = None
+    try:
+        ctx = _ctx_new()
+        return bool(
+            ctx
+            and _verify_init(ctx, None, None, None, key) == 1
+            and _verify(ctx, signature, SIGNATURE_BYTES, message, len(message)) == 1
+        )
+    finally:
+        if ctx:
+            _ctx_free(ctx)
+        _pkey_free(key)

@@ -1,6 +1,6 @@
 """Accounts and coins: addresses, keypairs, SUI-denominated payments.
 
-Addresses are hashes of Schnorr public keys.  Payments on the marketplace
+Addresses are hashes of Ed25519 public keys.  Payments on the marketplace
 flow through ``Coin`` objects (owned objects with an integer MIST balance,
 1 SUI = 1e9 MIST), so buying an asset has the same object-churn profile as
 on the real chain.  Gas, by contrast, is accounted out-of-band by the gas
@@ -20,9 +20,9 @@ MIST_PER_SUI = 1_000_000_000
 COIN_TYPE = "coin::Coin"
 
 
-def address_of(public_key: int) -> str:
-    """Derive a 32-byte address (hex) from a Schnorr public key."""
-    return hashlib.blake2s(public_key.to_bytes(256, "big"), digest_size=32).hexdigest()
+def address_of(public_key: bytes) -> str:
+    """Derive a 32-byte address (hex) from an Ed25519 public key's 32 bytes."""
+    return hashlib.blake2s(public_key, digest_size=32).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ def world():
 
     seller = Account.generate(rng, "as")
     certificate = pki.issue_certificate(AS_ID, seller.signing_key.public)
-    proof = seller.signing_key.sign(seller.address.encode(), rng)
+    proof = seller.signing_key.sign(seller.address.encode())
     registered = ledger.execute(
         Transaction(
             seller.address,
@@ -41,8 +41,7 @@ def world():
                     "register_as",
                     {
                         "certificate": certificate,
-                        "commitment": proof.commitment,
-                        "response": proof.response,
+                        "signature": proof,
                     },
                 )
             ],

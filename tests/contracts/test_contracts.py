@@ -28,7 +28,7 @@ def world():
 
     as_account = Account.generate(rng, "as")
     certificate = pki.issue_certificate(AS_ID, as_account.signing_key.public)
-    proof = as_account.signing_key.sign(as_account.address.encode(), rng)
+    proof = as_account.signing_key.sign(as_account.address.encode())
     registered = ledger.execute(
         Transaction(
             as_account.address,
@@ -38,8 +38,7 @@ def world():
                     "register_as",
                     {
                         "certificate": certificate,
-                        "commitment": proof.commitment,
-                        "response": proof.response,
+                        "signature": proof,
                     },
                 )
             ],
@@ -90,11 +89,10 @@ class TestRegistration:
         fake_cert = {
             "isd": 1,
             "asn": 42,
-            "public_key": impostor.signing_key.public.to_bytes(256, "big"),
-            "sig_commitment": bytes(256),
-            "sig_response": bytes(256),
+            "public_key": impostor.signing_key.public,
+            "signature": bytes(64),
         }
-        proof = impostor.signing_key.sign(impostor.address.encode(), rng)
+        proof = impostor.signing_key.sign(impostor.address.encode())
         effects = world["ledger"].execute(
             Transaction(
                 impostor.address,
@@ -104,8 +102,7 @@ class TestRegistration:
                         "register_as",
                         {
                             "certificate": fake_cert,
-                            "commitment": proof.commitment,
-                            "response": proof.response,
+                            "signature": proof,
                         },
                     )
                 ],
@@ -120,7 +117,7 @@ class TestRegistration:
         certificate = world["pki"].issue_certificate(
             AS_ID, world["as_account"].signing_key.public
         )
-        proof = thief.signing_key.sign(thief.address.encode(), rng)  # wrong key
+        proof = thief.signing_key.sign(thief.address.encode())  # wrong key
         effects = world["ledger"].execute(
             Transaction(
                 thief.address,
@@ -130,8 +127,7 @@ class TestRegistration:
                         "register_as",
                         {
                             "certificate": certificate,
-                            "commitment": proof.commitment,
-                            "response": proof.response,
+                            "signature": proof,
                         },
                     )
                 ],
@@ -503,11 +499,11 @@ class TestRefuseRedemption:
         request = self._requested(world)
         other_as = Account.generate(world["rng"], "other-as")
         certificate = world["pki"].issue_certificate(IsdAs(1, 43), other_as.signing_key.public)
-        proof = other_as.signing_key.sign(other_as.address.encode(), world["rng"])
+        proof = other_as.signing_key.sign(other_as.address.encode())
         assert world["ledger"].execute(
             Transaction(
                 other_as.address,
-                [Command("asset", "register_as", {"certificate": certificate, "commitment": proof.commitment, "response": proof.response})],
+                [Command("asset", "register_as", {"certificate": certificate, "signature": proof})],
             )
         ).ok
         for sender, reason_code in (

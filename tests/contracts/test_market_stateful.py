@@ -79,10 +79,10 @@ class MarketMachine(RuleBasedStateMachine):
         self.tokens = {}
         for asn, seller in enumerate(self.sellers, start=9):
             cert = pki.issue_certificate(IsdAs(1, asn), seller.signing_key.public)
-            proof = seller.signing_key.sign(seller.address.encode(), rng)
+            proof = seller.signing_key.sign(seller.address.encode())
             self.tokens[seller.address] = self._run(
                 seller, "asset", "register_as",
-                certificate=cert, commitment=proof.commitment, response=proof.response,
+                certificate=cert, signature=proof,
             ).returns[0]["token"]
             self._run(seller, "market", "register_seller", marketplace=self.marketplace)
         # Three funded bidders (the buyer is the first) and a funded leg seller.

@@ -32,7 +32,7 @@ def world():
     def make_seller(isd_as, name):
         account = Account.generate(rng, name)
         certificate = pki.issue_certificate(isd_as, account.signing_key.public)
-        proof = account.signing_key.sign(account.address.encode(), rng)
+        proof = account.signing_key.sign(account.address.encode())
         registered = ledger.execute(
             Transaction(
                 account.address,
@@ -42,8 +42,7 @@ def world():
                         "register_as",
                         {
                             "certificate": certificate,
-                            "commitment": proof.commitment,
-                            "response": proof.response,
+                            "signature": proof,
                         },
                     )
                 ],

@@ -1,4 +1,4 @@
-"""PRF backends, reservation-key derivation, sealing, and signatures."""
+"""PRF backends, reservation-key derivation, sealing, and account addresses."""
 
 import random
 
@@ -6,29 +6,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import sealing, signatures
+from repro.crypto import sealing
 from repro.crypto.keys import SecretValue, derive_auth_key, pack_resinfo_input
 from repro.crypto.aes import AES128
 from repro.crypto.cmac import Cmac
 from repro.crypto.prf import AesPrf, Blake2Prf, PrfFactory
 from repro.crypto.sealing import MODP_G, MODP_P, KeyPair, SealedBox, seal, unseal
-from repro.crypto.signatures import GROUP_ORDER, SigningKey, verify
 
 # Values a peer may send in place of a group element; none lies in [2, p-2].
 NOT_GROUP_ELEMENTS = [0, 1, MODP_P - 1, MODP_P, 1 << 2048]
 
 
 class RecordingRng:
-    """The documented ``rng`` contract and nothing more: ``randrange`` only,
-    every call's bounds kept."""
+    """The documented ``rng`` contract and nothing more: ``randrange`` (a
+    sealing secret) and ``randbytes`` (a signing seed), every call's
+    arguments kept."""
 
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
-        self.calls: list[tuple[int, int]] = []
+        self.calls: list[tuple] = []
 
     def randrange(self, start: int, stop: int) -> int:
         self.calls.append((start, stop))
         return self._rng.randrange(start, stop)
+
+    def randbytes(self, n: int) -> bytes:
+        self.calls.append(("bytes", n))
+        return self._rng.randbytes(n)
 
 
 class TestPrfBackends:
@@ -306,66 +310,6 @@ class TestSharedExchange:
         assert len(pow_calls) == 3
 
 
-class TestSignatures:
-    def test_sign_verify(self):
-        rng = random.Random(6)
-        key = SigningKey.generate(rng)
-        signature = key.sign(b"register me", rng)
-        assert verify(key.public, b"register me", signature)
-
-    def test_wrong_message_rejected(self):
-        rng = random.Random(7)
-        key = SigningKey.generate(rng)
-        signature = key.sign(b"register me", rng)
-        assert not verify(key.public, b"register you", signature)
-
-    def test_wrong_key_rejected(self):
-        rng = random.Random(8)
-        key = SigningKey.generate(rng)
-        other = SigningKey.generate(rng)
-        signature = key.sign(b"m", rng)
-        assert not verify(other.public, b"m", signature)
-
-    def test_degenerate_public_keys_rejected(self):
-        rng = random.Random(9)
-        signature = SigningKey.generate(rng).sign(b"m", rng)
-        assert not verify(0, b"m", signature)
-        assert not verify(1, b"m", signature)
-
-    def test_secrets_are_short_and_nonces_stay_uniform_below_the_group_order(self):
-        """A nonce shorter than q leaks the key through ``s = k + e·x``
-        (hidden-number problem); a short secret under a uniform nonce leaks
-        nothing through ``s``.  Only the secret is shortened, and this pins it."""
-        rng = RecordingRng(16)
-        keys = [SigningKey.generate(rng) for _ in range(20)]
-        keys[0].sign(b"m", rng)
-        keys[0].sign(b"m", rng)
-        bits = signatures._SECRET_BITS
-        assert rng.calls == [(1 << (bits - 1), 1 << bits)] * 20 + [(1, GROUP_ORDER)] * 2
-        assert all(key.secret.bit_length() == bits == 511 for key in keys)
-
-    def test_signing_secret_width_stays_above_the_rfc_7919_floor(self):
-        # A secret known to be b bits wide falls to a ~2^(b/2) kangaroo walk:
-        # the same floor as a Diffie-Hellman exponent in this group.
-        assert signatures._SECRET_BITS >= 225
-
-    @pytest.mark.parametrize("secret", [1, 1 << 510, GROUP_ORDER - 1], ids=["1", "short", "q-1"])
-    def test_any_secret_below_the_group_order_signs_and_verifies(self, secret):
-        signature = SigningKey(secret).sign(b"m", random.Random(7))
-        assert verify(SigningKey(secret).public, b"m", signature)
-        assert not verify(SigningKey(secret).public, b"n", signature)
-
-    def test_memoised_public_key_is_invisible(self):
-        fresh, used = SigningKey(5), SigningKey(5)
-        assert used.public == pow(4, 5, MODP_P)
-        assert used.public is used.public  # computed once
-        assert fresh == used and hash(fresh) == hash(used)
-        assert repr(fresh) == repr(used) == "SigningKey(secret=5)"
-        assert fresh.public == used.public
-        with pytest.raises(TypeError):
-            SigningKey(5, 25)  # the memo is not a constructor argument
-
-
 class TestAccountAddress:
     def test_address_is_derived_once_from_the_signing_key(self):
         from repro.ledger.accounts import Account, address_of
@@ -381,7 +325,7 @@ class TestAccountAddress:
 
         rng = RecordingRng(18)
         Account.generate(rng)
-        assert rng.calls == [(1 << (signatures._SECRET_BITS - 1), 1 << signatures._SECRET_BITS)]
+        assert rng.calls == [("bytes", 32)]
 
 
 class TestHostDecrypt:

@@ -28,10 +28,10 @@ class RawMarket:
         self.seller = Account.generate(rng, "seller")
         self.buyer = Account.generate(rng, "buyer")
         cert = pki.issue_certificate(isd_as, self.seller.signing_key.public)
-        proof = self.seller.signing_key.sign(self.seller.address.encode(), rng)
+        proof = self.seller.signing_key.sign(self.seller.address.encode())
         self.token = self.run(
             self.seller, "asset", "register_as",
-            certificate=cert, commitment=proof.commitment, response=proof.response,
+            certificate=cert, signature=proof,
         ).returns[0]["token"]
         self.coin = self.run(
             self.buyer, "coin", "mint", amount=sui_to_mist(1000)
