@@ -83,9 +83,9 @@ class MarketDeployment:
     ledger: Ledger
     executor: LedgerExecutor
     marketplace: str
+    clock: Clock
+    rng: random.Random
     services: dict = field(default_factory=dict)  # IsdAs -> AsService
-    clock: Clock | None = None
-    rng: random.Random | None = None
     indexer: MarketIndexer | None = None
 
     def __post_init__(self) -> None:
@@ -282,12 +282,11 @@ def purchase_path(
     # polling delay and answers with a fast-path delivery or refusal; the
     # phase ends when the slowest answer lands.
     requests = {ret.get("request") for ret in submitted.effects.returns}
-    rng = deployment.rng if deployment.rng is not None else random.Random(1)
     response_latency = 0.0
     refusals = []
     for crossing in crossings:
         for record in _poll(deployment, crossing):
-            poll_delay = rng.uniform(*OBSERVATION_DELAY)
+            poll_delay = deployment.rng.uniform(*OBSERVATION_DELAY)
             delivery_latency = poll_delay + record.submitted.latency
             response_latency = max(response_latency, delivery_latency)
             if record.reason_code is not None and record.request_id in requests:

@@ -12,7 +12,10 @@ router's policer), and each run ends in :func:`repro.invariants.check`.
 Every experiment that sends ends in the same traffic phase —
 :meth:`PathSimulation.send` per flow, then :meth:`PathSimulation.run` — and
 every experiment fixes everything no caller varies as a named constant:
-shared values below, a scenario's own at the top of its function.
+shared values below, a scenario's own at the top of its function.  No
+experiment asks whether it is observed: wrapped in
+:meth:`ExperimentTelemetry.activate() <repro.telemetry.ExperimentTelemetry.activate>`,
+any run reports its metrics and its named traces to that harness.
 
 The flagship experiment — :func:`congestion_experiment` — reproduces the
 QoS property D2: a reservation-protected flow keeps its goodput and latency
@@ -22,7 +25,6 @@ unprotected flow collapses.
 
 from __future__ import annotations
 
-import contextlib
 import random
 from dataclasses import dataclass, field
 
@@ -39,8 +41,7 @@ from repro.netsim.traffic import CbrSource
 from repro.scion.addresses import HostAddr, ScionAddr
 from repro.scion.paths import ForwardingPath, as_crossings
 from repro.scion.topology import Topology
-from repro.telemetry import ExperimentTelemetry
-from repro.telemetry.tracing import use_trace
+from repro.telemetry import named_trace, use_trace
 
 # Simulations hash millions of packets; the keyed-BLAKE2 backend keeps the
 # event loop fast while exercising the identical MAC code paths.  Every
@@ -484,7 +485,6 @@ def flex_market_experiment(
     flex_values: tuple[int, ...] = (0, 1800),
     duration: float = 1.5,
     seed: int = SEED,
-    telemetry: ExperimentTelemetry | None = None,
 ) -> FlexMarketResult:
     """Price-reactive purchasing end to end: buy the valley, not the peak.
 
@@ -499,11 +499,8 @@ def flex_market_experiment(
     base price.  Each probe's reservations are then *used*: a short
     packet-level simulation runs its flow against a best-effort flood and
     records goodput/latency, proving the valley reservations are as real
-    on the data plane as the peak ones.
-
-    With ``telemetry`` the market side (indexer, ledger executor, per-AS
-    admission) reports into the harness's registry and each probe's
-    purchase is traced end to end.
+    on the data plane as the peak ones.  Each probe's purchase runs under
+    a trace named after it.
     """
     from repro.admission import ScarcityPricer
     from repro.controlplane import purchase_path
@@ -513,130 +510,107 @@ def flex_market_experiment(
     window_seconds = 600
     market_bandwidth_kbps = 100_000
 
-    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        topology, path = linear_path(num_ases)
-        crossings = as_crossings(path)
+    topology, path = linear_path(num_ases)
+    crossings = as_crossings(path)
 
-        # The probes simulate the windows they bought, each on its own.
-        deployment, _ = _market(
-            topology,
-            path,
-            seed=seed,
-            asset_start=START,  # pin the granule anchor for clean windows
-            asset_duration=7200,
-            asset_bandwidth_kbps=market_bandwidth_kbps,
-            price_micromist_per_unit=BASE_PRICE_MICROMIST,
-            interface_capacity_kbps=2 * market_bandwidth_kbps,
-            pricer=ScarcityPricer(),
-        )
-        peak = (START + 600, START + 600 + window_seconds)
+    # The probes simulate the windows they bought, each on its own.
+    deployment, _ = _market(
+        topology,
+        path,
+        seed=seed,
+        asset_start=START,  # pin the granule anchor for clean windows
+        asset_duration=7200,
+        asset_bandwidth_kbps=market_bandwidth_kbps,
+        price_micromist_per_unit=BASE_PRICE_MICROMIST,
+        interface_capacity_kbps=2 * market_bandwidth_kbps,
+        pricer=ScarcityPricer(),
+    )
+    peak = (START + 600, START + 600 + window_seconds)
 
-        # A crowd buys the peak window out at the base price and redeems, so
-        # the cheap capacity is gone and the active calendars record the load.
-        crowd = deployment.new_host(name="crowd")
-        purchase_path(
-            deployment,
-            crowd,
-            crossings,
-            start=peak[0],
-            expiry=peak[1],
-            bandwidth_kbps=market_bandwidth_kbps,
-        )
+    # A crowd buys the peak window out at the base price and redeems, so
+    # the cheap capacity is gone and the active calendars record the load.
+    crowd = deployment.new_host(name="crowd")
+    purchase_path(
+        deployment,
+        crowd,
+        crossings,
+        start=peak[0],
+        expiry=peak[1],
+        bandwidth_kbps=market_bandwidth_kbps,
+    )
 
-        # Every AS restocks the sold-out peak; the quote now carries the
-        # scarcity multiplier, so peak capacity exists again — at a premium.
-        peak_price = _list_legs(deployment, crossings, market_bandwidth_kbps, *peak)
+    # Every AS restocks the sold-out peak; the quote now carries the
+    # scarcity multiplier, so peak capacity exists again — at a premium.
+    peak_price = _list_legs(deployment, crossings, market_bandwidth_kbps, *peak)
 
-        reserve_kbps = int(probe_rate_bps * 1.25 / 1000)  # cover wire overhead
-        outcomes: list[FlexBuyerOutcome] = []
-        for index, flex in enumerate(flex_values):
-            buyer = f"probe-flex-{flex}"
-            host = deployment.new_host(name=buyer)
-            # Trace the whole purchase: plan -> atomic buy-and-redeem tx ->
-            # per-AS admission -> sealed delivery.
-            trace = telemetry.trace(buyer) if telemetry is not None else None
-            with use_trace(trace):
-                outcome = purchase_path(
-                    deployment,
-                    host,
-                    crossings,
-                    start=peak[0],
-                    expiry=peak[0] + window_seconds,
-                    bandwidth_kbps=reserve_kbps,
-                    flex_start=flex,
-                )
-            # Use the reservations on the data plane: the probe's protected
-            # flow vs a best-effort flood over the bottleneck, simulated at
-            # the window the planner actually bought.
-            simulation = build_path_simulation(
-                topology, path, start_time=float(outcome.quote.start) + 0.1
+    reserve_kbps = int(probe_rate_bps * 1.25 / 1000)  # cover wire overhead
+    outcomes: list[FlexBuyerOutcome] = []
+    for index, flex in enumerate(flex_values):
+        buyer = f"probe-flex-{flex}"
+        host = deployment.new_host(name=buyer)
+        # Trace the whole purchase: plan -> atomic buy-and-redeem tx ->
+        # per-AS admission -> sealed delivery.
+        with named_trace(buyer):
+            outcome = purchase_path(
+                deployment,
+                host,
+                crossings,
+                start=peak[0],
+                expiry=peak[0] + window_seconds,
+                bandwidth_kbps=reserve_kbps,
+                flex_start=flex,
             )
-            rng = random.Random(seed + index)
-            victim_metrics = simulation.send(
-                1, probe_rate_bps, outcome.reservations, jitter=0.05, rng=rng
+        # Use the reservations on the data plane: the probe's protected
+        # flow vs a best-effort flood over the bottleneck, simulated at
+        # the window the planner actually bought.
+        simulation = build_path_simulation(
+            topology, path, start_time=float(outcome.quote.start) + 0.1
+        )
+        rng = random.Random(seed + index)
+        victim_metrics = simulation.send(
+            1, probe_rate_bps, outcome.reservations, jitter=0.05, rng=rng
+        )
+        simulation.send(2, flood_rate_bps, delay=0.05, jitter=0.02, rng=rng)
+        simulation.run(duration)
+        outcomes.append(
+            FlexBuyerOutcome(
+                buyer=buyer,
+                flex_start=flex,
+                offset=outcome.quote.offset,
+                start=outcome.quote.start,
+                expiry=outcome.quote.expiry,
+                estimated_price_mist=outcome.estimated_price_mist,
+                paid_price_mist=outcome.price_mist,
+                metrics=victim_metrics.summary(),
             )
-            simulation.send(2, flood_rate_bps, delay=0.05, jitter=0.02, rng=rng)
-            simulation.run(duration)
-            outcomes.append(
-                FlexBuyerOutcome(
-                    buyer=buyer,
-                    flex_start=flex,
-                    offset=outcome.quote.offset,
-                    start=outcome.quote.start,
-                    expiry=outcome.quote.expiry,
-                    estimated_price_mist=outcome.estimated_price_mist,
-                    paid_price_mist=outcome.price_mist,
-                    metrics=victim_metrics.summary(),
-                )
-            )
+        )
 
-        # Price-over-time curve at the bottleneck ingress: the peak plateau
-        # and the valley the flexible probes slid into.
-        bottleneck = crossings[1] if len(crossings) > 1 else crossings[0]
-        curve_times = list(
-            range(START, START + 3600 + window_seconds, window_seconds // 2)
+    # Price-over-time curve at the bottleneck ingress: the peak plateau
+    # and the valley the flexible probes slid into.
+    bottleneck = crossings[1] if len(crossings) > 1 else crossings[0]
+    curve_times = list(
+        range(START, START + 3600 + window_seconds, window_seconds // 2)
+    )
+    curve_prices = deployment.indexer.price_curve(
+        bottleneck.isd_as,
+        bottleneck.ingress,
+        True,
+        reserve_kbps,
+        window_seconds,
+        curve_times,
+    )
+    for crossing in crossings:
+        deployment.service(crossing.isd_as).admission.record_capacity_gauges(
+            START, START + 7200, owner=str(crossing.isd_as)
         )
-        curve_prices = deployment.indexer.price_curve(
-            bottleneck.isd_as,
-            bottleneck.ingress,
-            True,
-            reserve_kbps,
-            window_seconds,
-            curve_times,
-        )
-        result = FlexMarketResult(
-            buyers=outcomes,
-            peak_window=peak,
-            base_price_micromist=BASE_PRICE_MICROMIST,
-            peak_price_micromist=peak_price,
-            curve_times=curve_times,
-            curve_prices=curve_prices,
-        )
-        if telemetry is not None:
-            for crossing in crossings:
-                deployment.service(crossing.isd_as).admission.record_capacity_gauges(
-                    START, START + 7200, owner=str(crossing.isd_as)
-                )
-            telemetry.annotate(
-                flex_market={
-                    "peak_window": list(peak),
-                    "base_price_micromist": BASE_PRICE_MICROMIST,
-                    "peak_price_micromist": peak_price,
-                    "buyers": [
-                        {
-                            "buyer": b.buyer,
-                            "flex_start": b.flex_start,
-                            "offset": b.offset,
-                            "paid_price_mist": b.paid_price_mist,
-                            "goodput_mbps": b.metrics.get("goodput_mbps"),
-                        }
-                        for b in outcomes
-                    ],
-                    "curve_times": curve_times,
-                    "curve_prices": result.curve_prices,
-                }
-            )
-        return result
+    return FlexMarketResult(
+        buyers=outcomes,
+        peak_window=peak,
+        base_price_micromist=BASE_PRICE_MICROMIST,
+        peak_price_micromist=peak_price,
+        curve_times=curve_times,
+        curve_prices=curve_prices,
+    )
 
 
 @dataclass
@@ -721,7 +695,6 @@ def auction_experiment(
     num_buyers: int = 10,
     duration: float = 1.5,
     seed: int = SEED,
-    telemetry: ExperimentTelemetry | None = None,
 ) -> AuctionExperimentResult:
     """Sealed-bid uniform-price auction vs posted scarcity prices, head-on.
 
@@ -754,10 +727,8 @@ def auction_experiment(
         actually contends (the experiment's headline claim, asserted in
         ``tests/netsim/test_netsim.py``).
 
-    With ``telemetry`` both arms report into the harness's registry, and the
-    auction arm runs under one correlation id, ``traced-reservation``, from
-    its deployment to the policer's verdict on the first winner's
-    reservation.
+    The auction arm runs under one trace, ``traced-reservation``, from its
+    deployment to the policer's verdict on the first winner's reservation.
     """
     from repro.admission import ACTIVE, ScarcityPricer
     from repro.controlplane import purchase_path
@@ -767,172 +738,154 @@ def auction_experiment(
     per_buyer_kbps = 2000
     reservable_fraction = 0.8
 
-    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        simulate = duration > 0
-        end = _window_end(duration)
-        reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-        rng = random.Random(seed)
-        valuations = [
-            int(BASE_PRICE_MICROMIST * rng.uniform(1.0, 12.0))
-            for _ in range(num_buyers)
-        ]
-        # what each buyer will pay for a rectangle: its valuation, ceil-priced
-        budgets = [price_mist(reserve_kbps, end - START, v) for v in valuations]
+    simulate = duration > 0
+    end = _window_end(duration)
+    reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
+    rng = random.Random(seed)
+    valuations = [
+        int(BASE_PRICE_MICROMIST * rng.uniform(1.0, 12.0))
+        for _ in range(num_buyers)
+    ]
+    # what each buyer will pay for a rectangle: its valuation, ceil-priced
+    budgets = [price_mist(reserve_kbps, end - START, v) for v in valuations]
 
-        # -- posted arm: arrival order vs the scarcity curve -----------------------
-        posted, _, bottleneck, capacity_kbps = _contended_market(
-            topology, path, end, reservable_fraction, pricer=ScarcityPricer()
+    # -- posted arm: arrival order vs the scarcity curve -----------------------
+    posted, _, bottleneck, capacity_kbps = _contended_market(
+        topology, path, end, reservable_fraction, pricer=ScarcityPricer()
+    )
+    seller = posted.service(bottleneck.isd_as)
+    buyers = []
+    for index, valuation in enumerate(valuations):
+        quote = seller.admission.quote(
+            BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
         )
-        seller = posted.service(bottleneck.isd_as)
-        buyers = []
-        for index, valuation in enumerate(valuations):
-            quote = seller.admission.quote(
-                BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
+        if quote > valuation:
+            reason = "priced out"
+        else:
+            reason = _restock(posted, [(bottleneck, True)], end, reserve_kbps)
+        paid = 0
+        if reason is None:
+            host = posted.new_host(name=f"buyer-{index}")
+            bought = host.acquire(
+                posted.marketplace, bottleneck.isd_as, bottleneck.ingress, True,
+                START, end, reserve_kbps, budgets[index],
             )
-            if quote > valuation:
-                reason = "priced out"
-            else:
-                reason = _restock(posted, [(bottleneck, True)], end, reserve_kbps)
-            paid = 0
-            if reason is None:
-                host = posted.new_host(name=f"buyer-{index}")
-                bought = host.acquire(
-                    posted.marketplace, bottleneck.isd_as, bottleneck.ingress, True,
-                    START, end, reserve_kbps, budgets[index],
-                )
-                ingress = bought.submitted.effects.returns[0]["asset"]
-                _redeem_bottleneck(
-                    posted, host, bottleneck, ingress, end, reserve_kbps, budgets[index]
-                )
-                paid = bought.price_mist
-            buyers.append(
-                AuctionBuyerOutcome(
-                    buyer=f"buyer-{index}",
-                    requested_kbps=reserve_kbps,
-                    valuation_micromist=valuation,
-                    posted_admitted=reason is None,
-                    posted_quote_micromist=quote,
-                    posted_paid_mist=paid,
-                    posted_reason=reason or "admitted",
-                    auction_won=False,
-                    auction_paid_mist=0,
-                    auction_reason="no bid",
-                    metrics={},
-                )
+            ingress = bought.submitted.effects.returns[0]["asset"]
+            _redeem_bottleneck(
+                posted, host, bottleneck, ingress, end, reserve_kbps, budgets[index]
             )
-
-        # -- auction arm: one sealed-bid book, cleared on chain ------------------
-        trace = telemetry.trace("traced-reservation") if telemetry is not None else None
-        with use_trace(trace):
-            auctioned, simulation, _, _ = _contended_market(
-                topology, path, end, reservable_fraction,
-                pricer=ScarcityPricer(), auction_interfaces={(bottleneck.ingress, True)},
+            paid = bought.price_mist
+        buyers.append(
+            AuctionBuyerOutcome(
+                buyer=f"buyer-{index}",
+                requested_kbps=reserve_kbps,
+                valuation_micromist=valuation,
+                posted_admitted=reason is None,
+                posted_quote_micromist=quote,
+                posted_paid_mist=paid,
+                posted_reason=reason or "admitted",
+                auction_won=False,
+                auction_paid_mist=0,
+                auction_reason="no bid",
+                metrics={},
             )
-            auctioneer = auctioned.service(bottleneck.isd_as)
-            opened = auctioneer.offer_capacity(
-                auctioned.marketplace, bottleneck.ingress, True, capacity_kbps,
-                START, end, BASE_PRICE_MICROMIST,
-            )
-            auction_id = opened.effects.returns[1]["auction"]
-            reserve = auctioneer.open_auctions[auction_id].reserve_micromist_per_unit
-            hosts = [auctioned.new_host(name=buyer.buyer) for buyer in buyers]
-            for host, valuation in zip(hosts, valuations):
-                host.bid(auctioned.marketplace, auction_id, reserve_kbps, valuation)
-            (settled,) = auctioneer.settle_due_auctions()
-            reservations: list = [None] * num_buyers
-            traced = None  # (buyer index, ResID at the bottleneck)
-            for index, host in enumerate(hosts):
-                settlement = host.await_settle(auctioned.marketplace, auction_id)
-                buyers[index].auction_won = settlement.won
-                buyers[index].auction_paid_mist = settlement.paid_mist
-                buyers[index].auction_reason = (
-                    "won" if settlement.won else next(iter(settlement.reasons), "no bid")
-                )
-                if not settlement.won:
-                    continue
-                res_id = _redeem_bottleneck(
-                    auctioned, host, bottleneck, settlement.assets[0],
-                    end, reserve_kbps, budgets[index],
-                )
-                traced = traced or (index, res_id)
-                if simulate:
-                    reservations[index] = purchase_path(
-                        auctioned,
-                        host,
-                        [c for c in as_crossings(path) if c != bottleneck],
-                        start=START,
-                        expiry=end,
-                        bandwidth_kbps=reserve_kbps,
-                    ).reservations
-
-            # -- data plane: winners protected, everyone sends ----------------------
-            policer = simulation.nodes[bottleneck.isd_as].router.policer
-            if simulate:
-                flows = [
-                    simulation.send(
-                        index + 1, per_buyer_kbps * 1000.0, reservations[index],
-                        delay=0.01 * index, jitter=0.05, rng=rng,
-                    )
-                    for index in range(num_buyers)
-                ]
-                simulation.run(duration)
-                for buyer, flow in zip(buyers, flows):
-                    buyer.metrics = flow.summary()
-                if trace is not None and traced is not None:
-                    index, res_id = traced
-                    trace.event(
-                        "policer.verdict",
-                        isd_as=str(bottleneck.isd_as),
-                        ingress=bottleneck.ingress,
-                        res_id=res_id,
-                        priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id),
-                        goodput_mbps=buyers[index].metrics["goodput_mbps"],
-                    )
-        for deployment in (posted, auctioned):
-            check(deployment, simulation.now())
-
-        def peak(deployment) -> int:
-            return int(
-                deployment.service(bottleneck.isd_as)
-                .admission.calendar(bottleneck.ingress, True, ACTIVE)
-                .peak_commitment(START, end)
-            )
-
-        result = AuctionExperimentResult(
-            buyers=buyers,
-            capacity_kbps=capacity_kbps,
-            supply_kbps=settled.supply_kbps,
-            reserve_micromist=reserve,
-            clearing_price_micromist=settled.clearing_price_micromist,
-            posted_revenue_mist=sum(buyer.posted_paid_mist for buyer in buyers),
-            auction_revenue_mist=settled.proceeds_mist,
-            posted_peak_kbps=peak(posted),
-            auction_peak_kbps=peak(auctioned),
-            bottleneck_utilization=(
-                simulation.links[0].utilization(duration) if simulate else 0.0
-            ),
         )
-        if telemetry is not None:
-            seller.admission.record_capacity_gauges(START, end, owner="posted-arm")
-            auctioneer.admission.record_capacity_gauges(START, end, owner="auction-arm")
-            if simulate:
-                policer.record_gauges(str(bottleneck.isd_as))
-            telemetry.annotate(
-                auction={
-                    "capacity_kbps": capacity_kbps,
-                    "supply_kbps": result.supply_kbps,
-                    "reserve_micromist": result.reserve_micromist,
-                    "clearing_price_micromist": result.clearing_price_micromist,
-                    "posted_revenue_mist": result.posted_revenue_mist,
-                    "auction_revenue_mist": result.auction_revenue_mist,
-                    "posted_efficiency": result.efficiency("posted"),
-                    "auction_efficiency": result.efficiency("auction"),
-                    "posted_jain": result.jain_index("posted"),
-                    "auction_jain": result.jain_index("auction"),
-                    "oversold": result.oversold,
-                }
+
+    # -- auction arm: one sealed-bid book, cleared on chain ------------------
+    with named_trace("traced-reservation") as trace:
+        auctioned, simulation, _, _ = _contended_market(
+            topology, path, end, reservable_fraction,
+            pricer=ScarcityPricer(), auction_interfaces={(bottleneck.ingress, True)},
+        )
+        auctioneer = auctioned.service(bottleneck.isd_as)
+        opened = auctioneer.offer_capacity(
+            auctioned.marketplace, bottleneck.ingress, True, capacity_kbps,
+            START, end, BASE_PRICE_MICROMIST,
+        )
+        auction_id = opened.effects.returns[1]["auction"]
+        reserve = auctioneer.open_auctions[auction_id].reserve_micromist_per_unit
+        hosts = [auctioned.new_host(name=buyer.buyer) for buyer in buyers]
+        for host, valuation in zip(hosts, valuations):
+            host.bid(auctioned.marketplace, auction_id, reserve_kbps, valuation)
+        (settled,) = auctioneer.settle_due_auctions()
+        reservations: list = [None] * num_buyers
+        first_win = None  # (buyer index, ResID at the bottleneck)
+        for index, host in enumerate(hosts):
+            settlement = host.await_settle(auctioned.marketplace, auction_id)
+            buyers[index].auction_won = settlement.won
+            buyers[index].auction_paid_mist = settlement.paid_mist
+            buyers[index].auction_reason = (
+                "won" if settlement.won else next(iter(settlement.reasons), "no bid")
             )
-        return result
+            if not settlement.won:
+                continue
+            res_id = _redeem_bottleneck(
+                auctioned, host, bottleneck, settlement.assets[0],
+                end, reserve_kbps, budgets[index],
+            )
+            first_win = first_win or (index, res_id)
+            if simulate:
+                reservations[index] = purchase_path(
+                    auctioned,
+                    host,
+                    [c for c in as_crossings(path) if c != bottleneck],
+                    start=START,
+                    expiry=end,
+                    bandwidth_kbps=reserve_kbps,
+                ).reservations
+
+        # -- data plane: winners protected, everyone sends ----------------------
+        policer = simulation.nodes[bottleneck.isd_as].router.policer
+        if simulate:
+            flows = [
+                simulation.send(
+                    index + 1, per_buyer_kbps * 1000.0, reservations[index],
+                    delay=0.01 * index, jitter=0.05, rng=rng,
+                )
+                for index in range(num_buyers)
+            ]
+            simulation.run(duration)
+            for buyer, flow in zip(buyers, flows):
+                buyer.metrics = flow.summary()
+            if trace is not None and first_win is not None:
+                index, res_id = first_win
+                trace.event(
+                    "policer.verdict",
+                    isd_as=str(bottleneck.isd_as),
+                    ingress=bottleneck.ingress,
+                    res_id=res_id,
+                    priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id),
+                    goodput_mbps=buyers[index].metrics["goodput_mbps"],
+                )
+    for deployment in (posted, auctioned):
+        check(deployment, simulation.now())
+
+    def peak(deployment) -> int:
+        return int(
+            deployment.service(bottleneck.isd_as)
+            .admission.calendar(bottleneck.ingress, True, ACTIVE)
+            .peak_commitment(START, end)
+        )
+
+    result = AuctionExperimentResult(
+        buyers=buyers,
+        capacity_kbps=capacity_kbps,
+        supply_kbps=settled.supply_kbps,
+        reserve_micromist=reserve,
+        clearing_price_micromist=settled.clearing_price_micromist,
+        posted_revenue_mist=sum(buyer.posted_paid_mist for buyer in buyers),
+        auction_revenue_mist=settled.proceeds_mist,
+        posted_peak_kbps=peak(posted),
+        auction_peak_kbps=peak(auctioned),
+        bottleneck_utilization=(
+            simulation.links[0].utilization(duration) if simulate else 0.0
+        ),
+    )
+    seller.admission.record_capacity_gauges(START, end, owner="posted-arm")
+    auctioneer.admission.record_capacity_gauges(START, end, owner="auction-arm")
+    if simulate:
+        policer.record_gauges(str(bottleneck.isd_as))
+    return result
 
 
 @dataclass
@@ -990,7 +943,6 @@ def path_contention_experiment(
     topology: Topology,
     path: ForwardingPath,
     num_buyers: int = 8,
-    telemetry: ExperimentTelemetry | None = None,
 ) -> PathContentionResult:
     """Whole paths contend in one on-chain path auction, all or nothing.
 
@@ -1017,8 +969,8 @@ def path_contention_experiment(
     path, and a loser evicted from the legs it had won, is
     ``tests/controlplane/test_path_wiring.py``'s case.
 
-    With ``telemetry`` the run — deployment, bids, settlement, redemption,
-    deliveries — lands on one trace id, ``traced-path``.
+    The run — deployment, bids, settlement, redemption, deliveries — lands
+    on one trace, ``traced-path``.
     """
     from repro.admission import ACTIVE
     from repro.controlplane import open_path_auction, settle_path_auction
@@ -1028,108 +980,95 @@ def path_contention_experiment(
     per_buyer_kbps = 2000
     window = (START + 3600, START + 4200)
 
-    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        crossings = as_crossings(path)
-        if len(crossings) < 3:
-            raise ValueError("path contention needs at least three on-path ASes")
-        offered_kbps = (num_buyers + 1) // 2 * per_buyer_kbps
-        num_legs = 2 * len(crossings)
-        trace = telemetry.trace("traced-path") if telemetry is not None else None
-        with use_trace(trace):
-            # Room for the seed asset and the auction leg on every interface.
-            deployment, simulation = _market(
-                topology,
-                path,
-                asset_bandwidth_kbps=offered_kbps,
-                interface_capacity_kbps=2 * offered_kbps,
-            )
-            handle = open_path_auction(
-                deployment, crossings, *window, bandwidth_kbps=offered_kbps,
-                base_price_micromist=BASE_PRICE_MICROMIST,
-            )
-            hosts, escrows = [], []
-            for index in range(num_buyers):
-                host = deployment.new_host(name=f"buyer-{index}")
-                unit_price = (num_buyers + 1 - index) * BASE_PRICE_MICROMIST
-                acquired = host.acquire_path(
-                    deployment.marketplace, crossings, *window,
-                    bandwidth_kbps=per_buyer_kbps,
-                    max_price_mist=num_legs * price_mist(
-                        per_buyer_kbps, window[1] - window[0], unit_price
-                    ),
-                )
-                hosts.append(host)
-                escrows.append(acquired.submitted.effects.returns[0]["escrow_mist"])
-            simulation.clock.set(float(window[0]))
-            settle_path_auction(deployment, handle)
-            payload = deployment.indexer.settlement(handle.path_auction)
-            losses = {loser["bidder"]: loser for loser in payload["losers"]}
-            outcomes = []
-            for host, escrow in zip(hosts, escrows):
-                settlement = host.await_path_settle(
-                    deployment.marketplace, handle.path_auction
-                )
-                if settlement.won:
-                    host.redeem_path(
-                        list(zip(settlement.assets[0::2], settlement.assets[1::2]))
-                    )
-                loss = losses.get(host.account.address)
-                outcomes.append(
-                    PathBuyerOutcome(
-                        buyer=host.account.name,
-                        requested_kbps=per_buyer_kbps,
-                        admitted=settlement.won,
-                        failed_hop=None if loss is None else loss["leg"] // 2,
-                        reason="" if loss is None else loss["reason"],
-                        legs_won=len(settlement.assets),
-                        escrow_mist=escrow,
-                        refund_mist=settlement.refund_mist,
-                    )
-                )
-            for crossing in crossings:
-                deployment.service(crossing.isd_as).poll_and_deliver()
-        check(deployment, simulation.now())
-
-        services = [deployment.service(crossing.isd_as) for crossing in crossings]
-        paid = sum(winner["paid_mist"] for winner in payload["winners"])
-        result = PathContentionResult(
-            buyers=outcomes,
-            hop_names=[str(crossing.isd_as) for crossing in crossings],
-            hop_capacities_kbps=[
-                service.admission.capacity_kbps(crossing.ingress, True)
-                for service, crossing in zip(services, crossings)
-            ],
-            hop_peaks_kbps=[
-                max(
-                    service.admission.calendar(interface, is_ingress, ACTIVE)
-                    .peak_commitment(*window)
-                    for interface, is_ingress in (
-                        (crossing.ingress, True), (crossing.egress, False)
-                    )
-                )
-                for service, crossing in zip(services, crossings)
-            ],
-            escrow_conserved=(
-                paid + sum(outcome.refund_mist for outcome in outcomes) == sum(escrows)
-            ),
-            path_auction_winners=len(payload["winners"]),
+    crossings = as_crossings(path)
+    if len(crossings) < 3:
+        raise ValueError("path contention needs at least three on-path ASes")
+    offered_kbps = (num_buyers + 1) // 2 * per_buyer_kbps
+    num_legs = 2 * len(crossings)
+    with named_trace("traced-path"):
+        # Room for the seed asset and the auction leg on every interface.
+        deployment, simulation = _market(
+            topology,
+            path,
+            asset_bandwidth_kbps=offered_kbps,
+            interface_capacity_kbps=2 * offered_kbps,
         )
-        if telemetry is not None:
-            for service in services:
-                service.admission.record_capacity_gauges(
-                    *window, owner=f"path-hop-{service.isd_as}"
-                )
-            telemetry.annotate(
-                path_contention={
-                    "hops": len(crossings),
-                    "admitted": len(result.admitted),
-                    "rejected": len(result.rejected),
-                    "oversold": result.oversold,
-                    "escrow_conserved": result.escrow_conserved,
-                    "path_auction_winners": result.path_auction_winners,
-                }
+        handle = open_path_auction(
+            deployment, crossings, *window, bandwidth_kbps=offered_kbps,
+            base_price_micromist=BASE_PRICE_MICROMIST,
+        )
+        hosts, escrows = [], []
+        for index in range(num_buyers):
+            host = deployment.new_host(name=f"buyer-{index}")
+            unit_price = (num_buyers + 1 - index) * BASE_PRICE_MICROMIST
+            acquired = host.acquire_path(
+                deployment.marketplace, crossings, *window,
+                bandwidth_kbps=per_buyer_kbps,
+                max_price_mist=num_legs * price_mist(
+                    per_buyer_kbps, window[1] - window[0], unit_price
+                ),
             )
-        return result
+            hosts.append(host)
+            escrows.append(acquired.submitted.effects.returns[0]["escrow_mist"])
+        simulation.clock.set(float(window[0]))
+        settle_path_auction(deployment, handle)
+        payload = deployment.indexer.settlement(handle.path_auction)
+        losses = {loser["bidder"]: loser for loser in payload["losers"]}
+        outcomes = []
+        for host, escrow in zip(hosts, escrows):
+            settlement = host.await_path_settle(
+                deployment.marketplace, handle.path_auction
+            )
+            if settlement.won:
+                host.redeem_path(
+                    list(zip(settlement.assets[0::2], settlement.assets[1::2]))
+                )
+            loss = losses.get(host.account.address)
+            outcomes.append(
+                PathBuyerOutcome(
+                    buyer=host.account.name,
+                    requested_kbps=per_buyer_kbps,
+                    admitted=settlement.won,
+                    failed_hop=None if loss is None else loss["leg"] // 2,
+                    reason="" if loss is None else loss["reason"],
+                    legs_won=len(settlement.assets),
+                    escrow_mist=escrow,
+                    refund_mist=settlement.refund_mist,
+                )
+            )
+        for crossing in crossings:
+            deployment.service(crossing.isd_as).poll_and_deliver()
+    check(deployment, simulation.now())
+
+    services = [deployment.service(crossing.isd_as) for crossing in crossings]
+    paid = sum(winner["paid_mist"] for winner in payload["winners"])
+    result = PathContentionResult(
+        buyers=outcomes,
+        hop_names=[str(crossing.isd_as) for crossing in crossings],
+        hop_capacities_kbps=[
+            service.admission.capacity_kbps(crossing.ingress, True)
+            for service, crossing in zip(services, crossings)
+        ],
+        hop_peaks_kbps=[
+            max(
+                service.admission.calendar(interface, is_ingress, ACTIVE)
+                .peak_commitment(*window)
+                for interface, is_ingress in (
+                    (crossing.ingress, True), (crossing.egress, False)
+                )
+            )
+            for service, crossing in zip(services, crossings)
+        ],
+        escrow_conserved=(
+            paid + sum(outcome.refund_mist for outcome in outcomes) == sum(escrows)
+        ),
+        path_auction_winners=len(payload["winners"]),
+    )
+    for service in services:
+        service.admission.record_capacity_gauges(
+            *window, owner=f"path-hop-{service.isd_as}"
+        )
+    return result
 
 
 def contention_experiment(
@@ -1138,7 +1077,6 @@ def contention_experiment(
     num_buyers: int = 8,
     per_buyer_kbps: int = 2000,
     duration: float = 1.5,
-    telemetry: ExperimentTelemetry | None = None,
 ) -> ContentionResult:
     """Many buyers compete for one bottleneck interface's capacity.
 
@@ -1150,12 +1088,8 @@ def contention_experiment(
     priority protection.  A buyer the AS can no longer list for *falls back
     to best effort* and fights over whatever the reserved traffic leaves
     behind.  Quoted prices rise with utilization, so the result doubles as a
-    price-discovery trace.
-
-    With ``telemetry`` the run collects admission counters/histograms,
-    capacity gauges, and policer residency into the harness's registry
-    (``telemetry.write(...)`` dumps them for
-    ``tools/report_experiment.py``), and buyer-0's purchase is traced.
+    price-discovery trace.  Buyer-0's purchase runs under a trace named
+    after it, which ends in the policer's verdict on its reservation.
     """
     from repro.admission import ScarcityPricer
     from repro.controlplane import purchase_path
@@ -1163,95 +1097,82 @@ def contention_experiment(
 
     reservable_fraction = 0.8
 
-    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        end = _window_end(duration)
-        deployment, simulation, bottleneck, capacity_kbps = _contended_market(
-            topology, path, end, reservable_fraction, pricer=ScarcityPricer()
+    end = _window_end(duration)
+    deployment, simulation, bottleneck, capacity_kbps = _contended_market(
+        topology, path, end, reservable_fraction, pricer=ScarcityPricer()
+    )
+    seller = deployment.service(bottleneck.isd_as)
+    reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
+    rng = random.Random(SEED)
+    outcomes: list[BuyerOutcome] = []
+    flow_metrics: list[FlowMetrics] = []
+    verdict = None  # buyer-0's trace and ResID at the bottleneck
+    for index in range(num_buyers):
+        buyer = f"buyer-{index}"
+        quote = seller.admission.quote(
+            BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
         )
-        seller = deployment.service(bottleneck.isd_as)
-        reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-        rng = random.Random(SEED)
-        outcomes: list[BuyerOutcome] = []
-        flow_metrics: list[FlowMetrics] = []
-        traced_res_id = None
-        for index in range(num_buyers):
-            buyer = f"buyer-{index}"
-            quote = seller.admission.quote(
-                BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
+        # Trace buyer-0's lifecycle end to end (admission through policer).
+        reservations = None
+        with (named_trace(buyer) if index == 0 else use_trace(None)) as trace:
+            refusal = _restock(deployment, [(bottleneck, True)], end, reserve_kbps)
+            if refusal is None:
+                reservations = purchase_path(
+                    deployment,
+                    deployment.new_host(name=buyer),
+                    as_crossings(path),
+                    start=START,
+                    expiry=end,
+                    bandwidth_kbps=reserve_kbps,
+                ).reservations
+        if trace is not None and reservations:
+            verdict = trace, next(
+                r.resinfo.res_id for r in reservations if r.isd_as == bottleneck.isd_as
             )
-            # Trace buyer-0's lifecycle end to end (admission through policer).
-            trace = telemetry.trace(buyer) if telemetry and index == 0 else None
-            reservations = None
-            with use_trace(trace):
-                refusal = _restock(deployment, [(bottleneck, True)], end, reserve_kbps)
-                if refusal is None:
-                    reservations = purchase_path(
-                        deployment,
-                        deployment.new_host(name=buyer),
-                        as_crossings(path),
-                        start=START,
-                        expiry=end,
-                        bandwidth_kbps=reserve_kbps,
-                    ).reservations
-            if trace is not None and reservations:
-                traced_res_id = next(
-                    r.resinfo.res_id for r in reservations if r.isd_as == bottleneck.isd_as
-                )
-            # slight stagger, arrival order = index order
-            flow_metrics.append(
-                simulation.send(
-                    index + 1, per_buyer_kbps * 1000.0, reservations,
-                    delay=0.01 * index, jitter=0.05, rng=rng,
-                )
+        # slight stagger, arrival order = index order
+        flow_metrics.append(
+            simulation.send(
+                index + 1, per_buyer_kbps * 1000.0, reservations,
+                delay=0.01 * index, jitter=0.05, rng=rng,
             )
-            outcomes.append(
-                BuyerOutcome(
-                    buyer=buyer,
-                    requested_kbps=reserve_kbps,
-                    admitted=refusal is None,
-                    quoted_price_micromist=quote,
-                    # the bottleneck's first-come-first-served calendar says
-                    # "fits" to every rectangle it lets the AS list
-                    reason="fits" if refusal is None else refusal,
-                    metrics={},
-                )
-            )
-
-        simulation.run(duration)
-        for outcome, metrics in zip(outcomes, flow_metrics):
-            outcome.metrics = metrics.summary()
-        check(deployment, simulation.now())
-
-        link = simulation.links[0]
-        result = ContentionResult(
-            buyers=outcomes,
-            capacity_kbps=capacity_kbps,
-            bottleneck_utilization=link.utilization(duration),
         )
-        if telemetry is not None:
-            seller.admission.record_capacity_gauges(START, end, owner="bottleneck-as")
-            policer = simulation.nodes[bottleneck.isd_as].router.policer
-            policer.record_gauges(str(bottleneck.isd_as))
-            if traced_res_id is not None:
-                telemetry.traces[0].event(
-                    "policer.verdict",
-                    isd_as=str(bottleneck.isd_as),
-                    ingress=bottleneck.ingress,
-                    res_id=traced_res_id,
-                    priority_bytes=policer.usage_bytes(bottleneck.ingress, traced_res_id),
-                )
-            telemetry.annotate(
-                contention={
-                    "capacity_kbps": capacity_kbps,
-                    "admitted": len(result.admitted),
-                    "rejected": len(result.rejected),
-                    "bottleneck_utilization": result.bottleneck_utilization,
-                    "revenue_proxy_micromist": sum(
-                        b.quoted_price_micromist for b in result.admitted
-                    ),
-                }
+        outcomes.append(
+            BuyerOutcome(
+                buyer=buyer,
+                requested_kbps=reserve_kbps,
+                admitted=refusal is None,
+                quoted_price_micromist=quote,
+                # the bottleneck's first-come-first-served calendar says
+                # "fits" to every rectangle it lets the AS list
+                reason="fits" if refusal is None else refusal,
+                metrics={},
             )
-        return result
+        )
+
+    simulation.run(duration)
+    for outcome, metrics in zip(outcomes, flow_metrics):
+        outcome.metrics = metrics.summary()
+    check(deployment, simulation.now())
+
+    link = simulation.links[0]
+    result = ContentionResult(
+        buyers=outcomes,
+        capacity_kbps=capacity_kbps,
+        bottleneck_utilization=link.utilization(duration),
+    )
+    seller.admission.record_capacity_gauges(START, end, owner="bottleneck-as")
+    policer = simulation.nodes[bottleneck.isd_as].router.policer
+    policer.record_gauges(str(bottleneck.isd_as))
+    if verdict is not None:
+        trace, res_id = verdict
+        trace.event(
+            "policer.verdict",
+            isd_as=str(bottleneck.isd_as),
+            ingress=bottleneck.ingress,
+            res_id=res_id,
+            priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id),
+        )
+    return result
 
 
 @dataclass
@@ -1302,7 +1223,6 @@ def reclamation_experiment(
     topology: Topology,
     path: ForwardingPath,
     duration: float = 3.0,
-    telemetry: ExperimentTelemetry | None = None,
 ) -> ReclamationResult:
     """The closed control loop vs an open one, on an overbooked bottleneck.
 
@@ -1469,36 +1389,15 @@ def reclamation_experiment(
         "grace_seconds": grace_seconds,
         "no_show_threshold": no_show_threshold,
     }
-    with telemetry.activate() if telemetry is not None else contextlib.nullcontext():
-        arms = {}
-        for arm, policy, reclaims in (
-            ("none", FirstComeFirstServed(), None),
-            ("static", OverbookingPolicy(static_factor), None),
-            (
-                "adaptive",
-                AdaptiveOverbooking(initial_factor=1.0, max_factor=max_factor),
-                reclamation,
-            ),
-        ):
-            arms[arm] = run_arm(arm, policy, reclaims)
-        result = ReclamationResult(arms=arms)
-        if telemetry is not None:
-            telemetry.annotate(
-                reclamation={
-                    arm: {
-                        "revenue_mist": outcome.revenue_mist,
-                        "reserved_goodput_mbps": round(
-                            outcome.reserved_goodput_bps / 1e6, 3
-                        ),
-                        "reserved_buyers": len(outcome.reserved_buyers),
-                        "honest_demotions": outcome.honest_demotions,
-                        "reclaim_events": outcome.reclaim_events,
-                        "reclaimed_kbps": outcome.reclaimed_kbps,
-                        "false_reclaims": outcome.false_reclaims,
-                        "live_factor": round(outcome.live_factor, 3),
-                        "bottleneck_utilization": outcome.bottleneck_utilization,
-                    }
-                    for arm, outcome in arms.items()
-                }
-            )
-        return result
+    arms = {}
+    for arm, policy, reclaims in (
+        ("none", FirstComeFirstServed(), None),
+        ("static", OverbookingPolicy(static_factor), None),
+        (
+            "adaptive",
+            AdaptiveOverbooking(initial_factor=1.0, max_factor=max_factor),
+            reclamation,
+        ),
+    ):
+        arms[arm] = run_arm(arm, policy, reclaims)
+    return ReclamationResult(arms=arms)

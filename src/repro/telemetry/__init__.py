@@ -2,12 +2,12 @@
 
 See ``docs/observability.md`` for the metric catalog and span naming
 conventions.  The whole subsystem is disabled by default: the active
-registry is the null recorder unless ``REPRO_TELEMETRY=1`` is set or an
-:class:`ExperimentTelemetry` harness is activated.
+registry is the null recorder unless an :class:`ExperimentTelemetry`
+harness is activated or a live one is installed with :func:`set_registry`.
 """
 
 from repro.telemetry.export import snapshot
-from repro.telemetry.experiment import ExperimentTelemetry
+from repro.telemetry.experiment import ExperimentTelemetry, named_trace
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -41,5 +41,6 @@ __all__ = [
     "get_registry",
     "set_registry",
     "snapshot",
+    "named_trace",
     "use_trace",
 ]

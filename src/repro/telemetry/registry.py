@@ -17,16 +17,14 @@ Design goals (ISSUE 6 tentpole):
   method call when telemetry is disabled (the default).
 
 The *active* registry is process-wide: :func:`get_registry` returns the
-null registry unless ``REPRO_TELEMETRY=1`` is set in the environment or an
-experiment installed a live one via :func:`set_registry` /
-:class:`repro.telemetry.experiment.ExperimentTelemetry`.
+null registry unless a caller installed a live one via :func:`set_registry`
+or :class:`repro.telemetry.experiment.ExperimentTelemetry`.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import os
 import threading
 from typing import Iterator, Sequence
 
@@ -337,9 +335,7 @@ class NullRegistry:
 
 NULL_REGISTRY = NullRegistry()
 
-_active: MetricsRegistry | NullRegistry = (
-    MetricsRegistry() if os.environ.get("REPRO_TELEMETRY") == "1" else NULL_REGISTRY
-)
+_active: MetricsRegistry | NullRegistry = NULL_REGISTRY
 
 
 def get_registry() -> MetricsRegistry | NullRegistry:

@@ -10,8 +10,8 @@ protected and unprotected plus one call with its three rates varied;
 ``reclamation_experiment`` (the 3 s run ``test_reclamation.py`` asserts its
 claims on, in which the adaptive arm reclaims and admits a waiting buyer at a
 scan);
-``deadline_experiment``; then the five experiments that take ``telemetry``
-once more under an :class:`ExperimentTelemetry`.
+``deadline_experiment``; then five of them once more inside an activated
+:class:`ExperimentTelemetry`.
 
 The recording was made while four experiments still took a calendar geometry,
 so their keys come in two arms: ``/monolithic`` (one unbounded shard) and
@@ -21,7 +21,7 @@ run answers for both arms (``ARMED``).
 
 Recorded per key: the whole result dataclass (``dataclasses.fields``,
 recursively; floats to 12 significant digits, non-finite ones as the strings
-``"inf"`` / ``"nan"``) and, for a telemetry run, ``extra``, every trace's name
+``"inf"`` / ``"nan"``) and, for a telemetry run, every trace's name
 with its ordered ``[span name, attrs]`` list and every metric family except the
 wall-clock ones (``*_seconds``).  Trace ids, span starts and durations are
 dropped: they are the only parts of a dump that differ between two runs.
@@ -33,7 +33,7 @@ reproduce it byte for byte.  Every goodput, latency and utilisation in it
 depends on the order in which sources are constructed and started (the event
 loop breaks ties FIFO, and the flows of one simulation share one ``rng``), so
 a refactor that reorders two ``start`` calls fails here, not in a plot.
-It was re-recorded five times since.  First when the congestion, contention and
+It was re-recorded six times since.  First when the congestion, contention and
 auction experiments moved onto a deployed market: the telemetry runs' traces
 and metrics (ledger spans and families appeared) and the path-contention
 hop-mode labels (their calendar-geometry word went) changed, and nothing
@@ -62,15 +62,21 @@ and ``reclamation`` telemetry runs moved, and in them only the traces (no
 ``path.screen`` span and ``path.rollback`` event a purchase; the reclamation
 run records no trace), ``admission_decisions_total`` (no screening admits)
 and the four ``pathadm_*`` families (gone); the other 24 keys and every
-``result`` held.  Last when the per-buyer share cap left the contract and
+``result`` held.  Then when the per-buyer share cap left the contract and
 ``path_contention_experiment`` deployed first come, first served at the same
 interface capacity: only ``ledger_gas_storage_bytes_total`` moved, in
 ``auction/telemetry`` (99,335 → 99,223) and ``path_contention/telemetry``
 (94,463 → 92,531), the bytes of the cap field auctions and path legs no
-longer store; every ``result`` and every other key held.  Under
-pytest a configuration the claim tests share comes
-from the session's ``experiment_runs`` memo (``conftest.py``), so it runs
-once.
+longer store; every ``result`` and every other key held.
+
+Last, when the experiments stopped taking a ``telemetry`` argument and a
+telemetry run became the plain call wrapped in ``activate()``, the five
+``*/telemetry`` keys lost their ``extra`` part (a hand-copied subset of the
+result, which the dump now carries whole); their ``result``, ``traces`` and
+``metrics`` and the 23 other keys held byte for byte.
+
+Under pytest a configuration the claim tests share comes from the session's
+``experiment_runs`` memo (``conftest.py``), so it runs once.
 
 To re-record (only when an experiment's *result* is meant to change — another
 scenario constant, a new result field, a different pricer — never to make a
@@ -138,7 +144,6 @@ def _observed(telemetry: ExperimentTelemetry) -> dict:
     """What a telemetry run collected, minus ids and wall-clock readings."""
     dump = telemetry.to_dict()
     return {
-        "extra": dump["extra"],
         "traces": [
             [trace["name"], [[span["name"], span["attrs"]] for span in trace["spans"]]]
             for trace in dump["traces"]
@@ -210,7 +215,8 @@ def run_experiments(run) -> dict:
 
     def observed(name: str, experiment, *args, **options) -> None:
         telemetry = ExperimentTelemetry(name)
-        result = experiment(*args, telemetry=telemetry, **options)
+        with telemetry.activate():
+            result = experiment(*args, **options)
         recording[f"{name}/telemetry"] = {"result": result, **_observed(telemetry)}
 
     paths = {3: linear_path(3), 4: linear_path(4)}
@@ -281,7 +287,7 @@ def test_the_recording_covers_what_a_reordering_would_move(recorded):
 
     for name in ("contention", "flex_market", "auction", "path_contention", "reclamation"):
         run = recorded[f"{name}/telemetry"]
-        assert name in run["extra"] and run["metrics"]
+        assert run["metrics"]
         assert not any(metric.endswith("_seconds") for metric in run["metrics"])
     spans = dict(recorded["auction/telemetry"]["traces"])["traced-reservation"]
     assert [name for name, _ in spans][-1] == "policer.verdict"

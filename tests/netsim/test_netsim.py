@@ -263,6 +263,9 @@ class TestAuctionExperiment:
         # by arrival order, so it usually captures less).
         assert result.efficiency("auction") == pytest.approx(1.0)
         assert result.efficiency("posted") <= result.efficiency("auction")
+        # Every buyer asks for the same bandwidth, so both arms fill the same
+        # number of equal windows: one Jain's index, different winners.
+        assert result.jain_index("auction") == result.jain_index("posted")
 
     def test_winners_protected_losers_best_effort_on_the_data_plane(
         self, experiment_runs

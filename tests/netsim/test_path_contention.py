@@ -47,12 +47,10 @@ def observed():
         checked.append(deployment)
 
     telemetry = ExperimentTelemetry("path_contention_experiment")
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, telemetry.activate():
         patch.setattr(repro.controlplane, "settle_path_auction", recording_settle)
         patch.setattr(repro.invariants, "check", recording_check)
-        outcome = path_contention_experiment(
-            *linear_path(3), num_buyers=6, telemetry=telemetry
-        )
+        outcome = path_contention_experiment(*linear_path(3), num_buyers=6)
     (record,) = settled
     return outcome, record.submitted.effects.returns[0], checked, telemetry.to_dict()
 
@@ -98,7 +96,7 @@ class TestPathContentionExperiment:
         assert len(checked) == 1
 
     def test_telemetry_traces_one_path_from_bid_to_delivery(self, observed):
-        _, _, _, snapshot = observed
+        outcome, _, _, snapshot = observed
         traces = {trace["name"]: trace for trace in snapshot["traces"]}
         names = []
         for span in traces["traced-path"]["spans"]:
@@ -106,4 +104,4 @@ class TestPathContentionExperiment:
             names.extend(event["name"] for event in span.get("events", []))
         firsts = [names.index(name) for name in LIFECYCLE]
         assert firsts == sorted(firsts)
-        assert snapshot["extra"]["path_contention"]["oversold"] is False
+        assert outcome.oversold is False

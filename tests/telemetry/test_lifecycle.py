@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from repro.netsim.scenarios import auction_experiment, linear_path
+from repro.netsim.scenarios import auction_experiment, flex_market_experiment, linear_path
 from repro.telemetry import ExperimentTelemetry, get_registry
 
 _TOOL = pathlib.Path(__file__).parents[2] / "tools" / "report_experiment.py"
@@ -35,9 +35,8 @@ LIFECYCLE_SPANS = [
 def auction_run():
     topology, path = linear_path(3)
     telemetry = ExperimentTelemetry("auction_experiment")
-    result = auction_experiment(
-        topology, path, num_buyers=4, duration=0.4, telemetry=telemetry
-    )
+    with telemetry.activate():
+        result = auction_experiment(topology, path, num_buyers=4, duration=0.4)
     return telemetry, result
 
 
@@ -87,10 +86,11 @@ def test_registry_restored_after_experiment(auction_run):
 
 def test_experiment_dump_and_dashboard(auction_run, tmp_path):
     telemetry, result = auction_run
-    dump_path = telemetry.write(tmp_path / "auction_telemetry.json")
+    dump_path = telemetry.write(tmp_path / "auction_telemetry.json", result)
     dump = json.loads(dump_path.read_text())
     assert dump["scenario"] == "auction_experiment"
-    assert dump["extra"]["auction"]["oversold"] == result.oversold
+    assert dump["result"]["auction_revenue_mist"] == result.auction_revenue_mist
+    assert len(dump["result"]["buyers"]) == len(result.buyers)
     assert any(t["name"] == "traced-reservation" for t in dump["traces"])
 
     dashboard = report_experiment.render_dashboard(dump)
@@ -107,26 +107,27 @@ def _strict(text: str) -> dict:
     return json.loads(text, parse_constant=refuse)
 
 
-def test_a_dump_is_strict_json_and_to_dict_keeps_the_floats(tmp_path):
-    telemetry = ExperimentTelemetry("non-finite")
-    telemetry.annotate(curve_prices=[6.0, math.inf, -math.inf], quantile=math.nan)
-    dump = _strict(telemetry.write(tmp_path / "dump.json").read_text())
-    assert dump["extra"] == {"curve_prices": [6.0, None, None], "quantile": None}
-    assert telemetry.to_dict()["extra"]["curve_prices"][1] == math.inf
+def test_a_dump_is_strict_json_and_the_result_keeps_the_floats(tmp_path):
+    """``flex_market`` prices an uncoverable window at ``inf``."""
+    telemetry = ExperimentTelemetry("flex_market_experiment")
+    with telemetry.activate():
+        result = flex_market_experiment(duration=0.3)
+    assert math.inf in result.curve_prices
+    dump = _strict(telemetry.write(tmp_path / "dump.json", result).read_text())
+    assert dump["result"]["curve_prices"] == [
+        price if math.isfinite(price) else None for price in result.curve_prices
+    ]
 
 
 @pytest.mark.parametrize("scenario", report_experiment.SCENARIOS)
 def test_the_tool_runs_dumps_and_renders_every_scenario(scenario, tmp_path, capsys):
-    """``flex_market`` prices an uncoverable window at ``inf``, and nothing but
-    this ran ``reclamation_experiment(telemetry=)``."""
+    """Each of the tool's scenarios runs inside a harness, dumps and renders."""
     assert report_experiment.main(
         ["--run", scenario, "--duration", "0.3", "--out", str(tmp_path)]
     ) == 0
     dump = _strict((tmp_path / f"{scenario}_telemetry.json").read_text())
     assert dump["scenario"] == f"{scenario}_experiment"
-    (annotated,) = dump["extra"]
-    assert annotated.startswith(scenario) and dump["extra"][annotated]
-    assert dump["metrics"]
+    assert dump["result"] and dump["metrics"]
     dashboard = (tmp_path / f"{scenario}_dashboard.txt").read_text()
     assert dashboard in capsys.readouterr().out
     assert "## Scenario results" in dashboard and "## Counters" in dashboard

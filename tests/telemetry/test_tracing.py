@@ -1,5 +1,11 @@
 """Tracing tests: ambient contextvar plumbing and span records."""
 
+from repro.telemetry import (
+    NULL_REGISTRY,
+    ExperimentTelemetry,
+    get_registry,
+    named_trace,
+)
 from repro.telemetry.tracing import TraceContext, current_trace, event, use_trace
 
 
@@ -46,3 +52,21 @@ def test_to_dict_shape():
     assert dumped["spans"][0]["attrs"] == {"admitted": True}
     # every span is an instant: nothing in the dump is timed
     assert set(dumped["spans"][0]) == {"trace_id", "name", "start", "attrs"}
+
+
+def test_named_trace_names_a_trace_only_on_the_active_harness():
+    with named_trace("unobserved") as trace:
+        assert trace is None and event("dropped") is None
+    outer, inner = ExperimentTelemetry("outer"), ExperimentTelemetry("inner")
+    with outer.activate():
+        with inner.activate() as registry:
+            assert get_registry() is registry is inner.registry
+            with named_trace("nested") as trace:
+                event("step")
+        assert get_registry() is outer.registry
+        with named_trace("after"):
+            event("step")
+    assert get_registry() is NULL_REGISTRY
+    assert [t.name for t in inner.traces] == ["nested"]
+    assert [t.name for t in outer.traces] == ["after"]
+    assert [span.name for span in trace.spans] == ["step"]

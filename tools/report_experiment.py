@@ -5,8 +5,9 @@ Two modes:
 
 * ``--input DUMP.json`` — render a dashboard from an existing
   :meth:`ExperimentTelemetry.write` dump.
-* ``--run SCENARIO`` — run one of the netsim experiments with telemetry
-  enabled, write the dump, then render the dashboard.
+* ``--run SCENARIO`` — run one of the netsim experiments inside an
+  activated harness, write the dump (what the harness collected plus the
+  run's whole result), then render the dashboard.
 
 The dashboard is plain text: aligned tables (counters, gauges, histogram
 quantiles) plus ASCII sparklines for histogram bucket shapes and trace
@@ -37,23 +38,23 @@ from repro.netsim.scenarios import (
 from repro.telemetry import ExperimentTelemetry
 from repro.telemetry.registry import Histogram
 
-# --run's choices: name -> run it over (topology, path) under ``telemetry``.
+# --run's choices: name -> run it over (topology, path).
 RUNNERS = {
-    "contention": lambda chain, duration, buyers, telemetry: contention_experiment(
-        *chain, num_buyers=buyers, duration=duration, telemetry=telemetry
+    "contention": lambda chain, duration, buyers: contention_experiment(
+        *chain, num_buyers=buyers, duration=duration
     ),
     # Builds its own chain topology; num_ases is the only shape knob.
-    "flex_market": lambda chain, duration, buyers, telemetry: flex_market_experiment(
-        num_ases=3, duration=duration, telemetry=telemetry
+    "flex_market": lambda chain, duration, buyers: flex_market_experiment(
+        num_ases=3, duration=duration
     ),
-    "auction": lambda chain, duration, buyers, telemetry: auction_experiment(
-        *chain, num_buyers=buyers, duration=duration, telemetry=telemetry
+    "auction": lambda chain, duration, buyers: auction_experiment(
+        *chain, num_buyers=buyers, duration=duration
     ),
-    "path": lambda chain, duration, buyers, telemetry: path_contention_experiment(
-        *chain, num_buyers=buyers, telemetry=telemetry
+    "path": lambda chain, duration, buyers: path_contention_experiment(
+        *chain, num_buyers=buyers
     ),
-    "reclamation": lambda chain, duration, buyers, telemetry: reclamation_experiment(
-        *chain, duration=duration, telemetry=telemetry
+    "reclamation": lambda chain, duration, buyers: reclamation_experiment(
+        *chain, duration=duration
     ),
 }
 SCENARIOS = tuple(RUNNERS)
@@ -143,24 +144,27 @@ def _trace_sections(traces: list[dict[str, Any]]) -> list[str]:
     return sections
 
 
-def _extra_section(extra: dict[str, Any]) -> list[str]:
-    if not extra:
+def _result_section(result: Any) -> list[str]:
+    if result is None:
         return []
-    return ["## Scenario results\n" + json.dumps(extra, indent=2, sort_keys=True)]
+    return ["## Scenario results\n" + json.dumps(result, indent=2, sort_keys=True)]
 
 
 def render_dashboard(dump: dict[str, Any]) -> str:
     sections = [f"# Experiment dashboard: {dump.get('scenario', 'unknown')}"]
     sections.extend(_metrics_sections(dump.get("metrics", [])))
     sections.extend(_trace_sections(dump.get("traces", [])))
-    sections.extend(_extra_section(dump.get("extra", {})))
+    sections.extend(_result_section(dump.get("result")))
     return "\n\n".join(sections) + "\n"
 
 
-def _run_scenario(name: str, duration: float, buyers: int) -> ExperimentTelemetry:
+def _run_scenario(
+    name: str, duration: float, buyers: int, dump_path: pathlib.Path
+) -> None:
     telemetry = ExperimentTelemetry(f"{name}_experiment")
-    RUNNERS[name](linear_path(3), duration, buyers, telemetry)
-    return telemetry
+    with telemetry.activate():
+        result = RUNNERS[name](linear_path(3), duration, buyers)
+    telemetry.write(dump_path, result)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -176,15 +180,13 @@ def main(argv: list[str] | None = None) -> int:
 
     args.out.mkdir(parents=True, exist_ok=True)
     if args.run:
-        telemetry = _run_scenario(args.run, args.duration, args.buyers)
         dump_path = args.out / f"{args.run}_telemetry.json"
-        telemetry.write(dump_path)
+        _run_scenario(args.run, args.duration, args.buyers, dump_path)
         print(f"telemetry dump: {dump_path}")
-        dump = telemetry.to_dict()
-        stem = args.run
     else:
-        dump = json.loads(args.input.read_text())
-        stem = args.input.stem.removesuffix("_telemetry")
+        dump_path = args.input
+    dump = json.loads(dump_path.read_text())
+    stem = dump_path.stem.removesuffix("_telemetry")
 
     dashboard = render_dashboard(dump)
     report_path = args.out / f"{stem}_dashboard.txt"
