@@ -8,8 +8,8 @@ it.
 
 Bar: every width answers the same 1,000 peak probes alike after the load,
 and the probes still ahead of the clock alike after the churn.  ``controller_admit_ab`` measures the
-``AdmissionController.admit_issue`` hot path with its telemetry armed and
-disarmed in turn.
+``AdmissionController.admit_issue`` hot path with live instruments and with
+the null one in turn.
 
 Run:  PYTHONPATH=src python benchmarks/bench_admission.py
 (``tools/perf_guard.py`` gates the bar and the telemetry overhead.)
@@ -20,9 +20,9 @@ from __future__ import annotations
 import random
 
 try:
-    from benchmarks.conftest import measure_ab
+    from benchmarks.conftest import instrument_arms, measure_ab
 except ImportError:  # executed as a script from the benchmarks/ directory
-    from conftest import measure_ab
+    from conftest import instrument_arms, measure_ab
 
 from repro.admission import DEFAULT_SHARD_SECONDS, AdmissionController, CapacityCalendar
 
@@ -87,29 +87,33 @@ def measure() -> dict[str, float]:
 
 
 def controller_admit_ab() -> dict:
-    """Armed-vs-disarmed admit overhead, paired in one process.
+    """Live-vs-null instrument admit overhead, paired in one process.
 
-    Call under a live registry.  Drives ONE controller and flips its
-    ``_telemetry`` flag per arm, so both arms share every byte of state —
-    calendars, caches, memory layout — and differ only in the guarded
-    branch.  (Separate per-arm controllers re-introduce allocator and
-    layout luck worth a few percent; separate bench *runs* are even worse
-    on machines whose clock throttles in multi-second windows.)  The flag
-    write itself costs both arms the same, so it cancels out of the
-    comparison.
+    Call under a live registry.  Drives ONE controller whose instruments
+    :func:`~benchmarks.conftest.instrument_arms` swaps per arm, so both
+    arms share every byte of state — calendars, caches, memory layout —
+    and run the same code; only what the instruments do differs.
+    (Separate per-arm controllers re-introduce allocator and layout luck
+    worth a few percent; separate bench *runs* are even worse on machines
+    whose clock throttles in multi-second windows.)  Both arms advance the
+    controller's one latency-sampling tick; alternating as they do, the
+    1-in-16 timed admits fall in the live arm, so it also pays their clock
+    reads.
     """
     controller = AdmissionController(capacity_kbps=CAPACITY_KBPS)
     rng = random.Random(13)
-    windows = iter([_window(rng, 0, HORIZON) for _ in range(2 * AB_ADMITS + 100)])
+    windows = iter([_window(rng, 0, HORIZON) for _ in range(2 * AB_ADMITS + 101)])
+    controller.admit_issue(1, True, *next(windows))  # caches the interface's children
+    observed, silent = instrument_arms(controller)
 
-    def arm(enabled: bool):
+    def arm(install):
         def run():
-            controller._telemetry = enabled
+            install()
             controller.admit_issue(1, True, *next(windows))
 
         return run
 
-    return measure_ab(arm(True), arm(False), samples=AB_ADMITS)
+    return measure_ab(arm(observed), arm(silent), samples=AB_ADMITS)
 
 
 if __name__ == "__main__":

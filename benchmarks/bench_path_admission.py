@@ -9,11 +9,11 @@ with 5,000 reservations per interface direction at the default shard width
 and runs full screen → commit → rollback cycles, the constant-state
 version of the two-phase protocol (rollback re-subtracts exactly what
 screen added, so the calendars never grow and every sample sees the same
-load), with the path's telemetry armed and disarmed in turn.
+load), with the path's instruments live and null in turn.
 
-Bar: live telemetry costs <= 5 % per cycle.  A cycles/s bar (>= 6,000)
-is not gated: the slow periods of a shared 2-core box alone take the rate
-below it.
+Bar: live instruments cost <= 5 % per cycle over null ones.  A cycles/s
+bar (>= 6,000) is not gated: the slow periods of a shared 2-core box alone
+take the rate below it.
 
 Run:  PYTHONPATH=src python benchmarks/bench_path_admission.py
 (``tools/perf_guard.py`` gates the telemetry overhead.)
@@ -24,9 +24,9 @@ from __future__ import annotations
 import random
 
 try:
-    from benchmarks.conftest import measure_ab
+    from benchmarks.conftest import instrument_arms, measure_ab
 except ImportError:  # executed as a script from the benchmarks/ directory
-    from conftest import measure_ab
+    from conftest import instrument_arms, measure_ab
 
 from repro.admission import ISSUED, AdmissionController
 from repro.pathadm import PathAdmission, PathHop
@@ -94,28 +94,28 @@ def _cycle(path: PathAdmission, seed: int = 11):
 
 
 def path_admission_ab() -> dict:
-    """Armed-vs-disarmed path-cycle overhead, paired in one process.
+    """Live-vs-null instrument path-cycle overhead, paired in one process.
 
-    Call under a live registry.  ONE path runs interleaved cycles with its
-    telemetry flags (coordinator + every hop controller) flipped per arm,
-    so both arms share calendars, caches, and memory layout and differ only
-    in the guarded branches.  The flag writes cost both arms the same and
-    cancel out; interleaving keeps multi-second CPU-throttle windows
-    hitting both arms equally.
+    Call under a live registry.  ONE path runs interleaved cycles with the
+    instruments of the coordinator and every hop controller swapped per
+    arm (:func:`~benchmarks.conftest.instrument_arms`), so both arms share
+    calendars, caches and memory layout and run the same code; only what
+    the instruments do differs.  Interleaving keeps multi-second
+    CPU-throttle windows hitting both arms equally.
     """
     path = build_path()
     cycle = _cycle(path)
+    cycle()  # caches each hop controller's children
+    observed, silent = instrument_arms(path, *(hop.controller for hop in path.hops))
 
-    def arm(enabled: bool):
+    def arm(install):
         def run():
-            path._telemetry = enabled
-            for hop in path.hops:
-                hop.controller._telemetry = enabled
+            install()
             cycle()
 
         return run
 
-    return measure_ab(arm(True), arm(False), samples=SAMPLES, warmup=20)
+    return measure_ab(arm(observed), arm(silent), samples=SAMPLES, warmup=20)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,55 @@
-"""The paired A/B timing both telemetry-overhead measurements share."""
+"""The paired A/B timing both telemetry-overhead measurements share, and
+the live / null instrument arms they compare."""
 
 from __future__ import annotations
 
 import time
+
+from repro.telemetry.registry import _NULL_INSTRUMENT, Counter, Gauge, Histogram, _Family
+
+_LIVE = (_Family, Counter, Gauge, Histogram)
+
+
+def _nulled(value):
+    """``value`` with the null instrument in place of every live family or
+    child in it, a dict's values and a tuple's items included."""
+    if isinstance(value, _LIVE):
+        return _NULL_INSTRUMENT
+    if isinstance(value, dict):
+        return {key: _nulled(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_nulled(item) for item in value)
+    return value
+
+
+def instrument_arms(*components):
+    """``(observed, silent)``: two calls that set every instrument-valued
+    attribute of ``components`` — as built under a live registry, or with
+    the null instrument in place of each live one.
+
+    Both arms run the same code over the same calendars, caches and memory
+    layout; they differ only in what the instruments do.  Build the arms
+    after one op, so a cache filled on first use (the admission
+    controller's per-interface children) already holds its instruments.
+    The attribute writes cost both arms the same and cancel out.
+    """
+    observed, silent = [], []
+    for component in components:
+        state = vars(component)
+        for name, value in state.items():
+            null = _nulled(value)
+            if null != value:
+                observed.append((state, name, value))
+                silent.append((state, name, null))
+
+    def installer(settings):
+        def install():
+            for state, name, value in settings:
+                state[name] = value
+
+        return install
+
+    return installer(observed), installer(silent)
 
 
 def measure_ab(run_on, run_off, samples: int = 4000, warmup: int = 50) -> dict:

@@ -104,7 +104,6 @@ class AdmissionController:
         self._auctions: dict[tuple[int, bool, float, float], WindowAuction] = {}
         self.rejections = 0
         registry = get_registry()
-        self._telemetry = registry.enabled
         self._m_decisions = registry.counter(
             "admission_decisions_total",
             "Admission decisions by layer, interface, direction, and outcome.",
@@ -113,11 +112,11 @@ class AdmissionController:
         # The per-admit hot cache: (calendar, reject child, admit child)
         # per (layer, interface, direction), so the one dict lookup
         # _admit pays anyway (it needs the calendar) also yields the
-        # decision counters.  The telemetry branch's *marginal* cost is
-        # then a tick increment, a conditional child pick, and a bare
-        # attribute add — it never re-derives label strings or re-enters
-        # Family.labels(); the budget is <5 % over the uninstrumented
-        # path (enforced by tools/perf_guard.py).
+        # decision counters.  An admit's instrument cost is then a tick
+        # increment, a conditional child pick and one ``inc`` — it never
+        # re-derives label strings or re-enters Family.labels(); a live
+        # registry costs <5 % over the null one (enforced by
+        # tools/perf_guard.py).
         self._hot: dict[tuple[str, int, bool], tuple] = {}
         admit_seconds = registry.histogram(
             "admission_admit_seconds",
@@ -228,17 +227,14 @@ class AdmissionController:
             entry = self._hot_entry(layer, interface, is_ingress)
         calendar, reject_child, admit_child = entry
         request = AdmissionRequest(int(bandwidth_kbps), start, end, buyer=tag)
-        if self._telemetry:
-            self._admit_tick = tick = self._admit_tick + 1
-            if tick & 15:  # unsampled admit: count the decision only
-                decision = self.policy.admit(calendar, request)
-            else:
-                began = time.perf_counter()
-                decision = self.policy.admit(calendar, request)
-                self._m_admit_seconds[layer].observe(time.perf_counter() - began)
-            (admit_child if decision.admitted else reject_child).value += 1.0
-        else:
+        self._admit_tick = tick = self._admit_tick + 1
+        if tick & 15:  # unsampled admit: count the decision only
             decision = self.policy.admit(calendar, request)
+        else:
+            began = time.perf_counter()
+            decision = self.policy.admit(calendar, request)
+            self._m_admit_seconds[layer].observe(time.perf_counter() - began)
+        (admit_child if decision.admitted else reject_child).inc()
         if not decision.admitted:
             self.rejections += 1
         trace = current_trace()
@@ -284,11 +280,8 @@ class AdmissionController:
         gauges are point-in-time: call this at scenario checkpoints (or
         before exporting) to publish the current picture.  ``owner`` keeps
         several controllers apart in one registry (e.g. the per-AS label).
-        A no-op when telemetry is disabled.
         """
         registry = get_registry()
-        if not registry.enabled:
-            return
         utilization_gauge = registry.gauge(
             "admission_utilization_ratio",
             "Peak committed fraction of capacity over the sampled window.",

@@ -148,7 +148,6 @@ class AsService:
         # (event, listing id or None, reason) per reclaimed reservation.
         self.relisted: list[tuple[object, str | None, str]] = []
         registry = get_registry()
-        self._telemetry = registry.enabled
         self._m_deliveries = registry.counter(
             "as_deliveries_total",
             "Redeem requests handled, by outcome.",
@@ -495,10 +494,7 @@ class AsService:
                 f"{submitted.effects.error}"
             )
         result = submitted.effects.returns[0]
-        if self._telemetry:
-            counter.labels(
-                str(self.isd_as), "cleared" if result["winners"] else "unsold"
-            ).inc()
+        counter.labels(str(self.isd_as), "cleared" if result["winners"] else "unsold").inc()
         return submitted, result
 
     def _supply(self, record: AuctionedRectangle) -> int:
@@ -599,10 +595,9 @@ class AsService:
                 submitted=submitted,
             )
             settled.append(outcome)
-            if self._telemetry:
-                key = str(self.isd_as)
-                self._m_proceeds.labels(key).inc(outcome.proceeds_mist)
-                self._m_awarded.labels(key).inc(outcome.awarded_kbps)
+            key = str(self.isd_as)
+            self._m_proceeds.labels(key).inc(outcome.proceeds_mist)
+            self._m_awarded.labels(key).inc(outcome.awarded_kbps)
             tracing.event(
                 "auction.settle",
                 auction=auction_id,
@@ -688,8 +683,7 @@ class AsService:
         )
         if submitted.effects.ok:
             self.path_legs[(path_auction, leg_index)] = rectangle
-            if self._telemetry:
-                self._m_path_legs.labels(str(self.isd_as)).inc()
+            self._m_path_legs.labels(str(self.isd_as)).inc()
         return submitted
 
     def path_leg_supply(self, path_auction: str, leg_index: int) -> int:
@@ -804,8 +798,7 @@ class AsService:
         submitted = self._submit(Command("asset", "refuse_redemption", args))
         if not submitted.effects.ok:
             raise RuntimeError(f"refusal failed: {submitted.effects.error}")
-        if self._telemetry:
-            self._m_deliveries.labels(str(self.isd_as), "refused").inc()
+        self._m_deliveries.labels(str(self.isd_as), "refused").inc()
         tracing.event(
             "redemption.refused", isd_as=str(self.isd_as), detail=str(refusal), **args
         )
@@ -919,8 +912,7 @@ class AsService:
                 ],
                 tag=redeemer,
             )
-        if self._telemetry:
-            self._m_deliveries.labels(str(self.isd_as), "delivered").inc()
+        self._m_deliveries.labels(str(self.isd_as), "delivered").inc()
         tracing.event(
             "reservation.delivered",
             isd_as=str(self.isd_as),

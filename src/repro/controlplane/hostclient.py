@@ -135,7 +135,6 @@ class HostClient:
         self.refused: dict[str, str] = {}
         self._indexers: dict[str, MarketIndexer] = {}
         registry = get_registry()
-        self._telemetry = registry.enabled
         self._m_acquire = registry.counter(
             "host_acquire_total",
             "acquire() outcomes: sealed bid placed vs posted fallback buy.",
@@ -431,7 +430,7 @@ class HostClient:
             "paid_mist": sum(winner["paid_mist"] for winner in wins),
             "refund_mist": sum(bid["refund_mist"] for bid in wins + losses),
         }
-        if self._telemetry and auction not in self._counted_settles:
+        if auction not in self._counted_settles:
             self._counted_settles.add(auction)
             self._m_settle_results.labels("won" if totals["won"] else "lost").inc()
             if totals["refund_mist"]:
@@ -456,8 +455,7 @@ class HostClient:
         bid, count it and trace it — ``mode`` is the outcome's, the metric
         label and the ``<mode>.placed`` event."""
         submitted = place(marketplace, auction, bandwidth_kbps, max_price_mist)
-        if self._telemetry:
-            self._m_acquire.labels(mode).inc()
+        self._m_acquire.labels(mode).inc()
         tracing.event(
             f"{mode}.placed",
             **{key: auction},
@@ -475,8 +473,7 @@ class HostClient:
         price = 0
         if submitted.effects.ok:
             price = sum(ret.get("price_mist", 0) for ret in submitted.effects.returns)
-        if self._telemetry:
-            self._m_acquire.labels(label).inc()
+        self._m_acquire.labels(label).inc()
         tracing.event(event, **attrs, price_mist=price, bandwidth_kbps=bandwidth_kbps)
         return AcquireOutcome(
             mode="bought", submitted=submitted, reference=reference, price_mist=price

@@ -4,12 +4,9 @@ Hummingbird derives reservation keys and per-packet authentication tags with
 AES-based PRFs; the paper's DPDK prototype runs them on AES-NI.  This module
 binds, through :mod:`ctypes`, the low-level ``AES_set_encrypt_key`` and
 ``AES_encrypt`` of the libcrypto that CPython's ``_hashlib`` is linked
-against, opened by ``_hashlib``'s own path so the symbols resolve through
-that extension's dependencies and no second libcrypto is mapped.  If they
-are missing, importing this module raises :class:`ImportError`.  The
-library is opened with :class:`ctypes.PyDLL`, as :mod:`repro.crypto.signatures`
-opens it: a one-block call is far shorter than releasing and taking back
-the GIL around it.
+against (:mod:`repro.crypto.libcrypto`, which :mod:`repro.crypto.signatures`
+binds through too).  If one is missing, importing this module raises
+:class:`ImportError` naming it.
 
 Only encryption exists: CMAC, the one-block PRFs and the CTR keystream of
 the sealed-delivery envelope in :mod:`repro.crypto.sealing` never decrypt.
@@ -24,25 +21,18 @@ from __future__ import annotations
 
 import ctypes
 
-import _hashlib
+from repro.crypto.libcrypto import bind
 
 BLOCK_SIZE = 16
 KEY_SIZE = 16
 
-_libcrypto = ctypes.PyDLL(_hashlib.__file__)
-try:
-    _set_encrypt_key = _libcrypto.AES_set_encrypt_key
-    _encrypt = _libcrypto.AES_encrypt
-except AttributeError as missing:
-    raise ImportError(f"no AES_set_encrypt_key / AES_encrypt in {_hashlib.__file__}") from missing
-
 _AesKey = ctypes.c_char * 244  # what create_string_buffer(244) makes, without its call
 _Block = ctypes.c_char * BLOCK_SIZE
 _KEY_BITS = ctypes.c_int(128)  # converted once, not on every keying
-_set_encrypt_key.argtypes = (ctypes.c_char_p, ctypes.c_int, _AesKey)
-_set_encrypt_key.restype = ctypes.c_int
-_encrypt.argtypes = (ctypes.c_char_p, _Block, _AesKey)
-_encrypt.restype = None
+_set_encrypt_key = bind(
+    "AES_set_encrypt_key", ctypes.c_int, ctypes.c_char_p, ctypes.c_int, _AesKey
+)
+_encrypt = bind("AES_encrypt", None, ctypes.c_char_p, _Block, _AesKey)
 
 
 def expand_key(key: bytes) -> ctypes.Array:

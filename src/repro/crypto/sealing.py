@@ -26,14 +26,14 @@ width, and none squares a base it has squared before:
   below ``p`` buys nothing more.  Best of 25 with CPython 3.11's ``pow``
   on the 2-core box: variable-base ``h^x mod p`` takes ~34 ms with a
   full-width ``x``, ~14 ms at 1024 bits, ~7 ms at 512 and ~3.6 ms at 256.
-  Secrets stay 512 bits: ROADMAP item 19 superseded the 256-bit step
-  (item 1(b)) with the measured route, ``h^x`` (and ``g^x``) on OpenSSL's
-  ``BN_mod_exp_mont_consttime``, or the exchange on X25519 (item 26(i)).
-  The exponentiation's binding left with the Schnorr signatures it
-  served; either route binds OpenSSL here.  It waits for item 1a to re-pin
-  the ``benchmarks/e2e`` smoke test's assertion that public-key work is at
+  Secrets stay 512 bits: ROADMAP item 19 supersedes the 256-bit step
+  (item 1(b)) with the chosen route, the exchange on OpenSSL's X25519
+  (``EVP_PKEY_derive``), bound through :mod:`repro.crypto.libcrypto` as
+  the AES and Ed25519 calls are; it retires this group and
+  :mod:`repro.crypto.fixedbase`.  It waits for item 1a to re-pin the
+  ``benchmarks/e2e`` smoke test's assertion that public-key work is at
   least 0.9 of a 4-hop purchase's control phase (``crypto.control_share``;
-  ten smoke runs read 0.933-0.941 at 512 bits), which the faster ``h^x``
+  ten smoke runs read 0.933-0.941 at 512 bits), which the faster exchange
   would pull under.
 * ``g^x`` — every :meth:`KeyPair.generate`, so every redeem and every
   ephemeral share :func:`seal` draws — goes through a fixed-base comb

@@ -7,10 +7,10 @@ and an AS proves possession of its certified key by signing its address
 before the asset contract issues it an authorization token (§4.2).
 
 This module binds, through :mod:`ctypes`, the ``EVP_PKEY`` Ed25519 calls of
-the libcrypto that CPython's ``_hashlib`` is linked against, opened by
-``_hashlib``'s own path with :class:`ctypes.PyDLL` as :mod:`repro.crypto.aes`
-opens it.  If a symbol is missing, importing this module raises
-:class:`ImportError` naming it; there is no fallback.  Every return code is
+the libcrypto that CPython's ``_hashlib`` is linked against, through the
+one opening :mod:`repro.crypto.aes` binds through too
+(:mod:`repro.crypto.libcrypto`).  If a symbol is missing, importing this
+module raises :class:`ImportError` naming it; there is no fallback.  Every return code is
 checked, and every ``EVP_PKEY`` and ``EVP_MD_CTX`` is freed on the way
 out, whether the call succeeded or not.
 
@@ -39,7 +39,7 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass, field
 
-import _hashlib
+from repro.crypto.libcrypto import LIBCRYPTO as _libcrypto, bind as _bind
 
 SEED_BYTES = 32
 PUBLIC_KEY_BYTES = 32
@@ -55,19 +55,6 @@ _SMALL_ORDER = frozenset(
     for y in (0, 1, _P - 1, _ORDER_8_Y, _P - _ORDER_8_Y, _P, _P + 1)
     for sign in (0, 1)
 )
-
-_libcrypto = ctypes.PyDLL(_hashlib.__file__)
-
-
-def _bind(name: str, restype, *argtypes):
-    try:
-        function = getattr(_libcrypto, name)
-    except AttributeError as missing:
-        raise ImportError(f"no {name} in {_hashlib.__file__}") from missing
-    function.restype = restype
-    function.argtypes = argtypes
-    return function
-
 
 _Pointer = ctypes.c_void_p
 _Size = ctypes.c_size_t

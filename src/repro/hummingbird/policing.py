@@ -170,13 +170,11 @@ class PerInterfacePolicer:
         """Publish array residency + per-flow byte gauges to the registry.
 
         On-demand (end of a scenario, or periodic sampling) — never on the
-        per-packet path.  A no-op when telemetry is disabled.
+        per-packet path.
         """
         from repro.telemetry import get_registry
 
         registry = get_registry()
-        if not registry.enabled:
-            return
         residency = registry.gauge(
             "policer_array_bytes",
             "Policing-array residency (the cache-size metric of §4.4).",

@@ -45,7 +45,6 @@ class LedgerExecutor:
         self.committee = committee if committee is not None else Committee()
         self.clock = clock if clock is not None else SimClock()
         registry = get_registry()
-        self._telemetry = registry.enabled
         self._m_tx_latency = registry.histogram(
             "ledger_tx_latency_seconds",
             "Modeled submit latency by path and execution status.",
@@ -81,24 +80,21 @@ class LedgerExecutor:
             fast = True
         if isinstance(self.clock, SimClock):
             self.clock.advance(latency)
-        if self._telemetry:
-            path = "fast" if fast else "consensus"
-            self._m_tx_latency.labels(path, effects.status).observe(latency)
-            for command in transaction.commands:
-                self._m_calls.labels(
-                    command.contract, command.function, effects.status
-                ).inc()
-            gas = effects.gas
-            if gas is not None:
-                self._m_gas_computation.inc(gas.computation_units)
-                self._m_gas_storage.inc(gas.storage_bytes)
+        path = "fast" if fast else "consensus"
+        self._m_tx_latency.labels(path, effects.status).observe(latency)
+        for command in transaction.commands:
+            self._m_calls.labels(command.contract, command.function, effects.status).inc()
+        gas = effects.gas
+        if gas is not None:
+            self._m_gas_computation.inc(gas.computation_units)
+            self._m_gas_storage.inc(gas.storage_bytes)
         trace = current_trace()
         if trace is not None:
             trace.event(
                 "ledger.submit",
                 tx_digest=effects.tx_digest,
                 status=effects.status,
-                path="fast" if fast else "consensus",
+                path=path,
                 latency=latency,
                 commands=[
                     f"{command.contract}.{command.function}"

@@ -239,7 +239,6 @@ class MarketIndexer:
         self.reclaimed_seen = 0
         self.events_applied = 0
         registry = get_registry()
-        self._telemetry = registry.enabled
         self._m_events = registry.counter(
             "indexer_events_total",
             "Ledger events scanned by sync(), split by whether they mutated "
@@ -289,7 +288,7 @@ class MarketIndexer:
             if self._apply(event):
                 applied += 1
         self.events_applied += applied
-        if self._telemetry and scanned:
+        if scanned:
             self._record_events(applied, scanned)
         return applied
 
@@ -312,8 +311,7 @@ class MarketIndexer:
                 payload.get("provenance") or {}
             )
             self.reclaimed_seen += 1
-            if self._telemetry:
-                self._m_reclaimed.inc()
+            self._m_reclaimed.inc()
             return True
         if kind in _ADD_EVENTS:
             record = IndexedListing.from_event(payload)
@@ -450,11 +448,10 @@ class MarketIndexer:
             )
         if sync:
             self.sync()
-        began = time.perf_counter() if self._telemetry else 0.0
+        began = time.perf_counter()
         bucket = self._keys.get(query.key)
         found = nothing if bucket is None else ask(bucket)
-        if self._telemetry:
-            self._m_query_seconds.labels(op).observe(time.perf_counter() - began)
+        self._m_query_seconds.labels(op).observe(time.perf_counter() - began)
         return found
 
     def best(self, query: ListingQuery, sync: bool = True) -> Candidate | None:

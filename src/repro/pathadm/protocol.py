@@ -148,7 +148,6 @@ class PathAdmission:
         if not self.hops:
             raise ValueError("a path needs at least one hop")
         registry = get_registry()
-        self._telemetry = registry.enabled
         screens = registry.counter(
             "pathadm_screen_total",
             "Path-wide screens by outcome (held = every hop admitted).",
@@ -255,10 +254,9 @@ class PathAdmission:
                 state=HELD,
                 holds=tuple(holds),
             )
-        if self._telemetry:
-            self._m_screen[HELD if ticket.admitted else REJECTED].value += 1.0
-            if ticket.admitted:
-                self._m_hops_admitted.value += float(claims_taken)
+        self._m_screen[HELD if ticket.admitted else REJECTED].inc()
+        if ticket.admitted:
+            self._m_hops_admitted.inc(claims_taken)
         event(
             "path.screen", hops=len(self.hops), bandwidth_kbps=int(bandwidth_kbps),
             layer=layer, tag=tag, outcome=ticket.state,
@@ -301,8 +299,7 @@ class PathAdmission:
                     ticket.state = ROLLED_BACK
                     ticket.failed_hop = hold.hop_index
                     ticket.reason = f"commit effect failed: {exc!r}"
-                    if self._telemetry:
-                        self._m_commit[ROLLED_BACK].value += 1.0
+                    self._m_commit[ROLLED_BACK].inc()
                     if trace is not None:
                         trace.event(
                             "path.rollback",
@@ -312,8 +309,7 @@ class PathAdmission:
                         )
                     raise PathCommitError(hold.hop_index, exc) from exc
         ticket.state = COMMITTED
-        if self._telemetry:
-            self._m_commit[COMMITTED].value += 1.0
+        self._m_commit[COMMITTED].inc()
         if trace is not None:
             trace.event(
                 "path.commit",
@@ -334,8 +330,7 @@ class PathAdmission:
             return ticket
         self._release_holds(ticket.holds, ticket.layer)
         ticket.state = ROLLED_BACK
-        if self._telemetry:
-            self._m_rollbacks.value += 1.0
+        self._m_rollbacks.inc()
         trace = current_trace()
         if trace is not None:
             trace.event(

@@ -137,7 +137,6 @@ class ReclamationEngine:
         #: Per-(interface, is_ingress) show-up rate from the last scan.
         self.last_show_up: dict[tuple[int, bool], float] = {}
         registry = get_registry()
-        self._telemetry = registry.enabled
         self._m_reclaimed_bytes = registry.counter(
             "reclaim_reclaimed_bytes_total",
             "Bandwidth-bytes returned to active calendars by reclamation.",
@@ -205,8 +204,7 @@ class ReclamationEngine:
         """
         now = float(now)
         self.reporter.sample(now)
-        if self._telemetry:
-            self._m_scans.inc()
+        self._m_scans.inc()
         events: list[ReclamationEvent] = []
         showup_num: dict[tuple[int, bool], float] = {}
         showup_den: dict[tuple[int, bool], float] = {}
@@ -277,11 +275,8 @@ class ReclamationEngine:
             observed_kbps=observed,
             tag=tracked.tag,
         )
-        if self._telemetry:
-            self._m_reclaims.labels(tracked.ingress_ifid).inc()
-            self._m_reclaimed_bytes.labels(tracked.ingress_ifid).inc(
-                event.freed_bytes
-            )
+        self._m_reclaims.labels(tracked.ingress_ifid).inc()
+        self._m_reclaimed_bytes.labels(tracked.ingress_ifid).inc(event.freed_bytes)
         return event
 
     def _check_false_reclaim(self, tracked: TrackedReservation, now: float) -> None:
@@ -296,8 +291,7 @@ class ReclamationEngine:
         if rate > tracked.reclaimed_to_kbps:
             tracked.false_reclaim = True
             self.false_reclaims += 1
-            if self._telemetry:
-                self._m_false.inc()
+            self._m_false.inc()
 
     def _adapt(self) -> None:
         """Feed observed show-up rates into an adaptive overbooking policy,
@@ -314,7 +308,5 @@ class ReclamationEngine:
                 )
             else:
                 factor = getattr(self.controller.policy, "factor", 1.0)
-            if self._telemetry:
-                self._m_factor.labels(
-                    interface, "ingress" if is_ingress else "egress"
-                ).set(factor)
+            direction = "ingress" if is_ingress else "egress"
+            self._m_factor.labels(interface, direction).set(factor)

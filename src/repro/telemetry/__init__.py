@@ -1,9 +1,9 @@
 """Telemetry: metrics registry, lifecycle tracing, exporters.
 
 See ``docs/observability.md`` for the metric catalog and span naming
-conventions.  The whole subsystem is disabled by default: the active
-registry is the null recorder unless an :class:`ExperimentTelemetry`
-harness is activated or a live one is installed with :func:`set_registry`.
+conventions.  Nothing is observed by default: the active registry is the
+null recorder unless an :class:`ExperimentTelemetry` harness is activated
+or a live one is installed with :func:`set_registry`.
 """
 
 from repro.telemetry.export import snapshot

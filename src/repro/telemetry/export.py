@@ -8,12 +8,12 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.telemetry.registry import HistogramFamily, MetricsRegistry, NullRegistry
+from repro.telemetry.registry import HistogramFamily, MetricsRegistry
 
 __all__ = ["snapshot"]
 
 
-def snapshot(registry: MetricsRegistry | NullRegistry) -> list[dict[str, Any]]:
+def snapshot(registry: MetricsRegistry) -> list[dict[str, Any]]:
     """One JSON-safe dict per metric family, children inlined."""
     rows: list[dict[str, Any]] = []
     for family in registry.families():

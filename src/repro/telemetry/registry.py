@@ -1,6 +1,6 @@
 """Process-wide metrics registry: counters, gauges, fixed-bucket histograms.
 
-Design goals (ISSUE 6 tentpole):
+Design goals:
 
 * **lock-cheap** — instruments are plain-attribute updates; the registry is
   only locked when a *new* family or label-child is created, never on the
@@ -12,9 +12,10 @@ Design goals (ISSUE 6 tentpole):
   (AS / interface / direction / whatever the caller declares), with a
   cardinality guard so an unbounded label set (e.g. a per-packet id) fails
   fast instead of silently eating memory.
-* **null-recorder fast path** — :data:`NULL_REGISTRY` hands out no-op
-  singletons, so instrumented code pays one attribute lookup + an empty
-  method call when telemetry is disabled (the default).
+* **one way to be silent** — :data:`NULL_REGISTRY` hands out one no-op
+  singleton, and instrumented code calls it exactly as it calls a live
+  instrument: no subsystem asks whether it is observed, so an observed
+  run and an unobserved one take the same branches.
 
 The *active* registry is process-wide: :func:`get_registry` returns the
 null registry unless a caller installed a live one via :func:`set_registry`
@@ -36,7 +37,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
-    "DEFAULT_MAX_LABEL_SETS",
+    "MAX_LABEL_SETS",
     "get_registry",
     "set_registry",
 ]
@@ -61,7 +62,7 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
 )
 
 #: Per-family budget of distinct label combinations.
-DEFAULT_MAX_LABEL_SETS = 1024
+MAX_LABEL_SETS = 1024
 
 
 class Counter:
@@ -141,17 +142,10 @@ class _Family:
 
     kind = "untyped"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: tuple[str, ...],
-        max_label_sets: int,
-    ) -> None:
+    def __init__(self, name: str, help: str, labelnames: tuple[str, ...]) -> None:
         self.name = name
         self.help = help
         self.labelnames = labelnames
-        self.max_label_sets = max_label_sets
         self._children: dict[tuple, object] = {}
         self._lock = threading.Lock()
 
@@ -170,10 +164,10 @@ class _Family:
             with self._lock:
                 child = self._children.get(key)
                 if child is None:
-                    if len(self._children) >= self.max_label_sets:
+                    if len(self._children) >= MAX_LABEL_SETS:
                         raise LabelCardinalityError(
                             f"metric {self.name!r} exceeded "
-                            f"{self.max_label_sets} label sets; labels "
+                            f"{MAX_LABEL_SETS} label sets; labels "
                             f"{self.labelnames} look unbounded"
                         )
                     child = self._make_child()
@@ -212,10 +206,9 @@ class HistogramFamily(_Family):
         name: str,
         help: str,
         labelnames: tuple[str, ...],
-        max_label_sets: int,
         buckets: Sequence[float],
     ) -> None:
-        super().__init__(name, help, labelnames, max_label_sets)
+        super().__init__(name, help, labelnames)
         bounds = tuple(sorted(float(b) for b in buckets))
         if len(bounds) == 0:
             raise ValueError(f"{name}: histogram needs at least one bucket bound")
@@ -236,10 +229,7 @@ class MetricsRegistry:
     a schema mismatch raises.
     """
 
-    enabled = True
-
-    def __init__(self, max_label_sets: int = DEFAULT_MAX_LABEL_SETS) -> None:
-        self.max_label_sets = max_label_sets
+    def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
 
@@ -253,7 +243,7 @@ class MetricsRegistry:
                         f"metric {name!r} re-declared with a different schema"
                     )
                 return existing
-            family = cls(name, help, labelnames, self.max_label_sets, **kwargs)
+            family = cls(name, help, labelnames, **kwargs)
             self._families[name] = family
             return family
 
@@ -283,12 +273,10 @@ class MetricsRegistry:
 
 
 class _NullInstrument:
-    """No-op counter/gauge/histogram: every method is an empty call."""
+    """No-op family and child alike: ``labels`` returns itself, and every
+    write is an empty call with no state behind it."""
 
     __slots__ = ()
-    value = 0.0
-    sum = 0.0
-    count = 0
 
     def labels(self, *values) -> "_NullInstrument":
         return self
@@ -302,21 +290,12 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def quantile(self, q: float) -> float:
-        return float("nan")
-
-    def items(self):
-        return iter(())
-
 
 _NULL_INSTRUMENT = _NullInstrument()
 
 
 class NullRegistry:
-    """Disabled-telemetry registry: hands out the shared no-op instrument."""
-
-    enabled = False
-    max_label_sets = DEFAULT_MAX_LABEL_SETS
+    """The unobserved registry: hands out the shared no-op instrument."""
 
     def counter(self, name: str, help: str = "", labelnames=()) -> _NullInstrument:
         return _NULL_INSTRUMENT
@@ -329,9 +308,6 @@ class NullRegistry:
     ) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def families(self):
-        return iter(())
-
 
 NULL_REGISTRY = NullRegistry()
 
@@ -339,7 +315,7 @@ _active: MetricsRegistry | NullRegistry = NULL_REGISTRY
 
 
 def get_registry() -> MetricsRegistry | NullRegistry:
-    """The process-wide active registry (null unless enabled)."""
+    """The process-wide active registry: the null one unless a live one is installed."""
     return _active
 
 

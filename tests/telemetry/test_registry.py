@@ -1,9 +1,14 @@
-"""Registry unit tests: buckets, cardinality guard, null fast path."""
+"""Registry unit tests: buckets, cardinality guard, the null instrument."""
 
+import collections
 import math
 
 import pytest
 
+from repro.admission import AdmissionController
+from repro.ledger.executor import LedgerExecutor
+from repro.ledger.transactions import Command, Transaction
+from repro.marketdata import ListingQuery, MarketIndexer
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     LabelCardinalityError,
@@ -12,7 +17,8 @@ from repro.telemetry import (
     get_registry,
     set_registry,
 )
-from repro.telemetry.registry import _NULL_INSTRUMENT
+from repro.telemetry.registry import _NULL_INSTRUMENT, MAX_LABEL_SETS, _NullInstrument
+from tests.marketdata.conftest import RawMarket
 
 
 # -- histogram bucket boundaries ----------------------------------------------
@@ -83,9 +89,8 @@ def test_quantile_interpolates_within_bucket():
 
 
 def test_label_cardinality_guard_trips():
-    registry = MetricsRegistry(max_label_sets=3)
-    family = registry.counter("c", labelnames=("id",))
-    for value in range(3):
+    family = MetricsRegistry().counter("c", labelnames=("id",))
+    for value in range(MAX_LABEL_SETS):
         family.labels(value).inc()
     with pytest.raises(LabelCardinalityError):
         family.labels("one-too-many")
@@ -122,26 +127,46 @@ def test_redeclare_different_schema_rejected():
         registry.gauge("c", labelnames=("x",))
 
 
-# -- null-recorder fast path --------------------------------------------------
+# -- the null instrument ------------------------------------------------------
 
 
-def test_null_registry_hands_out_one_noop_singleton():
+def test_null_registry_hands_out_one_shared_singleton():
     assert NULL_REGISTRY.counter("a") is _NULL_INSTRUMENT
     assert NULL_REGISTRY.gauge("b") is _NULL_INSTRUMENT
     assert NULL_REGISTRY.histogram("c") is _NULL_INSTRUMENT
     assert _NULL_INSTRUMENT.labels("any", "labels") is _NULL_INSTRUMENT
-    assert not NULL_REGISTRY.enabled
 
 
-def test_null_instrument_is_stateless_identity():
-    before = (_NULL_INSTRUMENT.value, _NULL_INSTRUMENT.sum, _NULL_INSTRUMENT.count)
-    _NULL_INSTRUMENT.inc(7)
-    _NULL_INSTRUMENT.set(42.0)
-    _NULL_INSTRUMENT.observe(1.0)
-    after = (_NULL_INSTRUMENT.value, _NULL_INSTRUMENT.sum, _NULL_INSTRUMENT.count)
-    assert before == after == (0.0, 0.0, 0)
-    assert math.isnan(_NULL_INSTRUMENT.quantile(0.5))
-    assert list(NULL_REGISTRY.families()) == []
+def test_null_instrument_calls_do_nothing():
+    assert _NullInstrument.__slots__ == ()  # no state a call could write
+    assert _NULL_INSTRUMENT.inc(7) is None
+    assert _NULL_INSTRUMENT.set(42.0) is None
+    assert _NULL_INSTRUMENT.observe(1.0) is None
+
+
+def test_an_unobserved_subsystem_drives_the_null_instrument(monkeypatch):
+    """No subsystem asks whether it is observed: with no harness active, an
+    admission, a ledger submit and an index query call the null instrument
+    where an observed run calls live ones."""
+    assert get_registry() is NULL_REGISTRY
+    calls = collections.Counter()
+    for name in ("inc", "observe", "set"):
+        monkeypatch.setattr(
+            _NullInstrument, name, lambda self, *args, name=name: calls.update([name])
+        )
+    market = RawMarket()
+    market.issue_and_list(1, True, 1000, 600, 4200)  # a Listed event for the index
+
+    AdmissionController(capacity_kbps=1000).admit_issue(1, True, 600, 0, 3600)
+    LedgerExecutor(market.ledger).submit(
+        Transaction(market.buyer.address, [Command("coin", "mint", {"amount": 1})])
+    )
+    found = MarketIndexer(market.ledger, market.marketplace).best(
+        ListingQuery(market.isd_as, 1, True, 600, 1200, 100)
+    )
+
+    assert found is not None
+    assert set(calls) == {"inc", "observe", "set"}
 
 
 def test_set_registry_installs_and_restores():

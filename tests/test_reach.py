@@ -164,7 +164,7 @@ def test_a_failing_path_is_reported_and_its_calls_count(toy):
         ("src/toy/kinds.py:Shape.__repr__", "dunder"),
         ("src/toy/kinds.py:Shape.area", "protocol"),
         ("src/toy/kinds.py:Sized.size", "protocol"),
-        ("src/toy/kinds.py:NullShape.area", "null-object"),
+        ("src/toy/kinds.py:NullShape.area", "unexplained"),  # a Null name earns no reason
         ("src/toy/kinds.py:Shape.refuse", "error-path"),
         ("src/toy/kinds.py:Shape.decided", "item-17"),
         ("src/toy/kinds.py:Shape.plain", "unexplained"),

@@ -13,9 +13,10 @@ the median of ``REPEATS`` runs in this process:
   widths answering alike);
 * **telemetry overhead** — each ``AB_ROWS`` measurement (the admission
   controller's admit, ``bench_path_admission``'s 2-hop cycle) drives ONE
-  component under a live :class:`~repro.telemetry.MetricsRegistry`,
-  flipping its telemetry flag between back-to-back ops, and reports the
-  median per-pair latency difference; the armed arm may be at most
+  component built under a live :class:`~repro.telemetry.MetricsRegistry`,
+  swapping its instruments for the null one between back-to-back ops
+  (``benchmarks.conftest.instrument_arms``), and reports the median
+  per-pair latency difference; the live arm may be at most
   ``MAX_OVERHEAD`` slower.  The paired design is the point: shared runners
   throttle the CPU in multi-second windows, so comparing two *separate*
   runs (telemetry on vs off) measures which run drew the slow window, not

@@ -48,7 +48,6 @@ REASONS = {
     "recorded": "an entry point transaction_equivalence.json pins",
     "error-path": "runs only when an input is refused or an operation fails",
     "protocol": "an interface method that implementations override",
-    "null-object": "a method of the do-nothing stand-in for a disabled component",
     "dunder": "called by the language, not by name",
 }
 
@@ -208,8 +207,6 @@ def reason(label: str, node: ast.AST, enclosing: list[ast.AST]) -> str:
     if node.name.startswith("__") and node.name.endswith("__"):
         return "dunder"
     owner = next((n for n in reversed(enclosing) if isinstance(n, ast.ClassDef)), None)
-    if owner is not None and owner.name.lstrip("_").startswith("Null"):
-        return "null-object"
     bases = [ast.unparse(b) for b in owner.bases] if owner else []
     if any("Protocol" in b or "ABC" in b for b in bases) or _trivial(node.body):
         return "protocol"
