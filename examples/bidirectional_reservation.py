@@ -11,7 +11,7 @@ control plane is identity-free, so the client simply:
 3. sends its request with priority; the server, which holds no reservation
    yet, answers once best effort by reversing the delivered packet's path
    (Appendix A.8);
-4. hands the reverse reservations to the server in a sealed bundle;
+4. hands the reverse reservations to the server, each sealed to its key;
 5. both sides send prioritized traffic.
 
 Run:  python examples/bidirectional_reservation.py
@@ -21,11 +21,11 @@ import random
 
 from repro.clock import SimClock
 from repro.controlplane import deploy_market, purchase_path
-from repro.crypto.sealing import KeyPair
+from repro.crypto.sealing import KeyPair, seal, unseal
 from repro.hummingbird import (
+    FlyoverReservation,
     HummingbirdRouter,
     HummingbirdSource,
-    ReservationHandoff,
     reverse_path,
     to_standard_path,
 )
@@ -101,11 +101,14 @@ def main() -> None:
     assert answer_actions[-1] is Action.DELIVER
     assert Action.FORWARD_PRIORITY not in answer_actions
 
-    # Hand the reverse reservations to the server, sealed to its keypair.
+    # Hand the reverse reservations to the server, each record sealed to
+    # its keypair the way an AS delivers one.
     rng = random.Random(99)
     server_keys = KeyPair.generate(rng)
-    handoff = ReservationHandoff.create(backward.reservations, server_keys.public, rng)
-    server_reservations = handoff.open(server_keys)
+    boxes = [seal(server_keys.public, r.to_bytes(), rng) for r in backward.reservations]
+    server_reservations = [
+        FlyoverReservation.from_bytes(unseal(server_keys, box)) for box in boxes
+    ]
     print(f"server decrypted {len(server_reservations)} reverse reservations")
 
     # Now the server's direction flows with priority too.

@@ -25,7 +25,6 @@ listing price.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -816,7 +815,7 @@ class AsService:
         # Refuse an unusable key before claiming anything: a ValueError out of
         # seal() would come after the admissions and the ResID, and past
         # poll_and_deliver's refusal handler.
-        recipient_public = int.from_bytes(payload["public_key"], "big")
+        recipient_public = payload["public_key"]
         try:
             check_group_element(recipient_public)
         except ValueError as reason:
@@ -840,36 +839,15 @@ class AsService:
                 res_id = self._allocator(ingress_if).allocate(start, expiry)
             except CapacityExhausted as reason:
                 raise _Refused("no_resid", reason) from None
-            resinfo = ResInfo(
-                ingress=ingress_if,
-                egress=egress_if,
-                res_id=res_id,
-                bw_cls=bw_cls,
-                start=start,
-                duration=expiry - start,
-            )
             reservation = grant_reservation(
                 self.isd_as,
                 self.autonomous_system.secret_value,
-                resinfo,
+                ResInfo(ingress_if, egress_if, res_id, bw_cls, start, expiry - start),
                 self.prf_factory,
             )
-            plaintext = json.dumps(
-                {
-                    "isd": self.isd_as.isd,
-                    "asn": self.isd_as.asn,
-                    "ingress": resinfo.ingress,
-                    "egress": resinfo.egress,
-                    "res_id": resinfo.res_id,
-                    "bw_cls": resinfo.bw_cls,
-                    "start": resinfo.start,
-                    "duration": resinfo.duration,
-                    "auth_key": reservation.auth_key.hex(),
-                }
-            ).encode()
             box = seal(
                 recipient_public,
-                plaintext,
+                reservation.to_bytes(),
                 self.rng,
                 delivery_context(request.object_id),
                 exchanges,
@@ -880,7 +858,7 @@ class AsService:
                     "deliver_reservation",
                     {
                         "request": request.object_id,
-                        "kem_share": box.kem_share.to_bytes(256, "big"),
+                        "kem_share": box.kem_share,
                         "ciphertext": box.ciphertext,
                         "tag": box.tag,
                     },

@@ -23,13 +23,12 @@ at all when a scarcity-price move since planning would bust the budget.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, replace
 
 from repro.contracts.asset import ASSET_TYPE, DELIVERY_TYPE, delivery_context
 from repro.crypto.sealing import KeyPair, SealedBox, unseal
-from repro.hummingbird.reservation import FlyoverReservation, ResInfo
+from repro.hummingbird.reservation import FlyoverReservation
 from repro.ledger.accounts import COIN_TYPE, Account
 from repro.ledger.executor import LedgerExecutor, SubmittedTransaction
 from repro.ledger.transactions import Command, Result, Transaction
@@ -248,7 +247,7 @@ class HostClient:
                         {
                             "ingress": held[0],
                             "egress": held[1],
-                            "public_key": ephemeral.public.to_bytes(256, "big"),
+                            "public_key": ephemeral.public,
                         },
                     )
                 )
@@ -1066,7 +1065,7 @@ class HostClient:
         if keypair is None:
             raise ValueError("delivery answers no outstanding request")
         box = SealedBox(
-            kem_share=int.from_bytes(delivery.payload["kem_share"], "big"),
+            kem_share=delivery.payload["kem_share"],
             ciphertext=delivery.payload["ciphertext"],
             tag=delivery.payload["tag"],
         )
@@ -1074,19 +1073,7 @@ class HostClient:
             plaintext = unseal(keypair, box, delivery_context(request), exchanges)
         except ValueError as error:
             raise ValueError(f"no ephemeral key decrypts the delivery: {error}") from None
-        record = json.loads(plaintext.decode())
-        return FlyoverReservation(
-            isd_as=IsdAs(record["isd"], record["asn"]),
-            resinfo=ResInfo(
-                ingress=record["ingress"],
-                egress=record["egress"],
-                res_id=record["res_id"],
-                bw_cls=record["bw_cls"],
-                start=record["start"],
-                duration=record["duration"],
-            ),
-            auth_key=bytes.fromhex(record["auth_key"]),
-        )
+        return FlyoverReservation.from_bytes(plaintext)
 
     def owned_assets(self) -> list:
         """Bandwidth assets currently owned by this host (test helper)."""

@@ -347,15 +347,14 @@ def execute_transfer(
 class PathAuctionHandle:
     """One open combinatorial path auction and who contributed its legs.
 
-    ``legs`` holds ``(service, leg_index, interface, is_ingress)`` in path
-    order — the bookkeeping :func:`settle_path_auction` needs to collect
-    every leg's live supply from its own AS.
+    ``legs`` holds ``(service, leg_index)`` in path order — the bookkeeping
+    :func:`settle_path_auction` needs to collect every leg's live supply
+    from its own AS.
     """
 
     path_auction: str
     marketplace: str
-    crossings: list[AsCrossing]
-    legs: list[tuple[AsService, int, int, bool]]
+    legs: list[tuple[AsService, int]]
 
 
 def open_path_auction(
@@ -384,7 +383,7 @@ def open_path_auction(
     if not opened.effects.ok:
         raise RuntimeError(f"path auction creation failed: {opened.effects.error}")
     path_auction = opened.effects.returns[0]["path_auction"]
-    legs: list[tuple[AsService, int, int, bool]] = []
+    legs: list[tuple[AsService, int]] = []
     index = 0
     for crossing in crossings:
         service = deployment.service(crossing.isd_as)
@@ -409,13 +408,10 @@ def open_path_auction(
                 raise RuntimeError(
                     f"leg {index} contribution failed: {contributed.effects.error}"
                 )
-            legs.append((service, index, interface, is_ingress))
+            legs.append((service, index))
             index += 1
     return PathAuctionHandle(
-        path_auction=path_auction,
-        marketplace=deployment.marketplace,
-        crossings=list(crossings),
-        legs=legs,
+        path_auction=path_auction, marketplace=deployment.marketplace, legs=legs
     )
 
 
@@ -432,7 +428,7 @@ def settle_path_auction(
     """
     supplies = [
         service.path_leg_supply(handle.path_auction, leg_index)
-        for service, leg_index, _, _ in handle.legs
+        for service, leg_index in handle.legs
     ]
     return handle.legs[0][0].settle_path_auction(
         handle.marketplace, handle.path_auction, supplies

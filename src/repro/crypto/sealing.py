@@ -69,12 +69,21 @@ width, and none squares a base it has squared before:
   element outside ``[2, p-2]`` (NIST SP 800-56A partial validation — in a
   safe-prime group the only small subgroup is ``{1, p-1}``) would confine
   the shared secret to a set the sender can enumerate.  :func:`seal` and
-  :func:`unseal` refuse such elements with ``ValueError``.
+  :func:`unseal` refuse such elements, and any encoding that is not
+  exactly 256 ``bytes``, with ``ValueError``.
 
 No constant-time claim is made for any of this: the comb skips the
 multiplication of an all-zero column, and CPython's ``pow`` is not
-constant-time either.  Wire and ledger encodings are unchanged — a group
-element is 256 bytes whatever the exponent that produced it.
+constant-time either.
+
+Encoding.  This module owns the wire and ledger form of a group element:
+256 bytes, big-endian, whatever the exponent that produced it.
+:attr:`KeyPair.public` and :attr:`SealedBox.kem_share` are those bytes,
+:func:`seal` takes the recipient's key as bytes, the exchange tables are
+keyed by them, and :func:`check_group_element` is the one decoder.  The
+control plane passes keys and shares from redeem request to delivery
+object and back without reading them, so a change of group changes this
+module and nothing that calls it.
 """
 
 from __future__ import annotations
@@ -108,18 +117,28 @@ _SECRET_BITS = 512
 _G_POW = FixedBase(MODP_G, MODP_P, _SECRET_BITS).pow
 
 
-def check_group_element(value: int) -> None:
-    """Refuse a received group element outside ``[2, p-2]`` (SP 800-56A partial validation)."""
-    if not 2 <= value <= MODP_P - 2:
+def check_group_element(value: bytes) -> int:
+    """The group element a received encoding names, refused unless usable.
+
+    Only exact ``bytes`` of ``_GROUP_BYTES`` are an encoding: a subclass,
+    a ``bytearray`` or any other type is a ``ValueError`` like a short key,
+    never a ``TypeError`` its caller's refusal handler would not expect.
+    The value must lie in ``[2, p-2]`` (SP 800-56A partial validation).
+    """
+    if type(value) is not bytes or len(value) != _GROUP_BYTES:
+        raise ValueError(f"public key is not {_GROUP_BYTES} bytes")
+    element = int.from_bytes(value, "big")
+    if not 2 <= element <= MODP_P - 2:
         raise ValueError("public key is not a group element in [2, p-2]")
+    return element
 
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A Diffie-Hellman keypair; the public part travels inside redeem requests."""
+    """A Diffie-Hellman keypair; the public part, encoded, travels inside redeem requests."""
 
     secret: int
-    public: int
+    public: bytes
 
     @staticmethod
     def generate(rng) -> "KeyPair":
@@ -129,14 +148,14 @@ class KeyPair:
         accidentally tiny and every key costs the same number of squarings.
         """
         secret = rng.randrange(1 << (_SECRET_BITS - 1), 1 << _SECRET_BITS)
-        return KeyPair(secret=secret, public=_G_POW(secret))
+        return KeyPair(secret=secret, public=_G_POW(secret).to_bytes(_GROUP_BYTES, "big"))
 
 
 @dataclass(frozen=True)
 class SealedBox:
     """Ciphertext envelope: ephemeral share, CTR ciphertext, CMAC tag."""
 
-    kem_share: int
+    kem_share: bytes
     ciphertext: bytes
     tag: bytes
 
@@ -159,7 +178,7 @@ def _ctr_keystream(cipher: AES128, length: int) -> bytes:
 
 
 def seal(
-    recipient_public: int,
+    recipient_public: bytes,
     plaintext: bytes,
     rng,
     context: bytes = b"hummingbird-resv",
@@ -174,16 +193,16 @@ def seal(
     all their boxes, the message keys told apart by ``context`` alone.
 
     Raises:
-        ValueError: ``recipient_public`` is not a usable group element, or a
+        ValueError: ``recipient_public`` does not encode a usable group element, or a
             message was already sealed under this share and ``context`` (the
             same CTR keystream and CMAC key twice); nothing is encrypted.
     """
-    check_group_element(recipient_public)
+    recipient = check_group_element(recipient_public)
     if exchanges is None:
         exchanges = {}
     if recipient_public not in exchanges:
         ephemeral = KeyPair.generate(rng)
-        shared = pow(recipient_public, ephemeral.secret, MODP_P)
+        shared = pow(recipient, ephemeral.secret, MODP_P)
         exchanges[recipient_public] = (ephemeral.public, shared, set())
     kem_share, shared, sealed_contexts = exchanges[recipient_public]
     if context in sealed_contexts:
@@ -208,12 +227,12 @@ def unseal(
     caller owns for one batch, in which boxes carrying the same share for
     the same ``recipient`` pay for one exchange between them.
     """
-    check_group_element(box.kem_share)
+    share = check_group_element(box.kem_share)
     if exchanges is None:
         exchanges = {}
     pair = (recipient.public, box.kem_share)
     if pair not in exchanges:
-        exchanges[pair] = pow(box.kem_share, recipient.secret, MODP_P)
+        exchanges[pair] = pow(share, recipient.secret, MODP_P)
     enc_key, mac_key = _kdf(exchanges[pair], context)
     if not Cmac(AES128(mac_key)).verify(box.ciphertext, box.tag):
         raise ValueError("sealed box authentication failed")

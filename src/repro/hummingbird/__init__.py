@@ -4,10 +4,15 @@ Flyover reservations (per-AS-hop, composable, identity-free), the
 byte-exact Hummingbird SCION path type, per-packet MAC authentication with
 XOR aggregation, the border-router pipeline of Algorithms 1-4, deterministic
 token-bucket policing, online-interval-colouring ResID assignment, path
-reversal, optional duplicate suppression, and bidirectional reservations.
+reversal and optional duplicate suppression.
+
+Bidirectional reservations (Appendix C) need no module of their own: the
+source buys the reverse path too and seals each reservation's
+:meth:`FlyoverReservation.to_bytes` record to the destination with
+:func:`repro.crypto.sealing.seal`, as an AS delivers one
+(``examples/bidirectional_reservation.py``).
 """
 
-from repro.hummingbird.bidirectional import ReservationHandoff
 from repro.hummingbird.duplicate import DuplicateFilter
 from repro.hummingbird.mac import (
     TAG_LEN,
@@ -52,7 +57,6 @@ from repro.hummingbird.source import (
 )
 
 __all__ = [
-    "ReservationHandoff",
     "DuplicateFilter",
     "TAG_LEN",
     "aggregate_mac",

@@ -11,10 +11,15 @@ AS", for reservations starting or ending at this AS).  The granting AS is
 identified implicitly by the authentication key :math:`A_K` (§4.1) — no
 source address or network identity is part of the reservation, which is what
 enables the tradable-asset control plane.
+
+:meth:`FlyoverReservation.to_bytes` / :meth:`~FlyoverReservation.from_bytes`
+are the one spelling of the reservation record an issuing AS seals to the
+redeemer (§4.2) and a source hands to its destination (Appendix C).
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from repro.crypto.keys import SecretValue, derive_auth_key
@@ -80,6 +85,51 @@ class FlyoverReservation:
     @property
     def egress(self) -> int:
         return self.resinfo.egress
+
+    def to_bytes(self) -> bytes:
+        """The reservation record: a JSON object of the granting AS, the six
+        ResInfo fields and ``A_K`` in hex."""
+        r = self.resinfo
+        return json.dumps(
+            {
+                "isd": self.isd_as.isd,
+                "asn": self.isd_as.asn,
+                "ingress": r.ingress,
+                "egress": r.egress,
+                "res_id": r.res_id,
+                "bw_cls": r.bw_cls,
+                "start": r.start,
+                "duration": r.duration,
+                "auth_key": self.auth_key.hex(),
+            }
+        ).encode()
+
+    @staticmethod
+    def from_bytes(data: bytes) -> "FlyoverReservation":
+        """Parse a :meth:`to_bytes` record.
+
+        Whoever sealed it chose it, so it is hostile input.
+
+        Raises:
+            ValueError: not UTF-8, not JSON, or a field out of range (a
+                ``JSONDecodeError`` and a ``UnicodeDecodeError`` are both).
+            KeyError: a field is missing.
+            TypeError: the record is not a JSON object, or a field is not
+                of its type.
+        """
+        record = json.loads(data.decode())
+        return FlyoverReservation(
+            isd_as=IsdAs(record["isd"], record["asn"]),
+            resinfo=ResInfo(
+                ingress=record["ingress"],
+                egress=record["egress"],
+                res_id=record["res_id"],
+                bw_cls=record["bw_cls"],
+                start=record["start"],
+                duration=record["duration"],
+            ),
+            auth_key=bytes.fromhex(record["auth_key"]),
+        )
 
     def __repr__(self) -> str:
         r = self.resinfo

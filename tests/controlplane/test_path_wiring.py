@@ -66,10 +66,15 @@ class TestPathAuctionWiring:
                     interface, is_ingress, "issued"
                 ).headroom(*WINDOW)
                 assert headroom == 2 * ASSET_KBPS - LEG_KBPS
-        # Every AS recorded its own legs, nobody else's.
-        for service, leg_index, interface, is_ingress in handle.legs:
+        # Every AS recorded its own legs, nobody else's, in path order.
+        sides = [
+            (deployment.service(crossing.isd_as), interface, is_ingress)
+            for crossing in crossings
+            for interface, is_ingress in ((crossing.ingress, True), (crossing.egress, False))
+        ]
+        for (service, leg_index), side in zip(handle.legs, sides, strict=True):
             record = service.path_legs[(handle.path_auction, leg_index)]
-            assert (record.interface, record.is_ingress) == (interface, is_ingress)
+            assert (service, record.interface, record.is_ingress) == side
 
     def test_acquire_path_bids_into_a_covering_auction(self, world):
         deployment, crossings = world["deployment"], world["crossings"]
@@ -136,7 +141,7 @@ class TestPathAuctionWiring:
         )
         supplies = [
             service.path_leg_supply(handle.path_auction, leg_index)
-            for service, leg_index, _, _ in handle.legs
+            for service, leg_index in handle.legs
         ]
         assert min(supplies) == 1_000 and max(supplies) == LEG_KBPS
 

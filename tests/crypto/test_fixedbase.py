@@ -88,4 +88,4 @@ class TestCallersAreBitIdentical:
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_keypairs(self, seed):
         key = KeyPair.generate(random.Random(seed))
-        assert key.public == pow(MODP_G, key.secret, MODP_P)
+        assert key.public == pow(MODP_G, key.secret, MODP_P).to_bytes(256, "big")

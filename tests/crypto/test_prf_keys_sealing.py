@@ -11,10 +11,45 @@ from repro.crypto.keys import SecretValue, derive_auth_key, pack_resinfo_input
 from repro.crypto.aes import AES128
 from repro.crypto.cmac import Cmac
 from repro.crypto.prf import AesPrf, Blake2Prf, PrfFactory
-from repro.crypto.sealing import MODP_G, MODP_P, KeyPair, SealedBox, seal, unseal
+from repro.crypto.sealing import (
+    MODP_G,
+    MODP_P,
+    KeyPair,
+    SealedBox,
+    check_group_element,
+    seal,
+    unseal,
+)
 
-# Values a peer may send in place of a group element; none lies in [2, p-2].
-NOT_GROUP_ELEMENTS = [0, 1, MODP_P - 1, MODP_P, 1 << 2048]
+
+def encode(value: int, length: int = 256) -> bytes:
+    return value.to_bytes(length, "big")
+
+
+# Encodings a peer may send in place of a group element; none names one in
+# [2, p-2].  The last is the largest 256-byte value, far above p.
+NOT_GROUP_ELEMENTS = {
+    "0": encode(0),
+    "1": encode(1),
+    "p-1": encode(MODP_P - 1),
+    "p": encode(MODP_P),
+    "2^2048-1": encode((1 << 2048) - 1),
+}
+
+# Whatever else a peer may send: anything but exact 256-byte ``bytes`` is
+# refused with a ValueError — a TypeError would escape the AS's refusal
+# handler before its claims are rolled back.
+NOT_ENCODINGS = {
+    "bytearray": bytearray(encode(3)),
+    "memoryview": memoryview(encode(3)),
+    "bytes-subclass": type("Key", (bytes,), {})(encode(3)),
+    "int": 3,
+    "str": encode(3).hex(),
+    "None": None,
+    "empty": b"",
+    "255-bytes": encode(3, 255),
+    "257-bytes": encode(3, 257),
+}
 
 
 class RecordingRng:
@@ -192,7 +227,7 @@ class TestSealing:
         keys = [KeyPair.generate(rng) for _ in range(20)]
         assert all(key.secret.bit_length() == 512 for key in keys)
         assert rng.calls == [(1 << 511, 1 << 512)] * 20
-        assert all(key.public == pow(MODP_G, key.secret, MODP_P) for key in keys)
+        assert all(key.public == encode(pow(MODP_G, key.secret, MODP_P)) for key in keys)
 
     def test_dh_secret_width_stays_above_the_rfc_7919_floor(self):
         # RFC 7919 §5.2: a 2048-bit group (~112-bit security) wants exponents
@@ -211,14 +246,14 @@ class TestSealing:
         assert len({box.kem_share for box in boxes}) == len(boxes)
         assert len({box.ciphertext for box in boxes}) == len(boxes)
 
-    @pytest.mark.parametrize("value", NOT_GROUP_ELEMENTS)
+    @pytest.mark.parametrize("value", NOT_GROUP_ELEMENTS.values(), ids=NOT_GROUP_ELEMENTS.keys())
     def test_seal_refuses_a_recipient_key_outside_the_group_range(self, value):
         rng = RecordingRng(13)
         with pytest.raises(ValueError, match="group element"):
             seal(value, b"data", rng)
         assert rng.calls == []  # refused before any secret is drawn
 
-    @pytest.mark.parametrize("value", NOT_GROUP_ELEMENTS)
+    @pytest.mark.parametrize("value", NOT_GROUP_ELEMENTS.values(), ids=NOT_GROUP_ELEMENTS.keys())
     def test_unseal_refuses_a_share_outside_the_group_range(self, value):
         rng = random.Random(14)
         recipient = KeyPair.generate(rng)
@@ -226,13 +261,29 @@ class TestSealing:
         with pytest.raises(ValueError, match="group element"):
             unseal(recipient, SealedBox(value, box.ciphertext, box.tag))
 
-    @pytest.mark.parametrize("value", [2, MODP_P - 2])
+    @pytest.mark.parametrize("value", [encode(2), encode(MODP_P - 2)], ids=["2", "p-2"])
     def test_range_edges_are_group_elements(self, value):
         rng = random.Random(15)
         recipient = KeyPair.generate(rng)
+        assert check_group_element(value) == int.from_bytes(value, "big")
         seal(value, b"data", rng)  # accepted as a recipient key
         with pytest.raises(ValueError, match="authentication"):  # in range, wrong share
             unseal(recipient, SealedBox(value, b"data", bytes(16)))
+
+    @pytest.mark.parametrize("value", NOT_ENCODINGS.values(), ids=NOT_ENCODINGS.keys())
+    def test_anything_but_256_bytes_is_a_value_error_before_any_work(self, value, pow_calls):
+        rng = RecordingRng(16)
+        recipient = KeyPair.generate(rng)
+        box = seal(recipient.public, b"data", rng)
+        pow_calls.clear()
+        rng.calls.clear()
+        with pytest.raises(ValueError, match="256 bytes"):
+            check_group_element(value)
+        with pytest.raises(ValueError, match="256 bytes"):
+            seal(value, b"data", rng, exchanges={})
+        with pytest.raises(ValueError, match="256 bytes"):
+            unseal(recipient, SealedBox(value, box.ciphertext, box.tag), exchanges={})
+        assert rng.calls == [] and pow_calls == []
 
 
 class TestSharedExchange:
@@ -329,7 +380,7 @@ class TestAccountAddress:
 
 
 class TestHostDecrypt:
-    @pytest.mark.parametrize("share", NOT_GROUP_ELEMENTS[:3])  # what fits the 256-byte field
+    @pytest.mark.parametrize("share", NOT_GROUP_ELEMENTS.values(), ids=NOT_GROUP_ELEMENTS.keys())
     def test_out_of_range_share_ends_in_the_no_key_decrypts_error(self, share):
         from types import SimpleNamespace
 
@@ -340,7 +391,7 @@ class TestHostDecrypt:
         host = HostClient(Account.generate(rng), executor=None, rng=rng)
         host._redeem_keys["request"] = KeyPair.generate(rng)
         delivery = SimpleNamespace(
-            payload={"kem_share": share.to_bytes(256, "big"), "ciphertext": b"x", "tag": bytes(16)}
+            payload={"kem_share": share, "ciphertext": b"x", "tag": bytes(16)}
         )
         with pytest.raises(ValueError, match="no ephemeral key decrypts.*group element"):
             host._decrypt(delivery, "request", {})

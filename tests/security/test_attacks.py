@@ -351,11 +351,14 @@ class TestHostileRedeemKeyC1:
         # an exact statement about the hostile direction's calendars.
         hostile = SimpleNamespace(isd_as=middle.isd_as, ingress=first_if, egress=second_if)
         honest = SimpleNamespace(isd_as=middle.isd_as, ingress=second_if, egress=first_if)
-        bad_keys = [  # 0, 1, p-1, and an integer far above p
+        bad_keys = [  # 0, 1, p-1, an integer far above p, and wrong lengths
             bytes(256),
             (1).to_bytes(256, "big"),
             (MODP_P - 1).to_bytes(256, "big"),
             b"\xff" * 300,
+            b"",
+            (3).to_bytes(255, "big"),  # in range: only its length is wrong
+            (3).to_bytes(257, "big"),
         ]
 
         attacker = deployment.new_host(funding_sui=100)
@@ -819,11 +822,9 @@ class TestHostileDelivery:
                 delivery = self._answer(hostile, request_id, b"\x07" * 256, b"garbage", bytes(32))
             else:  # sealed to the host's own key, but not a reservation record
                 public_key = deployment.ledger.objects[request_id].payload["public_key"]
-                box = seal(
-                    int.from_bytes(public_key, "big"), plaintext, rng, delivery_context(request_id)
-                )
+                box = seal(public_key, plaintext, rng, delivery_context(request_id))
                 delivery = self._answer(
-                    hostile, request_id, box.kem_share.to_bytes(256, "big"), box.ciphertext, box.tag
+                    hostile, request_id, box.kem_share, box.ciphertext, box.tag
                 )
             expected.append((delivery, raised))
             for crossing in crossings[1:]:
@@ -841,12 +842,18 @@ class TestHostileDelivery:
         assert host.collect_reservations() == []
         assert len(host.undecryptable) == len(expected)
 
+    @pytest.mark.parametrize(
+        "share, exchanges",
+        [(b"\x07" * 256, 1), (b"\x07" * 255, 0)],
+        ids=["in-range", "255-bytes"],
+    )
     def test_a_garbage_box_costs_one_exponentiation_however_many_keys_the_host_has_drawn(
-        self, pow_calls
+        self, share, exchanges, pow_calls
     ):
         """The key is looked up by the request the delivery names, never
         found by trial (parent commit: five exponentiations for the one
-        garbage box, and a list of five keys that only ever grew)."""
+        garbage box, and a list of five keys that only ever grew).  A share
+        of the wrong length is refused before any (parent commit: one)."""
         deployment, crossings, hostile = self._world()
         host = deployment.new_host(funding_sui=100)
         for index in range(4):  # four earlier purchases, served honestly and collected
@@ -856,7 +863,7 @@ class TestHostileDelivery:
         assert host._redeem_keys == {}  # each key went with its last answered request
 
         request_id = self._buy(deployment, host, crossings, T0 + 7200)
-        garbage = self._answer(hostile, request_id, b"\x07" * 256, b"garbage", bytes(32))
+        garbage = self._answer(hostile, request_id, share, b"garbage", bytes(32))
         for crossing in crossings[1:]:
             assert len(deployment.service(crossing.isd_as).poll_and_deliver()) == 1
         assert len(set(host._redeem_keys.values())) == 1 and len(host._redeem_keys) == 3
@@ -866,8 +873,9 @@ class TestHostileDelivery:
 
         honest = [crossing.isd_as for crossing in crossings[1:]]
         assert [r.isd_as for r in reservations] == honest
-        assert [delivery for delivery, _ in host.undecryptable] == [garbage]
-        assert len(pow_calls) <= len(honest) + 1
+        ((delivery, reason),) = host.undecryptable
+        assert delivery == garbage and reason.startswith("ValueError: no ephemeral key decrypts")
+        assert len(pow_calls) == len(honest) + exchanges
         assert host._redeem_keys == {}
 
     def test_a_delivery_that_answers_no_outstanding_request_costs_no_exponentiation(
