@@ -121,14 +121,14 @@ class AsService:
         executor: LedgerExecutor,
         pki,
         admission: AdmissionController,
-        rng: random.Random | None = None,
+        rng: random.Random,
         prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
     ) -> None:
         self.autonomous_system = autonomous_system
         self.account = account
         self.executor = executor
         self.pki = pki
-        self.rng = rng if rng is not None else random.Random(autonomous_system.isd_as.asn)
+        self.rng = rng  # sealing: each delivery's ephemeral secret
         self.prf_factory = prf_factory
         self.token_id: str | None = None
         self._allocators: dict[int, ResIdAllocator] = {}

@@ -118,11 +118,11 @@ class HostClient:
         self,
         account: Account,
         executor: LedgerExecutor,
-        rng: random.Random | None = None,
+        rng: random.Random,
     ) -> None:
         self.account = account
         self.executor = executor
-        self.rng = rng if rng is not None else random.Random(0xC0FFEE)
+        self.rng = rng  # each redeem request's ephemeral key
         self.payment_coin: str | None = None
         # Outstanding redeem request id -> the ephemeral key its answer is
         # sealed to; an entry goes when the request is answered.

@@ -22,10 +22,11 @@ def _cert_message(isd: int, asn: int, public_key: bytes) -> bytes:
 
 
 class CpPki:
-    """The control-plane trust anchor."""
+    """The control-plane trust anchor: its root key is drawn from ``rng``,
+    a stream no market account draws from."""
 
-    def __init__(self, seed: int = 2024) -> None:
-        self._root = SigningKey.generate(random.Random(seed))
+    def __init__(self, rng: random.Random) -> None:
+        self._root = SigningKey.generate(rng)
 
     def issue_certificate(self, isd_as: IsdAs, subject_public_key: bytes) -> dict:
         """Sign a certificate for an AS's Ed25519 public key."""

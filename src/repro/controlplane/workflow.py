@@ -41,8 +41,6 @@ from repro.scion.topology import Topology
 
 DEFAULT_PRICE_MICROMIST = 50  # posted price per kbps-second
 DEFAULT_ASSET_BANDWIDTH_KBPS = 10_000_000  # 10 Gbps per interface direction
-# How long after a redeem lands an AS's checkpoint poll observes it (seconds).
-OBSERVATION_DELAY = (0.05, 0.30)
 
 
 @dataclass
@@ -84,7 +82,7 @@ class MarketDeployment:
     executor: LedgerExecutor
     marketplace: str
     clock: Clock
-    rng: random.Random
+    rng: random.Random  # account keys and every host's redeem keys
     services: dict = field(default_factory=dict)  # IsdAs -> AsService
     indexer: MarketIndexer | None = None
 
@@ -147,15 +145,24 @@ def deploy_market(
     nothing — and the remaining keys pass through (``grace_seconds``,
     ``no_show_threshold``, ...).  Relisting defaults to this deployment's
     marketplace at the seed base price.
+
+    The one place a seed becomes randomness: ``random.Random(f"{seed}/{purpose}")``
+    per purpose — ``keys`` (``rng``: every account and redeem key), ``pki``
+    (the trust anchor's root), ``latency`` (the committee: every submit and
+    poll delay, so no key draw moves simulated time), ``sealing/<isd-as>``.
     """
-    rng = random.Random(seed)
+
+    def stream(purpose: str) -> random.Random:
+        return random.Random(f"{seed}/{purpose}")
+
+    rng = stream("keys")
     clock = clock if clock is not None else SimClock()
-    pki = CpPki(seed=seed)
+    pki = CpPki(stream("pki"))
     ledger = Ledger()
     ledger.register_contract(CoinContract())
     ledger.register_contract(AssetContract(pki))
     ledger.register_contract(MarketContract())
-    executor = LedgerExecutor(ledger, Committee(seed=seed), clock)
+    executor = LedgerExecutor(ledger, Committee(stream("latency")), clock)
 
     operator = Account.generate(rng, "market-operator")
     created = executor.submit(
@@ -182,7 +189,7 @@ def deploy_market(
             account,
             executor,
             pki,
-            rng=random.Random(seed ^ autonomous_system.isd_as.asn),
+            rng=stream(f"sealing/{autonomous_system.isd_as}"),
             prf_factory=prf_factory,
             admission=AdmissionController(
                 capacity,
@@ -286,7 +293,7 @@ def purchase_path(
     refusals = []
     for crossing in crossings:
         for record in _poll(deployment, crossing):
-            poll_delay = deployment.rng.uniform(*OBSERVATION_DELAY)
+            poll_delay = deployment.executor.committee.observation_delay()
             delivery_latency = poll_delay + record.submitted.latency
             response_latency = max(response_latency, delivery_latency)
             if record.reason_code is not None and record.request_id in requests:

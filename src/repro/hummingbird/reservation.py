@@ -20,7 +20,7 @@ redeemer (§4.2) and a source hands to its destination (Appendix C).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from repro.crypto.keys import SecretValue, derive_auth_key
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
@@ -28,6 +28,8 @@ from repro.scion.addresses import IsdAs
 from repro.wire import bwcls
 
 MAX_DURATION = (1 << 16) - 1  # 16-bit seconds, about 18.2 hours
+# The reservation record's integer fields: ``IsdAs``'s, then ``ResInfo``'s.
+_INTEGER_FIELDS = ("isd", "asn", "ingress", "egress", "res_id", "bw_cls", "start", "duration")
 
 
 @dataclass(frozen=True)
@@ -89,20 +91,9 @@ class FlyoverReservation:
     def to_bytes(self) -> bytes:
         """The reservation record: a JSON object of the granting AS, the six
         ResInfo fields and ``A_K`` in hex."""
-        r = self.resinfo
-        return json.dumps(
-            {
-                "isd": self.isd_as.isd,
-                "asn": self.isd_as.asn,
-                "ingress": r.ingress,
-                "egress": r.egress,
-                "res_id": r.res_id,
-                "bw_cls": r.bw_cls,
-                "start": r.start,
-                "duration": r.duration,
-                "auth_key": self.auth_key.hex(),
-            }
-        ).encode()
+        numbers = (self.isd_as.isd, self.isd_as.asn, *astuple(self.resinfo))
+        record = dict(zip(_INTEGER_FIELDS, numbers), auth_key=self.auth_key.hex())
+        return json.dumps(record).encode()
 
     @staticmethod
     def from_bytes(data: bytes) -> "FlyoverReservation":
@@ -115,20 +106,15 @@ class FlyoverReservation:
                 ``JSONDecodeError`` and a ``UnicodeDecodeError`` are both).
             KeyError: a field is missing.
             TypeError: the record is not a JSON object, or a field is not
-                of its type.
+                of its type (an integer field is exactly ``int``: ``1.0``
+                and ``true`` are not).
         """
         record = json.loads(data.decode())
+        isd, asn, *resinfo = numbers = [record[name] for name in _INTEGER_FIELDS]
+        if any(type(number) is not int for number in numbers):
+            raise TypeError(f"an integer field is not int: {numbers}")
         return FlyoverReservation(
-            isd_as=IsdAs(record["isd"], record["asn"]),
-            resinfo=ResInfo(
-                ingress=record["ingress"],
-                egress=record["egress"],
-                res_id=record["res_id"],
-                bw_cls=record["bw_cls"],
-                start=record["start"],
-                duration=record["duration"],
-            ),
-            auth_key=bytes.fromhex(record["auth_key"]),
+            IsdAs(isd, asn), ResInfo(*resinfo), bytes.fromhex(record["auth_key"])
         )
 
     def __repr__(self) -> str:

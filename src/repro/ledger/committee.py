@@ -41,6 +41,8 @@ _REGIONS = [
 COMMIT_INTERVAL = 0.9  # seconds
 COMMIT_ROUNDS = 3
 EXECUTION_OVERHEAD = 0.35  # seconds, scaled by U(0.5, 1)
+# How long after a transaction lands an AS's checkpoint poll observes it.
+OBSERVATION_DELAY = (0.05, 0.30)  # seconds, uniform
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,12 @@ class Validator:
 class Committee:
     """A stake-equal validator committee with a quorum latency model."""
 
-    def __init__(
-        self,
-        num_validators: int = 100,
-        seed: int = 42,
-    ) -> None:
+    def __init__(self, rng: random.Random, num_validators: int = 100) -> None:
+        """``rng`` is the simulated-latency stream: every draw of the model
+        comes from it, and nothing else draws from it."""
         if num_validators < 4:
             raise ValueError("BFT needs at least 4 validators")
-        self.rng = random.Random(seed)
+        self.rng = rng
         self.validators = [
             Validator(
                 name=f"v{i}",
@@ -103,6 +103,10 @@ class Committee:
         rounds = sum(self._validator_round() for _ in range(COMMIT_ROUNDS))
         execution = self.rng.uniform(0.5, 1.0) * EXECUTION_OVERHEAD
         return certify + inclusion_wait + rounds + execution
+
+    def observation_delay(self) -> float:
+        """Checkpoint polling: until an AS observes a landed transaction."""
+        return self.rng.uniform(*OBSERVATION_DELAY)
 
     def _validator_round(self) -> float:
         """One DAG round: quorum round trip among the validators themselves."""

@@ -38,11 +38,11 @@ class LedgerExecutor:
     def __init__(
         self,
         ledger: Ledger,
-        committee: Committee | None = None,
+        committee: Committee,
         clock: Clock | None = None,
     ) -> None:
         self.ledger = ledger
-        self.committee = committee if committee is not None else Committee()
+        self.committee = committee
         self.clock = clock if clock is not None else SimClock()
         registry = get_registry()
         self._m_tx_latency = registry.histogram(

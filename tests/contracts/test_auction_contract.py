@@ -23,7 +23,7 @@ FUNDING = sui_to_mist(1)
 def world():
     """Ledger + marketplace + a registered seller AS and an open auction."""
     rng = random.Random(11)
-    pki = CpPki(seed=11)
+    pki = CpPki(rng)
     ledger = Ledger()
     ledger.register_contract(CoinContract())
     ledger.register_contract(AssetContract(pki))

@@ -20,7 +20,7 @@ AS_ID = IsdAs(1, 42)
 def world():
     """Ledger with contracts, a registered AS, and a funded buyer."""
     rng = random.Random(11)
-    pki = CpPki(seed=11)
+    pki = CpPki(rng)
     ledger = Ledger()
     ledger.register_contract(CoinContract())
     ledger.register_contract(AssetContract(pki))

@@ -64,7 +64,7 @@ class MarketMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
         rng = random.Random(99)
-        pki = CpPki(seed=99)
+        pki = CpPki(rng)
         self.ledger = Ledger()
         self.ledger.register_contract(CoinContract())
         self.ledger.register_contract(AssetContract(pki))

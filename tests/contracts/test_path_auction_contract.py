@@ -23,7 +23,7 @@ MICROMIST = 1_000_000
 def world():
     """Ledger + marketplace + two registered leg-seller ASes."""
     rng = random.Random(13)
-    pki = CpPki(seed=13)
+    pki = CpPki(rng)
     ledger = Ledger()
     ledger.register_contract(CoinContract())
     ledger.register_contract(AssetContract(pki))

@@ -146,8 +146,9 @@ class TestPki:
 
         from repro.crypto.signatures import SigningKey
 
-        pki = CpPki(seed=5)
-        key = SigningKey.generate(random.Random(5))
+        rng = random.Random(5)
+        pki = CpPki(rng)
+        key = SigningKey.generate(rng)
         cert = pki.issue_certificate(IsdAs(1, 7), key.public)
         assert pki.verify_certificate(cert)
 
@@ -156,8 +157,9 @@ class TestPki:
 
         from repro.crypto.signatures import SigningKey
 
-        pki = CpPki(seed=5)
-        key = SigningKey.generate(random.Random(5))
+        rng = random.Random(5)
+        pki = CpPki(rng)
+        key = SigningKey.generate(rng)
         cert = pki.issue_certificate(IsdAs(1, 7), key.public)
         cert["asn"] = 8
         assert not pki.verify_certificate(cert)
@@ -167,8 +169,8 @@ class TestPki:
 
         from repro.crypto.signatures import SigningKey
 
-        pki_a = CpPki(seed=1)
-        pki_b = CpPki(seed=2)
+        pki_a = CpPki(random.Random(1))
+        pki_b = CpPki(random.Random(2))
         key = SigningKey.generate(random.Random(5))
         cert = pki_a.issue_certificate(IsdAs(1, 7), key.public)
         assert not pki_b.verify_certificate(cert)

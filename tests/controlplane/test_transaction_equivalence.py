@@ -47,7 +47,17 @@ or ``AuctionOpened`` / ``PathLegContributed`` key); the four
 (131, 132, 143), two ``market.settle_auction`` rows (133, 134) and the
 ``market.settle_path_auction`` row (144) moved in gas only (the auction
 objects they read and rewrite are smaller).  Every status, error and event
-type, and the whole end state, held byte for byte.
+type, and the whole end state, held byte for byte.  Re-recorded once more
+when ``deploy_market`` named one random stream per purpose (keys, PKI root,
+committee latency, each AS's sealing): every key, so every address, object
+id, signature and sealed box, moved — 144 argument digests, 130
+event-payload digests, two abort texts naming a missing object, the
+calendar answers' redeemer tags, the notes', ``relisted`` and
+``undeliverable`` ids and the trace digests.  The latency stream moves
+simulated time, so the seven relists of reclaimed no-shows (rows 63-69)
+start and end 1 s later (T0 + 616 → 617 s at 1-1:0:2, T0 + 622 → 623 s at
+1-1:0:1), in their ``asset.issue`` arguments and issued calendars.  Every
+status, gas figure, event type, balance, owned asset and reservation held.
 
 The recording holds one arm per calendar geometry of its day: ``monolithic``
 (one unbounded shard) and ``sharded`` (300-second shards), equal part for part.

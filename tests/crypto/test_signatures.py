@@ -176,13 +176,15 @@ class TestHostileInputs:
         from repro.controlplane.pki import CpPki
         from repro.ledger.accounts import Account
         from repro.ledger.chain import Ledger
+        from repro.ledger.committee import Committee
         from repro.ledger.executor import LedgerExecutor
         from repro.ledger.transactions import Command, Transaction
 
-        pki, ledger = CpPki(seed=44), Ledger()
+        rng, ledger = random.Random(44), Ledger()
+        pki = CpPki(rng)
         ledger.register_contract(AssetContract(pki))
-        executor = LedgerExecutor(ledger)
-        account = Account.generate(random.Random(44), "as")
+        executor = LedgerExecutor(ledger, Committee(random.Random(44)))
+        account = Account.generate(rng, "as")
         key, message = account.signing_key, account.address.encode()
         as_id = IsdAs(1, 44)
 

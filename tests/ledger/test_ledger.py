@@ -218,18 +218,18 @@ class TestResolveArgs:
 
 class TestCommittee:
     def test_consensus_slower_than_fast_path(self):
-        committee = Committee(num_validators=50, seed=1)
+        committee = Committee(random.Random(1), num_validators=50)
         fast = [committee.fast_path_latency() for _ in range(200)]
         consensus = [committee.consensus_latency() for _ in range(200)]
         assert sum(fast) / len(fast) < sum(consensus) / len(consensus)
 
     def test_fast_path_subsecond_median(self):
-        committee = Committee(num_validators=100, seed=2)
+        committee = Committee(random.Random(2), num_validators=100)
         fast = sorted(committee.fast_path_latency() for _ in range(200))
         assert fast[100] < 1.0
 
     def test_quorum_is_two_thirds(self):
-        assert Committee(num_validators=100).quorum == 67
+        assert Committee(random.Random(0), num_validators=100).quorum == 67
 
     def test_two_quorums_always_share_an_honest_validator(self):
         """f = floor((n - 1) / 3) validators may be Byzantine: two quorums meet
@@ -237,18 +237,18 @@ class TestCommittee:
         n = 50 the old 2(n - 1)/3 + 1 gave 33, whose overlap is f = 16."""
         for n in range(4, 201):
             f = (n - 1) // 3
-            quorum = Committee(num_validators=n).quorum
+            quorum = Committee(random.Random(0), num_validators=n).quorum
             assert 2 * quorum - n >= f + 1, n
             assert quorum <= n - f, n
 
     def test_too_small_committee_rejected(self):
         with pytest.raises(ValueError):
-            Committee(num_validators=3)
+            Committee(random.Random(0), num_validators=3)
 
 
 class TestExecutor:
     def test_fast_path_classification(self, ledger):
-        executor = LedgerExecutor(ledger, Committee(seed=3))
+        executor = LedgerExecutor(ledger, Committee(random.Random(3)))
         addr = sender()
         submitted = executor.submit(
             Transaction(addr, [Command("coin", "mint", {"amount": 100})])

@@ -19,7 +19,7 @@ class RawMarket:
 
     def __init__(self, seed: int = 99, isd_as: IsdAs = IsdAs(1, 9)) -> None:
         rng = random.Random(seed)
-        pki = CpPki(seed=seed)
+        pki = CpPki(rng)
         self.isd_as = isd_as
         self.ledger = Ledger()
         self.ledger.register_contract(CoinContract())

@@ -89,7 +89,7 @@ class IndexerMachine(RuleBasedStateMachine):
         self.indexer = MarketIndexer(self.market.ledger, self.market.marketplace)
         self.rng = random.Random(1234)
         self.executor = LedgerExecutor(
-            self.market.ledger, Committee(seed=7), SimClock(0.0)
+            self.market.ledger, Committee(random.Random(7)), SimClock(0.0)
         )
         self.bidders = []
         for name in ("alice", "bob"):
@@ -455,7 +455,7 @@ class IndexerMachine(RuleBasedStateMachine):
         for bidder in self.bidders:
             # on its own a fresh client folds the log from event 0; the
             # machine's index has been folding it a step at a time
-            fresh = HostClient(bidder.account, self.executor)
+            fresh = HostClient(bidder.account, self.executor, self.rng)
             self._auction_reads_match(fresh, opened, settlements)
             fresh.attach_indexer(self.market.marketplace, self.indexer)
             self._auction_reads_match(fresh, opened, settlements)

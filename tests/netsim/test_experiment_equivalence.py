@@ -33,7 +33,7 @@ reproduce it byte for byte.  Every goodput, latency and utilisation in it
 depends on the order in which sources are constructed and started (the event
 loop breaks ties FIFO, and the flows of one simulation share one ``rng``), so
 a refactor that reorders two ``start`` calls fails here, not in a plot.
-It was re-recorded six times since.  First when the congestion, contention and
+It was re-recorded seven times since.  First when the congestion, contention and
 auction experiments moved onto a deployed market: the telemetry runs' traces
 and metrics (ledger spans and families appeared) and the path-contention
 hop-mode labels (their calendar-geometry word went) changed, and nothing
@@ -69,11 +69,19 @@ interface capacity: only ``ledger_gas_storage_bytes_total`` moved, in
 (94,463 → 92,531), the bytes of the cap field auctions and path legs no
 longer store; every ``result`` and every other key held.
 
-Last, when the experiments stopped taking a ``telemetry`` argument and a
+Then, when the experiments stopped taking a ``telemetry`` argument and a
 telemetry run became the plain call wrapped in ``activate()``, the five
 ``*/telemetry`` keys lost their ``extra`` part (a hand-copied subset of the
 result, which the dump now carries whole); their ``result``, ``traces`` and
 ``metrics`` and the 23 other keys held byte for byte.
+
+Last, when ``deploy_market`` named one random stream per purpose (keys, PKI
+root, committee latency, each AS's sealing): in the ``auction``,
+``contention``, ``flex_market`` and ``path_contention`` telemetry runs the
+traces' object ids (``auction``, ``listing``, ``ingress_asset`` /
+``egress_asset``, ``request``, ``path_auction``), ``tx_digest`` and ``latency``
+values moved; every ``result``, every metric family and the 23
+other keys held byte for byte.
 
 Under pytest a configuration the claim tests share comes from the session's
 ``experiment_runs`` memo (``conftest.py``), so it runs once.

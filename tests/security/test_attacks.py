@@ -421,15 +421,17 @@ class TestHostileRegistration:
         from repro.controlplane.pki import CpPki
         from repro.ledger.accounts import Account
         from repro.ledger.chain import Ledger
+        from repro.ledger.committee import Committee
         from repro.ledger.executor import LedgerExecutor
 
-        pki = CpPki(seed=31)
+        rng = random.Random(31)
+        pki = CpPki(rng)
         ledger = Ledger()
         ledger.register_contract(AssetContract(pki))
-        account = Account.generate(random.Random(31), "as")
+        account = Account.generate(rng, "as")
         return SimpleNamespace(
             ledger=ledger,
-            executor=LedgerExecutor(ledger),
+            executor=LedgerExecutor(ledger, Committee(random.Random(31))),
             account=account,
             certificate=pki.issue_certificate(IsdAs(1, 42), account.signing_key.public),
             proof=account.signing_key.sign(account.address.encode()),
@@ -480,6 +482,55 @@ class TestHostileRegistration:
         assert token.payload["as_address"] == world.account.address
 
 
+class TestTrustAnchor:
+    """The CP-PKI trust anchor (§3.2) certifies ASes and takes no part in the
+    market.  Were its key any account's — the market operator's, an AS's, a
+    host's — that account could certify an AS of its own choosing, sell its
+    bandwidth and answer its redeem requests."""
+
+    def test_no_account_of_a_deployment_can_certify_an_as(self, monkeypatch):
+        from repro.controlplane import deploy_market
+        from repro.controlplane.pki import _cert_message
+        from repro.ledger.accounts import Account
+        from repro.ledger.transactions import Command, Transaction
+        from repro.netsim import linear_path
+
+        accounts = []
+        generate = Account.generate
+
+        def recording(rng, name=""):
+            accounts.append(generate(rng, name))
+            return accounts[-1]
+
+        monkeypatch.setattr(Account, "generate", staticmethod(recording))
+        topology, _ = linear_path(3, timestamp=T0)
+        deployment = deploy_market(topology, clock=SimClock(float(T0)), seed=7)
+        deployment.new_host(name="host")
+        assert [account.name for account in accounts] == [
+            "market-operator", *(f"as-{system.isd_as}" for system in topology.ases), "host"
+        ]
+        pki = deployment.service(topology.ases[0].isd_as).pki
+        ledger, forged_as = deployment.ledger, IsdAs(1, 999)
+
+        for account in accounts:
+            key = account.signing_key
+            certificate = {
+                "isd": forged_as.isd,
+                "asn": forged_as.asn,
+                "public_key": key.public,
+                "signature": key.sign(_cert_message(forged_as.isd, forged_as.asn, key.public)),
+            }
+            assert not pki.verify_certificate(certificate), account.name
+            before = (dict(ledger.objects), list(ledger.events))
+            args = {"certificate": certificate, "signature": key.sign(account.address.encode())}
+            effects = deployment.executor.submit(
+                Transaction(account.address, [Command("asset", "register_as", args)])
+            ).effects
+            assert effects.status == "abort", account.name
+            assert effects.error == "invalid AS certificate", account.name
+            assert (dict(ledger.objects), list(ledger.events)) == before
+
+
 class TestHostileTransaction:
     """A transaction's function names and argument dicts are the sender's.
 
@@ -494,15 +545,18 @@ class TestHostileTransaction:
 
     @pytest.fixture
     def world(self):
+        import random
         from types import SimpleNamespace
 
         from repro.contracts.coin import CoinContract
         from repro.ledger.chain import Ledger
+        from repro.ledger.committee import Committee
         from repro.ledger.executor import LedgerExecutor
 
         ledger = Ledger()
         ledger.register_contract(CoinContract())
-        return SimpleNamespace(ledger=ledger, executor=LedgerExecutor(ledger))
+        executor = LedgerExecutor(ledger, Committee(random.Random(0)))
+        return SimpleNamespace(ledger=ledger, executor=executor)
 
     @pytest.mark.parametrize(
         "function, args, reason",
@@ -562,15 +616,16 @@ class TestHostileTransaction:
         from repro.controlplane.pki import CpPki
         from repro.ledger.accounts import Account
         from repro.ledger.chain import Ledger
+        from repro.ledger.committee import Committee
         from repro.ledger.executor import LedgerExecutor
         from repro.ledger.transactions import Command, Transaction
 
         rng = random.Random(22)
-        pki = CpPki(seed=22)
+        pki = CpPki(rng)
         ledger = Ledger()
         for contract in (CoinContract(), AssetContract(pki), MarketContract()):
             ledger.register_contract(contract)
-        executor = LedgerExecutor(ledger)
+        executor = LedgerExecutor(ledger, Committee(random.Random(22)))
         seller = Account.generate(rng, "seller")
 
         def run(sender, contract, function, **args):
@@ -766,6 +821,22 @@ class TestHostileDelivery:
             b' "start": 0, "duration": 60, "auth_key": "zz"}',
             "ValueError",
         ),
+        # in range, so ResInfo takes them; each failed only later, or never
+        "egress-float": (
+            b'{"isd": 1, "asn": 2, "ingress": 0, "egress": 1.0, "res_id": 0, "bw_cls": 1,'
+            b' "start": 0, "duration": 60, "auth_key": "000102030405060708090a0b0c0d0e0f"}',
+            "TypeError",
+        ),
+        "bw_cls-float": (
+            b'{"isd": 1, "asn": 2, "ingress": 0, "egress": 1, "res_id": 0, "bw_cls": 296.0,'
+            b' "start": 0, "duration": 60, "auth_key": "000102030405060708090a0b0c0d0e0f"}',
+            "TypeError",
+        ),
+        "isd-bool": (
+            b'{"isd": true, "asn": 2, "ingress": 0, "egress": 1, "res_id": 0, "bw_cls": 1,'
+            b' "start": 0, "duration": 60, "auth_key": "000102030405060708090a0b0c0d0e0f"}',
+            "TypeError",
+        ),
     }
 
     @staticmethod
@@ -887,7 +958,7 @@ class TestHostileDelivery:
 
         deployment, crossings, _ = self._world()
         host = deployment.new_host(funding_sui=100)
-        twin = HostClient(host.account, host.executor)
+        twin = HostClient(host.account, host.executor, host.rng)
         twin.payment_coin = host.payment_coin
         twin.attach_indexer(deployment.marketplace, host.indexer(deployment.marketplace))
         self._buy(deployment, twin, crossings[:1], T0 + 3600)

@@ -2,10 +2,12 @@
 
 import collections
 import math
+import random
 
 import pytest
 
 from repro.admission import AdmissionController
+from repro.ledger.committee import Committee
 from repro.ledger.executor import LedgerExecutor
 from repro.ledger.transactions import Command, Transaction
 from repro.marketdata import ListingQuery, MarketIndexer
@@ -158,7 +160,7 @@ def test_an_unobserved_subsystem_drives_the_null_instrument(monkeypatch):
     market.issue_and_list(1, True, 1000, 600, 4200)  # a Listed event for the index
 
     AdmissionController(capacity_kbps=1000).admit_issue(1, True, 600, 0, 3600)
-    LedgerExecutor(market.ledger).submit(
+    LedgerExecutor(market.ledger, Committee(random.Random(0))).submit(
         Transaction(market.buyer.address, [Command("coin", "mint", {"amount": 1})])
     )
     found = MarketIndexer(market.ledger, market.marketplace).best(

@@ -132,7 +132,8 @@ BUYS = {"full": (0, 3600, 1_000_000), "split bw": (0, 3600, 4_000),
 
 def table2_gas() -> dict:
     """Contract call -> its gas, each call run alone on a scripted one-AS market."""
-    rng, pki, ledger = random.Random(2), CpPki(seed=2), Ledger()
+    rng, ledger = random.Random(2), Ledger()
+    pki = CpPki(rng)  # the root is the stream's first draw, no account's
     for contract in (CoinContract(), AssetContract(pki), MarketContract()):
         ledger.register_contract(contract)
     seller, buyer = Account.generate(rng, "as"), Account.generate(rng, "buyer")
