@@ -25,7 +25,7 @@ from repro.analysis import render_comparison
 from repro.clock import SimClock
 from repro.contracts.coin import coin_balance
 from repro.controlplane import deploy_market, purchase_path
-from repro.netsim import CbrSource, FloodSource, SIM_PRF, build_path_simulation
+from repro.netsim import SIM_PRF, build_path_simulation
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
 
 T0 = 1_700_000_000
@@ -161,31 +161,9 @@ def main() -> None:
     simulation = build_path_simulation(
         topology, path, start_time=float(WINDOW[0]) + 0.1, prf_factory=SIM_PRF
     )
-    victim_metrics = simulation.sink.flow(1)
-    victim = CbrSource(
-        simulation.loop,
-        simulation.hummingbird_source(reservations),
-        simulation.entry,
-        victim_metrics,
-        rate_bps=2_000_000.0,
-        payload_bytes=1000,
-        flow_id=1,
-    )
-    flood_metrics = simulation.sink.flow(2)
-    flood = FloodSource(
-        simulation.loop,
-        simulation.best_effort_source(),
-        simulation.entry,
-        flood_metrics,
-        rate_bps=20_000_000.0,
-        payload_bytes=1000,
-        flow_id=2,
-    )
-    victim.start(0.0)
-    flood.start(0.05)
-    simulation.loop.run_until(simulation.clock.now() + 1.0)
-    victim.stop()
-    flood.stop()
+    victim_metrics = simulation.send(1, 2_000_000.0, reservations)
+    simulation.send(2, 20_000_000.0, delay=0.05)
+    simulation.run(1.0)
     summary = victim_metrics.summary()
     print(
         f"through a 2x-overload flood the winner keeps "

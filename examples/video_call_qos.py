@@ -21,7 +21,7 @@ Run:  python examples/video_call_qos.py
 from repro.analysis import render_table
 from repro.clock import SimClock
 from repro.controlplane import deploy_market, purchase_path
-from repro.netsim import CbrSource, FloodSource, build_path_simulation, linear_path
+from repro.netsim import build_path_simulation, linear_path
 from repro.netsim.scenarios import SIM_PRF
 from repro.scion.paths import as_crossings
 
@@ -54,23 +54,9 @@ def run_call(topology, path, reservations) -> dict:
     simulation = build_path_simulation(
         topology, path, start_time=START, link_rates=rates
     )
-    if reservations is None:
-        builder = simulation.best_effort_source()
-    else:
-        builder = simulation.hummingbird_source(reservations)
-
-    call_metrics = simulation.sink.flow(1)
-    call = CbrSource(
-        simulation.loop, builder, simulation.entry, call_metrics,
-        rate_bps=CALL_RATE, payload_bytes=1200, flow_id=1, jitter=0.05,
-    )
-    flood = FloodSource(
-        simulation.loop, simulation.best_effort_source(), simulation.entry,
-        simulation.sink.flow(2), rate_bps=FLOOD_RATE, payload_bytes=1200, flow_id=2,
-    )
-    call.start(0.0)
-    flood.start(0.2)
-    simulation.loop.run_until(simulation.clock.now() + DURATION)
+    call_metrics = simulation.send(1, CALL_RATE, reservations, jitter=0.05)
+    simulation.send(2, FLOOD_RATE, delay=0.2)
+    simulation.run(DURATION)
     return call_metrics.summary()
 
 

@@ -14,13 +14,12 @@ needs a rescan.  It is the one off-chain view of the marketplace: hosts and
 both planners ask it and replay nothing themselves.
 
 Listings are bucketed per ``(isd, asn, interface, direction)`` key; each
-bucket keeps its listings sorted by asset start and lazily compiles them
-into a list of rectangle rows (the same compile-on-demand idiom as
-``repro.admission.calendar``).  A rectangle-cover query bisects the sorted
-starts for the candidate prefix (``O(log n)`` selection) and prices the
-prefix row by row — granule alignment, minimum-bandwidth rules and ceil
-pricing exactly mirror the market contract, so the quoted price is the
-price ``buy`` will charge.
+bucket keeps its listings sorted by asset start and compiles them into a
+list of rectangle rows on the first query after a change.  A
+rectangle-cover query bisects the sorted starts for the candidate prefix
+(``O(log n)`` selection) and prices the prefix row by row — granule
+alignment, minimum-bandwidth rules and ceil pricing exactly mirror the
+market contract, so the quoted price is the price ``buy`` will charge.
 
 Ties are broken deterministically by (price, aligned start, listing id);
 :mod:`repro.marketdata.naive` implements the same contract by full-ledger

@@ -43,7 +43,6 @@ class TransferRecord:
     bytes_requested: int
     release: int
     deadline: int
-    budget_mist: int | None
     max_rate_kbps: int | None
     oracle_feasible: bool
     oracle_bytes: int
@@ -111,7 +110,7 @@ def deadline_experiment(
     for index in range(transfer_count):
         # Mix: sizes from 10% to 55% of path capacity (the tail
         # oversubscribes), windows anywhere in the horizon, an occasional
-        # rate cap forcing multi-slot legs, an occasional budget.
+        # rate cap forcing multi-slot legs.
         release = T0 + rng.randrange(0, horizon // 3, 60)
         deadline = T0 + rng.randrange(2 * horizon // 3, horizon + 1, 60)
         window = deadline - release
@@ -127,7 +126,6 @@ def deadline_experiment(
                     2 * bytes_total // (window * BYTES_PER_KBPS_SECOND),
                 ),
             )
-        budget = None
         host = deployment.new_host()
         host.fund(10**12)
         planner = TransferPlanner(host.indexer(deployment.marketplace))
@@ -136,7 +134,6 @@ def deadline_experiment(
             bytes_total=bytes_total,
             release=release,
             deadline=deadline,
-            budget_mist=budget,
             max_rate_kbps=max_rate,
         )
         try:
@@ -156,7 +153,6 @@ def deadline_experiment(
             bytes_total,
             deadline,
             release=release,
-            budget_mist=budget,
             max_rate_kbps=max_rate,
             best_effort=True,
         )
@@ -173,7 +169,6 @@ def deadline_experiment(
             bytes_requested=bytes_total,
             release=release,
             deadline=deadline,
-            budget_mist=budget,
             max_rate_kbps=max_rate,
             oracle_feasible=oracle_feasible,
             oracle_bytes=oracle_bytes,
@@ -205,6 +200,4 @@ def deadline_experiment(
             f"{record.name}: {outcome.plan.redeem_count} redeems but "
             f"{record.reservations} reservations delivered"
         )
-        if record.budget_mist is not None:
-            assert record.spend_mist <= record.budget_mist
     return result

@@ -126,17 +126,19 @@ class PathSimulation:
         reservations: list[FlyoverReservation] | None = None,
         delay: float = 0.0,
         jitter: float = 0.0,
-        rng: random.Random | None = None,
     ) -> FlowMetrics:
         """Start one constant-bit-rate flow at the path's first AS.
 
         Reserved traffic when ``reservations`` is given, best effort
         otherwise; the first packet leaves ``delay`` seconds from now.
-        Returns the sink's metrics for ``flow_id``.  Call order is part of
-        a scenario: flows that share an ``rng`` draw their jitter from it
-        in event order, and the event loop breaks ties first come first
-        served, so starting two flows the other way round changes every
-        number downstream.
+        Returns the sink's metrics for ``flow_id``.  The one place a
+        simulated flow gets randomness: each flow draws its jitter from its
+        own stream, ``random.Random(f"{SEED}/flow/{flow_id}")``, so its
+        packet schedule depends only on its id, rate, delay and jitter,
+        never on which other flows run.  Call order is still part of a
+        scenario: the event loop breaks ties first come first served, so
+        starting two flows the other way round can reorder their packets
+        at a shared queue.
         """
         if reservations is None:
             builder = self.best_effort_source()
@@ -152,7 +154,7 @@ class PathSimulation:
             payload_bytes=PAYLOAD_BYTES,
             flow_id=flow_id,
             jitter=jitter,
-            rng=rng,
+            rng=random.Random(f"{SEED}/flow/{flow_id}"),
         )
         self._sources.append(source)
         source.start(delay)
@@ -404,14 +406,9 @@ def congestion_experiment(
         ).reservations
     else:
         simulation = build_path_simulation(topology, path, link_rate_bps=link_rate_bps)
-    rng = random.Random(SEED)
-    victim_metrics = simulation.send(
-        1, victim_rate_bps, reservations, jitter=0.05, rng=rng
-    )
+    victim_metrics = simulation.send(1, victim_rate_bps, reservations, jitter=0.05)
     # the flood ramps up shortly after the victim
-    attacker_metrics = simulation.send(
-        2, flood_rate_bps, delay=0.1, jitter=0.02, rng=rng
-    )
+    attacker_metrics = simulation.send(2, flood_rate_bps, delay=0.1, jitter=0.02)
     simulation.run(duration)
     if deployment is not None:
         check(deployment, simulation.now())
@@ -566,11 +563,8 @@ def flex_market_experiment(
         simulation = build_path_simulation(
             topology, path, start_time=float(outcome.quote.start) + 0.1
         )
-        rng = random.Random(seed + index)
-        victim_metrics = simulation.send(
-            1, probe_rate_bps, outcome.reservations, jitter=0.05, rng=rng
-        )
-        simulation.send(2, flood_rate_bps, delay=0.05, jitter=0.02, rng=rng)
+        victim_metrics = simulation.send(1, probe_rate_bps, outcome.reservations, jitter=0.05)
+        simulation.send(2, flood_rate_bps, delay=0.05, jitter=0.02)
         simulation.run(duration)
         outcomes.append(
             FlexBuyerOutcome(
@@ -840,7 +834,7 @@ def auction_experiment(
             flows = [
                 simulation.send(
                     index + 1, per_buyer_kbps * 1000.0, reservations[index],
-                    delay=0.01 * index, jitter=0.05, rng=rng,
+                    delay=0.01 * index, jitter=0.05,
                 )
                 for index in range(num_buyers)
             ]
@@ -1103,7 +1097,6 @@ def contention_experiment(
     )
     seller = deployment.service(bottleneck.isd_as)
     reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-    rng = random.Random(SEED)
     outcomes: list[BuyerOutcome] = []
     flow_metrics: list[FlowMetrics] = []
     verdict = None  # buyer-0's trace and ResID at the bottleneck
@@ -1133,7 +1126,7 @@ def contention_experiment(
         flow_metrics.append(
             simulation.send(
                 index + 1, per_buyer_kbps * 1000.0, reservations,
-                delay=0.01 * index, jitter=0.05, rng=rng,
+                delay=0.01 * index, jitter=0.05,
             )
         )
         outcomes.append(
@@ -1295,7 +1288,6 @@ def reclamation_experiment(
             if (crossing, is_ingress) != (bottleneck, True)
         ]
         reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-        rng = random.Random(SEED)
         flow_metrics: dict[str, FlowMetrics] = {}
 
         def buy(index: int, outcome: ReclaimBuyerOutcome) -> bool:
@@ -1323,7 +1315,7 @@ def reclamation_experiment(
             if outcome.kind != "no-show":
                 flow_metrics[outcome.buyer] = simulation.send(
                     index + 1, per_buyer_kbps * 1000.0, reservations,
-                    delay=0.005 * index, jitter=0.05, rng=rng,
+                    delay=0.005 * index, jitter=0.05,
                 )
             outcome.reserved, outcome.admitted_at = True, simulation.now()
             outcome.quoted_price_micromist, outcome.reason = quote, "fits"

@@ -33,7 +33,8 @@ class CbrSource:
         payload_bytes: int = 1000,
         flow_id: int = 1,
         jitter: float = 0.0,
-        rng: random.Random | None = None,
+        *,
+        rng: random.Random,
     ) -> None:
         if rate_bps <= 0:
             raise ValueError("rate must be positive")
@@ -43,7 +44,7 @@ class CbrSource:
         self.metrics = metrics
         self.flow_id = flow_id
         self.jitter = jitter
-        self.rng = rng if rng is not None else random.Random(flow_id)
+        self.rng = rng
         self._payload = bytes(payload_bytes)
         probe = builder.build_packet(self._payload, flow_id)
         self._wire_bytes = probe.packet_length()

@@ -221,18 +221,12 @@ def measure_source(
 ) -> SourceMeasurement:
     """Time packet generation, full and per stage (the Table 4 pipeline).
 
-    The two generations are timed :func:`alternating`, ``iterations`` packets
-    a reading, so neither side is always first."""
+    The two generations and the four stages are timed in the same
+    :func:`alternating` rounds, ``iterations`` calls a reading, so no side
+    is always first and a slow window hits the stages as it hits the
+    generations."""
     fixture = build_fixture(hops=hops, prf_backend=prf_backend)
     body = bytes(payload)
-
-    def generation(source):
-        return lambda: time_op(lambda: source.build_packet(body), iterations)
-
-    hb_ns, scion_ns = map(fmean, alternating(
-        generation(fixture.hb_source), generation(fixture.scion_source)
-    ))
-
     source = fixture.hb_source
     timestamp = source._allocator.allocate(fixture.clock.now())
     pkt_len = source._begin_headers(body)
@@ -241,19 +235,22 @@ def measure_source(
     # Each stage on the previous stage's output, so the four are disjoint
     # and their sum is comparable to the whole generation.
     stages = {
-        "Add header fields": time_op(lambda: source._begin_headers(body), iterations),
-        "Compute flyover MACs": time_op(
-            lambda: source._compute_flyover_macs(pkt_len, timestamp), iterations
-        ),
-        "Add hop fields": time_op(
-            lambda: source._assemble_hopfields(timestamp, macs), iterations
-        ),
-        "Add payload": time_op(
-            lambda: source._attach_payload(path, body, 1), iterations
-        ),
+        "Add header fields": lambda: source._begin_headers(body),
+        "Compute flyover MACs": lambda: source._compute_flyover_macs(pkt_len, timestamp),
+        "Add hop fields": lambda: source._assemble_hopfields(timestamp, macs),
+        "Add payload": lambda: source._attach_payload(path, body, 1),
     }
+
+    def reading(op):
+        return lambda: time_op(op, iterations)
+
+    hb_ns, scion_ns, *stage_ns = map(fmean, alternating(
+        reading(lambda: source.build_packet(body)),
+        reading(lambda: fixture.scion_source.build_packet(body)),
+        *map(reading, stages.values()),
+    ))
     return SourceMeasurement(
         scion_generation_ns=scion_ns,
         hummingbird_generation_ns=hb_ns,
-        stages=stages,
+        stages=dict(zip(stages, stage_ns)),
     )

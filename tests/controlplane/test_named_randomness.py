@@ -1,11 +1,17 @@
-"""One owner of randomness: ``deploy_market`` turns a seed into named streams.
+"""One owner of randomness: every stream under ``src/repro`` is named, and
+each is constructed at one site.
 
-Each purpose draws from its own ``random.Random(f"{seed}/{purpose}")``: the
-account and redeem keys, the CP-PKI root, the ledger's latency model (which
-also draws every AS's checkpoint-poll delay) and each AS's sealing.  So how a
-key is drawn cannot move a simulated latency, and the trust anchor that
-certifies ASes is no market participant's key.  No module under
-``controlplane/`` or ``ledger/`` picks a seed of its own.
+``deploy_market`` turns a seed into named streams: each purpose draws from
+its own ``random.Random(f"{seed}/{purpose}")`` — the account and redeem
+keys, the CP-PKI root, the ledger's latency model (which also draws every
+AS's checkpoint-poll delay) and each AS's sealing.  So how a key is drawn
+cannot move a simulated latency, and the trust anchor that certifies ASes is
+no market participant's key.  ``PathSimulation.send`` gives each simulated
+flow its own ``random.Random(f"{SEED}/flow/{flow_id}")``, so adding a flow
+never re-draws another flow's packet gaps (``tests/netsim/test_flow_streams.py``).
+Three more sites each own one stream: ``run_beaconing`` (the β0 draws),
+``auction_experiment`` (the buyers' valuations) and ``deadline_experiment``
+(the transfer mix).  No other module picks a seed of its own.
 """
 
 from __future__ import annotations
@@ -13,8 +19,7 @@ from __future__ import annotations
 import ast
 import pathlib
 
-import repro.controlplane
-import repro.ledger
+import repro
 from tests.conftest import T0
 
 from repro.clock import SimClock
@@ -24,30 +29,37 @@ from repro.crypto.signatures import SigningKey
 from repro.netsim import linear_path
 from repro.scion import as_crossings
 
-PACKAGES = (repro.controlplane, repro.ledger)
+SOURCE = pathlib.Path(repro.__file__).parent
 
 
-def _stream_sites() -> list[tuple[str, int, str | None]]:
-    """Every ``random.Random(...)`` (or bare ``Random(...)``) call under the
-    packages, as ``(file, line, the module-level def or class it is in)``."""
+def _stream_sites() -> list[str]:
+    """Every ``random.Random(...)`` (or bare ``Random(...)``) call under
+    ``src/repro``, as ``package/file.py:Class.function`` of its scope."""
     sites = []
-    for package in PACKAGES:
-        for path in sorted(pathlib.Path(package.__file__).parent.glob("*.py")):
-            for top in ast.parse(path.read_text()).body:
-                owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Call) and "Random" in (
-                        getattr(node.func, "attr", None), getattr(node.func, "id", None)
-                    ):
-                        sites.append((path.name, node.lineno, owner))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = [*scope, node.name]
+        elif isinstance(node, ast.Call) and "Random" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            sites.append(f"{path.relative_to(SOURCE)}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(SOURCE.rglob("*.py")):
+        visit(ast.parse(path.read_text()), [])
     return sites
 
 
-def test_a_seed_becomes_randomness_only_inside_deploy_market():
-    sites = _stream_sites()
-    elsewhere = [site for site in sites if site[2] != "deploy_market"]
-    assert not elsewhere, elsewhere
-    assert sites  # the walk is not vacuous: deploy_market names its streams
+def test_every_stream_under_src_has_one_named_owner():
+    assert sorted(_stream_sites()) == [
+        "controlplane/workflow.py:deploy_market.stream",
+        "netsim/deadline.py:deadline_experiment",
+        "netsim/scenarios.py:PathSimulation.send",
+        "netsim/scenarios.py:auction_experiment",
+        "scion/beaconing.py:run_beaconing",
+    ]
 
 
 def _purchase_latencies(count: int = 3) -> list[tuple[float, float]]:

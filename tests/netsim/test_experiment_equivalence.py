@@ -31,9 +31,11 @@ The recording committed beside this file was made at the commit *before*
 ``stop``; PR 20), with that commit's ``src/`` on the path; today's code has to
 reproduce it byte for byte.  Every goodput, latency and utilisation in it
 depends on the order in which sources are constructed and started (the event
-loop breaks ties FIFO, and the flows of one simulation share one ``rng``), so
-a refactor that reorders two ``start`` calls fails here, not in a plot.
-It was re-recorded seven times since.  First when the congestion, contention and
+loop breaks ties FIFO, so two flows started the other way round reach a
+shared queue in the other order), so a refactor that reorders two ``start``
+calls fails here, not in a plot.  Each flow draws its jitter from its own
+stream, named for its flow id.
+It was re-recorded eight times since.  First when the congestion, contention and
 auction experiments moved onto a deployed market: the telemetry runs' traces
 and metrics (ledger spans and families appeared) and the path-contention
 hop-mode labels (their calendar-geometry word went) changed, and nothing
@@ -75,13 +77,28 @@ telemetry run became the plain call wrapped in ``activate()``, the five
 result, which the dump now carries whole); their ``result``, ``traces`` and
 ``metrics`` and the 23 other keys held byte for byte.
 
-Last, when ``deploy_market`` named one random stream per purpose (keys, PKI
+Then, when ``deploy_market`` named one random stream per purpose (keys, PKI
 root, committee latency, each AS's sealing): in the ``auction``,
 ``contention``, ``flex_market`` and ``path_contention`` telemetry runs the
 traces' object ids (``auction``, ``listing``, ``ingress_asset`` /
 ``egress_asset``, ``request``, ``path_auction``), ``tx_digest`` and ``latency``
 values moved; every ``result``, every metric family and the 23
 other keys held byte for byte.
+
+Last, when each simulated flow got its own stream
+(``random.Random(f"{SEED}/flow/{flow_id}")`` in ``PathSimulation.send``,
+where the flows of one simulation had shared the experiment's ``rng``) and
+``deadline_experiment`` lost its never-drawn budget: 21 of the 28 keys
+moved.  Every ``congestion/*``, ``contention/*`` and ``flex_market/*`` key,
+``auction/packets@3``, ``auction/packets@4``, ``auction/telemetry``,
+``reclamation@3`` and ``reclamation/telemetry`` moved only in flow summaries
+(sent, received, loss, goodput, p50 / p99), ``bottleneck_utilization``,
+``reserved_goodput_bps``, the adaptive arm's learned ``live_factor``, the
+``reclaim_overbooking_factor`` gauge and the ``policer.verdict`` span's
+``goodput_mbps``; both ``deadline`` arms lost only each record's null
+``budget_mist``.  Every admission, quote, price, revenue, clearing, escrow,
+refund and reclaim count and every buyer outcome held, and the three
+``path_contention`` and four ``auction/clearing-*`` keys held byte for byte.
 
 Under pytest a configuration the claim tests share comes from the session's
 ``experiment_runs`` memo (``conftest.py``), so it runs once.

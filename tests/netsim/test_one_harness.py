@@ -6,6 +6,9 @@ source is constructed at exactly one site, ``PathSimulation.send``, and a
 beaconed chain at exactly one, ``linear_path``.  A second ``CbrSource(...)``
 is a hand-rolled traffic phase growing back: before PR 20 there were six, with
 three ``FloodSource(...)`` beside them and ``linear_path`` re-typed twice.
+The walk covers ``examples/`` for sources too: two examples built their own
+traffic phase, one with a jitter stream of its own, until they moved onto
+``send``.
 
 The same PR turned every experiment option that no call site in the
 repository passed into a named constant (78 defaulted parameters across the
@@ -33,6 +36,7 @@ import pathlib
 import repro.netsim
 
 NETSIM = pathlib.Path(repro.netsim.__file__).parent
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 
 def _called_name(call: ast.Call) -> str | None:
@@ -42,8 +46,9 @@ def _called_name(call: ast.Call) -> str | None:
     return function.attr if isinstance(function, ast.Attribute) else None
 
 
-def _call_sites(name: str) -> list[str]:
-    """Where ``netsim/`` calls ``name``: ``file:Class.function`` per call."""
+def _call_sites(name: str, directories=(NETSIM,)) -> list[str]:
+    """Where ``directories`` (``netsim/``) call ``name``:
+    ``file:Class.function`` per call."""
     sites = []
 
     def visit(node, scope):
@@ -54,14 +59,16 @@ def _call_sites(name: str) -> list[str]:
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
-    for path in sorted(NETSIM.glob("*.py")):
-        visit(ast.parse(path.read_text()), [])
+    for directory in directories:
+        for path in sorted(directory.glob("*.py")):
+            visit(ast.parse(path.read_text()), [])
     return sites
 
 
 def test_a_traffic_source_is_constructed_at_one_site():
-    assert _call_sites("CbrSource") == ["scenarios.py:PathSimulation.send"]
-    assert _call_sites("FloodSource") == []
+    # the examples too: a hand-built source there is a second traffic phase
+    assert _call_sites("CbrSource", (NETSIM, EXAMPLES)) == ["scenarios.py:PathSimulation.send"]
+    assert _call_sites("FloodSource", (NETSIM, EXAMPLES)) == []
     # the net is not vacuous: every experiment with a packet phase sends
     assert {
         "scenarios.py:congestion_experiment",
