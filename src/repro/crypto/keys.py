@@ -78,7 +78,14 @@ def derive_auth_key(
 ) -> bytes:
     """Compute the reservation authentication key :math:`A_K` (Eq. 2).
 
-    ``secret_value_prf`` is the PRF already keyed with :math:`SV_K`.
+    ``secret_value_prf`` is the PRF already keyed with :math:`SV_K`.  The
+    block is packed here, one call; when a field is out of range,
+    :func:`pack_resinfo_input` raises the error that names it.
     """
-    block = pack_resinfo_input(ingress, egress, res_id, bw_cls, res_start, res_duration)
+    try:
+        if res_id >> 22 or bw_cls >> 10:  # they share a word: struct checks only the word
+            raise struct.error
+        block = _RESINFO_INPUT.pack(ingress, egress, res_id << 10 | bw_cls, res_start, res_duration)
+    except struct.error:
+        block = pack_resinfo_input(ingress, egress, res_id, bw_cls, res_start, res_duration)
     return secret_value_prf.compute(block)

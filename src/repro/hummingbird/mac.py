@@ -65,8 +65,15 @@ def compute_flyover_mac(
 
     ``auth_key_prf`` is the PRF keyed with :math:`A_K`: held for the life of
     the reservation at the source, keyed afresh per packet at the router.
+    The block is packed here, one call; when a field is out of range,
+    :func:`pack_flyover_mac_input` raises the error that names it.
     """
-    block = pack_flyover_mac_input(dst, pkt_len, res_start_offset, millis_timestamp, counter)
+    try:
+        block = _MAC_INPUT.pack(
+            dst.isd << AS_BITS | dst.asn, pkt_len, res_start_offset, millis_timestamp, counter
+        )
+    except struct.error:
+        block = pack_flyover_mac_input(dst, pkt_len, res_start_offset, millis_timestamp, counter)
     return auth_key_prf.compute(block)[:TAG_LEN]
 
 

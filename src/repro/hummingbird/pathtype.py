@@ -43,7 +43,7 @@ HOPFIELD_UNITS = HOPFIELD_LEN // 4  # CurrHF advances by 3
 FLYOVER_UNITS = FLYOVER_HOPFIELD_LEN // 4  # ... or by 5
 
 
-@dataclass
+@dataclass(slots=True)
 class FlyoverHopFieldData(HopFieldData):
     """A hop field carrying a flyover reservation (``mac`` holds the AggMAC)."""
 

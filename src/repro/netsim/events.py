@@ -48,14 +48,14 @@ class EventLoop:
         with events at or before ``end_time`` still queued: then it stays at
         the last event run, so a later call can pick those up.
         """
-        queue = self._queue
+        queue, pop, set_clock = self._queue, heapq.heappop, self.clock.set
         executed = 0
         while queue and executed < max_events:
             when = queue[0][0]
             if when > end_time:
                 break
-            _, _, callback, args = heapq.heappop(queue)
-            self.clock.set(when)
+            _, _, callback, args = pop(queue)
+            set_clock(when)
             callback(*args)
             executed += 1
         if not queue or queue[0][0] > end_time:

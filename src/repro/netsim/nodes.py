@@ -17,8 +17,10 @@ from repro.netsim.metrics import FlowMetrics
 from repro.scion.packet import ScionPacket
 from repro.scion.router import Action
 
+_DROP, _DELIVER, _FORWARD_PRIORITY = Action.DROP, Action.DELIVER, Action.FORWARD_PRIORITY
 
-@dataclass
+
+@dataclass(slots=True)
 class SimPacket:
     """A packet in flight plus simulation metadata."""
 
@@ -70,10 +72,11 @@ class RouterNode:
 
     def receive(self, sim_packet: SimPacket, ingress_ifid: int) -> None:
         decision = self.router.process(sim_packet.packet, ingress_ifid)
-        if decision.action is Action.DROP:
+        action = decision.action
+        if action is _DROP:
             self.dropped += 1
             return
-        if decision.action is Action.DELIVER:
+        if action is _DELIVER:
             if self.local_sink is not None:
                 self.local_sink.deliver(sim_packet)
             return
@@ -82,12 +85,7 @@ class RouterNode:
             self.dropped += 1
             return
         link, deliver = connection
-        link.send(
-            sim_packet,
-            sim_packet.size_bytes,
-            decision.action is Action.FORWARD_PRIORITY,
-            deliver,
-        )
+        link.send(sim_packet, sim_packet.size_bytes, action is _FORWARD_PRIORITY, deliver)
 
     def inject(self, sim_packet: SimPacket) -> None:
         """Entry point for packets originating inside this AS."""

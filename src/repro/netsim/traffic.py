@@ -62,13 +62,12 @@ class CbrSource:
             return
         packet = self.builder.build_packet(self._payload, self.flow_id)
         now = self.loop.now
+        # A builder fixes a packet's size from the payload and its header
+        # template, so every packet is the probe's size.
         sim_packet = SimPacket(
-            packet=packet,
-            flow_id=self.flow_id,
-            sent_at=now,
-            size_bytes=packet.packet_length(),
+            packet=packet, flow_id=self.flow_id, sent_at=now, size_bytes=self._wire_bytes
         )
-        self.metrics.record_sent(sim_packet.size_bytes, now)
+        self.metrics.record_sent(self._wire_bytes, now)
         self.entry.inject(sim_packet)
         gap = self.interval
         if self.jitter > 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from statistics import fmean
+from statistics import fmean, median
 
 from repro.clock import SimClock
 from repro.crypto.keys import derive_auth_key
@@ -214,6 +214,8 @@ class SourceMeasurement:
     scion_generation_ns: float
     hummingbird_generation_ns: float
     stages: dict
+    # median over rounds of the round's four stages ÷ its Hummingbird generation
+    staged_share: float
 
 
 def measure_source(
@@ -224,7 +226,11 @@ def measure_source(
     The two generations and the four stages are timed in the same
     :func:`alternating` rounds, ``iterations`` calls a reading, so no side
     is always first and a slow window hits the stages as it hits the
-    generations."""
+    generations.  Each cost is the median of its readings, so one
+    descheduled reading does not move it; the stages' share of the
+    generation is taken round by round, each round's stages against that
+    round's generation, so a box that changes speed between rounds cannot
+    pair stages timed slow with a generation timed fast."""
     fixture = build_fixture(hops=hops, prf_backend=prf_backend)
     body = bytes(payload)
     source = fixture.hb_source
@@ -244,13 +250,14 @@ def measure_source(
     def reading(op):
         return lambda: time_op(op, iterations)
 
-    hb_ns, scion_ns, *stage_ns = map(fmean, alternating(
+    hb_ns, scion_ns, *stage_ns = alternating(
         reading(lambda: source.build_packet(body)),
         reading(lambda: fixture.scion_source.build_packet(body)),
         *map(reading, stages.values()),
-    ))
+    )
     return SourceMeasurement(
-        scion_generation_ns=scion_ns,
-        hummingbird_generation_ns=hb_ns,
-        stages=dict(zip(stages, stage_ns)),
+        scion_generation_ns=median(scion_ns),
+        hummingbird_generation_ns=median(hb_ns),
+        stages=dict(zip(stages, map(median, stage_ns))),
+        staged_share=median(sum(parts) / whole for whole, *parts in zip(hb_ns, *stage_ns)),
     )

@@ -64,8 +64,13 @@ def compute_hopfield_mac(
     """Compute the truncated 6-byte hop-field MAC.
 
     ``forwarding_key_prf`` is the PRF already keyed with the AS's :math:`K_i`.
+    The block is packed here, one call; when a field is out of range,
+    :func:`pack_hopfield_mac_input` raises the error that names it.
     """
-    block = pack_hopfield_mac_input(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
+    try:
+        block = _MAC_INPUT.pack(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
+    except struct.error:
+        block = pack_hopfield_mac_input(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
     return forwarding_key_prf.compute(block)[:HOP_MAC_LEN]
 
 

@@ -25,7 +25,7 @@ from repro.scion.beaconing import SegmentStore
 from repro.scion.segments import PathSegment
 
 
-@dataclass
+@dataclass(slots=True)
 class HopFieldData:
     """A hop field as carried in a packet (construction-direction semantics)."""
 

@@ -1,5 +1,6 @@
 """PRF backends, reservation-key derivation, sealing, and account addresses."""
 
+import hashlib
 import random
 
 import pytest
@@ -118,6 +119,50 @@ class TestPrfBackends:
     def test_deterministic(self):
         prf = PrfFactory("blake2")(b"k" * 16)
         assert prf.compute(b"m") == prf.compute(b"m")
+
+
+def blake2s_16(key: bytes, message: bytes) -> bytes:
+    """Keyed BLAKE2s from scratch: what a held-key ``Blake2Prf`` must return."""
+    return hashlib.blake2s(message, key=key, digest_size=16).digest()
+
+
+# Empty, one AES block, one BLAKE2s block, one byte past it, several blocks.
+BLAKE2_MESSAGES = st.one_of(
+    st.binary(min_size=0, max_size=0),
+    st.binary(min_size=16, max_size=16),
+    st.binary(min_size=64, max_size=64),
+    st.binary(min_size=65, max_size=65),
+    st.binary(min_size=200, max_size=400),
+)
+SIXTEEN_BYTES = st.binary(min_size=16, max_size=16)
+
+
+class TestHeldBlake2State:
+    """``Blake2Prf`` absorbs its key once and continues a copy per call."""
+
+    @pytest.mark.parametrize("size", [0, 16, 64, 65, 200, 333])
+    @given(key=SIXTEEN_BYTES, data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_equals_keyed_blake2s_from_scratch(self, size, key, data):
+        message = data.draw(st.binary(min_size=size, max_size=size))
+        assert Blake2Prf(key).compute(message) == blake2s_16(key, message)
+
+    @given(
+        keys=st.tuples(SIXTEEN_BYTES, SIXTEEN_BYTES),
+        messages=st.lists(BLAKE2_MESSAGES, min_size=2, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_the_held_state_is_never_updated_in_place(self, keys, messages):
+        first, second = (Blake2Prf(key) for key in keys)
+        for message in messages:  # repeated, and interleaved with another key
+            for _ in range(2):
+                assert first.compute(message) == blake2s_16(keys[0], message)
+                assert second.compute(message) == blake2s_16(keys[1], message)
+
+    @pytest.mark.parametrize("length", [15, 17])
+    def test_a_key_of_any_other_length_is_refused(self, length):
+        with pytest.raises(ValueError, match="16 bytes"):
+            Blake2Prf(bytes(length))
 
 
 class TestResInfoPacking:

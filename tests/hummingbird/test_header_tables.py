@@ -1,7 +1,9 @@
 """What a path fixes at construction (hop-field positions, counts, unit
 offsets) against a brute-force scan of its object graph, and the three
-one-block PRF input packers against their field ranges."""
+one-block PRF input packers, and the MAC functions that pack the same
+blocks, against their field ranges."""
 
+import re
 import struct
 from copy import deepcopy
 
@@ -11,8 +13,9 @@ from hypothesis import strategies as st
 
 from tests.conftest import T0
 
-from repro.crypto.keys import pack_resinfo_input
-from repro.hummingbird.mac import pack_flyover_mac_input
+from repro.crypto.keys import derive_auth_key, pack_resinfo_input
+from repro.crypto.prf import Blake2Prf
+from repro.hummingbird.mac import compute_flyover_mac, pack_flyover_mac_input
 from repro.hummingbird.pathtype import (
     FLYOVER_HOPFIELD_LEN,
     HOPFIELD_LEN,
@@ -23,7 +26,7 @@ from repro.hummingbird.pathtype import (
     is_flyover,
 )
 from repro.scion.addresses import HostAddr, IsdAs, ScionAddr
-from repro.scion.hopfields import pack_hopfield_mac_input
+from repro.scion.hopfields import compute_hopfield_mac, pack_hopfield_mac_input
 from repro.scion.packet import (
     ADDR_HDR_LEN,
     COMMON_HDR_LEN,
@@ -163,6 +166,12 @@ RESINFO_FIELDS = [
     (0, "ingress", 16), (1, "egress", 16), (2, "ResID", 22), (3, "bandwidth class", 10),
     (4, "ResStart", 32), (5, "ResDuration", 16),
 ]
+# name -> (MAC function, its packer, in-range fields, field table)
+MAC_FUNCTIONS = {
+    "hop field": (compute_hopfield_mac, pack_hopfield_mac_input, HOPFIELD_GOOD, HOPFIELD_FIELDS),
+    "flyover": (compute_flyover_mac, pack_flyover_mac_input, FLYOVER_GOOD, FLYOVER_FIELDS),
+    "ResInfo": (derive_auth_key, pack_resinfo_input, RESINFO_GOOD, RESINFO_FIELDS),
+}
 
 
 def _assert_field_is_range_checked(packer, good, position, name, bits) -> None:
@@ -211,3 +220,20 @@ class TestPrfInputPackers:
         # ResID and BW share one 32-bit word; the word would still fit.
         with pytest.raises(ValueError, match="bandwidth class"):
             pack_resinfo_input(1, 2, 0, 1 << 12, 5, 6)
+
+    @pytest.mark.parametrize("name", MAC_FUNCTIONS)
+    def test_a_mac_function_packs_and_refuses_as_its_packer(self, name):
+        """Each MAC function packs its block itself; a field out of range is
+        the packer's error, naming the field."""
+        mac, packer, good, fields = MAC_FUNCTIONS[name]
+        prf = Blake2Prf(bytes(range(16)))
+        tag = mac(prf, *good)
+        assert tag == prf.compute(packer(*good))[: len(tag)]
+        for position, _, bits in fields:
+            for bad in (-1, 1 << bits, 1 << 70):
+                arguments = list(good)
+                arguments[position] = bad
+                with pytest.raises(ValueError) as expected:
+                    packer(*arguments)
+                with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+                    mac(prf, *arguments)

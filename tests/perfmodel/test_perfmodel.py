@@ -206,3 +206,18 @@ def test_each_table4_stage_timing_runs_only_its_own_stage(monkeypatch):
     assert len(timed) == len(readings) * ROUNDS
     for round_start in range(0, len(timed), len(readings)):
         assert sorted(timed[round_start : round_start + len(readings)]) == readings
+
+
+def test_table4_share_pairs_each_rounds_stages_with_its_own_generation(monkeypatch):
+    """A box that changes speed between rounds (here: round 2 slow for one
+    stage, rounds 3-4 slow for everything) can make the per-stage medians sum
+    past the generation's median; each round's stages against that round's
+    generation cannot."""
+    from repro.perfmodel import measure
+
+    generation = [100, 100, 100, 200, 200]
+    stages = [[85, 85, 10, 170, 170], [5, 5, 90, 10, 10], [5, 5, 5, 10, 10], [5, 5, 5, 5, 5]]
+    monkeypatch.setattr(measure, "alternating", lambda *measures: [generation, [30] * 5, *stages])
+    run = measure.measure_source(hops=2, iterations=10, prf_backend="blake2")
+    assert sum(run.stages.values()) == 105 > run.hummingbird_generation_ns == 100
+    assert run.staged_share == 1.0  # rounds: 1.0, 1.0, 1.1, 0.975, 0.975

@@ -33,12 +33,14 @@ def test_floor_is_a_share_of_the_recorded_rate(perf_guard, tmp_path):
         "forward_4hop": {"end_to_end": {"pkts_per_s": {"unit": "1/s", "value": 3000.0}}},
         "transfer_3hop": {"end_to_end": {"lifecycles_per_s": {"unit": "1/s", "value": 9.0}}},
         "auction_24bid": {"end_to_end": {"lifecycles_per_s": {"unit": "1/s", "value": 80.0}}},
+        "flood_sim_4hop": {"end_to_end": {"pkts_per_s": {"unit": "1/s", "value": 30000.0}}},
     }}))
     assert perf_guard.e2e_floors(bench) == [
         ("posted_4hop", "lifecycles_per_s", pytest.approx(6.0)),
         ("forward_4hop", "pkts_per_s", pytest.approx(1800.0)),
         ("transfer_3hop", "lifecycles_per_s", pytest.approx(5.4)),
         ("auction_24bid", "lifecycles_per_s", pytest.approx(48.0)),
+        ("flood_sim_4hop", "pkts_per_s", pytest.approx(18000.0)),
     ]
 
 
