@@ -35,7 +35,17 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Protocol
 
-from repro.crypto.aes import AES128, BLOCK_SIZE, _Block, _encrypt, expand_key
+from repro.crypto.aes import (
+    AES128,
+    BLOCK_SIZE,
+    KEY_SIZE,
+    _AesKey,
+    _Block,
+    _encrypt,
+    _KEY_BITS,
+    _set_encrypt_key,
+    expand_key,
+)
 from repro.crypto.cmac import Cmac
 
 PRF_OUTPUT_SIZE = 16
@@ -59,7 +69,8 @@ class AesPrf(AES128):
     CMAC subkeys are derived from the same schedule on the first input that
     is not one block, which on the data plane never comes.
 
-    The PRF is its own cipher: keying calls :func:`expand_key` directly, and
+    The PRF is its own cipher: keying checks the key and makes
+    :func:`expand_key`'s ``AES_set_encrypt_key`` call itself, and
     :meth:`compute` checks a one-block input and hands it to C itself — one
     frame for each of the data plane's per-packet AES operations.
     """
@@ -67,7 +78,14 @@ class AesPrf(AES128):
     __slots__ = ("_cmac",)
 
     def __init__(self, key: bytes) -> None:
-        self._schedule = expand_key(key)
+        schedule = _AesKey()
+        if (
+            type(key) is not bytes
+            or len(key) != KEY_SIZE
+            or _set_encrypt_key(key, _KEY_BITS, schedule) != 0
+        ):
+            schedule = expand_key(key)  # raises the error that names the fault
+        self._schedule = schedule
         self._cmac: Cmac | None = None
 
     def compute(self, message: bytes) -> bytes:
@@ -120,16 +138,18 @@ class PrfFactory:
     16
     """
 
-    __slots__ = ("backend_name", "_constructor")
+    __slots__ = ("backend_name", "prf_type")
 
     def __init__(self, backend: str = "aes") -> None:
         if backend not in _BACKENDS:
             raise ValueError(f"unknown PRF backend {backend!r}; options: {sorted(_BACKENDS)}")
         self.backend_name = backend
-        self._constructor = _BACKENDS[backend]
+        # The backend's class: calling it keys a PRF as calling the factory
+        # does, one frame shorter — the router keys A_i this way per packet.
+        self.prf_type = _BACKENDS[backend]
 
     def __call__(self, key: bytes) -> Prf:
-        return self._constructor(key)
+        return self.prf_type(key)
 
     def __repr__(self) -> str:
         return f"PrfFactory({self.backend_name!r})"

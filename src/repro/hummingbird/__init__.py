@@ -16,7 +16,6 @@ source buys the reverse path too and seals each reservation's
 from repro.hummingbird.duplicate import DuplicateFilter
 from repro.hummingbird.mac import (
     TAG_LEN,
-    aggregate_mac,
     checked_pkt_len,
     compute_flyover_mac,
     pack_flyover_mac_input,
@@ -59,7 +58,6 @@ from repro.hummingbird.source import (
 __all__ = [
     "DuplicateFilter",
     "TAG_LEN",
-    "aggregate_mac",
     "checked_pkt_len",
     "compute_flyover_mac",
     "pack_flyover_mac_input",

@@ -8,7 +8,10 @@ where ``TS = ResStartOffset || MillisTimestamp || Counter``, ``DstAddr =
 DstISD || DstAS`` and ``PktLen = PayloadLen + 4 * HdrLen``.  The input is
 exactly one AES block (Fig. 11), and the 6-byte tag is XOR-aggregated with
 the SCION hop-field MAC into the ``AggMAC`` header field, saving 6 bytes per
-hop (aggregate MACs, Katz & Lindell).
+hop (aggregate MACs, Katz & Lindell).  The XOR of Eq. 6 is one expression,
+written where it runs: the source aggregates each tag into its template's
+MAC, and the router XORs the tag back out to recover the candidate hop-field
+MAC.
 
 Binding the destination address prevents reservation stealing (§5.4);
 binding the packet length makes the bandwidth accounting unforgeable;
@@ -29,7 +32,6 @@ FLYOVER_MAC_INPUT_SIZE = 16
 # DstISD (16) || DstAS (48), Eq. 7c | PktLen | ResStartOffset | MillisTimestamp
 # | Counter (16 each)
 _MAC_INPUT = struct.Struct(">Q4H")
-_from_bytes = int.from_bytes  # bound once: each ``int.from_bytes`` lookup builds a bound method
 
 
 def pack_flyover_mac_input(
@@ -75,18 +77,6 @@ def compute_flyover_mac(
     except struct.error:
         block = pack_flyover_mac_input(dst, pkt_len, res_start_offset, millis_timestamp, counter)
     return auth_key_prf.compute(block)[:TAG_LEN]
-
-
-def aggregate_mac(hopfield_mac: bytes, flyover_mac: bytes) -> bytes:
-    """XOR-aggregate the SCION hop-field MAC with the flyover MAC (Eq. 6).
-
-    The same function recovers the candidate hop-field MAC at the router:
-    ``HopFieldMAC = AggMAC XOR FlyoverMAC``.
-    """
-    if len(hopfield_mac) != TAG_LEN or len(flyover_mac) != TAG_LEN:
-        raise ValueError("aggregate MAC requires two 6-byte tags")
-    aggregate = _from_bytes(hopfield_mac, "big") ^ _from_bytes(flyover_mac, "big")
-    return aggregate.to_bytes(TAG_LEN, "big")
 
 
 def checked_pkt_len(payload_len: int, hdr_len_units: int) -> int:

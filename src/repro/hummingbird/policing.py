@@ -71,18 +71,24 @@ class TokenBucketArray:
         # best-effort and not attributed to the reservation.  Sparse, so a
         # snapshot sorts the active ResIDs instead of scanning the capacity.
         self._usage_bytes: dict[int, int] = collections.defaultdict(int)
-        # Per-ResID rate overrides installed by the control plane when a
-        # no-show's bandwidth is reclaimed: the header still advertises
-        # the original class, but the bucket drains at the reclaimed
-        # rate.  Sparse — only reclaimed reservations pay the lookup.
-        self._limits: dict[int, int] = {}
+        # Per-ResID ``(kbps, until)`` rate overrides installed by the control
+        # plane when a no-show's bandwidth is reclaimed: the header still
+        # advertises the original class, but the bucket drains at the
+        # reclaimed rate until that reservation ends.  Sparse — only a
+        # reclaimed reservation's ResID pays the lookup.
+        self._limits: dict[int, tuple[int, float]] = {}
 
     def monitor(self, res_id: int, bw_kbps: int, pkt_len: int, now: float) -> PolicingVerdict:
         """BandwidthMonitoring(ResID, BW, PktLen) — Algorithm 1 verbatim."""
         if not 0 <= res_id < len(self._timestamps):
             return _BEST_EFFORT
         if self._limits:
-            bw_kbps = min(bw_kbps, self._limits.get(res_id, bw_kbps))
+            limit = self._limits.get(res_id)
+            if limit is not None:
+                if now < limit[1]:
+                    bw_kbps = min(bw_kbps, limit[0])
+                else:  # its reservation is over: the ResID's next holder is not capped
+                    del self._limits[res_id]
         if bw_kbps <= 0:
             return _BEST_EFFORT
         now_ns = int(now * NS)
@@ -103,17 +109,21 @@ class TokenBucketArray:
         """Every ResID with non-zero priority traffic -> bytes forwarded."""
         return {res_id: used for res_id, used in sorted(self._usage_bytes.items()) if used}
 
-    def set_limit(self, res_id: int, bw_kbps: int) -> None:
-        """Cap one reservation's policed rate below its header class.
+    def set_limit(self, res_id: int, bw_kbps: int, until: float) -> None:
+        """Cap one reservation's policed rate below its header class until
+        ``until``, the end of that reservation.
 
         The reclamation loop's demotion hook: after a no-show's calendar
         bandwidth is reclaimed, the bucket drains at the reclaimed rate —
         a sender waking up late is forwarded best-effort beyond it.  A
-        limit of 0 demotes every packet on the ResID.
+        limit of 0 demotes every packet on the ResID.  The cap is the
+        reservation's, not the ResID's: ResIDs are reused by later,
+        non-overlapping windows (§4.4), and their holders are policed at
+        their own rate.
         """
         if bw_kbps < 0:
             raise ValueError("limit must be >= 0")
-        self._limits[int(res_id)] = int(bw_kbps)
+        self._limits[int(res_id)] = (int(bw_kbps), float(until))
 
 
 class PerInterfacePolicer:
@@ -154,9 +164,9 @@ class PerInterfacePolicer:
         array = self._arrays.get(ingress_ifid)
         return 0 if array is None else array.usage_bytes(res_id)
 
-    def set_limit(self, ingress_ifid: int, res_id: int, bw_kbps: int) -> None:
-        """Cap one reservation's policed rate (reclamation demotion)."""
-        self.array_for(ingress_ifid).set_limit(res_id, bw_kbps)
+    def set_limit(self, ingress_ifid: int, res_id: int, bw_kbps: int, until: float) -> None:
+        """Cap one reservation's policed rate until it ends (reclamation demotion)."""
+        self.array_for(ingress_ifid).set_limit(res_id, bw_kbps, until)
 
     def usage_snapshot(self) -> dict[int, dict[int, int]]:
         """Per-ingress ``{res_id: priority bytes}`` for active ResIDs."""

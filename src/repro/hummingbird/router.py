@@ -1,26 +1,35 @@
 """Hummingbird border-router pipeline (Algorithms 2-4, Fig. 13).
 
 For each packet the ingress border router of AS *i* locates the current hop
-field once and then, on that hop field:
+field once, reading the path's position table itself, and then, on that hop
+field:
 
 1. **Flyover processing** (Algorithm 3) if the current hop field has the F
-   bit set: re-derive the reservation key :math:`A_i` from the packet's
-   reservation information under the held :math:`SV_i` PRF, key a PRF with
-   it (the paper's "AES-extend" step, done for every packet: nothing about a
-   reservation outlives the packet), recompute the
-   flyover MAC, XOR it into the AggMAC field — recovering the candidate
-   SCION hop-field MAC — and run the freshness and reservation-active
-   checks.  Timing failures demote the packet to best effort; a bad tag
-   will surface as a hop-field MAC mismatch and drop the packet.
-2. **Standard SCION processing** (Algorithm 4): hop-field expiry, MAC
-   verification (on the candidate recovered above), SegID update, CurrHF
-   advance — two hop fields at segment boundaries (A.5).
+   bit set: compute ResStart, re-derive the reservation key :math:`A_i` from
+   the packet's reservation information under the held :math:`SV_i` PRF,
+   check PktLen for overflow (Eq. 7d), key a PRF with :math:`A_i` (the
+   paper's "AES-extend" step, done for every packet: nothing about a
+   reservation outlives the packet), recompute the flyover MAC, XOR it into
+   the AggMAC field — recovering the candidate SCION hop-field MAC — and run
+   the freshness and reservation-active checks.  Timing failures demote the
+   packet to best effort; a bad tag will surface as a hop-field MAC mismatch
+   and drop the packet.
+2. **Standard SCION processing** (Algorithm 4, the base router's
+   ``_traverse``): hop-field expiry, MAC verification (on the candidate
+   recovered above), SegID update, CurrHF advance — two hop fields at
+   segment boundaries (A.5).
 3. **Bandwidth monitoring** (Algorithm 1) plus optional duplicate
    suppression: overuse or replay demotes to best effort.
 4. Forward with priority, forward best effort, or drop.
 
 Step 1 leaves the plain hop-field MAC in the header (A.7), which is what
 makes path reversal at the destination trivial.
+
+A reserved hop is eleven Python frames at either PRF backend: this method,
+the clock, ``_traverse``, :func:`~repro.crypto.keys.derive_auth_key`,
+:func:`~repro.hummingbird.mac.compute_flyover_mac`, the three PRF computes
+and one keying of Table 3, and the policer's two levels.  Every other step
+is written out here; ``tests/hummingbird/test_op_counts.py`` holds the count.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from repro.clock import Clock
 from repro.crypto.keys import derive_auth_key
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.hummingbird.duplicate import DuplicateFilter
-from repro.hummingbird.mac import aggregate_mac, checked_pkt_len, compute_flyover_mac
+from repro.hummingbird.mac import TAG_LEN, compute_flyover_mac
 from repro.hummingbird.pathtype import FlyoverHopFieldData, HummingbirdPath
 from repro.hummingbird.policing import PerInterfacePolicer, PolicingVerdict
 from repro.scion.packet import PATH_TYPE_HUMMINGBIRD, ScionPacket
@@ -44,6 +53,7 @@ DEFAULT_POLICING_CAPACITY = 100_000  # matches the prototype's 800 kB array (§7
 # member costs about ten global reads.
 _DROP_ACTION, _DELIVER_ACTION = Action.DROP, Action.DELIVER
 _OVERUSED = PolicingVerdict.FWD_BEST_EFFORT
+_from_bytes = int.from_bytes  # bound once: each ``int.from_bytes`` lookup builds a bound method
 
 
 @dataclass
@@ -94,13 +104,18 @@ class HummingbirdRouter(ScionRouter):
         path = packet.path
         if not isinstance(path, HummingbirdPath):
             return self._counted(Decision(Action.DROP, reason="path type 5 without meta header"))
-        if path.at_end():
+        if path.curr_hf >= path.num_hopfields:
             return self._counted(Decision(Action.DROP, reason="path exhausted"))
 
         # One pass: the hop field is located once and every step runs on it.
         now = self.clock.now()
-        seg_index, local, segment, hop = path.current()
-        ingress, egress = segment.traversal_interfaces(local)
+        seg_index, local = path.positions[path.curr_hf]
+        segment = path.segments[seg_index]
+        hop = segment.hopfields[local]
+        if segment.cons_dir:
+            ingress, egress = hop.cons_ingress, hop.cons_egress
+        else:
+            egress, ingress = hop.cons_ingress, hop.cons_egress
         if not isinstance(hop, FlyoverHopFieldData):  # the F bit is clear
             return self._counted(
                 self._traverse(path, ingress_ifid, now, seg_index, segment, hop, ingress, egress)
@@ -131,12 +146,11 @@ class HummingbirdRouter(ScionRouter):
             res_start,
             hop.res_duration,
         )
-        try:
-            pkt_len = checked_pkt_len(len(packet.payload), path.hdr_len)
-        except OverflowError:
+        pkt_len = len(packet.payload) + 4 * path.hdr_len  # PktLen, Eq. 7d
+        if pkt_len >= 1 << 16:  # does not fit its two bytes: the specification drops it
             return self._counted(Decision(Action.DROP, reason="PktLen overflow"))
         flyover_mac = compute_flyover_mac(
-            self.prf_factory(auth_key),  # "AES-extend A_i": per packet, never kept
+            self.prf_factory.prf_type(auth_key),  # "AES-extend A_i": per packet, never kept
             packet.dst.isd_as,
             pkt_len,
             hop.res_start_offset,
@@ -144,7 +158,9 @@ class HummingbirdRouter(ScionRouter):
             path.counter,
         )
         # Candidate hop-field MAC (Eq. 6); also the A.7 MAC replacement.
-        hop.mac = aggregate_mac(hop.mac, flyover_mac)
+        hop.mac = (_from_bytes(hop.mac, "big") ^ _from_bytes(flyover_mac, "big")).to_bytes(
+            TAG_LEN, "big"
+        )
         reserved = False
         age = now - (path.base_timestamp + path.millis_timestamp / 1000.0)
         if not -CLOCK_SKEW <= age <= MAX_PACKET_AGE + CLOCK_SKEW:

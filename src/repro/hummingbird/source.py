@@ -23,13 +23,21 @@ from dataclasses import dataclass
 
 from repro.clock import Clock
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
-from repro.hummingbird.mac import aggregate_mac, checked_pkt_len, compute_flyover_mac
+from repro.hummingbird.mac import TAG_LEN, checked_pkt_len, compute_flyover_mac
 from repro.hummingbird.pathtype import FlyoverHopFieldData, HummingbirdPath
 from repro.hummingbird.reservation import FlyoverReservation
 from repro.scion.addresses import ScionAddr
-from repro.scion.packet import PATH_TYPE_HUMMINGBIRD, PATH_TYPE_SCION, PacketPath, ScionPacket
+from repro.scion.packet import (
+    NEXT_HDR_UDP,
+    PATH_TYPE_HUMMINGBIRD,
+    PATH_TYPE_SCION,
+    PacketPath,
+    ScionPacket,
+)
 from repro.scion.paths import AsCrossing, ForwardingPath, HopFieldData, as_crossings
 from repro.wire.timestamps import PacketTimestamp, TimestampAllocator
+
+_from_bytes = int.from_bytes  # bound once: each ``int.from_bytes`` lookup builds a bound method
 
 
 @dataclass(frozen=True)
@@ -113,10 +121,13 @@ class HummingbirdSource:
             self._tag_slots[placement.seg_index][placement.hf_index] = slot
         # Held since redemption: one PRF keyed with A_K per placement.
         self._auth_key_prfs = [prf_factory(p.reservation.auth_key) for p in self.placements]
-        self._offsets = [
-            self._template.segments[p.seg_index].hopfields[p.hf_index].res_start_offset
-            for p in self.placements
+        flyovers = [
+            self._template.segments[p.seg_index].hopfields[p.hf_index] for p in self.placements
         ]
+        self._offsets = [hop.res_start_offset for hop in flyovers]
+        # Per placement, the plain hop-field MAC each packet's tag XORs into
+        # (Eq. 6), held as an int: one conversion a packet, not two.
+        self._hopfield_macs = [_from_bytes(hop.mac, "big") for hop in flyovers]
 
     # -- public API ---------------------------------------------------------
 
@@ -140,18 +151,17 @@ class HummingbirdSource:
 
     def _compute_flyover_macs(self, pkt_len: int, timestamp: PacketTimestamp) -> list[bytes]:
         """Stage 2: one flyover MAC per reserved AS hop (Eq. 7a), in placement order."""
-        dst = self.dst.isd_as
-        return [
-            compute_flyover_mac(
-                auth_key_prf, dst, pkt_len, offset, timestamp.millis, timestamp.counter
-            )
-            for auth_key_prf, offset in zip(self._auth_key_prfs, self._offsets)
-        ]
+        dst, millis, counter = self.dst.isd_as, timestamp.millis, timestamp.counter
+        macs = []  # a loop, not a comprehension: one is a frame of its own before CPython 3.12
+        for auth_key_prf, offset in zip(self._auth_key_prfs, self._offsets):
+            macs.append(compute_flyover_mac(auth_key_prf, dst, pkt_len, offset, millis, counter))
+        return macs
 
     def _assemble_hopfields(
         self, timestamp: PacketTimestamp, macs: list[bytes]
     ) -> HummingbirdPath:
         """Stage 3: fresh hop fields off the template, aggregating MACs on flyovers."""
+        hopfield_macs = self._hopfield_macs
         hopfields = []
         for segment, slots in zip(self._template.segments, self._tag_slots):
             hops: list[HopFieldData] = []
@@ -164,7 +174,9 @@ class HummingbirdSource:
                             hop.cons_ingress,
                             hop.cons_egress,
                             hop.exp_time,
-                            aggregate_mac(hop.mac, macs[slot]),
+                            (hopfield_macs[slot] ^ _from_bytes(macs[slot], "big")).to_bytes(
+                                TAG_LEN, "big"
+                            ),
                             hop.res_id,
                             hop.bw_cls,
                             hop.res_start_offset,
@@ -181,13 +193,10 @@ class HummingbirdSource:
         self, path: HummingbirdPath, payload: bytes, flow_id: int
     ) -> ScionPacket:
         """Stage 4: wrap everything into the packet object."""
+        # Positional, in field order: keyword arguments into the generated
+        # __init__ cost ~0.5 µs a packet more (here and in the baseline source).
         return ScionPacket(
-            src=self.src,
-            dst=self.dst,
-            path=path,
-            payload=payload,
-            path_type=PATH_TYPE_HUMMINGBIRD,
-            flow_id=flow_id,
+            self.src, self.dst, path, payload, PATH_TYPE_HUMMINGBIRD, NEXT_HDR_UDP, flow_id
         )
 
     # -- internals ----------------------------------------------------------
@@ -236,13 +245,9 @@ class ScionBestEffortSource:
 
     def build_packet(self, payload: bytes, flow_id: int = 1) -> ScionPacket:
         template = self._template
+        path = template.with_hopfields(
+            [[hop.copy() for hop in segment.hopfields] for segment in template.segments]
+        )
         return ScionPacket(
-            src=self.src,
-            dst=self.dst,
-            path=template.with_hopfields(
-                [[hop.copy() for hop in segment.hopfields] for segment in template.segments]
-            ),
-            payload=payload,
-            path_type=PATH_TYPE_SCION,
-            flow_id=flow_id,
+            self.src, self.dst, path, payload, PATH_TYPE_SCION, NEXT_HDR_UDP, flow_id
         )

@@ -98,9 +98,9 @@ class ReclamationEngine:
             ``retain_headroom * observed`` kbps (must be >= 1, so the
             retained bandwidth never dips below observed usage).
         min_retained_kbps: floor on the retained bandwidth.
-        demote: optional ``(ingress_ifid, res_id, kbps)`` callable capping
-            the data-plane policer at the retained rate — typically
-            ``router.policer.set_limit``.
+        demote: optional ``(ingress_ifid, res_id, kbps, until)`` callable
+            capping the data-plane policer at the retained rate until the
+            reservation's end — typically ``router.policer.set_limit``.
     """
 
     def __init__(
@@ -111,7 +111,7 @@ class ReclamationEngine:
         no_show_threshold: float = 0.5,
         retain_headroom: float = 1.5,
         min_retained_kbps: int = 1,
-        demote: Callable[[int, int, int], None] | None = None,
+        demote: Callable[[int, int, int, float], None] | None = None,
     ) -> None:
         if grace_seconds < 0:
             raise ValueError("grace_seconds must be >= 0")
@@ -263,7 +263,7 @@ class ReclamationEngine:
             tracked.ingress_ifid, tracked.res_id
         )
         if self.demote is not None:
-            self.demote(tracked.ingress_ifid, tracked.res_id, target)
+            self.demote(tracked.ingress_ifid, tracked.res_id, target, tracked.end)
         event = ReclamationEvent(
             res_id=tracked.res_id,
             ingress_ifid=tracked.ingress_ifid,

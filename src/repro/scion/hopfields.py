@@ -33,8 +33,8 @@ EXP_TIME_UNIT = 24 * 3600 / 256
 EXP_TIME = 63  # 6 hours, on every hop field beaconing builds
 
 # 0 (16) | SegID (16) | Timestamp (32) | 0 (8) | ExpTime (8) | ConsIngress (16)
-# | ConsEgress (16) | 0 (16)
-_MAC_INPUT = struct.Struct(">2xHIxBHH2x")
+# | ConsEgress (16) | 0 (16); the router packs it itself, one frame less a hop
+HOPFIELD_MAC_INPUT = struct.Struct(">2xHIxBHH2x")
 
 
 def pack_hopfield_mac_input(
@@ -42,7 +42,7 @@ def pack_hopfield_mac_input(
 ) -> bytes:
     """16-byte MAC input per the SCION header specification."""
     try:
-        return _MAC_INPUT.pack(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
+        return HOPFIELD_MAC_INPUT.pack(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
     except struct.error:
         raise out_of_range(
             ("SegID", seg_id, SEGID_BITS),
@@ -68,7 +68,7 @@ def compute_hopfield_mac(
     :func:`pack_hopfield_mac_input` raises the error that names it.
     """
     try:
-        block = _MAC_INPUT.pack(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
+        block = HOPFIELD_MAC_INPUT.pack(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
     except struct.error:
         block = pack_hopfield_mac_input(seg_id, timestamp, exp_time, cons_ingress, cons_egress)
     return forwarding_key_prf.compute(block)[:HOP_MAC_LEN]
@@ -77,8 +77,3 @@ def compute_hopfield_mac(
 def chain_segid(seg_id: int, mac: bytes) -> int:
     """Advance the SegID accumulator: ``beta ^= MAC[:2]``."""
     return seg_id ^ (mac[0] << 8 | mac[1])
-
-
-def absolute_expiry(segment_timestamp: int, exp_time: int) -> float:
-    """Absolute hop-field expiry in Unix seconds."""
-    return segment_timestamp + (exp_time + 1) * EXP_TIME_UNIT

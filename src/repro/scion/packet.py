@@ -43,10 +43,11 @@ class PacketPath:
 
     The shape of a path — how many hop fields each segment has, and of which
     kind — is fixed at construction, as SegLen and HdrLen fix it on the wire:
-    ``num_hopfields``, ``hdr_len`` and the table behind :meth:`locate` are
-    computed once, so hop fields may be rewritten in place but not added,
-    removed or swapped for another kind.  :meth:`with_hopfields` makes a new
-    packet's path that shares them.
+    ``num_hopfields``, ``hdr_len`` and ``positions`` (the table behind
+    :meth:`locate`, one ``(segment index, local index)`` per hop field, which
+    the routers index themselves) are computed once, so hop fields may be
+    rewritten in place but not added, removed or swapped for another kind.
+    :meth:`with_hopfields` makes a new packet's path that shares them.
     """
 
     segments: list[SegmentInPath]
@@ -57,12 +58,12 @@ class PacketPath:
     def __post_init__(self) -> None:
         if not self.segids:
             self.segids = [segment.initial_segid for segment in self.segments]
-        self._positions = tuple(
+        self.positions = tuple(
             (seg_index, local)
             for seg_index, segment in enumerate(self.segments)
             for local in range(len(segment.hopfields))
         )
-        self.num_hopfields = len(self._positions)
+        self.num_hopfields = len(self.positions)
         # HdrLen: the whole header in 4-byte units (Eq. 7d's PktLen needs it)
         self.hdr_len = (
             COMMON_HDR_LEN + ADDR_HDR_LEN + 4 + 8 * len(self.segments) + 12 * self.num_hopfields
@@ -106,7 +107,7 @@ class PacketPath:
         """Map a global hop-field index to (segment index, local index)."""
         if not 0 <= global_hf < self.num_hopfields:
             raise IndexError(f"hop-field index {global_hf} out of range")
-        return self._positions[global_hf]
+        return self.positions[global_hf]
 
     def current(self) -> tuple[int, int, SegmentInPath, HopFieldData]:
         seg_index, local = self.locate(self.curr_hf)

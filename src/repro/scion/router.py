@@ -23,11 +23,17 @@ from __future__ import annotations
 
 import enum
 import hmac
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 
 from repro.clock import Clock
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
-from repro.scion.hopfields import absolute_expiry, chain_segid, compute_hopfield_mac
+from repro.scion.hopfields import (
+    EXP_TIME_UNIT,
+    HOP_MAC_LEN,
+    HOPFIELD_MAC_INPUT,
+    pack_hopfield_mac_input,
+)
 from repro.scion.packet import PacketPath, ScionPacket
 from repro.scion.paths import HopFieldData, SegmentInPath
 from repro.scion.topology import AutonomousSystem
@@ -47,10 +53,11 @@ class Decision:
     action: Action
     egress_ifid: int = 0
     reason: str = ""
+    # Stored once, not a property: whoever hands a packet on reads it per hop.
+    forwarded: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def forwarded(self) -> bool:
-        return self.action in _FORWARDING
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "forwarded", self.action in _FORWARDING)
 
 
 _FORWARDING = (Action.FORWARD, Action.FORWARD_PRIORITY)  # read once: enum lookups are slow
@@ -128,27 +135,34 @@ class ScionRouter:
             self._forwarding_key = self.autonomous_system.forwarding_key
             self._forwarding_key_prf = self.prf_factory(self._forwarding_key)
         forwarding_key_prf = self._forwarding_key_prf
+        # Expiry, the MAC input and SegID chaining are written out here, not
+        # called (beaconing calls compute_hopfield_mac and chain_segid): a
+        # call costs more than each of them.
         for boundary in (False, True):
-            if absolute_expiry(segment.timestamp, hop.exp_time) < now:
+            timestamp, exp_time, mac = segment.timestamp, hop.exp_time, hop.mac
+            if timestamp + (exp_time + 1) * EXP_TIME_UNIT < now:
                 return Decision(Action.DROP, reason="hop field expired")
             segid = path.segids[seg_index]
-            beta = segid if segment.cons_dir else chain_segid(segid, hop.mac)
-            expected = compute_hopfield_mac(
-                forwarding_key_prf,
-                beta,
-                segment.timestamp,
-                hop.exp_time,
-                hop.cons_ingress,
-                hop.cons_egress,
-            )
-            if not hmac.compare_digest(expected, hop.mac):
+            beta = segid if segment.cons_dir else segid ^ (mac[0] << 8 | mac[1])
+            try:
+                block = HOPFIELD_MAC_INPUT.pack(
+                    beta, timestamp, exp_time, hop.cons_ingress, hop.cons_egress
+                )
+            except struct.error:  # raises the error that names the field
+                block = pack_hopfield_mac_input(
+                    beta, timestamp, exp_time, hop.cons_ingress, hop.cons_egress
+                )
+            expected = forwarding_key_prf.compute(block)[:HOP_MAC_LEN]
+            if not hmac.compare_digest(expected, mac):
                 return Decision(Action.DROP, reason="hop-field MAC verification failed")
-            path.segids[seg_index] = chain_segid(segid, expected) if segment.cons_dir else beta
+            path.segids[seg_index] = (
+                segid ^ (expected[0] << 8 | expected[1]) if segment.cons_dir else beta
+            )
             path.curr_hf += 1
 
             # Segment boundary: traversal egress 0 but more segments follow means
             # this AS owns the first hop field of the next segment too (A.5).
-            if boundary or egress != 0 or path.at_end():
+            if boundary or egress != 0 or path.curr_hf >= path.num_hopfields:
                 break
             next_seg_index, local, segment, hop = path.current()
             if next_seg_index != seg_index + 1:
@@ -157,7 +171,7 @@ class ScionRouter:
             _, egress = segment.traversal_interfaces(local)
 
         if egress == 0:
-            if not path.at_end():
+            if path.curr_hf < path.num_hopfields:
                 return Decision(Action.DROP, reason="egress 0 before end of path")
             return _DELIVER
         return self._forward.get(egress) or Decision(Action.FORWARD, egress_ifid=egress)

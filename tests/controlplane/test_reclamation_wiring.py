@@ -219,8 +219,8 @@ class _FullRate:
             snapshot.setdefault(ingress, {})[res_id] = sent
         return snapshot
 
-    def set_limit(self, ingress: int, res_id: int, kbps: int) -> None:
-        self.limits.append((ingress, res_id, kbps))
+    def set_limit(self, ingress: int, res_id: int, kbps: int, until: float) -> None:
+        self.limits.append((ingress, res_id, kbps, until))
 
 
 def test_a_late_delivery_is_judged_from_its_delivery_not_its_window():
@@ -258,3 +258,44 @@ def test_a_late_delivery_is_judged_from_its_delivery_not_its_window():
             assert deployment.service(crossing.isd_as).reclaim_no_shows() == []
     assert all(not policer.limits for policer in policers.values())
     check(deployment, clock.now())
+
+
+def test_a_reclaimed_cap_does_not_police_the_next_holder_of_its_res_id():
+    """A no-show is reclaimed to 1 kbps at every AS; the next buyer of the
+    path gets the same ResIDs for the following, non-overlapping window and
+    sends within what it paid for: every router forwards it with priority."""
+    from repro.netsim.scenarios import START, _market, linear_path
+
+    topology, path = linear_path(3)
+    deployment, simulation = _market(
+        topology, path, reclamation={"interval": 0.25, "grace_seconds": 1.0}
+    )
+    crossings = as_crossings(path)
+
+    def buy(start: int):
+        return purchase_path(
+            deployment,
+            deployment.new_host(funding_sui=100),
+            crossings,
+            start=start,
+            expiry=start + 60,
+            bandwidth_kbps=2_500,
+        ).reservations
+
+    no_show = buy(START)
+    simulation.loop.run_until(START + 5)
+    for crossing in crossings:
+        (event,) = deployment.service(crossing.isd_as).reclaim_no_shows()
+        assert event.new_kbps == 1
+    second = buy(START + 60)
+    assert [r.resinfo.res_id for r in second] == [r.resinfo.res_id for r in no_show]
+
+    simulation.loop.run_until(START + 60)
+    flow = simulation.send(1, 2_000_000.0, second)
+    simulation.run(1.0)
+    simulation.loop.run_until(simulation.now() + 1.0)  # what is in flight lands
+    assert flow.received_packets == flow.sent_packets > 0
+    for node in simulation.nodes.values():
+        assert node.router.stats.demoted_overuse == 0
+        assert node.router.stats.flyover_forwarded == flow.sent_packets
+    check(deployment, simulation.now())

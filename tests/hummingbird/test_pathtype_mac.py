@@ -11,7 +11,6 @@ from tests.conftest import BLAKE2, T0, addresses, flyover_count, grant_full_path
 from repro.clock import SimClock
 from repro.hummingbird.mac import (
     TAG_LEN,
-    aggregate_mac,
     checked_pkt_len,
     compute_flyover_mac,
     pack_flyover_mac_input,
@@ -60,13 +59,23 @@ class TestMacComputation:
         assert compute_flyover_mac(prf, IsdAs(1, 2), 100, 5, 7, 7) != base
         assert compute_flyover_mac(prf, IsdAs(1, 2), 100, 5, 6, 8) != base
 
-    def test_aggregate_is_self_inverse(self):
-        a, b = bytes(range(6)), bytes(range(6, 12))
-        assert aggregate_mac(aggregate_mac(a, b), b) == a
-
-    def test_aggregate_requires_6_bytes(self):
-        with pytest.raises(ValueError):
-            aggregate_mac(bytes(5), bytes(6))
+    def test_aggmac_xor_the_tag_is_the_hop_field_mac(self, chain3, clock):
+        """Eq. 6 both ways: what a source writes into AggMAC, XORed with the
+        flyover tag the router recomputes, is the plain hop-field MAC."""
+        topology, path = chain3
+        reservations = grant_full_path(topology, path, start=T0 - 5)
+        src, dst = addresses(path)
+        packet = HummingbirdSource(src, dst, path, reservations, clock, BLAKE2).build_packet(b"x")
+        hops = [hop for segment in packet.path.segments for hop in segment.hopfields]
+        plain = [hop for segment in path.segments for hop in segment.hopfields]
+        first = packet.path.segments[0].hopfields[0]
+        tag = compute_flyover_mac(
+            BLAKE2(reservations[0].auth_key), dst.isd_as, len(b"x") + 4 * packet.path.hdr_len,
+            first.res_start_offset, packet.path.millis_timestamp, packet.path.counter,
+        )
+        recovered = bytes(x ^ y for x, y in zip(first.mac, tag))
+        assert len(first.mac) == TAG_LEN and recovered == plain[0].mac != first.mac
+        assert all(hop.mac != original.mac for hop, original in zip(hops, plain))
 
     def test_pkt_len_overflow(self):
         with pytest.raises(OverflowError):

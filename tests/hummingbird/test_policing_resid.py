@@ -106,9 +106,9 @@ class TestTokenBucket:
 
     def test_set_limit_caps_the_rate(self):
         bucket = TokenBucketArray(capacity=8, burst_time=0.05)
-        bucket.set_limit(2, 0)
+        bucket.set_limit(2, 0, 1060.0)
         assert bucket.monitor(2, 1000, 500, 1000.0) is PolicingVerdict.FWD_BEST_EFFORT
-        bucket.set_limit(2, 100)
+        bucket.set_limit(2, 100, 1060.0)
         admitted = [bucket.monitor(2, 1000, 500, 1000.0) for _ in range(12)]
         # the 100 kbps cap admits one 500 B packet of its 625 B burst, where
         # the header's 1 Mbps would have admitted all twelve (6,250 B)
@@ -145,6 +145,36 @@ class TestTokenBucket:
         assert fresh_bucket_admits(240, 1500) and not fresh_bucket_admits(240, 1501)
         assert not fresh_bucket_admits(100, 1500)
         assert fresh_bucket_admits(4000, 1501)
+
+
+class TestReclaimedCap:
+    """A cap the reclamation loop installs binds to the reservation it was
+    set for: FirstFit hands the ResID to the next non-overlapping window
+    (§4.4), and that holder is policed at its own rate."""
+
+    def test_a_later_holder_of_the_res_id_is_policed_at_its_own_rate(self):
+        from repro.admission import AdmissionController
+        from repro.reclaim import ReclamationEngine, UsageReporter
+
+        policer = PerInterfacePolicer(capacity=8)
+        controller = AdmissionController(100_000)
+        claim = controller.admit_reservation(1, True, 1000, 0.0, 60.0, tag="no-show")
+        engine = ReclamationEngine(
+            controller,
+            UsageReporter(policer.usage_snapshot, interval=0.25),
+            grace_seconds=1.0,
+            demote=policer.set_limit,
+        )
+        engine.track(3, 1, 1000, 0.0, 60.0, [(1, True, claim.commitment.commitment_id)])
+        (event,) = engine.scan(5.0)  # never sent a byte
+        assert event.new_kbps == 1
+        array = policer.array_for(1)
+        assert array.monitor(3, 1000, 500, 10.0) is PolicingVerdict.FWD_BEST_EFFORT
+
+        # The next holder's window is [60, 120): its 1 Mbps admits a full
+        # 50 ms burst, twelve 500 B packets, where the cap would admit none.
+        verdicts = [array.monitor(3, 1000, 500, 60.0) for _ in range(12)]
+        assert verdicts == [PolicingVerdict.FWD_FLYOVER] * 12
 
 
 class TestPerInterfacePolicer:

@@ -103,6 +103,16 @@ class TestBaselineRouter:
         assert decision.action is Action.DROP
         assert "expired" in decision.reason
 
+    def test_a_hop_field_lasts_exp_time_plus_one_units(self, chain3):
+        """ExpTime v lasts (v + 1) * 24 h / 256 past its segment's timestamp:
+        the 63 beaconing writes is six hours, to the millisecond."""
+        topology, path = chain3
+        assert {hop.exp_time for s in path.segments for hop in s.hopfields} == {63}
+        expiry = T0 + 6 * 3600
+        for now, action in ((expiry, Action.FORWARD), (expiry + 0.001, Action.DROP)):
+            router = ScionRouter(topology.as_of(path.src), SimClock(float(now)), BLAKE2)
+            assert router.process(build_packet(path), 0).action is action
+
     def test_wrong_ingress_interface_dropped(self, chain3, clock):
         topology, path = chain3
         routers = {a.isd_as: ScionRouter(a, clock, BLAKE2) for a in topology.ases}

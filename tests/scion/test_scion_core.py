@@ -5,7 +5,7 @@ import pytest
 from repro.crypto.prf import PrfFactory
 from repro.scion.addresses import HostAddr, IsdAs, ScionAddr
 from repro.scion.beaconing import run_beaconing
-from repro.scion.hopfields import absolute_expiry, chain_segid, compute_hopfield_mac
+from repro.scion.hopfields import chain_segid, compute_hopfield_mac
 from repro.scion.paths import PathLookup, as_crossings, build_forwarding_path
 from repro.scion.segments import SegmentKind, build_segment
 from repro.scion.topology import LinkType, Topology, core_mesh_topology, linear_topology
@@ -127,9 +127,6 @@ class TestSegments:
         route = [topo.ases[0].isd_as, topo.ases[2].isd_as]
         with pytest.raises(ValueError):
             build_segment(topo, route, SegmentKind.INTRA_ISD, T0, 7, 63, BLAKE2)
-
-    def test_expiry(self):
-        assert absolute_expiry(T0, 255) == pytest.approx(T0 + 24 * 3600)
 
 
 class TestBeaconing:
