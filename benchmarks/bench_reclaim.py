@@ -39,7 +39,7 @@ def _tracked_population(count: int, show_up: bool):
     calendar = controller.calendar(INGRESS, True, ACTIVE)
     # Full booked rate for SCAN_AT seconds, or silence: cumulative bytes.
     per_res = int(BOOKED_KBPS * 125 * SCAN_AT) if show_up else 0
-    usage = {INGRESS: {res_id: per_res for res_id in range(count)}}
+    usage = {INGRESS: {(res_id, WINDOW[0]): per_res for res_id in range(count)}}
     engine = ReclamationEngine(
         controller,
         UsageReporter(lambda: usage, interval=0.25),
@@ -50,6 +50,7 @@ def _tracked_population(count: int, show_up: bool):
         engine.track(
             res_id,
             INGRESS,
+            WINDOW[0],
             BOOKED_KBPS,
             *WINDOW,
             [(INGRESS, True, piece.commitment_id)],

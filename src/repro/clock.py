@@ -25,22 +25,26 @@ class SimClock:
     >>> clock.advance(2.5)
     >>> clock.now()
     102.5
+
+    ``time`` is the reading itself: the netsim event loop, which advances
+    it once per event, reads and writes it directly and keeps it from
+    moving backwards as :meth:`set` does.
     """
 
-    __slots__ = ("_now",)
+    __slots__ = ("time",)
 
     def __init__(self, start: float = 1_700_000_000.0) -> None:
-        self._now = float(start)
+        self.time = float(start)
 
     def now(self) -> float:
-        return self._now
+        return self.time
 
     def advance(self, delta: float) -> None:
         if delta < 0:
             raise ValueError("time cannot move backwards")
-        self._now += delta
+        self.time += delta
 
     def set(self, value: float) -> None:
-        if value < self._now:
+        if value < self.time:
             raise ValueError("time cannot move backwards")
-        self._now = float(value)
+        self.time = float(value)

@@ -140,8 +140,10 @@ class AsService:
         # Combinatorial path auctions: legs this AS contributed, by
         # (path auction id, leg index).
         self.path_legs: dict[tuple[str, int], AuctionedRectangle] = {}
-        # No-show reclamation (armed by enable_reclamation).
+        # No-show reclamation (armed by enable_reclamation), and the
+        # data-plane policer it reads and caps, if any.
         self.reclamation = None
+        self.policer = None
         self._relist_marketplace: str | None = None
         self._relist_base_micromist = 1
         # (event, listing id or None, reason) per reclaimed reservation.
@@ -881,6 +883,7 @@ class AsService:
             self.reclamation.track(
                 res_id,
                 ingress_if,
+                start,
                 bandwidth_kbps,
                 max(start, self.executor.clock.now()),
                 expiry,
@@ -923,9 +926,10 @@ class AsService:
         """Arm the usage-feedback loop for this AS.
 
         ``policer`` is this AS's data-plane policer (``router.policer``):
-        the loop samples its ``usage_snapshot`` and caps a reclaimed ResID
-        with its ``set_limit``.  Without one the loop runs on an empty
-        usage feed and demotes nothing.  Once armed, every delivery is
+        the loop samples its ``usage_snapshot``, caps a reclaimed
+        reservation with its ``set_limit`` and has it ``retain`` only the
+        reservations it still tracks.  Without one the loop runs on an
+        empty usage feed and demotes nothing.  Once armed, every delivery is
         tracked and :meth:`reclaim_no_shows` runs the loop.  With
         ``marketplace`` set, reclaimed bandwidth is relisted there with
         ``Reclaimed`` provenance at the scarcity-adjusted quote over
@@ -936,6 +940,7 @@ class AsService:
         from repro.reclaim import ReclamationEngine, UsageReporter
 
         bound = policer is not None
+        self.policer = policer
         self.reclamation = ReclamationEngine(
             self.admission,
             UsageReporter(policer.usage_snapshot if bound else dict, interval),
@@ -944,6 +949,7 @@ class AsService:
             retain_headroom=retain_headroom,
             min_retained_kbps=min_retained_kbps,
             demote=policer.set_limit if bound else None,
+            retain=policer.retain if bound else None,
         )
         self._relist_marketplace = marketplace
         self._relist_base_micromist = relist_base_micromist

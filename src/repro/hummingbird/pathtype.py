@@ -16,8 +16,8 @@ Changes relative to the standard SCION path type:
 * the first hop-field bit is the flyover flag ``F``.
 
 The in-memory representation extends the generic :class:`PacketPath` with
-the timestamp triple; flyover hop fields extend :class:`HopFieldData` with
-the reservation fields.
+the timestamp triple; flyover hop fields are :class:`HopFieldData`'s four
+fields plus the reservation fields.
 """
 
 from __future__ import annotations
@@ -44,21 +44,40 @@ FLYOVER_UNITS = FLYOVER_HOPFIELD_LEN // 4  # ... or by 5
 
 
 @dataclass(slots=True)
-class FlyoverHopFieldData(HopFieldData):
-    """A hop field carrying a flyover reservation (``mac`` holds the AggMAC)."""
+class FlyoverHopFieldData:
+    """A hop field carrying a flyover reservation (``mac`` holds the AggMAC).
 
+    The one hop field a router writes: it replaces the AggMAC with the plain
+    hop-field MAC (A.7).  So it is mutable, every packet carries its own, and
+    it does not extend the frozen :class:`~repro.scion.paths.HopFieldData`
+    (a dataclass may not be a mutable subclass of a frozen one); it has the
+    same four fields first, then the reservation's.
+    """
+
+    cons_ingress: int
+    cons_egress: int
+    exp_time: int
+    mac: bytes  # 6 bytes: the AggMAC until a router verified it
     res_id: int = 0
     bw_cls: int = 0
     res_start_offset: int = 0
     res_duration: int = 0
 
+    def plain(self) -> HopFieldData:
+        """The plain hop field with these four values.
 
-def is_flyover(hop: HopFieldData) -> bool:
+        A flyover's reservation fields stay behind, which is what path
+        reversal (Appendix A.8) wants from a traversed flyover.
+        """
+        return HopFieldData(self.cons_ingress, self.cons_egress, self.exp_time, self.mac)
+
+
+def is_flyover(hop: HopFieldData | FlyoverHopFieldData) -> bool:
     """The F bit: does this hop field carry a reservation?"""
     return isinstance(hop, FlyoverHopFieldData)
 
 
-def hopfield_units(hop: HopFieldData) -> int:
+def hopfield_units(hop: HopFieldData | FlyoverHopFieldData) -> int:
     return FLYOVER_UNITS if is_flyover(hop) else HOPFIELD_UNITS
 
 
@@ -150,7 +169,7 @@ def encode_hummingbird_path(path: PacketPath) -> bytes:
     return bytes(out)
 
 
-def _encode_hopfield(hop: HopFieldData) -> bytes:
+def _encode_hopfield(hop: HopFieldData | FlyoverHopFieldData) -> bytes:
     packer = BitPacker()
     packer.put(1 if is_flyover(hop) else 0, 1)  # F
     packer.put(0, 5)  # r
@@ -210,7 +229,7 @@ def decode_hummingbird_path(data: bytes) -> PacketPath:
     for seg_index in range(num_inf):
         cons_dir, segid, timestamp = infos[seg_index]
         remaining_units = seg_lens[seg_index]
-        hopfields: list[HopFieldData] = []
+        hopfields: list[HopFieldData | FlyoverHopFieldData] = []
         while remaining_units > 0:
             if offset >= len(data):
                 raise ValueError("SegLen claims hop fields beyond the packet")
@@ -234,8 +253,8 @@ def decode_hummingbird_path(data: bytes) -> PacketPath:
                 cons_dir=cons_dir,
                 timestamp=timestamp,
                 initial_segid=segid,
-                hopfields=hopfields,
-                ases=[],
+                hopfields=tuple(hopfields),
+                ases=(),
             )
         )
         segids.append(segid)
@@ -254,7 +273,7 @@ def decode_hummingbird_path(data: bytes) -> PacketPath:
     )
 
 
-def _decode_hopfield(data: bytes, flyover: bool) -> HopFieldData:
+def _decode_hopfield(data: bytes, flyover: bool) -> HopFieldData | FlyoverHopFieldData:
     fields = BitUnpacker(data[:6])
     flyover_bit = fields.take(1)
     if bool(flyover_bit) != flyover:

@@ -37,16 +37,16 @@ def reverse_path(path: PacketPath) -> HummingbirdPath:
     reversed_segids: list[int] = []
     for seg_index in range(len(path.segments) - 1, -1, -1):
         segment = path.segments[seg_index]
-        hopfields = [hop.copy() for hop in reversed(segment.hopfields)]
-        ases = list(reversed(segment.ases)) if segment.ases else []
         segid = path.segids[seg_index]
         reversed_segments.append(
             SegmentInPath(
                 cons_dir=not segment.cons_dir,
                 timestamp=segment.timestamp,
                 initial_segid=segid,
-                hopfields=hopfields,
-                ases=ases,
+                hopfields=tuple(
+                    hop.plain() if is_flyover(hop) else hop for hop in reversed(segment.hopfields)
+                ),
+                ases=segment.ases[::-1],
             )
         )
         reversed_segids.append(segid)
@@ -69,16 +69,7 @@ def to_standard_path(path: HummingbirdPath) -> PacketPath:
             if is_flyover(hop):
                 raise ValueError("strip flyovers (reverse_path) before converting")
     return PacketPath(
-        segments=[
-            SegmentInPath(
-                cons_dir=segment.cons_dir,
-                timestamp=segment.timestamp,
-                initial_segid=segment.initial_segid,
-                hopfields=[hop.copy() for hop in segment.hopfields],
-                ases=list(segment.ases),
-            )
-            for segment in path.segments
-        ],
+        segments=list(path.segments),
         segids=list(path.segids),
         curr_inf=path.curr_inf,
         curr_hf=path.curr_hf,

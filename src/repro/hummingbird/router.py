@@ -25,11 +25,15 @@ field:
 Step 1 leaves the plain hop-field MAC in the header (A.7), which is what
 makes path reversal at the destination trivial.
 
-A reserved hop is eleven Python frames at either PRF backend: this method,
+A reserved hop is ten Python frames at either PRF backend: this method,
 the clock, ``_traverse``, :func:`~repro.crypto.keys.derive_auth_key`,
 :func:`~repro.hummingbird.mac.compute_flyover_mac`, the three PRF computes
-and one keying of Table 3, and the policer's two levels.  Every other step
-is written out here; ``tests/hummingbird/test_op_counts.py`` holds the count.
+and one keying of Table 3, and the policer's
+:meth:`~repro.hummingbird.policing.TokenBucketArray.monitor`.  A plain hop
+(a SCION path-type packet, or a Hummingbird one whose F bit is clear) is
+four: this method, the clock, ``_traverse`` and the hop-field MAC's
+compute.  Every other step is written out here;
+``tests/hummingbird/test_op_counts.py`` holds the counts.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.hummingbird.duplicate import DuplicateFilter
 from repro.hummingbird.mac import TAG_LEN, compute_flyover_mac
 from repro.hummingbird.pathtype import FlyoverHopFieldData, HummingbirdPath
-from repro.hummingbird.policing import PerInterfacePolicer, PolicingVerdict
+from repro.hummingbird.policing import KBPS_OF_CLASS, PerInterfacePolicer, PolicingVerdict
 from repro.scion.packet import PATH_TYPE_HUMMINGBIRD, ScionPacket
 from repro.scion.router import Action, Decision, ScionRouter
 from repro.scion.topology import AutonomousSystem
@@ -99,10 +103,9 @@ class HummingbirdRouter(ScionRouter):
     # -- Algorithm 2 ---------------------------------------------------------
 
     def process(self, packet: ScionPacket, ingress_ifid: int) -> Decision:
-        if packet.path_type != PATH_TYPE_HUMMINGBIRD:
-            return self._counted(super().process(packet, ingress_ifid))
         path = packet.path
-        if not isinstance(path, HummingbirdPath):
+        hummingbird = packet.path_type == PATH_TYPE_HUMMINGBIRD
+        if hummingbird and not isinstance(path, HummingbirdPath):
             return self._counted(Decision(Action.DROP, reason="path type 5 without meta header"))
         if path.curr_hf >= path.num_hopfields:
             return self._counted(Decision(Action.DROP, reason="path exhausted"))
@@ -116,10 +119,17 @@ class HummingbirdRouter(ScionRouter):
             ingress, egress = hop.cons_ingress, hop.cons_egress
         else:
             egress, ingress = hop.cons_ingress, hop.cons_egress
-        if not isinstance(hop, FlyoverHopFieldData):  # the F bit is clear
-            return self._counted(
-                self._traverse(path, ingress_ifid, now, seg_index, segment, hop, ingress, egress)
+        if not (hummingbird and isinstance(hop, FlyoverHopFieldData)):  # no F bit set
+            # A plain hop, as a best-effort flood's: counted here, not through
+            # _counted, a frame on the simulator's commonest hop.
+            decision = self._traverse(
+                path, ingress_ifid, now, seg_index, segment, hop, ingress, egress
             )
+            if decision.action is _DROP_ACTION:
+                self.stats.record_drop(decision.reason)
+            else:
+                self.stats.best_effort_forwarded += 1
+            return decision
 
         # Algorithm 3.  The reservation covers the whole AS crossing: at a
         # segment boundary the flyover (the AS's first hop field, A.5) shows
@@ -183,7 +193,12 @@ class HummingbirdRouter(ScionRouter):
         ):
             self.stats.demoted_duplicate += 1
             return self._counted(decision)
-        verdict = self.policer.monitor(ingress, hop.res_id, hop.bw_cls, pkt_len, now)
+        # Algorithm 1 on the ingress's array; derive_auth_key refused a class
+        # outside ten bits.
+        array = self.policer.arrays.get(ingress)
+        if array is None:
+            array = self.policer.array_for(ingress)
+        verdict = array.monitor(hop.res_id, KBPS_OF_CLASS[hop.bw_cls], pkt_len, now, res_start)
         if verdict is _OVERUSED:
             self.stats.demoted_overuse += 1
             return self._counted(decision)

@@ -19,7 +19,7 @@ Flyover Reservations").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.clock import Clock
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
@@ -34,7 +34,7 @@ from repro.scion.packet import (
     PacketPath,
     ScionPacket,
 )
-from repro.scion.paths import AsCrossing, ForwardingPath, HopFieldData, as_crossings
+from repro.scion.paths import AsCrossing, ForwardingPath, SegmentInPath, as_crossings
 from repro.wire.timestamps import PacketTimestamp, TimestampAllocator
 
 _from_bytes = int.from_bytes  # bound once: each ``int.from_bytes`` lookup builds a bound method
@@ -94,7 +94,9 @@ class HummingbirdSource:
     field's values, and each flyover's reservation fields with its
     ``ResStartOffset`` (the timestamp base is the source's for its
     lifetime).  A packet pays for its timestamp, its flyover tags, fresh
-    hop fields (routers rewrite them) and fresh cursors.
+    flyover hop fields (routers rewrite them), a segment of its own where
+    they sit, and fresh cursors; its plain hop fields and flyover-free
+    segments are the template's, frozen and shared.
     """
 
     def __init__(
@@ -113,12 +115,17 @@ class HummingbirdSource:
         self.placements = match_reservations(path, reservations)
         self._allocator = TimestampAllocator(int(clock.now()))
         self._template = self._header_template()
-        # Per segment, per hop field: the placement whose tag aggregates there.
-        self._tag_slots: list[list[int | None]] = [
-            [None] * len(segment.hopfields) for segment in path.segments
-        ]
+        # Per segment, per hop field: the placement whose tag aggregates
+        # there; None for a segment without a flyover, which every packet
+        # shares with the template.
+        self._tag_slots: list[list[int | None] | None] = [None] * len(path.segments)
         for slot, placement in enumerate(self.placements):
-            self._tag_slots[placement.seg_index][placement.hf_index] = slot
+            slots = self._tag_slots[placement.seg_index]
+            if slots is None:
+                slots = self._tag_slots[placement.seg_index] = [None] * len(
+                    path.segments[placement.seg_index].hopfields
+                )
+            slots[placement.hf_index] = slot
         # Held since redemption: one PRF keyed with A_K per placement.
         self._auth_key_prfs = [prf_factory(p.reservation.auth_key) for p in self.placements]
         flyovers = [
@@ -160,14 +167,18 @@ class HummingbirdSource:
     def _assemble_hopfields(
         self, timestamp: PacketTimestamp, macs: list[bytes]
     ) -> HummingbirdPath:
-        """Stage 3: fresh hop fields off the template, aggregating MACs on flyovers."""
+        """Stage 3: fresh flyover hop fields off the template, aggregating
+        MACs; plain hop fields and flyover-free segments are the template's."""
         hopfield_macs = self._hopfield_macs
-        hopfields = []
+        segments = []
         for segment, slots in zip(self._template.segments, self._tag_slots):
-            hops: list[HopFieldData] = []
+            if slots is None:
+                segments.append(segment)
+                continue
+            hops = []
             for hop, slot in zip(segment.hopfields, slots):
                 if slot is None:
-                    hops.append(hop.copy())
+                    hops.append(hop)
                 else:
                     hops.append(
                         FlyoverHopFieldData(
@@ -183,8 +194,13 @@ class HummingbirdSource:
                             hop.res_duration,
                         )
                     )
-            hopfields.append(hops)
-        path = self._template.with_hopfields(hopfields)
+            segments.append(
+                SegmentInPath(
+                    segment.cons_dir, segment.timestamp, segment.initial_segid, tuple(hops),
+                    segment.ases,
+                )
+            )
+        path = self._template.with_segments(segments)
         path.millis_timestamp = timestamp.millis
         path.counter = timestamp.counter
         return path
@@ -205,7 +221,7 @@ class HummingbirdSource:
         """The path every packet copies: flyover hop fields hold the plain
         hop-field MAC, which each packet aggregates with its own tag."""
         base = self._allocator.base
-        segments = self.path.copy().segments
+        segments = list(self.path.segments)
         for placement in self.placements:
             resinfo = placement.reservation.resinfo
             offset = base - resinfo.start
@@ -219,7 +235,8 @@ class HummingbirdSource:
                     f"reservation {placement.reservation!r} started more than "
                     "2^16 seconds before the base timestamp"
                 )
-            hops = segments[placement.seg_index].hopfields
+            segment = segments[placement.seg_index]
+            hops = list(segment.hopfields)
             hop = hops[placement.hf_index]
             hops[placement.hf_index] = FlyoverHopFieldData(
                 cons_ingress=hop.cons_ingress,
@@ -231,6 +248,7 @@ class HummingbirdSource:
                 res_start_offset=offset,
                 res_duration=resinfo.duration,
             )
+            segments[placement.seg_index] = replace(segment, hopfields=tuple(hops))
         return HummingbirdPath(segments=segments, base_timestamp=base)
 
 
@@ -244,10 +262,10 @@ class ScionBestEffortSource:
         self._template = PacketPath.from_forwarding_path(path)
 
     def build_packet(self, payload: bytes, flow_id: int = 1) -> ScionPacket:
+        """One packet: its own segments list over the path's shared, frozen
+        segments, and fresh cursors; no hop field is copied."""
         template = self._template
-        path = template.with_hopfields(
-            [[hop.copy() for hop in segment.hopfields] for segment in template.segments]
-        )
+        path = template.with_segments(list(template.segments))
         return ScionPacket(
             self.src, self.dst, path, payload, PATH_TYPE_SCION, NEXT_HDR_UDP, flow_id
         )

@@ -1,6 +1,7 @@
 """Whole-system invariants: a calendar is a replay of its records, the market
-index a replay of the ledger's events and a scan of its objects, and every
-polled redeem request answered on chain.
+index a replay of the ledger's events and a scan of its objects, every
+polled redeem request answered on chain, and no policer row outliving its
+reservation.
 
 ROADMAP item 5 states the whole-system property as "every derived state is
 a replay of the ledger".  Three slices of it are checked here.  The
@@ -34,6 +35,15 @@ And one on redemptions, over the event log and every AS's poll cursor:
 (e) every ``RedeemRequested`` at or before its AS's last poll ends in a
     ``ReservationDelivered`` or a ``RedemptionRefused``: no
     ``asset::RedeemRequest`` survives a poll of its AS.
+
+And one on the data plane, over every AS whose reclamation loop is bound
+to its router's policer:
+
+(f) every cap and usage row the policer holds belongs to a reservation
+    ``(ingress, ResID, ResStart)`` the loop still tracks: each scan stops
+    tracking the reservations that ended and has the policer keep only the
+    rows of the rest, so none outlives its reservation and none is billed
+    to a later holder of the ResID.
 
 Still open as item 5 and extending :func:`check`: calendars rebuilt from
 *events* rather than from their own records, host reservation sets, and
@@ -108,10 +118,28 @@ def _redemption_breaches(deployment) -> list[str]:
     ]
 
 
+def _policer_breaches(deployment) -> list[str]:
+    """(f): a policer's rows are its live reservations'."""
+    breaches = []
+    for isd_as, service in deployment.services.items():
+        if service.policer is None:
+            continue
+        live = {
+            (tracked.ingress_ifid, tracked.res_id, tracked.res_start)
+            for tracked in service.reclamation.tracked()
+        }
+        breaches += [
+            f"AS {isd_as} ingress {ingress}: the policer holds a cap or bytes of "
+            f"ResID {res_id} from {res_start}, a reservation its loop does not track"
+            for ingress, res_id, res_start in sorted(service.policer.reservations() - live)
+        ]
+    return breaches
+
+
 def check(deployment, now: float) -> None:
     """Check every calendar of every AS in ``deployment`` from ``now`` on,
-    its market index against the ledger, and that every polled redeem
-    request was answered.
+    its market index against the ledger, that every polled redeem request
+    was answered, and that no policer row outlives its reservation.
 
     Args:
         deployment: a :class:`~repro.controlplane.MarketDeployment`.
@@ -121,7 +149,11 @@ def check(deployment, now: float) -> None:
     Raises:
         InvariantBreach: listing every breach, not only the first.
     """
-    breaches = _index_breaches(deployment) + _redemption_breaches(deployment)
+    breaches = (
+        _index_breaches(deployment)
+        + _redemption_breaches(deployment)
+        + _policer_breaches(deployment)
+    )
     for isd_as, service in deployment.services.items():
         controller = service.admission
         ceiling_factor = getattr(controller.policy, "ceiling_factor", None)

@@ -3,7 +3,9 @@
 A classic heap-based event loop.  The loop drives a shared
 :class:`~repro.clock.SimClock` so that every component that takes a clock
 (border routers, policers, traffic sources) observes simulation time
-without any plumbing changes.
+without any plumbing changes.  It reads and writes the clock's time
+itself, not through :meth:`~repro.clock.SimClock.set`, which would be a
+call per event; it refuses time that moves backwards as ``set`` does.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class EventLoop:
         if delay < 0:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(
-            self._queue, (self.clock.now() + delay, next(self._sequence), callback, args)
+            self._queue, (self.clock.time + delay, next(self._sequence), callback, args)
         )
 
     def run_until(self, end_time: float, max_events: int = 10_000_000) -> int:
@@ -48,18 +50,20 @@ class EventLoop:
         with events at or before ``end_time`` still queued: then it stays at
         the last event run, so a later call can pick those up.
         """
-        queue, pop, set_clock = self._queue, heapq.heappop, self.clock.set
+        queue, pop, clock = self._queue, heapq.heappop, self.clock
         executed = 0
         while queue and executed < max_events:
             when = queue[0][0]
             if when > end_time:
                 break
+            if when < clock.time:  # the clock was set past a queued event
+                raise ValueError("time cannot move backwards")
             _, _, callback, args = pop(queue)
-            set_clock(when)
+            clock.time = when
             callback(*args)
             executed += 1
-        if not queue or queue[0][0] > end_time:
-            self.clock.set(max(self.clock.now(), end_time))
+        if (not queue or queue[0][0] > end_time) and end_time > clock.time:
+            clock.time = float(end_time)
         self._events_run += executed
         return executed
 
@@ -67,7 +71,3 @@ class EventLoop:
     def events_run(self) -> int:
         """Total events executed across all :meth:`run_until` calls."""
         return self._events_run
-
-    @property
-    def now(self) -> float:
-        return self.clock.now()

@@ -9,8 +9,10 @@ or best-effort traffic into the best-effort queue, drops into statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
+from repro.clock import SimClock
 from repro.hummingbird.router import HummingbirdRouter
 from repro.netsim.link import Link
 from repro.netsim.metrics import FlowMetrics
@@ -33,7 +35,7 @@ class SimPacket:
 class HostSink:
     """Destination host: records per-flow metrics."""
 
-    def __init__(self, clock) -> None:
+    def __init__(self, clock: SimClock) -> None:
         self.clock = clock
         self.flows: dict[int, FlowMetrics] = {}
 
@@ -46,7 +48,7 @@ class HostSink:
 
     def deliver(self, sim_packet: SimPacket) -> None:
         self.flow(sim_packet.flow_id).record_received(
-            sim_packet.size_bytes, sim_packet.sent_at, self.clock.now()
+            sim_packet.size_bytes, sim_packet.sent_at, self.clock.time
         )
 
 
@@ -62,15 +64,15 @@ class RouterNode:
         self.dropped = 0
 
     def connect(self, egress_ifid: int, link: Link, neighbor: "RouterNode", neighbor_ifid: int) -> None:
-        self._egress[egress_ifid] = (
-            link,
-            lambda sim_packet: neighbor.receive(sim_packet, neighbor_ifid),
-        )
+        # A partial, not a lambda: calling it enters no Python frame of its own.
+        self._egress[egress_ifid] = (link, partial(neighbor.receive, neighbor_ifid))
 
     def attach_sink(self, sink: HostSink) -> None:
         self.local_sink = sink
 
-    def receive(self, sim_packet: SimPacket, ingress_ifid: int) -> None:
+    def receive(self, ingress_ifid: int, sim_packet: SimPacket) -> None:
+        """Process one packet arriving on ``ingress_ifid`` (0: from inside
+        the AS, a source host handing it to its border router)."""
         decision = self.router.process(sim_packet.packet, ingress_ifid)
         action = decision.action
         if action is _DROP:
@@ -86,7 +88,3 @@ class RouterNode:
             return
         link, deliver = connection
         link.send(sim_packet, sim_packet.size_bytes, action is _FORWARD_PRIORITY, deliver)
-
-    def inject(self, sim_packet: SimPacket) -> None:
-        """Entry point for packets originating inside this AS."""
-        self.receive(sim_packet, ingress_ifid=0)

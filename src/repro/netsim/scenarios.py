@@ -803,7 +803,7 @@ def auction_experiment(
             host.bid(auctioned.marketplace, auction_id, reserve_kbps, valuation)
         (settled,) = auctioneer.settle_due_auctions()
         reservations: list = [None] * num_buyers
-        first_win = None  # (buyer index, ResID at the bottleneck)
+        first_win = None  # (buyer index, ResID at the bottleneck from START)
         for index, host in enumerate(hosts):
             settlement = host.await_settle(auctioned.marketplace, auction_id)
             buyers[index].auction_won = settlement.won
@@ -848,7 +848,7 @@ def auction_experiment(
                     isd_as=str(bottleneck.isd_as),
                     ingress=bottleneck.ingress,
                     res_id=res_id,
-                    priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id),
+                    priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id, START),
                     goodput_mbps=buyers[index].metrics["goodput_mbps"],
                 )
     for deployment in (posted, auctioned):
@@ -1120,7 +1120,7 @@ def contention_experiment(
                 ).reservations
         if trace is not None and reservations:
             verdict = trace, next(
-                r.resinfo.res_id for r in reservations if r.isd_as == bottleneck.isd_as
+                r.resinfo for r in reservations if r.isd_as == bottleneck.isd_as
             )
         # slight stagger, arrival order = index order
         flow_metrics.append(
@@ -1157,13 +1157,13 @@ def contention_experiment(
     policer = simulation.nodes[bottleneck.isd_as].router.policer
     policer.record_gauges(str(bottleneck.isd_as))
     if verdict is not None:
-        trace, res_id = verdict
+        trace, resinfo = verdict
         trace.event(
             "policer.verdict",
             isd_as=str(bottleneck.isd_as),
             ingress=bottleneck.ingress,
-            res_id=res_id,
-            priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id),
+            res_id=resinfo.res_id,
+            priority_bytes=policer.usage_bytes(bottleneck.ingress, resinfo.res_id, resinfo.start),
         )
     return result
 

@@ -45,6 +45,9 @@ class CbrSource:
         self.flow_id = flow_id
         self.jitter = jitter
         self.rng = rng
+        # uniform(a, b) is a + (b - a) * random(); a and b - a fixed here
+        self._jitter_low = 1 - jitter
+        self._jitter_span = (1 + jitter) - (1 - jitter)
         self._payload = bytes(payload_bytes)
         probe = builder.build_packet(self._payload, flow_id)
         self._wire_bytes = probe.packet_length()
@@ -60,18 +63,22 @@ class CbrSource:
     def _send(self) -> None:
         if self._stopped:
             return
-        packet = self.builder.build_packet(self._payload, self.flow_id)
-        now = self.loop.now
-        # A builder fixes a packet's size from the payload and its header
-        # template, so every packet is the probe's size.
+        now = self.loop.clock.time
+        # Positional, in field order; a builder fixes a packet's size from
+        # the payload and its header template, so every packet is the probe's.
         sim_packet = SimPacket(
-            packet=packet, flow_id=self.flow_id, sent_at=now, size_bytes=self._wire_bytes
+            self.builder.build_packet(self._payload, self.flow_id),
+            self.flow_id,
+            now,
+            self._wire_bytes,
         )
         self.metrics.record_sent(self._wire_bytes, now)
-        self.entry.inject(sim_packet)
+        self.entry.receive(0, sim_packet)
         gap = self.interval
         if self.jitter > 0:
-            gap *= self.rng.uniform(1 - self.jitter, 1 + self.jitter)
+            # random.uniform(1 - jitter, 1 + jitter) written out: the same
+            # draw and the same float, without the call.
+            gap *= self._jitter_low + self._jitter_span * self.rng.random()
         self.loop.schedule(gap, self._send)
 
 

@@ -20,7 +20,7 @@ from repro.clock import SimClock
 from repro.crypto.keys import derive_auth_key
 from repro.crypto.prf import PrfFactory
 from repro.hummingbird.mac import TAG_LEN, compute_flyover_mac
-from repro.hummingbird.policing import PerInterfacePolicer
+from repro.hummingbird.policing import KBPS_OF_CLASS, PerInterfacePolicer
 from repro.hummingbird.reservation import ResInfo, grant_reservation
 from repro.hummingbird.router import HummingbirdRouter
 from repro.hummingbird.source import HummingbirdSource, ScionBestEffortSource
@@ -177,6 +177,7 @@ def measure_router(packets: int = 1500, prf_backend: str = "aes") -> RouterMeasu
     mac_a = compute_flyover_mac(auth_key_prf, dst, 600, 10, 1, 2)
     mac_b = compute_hopfield_mac(forwarding_key_prf, 1, 1_700_000_000, 63, 1, 2)
     policer = PerInterfacePolicer(capacity=1024)
+    policer.array_for(1)  # the router looks an existing array up
     from_bytes = int.from_bytes
 
     steps = {
@@ -207,7 +208,9 @@ def measure_router(packets: int = 1500, prf_backend: str = "aes") -> RouterMeasu
             lambda: (from_bytes(mac_b, "big") ^ from_bytes(mac_a, "big")).to_bytes(TAG_LEN, "big")
         ),
         "Check for overuse": time_op(
-            lambda: policer.monitor(1, 3, bwcls.MAX_CLASS, 600, 1_700_000_000.0)
+            lambda: policer.arrays.get(1).monitor(
+                3, KBPS_OF_CLASS[bwcls.MAX_CLASS], 600, 1_700_000_000.0, 1_699_999_000
+            )
         ),
     }
     return RouterMeasurement(

@@ -44,10 +44,17 @@ Handle = tuple[int, bool, int]
 
 @dataclass
 class TrackedReservation:
-    """One delivered reservation under reclamation watch."""
+    """One delivered reservation under reclamation watch.
+
+    ``(ingress_ifid, res_id, res_start)`` names the reservation in the
+    data plane: its packets carry ResStart, and the policer keys its bytes
+    and its cap by it.  ``start`` is when it is judged from, which a late
+    delivery puts after ``res_start``.
+    """
 
     res_id: int
     ingress_ifid: int
+    res_start: int
     booked_kbps: int
     start: float
     end: float
@@ -98,9 +105,14 @@ class ReclamationEngine:
             ``retain_headroom * observed`` kbps (must be >= 1, so the
             retained bandwidth never dips below observed usage).
         min_retained_kbps: floor on the retained bandwidth.
-        demote: optional ``(ingress_ifid, res_id, kbps, until)`` callable
-            capping the data-plane policer at the retained rate until the
-            reservation's end — typically ``router.policer.set_limit``.
+        demote: optional ``(ingress_ifid, res_id, res_start, kbps)``
+            callable capping the data-plane policer at the retained rate for
+            the rest of the reservation — typically
+            ``router.policer.set_limit``.
+        retain: optional callable the loop hands the ``(ingress_ifid,
+            res_id, res_start)`` of every reservation it still tracks after
+            each scan, so the policer forgets the caps and bytes of every
+            other, ended ones included — typically ``router.policer.retain``.
     """
 
     def __init__(
@@ -111,7 +123,8 @@ class ReclamationEngine:
         no_show_threshold: float = 0.5,
         retain_headroom: float = 1.5,
         min_retained_kbps: int = 1,
-        demote: Callable[[int, int, int, float], None] | None = None,
+        demote: Callable[[int, int, int, int], None] | None = None,
+        retain: Callable[[set[tuple[int, int, int]]], None] | None = None,
     ) -> None:
         if grace_seconds < 0:
             raise ValueError("grace_seconds must be >= 0")
@@ -131,7 +144,10 @@ class ReclamationEngine:
         self.retain_headroom = float(retain_headroom)
         self.min_retained_kbps = int(min_retained_kbps)
         self.demote = demote
-        self._tracked: dict[int, TrackedReservation] = {}
+        self.retain = retain
+        # keyed by reservation, (ingress, ResID, ResStart): a ResID is unique
+        # per ingress and window only
+        self._tracked: dict[tuple[int, int, int], TrackedReservation] = {}
         self.events: list[ReclamationEvent] = []
         self.false_reclaims = 0
         #: Per-(interface, is_ingress) show-up rate from the last scan.
@@ -167,6 +183,7 @@ class ReclamationEngine:
         self,
         res_id: int,
         ingress_ifid: int,
+        res_start: int,
         bandwidth_kbps: int,
         start: float,
         end: float,
@@ -181,6 +198,7 @@ class ReclamationEngine:
         tracked = TrackedReservation(
             res_id=int(res_id),
             ingress_ifid=int(ingress_ifid),
+            res_start=int(res_start),
             booked_kbps=int(bandwidth_kbps),
             start=float(start),
             end=float(end),
@@ -188,12 +206,16 @@ class ReclamationEngine:
             bandwidth_kbps=int(bandwidth_kbps),
             tag=tag,
         )
-        self._tracked[tracked.res_id] = tracked
+        self._tracked[tracked.ingress_ifid, tracked.res_id, tracked.res_start] = tracked
         return tracked
 
     @property
     def tracked_count(self) -> int:
         return len(self._tracked)
+
+    def tracked(self) -> list[TrackedReservation]:
+        """The reservations under watch, in the order they were tracked."""
+        return list(self._tracked.values())
 
     # -- the scan -----------------------------------------------------------------
 
@@ -208,15 +230,15 @@ class ReclamationEngine:
         events: list[ReclamationEvent] = []
         showup_num: dict[tuple[int, bool], float] = {}
         showup_den: dict[tuple[int, bool], float] = {}
-        for tracked in list(self._tracked.values()):
+        for key, tracked in list(self._tracked.items()):
             if now >= tracked.end:
-                del self._tracked[tracked.res_id]
+                del self._tracked[key]
                 continue
             if now < tracked.start + self.grace_seconds:
                 continue
             active_seconds = now - tracked.start
             observed = self.reporter.observed_kbps(
-                tracked.ingress_ifid, tracked.res_id, active_seconds
+                tracked.ingress_ifid, tracked.res_id, tracked.res_start, active_seconds
             )
             for interface, is_ingress, _ in tracked.handles:
                 key = (interface, is_ingress)
@@ -233,6 +255,8 @@ class ReclamationEngine:
         self.last_show_up = {
             key: showup_num[key] / showup_den[key] for key in showup_den
         }
+        if self.retain is not None:
+            self.retain(set(self._tracked))
         self._adapt()
         self.events.extend(events)
         return events
@@ -260,10 +284,10 @@ class ReclamationEngine:
         tracked.reclaimed_at = now
         tracked.reclaimed_to_kbps = target
         tracked.bytes_at_reclaim = self.reporter.usage_bytes(
-            tracked.ingress_ifid, tracked.res_id
+            tracked.ingress_ifid, tracked.res_id, tracked.res_start
         )
         if self.demote is not None:
-            self.demote(tracked.ingress_ifid, tracked.res_id, target, tracked.end)
+            self.demote(tracked.ingress_ifid, tracked.res_id, tracked.res_start, target)
         event = ReclamationEvent(
             res_id=tracked.res_id,
             ingress_ifid=tracked.ingress_ifid,
@@ -284,7 +308,7 @@ class ReclamationEngine:
         if tracked.false_reclaim or now <= tracked.reclaimed_at:
             return
         extra = (
-            self.reporter.usage_bytes(tracked.ingress_ifid, tracked.res_id)
+            self.reporter.usage_bytes(tracked.ingress_ifid, tracked.res_id, tracked.res_start)
             - tracked.bytes_at_reclaim
         )
         rate = extra * 8.0 / 1000.0 / (now - tracked.reclaimed_at)

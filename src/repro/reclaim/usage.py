@@ -1,7 +1,7 @@
 """Policer-fed usage sampling: the measurement half of the control loop.
 
-The data plane already counts, per (ingress interface, ResID), the bytes
-each reservation actually moved with priority
+The data plane already counts, per (ingress interface, ResID, ResStart) —
+per reservation — the bytes each one actually moved with priority
 (:meth:`repro.hummingbird.policing.TokenBucketArray.monitor` adds
 ``pkt_len`` on every in-profile packet).  :class:`UsageReporter` samples
 those **cumulative** counters on a configurable cadence and turns them
@@ -20,16 +20,17 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-# The snapshot shape PerInterfacePolicer.usage_snapshot() produces.
-UsageSnapshot = Mapping[int, Mapping[int, int]]
+# The snapshot shape PerInterfacePolicer.usage_snapshot() produces:
+# {ingress: {(res_id, res_start): priority bytes}}.
+UsageSnapshot = Mapping[int, Mapping[tuple[int, int], int]]
 
 
 class UsageReporter:
-    """Samples per-(interface, ResID) priority-byte counters on a cadence.
+    """Samples per-reservation priority-byte counters on a cadence.
 
     Args:
         source: zero-argument callable returning the cumulative usage
-            snapshot ``{ingress_ifid: {res_id: priority_bytes}}`` —
+            snapshot ``{ingress_ifid: {(res_id, res_start): priority_bytes}}`` —
             typically ``router.policer.usage_snapshot``.
         interval: minimum seconds between samples; :meth:`sample` calls
             arriving early are no-ops, so the reporter can sit on any
@@ -43,7 +44,7 @@ class UsageReporter:
         self.interval = float(interval)
         self.samples_taken = 0
         self.last_sample_at: float | None = None
-        self._bytes: dict[tuple[int, int], int] = {}
+        self._bytes: dict[tuple[int, int, int], int] = {}
 
     def sample(self, now: float) -> bool:
         """Take a sample if the cadence allows; returns whether one was taken."""
@@ -54,20 +55,23 @@ class UsageReporter:
             return False
         snapshot = self.source()
         for ingress, by_res in snapshot.items():
-            for res_id, total in by_res.items():
-                self._bytes[(int(ingress), int(res_id))] = int(total)
+            for (res_id, res_start), total in by_res.items():
+                self._bytes[int(ingress), int(res_id), int(res_start)] = int(total)
         self.last_sample_at = float(now)
         self.samples_taken += 1
         return True
 
-    def usage_bytes(self, ingress_ifid: int, res_id: int) -> int:
-        """Cumulative priority bytes at the last sample (0 if never seen)."""
-        return self._bytes.get((int(ingress_ifid), int(res_id)), 0)
+    def usage_bytes(self, ingress_ifid: int, res_id: int, res_start: int) -> int:
+        """A reservation's cumulative priority bytes at the last sample (0 if
+        never seen)."""
+        return self._bytes.get((int(ingress_ifid), int(res_id), int(res_start)), 0)
 
     def observed_kbps(
-        self, ingress_ifid: int, res_id: int, active_seconds: float
+        self, ingress_ifid: int, res_id: int, res_start: int, active_seconds: float
     ) -> float:
         """Average priority rate over the reservation's active time so far."""
         if active_seconds <= 0:
             return 0.0
-        return self.usage_bytes(ingress_ifid, res_id) * 8.0 / 1000.0 / active_seconds
+        return (
+            self.usage_bytes(ingress_ifid, res_id, res_start) * 8.0 / 1000.0 / active_seconds
+        )

@@ -36,18 +36,24 @@ NEXT_HDR_UDP = 17
 class PacketPath:
     """Runtime path state inside a packet: segments plus cursors.
 
-    ``segids`` holds the *current* SegID accumulator per segment; routers
-    mutate it as the packet travels.  ``curr_hf`` is a logical hop-field
-    index across all segments (serializers convert to the wire encoding of
-    the respective path type).
+    A packet owns only what routers write: its ``segments`` list, its
+    ``segids`` and its cursors.  ``segids`` holds the *current* SegID
+    accumulator per segment; routers mutate it as the packet travels.
+    ``curr_hf`` is a logical hop-field index across all segments
+    (serializers convert to the wire encoding of the respective path type).
+    The segments themselves are frozen and shared with the packet's source
+    and the :class:`~repro.scion.paths.ForwardingPath` they came from; a
+    packet that carries a hop field of its own (a flyover, whose AggMAC a
+    router rewrites) holds its own segment at that position.
 
     The shape of a path — how many hop fields each segment has, and of which
     kind — is fixed at construction, as SegLen and HdrLen fix it on the wire:
     ``num_hopfields``, ``hdr_len`` and ``positions`` (the table behind
     :meth:`locate`, one ``(segment index, local index)`` per hop field, which
-    the routers index themselves) are computed once, so hop fields may be
-    rewritten in place but not added, removed or swapped for another kind.
-    :meth:`with_hopfields` makes a new packet's path that shares them.
+    the routers index themselves) are computed once, so a segment may be
+    replaced by one of the same shape but hop fields not added, removed or
+    swapped for another kind.  :meth:`with_segments` makes a new packet's
+    path that shares them.
     """
 
     segments: list[SegmentInPath]
@@ -71,37 +77,26 @@ class PacketPath:
 
     @classmethod
     def from_forwarding_path(cls, path: ForwardingPath) -> "PacketPath":
-        copied = path.copy()
-        return cls(segments=copied.segments)
+        return cls(segments=list(path.segments))
 
-    def with_hopfields(self, hopfields: list[list[HopFieldData]]) -> "PacketPath":
-        """A new path of this one's shape carrying ``hopfields``, per segment.
+    def with_segments(self, segments: list[SegmentInPath]) -> "PacketPath":
+        """A new path of this one's shape over ``segments``, which it owns.
 
-        What a source's header template hands each packet: the segments'
-        headers and the shape tables are shared with this path, SegIDs and
-        cursors start over.  Each hop field must be of the kind this path
-        holds at its position.
+        What a source's header template hands each packet: the shape tables
+        are shared with this path, SegIDs and cursors start over.  Each
+        segment must have this path's hop-field count and kinds at its
+        position.
         """
         path = object.__new__(type(self))
         path.__dict__.update(self.__dict__)
-        # One loop, no comprehensions: each is a frame of its own on CPython
+        path.segments = segments
+        # A loop, not a comprehension: one is a frame of its own on CPython
         # 3.11, and a source builds a path for every packet it sends.
-        path.segments, path.segids = [], []
-        for segment, hops in zip(self.segments, hopfields):
-            path.segments.append(
-                SegmentInPath(
-                    segment.cons_dir, segment.timestamp, segment.initial_segid, hops, segment.ases
-                )
-            )
+        path.segids = []
+        for segment in segments:
             path.segids.append(segment.initial_segid)
         path.curr_inf = path.curr_hf = 0
         return path
-
-    def seg_lens(self) -> tuple[int, int, int]:
-        lens = [len(segment.hopfields) for segment in self.segments]
-        while len(lens) < 3:
-            lens.append(0)
-        return lens[0], lens[1], lens[2]
 
     def locate(self, global_hf: int) -> tuple[int, int]:
         """Map a global hop-field index to (segment index, local index)."""
@@ -170,7 +165,8 @@ def register_path_codec(path_type: int, codec: PathCodec) -> None:
 def _encode_standard_path(path: PacketPath) -> bytes:
     if len(path.segments) > 3:
         raise ValueError("at most three segments")
-    seg_lens = path.seg_lens()
+    seg_lens = [len(segment.hopfields) for segment in path.segments]
+    seg_lens += [0] * (3 - len(seg_lens))
     packer = BitPacker()
     packer.put(path.curr_inf, 2)
     packer.put(path.curr_hf, 6)
@@ -244,8 +240,8 @@ def _decode_standard_path(data: bytes) -> PacketPath:
                 cons_dir=cons_dir,
                 timestamp=timestamp,
                 initial_segid=segid,
-                hopfields=hopfields,
-                ases=[],
+                hopfields=tuple(hopfields),
+                ases=(),
             )
         )
         segids.append(segid)

@@ -25,33 +25,38 @@ from repro.scion.beaconing import SegmentStore
 from repro.scion.segments import PathSegment
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class HopFieldData:
-    """A hop field as carried in a packet (construction-direction semantics)."""
+    """A plain hop field as carried in a packet (construction-direction
+    semantics).
+
+    Frozen: no router writes a plain hop field, so one object serves every
+    packet a source sends over its path.  The hop fields a router does write
+    are the Hummingbird path type's flyovers (their AggMAC, A.7).
+    """
 
     cons_ingress: int
     cons_egress: int
     exp_time: int
     mac: bytes  # 6 bytes
 
-    def copy(self) -> "HopFieldData":
-        """A plain hop field with these four values.
 
-        A flyover's reservation fields stay behind, which is what path
-        reversal (Appendix A.8) wants from a traversed flyover.
-        """
-        return HopFieldData(self.cons_ingress, self.cons_egress, self.exp_time, self.mac)
-
-
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SegmentInPath:
-    """One segment of a forwarding path, hop fields in traversal order."""
+    """One segment of a forwarding path, hop fields in traversal order.
+
+    Frozen, its hop fields a tuple: a path's sources and their packets share
+    it.  A packet that needs another hop field at some position (a flyover)
+    holds its own segment there, in its own ``segments`` list.  ``hopfields``
+    holds :class:`HopFieldData` and, on the Hummingbird path type, its flyover
+    hop fields.
+    """
 
     cons_dir: bool  # the C flag
     timestamp: int
     initial_segid: int  # SegID value the source writes into the InfoField
-    hopfields: list[HopFieldData]
-    ases: list[IsdAs]  # traversal order, parallel to hopfields
+    hopfields: tuple[HopFieldData, ...]
+    ases: tuple[IsdAs, ...]  # traversal order, parallel to hopfields
 
     def traversal_interfaces(self, index: int) -> tuple[int, int]:
         """(ingress, egress) in traversal direction for hop ``index``."""
@@ -73,23 +78,6 @@ class ForwardingPath:
     def num_hopfields(self) -> int:
         return sum(len(segment.hopfields) for segment in self.segments)
 
-    def copy(self) -> "ForwardingPath":
-        """Deep-copy so a packet can mutate SegIDs without sharing state."""
-        return ForwardingPath(
-            src=self.src,
-            dst=self.dst,
-            segments=[
-                SegmentInPath(
-                    cons_dir=segment.cons_dir,
-                    timestamp=segment.timestamp,
-                    initial_segid=segment.initial_segid,
-                    hopfields=[hop.copy() for hop in segment.hopfields],
-                    ases=list(segment.ases),
-                )
-                for segment in self.segments
-            ],
-        )
-
 
 @dataclass(frozen=True)
 class AsCrossing:
@@ -109,22 +97,15 @@ class AsCrossing:
 
 def _segment_in_path(segment: PathSegment, cons_dir: bool) -> SegmentInPath:
     """Orient a registered segment for traversal."""
-    hopfields = [
-        HopFieldData(h.cons_ingress, h.cons_egress, h.exp_time, h.mac) for h in segment.hops
-    ]
-    ases = [h.isd_as for h in segment.hops]
-    if cons_dir:
-        initial = segment.betas[0]
-    else:
-        hopfields.reverse()
-        ases.reverse()
-        initial = segment.betas[len(segment.hops)]
+    hops = segment.hops if cons_dir else segment.hops[::-1]
     return SegmentInPath(
         cons_dir=cons_dir,
         timestamp=segment.timestamp,
-        initial_segid=initial,
-        hopfields=hopfields,
-        ases=ases,
+        initial_segid=segment.betas[0 if cons_dir else len(segment.hops)],
+        hopfields=tuple(
+            HopFieldData(h.cons_ingress, h.cons_egress, h.exp_time, h.mac) for h in hops
+        ),
+        ases=tuple(h.isd_as for h in hops),
     )
 
 

@@ -8,15 +8,20 @@ router keys once and holds.
 
 Processing one packet at the ingress border router of AS *i*:
 
-1. locate the current hop field via ``CurrHF`` (once: the located hop is
-   handed to every later step, and :class:`HummingbirdRouter` runs its
-   flyover step on the same hop before this shared one);
+1. locate the current hop field via ``CurrHF`` (once, reading the path's
+   position table: the located hop is handed to every later step, and
+   :class:`HummingbirdRouter` runs its flyover step on the same hop before
+   this shared one);
 2. drop if the hop field is expired;
 3. verify the chained hop-field MAC (SegID handling depends on the
    construction-direction flag);
 4. update the SegID accumulator;
 5. advance ``CurrHF`` (twice at segment boundaries, Appendix A.5);
 6. forward out the traversal egress interface, or deliver locally.
+
+A hop is four Python frames: ``process``, the clock, ``_traverse`` and the
+hop-field MAC's PRF compute; ``tests/hummingbird/test_op_counts.py`` holds
+the count.
 """
 
 from __future__ import annotations
@@ -94,12 +99,17 @@ class ScionRouter:
         source host handing the packet to its first border router).
         """
         path = packet.path
-        if path.at_end():
+        if path.curr_hf >= path.num_hopfields:
             return Decision(Action.DROP, reason="path exhausted")
-        seg_index, local, segment, hop = path.current()
-        expected_ingress, egress = segment.traversal_interfaces(local)
+        seg_index, local = path.positions[path.curr_hf]
+        segment = path.segments[seg_index]
+        hop = segment.hopfields[local]
+        if segment.cons_dir:
+            ingress, egress = hop.cons_ingress, hop.cons_egress
+        else:
+            egress, ingress = hop.cons_ingress, hop.cons_egress
         return self._traverse(
-            path, ingress_ifid, self.clock.now(), seg_index, segment, hop, expected_ingress, egress
+            path, ingress_ifid, self.clock.now(), seg_index, segment, hop, ingress, egress
         )
 
     # -- Algorithm 4 ----------------------------------------------------------
@@ -164,11 +174,13 @@ class ScionRouter:
             # this AS owns the first hop field of the next segment too (A.5).
             if boundary or egress != 0 or path.curr_hf >= path.num_hopfields:
                 break
-            next_seg_index, local, segment, hop = path.current()
+            next_seg_index, local = path.positions[path.curr_hf]
             if next_seg_index != seg_index + 1:
                 return Decision(Action.DROP, reason="CurrHF/SegLen mismatch at boundary")
             path.curr_inf = seg_index = next_seg_index
-            _, egress = segment.traversal_interfaces(local)
+            segment = path.segments[seg_index]
+            hop = segment.hopfields[local]
+            egress = hop.cons_egress if segment.cons_dir else hop.cons_ingress
 
         if egress == 0:
             if path.curr_hf < path.num_hopfields:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import gc
 import sys
 
@@ -131,6 +132,16 @@ def flyover_count(path) -> int:
     from repro.hummingbird.pathtype import is_flyover
 
     return sum(is_flyover(hop) for segment in path.segments for hop in segment.hopfields)
+
+
+def replace_hop(path, seg_index: int, local: int, **changes) -> None:
+    """Forge one hop field of a packet's ``path``: plain hop fields and the
+    segments are frozen and shared with every packet of the source, so the
+    packet gets a segment of its own, with a changed copy of that hop."""
+    segment = path.segments[seg_index]
+    hops = list(segment.hopfields)
+    hops[local] = dataclasses.replace(hops[local], **changes)
+    path.segments[seg_index] = dataclasses.replace(segment, hopfields=tuple(hops))
 
 
 def addresses(path):

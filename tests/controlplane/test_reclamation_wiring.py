@@ -160,8 +160,8 @@ def test_original_holder_keeps_its_retained_commitment_after_the_resale(
     deployment = reclaimed_world["deployment"]
     for crossing in as_crossings(reclaimed_world["path"]):
         service = deployment.service(crossing.isd_as)
-        tracked = service.reclamation._tracked.get(0)
-        assert tracked is not None and tracked.reclaimed_to_kbps == 1
+        (tracked,) = [t for t in service.reclamation.tracked() if t.res_id == 0]
+        assert tracked.reclaimed_to_kbps == 1
         for interface, is_ingress, commitment_id in tracked.handles:
             calendar = service.admission.calendar(interface, is_ingress, ACTIVE)
             assert calendar._commitments[commitment_id].bandwidth_kbps == 1
@@ -209,18 +209,24 @@ class _FullRate:
     def __init__(self, clock) -> None:
         self.clock = clock
         self.sending_since: float | None = None
-        self.reservations: list = []  # (ingress, res_id) this AS delivered
+        self.delivered: list = []  # (ingress, res_id, res_start) this AS delivered
         self.limits: list = []
 
     def usage_snapshot(self) -> dict:
         sent = int(BANDWIDTH * 125 * (self.clock.now() - self.sending_since))
         snapshot: dict = {}
-        for ingress, res_id in self.reservations:
-            snapshot.setdefault(ingress, {})[res_id] = sent
+        for ingress, res_id, res_start in self.delivered:
+            snapshot.setdefault(ingress, {})[res_id, res_start] = sent
         return snapshot
 
-    def set_limit(self, ingress: int, res_id: int, kbps: int, until: float) -> None:
-        self.limits.append((ingress, res_id, kbps, until))
+    def set_limit(self, ingress: int, res_id: int, res_start: int, kbps: int) -> None:
+        self.limits.append((ingress, res_id, res_start, kbps))
+
+    def retain(self, live: set) -> None:
+        self.delivered = [reservation for reservation in self.delivered if reservation in live]
+
+    def reservations(self) -> set:
+        return set(self.delivered)
 
 
 def test_a_late_delivery_is_judged_from_its_delivery_not_its_window():
@@ -249,8 +255,8 @@ def test_a_late_delivery_is_judged_from_its_delivery_not_its_window():
     for reservation in outcome.reservations:
         policer = policers[reservation.isd_as]
         policer.sending_since = delivered
-        policer.reservations.append(
-            (reservation.resinfo.ingress, reservation.resinfo.res_id)
+        policer.delivered.append(
+            (reservation.resinfo.ingress, reservation.resinfo.res_id, reservation.resinfo.start)
         )
     for seconds in (2.5, 20.0):  # inside the grace, then past it
         clock.set(delivered + seconds)

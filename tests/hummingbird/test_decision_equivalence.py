@@ -25,6 +25,7 @@ To re-record (only when a decision is *meant* to change)::
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -80,11 +81,14 @@ def _router_state(routers: dict) -> dict:
     state = {}
     for isd_as, router in routers.items():
         buckets = {}
-        for ingress, array in sorted(router.policer._arrays.items()):
+        for ingress, array in sorted(router.policer.arrays.items()):
+            used = collections.Counter()  # a ResID's bytes over its reservations
+            for (res_id, _), count in array.usage_snapshot().items():
+                used[res_id] += count
             buckets[str(ingress)] = {
-                str(res_id): [int(array._timestamps[res_id]), int(array._usage_bytes[res_id])]
+                str(res_id): [int(array._timestamps[res_id]), used[res_id]]
                 for res_id in range(len(array._timestamps))
-                if array._timestamps[res_id] or array._usage_bytes[res_id]
+                if array._timestamps[res_id] or used[res_id]
             }
         state[str(isd_as)] = {
             "stats": dataclasses.asdict(router.stats),

@@ -54,8 +54,8 @@ def _segments(shape, flyovers: bool) -> list[SegmentInPath]:
             cons_dir=True,
             timestamp=T0,
             initial_segid=seg_index,
-            hopfields=[deepcopy(flyover if fly and flyovers else plain) for fly in segment],
-            ases=[],
+            hopfields=tuple(deepcopy(flyover if fly and flyovers else plain) for fly in segment),
+            ases=(),
         )
         for seg_index, segment in enumerate(shape)
     ]

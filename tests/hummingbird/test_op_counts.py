@@ -5,7 +5,8 @@ has read 3.07-3.66 on one box); the steps the path takes do not.
 ``tools/frame_count.py`` counts every Python frame whose code lives under
 ``src/repro`` that one packet enters on
 :func:`~repro.perfmodel.measure.build_fixture`'s warm routers and source,
-so every supported CPython reads the same numbers.
+and per injected packet of a small simulation over the same path, so every
+supported CPython reads the same numbers.
 
 Frames are ceilings, lowered by every change that cuts one.  The PRF work
 of a reserved hop is exact, Table 3's crypto steps: three computes (the
@@ -29,9 +30,14 @@ from frame_count import count_frames  # noqa: E402
 
 PRF_FILE = os.path.join(os.path.dirname(repro.__file__), "crypto", "prf.py")
 
-RESERVED_HOP_FRAMES = 11  # 22 (BLAKE2: 21) before the router wrote its small steps out
-SCION_HOP_FRAMES = 8  # 11
+RESERVED_HOP_FRAMES = 10  # 11 with the policer's two levels; 22 (BLAKE2: 21) before that
+SCION_HOP_FRAMES = 4  # 8 before the router read the position table itself; 11
+PLAIN_HOP_FRAMES = 4  # a flood's hop on the Hummingbird router; 10 through the base router
 SOURCE_BUILD_FRAMES = 18  # 23; four reserved hops
+# A reserved flow beside a best-effort flood, every frame of the simulation
+# over the packets injected: 58.4 before packets shared their plain hop
+# fields and the event loop stopped calling the clock (28.86 since).
+FRAMES_PER_INJECTED_PACKET = 29
 
 
 def prf_work(frames: Counter) -> tuple[int, int]:
@@ -55,6 +61,18 @@ def test_a_reserved_hop_stays_under_its_frame_ceiling(counts):
 def test_a_scion_hop_stays_under_its_frame_ceiling(counts):
     assert prf_work(counts.scion_hop) == (1, 0)
     assert sum(counts.scion_hop.values()) <= SCION_HOP_FRAMES, counts.scion_hop
+
+
+def test_a_flood_s_hop_on_the_hummingbird_router_stays_under_its_frame_ceiling(counts):
+    assert prf_work(counts.plain_hop) == (1, 0)
+    assert sum(counts.plain_hop.values()) <= PLAIN_HOP_FRAMES, counts.plain_hop
+
+
+def test_a_simulated_packet_stays_under_its_frame_ceiling(counts):
+    assert counts.injected > 200
+    assert counts.frames_per_injected_packet <= FRAMES_PER_INJECTED_PACKET, (
+        counts.simulation.most_common(12)
+    )
 
 
 def test_a_four_hop_build_stays_under_its_frame_ceiling(counts):

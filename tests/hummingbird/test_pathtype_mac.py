@@ -138,8 +138,8 @@ class TestCodecRoundTrip:
                 cons_dir=cons_dir,
                 timestamp=T0,
                 initial_segid=0x1234,
-                hopfields=hops,
-                ases=[],
+                hopfields=tuple(hops),
+                ases=(),
             )
             for hops in segment_hops
         ]
@@ -173,7 +173,7 @@ class TestCodecRoundTrip:
         fly = FlyoverHopFieldData(1, 2, 63, bytes(6), 5, 10, 0, 60)
         path = HummingbirdPath(
             segments=[
-                SegmentInPath(True, T0, 0, [replace(fly), plain.copy(), replace(fly)], [])
+                SegmentInPath(True, T0, 0, (replace(fly), plain, replace(fly)), ())
             ],
             base_timestamp=T0,
         )

@@ -10,12 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from tests.conftest import BLAKE2, T0, addresses, grant_full_path
+
 from repro.hummingbird.policing import (
+    KBPS_OF_CLASS,
     PerInterfacePolicer,
     PolicingVerdict,
     TokenBucketArray,
     DEFAULT_BURST_TIME,
 )
+from repro.hummingbird.router import HummingbirdRouter
+from repro.hummingbird.source import HummingbirdSource
 from repro.hummingbird.resid import (
     CapacityExhausted,
     FirstFitColoring,
@@ -23,7 +28,10 @@ from repro.hummingbird.resid import (
     ResIdAllocator,
     policing_array_bytes,
 )
+from repro.scion.router import Action
 from repro.wire import bwcls
+
+START = 990  # ResStart of the reservation a test's packets belong to
 
 # Builds the §4.4 ResIDmax array (100 Gbps / 100 kbps: 3e6 ResIDs, 24 MB)
 # in a fresh interpreter and prints the peak-RSS growth in bytes, before
@@ -37,7 +45,7 @@ before = peak()
 array = TokenBucketArray(3_000_000)
 built = peak()
 for res_id in range(0, 3_000_000, 300_000):
-    array.monitor(res_id, 1000, 500, 1000.0)
+    array.monitor(res_id, 1000, 500, 1000.0, 990)
 print(array._timestamps.nbytes, built - before, peak() - before)
 """
 
@@ -48,13 +56,13 @@ class TestTokenBucket:
         now = 1000.0
         # 1 Mbps reservation, 500 B packets every 4 ms = 1 Mbps exactly.
         for i in range(100):
-            verdict = bucket.monitor(0, 1000, 500, now + i * 0.004)
+            verdict = bucket.monitor(0, 1000, 500, now + i * 0.004, START)
             assert verdict is PolicingVerdict.FWD_FLYOVER
 
     def test_demotes_sustained_overuse(self):
         bucket = TokenBucketArray(capacity=8, burst_time=0.05)
         now = 1000.0
-        verdicts = [bucket.monitor(0, 1000, 500, now) for _ in range(100)]
+        verdicts = [bucket.monitor(0, 1000, 500, now, START) for _ in range(100)]
         assert PolicingVerdict.FWD_BEST_EFFORT in verdicts
         admitted = sum(1 for v in verdicts if v is PolicingVerdict.FWD_FLYOVER)
         # 50 ms burst at 1 Mbps = 6250 bytes = 12.5 packets of 500 B.
@@ -63,12 +71,12 @@ class TestTokenBucket:
     def test_bucket_refills_over_time(self):
         bucket = TokenBucketArray(capacity=8, burst_time=0.05)
         for _ in range(50):
-            bucket.monitor(0, 1000, 500, 1000.0)
-        assert bucket.monitor(0, 1000, 500, 1001.0) is PolicingVerdict.FWD_FLYOVER
+            bucket.monitor(0, 1000, 500, 1000.0, START)
+        assert bucket.monitor(0, 1000, 500, 1001.0, START) is PolicingVerdict.FWD_FLYOVER
 
     def test_out_of_range_res_id_is_best_effort(self):
         bucket = TokenBucketArray(capacity=4)
-        assert bucket.monitor(99, 1000, 500, 0.0) is PolicingVerdict.FWD_BEST_EFFORT
+        assert bucket.monitor(99, 1000, 500, 0.0, START) is PolicingVerdict.FWD_BEST_EFFORT
 
     def test_memory_is_8_bytes_per_res_id(self):
         assert TokenBucketArray(capacity=100_000)._timestamps.nbytes == 800_000  # §7.1
@@ -96,24 +104,25 @@ class TestTokenBucket:
     def test_usage_snapshot_is_ascending_and_skips_idle_res_ids(self):
         bucket = TokenBucketArray(capacity=64)
         for res_id in (40, 3, 17, 3):
-            bucket.monitor(res_id, 1000, 100, 1000.0)
-        bucket.monitor(9, 1000, 0, 1000.0)  # a zero-length packet moves no bytes
-        assert bucket.usage_snapshot() == {3: 200, 17: 100, 40: 100}
-        assert list(bucket.usage_snapshot()) == [3, 17, 40]
-        assert bucket.usage_bytes(3) == 200
-        assert bucket.usage_bytes(5) == 0
-        assert bucket.usage_bytes(99) == 0  # out of range
+            bucket.monitor(res_id, 1000, 100, 1000.0, START)
+        bucket.monitor(9, 1000, 0, 1000.0, START)  # a zero-length packet moves no bytes
+        snapshot = {(3, START): 200, (17, START): 100, (40, START): 100}
+        assert bucket.usage_snapshot() == snapshot
+        assert list(bucket.usage_snapshot()) == [(3, START), (17, START), (40, START)]
+        assert bucket.usage_bytes(3, START) == 200
+        assert bucket.usage_bytes(5, START) == 0
+        assert bucket.usage_bytes(99, START) == 0  # out of range
 
     def test_set_limit_caps_the_rate(self):
         bucket = TokenBucketArray(capacity=8, burst_time=0.05)
-        bucket.set_limit(2, 0, 1060.0)
-        assert bucket.monitor(2, 1000, 500, 1000.0) is PolicingVerdict.FWD_BEST_EFFORT
-        bucket.set_limit(2, 100, 1060.0)
-        admitted = [bucket.monitor(2, 1000, 500, 1000.0) for _ in range(12)]
+        bucket.set_limit(2, START, 0)
+        assert bucket.monitor(2, 1000, 500, 1000.0, START) is PolicingVerdict.FWD_BEST_EFFORT
+        bucket.set_limit(2, START, 100)
+        admitted = [bucket.monitor(2, 1000, 500, 1000.0, START) for _ in range(12)]
         # the 100 kbps cap admits one 500 B packet of its 625 B burst, where
         # the header's 1 Mbps would have admitted all twelve (6,250 B)
         assert admitted.count(PolicingVerdict.FWD_FLYOVER) == 1
-        assert bucket.usage_bytes(2) == 500
+        assert bucket.usage_bytes(2, START) == 500
 
     @settings(max_examples=30)
     @given(
@@ -130,7 +139,7 @@ class TestTokenBucket:
         start = now
         for gap in gaps_ms:
             now += gap / 1000.0
-            if bucket.monitor(1, bw_kbps, pkt_len, now) is PolicingVerdict.FWD_FLYOVER:
+            if bucket.monitor(1, bw_kbps, pkt_len, now, START) is PolicingVerdict.FWD_FLYOVER:
                 admitted_bytes += pkt_len
         elapsed = now - start
         budget = bw_kbps * 1000 / 8 * (elapsed + burst_time) + pkt_len
@@ -140,7 +149,7 @@ class TestTokenBucket:
         # §4.4: below ~240 kbps the 50 ms burst admits less than 1500 B.
         def fresh_bucket_admits(bw_kbps, pkt_len):
             bucket = TokenBucketArray(capacity=1, burst_time=DEFAULT_BURST_TIME)
-            return bucket.monitor(0, bw_kbps, pkt_len, 1000.0) is PolicingVerdict.FWD_FLYOVER
+            return bucket.monitor(0, bw_kbps, pkt_len, 1000.0, START) is PolicingVerdict.FWD_FLYOVER
 
         assert fresh_bucket_admits(240, 1500) and not fresh_bucket_admits(240, 1501)
         assert not fresh_bucket_admits(100, 1500)
@@ -148,15 +157,15 @@ class TestTokenBucket:
 
 
 class TestReclaimedCap:
-    """A cap the reclamation loop installs binds to the reservation it was
-    set for: FirstFit hands the ResID to the next non-overlapping window
-    (§4.4), and that holder is policed at its own rate."""
+    """Bytes and a cap the reclamation loop installs bind to the reservation,
+    (ResID, ResStart): FirstFit hands the ResID to the next non-overlapping
+    window (§4.4), and that holder starts at zero and is policed at its own
+    rate."""
 
-    def test_a_later_holder_of_the_res_id_is_policed_at_its_own_rate(self):
+    def _engine(self, policer):
         from repro.admission import AdmissionController
         from repro.reclaim import ReclamationEngine, UsageReporter
 
-        policer = PerInterfacePolicer(capacity=8)
         controller = AdmissionController(100_000)
         claim = controller.admit_reservation(1, True, 1000, 0.0, 60.0, tag="no-show")
         engine = ReclamationEngine(
@@ -164,54 +173,113 @@ class TestReclaimedCap:
             UsageReporter(policer.usage_snapshot, interval=0.25),
             grace_seconds=1.0,
             demote=policer.set_limit,
+            retain=policer.retain,
         )
-        engine.track(3, 1, 1000, 0.0, 60.0, [(1, True, claim.commitment.commitment_id)])
-        (event,) = engine.scan(5.0)  # never sent a byte
+        engine.track(3, 1, 0, 1000, 0.0, 60.0, [(1, True, claim.commitment.commitment_id)])
+        return engine
+
+    def test_a_later_holder_of_the_res_id_is_policed_at_its_own_rate(self):
+        policer = PerInterfacePolicer(capacity=8)
+        (event,) = self._engine(policer).scan(5.0)  # never sent a byte
         assert event.new_kbps == 1
         array = policer.array_for(1)
-        assert array.monitor(3, 1000, 500, 10.0) is PolicingVerdict.FWD_BEST_EFFORT
+        assert array.monitor(3, 1000, 500, 10.0, 0) is PolicingVerdict.FWD_BEST_EFFORT
 
         # The next holder's window is [60, 120): its 1 Mbps admits a full
         # 50 ms burst, twelve 500 B packets, where the cap would admit none.
-        verdicts = [array.monitor(3, 1000, 500, 60.0) for _ in range(12)]
+        verdicts = [array.monitor(3, 1000, 500, 60.0, 60) for _ in range(12)]
         assert verdicts == [PolicingVerdict.FWD_FLYOVER] * 12
+
+    def test_a_later_holder_of_the_res_id_starts_at_zero_bytes(self):
+        policer = PerInterfacePolicer(capacity=8)
+        array = policer.array_for(1)
+        for _ in range(4):  # the holder of [0, 60)
+            array.monitor(3, 1000, 500, 10.0, 0)
+        assert policer.usage_bytes(1, 3, 0) == 2_000
+        assert policer.usage_bytes(1, 3, 60) == 0  # the holder of [60, 120)
+        array.monitor(3, 1000, 500, 60.0, 60)
+        assert policer.usage_bytes(1, 3, 60) == 500
+        assert policer.usage_snapshot() == {1: {(3, 0): 2_000, (3, 60): 500}}
+        array.monitor(3, 1000, 500, 61.0, 0)  # each keeps its own count
+        assert policer.usage_snapshot() == {1: {(3, 0): 2_500, (3, 60): 500}}
+
+    def test_the_loop_forgets_an_ended_reservation_s_cap_and_bytes(self):
+        policer = PerInterfacePolicer(capacity=8)
+        engine = self._engine(policer)
+        policer.array_for(1).monitor(3, 1000, 100, 2.0, 0)
+        engine.scan(5.0)  # 100 B in 5 s: a no-show, capped
+        assert policer.reservations() == {(1, 3, 0)}
+        engine.scan(60.0)  # the window is over: no longer tracked
+        assert engine.tracked() == [] and policer.reservations() == set()
 
 
 class TestPerInterfacePolicer:
     def test_arrays_are_lazy_per_interface(self):
         policer = PerInterfacePolicer(capacity=16)
-        policer.monitor(1, 0, bwcls.encode_ceil(1000), 500, 0.0)
-        policer.monitor(2, 0, bwcls.encode_ceil(1000), 500, 0.0)
-        assert sum(a._timestamps.nbytes for a in policer._arrays.values()) == 2 * 16 * 8
+        policer.monitor(1, 0, bwcls.encode_ceil(1000), 500, 0.0, START)
+        policer.monitor(2, 0, bwcls.encode_ceil(1000), 500, 0.0, START)
+        assert sum(a._timestamps.nbytes for a in policer.arrays.values()) == 2 * 16 * 8
 
     def test_same_res_id_different_interfaces_independent(self):
         policer = PerInterfacePolicer(capacity=16)
         cls = bwcls.encode_ceil(1000)
         for _ in range(50):
-            policer.monitor(1, 0, cls, 500, 0.0)
+            policer.monitor(1, 0, cls, 500, 0.0, START)
         # Interface 1's bucket for ResID 0 is exhausted; interface 2's is not.
-        assert policer.monitor(2, 0, cls, 500, 0.0) is PolicingVerdict.FWD_FLYOVER
+        assert policer.monitor(2, 0, cls, 500, 0.0, START) is PolicingVerdict.FWD_FLYOVER
 
     def test_every_header_class_polices_at_its_decoded_rate(self):
         rates = []
 
         class Recording(TokenBucketArray):
-            def monitor(self, res_id, bw_kbps, pkt_len, now):
+            def monitor(self, res_id, bw_kbps, pkt_len, now, res_start):
                 rates.append(bw_kbps)
-                return super().monitor(res_id, bw_kbps, pkt_len, now)
+                return super().monitor(res_id, bw_kbps, pkt_len, now, res_start)
 
         policer = PerInterfacePolicer(capacity=16)
-        policer._arrays[1] = Recording(capacity=16)
+        policer.arrays[1] = Recording(capacity=16)
         classes = range(bwcls.MAX_CLASS + 1)
         for cls in classes:
-            policer.monitor(1, 0, cls, 500, 0.0)
-        assert rates == [bwcls.decode(cls) for cls in classes]
+            policer.monitor(1, 0, cls, 500, 0.0, START)
+        assert rates == [bwcls.decode(cls) for cls in classes] == list(KBPS_OF_CLASS)
 
     @pytest.mark.parametrize("cls", [-1, bwcls.MAX_CLASS + 1])
     def test_class_outside_ten_bits_is_refused(self, cls):
         policer = PerInterfacePolicer(capacity=16)
         with pytest.raises(ValueError, match="out of 10-bit range"):
-            policer.monitor(1, 0, cls, 500, 0.0)
+            policer.monitor(1, 0, cls, 500, 0.0, START)
+
+    def test_the_router_polices_with_its_ingress_array_at_the_class_rate(self, chain3, clock):
+        """One level: the router calls the array the policer holds for the
+        ingress — a replaced array is the one that polices."""
+        calls = []
+
+        class Recording(TokenBucketArray):
+            def monitor(self, res_id, bw_kbps, pkt_len, now, res_start):
+                calls.append((res_id, bw_kbps, res_start))
+                return super().monitor(res_id, bw_kbps, pkt_len, now, res_start)
+
+        topology, path = chain3
+        reservations = grant_full_path(topology, path, start=T0 - 5, bandwidth_kbps=2_000)
+        source = HummingbirdSource(*addresses(path), path, reservations, clock, BLAKE2)
+        router = HummingbirdRouter(topology.as_of(path.src), clock, BLAKE2)
+        router.policer.arrays[0] = Recording(capacity=16)
+        decision = router.process(source.build_packet(bytes(100)), 0)
+        assert decision.action is Action.FORWARD_PRIORITY
+        bw_cls = reservations[0].resinfo.bw_cls
+        assert calls == [(0, KBPS_OF_CLASS[bw_cls], T0 - 5)]
+
+    @pytest.mark.parametrize("cls", [-1, bwcls.MAX_CLASS + 1])
+    def test_a_class_outside_ten_bits_is_refused_before_policing(self, chain3, clock, cls):
+        topology, path = chain3
+        reservations = grant_full_path(topology, path, start=T0 - 5)
+        source = HummingbirdSource(*addresses(path), path, reservations, clock, BLAKE2)
+        router = HummingbirdRouter(topology.as_of(path.src), clock, BLAKE2)
+        packet = source.build_packet(bytes(100))
+        packet.path.segments[0].hopfields[0].bw_cls = cls  # a flyover: the packet's own
+        with pytest.raises(ValueError, match="10-bit"):
+            router.process(packet, 0)
+        assert not router.policer.arrays
 
 
 class TestFirstFit:

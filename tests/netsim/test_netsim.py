@@ -33,7 +33,7 @@ class TestEventLoop:
         fired = []
         loop.schedule(5.0, lambda: fired.append(1))
         loop.run_until(4.0)
-        assert not fired and loop.now == 4.0
+        assert not fired and loop.clock.now() == 4.0
         loop.run_until(6.0)
         assert fired
 
@@ -93,16 +93,50 @@ class TestEventLoop:
         for when in (1.0, 2.0, 3.0):
             loop.schedule(when, fired.append, when)
         assert loop.run_until(10.0, max_events=1) == 1
-        assert fired == [1.0] and loop.now == 1.0 and len(loop._queue) == 2
+        assert fired == [1.0] and loop.clock.now() == 1.0 and len(loop._queue) == 2
         assert loop.run_until(10.0) == 2
-        assert fired == [1.0, 2.0, 3.0] and loop.now == 10.0
+        assert fired == [1.0, 2.0, 3.0] and loop.clock.now() == 10.0
 
     def test_event_cap_still_advances_past_an_emptied_window(self):
         loop = EventLoop(SimClock(0.0))
         loop.schedule(1.0, lambda: None)
         loop.schedule(20.0, lambda: None)
         assert loop.run_until(10.0, max_events=1) == 1
-        assert loop.now == 10.0  # the only queued event lies beyond end_time
+        assert loop.clock.now() == 10.0  # the only queued event lies beyond end_time
+
+
+    def test_a_clock_set_forward_between_runs_is_honoured(self):
+        """The loop keeps no time of its own: a clock set between runs (a
+        scenario waiting out an auction) is where the next event counts from."""
+        clock = SimClock(0.0)
+        loop = EventLoop(clock)
+        loop.run_until(1.0)
+        clock.set(50.0)
+        seen = []
+        loop.schedule(2.0, lambda: seen.append(loop.clock.now()))
+        assert loop.run_until(51.0) == 0 and clock.now() == 51.0
+        assert loop.run_until(52.0) == 1 and seen == [52.0]
+
+    def test_time_that_moves_backwards_is_refused(self):
+        """An event queued before the clock was set past it would run in the
+        past: the loop refuses, as ``SimClock.set`` does."""
+        clock = SimClock(0.0)
+        loop = EventLoop(clock)
+        loop.schedule(5.0, lambda: None)
+        clock.set(10.0)
+        with pytest.raises(ValueError, match="time cannot move backwards"):
+            loop.run_until(20.0)
+        with pytest.raises(ValueError, match="time cannot move backwards"):
+            clock.set(9.0)
+        assert clock.now() == 10.0
+
+    def test_a_callback_that_sets_the_clock_past_queued_events_is_refused(self):
+        clock = SimClock(0.0)
+        loop = EventLoop(clock)
+        loop.schedule(1.0, lambda: clock.set(5.0))
+        loop.schedule(2.0, lambda: None)
+        with pytest.raises(ValueError, match="time cannot move backwards"):
+            loop.run_until(10.0)
 
 
 class TestLink:
@@ -110,7 +144,7 @@ class TestLink:
         loop = EventLoop(SimClock(0.0))
         link = Link(loop, rate_bps=8000, propagation_delay=0.5)  # 1 B/ms
         arrivals = []
-        link.send("pkt", 100, priority=False, deliver=lambda p: arrivals.append(loop.now))
+        link.send("pkt", 100, priority=False, deliver=lambda p: arrivals.append(loop.clock.now()))
         loop.run_until(10.0)
         # 100 B at 1 kB/s = 0.1 s transmission + 0.5 s propagation.
         assert arrivals == [pytest.approx(0.6)]

@@ -22,13 +22,14 @@ def test_every_sent_packet_is_charged_its_own_packet_length(chain3, reserved, mo
     simulation = build_path_simulation(topology, path, start_time=float(T0))
     reservations = grant_full_path(topology, path, start=T0 - 5) if reserved else None
     charged: list[tuple[int, int]] = []  # (packet_length(), size_bytes) per injected packet
-    inject = RouterNode.inject
+    receive = RouterNode.receive
 
-    def recording(node, sim_packet):
-        charged.append((sim_packet.packet.packet_length(), sim_packet.size_bytes))
-        inject(node, sim_packet)
+    def recording(node, ingress_ifid, sim_packet):
+        if ingress_ifid == 0:  # injected by the source host
+            charged.append((sim_packet.packet.packet_length(), sim_packet.size_bytes))
+        receive(node, ingress_ifid, sim_packet)
 
-    monkeypatch.setattr(RouterNode, "inject", recording)
+    monkeypatch.setattr(RouterNode, "receive", recording)
     flow = simulation.send(7, 2_000_000, reservations, jitter=0.2)
     simulation.loop.run_until(T0 + 0.2)
 

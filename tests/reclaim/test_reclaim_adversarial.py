@@ -13,6 +13,7 @@ from repro.hummingbird.policing import PerInterfacePolicer, PolicingVerdict
 from repro.reclaim import ReclamationEngine, UsageReporter
 
 INGRESS = 1
+RES_START = 0  # the reservation's ResStart: its window is [0, 100)
 BOOKED = 200  # kbps; 250 B / 10 ms is exactly this rate
 PACKET = 250
 
@@ -46,18 +47,18 @@ def test_burst_exactly_at_sampling_instants_is_not_reclaimed():
     """
     policer = PerInterfacePolicer(capacity=64)
     controller, engine, commitment_id = _engine(policer)
-    engine.track(7, INGRESS, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)])
+    engine.track(7, INGRESS, RES_START, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)])
 
     for step in range(1, 41):
         now = step * 0.05
         # One 50 ms burst (5 packets x 10 ms drain) exactly at the instant
         # the engine samples: the full booked rate, maximally aliased.
         for _ in range(5):
-            verdict = policer.array_for(INGRESS).monitor(7, BOOKED, PACKET, now)
+            verdict = policer.array_for(INGRESS).monitor(7, BOOKED, PACKET, now, RES_START)
             assert verdict is PolicingVerdict.FWD_FLYOVER
         engine.scan(now)
 
-    tracked = engine._tracked.get(7)
+    tracked = engine._tracked[INGRESS, 7, RES_START]
     assert tracked.reclaimed_at is None
     assert engine.events == []
     calendar = controller.calendar(INGRESS, True, ACTIVE)
@@ -71,17 +72,17 @@ def test_phase_offset_does_not_change_the_verdict():
         policer = PerInterfacePolicer(capacity=64)
         _, engine, commitment_id = _engine(policer)
         engine.track(
-            7, INGRESS, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)]
+            7, INGRESS, RES_START, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)]
         )
         for step in range(1, 41):
             now = step * 0.05
             for _ in range(5):
                 policer.array_for(INGRESS).monitor(
-                    7, BOOKED, PACKET, now + offset
+                    7, BOOKED, PACKET, now + offset, RES_START
                 )
             engine.scan(now)
         outcomes.append(
-            (engine._tracked.get(7).reclaimed_at is None, len(engine.events))
+            (engine._tracked[INGRESS, 7, RES_START].reclaimed_at is None, len(engine.events))
         )
     assert outcomes[0] == outcomes[1] == (True, 0)
 
@@ -90,12 +91,12 @@ def test_late_waking_no_show_is_demoted_by_the_policer():
     """After reclamation the bucket drains at the retained rate only."""
     policer = PerInterfacePolicer(capacity=64)
     controller, engine, commitment_id = _engine(policer)
-    engine.track(7, INGRESS, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)])
+    engine.track(7, INGRESS, RES_START, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)])
 
     # Sanity: before reclamation the same packet rides with priority.
     probe = PerInterfacePolicer(capacity=64)
     assert (
-        probe.array_for(INGRESS).monitor(7, BOOKED, PACKET, 1.0)
+        probe.array_for(INGRESS).monitor(7, BOOKED, PACKET, 1.0, RES_START)
         is PolicingVerdict.FWD_FLYOVER
     )
 
@@ -107,18 +108,18 @@ def test_late_waking_no_show_is_demoted_by_the_policer():
 
     # The sender wakes up with its original header class; the installed
     # limit drains the bucket at 1 kbps, so a normal packet is demoted.
-    verdict = policer.array_for(INGRESS).monitor(7, BOOKED, PACKET, 2.0)
+    verdict = policer.array_for(INGRESS).monitor(7, BOOKED, PACKET, 2.0, RES_START)
     assert verdict is PolicingVerdict.FWD_BEST_EFFORT
 
     # The retained trickle still fits: 6 B at 1 kbps is under BurstTime.
     assert (
-        policer.array_for(INGRESS).monitor(7, BOOKED, 6, 2.0)
+        policer.array_for(INGRESS).monitor(7, BOOKED, 6, 2.0, RES_START)
         is PolicingVerdict.FWD_FLYOVER
     )
 
     # Best-effort traffic is not attributed to the reservation, so the
     # wake-up above did not count toward usage; the trickle did.
-    assert policer.usage_bytes(INGRESS, 7) == 6
+    assert policer.usage_bytes(INGRESS, 7, RES_START) == 6
 
 
 def test_false_reclaim_is_flagged_when_not_demoted():
@@ -130,18 +131,18 @@ def test_false_reclaim_is_flagged_when_not_demoted():
     """
     policer = PerInterfacePolicer(capacity=64)
     _, engine, commitment_id = _engine(policer, min_retained_kbps=10, demote=None)
-    engine.track(7, INGRESS, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)])
+    engine.track(7, INGRESS, RES_START, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)])
     assert len(engine.scan(1.0)) == 1  # reclaimed to 10 kbps
 
     # The sender wakes at its full booked rate; nothing caps the bucket.
     for step in range(95):
         verdict = policer.array_for(INGRESS).monitor(
-            7, BOOKED, PACKET, 1.05 + step * 0.01
+            7, BOOKED, PACKET, 1.05 + step * 0.01, RES_START
         )
         assert verdict is PolicingVerdict.FWD_FLYOVER
     engine.scan(2.0)
     assert engine.false_reclaims == 1
-    assert engine._tracked.get(7).false_reclaim
+    assert engine._tracked[INGRESS, 7, RES_START].false_reclaim
     # Flagged once, not once per scan.
     engine.scan(2.5)
     assert engine.false_reclaims == 1
@@ -151,5 +152,5 @@ def test_a_reservation_past_its_end_is_no_longer_watched():
     """Expiry, not a verdict: the scan at the window's end drops it unjudged."""
     policer = PerInterfacePolicer(capacity=64)
     _, engine, commitment_id = _engine(policer)
-    engine.track(7, INGRESS, BOOKED, 0.0, 1.0, [(INGRESS, True, commitment_id)])
+    engine.track(7, INGRESS, RES_START, BOOKED, 0.0, 1.0, [(INGRESS, True, commitment_id)])
     assert engine.scan(1.0) == [] and engine.tracked_count == 0

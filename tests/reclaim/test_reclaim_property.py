@@ -39,7 +39,7 @@ def test_reclaim_never_lowers_headroom_below_observed(
     controller = AdmissionController(100_000)
     decision = controller.admit_reservation(1, True, booked, 0.0, 100.0, tag="p")
     assert decision.admitted
-    usage = {1: {7: observed_bytes}}
+    usage = {1: {(7, 0): observed_bytes}}
     reporter = UsageReporter(lambda: usage, interval=0.1)
     engine = ReclamationEngine(
         controller,
@@ -50,12 +50,12 @@ def test_reclaim_never_lowers_headroom_below_observed(
         min_retained_kbps=min_retained,
     )
     engine.track(
-        7, 1, booked, 0.0, 100.0, [(1, True, decision.commitment.commitment_id)]
+        7, 1, 0, booked, 0.0, 100.0, [(1, True, decision.commitment.commitment_id)]
     )
     now = 10.0
     events = engine.scan(now)
     observed_kbps = observed_bytes * 8.0 / 1000.0 / now
-    tracked = engine._tracked.get(7)
+    tracked = engine._tracked[1, 7, 0]
     calendar = controller.calendar(1, True, ACTIVE)
 
     no_show = observed_kbps < threshold * booked

@@ -12,7 +12,7 @@ class TestUsageReporter:
 
         def source():
             calls.append(1)
-            return {1: {7: 100 * len(calls)}}
+            return {1: {(7, 0): 100 * len(calls)}}
 
         reporter = UsageReporter(source, interval=1.0)
         assert reporter.sample(0.0)
@@ -20,15 +20,16 @@ class TestUsageReporter:
         assert reporter.sample(1.0)
         assert len(calls) == 2
         assert reporter.samples_taken == 2
-        assert reporter.usage_bytes(1, 7) == 200
+        assert reporter.usage_bytes(1, 7, 0) == 200
+        assert reporter.usage_bytes(1, 7, 60) == 0  # a later holder of ResID 7
 
     def test_observed_rate_is_cumulative_average(self):
-        reporter = UsageReporter(lambda: {1: {7: 25_000}}, interval=0.1)
+        reporter = UsageReporter(lambda: {1: {(7, 0): 25_000}}, interval=0.1)
         reporter.sample(2.0)
         # 25,000 B over 2 s = 100,000 bits/s = 100 kbps.
-        assert reporter.observed_kbps(1, 7, 2.0) == pytest.approx(100.0)
-        assert reporter.observed_kbps(1, 7, 0.0) == 0.0
-        assert reporter.observed_kbps(9, 9, 2.0) == 0.0  # never seen
+        assert reporter.observed_kbps(1, 7, 0, 2.0) == pytest.approx(100.0)
+        assert reporter.observed_kbps(1, 7, 0, 0.0) == 0.0
+        assert reporter.observed_kbps(9, 9, 0, 2.0) == 0.0  # never seen
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import BLAKE2, T0, addresses, walk_path
+from tests.conftest import BLAKE2, T0, addresses, replace_hop, walk_path
 
 from repro.clock import SimClock
 from repro.hummingbird.source import ScionBestEffortSource
@@ -81,7 +81,7 @@ class TestBaselineRouter:
         routers = {a.isd_as: ScionRouter(a, clock, BLAKE2) for a in topology.ases}
         packet = build_packet(path)
         hop = packet.path.segments[0].hopfields[1]
-        hop.mac = bytes(b ^ 0x01 for b in hop.mac)
+        replace_hop(packet.path, 0, 1, mac=bytes(b ^ 0x01 for b in hop.mac))
         decisions = walk_path(topology, routers, packet, path.src)
         assert decisions[-1].action is Action.DROP
         assert "MAC" in decisions[-1].reason
@@ -90,7 +90,7 @@ class TestBaselineRouter:
         topology, path = chain3
         routers = {a.isd_as: ScionRouter(a, clock, BLAKE2) for a in topology.ases}
         packet = build_packet(path)
-        packet.path.segments[0].hopfields[0].cons_egress = 9
+        replace_hop(packet.path, 0, 0, cons_egress=9)
         first = routers[path.src].process(packet, 0)
         assert first.action is Action.DROP
 

@@ -28,7 +28,7 @@ def _deployment(ledger=None, marketplace="m", **controllers):
     ledger = ledger if ledger is not None else Ledger()
     return SimpleNamespace(
         services={
-            name: SimpleNamespace(admission=controller)
+            name: SimpleNamespace(admission=controller, policer=None)
             for name, controller in controllers.items()
         },
         ledger=ledger,
@@ -163,7 +163,9 @@ def test_a_request_its_as_polled_past_unanswered_is_a_breach():
     ):
         ledger.events.append(Event(answer, {"request": request}, "tx", checkpoint))
     deployment = _deployment(ledger)
-    service = SimpleNamespace(admission=AdmissionController(1000), _last_checkpoint=5)
+    service = SimpleNamespace(
+        admission=AdmissionController(1000), _last_checkpoint=5, policer=None
+    )
     deployment.services = {IsdAs(1, 7): service}
     with pytest.raises(InvariantBreach, match=r"request stranded to AS 1-0:0:7: polled at checkpoint 5") as raised:
         check(deployment, now=0)

@@ -203,6 +203,7 @@ ROUTER_STEPS = paper.ROUTER_STEPS_SCION + paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA
     ("Hummingbird : SCION hop", paper.HUMMINGBIRD_FORWARD_NS / paper.SCION_FORWARD_NS),
     ("Python frames per hop, Hummingbird : SCION",
      paper.HUMMINGBIRD_FORWARD_NS / paper.SCION_FORWARD_NS),
+    ("Python frames a reserved hop adds over a plain hop", None),
 ])
 def table3() -> list:
     runs = [measure_router(packets=800) for _ in range(ROUNDS)]
@@ -224,6 +225,10 @@ def table3() -> list:
         # the same ratio as work, which does not move with the box
         Ours(reserved / plain, f"{reserved} : {plain} frames, beside the paper's timed ratio",
              "≤ 2.5", reserved / plain <= 2.5),
+        # a ratio rewards a slow plain hop; the difference is what the
+        # flyover steps cost: A_i, its keying, the flyover MAC, policing
+        Ours(reserved - plain, f"{reserved} - {plain} frames: Table 3's extra steps",
+             "≤ 6", reserved - plain <= 6),
     ]
 
 

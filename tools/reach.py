@@ -60,7 +60,7 @@ LISTED = {
         "decode_hummingbird_path", "encode_hummingbird_path",
     )},
     **{f"src/repro/scion/packet.py:{name}": "item-17" for name in (
-        "PacketPath.seg_lens", "_decode_standard_hopfield", "_decode_standard_path",
+        "_decode_standard_hopfield", "_decode_standard_path",
         "_encode_standard_hopfield", "_encode_standard_path", "decode_packet", "encode_packet",
     )},
     **{f"src/repro/scion/addresses.py:{name}": "item-17" for name in (
@@ -71,6 +71,9 @@ LISTED = {
         "BitUnpacker.take", "out_of_range",
     )},
     "src/repro/admission/auction.py:WindowAuction.clear": "e2e-boundary",
+    # The router polices through the ingress's array itself; the e2e
+    # tracer keeps this one-packet entry as its policing boundary.
+    "src/repro/hummingbird/policing.py:PerInterfacePolicer.monitor": "e2e-boundary",
     "src/repro/controlplane/hostclient.py:HostClient.consolidate_coins": "recorded",
     "src/repro/contracts/coin.py:CoinContract.merge": "recorded",
     "src/repro/contracts/market.py:MarketContract.cancel_listing": "recorded",
