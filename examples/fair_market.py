@@ -24,11 +24,15 @@ Run:  python examples/fair_market.py
 
 from repro.analysis import render_comparison
 from repro.netsim import (
+    admitted,
     auction_experiment,
     contention_experiment,
+    efficiency,
+    jain_index,
     linear_path,
     path_contention_experiment,
     reclamation_experiment,
+    rejected,
 )
 
 
@@ -40,27 +44,23 @@ def main() -> None:
     reclamation = reclamation_experiment(*chain, duration=0.6)
 
     rows = [
-        ["contention: posted, FCFS", len(contention.admitted),
-         len(contention.rejected), "-", "-", "-", "-"],
+        ["contention: posted, FCFS", len(admitted(contention.buyers)),
+         len(rejected(contention.buyers)), "-", "-", "-", "-"],
     ]
     for arm, label in (("posted", "auction: posted, by arrival"),
                        ("auction", "auction: sealed bids")):
-        won = [
-            buyer.posted_admitted if arm == "posted" else buyer.auction_won
-            for buyer in auction.buyers
-        ]
-        revenue = getattr(auction, f"{arm}_revenue_mist")
+        buyers = [buyer for buyer in auction.buyers if buyer.arm == arm]
+        value = efficiency(buyers, auction.valuations_micromist, auction.capacity_kbps)
         rows.append([
-            label, sum(won), won.count(False), revenue,
-            f"{auction.efficiency(arm):.2f}", f"{auction.jain_index(arm):.2f}",
-            auction.oversold,
+            label, len(admitted(buyers)), len(rejected(buyers)),
+            getattr(auction, f"{arm}_revenue_mist"),
+            f"{value:.2f}", f"{jain_index(buyers):.2f}", auction.oversold,
         ])
-    rows.append(["path auction: all or nothing", len(paths.admitted),
-                 len(paths.rejected), "-", "-", "-", paths.oversold])
+    rows.append(["path auction: all or nothing", len(admitted(paths.buyers)),
+                 len(rejected(paths.buyers)), "-", "-", "-", paths.oversold])
     for arm, result in reclamation.arms.items():
-        served = len(result.reserved_buyers)
-        rows.append([f"reclamation: {arm}", served, len(result.buyers) - served,
-                     result.revenue_mist, "-", "-", "-"])
+        rows.append([f"reclamation: {arm}", len(admitted(result.buyers)),
+                     len(rejected(result.buyers)), result.revenue_mist, "-", "-", "-"])
     print(
         render_comparison(
             ["allocation", "served", "refused", "revenue (MIST)", "efficiency",

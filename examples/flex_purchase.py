@@ -33,14 +33,14 @@ def main() -> None:
     )
 
     rows = []
-    for buyer in result.buyers:
+    for buyer, flex, start in zip(result.buyers, result.flex_values, result.window_starts):
         rows.append(
             [
                 buyer.buyer,
-                f"{buyer.flex_start}s",
-                f"+{buyer.offset}s",
-                "peak" if buyer.start < peak_end else "valley",
-                f"{buyer.paid_price_mist}",
+                f"{flex}s",
+                f"+{start - peak_start}s",
+                "peak" if start < peak_end else "valley",
+                f"{buyer.paid_mist}",
                 f"{buyer.metrics['goodput_mbps']:.2f}",
             ]
         )
@@ -68,10 +68,10 @@ def main() -> None:
             y_label="MIST",
         )
     )
-    saved = result.buyers[0].paid_price_mist - result.buyers[-1].paid_price_mist
+    saved = result.buyers[0].paid_mist - result.buyers[-1].paid_mist
     print(
         f"\nflexibility saved {saved} MIST "
-        f"({saved / result.buyers[0].paid_price_mist:.0%} of the peak price) — "
+        f"({saved / result.buyers[0].paid_mist:.0%} of the peak price) — "
         "hosts that can wait smooth the demand curve instead of paying it."
     )
 

@@ -39,10 +39,10 @@ And one on redemptions, over the event log and every AS's poll cursor:
 And one on the data plane, over every AS whose reclamation loop is bound
 to its router's policer:
 
-(f) every cap and usage row the policer holds belongs to a reservation
-    ``(ingress, ResID, ResStart)`` the loop still tracks: each scan stops
-    tracking the reservations that ended and has the policer keep only the
-    rows of the rest, so none outlives its reservation and none is billed
+(f) every row the policer and the loop's usage reporter hold belongs to a
+    reservation ``(ingress, ResID, ResStart)`` the loop still tracks: each
+    scan stops tracking the reservations that ended and has both keep only
+    the rows of the rest, so none outlives its reservation and none is billed
     to a later holder of the ResID.
 
 Still open as item 5 and extending :func:`check`: calendars rebuilt from
@@ -119,7 +119,7 @@ def _redemption_breaches(deployment) -> list[str]:
 
 
 def _policer_breaches(deployment) -> list[str]:
-    """(f): a policer's rows are its live reservations'."""
+    """(f): a policer's and a usage reporter's rows are live reservations'."""
     breaches = []
     for isd_as, service in deployment.services.items():
         if service.policer is None:
@@ -128,11 +128,15 @@ def _policer_breaches(deployment) -> list[str]:
             (tracked.ingress_ifid, tracked.res_id, tracked.res_start)
             for tracked in service.reclamation.tracked()
         }
-        breaches += [
-            f"AS {isd_as} ingress {ingress}: the policer holds a cap or bytes of "
-            f"ResID {res_id} from {res_start}, a reservation its loop does not track"
-            for ingress, res_id, res_start in sorted(service.policer.reservations() - live)
-        ]
+        for holder, rows in (
+            ("the policer holds a cap or bytes", service.policer.reservations()),
+            ("the usage reporter holds bytes", service.reclamation.reporter.reservations()),
+        ):
+            breaches += [
+                f"AS {isd_as} ingress {ingress}: {holder} of ResID {res_id} from "
+                f"{res_start}, a reservation its loop does not track"
+                for ingress, res_id, res_start in sorted(rows - live)
+            ]
     return breaches
 
 

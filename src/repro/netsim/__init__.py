@@ -11,27 +11,27 @@ from repro.netsim.metrics import FlowMetrics
 from repro.netsim.nodes import HostSink, RouterNode, SimPacket
 from repro.netsim.scenarios import (
     SIM_PRF,
-    AuctionBuyerOutcome,
     AuctionExperimentResult,
     BuyerOutcome,
     CongestionResult,
     ContentionResult,
-    FlexBuyerOutcome,
     FlexMarketResult,
-    PathBuyerOutcome,
     PathContentionResult,
     PathSimulation,
-    ReclaimBuyerOutcome,
     ReclamationArmResult,
     ReclamationResult,
+    admitted,
     auction_experiment,
     build_path_simulation,
     congestion_experiment,
     contention_experiment,
+    efficiency,
     flex_market_experiment,
+    jain_index,
     linear_path,
     path_contention_experiment,
     reclamation_experiment,
+    rejected,
 )
 from repro.netsim.traffic import CbrSource, FloodSource
 
@@ -44,7 +44,6 @@ __all__ = [
     "RouterNode",
     "SimPacket",
     "SIM_PRF",
-    "AuctionBuyerOutcome",
     "AuctionExperimentResult",
     "BuyerOutcome",
     "CongestionResult",
@@ -52,22 +51,23 @@ __all__ = [
     "DeadlineExperimentResult",
     "TransferRecord",
     "deadline_experiment",
-    "FlexBuyerOutcome",
     "FlexMarketResult",
-    "PathBuyerOutcome",
     "PathContentionResult",
     "PathSimulation",
-    "ReclaimBuyerOutcome",
     "ReclamationArmResult",
     "ReclamationResult",
+    "admitted",
     "auction_experiment",
     "build_path_simulation",
     "congestion_experiment",
     "contention_experiment",
+    "efficiency",
     "flex_market_experiment",
+    "jain_index",
     "linear_path",
     "path_contention_experiment",
     "reclamation_experiment",
+    "rejected",
     "CbrSource",
     "FloodSource",
 ]

@@ -422,16 +422,63 @@ def congestion_experiment(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuyerOutcome:
-    """One competing buyer's fate in :func:`contention_experiment`."""
+    """One buyer's fate in one arm of an experiment.
+
+    ``quoted_price_micromist`` is the per-unit price (µMIST per kbps-second)
+    a seller asked of this buyer: the bottleneck's posted quote, an auction's
+    reserve, or the dearest leg its plan bought or its path bid faced.
+    ``refusal`` says why it was not served, ``None`` when it was; ``metrics``
+    is its flow's summary, empty when it sent no simulated traffic.
+    """
 
     buyer: str
+    arm: str
     requested_kbps: int
-    admitted: bool
+    granted_kbps: int
     quoted_price_micromist: int
-    reason: str
+    paid_mist: int
+    refusal: str | None
     metrics: dict
+
+
+def admitted(buyers: list[BuyerOutcome]) -> list[BuyerOutcome]:
+    """The buyers that were served."""
+    return [buyer for buyer in buyers if buyer.refusal is None]
+
+
+def rejected(buyers: list[BuyerOutcome]) -> list[BuyerOutcome]:
+    """The buyers that were refused."""
+    return [buyer for buyer in buyers if buyer.refusal is not None]
+
+
+def jain_index(buyers: list[BuyerOutcome]) -> float:
+    """Jain's fairness index over the bandwidth granted to ``buyers``: 1.0
+    when every buyer holds the same share (nobody served included), 1/n when
+    one of n holds everything."""
+    shares = [buyer.granted_kbps for buyer in buyers]
+    total = sum(shares)
+    if total == 0:
+        return 1.0
+    return total * total / (len(shares) * sum(share * share for share in shares))
+
+
+def efficiency(
+    buyers: list[BuyerOutcome], valuations_micromist: dict[str, int], capacity_kbps: int
+) -> float:
+    """Captured valuation: the value served over the best value
+    ``capacity_kbps`` could serve, every buyer asking what the first asked.
+    1.0 means the window went to exactly the buyers who value it most, as
+    an auction's bid order allocates it; posted prices allocate by arrival."""
+    per_buyer = buyers[0].requested_kbps if buyers else 0
+    slots = per_buyer and capacity_kbps // per_buyer
+    best = sum(
+        sorted((valuations_micromist[buyer.buyer] for buyer in buyers), reverse=True)[:slots]
+    )
+    if best == 0:
+        return 1.0
+    return sum(valuations_micromist[buyer.buyer] for buyer in admitted(buyers)) / best
 
 
 @dataclass
@@ -442,34 +489,16 @@ class ContentionResult:
     capacity_kbps: int
     bottleneck_utilization: float
 
-    @property
-    def admitted(self) -> list[BuyerOutcome]:
-        return [b for b in self.buyers if b.admitted]
-
-    @property
-    def rejected(self) -> list[BuyerOutcome]:
-        return [b for b in self.buyers if not b.admitted]
-
-
-@dataclass
-class FlexBuyerOutcome:
-    """One probe buyer's fate in :func:`flex_market_experiment`."""
-
-    buyer: str
-    flex_start: int  # seconds of start-time slack the buyer declared
-    offset: int  # seconds the planner actually slid the window
-    start: int  # service start of the purchased window
-    expiry: int
-    estimated_price_mist: int
-    paid_price_mist: int
-    metrics: dict
-
 
 @dataclass
 class FlexMarketResult:
-    """Outcome of :func:`flex_market_experiment`."""
+    """Outcome of :func:`flex_market_experiment`: one posted-arm record per
+    probe, the start-time slack each declared and the start of the window the
+    planner bought it (how far it slid is that start less the peak's)."""
 
-    buyers: list[FlexBuyerOutcome]
+    buyers: list[BuyerOutcome]
+    flex_values: tuple[int, ...]
+    window_starts: list[int]
     peak_window: tuple[int, int]
     base_price_micromist: int
     peak_price_micromist: int  # scarcity-adjusted restock price in the peak
@@ -541,8 +570,9 @@ def flex_market_experiment(
     peak_price = _list_legs(deployment, crossings, market_bandwidth_kbps, *peak)
 
     reserve_kbps = int(probe_rate_bps * 1.25 / 1000)  # cover wire overhead
-    outcomes: list[FlexBuyerOutcome] = []
-    for index, flex in enumerate(flex_values):
+    outcomes: list[BuyerOutcome] = []
+    window_starts: list[int] = []
+    for flex in flex_values:
         buyer = f"probe-flex-{flex}"
         host = deployment.new_host(name=buyer)
         # Trace the whole purchase: plan -> atomic buy-and-redeem tx ->
@@ -566,15 +596,20 @@ def flex_market_experiment(
         victim_metrics = simulation.send(1, probe_rate_bps, outcome.reservations, jitter=0.05)
         simulation.send(2, flood_rate_bps, delay=0.05, jitter=0.02)
         simulation.run(duration)
+        window_starts.append(outcome.quote.start)
         outcomes.append(
-            FlexBuyerOutcome(
+            BuyerOutcome(
                 buyer=buyer,
-                flex_start=flex,
-                offset=outcome.quote.offset,
-                start=outcome.quote.start,
-                expiry=outcome.quote.expiry,
-                estimated_price_mist=outcome.estimated_price_mist,
-                paid_price_mist=outcome.price_mist,
+                arm="posted",
+                requested_kbps=reserve_kbps,
+                granted_kbps=outcome.quote.bandwidth_kbps,
+                quoted_price_micromist=max(
+                    candidate.listing.price_micromist_per_unit
+                    for hop in outcome.quote.hops
+                    for candidate in (hop.ingress_candidate, hop.egress_candidate)
+                ),
+                paid_mist=outcome.price_mist,
+                refusal=None,
                 metrics=victim_metrics.summary(),
             )
         )
@@ -599,6 +634,8 @@ def flex_market_experiment(
         )
     return FlexMarketResult(
         buyers=outcomes,
+        flex_values=flex_values,
+        window_starts=window_starts,
         peak_window=peak,
         base_price_micromist=BASE_PRICE_MICROMIST,
         peak_price_micromist=peak_price,
@@ -608,27 +645,13 @@ def flex_market_experiment(
 
 
 @dataclass
-class AuctionBuyerOutcome:
-    """One buyer's fate in BOTH arms of :func:`auction_experiment`."""
-
-    buyer: str
-    requested_kbps: int
-    valuation_micromist: int  # per-unit willingness to pay
-    posted_admitted: bool
-    posted_quote_micromist: int  # the posted price this buyer faced
-    posted_paid_mist: int
-    posted_reason: str
-    auction_won: bool
-    auction_paid_mist: int
-    auction_reason: str
-    metrics: dict  # auction-arm data-plane metrics (empty when not simulated)
-
-
-@dataclass
 class AuctionExperimentResult:
-    """Outcome of :func:`auction_experiment`: posted vs auctioned window."""
+    """Outcome of :func:`auction_experiment`: posted vs auctioned window, one
+    record per buyer and arm (``"posted"``, then ``"auction"``), and each
+    buyer's per-unit willingness to pay."""
 
-    buyers: list[AuctionBuyerOutcome]
+    buyers: list[BuyerOutcome]
+    valuations_micromist: dict[str, int]
     capacity_kbps: int
     supply_kbps: int
     reserve_micromist: int
@@ -646,41 +669,6 @@ class AuctionExperimentResult:
             self.posted_peak_kbps > self.capacity_kbps
             or self.auction_peak_kbps > self.capacity_kbps
         )
-
-    def efficiency(self, arm: str) -> float:
-        """Captured valuation: awarded value / best achievable value.
-
-        The market-design fairness yardstick: 1.0 means the window went to
-        exactly the buyers who value it most.  Posted prices allocate by
-        *arrival order* among those who can afford the quote; the auction
-        allocates by *bid order*, so it should sit at (or near) 1.0.
-        """
-        demands = sorted((b.valuation_micromist for b in self.buyers), reverse=True)
-        per_buyer = self.buyers[0].requested_kbps if self.buyers else 0
-        slots = per_buyer and self.capacity_kbps // per_buyer
-        best = sum(demands[:slots])
-        if best == 0:
-            return 1.0
-        if arm == "posted":
-            captured = sum(
-                b.valuation_micromist for b in self.buyers if b.posted_admitted
-            )
-        else:
-            captured = sum(
-                b.valuation_micromist for b in self.buyers if b.auction_won
-            )
-        return captured / best
-
-    def jain_index(self, arm: str) -> float:
-        """Jain's fairness index over awarded bandwidth across all buyers."""
-        if arm == "posted":
-            shares = [b.requested_kbps if b.posted_admitted else 0 for b in self.buyers]
-        else:
-            shares = [b.requested_kbps if b.auction_won else 0 for b in self.buyers]
-        total = sum(shares)
-        if total == 0:
-            return 1.0
-        return total * total / (len(shares) * sum(s * s for s in shares))
 
 
 def auction_experiment(
@@ -748,6 +736,7 @@ def auction_experiment(
         topology, path, end, reservable_fraction, pricer=ScarcityPricer()
     )
     seller = posted.service(bottleneck.isd_as)
+    names = [f"buyer-{index}" for index in range(num_buyers)]
     buyers = []
     for index, valuation in enumerate(valuations):
         quote = seller.admission.quote(
@@ -759,7 +748,7 @@ def auction_experiment(
             reason = _restock(posted, [(bottleneck, True)], end, reserve_kbps)
         paid = 0
         if reason is None:
-            host = posted.new_host(name=f"buyer-{index}")
+            host = posted.new_host(name=names[index])
             bought = host.acquire(
                 posted.marketplace, bottleneck.isd_as, bottleneck.ingress, True,
                 START, end, reserve_kbps, budgets[index],
@@ -770,17 +759,14 @@ def auction_experiment(
             )
             paid = bought.price_mist
         buyers.append(
-            AuctionBuyerOutcome(
-                buyer=f"buyer-{index}",
+            BuyerOutcome(
+                buyer=names[index],
+                arm="posted",
                 requested_kbps=reserve_kbps,
-                valuation_micromist=valuation,
-                posted_admitted=reason is None,
-                posted_quote_micromist=quote,
-                posted_paid_mist=paid,
-                posted_reason=reason or "admitted",
-                auction_won=False,
-                auction_paid_mist=0,
-                auction_reason="no bid",
+                granted_kbps=reserve_kbps if reason is None else 0,
+                quoted_price_micromist=quote,
+                paid_mist=paid,
+                refusal=reason,
                 metrics={},
             )
         )
@@ -798,19 +784,16 @@ def auction_experiment(
         )
         auction_id = opened.effects.returns[1]["auction"]
         reserve = auctioneer.open_auctions[auction_id].reserve_micromist_per_unit
-        hosts = [auctioned.new_host(name=buyer.buyer) for buyer in buyers]
+        hosts = [auctioned.new_host(name=name) for name in names]
         for host, valuation in zip(hosts, valuations):
             host.bid(auctioned.marketplace, auction_id, reserve_kbps, valuation)
         (settled,) = auctioneer.settle_due_auctions()
         reservations: list = [None] * num_buyers
+        settlements = []
         first_win = None  # (buyer index, ResID at the bottleneck from START)
         for index, host in enumerate(hosts):
             settlement = host.await_settle(auctioned.marketplace, auction_id)
-            buyers[index].auction_won = settlement.won
-            buyers[index].auction_paid_mist = settlement.paid_mist
-            buyers[index].auction_reason = (
-                "won" if settlement.won else next(iter(settlement.reasons), "no bid")
-            )
+            settlements.append(settlement)
             if not settlement.won:
                 continue
             res_id = _redeem_bottleneck(
@@ -830,6 +813,7 @@ def auction_experiment(
 
         # -- data plane: winners protected, everyone sends ----------------------
         policer = simulation.nodes[bottleneck.isd_as].router.policer
+        summaries = [{} for _ in range(num_buyers)]
         if simulate:
             flows = [
                 simulation.send(
@@ -839,8 +823,7 @@ def auction_experiment(
                 for index in range(num_buyers)
             ]
             simulation.run(duration)
-            for buyer, flow in zip(buyers, flows):
-                buyer.metrics = flow.summary()
+            summaries = [flow.summary() for flow in flows]
             if trace is not None and first_win is not None:
                 index, res_id = first_win
                 trace.event(
@@ -849,8 +832,21 @@ def auction_experiment(
                     ingress=bottleneck.ingress,
                     res_id=res_id,
                     priority_bytes=policer.usage_bytes(bottleneck.ingress, res_id, START),
-                    goodput_mbps=buyers[index].metrics["goodput_mbps"],
+                    goodput_mbps=summaries[index]["goodput_mbps"],
                 )
+    buyers += [
+        BuyerOutcome(
+            buyer=name,
+            arm="auction",
+            requested_kbps=reserve_kbps,
+            granted_kbps=settlement.bandwidth_kbps,
+            quoted_price_micromist=reserve,
+            paid_mist=settlement.paid_mist,
+            refusal=None if settlement.won else next(iter(settlement.reasons), "no bid"),
+            metrics=summary,
+        )
+        for name, settlement, summary in zip(names, settlements, summaries)
+    ]
     for deployment in (posted, auctioned):
         check(deployment, simulation.now())
 
@@ -863,11 +859,12 @@ def auction_experiment(
 
     result = AuctionExperimentResult(
         buyers=buyers,
+        valuations_micromist=dict(zip(names, valuations)),
         capacity_kbps=capacity_kbps,
         supply_kbps=settled.supply_kbps,
         reserve_micromist=reserve,
         clearing_price_micromist=settled.clearing_price_micromist,
-        posted_revenue_mist=sum(buyer.posted_paid_mist for buyer in buyers),
+        posted_revenue_mist=sum(buyer.paid_mist for buyer in buyers if buyer.arm == "posted"),
         auction_revenue_mist=settled.proceeds_mist,
         posted_peak_kbps=peak(posted),
         auction_peak_kbps=peak(auctioned),
@@ -883,46 +880,25 @@ def auction_experiment(
 
 
 @dataclass
-class PathBuyerOutcome:
-    """One buyer's fate in :func:`path_contention_experiment`: what the
-    settlement awarded it, or the first leg's hop that refused it and why,
-    and what its escrow came back as."""
-
-    buyer: str
-    requested_kbps: int
-    admitted: bool
-    failed_hop: int | None
-    reason: str
-    legs_won: int
-    escrow_mist: int
-    refund_mist: int
-
-
-@dataclass
 class PathContentionResult:
     """Outcome of :func:`path_contention_experiment`.
 
-    ``escrow_conserved`` checks the on-chain settlement: what the leg
-    sellers were paid plus every refund equals the escrows taken, to the
-    MIST.  A loser's ``failed_hop`` and ``reason`` are the contract's loser
-    report (the first leg that refused it, halved to its hop); every leg
-    offers the same supply here, so that is hop 0.
+    A buyer paid what the settlement kept of its escrow (``escrows_mist``),
+    and a winner holds a piece of every leg.  ``escrow_conserved`` checks
+    the on-chain settlement: what the leg sellers were paid equals what the
+    buyers paid, to the MIST.  ``failed_hops`` holds each loser's hop from
+    the contract's loser report (the first leg that refused it, halved);
+    every leg offers the same supply here, so that is hop 0.
     """
 
-    buyers: list[PathBuyerOutcome]
+    buyers: list[BuyerOutcome]
+    escrows_mist: dict[str, int]
+    failed_hops: dict[str, int]
     hop_names: list[str]
     hop_capacities_kbps: list[int]
     hop_peaks_kbps: list[int]
     escrow_conserved: bool
     path_auction_winners: int
-
-    @property
-    def admitted(self) -> list[PathBuyerOutcome]:
-        return [b for b in self.buyers if b.admitted]
-
-    @property
-    def rejected(self) -> list[PathBuyerOutcome]:
-        return [b for b in self.buyers if not b.admitted]
 
     @property
     def oversold(self) -> bool:
@@ -991,7 +967,12 @@ def path_contention_experiment(
             deployment, crossings, *window, bandwidth_kbps=offered_kbps,
             base_price_micromist=BASE_PRICE_MICROMIST,
         )
-        hosts, escrows = [], []
+        # the dearest leg's reserve: what a path bid faces per unit and leg
+        reserve = max(
+            service.path_legs[handle.path_auction, index].reserve_micromist_per_unit
+            for service, index in handle.legs
+        )
+        hosts, escrows = [], {}
         for index in range(num_buyers):
             host = deployment.new_host(name=f"buyer-{index}")
             unit_price = (num_buyers + 1 - index) * BASE_PRICE_MICROMIST
@@ -1003,13 +984,14 @@ def path_contention_experiment(
                 ),
             )
             hosts.append(host)
-            escrows.append(acquired.submitted.effects.returns[0]["escrow_mist"])
+            escrows[host.account.name] = acquired.submitted.effects.returns[0]["escrow_mist"]
         simulation.clock.set(float(window[0]))
         settle_path_auction(deployment, handle)
         payload = deployment.indexer.settlement(handle.path_auction)
         losses = {loser["bidder"]: loser for loser in payload["losers"]}
-        outcomes = []
-        for host, escrow in zip(hosts, escrows):
+        outcomes, failed_hops = [], {}
+        for host in hosts:
+            name = host.account.name
             settlement = host.await_path_settle(
                 deployment.marketplace, handle.path_auction
             )
@@ -1018,16 +1000,18 @@ def path_contention_experiment(
                     list(zip(settlement.assets[0::2], settlement.assets[1::2]))
                 )
             loss = losses.get(host.account.address)
+            if loss is not None:
+                failed_hops[name] = loss["leg"] // 2
             outcomes.append(
-                PathBuyerOutcome(
-                    buyer=host.account.name,
+                BuyerOutcome(
+                    buyer=name,
+                    arm="path-auction",
                     requested_kbps=per_buyer_kbps,
-                    admitted=settlement.won,
-                    failed_hop=None if loss is None else loss["leg"] // 2,
-                    reason="" if loss is None else loss["reason"],
-                    legs_won=len(settlement.assets),
-                    escrow_mist=escrow,
-                    refund_mist=settlement.refund_mist,
+                    granted_kbps=settlement.bandwidth_kbps,
+                    quoted_price_micromist=reserve,
+                    paid_mist=escrows[name] - settlement.refund_mist,
+                    refusal=None if loss is None else loss["reason"],
+                    metrics={},
                 )
             )
         for crossing in crossings:
@@ -1038,6 +1022,8 @@ def path_contention_experiment(
     paid = sum(winner["paid_mist"] for winner in payload["winners"])
     result = PathContentionResult(
         buyers=outcomes,
+        escrows_mist=escrows,
+        failed_hops=failed_hops,
         hop_names=[str(crossing.isd_as) for crossing in crossings],
         hop_capacities_kbps=[
             service.admission.capacity_kbps(crossing.ingress, True)
@@ -1053,9 +1039,7 @@ def path_contention_experiment(
             )
             for service, crossing in zip(services, crossings)
         ],
-        escrow_conserved=(
-            paid + sum(outcome.refund_mist for outcome in outcomes) == sum(escrows)
-        ),
+        escrow_conserved=paid == sum(outcome.paid_mist for outcome in outcomes),
         path_auction_winners=len(payload["winners"]),
     )
     for service in services:
@@ -1097,7 +1081,7 @@ def contention_experiment(
     )
     seller = deployment.service(bottleneck.isd_as)
     reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-    outcomes: list[BuyerOutcome] = []
+    facts = []  # (buyer, quote, paid, refusal) in arrival order
     flow_metrics: list[FlowMetrics] = []
     verdict = None  # buyer-0's trace and ResID at the bottleneck
     for index in range(num_buyers):
@@ -1106,18 +1090,19 @@ def contention_experiment(
             BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
         )
         # Trace buyer-0's lifecycle end to end (admission through policer).
-        reservations = None
+        reservations, paid = None, 0
         with (named_trace(buyer) if index == 0 else use_trace(None)) as trace:
             refusal = _restock(deployment, [(bottleneck, True)], end, reserve_kbps)
             if refusal is None:
-                reservations = purchase_path(
+                bought = purchase_path(
                     deployment,
                     deployment.new_host(name=buyer),
                     as_crossings(path),
                     start=START,
                     expiry=end,
                     bandwidth_kbps=reserve_kbps,
-                ).reservations
+                )
+                reservations, paid = bought.reservations, bought.price_mist
         if trace is not None and reservations:
             verdict = trace, next(
                 r.resinfo for r in reservations if r.isd_as == bottleneck.isd_as
@@ -1129,23 +1114,23 @@ def contention_experiment(
                 delay=0.01 * index, jitter=0.05,
             )
         )
-        outcomes.append(
-            BuyerOutcome(
-                buyer=buyer,
-                requested_kbps=reserve_kbps,
-                admitted=refusal is None,
-                quoted_price_micromist=quote,
-                # the bottleneck's first-come-first-served calendar says
-                # "fits" to every rectangle it lets the AS list
-                reason="fits" if refusal is None else refusal,
-                metrics={},
-            )
-        )
+        facts.append((buyer, quote, paid, refusal))
 
     simulation.run(duration)
-    for outcome, metrics in zip(outcomes, flow_metrics):
-        outcome.metrics = metrics.summary()
     check(deployment, simulation.now())
+    outcomes = [
+        BuyerOutcome(
+            buyer=buyer,
+            arm="posted",
+            requested_kbps=reserve_kbps,
+            granted_kbps=reserve_kbps if refusal is None else 0,
+            quoted_price_micromist=quote,
+            paid_mist=paid,
+            refusal=refusal,
+            metrics=metrics.summary(),
+        )
+        for (buyer, quote, paid, refusal), metrics in zip(facts, flow_metrics)
+    ]
 
     link = simulation.links[0]
     result = ContentionResult(
@@ -1169,25 +1154,15 @@ def contention_experiment(
 
 
 @dataclass
-class ReclaimBuyerOutcome:
-    """One buyer of :func:`reclamation_experiment`."""
-
-    buyer: str
-    kind: str  # "honest" | "no-show" | "late"
-    reserved: bool
-    admitted_at: float | None
-    quoted_price_micromist: int
-    reason: str
-    metrics: dict
-
-
-@dataclass
 class ReclamationArmResult:
-    """One policy arm of :func:`reclamation_experiment`."""
+    """One policy arm of :func:`reclamation_experiment`: a record per buyer,
+    named for its kind (``"no-show-<i>"``, ``"honest-<i>"``, ``"late-<i>"``),
+    and the simulated time each buyer that got a reservation bought it."""
 
     arm: str
     capacity_kbps: int
-    buyers: list[ReclaimBuyerOutcome]
+    buyers: list[BuyerOutcome]
+    admitted_at: dict[str, float]
     revenue_mist: int
     reserved_goodput_bps: float
     honest_demotions: int
@@ -1199,10 +1174,6 @@ class ReclamationArmResult:
 
     # revenue_mist is the bottleneck AS's coin balance at the end of the run:
     # what its sales earned on the ledger, both of its legs.
-
-    @property
-    def reserved_buyers(self) -> list[ReclaimBuyerOutcome]:
-        return [buyer for buyer in self.buyers if buyer.reserved]
 
 
 @dataclass
@@ -1288,54 +1259,52 @@ def reclamation_experiment(
             if (crossing, is_ingress) != (bottleneck, True)
         ]
         reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-        flow_metrics: dict[str, FlowMetrics] = {}
+        # Early buyers: the first num_no_shows never send a packet.  Late
+        # buyers: bought now if the arm's policy has room, retried at every
+        # scan otherwise; a buyer still waiting at the end sent nothing.
+        kinds = (
+            ["no-show"] * num_no_shows
+            + ["honest"] * (num_buyers - num_no_shows)
+            + ["late"] * num_late
+        )
+        names = [f"{kind}-{index}" for index, kind in enumerate(kinds)]
+        # by buyer: the quote it bought at, else its first refusal's quote
+        # and reason; what it paid and when; its flow's metrics
+        quotes, refusals, paid, admitted_at, flow_metrics = {}, {}, {}, {}, {}
 
-        def buy(index: int, outcome: ReclaimBuyerOutcome) -> bool:
+        def buy(index: int) -> bool:
             """One purchase attempt; a bought path sends unless its buyer is
-            a no-show, and a refused retry keeps the first refusal's quote
-            and reason."""
+            a no-show."""
+            name, kind = names[index], kinds[index]
             quote = seller.admission.quote(
                 BASE_PRICE_MICROMIST, bottleneck.ingress, True, START, end
             )
             refusal = _restock(
-                deployment, legs if outcome.kind == "late" else legs[:1], end, reserve_kbps
+                deployment, legs if kind == "late" else legs[:1], end, reserve_kbps
             )
             if refusal is not None:
-                if not outcome.reason:
-                    outcome.quoted_price_micromist, outcome.reason = quote, refusal
+                quotes.setdefault(name, quote)
+                refusals.setdefault(name, refusal)
                 return False
-            reservations = purchase_path(
+            bought = purchase_path(
                 deployment,
-                deployment.new_host(name=outcome.buyer),
+                deployment.new_host(name=name),
                 crossings,
                 start=START,
                 expiry=end,
                 bandwidth_kbps=reserve_kbps,
-            ).reservations
-            if outcome.kind != "no-show":
-                flow_metrics[outcome.buyer] = simulation.send(
-                    index + 1, per_buyer_kbps * 1000.0, reservations,
+            )
+            if kind != "no-show":
+                flow_metrics[name] = simulation.send(
+                    index + 1, per_buyer_kbps * 1000.0, bought.reservations,
                     delay=0.005 * index, jitter=0.05,
                 )
-            outcome.reserved, outcome.admitted_at = True, simulation.now()
-            outcome.quoted_price_micromist, outcome.reason = quote, "fits"
+            quotes[name] = quote
+            paid[name] = bought.price_mist
+            admitted_at[name] = simulation.now()
             return True
 
-        # Early buyers: the first num_no_shows never send a packet.  Late
-        # buyers: bought now if the arm's policy has room, retried at every
-        # scan otherwise; a buyer still waiting at the end sent nothing.
-        outcomes = [
-            ReclaimBuyerOutcome(
-                buyer=f"{kind}-{index}", kind=kind, reserved=False, admitted_at=None,
-                quoted_price_micromist=0, reason="", metrics={},
-            )
-            for index, kind in enumerate(
-                ["no-show"] * num_no_shows
-                + ["honest"] * (num_buyers - num_no_shows)
-                + ["late"] * num_late
-            )
-        ]
-        waiting = [index for index, outcome in enumerate(outcomes) if not buy(index, outcome)]
+        waiting = [index for index in range(len(names)) if not buy(index)]
         # Scans strictly inside the run: one at its end would judge and
         # admit nothing anyone could use.
         end_time = simulation.now() + duration
@@ -1345,13 +1314,23 @@ def reclamation_experiment(
             scan_at += scan_interval
             for crossing in crossings:
                 deployment.service(crossing.isd_as).reclaim_no_shows()
-            waiting = [index for index in waiting if not buy(index, outcomes[index])]
+            waiting = [index for index in waiting if not buy(index)]
         simulation.run(end_time - simulation.now())
         check(deployment, simulation.now())
 
-        for outcome in outcomes:
-            metrics = flow_metrics.get(outcome.buyer)
-            outcome.metrics = metrics.summary() if metrics is not None else {}
+        outcomes = [
+            BuyerOutcome(
+                buyer=name,
+                arm=arm,
+                requested_kbps=reserve_kbps,
+                granted_kbps=reserve_kbps if name in admitted_at else 0,
+                quoted_price_micromist=quotes[name],
+                paid_mist=paid.get(name, 0),
+                refusal=None if name in admitted_at else refusals[name],
+                metrics=flow_metrics[name].summary() if name in flow_metrics else {},
+            )
+            for name in names
+        ]
         reserved_goodput = sum(
             metrics.goodput_bps(duration) for metrics in flow_metrics.values()
         )
@@ -1364,6 +1343,7 @@ def reclamation_experiment(
             arm=arm,
             capacity_kbps=capacity_kbps,
             buyers=outcomes,
+            admitted_at=admitted_at,
             revenue_mist=coin_balance(deployment.ledger, seller.account.address),
             reserved_goodput_bps=reserved_goodput,
             honest_demotions=honest_demotions,

@@ -113,6 +113,7 @@ class ReclamationEngine:
             res_id, res_start)`` of every reservation it still tracks after
             each scan, so the policer forgets the caps and bytes of every
             other, ended ones included — typically ``router.policer.retain``.
+            The loop's ``reporter`` forgets the same rows after each scan.
     """
 
     def __init__(
@@ -255,8 +256,10 @@ class ReclamationEngine:
         self.last_show_up = {
             key: showup_num[key] / showup_den[key] for key in showup_den
         }
+        live = set(self._tracked)
+        self.reporter.retain(live)
         if self.retain is not None:
-            self.retain(set(self._tracked))
+            self.retain(live)
         self._adapt()
         self.events.extend(events)
         return events

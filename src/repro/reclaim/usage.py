@@ -53,13 +53,23 @@ class UsageReporter:
             and now - self.last_sample_at < self.interval
         ):
             return False
-        snapshot = self.source()
-        for ingress, by_res in snapshot.items():
-            for (res_id, res_start), total in by_res.items():
-                self._bytes[int(ingress), int(res_id), int(res_start)] = int(total)
+        self._bytes = {
+            (int(ingress), int(res_id), int(res_start)): int(total)
+            for ingress, by_res in self.source().items()
+            for (res_id, res_start), total in by_res.items()
+        }
         self.last_sample_at = float(now)
         self.samples_taken += 1
         return True
+
+    def reservations(self) -> set[tuple[int, int, int]]:
+        """Every ``(ingress, ResID, ResStart)`` the reporter holds a row of."""
+        return set(self._bytes)
+
+    def retain(self, reservations: set[tuple[int, int, int]]) -> None:
+        """Forget every row but those of ``reservations``, ``(ingress, ResID,
+        ResStart)``: the loop's live ones, so an ended one leaves no row."""
+        self._bytes = {key: used for key, used in self._bytes.items() if key in reservations}
 
     def usage_bytes(self, ingress_ifid: int, res_id: int, res_start: int) -> int:
         """A reservation's cumulative priority bytes at the last sample (0 if

@@ -62,11 +62,7 @@ def test_auction_experiment_outcomes_identical_across_backends(
 
     def outcomes(result):
         return (
-            [
-                (b.buyer, b.posted_admitted, b.posted_paid_mist, b.posted_reason,
-                 b.auction_won, b.auction_paid_mist, b.auction_reason)
-                for b in result.buyers
-            ],
+            result.buyers,
             result.posted_revenue_mist,
             result.auction_revenue_mist,
             result.clearing_price_micromist,
@@ -82,10 +78,10 @@ def test_flex_market_experiment_outcomes_identical_across_backends(narrow):
     def outcomes(result):
         return (
             [
-                (b.buyer, b.flex_start, b.offset, b.start, b.expiry,
-                 b.paid_price_mist, b.estimated_price_mist)
+                (b.buyer, b.quoted_price_micromist, b.paid_mist)
                 for b in result.buyers
             ],
+            result.window_starts,
             result.peak_window,
             result.peak_price_micromist,
             result.curve_prices,
@@ -103,10 +99,8 @@ def test_path_contention_outcomes_identical_across_backends(narrow, experiment_r
 
     def outcomes(result):
         return (
-            [
-                (b.buyer, b.admitted, b.failed_hop, b.reason, b.refund_mist)
-                for b in result.buyers
-            ],
+            result.buyers,
+            result.failed_hops,
             result.hop_peaks_kbps,
             result.oversold,
         )

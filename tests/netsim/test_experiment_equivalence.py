@@ -35,7 +35,7 @@ loop breaks ties FIFO, so two flows started the other way round reach a
 shared queue in the other order), so a refactor that reorders two ``start``
 calls fails here, not in a plot.  Each flow draws its jitter from its own
 stream, named for its flow id.
-It was re-recorded eight times since.  First when the congestion, contention and
+It was re-recorded nine times since.  First when the congestion, contention and
 auction experiments moved onto a deployed market: the telemetry runs' traces
 and metrics (ledger spans and families appeared) and the path-contention
 hop-mode labels (their calendar-geometry word went) changed, and nothing
@@ -85,7 +85,7 @@ traces' object ids (``auction``, ``listing``, ``ingress_asset`` /
 values moved; every ``result``, every metric family and the 23
 other keys held byte for byte.
 
-Last, when each simulated flow got its own stream
+Then, when each simulated flow got its own stream
 (``random.Random(f"{SEED}/flow/{flow_id}")`` in ``PathSimulation.send``,
 where the flows of one simulation had shared the experiment's ``rng``) and
 ``deadline_experiment`` lost its never-drawn budget: 21 of the 28 keys
@@ -99,6 +99,24 @@ moved.  Every ``congestion/*``, ``contention/*`` and ``flex_market/*`` key,
 ``budget_mist``.  Every admission, quote, price, revenue, clearing, escrow,
 refund and reclaim count and every buyer outcome held, and the three
 ``path_contention`` and four ``auction/clearing-*`` keys held byte for byte.
+
+Last, when the five per-buyer records became one ``BuyerOutcome`` (buyer,
+arm, requested and granted kbps, quoted price, paid MIST, refusal, metrics):
+every key's ``traces`` and ``metrics`` held byte for byte, and in every
+``result`` only names moved.  An auction buyer became two records, one per
+arm, and its valuation moved to ``valuations_micromist``; a flex probe's
+``flex_start`` and ``start`` moved to the result's ``flex_values`` and
+``window_starts``; a path buyer's ``escrow_mist`` and ``failed_hop`` moved
+to ``escrows_mist`` and ``failed_hops``; a reclamation buyer's
+``admitted_at`` moved to its arm's ``admitted_at``.  Leaves the common
+fields derive were dropped: ``offset`` and ``expiry`` (from the start),
+``estimated_price_mist`` (equal to the price paid in every run), ``kind``
+(the buyer's name), ``legs_won`` (all legs or none) and ``refund_mist``
+(escrow less paid).  A served buyer's success marker — ``"fits"``,
+``"admitted"``, ``"won"``, a path winner's ``""`` — became a ``null``
+refusal, and ``admitted`` / ``auction_won`` / ``reserved`` became a granted
+bandwidth.  The leaves no old record had (``arm``, ``granted_kbps``, a paid
+price where none was kept, a quote where none was kept) are new, not moved.
 
 Under pytest a configuration the claim tests share comes from the session's
 ``experiment_runs`` memo (``conftest.py``), so it runs once.
@@ -283,28 +301,32 @@ def test_the_recording_covers_what_a_reordering_would_move(recorded):
 
     for key in ("contention/8x2000@3/sharded", "contention/5x3000@4/monolithic"):
         buyers = recorded[key]["result"]["buyers"]
-        assert {buyer["admitted"] for buyer in buyers} == {True, False}
+        assert {buyer["refusal"] is None for buyer in buyers} == {True, False}
         assert all(buyer["metrics"]["sent"] > 0 for buyer in buyers)
 
     packets = recorded["auction/packets@4/sharded"]["result"]
     assert packets["bottleneck_utilization"] > 0
-    assert {buyer["auction_won"] for buyer in packets["buyers"]} == {True, False}
+    auctioned = [buyer for buyer in packets["buyers"] if buyer["arm"] == "auction"]
+    assert {buyer["refusal"] is None for buyer in auctioned} == {True, False}
     clearing = recorded["auction/clearing-seed5@3/sharded"]["result"]
     assert all(buyer["metrics"] == {} for buyer in clearing["buyers"])
 
     flex = recorded["flex_market/three-budgets@4"]["result"]
-    assert [buyer["flex_start"] for buyer in flex["buyers"]] == [0, 600, 1800]
+    assert flex["flex_values"] == [0, 600, 1800]
     assert "inf" in flex["curve_prices"]  # an uncoverable window, kept as a string
 
     # the adaptive arm reclaims at a scan and admits a buyer who was waiting
     adaptive = recorded["reclamation@3"]["result"]["arms"]["adaptive"]
     assert adaptive["reclaim_events"] > 0
-    late = [buyer for buyer in adaptive["buyers"] if buyer["kind"] == "late"]
-    assert all(buyer["reserved"] and buyer["admitted_at"] > 1.7e9 + 0.2 for buyer in late)
+    late = [buyer for buyer in adaptive["buyers"] if buyer["buyer"].startswith("late-")]
+    assert all(buyer["refusal"] is None for buyer in late)
+    assert all(adaptive["admitted_at"][buyer["buyer"]] > 1.7e9 + 0.2 for buyer in late)
     assert all(buyer["metrics"]["sent"] > 0 for buyer in late)
     for arm, reserved in (("none", {False}), ("static", {True, False})):
         buyers = recorded["reclamation@3"]["result"]["arms"][arm]["buyers"]
-        assert {b["reserved"] for b in buyers if b["kind"] == "late"} == reserved
+        assert {
+            b["refusal"] is None for b in buyers if b["buyer"].startswith("late-")
+        } == reserved
 
     for arm in ARMS:
         records = recorded[f"deadline/{arm}"]["result"]["records"]

@@ -39,5 +39,5 @@ def test_a_flows_send_times_do_not_move_with_the_number_of_flows(monkeypatch):
 def test_two_probes_buying_the_same_window_see_the_same_flow():
     result = flex_market_experiment(flex_values=(0, 0), duration=0.3)
     first, second = result.buyers
-    assert (first.start, first.expiry) == (second.start, second.expiry)
+    assert result.window_starts[0] == result.window_starts[1]
     assert first.metrics == second.metrics

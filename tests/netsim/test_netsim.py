@@ -9,11 +9,15 @@ from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.metrics import FlowMetrics
 from repro.netsim.scenarios import (
+    admitted,
     auction_experiment,
     congestion_experiment,
     contention_experiment,
+    efficiency,
     flex_market_experiment,
+    jain_index,
     linear_path,
+    rejected,
 )
 from repro.netsim.scenarios import _contended_market, _restock, _window_end
 
@@ -245,12 +249,14 @@ class TestContentionExperiment:
         topology, path = linear_path(3)
         result = contention_experiment(topology, path, num_buyers=8, duration=1.5)
         # 8000 kbps reservable / 2500 kbps per request -> exactly 3 admitted.
-        assert len(result.admitted) == 3
-        assert len(result.rejected) == 5
-        for buyer in result.admitted:
+        assert len(admitted(result.buyers)) == 3
+        assert len(rejected(result.buyers)) == 5
+        for buyer in admitted(result.buyers):
             assert buyer.metrics["goodput_mbps"] > 1.8  # sending at 2 Mbps
             assert buyer.metrics["loss_rate"] < 0.05
-        for buyer in result.rejected:
+            assert buyer.granted_kbps == buyer.requested_kbps and buyer.paid_mist > 0
+        for buyer in rejected(result.buyers):
+            assert buyer.granted_kbps == 0 and buyer.paid_mist == 0
             assert buyer.metrics["goodput_mbps"] < 1.2
             assert buyer.metrics["loss_rate"] > 0.2
         # The bottleneck is saturated by the total offered load.
@@ -264,8 +270,8 @@ class TestContentionExperiment:
         assert quotes[-1] > quotes[0]
         # Rejected buyers saw the saturated-quote price.
         assert all(
-            b.quoted_price_micromist >= quotes[len(result.admitted) - 1]
-            for b in result.rejected
+            b.quoted_price_micromist >= quotes[len(admitted(result.buyers)) - 1]
+            for b in rejected(result.buyers)
         )
 
     def test_everyone_admitted_when_capacity_suffices(self):
@@ -277,7 +283,12 @@ class TestContentionExperiment:
             per_buyer_kbps=1000,
             duration=0.5,
         )
-        assert len(result.admitted) == 3 and not result.rejected
+        assert len(admitted(result.buyers)) == 3 and not rejected(result.buyers)
+
+
+def _arm(result, arm):
+    """One arm's records, in buyer order."""
+    return [buyer for buyer in result.buyers if buyer.arm == arm]
 
 
 class TestAuctionExperiment:
@@ -295,22 +306,26 @@ class TestAuctionExperiment:
         assert result.clearing_price_micromist >= result.reserve_micromist
         # ...and captures the full achievable valuation (posted allocates
         # by arrival order, so it usually captures less).
-        assert result.efficiency("auction") == pytest.approx(1.0)
-        assert result.efficiency("posted") <= result.efficiency("auction")
+        posted, auction = _arm(result, "posted"), _arm(result, "auction")
+        valuations, capacity = result.valuations_micromist, result.capacity_kbps
+        assert efficiency(auction, valuations, capacity) == pytest.approx(1.0)
+        assert efficiency(posted, valuations, capacity) <= efficiency(
+            auction, valuations, capacity
+        )
         # Every buyer asks for the same bandwidth, so both arms fill the same
         # number of equal windows: one Jain's index, different winners.
-        assert result.jain_index("auction") == result.jain_index("posted")
+        assert jain_index(auction) == jain_index(posted)
 
     def test_winners_protected_losers_best_effort_on_the_data_plane(
         self, experiment_runs
     ):
         result = experiment_runs(auction_experiment, 3, duration=0.5)
-        winners = [b for b in result.buyers if b.auction_won]
-        losers = [b for b in result.buyers if not b.auction_won]
+        winners = admitted(_arm(result, "auction"))
+        losers = rejected(_arm(result, "auction"))
         assert winners and losers
         for winner in winners:
             assert winner.metrics["goodput_mbps"] > 1.8
-            assert winner.auction_paid_mist > 0
+            assert winner.paid_mist > 0
         # Everyone contends, so the losers' best-effort goodput collapses
         # below the reserved flows'.
         worst_winner = min(w.metrics["goodput_mbps"] for w in winners)
@@ -325,11 +340,10 @@ class TestAuctionExperiment:
 
     def test_uniform_price_is_single_and_within_bids(self, experiment_runs):
         result = experiment_runs(auction_experiment, 3, duration=0, seed=5)
-        paid = {b.auction_paid_mist for b in result.buyers if b.auction_won}
-        assert len(paid) == 1  # ONE price for every winner
-        for buyer in result.buyers:
-            if buyer.auction_won:
-                assert result.clearing_price_micromist <= buyer.valuation_micromist
+        winners = admitted(_arm(result, "auction"))
+        assert len({b.paid_mist for b in winners}) == 1  # ONE price for every winner
+        for buyer in winners:
+            assert result.clearing_price_micromist <= result.valuations_micromist[buyer.buyer]
 
 
 class TestFlexMarketExperiment:
@@ -341,10 +355,12 @@ class TestFlexMarketExperiment:
         result = flex_market_experiment(flex_values=(0, 1800), duration=0.5)
         assert result.peak_price_micromist > result.base_price_micromist
         rigid, flexible = result.buyers
-        assert rigid.offset == 0
-        assert flexible.offset > 0  # out of the peak window
-        assert flexible.paid_price_mist < rigid.paid_price_mist
-        assert flexible.estimated_price_mist == flexible.paid_price_mist
+        rigid_start, flexible_start = result.window_starts
+        assert rigid_start == result.peak_window[0]
+        assert flexible_start > result.peak_window[0]  # out of the peak window
+        assert flexible.paid_mist < rigid.paid_mist
+        assert rigid.quoted_price_micromist == result.peak_price_micromist
+        assert flexible.quoted_price_micromist == result.base_price_micromist
         for buyer in result.buyers:  # both shielded from the flood
             assert buyer.metrics["goodput_mbps"] > 1.8
             assert buyer.metrics["loss_rate"] < 0.05

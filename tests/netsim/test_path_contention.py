@@ -13,7 +13,7 @@ import pytest
 
 import repro.controlplane
 import repro.invariants
-from repro.netsim import linear_path, path_contention_experiment
+from repro.netsim import admitted, linear_path, path_contention_experiment, rejected
 from repro.telemetry import ExperimentTelemetry
 
 LIFECYCLE = (
@@ -57,22 +57,22 @@ def observed():
 
 class TestPathContentionExperiment:
     def test_some_paths_win_and_no_hop_oversells(self, result):
-        assert result.admitted and result.rejected
+        assert admitted(result.buyers) and rejected(result.buyers)
         assert not result.oversold
         for peak, capacity in zip(result.hop_peaks_kbps, result.hop_capacities_kbps):
             assert 0 < peak <= capacity
 
-    def test_winners_hold_every_leg_and_losers_none(self, result):
-        num_legs = 2 * len(result.hop_names)
-        assert result.path_auction_winners == len(result.admitted)
-        for buyer in result.admitted:
-            assert buyer.legs_won == num_legs and buyer.failed_hop is None
-            assert buyer.refund_mist < buyer.escrow_mist
-        for buyer in result.rejected:
-            assert buyer.legs_won == 0
-            assert buyer.refund_mist == buyer.escrow_mist  # every MIST back
+    def test_winners_pay_and_losers_get_every_mist_back(self, result):
+        assert result.path_auction_winners == len(admitted(result.buyers))
+        for buyer in admitted(result.buyers):
+            assert buyer.granted_kbps == buyer.requested_kbps
+            assert buyer.buyer not in result.failed_hops
+            assert 0 < buyer.paid_mist < result.escrows_mist[buyer.buyer]
+        for buyer in rejected(result.buyers):
+            assert buyer.granted_kbps == 0
+            assert buyer.paid_mist == 0  # every MIST of the escrow back
             # every leg offers the same supply: the first one refuses
-            assert (buyer.failed_hop, buyer.reason) == (0, "supply exhausted")
+            assert (result.failed_hops[buyer.buyer], buyer.refusal) == (0, "supply exhausted")
 
     def test_escrow_is_conserved(self, result):
         assert result.escrow_conserved
@@ -80,8 +80,17 @@ class TestPathContentionExperiment:
     def test_a_loser_is_told_what_the_contract_reported(self, observed):
         outcome, settlement, _, _ = observed
         reported = [(loser["leg"] // 2, loser["reason"]) for loser in settlement["losers"]]
-        assert sorted(reported) == sorted((b.failed_hop, b.reason) for b in outcome.rejected)
-        assert len(settlement["winners"]) == len(outcome.admitted)
+        assert sorted(reported) == sorted(
+            (outcome.failed_hops[b.buyer], b.refusal) for b in rejected(outcome.buyers)
+        )
+        assert len(settlement["winners"]) == len(admitted(outcome.buyers))
+
+    def test_a_winner_holds_a_piece_of_every_leg(self, observed):
+        outcome, settlement, _, _ = observed
+        num_legs = 2 * len(outcome.hop_names)
+        assert settlement["winners"]
+        for winner in settlement["winners"]:
+            assert len(winner["assets"]) == num_legs
 
     def test_paid_plus_refunds_is_every_escrow_taken(self, observed):
         outcome, settlement, _, _ = observed
@@ -89,7 +98,7 @@ class TestPathContentionExperiment:
         refunds = sum(
             bid["refund_mist"] for bid in settlement["winners"] + settlement["losers"]
         )
-        assert paid + refunds == sum(buyer.escrow_mist for buyer in outcome.buyers)
+        assert paid + refunds == sum(outcome.escrows_mist.values())
 
     def test_the_run_ends_in_the_invariant_check(self, observed):
         _, _, checked, _ = observed

@@ -8,7 +8,7 @@ never demoting an honest buyer's packets.
 
 import pytest
 
-from repro.netsim import reclamation_experiment
+from repro.netsim import admitted, reclamation_experiment
 
 
 @pytest.fixture(scope="module")
@@ -60,13 +60,13 @@ def test_adaptive_factor_learned_from_no_shows(result):
 
 
 def test_closed_loop_admits_more_reserved_buyers(result):
-    counts = {name: len(arm.reserved_buyers) for name, arm in result.arms.items()}
+    counts = {name: len(admitted(arm.buyers)) for name, arm in result.arms.items()}
     assert counts["adaptive"] > counts["static"] > counts["none"]
 
 
 def test_late_buyers_queue_until_reclamation_frees_capacity(result):
     adaptive = result.arms["adaptive"]
-    late = [b for b in adaptive.buyers if b.kind == "late" and b.reserved]
+    late = [b for b in admitted(adaptive.buyers) if b.buyer.startswith("late-")]
     assert late, "reclamation never freed room for a late buyer"
     for buyer in late:
-        assert buyer.admitted_at is not None and buyer.admitted_at > 0
+        assert adaptive.admitted_at[buyer.buyer] > 0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.admission import AdmissionRequest, CapacityCalendar
-from repro.reclaim import AdaptiveOverbooking, UsageReporter
+from repro.admission import AdmissionController, AdmissionRequest, CapacityCalendar
+from repro.hummingbird.policing import PerInterfacePolicer
+from repro.reclaim import AdaptiveOverbooking, ReclamationEngine, UsageReporter
 
 
 class TestUsageReporter:
@@ -34,6 +35,23 @@ class TestUsageReporter:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             UsageReporter(lambda: {}, interval=0)
+
+    def test_a_reservation_the_loop_stopped_tracking_leaves_no_row(self):
+        """The reporter's rows never outgrow the loop's live reservations:
+        once one ends and a scan stops tracking it, its bytes are gone."""
+        policer = PerInterfacePolicer(capacity=8)
+        reporter = UsageReporter(policer.usage_snapshot, interval=0.25)
+        controller = AdmissionController(100_000)
+        claim = controller.admit_reservation(1, True, 1000, 0.0, 60.0, tag="ends")
+        engine = ReclamationEngine(controller, reporter, grace_seconds=1.0, retain=policer.retain)
+        engine.track(3, 1, 0, 1000, 0.0, 60.0, [(1, True, claim.commitment.commitment_id)])
+        policer.array_for(1).monitor(3, 1000, 500, 2.0, 0)
+        engine.scan(5.0)
+        assert reporter.usage_bytes(1, 3, 0) == 500
+        engine.scan(60.0)  # the window is over: no longer tracked
+        assert engine.tracked() == []
+        assert reporter.usage_bytes(1, 3, 0) == 0
+        assert reporter.reservations() == set()
 
 
 class TestAdaptiveOverbooking:

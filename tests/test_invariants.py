@@ -172,3 +172,29 @@ def test_a_request_its_as_polled_past_unanswered_is_a_breach():
     assert len(raised.value.breaches) == 1
     service._last_checkpoint = 2  # the poll that would see it has not run
     check(deployment, now=0)
+
+
+@pytest.mark.parametrize("holder", ["policer", "reporter"])
+def test_a_row_of_a_reservation_the_loop_does_not_track_is_a_breach(holder):
+    """Clause (f): the policer's and the usage reporter's rows are the loop's
+    live reservations'; one more, in either, is named."""
+    live, stale = (1, 3, 0), (1, 3, 60)
+    rows = {"policer": {live}, "reporter": {live}}
+    rows[holder] = {live, stale}
+    tracked = SimpleNamespace(ingress_ifid=1, res_id=3, res_start=0)
+    deployment = _deployment()
+    deployment.services = {
+        IsdAs(1, 7): SimpleNamespace(
+            admission=AdmissionController(1000),
+            policer=SimpleNamespace(reservations=lambda: rows["policer"]),
+            reclamation=SimpleNamespace(
+                tracked=lambda: [tracked],
+                reporter=SimpleNamespace(reservations=lambda: rows["reporter"]),
+            ),
+        )
+    }
+    with pytest.raises(InvariantBreach, match="ResID 3 from 60, a reservation") as raised:
+        check(deployment, now=0)
+    assert len(raised.value.breaches) == 1
+    rows[holder] = {live}
+    check(deployment, now=0)
