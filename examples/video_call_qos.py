@@ -18,7 +18,7 @@ the same topology (atomic buy-and-redeem, then one sealed delivery per AS).
 Run:  python examples/video_call_qos.py
 """
 
-from repro.analysis import render_table
+from repro.analysis import render_table, sparkline
 from repro.clock import SimClock
 from repro.controlplane import deploy_market, purchase_path
 from repro.netsim import build_path_simulation, linear_path
@@ -46,9 +46,9 @@ def buy_call(topology, path) -> list:
     ).reservations
 
 
-def run_call(topology, path, reservations) -> dict:
-    """The call over a fresh simulation: best effort when ``reservations``
-    is None, protected by them otherwise."""
+def run_call(topology, path, reservations):
+    """The call's metrics over a fresh simulation: best effort when
+    ``reservations`` is None, protected by them otherwise."""
     # The first inter-AS link is the 20 Mbps bottleneck; the rest are fast.
     rates = [LINK_RATE] + [100_000_000.0] * 4
     simulation = build_path_simulation(
@@ -57,7 +57,7 @@ def run_call(topology, path, reservations) -> dict:
     call_metrics = simulation.send(1, CALL_RATE, reservations, jitter=0.05)
     simulation.send(2, FLOOD_RATE, delay=0.2)
     simulation.run(DURATION)
-    return call_metrics.summary()
+    return call_metrics
 
 
 def main() -> None:
@@ -70,7 +70,8 @@ def main() -> None:
         (reservations[:1], "bottleneck-hop flyover"),
         (reservations, "full-path reservation"),
     ):
-        summary = run_call(topology, path, held)
+        call = run_call(topology, path, held)
+        summary = call.summary()
         rows.append(
             [
                 label,
@@ -78,11 +79,12 @@ def main() -> None:
                 f"{100 * summary['loss_rate']:.1f}%",
                 f"{summary['p50_ms']}",
                 f"{summary['p99_ms']}",
+                sparkline([float(count) for count in call.histogram.counts]),
             ]
         )
     print(
         render_table(
-            ["protection", "goodput Mbps", "loss", "p50 ms", "p99 ms"],
+            ["protection", "goodput Mbps", "loss", "p50 ms", "p99 ms", "latency buckets"],
             rows,
             title=f"4 Mbps video call vs {FLOOD_RATE/1e6:.0f} Mbps flood "
             f"on a {LINK_RATE/1e6:.0f} Mbps bottleneck (QoS property D2)",

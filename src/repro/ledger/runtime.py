@@ -35,7 +35,6 @@ class ExecutionView:
     staged: dict[str, LedgerObject] = field(default_factory=dict)
     created_ids: list[str] = field(default_factory=list)
     deleted_ids: list[str] = field(default_factory=list)
-    original_sizes: dict[str, int] = field(default_factory=dict)
 
     def get(self, object_id: str) -> LedgerObject:
         if object_id in self.deleted_ids:
@@ -45,7 +44,6 @@ class ExecutionView:
             if base_object is None:
                 raise ContractAbort(f"object {object_id[:8]}... does not exist")
             self.staged[object_id] = base_object.copy()
-            self.original_sizes[object_id] = base_object.serialized_size()
         return self.staged[object_id]
 
     def create(self, ledger_object: LedgerObject) -> None:
@@ -144,9 +142,9 @@ class CallContext:
         if ledger_object.object_id in self._mutated:
             return  # one version bump per transaction
         self._mutated.add(ledger_object.object_id)
-        old_size = self.view.original_sizes.get(
-            ledger_object.object_id, ledger_object.serialized_size()
-        )
+        # The superseded version is the committed one in ``view.base``.
+        committed = self.view.base.get(ledger_object.object_id, ledger_object)
+        old_size = committed.serialized_size()
         ledger_object.version += 1
         self.gas.charge_mutate(old_size, ledger_object.serialized_size())
 
@@ -158,9 +156,8 @@ class CallContext:
         self.mutate(ledger_object)
 
     def delete_object(self, ledger_object: LedgerObject) -> None:
-        size = self.view.original_sizes.get(
-            ledger_object.object_id, ledger_object.serialized_size()
-        )
+        committed = self.view.base.get(ledger_object.object_id, ledger_object)
+        size = committed.serialized_size()
         self.view.delete(ledger_object.object_id)
         self.gas.charge_delete(size)
 

@@ -1,9 +1,8 @@
 """Per-flow measurement: goodput, latency percentiles, loss.
 
 ``FlowMetrics`` keeps the exact per-packet latency list (netsim runs are
-small enough), but every observation is mirrored into a shared
-:class:`repro.telemetry.registry.Histogram` so flow latency exports the
-same way as every other instrument (bucket counts + sum + count).
+small enough); its ``histogram`` buckets that list when read, so flow
+latency exports like every other instrument (bucket counts + sum + count).
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ from repro.telemetry.registry import DEFAULT_BUCKETS, Histogram
 LATENCY_BOUNDS: tuple[float, ...] = DEFAULT_BUCKETS
 
 
-def _latency_histogram() -> Histogram:
-    return Histogram(LATENCY_BOUNDS)
-
-
 @dataclass
 class FlowMetrics:
     """Collected at the destination sink for one flow."""
@@ -30,9 +25,6 @@ class FlowMetrics:
     received_packets: int = 0
     received_bytes: int = 0
     latencies: list[float] = field(default_factory=list)
-    histogram: Histogram = field(
-        default_factory=_latency_histogram, repr=False, compare=False
-    )
     first_sent: float | None = None
     first_received: float | None = None
     last_received: float | None = None
@@ -47,10 +39,17 @@ class FlowMetrics:
         self.received_packets += 1
         self.received_bytes += size_bytes
         self.latencies.append(now - sent_at)
-        self.histogram.observe(now - sent_at)
         if self.first_received is None:
             self.first_received = now
         self.last_received = now
+
+    @property
+    def histogram(self) -> Histogram:
+        """The latencies bucketed at ``LATENCY_BOUNDS``, built on each read."""
+        histogram = Histogram(LATENCY_BOUNDS)
+        for latency in self.latencies:
+            histogram.observe(latency)
+        return histogram
 
     @property
     def loss_rate(self) -> float:

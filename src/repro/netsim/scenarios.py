@@ -468,10 +468,16 @@ def efficiency(
     buyers: list[BuyerOutcome], valuations_micromist: dict[str, int], capacity_kbps: int
 ) -> float:
     """Captured valuation: the value served over the best value
-    ``capacity_kbps`` could serve, every buyer asking what the first asked.
-    1.0 means the window went to exactly the buyers who value it most, as
-    an auction's bid order allocates it; posted prices allocate by arrival."""
-    per_buyer = buyers[0].requested_kbps if buyers else 0
+    ``capacity_kbps`` could serve, every buyer asking the same bandwidth
+    (``ValueError`` otherwise).  1.0 means the window went to exactly the
+    buyers who value it most, as an auction's bid order allocates it; posted
+    prices allocate by arrival."""
+    requests = sorted({buyer.requested_kbps for buyer in buyers})
+    if len(requests) > 1:
+        raise ValueError(
+            f"efficiency needs equal requests, got {requests[0]} and {requests[-1]} kbps"
+        )
+    per_buyer = requests[0] if requests else 0
     slots = per_buyer and capacity_kbps // per_buyer
     best = sum(
         sorted((valuations_micromist[buyer.buyer] for buyer in buyers), reverse=True)[:slots]

@@ -1,6 +1,8 @@
 """The fairness yardsticks on hand-built outcome lists: Jain's index over
 granted bandwidth and allocative efficiency over valuations."""
 
+import dataclasses
+
 import pytest
 
 from repro.netsim import BuyerOutcome, admitted, efficiency, jain_index, rejected
@@ -56,3 +58,11 @@ def test_efficiency_falls_below_one_when_arrival_order_wins():
     # the first two arrivals win: 100 + 300 of the best 700
     buyers = _buyers([True, True, False, False])
     assert efficiency(buyers, VALUATIONS, 2 * KBPS) == pytest.approx(400 / 700)
+
+
+def test_efficiency_refuses_buyers_asking_different_bandwidths():
+    # the best allocation is priced in equal slots; unequal asks have none
+    buyers = _buyers([True, True])
+    buyers[1] = dataclasses.replace(buyers[1], requested_kbps=2 * KBPS)
+    with pytest.raises(ValueError, match=f"{KBPS} and {2 * KBPS} kbps"):
+        efficiency(buyers, VALUATIONS, 2 * KBPS)
