@@ -8,7 +8,7 @@ keep minting same-window slices on a single ingress interface:
 
 * each successive listing clears admission against the *issued* calendar;
 * the posted price is the base price times the scarcity multiplier, so the
-  quotes climb along the ``1 + alpha * u^2 / (1 - u)`` curve;
+  quotes climb along the ``1 + ALPHA * u^2 / (1 - u)`` curve (``ALPHA`` = 0.5);
 * when the calendar is full, the next issuance is rejected outright — the
   interface can never be oversold, no matter how eager the seller.
 

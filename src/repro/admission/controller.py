@@ -62,19 +62,17 @@ class AdmissionController:
         capacity_kbps: int,
         policy: AdmissionPolicy | None = None,
         pricer: Pricer | None = None,
-        capacities: dict[tuple[int, bool], int] | None = None,
         shard_seconds: float = DEFAULT_SHARD_SECONDS,
         auction_interfaces: bool | set[tuple[int, bool]] | None = None,
     ) -> None:
         """Configure the admission authority for one AS.
 
         Args:
-            capacity_kbps: default per-interface-direction capacity.
+            capacity_kbps: the capacity of every interface direction.
             policy: allocation discipline (default
                 :class:`~repro.admission.policy.FirstComeFirstServed`).
             pricer: utilization -> price multiplier (default
                 :class:`~repro.admission.pricing.FlatPricer`).
-            capacities: per-``(interface, is_ingress)`` capacity overrides.
             shard_seconds: shard width of every layer's
                 :class:`CapacityCalendar` (default a day,
                 :data:`~repro.admission.calendar.DEFAULT_SHARD_SECONDS`).
@@ -89,11 +87,10 @@ class AdmissionController:
         """
         if capacity_kbps <= 0:
             raise ValueError("capacity must be positive")
-        self.default_capacity_kbps = int(capacity_kbps)
+        self.capacity_kbps = int(capacity_kbps)
         self.policy = policy if policy is not None else FirstComeFirstServed()
         self.pricer = pricer if pricer is not None else FlatPricer()
         self.shard_seconds = _check_width(shard_seconds)
-        self._capacities = dict(capacities) if capacities else {}
         self._calendars: dict[tuple[str, int, bool], CapacityCalendar] = {}
         if auction_interfaces is True:
             self._auction_interfaces: bool | set[tuple[int, bool]] = True
@@ -137,10 +134,6 @@ class AdmissionController:
 
     # -- calendars ----------------------------------------------------------------
 
-    def capacity_kbps(self, interface: int, is_ingress: bool) -> int:
-        """Physical capacity of one interface direction, in kbps."""
-        return self._capacities.get((interface, is_ingress), self.default_capacity_kbps)
-
     def calendar(
         self, interface: int, is_ingress: bool, layer: str = ISSUED
     ) -> CapacityCalendar:
@@ -165,7 +158,7 @@ class AdmissionController:
         found = self._calendars.get(key)
         if found is None:
             found = self._calendars[key] = CapacityCalendar(
-                self.capacity_kbps(interface, is_ingress), self.shard_seconds
+                self.capacity_kbps, self.shard_seconds
             )
         return found
 

@@ -42,29 +42,24 @@ class FlatPricer(Pricer):
 
 
 class ScarcityPricer(Pricer):
-    """``1 + alpha * u^EXPONENT / (1 - u)``, capped at ``max_multiplier``.
+    """``1 + ALPHA * u^EXPONENT / (1 - u)``, capped at ``MAX_MULTIPLIER``.
 
-    * ``alpha`` scales how aggressively price reacts to load;
+    * :attr:`ALPHA` scales how aggressively price reacts to load;
     * :attr:`EXPONENT` keeps the curve flat at low utilization (a half-empty
       link should not be expensive) while preserving the blow-up near 1;
-    * ``max_multiplier`` bounds the quote on a (nearly) full calendar.
+    * :attr:`MAX_MULTIPLIER` bounds the quote on a (nearly) full calendar.
 
     ``multiplier(0) == 1`` exactly, so enabling the pricer changes nothing
     until an interface actually starts to fill.
     """
 
+    ALPHA = 0.5
     EXPONENT = 2.0
-
-    def __init__(self, alpha: float = 0.5, max_multiplier: float = 64.0) -> None:
-        if alpha < 0 or max_multiplier < 1:
-            raise ValueError("need alpha >= 0, max_multiplier >= 1")
-        self.alpha = alpha
-        self.max_multiplier = max_multiplier
+    MAX_MULTIPLIER = 64.0
 
     def multiplier(self, utilization: float) -> float:
         u = min(max(float(utilization), 0.0), 1.0)
         if u >= 1.0:
-            return self.max_multiplier
-        raw = 1.0 + self.alpha * u**self.EXPONENT / (1.0 - u)
-        return min(raw, self.max_multiplier)
-
+            return self.MAX_MULTIPLIER
+        raw = 1.0 + self.ALPHA * u**self.EXPONENT / (1.0 - u)
+        return min(raw, self.MAX_MULTIPLIER)

@@ -638,10 +638,9 @@ class AsService:
         start: int,
         expiry: int,
         base_price_micromist: int,
-        granularity: int = DEFAULT_GRANULARITY,
-        min_bandwidth_kbps: int = DEFAULT_MIN_BANDWIDTH,
     ) -> SubmittedTransaction:
-        """Issue this AS's leg asset and place it in the path auction.
+        """Issue this AS's leg asset and place it in the path auction, on
+        :data:`DEFAULT_GRANULARITY` and :data:`DEFAULT_MIN_BANDWIDTH`.
 
         Like every issuance, the leg must first clear the *issued*
         capacity calendar; the leg's reserve price is the
@@ -668,8 +667,8 @@ class AsService:
         submitted = self._auction_off(
             "pathleg",
             rectangle,
-            granularity,
-            min_bandwidth_kbps,
+            DEFAULT_GRANULARITY,
+            DEFAULT_MIN_BANDWIDTH,
             Command(
                 "market",
                 "contribute_path_leg",

@@ -696,7 +696,6 @@ class HostClient:
         expiry: int,
         bandwidth_kbps: int,
         max_price_mist: int,
-        flex_start: int = 0,
     ) -> AcquireOutcome:
         """Bid into a covering path auction, or buy posted hop listings.
 
@@ -724,12 +723,7 @@ class HostClient:
                 auction.auction_id, bandwidth_kbps, max_price_mist,
             )
         spec = PathSpec.from_crossings(
-            crossings,
-            start,
-            expiry,
-            bandwidth_kbps,
-            flex_start=flex_start,
-            budget_mist=max_price_mist,
+            crossings, start, expiry, bandwidth_kbps, budget_mist=max_price_mist
         )
         quote = self.plan_path(marketplace, spec)
         submitted = self.atomic_buy_and_redeem(
@@ -886,7 +880,6 @@ class HostClient:
         deadline: int,
         *,
         release: int | None = None,
-        budget_mist: int | None = None,
         max_rate_kbps: int | None = None,
         best_effort: bool = False,
     ):
@@ -900,7 +893,7 @@ class HostClient:
 
         Failure matrix:
 
-        * Planning finds no schedule meeting bytes/deadline/budget →
+        * Planning finds no schedule meeting bytes and deadline →
           :class:`~repro.transfers.InfeasibleTransfer` (carries the
           achievable bytes/spend); nothing is submitted.  With
           ``best_effort=True`` the max-achievable plan executes instead.
@@ -925,7 +918,6 @@ class HostClient:
             bytes_total=bytes_total,
             release=release,
             deadline=deadline,
-            budget_mist=budget_mist,
             max_rate_kbps=max_rate_kbps,
         )
         plan = TransferPlanner(self.indexer(marketplace)).plan(
@@ -933,23 +925,21 @@ class HostClient:
         )
         return self.execute_transfer_plan(marketplace, plan)
 
-    def execute_transfer_plan(self, marketplace: str, plan, *, preflight: bool = True):
+    def execute_transfer_plan(self, marketplace: str, plan):
         """Execute a planned transfer atomically; returns a
         :class:`~repro.transfers.TransferOutcome`.
 
         The plan's legs go through :meth:`_lower` latest first (its
         docstring says why the order is load-bearing).  The client-side
         preflight aborts without a transaction when a planned piece is no
-        longer coverable at its exact window and rate; ``preflight=False``
-        skips it and lets the ledger arbitrate.
+        longer coverable at its exact window and rate.
         """
         self._funded("buying")
         if not plan.legs:
             # A best-effort plan over an empty or exhausted book: nothing
             # to buy, nothing to submit.
             return TransferOutcome(plan=plan, submitted=None, price_mist=0)
-        if preflight:
-            self._preflight_transfer(marketplace, plan)
+        self._preflight_transfer(marketplace, plan)
 
         def pieces(side) -> list[tuple]:
             return [(piece.listing_id, piece.start, piece.expiry) for piece in side]

@@ -254,14 +254,12 @@ def purchase_path(
     expiry: int,
     bandwidth_kbps: int,
     flex_start: int = 0,
-    max_price_mist: int | None = None,
 ) -> PurchaseOutcome:
     """Run the Fig. 2 workflow for a path and measure Fig. 4 latencies.
 
     ``flex_start`` lets the planner slide the whole window up to that many
     seconds later when a cheaper granule exists (buy the valley, not the
-    peak); ``max_price_mist`` caps the price both at quote time and again
-    at submission (repriced against the live index).
+    peak).
 
     Raises RuntimeError when the ledger aborts the purchase, or once every
     on-path AS has answered if any refused its hop, naming each such AS and
@@ -269,17 +267,10 @@ def purchase_path(
     ``collect_reservations`` returns the hops that were delivered.
     """
     spec = PathSpec.from_crossings(
-        crossings,
-        start,
-        expiry,
-        bandwidth_kbps,
-        flex_start=flex_start,
-        budget_mist=max_price_mist,
+        crossings, start, expiry, bandwidth_kbps, flex_start=flex_start
     )
     quote = deployment.planner.best(spec)
-    submitted = host.atomic_buy_and_redeem(
-        deployment.marketplace, quote, max_price_mist=max_price_mist
-    )
+    submitted = host.atomic_buy_and_redeem(deployment.marketplace, quote)
     if not submitted.effects.ok:
         raise RuntimeError(f"atomic buy-and-redeem aborted: {submitted.effects.error}")
     request_latency = submitted.latency
@@ -320,7 +311,6 @@ def execute_transfer(
     deadline: int,
     *,
     release: int | None = None,
-    budget_mist: int | None = None,
     max_rate_kbps: int | None = None,
     best_effort: bool = False,
 ):
@@ -338,7 +328,6 @@ def execute_transfer(
         bytes_total,
         deadline,
         release=release,
-        budget_mist=budget_mist,
         max_rate_kbps=max_rate_kbps,
         best_effort=best_effort,
     )
@@ -371,8 +360,6 @@ def open_path_auction(
     expiry: int,
     bandwidth_kbps: int,
     base_price_micromist: int = DEFAULT_PRICE_MICROMIST,
-    granularity: int = 60,
-    min_bandwidth_kbps: int = 100,
 ) -> PathAuctionHandle:
     """Open one combinatorial path auction across a list of AS crossings.
 
@@ -408,8 +395,6 @@ def open_path_auction(
                 start,
                 expiry,
                 base_price_micromist,
-                granularity,
-                min_bandwidth_kbps,
             )
             if not contributed.effects.ok:
                 raise RuntimeError(

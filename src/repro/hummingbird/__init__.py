@@ -28,7 +28,7 @@ from repro.hummingbird.pathtype import (
     is_flyover,
 )
 from repro.hummingbird.policing import (
-    DEFAULT_BURST_TIME,
+    BURST_TIME,
     PerInterfacePolicer,
     PolicingVerdict,
     TokenBucketArray,
@@ -66,7 +66,7 @@ __all__ = [
     "FlyoverHopFieldData",
     "HummingbirdPath",
     "is_flyover",
-    "DEFAULT_BURST_TIME",
+    "BURST_TIME",
     "PerInterfacePolicer",
     "PolicingVerdict",
     "TokenBucketArray",

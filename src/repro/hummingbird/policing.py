@@ -26,8 +26,9 @@ import mmap
 
 from repro.wire import bwcls
 
-DEFAULT_BURST_TIME = 0.050  # 50 ms, per the router-buffer discussion in §4.4
+BURST_TIME = 0.050  # 50 ms, per the router-buffer discussion in §4.4
 NS = 1_000_000_000
+_BURST_TIME_NS = int(BURST_TIME * NS)
 
 
 class PolicingVerdict(enum.Enum):
@@ -61,14 +62,11 @@ class TokenBucketArray:
     earlier one ended, so its timestamp is already in the past.
     """
 
-    __slots__ = ("burst_time_ns", "_timestamps", "_usage", "_earlier_usage", "_limits")
+    __slots__ = ("_timestamps", "_usage", "_earlier_usage", "_limits")
 
-    def __init__(self, capacity: int, burst_time: float = DEFAULT_BURST_TIME) -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if burst_time <= 0:
-            raise ValueError("BurstTime must be positive")
-        self.burst_time_ns = int(burst_time * NS)
         self._timestamps = memoryview(mmap.mmap(-1, 8 * capacity)).cast("q")
         # Per-reservation bytes forwarded with priority: the usage feed the
         # reclamation loop (and telemetry exports) consume; out-of-profile
@@ -104,7 +102,7 @@ class TokenBucketArray:
         # PktLen / BW in nanoseconds: bytes * 8 bits / (kbps * 1000 bits/s).
         transmit_ns = pkt_len * 8 * 1_000_000 // bw_kbps
         timestamp = max(self._timestamps[res_id], now_ns) + transmit_ns
-        if timestamp <= now_ns + self.burst_time_ns:
+        if timestamp <= now_ns + _BURST_TIME_NS:
             self._timestamps[res_id] = timestamp
             row = self._usage.get(res_id)
             if row is None or row[0] != res_start:
@@ -170,7 +168,7 @@ class TokenBucketArray:
 
 class PerInterfacePolicer:
     """Per-ingress-interface policing arrays for one AS, each with the
-    :data:`DEFAULT_BURST_TIME` BurstTime.
+    :data:`BURST_TIME` BurstTime.
 
     The AS controls ``ResIDmax`` through the minimum-bandwidth attribute of
     the assets it sells (§4.4): ``capacity`` should be sized as

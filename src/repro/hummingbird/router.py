@@ -52,7 +52,7 @@ from repro.scion.router import Action, Decision, ScionRouter
 from repro.scion.topology import AutonomousSystem
 from repro.wire.timestamps import CLOCK_SKEW, MAX_PACKET_AGE
 
-DEFAULT_POLICING_CAPACITY = 100_000  # matches the prototype's 800 kB array (§7.1)
+POLICING_CAPACITY = 100_000  # matches the prototype's 800 kB array (§7.1)
 # Read once per process, not per hop: on CPython 3.11 looking up an enum
 # member costs about ten global reads.
 _DROP_ACTION, _DELIVER_ACTION = Action.DROP, Action.DELIVER
@@ -86,7 +86,6 @@ class HummingbirdRouter(ScionRouter):
         autonomous_system: AutonomousSystem,
         clock: Clock,
         prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
-        policing_capacity: int = DEFAULT_POLICING_CAPACITY,
         duplicate_filter: DuplicateFilter | None = None,
     ) -> None:
         super().__init__(autonomous_system, clock, prf_factory)
@@ -96,7 +95,7 @@ class HummingbirdRouter(ScionRouter):
             ifid: Decision(Action.FORWARD_PRIORITY, egress_ifid=ifid)
             for ifid in autonomous_system.interfaces
         }
-        self.policer = PerInterfacePolicer(policing_capacity)
+        self.policer = PerInterfacePolicer(POLICING_CAPACITY)
         self.duplicate_filter = duplicate_filter
         self.stats = RouterStats()
 

@@ -43,6 +43,10 @@ COMMIT_ROUNDS = 3
 EXECUTION_OVERHEAD = 0.35  # seconds, scaled by U(0.5, 1)
 # How long after a transaction lands an AS's checkpoint poll observes it.
 OBSERVATION_DELAY = (0.05, 0.30)  # seconds, uniform
+NUM_VALIDATORS = 100
+# n - f with f = floor((n - 1) / 3) Byzantine: any two quorums share f + 1
+# validators, at least one of them honest.
+QUORUM = NUM_VALIDATORS - (NUM_VALIDATORS - 1) // 3
 
 
 @dataclass(frozen=True)
@@ -55,11 +59,9 @@ class Validator:
 class Committee:
     """A stake-equal validator committee with a quorum latency model."""
 
-    def __init__(self, rng: random.Random, num_validators: int = 100) -> None:
+    def __init__(self, rng: random.Random) -> None:
         """``rng`` is the simulated-latency stream: every draw of the model
         comes from it, and nothing else draws from it."""
-        if num_validators < 4:
-            raise ValueError("BFT needs at least 4 validators")
         self.rng = rng
         self.validators = [
             Validator(
@@ -67,11 +69,8 @@ class Committee:
                 region=_REGIONS[i % len(_REGIONS)][0],
                 one_way_ms=_REGIONS[i % len(_REGIONS)][1],
             )
-            for i in range(num_validators)
+            for i in range(NUM_VALIDATORS)
         ]
-        # n - f with f = floor((n - 1) / 3) Byzantine: any two quorums share
-        # f + 1 validators, at least one of them honest.
-        self.quorum = num_validators - (num_validators - 1) // 3
 
     # -- latency sampling -------------------------------------------------------
 
@@ -87,7 +86,7 @@ class Committee:
     def _quorum_rtt(self) -> float:
         """Round-trip time to the quorum-th fastest validator."""
         rtts = sorted(self._sample_rtts())
-        return rtts[self.quorum - 1]
+        return rtts[QUORUM - 1]
 
     def fast_path_latency(self) -> float:
         """Owned-object certificate: sign quorum + execute quorum."""
@@ -112,4 +111,4 @@ class Committee:
         """One DAG round: quorum round trip among the validators themselves."""
         # Inter-validator RTTs resemble client RTTs (global spread).
         rtts = sorted(self._sample_rtts())
-        return rtts[self.quorum - 1]
+        return rtts[QUORUM - 1]

@@ -33,6 +33,10 @@ from repro.clock import SimClock
 from repro.netsim.scenarios import BASE_PRICE_MICROMIST, linear_path
 
 T0 = 1_700_000_000
+NUM_ASES = 3
+TRANSFER_COUNT = 3
+HORIZON = 1200  # seconds of sale the market lists
+SEED = 5
 
 
 @dataclass
@@ -66,16 +70,11 @@ class DeadlineExperimentResult:
     records: list[TransferRecord] = field(default_factory=list)
 
 
-def deadline_experiment(
-    num_ases: int = 3,
-    transfer_count: int = 6,
-    horizon: int = 1800,
-    seed: int = 3,
-) -> DeadlineExperimentResult:
+def deadline_experiment() -> DeadlineExperimentResult:
     """Run a contending transfer mix end-to-end and return the tally.
 
     The mix is sized against the path's total capacity
-    (``market_bandwidth_kbps`` over ``horizon``): early arrivals fit
+    (``market_bandwidth_kbps`` over :data:`HORIZON`): early arrivals fit
     easily, the tail oversubscribes, so the run exercises both clean
     hits and best-effort partial deliveries on a depleted book.  Every
     invariant described in the module docstring is asserted inline — a
@@ -93,26 +92,26 @@ def deadline_experiment(
 
     market_bandwidth_kbps = 2_000
 
-    rng = random.Random(seed)
-    topology, path = linear_path(num_ases)
+    rng = random.Random(SEED)
+    topology, path = linear_path(NUM_ASES)
     crossings = as_crossings(path)
     deployment = deploy_market(
         topology,
         clock=SimClock(float(T0)),
-        seed=seed,
+        seed=SEED,
         asset_start=T0,
-        asset_duration=horizon,
+        asset_duration=HORIZON,
         asset_bandwidth_kbps=market_bandwidth_kbps,
         price_micromist_per_unit=BASE_PRICE_MICROMIST,
     )
     result = DeadlineExperimentResult()
-    path_capacity = market_bandwidth_kbps * horizon * BYTES_PER_KBPS_SECOND
-    for index in range(transfer_count):
+    path_capacity = market_bandwidth_kbps * HORIZON * BYTES_PER_KBPS_SECOND
+    for index in range(TRANSFER_COUNT):
         # Mix: sizes from 10% to 55% of path capacity (the tail
         # oversubscribes), windows anywhere in the horizon, an occasional
         # rate cap forcing multi-slot legs.
-        release = T0 + rng.randrange(0, horizon // 3, 60)
-        deadline = T0 + rng.randrange(2 * horizon // 3, horizon + 1, 60)
+        release = T0 + rng.randrange(0, HORIZON // 3, 60)
+        deadline = T0 + rng.randrange(2 * HORIZON // 3, HORIZON + 1, 60)
         window = deadline - release
         bytes_total = int(path_capacity * rng.uniform(0.10, 0.55))
         max_rate = None

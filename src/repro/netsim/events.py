@@ -43,16 +43,12 @@ class EventLoop:
             self._queue, (self.clock.time + delay, next(self._sequence), callback, args)
         )
 
-    def run_until(self, end_time: float, max_events: int = 10_000_000) -> int:
+    def run_until(self, end_time: float) -> int:
         """Process events up to ``end_time``; returns the number executed.
-
-        The clock ends at ``end_time`` unless ``max_events`` stopped the loop
-        with events at or before ``end_time`` still queued: then it stays at
-        the last event run, so a later call can pick those up.
-        """
+        The clock ends at ``end_time`` unless it was already set past it."""
         queue, pop, clock = self._queue, heapq.heappop, self.clock
         executed = 0
-        while queue and executed < max_events:
+        while queue:
             when = queue[0][0]
             if when > end_time:
                 break
@@ -62,7 +58,7 @@ class EventLoop:
             clock.time = when
             callback(*args)
             executed += 1
-        if (not queue or queue[0][0] > end_time) and end_time > clock.time:
+        if end_time > clock.time:
             clock.time = float(end_time)
         self._events_run += executed
         return executed

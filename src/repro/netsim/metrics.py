@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.telemetry.registry import DEFAULT_BUCKETS, Histogram
+from repro.telemetry.registry import BUCKETS, Histogram
 
 #: Bucket edges shared by every flow's latency histogram, in seconds.
-LATENCY_BOUNDS: tuple[float, ...] = DEFAULT_BUCKETS
+LATENCY_BOUNDS: tuple[float, ...] = BUCKETS
 
 
 @dataclass

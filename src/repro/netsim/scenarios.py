@@ -58,12 +58,9 @@ START = 1_700_000_000  # the second every simulation starts at
 GRANULE = 60  # seconds: the granularity of every asset an AS issues
 
 
-def linear_path(
-    num_ases: int,
-    timestamp: int = 1_700_000_000,
-    prf_factory: PrfFactory = SIM_PRF,
-):
-    """Chain topology + leaf-to-core forwarding path, beaconing included.
+def linear_path(num_ases: int, prf_factory: PrfFactory = SIM_PRF):
+    """Chain topology + leaf-to-core forwarding path, beaconing included
+    (at :data:`START`).
 
     Returns ``(topology, path)`` whose hop-field MACs were produced with
     ``prf_factory`` — hand the same factory to
@@ -74,7 +71,7 @@ def linear_path(
     from repro.scion.topology import linear_topology
 
     topology = linear_topology(num_ases)
-    store = run_beaconing(topology, timestamp=timestamp, prf_factory=prf_factory)
+    store = run_beaconing(topology, timestamp=START, prf_factory=prf_factory)
     lookup = PathLookup(store)
     path = lookup.find_paths(
         topology.ases[-1].isd_as, topology.ases[0].isd_as
@@ -516,7 +513,6 @@ def flex_market_experiment(
     num_ases: int = 3,
     flex_values: tuple[int, ...] = (0, 1800),
     duration: float = 1.5,
-    seed: int = SEED,
 ) -> FlexMarketResult:
     """Price-reactive purchasing end to end: buy the valley, not the peak.
 
@@ -549,7 +545,6 @@ def flex_market_experiment(
     deployment, _ = _market(
         topology,
         path,
-        seed=seed,
         asset_start=START,  # pin the granule anchor for clean windows
         asset_duration=7200,
         asset_bandwidth_kbps=market_bandwidth_kbps,
@@ -1031,10 +1026,7 @@ def path_contention_experiment(
         escrows_mist=escrows,
         failed_hops=failed_hops,
         hop_names=[str(crossing.isd_as) for crossing in crossings],
-        hop_capacities_kbps=[
-            service.admission.capacity_kbps(crossing.ingress, True)
-            for service, crossing in zip(services, crossings)
-        ],
+        hop_capacities_kbps=[service.admission.capacity_kbps for service in services],
         hop_peaks_kbps=[
             max(
                 service.admission.calendar(interface, is_ingress, ACTIVE)

@@ -141,13 +141,13 @@ class RouterMeasurement:
         return self.hummingbird_process_ns - self.scion_process_ns
 
 
-def measure_router(packets: int = 1500, prf_backend: str = "aes") -> RouterMeasurement:
+def measure_router(packets: int = 1500) -> RouterMeasurement:
     """Time full router processing of :data:`ROUTER_PAYLOAD`-byte packets and
-    the individual pipeline operations.
+    the individual pipeline operations, at the paper's AES PRF.
 
     The two hops are timed :func:`alternating`, each reading over its own
     ``packets`` fresh packets, so neither side is always first."""
-    fixture = build_fixture(prf_backend=prf_backend)
+    fixture = build_fixture()
     body = bytes(ROUTER_PAYLOAD)
 
     def hop(source, router):
@@ -166,7 +166,7 @@ def measure_router(packets: int = 1500, prf_backend: str = "aes") -> RouterMeasu
     # rather than calls (the hop-field MAC's pack, SegID chaining, Eq. 6's
     # XOR) written out here too.  Disjoint, so their sum is comparable to
     # the hop cost.
-    prf_factory = PrfFactory(prf_backend)
+    prf_factory = PrfFactory("aes")
     reservation = fixture.reservations[0]
     resinfo = reservation.resinfo
     autonomous_system = fixture.topology.as_of(reservation.isd_as)
@@ -230,9 +230,10 @@ class SourceMeasurement:
 
 
 def measure_source(
-    hops: int = 4, payload: int = 500, iterations: int = 800, prf_backend: str = "aes"
+    hops: int = 4, payload: int = 500, iterations: int = 800
 ) -> SourceMeasurement:
-    """Time packet generation, full and per stage (the Table 4 pipeline).
+    """Time packet generation, full and per stage (the Table 4 pipeline), at
+    the paper's AES PRF.
 
     The two generations and the four stages are timed in the same
     :func:`alternating` rounds, ``iterations`` calls a reading, so no side
@@ -242,7 +243,7 @@ def measure_source(
     generation is taken round by round, each round's stages against that
     round's generation, so a box that changes speed between rounds cannot
     pair stages timed slow with a generation timed fast."""
-    fixture = build_fixture(hops=hops, prf_backend=prf_backend)
+    fixture = build_fixture(hops=hops)
     body = bytes(payload)
     source = fixture.hb_source
     timestamp = source._allocator.allocate(fixture.clock.now())

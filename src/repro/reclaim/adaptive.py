@@ -41,24 +41,16 @@ class AdaptiveOverbooking(OverbookingPolicy):
     Args:
         initial_factor: factor for calendars with no observations yet.
         max_factor: hard ceiling on the learned factor.
-        alpha: EWMA weight of the newest show-up observation.
     """
 
     name = "adaptive-overbooking"
+    ALPHA = 0.3  # EWMA weight of the newest show-up observation
 
-    def __init__(
-        self,
-        initial_factor: float = 1.0,
-        max_factor: float = 3.0,
-        alpha: float = 0.3,
-    ) -> None:
+    def __init__(self, initial_factor: float = 1.0, max_factor: float = 3.0) -> None:
         super().__init__(initial_factor)
         if max_factor < 1:
             raise ValueError("max_factor must be >= 1")
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
         self.max_factor = float(max_factor)
-        self.alpha = float(alpha)
         self._directions: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
         # what every direction holds before its first observation
         self._unobserved = _Direction(self.factor, self.factor)
@@ -99,7 +91,7 @@ class AdaptiveOverbooking(OverbookingPolicy):
             self._directions[calendar] = direction
         rate = min(max(float(show_up_rate), 0.0), 1.0)
         direction.showup = rate if direction.showup is None else (
-            (1.0 - self.alpha) * direction.showup + self.alpha * rate
+            (1.0 - self.ALPHA) * direction.showup + self.ALPHA * rate
         )
         direction.factor = max(
             1.0, min(self.max_factor, 1.0 / max(direction.showup, 1.0 / self.max_factor))

@@ -35,6 +35,7 @@ from repro.scion.segments import PathSegment, SegmentKind, build_segment
 from repro.scion.topology import LinkType, Topology
 
 SEED = 1  # of the beta0 draws, so every round registers the same segments
+CORE_PATHS_PER_PAIR = 3
 
 
 @dataclass
@@ -74,18 +75,17 @@ def run_beaconing(
     topology: Topology,
     timestamp: int,
     prf_factory: PrfFactory = DEFAULT_PRF_FACTORY,
-    core_paths_per_pair: int = 3,
 ) -> SegmentStore:
     """Run one beaconing round over the whole topology.
 
     Returns a :class:`SegmentStore` with intra-ISD segments for every AS
-    reachable from a core, and up to ``core_paths_per_pair`` core segments
-    per ordered pair of core ASes (path diversity feeds the market).
+    reachable from a core, and up to :data:`CORE_PATHS_PER_PAIR` core
+    segments per ordered pair of core ASes (path diversity feeds the market).
     """
     rng = random.Random(SEED)
     store = SegmentStore()
     _intra_isd_beaconing(topology, timestamp, prf_factory, store, rng)
-    _core_beaconing(topology, timestamp, prf_factory, store, rng, core_paths_per_pair)
+    _core_beaconing(topology, timestamp, prf_factory, store, rng)
     return store
 
 
@@ -125,7 +125,6 @@ def _core_beaconing(
     prf_factory: PrfFactory,
     store: SegmentStore,
     rng: random.Random,
-    core_paths_per_pair: int,
 ) -> None:
     """Propagate core beacons; register several simple routes per pair."""
     # Neighbours in link order, parallel core links collapsed to one.
@@ -143,7 +142,7 @@ def _core_beaconing(
             if origin == target:
                 continue
             routes = itertools.islice(
-                shortest_simple_paths(core_mesh, origin, target), core_paths_per_pair
+                shortest_simple_paths(core_mesh, origin, target), CORE_PATHS_PER_PAIR
             )
             for route in routes:
                 beta0 = rng.randrange(1 << 16)

@@ -9,7 +9,7 @@ or a live one is installed with :func:`set_registry`.
 from repro.telemetry.export import snapshot
 from repro.telemetry.experiment import ExperimentTelemetry, named_trace
 from repro.telemetry.registry import (
-    DEFAULT_BUCKETS,
+    BUCKETS,
     NULL_REGISTRY,
     Counter,
     Gauge,
@@ -33,7 +33,7 @@ __all__ = [
     "LabelCardinalityError",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
+    "BUCKETS",
     "ExperimentTelemetry",
     "TraceContext",
     "current_trace",

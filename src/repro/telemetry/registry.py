@@ -5,9 +5,10 @@ Design goals:
 * **lock-cheap** — instruments are plain-attribute updates; the registry is
   only locked when a *new* family or label-child is created, never on the
   hot observation path.
-* **fixed-bucket histograms** — one tuple of float bucket edges shared
-  per family; ``observe`` is one bisect plus three scalar adds, and a
-  quantile is one running sum over the counts plus one bisect.
+* **fixed-bucket histograms** — one tuple of float bucket edges,
+  :data:`BUCKETS`, shared by every family; ``observe`` is one bisect plus
+  three scalar adds, and a quantile is one running sum over the counts
+  plus one bisect.
 * **labeled** — families fan out into children via ``.labels(...)``
   (AS / interface / direction / whatever the caller declares), with a
   cardinality guard so an unbounded label set (e.g. a per-packet id) fails
@@ -36,7 +37,7 @@ __all__ = [
     "LabelCardinalityError",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
+    "BUCKETS",
     "MAX_LABEL_SETS",
     "get_registry",
     "set_registry",
@@ -51,8 +52,8 @@ class LabelCardinalityError(RuntimeError):
     """
 
 
-#: Latency-flavoured default buckets, in seconds (1 us .. 10 s).
-DEFAULT_BUCKETS: tuple[float, ...] = (
+#: The latency-flavoured bucket edges of every histogram, in seconds (1 us .. 10 s).
+BUCKETS: tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6,
     1e-5, 2.5e-5, 5e-5,
     1e-4, 2.5e-4, 5e-4,
@@ -201,21 +202,10 @@ class GaugeFamily(_Family):
 class HistogramFamily(_Family):
     kind = "histogram"
 
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labelnames: tuple[str, ...],
-        buckets: Sequence[float],
-    ) -> None:
-        super().__init__(name, help, labelnames)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if len(bounds) == 0:
-            raise ValueError(f"{name}: histogram needs at least one bucket bound")
-        self.bounds = bounds
+    bounds = BUCKETS
 
     def _make_child(self) -> Histogram:
-        return Histogram(self.bounds)
+        return Histogram(BUCKETS)
 
     def labels(self, *values) -> Histogram:
         return super().labels(*values)  # type: ignore[return-value]
@@ -233,7 +223,7 @@ class MetricsRegistry:
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
 
-    def _declare(self, cls, name: str, help: str, labelnames, **kwargs) -> _Family:
+    def _declare(self, cls, name: str, help: str, labelnames) -> _Family:
         labelnames = tuple(labelnames)
         with self._lock:
             existing = self._families.get(name)
@@ -243,7 +233,7 @@ class MetricsRegistry:
                         f"metric {name!r} re-declared with a different schema"
                     )
                 return existing
-            family = cls(name, help, labelnames, **kwargs)
+            family = cls(name, help, labelnames)
             self._families[name] = family
             return family
 
@@ -258,15 +248,9 @@ class MetricsRegistry:
         return self._declare(GaugeFamily, name, help, labelnames)  # type: ignore[return-value]
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
+        self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> HistogramFamily:
-        return self._declare(
-            HistogramFamily, name, help, labelnames, buckets=buckets
-        )  # type: ignore[return-value]
+        return self._declare(HistogramFamily, name, help, labelnames)  # type: ignore[return-value]
 
     def families(self) -> Iterator[_Family]:
         yield from (self._families[name] for name in sorted(self._families))
@@ -303,9 +287,7 @@ class NullRegistry:
     def gauge(self, name: str, help: str = "", labelnames=()) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def histogram(
-        self, name: str, help: str = "", labelnames=(), buckets=DEFAULT_BUCKETS
-    ) -> _NullInstrument:
+    def histogram(self, name: str, help: str = "", labelnames=()) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
 

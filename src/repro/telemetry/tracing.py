@@ -54,9 +54,9 @@ class Span:
 class TraceContext:
     """A correlation id plus the ordered spans recorded under it."""
 
-    def __init__(self, name: str, trace_id: str | None = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.trace_id = trace_id or f"trace-{next(_trace_ids):06d}"
+        self.trace_id = f"trace-{next(_trace_ids):06d}"
         self.spans: list[Span] = []
 
     def event(self, name: str, **attrs: Any) -> Span:

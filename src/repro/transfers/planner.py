@@ -87,16 +87,14 @@ class TransferPlanner:
         transfer: DeadlineTransfer,
         *,
         best_effort: bool = False,
-        exact_fallback: bool = True,
     ) -> TransferPlan:
-        """Plan over a frozen book.
+        """Plan over a frozen book: density-greedy, with the exact DP as
+        the rescue when greedy falls short of the target.
 
         ``best_effort=False`` raises :class:`InfeasibleTransfer` (with
         the achievable bytes/spend attached) when no schedule reaches the
         target under the budget; ``best_effort=True`` returns the
-        max-bytes plan instead.  ``exact_fallback=False`` disables the
-        exact DP rescue — pure greedy, used by the differential suite to
-        measure greedy quality in isolation.
+        max-bytes plan instead.
         """
         option_sets = book.all_slot_options(
             max_rate_kbps=transfer.max_rate_kbps,
@@ -105,7 +103,7 @@ class TransferPlanner:
         target = transfer.bytes_total
         budget = transfer.budget_mist
         chosen, got, spend = self._greedy(option_sets, target, budget)
-        if got < target and exact_fallback:
+        if got < target:
             try:
                 at_target, fallback_best = solve_schedule(
                     option_sets, target, budget

@@ -107,15 +107,15 @@ class TestPricing:
         pricer = ScarcityPricer()
         values = [pricer.multiplier(u / 10) for u in range(11)]
         assert values == sorted(values)
-        assert values[-1] == pricer.max_multiplier
+        assert values[-1] == pricer.MAX_MULTIPLIER
 
     def test_capped_at_max_multiplier(self):
-        pricer = ScarcityPricer(max_multiplier=10.0)
-        assert pricer.multiplier(0.9999) == 10.0
-        assert pricer.multiplier(2.0) == 10.0  # overbooked utilization > 1
+        pricer = ScarcityPricer()
+        assert pricer.multiplier(0.9999) == 64.0
+        assert pricer.multiplier(2.0) == 64.0  # overbooked utilization > 1
 
     def test_price_rounds_up_and_floors_at_one(self):
-        pricer = ScarcityPricer(alpha=0.5)
+        pricer = ScarcityPricer()
         assert pricer.price(50, 0.5) == 63  # 50 * 1.25 = 62.5 -> ceil
         assert FlatPricer().price(0, 0.9) == 1
 
@@ -127,7 +127,7 @@ class TestPricing:
         assert FlatPricer().price(base, 0.9) == base
         assert ScarcityPricer().price(base, 0.0) == base  # multiplier == 1.0
         # Non-unit multipliers stay exact too: ceil(base * 1.25) in ints.
-        pricer = ScarcityPricer(alpha=0.5)
+        pricer = ScarcityPricer()
         assert pricer.price(base, 0.5) == -(-base * 5 // 4)
 
 
@@ -145,8 +145,9 @@ class TestController:
         assert controller.admit_issue(1, True, 1000, 0, 100).admitted
         assert controller.admit_issue(1, False, 1000, 0, 100).admitted
 
-    def test_per_interface_capacity_override(self):
-        controller = AdmissionController(1000, capacities={(7, True): 100})
+    def test_interfaces_are_independent(self):
+        controller = AdmissionController(1000)
+        assert controller.admit_issue(7, True, 600, 0, 100).admitted
         assert not controller.admit_issue(7, True, 500, 0, 100).admitted
         assert controller.admit_issue(8, True, 500, 0, 100).admitted
 

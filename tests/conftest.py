@@ -29,12 +29,12 @@ def clock():
 @pytest.fixture
 def chain3():
     """(topology, path) for a 3-AS chain, BLAKE2 MACs."""
-    return linear_path(3, timestamp=T0, prf_factory=BLAKE2)
+    return linear_path(3, prf_factory=BLAKE2)
 
 
 @pytest.fixture
 def chain5():
-    return linear_path(5, timestamp=T0, prf_factory=BLAKE2)
+    return linear_path(5, prf_factory=BLAKE2)
 
 
 @pytest.fixture

@@ -64,7 +64,7 @@ def test_every_stream_under_src_has_one_named_owner():
 
 def _purchase_latencies(count: int = 3) -> list[tuple[float, float]]:
     """``(request, response)`` of ``count`` purchases by fresh hosts on one deployment."""
-    topology, path = linear_path(3, timestamp=T0)
+    topology, path = linear_path(3)
     deployment = deploy_market(topology, clock=SimClock(float(T0)), asset_duration=14_400)
     crossings = as_crossings(path)
     latencies = []
@@ -108,7 +108,7 @@ def _drawn_signing_keys(monkeypatch) -> list:
 
 def test_the_pki_root_is_no_accounts_key_in_a_deployment(monkeypatch):
     drawn = _drawn_signing_keys(monkeypatch)
-    topology, _ = linear_path(4, timestamp=T0)
+    topology, _ = linear_path(4)
     deployment = deploy_market(topology, clock=SimClock(float(T0)), seed=7)
     hosts = [deployment.new_host(name=f"host-{index}") for index in range(2)]
     (root,) = {service.pki._root.public for service in deployment.services.values()}

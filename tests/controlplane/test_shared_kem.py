@@ -33,7 +33,7 @@ RATE_KBPS = 1_000
 
 def _world():
     """A 2-AS deployment and its two crossings; most tests use the first."""
-    topology, path = linear_path(2, timestamp=T0)
+    topology, path = linear_path(2)
     deployment = deploy_market(topology, clock=SimClock(float(T0)), asset_duration=14_400)
     return deployment, as_crossings(path)
 

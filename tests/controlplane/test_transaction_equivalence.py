@@ -87,6 +87,8 @@ from repro.admission import AdmissionRejected, ScarcityPricer
 from repro.clock import SimClock
 from repro.contracts.coin import coin_balance
 from repro.controlplane import (
+    HostClient,
+    asclient,
     deploy_market,
     execute_transfer,
     open_path_auction,
@@ -185,7 +187,7 @@ class _Script:
 
     def __init__(self) -> None:
         self.clock = SimClock(float(T0))
-        topology, path = linear_path(4, timestamp=T0)
+        topology, path = linear_path(4)
         self.crossings = as_crossings(path)
         self.deployment = deploy_market(
             topology,
@@ -313,7 +315,7 @@ class _Script:
         # no path auction is open: acquire_path falls through to the posted book
         judy = self.host("judy")
         bought = judy.acquire_path(
-            self.marketplace, self.crossings[:2], *POSTED, 1_000, 10**9, flex_start=60
+            self.marketplace, self.crossings[:2], *POSTED, 1_000, 10**9
         )
         assert bought.mode == "bought" and bought.submitted.effects.ok
         self.notes["judy"] = [bought.reference, bought.price_mist]
@@ -364,8 +366,9 @@ class _Script:
             victim.execute_transfer_plan(self.marketplace, plan)
         assert preflighted.value.submitted is None
         assert self.deployment.ledger.checkpoint == checkpoint
-        with pytest.raises(TransferAborted) as raced:
-            victim.execute_transfer_plan(self.marketplace, plan, preflight=False)
+        with pytest.MonkeyPatch.context() as patch, pytest.raises(TransferAborted) as raced:
+            patch.setattr(HostClient, "_preflight_transfer", lambda *_: None)
+            victim.execute_transfer_plan(self.marketplace, plan)
         assert not raced.value.submitted.effects.ok
 
     def auctions(self) -> None:
@@ -401,10 +404,13 @@ class _Script:
         assert grace.place_bid(self.marketplace, auction, 3_000, 300).effects.ok
         assert erin.await_settle(self.marketplace, auction) is None
 
-        # the combinatorial auction opens and takes its bids before either settles
-        handle = open_path_auction(
-            self.deployment, self.crossings, *PATH_AUCTION, 6_000, 50, 60, 200
-        )
+        # the combinatorial auction opens and takes its bids before either
+        # settles; its legs keep the 200 kbps minimum they were recorded with
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(asclient, "DEFAULT_MIN_BANDWIDTH", 200)
+            handle = open_path_auction(
+                self.deployment, self.crossings, *PATH_AUCTION, 6_000, 50
+            )
         heidi, ivan = self.host("heidi"), self.host("ivan")
         path_bid = heidi.acquire_path(
             self.marketplace, self.crossings, *PATH_AUCTION, 2_000, 5_000

@@ -42,7 +42,7 @@ def test_packet_decoder_never_crashes(data):
 def _reference_wire() -> bytes:
     from repro.netsim.scenarios import linear_path
 
-    topology, path = linear_path(3, timestamp=T0, prf_factory=BLAKE2)
+    topology, path = linear_path(3, prf_factory=BLAKE2)
     clock = SimClock(float(T0))
     src, dst = addresses(path)
     reservations = grant_full_path(topology, path, start=T0 - 5)

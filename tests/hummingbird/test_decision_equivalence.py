@@ -102,11 +102,11 @@ def mixed_traffic(backend: str) -> dict:
     prf = PrfFactory(backend)
     rng = random.Random(SEED)
     clock = SimClock(float(T0))
-    topology, path = linear_path(4, timestamp=T0, prf_factory=prf)
+    topology, path = linear_path(4, prf_factory=prf)
     src, dst = addresses(path)
     routers = {
         autonomous_system.isd_as: HummingbirdRouter(
-            autonomous_system, clock, prf, policing_capacity=64,
+            autonomous_system, clock, prf,
             duplicate_filter=DuplicateFilter() if index % 2 else None,
         )
         for index, autonomous_system in enumerate(topology.ases)
@@ -182,7 +182,7 @@ def mixed_traffic(backend: str) -> dict:
 def attack_cases(backend: str) -> dict:
     """The data-plane rows of ``tests/security/test_attacks.py``, outcomes only."""
     prf = PrfFactory(backend)
-    topology, path = linear_path(3, timestamp=T0, prf_factory=prf)
+    topology, path = linear_path(3, prf_factory=prf)
     src, dst = addresses(path)
     results = {}
 
@@ -280,7 +280,7 @@ def boundary_cases(backend: str) -> dict:
     boundary_ases = {c.isd_as for c in boundaries}
     routers = {
         autonomous_system.isd_as: HummingbirdRouter(
-            autonomous_system, clock, prf, policing_capacity=64,
+            autonomous_system, clock, prf,
             duplicate_filter=(
                 DuplicateFilter() if autonomous_system.isd_as in boundary_ases else None
             ),

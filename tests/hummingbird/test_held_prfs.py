@@ -22,7 +22,7 @@ PRIORITY_WALK = [Action.FORWARD_PRIORITY] * 3 + [Action.DELIVER]
 
 @pytest.fixture
 def chain4_aes():
-    return linear_path(4, timestamp=T0, prf_factory=AES)
+    return linear_path(4, prf_factory=AES)
 
 
 def routers_for(topology, clock):

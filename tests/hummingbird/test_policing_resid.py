@@ -13,11 +13,11 @@ import repro
 from tests.conftest import BLAKE2, T0, addresses, grant_full_path
 
 from repro.hummingbird.policing import (
+    BURST_TIME,
     KBPS_OF_CLASS,
     PerInterfacePolicer,
     PolicingVerdict,
     TokenBucketArray,
-    DEFAULT_BURST_TIME,
 )
 from repro.hummingbird.router import HummingbirdRouter
 from repro.hummingbird.source import HummingbirdSource
@@ -52,7 +52,7 @@ print(array._timestamps.nbytes, built - before, peak() - before)
 
 class TestTokenBucket:
     def test_admits_traffic_within_rate(self):
-        bucket = TokenBucketArray(capacity=8, burst_time=0.05)
+        bucket = TokenBucketArray(capacity=8)
         now = 1000.0
         # 1 Mbps reservation, 500 B packets every 4 ms = 1 Mbps exactly.
         for i in range(100):
@@ -60,7 +60,7 @@ class TestTokenBucket:
             assert verdict is PolicingVerdict.FWD_FLYOVER
 
     def test_demotes_sustained_overuse(self):
-        bucket = TokenBucketArray(capacity=8, burst_time=0.05)
+        bucket = TokenBucketArray(capacity=8)
         now = 1000.0
         verdicts = [bucket.monitor(0, 1000, 500, now, START) for _ in range(100)]
         assert PolicingVerdict.FWD_BEST_EFFORT in verdicts
@@ -69,7 +69,7 @@ class TestTokenBucket:
         assert 10 <= admitted <= 14
 
     def test_bucket_refills_over_time(self):
-        bucket = TokenBucketArray(capacity=8, burst_time=0.05)
+        bucket = TokenBucketArray(capacity=8)
         for _ in range(50):
             bucket.monitor(0, 1000, 500, 1000.0, START)
         assert bucket.monitor(0, 1000, 500, 1001.0, START) is PolicingVerdict.FWD_FLYOVER
@@ -114,7 +114,7 @@ class TestTokenBucket:
         assert bucket.usage_bytes(99, START) == 0  # out of range
 
     def test_set_limit_caps_the_rate(self):
-        bucket = TokenBucketArray(capacity=8, burst_time=0.05)
+        bucket = TokenBucketArray(capacity=8)
         bucket.set_limit(2, START, 0)
         assert bucket.monitor(2, 1000, 500, 1000.0, START) is PolicingVerdict.FWD_BEST_EFFORT
         bucket.set_limit(2, START, 100)
@@ -132,8 +132,7 @@ class TestTokenBucket:
     )
     def test_admitted_bytes_never_exceed_rate_plus_burst(self, bw_kbps, pkt_len, gaps_ms):
         """The policing invariant: admitted <= BW * elapsed + BW * BurstTime."""
-        burst_time = 0.05
-        bucket = TokenBucketArray(capacity=4, burst_time=burst_time)
+        bucket = TokenBucketArray(capacity=4)
         now = 1_000.0
         admitted_bytes = 0
         start = now
@@ -142,13 +141,13 @@ class TestTokenBucket:
             if bucket.monitor(1, bw_kbps, pkt_len, now, START) is PolicingVerdict.FWD_FLYOVER:
                 admitted_bytes += pkt_len
         elapsed = now - start
-        budget = bw_kbps * 1000 / 8 * (elapsed + burst_time) + pkt_len
+        budget = bw_kbps * 1000 / 8 * (elapsed + BURST_TIME) + pkt_len
         assert admitted_bytes <= budget
 
     def test_max_packet_size_examples(self):
         # §4.4: below ~240 kbps the 50 ms burst admits less than 1500 B.
         def fresh_bucket_admits(bw_kbps, pkt_len):
-            bucket = TokenBucketArray(capacity=1, burst_time=DEFAULT_BURST_TIME)
+            bucket = TokenBucketArray(capacity=1)
             return bucket.monitor(0, bw_kbps, pkt_len, 1000.0, START) is PolicingVerdict.FWD_FLYOVER
 
         assert fresh_bucket_admits(240, 1500) and not fresh_bucket_admits(240, 1501)

@@ -7,7 +7,7 @@ import pytest
 from repro.contracts.coin import CoinContract, coin_balance
 from repro.ledger.accounts import Account, sui_to_mist
 from repro.ledger.chain import Ledger
-from repro.ledger.committee import Committee
+from repro.ledger.committee import NUM_VALIDATORS, QUORUM, Committee
 from repro.ledger.executor import LedgerExecutor
 from repro.ledger.gas import GasMeter, GasSummary, computation_bucket
 from repro.ledger.objects import LedgerObject, Ownership, canonical_size
@@ -218,32 +218,30 @@ class TestResolveArgs:
 
 class TestCommittee:
     def test_consensus_slower_than_fast_path(self):
-        committee = Committee(random.Random(1), num_validators=50)
+        committee = Committee(random.Random(1))
         fast = [committee.fast_path_latency() for _ in range(200)]
         consensus = [committee.consensus_latency() for _ in range(200)]
         assert sum(fast) / len(fast) < sum(consensus) / len(consensus)
 
     def test_fast_path_subsecond_median(self):
-        committee = Committee(random.Random(2), num_validators=100)
+        committee = Committee(random.Random(2))
         fast = sorted(committee.fast_path_latency() for _ in range(200))
         assert fast[100] < 1.0
 
     def test_quorum_is_two_thirds(self):
-        assert Committee(random.Random(0), num_validators=100).quorum == 67
+        """The committee waits for the 67th fastest of its 100 validators."""
+        assert (NUM_VALIDATORS, QUORUM) == (100, 67)
+        committee = Committee(random.Random(0))
+        assert len(committee.validators) == NUM_VALIDATORS
+        rtts = sorted(Committee(random.Random(0))._sample_rtts())
+        assert committee._quorum_rtt() == rtts[QUORUM - 1]
 
     def test_two_quorums_always_share_an_honest_validator(self):
         """f = floor((n - 1) / 3) validators may be Byzantine: two quorums meet
-        in f + 1 of them, and the honest ones alone still make a quorum.  At
-        n = 50 the old 2(n - 1)/3 + 1 gave 33, whose overlap is f = 16."""
-        for n in range(4, 201):
-            f = (n - 1) // 3
-            quorum = Committee(random.Random(0), num_validators=n).quorum
-            assert 2 * quorum - n >= f + 1, n
-            assert quorum <= n - f, n
-
-    def test_too_small_committee_rejected(self):
-        with pytest.raises(ValueError):
-            Committee(random.Random(0), num_validators=3)
+        in f + 1 of them, and the honest ones alone still make a quorum."""
+        n, f = NUM_VALIDATORS, (NUM_VALIDATORS - 1) // 3
+        assert 2 * QUORUM - n >= f + 1
+        assert QUORUM <= n - f
 
 
 class TestExecutor:

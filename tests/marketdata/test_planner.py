@@ -286,7 +286,6 @@ class TestBudget:
         outcome = purchase_path(
             deployment, host, crossings,
             start=T0 + 3600, expiry=T0 + 4200, bandwidth_kbps=1000,
-            max_price_mist=10_000_000,
         )
         assert outcome.price_mist == outcome.estimated_price_mist
 

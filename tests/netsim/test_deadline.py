@@ -10,10 +10,8 @@ from repro.netsim import deadline_experiment
 
 
 def test_deadline_experiment_aggregates():
-    result = deadline_experiment(
-        num_ases=2, transfer_count=4, horizon=1200, seed=5
-    )
-    assert len(result.records) == 4
+    result = deadline_experiment()
+    assert len(result.records) == 3
     assert sum(record.bytes_requested for record in result.records) > 0
     assert any(record.deadline_hit for record in result.records)
     moved = sum(record.bytes_moved for record in result.records)

@@ -72,8 +72,8 @@ def test_auction_experiment_outcomes_identical_across_backends(
 
 
 def test_flex_market_experiment_outcomes_identical_across_backends(narrow):
-    day = flex_market_experiment(duration=0.3, seed=1)
-    narrowed = narrow(flex_market_experiment, duration=0.3, seed=1)
+    day = flex_market_experiment(duration=0.3)
+    narrowed = narrow(flex_market_experiment, duration=0.3)
 
     def outcomes(result):
         return (
@@ -109,9 +109,8 @@ def test_path_contention_outcomes_identical_across_backends(narrow, experiment_r
 
 
 def test_deadline_experiment_outcomes_identical_across_backends(narrow):
-    kwargs = dict(num_ases=2, transfer_count=3, horizon=1200, seed=5)
-    day = deadline_experiment(**kwargs)
-    narrowed = narrow(deadline_experiment, **kwargs)
+    day = deadline_experiment()
+    narrowed = narrow(deadline_experiment)
     assert len(narrowed.records) == 3
     moved = sum(record.bytes_moved for record in narrowed.records)
     assert moved >= 0.9 * sum(record.oracle_bytes for record in narrowed.records)

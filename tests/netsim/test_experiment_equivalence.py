@@ -237,9 +237,9 @@ def run_experiments(run) -> dict:
             auction_experiment, 3, duration=0, seed=seed
         )
 
-    runs["flex_market"] = flex_market_experiment(duration=0.3, seed=1)
+    runs["flex_market"] = flex_market_experiment(duration=0.3)
     runs["flex_market/three-budgets@4"] = flex_market_experiment(
-        num_ases=4, flex_values=(0, 600, 1800), duration=0.3, seed=2
+        num_ases=4, flex_values=(0, 600, 1800), duration=0.3
     )
 
     runs["path_contention@3"] = run(path_contention_experiment, 3, num_buyers=8)
@@ -247,9 +247,7 @@ def run_experiments(run) -> dict:
 
     runs["reclamation@3"] = run(reclamation_experiment, 3, duration=3.0)
 
-    runs["deadline"] = deadline_experiment(
-        num_ases=3, transfer_count=3, horizon=1200, seed=5
-    )
+    runs["deadline"] = deadline_experiment()
     for key in ARMED:
         result = runs.pop(key)
         runs.update({f"{key}/{arm}": result for arm in ARMS})

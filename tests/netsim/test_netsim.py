@@ -88,26 +88,12 @@ class TestEventLoop:
         loop.run_until(2.0)
         assert order == [0, 1, 2, 3, 4, 5]
 
-    def test_event_cap_leaves_the_clock_where_the_next_call_can_resume(self):
-        # Regression: the capped call used to jump the clock to end_time; the
-        # next call then popped an older event and died with "time cannot
-        # move backwards".
-        loop = EventLoop(SimClock(0.0))
-        fired = []
-        for when in (1.0, 2.0, 3.0):
-            loop.schedule(when, fired.append, when)
-        assert loop.run_until(10.0, max_events=1) == 1
-        assert fired == [1.0] and loop.clock.now() == 1.0 and len(loop._queue) == 2
-        assert loop.run_until(10.0) == 2
-        assert fired == [1.0, 2.0, 3.0] and loop.clock.now() == 10.0
-
-    def test_event_cap_still_advances_past_an_emptied_window(self):
+    def test_the_clock_ends_at_end_time_with_later_events_queued(self):
         loop = EventLoop(SimClock(0.0))
         loop.schedule(1.0, lambda: None)
         loop.schedule(20.0, lambda: None)
-        assert loop.run_until(10.0, max_events=1) == 1
-        assert loop.clock.now() == 10.0  # the only queued event lies beyond end_time
-
+        assert loop.run_until(10.0) == 1
+        assert loop.clock.now() == 10.0 and len(loop._queue) == 1
 
     def test_a_clock_set_forward_between_runs_is_honoured(self):
         """The loop keeps no time of its own: a clock set between runs (a

@@ -20,9 +20,7 @@ RUNS = {
     "congestion": lambda: congestion_experiment(
         *linear_path(3), protected=True, duration=0.5
     ),
-    "deadline": lambda: deadline_experiment(
-        num_ases=3, transfer_count=3, horizon=1200, seed=5
-    ),
+    "deadline": deadline_experiment,
 }
 
 

@@ -159,7 +159,7 @@ def test_failed_screen_at_hop_k_restores_upstream(
     # is narrower or fuller), so the screen must fail at or before hop k.
     victim = path.hops[failing_hop]
     victim.controller.calendar(victim.egress_interface, False, layer).commit(
-        victim.controller.capacity_kbps(victim.egress_interface, False),
+        victim.controller.capacity_kbps,
         0.0,
         WINDOW,
         tag="blocker",

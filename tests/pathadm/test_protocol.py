@@ -56,7 +56,8 @@ def test_screen_rejection_releases_upstream_byte_identical():
 
 def test_mid_hop_rejection_releases_same_hop_ingress_claim():
     # Capacity asymmetric inside one hop: ingress fits, egress does not.
-    controller = AdmissionController(1000, capacities={(2, False): 100})
+    controller = AdmissionController(1000)
+    controller.calendar(2, False).commit(900, 0.0, 3600.0)
     path = PathAdmission([PathHop("as0", controller, 1, 2)])
     before = controller_fingerprint(controller)
     ticket = path.screen(600, 0.0, 3600.0)

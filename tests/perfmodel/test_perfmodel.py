@@ -122,7 +122,7 @@ class TestMeasurements:
 
     def test_router_measurement_structure(self):
         # each run times its Hummingbird hop, then its SCION hop
-        runs = [measure_router(packets=200, prf_backend="blake2") for _ in range(ROUNDS)]
+        runs = [measure_router(packets=200) for _ in range(ROUNDS)]
         assert set(runs[0].steps) >= {
             "Recompute SCION hop field MAC",
             "Compute authentication key (A_i)",
@@ -136,7 +136,7 @@ class TestMeasurements:
     def test_router_steps_are_disjoint_parts_of_the_hop(self):
         """Timed as the router runs them (held K_i / SV_i PRFs, A_i keyed per
         packet), the steps cannot add up to more than the hop they are part of."""
-        runs = [measure_router(packets=300, prf_backend="aes") for _ in range(ROUNDS)]
+        runs = [measure_router(packets=300) for _ in range(ROUNDS)]
         hop = sum(run.hummingbird_process_ns for run in runs)
         overhead = sum(run.hummingbird_overhead_ns for run in runs)
         steps = sum(sum(run.steps.values()) for run in runs)
@@ -151,13 +151,13 @@ class TestMeasurements:
 
     def test_source_measurement_scales_with_hops(self):
         def generation_ns(hops):
-            return measure_source(hops, iterations=150, prf_backend="blake2").hummingbird_generation_ns
+            return measure_source(hops, iterations=150).hummingbird_generation_ns
 
         fast, slow = alternating(lambda: generation_ns(2), lambda: generation_ns(6))
         assert sum(slow) > sum(fast)
 
     def test_hummingbird_generation_costs_more_than_scion(self):
-        runs = [measure_source(hops=4, iterations=150, prf_backend="blake2") for _ in range(ROUNDS)]
+        runs = [measure_source(hops=4, iterations=150) for _ in range(ROUNDS)]
         hummingbird = sum(run.hummingbird_generation_ns for run in runs)
         scion = sum(run.scion_generation_ns for run in runs)
         assert hummingbird > scion
@@ -169,7 +169,7 @@ def test_every_router_step_is_a_table3_row(monkeypatch):
     from repro.perfmodel import measure
 
     monkeypatch.setattr(measure, "time_op", lambda fn, iterations=2000: 1.0)
-    run = measure.measure_router(packets=WARMUP_ITEMS + 5, prf_backend="blake2")
+    run = measure.measure_router(packets=WARMUP_ITEMS + 5)
     names = {name for name, _ in paper.ROUTER_STEPS_SCION + paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA}
     assert len(run.steps) == 7 and set(run.steps) <= names
 
@@ -199,7 +199,7 @@ def test_each_table4_stage_timing_runs_only_its_own_stage(monkeypatch):
         return 1.0
 
     monkeypatch.setattr(measure, "time_op", recording)
-    measure.measure_source(hops=2, iterations=10, prf_backend="blake2")
+    measure.measure_source(hops=2, iterations=10)
     # every alternating round reads the whole Hummingbird generation, the
     # SCION one and each stage alone, so a slow round slows all six alike
     readings = sorted([list(stages), [], *([name] for name in stages)])
@@ -218,6 +218,6 @@ def test_table4_share_pairs_each_rounds_stages_with_its_own_generation(monkeypat
     generation = [100, 100, 100, 200, 200]
     stages = [[85, 85, 10, 170, 170], [5, 5, 90, 10, 10], [5, 5, 5, 10, 10], [5, 5, 5, 5, 5]]
     monkeypatch.setattr(measure, "alternating", lambda *measures: [generation, [30] * 5, *stages])
-    run = measure.measure_source(hops=2, iterations=10, prf_backend="blake2")
+    run = measure.measure_source(hops=2, iterations=10)
     assert sum(run.stages.values()) == 105 > run.hummingbird_generation_ns == 100
     assert run.staged_share == 1.0  # rounds: 1.0, 1.0, 1.1, 0.975, 0.975

@@ -56,22 +56,25 @@ class TestUsageReporter:
 
 class TestAdaptiveOverbooking:
     def test_factor_is_inverse_show_up_rate(self):
-        policy = AdaptiveOverbooking(alpha=1.0, max_factor=3.0)
+        policy = AdaptiveOverbooking(max_factor=3.0)
         calendar = CapacityCalendar(1000)
         assert policy.limit_factor(calendar) == 1.0  # no evidence yet
-        assert policy.observe([calendar], 0.5) == pytest.approx(2.0)
-        assert policy.observe([calendar], 1.0) == 1.0  # honest demand: back off
+        assert policy.observe([calendar], 0.5) == pytest.approx(2.0)  # taken whole
+        # Honest demand backs off: the show-up EWMA is 0.7 * 0.5 + 0.3 * 1.
+        assert policy.observe([calendar], 1.0) == pytest.approx(1 / 0.65)
         # Chronic no-shows push the factor to the ceiling, never past it.
-        assert policy.observe([calendar], 0.0) == 3.0
+        for _ in range(3):
+            policy.observe([calendar], 0.0)
+        assert policy.limit_factor(calendar) == 3.0
         assert policy.observe([calendar], -5.0) == 3.0  # clamped input
 
     def test_ewma_smooths_observations(self):
-        policy = AdaptiveOverbooking(alpha=0.5)
+        policy = AdaptiveOverbooking()
         calendar = CapacityCalendar(1000)
         policy.observe([calendar], 1.0)
         policy.observe([calendar], 0.0)
-        assert policy._directions[calendar].showup == pytest.approx(0.5)
-        assert policy.limit_factor(calendar) == pytest.approx(2.0)
+        assert policy._directions[calendar].showup == pytest.approx(0.7)
+        assert policy.limit_factor(calendar) == pytest.approx(1 / 0.7)
 
     def test_state_is_per_calendar(self):
         policy = AdaptiveOverbooking()
@@ -83,7 +86,7 @@ class TestAdaptiveOverbooking:
         assert policy._directions.get(CapacityCalendar(1000)) is None
 
     def test_the_factor_belongs_to_the_direction_on_every_layer(self):
-        policy = AdaptiveOverbooking(alpha=1.0)
+        policy = AdaptiveOverbooking()
         issued, active = CapacityCalendar(1000), CapacityCalendar(1000)
         assert policy.observe([issued, active], 0.5) == pytest.approx(2.0)
         assert policy.limit_factor(issued) == policy.limit_factor(active)
@@ -105,7 +108,3 @@ class TestAdaptiveOverbooking:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             AdaptiveOverbooking(max_factor=0.5)
-        with pytest.raises(ValueError):
-            AdaptiveOverbooking(alpha=0)
-        with pytest.raises(ValueError):
-            AdaptiveOverbooking(alpha=1.5)

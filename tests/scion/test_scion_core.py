@@ -150,7 +150,7 @@ class TestBeaconing:
 
     def test_core_path_diversity(self):
         topo = core_mesh_topology(4, 1)
-        store = run_beaconing(topo, timestamp=T0, prf_factory=BLAKE2, core_paths_per_pair=3)
+        store = run_beaconing(topo, timestamp=T0, prf_factory=BLAKE2)
         cores = [a.isd_as for a in topo.core_ases]
         assert len(store.core_segments(cores[0], cores[1])) >= 2
 

@@ -1,6 +1,6 @@
 """``shortest_simple_paths`` against networkx, the implementation it ports.
 
-Core beaconing registers the first ``core_paths_per_pair`` routes per core
+Core beaconing registers the first ``CORE_PATHS_PER_PAIR`` routes per core
 pair, so the port must give networkx's routes in networkx's order, ties
 included: a different tie-break registers different segments.
 """
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.prf import PrfFactory
-from repro.scion.beaconing import run_beaconing, shortest_simple_paths
+from repro.scion.beaconing import CORE_PATHS_PER_PAIR, run_beaconing, shortest_simple_paths
 from repro.scion.topology import LinkType, core_mesh_topology
 from tests.scion.topologies import random_internet_topology
 
@@ -71,10 +71,7 @@ def test_unreachable_target_yields_nothing():
     ids=[*(f"mesh{cores}" for cores in range(2, 7)), *(f"random{s}" for s in (1, 2, 3, 5, 8))],
 )
 def test_registered_core_segments_match_networkx(topology):
-    paths_per_pair = 3
-    store = run_beaconing(
-        topology, timestamp=T0, prf_factory=BLAKE2, core_paths_per_pair=paths_per_pair
-    )
+    store = run_beaconing(topology, timestamp=T0, prf_factory=BLAKE2)
     graph = nx.Graph()
     graph.add_nodes_from(a.isd_as for a in topology.core_ases)
     graph.add_edges_from(
@@ -82,7 +79,7 @@ def test_registered_core_segments_match_networkx(topology):
     )
     expected = {}
     for origin, target in itertools.permutations(sorted(graph.nodes), 2):
-        routes = _oracle(graph, origin, target, paths_per_pair)
+        routes = _oracle(graph, origin, target, CORE_PATHS_PER_PAIR)
         if routes:
             expected[origin, target] = routes
     registered = {

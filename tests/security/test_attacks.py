@@ -503,7 +503,7 @@ class TestTrustAnchor:
             return accounts[-1]
 
         monkeypatch.setattr(Account, "generate", staticmethod(recording))
-        topology, _ = linear_path(3, timestamp=T0)
+        topology, _ = linear_path(3)
         deployment = deploy_market(topology, clock=SimClock(float(T0)), seed=7)
         deployment.new_host(name="host")
         assert [account.name for account in accounts] == [
@@ -846,7 +846,7 @@ class TestHostileDelivery:
         from repro.netsim import linear_path
         from repro.scion import as_crossings
 
-        topology, path = linear_path(3, timestamp=T0)
+        topology, path = linear_path(3)
         deployment = deploy_market(topology, clock=SimClock(float(T0)), asset_duration=14_400)
         crossings = as_crossings(path)
         return deployment, crossings, deployment.service(crossings[0].isd_as)

@@ -12,7 +12,8 @@ from repro.ledger.executor import LedgerExecutor
 from repro.ledger.transactions import Command, Transaction
 from repro.marketdata import ListingQuery, MarketIndexer
 from repro.telemetry import (
-    DEFAULT_BUCKETS,
+    BUCKETS,
+    Histogram,
     LabelCardinalityError,
     MetricsRegistry,
     NULL_REGISTRY,
@@ -27,8 +28,7 @@ from tests.marketdata.conftest import RawMarket
 
 
 def test_histogram_edge_observation_lands_in_its_bucket():
-    registry = MetricsRegistry()
-    child = registry.histogram("h", buckets=(1.0, 2.0, 4.0)).labels()
+    child = Histogram((1.0, 2.0, 4.0))
     child.observe(2.0)  # exactly on an edge: the bucket with bound >= value
     assert child.counts == [0, 1, 0, 0]
     child.observe(1.5)
@@ -38,8 +38,7 @@ def test_histogram_edge_observation_lands_in_its_bucket():
 
 
 def test_histogram_overflow_bucket():
-    registry = MetricsRegistry()
-    child = registry.histogram("h", buckets=(1.0, 2.0)).labels()
+    child = Histogram((1.0, 2.0))
     child.observe(99.0)
     assert child.counts == [0, 0, 1]
     assert child.count == 1
@@ -48,27 +47,27 @@ def test_histogram_overflow_bucket():
     assert child.quantile(0.5) == 2.0
 
 
+def test_every_histogram_family_has_the_fixed_edges():
+    registry = MetricsRegistry()
+    first = registry.histogram("a", labelnames=("kind",))
+    second = registry.histogram("b")
+    assert first.bounds == second.bounds == BUCKETS
+    assert first.labels("x").bounds == second.labels().bounds == BUCKETS
+
+
 def test_histogram_bucket_count_is_edges_plus_one():
-    registry = MetricsRegistry()
-    child = registry.histogram("h", buckets=DEFAULT_BUCKETS).labels()
-    assert len(child.counts) == len(DEFAULT_BUCKETS) + 1
+    child = MetricsRegistry().histogram("h").labels()
+    assert len(child.counts) == len(BUCKETS) + 1
 
 
-def test_histogram_unsorted_buckets_are_sorted():
-    registry = MetricsRegistry()
-    family = registry.histogram("h", buckets=(4.0, 1.0, 2.0))
-    assert list(family.bounds) == [1.0, 2.0, 4.0]
-
-
-def test_histogram_empty_bucket_list_rejected():
-    registry = MetricsRegistry()
-    with pytest.raises(ValueError):
-        registry.histogram("h", buckets=())
+def test_histogram_fixed_edges_strictly_ascend():
+    """``observe`` bisects the edges: they must ascend, with no repeat that
+    would leave a bucket no value can reach."""
+    assert all(low < high for low, high in zip(BUCKETS, BUCKETS[1:]))
 
 
 def test_quantile_empty_and_range():
-    registry = MetricsRegistry()
-    child = registry.histogram("h", buckets=(1.0,)).labels()
+    child = Histogram((1.0,))
     assert math.isnan(child.quantile(0.5))
     with pytest.raises(ValueError):
         child.quantile(1.5)
@@ -77,8 +76,7 @@ def test_quantile_empty_and_range():
 
 
 def test_quantile_interpolates_within_bucket():
-    registry = MetricsRegistry()
-    child = registry.histogram("h", buckets=(1.0, 2.0)).labels()
+    child = Histogram((1.0, 2.0))
     for _ in range(10):
         child.observe(1.5)  # all ten in the (1, 2] bucket
     # rank q*10 sits inside the bucket; interpolation stays within its edges

@@ -44,10 +44,10 @@ def test_trace_ids_are_unique_and_shared_by_spans():
 
 
 def test_to_dict_shape():
-    trace = TraceContext("res", trace_id="trace-fixed")
+    trace = TraceContext("res")
     trace.event("step", admitted=True)
     dumped = trace.to_dict()
-    assert dumped["trace_id"] == "trace-fixed"
+    assert dumped["trace_id"] == trace.trace_id
     assert dumped["spans"][0]["name"] == "step"
     assert dumped["spans"][0]["attrs"] == {"admitted": True}
     # every span is an instant: nothing in the dump is timed

@@ -35,3 +35,14 @@ def test_a_page_citing_gone_code_is_refused(tmp_path):
     for stale in ("PacketPath.with_hopfields", "admission/sharded.py", "link.py:12"):
         assert sum(stale in problem for problem in problems) == 1, problems
     assert len(problems) == 3, problems
+
+
+def test_every_member_of_a_slash_list_is_checked(tmp_path):
+    page = tmp_path / "listed.md"
+    page.write_text(
+        "Hosts call `HostClient.acquire_path /\n"
+        "  place_path_bid / bid_for_path`, and ASes `AsService.path_legs / path_leg_supply`.\n",
+        encoding="utf-8",
+    )
+    (problem,) = check_links.check_file(page)
+    assert "no such member: bid_for_path" in problem

@@ -75,12 +75,12 @@ def test_the_limit_is_the_policy_factor_and_every_breach_is_listed():
 
 
 def test_a_learned_factor_that_falls_does_not_unsell_what_it_sold():
-    policy = AdaptiveOverbooking(alpha=1.0)
+    policy = AdaptiveOverbooking()
     learning = AdmissionController(1000, policy=policy)
     direction = [learning.calendar(1, True, layer) for layer in (ISSUED, ACTIVE)]
     policy.observe(direction, 0.5)  # half the bookings show up: 2x
     assert learning.admit_issue(1, True, 1900, 0, 100).admitted
-    policy.observe(direction, 1.0)  # then every one does: back to 1x
+    policy.observe(direction, 1.0)  # then every one does: down to 1.54x
     assert not learning.admit_issue(1, True, 1, 0, 100).admitted
     check(_deployment(learning=learning), now=0)  # sold within 2x, still legal
     direction[0].commit(101, 0, 100)  # past the most it ever admitted under
@@ -89,14 +89,15 @@ def test_a_learned_factor_that_falls_does_not_unsell_what_it_sold():
 
 
 def test_a_learned_factor_that_rose_and_fell_unsold_does_not_raise_the_bound():
-    policy = AdaptiveOverbooking(alpha=1.0, max_factor=3.0)
+    policy = AdaptiveOverbooking(max_factor=3.0)
     learning = AdmissionController(1000, policy=policy)
     direction = [learning.calendar(1, True, layer) for layer in (ISSUED, ACTIVE)]
     policy.observe(direction, 0.0)  # no-shows only: 3x, and nothing sold at it
-    policy.observe(direction, 1.0)  # back to 1x
+    for _ in range(20):
+        policy.observe(direction, 1.0)  # back to within 0.1 % of 1x
     assert learning.admit_issue(1, True, 1000, 0, 100).admitted
     direction[1].commit(1900, 0, 100)  # 1.9x, which no factor admitted anything under
-    with pytest.raises(InvariantBreach, match=r"carries 1900 kbps, over 1.0 x 1000 kbps"):
+    with pytest.raises(InvariantBreach, match=r"carries 1900 kbps, over 1\.00\d* x 1000 kbps"):
         check(_deployment(learning=learning), now=0)
 
 

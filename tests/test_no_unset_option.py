@@ -3,11 +3,17 @@
 PR 20 turned every netsim experiment option that no call site in the
 repository passed into a named constant.  This is that ``ast`` walk, run over
 every public function, method and constructor of every module under
-``src/repro``: a defaulted parameter that no call in ``src/``, ``tests/``,
-``examples/``, ``benchmarks/`` or ``tools/`` passes is a constant, not an
-option.  An option comes back only together with the caller that needs it.  A
-quantity the paper names (Δ, δ, BurstTime) is a module constant citing its
-section, not an allow-list entry.
+``src/repro``: a defaulted parameter that no call in ``src/``, ``examples/``,
+``benchmarks/`` or ``tools/`` passes is a constant, not an option.  A test is
+not such a caller: an option only ``tests/`` sets exists for the test, and
+the test reaches the path it needs through a seam (``monkeypatch``, a private
+method) instead.  The examples count, because CI runs each one as the
+documented use of the API.  An option comes back only together with the
+caller that needs it.  A quantity the paper names (Δ, δ, BurstTime) is a
+module constant citing its section, not an allow-list entry.  When the walk
+stopped counting tests, the 27 options only a test set and the three their
+removal left with no other caller became constants: its defaulted
+parameters went 204 → 174.
 
 A contract entry point is called through a transaction, not a Python call:
 ``Command("market", "buy", {...})`` sets the keys of its dict, and a ``**`` in
@@ -18,7 +24,8 @@ out the options they forward.
 The second half is the zero-reference end of the same idea: every public
 ``def`` / ``class`` under ``src/repro/`` is named somewhere other than its own
 definition, and every public attribute a constructor assigns is read
-somewhere, not only written and appended to.
+somewhere, not only written and appended to.  There a test does count: a name
+or attribute only a test uses is tested code, not dead code.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ import repro
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path(repro.__file__).parent
 CALLERS = ("src", "tests", "examples", "benchmarks", "tools")
+# The callers that can make a defaulted parameter an option: every one but tests/.
+OPTION_CALLERS = ("src", "examples", "benchmarks", "tools")
 
 # The paper's own knobs: ``(callable, option) -> one line of reason`` for a
 # default nobody overrides *yet*, kept because the paper names the quantity.
@@ -181,6 +190,13 @@ def _unset_options(audited, callers) -> dict[str, list[str]]:
     }
 
 
+def _option_callers(trees) -> list[ast.Module]:
+    """The parsed modules of ``(path, tree)`` pairs under :data:`OPTION_CALLERS`."""
+    return [
+        tree for path, tree in trees if path.relative_to(ROOT).parts[0] in OPTION_CALLERS
+    ]
+
+
 @functools.cache
 def _parsed(path: pathlib.Path) -> ast.Module:
     """Every file is parsed once per session; no audit changes a tree."""
@@ -206,7 +222,7 @@ def test_every_option_has_a_caller_that_sets_it():
     assert {"deploy_market", "AsService", "HostClient", "purchase_path",
             "HummingbirdRouter", "Committee", "buy", "run_beaconing"} <= set(functions)
 
-    unset = _unset_options(audited, [tree for _, tree in _trees()])
+    unset = _unset_options(audited, _option_callers(_trees()))
     flagged = {
         qualified: [option for option in options if (qualified, option) not in ALLOWED]
         for qualified, options in unset.items()
@@ -246,6 +262,26 @@ def test_the_walk_sees_through_helpers_only_where_they_spell_options_out():
     )
     assert _unset_options(audited, [forwarding]) == {
         "Router.__init__": [], "Market.buy": [],
+    }
+
+
+def test_a_test_is_not_a_caller_that_makes_an_option():
+    """An option set only by a file under ``tests/`` is flagged; one an
+    example sets is not, because CI runs the examples as the documented use
+    of the API."""
+    audited = [ast.parse(
+        "class Router:\n"
+        "    def __init__(self, key, duplicate_filter=None, policing_capacity=100): ...\n"
+    )]
+    callers = [
+        (ROOT / "tests" / "test_router.py", ast.parse("Router(k, policing_capacity=64)")),
+        (ROOT / "examples" / "dos.py", ast.parse("Router(k, duplicate_filter=f)")),
+    ]
+    assert _unset_options(audited, _option_callers(callers)) == {
+        "Router.__init__": ["policing_capacity"],
+    }
+    assert _unset_options(audited, [tree for _, tree in callers]) == {
+        "Router.__init__": [],
     }
 
 

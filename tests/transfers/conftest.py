@@ -11,6 +11,8 @@ from repro.transfers import (
     MAX_REDEEM_SECONDS,
     DeadlineTransfer,
     TransferBook,
+    TransferPlan,
+    TransferPlanner,
 )
 
 T0 = 1_700_000_000
@@ -133,6 +135,18 @@ def random_instance(rng: random.Random, hops: int = 1):
         max_rate_kbps=max_rate,
     )
     return book, transfer
+
+
+def greedy_plan(book: TransferBook, transfer: DeadlineTransfer) -> TransferPlan:
+    """The best-effort plan ``plan_on_book`` makes before its exact DP
+    rescue: the density greedy alone, to measure its quality in isolation."""
+    planner = TransferPlanner(indexer=None)
+    option_sets = book.all_slot_options(
+        max_rate_kbps=transfer.max_rate_kbps, target_bytes=transfer.bytes_total
+    )
+    chosen, got, _ = planner._greedy(option_sets, transfer.bytes_total, transfer.budget_mist)
+    legs = planner._legs(book, option_sets, chosen, min(got, transfer.bytes_total))
+    return TransferPlan(transfer, legs)
 
 
 def check_plan_wellformed(book: TransferBook, plan) -> None:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.transfers import InfeasibleTransfer, TransferPlanner
 from repro.transfers.oracle import offline_optimum
 
-from tests.transfers.conftest import check_plan_wellformed, random_instance
+from tests.transfers.conftest import check_plan_wellformed, greedy_plan, random_instance
 
 planner = TransferPlanner(indexer=None)
 
@@ -74,9 +74,7 @@ def test_pure_greedy_moves_at_least_90pct_of_oracle_bytes():
         rng = random.Random(seed)
         book, transfer = random_instance(rng)
         oracle = offline_optimum(book, transfer)
-        plan = planner.plan_on_book(
-            book, transfer, best_effort=True, exact_fallback=False
-        )
+        plan = greedy_plan(book, transfer)
         check_plan_wellformed(book, plan)
         cap = min(transfer.bytes_total, oracle.bytes)
         assert plan.bytes_scheduled <= cap

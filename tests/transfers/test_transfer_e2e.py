@@ -18,7 +18,7 @@ from tests.marketdata.conftest import RawMarket
 
 from repro.admission import ACTIVE, DEFAULT_SHARD_SECONDS
 from repro.clock import SimClock
-from repro.controlplane import deploy_market, execute_transfer
+from repro.controlplane import HostClient, deploy_market, execute_transfer
 from repro.invariants import check
 from repro.marketdata import IncompatibleGranularity
 from repro.netsim import linear_path
@@ -35,7 +35,7 @@ def _deploy(
     extra_window=None,
     interface_capacity_kbps=None,
 ):
-    topology, path = linear_path(2, timestamp=T0)
+    topology, path = linear_path(2)
     deployment = deploy_market(
         topology,
         clock=SimClock(float(T0)),
@@ -166,11 +166,11 @@ def test_fuse_then_resplit_roundtrip():
     assert second.payload["bandwidth_kbps"] == 2_000
 
 
-def test_vanished_listing_aborts_cleanly_both_ways():
+def test_vanished_listing_aborts_cleanly_both_ways(monkeypatch):
     """A rival buys out the supply between planning and execution.
 
     With preflight the client aborts before submitting anything; without
-    it the ledger rejects the transaction and rolls it back — either way
+    it (patched out) the ledger rejects the transaction and rolls it back — either way
     no asset, reservation, coin, or active-calendar byte changes hands.
     """
     deployment, crossings = _deploy(600)
@@ -206,10 +206,9 @@ def test_vanished_listing_aborts_cleanly_both_ways():
         host.execute_transfer_plan(deployment.marketplace, plan)
     assert preflighted.value.submitted is None  # nothing ever submitted
 
+    monkeypatch.setattr(HostClient, "_preflight_transfer", lambda *_: None)
     with pytest.raises(TransferAborted) as raced:
-        host.execute_transfer_plan(
-            deployment.marketplace, plan, preflight=False
-        )
+        host.execute_transfer_plan(deployment.marketplace, plan)
     assert raced.value.submitted is not None
     assert not raced.value.submitted.effects.ok
 

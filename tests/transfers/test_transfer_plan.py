@@ -25,6 +25,7 @@ from repro.transfers import (
 from tests.transfers.conftest import (
     T0,
     check_plan_wellformed,
+    greedy_plan,
     leg_bytes_capacity,
     make_book,
     make_crossing,
@@ -64,9 +65,7 @@ def test_greedy_only_plans_stay_wellformed(seed):
     """Even with the exact fallback disabled, emitted plans are valid."""
     rng = random.Random(seed)
     book, transfer = random_instance(rng)
-    plan = planner.plan_on_book(
-        book, transfer, best_effort=True, exact_fallback=False
-    )
+    plan = greedy_plan(book, transfer)
     check_plan_wellformed(book, plan)
     assert plan.bytes_scheduled <= transfer.bytes_total
 

@@ -20,10 +20,15 @@ exists in the tree:
   one of its methods assigns on ``self``, looked up through the MRO (a
   trailing ``(...)`` is ignored; any other class is written
   module-qualified, so a bare ``Class.member`` naming no class of the
-  tree is a stale name too);
+  tree is a stale name too); a slash list, ``Class.a / b / c``, has every
+  member it lists, whether or not the span wraps across lines;
 * a repo path (one ending in a file suffix or ``/``, or whose first part
   is a directory) exists from the root, under ``src/`` or under
   ``src/repro/``.
+
+A span qualified by a module relative to ``repro`` (``ledger.submit``,
+``crypto.self_s``) is not checked: most are metric, trace-event or
+instance-method names, not importable ones.
 
 A ``file.py:N`` line citation is refused anywhere outside fenced blocks:
 docs cite by name, which the checks above keep true.
@@ -58,7 +63,8 @@ CODE_SPAN = re.compile(r"(?<!`)`([^`]+)`(?!`)")
 LINE_CITATION = re.compile(r"[\w./-]+\.(?:py|md|json|txt|yml|yaml|toml):\d+")
 CALL = re.compile(r"\(.*\)$")
 REPRO_NAME = re.compile(r"repro(?:\.\w+)+")
-CLASS_MEMBER = re.compile(r"([A-Z]\w*)\.(\w+)")
+CLASS_MEMBER = re.compile(r"([A-Z]\w*)\.(\w+(?:\s*/\s*\w+)*)")
+SLASH = re.compile(r"\s*/\s*")
 PATH = re.compile(r"[\w.-]+(?:/[\w.-]*)*")
 FILE_SUFFIX = re.compile(r"\.(?:py|md|json|txt|yml|yaml|toml|cfg|ini|sh)$")
 PATH_ROOTS = (REPO, REPO / "src", REPO / "src" / "repro")
@@ -176,8 +182,13 @@ def unresolved(span: str) -> str | None:
         classes = repro_classes().get(member.group(1))
         if not classes:
             return "no such class under src/repro"
-        if not any(has_member(cls, member.group(2)) for cls in classes):
-            return "no such member"
+        missing = [
+            name
+            for name in SLASH.split(member.group(2))
+            if not any(has_member(cls, name) for cls in classes)
+        ]
+        if missing:
+            return f"no such member: {', '.join(missing)}"
     return None
 
 
