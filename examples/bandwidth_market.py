@@ -38,7 +38,7 @@ def main() -> None:
 
     leaves = [a.isd_as for a in topology.ases if not a.is_core]
     src, dst = leaves[0], leaves[-1]
-    paths = lookup.find_paths(src, dst, max_paths=8)
+    paths = lookup.find_paths(src, dst)
     print(f"{len(paths)} paths between {src} and {dst} (market substitutes, §5.3)")
 
     path = paths[0]

@@ -23,7 +23,7 @@ from repro.netsim.scenarios import flex_market_experiment
 
 
 def main() -> None:
-    result = flex_market_experiment(flex_values=(0, 1800), duration=1.0)
+    result = flex_market_experiment(duration=1.0)
 
     peak_start, peak_end = result.peak_window
     print(

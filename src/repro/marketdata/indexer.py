@@ -437,14 +437,9 @@ class MarketIndexer:
         return self._settlements.get(auction_id)
 
     def _point_query(self, op: str, query: ListingQuery, sync: bool, ask, nothing):
-        """The shared body of :meth:`best` and :meth:`candidates`: refuse
-        planner-only fields, sync, ``ask`` the query's bucket (``nothing``
-        when no listing was ever indexed there), time the answer."""
-        if query.flex_start or query.budget_mist is not None:
-            raise ValueError(
-                f"MarketIndexer.{op} answers zero-flex point queries; use "
-                "PurchasePlanner for flex_start/budget_mist handling"
-            )
+        """The shared body of :meth:`best` and :meth:`candidates`: sync,
+        ``ask`` the query's bucket (``nothing`` when no listing was ever
+        indexed there), time the answer."""
         if sync:
             self.sync()
         began = time.perf_counter()
@@ -454,11 +449,11 @@ class MarketIndexer:
         return found
 
     def best(self, query: ListingQuery, sync: bool = True) -> Candidate | None:
-        """Cheapest cover for a zero-flex query (None when uncovered).
+        """Cheapest cover for a query (None when uncovered).
 
-        This is the point-query primitive: ``flex_start`` and
-        ``budget_mist`` are planner concerns, so queries carrying them are
-        rejected rather than silently answered without slack or cap.
+        This is the point-query primitive: start-time slack and a budget
+        cap are a :class:`~repro.marketdata.query.PathSpec`'s, which the
+        :class:`~repro.marketdata.planner.PurchasePlanner` answers.
 
         Args:
             query: the rectangle wanted on one interface direction.
@@ -468,9 +463,6 @@ class MarketIndexer:
         Returns:
             The cheapest :class:`~repro.marketdata.query.Candidate` (ties
             broken by aligned start, then listing id), or ``None``.
-
-        Raises:
-            ValueError: the query carries ``flex_start``/``budget_mist``.
         """
         return self._point_query(
             "best", query, sync,
@@ -483,13 +475,10 @@ class MarketIndexer:
     def candidates(
         self, query: ListingQuery, limit: int, sync: bool = True
     ) -> list[Candidate]:
-        """Up to ``limit`` cheapest covers for a zero-flex query.
+        """Up to ``limit`` cheapest covers for a query.
 
         Same contract and ordering as :meth:`best`; an uncoverable query
         returns an empty list.
-
-        Raises:
-            ValueError: the query carries ``flex_start``/``budget_mist``.
         """
         return self._point_query(
             "candidates", query, sync,

@@ -3,10 +3,10 @@
 The discovery API is a handful of small dataclasses:
 
 * :class:`ListingQuery` — one interface direction's requirement: a time
-  window, a bandwidth, optional start-time slack (``flex_start``), an
-  optional budget cap and an exact-window flag;
-* :class:`PathSpec` — the same for a whole multi-hop path (one entry per
-  AS crossing);
+  window, a bandwidth and an exact-window flag;
+* :class:`PathSpec` — a whole multi-hop path's requirement (one entry per
+  AS crossing), with optional start-time slack (``flex_start``) and an
+  optional budget cap;
 * :class:`IndexedListing` — the indexer's view of one live listing (the
   asset rectangle plus the posted unit price), and with it the contract's
   align / carve / ceil-price rule as every off-chain planner applies it;
@@ -242,19 +242,15 @@ def _require_request(what: str, request) -> None:
         raise ValueError(f"{what} window must not be empty")
     if request.bandwidth_kbps <= 0:
         raise ValueError("bandwidth must be positive")
-    if request.flex_start < 0:
-        raise ValueError("flex_start must be non-negative")
 
 
 @dataclass(frozen=True)
 class ListingQuery:
     """What a host wants on ONE interface direction.
 
-    ``flex_start`` is how many seconds later than ``start`` the window may
-    begin (the duration is fixed); a planner slides the window inside the
-    flex range looking for cheaper granules.  ``exact_window`` demands the
-    granule-aligned window equal the requested one — used to match an
-    egress asset to an already-resolved ingress window.
+    ``exact_window`` demands the granule-aligned window equal the requested
+    one — used to match an egress asset to an already-resolved ingress
+    window.
     """
 
     isd_as: IsdAs
@@ -263,8 +259,6 @@ class ListingQuery:
     start: int
     expiry: int
     bandwidth_kbps: int
-    flex_start: int = 0
-    budget_mist: int | None = None
     exact_window: bool = False
 
     def __post_init__(self) -> None:
@@ -277,7 +271,13 @@ class ListingQuery:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """A whole path's reservation requirement (one entry per AS crossing)."""
+    """A whole path's reservation requirement (one entry per AS crossing).
+
+    ``flex_start`` is how many seconds later than ``start`` the window may
+    begin (the duration is fixed); the planner slides the window inside the
+    flex range looking for cheaper granules.  ``budget_mist`` refuses a
+    cheapest quote above it.
+    """
 
     crossings: tuple
     start: int
@@ -288,6 +288,8 @@ class PathSpec:
 
     def __post_init__(self) -> None:
         _require_request("spec", self)
+        if self.flex_start < 0:
+            raise ValueError("flex_start must be non-negative")
         object.__setattr__(self, "crossings", tuple(self.crossings))
 
     @staticmethod

@@ -509,19 +509,21 @@ class FlexMarketResult:
     curve_prices: list[float]  # cheapest probe-sized quote per start time
 
 
-def flex_market_experiment(
-    num_ases: int = 3,
-    flex_values: tuple[int, ...] = (0, 1800),
-    duration: float = 1.5,
-) -> FlexMarketResult:
+# The flex experiment's chain, and the start-time slack each of its probes
+# declares: one rigid, one that may slide half an hour.
+FLEX_CHAIN_ASES = 3
+FLEX_VALUES = (0, 1800)
+
+
+def flex_market_experiment(duration: float = 1.5) -> FlexMarketResult:
     """Price-reactive purchasing end to end: buy the valley, not the peak.
 
     Builds a *scarcity-priced* market over the path, exhausts the cheap
     capacity in one peak window (a crowd buys it out and redeems, so the
     active calendars spike), has every AS restock the peak at its
-    scarcity-adjusted quote, then sends probe buyers with different
-    ``flex_start`` budgets through the full v2 purchase workflow
-    (:class:`~repro.marketdata.PathSpec` -> planner -> atomic
+    scarcity-adjusted quote, then sends one probe buyer per
+    :data:`FLEX_VALUES` ``flex_start`` budget through the full v2 purchase
+    workflow (:class:`~repro.marketdata.PathSpec` -> planner -> atomic
     buy-and-redeem).  A zero-flex probe must pay the peak restock price; a
     probe with enough slack slides into the post-peak valley and pays the
     base price.  Each probe's reservations are then *used*: a short
@@ -538,7 +540,7 @@ def flex_market_experiment(
     window_seconds = 600
     market_bandwidth_kbps = 100_000
 
-    topology, path = linear_path(num_ases)
+    topology, path = linear_path(FLEX_CHAIN_ASES)
     crossings = as_crossings(path)
 
     # The probes simulate the windows they bought, each on its own.
@@ -573,7 +575,7 @@ def flex_market_experiment(
     reserve_kbps = int(probe_rate_bps * 1.25 / 1000)  # cover wire overhead
     outcomes: list[BuyerOutcome] = []
     window_starts: list[int] = []
-    for flex in flex_values:
+    for flex in FLEX_VALUES:
         buyer = f"probe-flex-{flex}"
         host = deployment.new_host(name=buyer)
         # Trace the whole purchase: plan -> atomic buy-and-redeem tx ->
@@ -635,7 +637,7 @@ def flex_market_experiment(
         )
     return FlexMarketResult(
         buyers=outcomes,
-        flex_values=flex_values,
+        flex_values=FLEX_VALUES,
         window_starts=window_starts,
         peak_window=peak,
         base_price_micromist=BASE_PRICE_MICROMIST,
@@ -1365,7 +1367,7 @@ def reclamation_experiment(
         ("static", OverbookingPolicy(static_factor), None),
         (
             "adaptive",
-            AdaptiveOverbooking(initial_factor=1.0, max_factor=max_factor),
+            AdaptiveOverbooking(max_factor=max_factor),
             reclamation,
         ),
     ):

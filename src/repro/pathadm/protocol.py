@@ -43,7 +43,7 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.admission.controller import ACTIVE, ISSUED, AdmissionController
 from repro.admission.calendar import Commitment
@@ -116,7 +116,6 @@ class PathTicket:
     holds: tuple[HopHold, ...] = ()
     failed_hop: int | None = None
     reason: str = ""
-    attrs: dict = field(default_factory=dict)
 
     @property
     def admitted(self) -> bool:

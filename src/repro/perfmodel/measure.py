@@ -35,6 +35,7 @@ from repro.wire import bwcls
 WARMUP_CALLS = 100  # untimed calls before time_op starts its clock
 WARMUP_ITEMS = 20  # untimed items before time_op_over starts its clock
 ROUTER_PAYLOAD = 500  # bytes in every packet measure_router times
+ROUTER_PACKETS = 800  # fresh packets each of measure_router's hop readings times
 ROUNDS = 5  # readings alternating takes of each measure
 
 
@@ -141,18 +142,18 @@ class RouterMeasurement:
         return self.hummingbird_process_ns - self.scion_process_ns
 
 
-def measure_router(packets: int = 1500) -> RouterMeasurement:
+def measure_router() -> RouterMeasurement:
     """Time full router processing of :data:`ROUTER_PAYLOAD`-byte packets and
     the individual pipeline operations, at the paper's AES PRF.
 
     The two hops are timed :func:`alternating`, each reading over its own
-    ``packets`` fresh packets, so neither side is always first."""
+    :data:`ROUTER_PACKETS` fresh packets, so neither side is always first."""
     fixture = build_fixture()
     body = bytes(ROUTER_PAYLOAD)
 
     def hop(source, router):
         def measure() -> float:
-            batch = [source.build_packet(body) for _ in range(packets)]
+            batch = [source.build_packet(body) for _ in range(ROUTER_PACKETS)]
             return time_op_over(lambda p: router.process(p, 0), batch)
 
         return measure

@@ -32,22 +32,22 @@ class AdaptiveOverbooking(OverbookingPolicy):
     """Per-interface overbooking factor steered by observed show-up rates.
 
     Until the first :meth:`observe` for an interface direction, its
-    calendars admit at ``initial_factor`` (default 1.0 — no overbooking
-    before there is evidence of no-shows).  State is keyed weakly by
+    calendars admit at :attr:`INITIAL_FACTOR` (no overbooking before there
+    is evidence of no-shows).  State is keyed weakly by
     calendar object, every layer of a direction mapping to the direction's
     one state, so one policy instance can serve every interface of every
     controller it is installed in and drops its state with the calendars.
 
     Args:
-        initial_factor: factor for calendars with no observations yet.
         max_factor: hard ceiling on the learned factor.
     """
 
     name = "adaptive-overbooking"
     ALPHA = 0.3  # EWMA weight of the newest show-up observation
+    INITIAL_FACTOR = 1.0  # factor for calendars with no observations yet
 
-    def __init__(self, initial_factor: float = 1.0, max_factor: float = 3.0) -> None:
-        super().__init__(initial_factor)
+    def __init__(self, max_factor: float = 3.0) -> None:
+        super().__init__(self.INITIAL_FACTOR)
         if max_factor < 1:
             raise ValueError("max_factor must be >= 1")
         self.max_factor = float(max_factor)
@@ -61,7 +61,7 @@ class AdaptiveOverbooking(OverbookingPolicy):
 
     def ceiling_factor(self, calendar) -> float:
         """The highest factor this calendar's direction has admitted a
-        commitment under, on either layer — ``initial_factor`` at least.  A
+        commitment under, on either layer — :attr:`INITIAL_FACTOR` at least.  A
         factor that rose and fell with nothing admitted does not raise it."""
         return self._directions.get(calendar, self._unobserved).ceiling
 

@@ -18,11 +18,14 @@ crossing, which is the unit the control plane reserves bandwidth for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.scion.addresses import IsdAs
 from repro.scion.beaconing import SegmentStore
 from repro.scion.segments import PathSegment
+
+#: How many paths :meth:`PathLookup.find_paths` returns at most.
+MAX_PATHS = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,10 +184,10 @@ class PathLookup:
     """Path discovery over a :class:`SegmentStore` (what `sciond` does)."""
 
     store: SegmentStore
-    core_of: dict[IsdAs, bool] = field(default_factory=dict)
 
-    def find_paths(self, src: IsdAs, dst: IsdAs, max_paths: int = 8) -> list[ForwardingPath]:
-        """Enumerate forwarding paths from ``src`` to ``dst``, shortest first."""
+    def find_paths(self, src: IsdAs, dst: IsdAs) -> list[ForwardingPath]:
+        """Up to :data:`MAX_PATHS` forwarding paths from ``src`` to ``dst``,
+        shortest first."""
         if src == dst:
             raise ValueError("source and destination AS must differ")
         candidates: list[ForwardingPath] = []
@@ -205,11 +208,9 @@ class PathLookup:
                         candidates.append(build_forwarding_path(src, dst, up, core, down))
 
         candidates.sort(key=lambda p: (p.num_hopfields, _route_key(p)))
-        return candidates[:max_paths]
+        return candidates[:MAX_PATHS]
 
     def _is_core(self, isd_as: IsdAs) -> bool:
-        if isd_as in self.core_of:
-            return self.core_of[isd_as]
         # An AS with registered up segments is not core; otherwise assume core.
         return not self.store.up_segments(isd_as)
 

@@ -1,10 +1,10 @@
 """Deadline-driven bulk transfers: malleable reservation planning.
 
-The grid workload "move N bytes across this path before deadline T,
-under budget B" — requests (:mod:`~repro.transfers.request`), the frozen
-market snapshot + common grid (:mod:`~repro.transfers.book`), the greedy
-planner with exact fallback (:mod:`~repro.transfers.planner`), and the
-offline-optimal differential baseline (:mod:`~repro.transfers.oracle`).
+The grid workload "move N bytes across this path before deadline T" —
+requests (:mod:`~repro.transfers.request`), the frozen market snapshot +
+common grid (:mod:`~repro.transfers.book`), the greedy planner with exact
+fallback (:mod:`~repro.transfers.planner`), and the offline-optimal
+differential baseline (:mod:`~repro.transfers.oracle`).
 See ``docs/transfers.md``.
 """
 

@@ -247,8 +247,8 @@ class TransferBook:
 
         Besides the structural breakpoints, includes the *residual* rate
         that would deliver ``target_bytes`` in this slot alone — the
-        squeeze candidate a budget-tight schedule needs between
-        breakpoints.
+        squeeze candidate the pick that crosses the byte target needs
+        between breakpoints.
         """
         if covering is None:
             covering = self.covering(self.slots[slot_index])

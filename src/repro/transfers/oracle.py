@@ -3,8 +3,8 @@
 Given the full listing book up front (no contention, no arrival order),
 the deadline-transfer scheduling problem over the common grid is a
 multiple-choice knapsack: per slot pick one purchase option (or nothing),
-maximizing payload bytes subject to the budget — and, when the target is
-reachable, minimizing spend among byte-sufficient schedules.
+maximizing payload bytes — and, when the target is reachable, minimizing
+spend among byte-sufficient schedules.
 
 :func:`solve_schedule` solves it *exactly* by pareto-frontier dynamic
 programming over (cost, bytes) states: after each slot only states that
@@ -55,7 +55,7 @@ class OracleResult:
 
     When ``feasible``, ``solution`` moves ≥ the requested bytes at the
     minimum spend any schedule in the action space can; otherwise it is
-    the max-bytes-under-budget schedule (possibly empty).
+    the max-bytes schedule (possibly empty).
     """
 
     feasible: bool
@@ -70,17 +70,13 @@ class OracleResult:
         return self.solution.cost_mist
 
 
-def solve_schedule(
-    option_sets,
-    target_bytes: int,
-    budget_mist: int | None = None,
-) -> tuple[Solution | None, Solution]:
+def solve_schedule(option_sets, target_bytes: int) -> tuple[Solution | None, Solution]:
     """Exact DP over per-slot option lists.
 
     Returns ``(at_target, best_effort)``: the min-cost schedule reaching
-    ``target_bytes`` (None when no schedule can, under the budget), and
-    the max-bytes schedule under the budget (ties broken toward cheaper;
-    always present — the empty schedule qualifies).
+    ``target_bytes`` (None when no schedule can), and the max-bytes
+    schedule (ties broken toward cheaper; always present — the empty
+    schedule qualifies).
     """
     # State: (cost, capped_bytes, chain) where chain is a linked list of
     # (slot_index, option) picks.  Bytes are capped at the target so all
@@ -92,12 +88,9 @@ def solve_schedule(
         grown = list(frontier)
         for cost, payload, chain in frontier:
             for option in options:
-                new_cost = cost + option.cost_mist
-                if budget_mist is not None and new_cost > budget_mist:
-                    continue
                 grown.append(
                     (
-                        new_cost,
+                        cost + option.cost_mist,
                         min(target_bytes, payload + option.bytes),
                         ((slot_index, option), chain),
                     )
@@ -148,9 +141,7 @@ def offline_optimum(
         max_rate_kbps=transfer.max_rate_kbps,
         target_bytes=transfer.bytes_total,
     )
-    at_target, best_effort = solve_schedule(
-        option_sets, transfer.bytes_total, transfer.budget_mist
-    )
+    at_target, best_effort = solve_schedule(option_sets, transfer.bytes_total)
     if at_target is not None:
         return OracleResult(True, at_target)
     return OracleResult(False, best_effort)

@@ -14,8 +14,8 @@ Turns a :class:`~repro.transfers.request.DeadlineTransfer` into a
    smallest sufficient option = cheapest sufficient option, because the
    frontier is pareto).  A final descending-density pass re-trims or
    drops earlier picks the overshoot made unnecessary.
-3. **Exact fallback** — when greedy can't reach the target under the
-   budget, the planner re-solves the same slot/option instance with the
+3. **Exact fallback** — when greedy can't reach the target, the
+   planner re-solves the same slot/option instance with the
    oracle's exact pareto DP (:func:`~repro.transfers.oracle.solve_schedule`).
    Greedy and oracle share one action space, so by construction the
    planner never declares infeasible a request the offline oracle can
@@ -93,21 +93,17 @@ class TransferPlanner:
 
         ``best_effort=False`` raises :class:`InfeasibleTransfer` (with
         the achievable bytes/spend attached) when no schedule reaches the
-        target under the budget; ``best_effort=True`` returns the
-        max-bytes plan instead.
+        target; ``best_effort=True`` returns the max-bytes plan instead.
         """
         option_sets = book.all_slot_options(
             max_rate_kbps=transfer.max_rate_kbps,
             target_bytes=transfer.bytes_total,
         )
         target = transfer.bytes_total
-        budget = transfer.budget_mist
-        chosen, got, spend = self._greedy(option_sets, target, budget)
+        chosen, got, spend = self._greedy(option_sets, target)
         if got < target:
             try:
-                at_target, fallback_best = solve_schedule(
-                    option_sets, target, budget
-                )
+                at_target, fallback_best = solve_schedule(option_sets, target)
             except OracleOverflow:
                 at_target, fallback_best = None, None
             rescue = at_target
@@ -132,7 +128,7 @@ class TransferPlanner:
 
     # -- greedy search -------------------------------------------------------------
 
-    def _greedy(self, option_sets, target: int, budget: int | None):
+    def _greedy(self, option_sets, target: int):
         """Density-greedy schedule with bisect trimming.
 
         Returns ``(chosen, bytes, spend)`` where ``chosen`` maps slot
@@ -149,24 +145,13 @@ class TransferPlanner:
             if got >= target:
                 break
             options = option_sets[i]
-            affordable = (
-                options
-                if budget is None
-                else [o for o in options if spend + o.cost_mist <= budget]
-            )
-            if not affordable:
-                continue
-            pick = min(affordable, key=lambda o: o.density)
+            pick = min(options, key=lambda o: o.density)
             residual = target - got
             if pick.bytes >= residual:
                 # Valley-edge bisect: the frontier is bytes- and
                 # cost-ascending, so the smallest sufficient option is
                 # also the cheapest sufficient one.
-                sizes = [o.bytes for o in options]
-                for option in options[bisect_left(sizes, residual):]:
-                    if budget is None or spend + option.cost_mist <= budget:
-                        pick = option
-                        break
+                pick = options[bisect_left([o.bytes for o in options], residual)]
             chosen[i] = pick
             got += pick.bytes
             spend += pick.cost_mist

@@ -28,11 +28,11 @@ MAX_REDEEM_SECONDS = (1 << 16) - 1
 
 
 class InfeasibleTransfer(RuntimeError):
-    """No plan meets the transfer's bytes/deadline/budget constraints.
+    """No plan moves the transfer's bytes by its deadline.
 
     Carries the best the planner *could* do so callers can degrade
     gracefully (``achievable_bytes`` / ``achievable_spend_mist`` describe
-    the max-bytes-under-budget schedule, zero when nothing is buyable).
+    the max-bytes schedule, zero when nothing is buyable).
     """
 
     def __init__(
@@ -66,7 +66,6 @@ class DeadlineTransfer:
     """"Move ``bytes_total`` over ``crossings`` before ``deadline``."
 
     ``release`` is the earliest instant data exists to send;
-    ``budget_mist`` caps total spend (None = uncapped) and
     ``max_rate_kbps`` caps the instantaneous rate (None = whatever the
     market sells).
     """
@@ -75,7 +74,6 @@ class DeadlineTransfer:
     bytes_total: int
     release: int
     deadline: int
-    budget_mist: int | None = None
     max_rate_kbps: int | None = None
 
     def __post_init__(self) -> None:
@@ -86,8 +84,6 @@ class DeadlineTransfer:
             raise ValueError("bytes_total must be positive")
         if self.deadline <= self.release:
             raise ValueError("deadline must be after release")
-        if self.budget_mist is not None and self.budget_mist < 0:
-            raise ValueError("budget_mist must be non-negative")
         if self.max_rate_kbps is not None and self.max_rate_kbps <= 0:
             raise ValueError("max_rate_kbps must be positive")
 

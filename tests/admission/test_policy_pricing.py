@@ -11,7 +11,8 @@ from repro.admission import (
     OverbookingPolicy,
     ScarcityPricer,
 )
-from repro.reclaim import AdaptiveOverbooking
+
+from tests.conftest import EagerOverbooking
 
 
 class TestFirstComeFirstServed:
@@ -55,7 +56,7 @@ POLICIES = [
     pytest.param(FirstComeFirstServed, 1000, id="fcfs"),
     pytest.param(lambda: OverbookingPolicy(1.0), 1000, id="overbooking-1x"),
     pytest.param(lambda: OverbookingPolicy(2.0), 2000, id="overbooking-2x"),
-    pytest.param(lambda: AdaptiveOverbooking(initial_factor=1.5), 1500, id="adaptive-1.5x"),
+    pytest.param(EagerOverbooking, 1500, id="adaptive-1.5x"),
 ]
 
 

@@ -13,12 +13,20 @@ from repro.clock import SimClock
 from repro.crypto.prf import PrfFactory
 from repro.hummingbird.reservation import ResInfo, grant_reservation
 from repro.netsim.scenarios import linear_path
+from repro.reclaim import AdaptiveOverbooking
 from repro.scion.addresses import HostAddr, ScionAddr
 from repro.scion.paths import as_crossings
 from repro.wire import bwcls
 
 BLAKE2 = PrfFactory("blake2")
 T0 = 1_700_000_000
+
+
+class EagerOverbooking(AdaptiveOverbooking):
+    """Adaptive overbooking that bets 1.5x before any evidence: the seam a
+    test takes for a direction that starts overbooked."""
+
+    INITIAL_FACTOR = 1.5
 
 
 @pytest.fixture

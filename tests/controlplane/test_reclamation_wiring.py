@@ -11,7 +11,7 @@ is judged from its delivery.
 
 import pytest
 
-from tests.conftest import T0
+from tests.conftest import EagerOverbooking, T0
 
 from repro.clock import SimClock
 from repro.contracts.coin import coin_balance
@@ -61,7 +61,7 @@ def _no_show_purchase(clock, deployment, path):
 @pytest.fixture(scope="module")
 def reclaimed_world():
     clock, deployment, path = _deploy(
-        admission_policy=AdaptiveOverbooking(initial_factor=1.5, max_factor=3.0)
+        admission_policy=EagerOverbooking(max_factor=3.0)
     )
     host, outcome = _no_show_purchase(clock, deployment, path)
     events = {
@@ -188,7 +188,7 @@ def test_a_learned_factor_lets_the_issued_calendar_take_the_relist():
     overbooking starts at 1.0: only the factor the no-show taught the
     interface direction — on both layers — makes room to sell it again."""
     clock, deployment, path = _deploy(
-        admission_policy=AdaptiveOverbooking(initial_factor=1.0, max_factor=3.0)
+        admission_policy=AdaptiveOverbooking(max_factor=3.0)
     )
     _no_show_purchase(clock, deployment, path)
     for crossing in as_crossings(path):

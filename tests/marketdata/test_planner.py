@@ -12,15 +12,31 @@ from repro.marketdata import (
     BudgetExceeded,
     IncompatibleGranularity,
     ListingNotFound,
+    ListingQuery,
     MarketIndexer,
     PathSpec,
     PurchasePlanner,
 )
-from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
+from repro.scion import IsdAs, PathLookup, as_crossings, linear_topology, run_beaconing
 
 MARKET_BW = 100_000  # kbps issued per interface direction
 BASE_PRICE = 50
 PEAK = (T0 + 600, T0 + 1200)
+
+
+@pytest.mark.parametrize(
+    ("build", "reason"),
+    [
+        (lambda: ListingQuery(IsdAs(1, 1), 1, True, T0, T0, 1000), "window must not be empty"),
+        (lambda: ListingQuery(IsdAs(1, 1), 1, True, T0, T0 + 60, 0), "bandwidth must be positive"),
+        (lambda: PathSpec((), T0 + 60, T0, 1000), "window must not be empty"),
+        (lambda: PathSpec((), T0, T0 + 60, -5), "bandwidth must be positive"),
+        (lambda: PathSpec((), T0, T0 + 60, 1000, flex_start=-1), "flex_start must be non-negative"),
+    ],
+)
+def test_a_request_refuses_what_no_listing_can_answer(build, reason):
+    with pytest.raises(ValueError, match=reason):
+        build()
 
 
 @pytest.fixture(scope="module")
@@ -264,20 +280,6 @@ class TestBudget:
         )
         assert submitted.effects.ok  # bought via the substituted listing
         check(deployment, clock.now())
-
-    def test_indexer_best_rejects_planner_only_fields(self, valley_world):
-        from repro.marketdata import ListingQuery
-
-        deployment = valley_world["deployment"]
-        crossing = valley_world["crossings"][0]
-        with pytest.raises(ValueError, match="zero-flex"):
-            deployment.indexer.best(
-                ListingQuery(
-                    isd_as=crossing.isd_as, interface=crossing.ingress,
-                    is_ingress=True, start=PEAK[0], expiry=PEAK[1],
-                    bandwidth_kbps=1000, flex_start=600,
-                )
-            )
 
     def test_estimate_equals_paid_in_calm_market(self, valley_world):
         deployment = valley_world["deployment"]

@@ -147,6 +147,7 @@ from repro.netsim import (
     linear_path,
     path_contention_experiment,
     reclamation_experiment,
+    scenarios,
 )
 from repro.telemetry import ExperimentTelemetry
 
@@ -238,9 +239,10 @@ def run_experiments(run) -> dict:
         )
 
     runs["flex_market"] = flex_market_experiment(duration=0.3)
-    runs["flex_market/three-budgets@4"] = flex_market_experiment(
-        num_ases=4, flex_values=(0, 600, 1800), duration=0.3
-    )
+    with pytest.MonkeyPatch.context() as patch:  # the seam: three probes on four ASes
+        patch.setattr(scenarios, "FLEX_CHAIN_ASES", 4)
+        patch.setattr(scenarios, "FLEX_VALUES", (0, 600, 1800))
+        runs["flex_market/three-budgets@4"] = flex_market_experiment(duration=0.3)
 
     runs["path_contention@3"] = run(path_contention_experiment, 3, num_buyers=8)
     runs["path_contention@4"] = run(path_contention_experiment, 4, num_buyers=6)
@@ -262,7 +264,7 @@ def run_experiments(run) -> dict:
 
     paths = {3: linear_path(3), 4: linear_path(4)}
     observed("contention", contention_experiment, *paths[3], num_buyers=6, duration=0.3)
-    observed("flex_market", flex_market_experiment, num_ases=3, duration=0.3)
+    observed("flex_market", flex_market_experiment, duration=0.3)
     observed("auction", auction_experiment, *paths[3], num_buyers=6, duration=0.3)
     observed("path_contention", path_contention_experiment, *paths[4], num_buyers=6)
     observed("reclamation", reclamation_experiment, *paths[4], duration=0.6)

@@ -13,7 +13,7 @@ property D2 (and a botnet-size check) must be able to rule out.
 
 from __future__ import annotations
 
-from repro.netsim import contention_experiment, flex_market_experiment, linear_path
+from repro.netsim import contention_experiment, flex_market_experiment, linear_path, scenarios
 from repro.netsim.metrics import FlowMetrics
 
 
@@ -36,8 +36,9 @@ def test_a_flows_send_times_do_not_move_with_the_number_of_flows(monkeypatch):
     assert schedules[0] == schedules[1] == schedules[2]
 
 
-def test_two_probes_buying_the_same_window_see_the_same_flow():
-    result = flex_market_experiment(flex_values=(0, 0), duration=0.3)
+def test_two_probes_buying_the_same_window_see_the_same_flow(monkeypatch):
+    monkeypatch.setattr(scenarios, "FLEX_VALUES", (0, 0))
+    result = flex_market_experiment(duration=0.3)
     first, second = result.buyers
     assert result.window_starts[0] == result.window_starts[1]
     assert first.metrics == second.metrics

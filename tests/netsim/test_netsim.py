@@ -338,7 +338,7 @@ class TestFlexMarketExperiment:
         scarcity-priced peak restock, a flexible one slides into the
         post-peak valley, pays the base price, and its reservations
         protect its flow on the data plane all the same."""
-        result = flex_market_experiment(flex_values=(0, 1800), duration=0.5)
+        result = flex_market_experiment(duration=0.5)
         assert result.peak_price_micromist > result.base_price_micromist
         rigid, flexible = result.buyers
         rigid_start, flexible_start = result.window_starts

@@ -4,6 +4,7 @@ import pytest
 
 from repro.crypto.prf import PrfFactory
 from repro.hummingbird.source import HummingbirdSource
+from repro.perfmodel import measure
 from repro.perfmodel import papertimings as paper
 from repro.perfmodel.measure import (
     ROUNDS,
@@ -120,9 +121,10 @@ class TestMeasurements:
     """No comparison here is between two single readings taken apart in
     time: each side is a sum over ``ROUNDS`` runs that take the sides in turn."""
 
-    def test_router_measurement_structure(self):
+    def test_router_measurement_structure(self, monkeypatch):
         # each run times its Hummingbird hop, then its SCION hop
-        runs = [measure_router(packets=200) for _ in range(ROUNDS)]
+        monkeypatch.setattr(measure, "ROUTER_PACKETS", 200)
+        runs = [measure_router() for _ in range(ROUNDS)]
         assert set(runs[0].steps) >= {
             "Recompute SCION hop field MAC",
             "Compute authentication key (A_i)",
@@ -133,10 +135,11 @@ class TestMeasurements:
         )
         assert sum(run.hummingbird_overhead_ns for run in runs) > 0
 
-    def test_router_steps_are_disjoint_parts_of_the_hop(self):
+    def test_router_steps_are_disjoint_parts_of_the_hop(self, monkeypatch):
         """Timed as the router runs them (held K_i / SV_i PRFs, A_i keyed per
         packet), the steps cannot add up to more than the hop they are part of."""
-        runs = [measure_router(packets=300) for _ in range(ROUNDS)]
+        monkeypatch.setattr(measure, "ROUTER_PACKETS", 300)
+        runs = [measure_router() for _ in range(ROUNDS)]
         hop = sum(run.hummingbird_process_ns for run in runs)
         overhead = sum(run.hummingbird_overhead_ns for run in runs)
         steps = sum(sum(run.steps.values()) for run in runs)
@@ -166,10 +169,9 @@ class TestMeasurements:
 def test_every_router_step_is_a_table3_row(monkeypatch):
     """The scoreboard shows a Table 3 row as "not timed alone" when no step
     of ours carries its name: a renamed step would vanish silently."""
-    from repro.perfmodel import measure
-
     monkeypatch.setattr(measure, "time_op", lambda fn, iterations=2000: 1.0)
-    run = measure.measure_router(packets=WARMUP_ITEMS + 5)
+    monkeypatch.setattr(measure, "ROUTER_PACKETS", WARMUP_ITEMS + 5)
+    run = measure.measure_router()
     names = {name for name, _ in paper.ROUTER_STEPS_SCION + paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA}
     assert len(run.steps) == 7 and set(run.steps) <= names
 

@@ -6,6 +6,8 @@ from repro.admission import AdmissionController, AdmissionRequest, CapacityCalen
 from repro.hummingbird.policing import PerInterfacePolicer
 from repro.reclaim import AdaptiveOverbooking, ReclamationEngine, UsageReporter
 
+from tests.conftest import EagerOverbooking
+
 
 class TestUsageReporter:
     def test_cadence_gates_sampling(self):
@@ -93,7 +95,7 @@ class TestAdaptiveOverbooking:
         assert policy.admit(issued, AdmissionRequest(1500, 0, 100)).admitted
 
     def test_admission_uses_the_learned_factor(self):
-        policy = AdaptiveOverbooking(initial_factor=1.0, max_factor=2.0)
+        policy = AdaptiveOverbooking(max_factor=2.0)
         calendar = CapacityCalendar(1000)
         assert not policy.admit(calendar, AdmissionRequest(1500, 0, 100)).admitted
         policy.observe([calendar], 0.5)  # half the demand is phantom
@@ -101,7 +103,7 @@ class TestAdaptiveOverbooking:
         assert not policy.admit(calendar, AdmissionRequest(600, 0, 100)).admitted
 
     def test_initial_factor_applies_before_evidence(self):
-        policy = AdaptiveOverbooking(initial_factor=1.5)
+        policy = EagerOverbooking()
         calendar = CapacityCalendar(1000)
         assert policy.admit(calendar, AdmissionRequest(1400, 0, 100)).admitted
 

@@ -94,7 +94,10 @@ CHILD = "import toy.calls; toy.calls.in_child()"
 PATHS = [
     ("direct", ["-c", "import toy.calls, toy.left; toy.calls.decorated(); toy.left.same()"]),
     ("parent", ["-c", f"import subprocess, sys; subprocess.run([sys.executable, '-c', {CHILD!r}], check=True)"]),
-    ("failing", ["-c", "import sys, toy.calls; toy.calls.before_exit(); sys.exit(3)"]),
+    ("failing", ["-c", "import sys, toy.calls; toy.calls.before_exit(); print('early words');"
+                 " print('last words'); sys.exit(3)"]),
+    ("scored", ["-c", "print('| a row | **FAIL** |'); print('| a row | pass |');"
+                " raise SystemExit(1)"]),
 ]
 
 
@@ -154,8 +157,16 @@ def test_a_subprocess_of_a_path_is_counted(toy):
 def test_a_failing_path_is_reported_and_its_calls_count(toy):
     _, listing, output = toy
     assert "src/toy/calls.py:before_exit" not in listing
-    assert "failing  exit 3" in output
+    assert "failing  exit 3: last words" in output and "early words" not in output
     assert "direct" in output and "direct  exit" not in output
+
+
+def test_a_failing_path_is_reported_by_its_failing_rows(toy):
+    """The scoreboard's last line can be a passing row: the note names the
+    rows that failed instead."""
+    _, _, output = toy
+    assert "scored  exit 1: | a row | **FAIL** |" in output
+    assert "| a row | pass |" not in output
 
 
 @pytest.mark.parametrize(

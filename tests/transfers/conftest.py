@@ -120,9 +120,6 @@ def random_instance(rng: random.Random, hops: int = 1):
     )
     capacity = min_base_bw * horizon * BYTES_PER_KBPS_SECOND
     bytes_total = max(1, int(capacity * rng.uniform(0.2, 1.4)))
-    budget = None
-    if rng.random() < 0.4:
-        budget = int(capacity * 60 * rng.uniform(0.00001, 0.0002))
     max_rate = None
     if rng.random() < 0.3:
         max_rate = rng.choice([500, 900, 2000])
@@ -131,7 +128,6 @@ def random_instance(rng: random.Random, hops: int = 1):
         bytes_total=bytes_total,
         release=release,
         deadline=deadline,
-        budget_mist=budget,
         max_rate_kbps=max_rate,
     )
     return book, transfer
@@ -144,7 +140,7 @@ def greedy_plan(book: TransferBook, transfer: DeadlineTransfer) -> TransferPlan:
     option_sets = book.all_slot_options(
         max_rate_kbps=transfer.max_rate_kbps, target_bytes=transfer.bytes_total
     )
-    chosen, got, _ = planner._greedy(option_sets, transfer.bytes_total, transfer.budget_mist)
+    chosen, got, _ = planner._greedy(option_sets, transfer.bytes_total)
     legs = planner._legs(book, option_sets, chosen, min(got, transfer.bytes_total))
     return TransferPlan(transfer, legs)
 
@@ -186,5 +182,3 @@ def check_plan_wellformed(book: TransferBook, plan) -> None:
                     )
     assert total_scheduled == plan.bytes_scheduled
     assert plan.spend_mist == sum(leg.price_mist for leg in plan.legs)
-    if transfer.budget_mist is not None:
-        assert plan.spend_mist <= transfer.budget_mist

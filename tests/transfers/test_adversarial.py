@@ -4,12 +4,9 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.transfers import (
     BYTES_PER_KBPS_SECOND,
     DeadlineTransfer,
-    InfeasibleTransfer,
     TransferPlanner,
 )
 from repro.transfers.oracle import offline_optimum
@@ -135,39 +132,6 @@ def test_segment_sharing_equals_the_per_slot_derivation_on_random_books():
             for i in range(len(book.slots))
         ]
     assert len(segments) > 3  # one-plateau books and staggered ones both occur
-
-
-def test_budget_exactly_at_oracle_spend():
-    """Budget == the oracle's minimum cost must be feasible; one MIST
-    less must fail with the oracle's best-within-budget bytes."""
-    release, deadline = T0, T0 + 600
-    directions = {
-        (0, True): [
-            make_listing("cheap-i", 20, release, T0 + 300, granularity=60),
-            make_listing("dear-i", 100, release, deadline, granularity=60),
-        ],
-        (0, False): [
-            make_listing("e", 40, release, deadline, granularity=60),
-        ],
-    }
-    book = make_book(directions, release, deadline)
-    bytes_total = 1000 * 450 * BYTES_PER_KBPS_SECOND
-    unbudgeted = offline_optimum(book, _transfer(bytes_total, release, deadline))
-    assert unbudgeted.feasible
-    cost = unbudgeted.cost_mist
-    assert cost > 0
-
-    exact = _transfer(bytes_total, release, deadline, budget_mist=cost)
-    plan = planner.plan_on_book(book, exact)
-    check_plan_wellformed(book, plan)
-    assert plan.meets_request
-    assert plan.spend_mist <= cost
-
-    starved = _transfer(bytes_total, release, deadline, budget_mist=cost - 1)
-    with pytest.raises(InfeasibleTransfer) as exc:
-        planner.plan_on_book(book, starved)
-    assert exc.value.achievable_bytes < bytes_total
-    assert exc.value.achievable_bytes == offline_optimum(book, starved).bytes
 
 
 def test_listing_expiring_mid_plan_forces_stitching():

@@ -206,7 +206,7 @@ ROUTER_STEPS = paper.ROUTER_STEPS_SCION + paper.ROUTER_STEPS_HUMMINGBIRD_EXTRA
     ("Python frames a reserved hop adds over a plain hop", None),
 ])
 def table3() -> list:
-    runs = [measure_router(packets=800) for _ in range(ROUNDS)]
+    runs = [measure_router() for _ in range(ROUNDS)]
     hop, scion, extra = (fmean(getattr(run, field) for run in runs) for field in (
         "hummingbird_process_ns", "scion_process_ns", "hummingbird_overhead_ns"))
     steps = {name: fmean(run.steps[name] for run in runs) for name in runs[0].steps}

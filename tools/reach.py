@@ -23,8 +23,9 @@ with no reason is written as ``unexplained``; ``--check`` and
 ``tests/test_unreached.py`` refuse it.  So code no one calls cannot come
 back unnoticed, and code that gains a caller leaves the list.
 
-A path that exits non-zero is reported and does not fail the run: the calls
-made before the exit still count.
+A path that exits non-zero is reported with the lines of its output that
+carry ``FAIL`` (the scoreboard's failing rows), or its last line when none
+does, and does not fail the run: the calls made before the exit still count.
 """
 
 from __future__ import annotations
@@ -149,8 +150,11 @@ def probe() -> set[tuple[str, int, str]]:
                 argv, cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
                 text=True, timeout=1800,
             )
-            note = "" if finished.returncode == 0 else f"  exit {finished.returncode}: " + (
-                finished.stdout.strip().splitlines() or ["(no output)"])[-1]
+            note = ""
+            if finished.returncode:
+                lines = finished.stdout.strip().splitlines() or ["(no output)"]
+                failed = [line for line in lines if "FAIL" in line] or lines[-1:]
+                note = f"  exit {finished.returncode}: " + "\n    ".join(failed)
             print(f"{time.perf_counter() - began:7.1f} s  {label}{note}", flush=True)
         hits = set()
         for dump in dumps.iterdir():

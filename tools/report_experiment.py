@@ -43,10 +43,8 @@ RUNNERS = {
     "contention": lambda chain, duration, buyers: contention_experiment(
         *chain, num_buyers=buyers, duration=duration
     ),
-    # Builds its own chain topology; num_ases is the only shape knob.
-    "flex_market": lambda chain, duration, buyers: flex_market_experiment(
-        num_ases=3, duration=duration
-    ),
+    # Builds its own chain topology, FLEX_CHAIN_ASES long.
+    "flex_market": lambda chain, duration, buyers: flex_market_experiment(duration=duration),
     "auction": lambda chain, duration, buyers: auction_experiment(
         *chain, num_buyers=buyers, duration=duration
     ),
