@@ -245,9 +245,9 @@ class CapacityCalendar:
 
     # -- mutations ----------------------------------------------------------------
 
-    def admit(self, bandwidth_kbps: int, start: float, end: float, tag: str = "") -> Commitment:
+    def admit(self, bandwidth_kbps: int, start: float, end: float) -> Commitment:
         """Commit the bandwidth if it fits; raise :class:`AdmissionRejected`."""
-        commitment = self.try_commit(bandwidth_kbps, start, end, tag)
+        commitment = self.try_commit(bandwidth_kbps, start, end)
         if commitment is None:
             raise AdmissionRejected(
                 f"{bandwidth_kbps} kbps over [{start}, {end}) exceeds headroom "

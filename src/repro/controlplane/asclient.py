@@ -140,12 +140,12 @@ class AsService:
         # Combinatorial path auctions: legs this AS contributed, by
         # (path auction id, leg index).
         self.path_legs: dict[tuple[str, int], AuctionedRectangle] = {}
-        # No-show reclamation (armed by enable_reclamation), and the
-        # data-plane policer it reads and caps, if any.
+        # No-show reclamation (armed by enable_reclamation): the loop, the
+        # data-plane policer it reads and caps, if any, and where it relists.
         self.reclamation = None
         self.policer = None
         self._relist_marketplace: str | None = None
-        self._relist_base_micromist = 1
+        self._relist_base_micromist: int | None = None
         # (event, listing id or None, reason) per reclaimed reservation.
         self.relisted: list[tuple[object, str | None, str]] = []
         registry = get_registry()
@@ -231,7 +231,6 @@ class AsService:
         bandwidth_kbps: int,
         start: int,
         expiry: int,
-        granularity: int,
         min_bandwidth_kbps: int,
         follow_up: Command,
     ):
@@ -268,7 +267,7 @@ class AsService:
                     "expiry": expiry,
                     "interface": interface,
                     "is_ingress": is_ingress,
-                    "granularity": granularity,
+                    "granularity": DEFAULT_GRANULARITY,
                     "min_bandwidth_kbps": min_bandwidth_kbps,
                 },
             ),
@@ -300,10 +299,9 @@ class AsService:
         start: int,
         expiry: int,
         price_micromist_per_unit: int,
-        granularity: int = DEFAULT_GRANULARITY,
-        min_bandwidth_kbps: int = DEFAULT_MIN_BANDWIDTH,
     ) -> SubmittedTransaction:
-        """Issue one large asset and put it on the market (Fig. 2, steps 2-3).
+        """Issue one large asset and put it on the market (Fig. 2, steps 2-3),
+        on :data:`DEFAULT_GRANULARITY` and :data:`DEFAULT_MIN_BANDWIDTH`.
 
         The asset must first clear the *issued* capacity calendar for its
         interface direction (no overselling across overlapping windows);
@@ -322,8 +320,7 @@ class AsService:
             bandwidth_kbps,
             start,
             expiry,
-            granularity,
-            min_bandwidth_kbps,
+            DEFAULT_MIN_BANDWIDTH,
             self._list(marketplace, quoted_price),
         )
         if submitted is None:
@@ -388,10 +385,9 @@ class AsService:
         start: int,
         expiry: int,
         reserve_base_micromist: int,
-        granularity: int = DEFAULT_GRANULARITY,
-        min_bandwidth_kbps: int = DEFAULT_MIN_BANDWIDTH,
     ) -> SubmittedTransaction:
-        """Issue an asset and open a sealed-bid auction for its window.
+        """Issue an asset and open a sealed-bid auction for its window, on
+        :data:`DEFAULT_GRANULARITY` and :data:`DEFAULT_MIN_BANDWIDTH`.
 
         Like :meth:`issue_and_list`, the asset must first clear the
         *issued* capacity calendar.  The auction's reserve price is the
@@ -412,7 +408,7 @@ class AsService:
             start,
             expiry,
             reserve_base_micromist,
-            min_fragment_kbps=min_bandwidth_kbps,
+            min_fragment_kbps=DEFAULT_MIN_BANDWIDTH,
         )
         rectangle = AuctionedRectangle(
             auction_id="",  # the ledger names it
@@ -430,8 +426,6 @@ class AsService:
             submitted = self._auction_off(
                 "auction",
                 rectangle,
-                granularity,
-                min_bandwidth_kbps,
                 Command(
                     "market",
                     "create_auction",
@@ -455,8 +449,6 @@ class AsService:
         self,
         tag: str,
         rectangle: AuctionedRectangle,
-        granularity: int,
-        min_bandwidth_kbps: int,
         follow_up: Command,
     ) -> SubmittedTransaction:
         """Issue ``rectangle`` with ``follow_up`` taking the asset into an
@@ -475,8 +467,7 @@ class AsService:
             rectangle.bandwidth_kbps,
             rectangle.start,
             rectangle.expiry,
-            granularity,
-            min_bandwidth_kbps,
+            DEFAULT_MIN_BANDWIDTH,
             follow_up,
         )
         if submitted is None:
@@ -667,8 +658,6 @@ class AsService:
         submitted = self._auction_off(
             "pathleg",
             rectangle,
-            DEFAULT_GRANULARITY,
-            DEFAULT_MIN_BANDWIDTH,
             Command(
                 "market",
                 "contribute_path_leg",
@@ -911,42 +900,35 @@ class AsService:
 
     # -- no-show reclamation ---------------------------------------------------------
 
-    def enable_reclamation(
-        self,
-        policer=None,
-        interval: float = 0.25,
-        grace_seconds: float = 0.5,
-        no_show_threshold: float = 0.5,
-        retain_headroom: float = 1.5,
-        min_retained_kbps: int = 1,
-        marketplace: str | None = None,
-        relist_base_micromist: int = 1,
-    ):
-        """Arm the usage-feedback loop for this AS.
+    def enable_reclamation(self, policer, marketplace: str, relist_base_micromist: int):
+        """Arm the usage-feedback loop for this AS at :mod:`repro.reclaim`'s
+        settings (``SAMPLE_INTERVAL``, ``GRACE_SECONDS``, ``NO_SHOW_THRESHOLD``,
+        ``RETAIN_HEADROOM``, ``MIN_RETAINED_KBPS``).
 
         ``policer`` is this AS's data-plane policer (``router.policer``):
         the loop samples its ``usage_snapshot``, caps a reclaimed
         reservation with its ``set_limit`` and has it ``retain`` only the
-        reservations it still tracks.  Without one the loop runs on an
+        reservations it still tracks.  With ``None`` the loop runs on an
         empty usage feed and demotes nothing.  Once armed, every delivery is
-        tracked and :meth:`reclaim_no_shows` runs the loop.  With
-        ``marketplace`` set, reclaimed bandwidth is relisted there with
-        ``Reclaimed`` provenance at the scarcity-adjusted quote over
-        ``relist_base_micromist``.
+        tracked and :meth:`reclaim_no_shows` runs the loop, which relists
+        reclaimed bandwidth on ``marketplace`` with ``Reclaimed`` provenance
+        at the scarcity-adjusted quote over ``relist_base_micromist``.
 
         Returns the :class:`~repro.reclaim.ReclamationEngine`.
         """
-        from repro.reclaim import ReclamationEngine, UsageReporter
+        from repro import reclaim
 
         bound = policer is not None
         self.policer = policer
-        self.reclamation = ReclamationEngine(
+        self.reclamation = reclaim.ReclamationEngine(
             self.admission,
-            UsageReporter(policer.usage_snapshot if bound else dict, interval),
-            grace_seconds=grace_seconds,
-            no_show_threshold=no_show_threshold,
-            retain_headroom=retain_headroom,
-            min_retained_kbps=min_retained_kbps,
+            reclaim.UsageReporter(
+                policer.usage_snapshot if bound else dict, reclaim.SAMPLE_INTERVAL
+            ),
+            grace_seconds=reclaim.GRACE_SECONDS,
+            no_show_threshold=reclaim.NO_SHOW_THRESHOLD,
+            retain_headroom=reclaim.RETAIN_HEADROOM,
+            min_retained_kbps=reclaim.MIN_RETAINED_KBPS,
             demote=policer.set_limit if bound else None,
             retain=policer.retain if bound else None,
         )
@@ -959,7 +941,7 @@ class AsService:
 
         Runs :meth:`~repro.reclaim.ReclamationEngine.scan` (no-op without
         :meth:`enable_reclamation`), then relists each completed
-        reclamation's freed bandwidth on the configured marketplace.  The
+        reclamation's freed bandwidth on the deployment's marketplace.  The
         relist is an ordinary issue+list — it must clear the *issued*
         calendar like any minting, which is exactly what an overbooking
         admission policy permits; under a strict policy the relist is
@@ -970,9 +952,8 @@ class AsService:
         if self.reclamation is None:
             return []
         events = self.reclamation.scan(self.executor.clock.now())
-        if self._relist_marketplace is not None:
-            for event in events:
-                self._relist_reclaimed(event)
+        for event in events:
+            self._relist_reclaimed(event)
         return events
 
     def _relist_reclaimed(self, event) -> None:
@@ -996,7 +977,6 @@ class AsService:
             freed,
             start,
             expiry,
-            granule,
             min(DEFAULT_MIN_BANDWIDTH, freed),
             self._list(
                 self._relist_marketplace,

@@ -84,11 +84,10 @@ class MarketDeployment:
     clock: Clock
     rng: random.Random  # account keys and every host's redeem keys
     services: dict = field(default_factory=dict)  # IsdAs -> AsService
-    indexer: MarketIndexer | None = None
+    indexer: MarketIndexer = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.indexer is None:
-            self.indexer = MarketIndexer(self.ledger, self.marketplace)
+        self.indexer = MarketIndexer(self.ledger, self.marketplace)
         # The deployment-wide planner over the shared off-chain index.
         self.planner = PurchasePlanner(self.indexer)
 
@@ -117,7 +116,7 @@ def deploy_market(
     pricer=None,
     shard_seconds: float = DEFAULT_SHARD_SECONDS,
     auction_interfaces=None,
-    reclamation: dict | None = None,
+    policer_of=None,
 ) -> MarketDeployment:
     """Stand up ledger, contracts, marketplace, and one service per AS.
 
@@ -137,14 +136,13 @@ def deploy_market(
     :meth:`~repro.controlplane.asclient.AsService.offer_capacity` on such
     an interface opens an auction instead of a listing.
 
-    ``reclamation`` arms every AS's no-show reclamation loop
-    (:meth:`~repro.controlplane.asclient.AsService.enable_reclamation`):
-    the dict's ``policer_of`` key (``isd_as -> policer``) binds each
-    service to its own data-plane policer, which the loop both samples and
-    caps — absent, the loop runs on an empty usage feed and demotes
-    nothing — and the remaining keys pass through (``grace_seconds``,
-    ``no_show_threshold``, ...).  Relisting defaults to this deployment's
-    marketplace at the seed base price.
+    ``policer_of`` (``isd_as -> policer or None``) arms every AS's no-show
+    reclamation loop
+    (:meth:`~repro.controlplane.asclient.AsService.enable_reclamation`),
+    bound to that AS's own data-plane policer, which the loop both samples
+    and caps; an AS without one runs its loop on an empty usage feed and
+    demotes nothing.  The loop relists on this deployment's marketplace at
+    ``price_micromist_per_unit``.
 
     The one place a seed becomes randomness: ``random.Random(f"{seed}/{purpose}")``
     per purpose — ``keys`` (``rng``: every account and redeem key), ``pki``
@@ -217,12 +215,10 @@ def deploy_market(
                 )
                 if not listed.effects.ok:
                     raise RuntimeError(f"issue/list failed: {listed.effects.error}")
-        if reclamation is not None:
-            options = dict(reclamation)
-            policer_of = options.pop("policer_of", lambda isd_as: None)
-            options.setdefault("marketplace", marketplace)
-            options.setdefault("relist_base_micromist", price_micromist_per_unit)
-            service.enable_reclamation(policer_of(autonomous_system.isd_as), **options)
+        if policer_of is not None:
+            service.enable_reclamation(
+                policer_of(autonomous_system.isd_as), marketplace, price_micromist_per_unit
+            )
         services[autonomous_system.isd_as] = service
 
     return MarketDeployment(
@@ -359,14 +355,14 @@ def open_path_auction(
     start: int,
     expiry: int,
     bandwidth_kbps: int,
-    base_price_micromist: int = DEFAULT_PRICE_MICROMIST,
 ) -> PathAuctionHandle:
     """Open one combinatorial path auction across a list of AS crossings.
 
     The first crossing's AS creates the shell (any leg seller may); then
     every on-path AS contributes its own two legs — ``(ingress, True)``
     and ``(egress, False)`` — each one admission-checked against that AS's
-    issued calendar and reserve-priced by its own scarcity quote.
+    issued calendar and reserve-priced by its own scarcity quote over
+    :data:`DEFAULT_PRICE_MICROMIST`.
 
     Raises:
         RuntimeError: the ledger refused the shell or a contribution.
@@ -394,7 +390,7 @@ def open_path_auction(
                 bandwidth_kbps,
                 start,
                 expiry,
-                base_price_micromist,
+                DEFAULT_PRICE_MICROMIST,
             )
             if not contributed.effects.ok:
                 raise RuntimeError(

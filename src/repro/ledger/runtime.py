@@ -125,11 +125,11 @@ class CallContext:
             )
         return ledger_object
 
-    def take_shared(self, object_id: str, type_tag: str | None = None) -> LedgerObject:
+    def take_shared(self, object_id: str, type_tag: str) -> LedgerObject:
         ledger_object = self.view.get(object_id)
         if ledger_object.ownership is not Ownership.SHARED:
             raise ContractAbort(f"object {object_id[:8]}... is not shared")
-        if type_tag is not None and ledger_object.type_tag != type_tag:
+        if ledger_object.type_tag != type_tag:
             raise ContractAbort(
                 f"expected {type_tag}, found {ledger_object.type_tag}"
             )

@@ -56,6 +56,8 @@ BASE_PRICE_MICROMIST = 50  # per kbps-second, before any scarcity multiplier
 SEED = 1
 START = 1_700_000_000  # the second every simulation starts at
 GRANULE = 60  # seconds: the granularity of every asset an AS issues
+FLOOD_RATE_BPS = 20_000_000.0  # every best-effort flood: twice a link
+PER_BUYER_KBPS = 2000  # what each contention, auction or path-auction buyer sends
 
 
 def linear_path(num_ases: int, prf_factory: PrfFactory = SIM_PRF):
@@ -218,31 +220,25 @@ def build_path_simulation(
     return simulation
 
 
-def _market(
-    topology: Topology,
-    path: ForwardingPath,
-    link_rate_bps: float = LINK_RATE_BPS,
-    seed: int = SEED,
-    **market,
-):
+def _market(topology: Topology, path: ForwardingPath, reclaims: bool = False, **market):
     """``(deployment, simulation)``: :func:`~repro.controlplane.deploy_market`
     over ``topology`` (``market`` passed through) beside
     :func:`build_path_simulation` over ``path``, both keyed with
     :data:`SIM_PRF`.  The simulation is the deployment's clock, so the market
-    trades at simulated time and its transactions take none of it; a
-    ``reclamation`` loop is bound to each on-path AS's own router policer."""
+    trades at simulated time and its transactions take none of it.  With
+    ``reclaims`` every AS runs its reclamation loop, each on-path AS's bound
+    to its own router's policer."""
     from repro.controlplane import deploy_market
 
-    simulation = build_path_simulation(topology, path, link_rate_bps=link_rate_bps)
-    if market.get("reclamation") is not None:
-        # each on-path AS's loop reads and caps its own router's policer
-        nodes = simulation.nodes
-        market["reclamation"] = {
-            **market["reclamation"],
-            "policer_of": lambda isd_as: nodes[isd_as].router.policer if isd_as in nodes else None,
-        }
+    simulation = build_path_simulation(topology, path)
+    nodes = simulation.nodes
+
+    def policer_of(isd_as):
+        return nodes[isd_as].router.policer if isd_as in nodes else None
+
     deployment = deploy_market(
-        topology, clock=simulation, seed=seed, prf_factory=SIM_PRF, **market
+        topology, clock=simulation, seed=SEED, prf_factory=SIM_PRF,
+        policer_of=policer_of if reclaims else None, **market,
     )
     return deployment, simulation
 
@@ -367,45 +363,45 @@ class CongestionResult:
     bottleneck_utilization: float
 
 
+# The congestion experiment's victim, and how long it runs against the flood.
+VICTIM_RATE_BPS = 2_000_000.0
+CONGESTION_SECONDS = 2.0
+
+
 def congestion_experiment(
-    topology: Topology,
-    path: ForwardingPath,
-    protected: bool,
-    victim_rate_bps: float = 2_000_000.0,
-    flood_rate_bps: float = 20_000_000.0,
-    link_rate_bps: float = LINK_RATE_BPS,
-    duration: float = 3.0,
+    topology: Topology, path: ForwardingPath, protected: bool
 ) -> CongestionResult:
     """Victim flow vs. best-effort flood over a shared bottleneck path.
 
-    With ``protected=True`` the victim buys a full-path reservation sized to
+    A :data:`VICTIM_RATE_BPS` victim shares :data:`LINK_RATE_BPS` links with
+    a :data:`FLOOD_RATE_BPS` flood for :data:`CONGESTION_SECONDS`.  With
+    ``protected=True`` the victim buys a full-path reservation sized to
     its sending rate (``deploy_market``'s listings cover the window);
     otherwise it competes as plain best effort, and no market is deployed.
     The path must have been beaconed with :data:`SIM_PRF` (see
     :func:`linear_path`).
     """
+    duration = CONGESTION_SECONDS
     from repro.controlplane import purchase_path
     from repro.invariants import check
 
     deployment, reservations = None, None
     if protected:
         end = _window_end(duration)
-        deployment, simulation = _market(
-            topology, path, link_rate_bps=link_rate_bps, asset_duration=end - START
-        )
+        deployment, simulation = _market(topology, path, asset_duration=end - START)
         reservations = purchase_path(
             deployment,
             deployment.new_host(name="victim"),
             as_crossings(path),
             start=START,
             expiry=end,
-            bandwidth_kbps=int(victim_rate_bps * 1.25 / 1000),
+            bandwidth_kbps=int(VICTIM_RATE_BPS * 1.25 / 1000),
         ).reservations
     else:
-        simulation = build_path_simulation(topology, path, link_rate_bps=link_rate_bps)
-    victim_metrics = simulation.send(1, victim_rate_bps, reservations, jitter=0.05)
+        simulation = build_path_simulation(topology, path)
+    victim_metrics = simulation.send(1, VICTIM_RATE_BPS, reservations, jitter=0.05)
     # the flood ramps up shortly after the victim
-    attacker_metrics = simulation.send(2, flood_rate_bps, delay=0.1, jitter=0.02)
+    attacker_metrics = simulation.send(2, FLOOD_RATE_BPS, delay=0.1, jitter=0.02)
     simulation.run(duration)
     if deployment is not None:
         check(deployment, simulation.now())
@@ -536,7 +532,6 @@ def flex_market_experiment(duration: float = 1.5) -> FlexMarketResult:
     from repro.controlplane import purchase_path
 
     probe_rate_bps = 2_000_000.0
-    flood_rate_bps = 20_000_000.0
     window_seconds = 600
     market_bandwidth_kbps = 100_000
 
@@ -597,7 +592,7 @@ def flex_market_experiment(duration: float = 1.5) -> FlexMarketResult:
             topology, path, start_time=float(outcome.quote.start) + 0.1
         )
         victim_metrics = simulation.send(1, probe_rate_bps, outcome.reservations, jitter=0.05)
-        simulation.send(2, flood_rate_bps, delay=0.05, jitter=0.02)
+        simulation.send(2, FLOOD_RATE_BPS, delay=0.05, jitter=0.02)
         simulation.run(duration)
         window_starts.append(outcome.quote.start)
         outcomes.append(
@@ -674,12 +669,15 @@ class AuctionExperimentResult:
         )
 
 
+# The auction buyers' valuations: ``random.Random(VALUATIONS_SEED)``.
+VALUATIONS_SEED = 1
+
+
 def auction_experiment(
     topology: Topology,
     path: ForwardingPath,
     num_buyers: int = 10,
     duration: float = 1.5,
-    seed: int = SEED,
 ) -> AuctionExperimentResult:
     """Sealed-bid uniform-price auction vs posted scarcity prices, head-on.
 
@@ -720,13 +718,12 @@ def auction_experiment(
     from repro.invariants import check
     from repro.marketdata import price_mist
 
-    per_buyer_kbps = 2000
     reservable_fraction = 0.8
 
     simulate = duration > 0
     end = _window_end(duration)
-    reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
-    rng = random.Random(seed)
+    reserve_kbps = int(PER_BUYER_KBPS * 1.25)  # cover wire overhead
+    rng = random.Random(VALUATIONS_SEED)
     valuations = [
         int(BASE_PRICE_MICROMIST * rng.uniform(1.0, 12.0))
         for _ in range(num_buyers)
@@ -820,7 +817,7 @@ def auction_experiment(
         if simulate:
             flows = [
                 simulation.send(
-                    index + 1, per_buyer_kbps * 1000.0, reservations[index],
+                    index + 1, PER_BUYER_KBPS * 1000.0, reservations[index],
                     delay=0.01 * index, jitter=0.05,
                 )
                 for index in range(num_buyers)
@@ -925,8 +922,8 @@ def path_contention_experiment(
     first come, first served, and each interface is twice the offer: the
     deployment's seed asset claims one offer's worth of each issued
     calendar and the auction leg the other.  Each of ``num_buyers`` hosts
-    places one escrowed bid for ``per_buyer_kbps`` on every leg, the earlier
-    buyers bidding more.  One
+    places one escrowed bid for :data:`PER_BUYER_KBPS` on every leg, the
+    earlier buyers bidding more.  One
     settle transaction clears every leg at its live supply and awards each
     winner a piece of every leg; a loser is refunded its whole escrow and
     told the first leg that refused it.  The winners redeem their whole
@@ -950,13 +947,12 @@ def path_contention_experiment(
     from repro.invariants import check
     from repro.marketdata import price_mist
 
-    per_buyer_kbps = 2000
     window = (START + 3600, START + 4200)
 
     crossings = as_crossings(path)
     if len(crossings) < 3:
         raise ValueError("path contention needs at least three on-path ASes")
-    offered_kbps = (num_buyers + 1) // 2 * per_buyer_kbps
+    offered_kbps = (num_buyers + 1) // 2 * PER_BUYER_KBPS
     num_legs = 2 * len(crossings)
     with named_trace("traced-path"):
         # Room for the seed asset and the auction leg on every interface.
@@ -966,10 +962,7 @@ def path_contention_experiment(
             asset_bandwidth_kbps=offered_kbps,
             interface_capacity_kbps=2 * offered_kbps,
         )
-        handle = open_path_auction(
-            deployment, crossings, *window, bandwidth_kbps=offered_kbps,
-            base_price_micromist=BASE_PRICE_MICROMIST,
-        )
+        handle = open_path_auction(deployment, crossings, *window, bandwidth_kbps=offered_kbps)
         # the dearest leg's reserve: what a path bid faces per unit and leg
         reserve = max(
             service.path_legs[handle.path_auction, index].reserve_micromist_per_unit
@@ -981,9 +974,9 @@ def path_contention_experiment(
             unit_price = (num_buyers + 1 - index) * BASE_PRICE_MICROMIST
             acquired = host.acquire_path(
                 deployment.marketplace, crossings, *window,
-                bandwidth_kbps=per_buyer_kbps,
+                bandwidth_kbps=PER_BUYER_KBPS,
                 max_price_mist=num_legs * price_mist(
-                    per_buyer_kbps, window[1] - window[0], unit_price
+                    PER_BUYER_KBPS, window[1] - window[0], unit_price
                 ),
             )
             hosts.append(host)
@@ -1009,7 +1002,7 @@ def path_contention_experiment(
                 BuyerOutcome(
                     buyer=name,
                     arm="path-auction",
-                    requested_kbps=per_buyer_kbps,
+                    requested_kbps=PER_BUYER_KBPS,
                     granted_kbps=settlement.bandwidth_kbps,
                     quoted_price_micromist=reserve,
                     paid_mist=escrows[name] - settlement.refund_mist,
@@ -1053,16 +1046,15 @@ def contention_experiment(
     topology: Topology,
     path: ForwardingPath,
     num_buyers: int = 8,
-    per_buyer_kbps: int = 2000,
     duration: float = 1.5,
 ) -> ContentionResult:
     """Many buyers compete for one bottleneck interface's capacity.
 
     Buyers arrive in order.  For each, the bottleneck AS lists
-    ``1.25 * per_buyer_kbps`` (rate plus header overhead) more of its
+    ``1.25 *`` :data:`PER_BUYER_KBPS` (rate plus header overhead) more of its
     ingress at its scarcity quote, against an issued calendar sized to
     ``reservable_fraction`` of the bottleneck link; the buyer buys it with
-    the rest of the path, redeems, and sends at ``per_buyer_kbps`` with
+    the rest of the path, redeems, and sends at :data:`PER_BUYER_KBPS` with
     priority protection.  A buyer the AS can no longer list for *falls back
     to best effort* and fights over whatever the reserved traffic leaves
     behind.  Quoted prices rise with utilization, so the result doubles as a
@@ -1080,7 +1072,7 @@ def contention_experiment(
         topology, path, end, reservable_fraction, pricer=ScarcityPricer()
     )
     seller = deployment.service(bottleneck.isd_as)
-    reserve_kbps = int(per_buyer_kbps * 1.25)  # cover wire overhead
+    reserve_kbps = int(PER_BUYER_KBPS * 1.25)  # cover wire overhead
     facts = []  # (buyer, quote, paid, refusal) in arrival order
     flow_metrics: list[FlowMetrics] = []
     verdict = None  # buyer-0's trace and ResID at the bottleneck
@@ -1110,7 +1102,7 @@ def contention_experiment(
         # slight stagger, arrival order = index order
         flow_metrics.append(
             simulation.send(
-                index + 1, per_buyer_kbps * 1000.0, reservations,
+                index + 1, PER_BUYER_KBPS * 1000.0, reservations,
                 delay=0.01 * index, jitter=0.05,
             )
         )
@@ -1236,17 +1228,15 @@ def reclamation_experiment(
     reservable_fraction = 1.0
     static_factor = 1.25
     max_factor = 3.0
-    grace_seconds = 0.4
     scan_interval = 0.25
-    no_show_threshold = 0.5
 
-    def run_arm(arm: str, policy, reclamation) -> ReclamationArmResult:
+    def run_arm(arm: str, policy, reclaims: bool) -> ReclamationArmResult:
         end = _window_end(duration)
         # The default flat pricer keeps revenue proportional to volume sold,
         # so the arm comparison measures reclamation, not price spikes.
         deployment, simulation, bottleneck, capacity_kbps = _contended_market(
             topology, path, end, reservable_fraction,
-            admission_policy=policy, reclamation=reclamation,
+            admission_policy=policy, reclaims=reclaims,
         )
         crossings = as_crossings(path)
         seller = deployment.service(bottleneck.isd_as)
@@ -1356,20 +1346,11 @@ def reclamation_experiment(
             bottleneck_utilization=simulation.links[0].utilization(duration),
         )
 
-    reclamation = {
-        "interval": scan_interval / 2,
-        "grace_seconds": grace_seconds,
-        "no_show_threshold": no_show_threshold,
-    }
     arms = {}
     for arm, policy, reclaims in (
-        ("none", FirstComeFirstServed(), None),
-        ("static", OverbookingPolicy(static_factor), None),
-        (
-            "adaptive",
-            AdaptiveOverbooking(max_factor=max_factor),
-            reclamation,
-        ),
+        ("none", FirstComeFirstServed(), False),
+        ("static", OverbookingPolicy(static_factor), False),
+        ("adaptive", AdaptiveOverbooking(max_factor=max_factor), True),
     ):
         arms[arm] = run_arm(arm, policy, reclaims)
     return ReclamationResult(arms=arms)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.admission.controller import ACTIVE, ISSUED, AdmissionController
+from repro.admission.controller import AdmissionController
 from repro.admission.calendar import Commitment
 from repro.telemetry import get_registry
 from repro.telemetry.tracing import current_trace, event
@@ -111,7 +111,6 @@ class PathTicket:
     start: float
     end: float
     tag: str
-    layer: str
     state: str
     holds: tuple[HopHold, ...] = ()
     failed_hop: int | None = None
@@ -182,46 +181,33 @@ class PathAdmission:
         start: float,
         end: float,
         tag: str = "",
-        layer: str = ISSUED,
     ) -> PathTicket:
-        """Check and provisionally hold the window on every hop.
+        """Check and provisionally hold the window on every hop's *issued*
+        calendars, the ones a path's assets are minted against.
 
         Args:
             bandwidth_kbps: bandwidth wanted on every hop.
             start, end: the reservation window (seconds).
             tag: buyer label recorded on every hop commitment.
-            layer: :data:`~repro.admission.controller.ISSUED` (minting
-                path assets) or :data:`~repro.admission.controller.ACTIVE`
-                (delivering / directly granting a live reservation).
 
         Returns:
             A :class:`PathTicket` — ``held`` with one :class:`HopHold`
             per hop, or ``rejected`` with ``failed_hop``/``reason`` and
             every upstream hold already released.
         """
-        if layer not in (ISSUED, ACTIVE):
-            raise ValueError(f"unknown calendar layer {layer!r}")
-        issued = layer == ISSUED
         holds: list[HopHold] = []
         claims_taken = 0
         ticket = None
         for index, hop in enumerate(self.hops):
             taken: list[tuple[int, bool, Commitment]] = []
             for interface, is_ingress in hop.claims:
-                admit = (
-                    hop.controller.admit_issue
-                    if issued
-                    else hop.controller.admit_reservation
-                )
-                decision = admit(
+                decision = hop.controller.admit_issue(
                     interface, is_ingress, bandwidth_kbps, start, end, tag=tag
                 )
                 if not decision.admitted:
                     for t_interface, t_ingress, commitment in reversed(taken):
-                        hop.controller.release(
-                            t_interface, t_ingress, commitment, layer=layer
-                        )
-                    self._release_holds(holds, layer)
+                        hop.controller.release(t_interface, t_ingress, commitment)
+                    self._release_holds(holds)
                     reason = (
                         f"hop {index} ({hop.name}) interface {interface} "
                         f"{'ingress' if is_ingress else 'egress'}: "
@@ -232,7 +218,6 @@ class PathAdmission:
                         start=float(start),
                         end=float(end),
                         tag=tag,
-                        layer=layer,
                         state=REJECTED,
                         failed_hop=index,
                         reason=reason,
@@ -249,7 +234,6 @@ class PathAdmission:
                 start=float(start),
                 end=float(end),
                 tag=tag,
-                layer=layer,
                 state=HELD,
                 holds=tuple(holds),
             )
@@ -258,7 +242,7 @@ class PathAdmission:
             self._m_hops_admitted.inc(claims_taken)
         event(
             "path.screen", hops=len(self.hops), bandwidth_kbps=int(bandwidth_kbps),
-            layer=layer, tag=tag, outcome=ticket.state,
+            tag=tag, outcome=ticket.state,
             failed_hop=ticket.failed_hop, reason=ticket.reason,
         )
         return ticket
@@ -294,7 +278,7 @@ class PathAdmission:
                 try:
                     hook(hold.hop_index, hop, hold)
                 except BaseException as exc:
-                    self._release_holds(ticket.holds, ticket.layer)
+                    self._release_holds(ticket.holds)
                     ticket.state = ROLLED_BACK
                     ticket.failed_hop = hold.hop_index
                     ticket.reason = f"commit effect failed: {exc!r}"
@@ -314,7 +298,6 @@ class PathAdmission:
                 "path.commit",
                 hops=len(self.hops),
                 bandwidth_kbps=ticket.bandwidth_kbps,
-                layer=ticket.layer,
                 tag=ticket.tag,
             )
         return ticket
@@ -327,7 +310,7 @@ class PathAdmission:
         """
         if ticket.state in (REJECTED, ROLLED_BACK):
             return ticket
-        self._release_holds(ticket.holds, ticket.layer)
+        self._release_holds(ticket.holds)
         ticket.state = ROLLED_BACK
         self._m_rollbacks.inc()
         trace = current_trace()
@@ -336,13 +319,12 @@ class PathAdmission:
                 "path.rollback",
                 hops=len(self.hops),
                 bandwidth_kbps=ticket.bandwidth_kbps,
-                layer=ticket.layer,
                 tag=ticket.tag,
             )
         return ticket
 
-    def _release_holds(self, holds, layer: str) -> None:
+    def _release_holds(self, holds) -> None:
         for hold in reversed(list(holds)):
             hop = self.hops[hold.hop_index]
             for interface, is_ingress, commitment in reversed(hold.claims):
-                hop.controller.release(interface, is_ingress, commitment, layer=layer)
+                hop.controller.release(interface, is_ingress, commitment)

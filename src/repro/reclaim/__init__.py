@@ -18,7 +18,24 @@ from repro.reclaim.engine import (
 )
 from repro.reclaim.usage import UsageReporter, UsageSnapshot
 
+# The settings of every deployment's loop
+# (:meth:`~repro.controlplane.AsService.enable_reclamation`), at the values
+# ``reclamation_experiment`` runs: the reporter samples every
+# ``SAMPLE_INTERVAL`` seconds; a reservation that moved under
+# ``NO_SHOW_THRESHOLD`` of its booked rate ``GRACE_SECONDS`` after its start
+# keeps ``RETAIN_HEADROOM`` x what it moved, at least ``MIN_RETAINED_KBPS``.
+SAMPLE_INTERVAL = 0.125
+GRACE_SECONDS = 0.4
+NO_SHOW_THRESHOLD = 0.5
+RETAIN_HEADROOM = 1.5
+MIN_RETAINED_KBPS = 1
+
 __all__ = [
+    "GRACE_SECONDS",
+    "MIN_RETAINED_KBPS",
+    "NO_SHOW_THRESHOLD",
+    "RETAIN_HEADROOM",
+    "SAMPLE_INTERVAL",
     "AdaptiveOverbooking",
     "ReclamationEngine",
     "ReclamationEvent",

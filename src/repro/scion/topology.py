@@ -47,16 +47,14 @@ class AutonomousSystem:
 
     isd_as: IsdAs
     is_core: bool
-    forwarding_key: bytes = b""  # K_i: MACs SCION hop fields
-    secret_value: SecretValue | None = None  # SV_i: derives Hummingbird keys
+    forwarding_key: bytes = field(init=False)  # K_i: MACs SCION hop fields
+    secret_value: SecretValue = field(init=False)  # SV_i: derives Hummingbird keys
     interfaces: dict[int, Interface] = field(default_factory=dict)
     _next_ifid: int = 1
 
     def __post_init__(self) -> None:
-        if not self.forwarding_key:
-            self.forwarding_key = SecretValue.from_seed(f"fwd-{self.isd_as}").key
-        if self.secret_value is None:
-            self.secret_value = SecretValue.from_seed(f"sv-{self.isd_as}")
+        self.forwarding_key = SecretValue.from_seed(f"fwd-{self.isd_as}").key
+        self.secret_value = SecretValue.from_seed(f"sv-{self.isd_as}")
 
     def allocate_interface(
         self, neighbor: IsdAs, neighbor_ifid: int, link_type: LinkType

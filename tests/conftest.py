@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import builtins
+import contextlib
 import dataclasses
 import gc
 import sys
 
 import pytest
 
+from repro import reclaim
 from repro.clock import SimClock
 from repro.crypto.prf import PrfFactory
 from repro.hummingbird.reservation import ResInfo, grant_reservation
@@ -27,6 +29,17 @@ class EagerOverbooking(AdaptiveOverbooking):
     test takes for a direction that starts overbooked."""
 
     INITIAL_FACTOR = 1.5
+
+
+@contextlib.contextmanager
+def reclaiming_at(**settings):
+    """Deployments made inside the block run their reclamation loops at other
+    ``repro.reclaim`` settings (``GRACE_SECONDS=5.0``, ...) than every
+    deployment's: the seam to a value no caller of ``deploy_market`` varies."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in settings.items():
+            patch.setattr(reclaim, name, value)
+        yield
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ is judged from its delivery.
 
 import pytest
 
-from tests.conftest import EagerOverbooking, T0
+from tests.conftest import EagerOverbooking, T0, reclaiming_at
 
 from repro.clock import SimClock
 from repro.contracts.coin import coin_balance
@@ -24,17 +24,16 @@ from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
 BANDWIDTH = 50_000
 
 
-def _deploy(admission_policy=None, reclamation_overrides=None, clock=None):
+def _deploy(admission_policy=None, policer_of=lambda isd_as: None, clock=None):
     clock = clock if clock is not None else SimClock(float(T0))
     topology = linear_topology(3)
-    options = dict(interval=0.25, grace_seconds=5.0)
-    options.update(reclamation_overrides or {})
-    deployment = deploy_market(
-        topology,
-        clock=clock,
-        admission_policy=admission_policy,
-        reclamation=options,
-    )
+    with reclaiming_at(SAMPLE_INTERVAL=0.25, GRACE_SECONDS=5.0):
+        deployment = deploy_market(
+            topology,
+            clock=clock,
+            admission_policy=admission_policy,
+            policer_of=policer_of,
+        )
     store = run_beaconing(topology, timestamp=T0)
     path = PathLookup(store).find_paths(
         topology.ases[2].isd_as, topology.ases[0].isd_as
@@ -239,9 +238,7 @@ def test_a_late_delivery_is_judged_from_its_delivery_not_its_window():
     def policer_of(isd_as):
         return policers.setdefault(isd_as, _FullRate(clock))
 
-    _, deployment, path = _deploy(
-        reclamation_overrides={"policer_of": policer_of}, clock=clock
-    )
+    _, deployment, path = _deploy(policer_of=policer_of, clock=clock)
     clock.set(float(T0 + 90))  # the window opened at T0 + 60
     outcome = purchase_path(
         deployment,
@@ -273,9 +270,8 @@ def test_a_reclaimed_cap_does_not_police_the_next_holder_of_its_res_id():
     from repro.netsim.scenarios import START, _market, linear_path
 
     topology, path = linear_path(3)
-    deployment, simulation = _market(
-        topology, path, reclamation={"interval": 0.25, "grace_seconds": 1.0}
-    )
+    with reclaiming_at(SAMPLE_INTERVAL=0.25, GRACE_SECONDS=1.0):
+        deployment, simulation = _market(topology, path, reclaims=True)
     crossings = as_crossings(path)
 
     def buy(start: int):

@@ -81,7 +81,7 @@ import re
 
 import pytest
 
-from tests.conftest import T0
+from tests.conftest import T0, reclaiming_at
 
 from repro.admission import AdmissionRejected, ScarcityPricer
 from repro.clock import SimClock
@@ -182,6 +182,18 @@ def _tap(log: list):
         LedgerExecutor.submit = original
 
 
+@contextlib.contextmanager
+def _issuing(**lattice):
+    """Every AS issues on another lattice than its default inside the block
+    (``granularity``, ``min_bandwidth_kbps``): the seam to the values the
+    recording was made with."""
+    names = {"granularity": "DEFAULT_GRANULARITY", "min_bandwidth_kbps": "DEFAULT_MIN_BANDWIDTH"}
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in lattice.items():
+            patch.setattr(asclient, names[name], value)
+        yield
+
+
 class _Script:
     """The scenario's state: one deployment, its hosts, what they collected."""
 
@@ -189,7 +201,15 @@ class _Script:
         self.clock = SimClock(float(T0))
         topology, path = linear_path(4)
         self.crossings = as_crossings(path)
-        self.deployment = deploy_market(
+        with reclaiming_at(SAMPLE_INTERVAL=0.25, GRACE_SECONDS=5.0):  # as recorded
+            self.deployment = self._deploy(topology)
+        self.marketplace = self.deployment.marketplace
+        self.hosts: dict = {}
+        self.collected: dict = {}
+        self.notes: dict = {}
+
+    def _deploy(self, topology):
+        return deploy_market(
             topology,
             clock=self.clock,
             seed=SEED,
@@ -200,12 +220,8 @@ class _Script:
             pricer=ScarcityPricer(),
             # every transit AS enters the path on interface 2
             auction_interfaces={(2, True)},
-            reclamation={"interval": 0.25, "grace_seconds": 5.0},
+            policer_of=lambda isd_as: None,  # every loop on an empty usage feed
         )
-        self.marketplace = self.deployment.marketplace
-        self.hosts: dict = {}
-        self.collected: dict = {}
-        self.notes: dict = {}
 
     def service(self, crossing):
         return self.deployment.service(crossing.isd_as)
@@ -259,9 +275,10 @@ class _Script:
     def issuance(self) -> None:
         first = self.crossings[0]
         seller = self.service(first)
-        listed = seller.issue_and_list(
-            self.marketplace, first.egress, False, 20_000, T0, T0 + 1200, 40, 120, 500
-        )
+        with _issuing(granularity=120, min_bandwidth_kbps=500):
+            listed = seller.issue_and_list(
+                self.marketplace, first.egress, False, 20_000, T0, T0 + 1200, 40
+            )
         assert listed.effects.ok, listed.effects.error
         with pytest.raises(AdmissionRejected):
             seller.issue_and_list(
@@ -269,9 +286,10 @@ class _Script:
             )
         # 7 s granules do not divide the window: the asset contract refuses,
         # and the calendar claim must come back
-        refused = seller.issue_and_list(
-            self.marketplace, first.egress, False, 20_000, T0, T0 + 1200, 40, 7
-        )
+        with _issuing(granularity=7):
+            refused = seller.issue_and_list(
+                self.marketplace, first.egress, False, 20_000, T0, T0 + 1200, 40
+            )
         assert not refused.effects.ok
         withdrawn = seller.cancel_listing(
             self.marketplace, listed.effects.returns[1]["listing"]
@@ -384,9 +402,10 @@ class _Script:
             self.marketplace, bottleneck.egress, False, 10_000, *AUCTION, 50
         )
         assert listed.effects.ok and not listed.effects.returns[1].get("auction")
-        unsold = self.service(quiet).open_auction(
-            self.marketplace, quiet.ingress, True, 3_000, *AUCTION, 50, 60, 200
-        )
+        with _issuing(min_bandwidth_kbps=200):
+            unsold = self.service(quiet).open_auction(
+                self.marketplace, quiet.ingress, True, 3_000, *AUCTION, 50
+            )
         assert unsold.effects.ok, unsold.effects.error
 
         # frank's 11,000 MIST cover his two escrows and little else
@@ -406,11 +425,8 @@ class _Script:
 
         # the combinatorial auction opens and takes its bids before either
         # settles; its legs keep the 200 kbps minimum they were recorded with
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(asclient, "DEFAULT_MIN_BANDWIDTH", 200)
-            handle = open_path_auction(
-                self.deployment, self.crossings, *PATH_AUCTION, 6_000, 50
-            )
+        with _issuing(min_bandwidth_kbps=200):
+            handle = open_path_auction(self.deployment, self.crossings, *PATH_AUCTION, 6_000)
         heidi, ivan = self.host("heidi"), self.host("ivan")
         path_bid = heidi.acquire_path(
             self.marketplace, self.crossings, *PATH_AUCTION, 2_000, 5_000

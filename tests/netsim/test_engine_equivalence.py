@@ -20,6 +20,7 @@ from repro.netsim import (
     flex_market_experiment,
     linear_path,
     path_contention_experiment,
+    scenarios,
 )
 
 NARROW = 600.0
@@ -55,10 +56,11 @@ def narrow(monkeypatch):
 
 
 def test_auction_experiment_outcomes_identical_across_backends(
-    narrow, experiment_runs
+    narrow, experiment_runs, monkeypatch
 ):
-    day = experiment_runs(auction_experiment, 3, duration=0, seed=3)
-    narrowed = narrow(auction_experiment, *linear_path(3), duration=0, seed=3)
+    day = experiment_runs(auction_experiment, 3, constants={"VALUATIONS_SEED": 3}, duration=0)
+    monkeypatch.setattr(scenarios, "VALUATIONS_SEED", 3)
+    narrowed = narrow(auction_experiment, *linear_path(3), duration=0)
 
     def outcomes(result):
         return (

@@ -3,7 +3,7 @@
 ``run_experiments`` drives all seven ``*_experiment`` functions once, seeded,
 over ``linear_path(3)`` and ``linear_path(4)``: ``congestion_experiment``
 protected and unprotected plus one call with its three rates varied;
-``contention_experiment`` at two ``(num_buyers, per_buyer_kbps)``;
+``contention_experiment`` at two ``(num_buyers, PER_BUYER_KBPS)``;
 ``auction_experiment`` with a packet phase and clearing-only at two seeds;
 ``flex_market_experiment`` once and with three flex budgets;
 ``path_contention_experiment`` on three and four ASes;
@@ -11,7 +11,10 @@ protected and unprotected plus one call with its three rates varied;
 claims on, in which the adaptive arm reclaims and admits a waiting buyer at a
 scan);
 ``deadline_experiment``; then five of them once more inside an activated
-:class:`ExperimentTelemetry`.
+:class:`ExperimentTelemetry`.  A value no caller of an experiment varies (a
+congestion run's rates and length, a contention buyer's rate, the auction's
+valuation seed) is a ``repro.netsim.scenarios`` constant the run sets through
+``ExperimentRuns``' ``constants``.
 
 The recording was made while four experiments still took a calendar geometry,
 so their keys come in two arms: ``/monolithic`` (one unbounded shard) and
@@ -131,6 +134,7 @@ refactor pass)::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -150,6 +154,7 @@ from repro.netsim import (
     scenarios,
 )
 from repro.telemetry import ExperimentTelemetry
+from tests.netsim.conftest import ExperimentRuns
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "experiment_equivalence.json"
 ARMS = ("monolithic", "sharded")
@@ -200,42 +205,51 @@ def _observed(telemetry: ExperimentTelemetry) -> dict:
     }
 
 
+# The congestion run whose links are 8 Mbps: the seam to a rate no caller varies.
+EIGHT_MBPS_LINKS = functools.partial(scenarios.build_path_simulation, link_rate_bps=8_000_000.0)
+
+
 def run_experiments(run) -> dict:
-    """Every recorded run; ``run(experiment, num_ases, **options)`` runs one
-    configuration over ``linear_path(num_ases)`` (the session's
-    ``experiment_runs`` memo under pytest)."""
+    """Every recorded run; ``run(experiment, num_ases, constants=..., **options)``
+    runs one configuration over ``linear_path(num_ases)`` with those
+    ``repro.netsim.scenarios`` constants set (an :class:`ExperimentRuns`: the
+    session's ``experiment_runs`` memo under pytest)."""
     runs: dict = {}
 
     for ases in (3, 4):
         for protected in (True, False):
             label = "protected" if protected else "unprotected"
             runs[f"congestion/{label}@{ases}"] = run(
-                congestion_experiment, ases, protected=protected, duration=0.5
+                congestion_experiment, ases, constants={"CONGESTION_SECONDS": 0.5},
+                protected=protected,
             )
     runs["congestion/rates@4"] = run(
         congestion_experiment,
         4,
+        constants={
+            "VICTIM_RATE_BPS": 1_500_000.0,
+            "FLOOD_RATE_BPS": 12_000_000.0,
+            "build_path_simulation": EIGHT_MBPS_LINKS,
+            "CONGESTION_SECONDS": 0.4,
+        },
         protected=True,
-        victim_rate_bps=1_500_000.0,
-        flood_rate_bps=12_000_000.0,
-        link_rate_bps=8_000_000.0,
-        duration=0.4,
     )
 
     runs["contention/8x2000@3"] = run(
         contention_experiment, 3, num_buyers=8, duration=0.5
     )
     runs["contention/5x3000@4"] = run(
-        contention_experiment, 4, num_buyers=5, per_buyer_kbps=3000, duration=0.4
+        contention_experiment, 4, constants={"PER_BUYER_KBPS": 3000},
+        num_buyers=5, duration=0.4,
     )
 
     runs["auction/packets@3/monolithic"] = run(auction_experiment, 3, duration=0.5)
     runs["auction/packets@4/sharded"] = run(
-        auction_experiment, 4, num_buyers=6, duration=0.4, seed=2
+        auction_experiment, 4, constants={"VALUATIONS_SEED": 2}, num_buyers=6, duration=0.4
     )
     for seed in (3, 5):
         runs[f"auction/clearing-seed{seed}@3"] = run(
-            auction_experiment, 3, duration=0, seed=seed
+            auction_experiment, 3, constants={"VALUATIONS_SEED": seed}, duration=0
         )
 
     runs["flex_market"] = flex_market_experiment(duration=0.3)
@@ -343,11 +357,7 @@ def test_the_recording_covers_what_a_reordering_would_move(recorded):
 
 if __name__ == "__main__":
     text = json.dumps(
-        run_experiments(
-            lambda experiment, num_ases, **options: experiment(
-                *linear_path(num_ases), **options
-            )
-        ),
+        run_experiments(ExperimentRuns()),
         indent=1,
         sort_keys=True,
     )

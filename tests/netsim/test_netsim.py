@@ -19,6 +19,7 @@ from repro.netsim.scenarios import (
     linear_path,
     rejected,
 )
+from repro.netsim import scenarios
 from repro.netsim.scenarios import _contended_market, _restock, _window_end
 
 
@@ -198,15 +199,15 @@ class TestMetrics:
 
 
 class TestQosExperiment:
+    @pytest.fixture(autouse=True)
+    def _short_runs(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "CONGESTION_SECONDS", 1.5)
+
     def test_reservation_shields_from_flood(self):
         """Property D2: reserved goodput survives, best effort collapses."""
         topology, path = linear_path(3)
-        unprotected = congestion_experiment(
-            topology, path, protected=False, duration=1.5
-        )
-        protected = congestion_experiment(
-            topology, path, protected=True, duration=1.5
-        )
+        unprotected = congestion_experiment(topology, path, protected=False)
+        protected = congestion_experiment(topology, path, protected=True)
         assert protected.victim["goodput_mbps"] > 1.8  # sending at 2 Mbps
         assert protected.victim["loss_rate"] < 0.05
         assert unprotected.victim["goodput_mbps"] < 1.0
@@ -214,16 +215,11 @@ class TestQosExperiment:
         # Priority traffic also sees far lower queueing delay.
         assert protected.victim["p50_ms"] < unprotected.victim["p50_ms"] / 2
 
-    def test_unused_reservation_leaves_bandwidth_to_best_effort(self):
+    def test_unused_reservation_leaves_bandwidth_to_best_effort(self, monkeypatch):
         """§4.3: unused reserved bandwidth is not wasted."""
+        monkeypatch.setattr(scenarios, "VICTIM_RATE_BPS", 500_000.0)
         topology, path = linear_path(3)
-        result = congestion_experiment(
-            topology, path, protected=True,
-            victim_rate_bps=500_000.0,  # reserves more than it sends
-            flood_rate_bps=20_000_000.0,
-            link_rate_bps=10_000_000.0,
-            duration=1.5,
-        )
+        result = congestion_experiment(topology, path, protected=True)
         # The flood still gets ~ the remaining capacity of the bottleneck.
         assert result.attacker["goodput_mbps"] > 8.0
 
@@ -260,15 +256,10 @@ class TestContentionExperiment:
             for b in rejected(result.buyers)
         )
 
-    def test_everyone_admitted_when_capacity_suffices(self):
+    def test_everyone_admitted_when_capacity_suffices(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "PER_BUYER_KBPS", 1000)
         topology, path = linear_path(3)
-        result = contention_experiment(
-            topology,
-            path,
-            num_buyers=3,
-            per_buyer_kbps=1000,
-            duration=0.5,
-        )
+        result = contention_experiment(topology, path, num_buyers=3, duration=0.5)
         assert len(admitted(result.buyers)) == 3 and not rejected(result.buyers)
 
 
@@ -319,13 +310,17 @@ class TestAuctionExperiment:
         assert best_loser < worst_winner
 
     def test_clearing_only_run_skips_the_packet_phase(self, experiment_runs):
-        result = experiment_runs(auction_experiment, 3, duration=0, seed=3)
+        result = experiment_runs(
+            auction_experiment, 3, constants={"VALUATIONS_SEED": 3}, duration=0
+        )
         assert all(b.metrics == {} for b in result.buyers)
         assert result.bottleneck_utilization == 0.0
         assert not result.oversold
 
     def test_uniform_price_is_single_and_within_bids(self, experiment_runs):
-        result = experiment_runs(auction_experiment, 3, duration=0, seed=5)
+        result = experiment_runs(
+            auction_experiment, 3, constants={"VALUATIONS_SEED": 5}, duration=0
+        )
         winners = admitted(_arm(result, "auction"))
         assert len({b.paid_mist for b in winners}) == 1  # ONE price for every winner
         for buyer in winners:

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.netsim import congestion_experiment, deadline_experiment, linear_path
+from repro.netsim import congestion_experiment, deadline_experiment, linear_path, scenarios
 from repro.telemetry import ExperimentTelemetry
 
-#: The configurations the equivalence recording also runs.
+#: The configurations the equivalence recording also runs (congestion for 0.5 s).
 RUNS = {
-    "congestion": lambda: congestion_experiment(
-        *linear_path(3), protected=True, duration=0.5
-    ),
+    "congestion": lambda: congestion_experiment(*linear_path(3), protected=True),
     "deadline": deadline_experiment,
 }
 
@@ -30,7 +28,8 @@ def _counted(telemetry: ExperimentTelemetry, family: str) -> float:
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_wrapping_an_experiment_observes_it_and_changes_nothing(name):
+def test_wrapping_an_experiment_observes_it_and_changes_nothing(name, monkeypatch):
+    monkeypatch.setattr(scenarios, "CONGESTION_SECONDS", 0.5)
     telemetry = ExperimentTelemetry(name)
     with telemetry.activate():
         observed = RUNS[name]()

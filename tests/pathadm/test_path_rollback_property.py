@@ -48,7 +48,6 @@ op_strategy = st.fixed_dictionaries(
         "start_slot": st.integers(min_value=0, max_value=5),
         "duration_slots": st.integers(min_value=1, max_value=3),
         "tag": st.sampled_from(["alice", "bob", "carol"]),
-        "layer": st.sampled_from([ISSUED, ACTIVE]),
         "action": st.sampled_from(["screen", "commit", "commit_fail"]),
         "fail_hop": st.integers(min_value=0, max_value=3),
     }
@@ -106,9 +105,7 @@ def test_rollback_leaves_every_hop_byte_identical(hop_specs, base_load, ops):
     for op in ops:
         start = op["start_slot"] * WINDOW
         end = start + op["duration_slots"] * WINDOW
-        ticket = path.screen(
-            op["bandwidth"], start, end, tag=op["tag"], layer=op["layer"]
-        )
+        ticket = path.screen(op["bandwidth"], start, end, tag=op["tag"])
         if not ticket.admitted:
             path.rollback(ticket)  # idempotent no-op on rejected tickets
             if not committed:
@@ -147,25 +144,22 @@ def test_rollback_leaves_every_hop_byte_identical(hop_specs, base_load, ops):
     hop_specs=st.lists(hop_strategy, min_size=2, max_size=4),
     failing_hop=st.integers(min_value=0, max_value=3),
     bandwidth=st.integers(min_value=100, max_value=600),
-    layer=st.sampled_from([ISSUED, ACTIVE]),
 )
-def test_failed_screen_at_hop_k_restores_upstream(
-    hop_specs, failing_hop, bandwidth, layer
-):
+def test_failed_screen_at_hop_k_restores_upstream(hop_specs, failing_hop, bandwidth):
     path = build_path(hop_specs)
     failing_hop %= len(path.hops)
     # Force a failure at hop k: saturate its egress direction by committing
     # straight into the calendar.  An earlier hop may still reject first (it
     # is narrower or fuller), so the screen must fail at or before hop k.
     victim = path.hops[failing_hop]
-    victim.controller.calendar(victim.egress_interface, False, layer).commit(
+    victim.controller.calendar(victim.egress_interface, False, ISSUED).commit(
         victim.controller.capacity_kbps,
         0.0,
         WINDOW,
         tag="blocker",
     )
     baseline = [controller_fingerprint(hop.controller) for hop in path.hops]
-    ticket = path.screen(bandwidth, 0.0, WINDOW, tag="victim", layer=layer)
+    ticket = path.screen(bandwidth, 0.0, WINDOW, tag="victim")
     assert not ticket.admitted
     assert ticket.failed_hop is not None and ticket.failed_hop <= failing_hop
     after = [controller_fingerprint(hop.controller) for hop in path.hops]

@@ -5,7 +5,6 @@ import pytest
 from tests.fingerprint import calendar_fingerprint, controller_fingerprint
 
 from repro.admission import (
-    ACTIVE,
     ISSUED,
     AdmissionController,
     OverbookingPolicy,
@@ -122,15 +121,6 @@ def test_commit_of_rejected_ticket_raises():
     ticket = path.screen(600, 0.0, 3600.0)
     with pytest.raises(ValueError):
         path.commit(ticket)
-
-
-def test_active_layer_screen_uses_active_calendars():
-    path = make_path()
-    ticket = path.screen(600, 0.0, 3600.0, layer=ACTIVE)
-    assert ticket.admitted
-    hop = path.hops[0]
-    assert hop.controller.calendar(1, True, ACTIVE).peak_commitment(0, 3600) == 600
-    assert hop.controller.calendar(1, True, ISSUED).peak_commitment(0, 3600) == 0
 
 
 def test_heterogeneous_hops_policy_and_sharding():

@@ -5,9 +5,7 @@ function, method and constructor of every module under ``src/repro`` (a
 public dataclass's constructor is its fields) against every call in
 ``src/``, ``examples/``, ``benchmarks/`` and ``tools/`` and every ``>>>``
 line of a ``src/`` docstring: a defaulted parameter or field to which those
-callers give fewer than two values is a constant, not an option.  A call
-that omits it uses the default; a literal (what ``ast.literal_eval`` reads)
-passes its value; any other expression passes any number of values.  The
+callers give fewer than two values is a constant, not an option.  The
 examples and the doctests count because CI runs them as the documented use
 of the API.  A test is not such a caller: an option only ``tests/`` varies
 exists for the test, and the test reaches the value it needs through a seam
@@ -16,19 +14,32 @@ back only together with the caller that needs it.  A quantity the paper
 names (Δ, δ, BurstTime) is a module constant citing its section, not an
 allow-list entry.
 
-A record's defaulted field is state, not an option, when code (tests
-included) writes it after construction: assigns or augments it, assigns an
-item of it or hands it to a mutating call (``append``, ``next``).
-``replace(record, field=...)`` constructs, so it passes the field.
+Arguments bind as Python binds them; where the walk cannot tell, it errs
+towards "set":
+
+* An omitted argument passes the default.
+* A literal (what ``ast.literal_eval`` reads) passes its value.
+* A name its module binds once, at module level, to a literal passes that literal.
+* Any other expression passes any number of values.
+* A ``*`` of a sized tuple fills that many parameters: a name or ``self.``
+  attribute every assignment gives an n-tuple literal, or a call to a
+  function whose every ``return`` is one.
+* Any other ``*`` fills at most the parameters before the first one a keyword names.
+* A ``**kwargs`` a function hands on whole passes the keywords its callers gave it.
+* Any other ``**`` passes every key.
+
+A record's defaulted field is state, not an option, when code outside
+``tests/`` writes it after construction: assigns or augments it, assigns an
+item of it or hands it to a mutating call (``append``, ``next``).  A test
+that rewrites a field reaches past the constructor, as a ``monkeypatch``
+does.  ``replace(record, field=...)`` constructs, so it passes the field.
 
 A call counts for every callable of its name unless the walk can tell which
 one it reaches: ``self.name(...)`` reaches the enclosing class's method or a
 base's, and a contract entry point is called through a transaction, not a
 Python call: ``Command("market", "buy", {...})`` passes the keys of its dict
 to the market contract's ``buy`` alone, and a ``**`` in that dict passes
-every key, as a ``**`` in a call does.  A test helper that forwards
-``**kwargs`` hides which options its callers set, so helpers spell out the
-options they forward.
+every key, as a ``**`` in a call does.
 
 The second half is the zero-reference end of the same idea: every public
 ``def`` / ``class`` under ``src/repro/`` is named somewhere other than its own
@@ -45,6 +56,7 @@ import doctest
 import functools
 import pathlib
 import re
+from typing import NamedTuple
 
 import repro
 
@@ -71,31 +83,82 @@ def _called_name(call: ast.Call) -> str | None:
 MANY = object()
 
 
-def _value(node: ast.expr) -> object:
+def _value(node: ast.expr, constants: dict[str, str] | None = None) -> object:
     """What an argument passes: a literal's ``repr`` (``ast.literal_eval``
-    reads it), else :data:`MANY`."""
+    reads it), a module constant's (see :func:`_module_constants`), else
+    :data:`MANY`."""
+    if isinstance(node, ast.Name) and constants and node.id in constants:
+        return constants[node.id]
     try:
         return repr(ast.literal_eval(node))
     except (ValueError, TypeError, SyntaxError):
         return MANY
 
 
-def _default(node: ast.expr) -> str:
+def _default(node: ast.expr, constants: dict[str, str]) -> str:
     """A default is one value, literal or not: it is evaluated once."""
-    value = _value(node)
+    value = _value(node, constants)
     return value if isinstance(value, str) else ast.unparse(node)
 
 
-def _defaulted(function: ast.FunctionDef, bound: bool) -> tuple[list[str], dict[str, str]]:
+def _own(scope: ast.AST):
+    """The nodes of a module's or function's body, not of the functions,
+    lambdas or classes in it."""
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _binding(node: ast.AST) -> str | None:
+    """The name ``node`` binds, if any: a parameter, an assignment, ``del``
+    or loop target, an import or a definition."""
+    if isinstance(node, ast.arg):
+        return node.arg
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.alias):
+        return (node.asname or node.name).partition(".")[0]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    return None
+
+
+def _module_constants(tree: ast.Module) -> dict[str, str]:
+    """Name -> the literal's ``repr``, for every name ``tree`` binds once, at
+    module level, to a literal, and no function rebinds as ``global``."""
+    bindings = collections.Counter(map(_binding, _own(tree)))
+    rebound = {name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names}
+    constants = {}
+    for statement in tree.body:
+        if isinstance(statement, ast.Assign) and len(statement.targets) == 1:
+            target = statement.targets[0]
+        elif isinstance(statement, ast.AnnAssign) and statement.value is not None:
+            target = statement.target
+        else:
+            continue
+        if isinstance(target, ast.Name) and bindings[target.id] == 1 and target.id not in rebound:
+            value = _value(statement.value)
+            if value is not MANY:
+                constants[target.id] = value
+    return constants
+
+
+def _defaulted(
+    function: ast.FunctionDef, bound: bool, constants: dict[str, str]
+) -> tuple[list[str], dict[str, str]]:
     """``(positional parameter names, defaulted parameter -> its default)``;
     a method's ``self`` is not a parameter a caller passes."""
     arguments = function.args
     positional = [a.arg for a in arguments.posonlyargs + arguments.args]
     defaults = dict(zip(
-        positional[len(positional) - len(arguments.defaults):], map(_default, arguments.defaults)
+        positional[len(positional) - len(arguments.defaults):],
+        (_default(default, constants) for default in arguments.defaults),
     ))
     defaults.update(
-        (a.arg, _default(default))
+        (a.arg, _default(default, constants))
         for a, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
         if default is not None
     )
@@ -108,14 +171,16 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
 
 def _fields(node: ast.ClassDef, classes: dict) -> tuple[list[str], dict[str, str]]:
     """A dataclass's generated constructor as :func:`_defaulted` reads a
-    ``def``: its fields in order, a base dataclass's first."""
+    ``def``: its fields in order, a base dataclass's first.  ``classes`` maps
+    a class's name to its node and its module's constants."""
     positional, defaults = [], {}
     for base in node.bases:
-        parent = classes.get(ast.unparse(base).rpartition(".")[2])
+        parent, _ = classes.get(ast.unparse(base).rpartition(".")[2], (None, None))
         if parent is not None and _is_dataclass(parent):
             inherited, inherited_defaults = _fields(parent, classes)
             positional += inherited
             defaults.update(inherited_defaults)
+    constants = classes[node.name][1]
     for statement in node.body:
         if not (isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)):
             continue
@@ -130,7 +195,7 @@ def _fields(node: ast.ClassDef, classes: dict) -> tuple[list[str], dict[str, str
             continue
         positional.append(statement.target.id)
         if value is not None:
-            defaults[statement.target.id] = _default(spec.get("default", value))
+            defaults[statement.target.id] = _default(spec.get("default", value), constants)
     return positional, defaults
 
 
@@ -144,14 +209,16 @@ def _audited_callables(
     ``AsService.open_auction`` are two entries under one name, not one
     overwriting the other.  A public dataclass's constructor is its fields;
     a defaulted field in ``written`` is state, not an option."""
+    scopes = [(tree, _module_constants(tree)) for tree in trees]
     classes = {
-        node.name: node for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)
+        node.name: (node, constants)
+        for tree, constants in scopes for node in tree.body if isinstance(node, ast.ClassDef)
     }
     found = collections.defaultdict(list)
-    for tree in trees:
+    for tree, constants in scopes:
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                found[node.name].append((node.name, *_defaulted(node, bound=False)))
+                found[node.name].append((node.name, *_defaulted(node, False, constants)))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
                 if _is_dataclass(node) and "__init__" not in {m.name for m in methods}:
@@ -167,11 +234,11 @@ def _audited_callables(
                     qualified = f"{node.name}.{method.name}"
                     if method.name == "__init__":
                         found[node.name].append(
-                            (qualified, *_defaulted(method, bound=True))
+                            (qualified, *_defaulted(method, True, constants))
                         )
                     elif not method.name.startswith("_"):
                         found[method.name].append(
-                            (qualified, *_defaulted(method, bound=not static))
+                            (qualified, *_defaulted(method, not static, constants))
                         )
     return found
 
@@ -214,39 +281,139 @@ def _written(trees) -> set[str]:
     return written
 
 
+def _spread(node: ast.expr) -> str | None:
+    """What a ``*`` spreads, as :func:`_tuple_sizes` and
+    :func:`_return_sizes` key it: ``name``, ``self.name`` or ``name()``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "self":
+        return f"self.{node.attr}"
+    if isinstance(node, ast.Call) and _called_name(node):
+        return f"{_called_name(node)}()"
+    return None
+
+
+def _length(node: ast.expr | None) -> int | None:
+    """The length of a tuple literal, else ``None``."""
+    if isinstance(node, ast.Tuple) and not any(isinstance(e, ast.Starred) for e in node.elts):
+        return len(node.elts)
+    return None
+
+
+def _one_length(lengths: dict[str, set]) -> dict[str, int]:
+    return {key: found.pop() for key, found in lengths.items() if len(found) == 1 and None not in found}
+
+
 def _tuple_sizes(tree: ast.Module) -> dict[str, int]:
-    """Length of every tuple literal the file assigns to a plain name."""
-    return {
-        target.id: len(node.value.elts)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
-        for target in node.targets
-        if isinstance(target, ast.Name)
+    """Name or ``self.`` attribute -> n, when every binding of it in the file
+    assigns an n-tuple literal (a parameter or import of the name is a
+    binding of unknown length)."""
+    assigned = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            assigned.update((target, node.value) for target in node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            assigned[node.target] = node.value
+    lengths = collections.defaultdict(set)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and not isinstance(node.ctx, ast.Load):
+            if _spread(node) is not None:
+                lengths[_spread(node)].add(_length(assigned.get(node)))
+        elif _binding(node) is not None:
+            lengths[_binding(node)].add(None)
+    return _one_length(lengths)
+
+
+def _return_sizes(trees) -> dict[str, int]:
+    """``name()`` -> n, when every function of that name ends in a
+    ``return`` and every ``return`` it makes is of an n-tuple literal."""
+    lengths = collections.defaultdict(set)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found = lengths[f"{node.name}()"]
+                if not isinstance(node.body[-1], ast.Return):
+                    found.add(None)
+                for inner in _own(node):
+                    if isinstance(inner, (ast.Yield, ast.YieldFrom)):
+                        found.add(None)
+                    elif isinstance(inner, ast.Return):
+                        found.add(_length(inner.value))
+    return _one_length(lengths)
+
+
+def _bound(scope: ast.AST) -> set[str]:
+    """Every name a function, lambda or class binds anywhere inside it (more
+    than Python's scoping shadows, so a module constant is read only where
+    nothing around the call could rebind it)."""
+    return set(map(_binding, ast.walk(scope))) - {None}
+
+
+def _calls(tree: ast.AST, owner=None, function=None, bound=frozenset()):
+    """Every call in ``tree`` with the name of the class whose code makes it,
+    the innermost ``def`` around it and the names the scopes around it bind."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, ast.Call):
+            yield child, owner, function, bound
+        if isinstance(child, ast.ClassDef):
+            yield from _calls(child, child.name, function, bound | _bound(child))
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, owner, child, bound | _bound(child))
+        elif isinstance(child, ast.Lambda):
+            yield from _calls(child, owner, function, bound | _bound(child))
+        else:
+            yield from _calls(child, owner, function, bound)
+
+
+@functools.cache
+def _forwarded(function: ast.FunctionDef | None) -> str | None:
+    """The name of the ``**kwargs`` ``function`` hands on whole — used only
+    as some call's ``**`` — else ``None``."""
+    kwargs = function.args.kwarg if function is not None else None
+    if kwargs is None:
+        return None
+    splats = {
+        id(node.value) for node in ast.walk(function)
+        if isinstance(node, ast.keyword) and node.arg is None
     }
+    uses = [node for node in ast.walk(function) if isinstance(node, ast.Name) and node.id == kwargs.arg]
+    return kwargs.arg if all(id(use) in splats for use in uses) else None
 
 
-def _passed(call: ast.Call, positional: list[str], sizes: dict[str, int]) -> dict | None:
-    """Parameter -> the value ``call`` passes it; ``None`` when a ``**``
-    may pass anything.  ``*WINDOW`` fills as many parameters as the tuple
-    literal the file assigns to that name; a star that cannot be sized fills
-    every positional one, whatever keywords follow (the audit errs towards
-    "set")."""
+class _Star(NamedTuple):
+    """A ``*`` argument: how many parameters it fills, ``None`` if unknown."""
+
+    width: int | None
+
+
+class _Arguments(NamedTuple):
+    """What one call passes: a value or :class:`_Star` per positional
+    argument, keyword -> value, and whether a ``**`` may pass any key."""
+
+    positional: list
+    keywords: dict
+    splat: bool
+
+
+def _passed(arguments: _Arguments, positional: list[str]) -> dict | None:
+    """Parameter -> the value ``arguments`` pass it; ``None`` when a ``**``
+    may pass anything.  An unsized ``*`` fills every parameter up to the
+    first one a keyword names: Python refuses a second value for it."""
+    if arguments.splat:
+        return None
     passed, index = {}, 0
-    for argument in call.args:
-        if not isinstance(argument, ast.Starred):
-            passed.update({name: _value(argument) for name in positional[index:index + 1]})
+    for argument in arguments.positional:
+        if not isinstance(argument, _Star):
+            passed.update({name: argument for name in positional[index:index + 1]})
             index += 1
-            continue
-        star = argument.value
-        width = len(positional)
-        if isinstance(star, ast.Name):
-            width = sizes.get(star.id, width)
-        passed.update((name, MANY) for name in positional[index:index + width])
-        index += width
-    for keyword in call.keywords:
-        if keyword.arg is None:
-            return None
-        passed.setdefault(keyword.arg, _value(keyword.value))
+        elif argument.width is not None:
+            passed.update((name, MANY) for name in positional[index:index + argument.width])
+            index += argument.width
+        else:
+            named = [i for i, name in enumerate(positional) if i >= index and name in arguments.keywords]
+            passed.update((name, MANY) for name in positional[index:min(named, default=None)])
+            index = len(positional)  # what follows lands among the star's
+    passed.update(arguments.keywords)
     return passed
 
 
@@ -262,21 +429,20 @@ def _contract_call(call: ast.Call) -> tuple[str | None, str, ast.Dict] | None:
     return None
 
 
-def _calls(tree: ast.AST, owner: str | None = None):
-    """Every call in ``tree`` with the name of the class whose code makes it."""
-    for child in ast.iter_child_nodes(tree):
-        if isinstance(child, ast.Call):
-            yield child, owner
-        yield from _calls(child, child.name if isinstance(child, ast.ClassDef) else owner)
+class _Site(NamedTuple):
+    """One call as the audit credits it."""
+
+    name: str | None
+    owner: str | None  # the class whose ``self.name(...)`` it is, else None
+    arguments: _Arguments
 
 
-def _constant_options(audited, callers, written=frozenset()) -> dict[str, list[str]]:
+def _constant_options(audited, callers) -> dict[str, list[str]]:
     """Qualified name -> the defaulted parameters of that audited callable to
-    which the calls in ``callers`` (parsed modules) give fewer than two values:
-    a default counts as used by every call that omits it, a literal as its
-    value, anything else as many values.  A field in ``written`` (see
-    :func:`_written`) is state, not an option."""
-    functions = _audited_callables(audited, written)
+    which the calls in ``callers`` (parsed modules) give fewer than two values,
+    binding arguments as the module docstring says.  A field that ``callers``
+    write (see :func:`_written`) is state, not an option."""
+    functions = _audited_callables(audited, _written(callers))
     classes = {
         node.name: node
         for tree in [*audited, *callers]
@@ -307,55 +473,82 @@ def _constant_options(audited, callers, written=frozenset()) -> dict[str, list[s
                 value = MANY if given is None else given.get(option, default)
                 values[qualified][option].add(value)
 
+    returns = _return_sizes([*audited, *callers])
+    sites = []
+    # forwarder name -> (its parameters, a call that hands its **kwargs on)
+    forwarders = collections.defaultdict(list)
     for tree in callers:
-        sizes = _tuple_sizes(tree)
-        for node, owner in _calls(tree):
-            name = _called_name(node)
-            entries = functions.get(name, ())
+        sizes = {**returns, **_tuple_sizes(tree)}
+        module = _module_constants(tree)
+        for node, owner, function, bound in _calls(tree):
+            constants = {name: value for name, value in module.items() if name not in bound}
+            splats = [keyword.value for keyword in node.keywords if keyword.arg is None]
+            forwards = [
+                s for s in splats if isinstance(s, ast.Name) and s.id == _forwarded(function)
+            ]
+            arguments = _Arguments(
+                [
+                    _Star(sizes.get(_spread(a.value))) if isinstance(a, ast.Starred)
+                    else _value(a, constants)
+                    for a in node.args
+                ],
+                {k.arg: _value(k.value, constants) for k in node.keywords if k.arg is not None},
+                len(forwards) < len(splats),  # a ``**`` not handed on whole
+            )
             # ``self.name(...)`` is the enclosing class's method or a base's;
             # any other call counts for every callable of that name.
             receiver = getattr(node.func, "value", None)
-            if owner is not None and isinstance(receiver, ast.Name) and receiver.id == "self":
-                mine = lineage(owner)
-                entries = [e for e in entries if e[0].rpartition(".")[0] in mine]
-            credit(entries, lambda positional: _passed(node, positional, sizes))
+            mine = owner if isinstance(receiver, ast.Name) and receiver.id == "self" else None
+            site = _Site(_called_name(node), mine, arguments)
+            if forwards:
+                own = function.args
+                parameters = {a.arg for a in own.posonlyargs + own.args + own.kwonlyargs}
+                forwarders[function.name].append((parameters, site))
+            else:
+                sites.append(site)
             contract = _contract_call(node)
             if contract:
-                owners, function, arguments = contract
-                given = None if None in arguments.keys else {
-                    key.value: _value(value)
-                    for key, value in zip(arguments.keys, arguments.values)
+                owners, entry, spelled = contract
+                given = None if None in spelled.keys else {
+                    key.value: _value(value, constants)
+                    for key, value in zip(spelled.keys, spelled.values)
                     if isinstance(key, ast.Constant)
                 }
                 credit(
                     [
-                        entry for entry in functions.get(function, ())
-                        if owners is None or entry[0].rpartition(".")[0] in contracts[owners]
+                        e for e in functions.get(entry, ())
+                        if owners is None or e[0].rpartition(".")[0] in contracts[owners]
                     ],
                     lambda positional: given,
                 )
             # ``replace(record, field=...)`` builds a record: it passes the
             # fields it names to every constructor that has them.
-            if name == "replace":
+            if site.name == "replace":
                 for keyword in node.keywords:
                     for entries in functions.values():
                         for qualified, _, defaults in entries:
                             if qualified.endswith(".__init__") and keyword.arg in defaults:
-                                values[qualified][keyword.arg].add(_value(keyword.value))
-            # ``deploy_market(reclamation={...})`` splats its keys into
-            # ``enable_reclamation``: a dict a call site spells out — literal,
-            # ``dict(...)`` or ``.setdefault("key", ...)`` — sets them.
-            splatted = values["AsService.enable_reclamation"]
-            if name == "dict":
-                for keyword in node.keywords:
-                    splatted[keyword.arg].add(MANY)
-            elif name == "setdefault" and isinstance(node.args[0], ast.Constant):
-                splatted[node.args[0].value].add(MANY)
-            for keyword in node.keywords:
-                if keyword.arg == "reclamation" and isinstance(keyword.value, ast.Dict):
-                    for key in keyword.value.keys:
-                        if isinstance(key, ast.Constant):
-                            splatted[key.value].add(MANY)
+                                values[qualified][keyword.arg].add(_value(keyword.value, constants))
+
+    def visit(site: _Site, depth: int = 0) -> None:
+        entries = functions.get(site.name, ())
+        if site.owner is not None:
+            mine = lineage(site.owner)
+            entries = [e for e in entries if e[0].rpartition(".")[0] in mine]
+        credit(entries, lambda positional: _passed(site.arguments, positional))
+        if depth == 10:  # a helper that hands its ``**kwargs`` on to itself
+            return
+        # a forwarder's ``**kwargs`` holds the keywords its own parameters do not take
+        for parameters, inner in forwarders.get(site.name, ()):
+            given = site.arguments
+            extra = {k: v for k, v in given.keywords.items() if k not in parameters}
+            visit(inner._replace(arguments=inner.arguments._replace(
+                keywords={**inner.arguments.keywords, **extra},
+                splat=inner.arguments.splat or given.splat,
+            )), depth + 1)
+
+    for site in sites:
+        visit(site)
     return {
         qualified: [
             option for option in defaults
@@ -419,10 +612,10 @@ def test_every_option_has_a_caller_that_sets_it():
 
     # ``RouterStats.drop_reasons``, ``Ledger.contracts``, ``PathSimulation.nodes``
     # and ``AutonomousSystem.interfaces`` are state by their writes, not by a list
-    written = _written(tree for _, tree in _trees())
-    assert {"drop_reasons", "contracts", "nodes", "interfaces"} <= written
+    callers = _option_callers(_trees())
+    assert {"drop_reasons", "contracts", "nodes", "interfaces"} <= _written(callers)
 
-    constants = _constant_options(audited, _option_callers(_trees()), written)
+    constants = _constant_options(audited, callers)
     flagged = {
         qualified: [option for option in options if (qualified, option) not in ALLOWED]
         for qualified, options in constants.items()
@@ -438,7 +631,8 @@ def test_the_walk_sees_through_helpers_only_where_they_spell_options_out():
     ``clock_skew``: a test helper forwarding ``**kwargs`` counted as setting
     every option.  A helper that names what it forwards leaves the rest
     flagged; a contract call sets its dict's keys, or all of them through
-    ``**``."""
+    ``**``, and so does a helper that edits its ``**kwargs`` before handing
+    them on."""
     audited = [ast.parse(
         "class Router:\n"
         "    def __init__(self, key, duplicate_filter=None, burst_time=0.05,\n"
@@ -456,13 +650,120 @@ def test_the_walk_sees_through_helpers_only_where_they_spell_options_out():
         "Router.__init__": ["burst_time", "max_packet_age", "clock_skew"],
         "Market.buy": ["note"],
     }
-    forwarding = ast.parse(
+    edited = ast.parse(
         "def routers_for(keys, **kwargs):\n"
+        "    kwargs.setdefault('burst_time', 0.1)\n"
         "    return [Router(k, **kwargs) for k in keys]\n"
+        "routers_for(keys, clock_skew=2.0)\n"
         "Command('market', 'buy', {'listing': 1, **extra})\n"
     )
-    assert _constant_options(audited, [forwarding]) == {
+    assert _constant_options(audited, [edited]) == {
         "Router.__init__": [], "Market.buy": [],
+    }
+
+
+def test_a_star_fills_as_many_parameters_as_its_tuple_holds():
+    """``*self.window`` fills two parameters when every assignment gives
+    ``self.window`` a 2-tuple literal, and ``*linear_path(4)`` two when every
+    ``return`` of ``linear_path`` is one: the defaulted parameters after them
+    stay unset."""
+    audited = ast.parse(
+        "def open_auction(market, interface, start, expiry, reserve,\n"
+        "                 granularity=60, minimum=100): ...\n"
+        "def congestion(topology, path, protected, duration=3.0): ...\n"
+    )
+    caller = ast.parse(
+        "class Workload:\n"
+        "    def setup(self, now):\n"
+        "        self.window = (now, now + 600)\n"
+        "    def run(self, market):\n"
+        "        open_auction(market, 1, *self.window, 50)\n"
+        "def linear_path(num_ases):\n"
+        "    return topology, path\n"
+        "congestion(*linear_path(4), True)\n"
+    )
+    assert _constant_options([audited], [caller]) == {
+        "open_auction": ["granularity", "minimum"], "congestion": ["duration"],
+    }
+
+
+def test_a_star_of_unknown_length_stops_at_the_first_keyword():
+    """Python refuses a second value for a parameter, so a ``*`` the walk
+    cannot size fills at most the parameters before the first one a keyword
+    of the same call names."""
+    audited = ast.parse(
+        "def contention(topology, path, num_buyers=8, per_buyer_kbps=2000,\n"
+        "               duration=1.5): ...\n"
+    )
+    caller = ast.parse(
+        "run = lambda chain, buyers, seconds: contention(\n"
+        "    *chain, num_buyers=buyers, duration=seconds)\n"
+    )
+    assert _constant_options([audited], [caller]) == {"contention": ["per_buyer_kbps"]}
+
+
+def test_a_forwarded_kwargs_passes_the_keywords_its_callers_gave():
+    """A ``**market`` that a helper hands on whole passes exactly the
+    keywords the helper's callers gave it and its own parameters did not
+    take, through any number of helpers."""
+    audited = ast.parse(
+        "def deploy_market(topology, seed=7, asset_duration=3600,\n"
+        "                  policer_of=None, pricer=None): ...\n"
+    )
+    caller = ast.parse(
+        "def _market(topology, path, reclaims=False, **market):\n"
+        "    return deploy_market(topology, seed=1, policer_of=reclaims and path, **market)\n"
+        "def _contended(topology, path, end, **market):\n"
+        "    return _market(topology, path, asset_duration=end, **market)\n"
+        "def deploy(chain, seed, **options):\n"
+        "    return deploy_market(chain, seed=seed, **options)\n"
+        "_contended(t, p, 600, reclaims=True)\n"
+        "deploy(chain, 12, asset_duration=14_400)\n"
+    )
+    assert _constant_options([audited], [caller]) == {"deploy_market": ["pricer"]}
+
+
+def test_a_module_constant_passes_its_literal():
+    """A name its module binds once, at module level, to a literal passes
+    that literal; bound twice, or shadowed by a local, it passes any value."""
+    audited = ast.parse(
+        "class CallContext:\n"
+        "    def take_shared(self, object_id, type_tag=None): ...\n"
+        "def auction(topology, seed=1, rounds=3, budget=10): ...\n"
+    )
+    caller = ast.parse(
+        "MARKETPLACE = 'market::Marketplace'\n"
+        "SEED = 1\n"
+        "ROUNDS = 3\n"
+        "ROUNDS = 4\n"
+        "BUDGET = 10\n"
+        "def buy(ctx, market):\n"
+        "    ctx.take_shared(market, MARKETPLACE)\n"
+        "def sweep(BUDGET):\n"
+        "    auction(t, seed=SEED, rounds=ROUNDS, budget=BUDGET)\n"
+    )
+    assert _constant_options([audited], [caller]) == {
+        "CallContext.take_shared": ["type_tag"], "auction": ["seed"],
+    }
+
+
+def test_a_write_only_a_test_makes_leaves_a_field_an_option():
+    """A field is state when code outside ``tests/`` writes it after
+    construction; a test that rewrites one (a key rotation) reaches past the
+    constructor, as a ``monkeypatch`` does."""
+    audited = [ast.parse(
+        "@dataclass\n"
+        "class AutonomousSystem:\n"
+        "    isd_as: str\n"
+        "    forwarding_key: bytes = b''\n"
+        "    interfaces: dict = field(default_factory=dict)\n"
+    )]
+    callers = [
+        (ROOT / "tests" / "test_rotation.py", ast.parse("asys.forwarding_key = rotated")),
+        (ROOT / "src" / "repro" / "topology.py", ast.parse("asys.interfaces[7] = link")),
+    ]
+    assert _constant_options(audited, _option_callers(callers)) == {
+        "AutonomousSystem.__init__": ["forwarding_key"],
     }
 
 
@@ -512,7 +813,7 @@ def test_a_record_field_is_an_option_unless_code_writes_it():
         "query.log.append(event)\n"
         "serial = next(query.serials)\n"
     )]
-    assert _constant_options(audited, callers, _written(callers)) == {
+    assert _constant_options(audited, callers) == {
         "Query.__init__": ["flex_start"],
     }
 

@@ -18,7 +18,7 @@ from tests.marketdata.conftest import RawMarket
 
 from repro.admission import ACTIVE, DEFAULT_SHARD_SECONDS
 from repro.clock import SimClock
-from repro.controlplane import HostClient, deploy_market, execute_transfer
+from repro.controlplane import HostClient, asclient, deploy_market, execute_transfer
 from repro.invariants import check
 from repro.marketdata import IncompatibleGranularity
 from repro.netsim import linear_path
@@ -225,11 +225,12 @@ def test_vanished_listing_aborts_cleanly_both_ways(monkeypatch):
     check(deployment, T0)
 
 
-def test_mixed_incongruent_granularity_surfaces_from_transfer():
+def test_mixed_incongruent_granularity_surfaces_from_transfer(monkeypatch):
     """A seller listing on a shifted 90s lattice makes the whole book
     unplannable: ``transfer`` must raise ``IncompatibleGranularity``, not
     an opaque failure, and submit nothing."""
     deployment, crossings = _deploy(600, interface_capacity_kbps=20_000_000)
+    monkeypatch.setattr(asclient, "DEFAULT_GRANULARITY", 90)  # the seam: a 90 s seller
     for crossing in crossings:
         service = deployment.service(crossing.isd_as)
         listed = service.issue_and_list(
@@ -240,7 +241,6 @@ def test_mixed_incongruent_granularity_surfaces_from_transfer():
             T0 + 15,
             T0 + 15 + 540,
             50,
-            90,
         )
         assert listed.effects.ok
     host = deployment.new_host(name="mover")

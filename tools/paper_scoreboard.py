@@ -314,7 +314,7 @@ def ablations() -> list:
         ratio = coloring.colors_in_use / optimal
         rows.append(Ours(ratio, f"{coloring.colors_in_use} colours, {optimal} optimal", "< 3",
                          ratio < 3.0))
-    unprotected, protected = (congestion_experiment(*linear_path(4), protected=flag, duration=2.0)
+    unprotected, protected = (congestion_experiment(*linear_path(4), protected=flag)
                               .victim["goodput_mbps"] for flag in (False, True))
     # The blocks a reserved hop MACs: its hop field under K_i, its ResInfo
     # under SV_i (giving A_i), the flyover input under A_i.

@@ -114,8 +114,8 @@ def user_paths() -> list[tuple[str, list[str]]]:
     paths.append((
         "recorded experiments",
         [python, "-c", "import sys; sys.path[:0] = ['tests/netsim']\n"
-         "from test_experiment_equivalence import linear_path, run_experiments\n"
-         "run_experiments(lambda experiment, ases, **options: experiment(*linear_path(ases), **options))"],
+         "from test_experiment_equivalence import ExperimentRuns, run_experiments\n"
+         "run_experiments(ExperimentRuns())"],
     ))
     for scenario in ("contention", "flex_market", "auction", "path"):
         paths.append((f"report {scenario}", [
