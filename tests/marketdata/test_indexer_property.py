@@ -4,8 +4,10 @@ Hypothesis drives arbitrary interleavings of list / buy (all split
 shapes) / cancel / seller-side asset splits / relists — with the indexer
 syncing incrementally after every step — and checks that the index always
 answers exactly what a naive rescan of the object store would: the same
-live listing set, and for probe rectangles the same cheapest listing,
-price, and aligned window.
+live listing set; for probe rectangles the same cheapest listing, price
+and aligned window, and the same cheapest ``limit`` covers in (price,
+aligned start, listing id) order; and for probe spans the same listings
+overlapping them per key.
 
 Between those steps the same seller opens window auctions and 2- / 4-leg path
 auctions (a shell first, then one leg a rule, so "open, not fully
@@ -17,6 +19,7 @@ bidder's settlement — exactly what a scan of the live ``market::Auction`` /
 ``market::PathAuction`` objects and of the ``*Settled`` events says.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -80,6 +83,22 @@ def _covers(legs, directions, start, expiry, bandwidth_kbps) -> bool:
             for leg in legs
         )
     )
+
+
+def _listing_covers(records, probe):
+    """Every cover of ``probe`` among ``records`` by the contract's rule
+    (``IndexedListing.align`` / ``.sellable`` / ``.candidate``), in the
+    (price, aligned start, listing id) order the index ranks them."""
+    found = []
+    for record in records:
+        aligned = record.align(probe.start, probe.expiry)
+        if record.key != probe.key or aligned is None:
+            continue
+        if probe.exact_window and aligned != (probe.start, probe.expiry):
+            continue
+        if record.sellable(probe.bandwidth_kbps):
+            found.append(record.candidate(probe.bandwidth_kbps, *aligned))
+    return sorted(found, key=lambda c: (c.price_mist, c.start, c.listing.listing_id))
 
 
 class IndexerMachine(RuleBasedStateMachine):
@@ -346,9 +365,20 @@ class IndexerMachine(RuleBasedStateMachine):
         }
         assert indexed == scanned
         for interface, is_ingress in INTERFACES:
+            windows = []
             for _ in range(3):
                 start = self.rng.randrange(0, HORIZON, 30)
-                expiry = start + self.rng.randrange(30, 3600, 30)
+                windows.append((start, start + self.rng.randrange(30, 3600, 30)))
+            # and one inside a live listing of the key, where covers crowd
+            live = sorted(
+                record.listing_id for record in scanned.values()
+                if (record.interface, record.is_ingress) == (interface, is_ingress)
+            )
+            if live:
+                record = scanned[self.rng.choice(live)]
+                start = self.rng.randrange(record.start, record.expiry, 30)
+                windows.append((start, self.rng.randrange(start + 30, record.expiry + 30, 30)))
+            for start, expiry in windows:
                 probe = ListingQuery(
                     isd_as=AS19, interface=interface, is_ingress=is_ingress,
                     start=start, expiry=expiry,
@@ -367,6 +397,25 @@ class IndexerMachine(RuleBasedStateMachine):
                     assert (fast.price_mist, fast.start, fast.expiry) == (
                         slow.price_mist, slow.start, slow.expiry,
                     ), probe
+                limit = self.rng.choice([1, 3, 50])
+                wide = dataclasses.replace(probe, exact_window=False)
+                assert self.indexer.candidates(wide, limit) == (
+                    _listing_covers(scanned.values(), wide)[:limit]
+                ), (wide, limit)
+        keys = [(AS19.isd, AS19.asn, *direction) for direction in INTERFACES]
+        keys.append((AS19.isd, AS19.asn, 9, True))  # a key nothing was listed on
+        start = self.rng.randrange(0, HORIZON, 30)
+        end = start + self.rng.randrange(1, 3600)
+        found = self.indexer.overlapping(keys, start, end)
+        assert set(found) == set(keys)
+        for key in keys:
+            assert sorted(found[key], key=lambda record: record.listing_id) == sorted(
+                (
+                    record for record in scanned.values()
+                    if record.key == key and record.start < end and record.expiry > start
+                ),
+                key=lambda record: record.listing_id,
+            ), (key, start, end)
 
     # -- the same property, for auctions -----------------------------------------
 
@@ -500,3 +549,29 @@ def test_every_auction_state_is_visited_once_by_hand():
     assert sorted(settled) == ["AuctionSettled", "PathAuctionSettled"]
     assert all(p["winners"] and p["losers"] for p in settled.values())
     assert [None in legs for _, _, legs in machine._open()] == [True]
+
+
+def test_a_crowded_book_is_ranked_as_the_scan_ranks_it():
+    """The random walk above rarely holds more than one cover of a probe; this
+    seeded script lists two dozen overlapping assets on one key, then buys and
+    cancels among them, so the ``limit`` cut and the (price, start, id) order
+    of ``candidates`` meet ties and long cover lists."""
+    machine = IndexerMachine()
+    machine.setup()
+    script = random.Random(58)
+    for _ in range(24):
+        machine.list_asset(
+            slot=script.randrange(0, 20), slots=script.randrange(10, 30),
+            granularity=script.choice(GRANULARITIES), interface=INTERFACES[0],
+            bw=script.choice([1_000, 10_000]), price=script.choice([40, 50, 60]),
+        )
+        machine.index_matches_full_rescan()
+    for step in range(12):
+        if step % 3:
+            machine.buy_rectangle(
+                pick=script.randrange(1_000), start_frac=script.random(),
+                slots=script.randrange(1, 6), bw_frac=script.random(),
+            )
+        else:
+            machine.cancel_listing(pick=script.randrange(1_000))
+        machine.index_matches_full_rescan()
