@@ -13,15 +13,16 @@ index is always a pure function of the events applied so far and never
 needs a rescan.  It is the one off-chain view of the marketplace: hosts and
 both planners ask it and replay nothing themselves.
 
-Listings are bucketed per ``(isd, asn, interface, direction)`` key; each
-bucket keeps its listings sorted by asset start and compiles them into a
-list of rectangle rows on the first query after a change.  A
-rectangle-cover query bisects the sorted starts for the candidate prefix
-(``O(log n)`` selection) and prices the prefix row by row — granule
-alignment, minimum-bandwidth rules and ceil pricing exactly mirror the
-market contract, so the quoted price is the price ``buy`` will charge.
+The index holds each live listing once, by id, and per ``(isd, asn,
+interface, direction)`` key a sorted list of ``(asset start, listing id)``.
+A rectangle-cover query bisects that list for the listings whose asset
+starts at or before the request (``O(log n)`` selection) and puts each
+through :class:`~repro.marketdata.query.IndexedListing`'s ``align``,
+``sellable`` and ``candidate`` — the contract's granule alignment,
+minimum-bandwidth rule and ceil pricing, so the quoted price is the price
+``buy`` will charge.
 
-Ties are broken deterministically by (price, aligned start, listing id);
+Covers rank by (price, aligned start, listing id);
 :mod:`repro.marketdata.naive` implements the same contract by full-ledger
 scan for differential testing.
 """
@@ -31,8 +32,8 @@ from __future__ import annotations
 import bisect
 import collections
 import dataclasses
-import itertools
 import math
+import operator
 import time
 
 from repro.marketdata.query import (
@@ -45,6 +46,7 @@ from repro.marketdata.query import (
 from repro.telemetry import get_registry
 
 _ADD_EVENTS = ("Listed", "Relisted")
+_START = operator.itemgetter(0)  # of a key's (asset start, listing id) entry
 # event type -> the payload key that names the auction
 _AUCTION_EVENTS = {
     "AuctionOpened": "auction",
@@ -53,143 +55,6 @@ _AUCTION_EVENTS = {
     "PathLegContributed": "path_auction",
     "PathAuctionSettled": "path_auction",
 }
-
-
-class _KeyIndex:
-    """All live listings of one (isd, asn, interface, direction) key."""
-
-    __slots__ = ("records", "_order", "_dirty", "_starts", "_rows")
-
-    def __init__(self) -> None:
-        self.records: dict[str, IndexedListing] = {}
-        self._order: list[tuple[int, str]] = []  # (start, listing_id), sorted
-        self._dirty = False
-        self._compile([])
-
-    # -- mutation ---------------------------------------------------------------
-
-    def _unorder(self, start: int, listing_id: str) -> None:
-        index = bisect.bisect_left(self._order, (start, listing_id))
-        if index < len(self._order) and self._order[index][1] == listing_id:
-            del self._order[index]
-
-    def add(self, record: IndexedListing) -> None:
-        # A replayed Listed/Relisted for a live listing must replace, not
-        # duplicate: drop the stale order entry before re-inserting, or
-        # candidates() would return the listing twice (and a later remove
-        # would leave a dangling order entry behind).
-        stale = self.records.get(record.listing_id)
-        if stale is not None:
-            self._unorder(stale.start, record.listing_id)
-        self.records[record.listing_id] = record
-        bisect.insort(self._order, (record.start, record.listing_id))
-        self._dirty = True
-
-    def remove(self, listing_id: str) -> None:
-        record = self.records.pop(listing_id, None)
-        if record is None:
-            return
-        self._unorder(record.start, listing_id)
-        self._dirty = True
-
-    def update_rectangle(self, listing_id: str, remaining: dict) -> IndexedListing | None:
-        """Shrink a listing after a partial sale mutated its asset to the
-        ``bandwidth_kbps`` / ``start`` / ``expiry`` that ``Sold`` reports as
-        ``remaining``; returns the shrunk record (``None`` for a listing this
-        bucket never held)."""
-        record = self.records.get(listing_id)
-        if record is None:
-            return None
-        if record.start != remaining["start"]:
-            self._unorder(record.start, listing_id)
-            bisect.insort(self._order, (remaining["start"], listing_id))
-        record = dataclasses.replace(record, **remaining)
-        self.records[listing_id] = record
-        self._dirty = True
-        return record
-
-    # -- compiled rows ------------------------------------------------------------
-
-    def _compile(self, records: list[IndexedListing]) -> None:
-        self._starts = [r.start for r in records]
-        self._rows = [
-            (
-                r.start,
-                r.expiry,
-                r.bandwidth_kbps,
-                r.min_bandwidth_kbps,
-                r.granularity,
-                r.price_micromist_per_unit,
-                r.listing_id,
-            )
-            for r in records
-        ]
-
-    def _compiled(self) -> None:
-        if self._dirty:
-            self._compile([self.records[listing_id] for _, listing_id in self._order])
-            self._dirty = False
-
-    # -- queries ------------------------------------------------------------------
-
-    def _evaluate(
-        self, start: int, expiry: int, bandwidth_kbps: int, exact_window: bool
-    ) -> list[tuple[int, int, str, int]]:
-        """Every cover: ``(price, aligned start, listing id, aligned expiry)``.
-
-        The row form of :meth:`IndexedListing.align`, ``sellable`` and
-        :func:`~repro.marketdata.query.price_mist`, which
-        :mod:`repro.marketdata.naive` applies to every ledger object as the
-        reference.  Tuples order by the tie-break (price, start, id).
-        """
-        if not self.records or expiry <= start:
-            return []
-        self._compiled()
-        # Only listings whose asset starts at or before the query can cover
-        # it: O(log n) prefix selection, then the prefix row by row.
-        prefix = bisect.bisect_right(self._starts, start)
-        covers = []
-        for anchor, asset_expiry, available, minimum, granule, unit_price, listing_id in (
-            itertools.islice(self._rows, prefix)
-        ):
-            if asset_expiry < expiry:  # the aligned expiry is never earlier
-                continue
-            remainder = available - bandwidth_kbps
-            if bandwidth_kbps < minimum or remainder < 0 or 0 < remainder < minimum:
-                continue
-            aligned_start = anchor + (start - anchor) // granule * granule
-            over = (expiry - anchor) % granule
-            aligned_expiry = expiry + granule - over if over else expiry
-            if aligned_expiry > asset_expiry:
-                continue
-            if exact_window and (aligned_start != start or aligned_expiry != expiry):
-                continue
-            price = price_mist(bandwidth_kbps, aligned_expiry - aligned_start, unit_price)
-            covers.append((price, aligned_start, listing_id, aligned_expiry))
-        return covers
-
-    def _candidate(self, cover: tuple[int, int, str, int]) -> Candidate:
-        price, aligned_start, listing_id, aligned_expiry = cover
-        return Candidate(
-            listing=self.records[listing_id],
-            price_mist=price,
-            start=aligned_start,
-            expiry=aligned_expiry,
-        )
-
-    def best(
-        self, start: int, expiry: int, bandwidth_kbps: int, exact_window: bool = False
-    ) -> Candidate | None:
-        """Cheapest listing covering the rectangle; deterministic tie-break."""
-        covers = self._evaluate(start, expiry, bandwidth_kbps, exact_window)
-        return self._candidate(min(covers)) if covers else None
-
-    def candidates(
-        self, start: int, expiry: int, bandwidth_kbps: int, limit: int
-    ) -> list[Candidate]:
-        """Up to ``limit`` cheapest covers, same ordering as :meth:`best`."""
-        covers = sorted(self._evaluate(start, expiry, bandwidth_kbps, False))
-        return [self._candidate(cover) for cover in covers[:limit]]
 
 
 class MarketIndexer:
@@ -223,10 +88,12 @@ class MarketIndexer:
         self.ledger = ledger
         self.marketplace = marketplace
         self._position = 0
-        self._keys: dict[tuple[int, int, int, bool], _KeyIndex] = (
-            collections.defaultdict(_KeyIndex)
-        )
         self._by_listing: dict[str, IndexedListing] = {}
+        # Per (isd, asn, interface, is_ingress) key: (asset start, listing id)
+        # of each of its live listings, sorted.
+        self._keys: dict[tuple[int, int, int, bool], list[tuple[int, str]]] = (
+            collections.defaultdict(list)
+        )
         # Reclamation provenance per live listing: the ``Reclaimed`` event
         # precedes its listing's ``Listed``/``Relisted`` in the same
         # transaction, so the annotation is stashed by listing id and
@@ -296,10 +163,10 @@ class MarketIndexer:
         self._m_events.labels("skipped").inc(scanned - applied)
         if applied:
             self._g_live.set(len(self._by_listing))
-            for (isd, asn, interface, is_ingress), bucket in self._keys.items():
+            for (isd, asn, interface, is_ingress), entries in self._keys.items():
                 self._g_bucket.labels(
                     isd, asn, interface, "ingress" if is_ingress else "egress"
-                ).set(len(bucket.records))
+                ).set(len(entries))
 
     def _apply(self, event) -> bool:
         kind, payload = event.event_type, event.payload
@@ -313,9 +180,8 @@ class MarketIndexer:
             self._m_reclaimed.inc()
             return True
         if kind in _ADD_EVENTS:
-            record = IndexedListing.from_event(payload)
-            self._by_listing[record.listing_id] = record
-            self._keys[record.key].add(record)
+            # A replayed Listed/Relisted of a live listing replaces it.
+            self._put(IndexedListing.from_event(payload))
             return True
         if kind == "Delisted":
             # Sold/Delisted of a listing we never tracked (e.g. an indexer
@@ -329,9 +195,8 @@ class MarketIndexer:
             record = self._by_listing.get(listing_id)
             if record is None:
                 return False
-            self._by_listing[listing_id] = self._keys[record.key].update_rectangle(
-                listing_id, payload["remaining"]
-            )
+            # the listing's asset shrank to what ``Sold`` reports as remaining
+            self._put(dataclasses.replace(record, **payload["remaining"]))
             return True
         if kind in _AUCTION_EVENTS:
             return self._apply_auction(kind, payload[_AUCTION_EVENTS[kind]], payload)
@@ -356,12 +221,24 @@ class MarketIndexer:
             self._settlements[auction_id] = payload
         return True
 
+    def _put(self, record: IndexedListing) -> None:
+        """Index ``record``, in place of the listing's earlier record."""
+        stale = self._by_listing.get(record.listing_id)
+        if stale is not None:
+            self._unplace(stale)
+        self._by_listing[record.listing_id] = record
+        bisect.insort(self._keys[record.key], (record.start, record.listing_id))
+
+    def _unplace(self, record: IndexedListing) -> None:
+        entries = self._keys[record.key]
+        del entries[bisect.bisect_left(entries, (record.start, record.listing_id))]
+
     def _drop(self, listing_id: str) -> bool:
         record = self._by_listing.pop(listing_id, None)
         if record is None:
             return False
         self._provenance.pop(listing_id, None)
-        self._keys[record.key].remove(listing_id)
+        self._unplace(record)
         return True
 
     # -- queries ------------------------------------------------------------------
@@ -391,11 +268,12 @@ class MarketIndexer:
         bucket, as of the last :meth:`sync`."""
         found: dict[tuple, list[IndexedListing]] = {}
         for key in keys:
-            bucket = self._keys.get(key)
+            entries = self._keys.get(key, ())
+            begun = entries[: bisect.bisect_left(entries, end, key=_START)]
             found[key] = [
                 record
-                for record in (bucket.records.values() if bucket is not None else ())
-                if record.start < end and record.expiry > start
+                for record in (self._by_listing[listing_id] for _, listing_id in begun)
+                if record.expiry > start
             ]
         return found
 
@@ -436,17 +314,23 @@ class MarketIndexer:
         self.sync()
         return self._settlements.get(auction_id)
 
-    def _point_query(self, op: str, query: ListingQuery, sync: bool, ask, nothing):
-        """The shared body of :meth:`best` and :meth:`candidates`: sync,
-        ``ask`` the query's bucket (``nothing`` when no listing was ever
-        indexed there), time the answer."""
-        if sync:
-            self.sync()
-        began = time.perf_counter()
-        bucket = self._keys.get(query.key)
-        found = nothing if bucket is None else ask(bucket)
-        self._m_query_seconds.labels(op).observe(time.perf_counter() - began)
-        return found
+    def _covers(self, query: ListingQuery) -> list[Candidate]:
+        """Every cover of ``query`` by :class:`IndexedListing`'s rule, ranked
+        by (price, aligned start, listing id)."""
+        entries = self._keys.get(query.key, ())
+        # only a listing whose asset starts at or before the request covers it
+        begun = entries[: bisect.bisect_right(entries, query.start, key=_START)]
+        covers = []
+        for _, listing_id in begun:
+            record = self._by_listing[listing_id]
+            window = record.align(query.start, query.expiry)
+            if window is None or not record.sellable(query.bandwidth_kbps):
+                continue
+            if query.exact_window and window != (query.start, query.expiry):
+                continue
+            covers.append(record.candidate(query.bandwidth_kbps, *window))
+        covers.sort(key=Candidate.rank)
+        return covers
 
     def best(self, query: ListingQuery, sync: bool = True) -> Candidate | None:
         """Cheapest cover for a query (None when uncovered).
@@ -464,29 +348,24 @@ class MarketIndexer:
             The cheapest :class:`~repro.marketdata.query.Candidate` (ties
             broken by aligned start, then listing id), or ``None``.
         """
-        return self._point_query(
-            "best", query, sync,
-            lambda bucket: bucket.best(
-                query.start, query.expiry, query.bandwidth_kbps, query.exact_window
-            ),
-            None,
-        )
+        if sync:
+            self.sync()
+        began = time.perf_counter()
+        covers = self._covers(query)
+        self._m_query_seconds.labels("best").observe(time.perf_counter() - began)
+        return covers[0] if covers else None
 
-    def candidates(
-        self, query: ListingQuery, limit: int, sync: bool = True
-    ) -> list[Candidate]:
-        """Up to ``limit`` cheapest covers for a query.
+    def candidates(self, query: ListingQuery, limit: int) -> list[Candidate]:
+        """Up to ``limit`` cheapest covers for a query, as of the last
+        :meth:`sync`.
 
         Same contract and ordering as :meth:`best`; an uncoverable query
         returns an empty list.
         """
-        return self._point_query(
-            "candidates", query, sync,
-            lambda bucket: bucket.candidates(
-                query.start, query.expiry, query.bandwidth_kbps, limit
-            ),
-            [],
-        )
+        began = time.perf_counter()
+        covers = self._covers(query)[:limit]
+        self._m_query_seconds.labels("candidates").observe(time.perf_counter() - began)
+        return covers
 
     def price_curve(
         self,
@@ -503,12 +382,11 @@ class MarketIndexer:
         valleys a flexible buyer can slide into.
         """
         self.sync()
-        bucket = self._keys.get((isd_as.isd, isd_as.asn, interface, is_ingress))
-        prices = [math.inf] * len(times)
-        if bucket is None:
-            return prices
-        for position, time in enumerate(times):
-            found = bucket.best(int(time), int(time) + duration, bandwidth_kbps)
-            if found is not None:
-                prices[position] = float(found.price_mist)
+        prices = []
+        for moment in times:
+            covers = self._covers(ListingQuery(
+                isd_as, interface, is_ingress,
+                int(moment), int(moment) + duration, bandwidth_kbps,
+            ))
+            prices.append(float(covers[0].price_mist) if covers else math.inf)
         return prices

@@ -68,9 +68,6 @@ def naive_best_listing(ledger, marketplace: str, query: ListingQuery) -> Candida
         if not record.sellable(query.bandwidth_kbps):
             continue
         candidate = record.candidate(query.bandwidth_kbps, buy_start, buy_expiry)
-        if best is None or (
-            (candidate.price_mist, candidate.start, candidate.listing.listing_id)
-            < (best.price_mist, best.start, best.listing.listing_id)
-        ):
+        if best is None or candidate.rank() < best.rank():
             best = candidate
     return best

@@ -138,12 +138,10 @@ class PurchasePlanner:
         ingress_candidates = self.indexer.candidates(
             ListingQuery(isd_as, ingress, True, start, expiry, bandwidth_kbps),
             limit=_PAIR_SEARCH_LIMIT,
-            sync=False,
         )
         egress_candidates = self.indexer.candidates(
             ListingQuery(isd_as, egress, False, start, expiry, bandwidth_kbps),
             limit=_PAIR_SEARCH_LIMIT,
-            sync=False,
         )
         if not ingress_candidates or not egress_candidates:
             missing = ingress if not ingress_candidates else egress

@@ -213,6 +213,11 @@ class Candidate:
         """The answer as a plain ``(listing id, price, start, expiry)`` tuple."""
         return (self.listing.listing_id, self.price_mist, self.start, self.expiry)
 
+    def rank(self) -> tuple[int, int, str]:
+        """Where this answer ranks among covers of one query: cheapest first,
+        then earliest aligned start, then listing id."""
+        return (self.price_mist, self.start, self.listing.listing_id)
+
 
 # What an auctioned leg says on chain — a ``PathAuction`` object's leg entry,
 # an ``Auction`` object's own fields beside the rectangle of its asset.

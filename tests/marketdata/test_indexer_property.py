@@ -19,7 +19,6 @@ bidder's settlement — exactly what a scan of the live ``market::Auction`` /
 ``market::PathAuction`` objects and of the ``*Settled`` events says.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -398,10 +397,9 @@ class IndexerMachine(RuleBasedStateMachine):
                         slow.price_mist, slow.start, slow.expiry,
                     ), probe
                 limit = self.rng.choice([1, 3, 50])
-                wide = dataclasses.replace(probe, exact_window=False)
-                assert self.indexer.candidates(wide, limit) == (
-                    _listing_covers(scanned.values(), wide)[:limit]
-                ), (wide, limit)
+                assert self.indexer.candidates(probe, limit) == (
+                    _listing_covers(scanned.values(), probe)[:limit]
+                ), (probe, limit)
         keys = [(AS19.isd, AS19.asn, *direction) for direction in INTERFACES]
         keys.append((AS19.isd, AS19.asn, 9, True))  # a key nothing was listed on
         start = self.rng.randrange(0, HORIZON, 30)
