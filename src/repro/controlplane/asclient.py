@@ -926,9 +926,6 @@ class AsService:
                 policer.usage_snapshot if bound else dict, reclaim.SAMPLE_INTERVAL
             ),
             grace_seconds=reclaim.GRACE_SECONDS,
-            no_show_threshold=reclaim.NO_SHOW_THRESHOLD,
-            retain_headroom=reclaim.RETAIN_HEADROOM,
-            min_retained_kbps=reclaim.MIN_RETAINED_KBPS,
             demote=policer.set_limit if bound else None,
             retain=policer.retain if bound else None,
         )

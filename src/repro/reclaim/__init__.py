@@ -18,12 +18,13 @@ from repro.reclaim.engine import (
 )
 from repro.reclaim.usage import UsageReporter, UsageSnapshot
 
-# The settings of every deployment's loop
-# (:meth:`~repro.controlplane.AsService.enable_reclamation`), at the values
-# ``reclamation_experiment`` runs: the reporter samples every
-# ``SAMPLE_INTERVAL`` seconds; a reservation that moved under
-# ``NO_SHOW_THRESHOLD`` of its booked rate ``GRACE_SECONDS`` after its start
-# keeps ``RETAIN_HEADROOM`` x what it moved, at least ``MIN_RETAINED_KBPS``.
+# The settings of every reclamation loop, at the values
+# ``reclamation_experiment`` runs.  A deployment's loop
+# (:meth:`~repro.controlplane.AsService.enable_reclamation`) samples every
+# ``SAMPLE_INTERVAL`` seconds and judges a reservation ``GRACE_SECONDS``
+# after its start; every :class:`ReclamationEngine` finds a no-show in one
+# that moved under ``NO_SHOW_THRESHOLD`` of its booked rate and lets it keep
+# ``RETAIN_HEADROOM`` (>= 1) x what it moved, at least ``MIN_RETAINED_KBPS``.
 SAMPLE_INTERVAL = 0.125
 GRACE_SECONDS = 0.4
 NO_SHOW_THRESHOLD = 0.5

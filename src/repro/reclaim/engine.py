@@ -3,10 +3,11 @@
 The :class:`ReclamationEngine` watches tracked reservations through a
 :class:`~repro.reclaim.usage.UsageReporter` and, once a reservation is
 past its grace period, compares the observed priority rate against what
-was booked.  A reservation using less than ``no_show_threshold`` of its
-booking is a **no-show**: its active-calendar commitments are shrunk in
-place (:meth:`~repro.admission.calendar.CapacityCalendar.reclaim`) down
-to ``retain_headroom`` times the observed rate, the data-plane policer
+was booked.  A reservation using less than :data:`repro.reclaim.NO_SHOW_THRESHOLD`
+of its booking is a **no-show**: its active-calendar commitments are shrunk
+in place (:meth:`~repro.admission.calendar.CapacityCalendar.reclaim`) down
+to :data:`~repro.reclaim.RETAIN_HEADROOM` times the observed rate, at least
+:data:`~repro.reclaim.MIN_RETAINED_KBPS`, the data-plane policer
 is capped at the retained rate (a late-waking sender is demoted to best
 effort beyond it), and :meth:`ReclamationEngine.scan` returns the freed
 bandwidth as events for relisting or re-auction.
@@ -21,7 +22,7 @@ Failure model (the matrix ``docs/reclamation.md`` tabulates):
 * a commitment that disappeared underneath (released or expired) is
   treated as already reclaimed.
 
-Reclaim targets never go below the observed rate (``retain_headroom >=
+Reclaim targets never go below the observed rate (``RETAIN_HEADROOM >=
 1``), so reclamation never lowers an interface's headroom below what the
 data plane has actually seen — the invariant the hypothesis suite in
 ``tests/reclaim/`` drives at a day-wide and at a narrow shard width.
@@ -33,6 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from repro import reclaim
 from repro.admission.controller import ACTIVE, ISSUED, AdmissionController
 from repro.reclaim.usage import UsageReporter
 from repro.telemetry import get_registry
@@ -99,12 +101,6 @@ class ReclamationEngine:
         reporter: the policer-fed usage sampler.
         grace_seconds: how long after a reservation's start before it can
             be judged — a late joiner inside the grace period is safe.
-        no_show_threshold: observed/booked rate below which a reservation
-            is a no-show (0.5 = "using less than half of what it booked").
-        retain_headroom: the reclaimed reservation keeps
-            ``retain_headroom * observed`` kbps (must be >= 1, so the
-            retained bandwidth never dips below observed usage).
-        min_retained_kbps: floor on the retained bandwidth.
         demote: optional ``(ingress_ifid, res_id, res_start, kbps)``
             callable capping the data-plane policer at the retained rate for
             the rest of the reservation — typically
@@ -121,29 +117,14 @@ class ReclamationEngine:
         controller: AdmissionController,
         reporter: UsageReporter,
         grace_seconds: float = 0.5,
-        no_show_threshold: float = 0.5,
-        retain_headroom: float = 1.5,
-        min_retained_kbps: int = 1,
         demote: Callable[[int, int, int, int], None] | None = None,
         retain: Callable[[set[tuple[int, int, int]]], None] | None = None,
     ) -> None:
         if grace_seconds < 0:
             raise ValueError("grace_seconds must be >= 0")
-        if not 0 < no_show_threshold <= 1:
-            raise ValueError("no_show_threshold must be in (0, 1]")
-        if retain_headroom < 1:
-            raise ValueError(
-                "retain_headroom must be >= 1 (retained bandwidth may never "
-                "dip below observed usage)"
-            )
-        if min_retained_kbps < 1:
-            raise ValueError("min_retained_kbps must be >= 1")
         self.controller = controller
         self.reporter = reporter
         self.grace_seconds = float(grace_seconds)
-        self.no_show_threshold = float(no_show_threshold)
-        self.retain_headroom = float(retain_headroom)
-        self.min_retained_kbps = int(min_retained_kbps)
         self.demote = demote
         self.retain = retain
         # keyed by reservation, (ingress, ResID, ResStart): a ResID is unique
@@ -268,11 +249,11 @@ class ReclamationEngine:
         self, tracked: TrackedReservation, observed: float, now: float
     ) -> ReclamationEvent | None:
         """No-show check + reclaim attempt for one live reservation."""
-        if observed >= self.no_show_threshold * tracked.booked_kbps:
+        if observed >= reclaim.NO_SHOW_THRESHOLD * tracked.booked_kbps:
             return None  # showing up
         target = max(
-            self.min_retained_kbps,
-            math.ceil(observed * self.retain_headroom),
+            reclaim.MIN_RETAINED_KBPS,
+            math.ceil(observed * reclaim.RETAIN_HEADROOM),
         )
         if target >= tracked.bandwidth_kbps:
             return None  # nothing worth reclaiming

@@ -33,9 +33,11 @@ class EagerOverbooking(AdaptiveOverbooking):
 
 @contextlib.contextmanager
 def reclaiming_at(**settings):
-    """Deployments made inside the block run their reclamation loops at other
-    ``repro.reclaim`` settings (``GRACE_SECONDS=5.0``, ...) than every
-    deployment's: the seam to a value no caller of ``deploy_market`` varies."""
+    """Reclamation runs at other ``repro.reclaim`` settings inside the block
+    than everywhere else: a deployment made in it arms its loops at its
+    ``SAMPLE_INTERVAL`` / ``GRACE_SECONDS``, and an engine scanning in it
+    judges by its ``NO_SHOW_THRESHOLD`` / ``RETAIN_HEADROOM`` /
+    ``MIN_RETAINED_KBPS``.  The seam to a value no caller varies."""
     with pytest.MonkeyPatch.context() as patch:
         for name, value in settings.items():
             patch.setattr(reclaim, name, value)

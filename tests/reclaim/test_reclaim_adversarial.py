@@ -8,6 +8,8 @@ and a genuine no-show that wakes up after reclamation finds its bucket
 draining at the reclaimed rate, demoted to best effort by the policer.
 """
 
+from tests.conftest import reclaiming_at
+
 from repro.admission import ACTIVE, AdmissionController
 from repro.hummingbird.policing import PerInterfacePolicer, PolicingVerdict
 from repro.reclaim import ReclamationEngine, UsageReporter
@@ -23,12 +25,7 @@ def _engine(policer, **overrides):
     decision = controller.admit_reservation(
         INGRESS, True, BOOKED, 0.0, 100.0, tag="adv"
     )
-    options = dict(
-        grace_seconds=0.2,
-        no_show_threshold=0.5,
-        min_retained_kbps=1,
-        demote=policer.set_limit,
-    )
+    options = dict(grace_seconds=0.2, demote=policer.set_limit)
     options.update(overrides)
     engine = ReclamationEngine(
         controller,
@@ -130,9 +127,10 @@ def test_false_reclaim_is_flagged_when_not_demoted():
     exists for calendar-only deployments where it can.
     """
     policer = PerInterfacePolicer(capacity=64)
-    _, engine, commitment_id = _engine(policer, min_retained_kbps=10, demote=None)
+    _, engine, commitment_id = _engine(policer, demote=None)
     engine.track(7, INGRESS, RES_START, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)])
-    assert len(engine.scan(1.0)) == 1  # reclaimed to 10 kbps
+    with reclaiming_at(MIN_RETAINED_KBPS=10):
+        assert len(engine.scan(1.0)) == 1  # reclaimed to 10 kbps
 
     # The sender wakes at its full booked rate; nothing caps the bucket.
     for step in range(95):

@@ -3,7 +3,7 @@
 Two invariants, driven by hypothesis:
 
 (a) the reclamation engine never shrinks a commitment below the observed
-    rate — ``retain_headroom >= 1`` and the min-retained floor guarantee
+    rate — ``RETAIN_HEADROOM >= 1`` and the min-retained floor guarantee
     the interface keeps headroom for traffic the data plane has seen;
 (b) one interleaving of commit/reclaim/release produces identical
     verdicts and identical headroom profiles on day-wide and on
@@ -14,6 +14,8 @@ import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from tests.conftest import reclaiming_at
 
 from repro.admission import ACTIVE, AdmissionController, CapacityCalendar
 from repro.reclaim import ReclamationEngine, UsageReporter
@@ -41,19 +43,17 @@ def test_reclaim_never_lowers_headroom_below_observed(
     assert decision.admitted
     usage = {1: {(7, 0): observed_bytes}}
     reporter = UsageReporter(lambda: usage, interval=0.1)
-    engine = ReclamationEngine(
-        controller,
-        reporter,
-        grace_seconds=0.0,
-        no_show_threshold=threshold,
-        retain_headroom=headroom_factor,
-        min_retained_kbps=min_retained,
-    )
+    engine = ReclamationEngine(controller, reporter, grace_seconds=0.0)
     engine.track(
         7, 1, 0, booked, 0.0, 100.0, [(1, True, decision.commitment.commitment_id)]
     )
     now = 10.0
-    events = engine.scan(now)
+    with reclaiming_at(
+        NO_SHOW_THRESHOLD=threshold,
+        RETAIN_HEADROOM=headroom_factor,
+        MIN_RETAINED_KBPS=min_retained,
+    ):
+        events = engine.scan(now)
     observed_kbps = observed_bytes * 8.0 / 1000.0 / now
     tracked = engine._tracked[1, 7, 0]
     calendar = controller.calendar(1, True, ACTIVE)

@@ -20,6 +20,8 @@ towards "set":
 * An omitted argument passes the default.
 * A literal (what ``ast.literal_eval`` reads) passes its value.
 * A name its module binds once, at module level, to a literal passes that literal.
+* So does ``module.NAME`` when every binding of ``module`` in the caller's file
+  imports one ``repro`` module whole and that module binds ``NAME`` so.
 * Any other expression passes any number of values.
 * A ``*`` of a sized tuple fills that many parameters: a name or ``self.``
   attribute every assignment gives an n-tuple literal, or a call to a
@@ -85,10 +87,13 @@ MANY = object()
 
 def _value(node: ast.expr, constants: dict[str, str] | None = None) -> object:
     """What an argument passes: a literal's ``repr`` (``ast.literal_eval``
-    reads it), a module constant's (see :func:`_module_constants`), else
+    reads it), a module constant's, read bare or as ``module.NAME`` (see
+    :func:`_module_constants` and :func:`_imported_modules`), else
     :data:`MANY`."""
-    if isinstance(node, ast.Name) and constants and node.id in constants:
-        return constants[node.id]
+    if isinstance(node, (ast.Name, ast.Attribute)) and constants:
+        spelled = ast.unparse(node)
+        if spelled in constants:
+            return constants[spelled]
     try:
         return repr(ast.literal_eval(node))
     except (ValueError, TypeError, SyntaxError):
@@ -144,6 +149,30 @@ def _module_constants(tree: ast.Module) -> dict[str, str]:
             if value is not MANY:
                 constants[target.id] = value
     return constants
+
+
+def _imported_modules(tree: ast.Module, modules) -> dict[str, str]:
+    """Name -> the module of ``modules`` it stands for, when every binding of
+    the name in ``tree`` (function-local ones too) imports that one module
+    whole: ``import repro.reclaim as reclaim`` or ``from repro import reclaim``."""
+    imports = collections.defaultdict(set)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imports[(alias.asname or alias.name).partition(".")[0]].add(
+                    alias.name if alias.asname else None  # a bare import binds the top package
+                )
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                whole = f"{node.module}.{alias.name}" if node.level == 0 else None
+                imports[alias.asname or alias.name].add(whole)
+        elif not isinstance(node, ast.alias) and _binding(node) is not None:
+            imports[_binding(node)].add(None)
+    return {
+        name: module
+        for name, (module,) in ((n, tuple(m)) for n, m in imports.items() if len(m) == 1)
+        if module in modules
+    }
 
 
 def _defaulted(
@@ -437,12 +466,16 @@ class _Site(NamedTuple):
     arguments: _Arguments
 
 
-def _constant_options(audited, callers) -> dict[str, list[str]]:
+def _constant_options(audited, callers, modules=None) -> dict[str, list[str]]:
     """Qualified name -> the defaulted parameters of that audited callable to
     which the calls in ``callers`` (parsed modules) give fewer than two values,
     binding arguments as the module docstring says.  A field that ``callers``
-    write (see :func:`_written`) is state, not an option."""
-    functions = _audited_callables(audited, _written(callers))
+    write (see :func:`_written`) is state, not an option, and so is a
+    constant of ``modules`` (dotted module name -> its constants; the
+    ``repro`` package's by default) that they write as ``module.NAME``."""
+    written = _written(callers)
+    functions = _audited_callables(audited, written)
+    modules = _package_constants() if modules is None else modules
     classes = {
         node.name: node
         for tree in [*audited, *callers]
@@ -480,8 +513,16 @@ def _constant_options(audited, callers) -> dict[str, list[str]]:
     for tree in callers:
         sizes = {**returns, **_tuple_sizes(tree)}
         module = _module_constants(tree)
+        # ``reclaim.GRACE_SECONDS``: no scope rebinds ``reclaim`` but to the module
+        dotted = {
+            f"{alias}.{name}": value
+            for alias, imported in _imported_modules(tree, modules).items()
+            for name, value in modules[imported].items()
+            if name not in written
+        }
         for node, owner, function, bound in _calls(tree):
             constants = {name: value for name, value in module.items() if name not in bound}
+            constants.update(dotted)
             splats = [keyword.value for keyword in node.keywords if keyword.arg is None]
             forwards = [
                 s for s in splats if isinstance(s, ast.Name) and s.id == _forwarded(function)
@@ -600,6 +641,18 @@ def _trees() -> tuple[tuple[pathlib.Path, ast.Module], ...]:
 
 def _package_trees() -> list[ast.Module]:
     return [_parsed(path) for path in sorted(PACKAGE.rglob("*.py"))]
+
+
+@functools.cache
+def _package_constants() -> dict[str, dict[str, str]]:
+    """Dotted module name -> its constants (see :func:`_module_constants`),
+    for every module of the ``repro`` package."""
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        name = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        found[name] = _module_constants(_parsed(path))
+    return found
 
 
 def test_every_option_has_a_caller_that_sets_it():
@@ -744,6 +797,43 @@ def test_a_module_constant_passes_its_literal():
     )
     assert _constant_options([audited], [caller]) == {
         "CallContext.take_shared": ["type_tag"], "auction": ["seed"],
+    }
+
+
+def test_a_constant_read_through_its_module_passes_its_literal():
+    """``reclaim.THRESHOLD`` passes the literal ``repro.reclaim`` binds once
+    when every binding of ``reclaim`` in the caller's file imports that module
+    whole, in a function or at module level.  A constant the module binds
+    twice, one code writes, or a module name the file also binds otherwise
+    passes any value."""
+    audited = ast.parse(
+        "class Engine:\n"
+        "    def __init__(self, controller, grace=0.5, threshold=0.5,\n"
+        "                 headroom=1.5, floor=1, period=0.25): ...\n"
+    )
+    modules = {
+        "repro.reclaim": _module_constants(ast.parse(
+            "GRACE = 0.4\nTHRESHOLD = 0.5\nHEADROOM = 1.5\nFLOOR = 1\nFLOOR = 2\n"
+        )),
+        "repro.clock": {"PERIOD": "0.25"},
+    }
+    caller = ast.parse(
+        "import repro.clock as clock\n"
+        "def arm(controller):\n"
+        "    from repro import reclaim\n"
+        "    return Engine(controller, grace=reclaim.GRACE, threshold=reclaim.THRESHOLD,\n"
+        "                  headroom=reclaim.HEADROOM, floor=reclaim.FLOOR,\n"
+        "                  period=clock.PERIOD)\n"
+        "def tick(clock):\n"
+        "    return clock\n"
+        "Engine(controller, grace=0.5)\n"
+    )
+    assert _constant_options([audited], [caller], modules) == {
+        "Engine.__init__": ["threshold", "headroom"],
+    }
+    tuned = ast.parse("from repro import reclaim\nreclaim.HEADROOM = 2.0\n")
+    assert _constant_options([audited], [caller, tuned], modules) == {
+        "Engine.__init__": ["threshold"],
     }
 
 
