@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.telemetry.registry import HistogramFamily, MetricsRegistry
+from repro.telemetry.registry import BUCKETS, MetricsRegistry
 
 __all__ = ["snapshot"]
 
@@ -23,8 +23,8 @@ def snapshot(registry: MetricsRegistry) -> list[dict[str, Any]]:
             "help": family.help,
             "labelnames": list(family.labelnames),
         }
-        if isinstance(family, HistogramFamily):
-            row["buckets"] = list(family.bounds)
+        if family.kind == "histogram":
+            row["buckets"] = list(BUCKETS)
             row["children"] = [
                 {
                     "labels": list(labels),

@@ -26,6 +26,7 @@ or :class:`repro.telemetry.experiment.ExperimentTelemetry`.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import threading
 from typing import Iterator, Sequence
@@ -139,21 +140,21 @@ class Histogram:
 
 
 class _Family:
-    """Shared plumbing for a named, labeled metric family."""
+    """A named, labeled metric family of one ``kind``; ``child`` builds the
+    instrument of each label combination."""
 
-    kind = "untyped"
-
-    def __init__(self, name: str, help: str, labelnames: tuple[str, ...]) -> None:
+    def __init__(
+        self, kind: str, child, name: str, help: str, labelnames: tuple[str, ...]
+    ) -> None:
+        self.kind = kind
         self.name = name
         self.help = help
         self.labelnames = labelnames
+        self._child = child
         self._children: dict[tuple, object] = {}
         self._lock = threading.Lock()
 
-    def _make_child(self):  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    def labels(self, *values) -> object:
+    def labels(self, *values):
         """Return the child for this label combination, creating it once."""
         if len(values) != len(self.labelnames):
             raise ValueError(
@@ -171,7 +172,7 @@ class _Family:
                             f"{MAX_LABEL_SETS} label sets; labels "
                             f"{self.labelnames} look unbounded"
                         )
-                    child = self._make_child()
+                    child = self._child()
                     self._children[key] = child
         return child
 
@@ -179,36 +180,12 @@ class _Family:
         yield from sorted(self._children.items())
 
 
-class CounterFamily(_Family):
-    kind = "counter"
-
-    def _make_child(self) -> Counter:
-        return Counter()
-
-    def labels(self, *values) -> Counter:  # narrowed return type
-        return super().labels(*values)  # type: ignore[return-value]
-
-
-class GaugeFamily(_Family):
-    kind = "gauge"
-
-    def _make_child(self) -> Gauge:
-        return Gauge()
-
-    def labels(self, *values) -> Gauge:
-        return super().labels(*values)  # type: ignore[return-value]
-
-
-class HistogramFamily(_Family):
-    kind = "histogram"
-
-    bounds = BUCKETS
-
-    def _make_child(self) -> Histogram:
-        return Histogram(BUCKETS)
-
-    def labels(self, *values) -> Histogram:
-        return super().labels(*values)  # type: ignore[return-value]
+# A family's kind -> what builds one labeled child of it.
+_CHILDREN = {
+    "counter": Counter,
+    "gauge": Gauge,
+    "histogram": functools.partial(Histogram, BUCKETS),
+}
 
 
 class MetricsRegistry:
@@ -223,34 +200,28 @@ class MetricsRegistry:
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
 
-    def _declare(self, cls, name: str, help: str, labelnames) -> _Family:
+    def _declare(self, kind: str, name: str, help: str, labelnames) -> _Family:
         labelnames = tuple(labelnames)
         with self._lock:
             existing = self._families.get(name)
             if existing is not None:
-                if type(existing) is not cls or existing.labelnames != labelnames:
+                if existing.kind != kind or existing.labelnames != labelnames:
                     raise ValueError(
                         f"metric {name!r} re-declared with a different schema"
                     )
                 return existing
-            family = cls(name, help, labelnames)
+            family = _Family(kind, _CHILDREN[kind], name, help, labelnames)
             self._families[name] = family
             return family
 
-    def counter(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> CounterFamily:
-        return self._declare(CounterFamily, name, help, labelnames)  # type: ignore[return-value]
+    def counter(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> _Family:
+        return self._declare("counter", name, help, labelnames)
 
-    def gauge(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> GaugeFamily:
-        return self._declare(GaugeFamily, name, help, labelnames)  # type: ignore[return-value]
+    def gauge(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> _Family:
+        return self._declare("gauge", name, help, labelnames)
 
-    def histogram(
-        self, name: str, help: str = "", labelnames: Sequence[str] = ()
-    ) -> HistogramFamily:
-        return self._declare(HistogramFamily, name, help, labelnames)  # type: ignore[return-value]
+    def histogram(self, name: str, help: str = "", labelnames: Sequence[str] = ()) -> _Family:
+        return self._declare("histogram", name, help, labelnames)
 
     def families(self) -> Iterator[_Family]:
         yield from (self._families[name] for name in sorted(self._families))
