@@ -264,8 +264,8 @@ class MarketIndexer:
 
     def overlapping(self, keys, start: int, end: int) -> dict[tuple, list[IndexedListing]]:
         """Per wanted ``(isd, asn, interface, is_ingress)`` key, the live
-        listings whose asset overlaps ``[start, end)`` — read off that key's
-        bucket, as of the last :meth:`sync`."""
+        listings whose asset overlaps ``[start, end)`` in asset-start order,
+        as of the last :meth:`sync`."""
         found: dict[tuple, list[IndexedListing]] = {}
         for key in keys:
             entries = self._keys.get(key, ())
