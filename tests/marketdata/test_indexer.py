@@ -150,9 +150,8 @@ class TestIncrementality:
 
     def test_replayed_listed_event_is_idempotent(self, raw_market):
         # Regression: an at-least-once event feed re-delivering Listed for
-        # a live listing left a duplicate (start, id) order entry, so
-        # candidates() returned the same listing twice — and the dangling
-        # entry crashed the compile after the listing was later removed.
+        # a live listing left a duplicate (start, id) entry, so candidates()
+        # returned the same listing twice and a later removal left one behind.
         listing = raw_market.issue_and_list(1, True, 10_000, 0, 3600)
         indexer = MarketIndexer(raw_market.ledger, raw_market.marketplace)
         indexer.sync()
