@@ -19,7 +19,6 @@ from repro.controlplane.pki import CpPki
 from repro.controlplane.workflow import (
     LatencyBreakdown,
     MarketDeployment,
-    PathAuctionHandle,
     PurchaseOutcome,
     deploy_market,
     execute_transfer,
@@ -39,7 +38,6 @@ __all__ = [
     "HostClient",
     "IncompatibleGranularity",
     "ListingNotFound",
-    "PathAuctionHandle",
     "PathSettlementRecord",
     "CpPki",
     "LatencyBreakdown",

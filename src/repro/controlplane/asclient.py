@@ -69,13 +69,13 @@ class _Refused(RuntimeError):
 
 @dataclass
 class AuctionedRectangle:
-    """One rectangle this AS has in an unsettled auction's custody: the whole
-    of a window auction it opened (leg 0), or a leg it contributed to a path
-    auction."""
+    """The rectangle of a window auction this AS opened and has not settled:
+    the book :meth:`AsService.poll_bids` mirrors into and
+    :meth:`AsService.settle_due_auctions` settles.  A path auction's legs are
+    read off the market index instead (``MarketIndexer.auction``)."""
 
     auction_id: str
     marketplace: str
-    leg_index: int
     interface: int
     is_ingress: bool
     bandwidth_kbps: int
@@ -137,9 +137,6 @@ class AsService:
         # Sealed-bid auctions: open books, bid-event cursor.
         self.open_auctions: dict[str, AuctionedRectangle] = {}
         self._bid_checkpoint = 0
-        # Combinatorial path auctions: legs this AS contributed, by
-        # (path auction id, leg index).
-        self.path_legs: dict[tuple[str, int], AuctionedRectangle] = {}
         # No-show reclamation (armed by enable_reclamation): the loop, the
         # data-plane policer it reads and caps, if any, and where it relists.
         self.reclamation = None
@@ -277,6 +274,39 @@ class AsService:
             self.admission.release(interface, is_ingress, decision.commitment)
         return decision, submitted
 
+    def _offer(
+        self,
+        tag: str,
+        interface: int,
+        is_ingress: bool,
+        bandwidth_kbps: int,
+        start: int,
+        expiry: int,
+        follow_up: Command,
+    ) -> SubmittedTransaction:
+        """:meth:`_issue` on :data:`DEFAULT_MIN_BANDWIDTH` for ``follow_up``
+        (a listing, a window auction or a path leg), refusing loudly.
+
+        Raises:
+            RuntimeError: the AS has not registered.
+            AdmissionRejected: the window would oversell the interface.
+        """
+        if self.token_id is None:
+            raise RuntimeError("AS must register before issuing assets")
+        decision, submitted = self._issue(
+            tag,
+            interface,
+            is_ingress,
+            bandwidth_kbps,
+            start,
+            expiry,
+            DEFAULT_MIN_BANDWIDTH,
+            follow_up,
+        )
+        if submitted is None:
+            raise self._rejected(interface, is_ingress, decision)
+        return submitted
+
     def _list(self, marketplace: str, price_micromist: int, **extra) -> Command:
         """The follow-up that lists a freshly issued asset at a posted price."""
         return Command(
@@ -308,24 +338,18 @@ class AsService:
         the listing price is the caller's base price scaled by the
         interface's scarcity multiplier at issuance time.
         """
-        if self.token_id is None:
-            raise RuntimeError("AS must register before issuing assets")
         quoted_price = self.admission.quote(
             price_micromist_per_unit, interface, is_ingress, start, expiry
         )
-        decision, submitted = self._issue(
+        return self._offer(
             "issue",
             interface,
             is_ingress,
             bandwidth_kbps,
             start,
             expiry,
-            DEFAULT_MIN_BANDWIDTH,
             self._list(marketplace, quoted_price),
         )
-        if submitted is None:
-            raise self._rejected(interface, is_ingress, decision)
-        return submitted
 
     def cancel_listing(self, marketplace: str, listing: str) -> SubmittedTransaction:
         """Take one of this AS's unsold listings off the market.
@@ -410,22 +434,15 @@ class AsService:
             reserve_base_micromist,
             min_fragment_kbps=DEFAULT_MIN_BANDWIDTH,
         )
-        rectangle = AuctionedRectangle(
-            auction_id="",  # the ledger names it
-            marketplace=marketplace,
-            leg_index=0,
-            interface=interface,
-            is_ingress=is_ingress,
-            bandwidth_kbps=bandwidth_kbps,
-            start=start,
-            expiry=expiry,
-            reserve_micromist_per_unit=book.reserve_micromist,
-        )
         submitted = None
         try:
-            submitted = self._auction_off(
+            submitted = self._offer(
                 "auction",
-                rectangle,
+                interface,
+                is_ingress,
+                bandwidth_kbps,
+                start,
+                expiry,
                 Command(
                     "market",
                     "create_auction",
@@ -441,37 +458,17 @@ class AsService:
                 # No asset, no auction: drop the book registered above.
                 self.admission.close_auction(interface, is_ingress, start, expiry)
         if submitted.effects.ok:
-            rectangle.auction_id = submitted.effects.returns[1]["auction"]
-            self.open_auctions[rectangle.auction_id] = rectangle
-        return submitted
-
-    def _auction_off(
-        self,
-        tag: str,
-        rectangle: AuctionedRectangle,
-        follow_up: Command,
-    ) -> SubmittedTransaction:
-        """Issue ``rectangle`` with ``follow_up`` taking the asset into an
-        auction's custody — a window auction's whole, or one path leg.
-
-        Raises:
-            RuntimeError: the AS has not registered.
-            AdmissionRejected: the window would oversell the interface.
-        """
-        if self.token_id is None:
-            raise RuntimeError("AS must register before issuing assets")
-        decision, submitted = self._issue(
-            tag,
-            rectangle.interface,
-            rectangle.is_ingress,
-            rectangle.bandwidth_kbps,
-            rectangle.start,
-            rectangle.expiry,
-            DEFAULT_MIN_BANDWIDTH,
-            follow_up,
-        )
-        if submitted is None:
-            raise self._rejected(rectangle.interface, rectangle.is_ingress, decision)
+            auction_id = submitted.effects.returns[1]["auction"]
+            self.open_auctions[auction_id] = AuctionedRectangle(
+                auction_id=auction_id,
+                marketplace=marketplace,
+                interface=interface,
+                is_ingress=is_ingress,
+                bandwidth_kbps=bandwidth_kbps,
+                start=start,
+                expiry=expiry,
+                reserve_micromist_per_unit=book.reserve_micromist,
+            )
         return submitted
 
     def _settle(
@@ -488,18 +485,6 @@ class AsService:
         result = submitted.effects.returns[0]
         counter.labels(str(self.isd_as), "cleared" if result["winners"] else "unsold").inc()
         return submitted, result
-
-    def _supply(self, record: AuctionedRectangle) -> int:
-        """Bandwidth an auctioned rectangle can sell right now: what was
-        offered, clamped by live active-calendar headroom
-        (:meth:`~repro.admission.AdmissionController.settle_supply`)."""
-        return self.admission.settle_supply(
-            record.interface,
-            record.is_ingress,
-            record.start,
-            record.expiry,
-            record.bandwidth_kbps,
-        )
 
     def poll_bids(self) -> int:
         """Mirror new on-chain ``BidPlaced`` events into the local books.
@@ -557,7 +542,13 @@ class AsService:
         for auction_id, record in list(self.open_auctions.items()):
             if record.start > when:
                 continue
-            supply = self._supply(record)
+            supply = self.admission.settle_supply(
+                record.interface,
+                record.is_ingress,
+                record.start,
+                record.expiry,
+                record.bandwidth_kbps,
+            )
             submitted, result = self._settle(
                 Command(
                     "market",
@@ -642,22 +633,16 @@ class AsService:
             RuntimeError: the AS has not registered.
             AdmissionRejected: the window would oversell the interface.
         """
-        rectangle = AuctionedRectangle(
-            auction_id=path_auction,
-            marketplace=marketplace,
-            leg_index=leg_index,
-            interface=interface,
-            is_ingress=is_ingress,
-            bandwidth_kbps=bandwidth_kbps,
-            start=start,
-            expiry=expiry,
-            reserve_micromist_per_unit=self.admission.quote(
-                base_price_micromist, interface, is_ingress, start, expiry
-            ),
+        reserve = self.admission.quote(
+            base_price_micromist, interface, is_ingress, start, expiry
         )
-        submitted = self._auction_off(
+        submitted = self._offer(
             "pathleg",
-            rectangle,
+            interface,
+            is_ingress,
+            bandwidth_kbps,
+            start,
+            expiry,
             Command(
                 "market",
                 "contribute_path_leg",
@@ -666,27 +651,13 @@ class AsService:
                     "path_auction": path_auction,
                     "leg_index": leg_index,
                     "asset": Result(0, "asset"),
-                    "reserve_micromist_per_unit": rectangle.reserve_micromist_per_unit,
+                    "reserve_micromist_per_unit": reserve,
                 },
             ),
         )
         if submitted.effects.ok:
-            self.path_legs[(path_auction, leg_index)] = rectangle
             self._m_path_legs.labels(str(self.isd_as)).inc()
         return submitted
-
-    def path_leg_supply(self, path_auction: str, leg_index: int) -> int:
-        """This AS's live sellable bandwidth on one contributed leg.
-
-        The offered leg bandwidth clamped by the interface direction's
-        current active-calendar headroom — the same
-        :meth:`~repro.admission.AdmissionController.settle_supply` rule
-        single-window auctions settle under.
-
-        Raises:
-            KeyError: this AS never contributed that leg.
-        """
-        return self._supply(self.path_legs[(path_auction, leg_index)])
 
     def settle_path_auction(
         self,
@@ -696,10 +667,11 @@ class AsService:
     ) -> PathSettlementRecord:
         """Submit the all-or-nothing settle transaction for a path auction.
 
-        ``supplies_kbps`` carries every leg's live supply (collected from
-        each on-path AS via :meth:`path_leg_supply`).  Clears, awards,
-        refunds, pays every leg seller, and relists remainders atomically
-        on-chain.
+        ``supplies_kbps`` carries every leg's live supply, each leg's
+        :meth:`~repro.admission.AdmissionController.settle_supply` at its own
+        AS (:func:`~repro.controlplane.settle_path_auction` collects them).
+        Clears, awards, refunds, pays every leg seller, and relists
+        remainders atomically on-chain.
 
         Raises:
             RuntimeError: the ledger refused the settle transaction.
@@ -727,11 +699,6 @@ class AsService:
             legs=result["legs"],
             submitted=submitted,
         )
-        self.path_legs = {
-            key: leg
-            for key, leg in self.path_legs.items()
-            if key[0] != path_auction
-        }
         tracing.event(
             "path_auction.settle",
             path_auction=path_auction,

@@ -40,6 +40,7 @@ from repro.marketdata import (
     ListingNotFound,
     ListingQuery,
     MarketIndexer,
+    OpenAuction,
     PathQuote,
     PathSpec,
     PurchasePlanner,
@@ -64,6 +65,13 @@ __all__ = [
     "IncompatibleGranularity",
     "ListingNotFound",
 ]
+
+
+def _bid_names(is_path: bool) -> tuple[str, str]:
+    """The trace prefix (``<prefix>.placed`` / ``.settled``, also
+    :class:`AcquireOutcome`'s mode) and the id key of a bid into a path or a
+    window auction."""
+    return ("path_bid", "path_auction") if is_path else ("bid", "auction")
 
 
 @dataclass(frozen=True)
@@ -101,8 +109,9 @@ class AcquireOutcome:
     """What :meth:`HostClient.acquire` did: bid into an auction or buy posted.
 
     ``mode`` is ``"bid"`` (an open auction covered the window — await its
-    settlement) or ``"bought"`` (posted-price fallback — the asset is owned
-    immediately).  ``reference`` is the auction id or the listing id.
+    settlement; ``"path_bid"`` when it is a path auction) or ``"bought"``
+    (posted-price fallback — the asset is owned immediately).
+    ``reference`` is the auction id or the listing id.
     """
 
     mode: str
@@ -354,18 +363,8 @@ class HostClient:
     # -- auctions ----------------------------------------------------------------------
     #
     # What is open, what it sells and how it settled is the index's to say
-    # (``MarketIndexer.open_auctions`` / ``find_auction`` / ``settlement``);
-    # this client only bids and reads its own outcome.
-
-    def _biddable(self, marketplace: str, auction: str, is_path: bool, what: str):
-        """The legs of the open, fully contributed auction ``auction`` of the
-        given kind; ``ValueError`` otherwise."""
-        for found in self.indexer(marketplace).open_auctions():
-            if found.auction_id == auction and found.is_path == is_path:
-                if None in found.legs:
-                    raise ValueError(f"{what} {auction[:8]}... is not fully contributed")
-                return found.legs
-        raise ValueError(f"{what} {auction[:8]}... is not open")
+    # (``MarketIndexer.open_auctions`` / ``find_auction`` / ``auction`` /
+    # ``settlement``); this client only bids and reads its own outcome.
 
     @staticmethod
     def _unit_price(legs: list[dict], bandwidth_kbps: int, max_price_mist: int) -> int:
@@ -377,83 +376,51 @@ class HostClient:
         return max_price_mist // len(legs) * MICROMIST // (bandwidth_kbps * duration)
 
     def _place(
-        self,
-        command: Command,
-        legs: list[dict],
-        bandwidth_kbps: int,
-        unit_price: int,
-        below: str,
+        self, marketplace: str, found: OpenAuction, bandwidth_kbps: int, unit_price: int
     ) -> SubmittedTransaction:
-        """Complete and submit ``command``, a bid at ``unit_price`` over
-        ``legs`` (a single-window auction is the one-leg case) that names its
-        auction: checked against every reserve, its escrow covered by the
-        payment coin.  Raises the ``ValueError`` every bid method documents."""
+        """Submit a bid at ``unit_price`` for ``bandwidth_kbps`` on every leg of
+        ``found`` (a window auction is the one-leg case): checked against every
+        reserve, its escrow covered by the payment coin.  Raises the
+        ``ValueError`` :meth:`place_bid` documents."""
+        legs = found.legs
         duration = legs[0]["expiry"] - legs[0]["start"]
         reserve = max(leg["reserve_micromist_per_unit"] for leg in legs)
         if unit_price < reserve:
             # Knowable client-side: below any leg's reserve the bid loses,
             # locking its escrow until settle for nothing.
-            raise ValueError(f"a bid of {unit_price} {below} of {reserve}")
+            below = (
+                " per leg, below the dearest leg reserve"
+                if found.is_path
+                else ", below the auction's reserve"
+            )
+            raise ValueError(f"a bid of {unit_price} micromist/unit{below} of {reserve}")
         escrow_mist = path_escrow_mist(bandwidth_kbps, duration, unit_price, len(legs))
         if self._coin_balance(self.payment_coin) < escrow_mist:
             # Earlier refunds arrive as fresh coins; fold them back in
             # before giving up on the escrow.
             self.consolidate_coins()
-        command.args.update(
-            bandwidth_kbps=bandwidth_kbps,
-            price_micromist_per_unit=unit_price,
-            payment=self.payment_coin,
-        )
-        return self._submit(command)
-
-    def _settled(
-        self, marketplace: str, auction: str, event: str, key: str
-    ) -> BidSettlement | None:
-        """This host's aggregate over every bid it placed into ``auction``
-        (window or path) once it settled, else ``None``."""
-        payload = self.indexer(marketplace).settlement(auction)
-        if payload is None:
-            return None
-        mine = self.account.address
-        wins = [winner for winner in payload["winners"] if winner["bidder"] == mine]
-        losses = [loser for loser in payload["losers"] if loser["bidder"] == mine]
-        assets = tuple(
-            asset
-            for winner in wins
-            # a path winner holds one piece per leg, a single-window winner one
-            for asset in (winner["assets"] if "assets" in winner else [winner["asset"]])
-        )
-        totals = {
-            "won": bool(assets),
-            "bandwidth_kbps": sum(winner["bandwidth_kbps"] for winner in wins),
-            "paid_mist": sum(winner["paid_mist"] for winner in wins),
-            "refund_mist": sum(bid["refund_mist"] for bid in wins + losses),
+        args = {
+            "marketplace": marketplace,
+            _bid_names(found.is_path)[1]: found.auction_id,
+            "bandwidth_kbps": bandwidth_kbps,
+            "price_micromist_per_unit": unit_price,
+            "payment": self.payment_coin,
         }
-        if auction not in self._counted_settles:
-            self._counted_settles.add(auction)
-            self._m_settle_results.labels("won" if totals["won"] else "lost").inc()
-            if totals["refund_mist"]:
-                self._m_refunds.inc(totals["refund_mist"])
-        tracing.event(event, **{key: auction}, **totals)
-        return BidSettlement(
-            auction=auction,
-            # one price per leg; a window auction reports its one leg's bare
-            clearing_prices_micromist=tuple(
-                payload.get("clearing_prices_micromist")
-                or [payload["clearing_price_micromist"]]
-            ),
-            assets=assets,
-            reasons=tuple(loser["reason"] for loser in losses),
-            **totals,
+        return self._submit(
+            Command("market", "place_path_bid", args)
+            if found.is_path
+            else Command("market", "place_bid", args)
         )
 
     def _placed(
-        self, place, mode, key, marketplace, auction, bandwidth_kbps, max_price_mist
+        self, marketplace: str, found: OpenAuction, bandwidth_kbps: int, max_price_mist: int
     ) -> AcquireOutcome:
-        """An ``acquire*`` front door found a covering auction: ``place`` the
-        bid, count it and trace it — ``mode`` is the outcome's, the metric
-        label and the ``<mode>.placed`` event."""
-        submitted = place(marketplace, auction, bandwidth_kbps, max_price_mist)
+        """An ``acquire*`` front door found a covering auction: place the bid,
+        count it and trace it — ``mode`` (``"bid"`` or ``"path_bid"``) is the
+        outcome's, the metric label and the ``<mode>.placed`` event."""
+        mode, key = _bid_names(found.is_path)
+        auction = found.auction_id
+        submitted = self.place_bid(marketplace, auction, bandwidth_kbps, max_price_mist)
         self._m_acquire.labels(mode).inc()
         tracing.event(
             f"{mode}.placed",
@@ -487,32 +454,29 @@ class HostClient:
         bandwidth_kbps: int,
         max_price_mist: int,
     ) -> SubmittedTransaction:
-        """Place one sealed bid, escrowing up to ``max_price_mist``.
+        """Place one sealed bid for ``bandwidth_kbps`` on every leg of an open
+        auction, window or path, escrowing up to ``max_price_mist``.
 
-        ``max_price_mist`` is the bidder's total willingness to pay for
-        ``bandwidth_kbps`` over the auction's whole window; it converts to
-        the contract's unit price by flooring, so the escrow can never
+        ``max_price_mist`` is the bidder's total willingness to pay over the
+        auction's whole window (the whole path, for a path auction); it
+        converts to the contract's unit price per leg by flooring, first to
+        whole MIST per leg and then against ``bandwidth * duration`` units,
+        so the escrow (:func:`repro.pathadm.path_escrow_mist`) can never
         exceed the stated maximum.  The escrow is locked until the seller
-        settles — :meth:`await_settle` reports the outcome and the refund.
+        settles — :meth:`await_settle` reports the outcome and the refund; a
+        path bid is awarded a piece of every leg or refunded everything.
 
         Raises:
             RuntimeError: the client was never funded.
-            ValueError: unknown auction, or a budget whose floored unit
-                price falls below the auction's reserve (the bid could
-                only lock its escrow and lose).
+            ValueError: the auction is not open or not fully contributed, or
+                a budget whose floored unit price falls below some leg's
+                reserve (the bid could only lock its escrow and lose).
         """
         self._funded("bidding")
-        legs = self._biddable(marketplace, auction, False, "auction")
-        return self._bid(
-            marketplace, auction, legs, bandwidth_kbps,
-            self._unit_price(legs, bandwidth_kbps, max_price_mist),
-        )
-
-    def _bid(self, marketplace, auction, legs, bandwidth_kbps, unit_price):
-        """The one window-auction bid: ``unit_price`` for ``bandwidth_kbps``."""
+        found = self.indexer(marketplace).auction(auction)
         return self._place(
-            Command("market", "place_bid", {"marketplace": marketplace, "auction": auction}),
-            legs, bandwidth_kbps, unit_price, "micromist/unit, below the auction's reserve",
+            marketplace, found, bandwidth_kbps,
+            self._unit_price(found.legs, bandwidth_kbps, max_price_mist),
         )
 
     def bid(
@@ -524,27 +488,68 @@ class HostClient:
     ) -> SubmittedTransaction:
         """:meth:`place_bid` at a unit price, to the micromist: a MIST budget
         floors to steps of ``10**6 / (bandwidth_kbps * seconds)`` micromist
-        (6.67 for 2,500 kbps over a minute).  Traced as ``bid.placed``, like
-        :meth:`acquire`'s bids; raises what :meth:`place_bid` raises."""
+        (6.67 for 2,500 kbps over a minute).  Traced as ``bid.placed`` (or
+        ``path_bid.placed``), like :meth:`acquire`'s bids; raises what
+        :meth:`place_bid` raises."""
         self._funded("bidding")
-        legs = self._biddable(marketplace, auction, False, "auction")
-        submitted = self._bid(marketplace, auction, legs, bandwidth_kbps, price_micromist_per_unit)
+        found = self.indexer(marketplace).auction(auction)
+        submitted = self._place(marketplace, found, bandwidth_kbps, price_micromist_per_unit)
+        prefix, key = _bid_names(found.is_path)
         tracing.event(
-            "bid.placed", auction=auction, bandwidth_kbps=bandwidth_kbps,
+            f"{prefix}.placed", **{key: auction}, bandwidth_kbps=bandwidth_kbps,
             price_micromist_per_unit=price_micromist_per_unit,
         )
         return submitted
 
     def await_settle(self, marketplace: str, auction: str) -> BidSettlement | None:
-        """This host's outcome in an auction, once it settles.
+        """This host's outcome in an auction, window or path, once it settles.
 
         Returns:
             ``None`` while the auction is still open (poll again after the
             AS's next settle pass), else a :class:`BidSettlement`
             aggregating every bid this host placed — winners' assets and
-            clearing-price charges, losers' full refunds.
+            clearing-price charges, losers' full refunds.  A path winner's
+            ``assets`` hold one piece per leg in path order, ready for
+            :meth:`redeem_path`.
         """
-        return self._settled(marketplace, auction, "bid.settled", "auction")
+        payload = self.indexer(marketplace).settlement(auction)
+        if payload is None:
+            return None
+        is_path = "path_auction" in payload  # an AuctionSettled names its "auction"
+        mine = self.account.address
+        wins = [winner for winner in payload["winners"] if winner["bidder"] == mine]
+        losses = [loser for loser in payload["losers"] if loser["bidder"] == mine]
+        assets = tuple(
+            asset
+            for winner in wins
+            # a path winner holds one piece per leg, a single-window winner one
+            for asset in (winner["assets"] if is_path else [winner["asset"]])
+        )
+        totals = {
+            "won": bool(assets),
+            "bandwidth_kbps": sum(winner["bandwidth_kbps"] for winner in wins),
+            "paid_mist": sum(winner["paid_mist"] for winner in wins),
+            "refund_mist": sum(bid["refund_mist"] for bid in wins + losses),
+        }
+        if auction not in self._counted_settles:
+            self._counted_settles.add(auction)
+            self._m_settle_results.labels("won" if totals["won"] else "lost").inc()
+            if totals["refund_mist"]:
+                self._m_refunds.inc(totals["refund_mist"])
+        prefix, key = _bid_names(is_path)
+        tracing.event(f"{prefix}.settled", **{key: auction}, **totals)
+        return BidSettlement(
+            auction=auction,
+            # one price per leg; a window auction reports its one leg's bare
+            clearing_prices_micromist=tuple(
+                payload["clearing_prices_micromist"]
+                if is_path
+                else [payload["clearing_price_micromist"]]
+            ),
+            assets=assets,
+            reasons=tuple(loser["reason"] for loser in losses),
+            **totals,
+        )
 
     def acquire(
         self,
@@ -577,11 +582,8 @@ class HostClient:
             [(isd_as.isd, isd_as.asn, interface, is_ingress)],
             start, expiry, bandwidth_kbps,
         )
-        if auction is not None and not auction.is_path:
-            return self._placed(
-                self.place_bid, "bid", "auction", marketplace, auction.auction_id,
-                bandwidth_kbps, max_price_mist,
-            )
+        if auction is not None:
+            return self._placed(marketplace, auction, bandwidth_kbps, max_price_mist)
         found = self.indexer(marketplace).best(
             ListingQuery(
                 isd_as=isd_as,
@@ -614,55 +616,9 @@ class HostClient:
         )
 
     # -- combinatorial path auctions ------------------------------------------------
-
-    def place_path_bid(
-        self,
-        marketplace: str,
-        path_auction: str,
-        bandwidth_kbps: int,
-        max_price_mist: int,
-    ) -> SubmittedTransaction:
-        """One combinatorial bid: ``bandwidth_kbps`` on every leg, all-or-nothing.
-
-        ``max_price_mist`` is the bidder's total willingness to pay for
-        the whole path over the full auction window; it converts to the
-        contract's per-leg unit price by flooring, first to whole MIST per
-        leg and then against ``bandwidth * duration`` units, so the escrow
-        (:func:`repro.pathadm.path_escrow_mist`) can never exceed the
-        stated maximum.  One escrow covers every leg; settlement awards
-        pieces of all legs or refunds everything.
-
-        Raises:
-            RuntimeError: the client was never funded.
-            ValueError: unknown/unready path auction, or a budget whose
-                floored unit price falls below some leg's reserve (the bid
-                could only lock its escrow and lose path-wide).
-        """
-        self._funded("bidding")
-        legs = self._biddable(marketplace, path_auction, True, "path auction")
-        return self._place(
-            Command(
-                "market",
-                "place_path_bid",
-                {"marketplace": marketplace, "path_auction": path_auction},
-            ),
-            legs, bandwidth_kbps, self._unit_price(legs, bandwidth_kbps, max_price_mist),
-            "micromist/unit per leg, below the dearest leg reserve",
-        )
-
-    def await_path_settle(
-        self, marketplace: str, path_auction: str
-    ) -> BidSettlement | None:
-        """This host's outcome in a path auction, once it settles.
-
-        Returns:
-            ``None`` while the auction is still open, else a
-            :class:`BidSettlement` — a winner's ``assets`` hold one
-            piece per leg in path order, ready for :meth:`redeem_path`.
-        """
-        return self._settled(
-            marketplace, path_auction, "path_bid.settled", "path_auction"
-        )
+    #
+    # A path auction is bid into and awaited like a window auction
+    # (:meth:`place_bid`, :meth:`await_settle`); its winnings redeem together.
 
     def redeem_path(
         self, asset_pairs: list[tuple[str, str]]
@@ -717,14 +673,9 @@ class HostClient:
         auction = self.indexer(marketplace).find_auction(
             direction_keys(crossings), start, expiry, bandwidth_kbps
         )
-        if auction is not None and auction.is_path:
-            return self._placed(
-                self.place_path_bid, "path_bid", "path_auction", marketplace,
-                auction.auction_id, bandwidth_kbps, max_price_mist,
-            )
-        spec = PathSpec.from_crossings(
-            crossings, start, expiry, bandwidth_kbps, budget_mist=max_price_mist
-        )
+        if auction is not None:
+            return self._placed(marketplace, auction, bandwidth_kbps, max_price_mist)
+        spec = PathSpec(crossings, start, expiry, bandwidth_kbps, budget_mist=max_price_mist)
         quote = self.plan_path(marketplace, spec)
         submitted = self.atomic_buy_and_redeem(
             marketplace, quote, max_price_mist=max_price_mist
@@ -1066,5 +1017,6 @@ class HostClient:
         return FlyoverReservation.from_bytes(plaintext)
 
     def owned_assets(self) -> list:
-        """Bandwidth assets currently owned by this host (test helper)."""
+        """Bandwidth assets this host owns right now, as ledger objects: bought
+        and not redeemed, won at auction, or handed back by a refusal."""
         return self.executor.ledger.objects_owned_by(self.account.address, ASSET_TYPE)

@@ -36,6 +36,7 @@ from repro.ledger.chain import Ledger
 from repro.ledger.committee import Committee
 from repro.ledger.executor import LedgerExecutor
 from repro.ledger.transactions import Command, Transaction
+from repro.scion.addresses import IsdAs
 from repro.scion.paths import AsCrossing
 from repro.scion.topology import Topology
 
@@ -130,9 +131,9 @@ def deploy_market(
     ``admission_policy`` and ``pricer`` configure each AS's
     :class:`~repro.admission.AdmissionController`; ``shard_seconds``
     is the shard width of its calendars (default a day);
-    ``auction_interfaces`` (``True`` or a set of ``(interface,
-    is_ingress)`` pairs) puts those interface directions into sealed-bid
-    auction mode — the seed listings are still posted, but
+    ``auction_interfaces`` (a set of ``(interface, is_ingress)`` pairs)
+    puts those interface directions into sealed-bid auction mode — the
+    seed listings are still posted, but
     :meth:`~repro.controlplane.asclient.AsService.offer_capacity` on such
     an interface opens an auction instead of a listing.
 
@@ -262,9 +263,7 @@ def purchase_path(
     its code: the host holds that hop's assets again, and its
     ``collect_reservations`` returns the hops that were delivered.
     """
-    spec = PathSpec.from_crossings(
-        crossings, start, expiry, bandwidth_kbps, flex_start=flex_start
-    )
+    spec = PathSpec(crossings, start, expiry, bandwidth_kbps, flex_start=flex_start)
     quote = deployment.planner.best(spec)
     submitted = host.atomic_buy_and_redeem(deployment.marketplace, quote)
     if not submitted.effects.ok:
@@ -335,34 +334,22 @@ def execute_transfer(
     return outcome
 
 
-@dataclass
-class PathAuctionHandle:
-    """One open combinatorial path auction and who contributed its legs.
-
-    ``legs`` holds ``(service, leg_index)`` in path order — the bookkeeping
-    :func:`settle_path_auction` needs to collect every leg's live supply
-    from its own AS.
-    """
-
-    path_auction: str
-    marketplace: str
-    legs: list[tuple[AsService, int]]
-
-
 def open_path_auction(
     deployment: MarketDeployment,
     crossings: list[AsCrossing],
     start: int,
     expiry: int,
     bandwidth_kbps: int,
-) -> PathAuctionHandle:
-    """Open one combinatorial path auction across a list of AS crossings.
+) -> str:
+    """Open one combinatorial path auction across a list of AS crossings;
+    returns its id.
 
     The first crossing's AS creates the shell (any leg seller may); then
     every on-path AS contributes its own two legs — ``(ingress, True)``
     and ``(egress, False)`` — each one admission-checked against that AS's
     issued calendar and reserve-priced by its own scarcity quote over
-    :data:`DEFAULT_PRICE_MICROMIST`.
+    :data:`DEFAULT_PRICE_MICROMIST`.  The legs are on chain and in
+    ``deployment.indexer`` from then on; nobody keeps another copy.
 
     Raises:
         RuntimeError: the ledger refused the shell or a contribution.
@@ -373,51 +360,56 @@ def open_path_auction(
     if not opened.effects.ok:
         raise RuntimeError(f"path auction creation failed: {opened.effects.error}")
     path_auction = opened.effects.returns[0]["path_auction"]
-    legs: list[tuple[AsService, int]] = []
-    index = 0
-    for crossing in crossings:
-        service = deployment.service(crossing.isd_as)
-        for interface, is_ingress in (
-            (crossing.ingress, True),
-            (crossing.egress, False),
-        ):
-            contributed = service.contribute_path_leg(
-                deployment.marketplace,
-                path_auction,
-                index,
-                interface,
-                is_ingress,
-                bandwidth_kbps,
-                start,
-                expiry,
-                DEFAULT_PRICE_MICROMIST,
+    sides = [
+        (crossing.isd_as, side)
+        for crossing in crossings
+        for side in ((crossing.ingress, True), (crossing.egress, False))
+    ]
+    for index, (isd_as, (interface, is_ingress)) in enumerate(sides):
+        contributed = deployment.service(isd_as).contribute_path_leg(
+            deployment.marketplace,
+            path_auction,
+            index,
+            interface,
+            is_ingress,
+            bandwidth_kbps,
+            start,
+            expiry,
+            DEFAULT_PRICE_MICROMIST,
+        )
+        if not contributed.effects.ok:
+            raise RuntimeError(
+                f"leg {index} contribution failed: {contributed.effects.error}"
             )
-            if not contributed.effects.ok:
-                raise RuntimeError(
-                    f"leg {index} contribution failed: {contributed.effects.error}"
-                )
-            legs.append((service, index))
-            index += 1
-    return PathAuctionHandle(
-        path_auction=path_auction, marketplace=deployment.marketplace, legs=legs
-    )
+    return path_auction
 
 
 def settle_path_auction(
-    deployment: MarketDeployment, handle: PathAuctionHandle
+    deployment: MarketDeployment, path_auction: str
 ) -> PathSettlementRecord:
     """Settle a path auction at every leg's live supply, all-or-nothing.
 
-    Each on-path AS reports its own legs' sellable bandwidth (offered
-    bandwidth clamped by live active-calendar headroom); the first leg's
-    AS then submits the single settle transaction that clears the
-    combinatorial book, awards pieces of every leg to the path winners,
-    refunds everyone else, pays each leg seller, and relists remainders.
+    The legs are read off ``deployment.indexer``; each leg's supply is its
+    offered bandwidth clamped by live active-calendar headroom at the AS
+    that issued it (:meth:`~repro.admission.AdmissionController.settle_supply`).
+    The first leg's AS then submits the single settle transaction that
+    clears the combinatorial book, awards pieces of every leg to the path
+    winners, refunds everyone else, pays each leg seller, and relists
+    remainders.
+
+    Raises:
+        ValueError: the path auction is not open or not fully contributed.
+        RuntimeError: the ledger refused the settle transaction.
     """
+    legs = deployment.indexer.auction(path_auction).legs
+    services = [deployment.service(IsdAs(leg["isd"], leg["asn"])) for leg in legs]
     supplies = [
-        service.path_leg_supply(handle.path_auction, leg_index)
-        for service, leg_index in handle.legs
+        service.admission.settle_supply(
+            leg["interface"], leg["is_ingress"], leg["start"], leg["expiry"],
+            leg["bandwidth_kbps"],
+        )
+        for service, leg in zip(services, legs)
     ]
-    return handle.legs[0][0].settle_path_auction(
-        handle.marketplace, handle.path_auction, supplies
+    return services[0].settle_path_auction(
+        deployment.marketplace, path_auction, supplies
     )

@@ -285,6 +285,21 @@ class MarketIndexer:
         self.sync()
         return list(self._auctions.values())
 
+    def auction(self, auction_id: str) -> OpenAuction:
+        """The open auction ``auction_id``, window or path, with every leg
+        contributed: what a bid or a settle of it reads.
+
+        Raises:
+            ValueError: it is not open, or a path leg is still missing.
+        """
+        self.sync()
+        found = self._auctions.get(auction_id)
+        if found is None:
+            raise ValueError(f"auction {auction_id[:8]}... is not open")
+        if None in found.legs:
+            raise ValueError(f"auction {auction_id[:8]}... is not fully contributed")
+        return found
+
     def find_auction(
         self, directions, start: int, expiry: int, bandwidth_kbps: int
     ) -> OpenAuction | None:

@@ -276,7 +276,8 @@ class ListingQuery:
 
 @dataclass(frozen=True)
 class PathSpec:
-    """A whole path's reservation requirement (one entry per AS crossing).
+    """A whole path's reservation requirement (one entry per AS crossing;
+    ``crossings`` may be any iterable and is kept as a tuple).
 
     ``flex_start`` is how many seconds later than ``start`` the window may
     begin (the duration is fixed); the planner slides the window inside the
@@ -296,21 +297,3 @@ class PathSpec:
         if self.flex_start < 0:
             raise ValueError("flex_start must be non-negative")
         object.__setattr__(self, "crossings", tuple(self.crossings))
-
-    @staticmethod
-    def from_crossings(
-        crossings,
-        start: int,
-        expiry: int,
-        bandwidth_kbps: int,
-        flex_start: int = 0,
-        budget_mist: int | None = None,
-    ) -> "PathSpec":
-        return PathSpec(
-            crossings=tuple(crossings),
-            start=start,
-            expiry=expiry,
-            bandwidth_kbps=bandwidth_kbps,
-            flex_start=flex_start,
-            budget_mist=budget_mist,
-        )

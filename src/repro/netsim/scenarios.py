@@ -962,11 +962,13 @@ def path_contention_experiment(
             asset_bandwidth_kbps=offered_kbps,
             interface_capacity_kbps=2 * offered_kbps,
         )
-        handle = open_path_auction(deployment, crossings, *window, bandwidth_kbps=offered_kbps)
+        path_auction = open_path_auction(
+            deployment, crossings, *window, bandwidth_kbps=offered_kbps
+        )
         # the dearest leg's reserve: what a path bid faces per unit and leg
         reserve = max(
-            service.path_legs[handle.path_auction, index].reserve_micromist_per_unit
-            for service, index in handle.legs
+            leg["reserve_micromist_per_unit"]
+            for leg in deployment.indexer.auction(path_auction).legs
         )
         hosts, escrows = [], {}
         for index in range(num_buyers):
@@ -982,15 +984,13 @@ def path_contention_experiment(
             hosts.append(host)
             escrows[host.account.name] = acquired.submitted.effects.returns[0]["escrow_mist"]
         simulation.clock.set(float(window[0]))
-        settle_path_auction(deployment, handle)
-        payload = deployment.indexer.settlement(handle.path_auction)
+        settle_path_auction(deployment, path_auction)
+        payload = deployment.indexer.settlement(path_auction)
         losses = {loser["bidder"]: loser for loser in payload["losers"]}
         outcomes, failed_hops = [], {}
         for host in hosts:
             name = host.account.name
-            settlement = host.await_path_settle(
-                deployment.marketplace, handle.path_auction
-            )
+            settlement = host.await_settle(deployment.marketplace, path_auction)
             if settlement.won:
                 host.redeem_path(
                     list(zip(settlement.assets[0::2], settlement.assets[1::2]))

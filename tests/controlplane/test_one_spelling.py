@@ -106,13 +106,15 @@ def test_an_auction_escrows_awards_refunds_pays_and_relists_at_one_site_each():
 
 def test_the_as_service_has_one_auctioned_rectangle_record():
     """ROADMAP item 4(c): ``OpenAuctionRecord`` / ``PathLegRecord`` were one
-    record spelled twice; a window auction's rectangle is leg 0."""
+    record spelled twice, and a path leg was then a third copy of what the
+    index holds.  The AS keeps one rectangle record, its window auctions';
+    a path auction's legs are read off the index."""
     asclient = next(path for path in SOURCES if path.name == "asclient.py")
     records = [
         node.name
         for node in ast.parse(asclient.read_text()).body
         if isinstance(node, ast.ClassDef)
-        and {"interface", "is_ingress", "leg_index"}
+        and {"interface", "is_ingress", "start", "expiry"}
         <= {
             field.target.id for field in node.body if isinstance(field, ast.AnnAssign)
         }

@@ -16,6 +16,7 @@ from repro.controlplane import (
 from repro.invariants import check
 from repro.marketdata import BudgetExceeded
 from repro.scion import PathLookup, as_crossings, linear_topology, run_beaconing
+from repro.scion.addresses import IsdAs
 
 WINDOW = (T0 + 3600, T0 + 4200)
 DURATION = WINDOW[1] - WINDOW[0]
@@ -53,8 +54,9 @@ def open_path(world, bandwidth_kbps=LEG_KBPS):
 class TestPathAuctionWiring:
     def test_open_path_auction_claims_every_leg_calendar(self, world):
         deployment, crossings = world["deployment"], world["crossings"]
-        handle = open_path(world)
-        assert len(handle.legs) == 2 * len(crossings)
+        path_auction = open_path(world)
+        legs = deployment.indexer.auction(path_auction).legs
+        assert len(legs) == 2 * len(crossings)
         for crossing in crossings:
             service = deployment.service(crossing.isd_as)
             for interface, is_ingress in (
@@ -66,15 +68,19 @@ class TestPathAuctionWiring:
                     interface, is_ingress, "issued"
                 ).headroom(*WINDOW)
                 assert headroom == 2 * ASSET_KBPS - LEG_KBPS
-        # Every AS recorded its own legs, nobody else's, in path order.
+        # Every AS sells its own legs, nobody else's, in path order.
         sides = [
-            (deployment.service(crossing.isd_as), interface, is_ingress)
+            (deployment.service(crossing.isd_as).account.address, crossing.isd_as, side)
             for crossing in crossings
-            for interface, is_ingress in ((crossing.ingress, True), (crossing.egress, False))
+            for side in ((crossing.ingress, True), (crossing.egress, False))
         ]
-        for (service, leg_index), side in zip(handle.legs, sides, strict=True):
-            record = service.path_legs[(handle.path_auction, leg_index)]
-            assert (service, record.interface, record.is_ingress) == side
+        for leg, side in zip(legs, sides, strict=True):
+            assert (
+                leg["seller"],
+                IsdAs(leg["isd"], leg["asn"]),
+                (leg["interface"], leg["is_ingress"]),
+            ) == side
+            assert (leg["start"], leg["expiry"], leg["bandwidth_kbps"]) == (*WINDOW, LEG_KBPS)
 
     def test_acquire_path_bids_into_a_covering_auction(self, world):
         deployment, crossings = world["deployment"], world["crossings"]
@@ -88,27 +94,23 @@ class TestPathAuctionWiring:
 
     def test_full_path_auction_lifecycle_settles_and_redeems(self, world):
         deployment, crossings = world["deployment"], world["crossings"]
-        handle = open_path(world)
+        path_auction = open_path(world)
         winner = deployment.new_host(name="winner")
         rival = deployment.new_host(name="rival")
         acquired = winner.acquire_path(
             deployment.marketplace, crossings, *WINDOW, 2_000, 500_000
         )
         assert acquired.mode == "path_bid"
-        rival.place_path_bid(
-            deployment.marketplace, handle.path_auction, LEG_KBPS, 40_000
-        )
+        rival.place_bid(deployment.marketplace, path_auction, LEG_KBPS, 40_000)
         world["clock"].set(float(WINDOW[0]))
-        record = settle_path_auction(deployment, handle)
+        record = settle_path_auction(deployment, path_auction)
         assert len(record.clearing_prices_micromist) == 2 * len(crossings)
 
-        settlement = winner.await_path_settle(
-            deployment.marketplace, handle.path_auction
-        )
+        settlement = winner.await_settle(deployment.marketplace, path_auction)
         assert settlement is not None and settlement.won
         # One piece per leg, in path order.
         assert len(settlement.assets) == 2 * len(crossings)
-        lost = rival.await_path_settle(deployment.marketplace, handle.path_auction)
+        lost = rival.await_settle(deployment.marketplace, path_auction)
         assert lost is not None and not lost.won and lost.paid_mist == 0
 
         # Escrow conservation straight from the event stream.
@@ -132,24 +134,22 @@ class TestPathAuctionWiring:
 
     def test_settle_clamps_supply_to_live_headroom(self, world):
         deployment, crossings = world["deployment"], world["crossings"]
-        handle = open_path(world)
+        path_auction = open_path(world)
         # One AS's active calendar loses headroom before settlement: its
-        # legs can sell less than was offered.
+        # ingress leg can sell less than was offered, every other leg all of it.
         squeezed = deployment.service(crossings[1].isd_as)
         squeezed.admission.admit_reservation(
             crossings[1].ingress, True, 2 * ASSET_KBPS - 1_000, *WINDOW, tag="ops"
         )
-        supplies = [
-            service.path_leg_supply(handle.path_auction, leg_index)
-            for service, leg_index in handle.legs
-        ]
-        assert min(supplies) == 1_000 and max(supplies) == LEG_KBPS
+        world["clock"].set(float(WINDOW[0]))
+        record = settle_path_auction(deployment, path_auction)
+        assert record.supplies_kbps == [LEG_KBPS, LEG_KBPS, 1_000] + [LEG_KBPS] * 3
 
     def test_a_loser_short_at_one_mid_path_leg_is_evicted_from_every_leg(
         self, world
     ):
         deployment, crossings = world["deployment"], world["crossings"]
-        handle = open_path(world)
+        path_auction = open_path(world)
         # The middle AS's ingress keeps live room for one 2,000 kbps bid;
         # every other leg could take both.
         middle = crossings[1]
@@ -160,23 +160,21 @@ class TestPathAuctionWiring:
         low = deployment.new_host(name="low")
         escrows = {}
         for host, budget in ((high, 60_000), (low, 40_000)):
-            placed = host.place_path_bid(
-                deployment.marketplace, handle.path_auction, 2_000, budget
-            )
+            placed = host.place_bid(deployment.marketplace, path_auction, 2_000, budget)
             assert placed.effects.ok, placed.effects.error
             escrows[host] = placed.effects.returns[0]["escrow_mist"]
         world["clock"].set(float(WINDOW[0]))
-        record = settle_path_auction(deployment, handle)
+        record = settle_path_auction(deployment, path_auction)
         assert record.supplies_kbps == [LEG_KBPS, LEG_KBPS, 2_000] + [LEG_KBPS] * 3
 
-        won = high.await_path_settle(deployment.marketplace, handle.path_auction)
+        won = high.await_settle(deployment.marketplace, path_auction)
         assert won.won and len(won.assets) == 2 * len(crossings)
-        lost = low.await_path_settle(deployment.marketplace, handle.path_auction)
+        lost = low.await_settle(deployment.marketplace, path_auction)
         assert not lost.won and lost.assets == ()
         assert (lost.paid_mist, lost.refund_mist) == (0, escrows[low])
         # The legs the loser had won alone were cleared without it: it is
         # reported at the middle AS's ingress, hop 1.
-        payload = deployment.indexer.settlement(handle.path_auction)
+        payload = deployment.indexer.settlement(path_auction)
         (report,) = payload["losers"]
         assert report["bidder"] == low.account.address
         assert (report["leg"], report["reason"]) == (2, "supply exhausted")
@@ -192,23 +190,19 @@ class TestPathAuctionWiring:
         path and then ceil-priced leg by leg locked up to ``legs - 1`` MIST
         over it (908 MIST on six legs escrowed 912)."""
         deployment = world["deployment"]
-        handle = open_path(world)
+        path_auction = open_path(world)
         host = deployment.new_host(name="frugal")
         for budget in range(900, 940):
-            placed = host.place_path_bid(
-                deployment.marketplace, handle.path_auction, 2_000, budget
-            )
+            placed = host.place_bid(deployment.marketplace, path_auction, 2_000, budget)
             assert placed.effects.ok, placed.effects.error
             assert placed.effects.returns[0]["escrow_mist"] <= budget, budget
 
     def test_place_path_bid_refuses_budgets_below_a_leg_reserve(self, world):
         deployment, crossings = world["deployment"], world["crossings"]
-        handle = open_path(world)
+        path_auction = open_path(world)
         host = deployment.new_host(name="cheap")
         with pytest.raises(ValueError, match="below the dearest leg reserve"):
-            host.place_path_bid(
-                deployment.marketplace, handle.path_auction, 2_000, 10
-            )
+            host.place_bid(deployment.marketplace, path_auction, 2_000, 10)
 
 
 class TestAcquirePathFallback:

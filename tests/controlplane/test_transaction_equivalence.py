@@ -6,7 +6,7 @@ control-plane entry point that submits a transaction — host side: ``fund``,
 guarded, with a vanished listing substituted, and a ``BudgetExceeded`` that
 submits nothing), ``acquire`` (bid and posted arm), ``place_bid`` /
 ``await_settle`` / ``redeem_pair``, ``acquire_path`` (path-bid and posted arm),
-``place_path_bid`` / ``await_path_settle`` / ``redeem_path``, a two-leg
+``place_bid`` / ``await_settle`` on the path auction and ``redeem_path``, a two-leg
 ``transfer`` with a fused leg plus its preflight and raced aborts; AS side:
 ``register``, ``register_as_seller``, ``issue_and_list`` (admitted, rejected,
 ledger-refused), ``cancel_listing``, ``offer_capacity`` in both modes,
@@ -241,7 +241,7 @@ class _Script:
 
     def spec(self, window, bandwidth_kbps, crossings=None, **options) -> PathSpec:
         crossings = self.crossings if crossings is None else crossings
-        return PathSpec.from_crossings(crossings, *window, bandwidth_kbps, **options)
+        return PathSpec(crossings, *window, bandwidth_kbps, **options)
 
     def relist(self, crossing, price_micromist: int) -> None:
         """The seller pulls the crossing's cheapest posted ingress listing for
@@ -426,16 +426,16 @@ class _Script:
         # the combinatorial auction opens and takes its bids before either
         # settles; its legs keep the 200 kbps minimum they were recorded with
         with _issuing(min_bandwidth_kbps=200):
-            handle = open_path_auction(self.deployment, self.crossings, *PATH_AUCTION, 6_000)
+            path_auction = open_path_auction(
+                self.deployment, self.crossings, *PATH_AUCTION, 6_000
+            )
         heidi, ivan = self.host("heidi"), self.host("ivan")
         path_bid = heidi.acquire_path(
             self.marketplace, self.crossings, *PATH_AUCTION, 2_000, 5_000
         )
-        assert path_bid.mode == "path_bid" and path_bid.reference == handle.path_auction
+        assert path_bid.mode == "path_bid" and path_bid.reference == path_auction
         assert path_bid.submitted.effects.ok, path_bid.submitted.effects.error
-        assert ivan.place_path_bid(
-            self.marketplace, handle.path_auction, 5_000, 2_000
-        ).effects.ok
+        assert ivan.place_bid(self.marketplace, path_auction, 5_000, 2_000).effects.ok
 
         self.clock.set(float(AUCTION[0]))
         for crossing in (bottleneck, quiet):
@@ -469,14 +469,12 @@ class _Script:
         self.deliver("erin", "frank", "grace")
         # frank's refunds came back as fresh coins: the payment coin alone no
         # longer covers an escrow, so the bid merges them in first
-        assert frank.place_path_bid(
-            self.marketplace, handle.path_auction, 1_000, 2_000
-        ).effects.ok
+        assert frank.place_bid(self.marketplace, path_auction, 1_000, 2_000).effects.ok
 
         self.clock.set(float(PATH_AUCTION[0]))
-        settle_path_auction(self.deployment, handle)
+        settle_path_auction(self.deployment, path_auction)
         path_outcomes = {
-            name: self.hosts[name].await_path_settle(self.marketplace, handle.path_auction)
+            name: self.hosts[name].await_settle(self.marketplace, path_auction)
             for name in ("heidi", "ivan", "frank")
         }
         self.notes["path_auction"] = {

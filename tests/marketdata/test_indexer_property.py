@@ -7,7 +7,10 @@ answers exactly what a naive rescan of the object store would: the same
 live listing set; for probe rectangles the same cheapest listing, price
 and aligned window, and the same cheapest ``limit`` covers in (price,
 aligned start, listing id) order; and for probe spans the same listings
-overlapping them per key.
+overlapping them per key.  The machine starts from one listing a key, and
+three of each key's four probe rectangles are drawn from the live book (a
+window inside a live listing, a bandwidth it can sell), so most probes have
+a cover to rank rather than comparing ``None`` with ``None``.
 
 Between those steps the same seller opens window auctions and 2- / 4-leg path
 auctions (a shell first, then one leg a rule, so "open, not fully
@@ -104,6 +107,12 @@ class IndexerMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self) -> None:
         self.market = RawMarket(seed=7)
+        # A live book to probe from the first step (``list_asset`` is one rule
+        # of eleven): one listing a key, over the first half of the horizon.
+        for (interface, is_ingress), granularity in zip(INTERFACES, GRANULARITIES):
+            self.market.issue_and_list(
+                interface, is_ingress, 10_000, 0, HORIZON // 2, granularity=granularity
+            )
         self.indexer = MarketIndexer(self.market.ledger, self.market.marketplace)
         self.rng = random.Random(1234)
         self.executor = LedgerExecutor(
@@ -310,17 +319,16 @@ class IndexerMachine(RuleBasedStateMachine):
         biddable = [entry for entry in self._open() if None not in entry[2]]
         if not biddable:
             return
-        auction_id, is_path, legs = biddable[pick % len(biddable)]
+        auction_id, _, legs = biddable[pick % len(biddable)]
         seconds = AUCTION_WINDOW[1] - AUCTION_WINDOW[0]
         for bidder, bw, unit_price in bids:
             host = self.bidders[bidder]
-            place = host.place_path_bid if is_path else host.place_bid
             budget = bw * seconds * len(legs) * unit_price // 1_000_000
             if unit_price < max(leg["reserve_micromist_per_unit"] for leg in legs):
                 with pytest.raises(ValueError, match="reserve"):
-                    place(self.market.marketplace, auction_id, bw, budget)
+                    host.place_bid(self.market.marketplace, auction_id, bw, budget)
                 continue
-            placed = place(self.market.marketplace, auction_id, bw, budget)
+            placed = host.place_bid(self.market.marketplace, auction_id, bw, budget)
             fits = bw <= min(leg["bandwidth_kbps"] for leg in legs)
             assert placed.effects.ok == fits, placed.effects.error
 
@@ -364,24 +372,34 @@ class IndexerMachine(RuleBasedStateMachine):
         }
         assert indexed == scanned
         for interface, is_ingress in INTERFACES:
-            windows = []
-            for _ in range(3):
-                start = self.rng.randrange(0, HORIZON, 30)
-                windows.append((start, start + self.rng.randrange(30, 3600, 30)))
-            # and one inside a live listing of the key, where covers crowd
+            # one probe anywhere, which mostly finds nothing ...
+            start = self.rng.randrange(0, HORIZON, 30)
+            probes = [(
+                start, start + self.rng.randrange(30, 3600, 30),
+                self.rng.choice([MIN_BW, 1_000, 10_000, 50_000]),
+            )]
+            # ... and three drawn from the live book: a window inside a live
+            # listing of the key and a bandwidth it can sell, so every one has
+            # a cover and the overlapping listings compete for it
             live = sorted(
                 record.listing_id for record in scanned.values()
                 if (record.interface, record.is_ingress) == (interface, is_ingress)
             )
-            if live:
-                record = scanned[self.rng.choice(live)]
+            for listing_id in (self.rng.choice(live) for _ in range(3) if live):
+                record = scanned[listing_id]
                 start = self.rng.randrange(record.start, record.expiry, 30)
-                windows.append((start, self.rng.randrange(start + 30, record.expiry + 30, 30)))
-            for start, expiry in windows:
+                probes.append((
+                    start,
+                    self.rng.randrange(start + 30, record.expiry + 30, 30),
+                    self.rng.choice([
+                        MIN_BW, record.bandwidth_kbps // 200 * 100, record.bandwidth_kbps,
+                    ]),
+                ))
+            for start, expiry, bandwidth_kbps in probes:
                 probe = ListingQuery(
                     isd_as=AS19, interface=interface, is_ingress=is_ingress,
                     start=start, expiry=expiry,
-                    bandwidth_kbps=self.rng.choice([MIN_BW, 1_000, 10_000, 50_000]),
+                    bandwidth_kbps=max(MIN_BW, bandwidth_kbps),
                     exact_window=self.rng.random() < 0.2,
                 )
                 fast = self.indexer.best(probe)
@@ -459,17 +477,15 @@ class IndexerMachine(RuleBasedStateMachine):
                     (i for i, _, legs in opened if _covers(legs, directions, *probe)),
                     None,
                 ), (directions, probe)
-        for auction_id, is_path, _ in opened:
-            wait = host.await_path_settle if is_path else host.await_settle
-            assert wait(marketplace, auction_id) is None
+        for auction_id, _, _ in opened:
+            assert host.await_settle(marketplace, auction_id) is None
         mine = host.account.address
         for auction_id, event in settlements.items():
             payload = event.payload
             wins = [w for w in payload["winners"] if w["bidder"] == mine]
             losses = [l for l in payload["losers"] if l["bidder"] == mine]
             is_path = event.event_type == "PathAuctionSettled"
-            wait = host.await_path_settle if is_path else host.await_settle
-            assert wait(marketplace, auction_id) == BidSettlement(
+            assert host.await_settle(marketplace, auction_id) == BidSettlement(
                 auction=auction_id,
                 won=bool(wins),
                 bandwidth_kbps=sum(w["bandwidth_kbps"] for w in wins),
