@@ -125,7 +125,7 @@ def main() -> None:
     cheapskate = deployment.new_host(funding_sui=50, name="cheapskate")
     plan = cheapskate.plan_path(
         deployment.marketplace,
-        PathSpec.from_crossings(crossings, start + 1200, start + 1800, 10_000),
+        PathSpec(crossings, start + 1200, start + 1800, 10_000),
     )
     try:
         cheapskate.atomic_buy_and_redeem(
@@ -140,7 +140,7 @@ def main() -> None:
     assets_before = len(mallory.owned_assets())
     plan = mallory.plan_path(
         deployment.marketplace,
-        PathSpec.from_crossings(crossings, start + 1200, start + 1800, 10_000),
+        PathSpec(crossings, start + 1200, start + 1800, 10_000),
     )
     submitted = mallory.atomic_buy_and_redeem(deployment.marketplace, plan)
     after = coin_balance(deployment.ledger, mallory.account.address)

@@ -63,7 +63,7 @@ class AdmissionController:
         policy: AdmissionPolicy | None = None,
         pricer: Pricer | None = None,
         shard_seconds: float = DEFAULT_SHARD_SECONDS,
-        auction_interfaces: bool | set[tuple[int, bool]] | None = None,
+        auction_interfaces: set[tuple[int, bool]] | None = None,
     ) -> None:
         """Configure the admission authority for one AS.
 
@@ -76,10 +76,9 @@ class AdmissionController:
             shard_seconds: shard width of every layer's
                 :class:`CapacityCalendar` (default a day,
                 :data:`~repro.admission.calendar.DEFAULT_SHARD_SECONDS`).
-            auction_interfaces: which interface directions allocate windows
-                by sealed-bid auction instead of posted prices — ``None``
-                (posted everywhere, the default), ``True`` (auction
-                everywhere), or a set of ``(interface, is_ingress)`` pairs.
+            auction_interfaces: the ``(interface, is_ingress)`` pairs that
+                allocate windows by sealed-bid auction instead of posted
+                prices (``None``, the default: posted everywhere).
 
         Raises:
             ValueError: non-positive capacity, or a shard width that is not
@@ -92,12 +91,7 @@ class AdmissionController:
         self.pricer = pricer if pricer is not None else FlatPricer()
         self.shard_seconds = _check_width(shard_seconds)
         self._calendars: dict[tuple[str, int, bool], CapacityCalendar] = {}
-        if auction_interfaces is True:
-            self._auction_interfaces: bool | set[tuple[int, bool]] = True
-        elif auction_interfaces:
-            self._auction_interfaces = set(auction_interfaces)
-        else:
-            self._auction_interfaces = set()
+        self._auction_interfaces = set(auction_interfaces or ())
         self._auctions: dict[tuple[int, bool, float, float], WindowAuction] = {}
         self.rejections = 0
         registry = get_registry()
@@ -303,11 +297,7 @@ class AdmissionController:
             :data:`AUCTION` when the direction is in
             ``auction_interfaces``, else :data:`POSTED`.
         """
-        if self._auction_interfaces is True:
-            return AUCTION
-        if (interface, is_ingress) in self._auction_interfaces:
-            return AUCTION
-        return POSTED
+        return AUCTION if (interface, is_ingress) in self._auction_interfaces else POSTED
 
     def open_auction(
         self,

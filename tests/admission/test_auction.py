@@ -170,12 +170,14 @@ class TestControllerAuctionMode:
         assert controller.allocation_mode(2, True) == POSTED
 
     def test_auction_everywhere(self):
-        controller = AdmissionController(1000, auction_interfaces=True)
+        """Every direction named is in auction mode, both of one interface too."""
+        controller = AdmissionController(1000, auction_interfaces={(7, True), (7, False)})
+        assert controller.allocation_mode(7, True) == AUCTION
         assert controller.allocation_mode(7, False) == AUCTION
 
     def test_reserve_seeded_by_scarcity_quote(self):
         controller = AdmissionController(
-            1000, pricer=ScarcityPricer(), auction_interfaces=True
+            1000, pricer=ScarcityPricer(), auction_interfaces={(1, True)}
         )
         # Half-fill the issued calendar, then open: reserve carries the
         # scarcity multiplier of the pre-auction utilization.
@@ -185,7 +187,7 @@ class TestControllerAuctionMode:
         assert auction.reserve_micromist > 50
 
     def test_duplicate_window_rejected_and_close_reopens(self):
-        controller = AdmissionController(1000, auction_interfaces=True)
+        controller = AdmissionController(1000, auction_interfaces={(1, True)})
         controller.open_auction(1, True, 500, 0, 600, 50)
         with pytest.raises(ValueError, match="already open"):
             controller.open_auction(1, True, 500, 0, 600, 50)
@@ -196,7 +198,7 @@ class TestControllerAuctionMode:
 
     def test_settle_supply_clamps_by_lost_active_headroom(self):
         """A window that loses headroom before settle sells less."""
-        controller = AdmissionController(1000, auction_interfaces=True)
+        controller = AdmissionController(1000, auction_interfaces={(1, True)})
         auction = controller.open_auction(1, True, 800, 0, 600, 50)
         auction.bids.append(bid("a", 500, 90, 0))
         auction.bids.append(bid("b", 300, 80, 1))
@@ -209,13 +211,13 @@ class TestControllerAuctionMode:
         assert {lost.bid.bidder for lost in out.losers} == {"a"}
 
     def test_settle_supply_never_negative(self):
-        controller = AdmissionController(1000, auction_interfaces=True)
+        controller = AdmissionController(1000, auction_interfaces={(1, True)})
         assert controller.admit_reservation(1, True, 1000, 0, 600).admitted
         assert controller.settle_supply(1, True, 0, 600, 800) == 0
 
     def test_cleared_winners_fit_the_active_calendar(self):
         """End to end at the admission layer: no oversell is possible."""
-        controller = AdmissionController(1000, auction_interfaces=True)
+        controller = AdmissionController(1000, auction_interfaces={(1, True)})
         auction = controller.open_auction(1, True, 1000, 0, 600, 50)
         for index in range(6):
             auction.bids.append(bid(f"h{index}", 300, 100 - index, index))

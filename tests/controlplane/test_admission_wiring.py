@@ -161,7 +161,7 @@ class TestDeliveryAdmission:
             host = deployment.new_host(funding_sui=100)
             plan = host.plan_path(
                 deployment.marketplace,
-                PathSpec.from_crossings([crossing], start, expiry, 4000),
+                PathSpec([crossing], start, expiry, 4000),
             )
             assert host.atomic_buy_and_redeem(deployment.marketplace, plan).effects.ok
         # Shrink the AS's live capacity so only the first request fits.

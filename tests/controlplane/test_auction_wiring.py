@@ -20,6 +20,11 @@ ASSET_KBPS = 10_000
 def world():
     clock = SimClock(float(T0))
     topology = linear_topology(3)
+    store = run_beaconing(topology, timestamp=T0)
+    path = PathLookup(store).find_paths(
+        topology.ases[-1].isd_as, topology.ases[0].isd_as
+    )[0]
+    crossing = as_crossings(path)[1]
     deployment = deploy_market(
         topology,
         clock=clock,
@@ -28,13 +33,8 @@ def world():
         asset_bandwidth_kbps=ASSET_KBPS,
         interface_capacity_kbps=2 * ASSET_KBPS,
         pricer=ScarcityPricer(),
-        auction_interfaces=True,
+        auction_interfaces={(crossing.ingress, True)},
     )
-    store = run_beaconing(topology, timestamp=T0)
-    path = PathLookup(store).find_paths(
-        topology.ases[-1].isd_as, topology.ases[0].isd_as
-    )[0]
-    crossing = as_crossings(path)[1]
     service = deployment.service(crossing.isd_as)
     yield {
         "clock": clock,
@@ -80,7 +80,7 @@ class TestAsServiceAuctions:
     def test_offer_capacity_dispatches_on_interface_mode(self, world):
         deployment = world["deployment"]
         service, crossing = world["service"], world["crossing"]
-        # Everything is in auction mode here: offering capacity auctions it.
+        # The crossing's ingress is in auction mode: offering capacity auctions it.
         submitted = service.offer_capacity(
             deployment.marketplace, crossing.ingress, True, 1_000, *WINDOW, 50
         )
@@ -124,7 +124,12 @@ class TestAsServiceAuctions:
         book = service.admission.auction_for(
             record.interface, record.is_ingress, record.start, record.expiry
         )
-        preview = book.clear(service._supply(record))
+        preview = book.clear(
+            service.admission.settle_supply(
+                record.interface, record.is_ingress, record.start, record.expiry,
+                record.bandwidth_kbps,
+            )
+        )
         world["clock"].set(float(WINDOW[0]))
         settled = service.settle_due_auctions()[0]
         assert settled.clearing_price_micromist == preview.clearing_price_micromist

@@ -50,7 +50,7 @@ def _redeem(deployment, host, crossing, slot: int, key: int, rate_kbps: int = RA
     bought = host.atomic_buy_and_redeem(
         deployment.marketplace,
         host.plan_path(
-            deployment.marketplace, PathSpec.from_crossings([crossing], *_window(slot), rate_kbps)
+            deployment.marketplace, PathSpec([crossing], *_window(slot), rate_kbps)
         ),
     )
     assert bought.effects.ok, bought.effects.error

@@ -134,7 +134,7 @@ def test_breakpoint_enumeration_equals_step1_scan(seed):
                 price=rng.choice([5, 40, 70, 100]),
                 granularity=g,
             )
-    spec = PathSpec.from_crossings(
+    spec = PathSpec(
         (_crossing(market, in_if, eg_if),),
         start=T0 + rng.randrange(0, 120),
         expiry=T0 + rng.randrange(0, 120) + rng.choice([240, 300, 360]),
@@ -160,7 +160,7 @@ def test_breakpoints_subsume_old_finest_granularity_scan():
         market.issue_and_list(
             interface, is_ingress, 10_000, T0, T0 + 1200, 50, granularity=60
         )
-    spec = PathSpec.from_crossings(
+    spec = PathSpec(
         (_crossing(market, in_if, eg_if),),
         start=T0,
         expiry=T0 + 300,
@@ -191,7 +191,7 @@ def test_shifted_anchor_listing_found_only_by_breakpoints():
         market.issue_and_list(
             interface, is_ingress, 10_000, T0 + 30, T0 + 630, 1, granularity=60
         )
-    spec = PathSpec.from_crossings(
+    spec = PathSpec(
         (_crossing(market, in_if, eg_if),),
         start=T0,
         expiry=T0 + 600,

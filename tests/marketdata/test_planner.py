@@ -92,10 +92,10 @@ class TestFlexValley:
         deployment = valley_world["deployment"]
         crossings = valley_world["crossings"]
         rigid = deployment.planner.best(
-            PathSpec.from_crossings(crossings, PEAK[0], PEAK[0] + 600, 2500)
+            PathSpec(crossings, PEAK[0], PEAK[0] + 600, 2500)
         )
         flexible = deployment.planner.best(
-            PathSpec.from_crossings(
+            PathSpec(
                 crossings, PEAK[0], PEAK[0] + 600, 2500, flex_start=1800
             )
         )
@@ -117,7 +117,7 @@ class TestFlexValley:
         deployment = valley_world["deployment"]
         crossings = valley_world["crossings"]
         rigid_quote = deployment.planner.best(
-            PathSpec.from_crossings(crossings, PEAK[0], PEAK[0] + 600, 2500)
+            PathSpec(crossings, PEAK[0], PEAK[0] + 600, 2500)
         )
         host = deployment.new_host(name="flexible-buyer")
         outcome = purchase_path(
@@ -137,7 +137,7 @@ class TestFlexValley:
         deployment = valley_world["deployment"]
         crossings = valley_world["crossings"]
         quotes = deployment.planner.quote(
-            PathSpec.from_crossings(
+            PathSpec(
                 crossings, PEAK[0], PEAK[0] + 600, 2500, flex_start=1800
             )
         )
@@ -151,11 +151,11 @@ class TestBudget:
         deployment = valley_world["deployment"]
         crossings = valley_world["crossings"]
         cheapest = deployment.planner.best(
-            PathSpec.from_crossings(crossings, PEAK[0], PEAK[0] + 600, 2500)
+            PathSpec(crossings, PEAK[0], PEAK[0] + 600, 2500)
         )
         with pytest.raises(BudgetExceeded):
             deployment.planner.best(
-                PathSpec.from_crossings(
+                PathSpec(
                     crossings, PEAK[0], PEAK[0] + 600, 2500,
                     budget_mist=cheapest.price_mist - 1,
                 )
@@ -167,7 +167,7 @@ class TestBudget:
         host = deployment.new_host(name="capped-buyer")
         plan = host.plan_path(
             deployment.marketplace,
-            PathSpec.from_crossings(crossings, PEAK[0], PEAK[0] + 600, 2500),
+            PathSpec(crossings, PEAK[0], PEAK[0] + 600, 2500),
         )
         checkpoint = deployment.ledger.checkpoint
         with pytest.raises(BudgetExceeded):
@@ -196,7 +196,7 @@ class TestBudget:
         host = deployment.new_host(name="guarded-buyer")
         plan = host.plan_path(
             deployment.marketplace,
-            PathSpec.from_crossings(crossings, T0 + 600, T0 + 1200, 4000),
+            PathSpec(crossings, T0 + 600, T0 + 1200, 4000),
         )
         budget = plan.price_mist
 
@@ -251,7 +251,7 @@ class TestBudget:
         host = deployment.new_host(name="substituted-buyer")
         plan = host.plan_path(
             deployment.marketplace,
-            PathSpec.from_crossings(crossings, T0 + 600, T0 + 1200, 4000),
+            PathSpec(crossings, T0 + 600, T0 + 1200, 4000),
         )
         victim = plan.hops[0].ingress_candidate.listing.listing_id
         seller = deployment.service(plan.hops[0].isd_as)

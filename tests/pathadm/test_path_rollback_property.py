@@ -72,7 +72,10 @@ def build_path(hop_specs):
         controller = AdmissionController(
             capacity_kbps=spec["capacity"],
             shard_seconds=spec["shard_seconds"],
-            auction_interfaces=True if spec["auction_mode"] else None,
+            # the hop's two directions, as ``PathHop`` names them below
+            auction_interfaces=(
+                {(index + 1, True), (index + 2, False)} if spec["auction_mode"] else None
+            ),
         )
         hops.append(PathHop(f"as{index}", controller, index + 1, index + 2))
     return PathAdmission(hops)

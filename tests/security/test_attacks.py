@@ -238,7 +238,7 @@ class TestEconomicFairnessC2:
         single = deployment.new_host(funding_sui=100)
         plan = single.plan_path(
             deployment.marketplace,
-            PathSpec.from_crossings([crossing], start, start + 240, 4000),
+            PathSpec([crossing], start, start + 240, 4000),
         )
         single_price = plan.price_mist
 
@@ -247,7 +247,7 @@ class TestEconomicFairnessC2:
             sybil = deployment.new_host(funding_sui=100)
             plan = sybil.plan_path(
                 deployment.marketplace,
-                PathSpec.from_crossings(
+                PathSpec(
                     [crossing], start + 240 * (i + 1), start + 240 * (i + 2), 1000
                 ),
             )
@@ -298,7 +298,7 @@ class TestHostileRedeemKeyC1:
 
         plan = host.plan_path(
             deployment.marketplace,
-            PathSpec.from_crossings([crossing], start, start + 600, 1000),
+            PathSpec([crossing], start, start + 600, 1000),
         )
         (hop,) = plan.hops
         buys = [
@@ -372,7 +372,7 @@ class TestHostileRedeemKeyC1:
             deployment.marketplace,
             victim.plan_path(
                 deployment.marketplace,
-                PathSpec.from_crossings([honest], start, start + 600, 1000),
+                PathSpec([honest], start, start + 600, 1000),
             ),
         )
         served = bought.effects.returns[2]["request"]
@@ -859,7 +859,7 @@ class TestHostileDelivery:
         bought = host.atomic_buy_and_redeem(
             deployment.marketplace,
             host.plan_path(
-                deployment.marketplace, PathSpec.from_crossings(crossings, start, start + 600, 1000)
+                deployment.marketplace, PathSpec(crossings, start, start + 600, 1000)
             ),
         )
         assert bought.effects.ok, bought.effects.error

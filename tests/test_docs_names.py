@@ -41,7 +41,7 @@ def test_every_member_of_a_slash_list_is_checked(tmp_path):
     page = tmp_path / "listed.md"
     page.write_text(
         "Hosts call `HostClient.acquire_path /\n"
-        "  place_path_bid / bid_for_path`, and ASes `AsService.path_legs / path_leg_supply`.\n",
+        "  place_bid / bid_for_path`, and ASes `AsService.open_auctions / contribute_path_leg`.\n",
         encoding="utf-8",
     )
     (problem,) = check_links.check_file(page)
