@@ -4,12 +4,12 @@ Two passes over the same tracked population, against a monolithic active
 calendar:
 
 * **watch** — every reservation shows up, so a scan is pure judgment:
-  sample the usage feed, compute observed rates, accumulate show-up
-  aggregates, decide "not a no-show" for each.  This is the steady-state
+  read each reservation's bytes off the policer, compute observed rates,
+  accumulate show-up aggregates, decide "not a no-show" for each.  This is the steady-state
   cost an AS pays per scan tick.
 * **reclaim** — nobody shows up, so every tracked reservation is judged
-  a no-show and its calendar commitment shrunk in place (the worst-case
-  actuation burst).
+  a no-show, its calendar commitment shrunk in place and its policer
+  rate capped (the worst-case actuation burst).
 
 Bars: at 10^5 tracked commitments the watch pass processes >= 100k
 reservations/s and the reclaim pass >= 20k reclamations/s.
@@ -21,7 +21,7 @@ Run:  PYTHONPATH=src python benchmarks/bench_reclaim.py
 import time
 
 from repro.admission import ACTIVE, AdmissionController
-from repro.reclaim import ReclamationEngine, UsageReporter
+from repro.reclaim import ReclamationEngine
 
 CAPACITY_KBPS = 10**10
 INGRESS = 1
@@ -33,18 +33,33 @@ TRACKED = 100_000
 BARS = {"watch_per_sec": 100_000.0, "reclaim_per_sec": 20_000.0}
 
 
+class _Policer:
+    """What the loop reads and caps of a policer, over a dict: cumulative
+    priority bytes and rate caps per ``(ingress, ResID, ResStart)``."""
+
+    def __init__(self, used: dict) -> None:
+        self.used = used
+        self.limits: dict = {}
+
+    def usage_bytes(self, ingress_ifid: int, res_id: int, res_start: int) -> int:
+        return self.used.get((ingress_ifid, res_id, res_start), 0)
+
+    def set_limit(self, ingress_ifid: int, res_id: int, res_start: int, kbps: int) -> None:
+        self.limits[ingress_ifid, res_id, res_start] = kbps
+
+    def retain(self, reservations: set) -> None:
+        self.used = {key: used for key, used in self.used.items() if key in reservations}
+        self.limits = {key: kbps for key, kbps in self.limits.items() if key in reservations}
+
+
 def _tracked_population(count: int, show_up: bool):
     """One controller + engine with ``count`` tracked reservations."""
     controller = AdmissionController(CAPACITY_KBPS)
     calendar = controller.calendar(INGRESS, True, ACTIVE)
     # Full booked rate for SCAN_AT seconds, or silence: cumulative bytes.
     per_res = int(BOOKED_KBPS * 125 * SCAN_AT) if show_up else 0
-    usage = {INGRESS: {(res_id, WINDOW[0]): per_res for res_id in range(count)}}
-    engine = ReclamationEngine(
-        controller,
-        UsageReporter(lambda: usage, interval=0.25),
-        grace_seconds=0.5,
-    )
+    usage = {(INGRESS, res_id, WINDOW[0]): per_res for res_id in range(count)}
+    engine = ReclamationEngine(controller, _Policer(usage), grace_seconds=0.5)
     for res_id in range(count):
         piece = calendar.commit(BOOKED_KBPS, *WINDOW, tag=f"b{res_id}")
         engine.track(

@@ -1,4 +1,4 @@
-"""Admission control: per-interface capacity calendars, policies, pricing.
+"""Admission control: per-interface capacity calendars, the admission rule, pricing.
 
 The subsystem every AS consults before minting bandwidth assets or
 delivering reservations, so physical interface capacity can never be
@@ -29,8 +29,6 @@ from repro.admission.policy import (
     AdmissionDecision,
     AdmissionPolicy,
     AdmissionRequest,
-    FirstComeFirstServed,
-    OverbookingPolicy,
 )
 from repro.admission.pricing import FlatPricer, Pricer, ScarcityPricer
 
@@ -49,10 +47,8 @@ __all__ = [
     "CapacityCalendar",
     "ClearingOutcome",
     "Commitment",
-    "FirstComeFirstServed",
     "FlatPricer",
     "LostBid",
-    "OverbookingPolicy",
     "Pricer",
     "ScarcityPricer",
     "WindowAuction",

@@ -160,7 +160,7 @@ class CapacityCalendar:
     (3, 1)
     >>> calendar.peak_commitment(0, 300)
     600
-    >>> calendar.try_commit(600, 240, 260) is None
+    >>> calendar.try_commit(600, 240, 260, calendar.capacity_kbps) is None
     True
     """
 
@@ -246,8 +246,9 @@ class CapacityCalendar:
     # -- mutations ----------------------------------------------------------------
 
     def admit(self, bandwidth_kbps: int, start: float, end: float) -> Commitment:
-        """Commit the bandwidth if it fits; raise :class:`AdmissionRejected`."""
-        commitment = self.try_commit(bandwidth_kbps, start, end)
+        """Commit the bandwidth if it fits the capacity; raise
+        :class:`AdmissionRejected`."""
+        commitment = self.try_commit(bandwidth_kbps, start, end, self.capacity_kbps)
         if commitment is None:
             raise AdmissionRejected(
                 f"{bandwidth_kbps} kbps over [{start}, {end}) exceeds headroom "
@@ -256,17 +257,19 @@ class CapacityCalendar:
         return commitment
 
     def try_commit(
-        self, bandwidth_kbps: int, start: float, end: float, tag: str = ""
+        self, bandwidth_kbps: int, start: float, end: float, limit_kbps: int, tag: str = ""
     ) -> Commitment | None:
-        """Commit if the window still has headroom; ``None`` otherwise.
+        """Commit if the window's peak stays within ``limit_kbps``; ``None``
+        otherwise.
 
-        The non-raising form of :meth:`admit` — what per-hop path
-        admission (two directions per hop, every hop on the path) runs in
-        its hot loop.  Slots with no shard are empty and always fit.
+        The non-raising form of :meth:`admit` at a limit the caller states
+        (the admission rule's ``int(factor * capacity)``): one pass over the
+        window's shards, with no separate peak query.  Slots with no shard
+        are empty and always fit.
         """
         bandwidth_kbps = int(bandwidth_kbps)
         self._check_commitment(bandwidth_kbps, start, end)
-        limit = self.capacity_kbps - bandwidth_kbps
+        limit = limit_kbps - bandwidth_kbps
         if limit < 0:
             return None
         pieces = self._pieces(start, end)
@@ -278,7 +281,7 @@ class CapacityCalendar:
         return self._record(bandwidth_kbps, start, end, tag, pieces)
 
     def commit(self, bandwidth_kbps: int, start: float, end: float, tag: str = "") -> Commitment:
-        """Record a commitment unconditionally (policies decide the limit)."""
+        """Record a commitment unconditionally (no limit checked)."""
         # Coerce before validating or touching the levels: the step function
         # and the Commitment record must add/subtract the *same* value, or a
         # float input would leak fractional capacity on release.

@@ -31,7 +31,6 @@ from repro.admission.policy import (
     AdmissionDecision,
     AdmissionPolicy,
     AdmissionRequest,
-    FirstComeFirstServed,
 )
 from repro.admission.pricing import FlatPricer, Pricer
 from repro.telemetry import get_registry
@@ -69,8 +68,9 @@ class AdmissionController:
 
         Args:
             capacity_kbps: the capacity of every interface direction.
-            policy: allocation discipline (default
-                :class:`~repro.admission.policy.FirstComeFirstServed`).
+            policy: the admission rule (default
+                :class:`~repro.admission.policy.AdmissionPolicy` at factor 1:
+                first come, first served within capacity).
             pricer: utilization -> price multiplier (default
                 :class:`~repro.admission.pricing.FlatPricer`).
             shard_seconds: shard width of every layer's
@@ -87,7 +87,7 @@ class AdmissionController:
         if capacity_kbps <= 0:
             raise ValueError("capacity must be positive")
         self.capacity_kbps = int(capacity_kbps)
-        self.policy = policy if policy is not None else FirstComeFirstServed()
+        self.policy = policy if policy is not None else AdmissionPolicy()
         self.pricer = pricer if pricer is not None else FlatPricer()
         self.shard_seconds = _check_width(shard_seconds)
         self._calendars: dict[tuple[str, int, bool], CapacityCalendar] = {}

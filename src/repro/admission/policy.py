@@ -1,15 +1,16 @@
-"""Pluggable admission policies over a :class:`CapacityCalendar`.
+"""The admission rule over a :class:`CapacityCalendar`.
 
-A policy turns "does it physically fit?" into an allocation discipline:
+One rule turns "does it physically fit?" into an allocation discipline:
+:class:`AdmissionPolicy` admits first come, first served while the
+window's peak stays within ``int(factor * capacity)``.  At the default
+factor of 1 that is the physical capacity, and arrival order decides who
+wins a contended window; above 1 it overbooks, betting on no-shows the way
+airlines do.  The data plane still polices actual usage, so overbooking
+trades admission yield against the risk of demoting traffic to best
+effort.  :class:`repro.reclaim.AdaptiveOverbooking` steers the factor per
+interface direction.
 
-* :class:`FirstComeFirstServed` — admit while the peak stays under
-  capacity; arrival order decides who wins a contended window;
-* :class:`OverbookingPolicy` — admit up to ``factor * capacity``,
-  betting on no-shows the way airlines do; the data plane still polices
-  actual usage, so overbooking trades admission yield against the risk
-  of demoting traffic to best effort.
-
-Policies *commit* into the calendar when they admit, so a policy object
+The rule *commits* into the calendar when it admits, so a policy object
 plus a calendar is a complete admission authority.
 """
 
@@ -41,44 +42,24 @@ class AdmissionDecision(NamedTuple):
 
 
 class AdmissionPolicy:
-    """Base class: decide requests against a calendar, committing on admit."""
+    """Admit first come, first served up to ``int(factor * capacity)``.
 
-    name = "base"
+    >>> calendar = CapacityCalendar(capacity_kbps=1000)
+    >>> AdmissionPolicy().admit(calendar, AdmissionRequest(600, 0, 100)).reason
+    'fits'
+    >>> AdmissionPolicy().admit(calendar, AdmissionRequest(600, 0, 100)).reason
+    'needs 600 kbps, only 400 kbps free'
+    >>> AdmissionPolicy(1.5).admit(calendar, AdmissionRequest(600, 0, 100)).admitted
+    True
+    """
 
-    def admit(self, calendar: CapacityCalendar, request: AdmissionRequest) -> AdmissionDecision:
-        raise NotImplementedError
-
-
-class FirstComeFirstServed(AdmissionPolicy):
-    """Admit while the window's peak commitment stays within capacity."""
-
-    name = "fcfs"
-
-    def admit(self, calendar: CapacityCalendar, request: AdmissionRequest) -> AdmissionDecision:
-        commitment = calendar.try_commit(
-            request.bandwidth_kbps, request.start, request.end, tag=request.buyer
-        )
-        if commitment is None:
-            headroom = calendar.headroom(request.start, request.end)
-            return AdmissionDecision(
-                False,
-                f"needs {request.bandwidth_kbps} kbps, only {headroom} kbps free",
-            )
-        return AdmissionDecision(True, "fits", commitment)
-
-
-class OverbookingPolicy(AdmissionPolicy):
-    """Admit up to ``factor * capacity``, betting that demand won't all show."""
-
-    name = "overbooking"
-
-    def __init__(self, factor: float = 1.5) -> None:
+    def __init__(self, factor: float = 1.0) -> None:
         if factor < 1:
             raise ValueError("overbooking factor must be >= 1")
         self.factor = factor
 
     def limit_factor(self, calendar: CapacityCalendar) -> float:
-        """The overbooking factor in force for this calendar (static here;
+        """The factor in force for this calendar (static here;
         :class:`repro.reclaim.AdaptiveOverbooking` steers it per interface)."""
         return self.factor
 
@@ -87,17 +68,19 @@ class OverbookingPolicy(AdmissionPolicy):
     # a learned factor that falls does not unsell what it sold).
     ceiling_factor = limit_factor
 
+    def observe(self, calendars: list[CapacityCalendar], show_up_rate: float) -> float:
+        """Fold one interface direction's observed show-up rate in; returns
+        the factor now in force there.  A static factor keeps its factor."""
+        return self.factor
+
     def admit(self, calendar: CapacityCalendar, request: AdmissionRequest) -> AdmissionDecision:
-        factor = self.limit_factor(calendar)
-        limit = int(factor * calendar.capacity_kbps)
-        peak = calendar.peak_commitment(request.start, request.end)
-        if peak + request.bandwidth_kbps > limit:
-            return AdmissionDecision(
-                False,
-                f"needs {request.bandwidth_kbps} kbps, overbooked limit {limit} kbps "
-                f"already carries {peak} kbps",
-            )
-        commitment = calendar.commit(
-            request.bandwidth_kbps, request.start, request.end, tag=request.buyer
+        limit = int(self.limit_factor(calendar) * calendar.capacity_kbps)
+        commitment = calendar.try_commit(
+            request.bandwidth_kbps, request.start, request.end, limit, tag=request.buyer
         )
-        return AdmissionDecision(True, f"fits under {factor}x overbooking", commitment)
+        if commitment is None:
+            free = limit - calendar.peak_commitment(request.start, request.end)
+            return AdmissionDecision(
+                False, f"needs {request.bandwidth_kbps} kbps, only {free} kbps free"
+            )
+        return AdmissionDecision(True, "fits", commitment)

@@ -25,6 +25,8 @@ from __future__ import annotations
 from repro.contracts.framework import CallContext, Contract, ContractAbort
 from repro.crypto.signatures import verify
 from repro.ledger.objects import LedgerObject, Ownership
+from repro.scion.addresses import IsdAs
+from repro.wire import bwcls
 
 ASSET_TYPE = "asset::BandwidthAsset"
 TOKEN_TYPE = "asset::AuthorizationToken"
@@ -44,6 +46,27 @@ def delivery_context(request: str) -> bytes:
     request does not open as the answer to another.
     """
     return b"hummingbird-resv:" + request.encode()
+
+
+def requested_record(request_payload: dict) -> tuple:
+    """The reservation record a redeem request's payload asks its AS for:
+    ``(isd_as, ingress, egress, bw_cls, start, duration)``.
+
+    Derived from the wrapped assets alone — the issuing AS, both
+    interfaces, the largest bandwidth class at or below the bought kbps (an
+    AS grants at most what was bought) and the assets' window — so the AS
+    that grants the record and the host that checks it derive the same
+    numbers.
+    """
+    ingress = request_payload["ingress"]
+    return (
+        IsdAs(ingress["isd"], ingress["asn"]),
+        ingress["interface"],
+        request_payload["egress"]["interface"],
+        bwcls.encode_floor(ingress["bandwidth_kbps"]),
+        ingress["start"],
+        ingress["expiry"] - ingress["start"],
+    )
 
 
 # Payload keys of a BandwidthAsset (the attribute list of §4.2):

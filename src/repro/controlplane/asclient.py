@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from repro.admission import ACTIVE, AUCTION, AdmissionController, AdmissionRejected
 from repro.admission.auction import Bid, WindowAuction
-from repro.contracts.asset import delivery_context
+from repro.contracts.asset import delivery_context, requested_record
 from repro.crypto.prf import DEFAULT_PRF_FACTORY, PrfFactory
 from repro.crypto.sealing import check_group_element, seal
 from repro.hummingbird.reservation import ResInfo, grant_reservation
@@ -41,7 +41,6 @@ from repro.ledger.executor import LedgerExecutor, SubmittedTransaction
 from repro.ledger.transactions import Command, Result, Transaction
 from repro.scion.topology import AutonomousSystem
 from repro.telemetry import get_registry, tracing
-from repro.wire import bwcls
 
 DEFAULT_GRANULARITY = 60  # seconds: minimum reservation duration an AS supports
 DEFAULT_MIN_BANDWIDTH = 100  # kbps: VoIP-sized minimum reservation (§4.4)
@@ -137,10 +136,9 @@ class AsService:
         # Sealed-bid auctions: open books, bid-event cursor.
         self.open_auctions: dict[str, AuctionedRectangle] = {}
         self._bid_checkpoint = 0
-        # No-show reclamation (armed by enable_reclamation): the loop, the
-        # data-plane policer it reads and caps, if any, and where it relists.
+        # No-show reclamation (armed by enable_reclamation): the loop, which
+        # holds the data-plane policer it reads and caps, and where it relists.
         self.reclamation = None
-        self.policer = None
         self._relist_marketplace: str | None = None
         self._relist_base_micromist: int | None = None
         # (event, listing id or None, reason) per reclaimed reservation.
@@ -762,12 +760,9 @@ class AsService:
 
     def _deliver(self, request, exchanges: dict) -> DeliveryRecord:
         payload = request.payload
-        ingress_if = payload["ingress"]["interface"]
-        egress_if = payload["egress"]["interface"]
-        start = payload["ingress"]["start"]
-        expiry = payload["ingress"]["expiry"]
+        isd_as, ingress_if, egress_if, bw_cls, start, duration = requested_record(payload)
+        expiry = start + duration
         bandwidth_kbps = payload["ingress"]["bandwidth_kbps"]
-        bw_cls = bwcls.encode_floor(bandwidth_kbps)
         redeemer = payload.get("redeemer", "")
         # Refuse an unusable key before claiming anything: a ValueError out of
         # seal() would come after the admissions and the ResID, and past
@@ -797,9 +792,9 @@ class AsService:
             except CapacityExhausted as reason:
                 raise _Refused("no_resid", reason) from None
             reservation = grant_reservation(
-                self.isd_as,
+                isd_as,
                 self.autonomous_system.secret_value,
-                ResInfo(ingress_if, egress_if, res_id, bw_cls, start, expiry - start),
+                ResInfo(ingress_if, egress_if, res_id, bw_cls, start, duration),
                 self.prf_factory,
             )
             box = seal(
@@ -869,32 +864,25 @@ class AsService:
 
     def enable_reclamation(self, policer, marketplace: str, relist_base_micromist: int):
         """Arm the usage-feedback loop for this AS at :mod:`repro.reclaim`'s
-        settings (``SAMPLE_INTERVAL``, ``GRACE_SECONDS``, ``NO_SHOW_THRESHOLD``,
+        settings (``GRACE_SECONDS``, ``NO_SHOW_THRESHOLD``,
         ``RETAIN_HEADROOM``, ``MIN_RETAINED_KBPS``).
 
         ``policer`` is this AS's data-plane policer (``router.policer``):
-        the loop samples its ``usage_snapshot``, caps a reclaimed
-        reservation with its ``set_limit`` and has it ``retain`` only the
-        reservations it still tracks.  With ``None`` the loop runs on an
-        empty usage feed and demotes nothing.  Once armed, every delivery is
-        tracked and :meth:`reclaim_no_shows` runs the loop, which relists
-        reclaimed bandwidth on ``marketplace`` with ``Reclaimed`` provenance
-        at the scarcity-adjusted quote over ``relist_base_micromist``.
+        the loop reads each reservation's bytes with its ``usage_bytes``,
+        caps a reclaimed reservation with its ``set_limit`` and has it
+        ``retain`` only the reservations it still tracks.  With ``None`` the
+        loop runs on an empty usage feed and demotes nothing.  Once armed,
+        every delivery is tracked and :meth:`reclaim_no_shows` runs the loop,
+        which relists reclaimed bandwidth on ``marketplace`` with
+        ``Reclaimed`` provenance at the scarcity-adjusted quote over
+        ``relist_base_micromist``.
 
         Returns the :class:`~repro.reclaim.ReclamationEngine`.
         """
         from repro import reclaim
 
-        bound = policer is not None
-        self.policer = policer
         self.reclamation = reclaim.ReclamationEngine(
-            self.admission,
-            reclaim.UsageReporter(
-                policer.usage_snapshot if bound else dict, reclaim.SAMPLE_INTERVAL
-            ),
-            grace_seconds=reclaim.GRACE_SECONDS,
-            demote=policer.set_limit if bound else None,
-            retain=policer.retain if bound else None,
+            self.admission, policer, reclaim.GRACE_SECONDS
         )
         self._relist_marketplace = marketplace
         self._relist_base_micromist = relist_base_micromist

@@ -26,7 +26,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from repro.contracts.asset import ASSET_TYPE, DELIVERY_TYPE, delivery_context
+from repro.contracts.asset import (
+    ASSET_TYPE,
+    DELIVERY_TYPE,
+    delivery_context,
+    requested_record,
+)
 from repro.crypto.sealing import KeyPair, SealedBox, unseal
 from repro.hummingbird.reservation import FlyoverReservation
 from repro.ledger.accounts import COIN_TYPE, Account
@@ -55,6 +60,14 @@ from repro.transfers import (
     TransferAborted,
     TransferOutcome,
     TransferPlanner,
+)
+
+# Why this host rejects a delivered reservation record, by the first field of
+# :func:`~repro.contracts.asset.requested_record` in which it differs from
+# what the redeem request asked for.  Host-side codes in
+# ``asset.REFUSAL_CODES``' style: no contract reads them.
+MISDELIVERY_CODES = (
+    "wrong_as", "wrong_ingress", "wrong_egress", "wrong_bw_cls", "wrong_start", "wrong_duration"
 )
 
 __all__ = [
@@ -134,13 +147,17 @@ class HostClient:
         self.rng = rng  # each redeem request's ephemeral key
         self.payment_coin: str | None = None
         # Outstanding redeem request id -> the ephemeral key its answer is
-        # sealed to; an entry goes when the request is answered.
+        # sealed to, and the record it asked for; both go when it is answered.
         self._redeem_keys: dict[str, KeyPair] = {}
+        self._requested: dict[str, tuple] = {}
         self._delivery_checkpoint = 0
         # (delivery id, reason) pairs this host could not decrypt or parse.
         self.undecryptable: list[tuple[str, str]] = []
         # Refused redeem request id -> its code; the pair is this host's again.
         self.refused: dict[str, str] = {}
+        # Redeem request id -> the MISDELIVERY_CODES entry of a delivered
+        # record that is not the one the request asked for.
+        self.misdelivered: dict[str, str] = {}
         self._indexers: dict[str, MarketIndexer] = {}
         registry = get_registry()
         self._m_acquire = registry.counter(
@@ -170,16 +187,22 @@ class HostClient:
 
         ``redeem_key`` is the ephemeral key its redeem commands carry.  Once
         the ledger has accepted the transaction the key is kept under every
-        redeem request it created — the id a delivery names; a refused
-        transaction created none and leaves nothing behind.
+        redeem request it created — the id a delivery names — beside the
+        record the request asks for, read off the request object now on the
+        ledger; a refused transaction created none and leaves nothing behind.
         """
         submitted = self.executor.submit(
             Transaction(sender=self.account.address, commands=list(commands))
         )
         if redeem_key is not None and submitted.effects.ok:
+            ledger = self.executor.ledger
             for returned in submitted.effects.returns:
                 if "request" in returned:
-                    self._redeem_keys[returned["request"]] = redeem_key
+                    request = returned["request"]
+                    self._redeem_keys[request] = redeem_key
+                    self._requested[request] = requested_record(
+                        ledger.get_object(request).payload
+                    )
         return submitted
 
     def _lower(
@@ -951,6 +974,11 @@ class HostClient:
         """Decrypt all sealed reservations delivered since the last call,
         and record every refusal of this host's requests in :attr:`refused`.
 
+        A record that opens but is not the one its request asked for — another
+        AS, interface, bandwidth class or window, compared field by field and
+        exactly — is not returned: its request goes into :attr:`misdelivered`
+        with the :data:`MISDELIVERY_CODES` entry of the first such field.
+
         A delivery this host cannot use — it answers no outstanding request,
         the request's key does not open the box, or the plaintext is not a
         reservation record — is attacker-chosen
@@ -984,24 +1012,29 @@ class HostClient:
             if event.event_type == "RedemptionRefused":
                 # no answer can follow a refusal: the key goes too
                 self._redeem_keys.pop(event.payload["request"], None)
+                self._requested.pop(event.payload["request"], None)
                 self.refused[event.payload["request"]] = event.payload["reason_code"]
                 continue
             delivery = ledger.objects.get(event.payload["delivery"])
             if delivery is None or delivery.type_tag != DELIVERY_TYPE:
                 continue
             try:
-                reservations.append(
-                    self._decrypt(delivery, event.payload["request"], exchanges)
-                )
+                reservation = self._decrypt(delivery, event.payload["request"], exchanges)
             except (ValueError, KeyError, TypeError) as reason:
                 self.undecryptable.append(
                     (delivery.object_id, f"{type(reason).__name__}: {reason}")
                 )
+                continue
+            if reservation is not None:
+                reservations.append(reservation)
         return reservations
 
-    def _decrypt(self, delivery, request: str, exchanges: dict) -> FlyoverReservation:
+    def _decrypt(self, delivery, request: str, exchanges: dict) -> FlyoverReservation | None:
+        """The record a delivery seals, or ``None`` when it is not the one
+        ``request`` asked for (recorded in :attr:`misdelivered`)."""
         # The ledger destroyed the request with this delivery: whatever the
         # box holds, no second answer can come, so the key goes now.
+        requested = self._requested.pop(request, None)
         keypair = self._redeem_keys.pop(request, None)
         if keypair is None:
             raise ValueError("delivery answers no outstanding request")
@@ -1014,7 +1047,24 @@ class HostClient:
             plaintext = unseal(keypair, box, delivery_context(request), exchanges)
         except ValueError as error:
             raise ValueError(f"no ephemeral key decrypts the delivery: {error}") from None
-        return FlyoverReservation.from_bytes(plaintext)
+        reservation = FlyoverReservation.from_bytes(plaintext)
+        resinfo = reservation.resinfo
+        delivered = (
+            reservation.isd_as,
+            resinfo.ingress,
+            resinfo.egress,
+            resinfo.bw_cls,
+            resinfo.start,
+            resinfo.duration,
+        )
+        if delivered != requested:
+            self.misdelivered[request] = next(
+                code
+                for code, got, asked in zip(MISDELIVERY_CODES, delivered, requested)
+                if got != asked
+            )
+            return None
+        return reservation
 
     def owned_assets(self) -> list:
         """Bandwidth assets this host owns right now, as ledger objects: bought

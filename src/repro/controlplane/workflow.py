@@ -261,7 +261,11 @@ def purchase_path(
     Raises RuntimeError when the ledger aborts the purchase, or once every
     on-path AS has answered if any refused its hop, naming each such AS and
     its code: the host holds that hop's assets again, and its
-    ``collect_reservations`` returns the hops that were delivered.
+    ``collect_reservations`` returns the hops that were delivered.  Raises
+    it too when an AS delivered a record other than the one its hop's redeem
+    request asked for, naming each such AS and the host's
+    :data:`~repro.controlplane.hostclient.MISDELIVERY_CODES` entry, which
+    names the first field that differs.
     """
     spec = PathSpec(crossings, start, expiry, bandwidth_kbps, flex_start=flex_start)
     quote = deployment.planner.best(spec)
@@ -277,17 +281,29 @@ def purchase_path(
     requests = {ret.get("request") for ret in submitted.effects.returns}
     response_latency = 0.0
     refusals = []
+    answered = []  # (AS, request) per delivery to this purchase
     for crossing in crossings:
         for record in _poll(deployment, crossing):
             poll_delay = deployment.executor.committee.observation_delay()
             delivery_latency = poll_delay + record.submitted.latency
             response_latency = max(response_latency, delivery_latency)
-            if record.reason_code is not None and record.request_id in requests:
+            if record.request_id not in requests:
+                continue
+            if record.reason_code is not None:
                 refusals.append(f"AS {crossing.isd_as} refused: {record.reason_code}")
+            else:
+                answered.append((crossing.isd_as, record.request_id))
     if refusals:
         raise RuntimeError("; ".join(refusals))
 
     reservations = host.collect_reservations()
+    misdeliveries = [
+        f"AS {isd_as} misdelivered: {host.misdelivered[request]}"
+        for isd_as, request in answered
+        if request in host.misdelivered
+    ]
+    if misdeliveries:
+        raise RuntimeError("; ".join(misdeliveries))
     return PurchaseOutcome(
         reservations=reservations,
         latency=LatencyBreakdown(request=request_latency, response=response_latency),

@@ -130,8 +130,12 @@ class TokenBucketArray:
         return rows
 
     def usage_bytes(self, res_id: int, res_start: int) -> int:
-        """Bytes forwarded with priority on one reservation so far."""
-        return self._usage_rows().get((res_id, res_start), 0)
+        """Bytes forwarded with priority on one reservation so far: its
+        ResID's latest row or the one set aside for it, never a scan."""
+        row = self._usage.get(res_id)
+        if row is not None and row[0] == res_start:
+            return row[1]
+        return self._earlier_usage.get((res_id, res_start), 0)
 
     def reservations(self) -> set[tuple[int, int]]:
         """Every ``(ResID, ResStart)`` holding a cap or a usage row."""
@@ -236,15 +240,6 @@ class PerInterfacePolicer:
         ``(ingress, ResID, ResStart)``: the reclamation loop's live ones."""
         for ingress, array in self.arrays.items():
             array.retain({(r, s) for i, r, s in reservations if i == ingress})
-
-    def usage_snapshot(self) -> dict[int, dict[tuple[int, int], int]]:
-        """Per-ingress ``{(res_id, res_start): priority bytes}`` for active
-        reservations."""
-        snapshots = {
-            ingress: array.usage_snapshot()
-            for ingress, array in sorted(self.arrays.items())
-        }
-        return {ingress: used for ingress, used in snapshots.items() if used}
 
     def record_gauges(self, isd_as: str = "") -> None:
         """Publish array residency + per-flow byte gauges to the registry.

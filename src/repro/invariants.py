@@ -14,10 +14,10 @@ direction of a deployment,
     function holds nothing its records do not explain (a leaked piece, a
     release that subtracted too little) and misses nothing they do;
 (b) that peak stays within ``int(factor * capacity)``, ``factor`` being the
-    policy's ``ceiling_factor(calendar)`` where it overbooks and 1
-    otherwise: the highest factor a commitment was admitted under there,
-    which a learned factor that later falls does not lower and one that
-    rose with nothing admitted does not raise.
+    admission rule's ``ceiling_factor(calendar)``: the highest factor a
+    commitment was admitted under there, which a learned factor that later
+    falls does not lower and one that rose with nothing admitted does not
+    raise.
 
 The first ledger-backed one (index <- events <- objects): the deployment's
 live :class:`~repro.marketdata.MarketIndexer`, synced, holds
@@ -39,11 +39,11 @@ And one on redemptions, over the event log and every AS's poll cursor:
 And one on the data plane, over every AS whose reclamation loop is bound
 to its router's policer:
 
-(f) every row the policer and the loop's usage reporter hold belongs to a
-    reservation ``(ingress, ResID, ResStart)`` the loop still tracks: each
-    scan stops tracking the reservations that ended and has both keep only
-    the rows of the rest, so none outlives its reservation and none is billed
-    to a later holder of the ResID.
+(f) every row the policer holds belongs to a reservation ``(ingress,
+    ResID, ResStart)`` the loop still tracks: each scan stops tracking the
+    reservations that ended and has the policer keep only the rows of the
+    rest, so none outlives its reservation and none is billed to a later
+    holder of the ResID.
 
 Still open as item 5 and extending :func:`check`: calendars rebuilt from
 *events* rather than from their own records, host reservation sets, and
@@ -119,24 +119,21 @@ def _redemption_breaches(deployment) -> list[str]:
 
 
 def _policer_breaches(deployment) -> list[str]:
-    """(f): a policer's and a usage reporter's rows are live reservations'."""
+    """(f): a policer's rows are live reservations'."""
     breaches = []
     for isd_as, service in deployment.services.items():
-        if service.policer is None:
+        loop = service.reclamation
+        if loop is None or loop.policer is None:
             continue
         live = {
             (tracked.ingress_ifid, tracked.res_id, tracked.res_start)
-            for tracked in service.reclamation.tracked()
+            for tracked in loop.tracked()
         }
-        for holder, rows in (
-            ("the policer holds a cap or bytes", service.policer.reservations()),
-            ("the usage reporter holds bytes", service.reclamation.reporter.reservations()),
-        ):
-            breaches += [
-                f"AS {isd_as} ingress {ingress}: {holder} of ResID {res_id} from "
-                f"{res_start}, a reservation its loop does not track"
-                for ingress, res_id, res_start in sorted(rows - live)
-            ]
+        breaches += [
+            f"AS {isd_as} ingress {ingress}: the policer holds a cap or bytes of "
+            f"ResID {res_id} from {res_start}, a reservation its loop does not track"
+            for ingress, res_id, res_start in sorted(loop.policer.reservations() - live)
+        ]
     return breaches
 
 
@@ -160,13 +157,12 @@ def check(deployment, now: float) -> None:
     )
     for isd_as, service in deployment.services.items():
         controller = service.admission
-        ceiling_factor = getattr(controller.policy, "ceiling_factor", None)
         for (layer, interface, is_ingress), calendar in controller._calendars.items():
             where = (
                 f"AS {isd_as} {layer} interface {interface} "
                 f"{'ingress' if is_ingress else 'egress'}"
             )
-            factor = 1 if ceiling_factor is None else ceiling_factor(calendar)
+            factor = controller.policy.ceiling_factor(calendar)
             limit = int(factor * calendar.capacity_kbps)
             replayed = CapacityCalendar(calendar.capacity_kbps, calendar.shard_seconds)
             edges = {now}

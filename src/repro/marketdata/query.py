@@ -173,9 +173,11 @@ class IndexedListing:
 
         Alignment is relative to this listing's asset anchor (its own
         ``start``); returns None when the request is empty or the aligned
-        window escapes the asset's validity interval.
+        window escapes the asset's validity interval.  An aligned expiry is
+        never below the requested one, so a request ending after the asset
+        is refused before any lattice is built.
         """
-        if expiry <= start:
+        if expiry <= start or expiry > self.expiry:
             return None
         buy_start, buy_expiry = self.lattice.cover(start, expiry)
         if buy_start < self.start or buy_expiry > self.expiry:

@@ -313,10 +313,9 @@ def _restock(deployment, legs, end: int, kbps: int) -> str | None:
     has its AS list ``kbps`` more of it for ``[START, end)`` at its scarcity
     quote; returns why an issued calendar refused, or None.
 
-    A refusal lists nothing: every leg is read against its policy's limit
-    factor before any is listed, the way an overbooking (or first come,
-    first served) policy admits.  A first leg without room is refused by
-    its policy, in the policy's words."""
+    A refusal lists nothing: every leg is read against its admission rule's
+    limit factor before any is listed, the way the rule admits.  A first
+    leg without room is refused by the rule, in the rule's words."""
     from repro.admission import AdmissionRejected
 
     def room(crossing, is_ingress) -> bool:
@@ -324,7 +323,7 @@ def _restock(deployment, legs, end: int, kbps: int) -> str | None:
         calendar = admission.calendar(
             crossing.ingress if is_ingress else crossing.egress, is_ingress
         )
-        factor = getattr(admission.policy, "limit_factor", lambda _: 1)(calendar)
+        factor = admission.policy.limit_factor(calendar)
         return calendar.peak_commitment(START, end) + kbps <= factor * calendar.capacity_kbps
 
     if room(*legs[0]) and not all(room(*leg) for leg in legs[1:]):
@@ -1214,8 +1213,7 @@ def reclamation_experiment(
     open arms, with zero policer demotions of honest traffic
     (``tests/netsim/test_reclamation.py`` asserts all three).
     """
-    from repro.admission import ACTIVE
-    from repro.admission.policy import FirstComeFirstServed, OverbookingPolicy
+    from repro.admission import ACTIVE, AdmissionPolicy
     from repro.contracts.coin import coin_balance
     from repro.controlplane import purchase_path
     from repro.invariants import check
@@ -1328,7 +1326,8 @@ def reclamation_experiment(
             stats.demoted_overuse + stats.demoted_inactive + stats.demoted_stale
             for stats in (node.router.stats for node in simulation.nodes.values())
         )
-        events = seller.reclamation.events if seller.reclamation else []
+        loop = seller.reclamation
+        events = loop.events if reclaims else []
         return ReclamationArmResult(
             arm=arm,
             capacity_kbps=capacity_kbps,
@@ -1339,8 +1338,8 @@ def reclamation_experiment(
             honest_demotions=honest_demotions,
             reclaim_events=len(events),
             reclaimed_kbps=sum(event.freed_kbps for event in events),
-            false_reclaims=getattr(seller.reclamation, "false_reclaims", 0),
-            live_factor=getattr(policy, "limit_factor", lambda _: 1.0)(
+            false_reclaims=loop.false_reclaims if reclaims else 0,
+            live_factor=policy.limit_factor(
                 seller.admission.calendar(bottleneck.ingress, True, ACTIVE)
             ),
             bottleneck_utilization=simulation.links[0].utilization(duration),
@@ -1348,8 +1347,8 @@ def reclamation_experiment(
 
     arms = {}
     for arm, policy, reclaims in (
-        ("none", FirstComeFirstServed(), False),
-        ("static", OverbookingPolicy(static_factor), False),
+        ("none", AdmissionPolicy(), False),
+        ("static", AdmissionPolicy(static_factor), False),
         ("adaptive", AdaptiveOverbooking(max_factor=max_factor), True),
     ):
         arms[arm] = run_arm(arm, policy, reclaims)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 
-from repro.admission.policy import OverbookingPolicy
+from repro.admission.policy import AdmissionPolicy
 
 
 @dataclass
@@ -28,7 +28,7 @@ class _Direction:
     showup: float | None = None  # EWMA of observed show-up rates
 
 
-class AdaptiveOverbooking(OverbookingPolicy):
+class AdaptiveOverbooking(AdmissionPolicy):
     """Per-interface overbooking factor steered by observed show-up rates.
 
     Until the first :meth:`observe` for an interface direction, its
@@ -42,7 +42,6 @@ class AdaptiveOverbooking(OverbookingPolicy):
         max_factor: hard ceiling on the learned factor.
     """
 
-    name = "adaptive-overbooking"
     ALPHA = 0.3  # EWMA weight of the newest show-up observation
     INITIAL_FACTOR = 1.0  # factor for calendars with no observations yet
 

@@ -1,16 +1,25 @@
 """No-show detection and reclamation: the actuator half of the control loop.
 
-The :class:`ReclamationEngine` watches tracked reservations through a
-:class:`~repro.reclaim.usage.UsageReporter` and, once a reservation is
-past its grace period, compares the observed priority rate against what
-was booked.  A reservation using less than :data:`repro.reclaim.NO_SHOW_THRESHOLD`
-of its booking is a **no-show**: its active-calendar commitments are shrunk
-in place (:meth:`~repro.admission.calendar.CapacityCalendar.reclaim`) down
-to :data:`~repro.reclaim.RETAIN_HEADROOM` times the observed rate, at least
-:data:`~repro.reclaim.MIN_RETAINED_KBPS`, the data-plane policer
-is capped at the retained rate (a late-waking sender is demoted to best
-effort beyond it), and :meth:`ReclamationEngine.scan` returns the freed
+The :class:`ReclamationEngine` watches tracked reservations through the
+AS's policer, which counts each reservation's priority bytes once, where it
+polices them
+(:meth:`~repro.hummingbird.policing.PerInterfacePolicer.usage_bytes`), and,
+once a reservation is past its grace period, compares the observed priority
+rate against what was booked.  A reservation using less than
+:data:`repro.reclaim.NO_SHOW_THRESHOLD` of its booking is a **no-show**:
+its active-calendar commitments are shrunk in place
+(:meth:`~repro.admission.calendar.CapacityCalendar.reclaim`) down to
+:data:`~repro.reclaim.RETAIN_HEADROOM` times the observed rate, at least
+:data:`~repro.reclaim.MIN_RETAINED_KBPS`, the data-plane policer is capped
+at the retained rate (a late-waking sender is demoted to best effort beyond
+it), and :meth:`ReclamationEngine.scan` returns the freed
 bandwidth as events for relisting or re-auction.
+
+The counters are cumulative, which is the aliasing guard: a sender
+bursting exactly between (or exactly at) the scan instants still lands
+every byte in its counter, so its observed average rate is exact however
+its bursts phase against the scans, and no honest burst pattern can pass
+for a no-show (``tests/reclaim/test_reclaim_adversarial.py`` drives this).
 
 Failure model (the matrix ``docs/reclamation.md`` tabulates):
 
@@ -32,11 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from repro import reclaim
 from repro.admission.controller import ACTIVE, ISSUED, AdmissionController
-from repro.reclaim.usage import UsageReporter
+from repro.hummingbird.policing import PerInterfacePolicer
 from repro.telemetry import get_registry
 
 # One active-calendar claim of a tracked reservation:
@@ -98,35 +106,27 @@ class ReclamationEngine:
 
     Args:
         controller: the AS's admission authority (active-layer calendars).
-        reporter: the policer-fed usage sampler.
+        policer: the AS's data-plane policer (``router.policer``), or
+            ``None`` for an empty usage feed that caps nothing.  A scan reads
+            each reservation's cumulative priority bytes with its
+            ``usage_bytes``, caps a reclaimed one at the retained rate with
+            ``set_limit`` and, when done, has it ``retain`` only the rows of
+            the reservations still tracked, ended ones dropped.
         grace_seconds: how long after a reservation's start before it can
             be judged — a late joiner inside the grace period is safe.
-        demote: optional ``(ingress_ifid, res_id, res_start, kbps)``
-            callable capping the data-plane policer at the retained rate for
-            the rest of the reservation — typically
-            ``router.policer.set_limit``.
-        retain: optional callable the loop hands the ``(ingress_ifid,
-            res_id, res_start)`` of every reservation it still tracks after
-            each scan, so the policer forgets the caps and bytes of every
-            other, ended ones included — typically ``router.policer.retain``.
-            The loop's ``reporter`` forgets the same rows after each scan.
     """
 
     def __init__(
         self,
         controller: AdmissionController,
-        reporter: UsageReporter,
-        grace_seconds: float = 0.5,
-        demote: Callable[[int, int, int, int], None] | None = None,
-        retain: Callable[[set[tuple[int, int, int]]], None] | None = None,
+        policer: PerInterfacePolicer | None,
+        grace_seconds: float,
     ) -> None:
         if grace_seconds < 0:
             raise ValueError("grace_seconds must be >= 0")
         self.controller = controller
-        self.reporter = reporter
+        self.policer = policer
         self.grace_seconds = float(grace_seconds)
-        self.demote = demote
-        self.retain = retain
         # keyed by reservation, (ingress, ResID, ResStart): a ResID is unique
         # per ingress and window only
         self._tracked: dict[tuple[int, int, int], TrackedReservation] = {}
@@ -202,12 +202,11 @@ class ReclamationEngine:
     # -- the scan -----------------------------------------------------------------
 
     def scan(self, now: float) -> list[ReclamationEvent]:
-        """One control-loop pass: sample, judge, reclaim, adapt.
+        """One control-loop pass: read the policer, judge, reclaim, adapt.
 
         Returns the reclamation events *completed* during this pass.
         """
         now = float(now)
-        self.reporter.sample(now)
         self._m_scans.inc()
         events: list[ReclamationEvent] = []
         showup_num: dict[tuple[int, bool], float] = {}
@@ -219,8 +218,11 @@ class ReclamationEngine:
             if now < tracked.start + self.grace_seconds:
                 continue
             active_seconds = now - tracked.start
-            observed = self.reporter.observed_kbps(
-                tracked.ingress_ifid, tracked.res_id, tracked.res_start, active_seconds
+            # average priority rate over the reservation's active time so far
+            observed = (
+                self._used(tracked) * 8.0 / 1000.0 / active_seconds
+                if active_seconds > 0
+                else 0.0
             )
             for interface, is_ingress, _ in tracked.handles:
                 key = (interface, is_ingress)
@@ -237,10 +239,8 @@ class ReclamationEngine:
         self.last_show_up = {
             key: showup_num[key] / showup_den[key] for key in showup_den
         }
-        live = set(self._tracked)
-        self.reporter.retain(live)
-        if self.retain is not None:
-            self.retain(live)
+        if self.policer is not None:
+            self.policer.retain(set(self._tracked))
         self._adapt()
         self.events.extend(events)
         return events
@@ -267,11 +267,11 @@ class ReclamationEngine:
         tracked.bandwidth_kbps = target
         tracked.reclaimed_at = now
         tracked.reclaimed_to_kbps = target
-        tracked.bytes_at_reclaim = self.reporter.usage_bytes(
-            tracked.ingress_ifid, tracked.res_id, tracked.res_start
-        )
-        if self.demote is not None:
-            self.demote(tracked.ingress_ifid, tracked.res_id, tracked.res_start, target)
+        tracked.bytes_at_reclaim = self._used(tracked)
+        if self.policer is not None:
+            self.policer.set_limit(
+                tracked.ingress_ifid, tracked.res_id, tracked.res_start, target
+            )
         event = ReclamationEvent(
             res_id=tracked.res_id,
             ingress_ifid=tracked.ingress_ifid,
@@ -291,30 +291,32 @@ class ReclamationEngine:
         """Flag a reclaimed sender that woke up past its retained rate."""
         if tracked.false_reclaim or now <= tracked.reclaimed_at:
             return
-        extra = (
-            self.reporter.usage_bytes(tracked.ingress_ifid, tracked.res_id, tracked.res_start)
-            - tracked.bytes_at_reclaim
-        )
+        extra = self._used(tracked) - tracked.bytes_at_reclaim
         rate = extra * 8.0 / 1000.0 / (now - tracked.reclaimed_at)
         if rate > tracked.reclaimed_to_kbps:
             tracked.false_reclaim = True
             self.false_reclaims += 1
             self._m_false.inc()
 
+    def _used(self, tracked: TrackedReservation) -> int:
+        """A reservation's cumulative priority bytes so far (0 on an empty feed)."""
+        if self.policer is None:
+            return 0
+        return self.policer.usage_bytes(
+            tracked.ingress_ifid, tracked.res_id, tracked.res_start
+        )
+
     def _adapt(self) -> None:
-        """Feed observed show-up rates into an adaptive overbooking policy,
-        one factor per interface direction for both of its layers."""
-        observe = getattr(self.controller.policy, "observe", None)
+        """Feed observed show-up rates into the admission rule, one factor
+        per interface direction for both of its layers."""
+        policy = self.controller.policy
         for (interface, is_ingress), rate in self.last_show_up.items():
-            if observe is not None:
-                factor = observe(
-                    [
-                        self.controller.calendar(interface, is_ingress, layer)
-                        for layer in (ISSUED, ACTIVE)
-                    ],
-                    rate,
-                )
-            else:
-                factor = getattr(self.controller.policy, "factor", 1.0)
+            factor = policy.observe(
+                [
+                    self.controller.calendar(interface, is_ingress, layer)
+                    for layer in (ISSUED, ACTIVE)
+                ],
+                rate,
+            )
             direction = "ingress" if is_ingress else "egress"
             self._m_factor.labels(interface, direction).set(factor)

@@ -34,8 +34,8 @@ class ReferenceCalendar:
         self.next_id += 1
         return self.next_id - 1
 
-    def try_commit(self, kbps, start, end, tag=""):
-        if self.peak_commitment(start, end) + kbps > self.capacity_kbps:
+    def try_commit(self, kbps, start, end, limit_kbps, tag=""):
+        if self.peak_commitment(start, end) + kbps > limit_kbps:
             return None
         return self.commit(kbps, start, end, tag)
 

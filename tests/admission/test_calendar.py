@@ -134,7 +134,9 @@ class TestPointOperations:
 INF, NAN = float("inf"), float("nan")
 WIDTHS = [pytest.param(DEFAULT_SHARD_SECONDS, id="day"), pytest.param(100.0, id="narrow")]
 REFUSED_WINDOWS = [(5, 0.0, INF), (5, -INF, 10.0), (5, NAN, 10.0), (5, 10, 10), (5, 20, 10), (0, 0, 10)]
-REFUSED = [(method, args) for method in ("commit", "try_commit") for args in REFUSED_WINDOWS]
+REFUSED = [("commit", args) for args in REFUSED_WINDOWS] + [
+    ("try_commit", (*args, 1000)) for args in REFUSED_WINDOWS  # at the capacity's limit
+]
 # the last refused row is refused for its bandwidth, not its window
 QUERY_WINDOWS = [(start, end) for bandwidth, start, end in REFUSED_WINDOWS if bandwidth]
 
@@ -183,9 +185,9 @@ class TestOneValidation:
     ):
         calendar = CapacityCalendar(1000, shard_seconds)
         before = calendar_fingerprint(calendar)
-        assert calendar.try_commit(1001, 0, 10) is None
+        assert calendar.try_commit(1001, 0, 10, 1000) is None
         assert calendar_fingerprint(calendar) == before
-        assert calendar.try_commit(1000, 0, 10) is not None
+        assert calendar.try_commit(1000, 0, 10, 1000) is not None
 
 
 def test_a_commitment_comes_back_as_it_was_given_at_any_width():
@@ -193,7 +195,7 @@ def test_a_commitment_comes_back_as_it_was_given_at_any_width():
     for shard_seconds in (DEFAULT_SHARD_SECONDS, 100.0):
         calendar = CapacityCalendar(1000, shard_seconds)
         first = calendar.commit(300, 0, 250, "a")
-        second = calendar.try_commit(200, 50.5, 150, "b")
+        second = calendar.try_commit(200, 50.5, 150, 1000, "b")
         third = calendar.commit(5, 10, 120)
         fourth = calendar.commit(7, 20, 30.5)
         shrunk = calendar.reclaim(first.commitment_id, 100)

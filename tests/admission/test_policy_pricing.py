@@ -1,14 +1,13 @@
-"""Admission policies, scarcity pricing, and the per-AS controller."""
+"""The admission rule, scarcity pricing, and the per-AS controller."""
 
 import pytest
 
 from repro.admission import (
     AdmissionController,
+    AdmissionPolicy,
     AdmissionRequest,
     CapacityCalendar,
-    FirstComeFirstServed,
     FlatPricer,
-    OverbookingPolicy,
     ScarcityPricer,
 )
 
@@ -16,8 +15,10 @@ from tests.conftest import EagerOverbooking
 
 
 class TestFirstComeFirstServed:
+    """The rule at its default factor of 1: capacity, arrival order decides."""
+
     def test_arrival_order_wins(self):
-        policy = FirstComeFirstServed()
+        policy = AdmissionPolicy()
         calendar = CapacityCalendar(1000)
         first = policy.admit(calendar, AdmissionRequest(600, 0, 100, "early"))
         second = policy.admit(calendar, AdmissionRequest(600, 0, 100, "late"))
@@ -25,7 +26,7 @@ class TestFirstComeFirstServed:
         assert "only 400 kbps free" in second.reason
 
     def test_release_undoes_admission(self):
-        policy = FirstComeFirstServed()
+        policy = AdmissionPolicy()
         calendar = CapacityCalendar(1000)
         decision = policy.admit(calendar, AdmissionRequest(600, 0, 100))
         calendar.release(decision.commitment.commitment_id)
@@ -34,28 +35,40 @@ class TestFirstComeFirstServed:
 
 class TestOverbooking:
     def test_admits_beyond_capacity_up_to_factor(self):
-        policy = OverbookingPolicy(factor=2.0)
+        policy = AdmissionPolicy(factor=2.0)
         calendar = CapacityCalendar(1000)
         assert policy.admit(calendar, AdmissionRequest(1500, 0, 100)).admitted
         assert policy.admit(calendar, AdmissionRequest(500, 0, 100)).admitted
         assert not policy.admit(calendar, AdmissionRequest(1, 0, 100)).admitted
 
     def test_factor_one_is_plain_capacity(self):
-        policy = OverbookingPolicy(factor=1.0)
+        policy = AdmissionPolicy(factor=1.0)
         calendar = CapacityCalendar(1000)
         assert policy.admit(calendar, AdmissionRequest(1000, 0, 100)).admitted
         assert not policy.admit(calendar, AdmissionRequest(1, 0, 100)).admitted
 
+    def test_an_overbooked_refusal_counts_free_room_under_the_limit(self):
+        policy = AdmissionPolicy(factor=1.25)
+        calendar = CapacityCalendar(1000)
+        assert policy.admit(calendar, AdmissionRequest(1200, 0, 100)).admitted
+        refused = policy.admit(calendar, AdmissionRequest(100, 0, 100))
+        assert refused.reason == "needs 100 kbps, only 50 kbps free"
+
+    def test_a_static_factor_observes_and_keeps_its_factor(self):
+        policy, calendar = AdmissionPolicy(1.5), CapacityCalendar(1000)
+        assert policy.observe([calendar], 0.1) == 1.5
+        assert policy.limit_factor(calendar) == policy.ceiling_factor(calendar) == 1.5
+
     def test_invalid_factor(self):
         with pytest.raises(ValueError):
-            OverbookingPolicy(0.5)
+            AdmissionPolicy(0.5)
 
 
-# Every policy an AS can deploy, with the kbps it admits on a 1000 kbps link.
+# The rule at every kind of factor an AS can deploy, with the kbps it admits
+# on a 1000 kbps link.
 POLICIES = [
-    pytest.param(FirstComeFirstServed, 1000, id="fcfs"),
-    pytest.param(lambda: OverbookingPolicy(1.0), 1000, id="overbooking-1x"),
-    pytest.param(lambda: OverbookingPolicy(2.0), 2000, id="overbooking-2x"),
+    pytest.param(AdmissionPolicy, 1000, id="fcfs"),
+    pytest.param(lambda: AdmissionPolicy(2.0), 2000, id="overbooking-2x"),
     pytest.param(EagerOverbooking, 1500, id="adaptive-1.5x"),
 ]
 

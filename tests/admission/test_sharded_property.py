@@ -36,6 +36,8 @@ HORIZON = 1000  # 10 shards' worth of commitment starts
 MAX_DURATION = 350  # spans up to 4 shard boundaries
 PROBE_SPAN = HORIZON + 4 * MAX_DURATION
 CAPACITY = 3000  # commit() is unconditional, so try_commit meets full windows
+# try_commit's limit: the capacity, and the admission rule's overbooked limits
+limits = st.sampled_from((CAPACITY, int(1.25 * CAPACITY), 2 * CAPACITY))
 TAGS = ("alice", "bob", "")
 
 windows = dict(duration=st.integers(1, MAX_DURATION), bandwidth=st.integers(1, 1000))
@@ -69,10 +71,10 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
         ids = sorted(self.reference.rows)
         return ids[pick % len(ids)] if ids else None
 
-    def _commit(self, method: str, bandwidth, start, end, tag) -> None:
-        expected = getattr(self.reference, method)(bandwidth, start, end, tag)
+    def _commit(self, method: str, bandwidth, start, end, tag, *limit) -> None:
+        expected = getattr(self.reference, method)(bandwidth, start, end, *limit, tag=tag)
         granted = self._each(
-            lambda calendar: getattr(calendar, method)(bandwidth, start, end, tag)
+            lambda calendar: getattr(calendar, method)(bandwidth, start, end, *limit, tag=tag)
         )
         if expected is None:
             assert granted is None
@@ -98,17 +100,20 @@ class CalendarReferenceMachine(RuleBasedStateMachine):
 
     # -- rules -----------------------------------------------------------------
 
-    @rule(offset=st.integers(0, HORIZON), tag=st.sampled_from(TAGS), **windows)
-    def try_commit(self, offset, duration, bandwidth, tag):
+    @rule(offset=st.integers(0, HORIZON), tag=st.sampled_from(TAGS), limit=limits, **windows)
+    def try_commit(self, offset, duration, bandwidth, tag, limit):
         start = self.watermark + offset
-        self._commit("try_commit", bandwidth, start, start + duration, tag)
+        self._commit("try_commit", bandwidth, start, start + duration, tag, limit)
 
-    @rule(offset=st.integers(0, HORIZON), duration=windows["duration"], over=st.booleans())
-    def try_commit_to_the_brim(self, offset, duration, over):
+    @rule(
+        offset=st.integers(0, HORIZON), duration=windows["duration"], over=st.booleans(),
+        limit=limits,
+    )
+    def try_commit_to_the_brim(self, offset, duration, over, limit):
         start = self.watermark + offset
-        brim = CAPACITY - self.reference.peak_commitment(start, start + duration)
+        brim = limit - self.reference.peak_commitment(start, start + duration)
         if brim + over > 0:  # exactly what is left fits, one kbps more does not
-            self._commit("try_commit", brim + over, start, start + duration, "")
+            self._commit("try_commit", brim + over, start, start + duration, "", limit)
 
     @rule(start=st.integers(0, HORIZON), tag=st.sampled_from(TAGS), **windows)
     def commit(self, start, duration, bandwidth, tag):

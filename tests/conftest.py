@@ -35,7 +35,7 @@ class EagerOverbooking(AdaptiveOverbooking):
 def reclaiming_at(**settings):
     """Reclamation runs at other ``repro.reclaim`` settings inside the block
     than everywhere else: a deployment made in it arms its loops at its
-    ``SAMPLE_INTERVAL`` / ``GRACE_SECONDS``, and an engine scanning in it
+    ``GRACE_SECONDS``, and an engine scanning in it
     judges by its ``NO_SHOW_THRESHOLD`` / ``RETAIN_HEADROOM`` /
     ``MIN_RETAINED_KBPS``.  The seam to a value no caller varies."""
     with pytest.MonkeyPatch.context() as patch:

@@ -6,8 +6,8 @@ from tests.conftest import T0
 
 from repro.admission import (
     AdmissionController,
+    AdmissionPolicy,
     AdmissionRejected,
-    OverbookingPolicy,
     ScarcityPricer,
 )
 from repro.clock import SimClock
@@ -231,7 +231,7 @@ class TestDeploymentKnobs:
             topology,
             clock=clock,
             asset_duration=3600,
-            admission_policy=OverbookingPolicy(),
+            admission_policy=AdmissionPolicy(1.5),
         )
         service = deployment.service(topology.ases[0].isd_as)
-        assert isinstance(service.admission.policy, OverbookingPolicy)
+        assert service.admission.policy.factor == 1.5

@@ -27,7 +27,7 @@ BANDWIDTH = 50_000
 def _deploy(admission_policy=None, policer_of=lambda isd_as: None, clock=None):
     clock = clock if clock is not None else SimClock(float(T0))
     topology = linear_topology(3)
-    with reclaiming_at(SAMPLE_INTERVAL=0.25, GRACE_SECONDS=5.0):
+    with reclaiming_at(GRACE_SECONDS=5.0):
         deployment = deploy_market(
             topology,
             clock=clock,
@@ -211,12 +211,10 @@ class _FullRate:
         self.delivered: list = []  # (ingress, res_id, res_start) this AS delivered
         self.limits: list = []
 
-    def usage_snapshot(self) -> dict:
-        sent = int(BANDWIDTH * 125 * (self.clock.now() - self.sending_since))
-        snapshot: dict = {}
-        for ingress, res_id, res_start in self.delivered:
-            snapshot.setdefault(ingress, {})[res_id, res_start] = sent
-        return snapshot
+    def usage_bytes(self, ingress: int, res_id: int, res_start: int) -> int:
+        if (ingress, res_id, res_start) not in self.delivered:
+            return 0
+        return int(BANDWIDTH * 125 * (self.clock.now() - self.sending_since))
 
     def set_limit(self, ingress: int, res_id: int, res_start: int, kbps: int) -> None:
         self.limits.append((ingress, res_id, res_start, kbps))
@@ -270,7 +268,7 @@ def test_a_reclaimed_cap_does_not_police_the_next_holder_of_its_res_id():
     from repro.netsim.scenarios import START, _market, linear_path
 
     topology, path = linear_path(3)
-    with reclaiming_at(SAMPLE_INTERVAL=0.25, GRACE_SECONDS=1.0):
+    with reclaiming_at(GRACE_SECONDS=1.0):
         deployment, simulation = _market(topology, path, reclaims=True)
     crossings = as_crossings(path)
 

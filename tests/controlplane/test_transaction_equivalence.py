@@ -201,7 +201,7 @@ class _Script:
         self.clock = SimClock(float(T0))
         topology, path = linear_path(4)
         self.crossings = as_crossings(path)
-        with reclaiming_at(SAMPLE_INTERVAL=0.25, GRACE_SECONDS=5.0):  # as recorded
+        with reclaiming_at(GRACE_SECONDS=5.0):  # as recorded
             self.deployment = self._deploy(topology)
         self.marketplace = self.deployment.marketplace
         self.hosts: dict = {}

@@ -163,17 +163,11 @@ class TestReclaimedCap:
 
     def _engine(self, policer):
         from repro.admission import AdmissionController
-        from repro.reclaim import ReclamationEngine, UsageReporter
+        from repro.reclaim import ReclamationEngine
 
         controller = AdmissionController(100_000)
         claim = controller.admit_reservation(1, True, 1000, 0.0, 60.0, tag="no-show")
-        engine = ReclamationEngine(
-            controller,
-            UsageReporter(policer.usage_snapshot, interval=0.25),
-            grace_seconds=1.0,
-            demote=policer.set_limit,
-            retain=policer.retain,
-        )
+        engine = ReclamationEngine(controller, policer, grace_seconds=1.0)
         engine.track(3, 1, 0, 1000, 0.0, 60.0, [(1, True, claim.commitment.commitment_id)])
         return engine
 
@@ -198,9 +192,11 @@ class TestReclaimedCap:
         assert policer.usage_bytes(1, 3, 60) == 0  # the holder of [60, 120)
         array.monitor(3, 1000, 500, 60.0, 60)
         assert policer.usage_bytes(1, 3, 60) == 500
-        assert policer.usage_snapshot() == {1: {(3, 0): 2_000, (3, 60): 500}}
+        assert policer.reservations() == {(1, 3, 0), (1, 3, 60)}
         array.monitor(3, 1000, 500, 61.0, 0)  # each keeps its own count
-        assert policer.usage_snapshot() == {1: {(3, 0): 2_500, (3, 60): 500}}
+        assert policer.usage_bytes(1, 3, 0) == 2_500
+        assert policer.usage_bytes(1, 3, 60) == 500
+        assert policer.reservations() == {(1, 3, 0), (1, 3, 60)}
 
     def test_the_loop_forgets_an_ended_reservation_s_cap_and_bytes(self):
         policer = PerInterfacePolicer(capacity=8)

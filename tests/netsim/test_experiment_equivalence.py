@@ -38,7 +38,7 @@ loop breaks ties FIFO, so two flows started the other way round reach a
 shared queue in the other order), so a refactor that reorders two ``start``
 calls fails here, not in a plot.  Each flow draws its jitter from its own
 stream, named for its flow id.
-It was re-recorded nine times since.  First when the congestion, contention and
+It was re-recorded ten times since.  First when the congestion, contention and
 auction experiments moved onto a deployed market: the telemetry runs' traces
 and metrics (ledger spans and families appeared) and the path-contention
 hop-mode labels (their calendar-geometry word went) changed, and nothing
@@ -103,7 +103,7 @@ moved.  Every ``congestion/*``, ``contention/*`` and ``flex_market/*`` key,
 refund and reclaim count and every buyer outcome held, and the three
 ``path_contention`` and four ``auction/clearing-*`` keys held byte for byte.
 
-Last, when the five per-buyer records became one ``BuyerOutcome`` (buyer,
+Then, when the five per-buyer records became one ``BuyerOutcome`` (buyer,
 arm, requested and granted kbps, quoted price, paid MIST, refusal, metrics):
 every key's ``traces`` and ``metrics`` held byte for byte, and in every
 ``result`` only names moved.  An auction buyer became two records, one per
@@ -120,6 +120,13 @@ fields derive were dropped: ``offset`` and ``expiry`` (from the start),
 refusal, and ``admitted`` / ``auction_won`` / ``reserved`` became a granted
 bandwidth.  The leaves no old record had (``arm``, ``granted_kbps``, a paid
 price where none was kept, a quote where none was kept) are new, not moved.
+
+Last, when first come, first served and overbooking became one admission
+rule with one refusal wording: exactly four leaves moved, the ``refusal`` of
+buyers 10 and 11 in the ``static`` arm of ``reclamation@3`` and of
+``reclamation/telemetry``, from ``"needs 1250 kbps, overbooked limit 12500
+kbps already carries 12500 kbps"`` to ``"needs 1250 kbps, only 0 kbps
+free"``; every other leaf of the 28 keys held byte for byte.
 
 Under pytest a configuration the claim tests share comes from the session's
 ``experiment_runs`` memo (``conftest.py``), so it runs once.

@@ -105,7 +105,6 @@ def test_the_market_is_deployed_at_one_site():
 
 def test_no_bare_controller_is_built_and_no_key_is_granted():
     assert _call_sites("AdmissionController") == []
-    for shortcut in ("ReclamationEngine", "UsageReporter"):
-        assert _call_sites(shortcut) == []
+    assert _call_sites("ReclamationEngine") == []
     assert _call_sites("grant_reservation") == []
     assert _call_sites("grant_full_path") == []

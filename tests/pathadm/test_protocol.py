@@ -7,7 +7,7 @@ from tests.fingerprint import calendar_fingerprint, controller_fingerprint
 from repro.admission import (
     ISSUED,
     AdmissionController,
-    OverbookingPolicy,
+    AdmissionPolicy,
 )
 from repro.pathadm import (
     COMMITTED,
@@ -125,7 +125,7 @@ def test_commit_of_rejected_ticket_raises():
 
 def test_heterogeneous_hops_policy_and_sharding():
     hops = [
-        PathHop("day-overbooked", AdmissionController(1000, policy=OverbookingPolicy(1.5)), 1, 2),
+        PathHop("day-overbooked", AdmissionController(1000, policy=AdmissionPolicy(1.5)), 1, 2),
         PathHop("sharded-fcfs", AdmissionController(600, shard_seconds=600.0), 3, 4),
     ]
     path = PathAdmission(hops)

@@ -1,9 +1,9 @@
 """Adversarial no-show scenarios: aliasing and the late-waking sender.
 
-The usage feed samples *cumulative* priority byte counters, so when a
-buyer's packets land is invisible to the no-show judgment — only how
-many bytes the data plane actually carried.  A sender bursting exactly
-at the sampling instants gets the same verdict as one spread evenly;
+The engine reads *cumulative* priority byte counters off the policer, so
+when a buyer's packets land is invisible to the no-show judgment — only
+how many bytes the data plane actually carried.  A sender bursting exactly
+at the scan instants gets the same verdict as one spread evenly;
 and a genuine no-show that wakes up after reclamation finds its bucket
 draining at the reclaimed rate, demoted to best effort by the policer.
 """
@@ -12,7 +12,7 @@ from tests.conftest import reclaiming_at
 
 from repro.admission import ACTIVE, AdmissionController
 from repro.hummingbird.policing import PerInterfacePolicer, PolicingVerdict
-from repro.reclaim import ReclamationEngine, UsageReporter
+from repro.reclaim import ReclamationEngine
 
 INGRESS = 1
 RES_START = 0  # the reservation's ResStart: its window is [0, 100)
@@ -20,18 +20,22 @@ BOOKED = 200  # kbps; 250 B / 10 ms is exactly this rate
 PACKET = 250
 
 
-def _engine(policer, **overrides):
+class _Uncapped(PerInterfacePolicer):
+    """A policer whose caps do not take: a calendar-only deployment, where
+    nothing on the data plane holds a reclaimed sender to its retained rate."""
+
+    __slots__ = ()
+
+    def set_limit(self, ingress_ifid, res_id, res_start, bw_kbps) -> None:
+        pass
+
+
+def _engine(policer):
     controller = AdmissionController(100_000)
     decision = controller.admit_reservation(
         INGRESS, True, BOOKED, 0.0, 100.0, tag="adv"
     )
-    options = dict(grace_seconds=0.2, demote=policer.set_limit)
-    options.update(overrides)
-    engine = ReclamationEngine(
-        controller,
-        UsageReporter(policer.usage_snapshot, interval=0.05),
-        **options,
-    )
+    engine = ReclamationEngine(controller, policer, grace_seconds=0.2)
     return controller, engine, decision.commitment.commitment_id
 
 
@@ -49,7 +53,7 @@ def test_burst_exactly_at_sampling_instants_is_not_reclaimed():
     for step in range(1, 41):
         now = step * 0.05
         # One 50 ms burst (5 packets x 10 ms drain) exactly at the instant
-        # the engine samples: the full booked rate, maximally aliased.
+        # the engine scans: the full booked rate, maximally aliased.
         for _ in range(5):
             verdict = policer.array_for(INGRESS).monitor(7, BOOKED, PACKET, now, RES_START)
             assert verdict is PolicingVerdict.FWD_FLYOVER
@@ -63,7 +67,7 @@ def test_burst_exactly_at_sampling_instants_is_not_reclaimed():
 
 
 def test_phase_offset_does_not_change_the_verdict():
-    """Two identical-volume senders, one aligned with sampling, one offset."""
+    """Two identical-volume senders, one aligned with the scans, one offset."""
     outcomes = []
     for offset in (0.0, 0.025):
         policer = PerInterfacePolicer(capacity=64)
@@ -120,14 +124,14 @@ def test_late_waking_no_show_is_demoted_by_the_policer():
 
 
 def test_false_reclaim_is_flagged_when_not_demoted():
-    """Without the demotion hook, a woken sender is flagged exactly once.
+    """Where the cap does not take, a woken sender is flagged exactly once.
 
-    With ``demote`` wired the policer caps priority traffic at the
-    retained rate, so observed usage can never exceed it — the detector
-    exists for calendar-only deployments where it can.
+    A policer that caps holds priority traffic to the retained rate, so
+    observed usage can never exceed it — the detector exists for
+    calendar-only deployments where it can.
     """
-    policer = PerInterfacePolicer(capacity=64)
-    _, engine, commitment_id = _engine(policer, demote=None)
+    policer = _Uncapped(capacity=64)
+    _, engine, commitment_id = _engine(policer)
     engine.track(7, INGRESS, RES_START, BOOKED, 0.0, 100.0, [(INGRESS, True, commitment_id)])
     with reclaiming_at(MIN_RETAINED_KBPS=10):
         assert len(engine.scan(1.0)) == 1  # reclaimed to 10 kbps

@@ -18,13 +18,30 @@ from hypothesis import strategies as st
 from tests.conftest import reclaiming_at
 
 from repro.admission import ACTIVE, AdmissionController, CapacityCalendar
-from repro.reclaim import ReclamationEngine, UsageReporter
+from repro.reclaim import ReclamationEngine
 
 SHARD = 100.0
 CAPACITY = 1_000_000
 HORIZON = 1_000.0
 
 # -- (a) reclaim never dips below observed usage --------------------------------
+
+
+class _Counts:
+    """A policer as the loop reads and caps it, over fixed cumulative bytes
+    per ``(ingress, ResID, ResStart)``."""
+
+    def __init__(self, used: dict) -> None:
+        self.used = used
+
+    def usage_bytes(self, ingress_ifid, res_id, res_start) -> int:
+        return self.used.get((ingress_ifid, res_id, res_start), 0)
+
+    def set_limit(self, ingress_ifid, res_id, res_start, bw_kbps) -> None:
+        pass
+
+    def retain(self, reservations) -> None:
+        pass
 
 
 @settings(max_examples=60, deadline=None)
@@ -41,9 +58,9 @@ def test_reclaim_never_lowers_headroom_below_observed(
     controller = AdmissionController(100_000)
     decision = controller.admit_reservation(1, True, booked, 0.0, 100.0, tag="p")
     assert decision.admitted
-    usage = {1: {(7, 0): observed_bytes}}
-    reporter = UsageReporter(lambda: usage, interval=0.1)
-    engine = ReclamationEngine(controller, reporter, grace_seconds=0.0)
+    engine = ReclamationEngine(
+        controller, _Counts({(1, 7, 0): observed_bytes}), grace_seconds=0.0
+    )
     engine.track(
         7, 1, 0, booked, 0.0, 100.0, [(1, True, decision.commitment.commitment_id)]
     )

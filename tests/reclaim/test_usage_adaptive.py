@@ -1,59 +1,69 @@
-"""Unit coverage for the loop's two small parts: sampler and adaptive policy."""
+"""Unit coverage for the loop's two small parts: its usage feed and the
+adaptive rule."""
 
 import pytest
 
 from repro.admission import AdmissionController, AdmissionRequest, CapacityCalendar
-from repro.hummingbird.policing import PerInterfacePolicer
-from repro.reclaim import AdaptiveOverbooking, ReclamationEngine, UsageReporter
+from repro.hummingbird.policing import PerInterfacePolicer, TokenBucketArray
+from repro.reclaim import AdaptiveOverbooking, ReclamationEngine
 
 from tests.conftest import EagerOverbooking
 
 
-class TestUsageReporter:
-    def test_cadence_gates_sampling(self):
-        calls = []
+class TestUsageFeed:
+    """The loop reads each reservation's cumulative priority bytes off the
+    policer where it polices them: no copy, no cadence."""
 
-        def source():
-            calls.append(1)
-            return {1: {(7, 0): 100 * len(calls)}}
-
-        reporter = UsageReporter(source, interval=1.0)
-        assert reporter.sample(0.0)
-        assert not reporter.sample(0.5)  # too early: no source call
-        assert reporter.sample(1.0)
-        assert len(calls) == 2
-        assert reporter.samples_taken == 2
-        assert reporter.usage_bytes(1, 7, 0) == 200
-        assert reporter.usage_bytes(1, 7, 60) == 0  # a later holder of ResID 7
+    @staticmethod
+    def _watching(policer, booked=1000):
+        controller = AdmissionController(100_000)
+        claim = controller.admit_reservation(1, True, booked, 0.0, 60.0, tag="watched")
+        engine = ReclamationEngine(controller, policer, grace_seconds=1.0)
+        engine.track(3, 1, 0, booked, 0.0, 60.0, [(1, True, claim.commitment.commitment_id)])
+        return engine
 
     def test_observed_rate_is_cumulative_average(self):
-        reporter = UsageReporter(lambda: {1: {(7, 0): 25_000}}, interval=0.1)
-        reporter.sample(2.0)
-        # 25,000 B over 2 s = 100,000 bits/s = 100 kbps.
-        assert reporter.observed_kbps(1, 7, 0, 2.0) == pytest.approx(100.0)
-        assert reporter.observed_kbps(1, 7, 0, 0.0) == 0.0
-        assert reporter.observed_kbps(9, 9, 0, 2.0) == 0.0  # never seen
+        policer = PerInterfacePolicer(capacity=8)
+        for _ in range(25):  # 25,000 B in one burst, well inside BurstTime
+            policer.array_for(1).monitor(3, 100_000, 1000, 1.0, 0)
+        # 25,000 B over 2 s = 100,000 bits/s = 100 kbps, a tenth of the booking.
+        (event,) = self._watching(policer).scan(2.0)
+        assert event.observed_kbps == pytest.approx(100.0)
+        (silent,) = self._watching(PerInterfacePolicer(capacity=8)).scan(2.0)
+        assert silent.observed_kbps == 0.0  # never seen
 
-    def test_invalid_interval(self):
+    def test_invalid_grace(self):
         with pytest.raises(ValueError):
-            UsageReporter(lambda: {}, interval=0)
+            ReclamationEngine(AdmissionController(1000), None, grace_seconds=-1.0)
+
+    def test_usage_bytes_reads_a_row_without_a_scan(self, monkeypatch):
+        """The loop asks once per tracked reservation per scan: a ResID's
+        latest row and one set aside for an earlier holder answer alike, and
+        neither builds every row."""
+        bucket = TokenBucketArray(capacity=8)
+        bucket.monitor(3, 1000, 100, 1.0, 0)
+        bucket.monitor(3, 1000, 300, 61.0, 60)  # a later holder sets [0, 60) aside
+
+        def every_row(self):
+            raise AssertionError("usage_bytes built every row")
+
+        monkeypatch.setattr(TokenBucketArray, "_usage_rows", every_row)
+        assert bucket.usage_bytes(3, 0) == 100
+        assert bucket.usage_bytes(3, 60) == 300
+        assert bucket.usage_bytes(3, 120) == 0 and bucket.usage_bytes(5, 0) == 0
 
     def test_a_reservation_the_loop_stopped_tracking_leaves_no_row(self):
-        """The reporter's rows never outgrow the loop's live reservations:
+        """The policer's rows never outgrow the loop's live reservations:
         once one ends and a scan stops tracking it, its bytes are gone."""
         policer = PerInterfacePolicer(capacity=8)
-        reporter = UsageReporter(policer.usage_snapshot, interval=0.25)
-        controller = AdmissionController(100_000)
-        claim = controller.admit_reservation(1, True, 1000, 0.0, 60.0, tag="ends")
-        engine = ReclamationEngine(controller, reporter, grace_seconds=1.0, retain=policer.retain)
-        engine.track(3, 1, 0, 1000, 0.0, 60.0, [(1, True, claim.commitment.commitment_id)])
+        engine = self._watching(policer)
         policer.array_for(1).monitor(3, 1000, 500, 2.0, 0)
         engine.scan(5.0)
-        assert reporter.usage_bytes(1, 3, 0) == 500
+        assert policer.usage_bytes(1, 3, 0) == 500
         engine.scan(60.0)  # the window is over: no longer tracked
         assert engine.tracked() == []
-        assert reporter.usage_bytes(1, 3, 0) == 0
-        assert reporter.reservations() == set()
+        assert policer.usage_bytes(1, 3, 0) == 0
+        assert policer.reservations() == set()
 
 
 class TestAdaptiveOverbooking:

@@ -12,7 +12,7 @@ from repro.admission import (
     DEFAULT_SHARD_SECONDS,
     ISSUED,
     AdmissionController,
-    OverbookingPolicy,
+    AdmissionPolicy,
 )
 from repro.invariants import InvariantBreach, check
 from repro.ledger.chain import Ledger
@@ -28,7 +28,7 @@ def _deployment(ledger=None, marketplace="m", **controllers):
     ledger = ledger if ledger is not None else Ledger()
     return SimpleNamespace(
         services={
-            name: SimpleNamespace(admission=controller, policer=None)
+            name: SimpleNamespace(admission=controller, reclamation=None)
             for name, controller in controllers.items()
         },
         ledger=ledger,
@@ -62,8 +62,8 @@ def test_a_level_no_record_explains_is_a_breach(shard_seconds):
 
 def test_the_limit_is_the_policy_factor_and_every_breach_is_listed():
     strict = AdmissionController(1000)
-    strict.calendar(1, True).commit(1200, 0, 100)  # past a policy that never overbooks
-    betting = AdmissionController(1000, policy=OverbookingPolicy(1.5))
+    strict.calendar(1, True).commit(1200, 0, 100)  # past a rule that never overbooks
+    betting = AdmissionController(1000, policy=AdmissionPolicy(1.5))
     assert betting.admit_reservation(1, True, 1400, 0, 100).admitted
     check(_deployment(betting=betting), now=0)
     betting.calendar(1, False, ACTIVE).commit(1501, 0, 100)
@@ -165,7 +165,7 @@ def test_a_request_its_as_polled_past_unanswered_is_a_breach():
         ledger.events.append(Event(answer, {"request": request}, "tx", checkpoint))
     deployment = _deployment(ledger)
     service = SimpleNamespace(
-        admission=AdmissionController(1000), _last_checkpoint=5, policer=None
+        admission=AdmissionController(1000), _last_checkpoint=5, reclamation=None
     )
     deployment.services = {IsdAs(1, 7): service}
     with pytest.raises(InvariantBreach, match=r"request stranded to AS 1-0:0:7: polled at checkpoint 5") as raised:
@@ -175,27 +175,24 @@ def test_a_request_its_as_polled_past_unanswered_is_a_breach():
     check(deployment, now=0)
 
 
-@pytest.mark.parametrize("holder", ["policer", "reporter"])
-def test_a_row_of_a_reservation_the_loop_does_not_track_is_a_breach(holder):
-    """Clause (f): the policer's and the usage reporter's rows are the loop's
-    live reservations'; one more, in either, is named."""
+def test_a_row_of_a_reservation_the_loop_does_not_track_is_a_breach():
+    """Clause (f): the policer's rows are the loop's live reservations'; one
+    more is named."""
     live, stale = (1, 3, 0), (1, 3, 60)
-    rows = {"policer": {live}, "reporter": {live}}
-    rows[holder] = {live, stale}
+    rows = {live, stale}
     tracked = SimpleNamespace(ingress_ifid=1, res_id=3, res_start=0)
     deployment = _deployment()
     deployment.services = {
         IsdAs(1, 7): SimpleNamespace(
             admission=AdmissionController(1000),
-            policer=SimpleNamespace(reservations=lambda: rows["policer"]),
             reclamation=SimpleNamespace(
                 tracked=lambda: [tracked],
-                reporter=SimpleNamespace(reservations=lambda: rows["reporter"]),
+                policer=SimpleNamespace(reservations=lambda: rows),
             ),
         )
     }
     with pytest.raises(InvariantBreach, match="ResID 3 from 60, a reservation") as raised:
         check(deployment, now=0)
     assert len(raised.value.breaches) == 1
-    rows[holder] = {live}
+    rows.discard(stale)
     check(deployment, now=0)

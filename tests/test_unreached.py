@@ -19,7 +19,7 @@ import reach  # noqa: E402
 
 # Only ever lowered: a function no user path calls either gains a caller or
 # leaves src/.  150 when the list was introduced, before its deletions.
-CEILING = 47
+CEILING = 46
 
 
 def entries() -> list[str]:
