@@ -79,7 +79,8 @@ class AdmissionPolicy:
             request.bandwidth_kbps, request.start, request.end, limit, tag=request.buyer
         )
         if commitment is None:
-            free = limit - calendar.peak_commitment(request.start, request.end)
+            # a learned factor that fell leaves the peak above the limit: no room
+            free = max(0, limit - calendar.peak_commitment(request.start, request.end))
             return AdmissionDecision(
                 False, f"needs {request.bandwidth_kbps} kbps, only {free} kbps free"
             )

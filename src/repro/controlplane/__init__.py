@@ -19,6 +19,7 @@ from repro.controlplane.pki import CpPki
 from repro.controlplane.workflow import (
     LatencyBreakdown,
     MarketDeployment,
+    Misdelivery,
     PurchaseOutcome,
     deploy_market,
     execute_transfer,
@@ -42,6 +43,7 @@ __all__ = [
     "CpPki",
     "LatencyBreakdown",
     "MarketDeployment",
+    "Misdelivery",
     "PurchaseOutcome",
     "deploy_market",
     "execute_transfer",

@@ -146,10 +146,9 @@ class HostClient:
         self.executor = executor
         self.rng = rng  # each redeem request's ephemeral key
         self.payment_coin: str | None = None
-        # Outstanding redeem request id -> the ephemeral key its answer is
-        # sealed to, and the record it asked for; both go when it is answered.
-        self._redeem_keys: dict[str, KeyPair] = {}
-        self._requested: dict[str, tuple] = {}
+        # Outstanding redeem request id -> (the ephemeral key its answer is
+        # sealed to, the record it asked for); the entry goes when it is answered.
+        self._outstanding: dict[str, tuple[KeyPair, tuple]] = {}
         self._delivery_checkpoint = 0
         # (delivery id, reason) pairs this host could not decrypt or parse.
         self.undecryptable: list[tuple[str, str]] = []
@@ -199,9 +198,9 @@ class HostClient:
             for returned in submitted.effects.returns:
                 if "request" in returned:
                     request = returned["request"]
-                    self._redeem_keys[request] = redeem_key
-                    self._requested[request] = requested_record(
-                        ledger.get_object(request).payload
+                    self._outstanding[request] = (
+                        redeem_key,
+                        requested_record(ledger.get_object(request).payload),
                     )
         return submitted
 
@@ -1011,8 +1010,7 @@ class HostClient:
                 continue
             if event.event_type == "RedemptionRefused":
                 # no answer can follow a refusal: the key goes too
-                self._redeem_keys.pop(event.payload["request"], None)
-                self._requested.pop(event.payload["request"], None)
+                self._outstanding.pop(event.payload["request"], None)
                 self.refused[event.payload["request"]] = event.payload["reason_code"]
                 continue
             delivery = ledger.objects.get(event.payload["delivery"])
@@ -1034,10 +1032,10 @@ class HostClient:
         ``request`` asked for (recorded in :attr:`misdelivered`)."""
         # The ledger destroyed the request with this delivery: whatever the
         # box holds, no second answer can come, so the key goes now.
-        requested = self._requested.pop(request, None)
-        keypair = self._redeem_keys.pop(request, None)
-        if keypair is None:
+        outstanding = self._outstanding.pop(request, None)
+        if outstanding is None:
             raise ValueError("delivery answers no outstanding request")
+        keypair, requested = outstanding
         box = SealedBox(
             kem_share=delivery.payload["kem_share"],
             ciphertext=delivery.payload["ciphertext"],

@@ -74,6 +74,18 @@ class PurchaseOutcome:
     quote: object = None  # the PathQuote the purchase executed
 
 
+class Misdelivery(RuntimeError):
+    """An on-path AS delivered a record other than the one its hop's redeem
+    request asked for.
+
+    The purchase's collect has already consumed every delivery it saw, so
+    ``reservations`` carries what it returned: the hops delivered as asked,
+    and any other delivery this host collected in the same call.
+    """
+
+    reservations: list[FlyoverReservation]
+
+
 @dataclass
 class MarketDeployment:
     """A fully wired control plane over a topology."""
@@ -262,10 +274,11 @@ def purchase_path(
     on-path AS has answered if any refused its hop, naming each such AS and
     its code: the host holds that hop's assets again, and its
     ``collect_reservations`` returns the hops that were delivered.  Raises
-    it too when an AS delivered a record other than the one its hop's redeem
-    request asked for, naming each such AS and the host's
+    :class:`Misdelivery` when an AS delivered a record other than the one
+    its hop's redeem request asked for, naming each such AS and the host's
     :data:`~repro.controlplane.hostclient.MISDELIVERY_CODES` entry, which
-    names the first field that differs.
+    names the first field that differs; the collect is spent by then, so the
+    error carries the reservations it returned.
     """
     spec = PathSpec(crossings, start, expiry, bandwidth_kbps, flex_start=flex_start)
     quote = deployment.planner.best(spec)
@@ -303,7 +316,9 @@ def purchase_path(
         if request in host.misdelivered
     ]
     if misdeliveries:
-        raise RuntimeError("; ".join(misdeliveries))
+        error = Misdelivery("; ".join(misdeliveries))
+        error.reservations = reservations
+        raise error
     return PurchaseOutcome(
         reservations=reservations,
         latency=LatencyBreakdown(request=request_latency, response=response_latency),

@@ -10,6 +10,7 @@ from repro.admission import (
     FlatPricer,
     ScarcityPricer,
 )
+from repro.reclaim import AdaptiveOverbooking
 
 from tests.conftest import EagerOverbooking
 
@@ -53,6 +54,14 @@ class TestOverbooking:
         assert policy.admit(calendar, AdmissionRequest(1200, 0, 100)).admitted
         refused = policy.admit(calendar, AdmissionRequest(100, 0, 100))
         assert refused.reason == "needs 100 kbps, only 50 kbps free"
+
+    def test_a_factor_that_fell_below_the_peak_leaves_no_room(self):
+        policy, calendar = AdaptiveOverbooking(), CapacityCalendar(1000)
+        assert policy.observe([calendar], 0.5) == pytest.approx(2.0)
+        assert policy.admit(calendar, AdmissionRequest(1800, 0, 100)).admitted
+        policy.observe([calendar], 1.0)  # the limit falls to 1538 kbps, under the peak
+        refused = policy.admit(calendar, AdmissionRequest(100, 0, 100))
+        assert refused.reason == "needs 100 kbps, only 0 kbps free"
 
     def test_a_static_factor_observes_and_keeps_its_factor(self):
         policy, calendar = AdmissionPolicy(1.5), CapacityCalendar(1000)

@@ -4,8 +4,9 @@ Each case has the middle AS of a 3-AS chain grant a record that differs from
 what the host redeemed in one field — the bandwidth class, the window, the
 interfaces or the AS — by wrapping ``grant_reservation`` as
 ``AsService._deliver`` calls it, for that AS only.  The host must refuse the
-record: ``purchase_path`` raises naming the AS and the field, and the request
-is in ``host.misdelivered`` under the host's code.
+record: ``purchase_path`` raises naming the AS and the field, the request is
+in ``host.misdelivered`` under the host's code, and the error carries the two
+honest hops' records, which no later collect returns.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import pytest
 from tests.conftest import T0
 
 from repro.clock import SimClock
-from repro.controlplane import asclient, deploy_market, purchase_path
+from repro.controlplane import Misdelivery, asclient, deploy_market, purchase_path
 from repro.netsim.scenarios import linear_path
 from repro.scion import as_crossings
 from repro.wire import bwcls
@@ -56,9 +57,15 @@ def test_the_host_refuses_a_record_it_did_not_redeem(world, lie, monkeypatch):
     start = world["next_start"][0]
     world["next_start"][0] += 1200
     host = deployment.new_host(funding_sui=100)
-    with pytest.raises(RuntimeError, match=f"^AS {liar} misdelivered: {code}$"):
+    with pytest.raises(Misdelivery, match=f"^AS {liar} misdelivered: {code}$") as raised:
         purchase_path(
             deployment, host, crossings, start=start, expiry=start + 600, bandwidth_kbps=4000
         )
     assert list(host.misdelivered.values()) == [code]
     assert host.undecryptable == [] and host.refused == {}
+    honest = [crossings[0], crossings[2]]
+    assert [
+        (r.isd_as, r.resinfo.ingress, r.resinfo.egress, r.resinfo.start)
+        for r in raised.value.reservations
+    ] == [(c.isd_as, c.ingress, c.egress, start) for c in honest]
+    assert host.collect_reservations() == []

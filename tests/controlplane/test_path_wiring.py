@@ -261,7 +261,7 @@ class TestRefusedHop:
         (refusal,) = ledger.events_since(checkpoint, "RedemptionRefused")
         assert refusal.payload["redeemer"] == host.account.address
         assert host.refused == {refusal.payload["request"]: "no_capacity"}
-        assert host._redeem_keys == {}
+        assert host._outstanding == {}
         assert not [o for o in ledger.objects.values() if o.type_tag == "asset::RedeemRequest"]
 
         # The host owns the refused hop's pair again: same rectangle, new ids.

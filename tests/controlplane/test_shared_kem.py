@@ -107,14 +107,14 @@ class TestOneExchangePerKeyAndPoll:
             for slot in (0, 2)
         ]
         assert host.redeem_path(pairs).effects.ok
-        assert len(set(host._redeem_keys.values())) == 1 and len(host._redeem_keys) == 2
+        assert len({key for key, _ in host._outstanding.values()}) == 1 and len(host._outstanding) == 2
 
         records = deployment.service(crossing.isd_as).poll_and_deliver()
 
         assert len({_share(deployment, record) for record in records}) == 1
         assert len(host.collect_reservations()) == 2
         assert len(pow_calls) == 2  # parent commit: 4
-        assert host._redeem_keys == {}
+        assert host._outstanding == {}
 
     def test_the_same_two_requests_in_two_polls_are_two_exchanges(self, pow_calls):
         deployment, (crossing, _) = _world()
@@ -164,7 +164,7 @@ class TestOneExchangePerKeyAndPoll:
         service = deployment.service(crossing.isd_as)
         for slot in (0, 1):
             _redeem(deployment, host, crossing, slot, key=1)
-        (host_key,) = set(host._redeem_keys.values())
+        (host_key,) = {key for key, _ in host._outstanding.values()}
 
         service.poll_and_deliver()
 
@@ -273,6 +273,6 @@ class TestOnePollOrMany:
             if not poll_each:
                 assert len(service.poll_and_deliver()) == len(keys)
             reservations += host.collect_reservations()
-            assert host.undecryptable == [] and host._redeem_keys == {}
+            assert host.undecryptable == [] and host._outstanding == {}
             decrypted.append(_rows(reservations))
         assert decrypted[0] == decrypted[1] and len(decrypted[0]) == len(keys)

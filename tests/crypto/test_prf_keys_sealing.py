@@ -434,7 +434,7 @@ class TestHostDecrypt:
 
         rng = random.Random(19)
         host = HostClient(Account.generate(rng), executor=None, rng=rng)
-        host._redeem_keys["request"] = KeyPair.generate(rng)
+        host._outstanding["request"] = (KeyPair.generate(rng), None)
         delivery = SimpleNamespace(
             payload={"kem_share": share, "ciphertext": b"x", "tag": bytes(16)}
         )

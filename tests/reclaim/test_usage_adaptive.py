@@ -32,6 +32,19 @@ class TestUsageFeed:
         (silent,) = self._watching(PerInterfacePolicer(capacity=8)).scan(2.0)
         assert silent.observed_kbps == 0.0  # never seen
 
+    def test_no_active_time_observes_nothing(self):
+        """With no grace a scan can judge a reservation the instant it starts:
+        no second has passed, so it has used nothing, whatever the policer
+        already counted."""
+        policer = PerInterfacePolicer(capacity=8)
+        policer.array_for(1).monitor(3, 100_000, 1000, 0.0, 0)
+        controller = AdmissionController(100_000)
+        claim = controller.admit_reservation(1, True, 1000, 0.0, 60.0, tag="starts now")
+        engine = ReclamationEngine(controller, policer, grace_seconds=0.0)
+        engine.track(3, 1, 0, 1000, 0.0, 60.0, [(1, True, claim.commitment.commitment_id)])
+        (event,) = engine.scan(0.0)
+        assert event.observed_kbps == 0.0
+
     def test_invalid_grace(self):
         with pytest.raises(ValueError):
             ReclamationEngine(AdmissionController(1000), None, grace_seconds=-1.0)

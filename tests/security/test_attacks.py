@@ -931,13 +931,13 @@ class TestHostileDelivery:
             self._buy(deployment, host, crossings[1:2], T0 + 3600 + 600 * index)
             assert len(deployment.service(crossings[1].isd_as).poll_and_deliver()) == 1
         assert len(host.collect_reservations()) == 4
-        assert host._redeem_keys == {}  # each key went with its last answered request
+        assert host._outstanding == {}  # each key went with its last answered request
 
         request_id = self._buy(deployment, host, crossings, T0 + 7200)
         garbage = self._answer(hostile, request_id, share, b"garbage", bytes(32))
         for crossing in crossings[1:]:
             assert len(deployment.service(crossing.isd_as).poll_and_deliver()) == 1
-        assert len(set(host._redeem_keys.values())) == 1 and len(host._redeem_keys) == 3
+        assert len({key for key, _ in host._outstanding.values()}) == 1 and len(host._outstanding) == 3
 
         pow_calls.clear()
         reservations = host.collect_reservations()
@@ -947,7 +947,7 @@ class TestHostileDelivery:
         ((delivery, reason),) = host.undecryptable
         assert delivery == garbage and reason.startswith("ValueError: no ephemeral key decrypts")
         assert len(pow_calls) == len(honest) + exchanges
-        assert host._redeem_keys == {}
+        assert host._outstanding == {}
 
     def test_a_delivery_that_answers_no_outstanding_request_costs_no_exponentiation(
         self, pow_calls
@@ -978,7 +978,7 @@ class TestHostileDelivery:
         host = deployment.new_host(funding_sui=100)
         refused = host.redeem_pair("no-such-asset", "nor-this-one")
         assert not refused.effects.ok
-        assert host._redeem_keys == {}
+        assert host._outstanding == {}
 
     def test_one_requests_box_is_no_answer_to_another_request(self):
         """The strongest replay: both requests carry the *same* redeem key,
@@ -994,7 +994,7 @@ class TestHostileDelivery:
         (honest,) = hostile.poll_and_deliver()
         host.rng = random.Random(7)  # ... so this one redeems under the same key
         request_b = self._buy(deployment, host, crossings[:1], T0 + 4200)
-        assert host._redeem_keys[request_a] == host._redeem_keys[request_b]
+        assert host._outstanding[request_a][0] == host._outstanding[request_b][0]
         box = deployment.ledger.objects[honest.delivery_id].payload
         replayed = self._answer(hostile, request_b, box["kem_share"], box["ciphertext"], box["tag"])
 
@@ -1008,4 +1008,4 @@ class TestHostileDelivery:
                 "sealed box authentication failed",
             )
         ]
-        assert host._redeem_keys == {}
+        assert host._outstanding == {}
